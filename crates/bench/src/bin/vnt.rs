@@ -18,6 +18,7 @@
 //! vnt verify <prog.bpf>
 //! vnt analyze <prog.bpf>
 //! vnt db stats <dir>
+//! vnt db query <dir> <measurement> [START_NS END_NS]
 //! vnt db export <dir> [FILE.jsonl]
 //! vnt db import <dir> <FILE.jsonl>
 //!
@@ -69,8 +70,12 @@
 //! records to such a database.
 //!
 //! `vnt db` inspects and moves trace databases stored in the columnar
-//! segment format: `stats` prints the per-measurement segment/WAL
-//! breakdown of a database directory, `export` dumps every record as
+//! segment format: `stats` prints the per-measurement segment/block/WAL
+//! breakdown of a database directory, `query` runs a (time-range) scan
+//! of one measurement and prints what it matched next to the scan
+//! counters — segments and blocks pruned on the footer versus decoded,
+//! bytes read — so "why was this query slow" is one command, `export`
+//! dumps every record as
 //! JSON lines (to a file or stdout), and `import` loads a JSON-lines
 //! dump into a database directory, journaled and sealed like live
 //! ingest.
@@ -251,7 +256,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: vnt <two-host|ovs|xen|container> [--package FILE.json] [--messages N] [--emit-package] [--threads N]\n       vnt rack [--threads N] [--messages N] [--full] [--trace]\n       vnt live [--messages N] [--window-us W] [--collect-us I] [--save-db DIR]\n       vnt live --from-db DIR [--pair FROM,TO] [--window-us W] [--collect-us I]\n       vnt emulate [--profile NAME|all] [--rack] [--seed N] [--messages N] [--threads N]\n       vnt modules\n       vnt trace <drop-lab|request-chain> [--profile NAME] [--messages N] [--seed N] [--save-db DIR]\n       vnt drops [--messages N] [--seed N]\n       vnt verify <prog.bpf>\n       vnt analyze <prog.bpf>\n       vnt db <stats|export|import> <dir> [FILE.jsonl]"
+    "usage: vnt <two-host|ovs|xen|container> [--package FILE.json] [--messages N] [--emit-package] [--threads N]\n       vnt rack [--threads N] [--messages N] [--full] [--trace]\n       vnt live [--messages N] [--window-us W] [--collect-us I] [--save-db DIR]\n       vnt live --from-db DIR [--pair FROM,TO] [--window-us W] [--collect-us I]\n       vnt emulate [--profile NAME|all] [--rack] [--seed N] [--messages N] [--threads N]\n       vnt modules\n       vnt trace <drop-lab|request-chain> [--profile NAME] [--messages N] [--seed N] [--save-db DIR]\n       vnt drops [--messages N] [--seed N]\n       vnt verify <prog.bpf>\n       vnt analyze <prog.bpf>\n       vnt db <stats|query|export|import> <dir> [...]"
         .to_owned()
 }
 
@@ -383,10 +388,10 @@ fn analyze_file(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `vnt db <stats|export|import> <dir> [file]`: inspect, dump or load a
-/// columnar trace database directory.
+/// `vnt db <stats|query|export|import> <dir> [...]`: inspect, query, dump
+/// or load a columnar trace database directory.
 fn run_db(rest: &[String]) -> Result<(), String> {
-    const DB_USAGE: &str = "usage: vnt db stats <dir>\n       vnt db export <dir> [FILE.jsonl]\n       vnt db import <dir> <FILE.jsonl>";
+    const DB_USAGE: &str = "usage: vnt db stats <dir>\n       vnt db query <dir> <measurement> [START_NS END_NS]\n       vnt db export <dir> [FILE.jsonl]\n       vnt db import <dir> <FILE.jsonl>";
     let action = rest
         .first()
         .map(String::as_str)
@@ -404,6 +409,7 @@ fn run_db(rest: &[String]) -> Result<(), String> {
                 &[
                     "measurement",
                     "segments",
+                    "blocks",
                     "sealed",
                     "hot",
                     "encoded (B)",
@@ -411,10 +417,13 @@ fn run_db(rest: &[String]) -> Result<(), String> {
                     "ratio",
                 ],
             );
+            let mut blocks = 0;
             for m in db.measurement_storage() {
+                blocks += m.blocks;
                 t.row(&[
                     m.measurement.clone(),
                     m.segments.to_string(),
+                    m.blocks.to_string(),
                     m.sealed_records.to_string(),
                     m.hot_records.to_string(),
                     m.encoded_bytes.to_string(),
@@ -425,6 +434,7 @@ fn run_db(rest: &[String]) -> Result<(), String> {
             t.row(&[
                 "total".into(),
                 s.segments.to_string(),
+                blocks.to_string(),
                 s.sealed_records.to_string(),
                 s.wal_records.to_string(),
                 s.encoded_bytes.to_string(),
@@ -447,6 +457,45 @@ fn run_db(rest: &[String]) -> Result<(), String> {
                 } else {
                     ""
                 }
+            );
+            Ok(())
+        }
+        "query" => {
+            let measurement = rest
+                .get(2)
+                .ok_or_else(|| format!("db query needs a measurement\n{DB_USAGE}"))?;
+            let mut query = vnet_tsdb::Query::new(measurement.as_str());
+            if let (Some(start), Some(end)) = (rest.get(3), rest.get(4)) {
+                let ns = |v: &String| v.parse::<u64>().map_err(|e| format!("bad time `{v}`: {e}"));
+                query = query.time_range(ns(start)?, ns(end)?);
+            } else if rest.len() > 3 {
+                return Err(format!(
+                    "a time range needs START_NS and END_NS\n{DB_USAGE}"
+                ));
+            }
+            let db =
+                vnet_tsdb::TraceDb::open(dir).map_err(|e| format!("cannot open {dir}: {e}"))?;
+            let scan = query.scan(&db).map_err(|e| format!("scan failed: {e}"))?;
+            let entries = scan.entries();
+            let len = vnet_tsdb::aggregate(&entries, "pkt_len");
+            println!(
+                "{measurement}: {} entries, pkt_len mean {:.1} B (min {}, max {})",
+                entries.len(),
+                len.mean,
+                len.min,
+                len.max
+            );
+            let s = scan.stats();
+            let segments = (s.segments_total, s.segments_pruned, s.segments_scanned);
+            let blocks = (s.blocks_total, s.blocks_pruned, s.blocks_scanned);
+            for (unit, (total, pruned, decoded)) in [("segments", segments), ("blocks", blocks)] {
+                println!(
+                    "{unit:>8}: {total} total, {pruned} pruned on the footer, {decoded} decoded"
+                );
+            }
+            println!(
+                "matched {} sealed rows + {} hot entries; read {} chunk bytes, at most {} rows decoded at once",
+                s.rows_matched, s.hot_entries, s.bytes_read, s.peak_decoded_rows
             );
             Ok(())
         }

@@ -6,7 +6,7 @@
 //! (§III-D)
 
 use serde::{Deserialize, Serialize};
-use vnet_tsdb::TraceDb;
+use vnet_tsdb::{Query, TraceDb};
 
 /// Loss between an upstream and a downstream tracepoint.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -22,10 +22,17 @@ pub struct PacketLoss {
 }
 
 /// Computes packet loss between tracepoint tables `upstream` and
-/// `downstream`.
+/// `downstream`. Counts sealed segments as well as the hot tail, so the
+/// answer is the same on a reopened disk-backed store; a table that does
+/// not exist (or cannot be scanned) counts as empty.
 pub fn packet_loss(db: &TraceDb, upstream: &str, downstream: &str) -> PacketLoss {
-    let n_i = db.table(upstream).map_or(0, |t| t.len() as u64);
-    let n_j = db.table(downstream).map_or(0, |t| t.len() as u64);
+    let count = |table: &str| {
+        Query::new(table)
+            .scan(db)
+            .map_or(0, |scan| scan.len() as u64)
+    };
+    let n_i = count(upstream);
+    let n_j = count(downstream);
     let lost = n_i.saturating_sub(n_j);
     PacketLoss {
         upstream: n_i,
@@ -81,5 +88,39 @@ mod tests {
             db.insert(DataPoint::new("out", i));
         }
         assert_eq!(packet_loss(&db, "in", "out").lost, 0);
+    }
+
+    #[test]
+    fn loss_survives_a_cold_reopen() {
+        use vnet_tsdb::{CompactRecord, RecordBatch, StoreOptions};
+        let dir = std::env::temp_dir().join(format!("vnt-loss-cold-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = StoreOptions {
+            seal_threshold: 40,
+            fsync: false,
+            background_compaction: false,
+            ..StoreOptions::default()
+        };
+        let mut batch = RecordBatch::new();
+        for i in 0..100u64 {
+            let record = CompactRecord {
+                timestamp_ns: i * 1_000,
+                ..Default::default()
+            };
+            batch.push("in", "vm1", record);
+            if i % 4 != 0 {
+                batch.push("out", "vm2", record);
+            }
+        }
+        let mut disk = TraceDb::open_with(&dir, options.clone()).unwrap();
+        disk.insert_batch(&batch);
+        disk.flush().unwrap();
+        drop(disk);
+
+        let cold = TraceDb::open_with(&dir, options).unwrap();
+        let loss = packet_loss(&cold, "in", "out");
+        assert_eq!((loss.upstream, loss.downstream, loss.lost), (100, 75, 25));
+        assert!((loss.rate - 0.25).abs() < 1e-12);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,7 +5,7 @@
 //! Σ_{i=1}^{N} (S_i − S_ID) / (T_N − T_1), where … S_ID is the 4 bytes
 //! packet unique ID." (§III-D)
 
-use vnet_tsdb::{TraceDb, TRACE_ID_TAG};
+use vnet_tsdb::{Query, TraceDb, TRACE_ID_TAG};
 
 /// Bytes the trace ID adds to each packet on the wire (`S_ID`).
 pub const TRACE_ID_WIRE_BYTES: u64 = 4;
@@ -32,12 +32,15 @@ pub fn throughput_bps(samples: &[(u64, u32, bool)]) -> f64 {
 }
 
 /// Computes throughput at a tracepoint's table, reading each record's
-/// `pkt_len` field and whether it carries a trace ID.
+/// `pkt_len` field and whether it carries a trace ID. Scans sealed
+/// segments as well as the hot tail, so the answer is the same on a
+/// reopened disk-backed store. Returns 0.0 when the table does not exist
+/// (or cannot be scanned).
 pub fn throughput_at(db: &TraceDb, measurement: &str) -> f64 {
-    let Some(table) = db.table(measurement) else {
+    let Ok(scan) = Query::new(measurement).scan(db) else {
         return 0.0;
     };
-    let samples: Vec<(u64, u32, bool)> = table
+    let samples: Vec<(u64, u32, bool)> = scan
         .entries()
         .iter()
         .filter_map(|e| {
@@ -91,5 +94,45 @@ mod tests {
         let expected = (100.0 * 100.0 * 8.0) / (99_000.0 / 1e9);
         assert!((bps - expected).abs() / expected < 1e-9);
         assert_eq!(throughput_at(&db, "absent"), 0.0);
+    }
+
+    #[test]
+    fn throughput_survives_a_cold_reopen() {
+        use vnet_tsdb::{CompactRecord, RecordBatch, StoreOptions};
+        let dir = std::env::temp_dir().join(format!("vnt-throughput-cold-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = StoreOptions {
+            seal_threshold: 40,
+            fsync: false,
+            background_compaction: false,
+            ..StoreOptions::default()
+        };
+        let mut batch = RecordBatch::new();
+        for i in 0..100u32 {
+            let record = CompactRecord {
+                timestamp_ns: u64::from(i) * 1_000,
+                trace_id: i,
+                pkt_len: 104,
+                flags: u8::from(i % 2 == 0),
+                ..Default::default()
+            };
+            batch.push("nic_rx", "vm1", record);
+        }
+        let mut mem = TraceDb::new();
+        mem.insert_batch(&batch);
+        let mut disk = TraceDb::open_with(&dir, options.clone()).unwrap();
+        disk.insert_batch(&batch);
+        disk.flush().unwrap();
+        drop(disk);
+
+        let cold = TraceDb::open_with(&dir, options).unwrap();
+        assert!(
+            cold.table("nic_rx").is_none_or(|t| t.is_empty()),
+            "no hot tail"
+        );
+        let bps = throughput_at(&cold, "nic_rx");
+        assert!(bps > 0.0);
+        assert_eq!(bps.to_bits(), throughput_at(&mem, "nic_rx").to_bits());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

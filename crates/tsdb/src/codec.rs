@@ -208,6 +208,18 @@ pub fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, CodecError> {
     Ok(s.to_owned())
 }
 
+/// Reads a little-endian `u32` from `buf` at `*pos`, advancing `*pos`.
+///
+/// # Errors
+///
+/// [`CodecError::Truncated`] on a short buffer.
+pub fn get_u32_le(buf: &[u8], pos: &mut usize) -> Result<u32, CodecError> {
+    let end = pos.checked_add(4).ok_or(CodecError::Truncated)?;
+    let b = buf.get(*pos..end).ok_or(CodecError::Truncated)?;
+    *pos = end;
+    Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+}
+
 /// CRC-32 (IEEE 802.3 / zlib polynomial, reflected), table-driven.
 pub fn crc32(bytes: &[u8]) -> u32 {
     static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();

@@ -1,11 +1,11 @@
 //! Background compaction: merging small time-adjacent segments.
 //!
 //! Sealing produces one segment per measurement per seal, so a long
-//! trace run accumulates many small files; queries then pay one footer
-//! and per-column read per segment. The compactor merges runs of
-//! seq-adjacent segments of one measurement into a single larger file,
-//! re-encoding columns (delta chains restart once instead of per
-//! segment) and unioning the node dictionaries.
+//! trace run accumulates many small files, each ending in a short
+//! ragged block; queries then pay one footer and one partial block per
+//! segment. The compactor merges runs of seq-adjacent segments of one
+//! measurement into a single larger file, re-cutting the rows into full
+//! blocks and unioning the node dictionaries.
 //!
 //! ## Invariants
 //!
@@ -16,10 +16,9 @@
 //! * Inputs for one job cover disjoint, adjacent sequence ranges of one
 //!   measurement; the merge is a concatenation in `min_seq` order, so
 //!   row order (and therefore query results) is unchanged.
-//! * The merge is column-at-a-time: at most one decoded column lane of
-//!   the combined row count is resident, keeping compaction memory a
-//!   small multiple of the output row count rather than the full
-//!   decoded table.
+//! * The merge streams block by block through the same reader queries
+//!   use: one decoded input block and the writer's one open output
+//!   block are resident, whatever the size of the inputs or the output.
 //!
 //! The merge itself runs on a worker thread ([`Compactor::spawn`])
 //! touching only immutable input files; the store polls for completion
@@ -30,7 +29,10 @@
 use std::path::PathBuf;
 use std::thread::JoinHandle;
 
-use crate::segment::{ColumnId, Segment, SegmentError, SegmentMeta, SegmentWriter};
+use crate::segment::{
+    Block, ColumnId, Segment, SegmentError, SegmentMeta, SegmentWriter, ALL_COLUMNS,
+};
+use crate::store::StoreError;
 
 /// One planned merge: which files go in, where the output goes.
 #[derive(Debug, Clone)]
@@ -58,7 +60,7 @@ pub struct FinishedCompaction {
     pub result: Result<SegmentMeta, SegmentError>,
 }
 
-/// Merges `job.inputs` into `job.output_tmp`, column by column.
+/// Merges `job.inputs` into `job.output_tmp`, block by block.
 ///
 /// # Errors
 ///
@@ -112,21 +114,17 @@ pub fn merge_segments(job: &CompactionJob) -> Result<SegmentMeta, SegmentError> 
             remaps.push(remap);
         }
         let mut w = SegmentWriter::create(&job.output_tmp)?;
-        for id in ColumnId::ALL {
-            let total: usize = inputs.iter().map(|s| s.meta().records as usize).sum();
-            let mut lane: Vec<u64> = Vec::with_capacity(total);
-            for (s, remap) in inputs.iter().zip(&remaps) {
-                let mut col = s.read_column(id)?;
-                if id == ColumnId::Node {
-                    for v in &mut col {
-                        *v = *remap.get(*v as usize).ok_or_else(|| {
-                            SegmentError::Corrupt("node index outside dictionary".into())
-                        })?;
-                    }
+        for (s, remap) in inputs.iter().zip(&remaps) {
+            for b in 0..s.meta().blocks.len() {
+                let mut blk = Block::default();
+                s.read_block(b, &ALL_COLUMNS, &mut blk)?;
+                for v in blk.col_mut(ColumnId::Node) {
+                    *v = *remap.get(*v as usize).ok_or_else(|| {
+                        SegmentError::Corrupt("node index outside dictionary".into())
+                    })?;
                 }
-                lane.append(&mut col);
+                w.append(blk.cols())?;
             }
-            w.push_column(id, &lane)?;
         }
         w.finish(&job.measurement, &nodes, job.fsync)
     };
@@ -158,15 +156,21 @@ impl Compactor {
     /// immutable input files and its own temporary output, so the store
     /// keeps serving reads and ingest concurrently.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a job is already in flight (the store schedules one at
-    /// a time).
-    pub fn spawn(&mut self, job: CompactionJob) {
-        assert!(self.inflight.is_none(), "one compaction at a time");
+    /// [`StoreError::CompactionInFlight`] if a job is already running
+    /// (the store schedules one at a time), or the I/O error if the
+    /// thread cannot be started; `job` has not run in either case.
+    pub fn spawn(&mut self, job: CompactionJob) -> Result<(), StoreError> {
+        if self.inflight.is_some() {
+            return Err(StoreError::CompactionInFlight);
+        }
         let worker_job = job.clone();
-        let handle = std::thread::spawn(move || merge_segments(&worker_job));
+        let handle = std::thread::Builder::new()
+            .name("vnt-compact".into())
+            .spawn(move || merge_segments(&worker_job))?;
         self.inflight = Some((job, handle));
+        Ok(())
     }
 
     /// Runs `job` synchronously and returns it finished.
@@ -227,6 +231,17 @@ mod tests {
         d
     }
 
+    /// One whole column of a segment, block after block.
+    fn column(seg: &Segment, id: ColumnId) -> Vec<u64> {
+        let mut out = Vec::new();
+        for b in 0..seg.meta().blocks.len() {
+            let mut blk = Block::default();
+            seg.read_block(b, &ALL_COLUMNS, &mut blk).unwrap();
+            out.extend_from_slice(blk.col(id));
+        }
+        out
+    }
+
     fn job_for(d: &Path, inputs: &[&str]) -> CompactionJob {
         CompactionJob {
             measurement: "m".into(),
@@ -264,12 +279,42 @@ mod tests {
         assert_eq!(meta.max_seq, 199);
 
         let merged = Segment::open(&job.output_tmp).unwrap();
-        let seqs = merged.read_column(ColumnId::Seq).unwrap();
+        let seqs = column(&merged, ColumnId::Seq);
         assert!(seqs.windows(2).all(|w| w[0] < w[1]), "seq order preserved");
-        let nodes_col = merged.read_column(ColumnId::Node).unwrap();
+        let nodes_col = column(&merged, ColumnId::Node);
         // s2's node 0 was "b", which remaps to merged index 1.
         assert_eq!(nodes_col[100], 1);
         assert_eq!(nodes_col[150], 2);
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn merge_recuts_ragged_blocks_into_full_blocks_and_one_tail() {
+        use crate::segment::BLOCK_ROWS;
+        let d = dir("recut");
+        // Five seals' worth of segments that each end mid-block.
+        let per_input = BLOCK_ROWS as u64 * 3 / 8;
+        let names: Vec<String> = (0..5).map(|i| format!("s{i}.col")).collect();
+        for (i, name) in names.iter().enumerate() {
+            let input = rows(i as u64 * per_input, per_input, 0);
+            let meta = ColumnData::from_rows(vec!["n".into()], &input)
+                .write(d.join(name), "m", false)
+                .unwrap();
+            assert_eq!(meta.blocks.len(), 1);
+        }
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let job = job_for(&d, &refs);
+        let meta = merge_segments(&job).unwrap();
+        let total = 5 * per_input;
+        let block_rows: Vec<u64> = meta.blocks.iter().map(|b| b.rows).collect();
+        assert_eq!(block_rows, [BLOCK_ROWS as u64, total - BLOCK_ROWS as u64]);
+        assert_eq!(meta.blocks[1].min_seq, BLOCK_ROWS as u64);
+        let merged = Segment::open(&job.output_tmp).unwrap();
+        assert_eq!(merged.meta(), &meta);
+        assert_eq!(
+            column(&merged, ColumnId::Seq),
+            (0..total).collect::<Vec<u64>>()
+        );
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -306,7 +351,11 @@ mod tests {
         });
         let inline_meta = inline.result.unwrap();
 
-        c.spawn(job);
+        c.spawn(job.clone()).unwrap();
+        assert!(
+            matches!(c.spawn(job), Err(StoreError::CompactionInFlight)),
+            "one compaction at a time"
+        );
         let finished = c.wait().expect("job was in flight");
         assert!(c.is_idle());
         let bg_meta = finished.result.unwrap();

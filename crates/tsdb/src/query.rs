@@ -8,7 +8,7 @@
 
 use crate::point::DataPoint;
 use crate::record::CompactRecord;
-use crate::segment::{ColumnId, Segment, SegmentError};
+use crate::segment::{Block, ColumnId, ColumnSet, SegmentError, ALL_COLUMNS};
 use crate::store::{StoreError, TraceDb};
 use crate::table::{Entry, Table, TRACE_ID_TAG};
 
@@ -97,11 +97,14 @@ impl Query {
     /// the in-memory hot tail — returning an owned result set.
     ///
     /// This is the vectorized path: tag filters are compiled to integer
-    /// predicates once, segments are pruned by footer time range and
-    /// node dictionary without touching their data, and only the
-    /// predicate columns of surviving segments are decoded before
-    /// materializing matches. On an in-memory database it is equivalent
-    /// to [`Query::run`].
+    /// predicates once; segments are pruned by footer time range and
+    /// node dictionary without touching their data; inside a surviving
+    /// segment every row block whose own `[min_ts, max_ts]` misses the
+    /// window is skipped on the footer too (no sortedness assumed); and
+    /// a surviving block decodes its predicate columns first, the rest
+    /// only if a row matched. One decoded block is resident at a time,
+    /// so memory is O(block + result). On an in-memory database it is
+    /// equivalent to [`Query::run`].
     ///
     /// # Errors
     ///
@@ -116,142 +119,133 @@ impl Query {
         // malformed value) rules out every sealed row up front — but
         // not hot points, which carry arbitrary tags.
         let record_possible = !preds.iter().any(|p| matches!(p, TagPred::Never));
-        let needs_ts = self.time_start.is_some() || self.time_end.is_some();
+        let lo = self.time_start.unwrap_or(0);
+        let hi = self.time_end.unwrap_or(u64::MAX);
+        let mut pred_cols: ColumnSet = [false; ColumnId::ALL.len()];
+        pred_cols[ColumnId::Ts as usize] = self.time_start.is_some() || self.time_end.is_some();
+        for p in &preds {
+            let touched: &[ColumnId] = match p {
+                TagPred::Never => &[],
+                TagPred::Node(_) => &[ColumnId::Node],
+                TagPred::DirectionRx | TagPred::DirectionTx => &[ColumnId::Direction],
+                TagPred::TraceId(_) => &[ColumnId::TraceId, ColumnId::Flags],
+                TagPred::Flow { .. } => &[
+                    ColumnId::Saddr,
+                    ColumnId::Daddr,
+                    ColumnId::Sport,
+                    ColumnId::Dport,
+                ],
+            };
+            for &id in touched {
+                pred_cols[id as usize] = true;
+            }
+        }
 
         let mut nodes: Vec<String> = Vec::new();
         let mut rows: Vec<(u64, u32, CompactRecord)> = Vec::new();
         let mut points: Vec<(u64, DataPoint)> = Vec::new();
         let mut stats = ScanStats::default();
 
-        'segments: for seg in db.sealed_segments_for(&self.measurement) {
-            stats.segments_total += 1;
+        for seg in db.sealed_segments_for(&self.measurement) {
             let meta = seg.meta();
-            let time_pruned = !record_possible
-                || self.time_start.is_some_and(|s| meta.max_ts < s)
-                || self.time_end.is_some_and(|e| meta.min_ts > e);
-            if time_pruned {
-                stats.segments_pruned += 1;
-                continue;
-            }
-            // Resolve node-equality predicates against this segment's
-            // dictionary; a miss prunes the whole segment.
+            let block_count = meta.blocks.len() as u64;
+            stats.segments_total += 1;
+            stats.blocks_total += block_count;
+            // Footer-only segment pruning: time range, impossible
+            // predicate, or a node the dictionary does not hold.
+            let mut pruned = !record_possible || meta.max_ts < lo || meta.min_ts > hi;
             let mut node_idx: Vec<u64> = Vec::new();
             for p in &preds {
                 if let TagPred::Node(name) = p {
                     match meta.nodes.iter().position(|n| n == name) {
                         Some(i) => node_idx.push(i as u64),
-                        None => {
-                            stats.segments_pruned += 1;
-                            continue 'segments;
-                        }
+                        None => pruned = true,
                     }
                 }
             }
-            stats.segments_scanned += 1;
-            stats.sealed_rows_total += meta.records;
-            let n = meta.records as usize;
-
-            // Phase 1: decode only the columns the predicates touch.
-            let mut want = [false; ColumnId::ALL.len()];
-            want[ColumnId::Ts as usize] = needs_ts;
-            want[ColumnId::Node as usize] = !node_idx.is_empty();
-            for p in &preds {
-                match p {
-                    TagPred::Node(_) | TagPred::Never => {}
-                    TagPred::DirectionRx | TagPred::DirectionTx => {
-                        want[ColumnId::Direction as usize] = true;
-                    }
-                    TagPred::TraceId(_) => {
-                        want[ColumnId::TraceId as usize] = true;
-                        want[ColumnId::Flags as usize] = true;
-                    }
-                    TagPred::Flow { .. } => {
-                        want[ColumnId::Saddr as usize] = true;
-                        want[ColumnId::Daddr as usize] = true;
-                        want[ColumnId::Sport as usize] = true;
-                        want[ColumnId::Dport as usize] = true;
-                    }
-                }
-            }
-            let mut cols: Vec<Option<Vec<u64>>> = (0..ColumnId::ALL.len()).map(|_| None).collect();
-            for id in ColumnId::ALL {
-                if want[id as usize] {
-                    cols[id as usize] = Some(seg.read_column(id)?);
-                    stats.bytes_read += meta.columns[id as usize].len;
-                }
-            }
-            let matched: Vec<usize> = {
-                let col = |id: ColumnId| cols[id as usize].as_deref().expect("loaded in phase 1");
-                (0..n)
-                    .filter(|&i| {
-                        if needs_ts {
-                            let t = col(ColumnId::Ts)[i];
-                            if self.time_start.is_some_and(|s| t < s)
-                                || self.time_end.is_some_and(|e| t > e)
-                            {
-                                return false;
-                            }
-                        }
-                        node_idx.iter().all(|&w| col(ColumnId::Node)[i] == w)
-                            && preds.iter().all(|p| match p {
-                                TagPred::Node(_) => true,
-                                TagPred::Never => false,
-                                TagPred::DirectionRx => col(ColumnId::Direction)[i] == 0,
-                                TagPred::DirectionTx => col(ColumnId::Direction)[i] != 0,
-                                TagPred::TraceId(id) => {
-                                    col(ColumnId::Flags)[i] & 1 != 0
-                                        && col(ColumnId::TraceId)[i] == u64::from(*id)
-                                }
-                                TagPred::Flow {
-                                    saddr,
-                                    daddr,
-                                    sport,
-                                    dport,
-                                } => {
-                                    col(ColumnId::Saddr)[i] == *saddr
-                                        && col(ColumnId::Daddr)[i] == *daddr
-                                        && col(ColumnId::Sport)[i] == *sport
-                                        && col(ColumnId::Dport)[i] == *dport
-                                }
-                            })
-                    })
-                    .collect()
-            };
-            if matched.is_empty() {
+            if pruned {
+                stats.segments_pruned += 1;
+                stats.blocks_pruned += block_count;
                 continue;
             }
-            stats.rows_matched += matched.len() as u64;
-
-            // Phase 2: decode the remaining columns and materialize the
-            // matched rows.
-            for id in ColumnId::ALL {
-                if cols[id as usize].is_none() {
-                    cols[id as usize] = Some(seg.read_column(id)?);
-                    stats.bytes_read += meta.columns[id as usize].len;
+            let row_matches = |blk: &Block, i: usize| {
+                if pred_cols[ColumnId::Ts as usize] {
+                    let t = blk.col(ColumnId::Ts)[i];
+                    if t < lo || t > hi {
+                        return false;
+                    }
                 }
+                node_idx.iter().all(|&w| blk.col(ColumnId::Node)[i] == w)
+                    && preds.iter().all(|p| match p {
+                        TagPred::Node(_) => true,
+                        TagPred::Never => false,
+                        TagPred::DirectionRx => blk.col(ColumnId::Direction)[i] == 0,
+                        TagPred::DirectionTx => blk.col(ColumnId::Direction)[i] != 0,
+                        TagPred::TraceId(id) => {
+                            blk.col(ColumnId::Flags)[i] & 1 != 0
+                                && blk.col(ColumnId::TraceId)[i] == u64::from(*id)
+                        }
+                        TagPred::Flow {
+                            saddr,
+                            daddr,
+                            sport,
+                            dport,
+                        } => {
+                            blk.col(ColumnId::Saddr)[i] == *saddr
+                                && blk.col(ColumnId::Daddr)[i] == *daddr
+                                && blk.col(ColumnId::Sport)[i] == *sport
+                                && blk.col(ColumnId::Dport)[i] == *dport
+                        }
+                    })
+            };
+            // Segment dictionary index -> scan dictionary index, built
+            // when the first row of this segment matches.
+            let mut remap: Vec<u32> = Vec::new();
+            let scanned_before = stats.blocks_scanned;
+            for (b, block_meta) in meta.blocks.iter().enumerate() {
+                if block_meta.max_ts < lo || block_meta.min_ts > hi {
+                    stats.blocks_pruned += 1;
+                    continue;
+                }
+                stats.blocks_scanned += 1;
+                // Phase 1: decode only the columns the predicates touch.
+                let mut blk = Block::default();
+                stats.bytes_read += seg.read_block(b, &pred_cols, &mut blk)?;
+                let matched: Vec<usize> = (0..block_meta.rows as usize)
+                    .filter(|&i| row_matches(&blk, i))
+                    .collect();
+                if !matched.is_empty() {
+                    stats.rows_matched += matched.len() as u64;
+                    // Phase 2: decode the remaining columns and
+                    // materialize the matched rows.
+                    stats.bytes_read += seg.read_block(b, &ALL_COLUMNS, &mut blk)?;
+                    if remap.is_empty() {
+                        remap = meta
+                            .nodes
+                            .iter()
+                            .map(|name| dict_index(&mut nodes, name))
+                            .collect();
+                    }
+                    for &i in &matched {
+                        let dict = blk.col(ColumnId::Node)[i] as usize;
+                        let node = *remap.get(dict).ok_or_else(|| {
+                            StoreError::Segment(SegmentError::Corrupt(format!(
+                                "node index {dict} outside dictionary of {}",
+                                seg.path().display()
+                            )))
+                        })?;
+                        rows.push((blk.col(ColumnId::Seq)[i], node, blk.record(i)));
+                    }
+                }
+                stats.peak_decoded_rows = stats.peak_decoded_rows.max(blk.rows() as u64);
             }
-            let full: Vec<Vec<u64>> = cols
-                .into_iter()
-                .map(|c| c.expect("all columns loaded"))
-                .collect();
-            let remap: Vec<u32> = meta
-                .nodes
-                .iter()
-                .map(|name| dict_index(&mut nodes, name))
-                .collect();
-            for &i in &matched {
-                let dict = full[ColumnId::Node as usize][i] as usize;
-                let node = *remap.get(dict).ok_or_else(|| {
-                    StoreError::Segment(SegmentError::Corrupt(format!(
-                        "node index {dict} outside dictionary of {}",
-                        seg.path().display()
-                    )))
-                })?;
-                rows.push((
-                    full[ColumnId::Seq as usize][i],
-                    node,
-                    Segment::record_from_cols(&full, i),
-                ));
+            // A segment whose blocks were all skipped was pruned on the
+            // footer just the same.
+            if stats.blocks_scanned == scanned_before {
+                stats.segments_pruned += 1;
+            } else {
+                stats.segments_scanned += 1;
+                stats.sealed_rows_total += meta.records;
             }
         }
 
@@ -364,9 +358,9 @@ pub struct ScanStats {
     /// Sealed segments belonging to the queried measurement.
     pub segments_total: u64,
     /// Segments skipped on footer metadata alone (time range, node
-    /// dictionary, impossible predicate).
+    /// dictionary, impossible predicate, or every block skipped).
     pub segments_pruned: u64,
-    /// Segments whose columns were (partially) decoded.
+    /// Segments with at least one block decoded.
     pub segments_scanned: u64,
     /// Rows in the scanned segments.
     pub sealed_rows_total: u64,
@@ -374,8 +368,17 @@ pub struct ScanStats {
     pub rows_matched: u64,
     /// Hot-tail entries (points + shard records) matching the query.
     pub hot_entries: u64,
-    /// Encoded bytes read from disk (column blocks, not footers).
+    /// Encoded chunk bytes read from disk (not footers).
     pub bytes_read: u64,
+    /// Row blocks in the queried measurement's segments.
+    pub blocks_total: u64,
+    /// Blocks skipped on the footer: with their segment, or because
+    /// their own time range misses the window.
+    pub blocks_pruned: u64,
+    /// Blocks whose predicate columns were decoded.
+    pub blocks_scanned: u64,
+    /// Most sealed rows held in decoded form at once (one block's).
+    pub peak_decoded_rows: u64,
 }
 
 /// An owned result set from [`Query::scan`]: matched sealed rows plus
@@ -474,9 +477,7 @@ fn select_quantile(values: &mut [f64], q: f64) -> f64 {
         "quantile must be in 0..=1, got {q}"
     );
     let rank = ((q * values.len() as f64).ceil() as usize).clamp(1, values.len());
-    let (_, v, _) = values.select_nth_unstable_by(rank - 1, |a, b| {
-        a.partial_cmp(b).expect("no NaNs in trace data")
-    });
+    let (_, v, _) = values.select_nth_unstable_by(rank - 1, f64::total_cmp);
     *v
 }
 

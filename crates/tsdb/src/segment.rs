@@ -1,42 +1,60 @@
 //! Immutable columnar segments: the on-disk form of sealed record shards.
 //!
 //! A segment holds every compact record one measurement accumulated
-//! between two seals, stored column-major so queries touch only the
-//! bytes they need. The file layout is:
+//! between two seals, as a sequence of **row blocks** of at most 2 048
+//! rows (`BLOCK_ROWS`). Each block stores its rows column-major — twelve
+//! independently encoded, CRC'd chunks — so a query reads only the
+//! blocks its time window touches and, inside them, only the columns it
+//! needs. The file layout is:
 //!
 //! ```text
-//! ┌──────────────┬───────────────────┬────────┬─────┬─────┬──────────────┐
-//! │ magic (8 B)  │ column blocks …   │ footer │ crc │ len │ magic (8 B)  │
-//! └──────────────┴───────────────────┴────────┴─────┴─────┴──────────────┘
+//! ┌─────────────┬─────────────────────┬─────┬────────┬─────┬─────┬─────────────┐
+//! │ magic (8 B) │ block 0: 12 chunks  │ ... │ footer │ crc │ len │ magic (8 B) │
+//! └─────────────┴─────────────────────┴─────┴────────┴─────┴─────┴─────────────┘
 //! ```
 //!
 //! The footer is the segment's index: measurement name, the node
 //! dictionary (names are stored once; the node column holds dictionary
 //! indices), the record count, the time and sequence ranges used for
-//! pruning, and one entry per column block (id, encoding, byte offset,
-//! length, CRC). Readers locate the footer from the fixed-size trailer,
-//! verify its CRC, and then read column blocks selectively with
-//! `read_exact_at` — a time-range query that prunes on the footer never
-//! touches the data bytes at all.
+//! segment pruning, and one entry per block — row count, the block's own
+//! time and sequence ranges, and each chunk's length and CRC. Chunks are
+//! laid out back to back in block then [`ColumnId::ALL`] order, so their
+//! offsets are the running sum of the lengths: they cannot overlap, and
+//! the sum must land exactly on the footer. Readers locate the footer
+//! from the fixed-size trailer, verify its CRC, and then read chunks
+//! selectively with `read_exact_at` ([`Segment::read_block`]) — a query
+//! that prunes on the footer never touches the data bytes at all.
 //!
 //! Timestamps and sequence numbers use the delta-of-delta codec; every
-//! other column is plain varint (see [`crate::codec`]). Segments are
-//! written once and never modified; compaction replaces whole files
-//! under a manifest commit (see [`crate::compact`]).
+//! other column is plain varint (see [`crate::codec`]); both restart at
+//! every block. Segments are written once and never modified; compaction
+//! replaces whole files under a manifest commit (see [`crate::compact`]).
+//! The magic is the format version: a file with another `VNTSEG?` magic
+//! is refused with [`SegmentError::UnsupportedVersion`], never guessed at.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-use crate::codec::{self, crc32, get_str, get_uvarint, put_str, put_uvarint, CodecError};
+use crate::codec::{
+    self, crc32, get_str, get_u32_le, get_uvarint, put_str, put_uvarint, CodecError,
+};
 use crate::record::CompactRecord;
 
-/// Magic bytes at both ends of a segment file.
-pub const SEGMENT_MAGIC: &[u8; 8] = b"VNTSEG1\n";
+/// Magic bytes at both ends of a segment file; byte 6 is the version.
+pub const SEGMENT_MAGIC: &[u8; 8] = b"VNTSEG2\n";
 
 /// Fixed trailer size: footer CRC (4) + footer length (4) + magic (8).
 const TRAILER_BYTES: u64 = 16;
+
+/// Rows per block: the unit of I/O, pruning and decode memory. Every
+/// block a writer emits is full except a segment's last. Small enough
+/// that a block's time span sits well under a typical query window even
+/// when a batch interleaves several nodes' runs (about 40 KB encoded),
+/// large enough that its ~100-byte index entry and the codecs' restart
+/// cost stay under 0.3 % of the data.
+pub(crate) const BLOCK_ROWS: usize = 2_048;
 
 /// The twelve columns of a segment, in on-disk order. One lane per
 /// [`CompactRecord`] field, plus the insertion sequence number (`Seq`,
@@ -88,10 +106,6 @@ impl ColumnId {
         ColumnId::Flags,
     ];
 
-    fn from_u8(v: u8) -> Option<ColumnId> {
-        ColumnId::ALL.get(v as usize).copied()
-    }
-
     /// The codec this column is encoded with: delta-of-delta for the
     /// near-monotonic `Seq`/`Ts` lanes, plain varint otherwise.
     pub fn encoding(self) -> Encoding {
@@ -100,41 +114,70 @@ impl ColumnId {
             _ => Encoding::Varint,
         }
     }
-}
 
-/// How a column block is encoded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Encoding {
-    /// Plain LEB128 varints.
-    Varint = 0,
-    /// Raw first value, zigzag-varint second differences.
-    DeltaOfDelta = 1,
-}
+    fn encode(self, values: &[u64]) -> Vec<u8> {
+        match self.encoding() {
+            Encoding::Varint => codec::encode_varint_col(values),
+            Encoding::DeltaOfDelta => codec::encode_dod(values),
+        }
+    }
 
-impl Encoding {
-    fn from_u8(v: u8) -> Option<Encoding> {
-        match v {
-            0 => Some(Encoding::Varint),
-            1 => Some(Encoding::DeltaOfDelta),
-            _ => None,
+    fn decode(self, chunk: &[u8], rows: usize) -> Result<Vec<u64>, CodecError> {
+        match self.encoding() {
+            Encoding::Varint => codec::decode_varint_col(chunk, rows),
+            Encoding::DeltaOfDelta => codec::decode_dod(chunk, rows),
         }
     }
 }
 
-/// One column block's entry in the footer index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColumnMeta {
-    /// Which column this block holds.
-    pub id: ColumnId,
-    /// The block's codec.
-    pub encoding: Encoding,
-    /// Byte offset of the block from the start of the file.
+/// How a column chunk is encoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Encoding {
+    /// Plain LEB128 varints.
+    Varint,
+    /// Raw first value, zigzag-varint second differences.
+    DeltaOfDelta,
+}
+
+/// Which columns of a block to load, indexed by `ColumnId as usize`.
+pub type ColumnSet = [bool; ColumnId::ALL.len()];
+
+/// Every column.
+pub const ALL_COLUMNS: ColumnSet = [true; ColumnId::ALL.len()];
+
+/// One encoded column chunk of one block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ChunkMeta {
+    /// Byte offset of the chunk from the start of the file.
     pub offset: u64,
     /// Encoded length in bytes.
     pub len: u64,
-    /// CRC-32 of the encoded block.
+    /// CRC-32 of the encoded chunk.
     pub crc: u32,
+}
+
+/// One row block's entry in the footer index.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockMeta {
+    /// Number of rows (at least one).
+    pub rows: u64,
+    /// Smallest timestamp in the block.
+    pub min_ts: u64,
+    /// Largest timestamp in the block.
+    pub max_ts: u64,
+    /// Smallest insertion sequence number in the block.
+    pub min_seq: u64,
+    /// Largest insertion sequence number in the block.
+    pub max_seq: u64,
+    /// The block's chunks, in [`ColumnId::ALL`] order.
+    pub chunks: [ChunkMeta; ColumnId::ALL.len()],
+}
+
+impl BlockMeta {
+    /// Encoded bytes of all twelve chunks.
+    pub fn encoded_bytes(&self) -> u64 {
+        self.chunks.iter().map(|c| c.len).sum()
+    }
 }
 
 /// A segment's footer index: everything a reader needs to prune, plan
@@ -155,8 +198,8 @@ pub struct SegmentMeta {
     pub min_seq: u64,
     /// Largest insertion sequence number.
     pub max_seq: u64,
-    /// Per-column block index, in [`ColumnId::ALL`] order.
-    pub columns: Vec<ColumnMeta>,
+    /// Per-block index, in file (and sequence) order.
+    pub blocks: Vec<BlockMeta>,
     /// Total file size in bytes (header + blocks + footer + trailer).
     pub file_bytes: u64,
 }
@@ -167,10 +210,13 @@ pub enum SegmentError {
     /// Underlying I/O failure.
     Io(std::io::Error),
     /// The file fails structural validation (bad magic, CRC mismatch,
-    /// out-of-bounds block, inconsistent counts).
+    /// chunks not tiling the data region, inconsistent counts or ranges).
     Corrupt(String),
-    /// A column block failed to decode.
+    /// A column chunk failed to decode.
     Codec(CodecError),
+    /// A segment file of another format version (the magic's version
+    /// byte, e.g. `b'1'`); stores are rebuilt, not migrated.
+    UnsupportedVersion(u8),
 }
 
 impl core::fmt::Display for SegmentError {
@@ -179,6 +225,12 @@ impl core::fmt::Display for SegmentError {
             SegmentError::Io(e) => write!(f, "segment i/o: {e}"),
             SegmentError::Corrupt(m) => write!(f, "corrupt segment: {m}"),
             SegmentError::Codec(e) => write!(f, "segment codec: {e}"),
+            SegmentError::UnsupportedVersion(v) => write!(
+                f,
+                "segment format version `{}` is not supported (this build reads `{}`)",
+                char::from(*v),
+                char::from(SEGMENT_MAGIC[6])
+            ),
         }
     }
 }
@@ -201,20 +253,35 @@ fn corrupt(msg: impl Into<String>) -> SegmentError {
     SegmentError::Corrupt(msg.into())
 }
 
-/// Streaming segment writer: columns are encoded and appended one at a
-/// time (compaction never holds more than one decoded column in memory),
-/// then [`SegmentWriter::finish`] writes the footer and trailer.
+/// The segment-level `[min_ts, max_ts, min_seq, max_seq]` its blocks imply.
+fn ranges(blocks: &[BlockMeta]) -> [u64; 4] {
+    blocks.iter().fold([u64::MAX, 0, u64::MAX, 0], |r, b| {
+        [
+            r[0].min(b.min_ts),
+            r[1].max(b.max_ts),
+            r[2].min(b.min_seq),
+            r[3].max(b.max_seq),
+        ]
+    })
+}
+
+fn min_max(values: &[u64]) -> (u64, u64) {
+    values
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)))
+}
+
+/// Streaming segment writer: appended rows are cut into blocks of
+/// `BLOCK_ROWS` rows, each encoded and written as soon as it fills (the
+/// writer never holds more than one block), then
+/// [`SegmentWriter::finish`] writes the tail block, footer and trailer.
 #[derive(Debug)]
 pub struct SegmentWriter {
     file: File,
-    path: PathBuf,
     offset: u64,
-    columns: Vec<ColumnMeta>,
-    records: Option<u64>,
-    min_ts: u64,
-    max_ts: u64,
-    min_seq: u64,
-    max_seq: u64,
+    /// The open block: twelve lanes of fewer than `BLOCK_ROWS` rows.
+    pending: [Vec<u64>; ColumnId::ALL.len()],
+    blocks: Vec<BlockMeta>,
 }
 
 impl SegmentWriter {
@@ -225,148 +292,131 @@ impl SegmentWriter {
     ///
     /// I/O failure.
     pub fn create(path: impl Into<PathBuf>) -> Result<Self, SegmentError> {
-        let path = path.into();
-        let mut file = File::create(&path)?;
+        let mut file = File::create(path.into())?;
         file.write_all(SEGMENT_MAGIC)?;
         Ok(SegmentWriter {
             file,
-            path,
             offset: SEGMENT_MAGIC.len() as u64,
-            columns: Vec::with_capacity(ColumnId::ALL.len()),
-            records: None,
-            min_ts: u64::MAX,
-            max_ts: 0,
-            min_seq: u64::MAX,
-            max_seq: 0,
+            pending: Default::default(),
+            blocks: Vec::new(),
         })
     }
 
-    /// Encodes and appends one column. Columns must be pushed in
-    /// [`ColumnId::ALL`] order and all hold the same number of values.
+    /// Appends rows given as twelve equally long lanes in
+    /// [`ColumnId::ALL`] order, re-cutting them into full blocks
+    /// whatever their number.
     ///
     /// # Errors
     ///
-    /// I/O failure, or [`SegmentError::Corrupt`] on order/length misuse.
-    pub fn push_column(&mut self, id: ColumnId, values: &[u64]) -> Result<(), SegmentError> {
-        let expect = ColumnId::ALL
-            .get(self.columns.len())
-            .copied()
-            .ok_or_else(|| corrupt("too many columns"))?;
-        if id != expect {
-            return Err(corrupt(format!("expected column {expect:?}, got {id:?}")));
+    /// I/O failure, or [`SegmentError::Corrupt`] on a missing or ragged
+    /// lane.
+    pub fn append(&mut self, cols: &[Vec<u64>]) -> Result<(), SegmentError> {
+        let rows = cols.first().map_or(0, Vec::len);
+        if cols.len() != ColumnId::ALL.len() || cols.iter().any(|c| c.len() != rows) {
+            return Err(corrupt("rows must come as twelve equally long lanes"));
         }
-        match self.records {
-            None => self.records = Some(values.len() as u64),
-            Some(n) if n != values.len() as u64 => {
-                return Err(corrupt(format!(
-                    "column {id:?} holds {} values, previous columns held {n}",
-                    values.len()
-                )));
+        let mut at = 0;
+        while at < rows {
+            let take = (BLOCK_ROWS - self.pending[0].len()).min(rows - at);
+            for (lane, col) in self.pending.iter_mut().zip(cols) {
+                lane.extend_from_slice(&col[at..at + take]);
             }
-            Some(_) => {}
-        }
-        if let ColumnId::Ts = id {
-            for &v in values {
-                self.min_ts = self.min_ts.min(v);
-                self.max_ts = self.max_ts.max(v);
+            at += take;
+            if self.pending[0].len() == BLOCK_ROWS {
+                self.write_block()?;
             }
         }
-        if let ColumnId::Seq = id {
-            for &v in values {
-                self.min_seq = self.min_seq.min(v);
-                self.max_seq = self.max_seq.max(v);
-            }
-        }
-        let encoding = id.encoding();
-        let block = match encoding {
-            Encoding::Varint => codec::encode_varint_col(values),
-            Encoding::DeltaOfDelta => codec::encode_dod(values),
-        };
-        self.file.write_all(&block)?;
-        self.columns.push(ColumnMeta {
-            id,
-            encoding,
-            offset: self.offset,
-            len: block.len() as u64,
-            crc: crc32(&block),
-        });
-        self.offset += block.len() as u64;
         Ok(())
     }
 
-    /// Writes the footer and trailer, optionally fsyncs, and returns the
-    /// completed metadata. The segment must hold at least one row and
-    /// all twelve columns.
+    /// Encodes and writes the open block and indexes it.
+    fn write_block(&mut self) -> Result<(), SegmentError> {
+        let (min_seq, max_seq) = min_max(&self.pending[ColumnId::Seq as usize]);
+        let (min_ts, max_ts) = min_max(&self.pending[ColumnId::Ts as usize]);
+        let mut chunks = [ChunkMeta::default(); ColumnId::ALL.len()];
+        for id in ColumnId::ALL {
+            let chunk = id.encode(&self.pending[id as usize]);
+            self.file.write_all(&chunk)?;
+            chunks[id as usize] = ChunkMeta {
+                offset: self.offset,
+                len: chunk.len() as u64,
+                crc: crc32(&chunk),
+            };
+            self.offset += chunk.len() as u64;
+        }
+        self.blocks.push(BlockMeta {
+            rows: self.pending[0].len() as u64,
+            min_ts,
+            max_ts,
+            min_seq,
+            max_seq,
+            chunks,
+        });
+        self.pending.iter_mut().for_each(Vec::clear);
+        Ok(())
+    }
+
+    /// Writes the tail block, footer and trailer, optionally fsyncs, and
+    /// returns the completed metadata. The segment must hold at least
+    /// one row.
     ///
     /// # Errors
     ///
-    /// I/O failure, or [`SegmentError::Corrupt`] on misuse.
+    /// I/O failure, or [`SegmentError::Corrupt`] on an empty segment.
     pub fn finish(
         mut self,
         measurement: &str,
         nodes: &[String],
         fsync: bool,
     ) -> Result<SegmentMeta, SegmentError> {
-        if self.columns.len() != ColumnId::ALL.len() {
-            return Err(corrupt(format!(
-                "segment has {} of {} columns",
-                self.columns.len(),
-                ColumnId::ALL.len()
-            )));
+        if !self.pending[0].is_empty() {
+            self.write_block()?;
         }
-        let records = self.records.unwrap_or(0);
-        if records == 0 {
+        if self.blocks.is_empty() {
             return Err(corrupt("refusing to write an empty segment"));
         }
-        let mut footer = Vec::with_capacity(256);
-        put_uvarint(&mut footer, 1); // format version
+        let records: u64 = self.blocks.iter().map(|b| b.rows).sum();
+        let [min_ts, max_ts, min_seq, max_seq] = ranges(&self.blocks);
+        let mut footer = Vec::with_capacity(256 + 128 * self.blocks.len());
         put_str(&mut footer, measurement);
         put_uvarint(&mut footer, nodes.len() as u64);
         for n in nodes {
             put_str(&mut footer, n);
         }
-        put_uvarint(&mut footer, records);
-        put_uvarint(&mut footer, self.min_ts);
-        put_uvarint(&mut footer, self.max_ts);
-        put_uvarint(&mut footer, self.min_seq);
-        put_uvarint(&mut footer, self.max_seq);
-        put_uvarint(&mut footer, self.columns.len() as u64);
-        for c in &self.columns {
-            footer.push(c.id as u8);
-            footer.push(c.encoding as u8);
-            put_uvarint(&mut footer, c.offset);
-            put_uvarint(&mut footer, c.len);
-            footer.extend_from_slice(&c.crc.to_le_bytes());
+        let block_count = self.blocks.len() as u64;
+        for v in [records, min_ts, max_ts, min_seq, max_seq, block_count] {
+            put_uvarint(&mut footer, v);
         }
+        for b in &self.blocks {
+            for v in [b.rows, b.min_ts, b.max_ts, b.min_seq, b.max_seq] {
+                put_uvarint(&mut footer, v);
+            }
+            for c in &b.chunks {
+                put_uvarint(&mut footer, c.len);
+                footer.extend_from_slice(&c.crc.to_le_bytes());
+            }
+        }
+        let footer_len =
+            u32::try_from(footer.len()).map_err(|_| corrupt("footer exceeds 4 GiB"))?;
         self.file.write_all(&footer)?;
         self.file.write_all(&crc32(&footer).to_le_bytes())?;
-        self.file.write_all(
-            &u32::try_from(footer.len())
-                .expect("footer < 4 GiB")
-                .to_le_bytes(),
-        )?;
+        self.file.write_all(&footer_len.to_le_bytes())?;
         self.file.write_all(SEGMENT_MAGIC)?;
         self.file.flush()?;
         if fsync {
             self.file.sync_all()?;
         }
-        let file_bytes = self.offset + footer.len() as u64 + TRAILER_BYTES;
         Ok(SegmentMeta {
             measurement: measurement.to_owned(),
             nodes: nodes.to_vec(),
             records,
-            min_ts: self.min_ts,
-            max_ts: self.max_ts,
-            min_seq: self.min_seq,
-            max_seq: self.max_seq,
-            columns: std::mem::take(&mut self.columns),
-            file_bytes,
+            min_ts,
+            max_ts,
+            min_seq,
+            max_seq,
+            blocks: self.blocks,
+            file_bytes: self.offset + footer.len() as u64 + TRAILER_BYTES,
         })
-    }
-
-    /// The path being written.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -417,15 +467,61 @@ impl ColumnData {
         fsync: bool,
     ) -> Result<SegmentMeta, SegmentError> {
         let mut w = SegmentWriter::create(path)?;
-        for id in ColumnId::ALL {
-            w.push_column(id, &self.cols[id as usize])?;
-        }
+        w.append(&self.cols)?;
         w.finish(measurement, &self.nodes, fsync)
     }
 }
 
+/// The decoded lanes of one row block, filled by [`Segment::read_block`].
+/// A lane that has not been loaded is empty (blocks hold at least one
+/// row).
+#[derive(Debug, Default)]
+pub struct Block {
+    cols: [Vec<u64>; ColumnId::ALL.len()],
+}
+
+impl Block {
+    /// The decoded values of one column; empty if not loaded.
+    pub fn col(&self, id: ColumnId) -> &[u64] {
+        &self.cols[id as usize]
+    }
+
+    /// All twelve lanes in [`ColumnId::ALL`] order, as
+    /// [`SegmentWriter::append`] takes them.
+    pub fn cols(&self) -> &[Vec<u64>] {
+        &self.cols
+    }
+
+    /// Mutable access to one lane (compaction remaps node indices).
+    pub(crate) fn col_mut(&mut self, id: ColumnId) -> &mut [u64] {
+        &mut self.cols[id as usize]
+    }
+
+    /// Rows resident in decoded form (the longest loaded lane).
+    pub fn rows(&self) -> usize {
+        self.cols.iter().map(Vec::len).max().unwrap_or(0)
+    }
+
+    /// Materializes row `i`; every record column must be loaded.
+    pub fn record(&self, i: usize) -> CompactRecord {
+        let v = |id: ColumnId| self.cols[id as usize][i];
+        CompactRecord {
+            timestamp_ns: v(ColumnId::Ts),
+            trace_id: v(ColumnId::TraceId) as u32,
+            pkt_len: v(ColumnId::PktLen) as u32,
+            saddr: v(ColumnId::Saddr) as u32,
+            daddr: v(ColumnId::Daddr) as u32,
+            sport: v(ColumnId::Sport) as u16,
+            dport: v(ColumnId::Dport) as u16,
+            cpu: v(ColumnId::Cpu) as u16,
+            direction: v(ColumnId::Direction) as u8,
+            flags: v(ColumnId::Flags) as u8,
+        }
+    }
+}
+
 /// An open (read-only) segment: the validated footer plus a file handle
-/// for positional column reads.
+/// for positional chunk reads.
 #[derive(Debug)]
 pub struct Segment {
     path: PathBuf,
@@ -435,11 +531,12 @@ pub struct Segment {
 
 impl Segment {
     /// Opens and validates a segment file: both magics, the footer CRC,
-    /// and that every column block lies within the data region with all
-    /// twelve columns present and consistent row counts.
+    /// that the chunks tile the data region exactly, and that the block
+    /// row counts and ranges agree with the segment's.
     ///
     /// # Errors
     ///
+    /// [`SegmentError::UnsupportedVersion`] for another format version,
     /// [`SegmentError::Corrupt`] on any structural violation — never a
     /// panic, because segments are untrusted after a crash.
     pub fn open(path: impl Into<PathBuf>) -> Result<Self, SegmentError> {
@@ -453,6 +550,9 @@ impl Segment {
         let mut head = [0u8; 8];
         file.read_exact(&mut head)?;
         if &head != SEGMENT_MAGIC {
+            if head[..6] == SEGMENT_MAGIC[..6] && head[7] == SEGMENT_MAGIC[7] {
+                return Err(SegmentError::UnsupportedVersion(head[6]));
+            }
             return Err(corrupt("bad header magic"));
         }
         let mut trailer = [0u8; TRAILER_BYTES as usize];
@@ -461,10 +561,9 @@ impl Segment {
         if &trailer[8..16] != SEGMENT_MAGIC {
             return Err(corrupt("bad trailer magic"));
         }
-        let footer_crc = u32::from_le_bytes(trailer[0..4].try_into().expect("4 bytes"));
-        let footer_len = u64::from(u32::from_le_bytes(
-            trailer[4..8].try_into().expect("4 bytes"),
-        ));
+        let mut pos = 0;
+        let footer_crc = get_u32_le(&trailer, &mut pos)?;
+        let footer_len = u64::from(get_u32_le(&trailer, &mut pos)?);
         let data_end = file_len
             .checked_sub(TRAILER_BYTES + footer_len)
             .ok_or_else(|| corrupt("footer length exceeds file"))?;
@@ -491,56 +590,47 @@ impl Segment {
         &self.path
     }
 
-    /// Reads and decodes one column (positional read of just that
-    /// block), verifying its CRC.
+    /// The one read path: reads, CRC-checks and decodes block `block`'s
+    /// chunks for every column in `want` that `into` does not hold yet
+    /// (so a second call with a wider set loads only the difference).
+    /// Returns the encoded bytes read.
     ///
     /// # Errors
     ///
-    /// I/O failure, CRC mismatch, or codec error.
-    pub fn read_column(&self, id: ColumnId) -> Result<Vec<u64>, SegmentError> {
-        let col = self
+    /// I/O failure, CRC mismatch, codec error, or a block index outside
+    /// the footer index.
+    pub fn read_block(
+        &self,
+        block: usize,
+        want: &ColumnSet,
+        into: &mut Block,
+    ) -> Result<u64, SegmentError> {
+        let meta = self
             .meta
-            .columns
-            .iter()
-            .find(|c| c.id == id)
-            .ok_or_else(|| corrupt(format!("missing column {id:?}")))?;
-        let mut block = vec![0u8; col.len as usize];
-        self.file.read_exact_at(&mut block, col.offset)?;
-        if crc32(&block) != col.crc {
-            return Err(corrupt(format!("column {id:?} CRC mismatch")));
+            .blocks
+            .get(block)
+            .ok_or_else(|| corrupt(format!("no block {block}")))?;
+        let mut bytes_read = 0;
+        let mut chunk = Vec::new();
+        for id in ColumnId::ALL {
+            if !want[id as usize] || !into.cols[id as usize].is_empty() {
+                continue;
+            }
+            let chunk_meta = &meta.chunks[id as usize];
+            chunk.resize(chunk_meta.len as usize, 0);
+            self.file.read_exact_at(&mut chunk, chunk_meta.offset)?;
+            if crc32(&chunk) != chunk_meta.crc {
+                return Err(corrupt(format!("block {block} column {id:?} CRC mismatch")));
+            }
+            into.cols[id as usize] = id.decode(&chunk, meta.rows as usize)?;
+            bytes_read += chunk_meta.len;
         }
-        let n = self.meta.records as usize;
-        let values = match col.encoding {
-            Encoding::Varint => codec::decode_varint_col(&block, n)?,
-            Encoding::DeltaOfDelta => codec::decode_dod(&block, n)?,
-        };
-        Ok(values)
-    }
-
-    /// Materializes row `i` of pre-decoded column lanes (helper for the
-    /// scan path). `cols` must hold all twelve lanes in `ALL` order.
-    pub(crate) fn record_from_cols(cols: &[Vec<u64>], i: usize) -> CompactRecord {
-        CompactRecord {
-            timestamp_ns: cols[ColumnId::Ts as usize][i],
-            trace_id: cols[ColumnId::TraceId as usize][i] as u32,
-            pkt_len: cols[ColumnId::PktLen as usize][i] as u32,
-            saddr: cols[ColumnId::Saddr as usize][i] as u32,
-            daddr: cols[ColumnId::Daddr as usize][i] as u32,
-            sport: cols[ColumnId::Sport as usize][i] as u16,
-            dport: cols[ColumnId::Dport as usize][i] as u16,
-            cpu: cols[ColumnId::Cpu as usize][i] as u16,
-            direction: cols[ColumnId::Direction as usize][i] as u8,
-            flags: cols[ColumnId::Flags as usize][i] as u8,
-        }
+        Ok(bytes_read)
     }
 }
 
 fn parse_footer(footer: &[u8], file_len: u64, data_end: u64) -> Result<SegmentMeta, SegmentError> {
     let mut pos = 0usize;
-    let version = get_uvarint(footer, &mut pos)?;
-    if version != 1 {
-        return Err(corrupt(format!("unsupported segment version {version}")));
-    }
     let measurement = get_str(footer, &mut pos)?;
     let node_count = get_uvarint(footer, &mut pos)? as usize;
     if node_count > footer.len() {
@@ -552,63 +642,70 @@ fn parse_footer(footer: &[u8], file_len: u64, data_end: u64) -> Result<SegmentMe
     for _ in 0..node_count {
         nodes.push(get_str(footer, &mut pos)?);
     }
-    let records = get_uvarint(footer, &mut pos)?;
-    if records == 0 {
-        return Err(corrupt("zero-row segment"));
-    }
-    let min_ts = get_uvarint(footer, &mut pos)?;
-    let max_ts = get_uvarint(footer, &mut pos)?;
-    let min_seq = get_uvarint(footer, &mut pos)?;
-    let max_seq = get_uvarint(footer, &mut pos)?;
-    if min_ts > max_ts || min_seq > max_seq {
-        return Err(corrupt("inverted time or sequence range"));
-    }
-    let column_count = get_uvarint(footer, &mut pos)? as usize;
-    if column_count != ColumnId::ALL.len() {
-        return Err(corrupt(format!("segment has {column_count} columns")));
-    }
-    let mut columns = Vec::with_capacity(column_count);
-    for (i, expect) in ColumnId::ALL.iter().enumerate() {
-        let id_raw = *footer.get(pos).ok_or(CodecError::Truncated)?;
-        pos += 1;
-        let enc_raw = *footer.get(pos).ok_or(CodecError::Truncated)?;
-        pos += 1;
-        let id = ColumnId::from_u8(id_raw)
-            .ok_or_else(|| corrupt(format!("unknown column id {id_raw}")))?;
-        if id != *expect {
-            return Err(corrupt(format!("column {i} out of order")));
-        }
-        let encoding = Encoding::from_u8(enc_raw)
-            .ok_or_else(|| corrupt(format!("unknown encoding {enc_raw}")))?;
-        if encoding != id.encoding() {
-            return Err(corrupt(format!("column {id:?} has wrong encoding")));
-        }
-        let offset = get_uvarint(footer, &mut pos)?;
-        let len = get_uvarint(footer, &mut pos)?;
-        let end = offset
-            .checked_add(len)
-            .ok_or_else(|| corrupt("column block overflows"))?;
-        if offset < SEGMENT_MAGIC.len() as u64 || end > data_end {
-            return Err(corrupt(format!("column {id:?} outside data region")));
-        }
-        let crc_bytes = footer.get(pos..pos + 4).ok_or(CodecError::Truncated)?;
-        pos += 4;
-        let crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        columns.push(ColumnMeta {
-            id,
-            encoding,
-            offset,
-            len,
-            crc,
-        });
-    }
-    if pos != footer.len() {
-        return Err(corrupt("trailing bytes in footer"));
-    }
     // The node column indexes the dictionary; an empty dictionary with
     // rows present would make every row unresolvable.
     if nodes.is_empty() {
         return Err(corrupt("empty node dictionary"));
+    }
+    let records = get_uvarint(footer, &mut pos)?;
+    let min_ts = get_uvarint(footer, &mut pos)?;
+    let max_ts = get_uvarint(footer, &mut pos)?;
+    let min_seq = get_uvarint(footer, &mut pos)?;
+    let max_seq = get_uvarint(footer, &mut pos)?;
+    let block_count = get_uvarint(footer, &mut pos)? as usize;
+    if block_count == 0 || block_count > footer.len() {
+        return Err(corrupt(format!("implausible block count {block_count}")));
+    }
+    let mut blocks = Vec::with_capacity(block_count);
+    let mut offset = SEGMENT_MAGIC.len() as u64;
+    let mut rows_sum = 0u64;
+    for b in 0..block_count {
+        let rows = get_uvarint(footer, &mut pos)?;
+        let mut block = BlockMeta {
+            rows,
+            min_ts: get_uvarint(footer, &mut pos)?,
+            max_ts: get_uvarint(footer, &mut pos)?,
+            min_seq: get_uvarint(footer, &mut pos)?,
+            max_seq: get_uvarint(footer, &mut pos)?,
+            chunks: Default::default(),
+        };
+        if block.min_ts > block.max_ts || block.min_seq > block.max_seq {
+            return Err(corrupt(format!(
+                "block {b}: inverted time or sequence range"
+            )));
+        }
+        for chunk in &mut block.chunks {
+            let len = get_uvarint(footer, &mut pos)?;
+            let crc = get_u32_le(footer, &mut pos)?;
+            // Both codecs spend at least one byte per value, so this
+            // also bounds the decode allocation by the file size.
+            if rows == 0 || rows > len {
+                return Err(corrupt(format!("block {b}: {rows} rows in {len} bytes")));
+            }
+            *chunk = ChunkMeta { offset, len, crc };
+            offset = offset
+                .checked_add(len)
+                .filter(|&end| end <= data_end)
+                .ok_or_else(|| corrupt(format!("block {b}: chunk outside data region")))?;
+        }
+        rows_sum = rows_sum
+            .checked_add(rows)
+            .ok_or_else(|| corrupt("row count overflows"))?;
+        blocks.push(block);
+    }
+    if pos != footer.len() {
+        return Err(corrupt("trailing bytes in footer"));
+    }
+    if offset != data_end {
+        return Err(corrupt("chunks do not tile the data region"));
+    }
+    if rows_sum != records {
+        return Err(corrupt(format!(
+            "blocks hold {rows_sum} rows, segment declares {records}"
+        )));
+    }
+    if ranges(&blocks) != [min_ts, max_ts, min_seq, max_seq] {
+        return Err(corrupt("block ranges disagree with the segment's"));
     }
     Ok(SegmentMeta {
         measurement,
@@ -618,7 +715,7 @@ fn parse_footer(footer: &[u8], file_len: u64, data_end: u64) -> Result<SegmentMe
         max_ts,
         min_seq,
         max_seq,
-        columns,
+        blocks,
         file_bytes: file_len,
     })
 }
@@ -652,35 +749,54 @@ mod tests {
     }
 
     #[test]
-    fn write_open_read_round_trip() {
+    fn write_open_read_round_trip_across_blocks() {
         let path = tmp("round_trip");
-        let rows = sample_rows(500);
+        let n = 2 * BLOCK_ROWS as u64 + 500;
+        let rows = sample_rows(n);
         let nodes = vec!["n0".to_owned(), "n1".to_owned()];
         let meta = ColumnData::from_rows(nodes.clone(), &rows)
             .write(&path, "tp_a", false)
             .unwrap();
-        assert_eq!(meta.records, 500);
+        assert_eq!(meta.records, n);
         assert_eq!(meta.min_ts, 1_000);
-        assert_eq!(meta.max_ts, 1_000 + 499 * 37);
-        assert_eq!(meta.min_seq, 0);
-        assert_eq!(meta.max_seq, 499);
+        assert_eq!(meta.max_ts, 1_000 + (n - 1) * 37);
+        assert_eq!((meta.min_seq, meta.max_seq), (0, n - 1));
         assert_eq!(meta.file_bytes, std::fs::metadata(&path).unwrap().len());
+        let block_rows: Vec<u64> = meta.blocks.iter().map(|b| b.rows).collect();
+        assert_eq!(block_rows, [BLOCK_ROWS as u64, BLOCK_ROWS as u64, 500]);
+        assert_eq!(meta.blocks[1].min_seq, BLOCK_ROWS as u64);
+        assert_eq!(meta.blocks[1].min_ts, 1_000 + BLOCK_ROWS as u64 * 37);
 
         let seg = Segment::open(&path).unwrap();
         assert_eq!(seg.meta(), &meta);
-        assert_eq!(seg.meta().nodes, nodes);
-        let cols: Vec<Vec<u64>> = ColumnId::ALL
-            .iter()
-            .map(|&id| seg.read_column(id).unwrap())
-            .collect();
-        for (i, (seq, node, r)) in rows.iter().enumerate() {
-            assert_eq!(cols[ColumnId::Seq as usize][i], *seq);
-            assert_eq!(cols[ColumnId::Node as usize][i], u64::from(*node));
-            assert_eq!(Segment::record_from_cols(&cols, i), *r);
+        let mut at = 0usize;
+        for (b, bm) in meta.blocks.iter().enumerate() {
+            let mut blk = Block::default();
+            // A narrow load reads only what was asked; widening it reads
+            // only the difference.
+            let mut only_ts = [false; ColumnId::ALL.len()];
+            only_ts[ColumnId::Ts as usize] = true;
+            let first = seg.read_block(b, &only_ts, &mut blk).unwrap();
+            assert_eq!(first, bm.chunks[ColumnId::Ts as usize].len);
+            assert!(blk.col(ColumnId::Seq).is_empty());
+            let rest = seg.read_block(b, &ALL_COLUMNS, &mut blk).unwrap();
+            assert_eq!(first + rest, bm.encoded_bytes());
+            assert_eq!(blk.rows() as u64, bm.rows);
+            for i in 0..blk.rows() {
+                let (seq, node, r) = &rows[at + i];
+                assert_eq!(blk.col(ColumnId::Seq)[i], *seq);
+                assert_eq!(blk.col(ColumnId::Node)[i], u64::from(*node));
+                assert_eq!(blk.record(i), *r);
+            }
+            at += blk.rows();
         }
+        assert_eq!(at as u64, n);
+        assert!(seg
+            .read_block(meta.blocks.len(), &ALL_COLUMNS, &mut Block::default())
+            .is_err());
         // Columnar encoding beats the 32 B/record raw form by a wide
         // margin on this regular data.
-        assert!(meta.file_bytes < 500 * 32 / 2);
+        assert!(meta.file_bytes < n * 32 / 2);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -709,14 +825,32 @@ mod tests {
             std::fs::write(&path, &clean[..keep]).unwrap();
             assert!(Segment::open(&path).is_err(), "truncation to {keep}");
         }
-        // And a flipped column byte is caught at read time by its CRC.
+        // And a flipped chunk byte is caught at read time by its CRC.
         let mut bad = clean.clone();
         bad[10] ^= 0x01;
         std::fs::write(&path, &bad).unwrap();
-        if let Ok(seg) = Segment::open(&path) {
-            let any_err = ColumnId::ALL.iter().any(|&id| seg.read_column(id).is_err());
-            assert!(any_err, "data corruption must fail a column CRC");
-        }
+        let seg = Segment::open(&path).expect("footer is intact");
+        assert!(seg
+            .read_block(0, &ALL_COLUMNS, &mut Block::default())
+            .is_err());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn previous_format_version_is_a_typed_error() {
+        let path = tmp("v1");
+        ColumnData::from_rows(vec!["n".into()], &sample_rows(8))
+            .write(&path, "m", false)
+            .unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let end = bytes.len();
+        bytes[..8].copy_from_slice(b"VNTSEG1\n");
+        bytes[end - 8..].copy_from_slice(b"VNTSEG1\n");
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            Segment::open(&path),
+            Err(SegmentError::UnsupportedVersion(b'1'))
+        ));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -731,15 +865,13 @@ mod tests {
     }
 
     #[test]
-    fn writer_enforces_column_order_and_lengths() {
-        let path = tmp("order");
+    fn writer_rejects_missing_and_ragged_lanes() {
+        let path = tmp("lanes");
         let mut w = SegmentWriter::create(&path).unwrap();
-        assert!(w.push_column(ColumnId::Ts, &[1]).is_err(), "Seq first");
-        w.push_column(ColumnId::Seq, &[1, 2]).unwrap();
-        assert!(
-            w.push_column(ColumnId::Ts, &[1]).is_err(),
-            "length mismatch"
-        );
+        assert!(w.append(&[vec![1], vec![2]]).is_err(), "twelve lanes");
+        let mut lanes = vec![vec![1u64, 2]; ColumnId::ALL.len()];
+        lanes[3].pop();
+        assert!(w.append(&lanes).is_err(), "ragged lane");
         let _ = std::fs::remove_file(&path);
     }
 }

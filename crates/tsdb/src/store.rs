@@ -63,6 +63,8 @@ pub enum StoreError {
     Wal(WalError),
     /// The manifest is unreadable or structurally invalid.
     Manifest(String),
+    /// A merge was started while another was still running.
+    CompactionInFlight,
 }
 
 impl core::fmt::Display for StoreError {
@@ -72,6 +74,7 @@ impl core::fmt::Display for StoreError {
             StoreError::Segment(e) => write!(f, "{e}"),
             StoreError::Wal(e) => write!(f, "{e}"),
             StoreError::Manifest(m) => write!(f, "bad manifest: {m}"),
+            StoreError::CompactionInFlight => write!(f, "a compaction is already in flight"),
         }
     }
 }
@@ -174,6 +177,8 @@ pub struct MeasurementStorage {
     pub measurement: String,
     /// Sealed segment files holding this measurement.
     pub segments: u64,
+    /// Row blocks across those segments (the unit scans read and skip).
+    pub blocks: u64,
     /// Records sealed into those segments.
     pub sealed_records: u64,
     /// Encoded bytes on disk across those segments.
@@ -235,7 +240,7 @@ impl FromJson for Manifest {
 /// directory fsync so the rename itself is durable.
 fn write_manifest(dir: &Path, manifest: &Manifest, fsync: bool) -> Result<(), StoreError> {
     let tmp = dir.join("MANIFEST.tmp");
-    let text = serde_json::to_string(manifest).expect("manifest serialization is infallible");
+    let text = serde_json::to_string(manifest).map_err(|e| StoreError::Manifest(e.to_string()))?;
     {
         let mut f = File::create(&tmp)?;
         f.write_all(text.as_bytes())?;
@@ -362,8 +367,10 @@ impl DiskStore {
             .manifest
             .segments
             .iter()
-            .position(|f| *f == job.input_files[0])
-            .expect("compaction input still in manifest");
+            .position(|f| Some(f) == job.input_files.first())
+            .ok_or_else(|| {
+                StoreError::Manifest("compaction input no longer in the manifest".into())
+            })?;
         self.manifest
             .segments
             .retain(|f| !job.input_files.contains(f));
@@ -476,6 +483,7 @@ impl TraceDb {
                 db.insert_batch_memory(batch);
             }
             let wal = Wal::reopen(&wal_path, &replay, options.fsync)?;
+            let seal_threshold = options.seal_threshold;
             db.disk = Some(DiskStore {
                 dir,
                 options,
@@ -488,7 +496,7 @@ impl TraceDb {
                 segments_merged: 0,
                 bytes_reclaimed: 0,
             });
-            if db.hot_records() >= db.disk.as_ref().expect("just set").options.seal_threshold {
+            if db.hot_records() >= seal_threshold {
                 db.seal()?;
             }
         } else {
@@ -605,8 +613,8 @@ impl TraceDb {
             }
         }
         let ingested = self.insert_batch_memory(batch);
-        if self.disk.is_some() {
-            if self.hot_records() >= self.disk.as_ref().expect("checked").options.seal_threshold {
+        if let Some(seal_threshold) = self.disk.as_ref().map(|d| d.options.seal_threshold) {
+            if self.hot_records() >= seal_threshold {
                 self.seal()?;
             }
             self.drive_compaction(false)?;
@@ -624,7 +632,9 @@ impl TraceDb {
     /// manifest commits both in one swap. No-op when the tail holds no
     /// shard records. Points are untouched.
     fn seal(&mut self) -> Result<(), StoreError> {
-        let disk = self.disk.as_mut().expect("seal requires a disk store");
+        let Some(disk) = self.disk.as_mut() else {
+            return Ok(());
+        };
         let mut new_files: Vec<String> = Vec::new();
         for table in self.tables.values_mut() {
             if table.hot_records() == 0 {
@@ -691,7 +701,7 @@ impl TraceDb {
         if disk.compactor.is_idle() {
             if let Some(job) = disk.plan_compaction() {
                 if disk.options.background_compaction {
-                    disk.compactor.spawn(job);
+                    disk.compactor.spawn(job)?;
                     if block {
                         if let Some(f) = disk.compactor.wait() {
                             disk.commit_compaction(f)?;
@@ -714,16 +724,18 @@ impl TraceDb {
     ///
     /// Any [`StoreError`] from sealing, committing or syncing.
     pub fn flush(&mut self) -> Result<(), StoreError> {
-        if self.disk.is_none() {
+        let Some(disk) = self.disk.as_mut() else {
             return Ok(());
-        }
-        if let Some(f) = self.disk.as_mut().expect("checked").compactor.wait() {
-            self.disk.as_mut().expect("checked").commit_compaction(f)?;
+        };
+        if let Some(f) = disk.compactor.wait() {
+            disk.commit_compaction(f)?;
         }
         if self.hot_records() > 0 {
             self.seal()?;
         }
-        self.disk.as_mut().expect("checked").wal.sync()?;
+        if let Some(disk) = self.disk.as_mut() {
+            disk.wal.sync()?;
+        }
         Ok(())
     }
 
@@ -790,6 +802,7 @@ impl TraceDb {
                     ..Default::default()
                 });
             e.segments += 1;
+            e.blocks += m.blocks.len() as u64;
             e.sealed_records += m.records;
             e.encoded_bytes += m.file_bytes;
             e.raw_bytes += m.records * COMPACT_RECORD_BYTES;

@@ -4,12 +4,26 @@
 //! files must be rejected with errors, never panics.
 
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
+
 use vnet_tsdb::codec::{
-    decode_dod, decode_varint_col, encode_dod, encode_varint_col, get_str, get_uvarint, put_str,
-    put_uvarint, unzigzag, zigzag,
+    crc32, decode_dod, decode_varint_col, encode_dod, encode_varint_col, get_str, get_uvarint,
+    put_str, put_uvarint, unzigzag, zigzag,
 };
-use vnet_tsdb::segment::{ColumnData, Segment, SegmentError};
+use vnet_tsdb::segment::{
+    Block, ColumnData, ColumnId, Segment, SegmentError, SegmentMeta, ALL_COLUMNS,
+};
 use vnet_tsdb::CompactRecord;
+
+/// Decodes every block of `seg` in full; the first failure wins.
+fn read_all(seg: &Segment) -> Result<Vec<Block>, SegmentError> {
+    (0..seg.meta().blocks.len())
+        .map(|b| {
+            let mut blk = Block::default();
+            seg.read_block(b, &ALL_COLUMNS, &mut blk).map(|_| blk)
+        })
+        .collect()
+}
 
 prop_compose! {
     /// Timestamp-like columns: mostly small positive steps, with
@@ -151,21 +165,19 @@ proptest! {
 
         let seg = Segment::open(&path).unwrap();
         prop_assert_eq!(&seg.meta().nodes, &nodes);
-        let cols: Vec<Vec<u64>> = vnet_tsdb::segment::ColumnId::ALL
-            .iter()
-            .map(|&id| seg.read_column(id).unwrap())
-            .collect();
+        let blocks = read_all(&seg).unwrap();
+        prop_assert_eq!(blocks.len(), 1);
         for (i, (seq, node, rec)) in rows.iter().enumerate() {
-            prop_assert_eq!(cols[0][i], *seq);
-            prop_assert_eq!(cols[1][i], rec.timestamp_ns);
-            prop_assert_eq!(cols[2][i], u64::from(*node));
+            prop_assert_eq!(blocks[0].col(ColumnId::Seq)[i], *seq);
+            prop_assert_eq!(blocks[0].col(ColumnId::Node)[i], u64::from(*node));
+            prop_assert_eq!(blocks[0].record(i), *rec);
         }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }
 
     /// Flipping any single byte of a segment file is detected: open or
-    /// column reads fail with an error — never a panic, never silently
+    /// a block read fails with an error — never a panic, never silently
     /// wrong metadata accepted as valid.
     #[test]
     fn corrupt_segment_rejected_without_panic(
@@ -192,16 +204,10 @@ proptest! {
         std::fs::write(&path, &bytes).unwrap();
 
         // Either the footer fails validation at open, or the damaged
-        // column block fails its CRC on read. Both are Err, not panic.
+        // chunk fails its CRC on read. Both are Err, not panic.
         if let Ok(seg) = Segment::open(&path) {
-            let mut any_err = false;
-            for &id in vnet_tsdb::segment::ColumnId::ALL.iter() {
-                if seg.read_column(id).is_err() {
-                    any_err = true;
-                }
-            }
             prop_assert!(
-                any_err,
+                read_all(&seg).is_err(),
                 "a flipped byte at offset {at} went undetected"
             );
         }
@@ -210,36 +216,192 @@ proptest! {
     }
 }
 
-/// Truncated footers (file shorter than the trailer) are rejected.
+/// A three-block segment (two full blocks and a tail, whatever the block
+/// size turns out to be) of regular rows, and its bytes.
+fn multi_block_segment(tag: &str) -> (PathBuf, SegmentMeta, Vec<u8>) {
+    let dir = std::env::temp_dir().join(format!("vnt-codec-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("seg.col");
+    let write = |n: u64| {
+        let rows: Vec<(u64, u32, CompactRecord)> = (0..n)
+            .map(|i| {
+                let record = CompactRecord {
+                    timestamp_ns: 1_000 + i * 10,
+                    pkt_len: 64,
+                    ..Default::default()
+                };
+                (i, 0, record)
+            })
+            .collect();
+        ColumnData::from_rows(vec!["n0".into()], &rows)
+            .write(&path, "tp", false)
+            .unwrap()
+    };
+    let block_rows = write(100_000).blocks[0].rows;
+    let meta = write(2 * block_rows + 77);
+    assert_eq!(meta.blocks.len(), 3);
+    let bytes = std::fs::read(&path).unwrap();
+    (path, meta, bytes)
+}
+
+fn cleanup(path: &Path) {
+    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_dir(path.parent().unwrap());
+}
+
+/// Where the footer starts, from the trailer's length word.
+fn footer_start(bytes: &[u8]) -> usize {
+    let len_at = bytes.len() - 12;
+    let footer_len = u32::from_le_bytes(bytes[len_at..len_at + 4].try_into().unwrap());
+    bytes.len() - 16 - footer_len as usize
+}
+
+/// Cutting the file at every offset of the footer and trailer — the
+/// block index included — is rejected at open, as are cuts inside the
+/// header and the data.
 #[test]
 fn truncated_footer_rejected() {
-    let dir = std::env::temp_dir().join(format!("vnt-codec-trunc-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("seg-t.col");
-    let rows: Vec<(u64, u32, CompactRecord)> = (0..10u64)
-        .map(|i| {
-            (
-                i,
-                0,
-                CompactRecord {
-                    timestamp_ns: i,
-                    ..Default::default()
-                },
-            )
-        })
-        .collect();
-    ColumnData::from_rows(vec!["n0".into()], &rows)
-        .write(&path, "tp", false)
-        .unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    for cut in [0, 1, 7, 8, 15, bytes.len() / 2, bytes.len() - 1] {
+    let (path, _, bytes) = multi_block_segment("trunc");
+    let cuts = [0, 1, 7, 8, 15, bytes.len() / 2]
+        .into_iter()
+        .chain(footer_start(&bytes)..bytes.len());
+    for cut in cuts {
         std::fs::write(&path, &bytes[..cut]).unwrap();
         let err = Segment::open(&path).expect_err("truncated file must not open");
-        assert!(matches!(
-            err,
-            SegmentError::Corrupt(_) | SegmentError::Io(_)
-        ));
+        assert!(
+            matches!(err, SegmentError::Corrupt(_) | SegmentError::Io(_)),
+            "cut at {cut}: {err}"
+        );
     }
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir(&dir);
+    cleanup(&path);
+}
+
+/// Every single-byte flip in the block index is caught by the footer
+/// CRC (or, in the trailer, by the magic and length checks).
+#[test]
+fn block_index_byte_flips_rejected() {
+    let (path, _, bytes) = multi_block_segment("flip");
+    for at in footer_start(&bytes)..bytes.len() {
+        let mut bad = bytes.clone();
+        bad[at] ^= 0x40;
+        std::fs::write(&path, &bad).unwrap();
+        assert!(
+            Segment::open(&path).is_err(),
+            "flip at {at} went undetected"
+        );
+    }
+    cleanup(&path);
+}
+
+/// A file of the previous format version is refused with its own typed
+/// error: there is no second reader.
+#[test]
+fn previous_magic_is_unsupported_version() {
+    let (path, _, mut bytes) = multi_block_segment("v1");
+    let end = bytes.len();
+    bytes[..8].copy_from_slice(b"VNTSEG1\n");
+    bytes[end - 8..].copy_from_slice(b"VNTSEG1\n");
+    std::fs::write(&path, &bytes).unwrap();
+    let err = Segment::open(&path).expect_err("v1 must not open");
+    assert!(
+        matches!(err, SegmentError::UnsupportedVersion(b'1')),
+        "{err}"
+    );
+    cleanup(&path);
+}
+
+/// Re-encodes `meta` as a footer with a *valid* CRC and splices it over
+/// the original, so only the parser's consistency checks stand between
+/// a lying index and the reader.
+fn splice_footer(bytes: &[u8], meta: &SegmentMeta) -> Vec<u8> {
+    let mut footer = Vec::new();
+    put_str(&mut footer, &meta.measurement);
+    put_uvarint(&mut footer, meta.nodes.len() as u64);
+    for n in &meta.nodes {
+        put_str(&mut footer, n);
+    }
+    let block_count = meta.blocks.len() as u64;
+    for v in [
+        meta.records,
+        meta.min_ts,
+        meta.max_ts,
+        meta.min_seq,
+        meta.max_seq,
+        block_count,
+    ] {
+        put_uvarint(&mut footer, v);
+    }
+    for b in &meta.blocks {
+        for v in [b.rows, b.min_ts, b.max_ts, b.min_seq, b.max_seq] {
+            put_uvarint(&mut footer, v);
+        }
+        for c in &b.chunks {
+            put_uvarint(&mut footer, c.len);
+            footer.extend_from_slice(&c.crc.to_le_bytes());
+        }
+    }
+    let mut out = bytes[..footer_start(bytes)].to_vec();
+    out.extend_from_slice(&footer);
+    out.extend_from_slice(&crc32(&footer).to_le_bytes());
+    out.extend_from_slice(&(footer.len() as u32).to_le_bytes());
+    out.extend_from_slice(&bytes[bytes.len() - 8..]);
+    out
+}
+
+/// An index that checksums correctly but contradicts itself — row
+/// counts that do not add up, block ranges that disagree with the
+/// segment's, chunks that do not tile the data — is a typed error at
+/// open; one that only misplaces a chunk boundary fails that chunk's
+/// CRC at read.
+#[test]
+fn inconsistent_block_index_rejected() {
+    let (path, meta, bytes) = multi_block_segment("lies");
+    // The re-encoder is faithful: the untouched index still opens.
+    std::fs::write(&path, splice_footer(&bytes, &meta)).unwrap();
+    assert_eq!(Segment::open(&path).unwrap().meta(), &meta);
+
+    type Lie = (&'static str, fn(&mut SegmentMeta));
+    let lies: [Lie; 10] = [
+        ("records above the block sum", |m| m.records += 1),
+        ("a block one row short", |m| m.blocks[1].rows -= 1),
+        ("an empty block", |m| {
+            m.records -= m.blocks[2].rows;
+            m.blocks[2].rows = 0;
+        }),
+        ("no blocks", |m| m.blocks.clear()),
+        ("segment min_ts below every block", |m| m.min_ts -= 1),
+        ("segment max_ts above every block", |m| m.max_ts += 1),
+        ("segment max_seq above every block", |m| m.max_seq += 1),
+        ("inverted block range", |m| {
+            m.blocks[1].min_ts = m.blocks[1].max_ts + 1
+        }),
+        ("last chunk past the data region", |m| {
+            m.blocks[2].chunks[11].len += 1
+        }),
+        ("data bytes no chunk covers", |m| {
+            m.blocks[0].chunks[0].len -= 1
+        }),
+    ];
+    for (what, lie) in lies {
+        let mut bad = meta.clone();
+        lie(&mut bad);
+        std::fs::write(&path, splice_footer(&bytes, &bad)).unwrap();
+        let err = Segment::open(&path).expect_err(what);
+        assert!(matches!(err, SegmentError::Corrupt(_)), "{what}: {err}");
+    }
+
+    // A boundary moved between two neighbouring chunks keeps the tiling
+    // intact, so it opens — and the CRC catches it before any decode.
+    let mut shifted = meta.clone();
+    shifted.blocks[1].chunks[0].len += 1;
+    shifted.blocks[1].chunks[1].len -= 1;
+    std::fs::write(&path, splice_footer(&bytes, &shifted)).unwrap();
+    let seg = Segment::open(&path).expect("tiling is intact");
+    let mut blk = Block::default();
+    assert!(seg.read_block(0, &ALL_COLUMNS, &mut blk).is_ok());
+    let err = seg
+        .read_block(1, &ALL_COLUMNS, &mut Block::default())
+        .expect_err("misplaced boundary");
+    assert!(matches!(err, SegmentError::Corrupt(_)), "{err}");
+    cleanup(&path);
 }

@@ -4,10 +4,13 @@
 //! merged segments, or a reopened directory.
 
 use std::net::Ipv4Addr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
+use proptest::prelude::*;
+use vnet_tsdb::segment::BlockMeta;
 use vnet_tsdb::{
-    write_json_lines, CompactRecord, Query, RecordBatch, StoreOptions, TraceDb, TRACE_ID_TAG,
+    write_json_lines, CompactRecord, Query, RecordBatch, Segment, StoreOptions, TraceDb,
+    TRACE_ID_TAG,
 };
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -203,4 +206,205 @@ fn time_range_scans_prune_segments_on_footer_metadata() {
     assert_eq!(scan.stats().segments_scanned, 0);
     assert_eq!(scan.stats().bytes_read, 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The block index of every committed segment file in `dir`.
+fn block_index(dir: &Path) -> Vec<Vec<BlockMeta>> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "col"))
+        .collect();
+    files.sort();
+    files
+        .into_iter()
+        .map(|f| Segment::open(f).unwrap().meta().blocks.clone())
+        .collect()
+}
+
+/// Scan cost tracks the rows matched, not the segment: on one 64-block
+/// segment a window of `rows` rows reads at most ⌈rows/block⌉+1 blocks'
+/// bytes, more rows always cost more bytes, and one block at most is
+/// held decoded.
+#[test]
+fn scan_cost_tracks_rows_matched_on_a_64_block_segment() {
+    const ROWS: u64 = 128 * 1024;
+    let dir = test_dir("block-budget");
+    let options = StoreOptions {
+        seal_threshold: ROWS as usize,
+        fsync: false,
+        background_compaction: false,
+        ..StoreOptions::default()
+    };
+    let mut db = TraceDb::open_with(&dir, options.clone()).unwrap();
+    let mut batch = RecordBatch::new();
+    for i in 0..ROWS {
+        batch.push(
+            "tp",
+            "vm1",
+            CompactRecord {
+                timestamp_ns: i * 1_000,
+                pkt_len: 64 + (i % 1_400) as u32,
+                sport: (i % 977) as u16,
+                ..Default::default()
+            },
+        );
+    }
+    db.insert_batch(&batch);
+    drop(db);
+    let db = TraceDb::open_with(&dir, options).unwrap();
+    let index = block_index(&dir);
+    assert_eq!(index.len(), 1, "one seal, one segment");
+    let blocks = &index[0];
+    assert_eq!(blocks.len(), 64);
+    let block_rows = blocks[0].rows;
+    let block_bytes = blocks.iter().map(BlockMeta::encoded_bytes).max().unwrap();
+
+    // Per window size: bytes read at each start position. Positions sit
+    // early in a block, late in one (so all but the narrowest window
+    // cross into the next), on a block's first row, and at the very end.
+    let mut bytes_read: Vec<Vec<u64>> = Vec::new();
+    for (share, at_most_blocks) in [(10_000, 2), (100, 3), (4, u64::MAX)] {
+        let rows = ROWS / share;
+        let budget = (rows.div_ceil(block_rows) + 1).min(at_most_blocks);
+        let starts = [
+            5 * block_rows + 17,
+            9 * block_rows - 200,
+            20 * block_rows,
+            ROWS - rows - 1,
+        ];
+        let per_start = starts.map(|first| {
+            let scan = Query::new("tp")
+                .time_range(first * 1_000, (first + rows) * 1_000)
+                .scan(&db)
+                .unwrap();
+            let s = scan.stats();
+            assert_eq!(s.rows_matched, rows + 1, "inclusive window at {first}");
+            assert_eq!(s.blocks_total, 64);
+            assert_eq!(s.blocks_pruned + s.blocks_scanned, 64);
+            assert!(
+                s.blocks_scanned <= budget && s.bytes_read <= budget * block_bytes,
+                "{rows} rows at {first}: {} blocks, {} B; budget {budget} blocks",
+                s.blocks_scanned,
+                s.bytes_read
+            );
+            assert!(s.peak_decoded_rows <= block_rows, "one block resident");
+            assert_eq!((s.segments_scanned, s.segments_pruned), (1, 0));
+            s.bytes_read
+        });
+        bytes_read.push(per_start.to_vec());
+    }
+    // More rows never cost fewer bytes from the same start, and cost
+    // strictly more over the position set (block granularity allows a
+    // tie only where both windows fit the same blocks).
+    for pair in bytes_read.windows(2) {
+        assert!(pair[0].iter().zip(&pair[1]).all(|(few, many)| few <= many));
+        assert!(pair[0].iter().sum::<u64>() < pair[1].iter().sum::<u64>());
+    }
+    // A window between two rows touches a block and matches nothing; one
+    // past the end is pruned on the segment footer.
+    let scan = Query::new("tp").time_range(1_001, 1_999).scan(&db).unwrap();
+    assert_eq!((scan.len(), scan.stats().blocks_scanned), (0, 1));
+    let scan = Query::new("tp")
+        .time_range(ROWS * 1_000, u64::MAX)
+        .scan(&db)
+        .unwrap();
+    assert_eq!(scan.stats().segments_pruned, 1);
+    assert_eq!(scan.stats().bytes_read, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+const NODES: [&str; 3] = ["vm1", "vm2", "vm3"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Block pruning is invisible: on a multi-segment, multi-block store
+    /// whose timestamps are only near-monotone (per-node clock skew,
+    /// jitter, duplicates), `Query::scan` returns exactly what the full
+    /// filter `Query::run` returns on the in-memory twin — for arbitrary
+    /// windows, empty and inverted windows, windows laid on block
+    /// boundaries, and time ranges combined with tag predicates.
+    #[test]
+    fn block_pruned_scan_equals_full_filter(
+        rows in 20_000u64..32_000,
+        step in 0u64..40,
+        skews in proptest::collection::vec(0u64..200_000, 3),
+        jitter in proptest::collection::vec(0u64..3_000, 1..50),
+        cuts in proptest::collection::vec((0u64..=1_000, 0u64..=1_000), 4),
+    ) {
+        let dir = test_dir("block-differential");
+        let options = StoreOptions {
+            seal_threshold: 5_000,
+            fsync: false,
+            compact_fanin: 2,
+            compact_max_rows: 12_000,
+            background_compaction: false,
+        };
+        let mut mem = TraceDb::new();
+        let mut disk = TraceDb::open_with(&dir, options).unwrap();
+        let mut batch = RecordBatch::new();
+        for i in 0..rows {
+            let node = (i % 3) as usize;
+            batch.push(
+                "tp",
+                NODES[node],
+                CompactRecord {
+                    timestamp_ns: 1_000 + i * step + skews[node] + jitter[i as usize % jitter.len()],
+                    trace_id: 0x100 + (i / 4) as u32 % 64,
+                    pkt_len: 60 + (i % 9) as u32,
+                    direction: (i % 2) as u8,
+                    flags: u8::from(i % 4 == 0),
+                    ..Default::default()
+                },
+            );
+            if batch.len() == 1_500 || i + 1 == rows {
+                mem.insert_batch(&batch);
+                disk.insert_batch(&batch);
+                batch.clear();
+            }
+        }
+        let index = block_index(&dir);
+        prop_assert!(index.len() >= 2, "several segments");
+        prop_assert!(index.iter().any(|blocks| blocks.len() >= 2), "some multi-block");
+
+        let all: Vec<&BlockMeta> = index.iter().flatten().collect();
+        let t_min = all.iter().map(|b| b.min_ts).min().unwrap();
+        let t_max = all.iter().map(|b| b.max_ts).max().unwrap();
+        let at = |share: u64| t_min + (t_max - t_min) * share / 1_000;
+        // Arbitrary windows (inverted ones are empty), then windows on
+        // the edges of blocks: exactly a block, its first and last
+        // instants, and the gap (or overlap) to the next block.
+        let mut windows: Vec<(u64, u64)> = cuts.iter().map(|&(a, b)| (at(a), at(b))).collect();
+        windows.push((t_max + 1, u64::MAX));
+        for pair in all.windows(2).step_by(all.len().div_ceil(6)) {
+            let (b, next) = (pair[0], pair[1]);
+            windows.extend([
+                (b.min_ts, b.max_ts),
+                (b.max_ts, b.max_ts),
+                (next.min_ts, next.min_ts),
+                (b.max_ts + 1, next.min_ts.saturating_sub(1)),
+            ]);
+        }
+        let shapes: [fn(Query) -> Query; 4] = [
+            |q| q,
+            |q| q.tag_eq("node", "vm2"),
+            |q| q.tag_eq("direction", "tx").tag_eq("node", "vm1"),
+            |q| q.tag_eq(TRACE_ID_TAG, "00000120"),
+        ];
+        for (w, &(lo, hi)) in windows.iter().enumerate() {
+            let q = shapes[w % shapes.len()](Query::new("tp").time_range(lo, hi));
+            let scan = q.scan(&disk).unwrap();
+            let scanned: Vec<_> = scan.entries().iter().map(|e| e.to_point()).collect();
+            let filtered: Vec<_> = q.run(&mem).iter().map(|e| e.to_point()).collect();
+            prop_assert_eq!(scanned, filtered, "window {}..={}", lo, hi);
+            let s = scan.stats();
+            prop_assert_eq!(s.blocks_total, all.len() as u64);
+            prop_assert_eq!(s.blocks_pruned + s.blocks_scanned, s.blocks_total);
+            prop_assert_eq!(s.segments_pruned + s.segments_scanned, s.segments_total);
+            let overlapping = all.iter().filter(|b| b.max_ts >= lo && b.min_ts <= hi).count();
+            prop_assert!(s.blocks_scanned <= overlapping as u64, "only overlapping blocks");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
