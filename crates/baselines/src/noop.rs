@@ -42,18 +42,15 @@ impl ProbeSink for CountingProbe {
 mod tests {
     use super::*;
     use vnet_sim::ids::{CpuId, NodeId};
-    use vnet_sim::probe::{Direction, Hook};
+    use vnet_sim::probe::Direction;
 
     #[test]
     fn counts_without_cost() {
         let mut p = CountingProbe::new();
-        let hook = Hook::kprobe("f");
         let ev = ProbeEvent {
             node: NodeId(0),
             cpu: CpuId(0),
-            hook: &hook,
             device: None,
-            device_name: None,
             direction: Direction::Rx,
             packet: None,
             monotonic_ns: 0,

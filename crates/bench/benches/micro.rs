@@ -182,13 +182,13 @@ fn bench_sim_events(c: &mut Criterion) {
     });
 }
 
-/// Tentpole claim: batched ingest (whole [`RecordBatch`]es appended into
-/// per-(table, node) shards of integer records) versus the legacy path
-/// that materializes one tagged `DataPoint` per record.
+/// Batched ingest: one whole [`RecordBatch`] appended into a
+/// per-(table, node) shard of integer records.
 fn bench_ingest(c: &mut Criterion) {
     const RECORDS: u64 = 1_000_000;
-    let records: Vec<TraceRecord> = (0..RECORDS)
-        .map(|i| TraceRecord {
+    let mut batch = RecordBatch::new();
+    for i in 0..RECORDS {
+        let record = TraceRecord {
             timestamp_ns: i * 1_000,
             trace_id: i as u32,
             pkt_len: 104,
@@ -199,26 +199,11 @@ fn bench_ingest(c: &mut Criterion) {
             cpu: (i % 4) as u16,
             direction: 0,
             flags: 1,
-        })
-        .collect();
-    let mut batch = RecordBatch::new();
-    for r in &records {
-        batch.push("tp0", "server1", r.to_compact());
+        };
+        batch.push("tp0", "server1", record.to_compact());
     }
     let mut g = c.benchmark_group("ingest_1m");
     g.sample_size(10).throughput(Throughput::Elements(RECORDS));
-    g.bench_function("single_record", |b| {
-        b.iter_batched(
-            TraceDb::new,
-            |mut db| {
-                for r in &records {
-                    db.insert(r.to_point("tp0", "server1"));
-                }
-                db.len()
-            },
-            BatchSize::PerIteration,
-        )
-    });
     g.bench_function("batched", |b| {
         b.iter_batched(
             TraceDb::new,

@@ -13,8 +13,8 @@
 //!   the plain rack — the event-loop cost of the emulation layer
 //!   (per-crossing segment lookup, wire-serialization bookkeeping and
 //!   scheduled segment transitions).
-//! - `ingest_1m`: one million trace records into `TraceDb`, batched
-//!   versus one `DataPoint` at a time (records/sec).
+//! - `ingest_1m`: one million trace records into `TraceDb` as one
+//!   batch (records/sec).
 //! - `jit_vs_interp`: the hot match-and-record trace program on the
 //!   threaded-code tier versus the interpreter (executions/sec).
 //!
@@ -115,11 +115,12 @@ fn time_emulated_rack(cfg: &RackConfig, reps: usize) -> ((f64, u64), (f64, u64))
     (run(false), run(true))
 }
 
-/// Best-of-N for the 1M-record ingest, batched and single-record paths.
-fn time_ingest(reps: usize) -> (f64, f64, u64) {
+/// Best-of-N for the 1M-record batched ingest.
+fn time_ingest(reps: usize) -> (f64, u64) {
     const RECORDS: u64 = 1_000_000;
-    let records: Vec<TraceRecord> = (0..RECORDS)
-        .map(|i| TraceRecord {
+    let mut batch = RecordBatch::new();
+    for i in 0..RECORDS {
+        let record = TraceRecord {
             timestamp_ns: i * 1_000,
             trace_id: i as u32,
             pkt_len: 104,
@@ -130,30 +131,18 @@ fn time_ingest(reps: usize) -> (f64, f64, u64) {
             cpu: (i % 4) as u16,
             direction: 0,
             flags: 1,
-        })
-        .collect();
-    let mut batch = RecordBatch::new();
-    for r in &records {
-        batch.push("tp0", "server1", r.to_compact());
+        };
+        batch.push("tp0", "server1", record.to_compact());
     }
     let mut batched = f64::INFINITY;
-    let mut single = f64::INFINITY;
     for _ in 0..reps {
         let mut db = TraceDb::new();
         let start = Instant::now();
         db.insert_batch(&batch);
         batched = batched.min(start.elapsed().as_secs_f64());
         assert_eq!(db.len() as u64, RECORDS);
-
-        let mut db = TraceDb::new();
-        let start = Instant::now();
-        for r in &records {
-            db.insert(r.to_point("tp0", "server1"));
-        }
-        single = single.min(start.elapsed().as_secs_f64());
-        assert_eq!(db.len() as u64, RECORDS);
     }
-    (batched, single, RECORDS)
+    (batched, RECORDS)
 }
 
 /// Executions/sec of the match-and-record program on both tiers.
@@ -265,12 +254,8 @@ fn main() {
         (prof_secs / base_secs_e - 1.0) * 100.0
     );
 
-    let (batched, single, records) = time_ingest(reps);
-    eprintln!(
-        "  ingest_1m: batched {:.0} rec/s, single {:.0} rec/s",
-        records as f64 / batched,
-        records as f64 / single
-    );
+    let (batched, records) = time_ingest(reps);
+    eprintln!("  ingest_1m: batched {:.0} rec/s", records as f64 / batched);
 
     let iters = if fast { 20_000 } else { 2_000_000 };
     let (interp, jit) = time_tiers(iters);
@@ -334,11 +319,6 @@ fn main() {
                     "batched_records_per_sec",
                     Value::Float(records as f64 / batched),
                 ),
-                (
-                    "single_record_records_per_sec",
-                    Value::Float(records as f64 / single),
-                ),
-                ("batched_speedup", Value::Float(single / batched)),
             ]),
         ),
         (

@@ -541,39 +541,11 @@ impl Agent {
             .map(|i| i.sink.lock().unwrap().stats)
     }
 
-    /// Drains all perf buffers: the periodic buffer dump of §III-C.
-    /// Returns `(table name, record)` pairs.
-    pub fn drain(&mut self) -> Vec<(String, TraceRecord)> {
-        let mut batch = vnet_tsdb::RecordBatch::new();
-        self.drain_into(&mut batch);
-        let mut out = Vec::new();
-        for group in batch.groups() {
-            for r in &group.records {
-                out.push((
-                    group.measurement.clone(),
-                    TraceRecord {
-                        timestamp_ns: r.timestamp_ns,
-                        trace_id: r.trace_id,
-                        pkt_len: r.pkt_len,
-                        saddr: r.saddr,
-                        daddr: r.daddr,
-                        sport: r.sport,
-                        dport: r.dport,
-                        cpu: r.cpu,
-                        direction: r.direction,
-                        flags: r.flags,
-                    },
-                ));
-            }
-        }
-        out
-    }
-
-    /// Drains every perf buffer straight into `batch`, grouped by
-    /// (table, node) — the allocation-free half of the batched collection
-    /// path. Records are decoded in place from the ring and appended in
-    /// compact form; scripts are visited in install order so output is
-    /// deterministic. Returns the number of records drained.
+    /// Drains every perf buffer into `batch`, grouped by (table, node) —
+    /// the periodic buffer dump of §III-C. Records are decoded in place
+    /// from the ring and appended in compact form; scripts are visited in
+    /// install order so output is deterministic. Returns the number of
+    /// records drained.
     pub fn drain_into(&mut self, batch: &mut vnet_tsdb::RecordBatch) -> usize {
         let mut drained = 0;
         let mut maps = self.maps.lock().unwrap();
@@ -701,11 +673,12 @@ mod tests {
         assert_eq!(stats.executions, 3);
         assert_eq!(stats.matched, 3);
         assert_eq!(stats.errors, 0);
-        let records = agent.drain();
-        assert_eq!(records.len(), 3);
-        assert!(records.iter().all(|(name, _)| name == "eth0_rx"));
+        let mut batch = vnet_tsdb::RecordBatch::new();
+        assert_eq!(agent.drain_into(&mut batch), 3);
+        assert_eq!(batch.groups().len(), 1);
+        assert_eq!(batch.groups()[0].measurement, "eth0_rx");
         // Second drain is empty.
-        assert!(agent.drain().is_empty());
+        assert_eq!(agent.drain_into(&mut batch), 0);
     }
 
     #[test]
@@ -723,7 +696,7 @@ mod tests {
         let stats = agent.stats(id).unwrap();
         assert_eq!(stats.executions, 1, "program ran");
         assert_eq!(stats.matched, 0, "but did not match");
-        assert!(agent.drain().is_empty());
+        assert_eq!(agent.drain_into(&mut vnet_tsdb::RecordBatch::new()), 0);
     }
 
     #[test]
@@ -774,10 +747,11 @@ mod tests {
         let dev = w.find_device(n, "eth0").unwrap();
         w.inject(dev, udp_pkt());
         w.run_until(SimTime::from_millis(1));
-        let records = agent.drain();
-        assert_eq!(records.len(), 1);
+        let mut batch = vnet_tsdb::RecordBatch::new();
+        assert_eq!(agent.drain_into(&mut batch), 1);
         assert_eq!(
-            records[0].1.timestamp_ns, 1_000_000,
+            batch.groups()[0].records[0].timestamp_ns,
+            1_000_000,
             "injection at t=0 on a +1ms clock"
         );
     }
@@ -886,7 +860,7 @@ mod tests {
         w.run_until(SimTime::from_millis(1));
         assert_eq!(agent.lost_records(id), 3);
         assert_eq!(agent.lost_records_total(), 3);
-        assert_eq!(agent.drain().len(), 1);
+        assert_eq!(agent.drain_into(&mut vnet_tsdb::RecordBatch::new()), 1);
     }
 
     #[test]
@@ -916,30 +890,5 @@ mod tests {
         // Nothing left after the drain.
         batch.clear();
         assert_eq!(agent.drain_into(&mut batch), 0);
-    }
-
-    #[test]
-    fn drain_and_drain_into_agree() {
-        let (mut w, n) = world_with_device();
-        let mut agent = Agent::new(n, "server1", 4);
-        agent.install(&mut w, &udp_spec(), 4096).unwrap();
-        let dev = w.find_device(n, "eth0").unwrap();
-        for _ in 0..2 {
-            w.inject(dev, udp_pkt());
-        }
-        w.run_until(SimTime::from_millis(1));
-        let mut batch = vnet_tsdb::RecordBatch::new();
-        agent.drain_into(&mut batch);
-        // Re-run the same traffic and use the legacy drain.
-        for _ in 0..2 {
-            w.inject(dev, udp_pkt());
-        }
-        w.run_until(SimTime::from_millis(2));
-        let legacy = agent.drain();
-        assert_eq!(legacy.len(), batch.len());
-        for ((table, rec), compact) in legacy.iter().zip(&batch.groups()[0].records) {
-            assert_eq!(table, "eth0_rx");
-            assert_eq!(rec.to_compact().pkt_len, compact.pkt_len);
-        }
     }
 }

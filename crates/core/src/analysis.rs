@@ -9,21 +9,24 @@ use std::collections::{BTreeSet, HashMap};
 use vnet_tsdb::{DataPoint, TraceDb};
 
 use crate::clock_sync::SkewEstimate;
+use crate::metrics::{first_seen_by_trace_id, scan_table};
+
+/// The distinct trace IDs observed at `tracepoint`.
+fn trace_ids(db: &TraceDb, tracepoint: &str) -> BTreeSet<String> {
+    first_seen_by_trace_id(db, tracepoint).into_keys().collect()
+}
 
 /// Trace IDs observed at **every** tracepoint in `tracepoints` — the
 /// "complete" records safe for end-to-end analysis.
 pub fn complete_ids(db: &TraceDb, tracepoints: &[&str]) -> BTreeSet<String> {
     let mut iter = tracepoints.iter();
-    let Some(first) = iter.next().and_then(|t| db.table(t)) else {
+    let Some(first) = iter.next() else {
         return BTreeSet::new();
     };
-    let mut ids: BTreeSet<String> = first.trace_ids().into_iter().collect();
+    let mut ids = trace_ids(db, first);
     for tp in iter {
-        let Some(table) = db.table(tp) else {
-            return BTreeSet::new();
-        };
-        let present: BTreeSet<String> = table.trace_ids().into_iter().collect();
-        ids = ids.intersection(&present).cloned().collect();
+        let present = trace_ids(db, tp);
+        ids.retain(|id| present.contains(id));
     }
     ids
 }
@@ -32,12 +35,13 @@ pub fn complete_ids(db: &TraceDb, tracepoints: &[&str]) -> BTreeSet<String> {
 /// one later tracepoint — incomplete records (lost packets, truncated
 /// traces).
 pub fn incomplete_ids(db: &TraceDb, tracepoints: &[&str]) -> BTreeSet<String> {
-    let Some(first) = tracepoints.first().and_then(|t| db.table(t)) else {
+    let Some(first) = tracepoints.first() else {
         return BTreeSet::new();
     };
-    let all: BTreeSet<String> = first.trace_ids().into_iter().collect();
     let complete = complete_ids(db, tracepoints);
-    all.difference(&complete).cloned().collect()
+    let mut ids = trace_ids(db, first);
+    ids.retain(|id| !complete.contains(id));
+    ids
 }
 
 /// Rebuilds the database with every point's timestamp aligned onto the
@@ -46,8 +50,7 @@ pub fn incomplete_ids(db: &TraceDb, tracepoints: &[&str]) -> BTreeSet<String> {
 pub fn align_timestamps(db: &TraceDb, skew_by_node: &HashMap<String, SkewEstimate>) -> TraceDb {
     let mut out = TraceDb::new();
     for measurement in db.measurements() {
-        let table = db.table(measurement).expect("listed measurement exists");
-        for e in table.entries() {
+        for e in scan_table(db, measurement).entries() {
             let mut p: DataPoint = e.to_point();
             if let Some(skew) = p.tag_value("node").and_then(|n| skew_by_node.get(n)) {
                 p.timestamp_ns = skew.align_remote_ns(p.timestamp_ns);
@@ -160,5 +163,50 @@ mod tests {
         assert_eq!(segs.len(), 1);
         // Raw delta is 800ns; aligned is 500ns.
         assert_eq!(segs[0].stats.mean_ns, 500.0);
+    }
+
+    #[test]
+    fn cleaning_and_alignment_survive_a_cold_reopen() {
+        use vnet_tsdb::{CompactRecord, RecordBatch};
+        let mut batch = RecordBatch::new();
+        for i in 0..100u32 {
+            let record = |ts: u64| CompactRecord {
+                timestamp_ns: ts,
+                trace_id: i,
+                flags: 1,
+                ..Default::default()
+            };
+            batch.push("tp0", "master", record(u64::from(i) * 1_000));
+            if i % 4 != 0 {
+                batch.push("tp1", "remote", record(u64::from(i) * 1_000 + 900));
+            }
+        }
+        let (mem, cold) = crate::metrics::testutil::mem_and_cold("analysis", &batch);
+        let chain = ["tp0", "tp1"];
+        let complete = complete_ids(&cold.db, &chain);
+        assert_eq!(complete.len(), 75);
+        assert_eq!(complete, complete_ids(&mem, &chain));
+        let incomplete = incomplete_ids(&cold.db, &chain);
+        assert_eq!(incomplete.len(), 25);
+        assert!(incomplete.contains("00000004"));
+        assert_eq!(incomplete, incomplete_ids(&mem, &chain));
+
+        let mut skews = HashMap::new();
+        skews.insert(
+            "remote".to_owned(),
+            SkewEstimate {
+                one_way_ns: 0,
+                offset_ns: 400,
+                skew_ns: 400,
+                samples: 100,
+            },
+        );
+        let aligned = align_timestamps(&cold.db, &skews);
+        assert_eq!(aligned.len(), 175);
+        assert_eq!(aligned.join_timestamps("tp0", "tp1")[0], (1_000, 1_500));
+        assert_eq!(
+            aligned.join_timestamps("tp0", "tp1"),
+            align_timestamps(&mem, &skews).join_timestamps("tp0", "tp1")
+        );
     }
 }

@@ -20,8 +20,6 @@ use std::rc::Rc;
 use vnet_sim::time::{SimDuration, SimTime};
 use vnet_tsdb::{RecordBatch, StorageStats, TraceDb, COMPACT_RECORD_BYTES};
 
-use crate::record::TraceRecord;
-
 /// An online consumer of the collector's ingest stream.
 ///
 /// Subscribers registered via [`Collector::subscribe`] see every record
@@ -57,7 +55,7 @@ pub trait IngestSubscriber: fmt::Debug {
 pub struct IngestStats {
     /// Records ingested into the database.
     pub records: u64,
-    /// Batches (or legacy per-record calls) ingested.
+    /// Batches ingested.
     pub batches: u64,
     /// Wire bytes those records represent.
     pub bytes: u64,
@@ -177,26 +175,6 @@ impl Collector {
         ingested
     }
 
-    /// Ingests a batch of `(table, record)` pairs from `node`'s agent,
-    /// which doubles as a heartbeat — the legacy single-record path,
-    /// which materializes one point per record.
-    pub fn ingest(
-        &mut self,
-        node: &str,
-        heartbeat_seq: u64,
-        batch: Vec<(String, TraceRecord)>,
-        now: SimTime,
-    ) {
-        self.heartbeat(node, heartbeat_seq, now);
-        let count = batch.len() as u64;
-        for (table, record) in batch {
-            self.records_ingested += 1;
-            self.db.insert(record.to_point(&table, node));
-        }
-        let health = self.health.get_mut(node).expect("heartbeat inserted it");
-        health.stats.add(count, count * COMPACT_RECORD_BYTES);
-    }
-
     /// Records a standalone heartbeat from `node`.
     pub fn heartbeat(&mut self, node: &str, seq: u64, now: SimTime) {
         let health = self.health.entry(node.to_owned()).or_default();
@@ -280,9 +258,10 @@ impl Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vnet_tsdb::CompactRecord;
 
-    fn record(ts: u64) -> TraceRecord {
-        TraceRecord {
+    fn record(ts: u64) -> CompactRecord {
+        CompactRecord {
             timestamp_ns: ts,
             trace_id: 7,
             flags: 1,
@@ -291,34 +270,20 @@ mod tests {
     }
 
     #[test]
-    fn ingest_fills_tables() {
-        let mut c = Collector::new();
-        c.ingest(
-            "server1",
-            1,
-            vec![("tp_a".into(), record(10)), ("tp_b".into(), record(20))],
-            SimTime::from_micros(1),
-        );
-        assert_eq!(c.records_ingested(), 2);
-        assert_eq!(c.db().table("tp_a").unwrap().len(), 1);
-        assert_eq!(c.db().table("tp_b").unwrap().len(), 1);
-        let table = c.db().table("tp_a").unwrap();
-        let entries = table.entries();
-        assert_eq!(entries[0].tag("node").as_deref(), Some("server1"));
-    }
-
-    #[test]
     fn ingest_batch_fills_shards_and_stats() {
         let mut c = Collector::new();
         let mut batch = RecordBatch::new();
-        batch.push("tp_a", "server1", record(10).to_compact());
-        batch.push("tp_a", "server1", record(20).to_compact());
-        batch.push("tp_b", "server1", record(30).to_compact());
+        batch.push("tp_a", "server1", record(10));
+        batch.push("tp_a", "server1", record(20));
+        batch.push("tp_b", "server1", record(30));
         let n = c.ingest_batch("server1", 1, &batch, 2, SimTime::from_micros(5));
         assert_eq!(n, 3);
         assert_eq!(c.records_ingested(), 3);
         assert_eq!(c.db().table("tp_a").unwrap().len(), 2);
-        assert_eq!(c.db().table("tp_a").unwrap().shards().len(), 1);
+        assert_eq!(c.db().table("tp_b").unwrap().len(), 1);
+        let table = c.db().table("tp_a").unwrap();
+        assert_eq!(table.shards().len(), 1);
+        assert_eq!(table.entries()[0].tag("node").as_deref(), Some("server1"));
         assert_eq!(c.last_heartbeat("server1"), Some(1));
 
         let stats = c.stats(SimTime::from_micros(9));
@@ -338,11 +303,11 @@ mod tests {
     fn stats_aggregate_multiple_agents_sorted() {
         let mut c = Collector::new();
         let mut batch = RecordBatch::new();
-        batch.push("tp", "n2", record(1).to_compact());
+        batch.push("tp", "n2", record(1));
         c.ingest_batch("n2", 1, &batch, 0, SimTime::from_micros(1));
         batch.clear();
-        batch.push("tp", "n1", record(2).to_compact());
-        batch.push("tp", "n1", record(3).to_compact());
+        batch.push("tp", "n1", record(2));
+        batch.push("tp", "n1", record(3));
         c.ingest_batch("n1", 4, &batch, 1, SimTime::from_micros(2));
 
         let stats = c.stats(SimTime::from_micros(2));
@@ -410,8 +375,8 @@ mod tests {
         assert_eq!(c.subscriber_count(), 1);
 
         let mut batch = RecordBatch::new();
-        batch.push("tp", "n1", record(10).to_compact());
-        batch.push("tp", "n1", record(20).to_compact());
+        batch.push("tp", "n1", record(10));
+        batch.push("tp", "n1", record(20));
         c.ingest_batch("n1", 1, &batch, 0, SimTime::from_micros(3));
         c.heartbeat("n1", 2, SimTime::from_micros(5));
 
@@ -426,7 +391,9 @@ mod tests {
     #[test]
     fn into_db_transfers_ownership() {
         let mut c = Collector::new();
-        c.ingest("n", 1, vec![("t".into(), record(5))], SimTime::ZERO);
+        let mut batch = RecordBatch::new();
+        batch.push("t", "n", record(5));
+        c.ingest_batch("n", 1, &batch, 0, SimTime::ZERO);
         let db = c.into_db();
         assert_eq!(db.len(), 1);
     }

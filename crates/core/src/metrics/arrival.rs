@@ -8,15 +8,23 @@
 
 use vnet_tsdb::TraceDb;
 
+use super::scan_table;
+
+/// Every record's timestamp at a tracepoint, in time order.
+fn sorted_stamps(db: &TraceDb, measurement: &str) -> Vec<u64> {
+    let scan = scan_table(db, measurement);
+    let mut stamps: Vec<u64> = scan.entries().iter().map(|e| e.timestamp_ns()).collect();
+    stamps.sort_unstable();
+    stamps
+}
+
 /// Inter-arrival gaps (ns) between consecutive records at a tracepoint,
 /// in time order.
 pub fn interarrival_ns(db: &TraceDb, measurement: &str) -> Vec<u64> {
-    let Some(table) = db.table(measurement) else {
-        return Vec::new();
-    };
-    let mut stamps: Vec<u64> = table.entries().iter().map(|e| e.timestamp_ns()).collect();
-    stamps.sort_unstable();
-    stamps.windows(2).map(|w| w[1] - w[0]).collect()
+    sorted_stamps(db, measurement)
+        .windows(2)
+        .map(|w| w[1] - w[0])
+        .collect()
 }
 
 /// Packet arrival rate per time bucket: returns `(bucket_start_ns,
@@ -27,16 +35,11 @@ pub fn interarrival_ns(db: &TraceDb, measurement: &str) -> Vec<u64> {
 /// Panics if `bucket_ns` is zero.
 pub fn arrival_rate(db: &TraceDb, measurement: &str, bucket_ns: u64) -> Vec<(u64, u64)> {
     assert!(bucket_ns > 0, "bucket width must be positive");
-    let Some(table) = db.table(measurement) else {
+    let stamps = sorted_stamps(db, measurement);
+    let (Some(first), Some(&last)) = (stamps.first(), stamps.last()) else {
         return Vec::new();
     };
-    if table.is_empty() {
-        return Vec::new();
-    }
-    let mut stamps: Vec<u64> = table.entries().iter().map(|e| e.timestamp_ns()).collect();
-    stamps.sort_unstable();
-    let first = stamps[0] / bucket_ns * bucket_ns;
-    let last = *stamps.last().expect("non-empty");
+    let first = first / bucket_ns * bucket_ns;
     let buckets = (last - first) / bucket_ns + 1;
     let mut out: Vec<(u64, u64)> = (0..buckets).map(|i| (first + i * bucket_ns, 0)).collect();
     for t in stamps {
@@ -89,6 +92,27 @@ mod tests {
     #[test]
     fn arrival_rate_empty_inputs() {
         assert!(arrival_rate(&TraceDb::new(), "m", 100).is_empty());
+    }
+
+    #[test]
+    fn arrival_metrics_survive_a_cold_reopen() {
+        use vnet_tsdb::{CompactRecord, RecordBatch};
+        let mut batch = RecordBatch::new();
+        for i in 0..100u64 {
+            let record = CompactRecord {
+                // Out of time order, two nodes, uneven gaps.
+                timestamp_ns: (i * 37 % 100) * 1_000 + i % 3,
+                ..Default::default()
+            };
+            batch.push("m", if i % 2 == 0 { "vm1" } else { "vm2" }, record);
+        }
+        let (mem, cold) = crate::metrics::testutil::mem_and_cold("arrival", &batch);
+        let gaps = interarrival_ns(&cold.db, "m");
+        assert_eq!(gaps.len(), 99);
+        assert_eq!(gaps, interarrival_ns(&mem, "m"));
+        let rate = arrival_rate(&cold.db, "m", 10_000);
+        assert_eq!(rate.iter().map(|b| b.1).sum::<u64>(), 100);
+        assert_eq!(rate, arrival_rate(&mem, "m", 10_000));
     }
 
     #[test]

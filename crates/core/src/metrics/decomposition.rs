@@ -9,6 +9,7 @@
 use serde::{Deserialize, Serialize};
 use vnet_tsdb::TraceDb;
 
+use super::first_seen_by_trace_id;
 use super::latency::{stats_from_ns, LatencyStats};
 
 /// Latency statistics for one segment of the path.
@@ -43,39 +44,26 @@ pub fn decompose(db: &TraceDb, tracepoints: &[&str]) -> Vec<SegmentStats> {
 /// by its timestamp there, the latency of every segment (or `None` where
 /// the packet was not observed downstream).
 pub fn per_packet_segments(db: &TraceDb, tracepoints: &[&str]) -> Vec<(String, Vec<Option<u64>>)> {
-    let Some(first) = tracepoints.first().and_then(|t| db.table(t)) else {
+    let first_seen: Vec<_> = tracepoints
+        .iter()
+        .map(|t| first_seen_by_trace_id(db, t))
+        .collect();
+    let Some(first) = first_seen.first() else {
         return Vec::new();
     };
     // Trace IDs ordered by first-tracepoint timestamp.
-    let mut ids: Vec<(u64, String)> = first
-        .trace_ids()
-        .into_iter()
-        .filter_map(|id| {
-            first
-                .by_trace_id(&id)
-                .first()
-                .map(|e| (e.timestamp_ns(), id.clone()))
-        })
-        .collect();
+    let mut ids: Vec<(u64, &String)> = first.iter().map(|(id, &ts)| (ts, id)).collect();
     ids.sort();
-    let tables: Vec<_> = tracepoints.iter().map(|t| db.table(t)).collect();
     ids.into_iter()
         .map(|(_, id)| {
-            let stamps: Vec<Option<u64>> = tables
-                .iter()
-                .map(|t| {
-                    t.and_then(|t| t.by_trace_id(&id).first().copied())
-                        .map(|e| e.timestamp_ns())
-                })
-                .collect();
-            let segs: Vec<Option<u64>> = stamps
+            let segs: Vec<Option<u64>> = first_seen
                 .windows(2)
-                .map(|w| match (w[0], w[1]) {
-                    (Some(a), Some(b)) => b.checked_sub(a),
+                .map(|w| match (w[0].get(id), w[1].get(id)) {
+                    (Some(&a), Some(&b)) => b.checked_sub(a),
                     _ => None,
                 })
                 .collect();
-            (id, segs)
+            (id.clone(), segs)
         })
         .collect()
 }
@@ -140,5 +128,31 @@ mod tests {
         assert!(decompose(&db, &["a", "b"]).is_empty());
         assert!(per_packet_segments(&db, &["a", "b"]).is_empty());
         assert!(per_packet_segments(&db, &[]).is_empty());
+    }
+
+    #[test]
+    fn per_packet_segments_survive_a_cold_reopen() {
+        use vnet_tsdb::{CompactRecord, RecordBatch};
+        let mut batch = RecordBatch::new();
+        for i in 0..100u32 {
+            let record = |ts: u64| CompactRecord {
+                timestamp_ns: ts,
+                trace_id: i,
+                flags: 1,
+                ..Default::default()
+            };
+            let t0 = u64::from(i) * 10_000;
+            batch.push("tp0", "vm1", record(t0));
+            batch.push("tp1", "vm1", record(t0 + 100));
+            if i % 5 != 0 {
+                batch.push("tp2", "vm2", record(t0 + 100 + 50 * u64::from(i)));
+            }
+        }
+        let (mem, cold) = crate::metrics::testutil::mem_and_cold("segments", &batch);
+        let rows = per_packet_segments(&cold.db, &["tp0", "tp1", "tp2"]);
+        assert_eq!(rows.len(), 100);
+        assert_eq!(rows[0], ("00000000".to_owned(), vec![Some(100), None]));
+        assert_eq!(rows[7], ("00000007".to_owned(), vec![Some(100), Some(350)]));
+        assert_eq!(rows, per_packet_segments(&mem, &["tp0", "tp1", "tp2"]));
     }
 }

@@ -7,7 +7,9 @@
 
 use std::collections::BTreeMap;
 
-use vnet_tsdb::{Query, TraceDb, DROP_REASON_TAG};
+use vnet_tsdb::{TraceDb, DROP_REASON_TAG};
+
+use super::scan_table;
 
 /// Reason label used for drop records whose flag bits carry no known
 /// reason code (e.g. a record produced by a plain `RecordPacketInfo`
@@ -20,14 +22,12 @@ pub const UNATTRIBUTED: &str = "unattributed";
 /// empty vector when the table does not exist (or cannot be scanned).
 pub fn drop_breakdown(db: &TraceDb, table: &str) -> Vec<(String, u64)> {
     let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-    if let Ok(scan) = Query::new(table).scan(db) {
-        for e in scan.entries() {
-            let reason = e
-                .tag(DROP_REASON_TAG)
-                .map(|c| c.into_owned())
-                .unwrap_or_else(|| UNATTRIBUTED.to_owned());
-            *counts.entry(reason).or_insert(0) += 1;
-        }
+    for e in scan_table(db, table).entries() {
+        let reason = e
+            .tag(DROP_REASON_TAG)
+            .map(|c| c.into_owned())
+            .unwrap_or_else(|| UNATTRIBUTED.to_owned());
+        *counts.entry(reason).or_insert(0) += 1;
     }
     counts.into_iter().collect()
 }

@@ -10,16 +10,14 @@ use std::collections::BTreeMap;
 use vnet_tsdb::{TraceDb, TRACE_ID_TAG};
 
 use super::loss::PacketLoss;
+use super::scan_table;
 use super::throughput::throughput_bps;
 
 /// Computes throughput per flow (grouped by the `flow` tag) at a
 /// tracepoint's table. Returns `(flow, bits/sec)` sorted by flow name.
 pub fn per_flow_throughput(db: &TraceDb, measurement: &str) -> Vec<(String, f64)> {
-    let Some(table) = db.table(measurement) else {
-        return Vec::new();
-    };
     let mut groups: BTreeMap<String, Vec<(u64, u32, bool)>> = BTreeMap::new();
-    for e in table.entries() {
+    for e in scan_table(db, measurement).entries() {
         let Some(flow) = e.tag("flow") else {
             continue;
         };
@@ -45,11 +43,9 @@ pub fn per_flow_throughput(db: &TraceDb, measurement: &str) -> Vec<(String, f64)
 pub fn per_flow_loss(db: &TraceDb, upstream: &str, downstream: &str) -> Vec<(String, PacketLoss)> {
     let count_by_flow = |measurement: &str| -> BTreeMap<String, u64> {
         let mut out = BTreeMap::new();
-        if let Some(table) = db.table(measurement) {
-            for e in table.entries() {
-                if let Some(flow) = e.tag("flow") {
-                    *out.entry(flow.into_owned()).or_insert(0) += 1;
-                }
+        for e in scan_table(db, measurement).entries() {
+            if let Some(flow) = e.tag("flow") {
+                *out.entry(flow.into_owned()).or_insert(0) += 1;
             }
         }
         out
@@ -147,5 +143,37 @@ mod tests {
         let flows = per_flow_throughput(&db, "m");
         assert_eq!(flows.len(), 1);
         assert!(flows[0].1 > 0.0);
+    }
+
+    #[test]
+    fn per_flow_metrics_survive_a_cold_reopen() {
+        use vnet_tsdb::{CompactRecord, RecordBatch};
+        let mut batch = RecordBatch::new();
+        for i in 0..120u64 {
+            // Three flows by source port; the third loses every other
+            // packet between the two tracepoints.
+            let record = CompactRecord {
+                timestamp_ns: i * 1_000,
+                pkt_len: 100 + (i % 3) as u32 * 400,
+                saddr: 0x0a00_0001,
+                daddr: 0x0a00_0002,
+                sport: 1_000 + (i % 3) as u16,
+                dport: 7,
+                ..Default::default()
+            };
+            batch.push("up", "vm1", record);
+            if i % 3 != 2 || i % 2 == 0 {
+                batch.push("down", "vm2", record);
+            }
+        }
+        let (mem, cold) = crate::metrics::testutil::mem_and_cold("flow", &batch);
+        let flows = per_flow_throughput(&cold.db, "up");
+        assert_eq!(flows.len(), 3);
+        assert!(flows.iter().all(|f| f.1 > 0.0));
+        assert_eq!(flows, per_flow_throughput(&mem, "up"));
+        let losses = per_flow_loss(&cold.db, "up", "down");
+        let lost: Vec<u64> = losses.iter().map(|l| l.1.lost).collect();
+        assert_eq!(lost, vec![0, 0, 20]);
+        assert_eq!(losses, per_flow_loss(&mem, "up", "down"));
     }
 }

@@ -6,7 +6,9 @@
 //! (§III-D)
 
 use serde::{Deserialize, Serialize};
-use vnet_tsdb::{Query, TraceDb};
+use vnet_tsdb::TraceDb;
+
+use super::scan_table;
 
 /// Loss between an upstream and a downstream tracepoint.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -26,11 +28,7 @@ pub struct PacketLoss {
 /// answer is the same on a reopened disk-backed store; a table that does
 /// not exist (or cannot be scanned) counts as empty.
 pub fn packet_loss(db: &TraceDb, upstream: &str, downstream: &str) -> PacketLoss {
-    let count = |table: &str| {
-        Query::new(table)
-            .scan(db)
-            .map_or(0, |scan| scan.len() as u64)
-    };
+    let count = |table: &str| scan_table(db, table).len() as u64;
     let n_i = count(upstream);
     let n_j = count(downstream);
     let lost = n_i.saturating_sub(n_j);
@@ -92,15 +90,7 @@ mod tests {
 
     #[test]
     fn loss_survives_a_cold_reopen() {
-        use vnet_tsdb::{CompactRecord, RecordBatch, StoreOptions};
-        let dir = std::env::temp_dir().join(format!("vnt-loss-cold-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let options = StoreOptions {
-            seal_threshold: 40,
-            fsync: false,
-            background_compaction: false,
-            ..StoreOptions::default()
-        };
+        use vnet_tsdb::{CompactRecord, RecordBatch};
         let mut batch = RecordBatch::new();
         for i in 0..100u64 {
             let record = CompactRecord {
@@ -112,15 +102,9 @@ mod tests {
                 batch.push("out", "vm2", record);
             }
         }
-        let mut disk = TraceDb::open_with(&dir, options.clone()).unwrap();
-        disk.insert_batch(&batch);
-        disk.flush().unwrap();
-        drop(disk);
-
-        let cold = TraceDb::open_with(&dir, options).unwrap();
-        let loss = packet_loss(&cold, "in", "out");
+        let (mem, cold) = crate::metrics::testutil::mem_and_cold("loss", &batch);
+        let loss = packet_loss(&cold.db, "in", "out");
         assert_eq!((loss.upstream, loss.downstream, loss.lost), (100, 75, 25));
-        assert!((loss.rate - 0.25).abs() < 1e-12);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(loss, packet_loss(&mem, "in", "out"));
     }
 }

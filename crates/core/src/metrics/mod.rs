@@ -21,3 +21,70 @@ pub use jitter::{jitter_range, jitter_series, JitterTracker};
 pub use latency::{latency_between, stats_from_ns, LatencyStats};
 pub use loss::{packet_loss, PacketLoss};
 pub use throughput::{throughput_at, throughput_bps, TRACE_ID_WIRE_BYTES};
+
+use std::collections::BTreeMap;
+
+use vnet_tsdb::{Query, ScanResult, TraceDb, TRACE_ID_TAG};
+
+/// Everything stored under `measurement`: sealed segments as well as the
+/// hot tail, so offline metrics answer the same on a reopened disk-backed
+/// store. A table that does not exist (or cannot be scanned) counts as
+/// empty.
+pub(crate) fn scan_table(db: &TraceDb, measurement: &str) -> ScanResult {
+    Query::new(measurement).scan(db).unwrap_or_default()
+}
+
+/// Timestamp of the first record (in ingest order) of each trace ID seen
+/// at `measurement`.
+pub(crate) fn first_seen_by_trace_id(db: &TraceDb, measurement: &str) -> BTreeMap<String, u64> {
+    let mut first = BTreeMap::new();
+    for e in scan_table(db, measurement).entries() {
+        if let Some(id) = e.tag(TRACE_ID_TAG) {
+            first.entry(id.into_owned()).or_insert(e.timestamp_ns());
+        }
+    }
+    first
+}
+
+#[cfg(test)]
+pub(crate) mod testutil {
+    use vnet_tsdb::{RecordBatch, StoreOptions, TraceDb};
+
+    /// A disk-backed store reopened cold, and the directory it lives in
+    /// (removed on drop).
+    pub(crate) struct ColdDb {
+        pub(crate) db: TraceDb,
+        dir: std::path::PathBuf,
+    }
+
+    impl Drop for ColdDb {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    /// Stores `batch` twice: in memory, and on disk under a directory
+    /// named after `test` — sealed in several segments, flushed, dropped
+    /// and reopened, so the cold twin's hot tail is empty.
+    pub(crate) fn mem_and_cold(test: &str, batch: &RecordBatch) -> (TraceDb, ColdDb) {
+        let dir = std::env::temp_dir().join(format!("vnt-{test}-cold-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = StoreOptions {
+            seal_threshold: 40,
+            fsync: false,
+            background_compaction: false,
+            ..StoreOptions::default()
+        };
+        let mut mem = TraceDb::new();
+        mem.insert_batch(batch);
+        let mut disk = TraceDb::open_with(&dir, options.clone()).unwrap();
+        disk.insert_batch(batch);
+        disk.flush().unwrap();
+        drop(disk);
+        let db = TraceDb::open_with(&dir, options).unwrap();
+        for m in db.measurements() {
+            assert!(db.table(m).is_none_or(|t| t.is_empty()), "no hot tail");
+        }
+        (mem, ColdDb { db, dir })
+    }
+}

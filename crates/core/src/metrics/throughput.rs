@@ -5,7 +5,9 @@
 //! Σ_{i=1}^{N} (S_i − S_ID) / (T_N − T_1), where … S_ID is the 4 bytes
 //! packet unique ID." (§III-D)
 
-use vnet_tsdb::{Query, TraceDb, TRACE_ID_TAG};
+use vnet_tsdb::{TraceDb, TRACE_ID_TAG};
+
+use super::scan_table;
 
 /// Bytes the trace ID adds to each packet on the wire (`S_ID`).
 pub const TRACE_ID_WIRE_BYTES: u64 = 4;
@@ -37,10 +39,7 @@ pub fn throughput_bps(samples: &[(u64, u32, bool)]) -> f64 {
 /// reopened disk-backed store. Returns 0.0 when the table does not exist
 /// (or cannot be scanned).
 pub fn throughput_at(db: &TraceDb, measurement: &str) -> f64 {
-    let Ok(scan) = Query::new(measurement).scan(db) else {
-        return 0.0;
-    };
-    let samples: Vec<(u64, u32, bool)> = scan
+    let samples: Vec<(u64, u32, bool)> = scan_table(db, measurement)
         .entries()
         .iter()
         .filter_map(|e| {
@@ -98,15 +97,7 @@ mod tests {
 
     #[test]
     fn throughput_survives_a_cold_reopen() {
-        use vnet_tsdb::{CompactRecord, RecordBatch, StoreOptions};
-        let dir = std::env::temp_dir().join(format!("vnt-throughput-cold-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let options = StoreOptions {
-            seal_threshold: 40,
-            fsync: false,
-            background_compaction: false,
-            ..StoreOptions::default()
-        };
+        use vnet_tsdb::{CompactRecord, RecordBatch};
         let mut batch = RecordBatch::new();
         for i in 0..100u32 {
             let record = CompactRecord {
@@ -118,21 +109,9 @@ mod tests {
             };
             batch.push("nic_rx", "vm1", record);
         }
-        let mut mem = TraceDb::new();
-        mem.insert_batch(&batch);
-        let mut disk = TraceDb::open_with(&dir, options.clone()).unwrap();
-        disk.insert_batch(&batch);
-        disk.flush().unwrap();
-        drop(disk);
-
-        let cold = TraceDb::open_with(&dir, options).unwrap();
-        assert!(
-            cold.table("nic_rx").is_none_or(|t| t.is_empty()),
-            "no hot tail"
-        );
-        let bps = throughput_at(&cold, "nic_rx");
+        let (mem, cold) = crate::metrics::testutil::mem_and_cold("throughput", &batch);
+        let bps = throughput_at(&cold.db, "nic_rx");
         assert!(bps > 0.0);
         assert_eq!(bps.to_bits(), throughput_at(&mem, "nic_rx").to_bits());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -113,29 +113,6 @@ impl TraceRecord {
             flags: self.flags,
         }
     }
-
-    /// Converts to a database point for the table `measurement`, tagged
-    /// with node name, flow and trace ID.
-    pub fn to_point(&self, measurement: &str, node: &str) -> vnet_tsdb::DataPoint {
-        let src = std::net::Ipv4Addr::from(self.saddr);
-        let dst = std::net::Ipv4Addr::from(self.daddr);
-        let mut p = vnet_tsdb::DataPoint::new(measurement, self.timestamp_ns)
-            .tag("node", node)
-            .tag(
-                "flow",
-                format!("{src}:{}->{dst}:{}", self.sport, self.dport),
-            )
-            .tag("direction", if self.direction == 0 { "rx" } else { "tx" })
-            .field("pkt_len", u64::from(self.pkt_len))
-            .field("cpu", u64::from(self.cpu));
-        if self.has_trace_id() {
-            p = p.tag(vnet_tsdb::TRACE_ID_TAG, format!("{:08x}", self.trace_id));
-        }
-        if let Some(reason) = self.drop_reason() {
-            p = p.tag(vnet_tsdb::DROP_REASON_TAG, reason);
-        }
-        p
-    }
 }
 
 /// Byte offsets of the record fields, used by the script compiler when
@@ -200,46 +177,11 @@ mod tests {
     }
 
     #[test]
-    fn to_point_tags_and_fields() {
-        let p = sample().to_point("ovs_rx", "server1");
-        assert_eq!(p.measurement, "ovs_rx");
-        assert_eq!(p.timestamp_ns, 0x1122334455667788);
-        assert_eq!(p.tag_value("node"), Some("server1"));
-        assert_eq!(p.tag_value(vnet_tsdb::TRACE_ID_TAG), Some("deadbeef"));
-        assert_eq!(p.tag_value("flow"), Some("10.0.0.1:9000->10.0.0.2:7"));
-        assert_eq!(p.tag_value("direction"), Some("tx"));
-        assert_eq!(p.field_value("pkt_len").unwrap().as_u64(), Some(102));
-    }
-
-    #[test]
     fn drop_reason_decodes_from_flag_bits() {
         let mut r = sample();
         r.flags = 1 | (2 << 1); // trace id + "policed"
         assert!(r.has_trace_id());
         assert_eq!(r.drop_reason_code(), 2);
         assert_eq!(r.drop_reason(), Some("policed"));
-        let p = r.to_point("skb_drop", "n");
-        assert_eq!(p.tag_value(vnet_tsdb::DROP_REASON_TAG), Some("policed"));
-    }
-
-    #[test]
-    fn compact_form_materializes_identically() {
-        for flags in [0u8, 1, 1 | (3 << 1), 5 << 1] {
-            let mut r = sample();
-            r.flags = flags;
-            assert_eq!(
-                r.to_compact().to_point("ovs_rx", "server1"),
-                r.to_point("ovs_rx", "server1"),
-                "compact round trip must match the direct point"
-            );
-        }
-    }
-
-    #[test]
-    fn point_without_trace_id_untagged() {
-        let mut r = sample();
-        r.flags = 0;
-        let p = r.to_point("m", "n");
-        assert_eq!(p.tag_value(vnet_tsdb::TRACE_ID_TAG), None);
     }
 }

@@ -23,6 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::ids::{AppId, DeviceId, NodeId, VcpuId};
 use crate::packet::Packet;
+use crate::probe::{Direction, Hook, HookId, ProbeRegistry};
 use crate::time::{SimDuration, SimTime};
 
 /// How long a device takes to serve one packet.
@@ -488,6 +489,44 @@ pub(crate) struct QueuedPacket {
     pub from: Option<DeviceId>,
 }
 
+/// The probe slots a device fires, resolved against its node's registry
+/// when the device is created and again if the registry was idle then.
+#[derive(Debug)]
+pub(crate) struct DeviceHooks {
+    pub(crate) rx_tap: HookId,
+    pub(crate) tx_tap: HookId,
+    /// `(entry, return)` per [`KernelFunctions::rx`] name, in order.
+    rx_fns: Vec<(HookId, HookId)>,
+    /// `(entry, return)` per [`KernelFunctions::tx`] name, in order.
+    tx_fns: Vec<(HookId, HookId)>,
+}
+
+impl DeviceHooks {
+    pub(crate) fn resolve(cfg: &DeviceConfig, probes: &mut ProbeRegistry) -> Self {
+        let mut pair = |f: &String| {
+            let entry = probes.resolve(|| Hook::kprobe(f));
+            (entry, probes.resolve(|| Hook::kretprobe(f)))
+        };
+        let rx_fns = cfg.kernel_functions.rx.iter().map(&mut pair).collect();
+        let tx_fns = cfg.kernel_functions.tx.iter().map(&mut pair).collect();
+        DeviceHooks {
+            rx_tap: probes.resolve(|| Hook::device_rx(&cfg.name)),
+            tx_tap: probes.resolve(|| Hook::device_tx(&cfg.name)),
+            rx_fns,
+            tx_fns,
+        }
+    }
+
+    /// The `(entry, return)` pairs of the receive (`Direction::Rx`) or
+    /// transmit path's kernel functions.
+    pub(crate) fn kernel_functions(&self, direction: Direction) -> &[(HookId, HookId)] {
+        match direction {
+            Direction::Rx => &self.rx_fns,
+            Direction::Tx => &self.tx_fns,
+        }
+    }
+}
+
 /// Runtime state of a device.
 #[derive(Debug)]
 pub struct Device {
@@ -509,13 +548,16 @@ pub struct Device {
     pub(crate) shaper: Option<TokenBucket>,
     pub(crate) port_last_seen: HashMap<DeviceId, SimTime>,
     pub(crate) down: bool,
+    pub(crate) hooks: DeviceHooks,
 }
 
 impl Device {
-    /// Creates device runtime state from its configuration.
-    pub fn new(id: DeviceId, cfg: DeviceConfig) -> Self {
+    /// Creates device runtime state from its configuration, resolving
+    /// the hooks it fires against `probes`, its node's registry.
+    pub fn new(id: DeviceId, cfg: DeviceConfig, probes: &mut ProbeRegistry) -> Self {
         let policer = cfg.policer.map(TokenBucket::new);
         let shaper = cfg.htb.map(TokenBucket::from_htb);
+        let hooks = DeviceHooks::resolve(&cfg, probes);
         Device {
             id,
             cfg,
@@ -530,6 +572,7 @@ impl Device {
             shaper,
             port_last_seen: HashMap::new(),
             down: false,
+            hooks,
         }
     }
 
@@ -637,6 +680,7 @@ mod tests {
                 per_packet: SimDuration::ZERO,
                 bits_per_sec: 1_000_000_000,
             }),
+            &mut ProbeRegistry::new(),
         );
         let short = Packet::from_bytes(vec![0u8; 125]); // 1000 bits at 1G = 1us
         let long = Packet::from_bytes(vec![0u8; 1250]);
@@ -659,6 +703,7 @@ mod tests {
                 per_extra_port: SimDuration::from_micros(2),
                 port_active_window: SimDuration::from_millis(1),
             }),
+            &mut ProbeRegistry::new(),
         );
         let pkt = Packet::from_bytes(vec![0u8; 64]);
         let t0 = SimTime::from_micros(0);
@@ -726,6 +771,7 @@ mod tests {
                 per_extra_port: SimDuration::from_micros(2),
                 port_active_window: SimDuration::from_millis(1),
             }),
+            &mut ProbeRegistry::new(),
         );
         let pkt = Packet::from_bytes(vec![0u8; 64]);
         let t0 = SimTime::from_micros(0);
@@ -741,7 +787,11 @@ mod tests {
         let t2 = SimTime::from_millis(3);
         assert_eq!(dev.ovs_lookup_hit(Some(DeviceId(1)), t2), Some(false));
         // Non-fabric devices have no flow table.
-        let mut fixed = Device::new(DeviceId(0), DeviceConfig::new("eth0", NodeId(0)));
+        let mut fixed = Device::new(
+            DeviceId(0),
+            DeviceConfig::new("eth0", NodeId(0)),
+            &mut ProbeRegistry::new(),
+        );
         assert_eq!(fixed.ovs_lookup_hit(Some(DeviceId(1)), t0), None);
         fixed.service_time(&pkt, Some(DeviceId(1)), t0);
         assert_eq!(fixed.ovs_lookup_hit(Some(DeviceId(1)), t1), None);

@@ -94,12 +94,8 @@ pub struct ProbeEvent<'a> {
     pub node: NodeId,
     /// CPU on which the hook fired.
     pub cpu: CpuId,
-    /// The hook that fired.
-    pub hook: &'a Hook,
     /// Device associated with the event, if any.
     pub device: Option<DeviceId>,
-    /// Name of the associated device, if any.
-    pub device_name: Option<&'a str>,
     /// Packet direction at the firing point.
     pub direction: Direction,
     /// The packet, if the hook carries one.
@@ -158,53 +154,117 @@ struct Attachment {
     sink: SharedSink,
 }
 
-/// The per-world registry of attached probes.
+/// A [`Hook`] resolved against one node's [`ProbeRegistry`]: the index of
+/// the hook's attachment list. Whatever fires a hook resolves it once
+/// and fires by id from then on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HookId(u32);
+
+impl HookId {
+    /// `kfree_skb` entry, fired by every device that drops a packet.
+    pub(crate) const KFREE_SKB: HookId = HookId(0);
+    /// `ovs_flow_tbl_lookup` entry, fired by OVS fabric devices.
+    pub(crate) const OVS_LOOKUP: HookId = HookId(1);
+    /// `ovs_flow_tbl_lookup` return.
+    pub(crate) const OVS_LOOKUP_RETURN: HookId = HookId(2);
+    /// `ovs_dp_upcall` entry, fired on a megaflow miss.
+    pub(crate) const OVS_UPCALL: HookId = HookId(3);
+    /// What a device or application holds while no probe has ever
+    /// attached on its node: a slot that does not exist, hence is empty.
+    pub(crate) const UNRESOLVED: HookId = HookId(u32::MAX);
+}
+
+/// One node's registry of attached probes.
 ///
-/// Probes attach to a `(node, hook)` pair; multiple probes may share a
-/// hook and run in attach order. Attach and detach are runtime operations —
-/// the programmability the paper emphasises (§III-D).
+/// Hooks are interned by name into dense slots, from both sides: the
+/// tracer's [`attach`](ProbeRegistry::attach) and the device or
+/// application that fires the hook each resolve the same name to the
+/// same [`HookId`], in either order — so a probe may attach before the
+/// device it names exists, or to a name nothing ever fires. Multiple
+/// probes may share a hook and run in attach order. Attach and detach
+/// are runtime operations — the programmability the paper emphasises
+/// (§III-D).
+///
+/// Interning starts with the node's first probe. Until then the registry
+/// is [idle](ProbeRegistry::is_idle) and holds nothing, so building a
+/// node nobody traces allocates no names.
 #[derive(Default)]
 pub struct ProbeRegistry {
-    by_hook: HashMap<(NodeId, Hook), Vec<Attachment>>,
+    ids: HashMap<Hook, HookId>,
+    slots: Vec<Vec<Attachment>>,
     next_id: u64,
     fired: u64,
 }
 
 impl ProbeRegistry {
-    /// Creates an empty registry.
+    /// Creates a registry with no probes attached.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Attaches `sink` at `hook` on `node`, returning a handle for
-    /// detaching.
-    pub fn attach(&mut self, node: NodeId, hook: Hook, sink: SharedSink) -> ProbeId {
+    /// Whether no hook has been interned yet — no probe has ever attached
+    /// on this node.
+    pub fn is_idle(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Resolves `hook` to its slot, creating an empty one on first sight.
+    pub fn intern(&mut self, hook: Hook) -> HookId {
+        if self.is_idle() {
+            // The hooks every node fires whatever its devices are take
+            // the first slots, in the order of the `HookId` constants.
+            for fixed in [
+                Hook::kprobe("kfree_skb"),
+                Hook::kprobe("ovs_flow_tbl_lookup"),
+                Hook::kretprobe("ovs_flow_tbl_lookup"),
+                Hook::kprobe("ovs_dp_upcall"),
+            ] {
+                self.slot_of(fixed);
+            }
+        }
+        self.slot_of(hook)
+    }
+
+    fn slot_of(&mut self, hook: Hook) -> HookId {
+        let next = HookId(self.slots.len() as u32);
+        let id = *self.ids.entry(hook).or_insert(next);
+        if id == next {
+            self.slots.push(Vec::new());
+        }
+        id
+    }
+
+    /// What a device or application added to this node fires for `hook`:
+    /// its slot, or [`HookId::UNRESOLVED`] (and `hook` is never built)
+    /// while the registry is idle — the world resolves again when the
+    /// node's first probe attaches.
+    pub(crate) fn resolve(&mut self, hook: impl FnOnce() -> Hook) -> HookId {
+        if self.is_idle() {
+            HookId::UNRESOLVED
+        } else {
+            self.intern(hook())
+        }
+    }
+
+    /// Attaches `sink` at `hook`, returning a handle for detaching.
+    pub fn attach(&mut self, hook: Hook, sink: SharedSink) -> ProbeId {
         let id = ProbeId(self.next_id);
-        self.next_id += 1;
-        self.attach_with_id(id, node, hook, sink);
+        self.attach_with_id(id, hook, sink);
         id
     }
 
     /// Attaches `sink` under a caller-allocated id. The world uses this to
     /// keep probe ids unique across its per-node registries.
-    pub(crate) fn attach_with_id(
-        &mut self,
-        id: ProbeId,
-        node: NodeId,
-        hook: Hook,
-        sink: SharedSink,
-    ) {
+    pub(crate) fn attach_with_id(&mut self, id: ProbeId, hook: Hook, sink: SharedSink) {
         self.next_id = self.next_id.max(id.0 + 1);
-        self.by_hook
-            .entry((node, hook))
-            .or_default()
-            .push(Attachment { id, sink });
+        let slot = self.intern(hook);
+        self.slots[slot.0 as usize].push(Attachment { id, sink });
     }
 
     /// Detaches a previously attached probe. Returns `true` if it was
     /// attached.
     pub fn detach(&mut self, id: ProbeId) -> bool {
-        for list in self.by_hook.values_mut() {
+        for list in &mut self.slots {
             if let Some(pos) = list.iter().position(|a| a.id == id) {
                 list.remove(pos);
                 return true;
@@ -213,27 +273,25 @@ impl ProbeRegistry {
         false
     }
 
-    /// Whether any probe is attached at `(node, hook)`.
-    pub fn has_probe(&self, node: NodeId, hook: &Hook) -> bool {
-        self.by_hook
-            .get(&(node, hook.clone()))
-            .is_some_and(|l| !l.is_empty())
+    /// Whether nothing is attached at `hook` — firing it would do nothing.
+    pub fn is_empty(&self, hook: HookId) -> bool {
+        self.slots.get(hook.0 as usize).is_none_or(Vec::is_empty)
     }
 
-    /// Fires all probes at `(node, hook)`, summing their costs.
-    pub fn fire(&mut self, event: &ProbeEvent<'_>) -> ProbeOutcome {
-        let key = (event.node, event.hook.clone());
-        let Some(list) = self.by_hook.get(&key) else {
-            return ProbeOutcome::default();
-        };
+    /// Runs every probe attached at `hook`, in attach order, summing
+    /// their costs.
+    pub fn fire(&mut self, hook: HookId, event: &ProbeEvent<'_>) -> SimDuration {
         let mut total = SimDuration::ZERO;
-        // Clone the sink handles so a probe body may attach/detach probes.
-        let sinks: Vec<SharedSink> = list.iter().map(|a| Arc::clone(&a.sink)).collect();
-        for sink in sinks {
+        for a in &self.slots[hook.0 as usize] {
             self.fired += 1;
-            total += sink.lock().expect("sink lock poisoned").handle(event).cost;
+            total += a
+                .sink
+                .lock()
+                .expect("sink lock poisoned")
+                .handle(event)
+                .cost;
         }
-        ProbeOutcome { cost: total }
+        total
     }
 
     /// Total number of probe executions so far.
@@ -243,7 +301,7 @@ impl ProbeRegistry {
 
     /// Number of currently attached probes.
     pub fn attached_count(&self) -> usize {
-        self.by_hook.values().map(Vec::len).sum()
+        self.slots.iter().map(Vec::len).sum()
     }
 }
 
@@ -272,13 +330,18 @@ mod tests {
         }
     }
 
-    fn event<'a>(hook: &'a Hook) -> ProbeEvent<'a> {
+    fn counting(cost_ns: u64) -> Arc<Mutex<Counting>> {
+        Arc::new(Mutex::new(Counting {
+            hits: 0,
+            cost: SimDuration::from_nanos(cost_ns),
+        }))
+    }
+
+    fn event() -> ProbeEvent<'static> {
         ProbeEvent {
             node: NodeId(0),
             cpu: CpuId(0),
-            hook,
             device: None,
-            device_name: None,
             direction: Direction::Rx,
             packet: None,
             monotonic_ns: 42,
@@ -289,20 +352,34 @@ mod tests {
     #[test]
     fn attach_fire_detach() {
         let mut reg = ProbeRegistry::new();
-        let sink = Arc::new(Mutex::new(Counting {
-            hits: 0,
-            cost: SimDuration::from_nanos(5),
-        }));
+        let sink = counting(5);
         let hook = Hook::kprobe("net_rx_action");
-        let id = reg.attach(NodeId(0), hook.clone(), sink.clone());
-        assert!(reg.has_probe(NodeId(0), &hook));
-        let out = reg.fire(&event(&hook));
-        assert_eq!(out.cost, SimDuration::from_nanos(5));
+        let slot = reg.intern(hook.clone());
+        assert!(reg.is_empty(slot));
+        let id = reg.attach(hook.clone(), sink.clone());
+        assert_eq!(reg.intern(hook), slot, "both sides resolve to one slot");
+        assert!(!reg.is_empty(slot));
+        assert_eq!(reg.fire(slot, &event()), SimDuration::from_nanos(5));
         assert_eq!(sink.lock().unwrap().hits, 1);
         assert!(reg.detach(id));
         assert!(!reg.detach(id), "double detach reports false");
-        assert_eq!(reg.fire(&event(&hook)).cost, SimDuration::ZERO);
+        assert!(reg.is_empty(slot));
+        assert_eq!(reg.fire(slot, &event()), SimDuration::ZERO);
         assert_eq!(sink.lock().unwrap().hits, 1);
+    }
+
+    #[test]
+    fn idle_registry_resolves_to_the_null_slot() {
+        let mut reg = ProbeRegistry::new();
+        let slot = reg.resolve(|| unreachable!("no name is built while idle"));
+        assert!(reg.is_idle());
+        assert!(reg.is_empty(slot) && reg.is_empty(HookId::KFREE_SKB));
+        let hook = Hook::device_rx("eth0");
+        reg.attach(hook.clone(), counting(0));
+        assert!(!reg.is_idle());
+        let slot = reg.resolve(|| hook.clone());
+        assert_eq!(slot, reg.intern(hook));
+        assert!(!reg.is_empty(slot));
     }
 
     #[test]
@@ -310,41 +387,54 @@ mod tests {
         let mut reg = ProbeRegistry::new();
         let hook = Hook::device_rx("eth0");
         for _ in 0..3 {
-            let sink = Arc::new(Mutex::new(Counting {
-                hits: 0,
-                cost: SimDuration::from_nanos(10),
-            }));
-            reg.attach(NodeId(1), hook.clone(), sink);
+            reg.attach(hook.clone(), counting(10));
         }
         assert_eq!(reg.attached_count(), 3);
-        let out = reg.fire(&event_with_node(&hook, NodeId(1)));
-        assert_eq!(out.cost, SimDuration::from_nanos(30));
+        let slot = reg.intern(hook);
+        assert_eq!(reg.fire(slot, &event()), SimDuration::from_nanos(30));
         assert_eq!(reg.fired_count(), 3);
     }
 
-    fn event_with_node<'a>(hook: &'a Hook, node: NodeId) -> ProbeEvent<'a> {
-        ProbeEvent {
-            node,
-            ..event(hook)
+    /// A sink appending its tag to a log shared by every probe at a hook.
+    struct Tagged {
+        tag: char,
+        log: Arc<Mutex<Vec<char>>>,
+    }
+
+    impl ProbeSink for Tagged {
+        fn handle(&mut self, _event: &ProbeEvent<'_>) -> ProbeOutcome {
+            self.log.lock().unwrap().push(self.tag);
+            ProbeOutcome::default()
         }
     }
 
     #[test]
-    fn probes_are_per_node() {
+    fn probes_run_in_attach_order_across_a_detach() {
         let mut reg = ProbeRegistry::new();
-        let hook = Hook::kprobe("tcp_recvmsg");
-        let sink = Arc::new(Mutex::new(Counting {
-            hits: 0,
-            cost: SimDuration::ZERO,
-        }));
-        reg.attach(NodeId(0), hook.clone(), sink.clone());
-        reg.fire(&event_with_node(&hook, NodeId(1)));
-        assert_eq!(
-            sink.lock().unwrap().hits,
-            0,
-            "other node's hook must not fire this probe"
-        );
-        reg.fire(&event_with_node(&hook, NodeId(0)));
+        let hook = Hook::device_tx("eth0");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let ids: Vec<ProbeId> = ['a', 'b', 'c']
+            .into_iter()
+            .map(|tag| {
+                let log = Arc::clone(&log);
+                reg.attach(hook.clone(), Arc::new(Mutex::new(Tagged { tag, log })))
+            })
+            .collect();
+        let slot = reg.intern(hook);
+        reg.fire(slot, &event());
+        assert!(reg.detach(ids[1]));
+        reg.fire(slot, &event());
+        assert_eq!(*log.lock().unwrap(), vec!['a', 'b', 'c', 'a', 'c']);
+    }
+
+    #[test]
+    fn fixed_hooks_are_attachable_by_name() {
+        let mut reg = ProbeRegistry::new();
+        let sink = counting(0);
+        reg.attach(Hook::kprobe("kfree_skb"), sink.clone());
+        assert!(!reg.is_empty(HookId::KFREE_SKB));
+        assert!(reg.is_empty(HookId::OVS_UPCALL));
+        reg.fire(HookId::KFREE_SKB, &event());
         assert_eq!(sink.lock().unwrap().hits, 1);
     }
 

@@ -43,7 +43,7 @@ use crate::node::Node;
 use crate::packet::{
     trace_id, vxlan_decapsulate, vxlan_encapsulate, IpProtocol, Packet, PacketUid,
 };
-use crate::probe::{Direction, Hook, ProbeEvent, ProbeRegistry};
+use crate::probe::{Direction, HookId, ProbeEvent, ProbeRegistry};
 use crate::profile::LinkProfile;
 use crate::sched::HyperScheduler;
 use crate::softirq::SoftirqEngine;
@@ -54,6 +54,8 @@ pub(crate) struct AppSlot {
     pub(crate) node: NodeId,
     pub(crate) tx_dev: DeviceId,
     pub(crate) name: String,
+    /// What `Hook::Uprobe(name)` resolves to in the node's registry.
+    pub(crate) uprobe: HookId,
     pub(crate) app: Option<Box<dyn App>>,
 }
 
@@ -388,204 +390,117 @@ impl<'w> Shard<'w> {
         }
     }
 
-    /// Fires the RX-side hooks for a packet arriving at `dev`, returning
-    /// the total probe cost. For softirq-gated devices the kernel-function
-    /// probes fire later, at softirq processing time.
-    fn fire_rx_hooks(&mut self, dev_idx: usize, pkt: &Packet, cpu: CpuId) -> SimDuration {
-        let now = self.now;
-        let dev = self.devices[dev_idx]
-            .as_ref()
-            .expect("device owned by shard");
-        let node_id = dev.cfg.node;
-        let mono = self.nodes[node_id.index()].clock.monotonic_ns(now);
-        let is_softirq = matches!(dev.cfg.gate, Gate::Softirq(_));
-        let dev_hook = Hook::DeviceRx(dev.cfg.name.clone());
-        let probes = self.probes[node_id.index()]
-            .as_mut()
-            .expect("probes owned by shard");
-        let mut fire = |hook: &Hook| {
-            let ev = ProbeEvent {
-                node: node_id,
-                cpu,
-                hook,
-                device: Some(dev.id),
-                device_name: Some(&dev.cfg.name),
-                direction: Direction::Rx,
-                packet: Some(pkt),
-                monotonic_ns: mono,
-                aux: 0,
-            };
-            probes.fire(&ev).cost
-        };
-        let mut cost = fire(&dev_hook);
-        if !is_softirq {
-            for f in &dev.cfg.kernel_functions.rx {
-                cost += fire(&Hook::FunctionEntry(f.clone()));
-                cost += fire(&Hook::FunctionReturn(f.clone()));
-            }
-        }
-        cost
-    }
-
-    /// Fires the kernel-function probes of a softirq-gated device when its
-    /// packet is actually processed on `cpu`.
-    fn fire_softirq_fn_hooks(&mut self, dev_idx: usize, pkt: &Packet, cpu: CpuId) -> SimDuration {
-        let now = self.now;
-        let dev = self.devices[dev_idx]
-            .as_ref()
-            .expect("device owned by shard");
-        let node_id = dev.cfg.node;
-        let mono = self.nodes[node_id.index()].clock.monotonic_ns(now);
-        let probes = self.probes[node_id.index()]
-            .as_mut()
-            .expect("probes owned by shard");
-        let mut cost = SimDuration::ZERO;
-        for f in &dev.cfg.kernel_functions.rx {
-            for hook in [
-                Hook::FunctionEntry(f.clone()),
-                Hook::FunctionReturn(f.clone()),
-            ] {
-                let ev = ProbeEvent {
-                    node: node_id,
-                    cpu,
-                    hook: &hook,
-                    device: Some(dev.id),
-                    device_name: Some(&dev.cfg.name),
-                    direction: Direction::Rx,
-                    packet: Some(pkt),
-                    monotonic_ns: mono,
-                    aux: 0,
-                };
-                cost += probes.fire(&ev).cost;
-            }
-        }
-        cost
-    }
-
-    /// Fires the `kfree_skb` kprobe when a device drops a packet, so
-    /// tracers can observe and attribute drops exactly as on a real
-    /// kernel: the event's `aux` word carries the typed
-    /// [`DropReason`] code, mirroring the kernel's
-    /// `kfree_skb_reason` argument.
-    fn fire_drop_hook(&mut self, dev_idx: usize, pkt: &Packet, reason: DropReason) {
-        let now = self.now;
-        let dev = self.devices[dev_idx]
-            .as_ref()
-            .expect("device owned by shard");
-        let node_id = dev.cfg.node;
-        let hook = Hook::FunctionEntry("kfree_skb".to_owned());
-        let probes = self.probes[node_id.index()]
-            .as_mut()
-            .expect("probes owned by shard");
-        if !probes.has_probe(node_id, &hook) {
-            return;
-        }
-        let mono = self.nodes[node_id.index()].clock.monotonic_ns(now);
-        let ev = ProbeEvent {
-            node: node_id,
-            cpu: CpuId(0),
-            hook: &hook,
-            device: Some(dev.id),
-            device_name: Some(&dev.cfg.name),
-            direction: Direction::Rx,
-            packet: Some(pkt),
-            monotonic_ns: mono,
-            aux: reason.code(),
-        };
-        probes.fire(&ev);
-    }
-
-    /// Fires the OVS datapath hooks when a fabric device serves a packet:
-    /// `ovs_flow_tbl_lookup` entry (aux = megaflow-hit flag) and return
-    /// (stamped after the lookup cost, so entry/return latency *is* the
-    /// fabric's flow-table time), plus `ovs_dp_upcall` on a megaflow miss
-    /// — the slow path that punts the flow to userspace. Returns the
-    /// probe cost, charged to the packet's service like any other hook.
-    fn fire_ovs_hooks(
+    /// Fires `hook` on `node`, returning the cost of the probes attached
+    /// there — zero, and nothing else done, when none are. Every hook a
+    /// device or application fires goes through here, with an id that
+    /// was resolved before the run.
+    #[allow(clippy::too_many_arguments)]
+    fn fire(
         &mut self,
-        dev_idx: usize,
+        node: NodeId,
+        hook: HookId,
+        cpu: CpuId,
+        device: Option<DeviceId>,
+        direction: Direction,
+        pkt: &Packet,
+        monotonic_ns: u64,
+        aux: u32,
+    ) -> SimDuration {
+        let probes = self.probes[node.index()]
+            .as_mut()
+            .expect("probes owned by shard");
+        if probes.is_empty(hook) {
+            return SimDuration::ZERO;
+        }
+        probes.fire(
+            hook,
+            &ProbeEvent {
+                node,
+                cpu,
+                device,
+                direction,
+                packet: Some(pkt),
+                monotonic_ns,
+                aux,
+            },
+        )
+    }
+
+    /// Where and when device `i` fires a hook now: its node, itself, and
+    /// the node's clock reading.
+    fn firing_site(&self, i: usize) -> (NodeId, Option<DeviceId>, u64) {
+        let dev = self.dev(i);
+        let node = dev.cfg.node;
+        let mono = self.nodes[node.index()].clock.monotonic_ns(self.now);
+        (node, Some(dev.id), mono)
+    }
+
+    /// Fires the entry and return hooks of each kernel function on device
+    /// `i`'s receive (`Direction::Rx`) or transmit path, in order.
+    fn kernel_function_hooks(
+        &mut self,
+        i: usize,
+        direction: Direction,
+        pkt: &Packet,
+        cpu: CpuId,
+    ) -> SimDuration {
+        let (node, dev, mono) = self.firing_site(i);
+        let mut cost = SimDuration::ZERO;
+        for k in 0..self.dev(i).hooks.kernel_functions(direction).len() {
+            let (entry, ret) = self.dev(i).hooks.kernel_functions(direction)[k];
+            cost += self.fire(node, entry, cpu, dev, direction, pkt, mono, 0);
+            cost += self.fire(node, ret, cpu, dev, direction, pkt, mono, 0);
+        }
+        cost
+    }
+
+    /// Fires the `kfree_skb` kprobe when device `i` drops a packet, so
+    /// tracers can observe and attribute drops exactly as on a real
+    /// kernel: the event's `aux` word carries the typed [`DropReason`]
+    /// code, mirroring the kernel's `kfree_skb_reason` argument. The
+    /// cost is charged nowhere — the packet is gone.
+    fn drop_hook(&mut self, i: usize, pkt: &Packet, reason: DropReason) {
+        let (node, dev, mono) = self.firing_site(i);
+        let (hook, rx) = (HookId::KFREE_SKB, Direction::Rx);
+        self.fire(node, hook, CpuId(0), dev, rx, pkt, mono, reason.code());
+    }
+
+    /// Fires the OVS datapath hooks when fabric device `i` serves a
+    /// packet: `ovs_flow_tbl_lookup` entry (aux = megaflow-hit flag) and
+    /// return (stamped after the lookup cost, so entry/return latency
+    /// *is* the fabric's flow-table time), plus `ovs_dp_upcall` on a
+    /// megaflow miss — the slow path that punts the flow to userspace.
+    /// Returns the probe cost, charged to the packet's service like any
+    /// other hook.
+    fn ovs_hooks(
+        &mut self,
+        i: usize,
         pkt: &Packet,
         cpu: CpuId,
         hit: bool,
         lookup_cost: SimDuration,
     ) -> SimDuration {
-        let now = self.now;
-        let dev = self.devices[dev_idx]
-            .as_ref()
-            .expect("device owned by shard");
-        let node_id = dev.cfg.node;
-        let clock = &self.nodes[node_id.index()].clock;
-        let mono_entry = clock.monotonic_ns(now);
-        let mono_ret = clock.monotonic_ns(now + lookup_cost);
-        let probes = self.probes[node_id.index()]
-            .as_mut()
-            .expect("probes owned by shard");
-        let mut hooks: Vec<(Hook, u64, u32)> = Vec::new();
-        let entry = Hook::FunctionEntry("ovs_flow_tbl_lookup".to_owned());
-        if probes.has_probe(node_id, &entry) {
-            hooks.push((entry, mono_entry, u32::from(hit)));
-        }
-        let ret = Hook::FunctionReturn("ovs_flow_tbl_lookup".to_owned());
-        if probes.has_probe(node_id, &ret) {
-            hooks.push((ret, mono_ret, u32::from(hit)));
-        }
+        let (node, dev, entry) = self.firing_site(i);
+        let ret = self.nodes[node.index()]
+            .clock
+            .monotonic_ns(self.now + lookup_cost);
+        let rx = Direction::Rx;
+        let aux = u32::from(hit);
+        let mut cost = self.fire(node, HookId::OVS_LOOKUP, cpu, dev, rx, pkt, entry, aux);
+        cost += self.fire(node, HookId::OVS_LOOKUP_RETURN, cpu, dev, rx, pkt, ret, aux);
         if !hit {
-            let upcall = Hook::FunctionEntry("ovs_dp_upcall".to_owned());
-            if probes.has_probe(node_id, &upcall) {
-                hooks.push((upcall, mono_entry, 0));
-            }
-        }
-        let mut cost = SimDuration::ZERO;
-        for (hook, mono, aux) in &hooks {
-            let ev = ProbeEvent {
-                node: node_id,
-                cpu,
-                hook,
-                device: Some(dev.id),
-                device_name: Some(&dev.cfg.name),
-                direction: Direction::Rx,
-                packet: Some(pkt),
-                monotonic_ns: *mono,
-                aux: *aux,
-            };
-            cost += probes.fire(&ev).cost;
+            cost += self.fire(node, HookId::OVS_UPCALL, cpu, dev, rx, pkt, entry, 0);
         }
         cost
     }
 
-    /// Fires the TX-side hooks when `dev` finishes serving `pkt`.
-    fn fire_tx_hooks(&mut self, dev_idx: usize, pkt: &Packet, cpu: CpuId) -> SimDuration {
-        let now = self.now;
-        let dev = self.devices[dev_idx]
-            .as_ref()
-            .expect("device owned by shard");
-        let node_id = dev.cfg.node;
-        let mono = self.nodes[node_id.index()].clock.monotonic_ns(now);
-        let mut hooks: Vec<Hook> = Vec::with_capacity(dev.cfg.kernel_functions.tx.len() * 2 + 1);
-        for f in &dev.cfg.kernel_functions.tx {
-            hooks.push(Hook::FunctionEntry(f.clone()));
-            hooks.push(Hook::FunctionReturn(f.clone()));
-        }
-        hooks.push(Hook::DeviceTx(dev.cfg.name.clone()));
-        let probes = self.probes[node_id.index()]
-            .as_mut()
-            .expect("probes owned by shard");
-        let mut cost = SimDuration::ZERO;
-        for hook in hooks {
-            let ev = ProbeEvent {
-                node: node_id,
-                cpu,
-                hook: &hook,
-                device: Some(dev.id),
-                device_name: Some(&dev.cfg.name),
-                direction: Direction::Tx,
-                packet: Some(pkt),
-                monotonic_ns: mono,
-                aux: 0,
-            };
-            cost += probes.fire(&ev).cost;
-        }
-        cost
+    /// Fires the TX-side hooks when device `i` finishes serving `pkt`:
+    /// its transmit-path kernel functions, then its TX tap.
+    fn tx_hooks(&mut self, i: usize, pkt: &Packet, cpu: CpuId) -> SimDuration {
+        let (node, dev, mono) = self.firing_site(i);
+        let tap = self.dev(i).hooks.tx_tap;
+        let cost = self.kernel_function_hooks(i, Direction::Tx, pkt, cpu);
+        cost + self.fire(node, tap, cpu, dev, Direction::Tx, pkt, mono, 0)
     }
 
     fn handle_arrive(&mut self, dev_id: DeviceId, from: Option<DeviceId>, pkt: Packet) {
@@ -594,12 +509,19 @@ impl<'w> Shard<'w> {
             Gate::Softirq(Steering::IrqAffinity(c)) => CpuId(c),
             _ => CpuId(0),
         };
-        let overhead = self.fire_rx_hooks(i, &pkt, irq_cpu);
+        // The RX tap fires on arrival; a softirq-gated device's
+        // kernel-function hooks fire later, when the softirq runs.
+        let (node, dev, mono) = self.firing_site(i);
+        let (tap, rx) = (self.dev(i).hooks.rx_tap, Direction::Rx);
+        let mut overhead = self.fire(node, tap, irq_cpu, dev, rx, &pkt, mono, 0);
+        if !matches!(self.dev(i).cfg.gate, Gate::Softirq(_)) {
+            overhead += self.kernel_function_hooks(i, rx, &pkt, irq_cpu);
+        }
         let now = self.now;
         let dev = self.dev_mut(i);
         if dev.down {
             dev.counters.dropped_down += 1;
-            self.fire_drop_hook(i, &pkt, DropReason::Down);
+            self.drop_hook(i, &pkt, DropReason::Down);
             return;
         }
         let dev = self.dev_mut(i);
@@ -607,7 +529,7 @@ impl<'w> Shard<'w> {
         if let Some(tb) = dev.policer.as_mut() {
             if !tb.admit(pkt.len(), now) {
                 dev.counters.dropped_policed += 1;
-                self.fire_drop_hook(i, &pkt, DropReason::Policed);
+                self.drop_hook(i, &pkt, DropReason::Policed);
                 return;
             }
         }
@@ -627,7 +549,7 @@ impl<'w> Shard<'w> {
         };
         if class_depth >= dev.cfg.queue_capacity {
             dev.counters.dropped_queue_full += 1;
-            self.fire_drop_hook(i, &pkt, DropReason::QueueFull);
+            self.drop_hook(i, &pkt, DropReason::QueueFull);
             return;
         }
         let dev = self.dev_mut(i);
@@ -725,7 +647,7 @@ impl<'w> Shard<'w> {
         let ovs_hit = dev.ovs_lookup_hit(qp.from, now);
         let lookup_cost = dev.service_time(&qp.pkt, qp.from, now);
         let probe_cost = match ovs_hit {
-            Some(hit) => self.fire_ovs_hooks(i, &qp.pkt, CpuId(0), hit, lookup_cost),
+            Some(hit) => self.ovs_hooks(i, &qp.pkt, CpuId(0), hit, lookup_cost),
             None => SimDuration::ZERO,
         };
         let service = lookup_cost + qp.overhead + probe_cost;
@@ -745,7 +667,7 @@ impl<'w> Shard<'w> {
         // Transform before the TX tap fires: what leaves a VXLAN device
         // is the encapsulated frame.
         qp.pkt = self.apply_transform(i, qp.pkt);
-        let tx_cost = self.fire_tx_hooks(i, &qp.pkt, CpuId(0));
+        let tx_cost = self.tx_hooks(i, &qp.pkt, CpuId(0));
         {
             let dev = self.dev_mut(i);
             dev.counters.tx_packets += 1;
@@ -796,12 +718,12 @@ impl<'w> Shard<'w> {
             .queue
             .pop_front()
             .expect("checked non-empty");
-        let fn_cost = self.fire_softirq_fn_hooks(i, &qp.pkt, cpu);
+        let fn_cost = self.kernel_function_hooks(i, Direction::Rx, &qp.pkt, cpu);
         let dev = self.dev_mut(i);
         let ovs_hit = dev.ovs_lookup_hit(qp.from, now);
         let lookup_cost = dev.service_time(&qp.pkt, qp.from, now);
         let probe_cost = match ovs_hit {
-            Some(hit) => self.fire_ovs_hooks(i, &qp.pkt, cpu, hit, lookup_cost),
+            Some(hit) => self.ovs_hooks(i, &qp.pkt, cpu, hit, lookup_cost),
             None => SimDuration::ZERO,
         };
         let service = lookup_cost + qp.overhead + fn_cost + probe_cost;
@@ -826,7 +748,7 @@ impl<'w> Shard<'w> {
             .take()
             .expect("softirq finish without service");
         qp.pkt = self.apply_transform(i, qp.pkt);
-        let tx_cost = self.fire_tx_hooks(i, &qp.pkt, cpu);
+        let tx_cost = self.tx_hooks(i, &qp.pkt, cpu);
         {
             let dev = self.dev_mut(i);
             dev.counters.tx_packets += 1;
@@ -890,19 +812,27 @@ impl<'w> Shard<'w> {
                 let app = dst_port.and_then(|p| self.dev(i).bindings.get(&p).copied());
                 match app {
                     Some(app) => {
-                        self.fire_uprobe(app, &pkt);
+                        // The application's uprobe. Its cost is charged
+                        // nowhere: user-space probe overhead affects the
+                        // application, which in this model reacts
+                        // instantaneously.
+                        let slot = self.apps[app.index()].as_ref().expect("app owned by shard");
+                        let (app_node, uprobe) = (slot.node, slot.uprobe);
+                        let mono = self.nodes[app_node.index()].clock.monotonic_ns(now);
+                        let rx = Direction::Rx;
+                        self.fire(app_node, uprobe, CpuId(0), None, rx, &pkt, mono, 0);
                         self.dispatch_app(app, |a, ctx| a.on_packet(ctx, pkt))
                     }
                     None => {
                         self.dev_mut(i).counters.dropped_no_route += 1;
-                        self.fire_drop_hook(i, &pkt, DropReason::NoRoute);
+                        self.drop_hook(i, &pkt, DropReason::NoRoute);
                     }
                 }
             }
             (false, Some(port_idx)) => {
                 let Some(port) = self.dev(i).ports.get(port_idx).copied() else {
                     self.dev_mut(i).counters.dropped_no_route += 1;
-                    self.fire_drop_hook(i, &pkt, DropReason::NoRoute);
+                    self.drop_hook(i, &pkt, DropReason::NoRoute);
                     return;
                 };
                 // A link profile overrides the wire's behaviour with the
@@ -924,7 +854,7 @@ impl<'w> Shard<'w> {
                         };
                         if lost {
                             self.dev_mut(i).counters.dropped_link += 1;
-                            self.fire_drop_hook(i, &pkt, DropReason::Link);
+                            self.drop_hook(i, &pkt, DropReason::Link);
                             return;
                         }
                     }
@@ -970,37 +900,9 @@ impl<'w> Shard<'w> {
             }
             (false, None) => {
                 self.dev_mut(i).counters.dropped_no_route += 1;
-                self.fire_drop_hook(i, &pkt, DropReason::NoRoute);
+                self.drop_hook(i, &pkt, DropReason::NoRoute);
             }
         }
-    }
-
-    /// Fires the application-level uprobe for a delivery to `app`.
-    /// Uprobe cost is charged nowhere: user-space probe overhead affects
-    /// the application, which in this model reacts instantaneously.
-    fn fire_uprobe(&mut self, app: AppId, pkt: &Packet) {
-        let slot = self.apps[app.index()].as_ref().expect("app owned by shard");
-        let node = slot.node;
-        let hook = Hook::Uprobe(slot.name.clone());
-        let probes = self.probes[node.index()]
-            .as_mut()
-            .expect("probes owned by shard");
-        if !probes.has_probe(node, &hook) {
-            return;
-        }
-        let mono = self.nodes[node.index()].clock.monotonic_ns(self.now);
-        let ev = ProbeEvent {
-            node,
-            cpu: CpuId(0),
-            hook: &hook,
-            device: None,
-            device_name: None,
-            direction: Direction::Rx,
-            packet: Some(pkt),
-            monotonic_ns: mono,
-            aux: 0,
-        };
-        probes.fire(&ev);
     }
 
     // ------------------------------------------------------------------
@@ -1238,6 +1140,7 @@ mod tests {
         Device::new(
             DeviceId(id),
             DeviceConfig::new(format!("d{id}"), NodeId(node)),
+            &mut ProbeRegistry::new(),
         )
     }
 
@@ -1348,6 +1251,7 @@ mod tests {
             node: NodeId(0),
             tx_dev: DeviceId(1),
             name: "a".into(),
+            uprobe: HookId::UNRESOLVED,
             app: None,
         }];
         let p = partition_world(2, &devices, &apps, 8, &[]);

@@ -33,7 +33,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::app::App;
-use crate::device::{Device, DeviceConfig, DeviceCounters, Forwarding, Gate};
+use crate::device::{Device, DeviceConfig, DeviceCounters, DeviceHooks, Forwarding, Gate};
 use crate::event::{Event, EventQueue, PushKey};
 use crate::ids::{AppId, DeviceId, NodeId};
 use crate::node::{Node, NodeClock};
@@ -204,7 +204,8 @@ impl World {
             cfg.name,
             cfg.node
         );
-        self.devices.push(Device::new(id, cfg));
+        let probes = &mut self.probes[cfg.node.index()];
+        self.devices.push(Device::new(id, cfg, probes));
         id
     }
 
@@ -311,10 +312,13 @@ impl World {
         app: Box<dyn App>,
     ) -> AppId {
         let id = AppId(self.apps.len() as u32);
+        let name = name.into();
+        let uprobe = self.probes[node.index()].resolve(|| Hook::uprobe(&name));
         self.apps.push(AppSlot {
             node,
             tx_dev,
-            name: name.into(),
+            name,
+            uprobe,
             app: Some(app),
         });
         id
@@ -346,7 +350,19 @@ impl World {
     pub fn attach_probe(&mut self, node: NodeId, hook: Hook, sink: SharedSink) -> ProbeId {
         let id = ProbeId(self.next_probe_id);
         self.next_probe_id += 1;
-        self.probes[node.index()].attach_with_id(id, node, hook, sink);
+        let probes = &mut self.probes[node.index()];
+        let first_on_node = probes.is_idle();
+        probes.attach_with_id(id, hook, sink);
+        if first_on_node {
+            // What is already on the node was added while its registry
+            // was idle; whatever is added from now on resolves as it is.
+            for dev in self.devices.iter_mut().filter(|d| d.cfg.node == node) {
+                dev.hooks = DeviceHooks::resolve(&dev.cfg, probes);
+            }
+            for app in self.apps.iter_mut().filter(|a| a.node == node) {
+                app.uprobe = probes.resolve(|| Hook::uprobe(&app.name));
+            }
+        }
         id
     }
 
@@ -831,7 +847,7 @@ mod tests {
     }
 
     #[test]
-    fn detach_stops_firing() {
+    fn detach_and_reattach_between_runs_apply_at_the_next_firing() {
         let (mut w, tx, _, _) = pipeline();
         let sink = Arc::new(Mutex::new(Recorder {
             seen: Vec::new(),
@@ -841,13 +857,60 @@ mod tests {
         w.inject(tx, udp_packet(10));
         w.run_until(SimTime::from_micros(100));
         assert!(w.detach_probe(id));
-        w.inject(tx, udp_packet(10));
+        w.inject(tx, udp_packet(20));
         w.run_until(SimTime::from_micros(200));
+        w.attach_probe(NodeId(0), Hook::device_rx("eth0"), sink.clone());
+        w.inject(tx, udp_packet(30));
+        w.run_until(SimTime::from_micros(300));
+        let lens: Vec<usize> = sink.lock().unwrap().seen.iter().map(|s| s.1).collect();
         assert_eq!(
-            sink.lock().unwrap().seen.len(),
-            1,
-            "no firings after detach"
+            lens,
+            vec![14 + 20 + 8 + 10, 14 + 20 + 8 + 30],
+            "the packet sent while detached is not seen"
         );
+    }
+
+    #[test]
+    fn probe_attached_before_its_device_exists_fires() {
+        let mut w = World::new(1);
+        let n = w.add_node("host", 1, NodeClock::perfect());
+        let sink = Arc::new(Mutex::new(Recorder {
+            seen: Vec::new(),
+            cost: SimDuration::ZERO,
+        }));
+        w.attach_probe(n, Hook::device_rx("late0"), sink.clone());
+        w.attach_probe(n, Hook::kretprobe("late_fn"), sink.clone());
+        let d = w.add_device(
+            DeviceConfig::new("late0", n)
+                .forwarding(Forwarding::Deliver)
+                .kernel_functions(KernelFunctions::new(&["late_fn"], &[])),
+        );
+        w.inject(d, udp_packet(10));
+        w.run_until(SimTime::from_micros(100));
+        assert_eq!(sink.lock().unwrap().seen.len(), 2, "tap and kretprobe");
+        assert_eq!(w.probes_fired(), 2);
+    }
+
+    #[test]
+    fn probe_on_a_name_nothing_fires_is_accepted_and_silent() {
+        let (mut w, tx, _, got) = pipeline();
+        let other = w.add_node("other", 1, NodeClock::perfect());
+        let sink = Arc::new(Mutex::new(Recorder {
+            seen: Vec::new(),
+            cost: SimDuration::from_micros(5),
+        }));
+        // No such function, no such app, and `eth0` lives on node 0 only.
+        let ids = [
+            w.attach_probe(NodeId(0), Hook::kprobe("no_such_fn"), sink.clone()),
+            w.attach_probe(NodeId(0), Hook::uprobe("no_such_app"), sink.clone()),
+            w.attach_probe(other, Hook::device_rx("eth0"), sink.clone()),
+        ];
+        w.inject(tx, udp_packet(56));
+        w.run_until(SimTime::from_millis(1));
+        assert_eq!(got.lock().unwrap()[0].0, SimTime::from_micros(13));
+        assert!(sink.lock().unwrap().seen.is_empty());
+        assert_eq!(w.probes_fired(), 0);
+        assert!(ids.into_iter().all(|id| w.detach_probe(id)));
     }
 
     #[test]

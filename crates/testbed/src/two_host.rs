@@ -308,6 +308,9 @@ mod tests {
         traced.run(&cfg);
         tracer.collect(&traced.world);
         let traced_summary = traced.latency.lock().unwrap().summary().unwrap();
+        // Pinned: a hook that stops firing, or fires twice, moves this
+        // count before it moves any latency.
+        assert_eq!(traced.world.probes_fired(), 6825);
         let overhead = (traced_summary.mean_ns - base_summary.mean_ns) / base_summary.mean_ns;
         assert!(
             overhead.abs() < 0.01,
