@@ -9,39 +9,34 @@ use std::collections::{BTreeSet, HashMap};
 use vnet_tsdb::{DataPoint, TraceDb};
 
 use crate::clock_sync::SkewEstimate;
-use crate::metrics::{first_seen_by_trace_id, scan_table};
+use crate::metrics::{first_seen, scan_table};
 
-/// The distinct trace IDs observed at `tracepoint`.
-fn trace_ids(db: &TraceDb, tracepoint: &str) -> BTreeSet<String> {
-    first_seen_by_trace_id(db, tracepoint).into_keys().collect()
+/// The trace IDs observed at the first tracepoint, split by whether they
+/// were (`complete`) or were not observed at every later one.
+fn ids_by_completeness(db: &TraceDb, tracepoints: &[&str], complete: bool) -> BTreeSet<String> {
+    let mut tables = tracepoints.iter().map(|tp| first_seen(db, tp));
+    let Some(first) = tables.next() else {
+        return BTreeSet::new();
+    };
+    let later: Vec<_> = tables.collect();
+    first
+        .iter()
+        .filter(|&(key, _)| later.iter().all(|seen| seen.get(key).is_some()) == complete)
+        .map(|(key, _)| key.to_string())
+        .collect()
 }
 
 /// Trace IDs observed at **every** tracepoint in `tracepoints` — the
 /// "complete" records safe for end-to-end analysis.
 pub fn complete_ids(db: &TraceDb, tracepoints: &[&str]) -> BTreeSet<String> {
-    let mut iter = tracepoints.iter();
-    let Some(first) = iter.next() else {
-        return BTreeSet::new();
-    };
-    let mut ids = trace_ids(db, first);
-    for tp in iter {
-        let present = trace_ids(db, tp);
-        ids.retain(|id| present.contains(id));
-    }
-    ids
+    ids_by_completeness(db, tracepoints, true)
 }
 
 /// Trace IDs observed at the first tracepoint but missing from at least
 /// one later tracepoint — incomplete records (lost packets, truncated
 /// traces).
 pub fn incomplete_ids(db: &TraceDb, tracepoints: &[&str]) -> BTreeSet<String> {
-    let Some(first) = tracepoints.first() else {
-        return BTreeSet::new();
-    };
-    let complete = complete_ids(db, tracepoints);
-    let mut ids = trace_ids(db, first);
-    ids.retain(|id| !complete.contains(id));
-    ids
+    ids_by_completeness(db, tracepoints, false)
 }
 
 /// Rebuilds the database with every point's timestamp aligned onto the
@@ -59,18 +54,6 @@ pub fn align_timestamps(db: &TraceDb, skew_by_node: &HashMap<String, SkewEstimat
         }
     }
     out
-}
-
-/// Convenience: aligns timestamps with the per-node skew estimates and
-/// decomposes latency across `tracepoints` in one step — the full
-/// cross-machine offline pipeline (clean → align → decompose).
-pub fn decompose_aligned(
-    db: &TraceDb,
-    tracepoints: &[&str],
-    skew_by_node: &HashMap<String, SkewEstimate>,
-) -> Vec<crate::metrics::SegmentStats> {
-    let aligned = align_timestamps(db, skew_by_node);
-    crate::metrics::decompose(&aligned, tracepoints)
 }
 
 #[cfg(test)]
@@ -139,11 +122,14 @@ mod tests {
             1_300
         );
         // Join now reflects true latency.
-        assert_eq!(aligned.join_timestamps("tp0", "tp1"), vec![(1_000, 1_300)]);
+        assert_eq!(
+            aligned.join_timestamps("tp0", "tp1").unwrap(),
+            vec![(1_000, 1_300)]
+        );
     }
 
     #[test]
-    fn decompose_aligned_pipeline() {
+    fn align_then_decompose_pipeline() {
         let mut db = TraceDb::new();
         for (id, t0, t1) in [("a", 100u64, 900u64), ("b", 200, 1_000)] {
             db.insert(tagged("tp0", t0, id, "master"));
@@ -159,7 +145,8 @@ mod tests {
                 samples: 100,
             },
         );
-        let segs = decompose_aligned(&db, &["tp0", "tp1"], &skews);
+        let aligned = align_timestamps(&db, &skews);
+        let segs = crate::metrics::decompose(&aligned, &["tp0", "tp1"]);
         assert_eq!(segs.len(), 1);
         // Raw delta is 800ns; aligned is 500ns.
         assert_eq!(segs[0].stats.mean_ns, 500.0);
@@ -203,10 +190,9 @@ mod tests {
         );
         let aligned = align_timestamps(&cold.db, &skews);
         assert_eq!(aligned.len(), 175);
-        assert_eq!(aligned.join_timestamps("tp0", "tp1")[0], (1_000, 1_500));
-        assert_eq!(
-            aligned.join_timestamps("tp0", "tp1"),
-            align_timestamps(&mem, &skews).join_timestamps("tp0", "tp1")
-        );
+        let joined = aligned.join_timestamps("tp0", "tp1").unwrap();
+        assert_eq!(joined[0], (1_000, 1_500));
+        let mem_aligned = align_timestamps(&mem, &skews);
+        assert_eq!(joined, mem_aligned.join_timestamps("tp0", "tp1").unwrap());
     }
 }

@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 use vnet_tsdb::TraceDb;
 
-use super::first_seen_by_trace_id;
+use super::first_seen;
 use super::latency::{stats_from_ns, LatencyStats};
 
 /// Latency statistics for one segment of the path.
@@ -23,13 +23,20 @@ pub struct SegmentStats {
     pub stats: LatencyStats,
 }
 
-/// Decomposes latency across consecutive pairs of `tracepoints`.
-/// Segments with no joinable packets are omitted.
+/// Decomposes latency across consecutive pairs of `tracepoints`, reading
+/// each tracepoint's table once. Segments with no joinable packets are
+/// omitted.
 pub fn decompose(db: &TraceDb, tracepoints: &[&str]) -> Vec<SegmentStats> {
+    let first_seen: Vec<_> = tracepoints.iter().map(|t| first_seen(db, t)).collect();
     tracepoints
         .windows(2)
-        .filter_map(|w| {
-            let deltas = super::latency::latency_between(db, w[0], w[1], None);
+        .zip(first_seen.windows(2))
+        .filter_map(|(w, seen)| {
+            let pairs = seen[0].join(&seen[1]);
+            let deltas: Vec<u64> = pairs
+                .iter()
+                .filter_map(|(t1, t2)| t2.checked_sub(*t1))
+                .collect();
             stats_from_ns(&deltas).map(|stats| SegmentStats {
                 from: w[0].to_owned(),
                 to: w[1].to_owned(),
@@ -44,26 +51,26 @@ pub fn decompose(db: &TraceDb, tracepoints: &[&str]) -> Vec<SegmentStats> {
 /// by its timestamp there, the latency of every segment (or `None` where
 /// the packet was not observed downstream).
 pub fn per_packet_segments(db: &TraceDb, tracepoints: &[&str]) -> Vec<(String, Vec<Option<u64>>)> {
-    let first_seen: Vec<_> = tracepoints
-        .iter()
-        .map(|t| first_seen_by_trace_id(db, t))
-        .collect();
+    let first_seen: Vec<_> = tracepoints.iter().map(|t| first_seen(db, t)).collect();
     let Some(first) = first_seen.first() else {
         return Vec::new();
     };
-    // Trace IDs ordered by first-tracepoint timestamp.
-    let mut ids: Vec<(u64, &String)> = first.iter().map(|(id, &ts)| (ts, id)).collect();
-    ids.sort();
+    // Trace IDs ordered by first-tracepoint timestamp, then by name.
+    let mut ids: Vec<_> = first
+        .iter()
+        .map(|(key, ts)| (ts, key.to_string(), key))
+        .collect();
+    ids.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
     ids.into_iter()
-        .map(|(_, id)| {
+        .map(|(_, id, key)| {
             let segs: Vec<Option<u64>> = first_seen
                 .windows(2)
-                .map(|w| match (w[0].get(id), w[1].get(id)) {
-                    (Some(&a), Some(&b)) => b.checked_sub(a),
+                .map(|w| match (w[0].get(key), w[1].get(key)) {
+                    (Some(a), Some(b)) => b.checked_sub(a),
                     _ => None,
                 })
                 .collect();
-            (id.clone(), segs)
+            (id, segs)
         })
         .collect()
 }
@@ -154,5 +161,44 @@ mod tests {
         assert_eq!(rows[0], ("00000000".to_owned(), vec![Some(100), None]));
         assert_eq!(rows[7], ("00000007".to_owned(), vec![Some(100), Some(350)]));
         assert_eq!(rows, per_packet_segments(&mem, &["tp0", "tp1", "tp2"]));
+    }
+
+    #[test]
+    fn an_unreadable_table_counts_as_empty() {
+        use vnet_tsdb::segment::ColumnId;
+        use vnet_tsdb::{CompactRecord, RecordBatch, Segment, StoreError};
+        let mut batch = RecordBatch::new();
+        for i in 0..100u32 {
+            let record = |ts: u64| CompactRecord {
+                timestamp_ns: ts,
+                trace_id: i,
+                flags: 1,
+                ..Default::default()
+            };
+            batch.push("tp0", "vm1", record(u64::from(i) * 10_000));
+            batch.push("tp1", "vm2", record(u64::from(i) * 10_000 + 100));
+        }
+        let (_mem, cold) = crate::metrics::testutil::mem_and_cold("unreadable", &batch);
+        assert_eq!(decompose(&cold.db, &["tp0", "tp1"])[0].stats.count, 100);
+
+        // Damage a lane the join projects in one of tp1's segments.
+        let damaged = std::fs::read_dir(cold.db.dir().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "col"))
+            .find(|p| Segment::open(p).unwrap().meta().measurement == "tp1")
+            .unwrap();
+        let chunk = Segment::open(&damaged).unwrap().meta().blocks[0].chunks[ColumnId::Ts as usize];
+        let mut bytes = std::fs::read(&damaged).unwrap();
+        bytes[chunk.offset as usize] ^= 0x40;
+        std::fs::write(&damaged, bytes).unwrap();
+
+        let joined = cold.db.join_timestamps("tp0", "tp1");
+        assert!(matches!(joined, Err(StoreError::Segment(_))));
+        assert!(decompose(&cold.db, &["tp0", "tp1"]).is_empty());
+        assert!(crate::metrics::latency_between(&cold.db, "tp0", "tp1", None).is_empty());
+        let rows = per_packet_segments(&cold.db, &["tp0", "tp1"]);
+        assert_eq!(rows.len(), 100);
+        assert!(rows.iter().all(|(_, segs)| segs == &[None]));
     }
 }

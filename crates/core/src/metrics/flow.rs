@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use vnet_tsdb::{TraceDb, TRACE_ID_TAG};
+use vnet_tsdb::TraceDb;
 
 use super::loss::PacketLoss;
 use super::scan_table;
@@ -27,7 +27,7 @@ pub fn per_flow_throughput(db: &TraceDb, measurement: &str) -> Vec<(String, f64)
         groups.entry(flow.into_owned()).or_default().push((
             e.timestamp_ns(),
             len as u32,
-            e.tag(TRACE_ID_TAG).is_some(),
+            e.trace_key().is_some(),
         ));
     }
     groups
@@ -55,20 +55,7 @@ pub fn per_flow_loss(db: &TraceDb, upstream: &str, downstream: &str) -> Vec<(Str
     up.into_iter()
         .map(|(flow, n_i)| {
             let n_j = down.get(&flow).copied().unwrap_or(0);
-            let lost = n_i.saturating_sub(n_j);
-            (
-                flow,
-                PacketLoss {
-                    upstream: n_i,
-                    downstream: n_j,
-                    lost,
-                    rate: if n_i == 0 {
-                        0.0
-                    } else {
-                        lost as f64 / n_i as f64
-                    },
-                },
-            )
+            (flow, PacketLoss::between(n_i, n_j))
         })
         .collect()
 }

@@ -9,6 +9,7 @@
 use serde::{Deserialize, Serialize};
 use vnet_tsdb::TraceDb;
 
+use super::first_seen;
 use crate::clock_sync::SkewEstimate;
 
 /// Summary statistics over a latency sample set, in nanoseconds.
@@ -70,13 +71,17 @@ pub fn stats_from_ns(samples: &[u64]) -> Option<LatencyStats> {
 /// `from`'s before subtraction. Deltas that come out negative (clock
 /// inversion beyond the skew estimate) are dropped, as data cleaning
 /// would.
+///
+/// Reads sealed segments as well as the hot tail; a table that does not
+/// exist (or cannot be scanned) counts as empty.
 pub fn latency_between(
     db: &TraceDb,
     from: &str,
     to: &str,
     skew: Option<&SkewEstimate>,
 ) -> Vec<u64> {
-    db.join_timestamps(from, to)
+    first_seen(db, from)
+        .join(&first_seen(db, to))
         .into_iter()
         .filter_map(|(t1, t2)| {
             let t2 = match skew {

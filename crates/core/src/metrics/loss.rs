@@ -6,9 +6,7 @@
 //! (§III-D)
 
 use serde::{Deserialize, Serialize};
-use vnet_tsdb::TraceDb;
-
-use super::scan_table;
+use vnet_tsdb::{columns, Query, TraceDb};
 
 /// Loss between an upstream and a downstream tracepoint.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -23,25 +21,32 @@ pub struct PacketLoss {
     pub rate: f64,
 }
 
+impl PacketLoss {
+    /// The loss between `upstream` packets seen and `downstream` of them
+    /// seen again.
+    pub fn between(upstream: u64, downstream: u64) -> Self {
+        let lost = upstream.saturating_sub(downstream);
+        let rate = lost as f64 / upstream.max(1) as f64;
+        PacketLoss {
+            upstream,
+            downstream,
+            lost,
+            rate,
+        }
+    }
+}
+
 /// Computes packet loss between tracepoint tables `upstream` and
 /// `downstream`. Counts sealed segments as well as the hot tail, so the
 /// answer is the same on a reopened disk-backed store; a table that does
 /// not exist (or cannot be scanned) counts as empty.
 pub fn packet_loss(db: &TraceDb, upstream: &str, downstream: &str) -> PacketLoss {
-    let count = |table: &str| scan_table(db, table).len() as u64;
-    let n_i = count(upstream);
-    let n_j = count(downstream);
-    let lost = n_i.saturating_sub(n_j);
-    PacketLoss {
-        upstream: n_i,
-        downstream: n_j,
-        lost,
-        rate: if n_i == 0 {
-            0.0
-        } else {
-            lost as f64 / n_i as f64
-        },
-    }
+    // Nothing is projected: sealed rows are counted off the block index.
+    let count = |table: &str| {
+        let walked = Query::new(table).walk(db, &columns(&[]), |_| Ok(()));
+        walked.map_or(0, |stats| stats.rows_matched + stats.hot_entries)
+    };
+    PacketLoss::between(count(upstream), count(downstream))
 }
 
 #[cfg(test)]

@@ -22,9 +22,7 @@ pub use latency::{latency_between, stats_from_ns, LatencyStats};
 pub use loss::{packet_loss, PacketLoss};
 pub use throughput::{throughput_at, throughput_bps, TRACE_ID_WIRE_BYTES};
 
-use std::collections::BTreeMap;
-
-use vnet_tsdb::{Query, ScanResult, TraceDb, TRACE_ID_TAG};
+use vnet_tsdb::{FirstSeen, Query, ScanResult, TraceDb};
 
 /// Everything stored under `measurement`: sealed segments as well as the
 /// hot tail, so offline metrics answer the same on a reopened disk-backed
@@ -35,15 +33,9 @@ pub(crate) fn scan_table(db: &TraceDb, measurement: &str) -> ScanResult {
 }
 
 /// Timestamp of the first record (in ingest order) of each trace ID seen
-/// at `measurement`.
-pub(crate) fn first_seen_by_trace_id(db: &TraceDb, measurement: &str) -> BTreeMap<String, u64> {
-    let mut first = BTreeMap::new();
-    for e in scan_table(db, measurement).entries() {
-        if let Some(id) = e.tag(TRACE_ID_TAG) {
-            first.entry(id.into_owned()).or_insert(e.timestamp_ns());
-        }
-    }
-    first
+/// at `measurement`; empty under [`scan_table`]'s conditions.
+pub(crate) fn first_seen(db: &TraceDb, measurement: &str) -> FirstSeen {
+    FirstSeen::scan(db, measurement).unwrap_or_default()
 }
 
 #[cfg(test)]

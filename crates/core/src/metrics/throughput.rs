@@ -5,9 +5,7 @@
 //! Σ_{i=1}^{N} (S_i − S_ID) / (T_N − T_1), where … S_ID is the 4 bytes
 //! packet unique ID." (§III-D)
 
-use vnet_tsdb::{TraceDb, TRACE_ID_TAG};
-
-use super::scan_table;
+use vnet_tsdb::{columns, ColumnId, Query, Rows, TraceDb};
 
 /// Bytes the trace ID adds to each packet on the wire (`S_ID`).
 pub const TRACE_ID_WIRE_BYTES: u64 = 4;
@@ -39,21 +37,33 @@ pub fn throughput_bps(samples: &[(u64, u32, bool)]) -> f64 {
 /// reopened disk-backed store. Returns 0.0 when the table does not exist
 /// (or cannot be scanned).
 pub fn throughput_at(db: &TraceDb, measurement: &str) -> f64 {
-    let samples: Vec<(u64, u32, bool)> = scan_table(db, measurement)
-        .entries()
-        .iter()
-        .filter_map(|e| {
-            let len = e.field_u64("pkt_len")? as u32;
-            Some((e.timestamp_ns(), len, e.tag(TRACE_ID_TAG).is_some()))
-        })
-        .collect();
-    throughput_bps(&samples)
+    let project = columns(&[ColumnId::Ts, ColumnId::PktLen, ColumnId::Flags]);
+    let mut samples: Vec<(u64, u32, bool)> = Vec::new();
+    let walked = Query::new(measurement).walk(db, &project, |rows| {
+        match rows {
+            Rows::Sealed { block, matched, .. } => {
+                let (ts, len) = (block.col(ColumnId::Ts), block.col(ColumnId::PktLen));
+                let flags = block.col(ColumnId::Flags);
+                samples.extend(
+                    matched
+                        .iter()
+                        .map(|&i| (ts[i], len[i] as u32, flags[i] & 1 != 0)),
+                );
+            }
+            Rows::Hot(_, e) => samples.extend(
+                e.field_u64("pkt_len")
+                    .map(|len| (e.timestamp_ns(), len as u32, e.trace_key().is_some())),
+            ),
+        }
+        Ok(())
+    });
+    walked.map_or(0.0, |_| throughput_bps(&samples))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vnet_tsdb::DataPoint;
+    use vnet_tsdb::{DataPoint, TRACE_ID_TAG};
 
     #[test]
     fn formula_subtracts_trace_id_bytes() {

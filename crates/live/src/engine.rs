@@ -214,6 +214,9 @@ impl LiveEngine {
     /// to the heartbeat embedded in the cycle (`now_ns`, master clock).
     pub fn ingest(&mut self, batch: &RecordBatch, now_ns: u64) {
         self.now_ns = self.now_ns.max(now_ns);
+        // Frontiers move on heartbeats only, so one read serves the batch.
+        let watermark = self.watermark.watermark_ns();
+        let mut late = 0u64;
         for group in batch.groups() {
             if group.records.is_empty() {
                 continue;
@@ -249,9 +252,11 @@ impl LiveEngine {
             if tput.is_empty() && lat.is_empty() && loss.is_empty() {
                 continue;
             }
+            let skew = self.watermark.skew(&group.node);
             for r in &group.records {
-                let ts = self.watermark.align(&group.node, r.timestamp_ns);
-                if self.watermark.note_if_late(ts) {
+                let ts = skew.map_or(r.timestamp_ns, |s| s.align_remote_ns(r.timestamp_ns));
+                if ts < watermark {
+                    late += 1;
                     continue;
                 }
                 self.records_processed += 1;
@@ -273,6 +278,7 @@ impl LiveEngine {
                 }
             }
         }
+        self.watermark.note_late(late);
         self.advance();
     }
 

@@ -127,13 +127,11 @@ impl WatermarkTracker {
         self.agents.contains_key(node)
     }
 
-    /// Aligns a record timestamp from `node` onto the master time base.
-    /// Timestamps from unregistered nodes pass through unaligned.
-    pub fn align(&self, node: &str, ts_ns: u64) -> u64 {
-        match self.agents.get(node).and_then(|a| a.skew) {
-            Some(skew) => skew.align_remote_ns(ts_ns),
-            None => ts_ns,
-        }
+    /// The estimate that aligns `node`'s record timestamps onto the
+    /// master time base; `None` (timestamps pass through unaligned) for
+    /// the master itself and for unregistered nodes.
+    pub fn skew(&self, node: &str) -> Option<SkewEstimate> {
+        self.agents.get(node).and_then(|a| a.skew)
     }
 
     /// Advances `node`'s frontier from a heartbeat at master time
@@ -164,14 +162,10 @@ impl WatermarkTracker {
             .unwrap_or(0)
     }
 
-    /// Counts (and reports) whether an aligned timestamp is late — i.e.
-    /// below the watermark, destined for windows already finalized.
-    pub fn note_if_late(&mut self, aligned_ts_ns: u64) -> bool {
-        let late = aligned_ts_ns < self.watermark_ns();
-        if late {
-            self.late_records += 1;
-        }
-        late
+    /// Counts `n` records that arrived late — aligned below the
+    /// watermark, destined for windows already finalized.
+    pub fn note_late(&mut self, n: u64) {
+        self.late_records += n;
     }
 
     /// Total records that arrived below the watermark.
@@ -267,18 +261,17 @@ mod tests {
         // Slack = lateness 100 + one-way 400.
         assert_eq!(wm.watermark_ns(), 9_500);
         // Remote clocks lead by 2us; alignment removes the lead.
-        assert_eq!(wm.align("remote", 12_000), 10_000);
-        assert_eq!(wm.align("unknown", 12_000), 12_000);
+        assert_eq!(wm.skew("remote").unwrap().align_remote_ns(12_000), 10_000);
+        assert!(wm.skew("unknown").is_none());
     }
 
     #[test]
     fn late_records_are_counted() {
         let mut wm = WatermarkTracker::new();
         wm.register_agent("a", None, 0);
-        wm.heartbeat("a", 5_000);
-        assert!(wm.note_if_late(4_999));
-        assert!(!wm.note_if_late(5_000));
-        assert_eq!(wm.late_records(), 1);
+        wm.note_late(1);
+        wm.note_late(2);
+        assert_eq!(wm.late_records(), 3);
     }
 
     #[test]

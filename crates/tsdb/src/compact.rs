@@ -30,7 +30,7 @@ use std::path::PathBuf;
 use std::thread::JoinHandle;
 
 use crate::segment::{
-    Block, ColumnId, Segment, SegmentError, SegmentMeta, SegmentWriter, ALL_COLUMNS,
+    dict_index, Block, ColumnId, Segment, SegmentError, SegmentMeta, SegmentWriter, ALL_COLUMNS,
 };
 use crate::store::StoreError;
 
@@ -102,14 +102,7 @@ pub fn merge_segments(job: &CompactionJob) -> Result<SegmentMeta, SegmentError> 
                 .meta()
                 .nodes
                 .iter()
-                .map(|name| {
-                    if let Some(i) = nodes.iter().position(|n| n == name) {
-                        i as u64
-                    } else {
-                        nodes.push(name.clone());
-                        (nodes.len() - 1) as u64
-                    }
-                })
+                .map(|name| u64::from(dict_index(&mut nodes, name)))
                 .collect();
             remaps.push(remap);
         }

@@ -24,7 +24,7 @@
 //! db.insert(DataPoint::new("flannel1", 100).tag("trace_id", "42").field("len", 60u64));
 //! db.insert(DataPoint::new("flannel2", 190).tag("trace_id", "42").field("len", 60u64));
 //! // Latency between the two VXLAN devices for packet 42:
-//! let pairs = db.join_timestamps("flannel1", "flannel2");
+//! let pairs = db.join_timestamps("flannel1", "flannel2").unwrap();
 //! assert_eq!(pairs, vec![(100, 190)]);
 //! let entries = Query::new("flannel1").run(&db);
 //! assert_eq!(aggregate(&entries, "len").mean, 60.0);
@@ -37,6 +37,7 @@
 pub mod batch;
 pub mod codec;
 pub mod compact;
+pub mod join;
 pub mod persist;
 pub mod point;
 pub mod query;
@@ -49,11 +50,14 @@ pub mod table;
 pub mod wal;
 
 pub use batch::{BatchGroup, RecordBatch};
+pub use join::{FirstSeen, TraceKey};
 pub use persist::{read_json_lines, write_json_lines, PersistError};
 pub use point::{DataPoint, FieldValue};
-pub use query::{aggregate, percentile, percentiles, Aggregate, Query, ScanResult, ScanStats};
+pub use query::{
+    aggregate, percentile, percentiles, Aggregate, Query, Rows, ScanResult, ScanStats,
+};
 pub use record::{drop_reason_code, drop_reason_name, CompactRecord, COMPACT_RECORD_BYTES};
-pub use segment::{Segment, SegmentMeta};
+pub use segment::{columns, ColumnId, ColumnSet, Segment, SegmentMeta};
 pub use sketch::{LogHistogram, DEFAULT_SKETCH_ERROR};
 pub use store::{MeasurementStorage, StorageStats, StoreError, StoreOptions, TraceDb};
 pub use symbol::{Symbol, SymbolTable};

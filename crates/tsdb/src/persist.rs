@@ -139,8 +139,8 @@ mod tests {
         assert_eq!(loaded.len(), db.len());
         // Joins still work after the round trip.
         assert_eq!(
-            loaded.join_timestamps("tp_a", "tp_b"),
-            db.join_timestamps("tp_a", "tp_b")
+            loaded.join_timestamps("tp_a", "tp_b").unwrap(),
+            db.join_timestamps("tp_a", "tp_b").unwrap()
         );
         // Fields preserved.
         let table = loaded.table("tp_a").unwrap();

@@ -6,9 +6,10 @@
 //! over [`Entry`] views, so point-backed and record-backed data answer
 //! identically.
 
+use crate::join::TraceKey;
 use crate::point::DataPoint;
 use crate::record::CompactRecord;
-use crate::segment::{Block, ColumnId, ColumnSet, SegmentError, ALL_COLUMNS};
+use crate::segment::{dict_index, Block, ColumnId, ColumnSet, SegmentError, ALL_COLUMNS};
 use crate::store::{StoreError, TraceDb};
 use crate::table::{Entry, Table, TRACE_ID_TAG};
 
@@ -94,22 +95,79 @@ impl Query {
     }
 
     /// Runs the query over the *whole* database — sealed segments and
-    /// the in-memory hot tail — returning an owned result set.
-    ///
-    /// This is the vectorized path: tag filters are compiled to integer
-    /// predicates once; segments are pruned by footer time range and
-    /// node dictionary without touching their data; inside a surviving
-    /// segment every row block whose own `[min_ts, max_ts]` misses the
-    /// window is skipped on the footer too (no sortedness assumed); and
-    /// a surviving block decodes its predicate columns first, the rest
-    /// only if a row matched. One decoded block is resident at a time,
-    /// so memory is O(block + result). On an in-memory database it is
-    /// equivalent to [`Query::run`].
+    /// the in-memory hot tail — returning an owned result set:
+    /// [`Query::walk`] projecting every column, with the matched rows
+    /// materialized. Memory is O(block + result). On an in-memory
+    /// database it is equivalent to [`Query::run`].
     ///
     /// # Errors
     ///
     /// Any [`StoreError`] from reading sealed segments.
     pub fn scan(&self, db: &TraceDb) -> Result<ScanResult, StoreError> {
+        let mut out = ScanResult {
+            measurement: self.measurement.clone(),
+            ..Default::default()
+        };
+        // Segment dictionary index -> scan dictionary index, rebuilt when
+        // the walk moves to another segment's dictionary.
+        let (mut remap, mut remap_of) = (Vec::new(), std::ptr::null());
+        out.stats = self.walk(db, &ALL_COLUMNS, |rows| {
+            match rows {
+                Rows::Sealed {
+                    block,
+                    matched,
+                    nodes,
+                } => {
+                    if remap_of != nodes.as_ptr() {
+                        remap_of = nodes.as_ptr();
+                        remap = nodes
+                            .iter()
+                            .map(|name| dict_index(&mut out.nodes, name))
+                            .collect();
+                    }
+                    let (seqs, dicts) = (block.col(ColumnId::Seq), block.col(ColumnId::Node));
+                    for &i in matched {
+                        let node = *remap.get(dicts[i] as usize).ok_or_else(|| {
+                            let index = dicts[i];
+                            SegmentError::Corrupt(format!("node index {index} outside dictionary"))
+                        })?;
+                        out.rows.push((seqs[i], node, block.record(i)));
+                    }
+                }
+                Rows::Hot(seq, Entry::Point(p)) => out.points.push((seq, p.clone())),
+                Rows::Hot(seq, Entry::Record { node, record, .. }) => {
+                    let idx = dict_index(&mut out.nodes, node);
+                    out.rows.push((seq, idx, *record));
+                }
+            }
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// The one read path over the *whole* database: hands `visit` the
+    /// matching rows of every sealed block, then every matching hot-tail
+    /// entry, each in sequence order, and returns what it touched.
+    ///
+    /// Tag filters are compiled to integer predicates once; segments are
+    /// pruned by footer time range and node dictionary without touching
+    /// their data; inside a surviving segment every row block whose own
+    /// `[min_ts, max_ts]` misses the window is skipped on the footer too
+    /// (no sortedness assumed); a surviving block decodes its predicate
+    /// columns first and, only if a row matched, the `project`ed ones —
+    /// with no predicate and nothing projected, rows are counted off the
+    /// block index. One decoded block is resident at a time.
+    ///
+    /// # Errors
+    ///
+    /// Any [`StoreError`] from reading sealed segments (a chunk's CRC is
+    /// checked before it is decoded), or the first error from `visit`.
+    pub fn walk(
+        &self,
+        db: &TraceDb,
+        project: &ColumnSet,
+        mut visit: impl FnMut(Rows<'_>) -> Result<(), StoreError>,
+    ) -> Result<ScanStats, StoreError> {
         let preds: Vec<TagPred> = self
             .tag_filters
             .iter()
@@ -127,23 +185,15 @@ impl Query {
             let touched: &[ColumnId] = match p {
                 TagPred::Never => &[],
                 TagPred::Node(_) => &[ColumnId::Node],
-                TagPred::DirectionRx | TagPred::DirectionTx => &[ColumnId::Direction],
+                TagPred::Direction { .. } => &[ColumnId::Direction],
                 TagPred::TraceId(_) => &[ColumnId::TraceId, ColumnId::Flags],
-                TagPred::Flow { .. } => &[
-                    ColumnId::Saddr,
-                    ColumnId::Daddr,
-                    ColumnId::Sport,
-                    ColumnId::Dport,
-                ],
+                TagPred::Flow(_) => &FLOW_COLUMNS,
             };
             for &id in touched {
                 pred_cols[id as usize] = true;
             }
         }
 
-        let mut nodes: Vec<String> = Vec::new();
-        let mut rows: Vec<(u64, u32, CompactRecord)> = Vec::new();
-        let mut points: Vec<(u64, DataPoint)> = Vec::new();
         let mut stats = ScanStats::default();
 
         for seg in db.sealed_segments_for(&self.measurement) {
@@ -179,28 +229,17 @@ impl Query {
                     && preds.iter().all(|p| match p {
                         TagPred::Node(_) => true,
                         TagPred::Never => false,
-                        TagPred::DirectionRx => blk.col(ColumnId::Direction)[i] == 0,
-                        TagPred::DirectionTx => blk.col(ColumnId::Direction)[i] != 0,
+                        TagPred::Direction { tx } => (blk.col(ColumnId::Direction)[i] != 0) == *tx,
                         TagPred::TraceId(id) => {
                             blk.col(ColumnId::Flags)[i] & 1 != 0
                                 && blk.col(ColumnId::TraceId)[i] == u64::from(*id)
                         }
-                        TagPred::Flow {
-                            saddr,
-                            daddr,
-                            sport,
-                            dport,
-                        } => {
-                            blk.col(ColumnId::Saddr)[i] == *saddr
-                                && blk.col(ColumnId::Daddr)[i] == *daddr
-                                && blk.col(ColumnId::Sport)[i] == *sport
-                                && blk.col(ColumnId::Dport)[i] == *dport
-                        }
+                        TagPred::Flow(want) => FLOW_COLUMNS
+                            .iter()
+                            .zip(want)
+                            .all(|(&column, &value)| blk.col(column)[i] == value),
                     })
             };
-            // Segment dictionary index -> scan dictionary index, built
-            // when the first row of this segment matches.
-            let mut remap: Vec<u32> = Vec::new();
             let scanned_before = stats.blocks_scanned;
             for (b, block_meta) in meta.blocks.iter().enumerate() {
                 if block_meta.max_ts < lo || block_meta.min_ts > hi {
@@ -216,26 +255,13 @@ impl Query {
                     .collect();
                 if !matched.is_empty() {
                     stats.rows_matched += matched.len() as u64;
-                    // Phase 2: decode the remaining columns and
-                    // materialize the matched rows.
-                    stats.bytes_read += seg.read_block(b, &ALL_COLUMNS, &mut blk)?;
-                    if remap.is_empty() {
-                        remap = meta
-                            .nodes
-                            .iter()
-                            .map(|name| dict_index(&mut nodes, name))
-                            .collect();
-                    }
-                    for &i in &matched {
-                        let dict = blk.col(ColumnId::Node)[i] as usize;
-                        let node = *remap.get(dict).ok_or_else(|| {
-                            StoreError::Segment(SegmentError::Corrupt(format!(
-                                "node index {dict} outside dictionary of {}",
-                                seg.path().display()
-                            )))
-                        })?;
-                        rows.push((blk.col(ColumnId::Seq)[i], node, blk.record(i)));
-                    }
+                    // Phase 2: decode what the caller projected.
+                    stats.bytes_read += seg.read_block(b, project, &mut blk)?;
+                    visit(Rows::Sealed {
+                        block: &blk,
+                        matched: &matched,
+                        nodes: &meta.nodes,
+                    })?;
                 }
                 stats.peak_decoded_rows = stats.peak_decoded_rows.max(blk.rows() as u64);
             }
@@ -252,40 +278,39 @@ impl Query {
         // The hot tail: points and not-yet-sealed shard records.
         if let Some(table) = db.table(&self.measurement) {
             for (seq, e) in table.seq_entries() {
-                if !self.matches(&e) {
-                    continue;
-                }
-                stats.hot_entries += 1;
-                match e {
-                    Entry::Point(p) => points.push((seq, p.clone())),
-                    Entry::Record { node, record, .. } => {
-                        let idx = dict_index(&mut nodes, node);
-                        rows.push((seq, idx, *record));
-                    }
+                if self.matches(&e) {
+                    stats.hot_entries += 1;
+                    visit(Rows::Hot(seq, e))?;
                 }
             }
         }
-
-        Ok(ScanResult {
-            measurement: self.measurement.clone(),
-            nodes,
-            rows,
-            points,
-            stats,
-        })
+        Ok(stats)
     }
 }
 
-/// Interns `name` in a scan-local node dictionary.
-fn dict_index(nodes: &mut Vec<String>, name: &str) -> u32 {
-    match nodes.iter().position(|n| n == name) {
-        Some(i) => i as u32,
-        None => {
-            nodes.push(name.to_owned());
-            (nodes.len() - 1) as u32
-        }
-    }
+/// One step of [`Query::walk`].
+#[derive(Debug)]
+pub enum Rows<'a> {
+    /// The matching rows of one sealed block.
+    Sealed {
+        /// The block: projected and predicate lanes loaded, others empty.
+        block: &'a Block,
+        /// Ascending indices of the matching rows.
+        matched: &'a [usize],
+        /// The dictionary the block's `Node` lane indexes.
+        nodes: &'a [String],
+    },
+    /// One matching hot-tail entry and its insertion sequence number.
+    Hot(u64, Entry<'a>),
 }
+
+/// The lanes a `flow` tag is derived from, in the tag's order.
+const FLOW_COLUMNS: [ColumnId; 4] = [
+    ColumnId::Saddr,
+    ColumnId::Daddr,
+    ColumnId::Sport,
+    ColumnId::Dport,
+];
 
 /// A tag filter compiled against the compact record form: what
 /// [`Entry::tag`] derives lazily per row, evaluated as a plain integer
@@ -294,23 +319,16 @@ fn dict_index(nodes: &mut Vec<String>, name: &str) -> u32 {
 enum TagPred {
     /// `node == name`, resolved to a dictionary index per segment.
     Node(String),
-    /// `direction == "rx"` (stored 0).
-    DirectionRx,
-    /// `direction == "tx"` (stored non-zero).
-    DirectionTx,
+    /// `direction == "rx"` (stored 0) or `"tx"` (stored non-zero).
+    Direction {
+        /// Which of the two.
+        tx: bool,
+    },
     /// `trace_id == id`, requires the trace-ID flag bit.
     TraceId(u32),
-    /// `flow == "src:sport->dst:dport"`, all four components equal.
-    Flow {
-        /// Source address.
-        saddr: u64,
-        /// Destination address.
-        daddr: u64,
-        /// Source port.
-        sport: u64,
-        /// Destination port.
-        dport: u64,
-    },
+    /// `flow == "src:sport->dst:dport"`: the values [`FLOW_COLUMNS`] must
+    /// all hold.
+    Flow([u64; 4]),
     /// No compact record can satisfy this filter (unknown key or a
     /// value the derived tag can never take).
     Never,
@@ -321,29 +339,17 @@ impl TagPred {
         match key {
             "node" => TagPred::Node(value.to_owned()),
             "direction" => match value {
-                "rx" => TagPred::DirectionRx,
-                "tx" => TagPred::DirectionTx,
+                "rx" => TagPred::Direction { tx: false },
+                "tx" => TagPred::Direction { tx: true },
                 _ => TagPred::Never,
             },
-            TRACE_ID_TAG => {
-                // The derived tag is always 8 lower-hex digits; only a
-                // value in exactly that form can match.
-                if value.len() == 8 {
-                    if let Ok(id) = u32::from_str_radix(value, 16) {
-                        if format!("{id:08x}") == value {
-                            return TagPred::TraceId(id);
-                        }
-                    }
-                }
-                TagPred::Never
-            }
+            // Only the derived tag's own form (see `TraceKey`) can match.
+            TRACE_ID_TAG => match TraceKey::parse(value) {
+                TraceKey::Id(id) => TagPred::TraceId(id),
+                TraceKey::Tag(_) => TagPred::Never,
+            },
             "flow" => match CompactRecord::parse_flow(value) {
-                Some((saddr, daddr, sport, dport)) => TagPred::Flow {
-                    saddr: u64::from(saddr),
-                    daddr: u64::from(daddr),
-                    sport: u64::from(sport),
-                    dport: u64::from(dport),
-                },
+                Some((s, d, sp, dp)) => TagPred::Flow([s.into(), d.into(), sp.into(), dp.into()]),
                 None => TagPred::Never,
             },
             _ => TagPred::Never,
@@ -394,11 +400,6 @@ pub struct ScanResult {
 }
 
 impl ScanResult {
-    /// The measurement scanned.
-    pub fn measurement(&self) -> &str {
-        &self.measurement
-    }
-
     /// What the scan touched and skipped.
     pub fn stats(&self) -> &ScanStats {
         &self.stats
@@ -492,11 +493,7 @@ pub fn percentile(entries: &[Entry<'_>], field: &str, q: f64) -> Option<f64> {
         (0.0..=1.0).contains(&q),
         "quantile must be in 0..=1, got {q}"
     );
-    let mut values: Vec<f64> = entries.iter().filter_map(|e| e.field_f64(field)).collect();
-    if values.is_empty() {
-        return None;
-    }
-    Some(select_quantile(&mut values, q))
+    percentiles(entries, field, &[q]).map(|values| values[0])
 }
 
 /// Computes several quantiles of `field` over `entries` in one pass:

@@ -106,37 +106,22 @@ impl ColumnId {
         ColumnId::Flags,
     ];
 
-    /// The codec this column is encoded with: delta-of-delta for the
-    /// near-monotonic `Seq`/`Ts` lanes, plain varint otherwise.
-    pub fn encoding(self) -> Encoding {
-        match self {
-            ColumnId::Seq | ColumnId::Ts => Encoding::DeltaOfDelta,
-            _ => Encoding::Varint,
-        }
-    }
-
+    /// Delta-of-delta (raw first value, zigzag-varint second differences)
+    /// for the near-monotonic `Seq`/`Ts` lanes, plain LEB128 varints
+    /// otherwise.
     fn encode(self, values: &[u64]) -> Vec<u8> {
-        match self.encoding() {
-            Encoding::Varint => codec::encode_varint_col(values),
-            Encoding::DeltaOfDelta => codec::encode_dod(values),
+        match self {
+            ColumnId::Seq | ColumnId::Ts => codec::encode_dod(values),
+            _ => codec::encode_varint_col(values),
         }
     }
 
     fn decode(self, chunk: &[u8], rows: usize) -> Result<Vec<u64>, CodecError> {
-        match self.encoding() {
-            Encoding::Varint => codec::decode_varint_col(chunk, rows),
-            Encoding::DeltaOfDelta => codec::decode_dod(chunk, rows),
+        match self {
+            ColumnId::Seq | ColumnId::Ts => codec::decode_dod(chunk, rows),
+            _ => codec::decode_varint_col(chunk, rows),
         }
     }
-}
-
-/// How a column chunk is encoded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Encoding {
-    /// Plain LEB128 varints.
-    Varint,
-    /// Raw first value, zigzag-varint second differences.
-    DeltaOfDelta,
 }
 
 /// Which columns of a block to load, indexed by `ColumnId as usize`.
@@ -144,6 +129,25 @@ pub type ColumnSet = [bool; ColumnId::ALL.len()];
 
 /// Every column.
 pub const ALL_COLUMNS: ColumnSet = [true; ColumnId::ALL.len()];
+
+/// The set holding exactly `ids`.
+pub fn columns(ids: &[ColumnId]) -> ColumnSet {
+    let mut set = [false; ColumnId::ALL.len()];
+    for &id in ids {
+        set[id as usize] = true;
+    }
+    set
+}
+
+/// Interns `name` in a node dictionary (first-seen order) and returns
+/// its index.
+pub(crate) fn dict_index(nodes: &mut Vec<String>, name: &str) -> u32 {
+    let at = nodes.iter().position(|n| n == name).unwrap_or_else(|| {
+        nodes.push(name.to_owned());
+        nodes.len() - 1
+    });
+    at as u32
+}
 
 /// One encoded column chunk of one block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -42,9 +42,10 @@ use serde_json::{member, object, FromJson, ToJson, Value};
 
 use crate::batch::RecordBatch;
 use crate::compact::{CompactionJob, Compactor, FinishedCompaction};
+use crate::join::FirstSeen;
 use crate::point::DataPoint;
 use crate::record::{CompactRecord, COMPACT_RECORD_BYTES};
-use crate::segment::{ColumnData, Segment, SegmentError};
+use crate::segment::{dict_index, ColumnData, Segment, SegmentError};
 use crate::symbol::{Symbol, SymbolTable};
 use crate::table::Table;
 use crate::wal::{self, Wal, WalError};
@@ -462,6 +463,18 @@ impl TraceDb {
         fs::create_dir_all(&dir)?;
         let manifest_path = dir.join(MANIFEST_FILE);
         let mut db = TraceDb::new();
+        let disk = |dir, options, manifest, wal, segments| DiskStore {
+            dir,
+            options,
+            manifest,
+            wal,
+            segments,
+            compactor: Compactor::new(),
+            seals: 0,
+            compactions: 0,
+            segments_merged: 0,
+            bytes_reclaimed: 0,
+        };
         if manifest_path.exists() {
             let text = fs::read_to_string(&manifest_path)?;
             let manifest: Manifest =
@@ -484,18 +497,7 @@ impl TraceDb {
             }
             let wal = Wal::reopen(&wal_path, &replay, options.fsync)?;
             let seal_threshold = options.seal_threshold;
-            db.disk = Some(DiskStore {
-                dir,
-                options,
-                manifest,
-                wal,
-                segments,
-                compactor: Compactor::new(),
-                seals: 0,
-                compactions: 0,
-                segments_merged: 0,
-                bytes_reclaimed: 0,
-            });
+            db.disk = Some(disk(dir, options, manifest, wal, segments));
             if db.hot_records() >= seal_threshold {
                 db.seal()?;
             }
@@ -513,18 +515,7 @@ impl TraceDb {
             let wal = Wal::create(dir.join(&wal_file), options.fsync)?;
             manifest.wal = wal_file;
             write_manifest(&dir, &manifest, options.fsync)?;
-            db.disk = Some(DiskStore {
-                dir,
-                options,
-                manifest,
-                wal,
-                segments: Vec::new(),
-                compactor: Compactor::new(),
-                seals: 0,
-                compactions: 0,
-                segments_merged: 0,
-                bytes_reclaimed: 0,
-            });
+            db.disk = Some(disk(dir, options, manifest, wal, Vec::new()));
         }
         Ok(db)
     }
@@ -645,13 +636,7 @@ impl TraceDb {
             let mut rows: Vec<(u64, u32, CompactRecord)> =
                 Vec::with_capacity(shards.iter().map(|s| s.len()).sum());
             for shard in &shards {
-                let idx = match nodes.iter().position(|n| n == shard.node_name()) {
-                    Some(i) => i,
-                    None => {
-                        nodes.push(shard.node_name().to_owned());
-                        nodes.len() - 1
-                    }
-                } as u32;
+                let idx = dict_index(&mut nodes, shard.node_name());
                 for &(seq, record) in shard.seq_records() {
                     rows.push((seq, idx, record));
                 }
@@ -837,11 +822,6 @@ impl TraceDb {
         segs
     }
 
-    /// The database's symbol table.
-    pub fn symbols(&self) -> &SymbolTable {
-        &self.symbols
-    }
-
     /// Borrows a measurement's table — the *hot tail* on a disk-backed
     /// database (sealed records are reachable through
     /// [`Query::scan`](crate::query::Query::scan)).
@@ -873,66 +853,18 @@ impl TraceDb {
     }
 
     /// Joins a trace ID across two measurements: for every trace ID seen
-    /// in both, yields the pair of timestamps `(t_a, t_b)` of its first
-    /// record in each — the primitive behind vNetTracer's two-tracepoint
-    /// latency computation (§III-D).
+    /// in both, yields the pair of timestamps `(t_from, t_to)` of its
+    /// first record in each, sorted (see [`FirstSeen::join`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a disk-backed database fails to read a sealed segment.
-    pub fn join_timestamps(&self, measurement_a: &str, measurement_b: &str) -> Vec<(u64, u64)> {
-        if self.disk.is_some() {
-            return self
-                .join_timestamps_scanned(measurement_a, measurement_b)
-                .unwrap_or_else(|e| panic!("sealed segment read failed: {e}"));
-        }
-        let (Some(a), Some(b)) = (self.table(measurement_a), self.table(measurement_b)) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for id in a.trace_ids() {
-            let Some(ea) = a.by_trace_id(&id).first().copied() else {
-                continue;
-            };
-            let Some(eb) = b.by_trace_id(&id).first().copied() else {
-                continue;
-            };
-            out.push((ea.timestamp_ns(), eb.timestamp_ns()));
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// Disk-aware join: scans each measurement (sealed + hot) and pairs
-    /// the first timestamp per trace ID.
-    fn join_timestamps_scanned(
-        &self,
-        measurement_a: &str,
-        measurement_b: &str,
-    ) -> Result<Vec<(u64, u64)>, StoreError> {
-        let a = self.first_ts_by_trace(measurement_a)?;
-        if a.is_empty() {
+    /// Any [`StoreError`] from reading a sealed segment.
+    pub fn join_timestamps(&self, from: &str, to: &str) -> Result<Vec<(u64, u64)>, StoreError> {
+        let from = FirstSeen::scan(self, from)?;
+        if from.is_empty() {
             return Ok(Vec::new());
         }
-        let b = self.first_ts_by_trace(measurement_b)?;
-        let mut out: Vec<(u64, u64)> = a
-            .iter()
-            .filter_map(|(id, &ta)| b.get(id).map(|&tb| (ta, tb)))
-            .collect();
-        out.sort_unstable();
-        Ok(out)
-    }
-
-    fn first_ts_by_trace(&self, measurement: &str) -> Result<BTreeMap<String, u64>, StoreError> {
-        let scan = crate::query::Query::new(measurement).scan(self)?;
-        let mut map = BTreeMap::new();
-        for e in scan.entries() {
-            if let Some(id) = e.tag(crate::table::TRACE_ID_TAG) {
-                map.entry(id.into_owned())
-                    .or_insert_with(|| e.timestamp_ns());
-            }
-        }
-        Ok(map)
+        Ok(from.join(&FirstSeen::scan(self, to)?))
     }
 }
 
@@ -980,9 +912,9 @@ mod tests {
         }
         // An incomplete record: seen at p1 only (e.g. dropped packet).
         db.insert(DataPoint::new("p1", 300).tag(TRACE_ID_TAG, "lost"));
-        let joined = db.join_timestamps("p1", "p2");
+        let joined = db.join_timestamps("p1", "p2").unwrap();
         assert_eq!(joined, vec![(100, 150), (200, 280)]);
-        assert!(db.join_timestamps("p1", "absent").is_empty());
+        assert!(db.join_timestamps("p1", "absent").unwrap().is_empty());
     }
 
     #[test]
@@ -1029,13 +961,12 @@ mod tests {
 
         assert_eq!(batched.len(), single.len());
         assert_eq!(
-            batched.join_timestamps("tp_a", "tp_b"),
-            single.join_timestamps("tp_a", "tp_b")
+            batched.join_timestamps("tp_a", "tp_b").unwrap(),
+            single.join_timestamps("tp_a", "tp_b").unwrap()
         );
         for m in ["tp_a", "tp_b"] {
             let b = batched.table(m).unwrap();
             let s = single.table(m).unwrap();
-            assert_eq!(b.trace_ids(), s.trace_ids());
             let bp: Vec<DataPoint> = b.entries().iter().map(|e| e.to_point()).collect();
             let sp: Vec<DataPoint> = s.entries().iter().map(|e| e.to_point()).collect();
             assert_eq!(bp, sp);
@@ -1097,12 +1028,12 @@ mod tests {
         assert!(stats.sealed_records > 0);
         assert!(stats.wal_records < 300, "sealed records left the backlog");
         assert_eq!(stats.sealed_records + stats.wal_records, 300);
-        let before = db.join_timestamps("tp", "tp");
+        let before = db.join_timestamps("tp", "tp").unwrap();
         drop(db);
 
         let db = TraceDb::open_with(&dir, fast_options()).unwrap();
         assert_eq!(db.len(), 300, "reopen sees every acknowledged record");
-        assert_eq!(db.join_timestamps("tp", "tp"), before);
+        assert_eq!(db.join_timestamps("tp", "tp").unwrap(), before);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -9,15 +9,15 @@
 //! [`Entry`] values, ordered by insertion sequence.
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
 
+use crate::join::TraceKey;
 use crate::point::DataPoint;
 use crate::record::CompactRecord;
 use crate::symbol::Symbol;
 
-/// The tag key under which vNetTracer stores the per-packet trace ID;
-/// the collector indexes it so records for one packet can be joined
-/// across tracepoints ("records are indexed by their packet IDs", §III-C).
+/// The tag key under which vNetTracer stores the per-packet trace ID, by
+/// which records for one packet are joined across tracepoints ("records
+/// are indexed by their packet IDs", §III-C; see [`crate::join`]).
 pub const TRACE_ID_TAG: &str = "trace_id";
 
 /// The tag key under which drop records carry their typed drop reason
@@ -32,34 +32,9 @@ pub struct RecordShard {
     node: Symbol,
     node_name: String,
     records: Vec<(u64, CompactRecord)>,
-    by_trace_id: HashMap<u32, Vec<usize>>,
 }
 
 impl RecordShard {
-    fn new(node: Symbol, node_name: &str) -> Self {
-        RecordShard {
-            node,
-            node_name: node_name.to_owned(),
-            records: Vec::new(),
-            by_trace_id: HashMap::new(),
-        }
-    }
-
-    fn push(&mut self, seq: u64, record: CompactRecord) {
-        if record.has_trace_id() {
-            self.by_trace_id
-                .entry(record.trace_id)
-                .or_default()
-                .push(self.records.len());
-        }
-        self.records.push((seq, record));
-    }
-
-    /// The owning node's symbol.
-    pub fn node(&self) -> Symbol {
-        self.node
-    }
-
     /// The owning node's name.
     pub fn node_name(&self) -> &str {
         &self.node_name
@@ -73,11 +48,6 @@ impl RecordShard {
     /// Whether the shard is empty.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// The shard's records, in ingest order.
-    pub fn records(&self) -> impl Iterator<Item = &CompactRecord> {
-        self.records.iter().map(|(_, r)| r)
     }
 
     /// The shard's `(sequence, record)` pairs, in ingest order.
@@ -138,6 +108,16 @@ impl<'a> Entry<'a> {
         }
     }
 
+    /// The entry's trace ID as a join key, if it carries one.
+    pub fn trace_key(&self) -> Option<TraceKey<'a>> {
+        match self {
+            Entry::Point(p) => p.tag_value(TRACE_ID_TAG).map(TraceKey::parse),
+            Entry::Record { record, .. } => record
+                .has_trace_id()
+                .then_some(TraceKey::Id(record.trace_id)),
+        }
+    }
+
     /// A numeric field as `u64`. Record-backed entries expose `pkt_len`
     /// and `cpu`.
     pub fn field_u64(&self, key: &str) -> Option<u64> {
@@ -179,7 +159,6 @@ pub struct Table {
     name: String,
     next_seq: u64,
     points: Vec<(u64, DataPoint)>,
-    points_by_trace_id: HashMap<String, Vec<usize>>,
     shards: Vec<RecordShard>,
 }
 
@@ -197,14 +176,8 @@ impl Table {
         &self.name
     }
 
-    /// Appends a point, indexing its trace ID if present.
+    /// Appends a point.
     pub fn insert(&mut self, point: DataPoint) {
-        if let Some(id) = point.tag_value(TRACE_ID_TAG) {
-            self.points_by_trace_id
-                .entry(id.to_owned())
-                .or_default()
-                .push(self.points.len());
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.points.push((seq, point));
@@ -214,17 +187,19 @@ impl Table {
     /// demand) — the batched ingest path. Records are copied as-is; no
     /// tags or fields are materialized.
     pub fn insert_records(&mut self, node: Symbol, node_name: &str, records: &[CompactRecord]) {
-        let shard = match self.shards.iter().position(|s| s.node == node) {
-            Some(i) => &mut self.shards[i],
-            None => {
-                self.shards.push(RecordShard::new(node, node_name));
-                self.shards.last_mut().expect("just pushed")
-            }
-        };
+        let at = self.shards.iter().position(|s| s.node == node);
+        let at = at.unwrap_or_else(|| {
+            self.shards.push(RecordShard {
+                node,
+                node_name: node_name.to_owned(),
+                records: Vec::new(),
+            });
+            self.shards.len() - 1
+        });
+        let shard = &mut self.shards[at];
         for &record in records {
-            let seq = self.next_seq;
+            shard.records.push((self.next_seq, record));
             self.next_seq += 1;
-            shard.push(seq, record);
         }
     }
 
@@ -236,51 +211,6 @@ impl Table {
     /// All entries — points and shard records — in insertion order.
     pub fn entries(&self) -> Vec<Entry<'_>> {
         self.seq_entries().into_iter().map(|(_, e)| e).collect()
-    }
-
-    /// Entries carrying the given trace ID, in insertion order.
-    pub fn by_trace_id(&self, id: &str) -> Vec<Entry<'_>> {
-        let mut out: Vec<(u64, Entry<'_>)> = Vec::new();
-        if let Some(indexes) = self.points_by_trace_id.get(id) {
-            for &i in indexes {
-                let (seq, ref p) = self.points[i];
-                out.push((seq, Entry::Point(p)));
-            }
-        }
-        // Record trace IDs are stored numerically; only an 8-digit hex
-        // string can name one (the tag form is always zero-padded).
-        if id.len() == 8 {
-            if let Ok(numeric) = u32::from_str_radix(id, 16) {
-                for shard in &self.shards {
-                    if let Some(indexes) = shard.by_trace_id.get(&numeric) {
-                        for &i in indexes {
-                            let (seq, ref record) = shard.records[i];
-                            out.push((
-                                seq,
-                                Entry::Record {
-                                    measurement: &self.name,
-                                    node: &shard.node_name,
-                                    record,
-                                },
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_by_key(|(seq, _)| *seq);
-        out.into_iter().map(|(_, e)| e).collect()
-    }
-
-    /// All distinct trace IDs in the table, sorted.
-    pub fn trace_ids(&self) -> Vec<String> {
-        let mut ids: BTreeSet<String> = self.points_by_trace_id.keys().cloned().collect();
-        for shard in &self.shards {
-            for id in shard.by_trace_id.keys() {
-                ids.insert(format!("{id:08x}"));
-            }
-        }
-        ids.into_iter().collect()
     }
 
     /// All entries with their insertion sequence numbers, in sequence
@@ -320,6 +250,11 @@ impl Table {
         self.next_seq = self.next_seq.max(seq);
     }
 
+    /// Whether the table holds hand-inserted points.
+    pub(crate) fn has_points(&self) -> bool {
+        !self.points.is_empty()
+    }
+
     /// Number of shard records currently resident in memory.
     pub(crate) fn hot_records(&self) -> usize {
         self.shards.iter().map(RecordShard::len).sum()
@@ -342,7 +277,7 @@ mod tests {
     use crate::symbol::SymbolTable;
 
     #[test]
-    fn insert_indexes_trace_ids() {
+    fn points_keep_insertion_order_and_their_trace_keys() {
         let mut t = Table::new("m");
         t.insert(
             DataPoint::new("m", 1)
@@ -361,10 +296,9 @@ mod tests {
         );
         t.insert(DataPoint::new("m", 4).field("v", 4u64)); // no id
         assert_eq!(t.len(), 4);
-        let a: Vec<u64> = t.by_trace_id("a").iter().map(Entry::timestamp_ns).collect();
-        assert_eq!(a, vec![1, 3]);
-        assert!(t.by_trace_id("zzz").is_empty());
-        assert_eq!(t.trace_ids(), vec!["a".to_owned(), "b".to_owned()]);
+        let keys: Vec<_> = t.entries().iter().map(Entry::trace_key).collect();
+        let (a, b) = (Some(TraceKey::Tag("a")), Some(TraceKey::Tag("b")));
+        assert_eq!(keys, vec![a, b, a, None]);
     }
 
     #[test]
@@ -420,9 +354,12 @@ mod tests {
         assert_eq!(e.field_u64("absent"), None);
         // Materialization matches the compact record's own view.
         assert_eq!(e.to_point(), rec(10, 0xab).to_point("m", "server1"));
-        // The hex index finds it; a non-padded ID does not.
-        assert_eq!(t.by_trace_id("000000ab").len(), 1);
-        assert!(t.by_trace_id("ab").is_empty());
-        assert_eq!(t.trace_ids(), vec!["000000ab".to_owned()]);
+        // The padded hex tag names the record's key; a non-padded or
+        // upper-case one does not.
+        assert_eq!(e.trace_key(), Some(TraceKey::Id(0xab)));
+        assert_eq!(TraceKey::parse("000000ab"), TraceKey::Id(0xab));
+        assert_eq!(TraceKey::parse("ab"), TraceKey::Tag("ab"));
+        assert_eq!(TraceKey::parse("000000AB"), TraceKey::Tag("000000AB"));
+        assert_eq!(TraceKey::Id(0xab).to_string(), "000000ab");
     }
 }

@@ -3,14 +3,15 @@
 //! same answer whether the records live in hot shards, sealed segments,
 //! merged segments, or a reopened directory.
 
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use vnet_tsdb::segment::BlockMeta;
+use vnet_tsdb::segment::{BlockMeta, SegmentError};
 use vnet_tsdb::{
-    write_json_lines, CompactRecord, Query, RecordBatch, Segment, StoreOptions, TraceDb,
-    TRACE_ID_TAG,
+    write_json_lines, ColumnId, CompactRecord, DataPoint, FirstSeen, Query, RecordBatch, Segment,
+    StoreError, StoreOptions, TraceDb, TRACE_ID_TAG,
 };
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -131,8 +132,8 @@ fn disk_and_memory_agree_on_every_query_shape() {
         assert_eq!(run, answers(&q, &disk));
     }
     assert_eq!(
-        mem.join_timestamps("tp_rx", "tp_tx"),
-        disk.join_timestamps("tp_rx", "tp_tx")
+        mem.join_timestamps("tp_rx", "tp_tx").unwrap(),
+        disk.join_timestamps("tp_rx", "tp_tx").unwrap()
     );
     assert_eq!(export(&mem), export(&disk));
 
@@ -144,8 +145,8 @@ fn disk_and_memory_agree_on_every_query_shape() {
         assert_eq!(answers(&q, &mem), answers(&q, &cold), "cold reopen drifted");
     }
     assert_eq!(
-        mem.join_timestamps("tp_rx", "tp_tx"),
-        cold.join_timestamps("tp_rx", "tp_tx")
+        mem.join_timestamps("tp_rx", "tp_tx").unwrap(),
+        cold.join_timestamps("tp_rx", "tp_tx").unwrap()
     );
     assert_eq!(export(&mem), export(&cold));
     let _ = std::fs::remove_dir_all(&dir);
@@ -314,6 +315,162 @@ fn scan_cost_tracks_rows_matched_on_a_64_block_segment() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One cold single-segment table `tp` of `rows` trace-flagged records
+/// with wide (random-looking) addresses, and the directory it lives in.
+fn cold_table(tag: &str, rows: u64) -> (TraceDb, PathBuf, StoreOptions) {
+    let dir = test_dir(tag);
+    let options = StoreOptions {
+        seal_threshold: rows as usize,
+        fsync: false,
+        background_compaction: false,
+        ..StoreOptions::default()
+    };
+    let mut db = TraceDb::open_with(&dir, options.clone()).unwrap();
+    let mut batch = RecordBatch::new();
+    for i in 0..rows {
+        let mix = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        batch.push(
+            "tp",
+            "vm1",
+            CompactRecord {
+                timestamp_ns: i * 1_000 + mix % 700,
+                trace_id: (mix >> 32) as u32,
+                pkt_len: 64 + (i % 1_400) as u32,
+                saddr: mix as u32,
+                daddr: (mix >> 16) as u32,
+                sport: (mix >> 8) as u16,
+                dport: 80,
+                flags: 1,
+                ..Default::default()
+            },
+        );
+    }
+    db.insert_batch(&batch);
+    drop(db);
+    (
+        TraceDb::open_with(&dir, options.clone()).unwrap(),
+        dir,
+        options,
+    )
+}
+
+/// Encoded bytes of the given columns over every block of every segment.
+fn chunk_bytes(dir: &Path, cols: &[ColumnId]) -> u64 {
+    let blocks = block_index(dir).into_iter().flatten();
+    blocks
+        .map(|b| cols.iter().map(|&c| b.chunks[c as usize].len).sum::<u64>())
+        .sum()
+}
+
+/// The join reads the three lanes it needs and nothing else: its bytes
+/// are exactly those chunks' footer lengths, under a third of a full
+/// scan's; the `Seq` lane joins them only while the hot tail holds a
+/// hand-inserted point, whose sequence number arrival order cannot give.
+#[test]
+fn join_reads_only_its_projected_chunks() {
+    let (mut db, dir, _) = cold_table("join-budget", 10_000);
+    let projected = [ColumnId::Ts, ColumnId::TraceId, ColumnId::Flags];
+    let full = Query::new("tp").scan(&db).unwrap();
+    assert_eq!(full.stats().bytes_read, chunk_bytes(&dir, &ColumnId::ALL));
+    let seen = FirstSeen::scan(&db, "tp").unwrap();
+    assert_eq!(seen.iter().count(), 10_000);
+    assert_eq!(seen.stats().bytes_read, chunk_bytes(&dir, &projected));
+    assert!(seen.stats().bytes_read * 3 < full.stats().bytes_read);
+    assert_eq!(seen.stats().rows_matched, 10_000);
+
+    db.insert(DataPoint::new("tp", 5).tag(TRACE_ID_TAG, "0000002a"));
+    let with_seq = [projected.as_slice(), &[ColumnId::Seq]].concat();
+    let seen = FirstSeen::scan(&db, "tp").unwrap();
+    assert_eq!(seen.stats().bytes_read, chunk_bytes(&dir, &with_seq));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Flips one byte of block 0's `column` chunk in the table's one segment
+/// file and reopens the store.
+fn reopen_with_flipped_chunk(dir: &Path, options: &StoreOptions, column: ColumnId) -> TraceDb {
+    let file = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "col"))
+        .unwrap();
+    let chunk = Segment::open(&file).unwrap().meta().blocks[0].chunks[column as usize];
+    let mut bytes = std::fs::read(&file).unwrap();
+    bytes[(chunk.offset + chunk.len / 2) as usize] ^= 0x10;
+    std::fs::write(&file, bytes).unwrap();
+    TraceDb::open_with(dir, options.clone()).expect("the footer is intact")
+}
+
+/// A damaged chunk is a typed error for exactly the readers that project
+/// it: the join fails on its own lanes and never notices damage to a lane
+/// it does not read, which a full scan of the same table reports.
+#[test]
+fn corrupt_chunks_fail_only_the_readers_that_project_them() {
+    let (db, dir, options) = cold_table("join-corrupt", 3_000);
+    let clean = db.join_timestamps("tp", "tp").unwrap();
+    assert_eq!(clean.len(), 3_000);
+    drop(db);
+
+    let db = reopen_with_flipped_chunk(&dir, &options, ColumnId::Saddr);
+    assert_eq!(db.join_timestamps("tp", "tp").unwrap(), clean);
+    let scan = Query::new("tp").scan(&db);
+    assert!(matches!(
+        scan,
+        Err(StoreError::Segment(SegmentError::Corrupt(_)))
+    ));
+    drop(db);
+
+    let db = reopen_with_flipped_chunk(&dir, &options, ColumnId::TraceId);
+    for (a, b) in [("tp", "tp"), ("tp", "absent")] {
+        let joined = db.join_timestamps(a, b);
+        assert!(matches!(joined, Err(StoreError::Segment(_))), "{a} x {b}");
+    }
+    assert!(db.join_timestamps("absent", "tp").unwrap().is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The parent's join, kept as the oracle: every entry in ingest order,
+/// keyed by its `trace_id` tag *string*, first one wins.
+fn string_keyed_first_seen(db: &TraceDb, table: &str) -> BTreeMap<String, u64> {
+    let scan = Query::new(table).scan(db).unwrap();
+    let mut first = BTreeMap::new();
+    for e in scan.entries() {
+        if let Some(id) = e.tag(TRACE_ID_TAG) {
+            first.entry(id.into_owned()).or_insert(e.timestamp_ns());
+        }
+    }
+    first
+}
+
+fn string_keyed_join(db: &TraceDb, a: &str, b: &str) -> Vec<(u64, u64)> {
+    let (a, b) = (
+        string_keyed_first_seen(db, a),
+        string_keyed_first_seen(db, b),
+    );
+    let mut out: Vec<(u64, u64)> = a
+        .iter()
+        .filter_map(|(id, &ta)| b.get(id).map(|&tb| (ta, tb)))
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+/// The typed join and its key listing against the string-keyed oracle.
+fn assert_join_matches_oracle(db: &TraceDb, what: &str) -> Vec<(u64, u64)> {
+    for (a, b) in [("a", "b"), ("b", "a"), ("a", "a"), ("a", "absent")] {
+        let joined = db.join_timestamps(a, b).unwrap();
+        assert_eq!(joined, string_keyed_join(db, a, b), "{what}: {a} x {b}");
+    }
+    for table in ["a", "b"] {
+        let seen = FirstSeen::scan(db, table).unwrap();
+        let mut typed: Vec<(String, u64)> =
+            seen.iter().map(|(key, ts)| (key.to_string(), ts)).collect();
+        typed.sort();
+        let oracle: Vec<(String, u64)> = string_keyed_first_seen(db, table).into_iter().collect();
+        assert_eq!(typed, oracle, "{what}: first seen at {table}");
+    }
+    db.join_timestamps("a", "b").unwrap()
+}
+
 const NODES: [&str; 3] = ["vm1", "vm2", "vm3"];
 
 proptest! {
@@ -405,6 +562,79 @@ proptest! {
             let overlapping = all.iter().filter(|b| b.max_ts >= lo && b.min_ts <= hi).count();
             prop_assert!(s.blocks_scanned <= overlapping as u64, "only overlapping blocks");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The typed, column-projected join is the string-keyed join: same
+    /// pairs in the same order on an in-memory store, a disk store with
+    /// sealed segments and a hot tail, the same store compacted, and a
+    /// cold reopen — with IDs duplicated inside and across segments and
+    /// blocks (the first by sequence wins), unflagged records, the IDs 0
+    /// and `u32::MAX`, and hand-inserted points whose tags do
+    /// (`0000002a`) and do not (`x`, `2A`, `0000002A`) name a record's
+    /// ID, some of them numbered before records that seal later.
+    #[test]
+    fn typed_join_equals_string_keyed_oracle(
+        ids in proptest::collection::vec(0u32..1_500, 6_000..9_000),
+        stamps in proptest::collection::vec(0u64..50_000, 1..60),
+        unflagged in 2u64..9,
+        point_at in proptest::collection::vec(0usize..6_000, 1..5),
+    ) {
+        let dir = test_dir("join-differential");
+        let options = StoreOptions {
+            seal_threshold: 2_500,
+            fsync: false,
+            compact_fanin: 3,
+            compact_max_rows: 1 << 20,
+            background_compaction: false,
+        };
+        let mut mem = TraceDb::new();
+        let mut disk = TraceDb::open_with(&dir, options.clone()).unwrap();
+        let mut batch = RecordBatch::new();
+        for (i, &id) in ids.iter().enumerate() {
+            if point_at.contains(&i) {
+                // Same timestamps whatever the tag, so a wrongly merged
+                // key shows up as a changed pair.
+                for tag in ["0000002a", "x", "2A", "0000002A", "ffffffff"] {
+                    for (table, ts) in [("a", 7 + i as u64), ("b", 90_000 + i as u64)] {
+                        let point = DataPoint::new(table, ts).tag(TRACE_ID_TAG, tag);
+                        mem.insert(point.clone());
+                        disk.insert(point);
+                    }
+                }
+            }
+            let i = i as u64;
+            let record = CompactRecord {
+                timestamp_ns: 100 + i * 20 + stamps[i as usize % stamps.len()],
+                trace_id: match id {
+                    0 => 0,
+                    1 => u32::MAX,
+                    id => id,
+                },
+                flags: u8::from(!(i / 3).is_multiple_of(unflagged)),
+                ..Default::default()
+            };
+            batch.push(if i.is_multiple_of(3) { "b" } else { "a" }, NODES[(i % 3) as usize], record);
+            if batch.len() == 700 || i + 1 == ids.len() as u64 {
+                mem.insert_batch(&batch);
+                disk.insert_batch(&batch);
+                batch.clear();
+            }
+        }
+        let joined = assert_join_matches_oracle(&mem, "memory");
+        prop_assert!(joined.len() > 100, "the tables share IDs");
+        prop_assert!(block_index(&dir).len() >= 2, "several segments");
+        prop_assert_eq!(&assert_join_matches_oracle(&disk, "hot + sealed"), &joined);
+        disk.flush().unwrap();
+        disk.compact_now().unwrap();
+        let index = block_index(&dir);
+        prop_assert!(index.iter().any(|blocks| blocks.len() >= 2), "some multi-block");
+        prop_assert_eq!(&assert_join_matches_oracle(&disk, "compacted"), &joined);
+        drop(disk);
+        // Points are not durable: the cold store answers for the records
+        // alone, and still as the oracle does.
+        let cold = TraceDb::open_with(&dir, options).unwrap();
+        assert_join_matches_oracle(&cold, "cold reopen");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -67,8 +67,8 @@ fn main() {
 
     // Requests and replies carry different trace IDs; the ping-pong is
     // strictly sequential, so pair the i-th request with the i-th reply.
-    let t12 = tracer.db().join_timestamps("t1", "t2");
-    let t34 = tracer.db().join_timestamps("t3", "t4");
+    let t12 = tracer.db().join_timestamps("t1", "t2").unwrap();
+    let t34 = tracer.db().join_timestamps("t3", "t4").unwrap();
     let samples: Vec<SkewSample> = t12
         .iter()
         .zip(t34.iter())

@@ -49,8 +49,8 @@ fn measure(offset_ns: i64) -> (i64, Vec<u64>, Vec<u64>) {
     tracer.deploy(&mut s.world, &probe_package()).unwrap();
     s.run(&cfg);
     tracer.collect(&s.world);
-    let t12 = tracer.db().join_timestamps("t1", "t2");
-    let t34 = tracer.db().join_timestamps("t3", "t4");
+    let t12 = tracer.db().join_timestamps("t1", "t2").unwrap();
+    let t34 = tracer.db().join_timestamps("t3", "t4").unwrap();
     let samples: Vec<SkewSample> = t12
         .iter()
         .zip(t34.iter())
