@@ -24,10 +24,9 @@ use vnet_sim::node::NodeClock;
 use vnet_sim::packet::{trace_id, FlowKey, PacketBuilder, TcpFlags};
 use vnet_sim::time::{SimDuration, SimTime};
 use vnet_sim::world::World;
-use vnet_tsdb::{RecordBatch, TraceDb};
+use vnet_tsdb::{CompactRecord, RecordBatch, TraceDb};
 use vnettracer::compile::compile;
 use vnettracer::config::{Action, FilterRule, HookSpec, TraceSpec};
-use vnettracer::record::TraceRecord;
 
 fn udp_flow() -> FlowKey {
     FlowKey::udp(
@@ -188,7 +187,7 @@ fn bench_ingest(c: &mut Criterion) {
     const RECORDS: u64 = 1_000_000;
     let mut batch = RecordBatch::new();
     for i in 0..RECORDS {
-        let record = TraceRecord {
+        let record = CompactRecord {
             timestamp_ns: i * 1_000,
             trace_id: i as u32,
             pkt_len: 104,
@@ -200,7 +199,7 @@ fn bench_ingest(c: &mut Criterion) {
             direction: 0,
             flags: 1,
         };
-        batch.push("tp0", "server1", record.to_compact());
+        batch.push("tp0", "server1", record);
     }
     let mut g = c.benchmark_group("ingest_1m");
     g.sample_size(10).throughput(Throughput::Elements(RECORDS));

@@ -108,8 +108,10 @@ struct Args {
     messages: u64,
     messages_set: bool,
     emit_package: bool,
-    window_us: u64,
-    collect_us: u64,
+    /// `--window-us`, in nanoseconds.
+    window_ns: u64,
+    /// `--collect-us`, in nanoseconds.
+    collect_ns: u64,
     threads: usize,
     full: bool,
     trace: bool,
@@ -131,8 +133,8 @@ impl Args {
             messages: 500,
             messages_set: false,
             emit_package: false,
-            window_us: 100,
-            collect_us: 50,
+            window_ns: 100_000,
+            collect_ns: 50_000,
             threads: 1,
             full: false,
             trace: false,
@@ -147,8 +149,18 @@ impl Args {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
+/// Parses the microsecond value of `flag` into nanoseconds.
+fn parse_micros(flag: &str, value: Option<String>) -> Result<u64, String> {
+    let us: u64 = value
+        .ok_or(format!("{flag} needs a number"))?
+        .parse()
+        .map_err(|e| format!("bad {flag}: {e}"))?;
+    us.checked_mul(1_000)
+        .ok_or(format!("bad {flag}: {us} us overflows nanoseconds"))
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut args = args.into_iter();
     let scenario = args.next().ok_or_else(usage)?;
     if scenario == "db" {
         let mut out = Args::defaults(scenario);
@@ -212,20 +224,8 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("bad --seed: {e}"))?,
                 )
             }
-            "--window-us" => {
-                out.window_us = args
-                    .next()
-                    .ok_or("--window-us needs a number".to_owned())?
-                    .parse()
-                    .map_err(|e| format!("bad --window-us: {e}"))?
-            }
-            "--collect-us" => {
-                out.collect_us = args
-                    .next()
-                    .ok_or("--collect-us needs a number".to_owned())?
-                    .parse()
-                    .map_err(|e| format!("bad --collect-us: {e}"))?
-            }
+            "--window-us" => out.window_ns = parse_micros("--window-us", args.next())?,
+            "--collect-us" => out.collect_ns = parse_micros("--collect-us", args.next())?,
             "--emit-package" => out.emit_package = true,
             "--from-db" => {
                 out.from_db = Some(
@@ -249,7 +249,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
     }
-    if out.window_us == 0 || out.collect_us == 0 {
+    if out.window_ns == 0 || out.collect_ns == 0 {
         return Err("--window-us and --collect-us must be non-zero".to_owned());
     }
     Ok(out)
@@ -705,12 +705,11 @@ fn run_live(args: &Args) -> Result<(), String> {
         .metrics("default", &scope)
         .map_err(|e| e.to_string())?;
 
-    let window_ns = args.window_us * 1_000;
     let mut live_cfg = vnet_live::LiveConfig::from_metric_specs(
-        vnet_live::WindowSpec::tumbling(window_ns),
+        vnet_live::WindowSpec::tumbling(args.window_ns),
         &specs,
     );
-    live_cfg.pair_timeout_ns = window_ns.max(1_000_000);
+    live_cfg.pair_timeout_ns = args.window_ns.max(1_000_000);
     let mut engine = vnet_live::LiveEngine::new(live_cfg);
     engine.register_agent("vm1", None);
     engine.register_agent("vm2", None);
@@ -732,10 +731,9 @@ fn run_live(args: &Args) -> Result<(), String> {
     // Step the world one collection interval at a time; every collect
     // flows through the engine as it is ingested.
     let budget_ns = args.messages * 15_000 + 20_000_000;
-    let interval_ns = args.collect_us * 1_000;
     let mut t = 0u64;
     while t < budget_ns {
-        t = (t + interval_ns).min(budget_ns);
+        t = t.saturating_add(args.collect_ns).min(budget_ns);
         s.world.run_until(vnet_sim::time::SimTime::from_nanos(t));
         tracer.collect(&s.world);
     }
@@ -872,12 +870,11 @@ fn run_live_replay(args: &Args, dir: &str) -> Result<(), String> {
     let specs = ModuleRegistry::builtin()
         .metrics("default", &scope)
         .map_err(|e| e.to_string())?;
-    let window_ns = args.window_us * 1_000;
     let mut live_cfg = vnet_live::LiveConfig::from_metric_specs(
-        vnet_live::WindowSpec::tumbling(window_ns),
+        vnet_live::WindowSpec::tumbling(args.window_ns),
         &specs,
     );
-    live_cfg.pair_timeout_ns = window_ns.max(1_000_000);
+    live_cfg.pair_timeout_ns = args.window_ns.max(1_000_000);
     let mut engine = vnet_live::LiveEngine::new(live_cfg);
 
     // Flatten the store — sealed segments and the hot tail alike — into
@@ -902,11 +899,10 @@ fn run_live_replay(args: &Args, dir: &str) -> Result<(), String> {
         engine.register_agent(n, None);
     }
 
-    let interval_ns = args.collect_us.max(1) * 1_000;
     let mut i = 0usize;
     let mut now = recs.first().map_or(0, |r| r.0);
     while i < recs.len() {
-        now += interval_ns;
+        now = now.saturating_add(args.collect_ns);
         let mut batch = vnet_tsdb::RecordBatch::new();
         while i < recs.len() && recs[i].0 <= now {
             let (_, table, node, rec) = &recs[i];
@@ -1380,7 +1376,7 @@ fn run(args: &Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
@@ -1392,6 +1388,43 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn microsecond_flags_become_nanoseconds() {
+        let args = parse(&["live"]).unwrap();
+        assert_eq!((args.window_ns, args.collect_ns), (100_000, 50_000));
+        let args = parse(&["live", "--window-us", "250", "--collect-us", "7"]).unwrap();
+        assert_eq!((args.window_ns, args.collect_ns), (250_000, 7_000));
+        let largest = (u64::MAX / 1_000).to_string();
+        let args = parse(&["live", "--window-us", &largest]).unwrap();
+        assert_eq!(args.window_ns, u64::MAX / 1_000 * 1_000);
+    }
+
+    #[test]
+    fn microsecond_flags_that_overflow_nanoseconds_are_rejected() {
+        let too_big = (u64::MAX / 1_000 + 1).to_string();
+        for flag in ["--window-us", "--collect-us"] {
+            let Err(err) = parse(&["live", flag, &too_big]) else {
+                panic!("{flag} {too_big} must not parse");
+            };
+            assert!(err.starts_with(&format!("bad {flag}: ")), "{err}");
+            let Err(err) = parse(&["live", flag, "ten"]) else {
+                panic!("{flag} ten must not parse");
+            };
+            assert!(err.starts_with(&format!("bad {flag}: ")), "{err}");
+            assert!(parse(&["live", flag, "0"]).is_err());
+            assert!(parse(&["live", flag]).is_err());
         }
     }
 }

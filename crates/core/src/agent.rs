@@ -19,10 +19,10 @@ use vnet_sim::ids::NodeId;
 use vnet_sim::probe::{Direction, ProbeEvent, ProbeId, ProbeOutcome, ProbeSink};
 use vnet_sim::time::SimDuration;
 use vnet_sim::world::World;
+use vnet_tsdb::CompactRecord;
 
 use crate::config::{Action, CollectionMode, ExecTier, GlobalConfig, TraceSpec};
 use crate::error::{Result, TracerError};
-use crate::record::{TraceRecord, RECORD_SIZE};
 
 /// Identifies an installed script on an agent.
 pub type ScriptId = u64;
@@ -278,7 +278,8 @@ fn check_budget(loaded: &LoadedProgram, budget: Option<u64>) -> Result<()> {
 
 #[derive(Debug)]
 struct Installed {
-    spec: TraceSpec,
+    /// The script's name — the table its records land in.
+    name: String,
     probe: ProbeId,
     perf_fd: Option<i32>,
     counter_fd: Option<i32>,
@@ -321,140 +322,54 @@ impl Agent {
         &self.node_name
     }
 
-    /// Compiles, loads and attaches a trace script; `buffer_size` sizes
-    /// the per-CPU perf buffer for record-producing scripts.
+    /// Compiles, loads and attaches a trace script under `global`: its
+    /// `buffer_size` sizes the per-CPU perf buffer of a record-producing
+    /// script, in [`CollectionMode::Online`] every match additionally
+    /// pays [`ONLINE_SHIP_COST_NS`] of CPU to be shipped to user space
+    /// immediately, and the threaded tier pays a one-time compile cost on
+    /// the script's first firing, then a reduced per-op cost.
     ///
     /// # Errors
     ///
-    /// Returns a [`TracerError`] if maps cannot be created, the program
-    /// fails verification, or assembly fails.
+    /// Returns a [`TracerError`] if maps cannot be created, assembly or
+    /// verification fails, or — when [`GlobalConfig::probe_budget`] is
+    /// set — the program's certified worst-case cost exceeds the budget
+    /// ([`TracerError::OverBudget`]).
     pub fn install(
-        &mut self,
-        world: &mut World,
-        spec: &TraceSpec,
-        buffer_size: u32,
-    ) -> Result<ScriptId> {
-        self.install_with_mode(world, spec, buffer_size, CollectionMode::Offline)
-    }
-
-    /// Like [`Agent::install`], with an explicit collection mode: in
-    /// [`CollectionMode::Online`] every matched record additionally pays
-    /// [`ONLINE_SHIP_COST_NS`] of CPU to be shipped to user space
-    /// immediately.
-    ///
-    /// # Errors
-    ///
-    /// See [`Agent::install`].
-    pub fn install_with_mode(
-        &mut self,
-        world: &mut World,
-        spec: &TraceSpec,
-        buffer_size: u32,
-        mode: CollectionMode,
-    ) -> Result<ScriptId> {
-        let global = GlobalConfig {
-            buffer_size,
-            mode,
-            ..GlobalConfig::default()
-        };
-        self.install_with_config(world, spec, &global)
-    }
-
-    /// Like [`Agent::install`], taking the full global configuration:
-    /// collection mode (online shipping costs per-match CPU) and
-    /// execution tier (the threaded tier pays a one-time compile cost on
-    /// the script's first firing, then a reduced per-op cost).
-    ///
-    /// # Errors
-    ///
-    /// See [`Agent::install`].
-    pub fn install_with_config(
         &mut self,
         world: &mut World,
         spec: &TraceSpec,
         global: &GlobalConfig,
     ) -> Result<ScriptId> {
-        let buffer_size = global.buffer_size;
         let cpus = usize::from(self.num_cpus);
-        let (perf_fd, counter_fd) = match spec.action {
-            Action::RecordPacketInfo | Action::RecordDropInfo => {
-                let fd = self
-                    .maps
-                    .lock()
-                    .unwrap()
-                    .create(MapDef::perf(buffer_size), cpus)?;
-                (Some(fd), None)
-            }
-            Action::CountPerCpu => {
-                let fd = self
-                    .maps
-                    .lock()
-                    .unwrap()
-                    .create(MapDef::per_cpu_array(8, 1), cpus)?;
-                (None, Some(fd))
-            }
+        let mut maps = self.maps.lock().unwrap();
+        let fds = match spec.action {
+            Action::RecordPacketInfo | Action::RecordDropInfo => (
+                Some(maps.create(MapDef::perf(global.buffer_size), cpus)?),
+                None,
+            ),
+            Action::CountPerCpu => (None, Some(maps.create(MapDef::per_cpu_array(8, 1), cpus)?)),
         };
-        let program = crate::compile::compile(spec, perf_fd, counter_fd)?;
-        let loaded = {
-            let maps = self.maps.lock().unwrap();
-            vnet_ebpf::program::load(program, &maps, &standard_helpers())?
-        };
-        check_budget(&loaded, global.probe_budget)?;
+        drop(maps);
+        let program = crate::compile::compile(spec, fds.0, fds.1)?;
         let per_match_extra_ns = match global.mode {
             CollectionMode::Offline => 0,
             CollectionMode::Online => ONLINE_SHIP_COST_NS,
         };
-        let sink = Arc::new(Mutex::new(EbpfProbeSink::new(
-            loaded,
-            Arc::clone(&self.maps),
-            global.exec_tier,
-            0x5eed ^ self.next_id,
-            per_match_extra_ns,
-        )));
-        let probe = world.attach_probe(self.node, spec.hook.to_sim_hook(), sink.clone());
-        let id = self.next_id;
-        self.next_id += 1;
-        self.installed.insert(
-            id,
-            Installed {
-                spec: spec.clone(),
-                probe,
-                perf_fd,
-                counter_fd,
-                sink,
-            },
-        );
-        Ok(id)
+        self.attach(world, program, &spec.hook, fds, per_match_extra_ns, global)
     }
 
     /// Loads and attaches a hand-written eBPF program at `hook` — the
     /// escape hatch for trace logic beyond the built-in filter/action
     /// compiler. The program is verified and its map fds relocated
-    /// against this agent's map registry (see [`Agent::maps`]).
+    /// against this agent's map registry (see [`Agent::maps`]); it runs
+    /// on `global`'s execution tier under its probe budget.
     ///
     /// # Errors
     ///
-    /// Returns [`TracerError::Load`] if verification or relocation fails.
+    /// Returns [`TracerError::Load`] if verification or relocation fails,
+    /// or [`TracerError::OverBudget`] as for [`Agent::install`].
     pub fn install_raw(
-        &mut self,
-        world: &mut World,
-        name: &str,
-        hook: &crate::config::HookSpec,
-        insns: Vec<vnet_ebpf::Insn>,
-    ) -> Result<ScriptId> {
-        self.install_raw_with_config(world, name, hook, insns, &GlobalConfig::default())
-    }
-
-    /// Like [`Agent::install_raw`], taking the full global configuration:
-    /// the program runs on the configured execution tier and — when
-    /// [`GlobalConfig::probe_budget`] is set — is rejected with
-    /// [`TracerError::OverBudget`] if its certified worst-case cost
-    /// exceeds the budget.
-    ///
-    /// # Errors
-    ///
-    /// See [`Agent::install_raw`]; additionally [`TracerError::OverBudget`].
-    pub fn install_raw_with_config(
         &mut self,
         world: &mut World,
         name: &str,
@@ -463,35 +378,43 @@ impl Agent {
         global: &GlobalConfig,
     ) -> Result<ScriptId> {
         let program = vnet_ebpf::Program::new(name, crate::compile::attach_type(hook), insns);
+        self.attach(world, program, hook, (None, None), 0, global)
+    }
+
+    /// The tail both install paths share: verify and relocate `program`,
+    /// gate it on the probe budget, wrap it in a sink and attach that at
+    /// `hook`. `fds` are the script's (perf, counter) maps.
+    fn attach(
+        &mut self,
+        world: &mut World,
+        program: vnet_ebpf::Program,
+        hook: &crate::config::HookSpec,
+        (perf_fd, counter_fd): (Option<i32>, Option<i32>),
+        per_match_extra_ns: u64,
+        global: &GlobalConfig,
+    ) -> Result<ScriptId> {
         let loaded = {
             let maps = self.maps.lock().unwrap();
             vnet_ebpf::program::load(program, &maps, &standard_helpers())?
         };
         check_budget(&loaded, global.probe_budget)?;
+        let (id, name) = (self.next_id, loaded.name().to_owned());
         let sink = Arc::new(Mutex::new(EbpfProbeSink::new(
             loaded,
             Arc::clone(&self.maps),
             global.exec_tier,
-            0x5eed ^ self.next_id,
-            0,
+            0x5eed ^ id,
+            per_match_extra_ns,
         )));
         let probe = world.attach_probe(self.node, hook.to_sim_hook(), sink.clone());
-        let id = self.next_id;
         self.next_id += 1;
-        let spec = TraceSpec {
-            name: name.to_owned(),
-            node: self.node_name.clone(),
-            hook: hook.clone(),
-            filter: crate::config::FilterRule::any(),
-            action: Action::CountPerCpu,
-        };
         self.installed.insert(
             id,
             Installed {
-                spec,
+                name,
                 probe,
-                perf_fd: None,
-                counter_fd: None,
+                perf_fd,
+                counter_fd,
                 sink,
             },
         );
@@ -542,8 +465,8 @@ impl Agent {
     }
 
     /// Drains every perf buffer into `batch`, grouped by (table, node) —
-    /// the periodic buffer dump of §III-C. Records are decoded in place
-    /// from the ring and appended in compact form; scripts are visited in
+    /// the periodic buffer dump of §III-C. Each ring entry is decoded once,
+    /// straight into the form the store keeps; scripts are visited in
     /// install order so output is deterministic. Returns the number of
     /// records drained.
     pub fn drain_into(&mut self, batch: &mut vnet_tsdb::RecordBatch) -> usize {
@@ -557,14 +480,12 @@ impl Agent {
             let Some(map) = maps.get_mut(fd) else {
                 continue;
             };
-            let group = batch.group_mut(&installed.spec.name, &self.node_name);
+            let group = batch.group_mut(&installed.name, &self.node_name);
             for cpu in 0..usize::from(self.num_cpus) {
                 map.perf_drain_with(cpu, |raw| {
-                    if raw.len() == RECORD_SIZE {
-                        if let Some(rec) = TraceRecord::decode(raw) {
-                            group.records.push(rec.to_compact());
-                            drained += 1;
-                        }
+                    if let Some(record) = CompactRecord::decode(raw) {
+                        group.records.push(record);
+                        drained += 1;
                     }
                 });
             }
@@ -663,7 +584,9 @@ mod tests {
     fn install_fire_drain_cycle() {
         let (mut w, n) = world_with_device();
         let mut agent = Agent::new(n, "server1", 4);
-        let id = agent.install(&mut w, &udp_spec(), 4096).unwrap();
+        let id = agent
+            .install(&mut w, &udp_spec(), &GlobalConfig::default())
+            .unwrap();
         let dev = w.find_device(n, "eth0").unwrap();
         for _ in 0..3 {
             w.inject(dev, udp_pkt());
@@ -685,7 +608,9 @@ mod tests {
     fn non_matching_traffic_not_recorded() {
         let (mut w, n) = world_with_device();
         let mut agent = Agent::new(n, "server1", 4);
-        let id = agent.install(&mut w, &udp_spec(), 4096).unwrap();
+        let id = agent
+            .install(&mut w, &udp_spec(), &GlobalConfig::default())
+            .unwrap();
         let dev = w.find_device(n, "eth0").unwrap();
         let other = FlowKey::udp(
             SocketAddrV4::sock("10.9.9.9", 1),
@@ -703,7 +628,9 @@ mod tests {
     fn uninstall_detaches_probe() {
         let (mut w, n) = world_with_device();
         let mut agent = Agent::new(n, "server1", 4);
-        let id = agent.install(&mut w, &udp_spec(), 4096).unwrap();
+        let id = agent
+            .install(&mut w, &udp_spec(), &GlobalConfig::default())
+            .unwrap();
         agent.uninstall(&mut w, id).unwrap();
         assert!(matches!(
             agent.uninstall(&mut w, id),
@@ -726,7 +653,9 @@ mod tests {
             filter: FilterRule::any(),
             action: Action::CountPerCpu,
         };
-        let id = agent.install(&mut w, &spec, 4096).unwrap();
+        let id = agent
+            .install(&mut w, &spec, &GlobalConfig::default())
+            .unwrap();
         let dev = w.find_device(n, "eth0").unwrap();
         for _ in 0..5 {
             w.inject(dev, udp_pkt());
@@ -743,7 +672,9 @@ mod tests {
         let n = w.add_node("skewed", 2, NodeClock::with_offset_ns(1_000_000));
         w.add_device(DeviceConfig::new("eth0", n).forwarding(Forwarding::Deliver));
         let mut agent = Agent::new(n, "skewed", 2);
-        agent.install(&mut w, &udp_spec(), 4096).unwrap();
+        agent
+            .install(&mut w, &udp_spec(), &GlobalConfig::default())
+            .unwrap();
         let dev = w.find_device(n, "eth0").unwrap();
         w.inject(dev, udp_pkt());
         w.run_until(SimTime::from_millis(1));
@@ -760,7 +691,9 @@ mod tests {
     fn certified_cost_bounds_actual_cost() {
         let (mut w, n) = world_with_device();
         let mut agent = Agent::new(n, "server1", 4);
-        let id = agent.install(&mut w, &udp_spec(), 4096).unwrap();
+        let id = agent
+            .install(&mut w, &udp_spec(), &GlobalConfig::default())
+            .unwrap();
         let dev = w.find_device(n, "eth0").unwrap();
         for _ in 0..3 {
             w.inject(dev, udp_pkt());
@@ -786,9 +719,7 @@ mod tests {
             probe_budget: Some(1),
             ..GlobalConfig::default()
         };
-        let err = agent
-            .install_with_config(&mut w, &udp_spec(), &global)
-            .unwrap_err();
+        let err = agent.install(&mut w, &udp_spec(), &global).unwrap_err();
         match err {
             TracerError::OverBudget {
                 certified_ns,
@@ -809,9 +740,7 @@ mod tests {
             probe_budget: Some(1_000_000),
             ..GlobalConfig::default()
         };
-        agent
-            .install_with_config(&mut w, &udp_spec(), &global)
-            .unwrap();
+        agent.install(&mut w, &udp_spec(), &global).unwrap();
     }
 
     #[test]
@@ -827,7 +756,7 @@ mod tests {
         };
         // mov+exit certifies above the bare entry cost: rejected.
         assert!(matches!(
-            agent.install_raw_with_config(&mut w, "tiny", &hook, insns.clone(), &global),
+            agent.install_raw(&mut w, "tiny", &hook, insns.clone(), &global),
             Err(TracerError::OverBudget { .. })
         ));
         let global = GlobalConfig {
@@ -835,7 +764,7 @@ mod tests {
             ..GlobalConfig::default()
         };
         agent
-            .install_raw_with_config(&mut w, "tiny", &hook, insns, &global)
+            .install_raw(&mut w, "tiny", &hook, insns, &global)
             .unwrap();
     }
 
@@ -852,7 +781,11 @@ mod tests {
         let (mut w, n) = world_with_device();
         let mut agent = Agent::new(n, "server1", 4);
         // 32-byte buffer holds exactly one record.
-        let id = agent.install(&mut w, &udp_spec(), 32).unwrap();
+        let tiny = GlobalConfig {
+            buffer_size: 32,
+            ..GlobalConfig::default()
+        };
+        let id = agent.install(&mut w, &udp_spec(), &tiny).unwrap();
         let dev = w.find_device(n, "eth0").unwrap();
         for _ in 0..4 {
             w.inject(dev, udp_pkt());
@@ -867,7 +800,9 @@ mod tests {
     fn drain_into_batches_by_script_and_reuses_buffers() {
         let (mut w, n) = world_with_device();
         let mut agent = Agent::new(n, "server1", 4);
-        agent.install(&mut w, &udp_spec(), 4096).unwrap();
+        agent
+            .install(&mut w, &udp_spec(), &GlobalConfig::default())
+            .unwrap();
         let dev = w.find_device(n, "eth0").unwrap();
         for _ in 0..3 {
             w.inject(dev, udp_pkt());

@@ -14,10 +14,10 @@
 //!   payload trailer, or scans the TCP options for the experimental
 //!   option kind 253 — with a bounded, *unrolled* scan, since verified
 //!   programs cannot loop;
-//! * the **action** either emits a 32-byte [`TraceRecord`] into the perf
-//!   buffer or bumps a per-CPU counter.
+//! * the **action** either emits a 32-byte [`CompactRecord`] into the
+//!   perf buffer or bumps a per-CPU counter.
 //!
-//! [`TraceRecord`]: crate::record::TraceRecord
+//! [`CompactRecord`]: vnet_tsdb::CompactRecord
 
 use vnet_ebpf::asm::{reg::*, AluOp, Asm, Cond, Size};
 use vnet_ebpf::context::{
@@ -25,10 +25,11 @@ use vnet_ebpf::context::{
 };
 use vnet_ebpf::program::{AttachType, Program};
 use vnet_ebpf::vm::helper_ids;
+use vnet_tsdb::record::offsets;
+use vnet_tsdb::COMPACT_RECORD_BYTES;
 
 use crate::config::{Action, FilterRule, HookSpec, Proto, TraceSpec};
 use crate::error::{Result, TracerError};
-use crate::record::{offsets, RECORD_SIZE};
 
 // Frame offsets: Ethernet header is 14 bytes, IPv4 fixed 20 (the
 // simulated stack never emits IP options), so L4 starts at 34.
@@ -48,11 +49,11 @@ const TCP_OPT_SCAN_ITERS: usize = 10;
 /// TCP option kind carrying the trace ID.
 const TRACE_ID_OPTION_KIND: i32 = 253;
 
-const R_SIZE: i16 = RECORD_SIZE as i16;
+const R_SIZE: i16 = COMPACT_RECORD_BYTES as i16;
 
-/// Field offset → frame-pointer-relative stack offset.
-fn fp_off(field: i16) -> i16 {
-    field - R_SIZE
+/// Record field offset → frame-pointer-relative stack offset.
+fn fp_off(field: usize) -> i16 {
+    field as i16 - R_SIZE
 }
 
 /// Converts a [`HookSpec`] into an eBPF attach type.
@@ -370,7 +371,7 @@ mod tests {
 
     /// Runs a compiled record program against a packet; returns
     /// (matched, drained perf records).
-    fn run_record(rule: FilterRule, pkt: &[u8]) -> (bool, Vec<crate::record::TraceRecord>) {
+    fn run_record(rule: FilterRule, pkt: &[u8]) -> (bool, Vec<vnet_tsdb::CompactRecord>) {
         let mut maps = MapRegistry::new();
         let perf_fd = maps.create(MapDef::perf(4096), 2).unwrap();
         let prog = compile(&spec(rule, Action::RecordPacketInfo), Some(perf_fd), None).unwrap();
@@ -397,7 +398,7 @@ mod tests {
             .unwrap()
             .perf_drain_all()
             .iter()
-            .map(|b| crate::record::TraceRecord::decode(b).unwrap())
+            .map(|b| vnet_tsdb::CompactRecord::decode(b).unwrap())
             .collect();
         (out.ret == 1, recs)
     }
@@ -409,23 +410,23 @@ mod tests {
         let (matched, recs) = run_record(udp_rule(), pkt.bytes());
         assert!(matched);
         assert_eq!(recs.len(), 1);
-        let r = recs[0];
-        assert!(r.has_trace_id());
-        assert_eq!(r.trace_id, 0xfeedc0de);
-        assert_eq!(r.timestamp_ns, 5555);
-        assert_eq!(r.pkt_len as usize, pkt.len());
-        assert_eq!(r.sport, 9000);
-        assert_eq!(r.dport, 7);
+        // The bytes the script assembled on its stack and pushed through
+        // the perf ring decode to exactly this record.
         assert_eq!(
-            std::net::Ipv4Addr::from(r.saddr),
-            Ipv4Addr::new(10, 0, 0, 1)
+            recs[0],
+            vnet_tsdb::CompactRecord {
+                timestamp_ns: 5555,
+                trace_id: 0xfeedc0de,
+                pkt_len: pkt.len() as u32,
+                saddr: u32::from(Ipv4Addr::new(10, 0, 0, 1)),
+                daddr: u32::from(Ipv4Addr::new(10, 0, 0, 2)),
+                sport: 9000,
+                dport: 7,
+                cpu: 1,
+                direction: 0,
+                flags: 1,
+            }
         );
-        assert_eq!(
-            std::net::Ipv4Addr::from(r.daddr),
-            Ipv4Addr::new(10, 0, 0, 2)
-        );
-        assert_eq!(r.cpu, 1);
-        assert_eq!(r.direction, 0);
     }
 
     #[test]
@@ -536,7 +537,7 @@ mod tests {
                 .unwrap()
                 .perf_drain_all()
                 .iter()
-                .map(|b| crate::record::TraceRecord::decode(b).unwrap())
+                .map(|b| vnet_tsdb::CompactRecord::decode(b).unwrap())
                 .collect();
             assert_eq!(recs.len(), 1);
             assert_eq!(u32::from(recs[0].drop_reason_code()), aux);

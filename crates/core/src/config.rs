@@ -94,13 +94,13 @@ impl FilterRule {
 /// 3: e.g. "records the current system time in nanosecond").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Action {
-    /// Emit a full [`crate::record::TraceRecord`] (timestamp, trace ID,
+    /// Emit a full [`vnet_tsdb::CompactRecord`] (timestamp, trace ID,
     /// length, flow, CPU, direction) into the perf buffer.
     RecordPacketInfo,
     /// Count matching events in a per-CPU counter (used for
     /// `net_rx_action` / `get_rps_cpu` statistics, Fig. 13a).
     CountPerCpu,
-    /// Emit a [`crate::record::TraceRecord`] that additionally captures
+    /// Emit a [`vnet_tsdb::CompactRecord`] that additionally captures
     /// the hook's auxiliary context word (the typed drop-reason code at
     /// `kfree_skb`) into record flag bits 1–3. Used by the `skb-drop`
     /// module; identical to [`Action::RecordPacketInfo`] at hooks whose

@@ -19,9 +19,10 @@
 //! * [`collector`] — the master-side *raw data collector* ingests record
 //!   batches into a per-tracepoint trace database (`vnet-tsdb`) and
 //!   doubles as a heartbeat monitor;
-//! * [`record`] / [`packet_id`] — the 4-byte per-packet trace ID embedded
-//!   in TCP options or appended to UDP payloads, which is what lets
-//!   records from isolated domains be joined;
+//! * [`packet_id`] — the 4-byte per-packet trace ID embedded in TCP
+//!   options or appended to UDP payloads, which is what lets records from
+//!   isolated domains be joined (the 32-byte record itself is
+//!   [`vnet_tsdb::CompactRecord`], from the eBPF stack to the store);
 //! * [`clock_sync`] — Cristian's-algorithm skew estimation for
 //!   cross-machine alignment;
 //! * [`metrics`] / [`analysis`] — offline computation of throughput,
@@ -75,7 +76,6 @@ pub mod error;
 pub mod metrics;
 pub mod modules;
 pub mod packet_id;
-pub mod record;
 pub mod tracer;
 
 pub use agent::{Agent, ScriptId, ScriptStats};
@@ -87,5 +87,4 @@ pub use config::{
 pub use dispatcher::Dispatcher;
 pub use error::{Result, TracerError};
 pub use modules::{MetricSpec, Module, ModuleRegistry, ModuleScope, OvsTap, TapSpec};
-pub use record::TraceRecord;
 pub use tracer::{DeployedScript, VNetTracer};

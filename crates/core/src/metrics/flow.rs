@@ -11,29 +11,19 @@ use vnet_tsdb::TraceDb;
 
 use super::loss::PacketLoss;
 use super::scan_table;
-use super::throughput::throughput_bps;
+use super::throughput::ThroughputWindow;
 
 /// Computes throughput per flow (grouped by the `flow` tag) at a
 /// tracepoint's table. Returns `(flow, bits/sec)` sorted by flow name.
 pub fn per_flow_throughput(db: &TraceDb, measurement: &str) -> Vec<(String, f64)> {
-    let mut groups: BTreeMap<String, Vec<(u64, u32, bool)>> = BTreeMap::new();
+    let mut flows: BTreeMap<String, ThroughputWindow> = BTreeMap::new();
     for e in scan_table(db, measurement).entries() {
-        let Some(flow) = e.tag("flow") else {
-            continue;
-        };
-        let Some(len) = e.field_u64("pkt_len") else {
-            continue;
-        };
-        groups.entry(flow.into_owned()).or_default().push((
-            e.timestamp_ns(),
-            len as u32,
-            e.trace_key().is_some(),
-        ));
+        if let (Some(flow), Some(len)) = (e.tag("flow"), e.field_u64("pkt_len")) {
+            let acc = flows.entry(flow.into_owned()).or_default();
+            acc.push(e.timestamp_ns(), len as u32, e.trace_key().is_some());
+        }
     }
-    groups
-        .into_iter()
-        .map(|(flow, samples)| (flow, throughput_bps(&samples)))
-        .collect()
+    flows.into_iter().map(|(f, acc)| (f, acc.bps())).collect()
 }
 
 /// Computes packet loss per flow between two tracepoints, grouping by

@@ -20,7 +20,7 @@ pub use flow::{per_flow_loss, per_flow_throughput};
 pub use jitter::{jitter_range, jitter_series, JitterTracker};
 pub use latency::{latency_between, stats_from_ns, LatencyStats};
 pub use loss::{packet_loss, PacketLoss};
-pub use throughput::{throughput_at, throughput_bps, TRACE_ID_WIRE_BYTES};
+pub use throughput::{throughput_at, throughput_bps, ThroughputWindow, TRACE_ID_WIRE_BYTES};
 
 use vnet_tsdb::{FirstSeen, Query, ScanResult, TraceDb};
 

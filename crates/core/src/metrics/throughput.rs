@@ -10,25 +10,58 @@ use vnet_tsdb::{columns, ColumnId, Query, Rows, TraceDb};
 /// Bytes the trace ID adds to each packet on the wire (`S_ID`).
 pub const TRACE_ID_WIRE_BYTES: u64 = 4;
 
+/// The throughput accumulator: what the formula needs from the records
+/// seen so far, updated record by record. The offline functions below
+/// fold a table through one; `vnet-live` keeps one per open window and
+/// one running total per tracepoint.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ThroughputWindow {
+    /// Records accumulated.
+    pub count: u64,
+    /// Effective wire bytes (packet length minus the trace-ID trailer).
+    pub bytes: u64,
+    /// Earliest record timestamp.
+    pub first_ts: u64,
+    /// Latest record timestamp.
+    pub last_ts: u64,
+}
+
+impl ThroughputWindow {
+    /// Accounts one record: `S_i − S_ID` bytes (nothing to subtract when
+    /// the packet carries no trace ID) at time `T_i`, in any order.
+    pub fn push(&mut self, ts: u64, pkt_len: u32, has_trace_id: bool) {
+        if self.count == 0 {
+            self.first_ts = ts;
+            self.last_ts = ts;
+        } else {
+            self.first_ts = self.first_ts.min(ts);
+            self.last_ts = self.last_ts.max(ts);
+        }
+        self.count += 1;
+        self.bytes +=
+            u64::from(pkt_len).saturating_sub(if has_trace_id { TRACE_ID_WIRE_BYTES } else { 0 });
+    }
+
+    /// Throughput in bits/second over the records' own span,
+    /// `Σ(S_i − S_ID)/(T_N − T_1)`; 0 with fewer than two records or
+    /// zero elapsed time.
+    pub fn bps(&self) -> f64 {
+        if self.count < 2 || self.last_ts == self.first_ts {
+            return 0.0;
+        }
+        (self.bytes * 8) as f64 / ((self.last_ts - self.first_ts) as f64 / 1e9)
+    }
+}
+
 /// Computes throughput in bits/second from `(timestamp_ns, size_bytes,
 /// carries_trace_id)` samples. Returns 0.0 with fewer than two samples or
 /// zero elapsed time.
 pub fn throughput_bps(samples: &[(u64, u32, bool)]) -> f64 {
-    if samples.len() < 2 {
-        return 0.0;
+    let mut acc = ThroughputWindow::default();
+    for &(ts, len, has_id) in samples {
+        acc.push(ts, len, has_id);
     }
-    let t_first = samples.iter().map(|s| s.0).min().expect("non-empty");
-    let t_last = samples.iter().map(|s| s.0).max().expect("non-empty");
-    if t_last == t_first {
-        return 0.0;
-    }
-    let bytes: u64 = samples
-        .iter()
-        .map(|&(_, len, has_id)| {
-            u64::from(len).saturating_sub(if has_id { TRACE_ID_WIRE_BYTES } else { 0 })
-        })
-        .sum();
-    (bytes * 8) as f64 / ((t_last - t_first) as f64 / 1e9)
+    acc.bps()
 }
 
 /// Computes throughput at a tracepoint's table, reading each record's
@@ -38,26 +71,25 @@ pub fn throughput_bps(samples: &[(u64, u32, bool)]) -> f64 {
 /// (or cannot be scanned).
 pub fn throughput_at(db: &TraceDb, measurement: &str) -> f64 {
     let project = columns(&[ColumnId::Ts, ColumnId::PktLen, ColumnId::Flags]);
-    let mut samples: Vec<(u64, u32, bool)> = Vec::new();
+    let mut acc = ThroughputWindow::default();
     let walked = Query::new(measurement).walk(db, &project, |rows| {
         match rows {
             Rows::Sealed { block, matched, .. } => {
                 let (ts, len) = (block.col(ColumnId::Ts), block.col(ColumnId::PktLen));
                 let flags = block.col(ColumnId::Flags);
-                samples.extend(
-                    matched
-                        .iter()
-                        .map(|&i| (ts[i], len[i] as u32, flags[i] & 1 != 0)),
-                );
+                for &i in matched {
+                    acc.push(ts[i], len[i] as u32, flags[i] & 1 != 0);
+                }
             }
-            Rows::Hot(_, e) => samples.extend(
-                e.field_u64("pkt_len")
-                    .map(|len| (e.timestamp_ns(), len as u32, e.trace_key().is_some())),
-            ),
+            Rows::Hot(_, e) => {
+                if let Some(len) = e.field_u64("pkt_len") {
+                    acc.push(e.timestamp_ns(), len as u32, e.trace_key().is_some());
+                }
+            }
         }
         Ok(())
     });
-    walked.map_or(0.0, |_| throughput_bps(&samples))
+    walked.map_or(0.0, |_| acc.bps())
 }
 
 #[cfg(test)]
@@ -86,6 +118,19 @@ mod tests {
         assert_eq!(throughput_bps(&[]), 0.0);
         assert_eq!(throughput_bps(&[(5, 100, false)]), 0.0);
         assert_eq!(throughput_bps(&[(5, 100, false), (5, 100, false)]), 0.0);
+    }
+
+    #[test]
+    fn two_samples_in_any_order_span_first_to_last() {
+        // 2 × (104 − 4) bytes over 1 ms, whichever sample comes first.
+        let expected = (200.0 * 8.0) / (1_000_000.0 / 1e9);
+        let sorted = [(1_000u64, 104u32, true), (1_001_000, 104, true)];
+        assert_eq!(throughput_bps(&sorted), expected);
+        let reversed = [sorted[1], sorted[0]];
+        assert_eq!(throughput_bps(&reversed), expected);
+        // The span is min..max, not first..last pushed.
+        let shuffled = [(500u64, 60u32, false), (100, 60, false), (300, 60, false)];
+        assert_eq!(throughput_bps(&shuffled), (180.0 * 8.0) / (400.0 / 1e9));
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl VNetTracer {
                 .ok_or_else(|| TracerError::UnknownNode(message.node.clone()))?;
             let sub = ControlPackage::from_json(&message.payload).map_err(TracerError::Config)?;
             for spec in &sub.traces {
-                let id = agent.install_with_config(world, spec, &sub.global)?;
+                let id = agent.install(world, spec, &sub.global)?;
                 let handle = DeployedScript {
                     name: spec.name.clone(),
                     node: message.node.clone(),

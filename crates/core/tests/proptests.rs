@@ -9,9 +9,9 @@ use vnet_ebpf::map::{MapDef, MapRegistry};
 use vnet_ebpf::program::load;
 use vnet_ebpf::vm::{standard_helpers, FixedEnv, Vm};
 use vnet_sim::packet::{FlowKey, IpProtocol, Packet, PacketBuilder, TcpFlags};
+use vnet_tsdb::CompactRecord;
 use vnettracer::compile::compile;
 use vnettracer::config::{Action, FilterRule, HookSpec, Proto, TraceSpec};
-use vnettracer::record::TraceRecord;
 
 // A small IP space so random rules and packets collide often.
 fn small_ip() -> impl Strategy<Value = Ipv4Addr> {
@@ -80,7 +80,7 @@ fn reference_match(rule: &FilterRule, pkt: &Packet) -> bool {
         && rule.dst_port.is_none_or(|p| p == flow.dst_port)
 }
 
-fn run_compiled(rule: FilterRule, pkt: &Packet) -> (bool, Vec<TraceRecord>) {
+fn run_compiled(rule: FilterRule, pkt: &Packet) -> (bool, Vec<CompactRecord>) {
     let mut maps = MapRegistry::new();
     let perf_fd = maps.create(MapDef::perf(65536), 1).unwrap();
     let spec = TraceSpec {
@@ -105,7 +105,7 @@ fn run_compiled(rule: FilterRule, pkt: &Packet) -> (bool, Vec<TraceRecord>) {
         .unwrap()
         .perf_drain_all()
         .iter()
-        .map(|b| TraceRecord::decode(b).unwrap())
+        .map(|b| CompactRecord::decode(b).unwrap())
         .collect();
     (out.ret == 1, recs)
 }
@@ -179,9 +179,9 @@ proptest! {
         direction in 0u8..2,
         flags in 0u8..4,
     ) {
-        let r = TraceRecord {
+        let r = CompactRecord {
             timestamp_ns, trace_id, pkt_len, saddr, daddr, sport, dport, cpu, direction, flags,
         };
-        prop_assert_eq!(TraceRecord::decode(&r.encode()), Some(r));
+        prop_assert_eq!(CompactRecord::decode(&r.encode()), Some(r));
     }
 }

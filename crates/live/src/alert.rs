@@ -266,7 +266,8 @@ impl AnomalyDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{LatencySummary, LossWindow, ThroughputWindow};
+    use crate::operators::{LatencySummary, LossWindow};
+    use crate::ThroughputWindow;
 
     fn lat(p99: u64) -> LatencySummary {
         LatencySummary {

@@ -16,18 +16,17 @@
 //! loss would land in the window has either completed or been evicted,
 //! so the emitted counts are final.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use vnet_sim::time::SimTime;
 use vnet_tsdb::sketch::DEFAULT_SKETCH_ERROR;
 use vnet_tsdb::RecordBatch;
 use vnettracer::clock_sync::SkewEstimate;
+use vnettracer::metrics::ThroughputWindow;
 use vnettracer::IngestSubscriber;
 
 use crate::alert::{Alert, AnomalyDetector, DetectorConfig};
-use crate::operators::{
-    Evicted, LatencyOp, LatencySummary, LossOp, LossWindow, Side, ThroughputOp, ThroughputWindow,
-};
+use crate::operators::{Evicted, LatencySummary, LossWindow, PairOp, Side, ThroughputOp};
 use crate::window::{WatermarkTracker, WindowSpec};
 
 /// What to compute and how tightly to bound state.
@@ -49,7 +48,7 @@ pub struct LiveConfig {
     pub pair_timeout_ns: u64,
     /// Relative error bound for the latency sketches.
     pub sketch_error: f64,
-    /// Hard cap on unmatched pairings per latency/loss operator.
+    /// Hard cap on unmatched pairings per tracepoint pair.
     pub max_pending_pairs: usize,
     /// Finalized windows retained for the caller (oldest dropped first).
     pub max_closed_windows: usize,
@@ -136,7 +135,8 @@ pub struct EngineState {
     pub open_windows: usize,
     /// Sketch buckets alive across all open-window and total sketches.
     pub sketch_buckets: usize,
-    /// Unmatched pairings waiting for their other half.
+    /// Unmatched pairings waiting for their other half. A tracepoint pair
+    /// tracked for both latency and loss holds each pairing once.
     pub pending_pairs: usize,
     /// Finalized windows retained in the ring.
     pub closed_windows: usize,
@@ -146,14 +146,33 @@ pub struct EngineState {
     pub records_processed: u64,
 }
 
+/// The operators one measurement's records feed.
+#[derive(Debug, Default)]
+struct Route {
+    /// Indices into `LiveEngine::throughput`.
+    throughput: Vec<usize>,
+    /// Indices into `LiveEngine::pairs`, with the side this measurement
+    /// is of each pair.
+    pairs: Vec<(usize, Side)>,
+}
+
 /// The streaming analysis engine. See the module docs for the lifecycle.
 #[derive(Debug)]
 pub struct LiveEngine {
     cfg: LiveConfig,
     watermark: WatermarkTracker,
     throughput: Vec<ThroughputOp>,
-    latency: Vec<LatencyOp>,
-    loss: Vec<LossOp>,
+    /// One operator per distinct `(from, to)` named by `cfg.latency` or
+    /// `cfg.loss`.
+    pairs: Vec<PairOp>,
+    /// Measurement name → the operators it feeds, resolved once here so
+    /// ingest does one lookup per record group.
+    routes: HashMap<String, Route>,
+    /// The pair operator behind each `cfg.latency` entry, in that order —
+    /// the order of [`WindowResult::latency`].
+    latency_order: Vec<usize>,
+    /// Likewise for `cfg.loss` and [`WindowResult::loss`].
+    loss_order: Vec<usize>,
     detector: AnomalyDetector,
     closed: VecDeque<WindowResult>,
     alerts: Vec<Alert>,
@@ -165,35 +184,54 @@ pub struct LiveEngine {
 impl LiveEngine {
     /// Builds the operator set described by `cfg`.
     pub fn new(cfg: LiveConfig) -> Self {
-        let throughput = cfg
+        let throughput: Vec<ThroughputOp> = cfg
             .throughput
             .iter()
             .map(|tp| ThroughputOp::new(tp.clone()))
             .collect();
-        let latency = cfg
-            .latency
-            .iter()
-            .map(|(f, t)| {
-                LatencyOp::new(
-                    f.clone(),
-                    t.clone(),
-                    cfg.sketch_error,
-                    cfg.max_pending_pairs,
-                )
-            })
-            .collect();
-        let loss = cfg
-            .loss
-            .iter()
-            .map(|(u, d)| LossOp::new(u.clone(), d.clone(), cfg.max_pending_pairs))
-            .collect();
+        let mut pairs: Vec<PairOp> = Vec::new();
+        let mut pair_index = |from: &str, to: &str| {
+            pairs
+                .iter()
+                .position(|p| p.from == from && p.to == to)
+                .unwrap_or_else(|| {
+                    pairs.push(PairOp::new(from, to, cfg.max_pending_pairs));
+                    pairs.len() - 1
+                })
+        };
+        let latency_order: Vec<usize> = cfg.latency.iter().map(|(f, t)| pair_index(f, t)).collect();
+        let loss_order: Vec<usize> = cfg.loss.iter().map(|(u, d)| pair_index(u, d)).collect();
+        for &i in &latency_order {
+            pairs[i].track_latency(cfg.sketch_error);
+        }
+        for &i in &loss_order {
+            pairs[i].track_loss();
+        }
+
+        let mut routes: HashMap<String, Route> = HashMap::new();
+        for (i, op) in throughput.iter().enumerate() {
+            let route = routes.entry(op.measurement.clone()).or_default();
+            route.throughput.push(i);
+        }
+        for (i, op) in pairs.iter().enumerate() {
+            let route = routes.entry(op.from.clone()).or_default();
+            route.pairs.push((i, Side::Up));
+            // A self-pair's records are its upstream side only.
+            if op.to != op.from {
+                let route = routes.entry(op.to.clone()).or_default();
+                route.pairs.push((i, Side::Down));
+            }
+        }
+
         let detector = AnomalyDetector::new(cfg.detector);
         LiveEngine {
             cfg,
             watermark: WatermarkTracker::new(),
             throughput,
-            latency,
-            loss,
+            pairs,
+            routes,
+            latency_order,
+            loss_order,
             detector,
             closed: VecDeque::new(),
             alerts: Vec::new(),
@@ -221,37 +259,9 @@ impl LiveEngine {
             if group.records.is_empty() {
                 continue;
             }
-            let m = group.measurement.as_str();
-            let tput: Vec<usize> = (0..self.throughput.len())
-                .filter(|&i| self.throughput[i].measurement == m)
-                .collect();
-            let lat: Vec<(usize, Side)> = (0..self.latency.len())
-                .filter_map(|i| {
-                    let op = &self.latency[i];
-                    if op.from == m {
-                        Some((i, Side::Up))
-                    } else if op.to == m {
-                        Some((i, Side::Down))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            let loss: Vec<(usize, Side)> = (0..self.loss.len())
-                .filter_map(|i| {
-                    let op = &self.loss[i];
-                    if op.upstream == m {
-                        Some((i, Side::Up))
-                    } else if op.downstream == m {
-                        Some((i, Side::Down))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            if tput.is_empty() && lat.is_empty() && loss.is_empty() {
+            let Some(route) = self.routes.get(group.measurement.as_str()) else {
                 continue;
-            }
+            };
             let skew = self.watermark.skew(&group.node);
             for r in &group.records {
                 let ts = skew.map_or(r.timestamp_ns, |s| s.align_remote_ns(r.timestamp_ns));
@@ -260,20 +270,18 @@ impl LiveEngine {
                     continue;
                 }
                 self.records_processed += 1;
-                for &i in &tput {
-                    self.throughput[i].push(
-                        &self.cfg.window,
-                        ts,
-                        r.pkt_len as u64,
-                        r.has_trace_id(),
-                    );
+                for &i in &route.throughput {
+                    self.throughput[i].push(&self.cfg.window, ts, r.pkt_len, r.has_trace_id());
                 }
                 if r.has_trace_id() {
-                    for &(i, side) in &lat {
-                        self.latency[i].push(&self.cfg.window, side, r.trace_id, ts);
-                    }
-                    for &(i, side) in &loss {
-                        self.loss[i].push(&self.cfg.window, side, r.trace_id, ts);
+                    for &(i, side) in &route.pairs {
+                        self.pairs[i].push(
+                            &self.cfg.window,
+                            side,
+                            r.trace_id,
+                            ts,
+                            &mut self.evict_scratch,
+                        );
                     }
                 }
             }
@@ -305,52 +313,41 @@ impl LiveEngine {
         // checked_sub: until a full timeout has elapsed no entry can have
         // timed out, not even one keyed at t=0.
         if let Some(evict_before) = watermark.checked_sub(self.cfg.pair_timeout_ns) {
-            for op in &mut self.latency {
-                op.evict(evict_before, &mut self.evict_scratch);
-            }
-            for op in &mut self.loss {
+            for op in &mut self.pairs {
                 op.evict(&self.cfg.window, evict_before, &mut self.evict_scratch);
             }
         }
 
         // A window is final once even its slowest pairing has resolved.
         let mut to_close: BTreeSet<u64> = BTreeSet::new();
-        let complete = |start: u64, spec: &WindowSpec| {
-            spec.end(start).saturating_add(self.cfg.pair_timeout_ns) <= watermark
-        };
+        let (window, pair_timeout_ns) = (self.cfg.window, self.cfg.pair_timeout_ns);
+        let complete = |start: u64| window.end(start).saturating_add(pair_timeout_ns) <= watermark;
         for op in &self.throughput {
-            to_close.extend(op.open_starts().filter(|&s| complete(s, &self.cfg.window)));
+            to_close.extend(op.windows.open_starts().filter(|&s| complete(s)));
         }
-        for op in &self.latency {
-            to_close.extend(op.open_starts().filter(|&s| complete(s, &self.cfg.window)));
-        }
-        for op in &self.loss {
-            to_close.extend(op.open_starts().filter(|&s| complete(s, &self.cfg.window)));
+        for op in &self.pairs {
+            to_close.extend(op.open_starts().filter(|&s| complete(s)));
         }
         for start in to_close {
+            let pairs = &mut self.pairs;
+            let closed: Vec<_> = pairs.iter_mut().map(|op| op.close(start)).collect();
             let result = WindowResult {
                 start_ns: start,
                 end_ns: self.cfg.window.end(start),
                 throughput: self
                     .throughput
                     .iter_mut()
-                    .filter_map(|op| op.close(start).map(|w| (op.measurement.clone(), w)))
+                    .filter_map(|op| op.windows.close(start).map(|w| (op.measurement.clone(), w)))
                     .collect(),
                 latency: self
-                    .latency
-                    .iter_mut()
-                    .filter_map(|op| {
-                        op.close(start)
-                            .map(|w| (format!("{}->{}", op.from, op.to), w))
-                    })
+                    .latency_order
+                    .iter()
+                    .filter_map(|&i| closed[i].0.map(|w| (pairs[i].label.clone(), w)))
                     .collect(),
                 loss: self
-                    .loss
-                    .iter_mut()
-                    .filter_map(|op| {
-                        op.close(start)
-                            .map(|w| (format!("{}->{}", op.upstream, op.downstream), w))
-                    })
+                    .loss_order
+                    .iter()
+                    .filter_map(|&i| closed[i].1.map(|w| (pairs[i].label.clone(), w)))
                     .collect(),
             };
             self.detector.on_window(&result, &mut self.alerts);
@@ -387,13 +384,14 @@ impl LiveEngine {
         self.watermark.watermark_ns()
     }
 
+    fn pair(&self, from: &str, to: &str) -> Option<&PairOp> {
+        self.pairs.iter().find(|op| op.from == from && op.to == to)
+    }
+
     /// Cumulative latency totals for the `(from, to)` pair, if tracked
     /// and non-empty.
     pub fn latency_total(&self, from: &str, to: &str) -> Option<LatencySummary> {
-        self.latency
-            .iter()
-            .find(|op| op.from == from && op.to == to)
-            .and_then(|op| op.total())
+        self.pair(from, to)?.latency.as_ref()?.total()
     }
 
     /// Cumulative throughput totals for `tracepoint`, if tracked.
@@ -401,40 +399,32 @@ impl LiveEngine {
         self.throughput
             .iter()
             .find(|op| op.measurement == tracepoint)
-            .map(|op| op.total())
+            .map(|op| op.windows.total)
     }
 
     /// Cumulative loss totals for the `(upstream, downstream)` pair, if
     /// tracked. Pairings still inside the timeout are in neither bucket.
     pub fn loss_total(&self, upstream: &str, downstream: &str) -> Option<LossWindow> {
-        self.loss
-            .iter()
-            .find(|op| op.upstream == upstream && op.downstream == downstream)
-            .map(|op| op.total())
+        let loss = self.pair(upstream, downstream)?.loss.as_ref()?;
+        Some(loss.total)
     }
 
     /// Unmatched pairings evicted for the `(upstream, downstream)`
     /// latency pair (no sample could be produced for them).
     pub fn latency_unmatched(&self, from: &str, to: &str) -> Option<u64> {
-        self.latency
-            .iter()
-            .find(|op| op.from == from && op.to == to)
-            .map(|op| op.unmatched)
+        let latency = self.pair(from, to)?.latency.as_ref()?;
+        Some(latency.unmatched)
     }
 
     /// Snapshot of all resident state, for bound checks and debugging.
     pub fn state(&self) -> EngineState {
+        let throughput_windows: usize =
+            self.throughput.iter().map(|o| o.windows.open_count()).sum();
         EngineState {
-            open_windows: self
-                .throughput
-                .iter()
-                .map(|o| o.open_count())
-                .sum::<usize>()
-                + self.latency.iter().map(|o| o.open_count()).sum::<usize>()
-                + self.loss.iter().map(|o| o.open_count()).sum::<usize>(),
-            sketch_buckets: self.latency.iter().map(|o| o.bucket_count()).sum(),
-            pending_pairs: self.latency.iter().map(|o| o.pending_len()).sum::<usize>()
-                + self.loss.iter().map(|o| o.pending_len()).sum::<usize>(),
+            open_windows: throughput_windows
+                + self.pairs.iter().map(|o| o.open_count()).sum::<usize>(),
+            sketch_buckets: self.pairs.iter().map(|o| o.bucket_count()).sum(),
+            pending_pairs: self.pairs.iter().map(|o| o.pending_len()).sum(),
             closed_windows: self.closed.len(),
             late_records: self.watermark.late_records(),
             records_processed: self.records_processed,
@@ -604,5 +594,82 @@ mod tests {
         let lat = e.latency_total("tx", "rx").unwrap();
         assert_eq!(lat.count, 10);
         assert_eq!(lat.jitter, Some((0, 0)), "constant 5us delay");
+    }
+
+    /// A run with some pairings left unmatched mid-stream: `k` packets
+    /// leave `tx`, all but every third arrive at `rx`.
+    fn lossy_stream(e: &mut LiveEngine) -> EngineState {
+        for k in 0..9u64 {
+            let ts = k * 100_000;
+            feed(e, "tx", &[rec(ts, k as u32 + 1, 100)], ts + 1_000);
+            if k % 3 != 0 {
+                feed(e, "rx", &[rec(ts + 5_000, k as u32 + 1, 100)], ts + 6_000);
+            }
+        }
+        e.state()
+    }
+
+    #[test]
+    fn a_pair_tracked_twice_is_paired_once() {
+        let latency_only =
+            LiveConfig::new(WindowSpec::tumbling(1_000_000)).track_latency("tx", "rx");
+        let mut a = LiveEngine::new(latency_only);
+        a.register_agent("n1", None);
+        let mut b = engine(); // latency + loss on the same pair
+        let (sa, sb) = (lossy_stream(&mut a), lossy_stream(&mut b));
+        assert_eq!(sa.pending_pairs, 3, "the three unmatched upstreams");
+        assert_eq!(sb.pending_pairs, sa.pending_pairs);
+        a.finish();
+        b.finish();
+        assert_eq!(a.latency_total("tx", "rx"), b.latency_total("tx", "rx"));
+        assert_eq!(a.latency_unmatched("tx", "rx"), Some(3));
+        assert_eq!(b.latency_unmatched("tx", "rx"), Some(3));
+        let l = b.loss_total("tx", "rx").unwrap();
+        assert_eq!((l.seen, l.delivered, l.lost), (9, 6, 3));
+        assert_eq!(a.loss_total("tx", "rx"), None, "loss was not asked for");
+    }
+
+    #[test]
+    fn results_keep_track_call_order() {
+        let cfg = LiveConfig::new(WindowSpec::tumbling(1_000_000))
+            .track_loss("a", "b")
+            .track_latency("c", "d")
+            .track_latency("a", "b")
+            .track_loss("c", "d");
+        let mut e = LiveEngine::new(cfg);
+        e.register_agent("n1", None);
+        feed(&mut e, "a", &[rec(100, 1, 100)], 100);
+        feed(&mut e, "b", &[rec(150, 1, 100)], 150);
+        feed(&mut e, "c", &[rec(200, 1, 100)], 200);
+        feed(&mut e, "d", &[rec(250, 1, 100)], 250);
+        e.finish();
+        let closed = e.drain_closed();
+        assert_eq!(closed.len(), 1);
+        let labels = |v: Vec<&String>| v.into_iter().cloned().collect::<Vec<_>>();
+        assert_eq!(
+            labels(closed[0].latency.iter().map(|(l, _)| l).collect()),
+            ["c->d", "a->b"]
+        );
+        assert_eq!(
+            labels(closed[0].loss.iter().map(|(l, _)| l).collect()),
+            ["a->b", "c->d"]
+        );
+        assert_eq!(closed[0].latency[1].1.count, 1);
+        assert_eq!(closed[0].loss[0].1.delivered, 1);
+    }
+
+    #[test]
+    fn unrouted_groups_are_not_processed() {
+        let mut e = engine();
+        feed(
+            &mut e,
+            "elsewhere",
+            &[rec(100, 1, 100), rec(200, 2, 100)],
+            300,
+        );
+        assert_eq!(e.state().records_processed, 0);
+        assert_eq!(e.state().late_records, 0);
+        feed(&mut e, "rx", &[rec(350, 1, 100)], 400);
+        assert_eq!(e.state().records_processed, 1);
     }
 }

@@ -17,9 +17,11 @@
 //!   driven by per-agent heartbeats widened by each agent's
 //!   [`SkewEstimate`](vnettracer::clock_sync::SkewEstimate) residual;
 //!   records below the watermark are counted, not silently dropped;
-//! * [`operators`] — incremental throughput, latency (log-bucketed
+//! * [`operators`] — incremental throughput (the offline path's own
+//!   [`ThroughputWindow`]), latency (log-bucketed
 //!   [`LogHistogram`](vnet_tsdb::sketch::LogHistogram) percentiles plus
-//!   RFC 3550 jitter) and loss (trace-ID pairing with timeout eviction);
+//!   RFC 3550 jitter) and loss, the last two fed by one trace-ID pairing
+//!   with timeout eviction per tracepoint pair;
 //! * [`alert`] — EWMA baseline detectors emitting typed [`Alert`]s for
 //!   latency spikes, loss bursts, throughput collapses and stalled
 //!   agents;
@@ -60,5 +62,6 @@ pub mod window;
 
 pub use alert::{Alert, AlertKind, AnomalyDetector, DetectorConfig};
 pub use engine::{EngineState, LiveConfig, LiveEngine, WindowResult};
-pub use operators::{LatencySummary, LossWindow, PairTracker, ThroughputWindow};
+pub use operators::{LatencySummary, LossWindow, PairTracker};
+pub use vnettracer::metrics::ThroughputWindow;
 pub use window::{WatermarkTracker, WindowSpec};

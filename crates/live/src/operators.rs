@@ -2,19 +2,21 @@
 //!
 //! Each operator maintains O(1)-per-window state updated record by
 //! record — no buffering of raw samples. Latency and loss pair records
-//! across two tracepoints by trace ID through a [`PairTracker`] whose
-//! pending set is bounded two ways: entries older than the pair timeout
-//! are evicted as the watermark passes them (an unmatched upstream
-//! becomes a loss), and a hard capacity cap force-evicts the oldest
-//! entry under overload, so state cannot grow with trace size even if
-//! the watermark stalls.
+//! across two tracepoints by trace ID; a tracepoint pair is paired once,
+//! by one [`PairOp`] feeding both metrics from a single [`PairTracker`]
+//! whose pending set is bounded two ways: entries older than the pair
+//! timeout are evicted as the watermark passes them (an unmatched
+//! upstream becomes a loss), and a hard capacity cap force-evicts the
+//! oldest entry under overload, so state cannot grow with trace size even
+//! if the watermark stalls.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 use vnet_tsdb::sketch::LogHistogram;
-use vnettracer::metrics::{JitterTracker, TRACE_ID_WIRE_BYTES};
+use vnettracer::metrics::{JitterTracker, ThroughputWindow};
 
-use crate::window::WindowSpec;
+use crate::window::{OpenWindows, WindowSpec};
 
 /// One side of a trace-ID pairing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,14 +25,6 @@ pub enum Side {
     Up,
     /// The downstream (`to`) tracepoint.
     Down,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    up_ts: Option<u64>,
-    down_ts: Option<u64>,
-    /// Event time of the first-arriving side — the eviction key.
-    key_ts: u64,
 }
 
 /// A completed (upstream, downstream) timestamp pair.
@@ -42,21 +36,24 @@ pub struct PairedSample {
     pub down_ts: u64,
 }
 
-/// An entry evicted unmatched: at most one side ever arrived.
+/// An entry evicted unmatched: only one side ever arrived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
-    /// The upstream timestamp, if the upstream record arrived.
-    pub up_ts: Option<u64>,
-    /// The downstream timestamp, if the downstream record arrived.
-    pub down_ts: Option<u64>,
+    /// The side that did arrive.
+    pub side: Side,
+    /// Its event timestamp (aligned).
+    pub ts: u64,
 }
 
-/// Bounded trace-ID pairing state shared by the latency and loss
-/// operators. Either side may arrive first; the first record per
-/// (id, side) wins, matching the offline join's first-record rule.
+/// Bounded trace-ID pairing state for one tracepoint pair. Either side
+/// may arrive first; the first record per (id, side) wins, matching the
+/// offline join's first-record rule.
 #[derive(Debug, Default)]
 pub struct PairTracker {
-    pending: HashMap<u32, Pending>,
+    /// The one side seen so far of each unmatched trace ID, and when.
+    pending: HashMap<u32, (Side, u64)>,
+    /// `(id, first arrival)` in arrival order — the eviction queue. Slots
+    /// of completed pairs stay behind and are skipped when reached.
     fifo: VecDeque<(u32, u64)>,
     max_pending: usize,
 }
@@ -86,40 +83,32 @@ impl PairTracker {
         ts: u64,
         overflow: &mut Vec<Evicted>,
     ) -> Option<PairedSample> {
-        match self.pending.get_mut(&trace_id) {
-            Some(p) => {
-                match side {
-                    Side::Up if p.up_ts.is_none() => p.up_ts = Some(ts),
-                    Side::Down if p.down_ts.is_none() => p.down_ts = Some(ts),
-                    // A duplicate of an already-seen side: first wins.
-                    _ => return None,
+        match self.pending.entry(trace_id) {
+            Entry::Occupied(first) => {
+                let (first_side, first_ts) = *first.get();
+                if first_side == side {
+                    // A duplicate of the already-seen side: first wins.
+                    return None;
                 }
-                if let (Some(up_ts), Some(down_ts)) = (p.up_ts, p.down_ts) {
-                    self.pending.remove(&trace_id);
-                    return Some(PairedSample { up_ts, down_ts });
-                }
-                None
+                first.remove();
+                Some(match side {
+                    Side::Up => PairedSample {
+                        up_ts: ts,
+                        down_ts: first_ts,
+                    },
+                    Side::Down => PairedSample {
+                        up_ts: first_ts,
+                        down_ts: ts,
+                    },
+                })
             }
-            None => {
-                let p = match side {
-                    Side::Up => Pending {
-                        up_ts: Some(ts),
-                        down_ts: None,
-                        key_ts: ts,
-                    },
-                    Side::Down => Pending {
-                        up_ts: None,
-                        down_ts: Some(ts),
-                        key_ts: ts,
-                    },
-                };
-                self.pending.insert(trace_id, p);
+            Entry::Vacant(slot) => {
+                slot.insert((side, ts));
                 self.fifo.push_back((trace_id, ts));
                 while self.pending.len() > self.max_pending {
-                    if let Some(e) = self.pop_front_live() {
-                        overflow.push(e);
-                    } else {
-                        break;
+                    match self.pop_oldest(u64::MAX) {
+                        Some(e) => overflow.push(e),
+                        None => break,
                     }
                 }
                 None
@@ -127,17 +116,18 @@ impl PairTracker {
         }
     }
 
-    /// Pops the oldest still-pending entry, skipping stale fifo slots
-    /// left behind by completed pairs.
-    fn pop_front_live(&mut self) -> Option<Evicted> {
-        while let Some((id, ts)) = self.fifo.pop_front() {
-            if let Some(p) = self.pending.get(&id) {
-                if p.key_ts == ts {
-                    let p = self.pending.remove(&id).expect("just found");
-                    return Some(Evicted {
-                        up_ts: p.up_ts,
-                        down_ts: p.down_ts,
-                    });
+    /// Pops the oldest still-pending entry whose first arrival is at or
+    /// below `threshold_ts`, discarding the stale fifo slots before it.
+    fn pop_oldest(&mut self, threshold_ts: u64) -> Option<Evicted> {
+        while let Some(&(id, ts)) = self.fifo.front() {
+            if ts > threshold_ts {
+                break;
+            }
+            self.fifo.pop_front();
+            if let Entry::Occupied(e) = self.pending.entry(id) {
+                if e.get().1 == ts {
+                    let (side, ts) = e.remove();
+                    return Some(Evicted { side, ts });
                 }
             }
         }
@@ -147,60 +137,7 @@ impl PairTracker {
     /// Evicts every entry whose first arrival is at or below
     /// `threshold_ts` — called as the watermark passes the pair timeout.
     pub fn evict_older_than(&mut self, threshold_ts: u64, out: &mut Vec<Evicted>) {
-        loop {
-            match self.fifo.front() {
-                Some(&(id, ts)) if ts <= threshold_ts => {
-                    self.fifo.pop_front();
-                    if let Some(p) = self.pending.get(&id) {
-                        if p.key_ts == ts {
-                            let p = self.pending.remove(&id).expect("just found");
-                            out.push(Evicted {
-                                up_ts: p.up_ts,
-                                down_ts: p.down_ts,
-                            });
-                        }
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-}
-
-/// Per-window throughput accumulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ThroughputWindow {
-    /// Records in the window.
-    pub count: u64,
-    /// Effective wire bytes (packet length minus the trace-ID trailer).
-    pub bytes: u64,
-    /// Earliest record timestamp.
-    pub first_ts: u64,
-    /// Latest record timestamp.
-    pub last_ts: u64,
-}
-
-impl ThroughputWindow {
-    fn push(&mut self, ts: u64, bytes: u64) {
-        if self.count == 0 {
-            self.first_ts = ts;
-            self.last_ts = ts;
-        } else {
-            self.first_ts = self.first_ts.min(ts);
-            self.last_ts = self.last_ts.max(ts);
-        }
-        self.count += 1;
-        self.bytes += bytes;
-    }
-
-    /// Throughput in bits/second over the records' own span (the
-    /// paper's `Σ(S_i − S_ID)/(T_N − T_1)` formula applied window-
-    /// locally); 0 with fewer than two records.
-    pub fn bps(&self) -> f64 {
-        if self.count < 2 || self.last_ts == self.first_ts {
-            return 0.0;
-        }
-        (self.bytes * 8) as f64 / ((self.last_ts - self.first_ts) as f64 / 1e9)
+        out.extend(std::iter::from_fn(|| self.pop_oldest(threshold_ts)));
     }
 }
 
@@ -211,42 +148,20 @@ impl ThroughputWindow {
 pub struct ThroughputOp {
     /// The traced tracepoint (table) name.
     pub measurement: String,
-    windows: BTreeMap<u64, ThroughputWindow>,
-    total: ThroughputWindow,
+    pub(crate) windows: OpenWindows<ThroughputWindow>,
 }
 
 impl ThroughputOp {
     pub(crate) fn new(measurement: String) -> Self {
         ThroughputOp {
             measurement,
-            windows: BTreeMap::new(),
-            total: ThroughputWindow::default(),
+            windows: OpenWindows::new(ThroughputWindow::default()),
         }
     }
 
-    pub(crate) fn push(&mut self, spec: &WindowSpec, ts: u64, pkt_len: u64, has_trace_id: bool) {
-        let bytes = pkt_len.saturating_sub(if has_trace_id { TRACE_ID_WIRE_BYTES } else { 0 });
-        for start in spec.windows(ts) {
-            self.windows.entry(start).or_default().push(ts, bytes);
-        }
-        self.total.push(ts, bytes);
-    }
-
-    pub(crate) fn close(&mut self, start: u64) -> Option<ThroughputWindow> {
-        self.windows.remove(&start)
-    }
-
-    pub(crate) fn open_starts(&self) -> impl Iterator<Item = u64> + '_ {
-        self.windows.keys().copied()
-    }
-
-    pub(crate) fn open_count(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Exact running totals since the engine started.
-    pub fn total(&self) -> ThroughputWindow {
-        self.total
+    pub(crate) fn push(&mut self, spec: &WindowSpec, ts: u64, pkt_len: u32, has_trace_id: bool) {
+        self.windows
+            .update(spec, ts, |w| w.push(ts, pkt_len, has_trace_id));
     }
 }
 
@@ -271,13 +186,25 @@ pub struct LatencySummary {
     pub smoothed_jitter_ns: f64,
 }
 
-#[derive(Debug)]
-struct LatencyWindow {
+#[derive(Debug, Clone)]
+pub(crate) struct LatencyWindow {
     sketch: LogHistogram,
     jitter: JitterTracker,
 }
 
 impl LatencyWindow {
+    fn new(sketch_error: f64) -> Self {
+        LatencyWindow {
+            sketch: LogHistogram::with_relative_error(sketch_error),
+            jitter: JitterTracker::new(),
+        }
+    }
+
+    fn record(&mut self, delta_ns: u64) {
+        self.sketch.record(delta_ns);
+        self.jitter.push(delta_ns);
+    }
+
     fn summary(&self) -> LatencySummary {
         LatencySummary {
             count: self.sketch.count(),
@@ -291,114 +218,34 @@ impl LatencyWindow {
     }
 }
 
-/// Streaming two-tracepoint latency: trace-ID pairing feeding one
+/// What a pair's completed samples feed when its latency is tracked: one
 /// log-bucketed sketch and jitter tracker per window (plus cumulative
 /// ones), assigned to the window containing the *downstream* timestamp.
 #[derive(Debug)]
-pub struct LatencyOp {
-    /// Upstream tracepoint name.
-    pub from: String,
-    /// Downstream tracepoint name.
-    pub to: String,
-    pairs: PairTracker,
-    windows: BTreeMap<u64, LatencyWindow>,
-    total_sketch: LogHistogram,
-    total_jitter: JitterTracker,
-    sketch_error: f64,
+pub(crate) struct LatencyWindows {
+    pub(crate) windows: OpenWindows<LatencyWindow>,
     /// Pairs whose delta came out negative (clock inversion beyond the
     /// skew estimate) — dropped, as offline data cleaning would.
-    pub negative_dropped: u64,
+    negative_dropped: u64,
     /// Pairs evicted unmatched (no latency sample possible).
-    pub unmatched: u64,
+    pub(crate) unmatched: u64,
 }
 
-impl LatencyOp {
-    pub(crate) fn new(from: String, to: String, sketch_error: f64, max_pending: usize) -> Self {
-        LatencyOp {
-            from,
-            to,
-            pairs: PairTracker::new(max_pending),
-            windows: BTreeMap::new(),
-            total_sketch: LogHistogram::with_relative_error(sketch_error),
-            total_jitter: JitterTracker::new(),
-            sketch_error,
-            negative_dropped: 0,
-            unmatched: 0,
-        }
-    }
-
-    pub(crate) fn push(&mut self, spec: &WindowSpec, side: Side, trace_id: u32, ts: u64) {
-        let mut overflow = Vec::new();
-        if let Some(pair) = self.pairs.observe(trace_id, side, ts, &mut overflow) {
-            self.record_pair(spec, pair);
-        }
-        self.unmatched += overflow.len() as u64;
-    }
-
+impl LatencyWindows {
     fn record_pair(&mut self, spec: &WindowSpec, pair: PairedSample) {
         let Some(delta) = pair.down_ts.checked_sub(pair.up_ts) else {
             self.negative_dropped += 1;
             return;
         };
-        let err = self.sketch_error;
-        for start in spec.windows(pair.down_ts) {
-            let w = self.windows.entry(start).or_insert_with(|| LatencyWindow {
-                sketch: LogHistogram::with_relative_error(err),
-                jitter: JitterTracker::new(),
-            });
-            w.sketch.record(delta);
-            w.jitter.push(delta);
-        }
-        self.total_sketch.record(delta);
-        self.total_jitter.push(delta);
-    }
-
-    pub(crate) fn evict(&mut self, threshold_ts: u64, scratch: &mut Vec<Evicted>) {
-        scratch.clear();
-        self.pairs.evict_older_than(threshold_ts, scratch);
-        self.unmatched += scratch.len() as u64;
-    }
-
-    pub(crate) fn close(&mut self, start: u64) -> Option<LatencySummary> {
-        self.windows.remove(&start).map(|w| w.summary())
-    }
-
-    pub(crate) fn open_starts(&self) -> impl Iterator<Item = u64> + '_ {
-        self.windows.keys().copied()
-    }
-
-    pub(crate) fn open_count(&self) -> usize {
-        self.windows.len()
-    }
-
-    pub(crate) fn pending_len(&self) -> usize {
-        self.pairs.pending_len()
-    }
-
-    pub(crate) fn bucket_count(&self) -> usize {
-        self.windows
-            .values()
-            .map(|w| w.sketch.bucket_count())
-            .sum::<usize>()
-            + self.total_sketch.bucket_count()
+        self.windows.update(spec, pair.down_ts, |w| w.record(delta));
     }
 
     /// Cumulative latency summary since the engine started, within the
     /// sketch's documented error for percentiles and exact for the
     /// jitter range (same [`JitterTracker`] as the offline path).
-    pub fn total(&self) -> Option<LatencySummary> {
-        if self.total_sketch.count() == 0 {
-            return None;
-        }
-        Some(LatencySummary {
-            count: self.total_sketch.count(),
-            p50_ns: self.total_sketch.quantile(0.50).unwrap_or(0),
-            p95_ns: self.total_sketch.quantile(0.95).unwrap_or(0),
-            p99_ns: self.total_sketch.quantile(0.99).unwrap_or(0),
-            mean_ns: self.total_sketch.mean(),
-            jitter: self.total_jitter.range(),
-            smoothed_jitter_ns: self.total_jitter.smoothed_ns(),
-        })
+    pub(crate) fn total(&self) -> Option<LatencySummary> {
+        let total = &self.windows.total;
+        (total.sketch.count() > 0).then(|| total.summary())
     }
 }
 
@@ -425,48 +272,82 @@ impl LossWindow {
     }
 }
 
-/// Streaming two-tracepoint loss: trace-ID pairing with timeout-based
-/// eviction. An upstream record that outlives the pair timeout without a
-/// downstream match is a loss; downstream-only entries evict silently.
+/// Streaming trace-ID pairing across one `(from, to)` tracepoint pair:
+/// a single [`PairTracker`] whose completed samples feed the latency
+/// windows and whose arrivals, completions and timeouts feed the loss
+/// windows — whichever of the two the configuration asked for. An
+/// upstream record that outlives the pair timeout without a downstream
+/// match is a loss; downstream-only entries evict silently.
 #[derive(Debug)]
-pub struct LossOp {
+pub struct PairOp {
     /// Upstream tracepoint name.
-    pub upstream: String,
+    pub from: String,
     /// Downstream tracepoint name.
-    pub downstream: String,
-    pairs: PairTracker,
-    windows: BTreeMap<u64, LossWindow>,
-    total: LossWindow,
+    pub to: String,
+    /// The pair's stream label in a finalized window: `from->to`.
+    pub label: String,
+    tracker: PairTracker,
+    pub(crate) latency: Option<LatencyWindows>,
+    /// Keyed by the *upstream* timestamp's window. `total.lost` counts
+    /// only finalized (timed-out) pairs; entries still inside the pair
+    /// timeout are neither delivered nor lost yet.
+    pub(crate) loss: Option<OpenWindows<LossWindow>>,
 }
 
-impl LossOp {
-    pub(crate) fn new(upstream: String, downstream: String, max_pending: usize) -> Self {
-        LossOp {
-            upstream,
-            downstream,
-            pairs: PairTracker::new(max_pending),
-            windows: BTreeMap::new(),
-            total: LossWindow::default(),
+impl PairOp {
+    /// A pair feeding nothing yet; see [`PairOp::track_latency`] and
+    /// [`PairOp::track_loss`].
+    pub(crate) fn new(from: &str, to: &str, max_pending: usize) -> Self {
+        PairOp {
+            from: from.to_owned(),
+            to: to.to_owned(),
+            label: format!("{from}->{to}"),
+            tracker: PairTracker::new(max_pending),
+            latency: None,
+            loss: None,
         }
     }
 
-    pub(crate) fn push(&mut self, spec: &WindowSpec, side: Side, trace_id: u32, ts: u64) {
-        if side == Side::Up {
-            for start in spec.windows(ts) {
-                self.windows.entry(start).or_default().seen += 1;
-            }
-            self.total.seen += 1;
-        }
-        let mut overflow = Vec::new();
-        if let Some(pair) = self.pairs.observe(trace_id, side, ts, &mut overflow) {
-            for start in spec.windows(pair.up_ts) {
-                self.windows.entry(start).or_default().delivered += 1;
-            }
-            self.total.delivered += 1;
-        }
-        self.account_evictions(spec, &overflow);
+    pub(crate) fn track_latency(&mut self, sketch_error: f64) {
+        self.latency.get_or_insert_with(|| LatencyWindows {
+            windows: OpenWindows::new(LatencyWindow::new(sketch_error)),
+            negative_dropped: 0,
+            unmatched: 0,
+        });
     }
 
+    pub(crate) fn track_loss(&mut self) {
+        self.loss
+            .get_or_insert_with(|| OpenWindows::new(LossWindow::default()));
+    }
+
+    /// Feeds one trace-ID-carrying record seen at `side` of the pair.
+    /// `scratch` is overwritten.
+    pub(crate) fn push(
+        &mut self,
+        spec: &WindowSpec,
+        side: Side,
+        trace_id: u32,
+        ts: u64,
+        scratch: &mut Vec<Evicted>,
+    ) {
+        if let (Side::Up, Some(loss)) = (side, &mut self.loss) {
+            loss.update(spec, ts, |w| w.seen += 1);
+        }
+        scratch.clear();
+        if let Some(pair) = self.tracker.observe(trace_id, side, ts, scratch) {
+            if let Some(latency) = &mut self.latency {
+                latency.record_pair(spec, pair);
+            }
+            if let Some(loss) = &mut self.loss {
+                loss.update(spec, pair.up_ts, |w| w.delivered += 1);
+            }
+        }
+        self.account_evictions(spec, scratch);
+    }
+
+    /// Evicts pairings whose first arrival is at or below `threshold_ts`.
+    /// `scratch` is overwritten.
     pub(crate) fn evict(
         &mut self,
         spec: &WindowSpec,
@@ -474,47 +355,53 @@ impl LossOp {
         scratch: &mut Vec<Evicted>,
     ) {
         scratch.clear();
-        self.pairs.evict_older_than(threshold_ts, scratch);
-        let evicted = std::mem::take(scratch);
-        self.account_evictions(spec, &evicted);
-        *scratch = evicted;
+        self.tracker.evict_older_than(threshold_ts, scratch);
+        self.account_evictions(spec, scratch);
     }
 
     fn account_evictions(&mut self, spec: &WindowSpec, evicted: &[Evicted]) {
-        for e in evicted {
+        if let Some(latency) = &mut self.latency {
+            latency.unmatched += evicted.len() as u64;
+        }
+        if let Some(loss) = &mut self.loss {
             // Only an unmatched *upstream* is a lost packet; an orphan
-            // downstream record has no upstream baseline to count
-            // against (the offline N_i − N_j clamps these to zero too).
-            if let (Some(up_ts), None) = (e.up_ts, e.down_ts) {
-                for start in spec.windows(up_ts) {
-                    self.windows.entry(start).or_default().lost += 1;
-                }
-                self.total.lost += 1;
+            // downstream record has no upstream baseline to count against
+            // (the offline N_i − N_j clamps these to zero too).
+            for e in evicted.iter().filter(|e| e.side == Side::Up) {
+                loss.update(spec, e.ts, |w| w.lost += 1);
             }
         }
     }
 
-    pub(crate) fn close(&mut self, start: u64) -> Option<LossWindow> {
-        self.windows.remove(&start)
+    /// Finalizes the window starting at `start` on both sides.
+    pub(crate) fn close(&mut self, start: u64) -> (Option<LatencySummary>, Option<LossWindow>) {
+        (
+            self.latency
+                .as_mut()
+                .and_then(|l| l.windows.close(start))
+                .map(|w| w.summary()),
+            self.loss.as_mut().and_then(|l| l.close(start)),
+        )
     }
 
+    /// Starts of this pair's open latency and loss windows.
     pub(crate) fn open_starts(&self) -> impl Iterator<Item = u64> + '_ {
-        self.windows.keys().copied()
+        let latency = self.latency.iter().flat_map(|l| l.windows.open_starts());
+        latency.chain(self.loss.iter().flat_map(|l| l.open_starts()))
     }
 
     pub(crate) fn open_count(&self) -> usize {
-        self.windows.len()
+        self.latency.as_ref().map_or(0, |l| l.windows.open_count())
+            + self.loss.as_ref().map_or(0, |l| l.open_count())
     }
 
     pub(crate) fn pending_len(&self) -> usize {
-        self.pairs.pending_len()
+        self.tracker.pending_len()
     }
 
-    /// Cumulative loss totals since the engine started. `lost` counts
-    /// only finalized (timed-out) pairs; entries still inside the pair
-    /// timeout are neither delivered nor lost yet.
-    pub fn total(&self) -> LossWindow {
-        self.total
+    pub(crate) fn bucket_count(&self) -> usize {
+        let sketches = self.latency.iter().flat_map(|l| l.windows.values());
+        sketches.map(|w| w.sketch.bucket_count()).sum()
     }
 }
 
@@ -575,8 +462,8 @@ mod tests {
         assert_eq!(
             evicted,
             vec![Evicted {
-                up_ts: Some(500),
-                down_ts: None
+                side: Side::Up,
+                ts: 500
             }]
         );
         assert_eq!(t.pending_len(), 0);
@@ -593,8 +480,8 @@ mod tests {
         assert_eq!(
             ov,
             vec![Evicted {
-                up_ts: Some(100),
-                down_ts: None
+                side: Side::Up,
+                ts: 100
             }]
         );
     }
@@ -606,71 +493,116 @@ mod tests {
         for ts in [0u64, 500, 999, 1_000, 1_500] {
             op.push(&spec(), ts, 104, true);
         }
-        let w0 = op.close(0).unwrap();
+        let w0 = op.windows.close(0).unwrap();
         assert_eq!(w0.count, 3);
         assert_eq!(w0.bytes, 300);
         assert_eq!(w0.first_ts, 0);
         assert_eq!(w0.last_ts, 999);
         let expected = (300.0 * 8.0) / (999.0 / 1e9);
         assert!((w0.bps() - expected).abs() < 1e-6);
-        let total = op.total();
+        let total = op.windows.total;
         assert_eq!(total.count, 5);
         assert_eq!(total.bytes, 500);
         assert_eq!(total.first_ts, 0);
         assert_eq!(total.last_ts, 1_500);
     }
 
+    fn latency_pair() -> PairOp {
+        let mut op = PairOp::new("a", "b", 1024);
+        op.track_latency(0.01);
+        op
+    }
+
+    fn loss_pair() -> PairOp {
+        let mut op = PairOp::new("a", "b", 1024);
+        op.track_loss();
+        op
+    }
+
     #[test]
-    fn latency_op_pairs_into_downstream_window() {
-        let mut op = LatencyOp::new("a".into(), "b".into(), 0.01, 1024);
-        op.push(&spec(), Side::Up, 7, 900);
-        op.push(&spec(), Side::Down, 7, 1_100); // delta 200, window 1000
-        op.push(&spec(), Side::Up, 8, 950);
-        op.push(&spec(), Side::Down, 8, 1_250); // delta 300, window 1000
-        assert!(op.close(0).is_none(), "samples land in the down window");
-        let s = op.close(1_000).unwrap();
+    fn latency_pairs_into_downstream_window() {
+        let mut op = latency_pair();
+        let mut scratch = Vec::new();
+        op.push(&spec(), Side::Up, 7, 900, &mut scratch);
+        op.push(&spec(), Side::Down, 7, 1_100, &mut scratch); // delta 200, window 1000
+        op.push(&spec(), Side::Up, 8, 950, &mut scratch);
+        op.push(&spec(), Side::Down, 8, 1_250, &mut scratch); // delta 300, window 1000
+        assert_eq!(op.close(0), (None, None), "samples land in the down window");
+        let (s, loss) = op.close(1_000);
+        let s = s.unwrap();
+        assert_eq!(loss, None, "loss was not asked for");
         assert_eq!(s.count, 2);
         assert_eq!(s.jitter, Some((100, 100)));
         assert!((s.mean_ns - 250.0).abs() < 1e-9);
-        let total = op.total().unwrap();
+        let total = op.latency.as_ref().unwrap().total().unwrap();
         assert_eq!(total.count, 2);
     }
 
     #[test]
     fn latency_negative_deltas_dropped() {
-        let mut op = LatencyOp::new("a".into(), "b".into(), 0.01, 1024);
-        op.push(&spec(), Side::Up, 7, 2_000);
-        op.push(&spec(), Side::Down, 7, 1_500);
-        assert_eq!(op.negative_dropped, 1);
-        assert!(op.total().is_none());
+        let mut op = latency_pair();
+        let mut scratch = Vec::new();
+        op.push(&spec(), Side::Up, 7, 2_000, &mut scratch);
+        op.push(&spec(), Side::Down, 7, 1_500, &mut scratch);
+        let latency = op.latency.as_ref().unwrap();
+        assert_eq!(latency.negative_dropped, 1);
+        assert!(latency.total().is_none());
     }
 
     #[test]
-    fn loss_op_counts_seen_delivered_lost() {
-        let mut op = LossOp::new("a".into(), "b".into(), 1024);
+    fn loss_counts_seen_delivered_lost() {
+        let mut op = loss_pair();
         let s = spec();
-        op.push(&s, Side::Up, 1, 100);
-        op.push(&s, Side::Up, 2, 200);
-        op.push(&s, Side::Up, 3, 300);
-        op.push(&s, Side::Down, 1, 150);
         let mut scratch = Vec::new();
+        op.push(&s, Side::Up, 1, 100, &mut scratch);
+        op.push(&s, Side::Up, 2, 200, &mut scratch);
+        op.push(&s, Side::Up, 3, 300, &mut scratch);
+        op.push(&s, Side::Down, 1, 150, &mut scratch);
         op.evict(&s, 400, &mut scratch);
-        let w = op.close(0).unwrap();
+        let (latency, w) = op.close(0);
+        let w = w.unwrap();
+        assert_eq!(latency, None, "latency was not asked for");
         assert_eq!(w.seen, 3);
         assert_eq!(w.delivered, 1);
         assert_eq!(w.lost, 2);
         assert!((w.rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(op.total().lost, 2);
+        assert_eq!(op.loss.as_ref().unwrap().total.lost, 2);
     }
 
     #[test]
     fn loss_orphan_downstream_is_not_a_loss() {
-        let mut op = LossOp::new("a".into(), "b".into(), 1024);
+        let mut op = loss_pair();
         let s = spec();
-        op.push(&s, Side::Down, 9, 100);
         let mut scratch = Vec::new();
+        op.push(&s, Side::Down, 9, 100, &mut scratch);
         op.evict(&s, 1_000, &mut scratch);
-        assert_eq!(op.total(), LossWindow::default());
-        assert!(op.close(0).is_none());
+        assert_eq!(op.loss.as_ref().unwrap().total, LossWindow::default());
+        assert_eq!(op.close(0), (None, None));
+    }
+
+    #[test]
+    fn one_tracker_feeds_both_metrics() {
+        let mut op = PairOp::new("a", "b", 1024);
+        op.track_latency(0.01);
+        op.track_loss();
+        let s = spec();
+        let mut scratch = Vec::new();
+        op.push(&s, Side::Up, 1, 100, &mut scratch);
+        op.push(&s, Side::Up, 2, 200, &mut scratch);
+        assert_eq!(op.pending_len(), 2, "each trace ID is held once");
+        op.push(&s, Side::Down, 1, 150, &mut scratch);
+        op.evict(&s, 400, &mut scratch);
+        assert_eq!(op.pending_len(), 0);
+        let (latency, loss) = op.close(0);
+        assert_eq!(latency.unwrap().count, 1);
+        assert_eq!(
+            loss.unwrap(),
+            LossWindow {
+                seen: 2,
+                delivered: 1,
+                lost: 1
+            }
+        );
+        assert_eq!(op.latency.as_ref().unwrap().unmatched, 1);
     }
 }

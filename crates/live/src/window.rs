@@ -14,7 +14,7 @@
 //! registered agents — one stalled agent holds every window open rather
 //! than letting its records be dropped as late.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use vnettracer::clock_sync::SkewEstimate;
 
@@ -74,6 +74,57 @@ impl WindowSpec {
     /// End (exclusive) of the window starting at `start_ns`.
     pub fn end(&self, start_ns: u64) -> u64 {
         start_ns.saturating_add(self.width_ns)
+    }
+}
+
+/// One operator's accumulators `W`: one per open (not yet finalized)
+/// window, keyed by window start, plus the running total since the engine
+/// started.
+#[derive(Debug)]
+pub(crate) struct OpenWindows<W> {
+    open: BTreeMap<u64, W>,
+    pub(crate) total: W,
+    /// What a window (and the total) starts as.
+    empty: W,
+}
+
+impl<W: Clone> OpenWindows<W> {
+    /// No open windows; every accumulator starts as a copy of `empty`.
+    pub(crate) fn new(empty: W) -> Self {
+        OpenWindows {
+            open: BTreeMap::new(),
+            total: empty.clone(),
+            empty,
+        }
+    }
+
+    /// Applies `update` to every window covering event time `ts` —
+    /// opening those this operator has not touched yet — and to the
+    /// running total.
+    pub(crate) fn update(&mut self, spec: &WindowSpec, ts: u64, update: impl Fn(&mut W)) {
+        for start in spec.windows(ts) {
+            update(self.open.entry(start).or_insert_with(|| self.empty.clone()));
+        }
+        update(&mut self.total);
+    }
+
+    /// Finalizes the window starting at `start`, if this operator has it.
+    pub(crate) fn close(&mut self, start: u64) -> Option<W> {
+        self.open.remove(&start)
+    }
+
+    /// Starts of the open windows, ascending.
+    pub(crate) fn open_starts(&self) -> impl Iterator<Item = u64> + '_ {
+        self.open.keys().copied()
+    }
+
+    pub(crate) fn open_count(&self) -> usize {
+        self.open.len()
+    }
+
+    /// Every accumulator: the open windows', then the total.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &W> {
+        self.open.values().chain([&self.total])
     }
 }
 

@@ -12,13 +12,12 @@
 //! group  := measurement:str node:str nrecords:varint record{32}*
 //! ```
 //!
-//! Records use the same fixed 32-byte little-endian layout as the wire
-//! form ([`COMPACT_RECORD_BYTES`]), so appending is a bounds-checked
-//! copy, not an encode. Replay walks frames until the first incomplete
-//! or corrupt one — a prefix-truncated WAL (torn write, crash mid-frame)
-//! replays exactly the clean frame prefix, and the dirty tail is
-//! truncated away before new appends so later frames are never written
-//! after garbage.
+//! Records are [`CompactRecord::encode`]'s fixed 32-byte little-endian
+//! layout ([`COMPACT_RECORD_BYTES`]) — the bytes the perf ring carried.
+//! Replay walks frames until the first incomplete or corrupt one — a
+//! prefix-truncated WAL (torn write, crash mid-frame) replays exactly the
+//! clean frame prefix, and the dirty tail is truncated away before new
+//! appends so later frames are never written after garbage.
 //!
 //! The WAL only ever covers the hot tail: sealing rotates to a fresh
 //! file once the tail's records are safely in columnar segments (see
@@ -83,39 +82,19 @@ impl From<CodecError> for WalError {
 }
 
 fn put_record(buf: &mut Vec<u8>, r: &CompactRecord) {
-    buf.extend_from_slice(&r.timestamp_ns.to_le_bytes());
-    buf.extend_from_slice(&r.trace_id.to_le_bytes());
-    buf.extend_from_slice(&r.pkt_len.to_le_bytes());
-    buf.extend_from_slice(&r.saddr.to_le_bytes());
-    buf.extend_from_slice(&r.daddr.to_le_bytes());
-    buf.extend_from_slice(&r.sport.to_le_bytes());
-    buf.extend_from_slice(&r.dport.to_le_bytes());
-    buf.extend_from_slice(&r.cpu.to_le_bytes());
-    buf.push(r.direction);
-    buf.push(r.flags);
+    buf.extend_from_slice(&r.encode());
 }
 
 fn get_record(buf: &[u8], pos: &mut usize) -> Result<CompactRecord, CodecError> {
     let end = pos
         .checked_add(COMPACT_RECORD_BYTES as usize)
         .ok_or(CodecError::Truncated)?;
-    let b = buf.get(*pos..end).ok_or(CodecError::Truncated)?;
+    let r = buf
+        .get(*pos..end)
+        .and_then(CompactRecord::decode)
+        .ok_or(CodecError::Truncated)?;
     *pos = end;
-    let u64le = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
-    let u32le = |i: usize| u32::from_le_bytes(b[i..i + 4].try_into().expect("4 bytes"));
-    let u16le = |i: usize| u16::from_le_bytes(b[i..i + 2].try_into().expect("2 bytes"));
-    Ok(CompactRecord {
-        timestamp_ns: u64le(0),
-        trace_id: u32le(8),
-        pkt_len: u32le(12),
-        saddr: u32le(16),
-        daddr: u32le(20),
-        sport: u16le(24),
-        dport: u16le(26),
-        cpu: u16le(28),
-        direction: b[30],
-        flags: b[31],
-    })
+    Ok(r)
 }
 
 /// Encodes a batch into one frame payload (empty groups are skipped,
@@ -161,8 +140,7 @@ pub fn decode_batch(payload: &[u8]) -> Result<RecordBatch, CodecError> {
         let group = batch.group_mut(&measurement, &node);
         group.records.reserve(n);
         for _ in 0..n {
-            let r = get_record(payload, &mut pos)?;
-            batch.group_mut(&measurement, &node).records.push(r);
+            group.records.push(get_record(payload, &mut pos)?);
         }
     }
     if pos != payload.len() {

@@ -309,3 +309,89 @@ fn reopen_is_idempotent_and_appendable() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A WAL whose every byte is written out here — header, frame, group
+/// names, and two records in the 32-byte layout `record.rs` pins — must
+/// replay to the batch those bytes spell. Nothing on this side goes
+/// through `CompactRecord::encode`, so the on-disk format cannot drift
+/// with the codec.
+#[test]
+fn hand_written_wal_replays_to_the_records_its_bytes_spell() {
+    #[rustfmt::skip]
+    let record: [u8; 32] = [
+        0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, //  0 timestamp_ns
+        0xef, 0xbe, 0xad, 0xde,                         //  8 trace_id
+        0x66, 0x00, 0x00, 0x00,                         // 12 pkt_len
+        0x01, 0x00, 0x00, 0x0a,                         // 16 saddr
+        0x02, 0x00, 0x00, 0x0a,                         // 20 daddr
+        0x28, 0x23,                                     // 24 sport
+        0x07, 0x00,                                     // 26 dport
+        0x03, 0x00,                                     // 28 cpu
+        0x01,                                           // 30 direction
+        0x05,                                           // 31 flags
+    ];
+    let mut second = record;
+    second[0] = 0x89; // one nanosecond later
+    second[8] = 0xf0; // the next trace ID
+    second[31] = 0x01; // not a drop record
+
+    // payload := ngroups group*; group := measurement node nrecords record*
+    let mut payload = vec![1, 4];
+    payload.extend_from_slice(b"tp_a");
+    payload.push(3);
+    payload.extend_from_slice(b"vm1");
+    payload.push(2);
+    payload.extend_from_slice(&record);
+    payload.extend_from_slice(&second);
+    // file := magic frame*; frame := 0xB7 payload_len:u32le crc:u32le payload
+    let mut wal = b"VNTWAL1\n".to_vec();
+    wal.push(0xb7);
+    wal.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    wal.extend_from_slice(&vnet_tsdb::codec::crc32(&payload).to_le_bytes());
+    wal.extend_from_slice(&payload);
+
+    let expected = CompactRecord {
+        timestamp_ns: 0x1122_3344_5566_7788,
+        trace_id: 0xdead_beef,
+        pkt_len: 102,
+        saddr: u32::from(Ipv4Addr::new(10, 0, 0, 1)),
+        daddr: u32::from(Ipv4Addr::new(10, 0, 0, 2)),
+        sport: 9000,
+        dport: 7,
+        cpu: 3,
+        direction: 1,
+        flags: 1 | (2 << 1),
+    };
+    let mut batch = RecordBatch::new();
+    batch.push("tp_a", "vm1", expected);
+    batch.push(
+        "tp_a",
+        "vm1",
+        CompactRecord {
+            timestamp_ns: expected.timestamp_ns + 1,
+            trace_id: 0xdead_bef0,
+            flags: 1,
+            ..expected
+        },
+    );
+
+    // An empty store, then its (header-only) WAL swapped for ours.
+    let dir = test_dir("wal-by-hand");
+    drop(TraceDb::open_with(&dir, no_fsync()).unwrap());
+    std::fs::write(dir.join("wal-0.log"), &wal).unwrap();
+    let recovered = TraceDb::open_with(&dir, no_fsync()).unwrap();
+    let mut mem = TraceDb::new();
+    mem.insert_batch(&batch);
+    assert_eq!(recovered.len(), 2);
+    assert_eq!(export(&recovered), export(&mem));
+    drop(recovered);
+
+    // And the store writes the very same bytes for that batch.
+    let dir2 = test_dir("wal-by-hand-written");
+    let mut db = TraceDb::open_with(&dir2, no_fsync()).unwrap();
+    db.insert_batch(&batch);
+    drop(db);
+    assert_eq!(std::fs::read(dir2.join("wal-0.log")).unwrap(), wal);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&dir2);
+}

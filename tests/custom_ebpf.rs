@@ -12,7 +12,7 @@ use vnet_sim::node::NodeClock;
 use vnet_sim::packet::{FlowKey, PacketBuilder, SocketAddrV4Ext};
 use vnet_sim::time::{SimDuration, SimTime};
 use vnet_sim::world::World;
-use vnettracer::config::HookSpec;
+use vnettracer::config::{GlobalConfig, HookSpec};
 use vnettracer::Agent;
 
 /// Builds a histogram program: bucket = min(pkt_len / 256, 7); then
@@ -69,6 +69,7 @@ fn custom_histogram_program_counts_packet_sizes() {
             "size_histogram",
             &HookSpec::DeviceRx("eth0".into()),
             histogram_program(hist_fd),
+            &GlobalConfig::default(),
         )
         .unwrap();
 
@@ -120,7 +121,13 @@ fn broken_custom_program_rejected_at_install() {
         .build()
         .unwrap();
     let err = agent
-        .install_raw(&mut w, "bad", &HookSpec::DeviceRx("eth0".into()), looping)
+        .install_raw(
+            &mut w,
+            "bad",
+            &HookSpec::DeviceRx("eth0".into()),
+            looping,
+            &GlobalConfig::default(),
+        )
         .unwrap_err();
     assert!(
         matches!(err, vnettracer::TracerError::Load(_)),
@@ -141,7 +148,13 @@ fn broken_custom_program_rejected_at_install() {
         .build()
         .unwrap();
     let err = agent
-        .install_raw(&mut w, "bad2", &HookSpec::DeviceRx("eth0".into()), bad_map)
+        .install_raw(
+            &mut w,
+            "bad2",
+            &HookSpec::DeviceRx("eth0".into()),
+            bad_map,
+            &GlobalConfig::default(),
+        )
         .unwrap_err();
     assert!(matches!(err, vnettracer::TracerError::Load(_)));
 }
