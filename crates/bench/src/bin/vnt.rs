@@ -7,11 +7,11 @@
 //! the collected metrics.
 //!
 //! ```text
-//! vnt <scenario> [--package FILE.json] [--messages N] [--emit-package] [--threads N]
-//! vnt rack [--threads N] [--messages N] [--full] [--trace]
+//! vnt <scenario> [--package FILE.json] [--messages N] [--emit-package]
+//! vnt rack [--messages N] [--full] [--trace]
 //! vnt live [--messages N] [--window-us W] [--collect-us I] [--save-db DIR]
 //! vnt live --from-db DIR [--pair FROM,TO] [--window-us W] [--collect-us I]
-//! vnt emulate [--profile NAME|all] [--rack] [--seed N] [--messages N] [--threads N]
+//! vnt emulate [--profile NAME|all] [--rack] [--seed N] [--messages N]
 //! vnt modules
 //! vnt trace <drop-lab|request-chain> [--profile NAME] [--messages N] [--seed N] [--save-db DIR]
 //! vnt drops [--messages N] [--seed N]
@@ -36,11 +36,9 @@
 //! together with any anomaly alerts — no post-hoc database scan.
 //!
 //! `vnt rack` runs the `datacenter_rack` scale scenario (hundreds of
-//! VM nodes behind a ToR, OVS/VXLAN forwarding); `--threads N` shards
-//! the event loop across N worker threads (available for every
-//! scenario, most useful here), `--full` selects the million-flow
-//! configuration instead of the small smoke size, and `--trace`
-//! deploys a record script at every bridge and VM port.
+//! VM nodes behind a ToR, OVS/VXLAN forwarding); `--full` selects the
+//! million-flow configuration instead of the small smoke size, and
+//! `--trace` deploys a record script at every bridge and VM port.
 //!
 //! `vnt emulate` replays a trace-driven adversarial link condition
 //! (LEO-handover delay steps, congested-WAN rate dips, flapping links,
@@ -112,7 +110,6 @@ struct Args {
     window_ns: u64,
     /// `--collect-us`, in nanoseconds.
     collect_ns: u64,
-    threads: usize,
     full: bool,
     trace: bool,
     profile: Option<String>,
@@ -135,7 +132,6 @@ impl Args {
             emit_package: false,
             window_ns: 100_000,
             collect_ns: 50_000,
-            threads: 1,
             full: false,
             trace: false,
             profile: None,
@@ -200,16 +196,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     .map_err(|e| format!("bad --messages: {e}"))?;
                 out.messages_set = true;
             }
-            "--threads" => {
-                out.threads = args
-                    .next()
-                    .ok_or("--threads needs a number".to_owned())?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?;
-                if out.threads == 0 {
-                    return Err("--threads must be at least 1".to_owned());
-                }
-            }
             "--full" => out.full = true,
             "--trace" => out.trace = true,
             "--rack" => out.rack = true,
@@ -252,11 +238,30 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     if out.window_ns == 0 || out.collect_ns == 0 {
         return Err("--window-us and --collect-us must be non-zero".to_owned());
     }
+    if out.scenario == "rack" {
+        rack_config(&out)?;
+    }
     Ok(out)
 }
 
+/// The rack `vnt rack` runs: the small or `--full` shape with `--messages`
+/// packets per app, refused when the rack cannot count that many.
+fn rack_config(args: &Args) -> Result<vnet_workloads::datacenter_rack::RackConfig, String> {
+    use vnet_workloads::datacenter_rack::RackConfig;
+    let mut cfg = if args.full {
+        RackConfig::default()
+    } else {
+        RackConfig::small()
+    };
+    if args.messages_set {
+        cfg.packets_per_app = args.messages;
+    }
+    cfg.validate().map_err(|e| format!("bad --messages: {e}"))?;
+    Ok(cfg)
+}
+
 fn usage() -> String {
-    "usage: vnt <two-host|ovs|xen|container> [--package FILE.json] [--messages N] [--emit-package] [--threads N]\n       vnt rack [--threads N] [--messages N] [--full] [--trace]\n       vnt live [--messages N] [--window-us W] [--collect-us I] [--save-db DIR]\n       vnt live --from-db DIR [--pair FROM,TO] [--window-us W] [--collect-us I]\n       vnt emulate [--profile NAME|all] [--rack] [--seed N] [--messages N] [--threads N]\n       vnt modules\n       vnt trace <drop-lab|request-chain> [--profile NAME] [--messages N] [--seed N] [--save-db DIR]\n       vnt drops [--messages N] [--seed N]\n       vnt verify <prog.bpf>\n       vnt analyze <prog.bpf>\n       vnt db <stats|query|export|import> <dir> [...]"
+    "usage: vnt <two-host|ovs|xen|container> [--package FILE.json] [--messages N] [--emit-package]\n       vnt rack [--messages N] [--full] [--trace]\n       vnt live [--messages N] [--window-us W] [--collect-us I] [--save-db DIR]\n       vnt live --from-db DIR [--pair FROM,TO] [--window-us W] [--collect-us I]\n       vnt emulate [--profile NAME|all] [--rack] [--seed N] [--messages N]\n       vnt modules\n       vnt trace <drop-lab|request-chain> [--profile NAME] [--messages N] [--seed N] [--save-db DIR]\n       vnt drops [--messages N] [--seed N]\n       vnt verify <prog.bpf>\n       vnt analyze <prog.bpf>\n       vnt db <stats|query|export|import> <dir> [...]"
         .to_owned()
 }
 
@@ -936,10 +941,7 @@ fn run_emulate(args: &Args) -> Result<(), String> {
         None | Some("all") => AdversarialProfile::all().to_vec(),
         Some(name) => vec![name.parse()?],
     };
-    let mut cfg = EmulationConfig {
-        threads: args.threads,
-        ..Default::default()
-    };
+    let mut cfg = EmulationConfig::default();
     if args.messages_set {
         cfg.messages = args.messages;
     }
@@ -947,11 +949,10 @@ fn run_emulate(args: &Args) -> Result<(), String> {
         cfg.seed = seed;
     }
     println!(
-        "emulate: {} scenario, seed {}, {} messages, {} thread(s)",
+        "emulate: {} scenario, seed {}, {} messages",
         if args.rack { "rack" } else { "two-host" },
         cfg.seed,
-        cfg.messages,
-        cfg.threads
+        cfg.messages
     );
     let mut t = Table::new(
         "detector validation",
@@ -967,12 +968,15 @@ fn run_emulate(args: &Args) -> Result<(), String> {
             "events",
         ],
     );
+    let mut unscored = false;
     for p in profiles {
         let r = if args.rack {
             run_rack(p, &cfg)
         } else {
             run_two_host(p, &cfg)
         };
+        let recall = r.recall();
+        unscored |= recall.is_none();
         t.row(&[
             p.name().into(),
             r.episodes.len().to_string(),
@@ -981,11 +985,17 @@ fn run_emulate(args: &Args) -> Result<(), String> {
             r.matched_alerts.to_string(),
             r.other_alerts.len().to_string(),
             format!("{:.3}", r.precision()),
-            format!("{:.3}", r.recall()),
+            recall.map_or("n/a".into(), |v| format!("{v:.3}")),
             r.events_processed.to_string(),
         ]);
     }
     println!("{t}");
+    if unscored {
+        println!(
+            "recall n/a: {} messages end before a profile's first ground-truth episode; raise --messages",
+            cfg.messages
+        );
+    }
     Ok(())
 }
 
@@ -1191,7 +1201,6 @@ fn run(args: &Args) -> Result<(), String> {
                 ..Default::default()
             };
             let mut s = vnet_testbed::two_host::TwoHostScenario::build(&cfg);
-            s.world.set_parallelism(args.threads);
             let pkg = load_package(args, s.control_package())?;
             if args.emit_package {
                 println!("{}", pkg.to_json());
@@ -1224,7 +1233,6 @@ fn run(args: &Args) -> Result<(), String> {
                 ..Default::default()
             };
             let mut s = vnet_testbed::ovs::OvsScenario::build(&cfg);
-            s.world.set_parallelism(args.threads);
             let pkg = load_package(args, s.control_package())?;
             if args.emit_package {
                 println!("{}", pkg.to_json());
@@ -1256,7 +1264,6 @@ fn run(args: &Args) -> Result<(), String> {
                 ..Default::default()
             };
             let mut s = vnet_testbed::xen::XenScenario::build(&cfg);
-            s.world.set_parallelism(args.threads);
             let pkg = load_package(args, s.control_package())?;
             if args.emit_package {
                 println!("{}", pkg.to_json());
@@ -1288,7 +1295,6 @@ fn run(args: &Args) -> Result<(), String> {
                 ..Default::default()
             };
             let mut s = vnet_testbed::container::ContainerScenario::build(&cfg);
-            s.world.set_parallelism(args.threads);
             let pkg = load_package(args, s.control_package())?;
             if args.emit_package {
                 println!("{}", pkg.to_json());
@@ -1320,24 +1326,15 @@ fn run(args: &Args) -> Result<(), String> {
             Ok(())
         }
         "rack" => {
-            let mut cfg = if args.full {
-                vnet_workloads::datacenter_rack::RackConfig::default()
-            } else {
-                vnet_workloads::datacenter_rack::RackConfig::small()
-            };
-            if args.messages_set {
-                cfg.packets_per_app = args.messages;
-            }
+            let cfg = rack_config(args)?;
             println!(
-                "rack: {} hosts, {} VM nodes, {} apps, {} concurrent flows, {} threads",
+                "rack: {} hosts, {} VM nodes, {} apps, {} concurrent flows",
                 cfg.hosts,
                 cfg.hosts * cfg.vms_per_host,
                 cfg.apps(),
-                cfg.concurrent_flows(),
-                args.threads
+                cfg.concurrent_flows()
             );
             let mut tb = vnet_testbed::rack::RackTestbed::build(&cfg);
-            tb.scenario.world.set_parallelism(args.threads);
             let mut tracer = if args.trace {
                 let pkg = tb.control_package();
                 let mut tracer = tb.make_tracer();
@@ -1426,5 +1423,27 @@ mod tests {
             assert!(parse(&["live", flag, "0"]).is_err());
             assert!(parse(&["live", flag]).is_err());
         }
+    }
+
+    #[test]
+    fn rack_messages_the_rack_cannot_count_are_rejected() {
+        let max = u64::MAX.to_string();
+        for args in [
+            &["rack", "--messages", &max][..],
+            &["rack", "--messages", &max, "--full"],
+            // 16 clients x 2^60 fits u64; 20 us x 2^60 in nanoseconds does not.
+            &["rack", "--messages", &(1u64 << 60).to_string()],
+        ] {
+            let Err(err) = parse(args) else {
+                panic!("{args:?} must not parse");
+            };
+            assert!(err.starts_with("bad --messages: "), "{err}");
+        }
+        assert_eq!(
+            parse(&["rack", "--messages", "2000"]).unwrap().messages,
+            2000
+        );
+        // Only the rack multiplies `--messages` out at parse time.
+        assert!(parse(&["two-host", "--messages", &max]).is_ok());
     }
 }

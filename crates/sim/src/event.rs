@@ -3,12 +3,12 @@
 //! Every scheduled event carries a [`PushKey`] — `(push time, pushing
 //! node, per-node sequence)` — minted by the node whose handler pushed
 //! it. Events at equal timestamps are delivered in push-key order. The
-//! key is a *canonical* tie-break: a node's event stream is deterministic
-//! and handlers only touch owner-node state, so the keys a node mints do
-//! not depend on how nodes are grouped into shards. One shard or eight,
-//! the heap pops in exactly the same order, which together with the
-//! seeded per-node RNG streams makes every run bit-for-bit reproducible
-//! at any parallelism level.
+//! key is a *canonical* tie-break: it is made of the push instant and the
+//! pushing node's own counter, never of heap insertion order or of how
+//! many events other nodes happened to push, so the order of equal-time
+//! events is a property of the simulation, not of the loop running it.
+//! Together with the seeded per-node RNG streams this makes every run
+//! bit-for-bit reproducible.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -20,11 +20,10 @@ use crate::time::SimTime;
 /// Canonical ordering stamp for a scheduled event: when it was pushed,
 /// by which node, and that node's push sequence number at the time.
 ///
-/// Ordering by `(time, node, seq)` is a total order over all pushes that
-/// is independent of shard layout: within one node the sequence is the
-/// node's own deterministic push order, and across nodes the ground-truth
-/// push time (with the node id as tie-break) does not depend on which
-/// thread ran the handler.
+/// Ordering by `(time, node, seq)` is a total order over all pushes:
+/// within one node the sequence is the node's own deterministic push
+/// order, and across nodes the ground-truth push time decides, with the
+/// node id as tie-break.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PushKey {
     /// Simulation time at which the push happened.
@@ -92,11 +91,9 @@ pub enum Event {
         tag: u64,
     },
     /// A scheduled administrative state change: fail or restore a device
-    /// mid-run (the flapping-link condition generator). Processed by the
-    /// owning shard, so it is safe — and deterministic — at any
-    /// parallelism level, unlike calling
-    /// [`crate::world::World::set_device_down`] which only works between
-    /// runs.
+    /// mid-run (the flapping-link condition generator). The event loop
+    /// applies it with [`crate::world::World::set_device_down`] at its
+    /// scheduled instant, which a caller could only do between runs.
     SetDeviceDown {
         /// The device.
         dev: DeviceId,
@@ -149,11 +146,6 @@ impl EventQueue {
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         self.heap.pop().map(|Reverse(e)| (e.at, e.event))
-    }
-
-    /// Removes and returns the earliest event with its key, if any.
-    pub fn pop_entry(&mut self) -> Option<(SimTime, PushKey, Event)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.key, e.event))
     }
 
     /// The timestamp of the earliest pending event.
@@ -248,15 +240,5 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_entry_returns_key() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_nanos(3), key(9), timer(1));
-        let (at, k, e) = q.pop_entry().unwrap();
-        assert_eq!(at, SimTime::from_nanos(3));
-        assert_eq!(k, key(9));
-        assert_eq!(tag_of(e), 1);
     }
 }

@@ -19,12 +19,11 @@
 //!   tracers attach; probe execution cost feeds back into packet
 //!   processing time, so tracing overhead perturbs the system exactly as
 //!   it would on a live kernel.
-//! * **The world** ([`world`]) — the event loop tying nodes, devices,
-//!   schedulers, applications and probes together. It runs sequentially
-//!   by default and shards across worker threads under
-//!   [`world::World::set_parallelism`], using conservative lookahead
-//!   synchronization; for a fixed seed the simulation is bit-identical
-//!   at every thread count.
+//! * **The world** ([`world`]) — the single-threaded event loop tying
+//!   nodes, devices, schedulers, applications and probes together.
+//!   Canonical event keys ([`event::PushKey`]) and per-node RNG streams
+//!   make the simulation a function of its seed: bit-identical across
+//!   repeated runs and however a run is stepped.
 //!
 //! The crate deliberately knows nothing about eBPF or vNetTracer itself;
 //! those live in `vnet-ebpf` and `vnettracer` and plug in through
@@ -62,7 +61,6 @@ pub mod packet;
 pub mod probe;
 pub mod profile;
 pub mod sched;
-pub(crate) mod shard;
 pub mod softirq;
 pub mod time;
 pub mod world;

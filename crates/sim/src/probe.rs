@@ -129,8 +129,10 @@ impl ProbeOutcome {
 /// Implementations: the eBPF program runner in `vnet-ebpf` (via
 /// `vnettracer`), and the SystemTap cost model in `vnet-baselines`.
 ///
-/// Sinks are `Send` because probe firing happens on whichever worker
-/// thread owns the node's shard when the world runs in parallel.
+/// The `Send` bound dates from when nodes ran on worker threads. The
+/// event loop is single-threaded now and nothing needs it; dropping it
+/// (and the lock in [`SharedSink`]) is ROADMAP item 1(b), a change to be
+/// measured on its own.
 pub trait ProbeSink: Send {
     /// Handles one firing of the hook and reports the CPU time consumed.
     fn handle(&mut self, event: &ProbeEvent<'_>) -> ProbeOutcome;
@@ -139,10 +141,8 @@ pub trait ProbeSink: Send {
 /// Shared handle to a probe sink.
 ///
 /// `Arc<Mutex<_>>` lets the tracer keep a handle to its own sink (to read
-/// maps and buffers) while the registry drives it — possibly from a shard
-/// worker thread. A sink only ever fires on the one thread that owns its
-/// node, so the lock is uncontended; it exists to satisfy `Send` and to
-/// let the main thread read results between runs.
+/// maps and buffers between runs) while the registry drives it. Firing
+/// and reading happen on the same thread, so the lock is never contended.
 pub type SharedSink = Arc<Mutex<dyn ProbeSink>>;
 
 /// Identifies an attached probe so it can be detached at runtime.

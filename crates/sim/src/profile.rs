@@ -5,7 +5,7 @@
 //! a segment the link's propagation delay is *replaced* by the segment's
 //! delay, packets are dropped on the wire with the segment's loss
 //! probability (drawn from the sending node's seeded RNG stream, so runs
-//! stay bit-identical at any thread count), and an optional link rate
+//! stay bit-identical for a seed), and an optional link rate
 //! serializes frames through a shared wire — back-to-back frames queue
 //! behind each other exactly as on a rate-limited pipe.
 //!
@@ -18,11 +18,6 @@
 //! exact [`Episode`] windows in which its condition is active, which is
 //! the ground truth the detector-validation harness scores emitted
 //! alerts against.
-//!
-//! Sharding note: the conservative lookahead of the parallel event loop
-//! uses each profiled link's *minimum* scheduled delay (never the
-//! initial one), so a profile that shrinks a link's delay mid-run cannot
-//! let a cross-shard packet arrive inside an already-closed window.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -110,18 +105,6 @@ impl LinkProfile {
             0 => &self.segments[0],
             n => &self.segments[n - 1],
         }
-    }
-
-    /// The minimum delay across every segment of the schedule — the
-    /// conservative bound the sharded event loop's lookahead must use
-    /// for this link, since any segment may be active when a packet
-    /// crosses.
-    pub fn min_delay(&self) -> SimDuration {
-        self.segments
-            .iter()
-            .map(|s| s.delay)
-            .min()
-            .expect("validated profiles are non-empty")
     }
 
     /// Parses the compact trace format: one segment per line as
@@ -336,8 +319,8 @@ pub fn congested_wan(
 /// administratively down for `downtime` every `period` after `warmup`.
 /// Returns the `(when, down?)` schedule to feed
 /// [`crate::world::World::schedule_device_down`] plus the outage
-/// windows. Realized as scheduled events, flaps are deterministic at any
-/// thread count.
+/// windows. Realized as scheduled events, flaps land between the same
+/// two events however the run is stepped.
 pub fn flapping(
     warmup: SimDuration,
     period: SimDuration,
@@ -358,7 +341,7 @@ pub fn flapping(
 /// bad state (lossless in the good state). The chain is expanded into an
 /// explicit segment schedule at generation time using a [`SmallRng`]
 /// seeded with `seed`, so the ground-truth bad windows are exact and the
-/// replay is deterministic regardless of thread count. The chain starts
+/// replay is deterministic. The chain starts
 /// after `warmup` (good until then) and a final good segment closes the
 /// schedule at `run`.
 #[allow(clippy::too_many_arguments)] // a chain spec, not a call-site burden
@@ -429,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn segment_lookup_and_min_delay() {
+    fn segment_lookup() {
         let p = LinkProfile::new(vec![
             LinkSegment {
                 start: SimTime::ZERO,
@@ -449,7 +432,6 @@ mod tests {
         assert_eq!(p.segment_at(SimTime::from_micros(99)).delay, us(30));
         assert_eq!(p.segment_at(SimTime::from_micros(100)).delay, us(5));
         assert_eq!(p.segment_at(SimTime::from_secs(1)).loss_rate, 0.5);
-        assert_eq!(p.min_delay(), us(5));
     }
 
     #[test]
@@ -515,7 +497,6 @@ mod tests {
             assert_eq!(p.segment_at(ep.start).delay, us(300));
             assert_eq!(p.segment_at(ep.end).delay, us(30));
         }
-        assert_eq!(p.min_delay(), us(30));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The simulation driver: nodes, devices, schedulers, softirq engines,
 //! applications and the event loop that ties them together.
 //!
-//! The event loop itself lives in [`crate::shard`]: the world's nodes are
-//! partitioned into shards which advance in conservative lookahead
-//! windows, on worker threads when [`World::set_parallelism`] asks for
-//! more than one. With `parallelism = 1` (the default) the single shard
-//! runs inline on the calling thread — the classic sequential loop.
-//! Both modes produce bit-for-bit identical simulations for a given
-//! seed; see the shard module docs for the determinism argument.
+//! There is one event loop and it runs on the calling thread: pop the
+//! earliest event, advance `now` to it, run its handler (the `handlers`
+//! submodule), repeat. Events at equal times pop in push-key order
+//! ([`crate::event::PushKey`]: push time, pushing node, that node's push
+//! counter) and everything random inside a run draws from the stream of
+//! the node it happens on, so a simulation is a function of its seed —
+//! bit for bit, whether it is run in one call or stepped in a thousand.
 //!
 //! # Example
 //!
@@ -27,7 +27,6 @@
 //! ```
 
 use std::collections::HashMap;
-use std::mem;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -38,12 +37,13 @@ use crate::event::{Event, EventQueue, PushKey};
 use crate::ids::{AppId, DeviceId, NodeId};
 use crate::node::{Node, NodeClock};
 use crate::packet::{Packet, PacketUid};
-use crate::probe::{Hook, ProbeId, ProbeRegistry, SharedSink};
+use crate::probe::{Hook, HookId, ProbeId, ProbeRegistry, SharedSink};
 use crate::profile::LinkProfile;
 use crate::sched::HyperScheduler;
-use crate::shard::{owner_node, partition_world, AppSlot, DevMeta, Partition, Shard, SharedSync};
 use crate::softirq::SoftirqEngine;
 use crate::time::{SimDuration, SimTime};
+
+mod handlers;
 
 /// Derives the seed of a node's private RNG stream from the world seed.
 ///
@@ -57,19 +57,20 @@ fn node_stream_seed(world_seed: u64, node_index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-enum RunMode {
-    /// Deliver pending `on_start`s without processing events.
-    StartOnly,
-    /// Process events with `at <= t`.
-    Until(SimTime),
-    /// Process until no events remain, panicking past the budget.
-    Quiesce(u64),
+/// A registered application and the state needed to dispatch to it.
+struct AppSlot {
+    node: NodeId,
+    tx_dev: DeviceId,
+    name: String,
+    /// What `Hook::Uprobe(name)` resolves to in the node's registry.
+    uprobe: HookId,
+    app: Box<dyn App>,
 }
 
 /// The simulated world.
 ///
 /// All entities live in flat tables indexed by their typed ids. The world
-/// is fully deterministic for a given seed, at any parallelism level.
+/// is fully deterministic for a given seed.
 pub struct World {
     now: SimTime,
     queue: EventQueue,
@@ -79,11 +80,13 @@ pub struct World {
     /// Trace-driven link models, referenced by index from device ports.
     link_profiles: Vec<LinkProfile>,
     apps: Vec<AppSlot>,
-    /// One registry per node, so each shard owns its nodes' probes.
+    /// One registry per node: a hook id is an index into its own
+    /// node's attachment lists.
     probes: Vec<ProbeRegistry>,
     next_probe_id: u64,
     schedulers: HashMap<NodeId, Box<dyn HyperScheduler>>,
-    softirq: HashMap<NodeId, SoftirqEngine>,
+    /// One softirq engine per node.
+    softirq: Vec<SoftirqEngine>,
     seed: u64,
     rng: SmallRng,
     /// Per-node RNG streams used by everything that runs *inside* the
@@ -95,7 +98,6 @@ pub struct World {
     uid_seq: Vec<u64>,
     events_processed: u64,
     started_apps: usize,
-    parallelism: usize,
 }
 
 impl World {
@@ -112,7 +114,7 @@ impl World {
             probes: Vec::new(),
             next_probe_id: 0,
             schedulers: HashMap::new(),
-            softirq: HashMap::new(),
+            softirq: Vec::new(),
             seed,
             rng: SmallRng::seed_from_u64(seed),
             node_rngs: Vec::new(),
@@ -120,7 +122,6 @@ impl World {
             uid_seq: Vec::new(),
             events_processed: 0,
             started_apps: 0,
-            parallelism: 1,
         }
     }
 
@@ -134,19 +135,11 @@ impl World {
         self.events_processed
     }
 
-    /// Requests that runs use up to `threads` worker threads (shards).
-    ///
-    /// The effective shard count is capped by the number of independent
-    /// node groups in the topology. `1` (the default) runs the classic
-    /// sequential loop inline. Output is identical at any setting.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.parallelism = threads.max(1);
-    }
-
-    /// The requested parallelism level.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
+    // Does nothing: the event loop is single-threaded. Its one caller is
+    // `bench_e2e/src/rack.rs:196`, a file only a `benchmark` PR may edit;
+    // that PR drops the call and this shim together (ROADMAP item 2).
+    #[doc(hidden)]
+    pub fn set_parallelism(&mut self, _threads: usize) {}
 
     // ------------------------------------------------------------------
     // Construction
@@ -157,7 +150,7 @@ impl World {
     pub fn add_node(&mut self, name: impl Into<String>, num_cpus: u16, clock: NodeClock) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node::new(id, name, num_cpus, clock));
-        self.softirq.insert(id, SoftirqEngine::new(num_cpus));
+        self.softirq.push(SoftirqEngine::new(num_cpus));
         self.probes.push(ProbeRegistry::new());
         self.node_rngs
             .push(SmallRng::seed_from_u64(node_stream_seed(
@@ -259,14 +252,12 @@ impl World {
     }
 
     /// Schedules an administrative up/down flip of `dev` at simulated
-    /// time `at` (the flapping-link condition generator). Unlike
-    /// [`World::set_device_down`], the flip executes *inside* the event
-    /// loop on the owning shard, so it is deterministic and safe at any
-    /// parallelism level.
+    /// time `at` (the flapping-link condition generator): the event loop
+    /// calls [`World::set_device_down`] when it reaches `at`, so the flip
+    /// lands between the same two events however the run is stepped.
     pub fn schedule_device_down(&mut self, dev: DeviceId, at: SimTime, down: bool) {
         let node = self.devices[dev.index()].cfg.node;
-        let key = self.mint_key(node);
-        self.queue.push(at, key, Event::SetDeviceDown { dev, down });
+        self.push_event(node, at, Event::SetDeviceDown { dev, down });
     }
 
     /// Replaces a device's forwarding decision — used by topology
@@ -281,11 +272,11 @@ impl World {
     /// device failure", §III-D). Queued packets are kept and resume when
     /// the device comes back up.
     pub fn set_device_down(&mut self, dev: DeviceId, down: bool) {
-        self.devices[dev.index()].down = down;
-        if !down && !self.devices[dev.index()].busy && self.devices[dev.index()].queue_len() > 0 {
-            let node = self.devices[dev.index()].cfg.node;
-            let key = self.mint_key(node);
-            self.queue.push(self.now, key, Event::StartService { dev });
+        let d = &mut self.devices[dev.index()];
+        d.down = down;
+        if !down && !d.busy && d.queue_len() > 0 {
+            let node = d.cfg.node;
+            self.push_event(node, self.now, Event::StartService { dev });
         }
     }
 
@@ -319,7 +310,7 @@ impl World {
             tx_dev,
             name,
             uprobe,
-            app: Some(app),
+            app,
         });
         id
     }
@@ -397,7 +388,7 @@ impl World {
 
     /// A node's softirq engine (Fig. 13a statistics).
     pub fn softirq_engine(&self, node: NodeId) -> &SoftirqEngine {
-        &self.softirq[&node]
+        &self.softirq[node.index()]
     }
 
     /// A node's `CLOCK_MONOTONIC` reading at the current instant.
@@ -428,17 +419,21 @@ impl World {
     // Running
     // ------------------------------------------------------------------
 
-    /// Delivers `on_start` to every app that has not been started yet.
-    /// Called automatically by the run methods, so apps added mid-run are
-    /// started when the simulation next advances.
+    /// Delivers `on_start` to every app that has not been started yet,
+    /// in registration order. Called automatically by the run methods, so
+    /// apps added mid-run are started when the simulation next advances.
     pub fn start(&mut self) {
-        self.run_core(RunMode::StartOnly);
+        while self.started_apps < self.apps.len() {
+            let app = AppId(self.started_apps as u32);
+            self.started_apps += 1;
+            self.dispatch_app(app, |a, ctx| a.on_start(ctx));
+        }
     }
 
     /// Runs the event loop until simulated time `t` (inclusive of events
     /// at `t`); advances `now` to `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        self.run_core(RunMode::Until(t));
+        self.run_events(t, None);
         self.now = t;
     }
 
@@ -451,226 +446,54 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics if more than `max_events` events are processed, as a guard
-    /// against non-quiescing workloads.
+    /// Panics if this call processes more than `max_events` events, as a
+    /// guard against non-quiescing workloads.
     pub fn run_to_quiescence(&mut self, max_events: u64) {
-        self.run_core(RunMode::Quiesce(max_events));
+        self.run_events(SimTime::MAX, Some(max_events));
     }
 
-    /// Mints the canonical push key for a world-level event push (inject,
-    /// device revival) on behalf of `node`.
-    fn mint_key(&mut self, node: NodeId) -> PushKey {
-        let c = &mut self.push_seq[node.index()];
+    /// The event loop: starts pending apps, then handles every event with
+    /// `at <= bound` in `(at, push key)` order, leaving `now` at the last
+    /// one handled. `budget` caps the events of this call.
+    fn run_events(&mut self, bound: SimTime, budget: Option<u64>) {
+        self.start();
+        let mut handled = 0u64;
+        while self.queue.peek_time().is_some_and(|at| at <= bound) {
+            let Some((at, event)) = self.queue.pop() else {
+                break;
+            };
+            debug_assert!(at >= self.now, "time went backwards");
+            self.now = at;
+            self.events_processed += 1;
+            handled += 1;
+            if let Some(max) = budget {
+                assert!(handled <= max, "exceeded event budget {max}");
+            }
+            self.handle(event);
+        }
+    }
+
+    /// Schedules `event` at `at` under `pusher`'s next push key — the
+    /// only way an event enters the queue. The key is what orders events
+    /// at equal times, and it is made of nothing but the push instant
+    /// and the pushing node's own counter.
+    fn push_event(&mut self, pusher: NodeId, at: SimTime, event: Event) {
+        let seq = &mut self.push_seq[pusher.index()];
         let key = PushKey {
             time: self.now,
-            node: node.0,
-            seq: *c,
+            node: pusher.0,
+            seq: *seq,
         };
-        *c += 1;
-        key
+        *seq += 1;
+        self.queue.push(at, key, event);
     }
 
-    /// Builds shards around the current state, runs them to the mode's
-    /// bound, and merges the state back. One shard runs inline; more run
-    /// on scoped worker threads in conservative lookahead windows.
-    fn run_core(&mut self, mode: RunMode) {
-        let unstarted: Vec<AppId> = (self.started_apps..self.apps.len())
-            .map(|i| AppId(i as u32))
-            .collect();
-        self.started_apps = self.apps.len();
-        let (bound, budget) = match mode {
-            RunMode::StartOnly => (None, None),
-            RunMode::Until(t) => (Some(t), None),
-            RunMode::Quiesce(max) => (Some(SimTime::MAX), Some(max)),
-        };
-        if bound.is_none() && unstarted.is_empty() {
-            return;
-        }
-        let requested = if bound.is_some() {
-            self.parallelism.max(1)
-        } else {
-            1
-        };
-        let part = if requested > 1 {
-            partition_world(
-                self.nodes.len(),
-                &self.devices,
-                &self.apps,
-                requested,
-                &self.link_profiles,
-            )
-        } else {
-            Partition {
-                node_shard: vec![0; self.nodes.len()],
-                num_shards: 1,
-                lookahead: SimDuration::from_nanos(u64::MAX),
-            }
-        };
-        let num_shards = part.num_shards;
-
-        let dev_meta: Vec<DevMeta> = self.devices.iter().map(DevMeta::of).collect();
-        let app_nodes: Vec<NodeId> = self.apps.iter().map(|s| s.node).collect();
-
-        // Deal the runtime state out to the shards. Tables keep global
-        // indexing (full-length vectors of options), so ids are stable.
-        let devices = mem::take(&mut self.devices);
-        let apps = mem::take(&mut self.apps);
-        let probes = mem::take(&mut self.probes);
-        let node_rngs = mem::take(&mut self.node_rngs);
-        let schedulers = mem::take(&mut self.schedulers);
-        let softirq = mem::take(&mut self.softirq);
-        let push_seq = mem::take(&mut self.push_seq);
-        let uid_seq = mem::take(&mut self.uid_seq);
-
-        let num_devices = devices.len();
-        let num_apps = apps.len();
-        let num_nodes = self.nodes.len();
-        let nodes: &[Node] = &self.nodes;
-        let link_profiles: &[LinkProfile] = &self.link_profiles;
-        let mut shards: Vec<Shard<'_>> = (0..num_shards)
-            .map(|sid| {
-                Shard::new(
-                    sid,
-                    self.now,
-                    num_shards,
-                    nodes,
-                    &dev_meta,
-                    &app_nodes,
-                    &part.node_shard,
-                    link_profiles,
-                    num_devices,
-                    num_apps,
-                )
-            })
-            .collect();
-        for (i, d) in devices.into_iter().enumerate() {
-            let s = part.node_shard[d.cfg.node.index()];
-            shards[s].devices[i] = Some(d);
-        }
-        for (i, a) in apps.into_iter().enumerate() {
-            let s = part.node_shard[a.node.index()];
-            shards[s].apps[i] = Some(a);
-        }
-        for (n, reg) in probes.into_iter().enumerate() {
-            shards[part.node_shard[n]].probes[n] = Some(reg);
-        }
-        for (n, rng) in node_rngs.into_iter().enumerate() {
-            shards[part.node_shard[n]].node_rngs[n] = Some(rng);
-        }
-        for (node, sched) in schedulers {
-            shards[part.node_shard[node.index()]]
-                .schedulers
-                .insert(node, sched);
-        }
-        for (node, eng) in softirq {
-            shards[part.node_shard[node.index()]]
-                .softirq
-                .insert(node, eng);
-        }
-        for sh in &mut shards {
-            sh.push_seq.copy_from_slice(&push_seq);
-            sh.uid_seq.copy_from_slice(&uid_seq);
-        }
-        while let Some((at, key, ev)) = self.queue.pop_entry() {
-            let owner = owner_node(&ev, &dev_meta, &app_nodes);
-            shards[part.node_shard[owner.index()]]
-                .queue
-                .push(at, key, ev);
-        }
-
-        // Run.
-        let mut over_budget = false;
-        if num_shards == 1 {
-            let shard = &mut shards[0];
-            shard.dispatch_starts(&unstarted);
-            if let Some(bound) = bound {
-                shard.run_sequential(bound, budget);
-            }
-        } else {
-            let bound = bound.expect("multi-shard implies a run bound");
-            let sync = SharedSync::new(num_shards);
-            let lookahead = part.lookahead;
-            shards = std::thread::scope(|scope| {
-                let sync = &sync;
-                let unstarted = &unstarted;
-                let handles: Vec<_> = shards
-                    .into_iter()
-                    .map(|sh| {
-                        scope.spawn(move || {
-                            sh.run_parallel(sync, bound, lookahead, budget, unstarted)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            });
-            over_budget = sync.over_budget();
-        }
-
-        // Merge shard state back into the world.
-        let mut devices: Vec<Option<Device>> = (0..num_devices).map(|_| None).collect();
-        let mut apps: Vec<Option<AppSlot>> = (0..num_apps).map(|_| None).collect();
-        let mut probes: Vec<Option<ProbeRegistry>> = (0..num_nodes).map(|_| None).collect();
-        let mut node_rngs: Vec<Option<SmallRng>> = (0..num_nodes).map(|_| None).collect();
-        let mut push_seq = push_seq;
-        let mut uid_seq = uid_seq;
-        let mut max_now = self.now;
-        for mut sh in shards {
-            max_now = max_now.max(sh.now);
-            self.events_processed += sh.events_processed;
-            while let Some((at, key, ev)) = sh.queue.pop_entry() {
-                self.queue.push(at, key, ev);
-            }
-            for (i, d) in sh.devices.iter_mut().enumerate() {
-                if let Some(d) = d.take() {
-                    devices[i] = Some(d);
-                }
-            }
-            for (i, a) in sh.apps.iter_mut().enumerate() {
-                if let Some(a) = a.take() {
-                    apps[i] = Some(a);
-                }
-            }
-            for n in 0..num_nodes {
-                if part.node_shard[n] != sh.id {
-                    continue;
-                }
-                probes[n] = sh.probes[n].take();
-                node_rngs[n] = sh.node_rngs[n].take();
-                push_seq[n] = sh.push_seq[n];
-                uid_seq[n] = sh.uid_seq[n];
-            }
-            for (node, sched) in sh.schedulers.drain() {
-                self.schedulers.insert(node, sched);
-            }
-            for (node, eng) in sh.softirq.drain() {
-                self.softirq.insert(node, eng);
-            }
-        }
-        self.devices = devices
-            .into_iter()
-            .map(|d| d.expect("device returned by shard"))
-            .collect();
-        self.apps = apps
-            .into_iter()
-            .map(|a| a.expect("app returned by shard"))
-            .collect();
-        self.probes = probes
-            .into_iter()
-            .map(|p| p.expect("registry returned by shard"))
-            .collect();
-        self.node_rngs = node_rngs
-            .into_iter()
-            .map(|r| r.expect("rng returned by shard"))
-            .collect();
-        self.push_seq = push_seq;
-        self.uid_seq = uid_seq;
-        self.now = max_now;
-        if let Some(max) = budget {
-            assert!(!over_budget, "exceeded event budget {max}");
-        }
+    /// Allocates a packet uid from `node`'s counter; the node index in
+    /// the high bits keeps uids unique across nodes.
+    fn next_uid(&mut self, node: NodeId) -> PacketUid {
+        let c = &mut self.uid_seq[node.index()];
+        *c += 1;
+        PacketUid(((u64::from(node.0) + 1) << 40) | *c)
     }
 
     // ------------------------------------------------------------------
@@ -681,13 +504,10 @@ impl World {
     /// topology (no trace-ID handling).
     pub fn inject(&mut self, dev: DeviceId, mut pkt: Packet) {
         let node = self.devices[dev.index()].cfg.node;
-        let c = &mut self.uid_seq[node.index()];
-        *c += 1;
-        pkt.set_uid(PacketUid(((u64::from(node.0) + 1) << 40) | *c));
-        let key = self.mint_key(node);
-        self.queue.push(
+        pkt.set_uid(self.next_uid(node));
+        self.push_event(
+            node,
             self.now,
-            key,
             Event::Arrive {
                 dev,
                 from: None,
@@ -705,7 +525,6 @@ impl core::fmt::Debug for World {
             .field("devices", &self.devices.len())
             .field("apps", &self.apps.len())
             .field("events_processed", &self.events_processed)
-            .field("parallelism", &self.parallelism)
             .finish()
     }
 }
@@ -1250,59 +1069,6 @@ mod tests {
     fn world_debug_nonempty() {
         let w = World::new(0);
         assert!(!format!("{w:?}").is_empty());
-    }
-
-    /// Two latency-connected islands, one ping-pong pair each: the runs
-    /// at parallelism 1 and 4 must agree event for event.
-    fn echo_world(parallelism: usize) -> (World, Deliveries, Deliveries) {
-        let mut w = World::new(21);
-        w.set_parallelism(parallelism);
-        let mut mk = |i: usize| {
-            let a = w.add_node(format!("a{i}"), 2, NodeClock::perfect());
-            let b = w.add_node(format!("b{i}"), 2, NodeClock::perfect());
-            let atx = w.add_device(
-                DeviceConfig::new("tx", a)
-                    .service(ServiceModel::Fixed(SimDuration::from_micros(1))),
-            );
-            let brx = w.add_device(
-                DeviceConfig::new("rx", b)
-                    .service(ServiceModel::Fixed(SimDuration::from_micros(2)))
-                    .forwarding(Forwarding::Deliver),
-            );
-            w.connect(atx, brx, SimDuration::from_micros(25));
-            let got = Arc::new(Mutex::new(Vec::new()));
-            let app = w.add_app(
-                b,
-                brx,
-                Box::new(Counter {
-                    got: Arc::clone(&got),
-                }),
-            );
-            w.bind_app(brx, 2000, app);
-            (atx, got)
-        };
-        let (tx0, got0) = mk(0);
-        let (tx1, got1) = mk(1);
-        for _ in 0..40 {
-            w.inject(tx0, udp_packet(64));
-            w.inject(tx1, udp_packet(48));
-        }
-        (w, got0, got1)
-    }
-
-    #[test]
-    fn multi_shard_matches_single_shard() {
-        let (mut w1, a1, b1) = echo_world(1);
-        let (mut w4, a4, b4) = echo_world(4);
-        w1.run_until(SimTime::from_millis(5));
-        w4.run_until(SimTime::from_millis(5));
-        assert_eq!(w1.events_processed(), w4.events_processed());
-        let times = |d: &Deliveries| -> Vec<SimTime> {
-            d.lock().unwrap().iter().map(|(t, _)| *t).collect()
-        };
-        assert_eq!(times(&a1), times(&a4));
-        assert_eq!(times(&b1), times(&b4));
-        assert!(!times(&a1).is_empty());
     }
 }
 

@@ -206,8 +206,6 @@ pub struct EmulationConfig {
     /// Messages per sender app; the condition schedule spans
     /// `messages x 100us`.
     pub messages: u64,
-    /// Worker threads for the sharded event loop.
-    pub threads: usize,
 }
 
 impl Default for EmulationConfig {
@@ -215,7 +213,6 @@ impl Default for EmulationConfig {
         EmulationConfig {
             seed: 7,
             messages: 3_500,
-            threads: 1,
         }
     }
 }
@@ -262,18 +259,15 @@ impl EmulationReport {
         }
     }
 
-    /// Fraction of ground-truth episodes detected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the generator produced no episodes — a run with no
-    /// ground truth cannot be scored.
-    pub fn recall(&self) -> f64 {
-        assert!(
-            !self.episodes.is_empty(),
-            "cannot score recall without ground-truth episodes"
-        );
-        self.detected_episodes as f64 / self.episodes.len() as f64
+    /// Fraction of ground-truth episodes detected; `None` when the run
+    /// was too short for the generator to schedule an episode — with no
+    /// ground truth there is nothing to score recall against.
+    pub fn recall(&self) -> Option<f64> {
+        if self.episodes.is_empty() {
+            None
+        } else {
+            Some(self.detected_episodes as f64 / self.episodes.len() as f64)
+        }
     }
 }
 
@@ -388,7 +382,6 @@ fn two_host_impl(
         background_mbps: 0.0,
     };
     let mut s = TwoHostScenario::build(&two_host);
-    s.world.set_parallelism(cfg.threads);
 
     let fwd_wire = s.world.find_device(s.server1, "eth0-tx").expect("eth0-tx");
     let rev_wire = s.world.find_device(s.server2, "eth0-tx").expect("eth0-tx");
@@ -518,7 +511,6 @@ fn rack_impl(
         payload: 128,
     };
     let mut s = RackScenario::build(&rack_cfg);
-    s.world.set_parallelism(cfg.threads);
 
     // host0's uplink NIC: its only outgoing port (0) is the cable to the
     // ToR. The ToR's port h is its cable down to host h.
@@ -627,4 +619,23 @@ fn rack_impl(
     let alerts = engine.borrow_mut().drain_alerts();
 
     (episodes, alerts, s.world.events_processed())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A run too short for the generator to schedule an episode is a
+    /// report with nothing to score, not a panic.
+    #[test]
+    fn run_without_episodes_has_no_recall() {
+        let cfg = EmulationConfig {
+            messages: 0,
+            ..Default::default()
+        };
+        let r = run_two_host(AdversarialProfile::LeoHandover, &cfg);
+        assert!(r.episodes.is_empty());
+        assert_eq!(r.recall(), None);
+        assert_eq!(r.precision(), 1.0, "no alerts, none of them wrong");
+    }
 }

@@ -15,7 +15,7 @@
 //! * [`container`] — Figs. 12–13: VM versus container-overlay (VXLAN)
 //!   networking; softirq rates, distribution and data paths.
 //! * [`rack`] — the `datacenter_rack` scale scenario with a tracing
-//!   agent on every node, driving the sharded event loop.
+//!   agent on every node.
 //! * [`emulate`] — trace-driven adversarial link conditions (LEO
 //!   handover, congested WAN, flapping, asymmetric skew, bursty loss)
 //!   replayed against the two-host and rack testbeds, with the

@@ -3,11 +3,9 @@
 //! exchange traffic through OVS bridges and VXLAN tunnels.
 //!
 //! This is the "hundreds of VMs, millions of flows" regime the
-//! vNetTracer evaluation targets, built to exercise the sharded event
-//! loop: every VM and every host is its own node (and therefore its own
-//! potential shard), the only cross-node links are the VM↔host virtual
-//! wires (2 µs) and host↔ToR cables (5 µs), so the conservative
-//! lookahead horizon is 2 µs.
+//! vNetTracer evaluation targets: every VM and every host is its own
+//! node, joined by the VM↔host virtual wires (2 µs) and the host↔ToR
+//! cables (5 µs).
 //!
 //! Traffic is a ring: the apps on the VMs of host *h* fan their flows
 //! out to the matching VM on host *h+1*. Each client app cycles through
@@ -38,6 +36,8 @@ pub const BASE_DST_PORT: u16 = 20_000;
 /// First source port; flow `k` of client `j` uses
 /// `BASE_SRC_PORT + j * flows_per_app + k`.
 pub const BASE_SRC_PORT: u16 = 1_024;
+
+const UNVALIDATED: &str = "RackConfig::validate() passed: packet count and run length fit u64";
 
 /// Scale knobs for the rack.
 #[derive(Debug, Clone)]
@@ -110,8 +110,40 @@ impl RackConfig {
     }
 
     /// Total packets offered across all clients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `u64`; [`RackConfig::validate`]
+    /// rejects such a configuration up front.
     pub fn total_packets(&self) -> u64 {
-        (self.hosts * self.vms_per_host * self.apps_per_vm) as u64 * self.packets_per_app
+        self.checked_total_packets().expect(UNVALIDATED)
+    }
+
+    fn checked_total_packets(&self) -> Option<u64> {
+        ((self.hosts * self.vms_per_host * self.apps_per_vm) as u64)
+            .checked_mul(self.packets_per_app)
+    }
+
+    /// The simulated time [`RackScenario::run`] covers: the send phase
+    /// (`packets_per_app + 2` intervals) plus a drain margin.
+    fn checked_run_span(&self) -> Option<SimDuration> {
+        let sends = self.packets_per_app.checked_add(2)?;
+        let send_phase = self.send_interval.as_nanos().checked_mul(sends)?;
+        let span = send_phase.checked_add(SimDuration::from_millis(10).as_nanos())?;
+        Some(SimDuration::from_nanos(span))
+    }
+
+    /// Checks that the run can be counted: neither the packets offered
+    /// nor the run's length in nanoseconds may overflow `u64`. Front ends
+    /// call this on a user-supplied `packets_per_app` before building.
+    pub fn validate(&self) -> Result<(), String> {
+        match (self.checked_total_packets(), self.checked_run_span()) {
+            (Some(_), Some(_)) => Ok(()),
+            _ => Err(format!(
+                "{} packets per app overflow the rack's packet count or run length",
+                self.packets_per_app
+            )),
+        }
     }
 
     /// The overlay (inner) address of VM `v` on host `h`.
@@ -370,11 +402,14 @@ impl RackScenario {
     }
 
     /// Runs the configured send phase plus a drain margin.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run's length overflows `u64` nanoseconds; see
+    /// [`RackConfig::validate`].
     pub fn run(&mut self, cfg: &RackConfig) {
-        let send_phase =
-            SimDuration::from_nanos(cfg.send_interval.as_nanos() * (cfg.packets_per_app + 2));
         self.world
-            .run_for(send_phase + SimDuration::from_millis(10));
+            .run_for(cfg.checked_run_span().expect(UNVALIDATED));
     }
 
     /// Total packets delivered to server apps, across all VMs.
@@ -437,25 +472,37 @@ mod tests {
             .all(|&(pkts, _)| pkts == (cfg.apps_per_vm as u64) * cfg.packets_per_app));
     }
 
+    /// Exact fingerprints of two seed-42 racks. The event count moves if
+    /// any handler schedules one event more or fewer, or if equal-time
+    /// events pop in another order and a queue fills differently.
     #[test]
-    fn rack_identical_across_parallelism() {
-        let cfg = RackConfig::small();
-        let mut base = RackScenario::build(&cfg);
-        base.run(&cfg);
-        for threads in [2, 4, 8] {
+    fn rack_event_counts_are_pinned() {
+        let small = RackConfig {
+            packets_per_app: 2_000,
+            ..RackConfig::small()
+        };
+        // The shape `bench_e2e` runs as `rack_untraced`.
+        let bench = RackConfig {
+            seed: 42,
+            hosts: 8,
+            vms_per_host: 4,
+            apps_per_vm: 4,
+            flows_per_app: 32,
+            packets_per_app: 2_400,
+            send_interval: SimDuration::from_micros(40),
+            payload: 256,
+        };
+        for (cfg, events) in [(small, 925_984), (bench, 8_906_272)] {
             let mut s = RackScenario::build(&cfg);
-            s.world.set_parallelism(threads);
             s.run(&cfg);
-            assert_eq!(
-                s.delivery_fingerprint(),
-                base.delivery_fingerprint(),
-                "delivery fingerprint at {threads} threads"
-            );
-            assert_eq!(
-                s.world.events_processed(),
-                base.world.events_processed(),
-                "event count at {threads} threads"
-            );
+            assert_eq!(s.world.events_processed(), events);
+            assert_eq!(s.delivered_packets(), cfg.total_packets());
+            let per_vm = cfg.apps_per_vm as u64 * cfg.packets_per_app;
+            let bytes = per_vm * cfg.payload as u64;
+            assert!(s
+                .delivery_fingerprint()
+                .iter()
+                .all(|&f| f == (per_vm, bytes)));
         }
     }
 

@@ -15,7 +15,7 @@
 //!   after a run,
 //! * [`datacenter_rack`] — the rack-scale scenario (hundreds of VM
 //!   nodes, thousands of container apps, ≥1M concurrent flows over an
-//!   OVS/VXLAN overlay) that exercises the sharded event loop.
+//!   OVS/VXLAN overlay): the event loop at scale.
 //!
 //! Every generator implements [`vnet_sim::app::App`] and plugs into any
 //! topology built on the simulator. CPU-hog "workloads" need no app: they

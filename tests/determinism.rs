@@ -1,27 +1,32 @@
-//! Determinism across parallelism levels and repeated runs.
+//! Determinism: a run is a function of its seed.
 //!
-//! The sharded event loop's contract: for a fixed seed, the simulation —
-//! including everything the tracer observes and records — is
-//! bit-for-bit identical whether it runs on one thread or eight, and
-//! across repeated runs. The canonical push-key event ordering and the
-//! per-node RNG streams are what make this hold; this test is the
-//! tripwire if either regresses.
+//! For a fixed seed, the simulation — including everything the tracer
+//! observes and records — is bit-for-bit identical across repeated runs
+//! and however the run is stepped. The canonical push-key event ordering
+//! and the per-node RNG streams are what make this hold; these tests are
+//! the tripwire if either regresses.
 
+use vnet_sim::time::SimTime;
 use vnet_testbed::rack::RackTestbed;
 use vnet_tsdb::persist::write_json_lines;
 use vnet_workloads::datacenter_rack::RackConfig;
 
-/// One traced rack run at the given thread count, reduced to a
+/// One traced small-rack run to 10.36 ms (the span `RackTestbed::run`
+/// covers), advanced in `steps` equal `run_until` calls and reduced to a
 /// comparable fingerprint: serialized trace DB bytes, probe firings,
 /// events processed, and the workload's own delivery counts.
-fn traced_run(threads: usize) -> (Vec<u8>, u64, u64, Vec<(u64, u64)>) {
+fn traced_run(steps: u64) -> (Vec<u8>, u64, u64, Vec<(u64, u64)>) {
+    const HORIZON_NS: u64 = 10_360_000;
     let cfg = RackConfig::small();
     let mut tb = RackTestbed::build(&cfg);
-    tb.scenario.world.set_parallelism(threads);
     let pkg = tb.control_package();
     let mut tracer = tb.make_tracer();
     tracer.deploy(&mut tb.scenario.world, &pkg).unwrap();
-    tb.run();
+    for k in 1..=steps {
+        let until = SimTime::from_nanos(HORIZON_NS / steps * k);
+        tb.scenario.world.run_until(until);
+    }
+    assert_eq!(tb.scenario.world.now().as_nanos(), HORIZON_NS);
     tracer.collect(&tb.scenario.world);
     let mut db = Vec::new();
     write_json_lines(tracer.db(), &mut db).unwrap();
@@ -33,27 +38,26 @@ fn traced_run(threads: usize) -> (Vec<u8>, u64, u64, Vec<(u64, u64)>) {
     )
 }
 
+/// Stopping and resuming the loop must not be observable: between two
+/// `run_until` calls the world hands over its queue, clock, counters and
+/// RNG streams to itself, and a thousand hand-overs change nothing.
 #[test]
-fn same_seed_identical_output_across_thread_counts() {
+fn stepped_run_equals_one_shot() {
     let (db1, fired1, events1, delivery1) = traced_run(1);
     assert!(!db1.is_empty(), "the trace DB must not be empty");
     assert!(fired1 > 0, "probes must fire");
-    for threads in [2, 4, 8] {
-        let (db, fired, events, delivery) = traced_run(threads);
-        assert_eq!(fired, fired1, "probes_fired at {threads} threads");
-        assert_eq!(events, events1, "events_processed at {threads} threads");
-        assert_eq!(delivery, delivery1, "deliveries at {threads} threads");
-        assert_eq!(
-            db, db1,
-            "trace DB must be byte-identical at {threads} threads"
-        );
-    }
+    assert_eq!(delivery1.iter().map(|d| d.0).sum::<u64>(), 256);
+    let (db, fired, events, delivery) = traced_run(1_000);
+    assert_eq!(fired, fired1, "probes_fired");
+    assert_eq!(events, events1, "events_processed");
+    assert_eq!(delivery, delivery1, "deliveries");
+    assert_eq!(db, db1, "trace DB must be byte-identical");
 }
 
 #[test]
 fn same_seed_identical_output_across_repeated_runs() {
-    let (db_a, fired_a, events_a, delivery_a) = traced_run(2);
-    let (db_b, fired_b, events_b, delivery_b) = traced_run(2);
+    let (db_a, fired_a, events_a, delivery_a) = traced_run(1);
+    let (db_b, fired_b, events_b, delivery_b) = traced_run(1);
     assert_eq!(fired_a, fired_b);
     assert_eq!(events_a, events_b);
     assert_eq!(delivery_a, delivery_b);
@@ -66,8 +70,7 @@ fn same_seed_identical_output_across_repeated_runs() {
 /// invariants: a packet experiences exactly the delay of the segment
 /// active when it enters the wire (so "reordering" can only come from
 /// the schedule itself), `loss_rate = 1.0` drops every frame,
-/// `loss_rate = 0.0` drops none, and the whole thing is byte-identical
-/// at parallelism 1, 2 and 4.
+/// and `loss_rate = 0.0` drops none.
 mod profiled_links {
     use std::net::SocketAddrV4;
     use std::sync::{Arc, Mutex};
@@ -231,35 +234,6 @@ mod profiled_links {
         }
     }
 
-    prop_compose! {
-        /// A random adversarial schedule mixing delay changes, partial
-        /// loss and (sometimes) a serialization rate.
-        fn arb_adverse_profile()(
-            delays in proptest::collection::vec(1u64..400, 1..6),
-            gaps in proptest::collection::vec(50u64..600, 5),
-            loss_pct in proptest::collection::vec(0u32..60, 5),
-            rates in proptest::collection::vec(
-                proptest::option::of(1u64..100), 5),
-        ) -> LinkProfile {
-            let mut t = 0u64;
-            let segments = delays
-                .iter()
-                .enumerate()
-                .map(|(i, d)| {
-                    let seg = LinkSegment {
-                        start: SimTime::from_micros(t),
-                        delay: SimDuration::from_micros(*d),
-                        loss_rate: f64::from(loss_pct[i]) / 100.0,
-                        rate_bps: rates[i].map(|mbps| mbps * 1_000_000),
-                    };
-                    t += gaps[i];
-                    seg
-                })
-                .collect();
-            LinkProfile::new(segments).expect("generated schedule is valid")
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -308,41 +282,13 @@ mod profiled_links {
                 prop_assert_eq!(w.device_counters(tx).dropped_link, PACKETS);
             }
         }
-
-        /// Any schedule — delay steps, partial loss, serialization rates
-        /// — produces the identical delivery log and event count at
-        /// parallelism 1, 2 and 4.
-        #[test]
-        fn random_profiles_identical_across_parallelism(
-            profile in arb_adverse_profile(),
-            seed in 1u64..1_000,
-        ) {
-            let run = |threads: usize| {
-                let (mut w, logs, txs) = profiled_world(&profile, 4, seed);
-                w.set_parallelism(threads);
-                w.run_until(SimTime::from_millis(20));
-                let drops: Vec<u64> = txs
-                    .iter()
-                    .map(|&tx| w.device_counters(tx).dropped_link)
-                    .collect();
-                (drain(&logs), drops, w.events_processed())
-            };
-            let base = run(1);
-            for threads in [2usize, 4] {
-                let got = run(threads);
-                prop_assert_eq!(&got, &base, "diverged at {} threads", threads);
-            }
-        }
     }
 
-    /// The lookahead hazard from the issue: a profile that *shrinks* the
-    /// link delay mid-run (25us -> 2us at t = 1ms). If the sharded loop
-    /// derived its lookahead from the delay active at partition time,
-    /// post-shrink crossings would arrive inside an already-closed
-    /// window on another shard; the lookahead must come from the
-    /// profile's minimum delay across *all* segments.
+    /// A profile that *shrinks* the link delay mid-run (25us -> 2us at
+    /// t = 1ms): on both sides of the step every packet must arrive
+    /// exactly on the schedule's terms.
     #[test]
-    fn delay_shrink_mid_run_is_sound_at_parallelism_4() {
+    fn delay_shrink_mid_run_is_sound() {
         let profile = LinkProfile::new(vec![
             LinkSegment {
                 start: SimTime::ZERO,
@@ -358,24 +304,14 @@ mod profiled_links {
             },
         ])
         .unwrap();
-        let run = |threads: usize| {
-            let (mut w, logs, _) = profiled_world(&profile, 4, 11);
-            w.set_parallelism(threads);
-            w.run_until(SimTime::from_millis(20));
-            (drain(&logs), w.events_processed())
-        };
-        let serial = run(1);
-        // Every packet still arrives exactly on the schedule's terms...
+        let (mut w, logs, _) = profiled_world(&profile, 4, 11);
+        w.run_until(SimTime::from_millis(20));
         let mut expected = expected_arrivals(&profile);
         expected.sort_unstable();
-        for log in &serial.0 {
-            let mut got = log.clone();
+        for log in drain(&logs) {
+            let mut got = log;
             got.sort_unstable();
-            assert_eq!(got, expected, "serial run deviates from the schedule");
-        }
-        // ...and the sharded runs replay the serial one bit-for-bit.
-        for threads in [2usize, 4] {
-            assert_eq!(run(threads), serial, "diverged at {threads} threads");
+            assert_eq!(got, expected, "run deviates from the schedule");
         }
     }
 }
