@@ -102,8 +102,9 @@ impl ProbeSink for SystemTapProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use std::net::SocketAddrV4;
-    use std::sync::{Arc, Mutex};
+    use std::rc::Rc;
     use vnet_sim::device::{DeviceConfig, Forwarding, ServiceModel};
     use vnet_sim::node::NodeClock;
     use vnet_sim::packet::{FlowKey, PacketBuilder, SocketAddrV4Ext};
@@ -131,7 +132,7 @@ mod tests {
                 ))
                 .forwarding(Forwarding::Deliver),
         );
-        let probe = Arc::new(Mutex::new(SystemTapProbe::new()));
+        let probe = Rc::new(RefCell::new(SystemTapProbe::new()));
         w.attach_probe(n, Hook::kprobe("tcp_recvmsg"), probe.clone());
         let flow = FlowKey::udp(
             SocketAddrV4::sock("10.0.0.1", 1),
@@ -139,8 +140,8 @@ mod tests {
         );
         w.inject(dev, PacketBuilder::udp(flow, vec![0; 100]).build());
         w.run_until(SimTime::from_millis(1));
-        assert_eq!(probe.lock().unwrap().events(), 1);
-        assert_eq!(probe.lock().unwrap().records()[0].1, 14 + 20 + 8 + 100);
+        assert_eq!(probe.borrow_mut().events(), 1);
+        assert_eq!(probe.borrow_mut().records()[0].1, 14 + 20 + 8 + 100);
         // The packet's service was delayed by the probe cost: tx happens
         // at 1us + 3.624us.
         let c = w.device_counters(dev);

@@ -45,13 +45,7 @@ fn overhead_run(
         lost = tracer.lost_records("s1_ovs_br1");
         tracer.collect(&s.world);
     }
-    let mean = s
-        .latency
-        .lock()
-        .unwrap()
-        .summary()
-        .expect("samples")
-        .mean_ns;
+    let mean = s.latency.borrow_mut().summary().expect("samples").mean_ns;
     (mean, lost)
 }
 

@@ -1216,7 +1216,7 @@ fn run(args: &Args) -> Result<(), String> {
             print_db_summary(&tracer);
             print_collector_stats(&tracer.stats(&s.world));
             print_run_stats(&tracer);
-            if let Some(summary) = s.latency.lock().unwrap().summary() {
+            if let Some(summary) = s.latency.borrow_mut().summary() {
                 println!(
                     "sockperf: avg {:.1} us, p99.9 {:.1} us over {} messages",
                     summary.mean_us(),

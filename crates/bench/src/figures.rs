@@ -62,7 +62,7 @@ pub fn fig7a(scale: Scale) -> Table {
         if let Some(t) = tracer.as_mut() {
             t.collect(&s.world);
         }
-        let summary = s.latency.lock().unwrap().summary().expect("samples");
+        let summary = s.latency.borrow_mut().summary().expect("samples");
         (summary.mean_ns, summary.p999_ns as f64)
     };
     let (base_avg, base_tail) = run(false);
@@ -388,7 +388,7 @@ pub fn fig13a(scale: Scale) -> Table {
         let mut s = ContainerScenario::build(&cfg);
         s.run(&cfg);
         let per_cpu = s.vm2_net_rx_per_cpu();
-        let delivered = s.throughput.lock().unwrap().packets().max(1);
+        let delivered = s.throughput.borrow_mut().packets().max(1);
         let total: u64 = per_cpu.iter().sum();
         t.row(&[
             label.into(),

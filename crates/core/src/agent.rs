@@ -7,8 +7,9 @@
 //! of this happens at runtime against a live [`World`] — no restart of
 //! the monitored network.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use vnet_ebpf::context::TraceContext;
 use vnet_ebpf::jit::CompiledProgram;
@@ -102,7 +103,7 @@ enum Engine {
 /// measurements of Fig. 7.
 pub struct EbpfProbeSink {
     program: LoadedProgram,
-    maps: Arc<Mutex<MapRegistry>>,
+    maps: Rc<RefCell<MapRegistry>>,
     engine: Engine,
     stats: ScriptStats,
     prandom_state: u64,
@@ -112,7 +113,7 @@ pub struct EbpfProbeSink {
 impl EbpfProbeSink {
     fn new(
         loaded: LoadedProgram,
-        maps: Arc<Mutex<MapRegistry>>,
+        maps: Rc<RefCell<MapRegistry>>,
         tier: ExecTier,
         prandom_state: u64,
         per_match_extra_ns: u64,
@@ -194,7 +195,7 @@ impl ProbeSink for EbpfProbeSink {
             cpu: ctx.cpu,
             prandom_state: &mut self.prandom_state,
         };
-        let mut maps = self.maps.lock().unwrap();
+        let mut maps = self.maps.borrow_mut();
         // (return value, execution cost, one-time extra) per tier; both
         // tiers produce identical results, side effects and per-path
         // costs (fused ops charge the sum of their components) — they
@@ -283,7 +284,7 @@ struct Installed {
     probe: ProbeId,
     perf_fd: Option<i32>,
     counter_fd: Option<i32>,
-    sink: Arc<Mutex<EbpfProbeSink>>,
+    sink: Rc<RefCell<EbpfProbeSink>>,
 }
 
 /// A per-node tracing agent.
@@ -292,7 +293,7 @@ pub struct Agent {
     node: NodeId,
     node_name: String,
     num_cpus: u16,
-    maps: Arc<Mutex<MapRegistry>>,
+    maps: Rc<RefCell<MapRegistry>>,
     installed: HashMap<ScriptId, Installed>,
     next_id: ScriptId,
     heartbeat_seq: u64,
@@ -305,7 +306,7 @@ impl Agent {
             node,
             node_name: node_name.into(),
             num_cpus,
-            maps: Arc::new(Mutex::new(MapRegistry::new())),
+            maps: Rc::new(RefCell::new(MapRegistry::new())),
             installed: HashMap::new(),
             next_id: 1,
             heartbeat_seq: 0,
@@ -342,7 +343,7 @@ impl Agent {
         global: &GlobalConfig,
     ) -> Result<ScriptId> {
         let cpus = usize::from(self.num_cpus);
-        let mut maps = self.maps.lock().unwrap();
+        let mut maps = self.maps.borrow_mut();
         let fds = match spec.action {
             Action::RecordPacketInfo | Action::RecordDropInfo => (
                 Some(maps.create(MapDef::perf(global.buffer_size), cpus)?),
@@ -394,14 +395,14 @@ impl Agent {
         global: &GlobalConfig,
     ) -> Result<ScriptId> {
         let loaded = {
-            let maps = self.maps.lock().unwrap();
+            let maps = self.maps.borrow_mut();
             vnet_ebpf::program::load(program, &maps, &standard_helpers())?
         };
         check_budget(&loaded, global.probe_budget)?;
         let (id, name) = (self.next_id, loaded.name().to_owned());
-        let sink = Arc::new(Mutex::new(EbpfProbeSink::new(
+        let sink = Rc::new(RefCell::new(EbpfProbeSink::new(
             loaded,
-            Arc::clone(&self.maps),
+            Rc::clone(&self.maps),
             global.exec_tier,
             0x5eed ^ id,
             per_match_extra_ns,
@@ -424,8 +425,8 @@ impl Agent {
     /// The agent's map registry, shared with its loaded programs. Create
     /// maps here before assembling a raw program that references their
     /// fds, and read results back after the run.
-    pub fn maps(&self) -> Arc<Mutex<MapRegistry>> {
-        Arc::clone(&self.maps)
+    pub fn maps(&self) -> Rc<RefCell<MapRegistry>> {
+        Rc::clone(&self.maps)
     }
 
     /// Detaches and removes a script (runtime reconfiguration).
@@ -459,9 +460,7 @@ impl Agent {
 
     /// Execution statistics for a script.
     pub fn stats(&self, id: ScriptId) -> Option<ScriptStats> {
-        self.installed
-            .get(&id)
-            .map(|i| i.sink.lock().unwrap().stats)
+        self.installed.get(&id).map(|i| i.sink.borrow_mut().stats)
     }
 
     /// Drains every perf buffer into `batch`, grouped by (table, node) —
@@ -471,7 +470,7 @@ impl Agent {
     /// records drained.
     pub fn drain_into(&mut self, batch: &mut vnet_tsdb::RecordBatch) -> usize {
         let mut drained = 0;
-        let mut maps = self.maps.lock().unwrap();
+        let mut maps = self.maps.borrow_mut();
         for id in self.script_ids() {
             let installed = &self.installed[&id];
             let Some(fd) = installed.perf_fd else {
@@ -501,7 +500,7 @@ impl Agent {
         let Some(fd) = installed.perf_fd else {
             return 0;
         };
-        let maps = self.maps.lock().unwrap();
+        let maps = self.maps.borrow_mut();
         let Some(map) = maps.get(fd) else { return 0 };
         (0..usize::from(self.num_cpus))
             .map(|c| map.perf_lost(c))
@@ -519,7 +518,7 @@ impl Agent {
     pub fn counter_per_cpu(&self, id: ScriptId) -> Option<Vec<u64>> {
         let installed = self.installed.get(&id)?;
         let fd = installed.counter_fd?;
-        let mut maps = self.maps.lock().unwrap();
+        let mut maps = self.maps.borrow_mut();
         let map = maps.get_mut(fd)?;
         let mut out = Vec::with_capacity(usize::from(self.num_cpus));
         for cpu in 0..usize::from(self.num_cpus) {

@@ -95,7 +95,7 @@ impl<'w> AppCtx<'w> {
 /// A workload endpoint.
 ///
 /// All callbacks receive an [`AppCtx`] for timing, randomness and actions.
-pub trait App: Send {
+pub trait App {
     /// Called once when the simulation starts.
     fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
         let _ = ctx;

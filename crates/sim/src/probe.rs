@@ -14,8 +14,9 @@
 //! `vnet-ebpf` and the SystemTap cost model in `vnet-baselines` both plug in
 //! through this one trait.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
@@ -128,22 +129,18 @@ impl ProbeOutcome {
 ///
 /// Implementations: the eBPF program runner in `vnet-ebpf` (via
 /// `vnettracer`), and the SystemTap cost model in `vnet-baselines`.
-///
-/// The `Send` bound dates from when nodes ran on worker threads. The
-/// event loop is single-threaded now and nothing needs it; dropping it
-/// (and the lock in [`SharedSink`]) is ROADMAP item 1(b), a change to be
-/// measured on its own.
-pub trait ProbeSink: Send {
+pub trait ProbeSink {
     /// Handles one firing of the hook and reports the CPU time consumed.
     fn handle(&mut self, event: &ProbeEvent<'_>) -> ProbeOutcome;
 }
 
 /// Shared handle to a probe sink.
 ///
-/// `Arc<Mutex<_>>` lets the tracer keep a handle to its own sink (to read
-/// maps and buffers between runs) while the registry drives it. Firing
-/// and reading happen on the same thread, so the lock is never contended.
-pub type SharedSink = Arc<Mutex<dyn ProbeSink>>;
+/// `Rc<RefCell<_>>` lets the tracer keep a handle to its own sink (to read
+/// maps and buffers between runs) while the registry drives it. The
+/// registry borrows a sink only for the duration of one firing, and the
+/// tracer reads between `run_until` calls, so the two never overlap.
+pub type SharedSink = Rc<RefCell<dyn ProbeSink>>;
 
 /// Identifies an attached probe so it can be detached at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -284,12 +281,7 @@ impl ProbeRegistry {
         let mut total = SimDuration::ZERO;
         for a in &self.slots[hook.0 as usize] {
             self.fired += 1;
-            total += a
-                .sink
-                .lock()
-                .expect("sink lock poisoned")
-                .handle(event)
-                .cost;
+            total += a.sink.borrow_mut().handle(event).cost;
         }
         total
     }
@@ -330,8 +322,8 @@ mod tests {
         }
     }
 
-    fn counting(cost_ns: u64) -> Arc<Mutex<Counting>> {
-        Arc::new(Mutex::new(Counting {
+    fn counting(cost_ns: u64) -> Rc<RefCell<Counting>> {
+        Rc::new(RefCell::new(Counting {
             hits: 0,
             cost: SimDuration::from_nanos(cost_ns),
         }))
@@ -360,12 +352,12 @@ mod tests {
         assert_eq!(reg.intern(hook), slot, "both sides resolve to one slot");
         assert!(!reg.is_empty(slot));
         assert_eq!(reg.fire(slot, &event()), SimDuration::from_nanos(5));
-        assert_eq!(sink.lock().unwrap().hits, 1);
+        assert_eq!(sink.borrow_mut().hits, 1);
         assert!(reg.detach(id));
         assert!(!reg.detach(id), "double detach reports false");
         assert!(reg.is_empty(slot));
         assert_eq!(reg.fire(slot, &event()), SimDuration::ZERO);
-        assert_eq!(sink.lock().unwrap().hits, 1);
+        assert_eq!(sink.borrow_mut().hits, 1);
     }
 
     #[test]
@@ -398,12 +390,12 @@ mod tests {
     /// A sink appending its tag to a log shared by every probe at a hook.
     struct Tagged {
         tag: char,
-        log: Arc<Mutex<Vec<char>>>,
+        log: Rc<RefCell<Vec<char>>>,
     }
 
     impl ProbeSink for Tagged {
         fn handle(&mut self, _event: &ProbeEvent<'_>) -> ProbeOutcome {
-            self.log.lock().unwrap().push(self.tag);
+            self.log.borrow_mut().push(self.tag);
             ProbeOutcome::default()
         }
     }
@@ -412,19 +404,19 @@ mod tests {
     fn probes_run_in_attach_order_across_a_detach() {
         let mut reg = ProbeRegistry::new();
         let hook = Hook::device_tx("eth0");
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let ids: Vec<ProbeId> = ['a', 'b', 'c']
             .into_iter()
             .map(|tag| {
-                let log = Arc::clone(&log);
-                reg.attach(hook.clone(), Arc::new(Mutex::new(Tagged { tag, log })))
+                let log = Rc::clone(&log);
+                reg.attach(hook.clone(), Rc::new(RefCell::new(Tagged { tag, log })))
             })
             .collect();
         let slot = reg.intern(hook);
         reg.fire(slot, &event());
         assert!(reg.detach(ids[1]));
         reg.fire(slot, &event());
-        assert_eq!(*log.lock().unwrap(), vec!['a', 'b', 'c', 'a', 'c']);
+        assert_eq!(*log.borrow_mut(), vec!['a', 'b', 'c', 'a', 'c']);
     }
 
     #[test]
@@ -435,7 +427,7 @@ mod tests {
         assert!(!reg.is_empty(HookId::KFREE_SKB));
         assert!(reg.is_empty(HookId::OVS_UPCALL));
         reg.fire(HookId::KFREE_SKB, &event());
-        assert_eq!(sink.lock().unwrap().hits, 1);
+        assert_eq!(sink.borrow_mut().hits, 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub const DEFAULT_CONTEXT_SWITCH_COST: SimDuration = SimDuration::from_nanos(1_5
 /// arrives for a sleeping vCPU and [`HyperScheduler::sleep`] when the vCPU
 /// runs out of work; the returned instants gate when vCPU-bound devices may
 /// start serving packets.
-pub trait HyperScheduler: Send {
+pub trait HyperScheduler {
     /// The scheduler's name (`"credit"` or `"credit2"`).
     fn name(&self) -> &str;
 

@@ -539,8 +539,9 @@ mod tests {
     use crate::ids::{CpuId, VcpuId};
     use crate::packet::{FlowKey, PacketBuilder, SocketAddrV4Ext};
     use crate::probe::{ProbeEvent, ProbeOutcome, ProbeSink};
+    use std::cell::RefCell;
     use std::net::SocketAddrV4;
-    use std::sync::{Arc, Mutex};
+    use std::rc::Rc;
 
     fn flow() -> FlowKey {
         FlowKey::udp(
@@ -569,17 +570,17 @@ mod tests {
 
     /// Receiver app that counts deliveries.
     struct Counter {
-        got: Arc<Mutex<Vec<(SimTime, Packet)>>>,
+        got: Rc<RefCell<Vec<(SimTime, Packet)>>>,
     }
 
     impl App for Counter {
         fn on_packet(&mut self, ctx: &mut AppCtx<'_>, pkt: Packet) {
-            self.got.lock().unwrap().push((ctx.now(), pkt));
+            self.got.borrow_mut().push((ctx.now(), pkt));
         }
     }
 
     /// Builds a 2-device pipeline: src NIC -> dst stack (Deliver).
-    type Deliveries = Arc<Mutex<Vec<(SimTime, Packet)>>>;
+    type Deliveries = Rc<RefCell<Vec<(SimTime, Packet)>>>;
 
     fn pipeline() -> (World, DeviceId, DeviceId, Deliveries) {
         let mut w = World::new(1);
@@ -595,12 +596,12 @@ mod tests {
                 .forwarding(Forwarding::Deliver),
         );
         w.connect(tx, rx, SimDuration::from_micros(10));
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         let app = w.add_app(
             n,
             tx,
             Box::new(Counter {
-                got: Arc::clone(&got),
+                got: Rc::clone(&got),
             }),
         );
         w.bind_app(rx, 2000, app);
@@ -613,7 +614,7 @@ mod tests {
         w.inject(tx, udp_packet(56));
         w.run_until(SimTime::from_millis(1));
         // 1us service + 10us link + 2us service = 13us delivery.
-        let deliveries = got.lock().unwrap();
+        let deliveries = got.borrow_mut();
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].0, SimTime::from_micros(13));
         assert_eq!(w.device_counters(tx).tx_packets, 1);
@@ -626,7 +627,7 @@ mod tests {
         w.inject(tx, udp_packet(56));
         w.inject(tx, udp_packet(56));
         w.run_until(SimTime::from_millis(1));
-        let deliveries = got.lock().unwrap();
+        let deliveries = got.borrow_mut();
         assert_eq!(deliveries.len(), 2);
         // The receive stack (2us service) is the bottleneck: the second
         // packet is delivered one RX service time after the first.
@@ -639,7 +640,7 @@ mod tests {
     #[test]
     fn probe_cost_perturbs_service() {
         let (mut w, tx, _, got) = pipeline();
-        let sink = Arc::new(Mutex::new(Recorder {
+        let sink = Rc::new(RefCell::new(Recorder {
             seen: Vec::new(),
             cost: SimDuration::from_micros(5),
         }));
@@ -647,14 +648,14 @@ mod tests {
         w.inject(tx, udp_packet(56));
         w.run_until(SimTime::from_millis(1));
         // Tracing added 5us to the first hop: 13 + 5 = 18us.
-        assert_eq!(got.lock().unwrap()[0].0, SimTime::from_micros(18));
-        assert_eq!(sink.lock().unwrap().seen.len(), 1);
+        assert_eq!(got.borrow_mut()[0].0, SimTime::from_micros(18));
+        assert_eq!(sink.borrow_mut().seen.len(), 1);
     }
 
     #[test]
     fn kernel_function_probes_fire_entry_and_return() {
         let (mut w, tx, _, _) = pipeline();
-        let sink = Arc::new(Mutex::new(Recorder {
+        let sink = Rc::new(RefCell::new(Recorder {
             seen: Vec::new(),
             cost: SimDuration::ZERO,
         }));
@@ -662,13 +663,13 @@ mod tests {
         w.attach_probe(NodeId(0), Hook::kretprobe("dev_queue_xmit"), sink.clone());
         w.inject(tx, udp_packet(56));
         w.run_until(SimTime::from_millis(1));
-        assert_eq!(sink.lock().unwrap().seen.len(), 2);
+        assert_eq!(sink.borrow_mut().seen.len(), 2);
     }
 
     #[test]
     fn detach_and_reattach_between_runs_apply_at_the_next_firing() {
         let (mut w, tx, _, _) = pipeline();
-        let sink = Arc::new(Mutex::new(Recorder {
+        let sink = Rc::new(RefCell::new(Recorder {
             seen: Vec::new(),
             cost: SimDuration::ZERO,
         }));
@@ -681,7 +682,7 @@ mod tests {
         w.attach_probe(NodeId(0), Hook::device_rx("eth0"), sink.clone());
         w.inject(tx, udp_packet(30));
         w.run_until(SimTime::from_micros(300));
-        let lens: Vec<usize> = sink.lock().unwrap().seen.iter().map(|s| s.1).collect();
+        let lens: Vec<usize> = sink.borrow_mut().seen.iter().map(|s| s.1).collect();
         assert_eq!(
             lens,
             vec![14 + 20 + 8 + 10, 14 + 20 + 8 + 30],
@@ -693,7 +694,7 @@ mod tests {
     fn probe_attached_before_its_device_exists_fires() {
         let mut w = World::new(1);
         let n = w.add_node("host", 1, NodeClock::perfect());
-        let sink = Arc::new(Mutex::new(Recorder {
+        let sink = Rc::new(RefCell::new(Recorder {
             seen: Vec::new(),
             cost: SimDuration::ZERO,
         }));
@@ -706,7 +707,7 @@ mod tests {
         );
         w.inject(d, udp_packet(10));
         w.run_until(SimTime::from_micros(100));
-        assert_eq!(sink.lock().unwrap().seen.len(), 2, "tap and kretprobe");
+        assert_eq!(sink.borrow_mut().seen.len(), 2, "tap and kretprobe");
         assert_eq!(w.probes_fired(), 2);
     }
 
@@ -714,7 +715,7 @@ mod tests {
     fn probe_on_a_name_nothing_fires_is_accepted_and_silent() {
         let (mut w, tx, _, got) = pipeline();
         let other = w.add_node("other", 1, NodeClock::perfect());
-        let sink = Arc::new(Mutex::new(Recorder {
+        let sink = Rc::new(RefCell::new(Recorder {
             seen: Vec::new(),
             cost: SimDuration::from_micros(5),
         }));
@@ -726,8 +727,8 @@ mod tests {
         ];
         w.inject(tx, udp_packet(56));
         w.run_until(SimTime::from_millis(1));
-        assert_eq!(got.lock().unwrap()[0].0, SimTime::from_micros(13));
-        assert!(sink.lock().unwrap().seen.is_empty());
+        assert_eq!(got.borrow_mut()[0].0, SimTime::from_micros(13));
+        assert!(sink.borrow_mut().seen.is_empty());
         assert_eq!(w.probes_fired(), 0);
         assert!(ids.into_iter().all(|id| w.detach_probe(id)));
     }
@@ -823,12 +824,12 @@ mod tests {
                 .forwarding(Forwarding::Deliver)
                 .kernel_functions(KernelFunctions::new(&["net_rx_action"], &[])),
         );
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         let app = w.add_app(
             n,
             d,
             Box::new(Counter {
-                got: Arc::clone(&got),
+                got: Rc::clone(&got),
             }),
         );
         w.bind_app(d, 2000, app);
@@ -836,7 +837,7 @@ mod tests {
             w.inject(d, udp_packet(10));
         }
         w.run_until(SimTime::from_millis(1));
-        let times: Vec<_> = got.lock().unwrap().iter().map(|(t, _)| *t).collect();
+        let times: Vec<_> = got.borrow_mut().iter().map(|(t, _)| *t).collect();
         assert_eq!(
             times,
             vec![
@@ -883,7 +884,7 @@ mod tests {
         w.connect(tx, rx, SimDuration::ZERO);
 
         // Tap between the stacks to observe the on-wire packet.
-        let sink = Arc::new(Mutex::new(Recorder {
+        let sink = Rc::new(RefCell::new(Recorder {
             seen: Vec::new(),
             cost: SimDuration::ZERO,
         }));
@@ -901,21 +902,21 @@ mod tests {
             fn on_packet(&mut self, _ctx: &mut AppCtx<'_>, _pkt: Packet) {}
         }
         w.add_app(n, tx, Box::new(Sender));
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         let rx_app = w.add_app(
             n,
             tx,
             Box::new(Counter {
-                got: Arc::clone(&got),
+                got: Rc::clone(&got),
             }),
         );
         w.bind_app(rx, 2000, rx_app);
         w.run_until(SimTime::from_millis(1));
 
         // On the wire: payload carries the 4-byte trailer.
-        assert_eq!(sink.lock().unwrap().seen[0].1, 14 + 20 + 8 + 56 + 4);
+        assert_eq!(sink.borrow_mut().seen[0].1, 14 + 20 + 8 + 56 + 4);
         // At the application: trailer stripped, original 56 bytes.
-        let deliveries = got.lock().unwrap();
+        let deliveries = got.borrow_mut();
         assert_eq!(deliveries.len(), 1);
         let parsed = deliveries[0].1.parse().unwrap();
         assert_eq!(parsed.payload.len(), 56);
@@ -953,18 +954,18 @@ mod tests {
                 .forwarding(Forwarding::Deliver),
         );
         w.connect(vif, eth1, SimDuration::ZERO);
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         let app = w.add_app(
             host,
             vif,
             Box::new(Counter {
-                got: Arc::clone(&got),
+                got: Rc::clone(&got),
             }),
         );
         w.bind_app(eth1, 2000, app);
         w.inject(vif, udp_packet(56));
         w.run_until(SimTime::from_millis(5));
-        let t = got.lock().unwrap()[0].0;
+        let t = got.borrow_mut()[0].0;
         // The hog holds the pCPU for the 1000us ratelimit window; delivery
         // cannot occur much before that.
         assert!(
@@ -990,18 +991,18 @@ mod tests {
                 .forwarding(Forwarding::Deliver),
         );
         w2.connect(vif2, eth1b, SimDuration::ZERO);
-        let got2 = Arc::new(Mutex::new(Vec::new()));
+        let got2 = Rc::new(RefCell::new(Vec::new()));
         let app2 = w2.add_app(
             host2,
             vif2,
             Box::new(Counter {
-                got: Arc::clone(&got2),
+                got: Rc::clone(&got2),
             }),
         );
         w2.bind_app(eth1b, 2000, app2);
         w2.inject(vif2, udp_packet(56));
         w2.run_until(SimTime::from_millis(5));
-        let t2 = got2.lock().unwrap()[0].0;
+        let t2 = got2.borrow_mut()[0].0;
         assert!(
             t2 < SimTime::from_micros(20),
             "no ratelimit -> prompt delivery, got {t2}"
@@ -1035,12 +1036,12 @@ mod tests {
                 .forwarding(Forwarding::Deliver),
         );
         w.connect(encap, decap, SimDuration::ZERO);
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         let app = w.add_app(
             n,
             encap,
             Box::new(Counter {
-                got: Arc::clone(&got),
+                got: Rc::clone(&got),
             }),
         );
         w.bind_app(decap, 2000, app);
@@ -1048,7 +1049,7 @@ mod tests {
         let original_bytes = original.bytes().to_vec();
         w.inject(encap, original);
         w.run_until(SimTime::from_millis(1));
-        let deliveries = got.lock().unwrap();
+        let deliveries = got.borrow_mut();
         assert_eq!(deliveries.len(), 1);
         assert_eq!(
             deliveries[0].1.bytes(),
@@ -1077,20 +1078,21 @@ mod htb_tests {
     use super::*;
     use crate::device::{DeviceConfig, Forwarding, HtbConfig, ServiceModel};
     use crate::packet::{FlowKey, PacketBuilder, SocketAddrV4Ext};
+    use std::cell::RefCell;
     use std::net::SocketAddrV4;
-    use std::sync::{Arc, Mutex};
+    use std::rc::Rc;
 
     struct Sink {
-        got: Arc<Mutex<Vec<(SimTime, usize)>>>,
+        got: Rc<RefCell<Vec<(SimTime, usize)>>>,
     }
 
     impl crate::app::App for Sink {
         fn on_packet(&mut self, ctx: &mut crate::app::AppCtx<'_>, pkt: Packet) {
-            self.got.lock().unwrap().push((ctx.now(), pkt.len()));
+            self.got.borrow_mut().push((ctx.now(), pkt.len()));
         }
     }
 
-    type Seen = Arc<Mutex<Vec<(SimTime, usize)>>>;
+    type Seen = Rc<RefCell<Vec<(SimTime, usize)>>>;
 
     fn shaped_world(htb: HtbConfig) -> (World, DeviceId, Seen) {
         let mut w = World::new(99);
@@ -1102,12 +1104,12 @@ mod htb_tests {
         );
         let sink = w.add_device(DeviceConfig::new("sink", n).forwarding(Forwarding::Deliver));
         w.connect(port, sink, SimDuration::ZERO);
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         let app = w.add_app(
             n,
             port,
             Box::new(Sink {
-                got: Arc::clone(&got),
+                got: Rc::clone(&got),
             }),
         );
         w.bind_app(sink, 7, app);
@@ -1136,7 +1138,7 @@ mod htb_tests {
         }
         w.inject(port, pkt(20));
         w.run_until(SimTime::from_millis(10));
-        let deliveries = got.lock().unwrap();
+        let deliveries = got.borrow_mut();
         assert_eq!(deliveries.len(), 4);
         // The small frame is served first (latency class bypasses).
         assert!(deliveries[0].1 < 100, "small frame first: {deliveries:?}");

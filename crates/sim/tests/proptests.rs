@@ -221,18 +221,19 @@ mod sched_props {
 
 mod conservation {
     use proptest::prelude::*;
+    use std::cell::RefCell;
     use std::net::SocketAddrV4;
-    use std::sync::{Arc, Mutex};
+    use std::rc::Rc;
     use vnet_sim::device::{DeviceConfig, Forwarding, ServiceModel};
     use vnet_sim::node::NodeClock;
     use vnet_sim::packet::{FlowKey, PacketBuilder, SocketAddrV4Ext};
     use vnet_sim::time::{SimDuration, SimTime};
     use vnet_sim::world::World;
 
-    struct Counter(Arc<Mutex<u64>>);
+    struct Counter(Rc<RefCell<u64>>);
     impl vnet_sim::app::App for Counter {
         fn on_packet(&mut self, _: &mut vnet_sim::app::AppCtx<'_>, _: vnet_sim::packet::Packet) {
-            *self.0.lock().unwrap() += 1;
+            *self.0.borrow_mut() += 1;
         }
     }
 
@@ -269,8 +270,8 @@ mod conservation {
             );
             w.connect(src, mid, SimDuration::from_micros(1));
             w.connect(mid, sink, SimDuration::from_micros(1));
-            let delivered = Arc::new(Mutex::new(0u64));
-            let app = w.add_app(n, src, Box::new(Counter(Arc::clone(&delivered))));
+            let delivered = Rc::new(RefCell::new(0u64));
+            let app = w.add_app(n, src, Box::new(Counter(Rc::clone(&delivered))));
             w.bind_app(sink, 7, app);
 
             let flow = FlowKey::udp(
@@ -308,10 +309,10 @@ mod conservation {
                 [src, mid, sink].iter().map(|&d| w.device_queue_len(d) as u64).sum();
             prop_assert_eq!(
                 injected,
-                *delivered.lock().unwrap() + dropped + queued,
+                *delivered.borrow_mut() + dropped + queued,
                 "conservation violated: injected {} delivered {} dropped {} queued {}",
                 injected,
-                delivered.lock().unwrap(),
+                delivered.borrow_mut(),
                 dropped,
                 queued
             );

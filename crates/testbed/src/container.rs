@@ -12,8 +12,9 @@
 //! delivered packet, concentrated on CPU 0, and container throughput
 //! collapses to a fraction of the VM-to-VM number (Fig. 12b).
 
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use vnet_sim::device::{
     DeviceConfig, Forwarding, Gate, KernelFunctions, ServiceModel, Steering, TraceIdRole, Transform,
@@ -87,7 +88,7 @@ pub struct ContainerScenario {
     /// Receiver VM.
     pub vm2: NodeId,
     /// Server-side goodput recorder.
-    pub throughput: Arc<Mutex<ThroughputRecorder>>,
+    pub throughput: Rc<RefCell<ThroughputRecorder>>,
     /// The (inner, for overlay) data flow client → server.
     pub flow: FlowKey,
 }
@@ -332,7 +333,7 @@ impl ContainerScenario {
                 let server = w.add_app(
                     vm2,
                     c2_tx,
-                    Box::new(NetperfServer::new(Arc::clone(&throughput))),
+                    Box::new(NetperfServer::new(Rc::clone(&throughput))),
                 );
                 w.bind_app(server_rx, SERVER_PORT, server);
                 let client = w.add_app(
@@ -351,7 +352,7 @@ impl ContainerScenario {
                 let server = w.add_app(
                     vm2,
                     c2_tx,
-                    Box::new(IperfServer::new(Arc::clone(&throughput))),
+                    Box::new(IperfServer::new(Rc::clone(&throughput))),
                 );
                 w.bind_app(server_rx, SERVER_PORT, server);
                 // Open loop above the fastest capacity (1.5us/pkt): one
@@ -388,7 +389,7 @@ impl ContainerScenario {
 
     /// Goodput in Mbit/s.
     pub fn goodput_mbps(&self) -> f64 {
-        self.throughput.lock().unwrap().throughput_mbps()
+        self.throughput.borrow_mut().throughput_mbps()
     }
 
     /// `net_rx_action` executions on the receiver VM, per CPU.
@@ -476,7 +477,7 @@ pub fn run_throughput(mode: NetMode, transport: Transport, count: u64) -> (f64, 
     };
     let mut s = ContainerScenario::build(&cfg);
     s.run(&cfg);
-    let delivered = s.throughput.lock().unwrap().packets().max(1);
+    let delivered = s.throughput.borrow_mut().packets().max(1);
     let net_rx: u64 = s.vm2_net_rx_per_cpu().iter().sum();
     (
         s.goodput_mbps(),

@@ -12,8 +12,9 @@
 //! cross-tier decomposition the scenario-pack CI step asserts sums
 //! exactly to the end-to-end figure.
 
+use std::cell::RefCell;
 use std::net::{Ipv4Addr, SocketAddrV4};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use vnet_sim::device::{DeviceConfig, Forwarding, ServiceModel, TraceIdRole};
 use vnet_sim::node::NodeClock;
@@ -77,7 +78,7 @@ pub struct MemcachedChain {
     /// Backend tier node.
     pub backend: NodeId,
     /// Client-observed response latencies.
-    pub latency: Arc<Mutex<LatencyRecorder>>,
+    pub latency: Rc<RefCell<LatencyRecorder>>,
     cfg: ChainConfig,
 }
 
@@ -148,7 +149,7 @@ impl MemcachedChain {
                 client_flow,
                 cfg.rps,
                 cfg.requests,
-                Arc::clone(&latency),
+                Rc::clone(&latency),
             )),
         );
         let proxy_app = w.add_app(proxy, p_tx, Box::new(MemcachedProxy::new(upstream)));
@@ -234,7 +235,7 @@ mod tests {
         let cfg = ChainConfig::default();
         let mut chain = MemcachedChain::build(&cfg);
         chain.run();
-        let s = chain.latency.lock().unwrap().summary().unwrap();
+        let s = chain.latency.borrow_mut().summary().unwrap();
         assert_eq!(
             s.count, cfg.requests as usize,
             "every request gets a response"

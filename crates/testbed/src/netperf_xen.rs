@@ -15,8 +15,9 @@
 //! so a ~3.6 µs SystemTap handler pushes the stack past the wire on 1 GbE
 //! (≈10% loss) and inflates the already-binding stack on 10 GbE (≈26%).
 
+use std::cell::RefCell;
 use std::net::{Ipv4Addr, SocketAddrV4};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use vnet_baselines::SystemTapProbe;
 use vnet_sim::device::{DeviceConfig, Forwarding, KernelFunctions, ServiceModel};
@@ -75,11 +76,11 @@ pub struct NetperfXenScenario {
     /// The Xen host running the Netperf server VM.
     pub xen_host: NodeId,
     /// Server-side goodput recorder.
-    pub throughput: Arc<Mutex<ThroughputRecorder>>,
+    pub throughput: Rc<RefCell<ThroughputRecorder>>,
     /// The tracer, when [`TracerKind::VNetTracer`] was requested.
     pub tracer: Option<VNetTracer>,
     /// The SystemTap probe, when [`TracerKind::SystemTap`] was requested.
-    pub systemtap: Option<Arc<Mutex<SystemTapProbe>>>,
+    pub systemtap: Option<Rc<RefCell<SystemTapProbe>>>,
 }
 
 impl std::fmt::Debug for NetperfXenScenario {
@@ -160,7 +161,7 @@ impl NetperfXenScenario {
         let server = w.add_app(
             xen_host,
             guest_tx,
-            Box::new(NetperfServer::new(Arc::clone(&throughput))),
+            Box::new(NetperfServer::new(Rc::clone(&throughput))),
         );
         w.bind_app(stack, NETPERF_PORT, server);
         let client = w.add_app(
@@ -198,7 +199,7 @@ impl NetperfXenScenario {
                 tracer = Some(t);
             }
             TracerKind::SystemTap => {
-                let probe = Arc::new(Mutex::new(SystemTapProbe::new()));
+                let probe = Rc::new(RefCell::new(SystemTapProbe::new()));
                 w.attach_probe(xen_host, Hook::kprobe("tcp_recvmsg"), probe.clone());
                 systemtap = Some(probe);
             }
@@ -223,7 +224,7 @@ impl NetperfXenScenario {
 
     /// Measured goodput in Mbit/s.
     pub fn goodput_mbps(&self) -> f64 {
-        self.throughput.lock().unwrap().throughput_mbps()
+        self.throughput.borrow_mut().throughput_mbps()
     }
 }
 

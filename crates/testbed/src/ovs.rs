@@ -20,8 +20,9 @@
 //! (`rate 1e5 kbps, burst 1e4 kb`) on `vnet0`/`vnet1`, which drops the
 //! iPerf load at admission and restores Sockperf latency.
 
+use std::cell::RefCell;
 use std::net::{Ipv4Addr, SocketAddrV4};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use vnet_sim::device::{
     DeviceConfig, Forwarding, HtbConfig, PolicerConfig, ServiceModel, TraceIdRole,
@@ -145,9 +146,9 @@ pub struct OvsScenario {
     /// The single host.
     pub host: NodeId,
     /// Sockperf latency samples.
-    pub latency: Arc<Mutex<LatencyRecorder>>,
+    pub latency: Rc<RefCell<LatencyRecorder>>,
     /// iPerf delivered throughput (aggregate).
-    pub iperf_throughput: Arc<Mutex<ThroughputRecorder>>,
+    pub iperf_throughput: Rc<RefCell<ThroughputRecorder>>,
     /// The Sockperf request flow.
     pub flow: FlowKey,
 }
@@ -280,7 +281,7 @@ impl OvsScenario {
                 vnet_workloads::sockperf::DEFAULT_MSG_SIZE,
                 cfg.interval,
                 cfg.messages,
-                Arc::clone(&latency),
+                Rc::clone(&latency),
             )),
         );
         let sock_server = w.add_app(host, em2_tx, Box::new(SockperfServer::new()));
@@ -317,7 +318,7 @@ impl OvsScenario {
                         SocketAddrV4::new(src_ip, iperf_port),
                         SocketAddrV4::new(VM2_IP, IPERF_SPORT),
                     );
-                    let stats = Arc::new(Mutex::new(vnet_workloads::TcpStreamStats::default()));
+                    let stats = Rc::new(RefCell::new(vnet_workloads::TcpStreamStats::default()));
                     let app = w.add_app(
                         host,
                         src_dev,
@@ -363,12 +364,12 @@ impl OvsScenario {
             CongestionTransport::Udp => w.add_app(
                 host,
                 em2_tx,
-                Box::new(IperfServer::new(Arc::clone(&iperf_throughput))),
+                Box::new(IperfServer::new(Rc::clone(&iperf_throughput))),
             ),
             CongestionTransport::Tcp => w.add_app(
                 host,
                 em2_tx,
-                Box::new(NetperfServer::new(Arc::clone(&iperf_throughput))),
+                Box::new(NetperfServer::new(Rc::clone(&iperf_throughput))),
             ),
         };
         w.bind_app(em2, IPERF_SPORT, iperf_server);
@@ -453,8 +454,7 @@ pub fn sockperf_latency_tcp_congestion(
     s.run(&cfg);
     let summary = s
         .latency
-        .lock()
-        .unwrap()
+        .borrow_mut()
         .summary()
         .expect("sockperf produced samples");
     summary
@@ -476,8 +476,7 @@ pub fn sockperf_latency(
     s.run(&cfg);
     let summary = s
         .latency
-        .lock()
-        .unwrap()
+        .borrow_mut()
         .summary()
         .expect("sockperf produced samples");
     summary

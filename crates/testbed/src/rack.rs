@@ -130,8 +130,8 @@ mod tests {
             .zip(&traced.scenario.delivered)
             .enumerate()
         {
-            let b = b.lock().unwrap().throughput_bps();
-            let t = t.lock().unwrap().throughput_bps();
+            let b = b.borrow_mut().throughput_bps();
+            let t = t.borrow_mut().throughput_bps();
             if b > 0.0 {
                 let delta = (t - b).abs() / b;
                 assert!(

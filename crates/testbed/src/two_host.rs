@@ -10,8 +10,9 @@
 //! A light background iPerf flow shares the OVS bridges and NICs so the
 //! Sockperf latency distribution has a realistic tail.
 
+use std::cell::RefCell;
 use std::net::{Ipv4Addr, SocketAddrV4};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use vnet_sim::device::{DeviceConfig, Forwarding, ServiceModel, TraceIdRole};
 use vnet_sim::node::NodeClock;
@@ -61,7 +62,7 @@ pub struct TwoHostScenario {
     /// Second server (Sockperf server VM).
     pub server2: NodeId,
     /// Sockperf latency samples.
-    pub latency: Arc<Mutex<LatencyRecorder>>,
+    pub latency: Rc<RefCell<LatencyRecorder>>,
     /// The Sockperf flow (client → server).
     pub flow: FlowKey,
 }
@@ -162,7 +163,7 @@ impl TwoHostScenario {
                 vnet_workloads::sockperf::DEFAULT_MSG_SIZE,
                 cfg.interval,
                 cfg.messages,
-                Arc::clone(&latency),
+                Rc::clone(&latency),
             )),
         );
         let server = w.add_app(s2, ens3_tx_2, Box::new(SockperfServer::new()));
@@ -273,7 +274,7 @@ mod tests {
         };
         let mut s = TwoHostScenario::build(&cfg);
         s.run(&cfg);
-        let summary = s.latency.lock().unwrap().summary().unwrap();
+        let summary = s.latency.borrow_mut().summary().unwrap();
         assert_eq!(summary.count, 200);
         // One-way ~ 36us (0.5+1.5+~1 NIC+30 wire+0.3+1.5+1).
         assert!(
@@ -299,7 +300,7 @@ mod tests {
         // Untraced run.
         let mut base = TwoHostScenario::build(&cfg);
         base.run(&cfg);
-        let base_summary = base.latency.lock().unwrap().summary().unwrap();
+        let base_summary = base.latency.borrow_mut().summary().unwrap();
         // Traced run: 4 eBPF scripts.
         let mut traced = TwoHostScenario::build(&cfg);
         let pkg = traced.control_package();
@@ -307,7 +308,7 @@ mod tests {
         tracer.deploy(&mut traced.world, &pkg).unwrap();
         traced.run(&cfg);
         tracer.collect(&traced.world);
-        let traced_summary = traced.latency.lock().unwrap().summary().unwrap();
+        let traced_summary = traced.latency.borrow_mut().summary().unwrap();
         // Pinned: a hook that stops firing, or fires twice, moves this
         // count before it moves any latency.
         assert_eq!(traced.world.probes_fired(), 6825);
@@ -339,8 +340,8 @@ mod tests {
         let mut b = TwoHostScenario::build(&cfg);
         b.run(&cfg);
         assert_eq!(
-            a.latency.lock().unwrap().samples(),
-            b.latency.lock().unwrap().samples()
+            a.latency.borrow_mut().samples(),
+            b.latency.borrow_mut().samples()
         );
         assert!(a.world.now() > SimTime::ZERO);
     }

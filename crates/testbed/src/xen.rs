@@ -14,8 +14,9 @@
 //! and `vif1.0` in Dom0, `eth1` in the server VM and `veth684a1d9`
 //! inside the container.
 
+use std::cell::RefCell;
 use std::net::{Ipv4Addr, SocketAddrV4};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use vnet_sim::device::{DeviceConfig, Forwarding, Gate, ServiceModel, TraceIdRole};
 use vnet_sim::node::NodeClock;
@@ -110,7 +111,7 @@ pub struct XenScenario {
     /// The Xen host.
     pub xen: NodeId,
     /// Workload latency samples (as the application reports them).
-    pub latency: Arc<Mutex<LatencyRecorder>>,
+    pub latency: Rc<RefCell<LatencyRecorder>>,
     /// The request flow (client → server).
     pub flow: FlowKey,
 }
@@ -240,7 +241,7 @@ impl XenScenario {
                         vnet_workloads::sockperf::DEFAULT_MSG_SIZE,
                         cfg.interval,
                         cfg.requests,
-                        Arc::clone(&latency),
+                        Rc::clone(&latency),
                     )),
                 );
                 let server = w.add_app(xen, guest_tx, Box::new(SockperfServer::new()));
@@ -254,7 +255,7 @@ impl XenScenario {
                         flow,
                         vnet_workloads::memcached::DEFAULT_RPS,
                         cfg.requests,
-                        Arc::clone(&latency),
+                        Rc::clone(&latency),
                     )),
                 );
                 let server = w.add_app(xen, guest_tx, Box::new(DataCachingServer::new()));
@@ -349,8 +350,7 @@ pub fn run_latency_with_ratelimit(
     s.run(&cfg);
     let summary = s
         .latency
-        .lock()
-        .unwrap()
+        .borrow_mut()
         .summary()
         .expect("workload produced samples");
     summary
@@ -496,7 +496,7 @@ mod tests {
             };
             let mut s = XenScenario::build(&cfg);
             s.run(&cfg);
-            let summary = s.latency.lock().unwrap().summary().unwrap();
+            let summary = s.latency.borrow_mut().summary().unwrap();
             summary
         };
         let alone = run(Consolidation::Alone, None);
@@ -521,7 +521,7 @@ mod tests {
         let mut a = XenScenario::build(&cfg_alone);
         a.run(&cfg_alone);
         let alone_range =
-            vnettracer::metrics::jitter_range(a.latency.lock().unwrap().samples()).unwrap();
+            vnettracer::metrics::jitter_range(a.latency.borrow_mut().samples()).unwrap();
         let cfg_shared = XenConfig {
             consolidation: Consolidation::SharedDefaultRatelimit,
             requests: 300,
@@ -530,7 +530,7 @@ mod tests {
         let mut b = XenScenario::build(&cfg_shared);
         b.run(&cfg_shared);
         let shared_range =
-            vnettracer::metrics::jitter_range(b.latency.lock().unwrap().samples()).unwrap();
+            vnettracer::metrics::jitter_range(b.latency.borrow_mut().samples()).unwrap();
         let alone_span = alone_range.1 - alone_range.0;
         let shared_span = shared_range.1 - shared_range.0;
         assert!(

@@ -17,8 +17,9 @@
 //! the ToR on the *outer* header, decapsulated, bridged again and
 //! delivered — the container-overlay data path of the paper's Fig. 12.
 
+use std::cell::RefCell;
 use std::net::{Ipv4Addr, SocketAddrV4};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use vnet_sim::app::{App, AppCtx};
 use vnet_sim::device::{DeviceConfig, Forwarding, ServiceModel, TraceIdRole, Transform};
@@ -223,7 +224,7 @@ pub struct RackScenario {
     /// VM nodes, flattened as `h * vms_per_host + v`.
     pub vm_nodes: Vec<NodeId>,
     /// Per-VM delivery recorders (same flattening as `vm_nodes`).
-    pub delivered: Vec<Arc<Mutex<ThroughputRecorder>>>,
+    pub delivered: Vec<Rc<RefCell<ThroughputRecorder>>>,
 }
 
 impl RackScenario {
@@ -337,7 +338,7 @@ impl RackScenario {
                     vm,
                     tx,
                     format!("server{h}-{v}"),
-                    Box::new(IperfServer::new(Arc::clone(&tput))),
+                    Box::new(IperfServer::new(Rc::clone(&tput))),
                 );
                 for j in 0..cfg.apps_per_vm {
                     w.bind_app(rx, BASE_DST_PORT + j as u16, server);
@@ -416,16 +417,13 @@ impl RackScenario {
     pub fn delivered_packets(&self) -> u64 {
         self.delivered
             .iter()
-            .map(|t| t.lock().unwrap().packets())
+            .map(|t| t.borrow_mut().packets())
             .sum()
     }
 
     /// Total payload bytes delivered, across all VMs.
     pub fn delivered_bytes(&self) -> u64 {
-        self.delivered
-            .iter()
-            .map(|t| t.lock().unwrap().bytes())
-            .sum()
+        self.delivered.iter().map(|t| t.borrow_mut().bytes()).sum()
     }
 
     /// Per-VM `(packets, bytes)` in VM order — a deterministic
@@ -434,7 +432,7 @@ impl RackScenario {
         self.delivered
             .iter()
             .map(|t| {
-                let t = t.lock().unwrap();
+                let t = t.borrow_mut();
                 (t.packets(), t.bytes())
             })
             .collect()

@@ -4,7 +4,8 @@
 //! datagrams at a configured rate regardless of loss, saturating the OVS
 //! ingress; the server counts delivered bytes.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use vnet_sim::app::{App, AppCtx};
 use vnet_sim::packet::{FlowKey, Packet, PacketBuilder};
@@ -87,12 +88,12 @@ impl App for IperfClient {
 /// The iPerf server: a sink recording delivered bytes.
 #[derive(Debug)]
 pub struct IperfServer {
-    throughput: Arc<Mutex<ThroughputRecorder>>,
+    throughput: Rc<RefCell<ThroughputRecorder>>,
 }
 
 impl IperfServer {
     /// Creates a server reporting into `throughput`.
-    pub fn new(throughput: Arc<Mutex<ThroughputRecorder>>) -> Self {
+    pub fn new(throughput: Rc<RefCell<ThroughputRecorder>>) -> Self {
         IperfServer { throughput }
     }
 }
@@ -101,8 +102,7 @@ impl App for IperfServer {
     fn on_packet(&mut self, ctx: &mut AppCtx<'_>, pkt: Packet) {
         if let Ok(parsed) = pkt.parse() {
             self.throughput
-                .lock()
-                .unwrap()
+                .borrow_mut()
                 .record(parsed.payload.len(), ctx.monotonic_ns());
         }
     }
@@ -130,7 +130,7 @@ mod tests {
         service: SimDuration,
         count: u64,
         queue: usize,
-    ) -> (World, Arc<Mutex<ThroughputRecorder>>, vnet_sim::DeviceId) {
+    ) -> (World, Rc<RefCell<ThroughputRecorder>>, vnet_sim::DeviceId) {
         let mut w = World::new(31);
         let n = w.add_node("host", 2, NodeClock::perfect());
         let tx = w.add_device(
@@ -144,7 +144,7 @@ mod tests {
         );
         w.connect(tx, rx, SimDuration::ZERO);
         let tput = ThroughputRecorder::shared();
-        let server = w.add_app(n, tx, Box::new(IperfServer::new(Arc::clone(&tput))));
+        let server = w.add_app(n, tx, Box::new(IperfServer::new(Rc::clone(&tput))));
         w.bind_app(rx, 5201, server);
         w.add_app(
             n,
@@ -164,7 +164,7 @@ mod tests {
             512,
         );
         w.run_until(SimTime::from_millis(20));
-        let t = tput.lock().unwrap();
+        let t = tput.borrow_mut();
         assert_eq!(t.packets(), 100);
         // 100 packets over 99 inter-arrival gaps: 1470*8*100/(99*100us).
         let mbps = t.throughput_mbps();
@@ -187,7 +187,7 @@ mod tests {
         w.run_until(SimTime::from_millis(10));
         let c = w.device_counters(rx);
         assert!(c.dropped_queue_full > 50, "bottleneck must drop, got {c:?}");
-        assert!(tput.lock().unwrap().packets() < 200);
+        assert!(tput.borrow_mut().packets() < 200);
     }
 
     #[test]

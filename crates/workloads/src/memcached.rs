@@ -7,7 +7,8 @@
 //! 5000 rps" (§IV-D). Requests run over memcached's UDP protocol; the
 //! response latency of every request is recorded.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use vnet_sim::app::{App, AppCtx};
 use vnet_sim::packet::{FlowKey, Packet, PacketBuilder};
@@ -36,7 +37,7 @@ pub struct DataCachingClient {
     interval: SimDuration,
     count: u64,
     sent: u64,
-    latency: Arc<Mutex<LatencyRecorder>>,
+    latency: Rc<RefCell<LatencyRecorder>>,
 }
 
 impl DataCachingClient {
@@ -46,7 +47,7 @@ impl DataCachingClient {
     /// # Panics
     ///
     /// Panics if `rps` is zero.
-    pub fn new(flow: FlowKey, rps: u64, count: u64, latency: Arc<Mutex<LatencyRecorder>>) -> Self {
+    pub fn new(flow: FlowKey, rps: u64, count: u64, latency: Rc<RefCell<LatencyRecorder>>) -> Self {
         assert!(rps > 0, "request rate must be positive");
         DataCachingClient {
             flow,
@@ -92,8 +93,7 @@ impl App for DataCachingClient {
             return;
         };
         self.latency
-            .lock()
-            .unwrap()
+            .borrow_mut()
             .record(ctx.monotonic_ns().saturating_sub(t_send));
     }
 }
@@ -246,7 +246,7 @@ mod tests {
                 flow,
                 DEFAULT_RPS,
                 100,
-                Arc::clone(&latency),
+                Rc::clone(&latency),
             )),
         );
         let server_app = DataCachingServer::new();
@@ -254,7 +254,7 @@ mod tests {
         w.bind_app(s_rx, 11211, server);
         w.bind_app(c_rx, 30000, client);
         w.run_until(SimTime::from_millis(100));
-        let s = latency.lock().unwrap().summary().unwrap();
+        let s = latency.borrow_mut().summary().unwrap();
         assert_eq!(s.count, 100);
         // RTT through four 3us devices = 12us.
         assert_eq!(s.p50_ns, 12_000);

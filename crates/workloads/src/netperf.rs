@@ -6,7 +6,8 @@
 //! per-packet SystemTap probe at `tcp_recvmsg` — directly reduces
 //! throughput, which is exactly the comparison of Fig. 7(b).
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use vnet_sim::app::{App, AppCtx};
 use vnet_sim::packet::{FlowKey, Packet, PacketBuilder, TcpFlags};
@@ -106,13 +107,13 @@ impl App for NetperfClient {
 /// The Netperf receiver: records goodput and acknowledges every segment.
 #[derive(Debug)]
 pub struct NetperfServer {
-    throughput: Arc<Mutex<ThroughputRecorder>>,
+    throughput: Rc<RefCell<ThroughputRecorder>>,
     ack_delay: SimDuration,
 }
 
 impl NetperfServer {
     /// Creates a receiver reporting into `throughput`.
-    pub fn new(throughput: Arc<Mutex<ThroughputRecorder>>) -> Self {
+    pub fn new(throughput: Rc<RefCell<ThroughputRecorder>>) -> Self {
         NetperfServer {
             throughput,
             ack_delay: SimDuration::ZERO,
@@ -134,8 +135,7 @@ impl App for NetperfServer {
             return; // ignore stray acks
         }
         self.throughput
-            .lock()
-            .unwrap()
+            .borrow_mut()
             .record(parsed.payload.len(), ctx.monotonic_ns());
         let ack_flow = parsed.flow().reversed();
         let seq_end = match &parsed.transport {
@@ -175,7 +175,7 @@ mod tests {
         stack_service: SimDuration,
         gbps: f64,
         segments: u64,
-    ) -> (World, Arc<Mutex<ThroughputRecorder>>) {
+    ) -> (World, Rc<RefCell<ThroughputRecorder>>) {
         let mut w = World::new(41);
         let n = w.add_node("host", 2, NodeClock::perfect());
         let nic = w.add_device(
@@ -197,7 +197,7 @@ mod tests {
         );
         w.connect(nic, stack, SimDuration::from_micros(5));
         let tput = ThroughputRecorder::shared();
-        let server = w.add_app(n, ack_path, Box::new(NetperfServer::new(Arc::clone(&tput))));
+        let server = w.add_app(n, ack_path, Box::new(NetperfServer::new(Rc::clone(&tput))));
         w.bind_app(stack, 12865, server);
         let client = w.add_app(
             n,
@@ -213,7 +213,7 @@ mod tests {
         // Stack (2us) faster than the 1G wire (~12us/segment).
         let (mut w, tput) = build(SimDuration::from_micros(2), 1.0, 2_000);
         w.run_until(SimTime::from_millis(100));
-        let mbps = tput.lock().unwrap().throughput_mbps();
+        let mbps = tput.borrow_mut().throughput_mbps();
         // Payload goodput at 1G line rate: 1448/1502 * 1000 ≈ 964 Mbps.
         assert!((930.0..980.0).contains(&mbps), "got {mbps}");
     }
@@ -223,7 +223,7 @@ mod tests {
         // Stack 10us becomes the bottleneck on a 10G wire.
         let (mut w, tput) = build(SimDuration::from_micros(10), 10.0, 2_000);
         w.run_until(SimTime::from_millis(100));
-        let mbps = tput.lock().unwrap().throughput_mbps();
+        let mbps = tput.borrow_mut().throughput_mbps();
         // 1448B / 10us = 1158 Mbps.
         assert!((1100.0..1200.0).contains(&mbps), "got {mbps}");
     }
@@ -232,7 +232,7 @@ mod tests {
     fn stream_completes_and_reports_finish() {
         let (mut w, tput) = build(SimDuration::from_micros(1), 10.0, 100);
         w.run_until(SimTime::from_millis(50));
-        assert_eq!(tput.lock().unwrap().packets(), 100);
+        assert_eq!(tput.borrow_mut().packets(), 100);
         assert!(w.queue_is_empty());
     }
 

@@ -7,7 +7,8 @@
 //! message size is 56 bytes — "the default Sockperf packet size was just
 //! 56 bytes" (§IV-C).
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use vnet_sim::app::{App, AppCtx};
 use vnet_sim::packet::{FlowKey, Packet, PacketBuilder};
@@ -42,7 +43,7 @@ pub struct SockperfClient {
     sent: u64,
     mode: SockperfMode,
     awaiting: Option<u64>,
-    latency: Arc<Mutex<LatencyRecorder>>,
+    latency: Rc<RefCell<LatencyRecorder>>,
 }
 
 impl SockperfClient {
@@ -58,7 +59,7 @@ impl SockperfClient {
         msg_size: usize,
         interval: SimDuration,
         count: u64,
-        latency: Arc<Mutex<LatencyRecorder>>,
+        latency: Rc<RefCell<LatencyRecorder>>,
     ) -> Self {
         assert!(
             msg_size >= wire::PROBE_HEADER_LEN,
@@ -123,7 +124,7 @@ impl App for SockperfClient {
             return;
         };
         let rtt = ctx.monotonic_ns().saturating_sub(t_send);
-        self.latency.lock().unwrap().record(rtt / 2);
+        self.latency.borrow_mut().record(rtt / 2);
         if self.mode == SockperfMode::PingPong && self.awaiting == Some(seq) {
             self.awaiting = None;
             self.send_next(ctx);
@@ -169,7 +170,7 @@ mod tests {
 
     /// Client and server on one node, connected both ways through fixed
     /// 5us devices (10us one-way path).
-    fn ping_pong_world() -> (World, Arc<Mutex<LatencyRecorder>>) {
+    fn ping_pong_world() -> (World, Rc<RefCell<LatencyRecorder>>) {
         let mut w = World::new(21);
         let n = w.add_node("host", 2, NodeClock::perfect());
         let c_tx = w.add_device(
@@ -204,7 +205,7 @@ mod tests {
                 DEFAULT_MSG_SIZE,
                 SimDuration::from_micros(100),
                 50,
-                Arc::clone(&latency),
+                Rc::clone(&latency),
             )),
         );
         let server = w.add_app(n, s_tx, Box::new(SockperfServer::new()));
@@ -217,7 +218,7 @@ mod tests {
     fn measures_half_round_trip() {
         let (mut w, latency) = ping_pong_world();
         w.run_until(SimTime::from_millis(20));
-        let summary = latency.lock().unwrap().summary().unwrap();
+        let summary = latency.borrow_mut().summary().unwrap();
         assert_eq!(summary.count, 50);
         // RTT = 4 hops x 5us = 20us; reported latency = 10us.
         assert_eq!(summary.p50_ns, 10_000);
@@ -229,7 +230,7 @@ mod tests {
     fn stops_after_count() {
         let (mut w, latency) = ping_pong_world();
         w.run_until(SimTime::from_millis(100));
-        assert_eq!(latency.lock().unwrap().summary().unwrap().count, 50);
+        assert_eq!(latency.borrow_mut().summary().unwrap().count, 50);
         assert!(w.queue_is_empty(), "no timers left");
     }
 
@@ -239,7 +240,7 @@ mod tests {
         // ~50 RTTs (20us each), far faster than 50 x 100us intervals.
         let (mut w, latency) = ping_pong_world_with(|c| c.ping_pong());
         w.run_until(SimTime::from_millis(5));
-        let summary = latency.lock().unwrap().summary().unwrap();
+        let summary = latency.borrow_mut().summary().unwrap();
         assert_eq!(summary.count, 50);
         assert_eq!(summary.p50_ns, 10_000);
         // All 50 round trips fit in ~1.1ms of simulated time.
@@ -248,7 +249,7 @@ mod tests {
 
     fn ping_pong_world_with(
         f: impl Fn(SockperfClient) -> SockperfClient,
-    ) -> (World, Arc<Mutex<LatencyRecorder>>) {
+    ) -> (World, Rc<RefCell<LatencyRecorder>>) {
         let mut w = World::new(22);
         let n = w.add_node("host", 2, NodeClock::perfect());
         let c_tx = w.add_device(
@@ -279,7 +280,7 @@ mod tests {
             DEFAULT_MSG_SIZE,
             SimDuration::from_micros(100),
             50,
-            Arc::clone(&latency),
+            Rc::clone(&latency),
         ));
         let client = w.add_app(n, c_tx, Box::new(client));
         let server = w.add_app(n, s_tx, Box::new(SockperfServer::new()));

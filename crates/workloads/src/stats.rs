@@ -1,10 +1,11 @@
 //! Shared result recorders for workload generators.
 //!
 //! Workloads run inside the simulation as [`vnet_sim::app::App`]s; the
-//! harness keeps an `Arc<Mutex<…>>` handle to these recorders to read
+//! harness keeps an `Rc<RefCell<…>>` handle to these recorders to read
 //! results after the run, the way one reads Sockperf/Netperf output.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
@@ -48,8 +49,8 @@ pub struct LatencyRecorder {
 
 impl LatencyRecorder {
     /// Creates an empty recorder behind a shared handle.
-    pub fn shared() -> Arc<Mutex<LatencyRecorder>> {
-        Arc::new(Mutex::new(LatencyRecorder::default()))
+    pub fn shared() -> Rc<RefCell<LatencyRecorder>> {
+        Rc::new(RefCell::new(LatencyRecorder::default()))
     }
 
     /// Records one latency sample.
@@ -97,8 +98,8 @@ pub struct ThroughputRecorder {
 
 impl ThroughputRecorder {
     /// Creates an empty recorder behind a shared handle.
-    pub fn shared() -> Arc<Mutex<ThroughputRecorder>> {
-        Arc::new(Mutex::new(ThroughputRecorder::default()))
+    pub fn shared() -> Rc<RefCell<ThroughputRecorder>> {
+        Rc::new(RefCell::new(ThroughputRecorder::default()))
     }
 
     /// Records a received payload of `bytes` at monotonic time `now_ns`.

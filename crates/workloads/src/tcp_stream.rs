@@ -9,8 +9,9 @@
 //!
 //! Pairs with [`crate::NetperfServer`], which acks every data segment.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use vnet_sim::app::{App, AppCtx};
 use vnet_sim::packet::{FlowKey, Packet, PacketBuilder, TcpFlags, TransportHeader};
@@ -42,7 +43,7 @@ pub struct TcpStreamClient {
     ssthresh: f64,
     next_seq: u64,
     inflight: BTreeMap<u64, u32>, // seq -> send epoch (stale-timer guard)
-    stats: Arc<Mutex<TcpStreamStats>>,
+    stats: Rc<RefCell<TcpStreamStats>>,
     epoch: u32,
 }
 
@@ -68,7 +69,7 @@ impl TcpStreamClient {
         mss: usize,
         total_segments: u64,
         rto: SimDuration,
-        stats: Arc<Mutex<TcpStreamStats>>,
+        stats: Rc<RefCell<TcpStreamStats>>,
     ) -> Self {
         assert!(total_segments > 0, "stream needs at least one segment");
         TcpStreamClient {
@@ -117,7 +118,7 @@ impl TcpStreamClient {
         if self.inflight.remove(&acked_seq).is_none() {
             return; // duplicate or late ack
         }
-        self.stats.lock().unwrap().acked += 1;
+        self.stats.borrow_mut().acked += 1;
         if self.cwnd < self.ssthresh {
             self.cwnd += 1.0; // slow start
         } else {
@@ -164,7 +165,7 @@ impl App for TcpStreamClient {
         }
         // Loss: multiplicative decrease and retransmit.
         {
-            let mut st = self.stats.lock().unwrap();
+            let mut st = self.stats.borrow_mut();
             st.retransmits += 1;
             st.md_events += 1;
         }
@@ -200,8 +201,8 @@ mod tests {
         segments: u64,
     ) -> (
         World,
-        Arc<Mutex<TcpStreamStats>>,
-        Arc<Mutex<ThroughputRecorder>>,
+        Rc<RefCell<TcpStreamStats>>,
+        Rc<RefCell<ThroughputRecorder>>,
     ) {
         let mut w = World::new(71);
         let n = w.add_node("host", 2, NodeClock::perfect());
@@ -224,9 +225,9 @@ mod tests {
         );
         w.connect(bottleneck, stack, SimDuration::from_micros(20));
         let tput = ThroughputRecorder::shared();
-        let server = w.add_app(n, ack_path, Box::new(NetperfServer::new(Arc::clone(&tput))));
+        let server = w.add_app(n, ack_path, Box::new(NetperfServer::new(Rc::clone(&tput))));
         w.bind_app(stack, 5201, server);
-        let stats = Arc::new(Mutex::new(TcpStreamStats::default()));
+        let stats = Rc::new(RefCell::new(TcpStreamStats::default()));
         let client = w.add_app(
             n,
             bottleneck,
@@ -235,7 +236,7 @@ mod tests {
                 1448,
                 segments,
                 SimDuration::from_millis(2),
-                Arc::clone(&stats),
+                Rc::clone(&stats),
             )),
         );
         w.bind_app(ack_path, 40000, client);
@@ -246,17 +247,17 @@ mod tests {
     fn lossless_stream_completes_and_grows_cwnd() {
         let (mut w, stats, tput) = build(4096, 500);
         w.run_until(SimTime::from_millis(200));
-        let st = stats.lock().unwrap();
+        let st = stats.borrow_mut();
         assert_eq!(st.acked, 500, "all segments acknowledged");
         assert_eq!(st.retransmits, 0, "no loss on a deep queue");
-        assert_eq!(tput.lock().unwrap().packets(), 500);
+        assert_eq!(tput.borrow_mut().packets(), 500);
     }
 
     #[test]
     fn small_queue_forces_aimd_oscillation() {
         let (mut w, stats, _) = build(8, 2_000);
         w.run_until(SimTime::from_secs(2));
-        let st = stats.lock().unwrap();
+        let st = stats.borrow_mut();
         assert_eq!(st.acked, 2_000, "stream still completes despite drops");
         assert!(st.md_events > 3, "AIMD must back off repeatedly: {st:?}");
         assert!(st.retransmits > 3);
@@ -267,7 +268,7 @@ mod tests {
         // 10us per segment = 1158 Mbps payload ceiling.
         let (mut w, _, tput) = build(64, 2_000);
         w.run_until(SimTime::from_secs(1));
-        let mbps = tput.lock().unwrap().throughput_mbps();
+        let mbps = tput.borrow_mut().throughput_mbps();
         assert!(
             (900.0..1_200.0).contains(&mbps),
             "AIMD should keep the bottleneck busy: {mbps}"
@@ -282,7 +283,7 @@ mod tests {
             1448,
             0,
             SimDuration::from_millis(1),
-            Arc::new(Mutex::new(TcpStreamStats::default())),
+            Rc::new(RefCell::new(TcpStreamStats::default())),
         );
     }
 }

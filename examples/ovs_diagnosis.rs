@@ -23,12 +23,7 @@ fn run_case(case: OvsCase, mitigation: Mitigation) -> (f64, f64, Vec<(String, f6
     tracer.deploy(&mut s.world, &pkg).expect("scripts deploy");
     s.run(&cfg);
     tracer.collect(&s.world);
-    let summary = s
-        .latency
-        .lock()
-        .unwrap()
-        .summary()
-        .expect("sockperf samples");
+    let summary = s.latency.borrow_mut().summary().expect("sockperf samples");
     let segments = tracer
         .decompose(&OvsScenario::decomposition_chain())
         .into_iter()

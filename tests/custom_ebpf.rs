@@ -59,8 +59,7 @@ fn custom_histogram_program_counts_packet_sizes() {
     // reads it back after the run.
     let hist_fd = agent
         .maps()
-        .lock()
-        .unwrap()
+        .borrow_mut()
         .create(MapDef::array(8, 8), 4)
         .unwrap();
     let id = agent
@@ -95,7 +94,7 @@ fn custom_histogram_program_counts_packet_sizes() {
     assert_eq!(stats.errors, 0);
 
     let maps = agent.maps();
-    let mut maps = maps.lock().unwrap();
+    let mut maps = maps.borrow_mut();
     let map = maps.get_mut(hist_fd).unwrap();
     let bucket = |map: &mut vnet_ebpf::map::Map, i: u32| -> u64 {
         u64::from_le_bytes(map.lookup(&i.to_le_bytes(), 0).unwrap().try_into().unwrap())

@@ -72,8 +72,9 @@ fn same_seed_identical_output_across_repeated_runs() {
 /// the schedule itself), `loss_rate = 1.0` drops every frame,
 /// and `loss_rate = 0.0` drops none.
 mod profiled_links {
+    use std::cell::RefCell;
     use std::net::SocketAddrV4;
-    use std::sync::{Arc, Mutex};
+    use std::rc::Rc;
 
     use proptest::prelude::*;
     use vnet_sim::app::{App, AppCtx};
@@ -127,7 +128,7 @@ mod profiled_links {
     }
 
     /// A shared `(seq, arrival_ns)` delivery log.
-    type DeliveryLog = Arc<Mutex<Vec<(u64, u64)>>>;
+    type DeliveryLog = Rc<RefCell<Vec<(u64, u64)>>>;
 
     /// Records `(seq, arrival_ns)` for every delivered packet.
     struct Recorder {
@@ -138,7 +139,7 @@ mod profiled_links {
         fn on_packet(&mut self, ctx: &mut AppCtx<'_>, pkt: Packet) {
             let parsed = pkt.parse().expect("well-formed test packet");
             let seq = u64::from_le_bytes(parsed.payload[..8].try_into().unwrap());
-            self.log.lock().unwrap().push((seq, ctx.now().as_nanos()));
+            self.log.borrow_mut().push((seq, ctx.now().as_nanos()));
         }
     }
 
@@ -182,7 +183,7 @@ mod profiled_links {
                     count: PACKETS,
                 }),
             );
-            let log = Arc::new(Mutex::new(Vec::new()));
+            let log = Rc::new(RefCell::new(Vec::new()));
             let rcv = w.add_app(r, rx, Box::new(Recorder { log: log.clone() }));
             w.bind_app(rx, 2000, rcv);
             logs.push(log);
@@ -192,7 +193,7 @@ mod profiled_links {
     }
 
     fn drain(logs: &[DeliveryLog]) -> Vec<Vec<(u64, u64)>> {
-        logs.iter().map(|l| l.lock().unwrap().clone()).collect()
+        logs.iter().map(|l| l.borrow_mut().clone()).collect()
     }
 
     /// The arrival times the link model promises: send time plus the

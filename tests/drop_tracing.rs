@@ -69,7 +69,7 @@ fn kfree_skb_script_counts_congestion_drops() {
     // The filtered script isolates the sockperf victims, and its count
     // matches the app-level outcome (requests without replies).
     let traced_sock = tracer.db().table("drops_sockperf").map_or(0, |t| t.len()) as u64;
-    let replies = s.latency.lock().unwrap().samples().len() as u64;
+    let replies = s.latency.borrow_mut().samples().len() as u64;
     assert_eq!(traced_sock, 200 - replies);
     assert!(traced_sock > 0, "congestion must hit the probe flow too");
     assert!(traced_sock < traced_all, "most drops are iperf bulk");

@@ -130,7 +130,7 @@ fn runtime_attach_detach_mid_run() {
         "recorded {recorded} of 600; only the traced window should appear"
     );
     // The workload itself never noticed: all messages completed.
-    let total = s.latency.lock().unwrap().samples().len();
+    let total = s.latency.borrow_mut().samples().len();
     assert_eq!(total, 600);
 }
 

@@ -52,7 +52,7 @@ fn device_failure_shows_up_as_localized_loss() {
     assert_eq!(tracer.packet_loss("s1_ovs_br1", "s1_ovs_br1").lost, 0);
     // The application view matches: exactly the surviving requests got
     // replies.
-    let replies = s.latency.lock().unwrap().samples().len() as u64;
+    let replies = s.latency.borrow_mut().samples().len() as u64;
     assert_eq!(replies, 600 - loss.lost);
     // Incomplete-record detection lists exactly the lost trace IDs.
     let incomplete =

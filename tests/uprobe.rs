@@ -3,7 +3,7 @@
 //! uprobe and uretprobe").
 
 use std::net::{Ipv4Addr, SocketAddrV4};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use vnet_sim::device::{DeviceConfig, Forwarding, ServiceModel, TraceIdRole};
 use vnet_sim::node::NodeClock;
@@ -61,7 +61,7 @@ fn uprobe_traces_application_deliveries() {
             vnet_workloads::sockperf::DEFAULT_MSG_SIZE,
             SimDuration::from_micros(100),
             50,
-            Arc::clone(&latency),
+            Rc::clone(&latency),
         )),
     );
     let server = w.add_named_app(n, s_tx, "sockperf-server", Box::new(SockperfServer::new()));
@@ -130,5 +130,5 @@ fn uprobe_traces_application_deliveries() {
         "the stripped user-space view shows only payload padding"
     );
     // The workload itself is unperturbed.
-    assert_eq!(latency.lock().unwrap().summary().unwrap().count, 50);
+    assert_eq!(latency.borrow_mut().summary().unwrap().count, 50);
 }
