@@ -393,6 +393,18 @@ fn analyze_file(path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Opens the database a read-only command was pointed at. A directory
+/// that holds none is an error, not a new, empty database.
+fn open_existing_db(dir: &str) -> Result<vnet_tsdb::TraceDb, String> {
+    if !std::path::Path::new(dir)
+        .join(vnet_tsdb::store::MANIFEST_FILE)
+        .is_file()
+    {
+        return Err(format!("no trace database at {dir}"));
+    }
+    vnet_tsdb::TraceDb::open(dir).map_err(|e| format!("cannot open {dir}: {e}"))
+}
+
 /// `vnt db <stats|query|export|import> <dir> [...]`: inspect, query, dump
 /// or load a columnar trace database directory.
 fn run_db(rest: &[String]) -> Result<(), String> {
@@ -406,8 +418,7 @@ fn run_db(rest: &[String]) -> Result<(), String> {
         .ok_or_else(|| format!("db {action} needs a database directory\n{DB_USAGE}"))?;
     match action {
         "stats" => {
-            let db =
-                vnet_tsdb::TraceDb::open(dir).map_err(|e| format!("cannot open {dir}: {e}"))?;
+            let db = open_existing_db(dir)?;
             let s = db.storage_stats().expect("open databases are disk-backed");
             let mut t = Table::new(
                 "segment store",
@@ -478,8 +489,7 @@ fn run_db(rest: &[String]) -> Result<(), String> {
                     "a time range needs START_NS and END_NS\n{DB_USAGE}"
                 ));
             }
-            let db =
-                vnet_tsdb::TraceDb::open(dir).map_err(|e| format!("cannot open {dir}: {e}"))?;
+            let db = open_existing_db(dir)?;
             let scan = query.scan(&db).map_err(|e| format!("scan failed: {e}"))?;
             let entries = scan.entries();
             let len = vnet_tsdb::aggregate(&entries, "pkt_len");
@@ -505,8 +515,7 @@ fn run_db(rest: &[String]) -> Result<(), String> {
             Ok(())
         }
         "export" => {
-            let db =
-                vnet_tsdb::TraceDb::open(dir).map_err(|e| format!("cannot open {dir}: {e}"))?;
+            let db = open_existing_db(dir)?;
             let written = match rest.get(2) {
                 Some(path) => {
                     let f = std::fs::File::create(path)
@@ -525,40 +534,14 @@ fn run_db(rest: &[String]) -> Result<(), String> {
             Ok(())
         }
         "import" => {
-            use std::io::BufRead;
             let path = rest
                 .get(2)
                 .ok_or_else(|| format!("db import needs a JSON-lines file\n{DB_USAGE}"))?;
             let mut db =
                 vnet_tsdb::TraceDb::open(dir).map_err(|e| format!("cannot open {dir}: {e}"))?;
             let f = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let mut batch = vnet_tsdb::RecordBatch::new();
-            let mut total = 0u64;
-            for (i, line) in std::io::BufReader::new(f).lines().enumerate() {
-                let line = line.map_err(|e| format!("cannot read {path}: {e}"))?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let point: vnet_tsdb::DataPoint = serde_json::from_str(&line)
-                    .map_err(|e| format!("{path}:{}: bad record: {e}", i + 1))?;
-                let (node, record) =
-                    vnet_tsdb::CompactRecord::from_point(&point).ok_or_else(|| {
-                        format!(
-                            "{path}:{}: point is not in compact record form; only \
-                             record-form dumps (as written by `vnt db export`) can \
-                             be imported into a disk-backed store",
-                            i + 1
-                        )
-                    })?;
-                batch.push(&point.measurement, &node, record);
-                if batch.len() >= 8192 {
-                    total += db.insert_batch(&batch);
-                    batch.clear();
-                }
-            }
-            if !batch.is_empty() {
-                total += db.insert_batch(&batch);
-            }
+            let total = vnet_tsdb::import_json_lines(std::io::BufReader::new(f), &mut db)
+                .map_err(|e| format!("{path}: {e}"))?;
             db.flush().map_err(|e| format!("flush failed: {e}"))?;
             println!("imported {total} records into {dir}");
             Ok(())
@@ -850,7 +833,7 @@ fn run_live_replay(args: &Args, dir: &str) -> Result<(), String> {
     use std::collections::BTreeSet;
     use vnettracer::modules::{ModuleRegistry, ModuleScope};
 
-    let db = vnet_tsdb::TraceDb::open(dir).map_err(|e| format!("cannot open {dir}: {e}"))?;
+    let db = open_existing_db(dir)?;
     let mut tables: Vec<String> = db.measurements().map(str::to_owned).collect();
     tables.sort_unstable();
     if tables.is_empty() {
@@ -891,10 +874,7 @@ fn run_live_replay(args: &Args, dir: &str) -> Result<(), String> {
             .scan(&db)
             .map_err(|e| format!("cannot scan {name}: {e}"))?;
         for entry in scan.entries() {
-            let point = entry.to_point();
-            let Some((node, rec)) = vnet_tsdb::CompactRecord::from_point(&point) else {
-                continue;
-            };
+            let (node, rec) = (entry.node().to_owned(), *entry.record());
             nodes.insert(node.clone());
             recs.push((rec.timestamp_ns, name.as_str(), node, rec));
         }
@@ -1049,7 +1029,7 @@ fn run_drop_lab(args: &Args, default_profile: &str) -> Result<(), String> {
     print_db_summary(&tracer);
     print_run_stats(&tracer);
 
-    if tracer.db().table(DROP_TABLE).is_some() {
+    if tracer.deployed().iter().any(|d| d.name == DROP_TABLE) {
         let truth = lab.ground_truth();
         let breakdown = metrics::drop_breakdown(tracer.db(), DROP_TABLE);
         let traced = |reason: &str| {
@@ -1129,25 +1109,31 @@ fn run_request_chain(args: &Args) -> Result<(), String> {
     print_run_stats(&tracer);
 
     let chain_tables = MemcachedChain::decomposition_chain();
-    let segs = tracer.decompose(&chain_tables);
-    if segs.is_empty() {
+    let deployed = tracer.deployed();
+    if !deployed
+        .iter()
+        .any(|d| chain_tables.contains(&d.name.as_str()))
+    {
         println!("profile `{profile}` attaches no `request-trace` taps; no decomposition");
         return Ok(());
     }
-    let mut t = Table::new(
-        "cross-tier decomposition",
-        &["segment", "mean (us)", "p99 (us)"],
-    );
+    let segs = tracer.decompose(&chain_tables);
     let mut sum_means = 0.0;
-    for seg in &segs {
-        sum_means += seg.stats.mean_ns;
-        t.row(&[
-            format!("{} -> {}", seg.from, seg.to),
-            format!("{:.2}", seg.stats.mean_ns / 1e3),
-            format!("{:.2}", seg.stats.p99_ns as f64 / 1e3),
-        ]);
+    if !segs.is_empty() {
+        let mut t = Table::new(
+            "cross-tier decomposition",
+            &["segment", "mean (us)", "p99 (us)"],
+        );
+        for seg in &segs {
+            sum_means += seg.stats.mean_ns;
+            t.row(&[
+                format!("{} -> {}", seg.from, seg.to),
+                format!("{:.2}", seg.stats.mean_ns / 1e3),
+                format!("{:.2}", seg.stats.p99_ns as f64 / 1e3),
+            ]);
+        }
+        println!("{t}");
     }
-    println!("{t}");
     let first = chain_tables[0];
     let last = chain_tables[chain_tables.len() - 1];
     let e2e = tracer.decompose(&[first, last]);

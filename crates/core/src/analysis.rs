@@ -6,7 +6,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use vnet_tsdb::{DataPoint, TraceDb};
+use vnet_tsdb::{trace_id_tag, RecordBatch, TraceDb};
 
 use crate::clock_sync::SkewEstimate;
 use crate::metrics::{first_seen, scan_table};
@@ -21,13 +21,14 @@ fn ids_by_completeness(db: &TraceDb, tracepoints: &[&str], complete: bool) -> BT
     let later: Vec<_> = tables.collect();
     first
         .iter()
-        .filter(|&(key, _)| later.iter().all(|seen| seen.get(key).is_some()) == complete)
-        .map(|(key, _)| key.to_string())
+        .filter(|&(id, _)| later.iter().all(|seen| seen.get(id).is_some()) == complete)
+        .map(|(id, _)| trace_id_tag(id))
         .collect()
 }
 
-/// Trace IDs observed at **every** tracepoint in `tracepoints` — the
-/// "complete" records safe for end-to-end analysis.
+/// Trace IDs (as `trace_id` tag values) observed at **every** tracepoint
+/// in `tracepoints` — the "complete" records safe for end-to-end
+/// analysis.
 pub fn complete_ids(db: &TraceDb, tracepoints: &[&str]) -> BTreeSet<String> {
     ids_by_completeness(db, tracepoints, true)
 }
@@ -39,18 +40,28 @@ pub fn incomplete_ids(db: &TraceDb, tracepoints: &[&str]) -> BTreeSet<String> {
     ids_by_completeness(db, tracepoints, false)
 }
 
-/// Rebuilds the database with every point's timestamp aligned onto the
-/// master clock, using each node's skew estimate (points from nodes
+/// Rebuilds the database with every record's timestamp aligned onto the
+/// master clock, using each node's skew estimate (records from nodes
 /// without an estimate pass through unchanged — e.g. the master itself).
+/// Each table keeps its record order.
 pub fn align_timestamps(db: &TraceDb, skew_by_node: &HashMap<String, SkewEstimate>) -> TraceDb {
     let mut out = TraceDb::new();
+    let mut batch = RecordBatch::new();
     for measurement in db.measurements() {
-        for e in scan_table(db, measurement).entries() {
-            let mut p: DataPoint = e.to_point();
-            if let Some(skew) = p.tag_value("node").and_then(|n| skew_by_node.get(n)) {
-                p.timestamp_ns = skew.align_remote_ns(p.timestamp_ns);
+        let scan = scan_table(db, measurement);
+        // A batch numbers a table's records node by node, so each run of
+        // one node's records goes in as a batch of its own.
+        for run in scan.entries().chunk_by(|a, b| a.node() == b.node()) {
+            let skew = skew_by_node.get(run[0].node());
+            batch.clear();
+            for e in run {
+                let mut record = *e.record();
+                if let Some(skew) = skew {
+                    record.timestamp_ns = skew.align_remote_ns(record.timestamp_ns);
+                }
+                batch.push(measurement, e.node(), record);
             }
-            out.insert(p);
+            out.insert_batch(&batch);
         }
     }
     out
@@ -59,49 +70,53 @@ pub fn align_timestamps(db: &TraceDb, skew_by_node: &HashMap<String, SkewEstimat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vnet_tsdb::TRACE_ID_TAG;
+    use crate::metrics::testutil::db_of;
+    use vnet_tsdb::CompactRecord;
 
-    fn tagged(m: &str, ts: u64, id: &str, node: &str) -> DataPoint {
-        DataPoint::new(m, ts)
-            .tag(TRACE_ID_TAG, id)
-            .tag("node", node)
+    type Row = (&'static str, &'static str, CompactRecord);
+
+    fn tagged(m: &'static str, ts: u64, id: u32, node: &'static str) -> Row {
+        let record = CompactRecord {
+            timestamp_ns: ts,
+            trace_id: id,
+            flags: 1,
+            ..Default::default()
+        };
+        (m, node, record)
     }
 
     #[test]
     fn complete_and_incomplete_partition() {
-        let mut db = TraceDb::new();
-        for id in ["a", "b", "c"] {
-            db.insert(tagged("tp0", 1, id, "n0"));
-        }
-        for id in ["a", "b"] {
-            db.insert(tagged("tp1", 2, id, "n0"));
-        }
-        db.insert(tagged("tp2", 3, "a", "n0"));
+        let mut rows = Vec::new();
+        rows.extend([0xa, 0xb, 0xc].map(|id| tagged("tp0", 1, id, "n0")));
+        rows.extend([0xa, 0xb].map(|id| tagged("tp1", 2, id, "n0")));
+        rows.push(tagged("tp2", 3, 0xa, "n0"));
+        let db = db_of(rows);
         let complete = complete_ids(&db, &["tp0", "tp1", "tp2"]);
         assert_eq!(
             complete.into_iter().collect::<Vec<_>>(),
-            vec!["a".to_owned()]
+            vec!["0000000a".to_owned()]
         );
         let incomplete = incomplete_ids(&db, &["tp0", "tp1", "tp2"]);
         assert_eq!(
             incomplete.into_iter().collect::<Vec<_>>(),
-            vec!["b".to_owned(), "c".to_owned()]
+            vec!["0000000b".to_owned(), "0000000c".to_owned()]
         );
     }
 
     #[test]
     fn missing_table_means_nothing_complete() {
-        let mut db = TraceDb::new();
-        db.insert(tagged("tp0", 1, "a", "n0"));
+        let db = db_of([tagged("tp0", 1, 0xa, "n0")]);
         assert!(complete_ids(&db, &["tp0", "absent"]).is_empty());
         assert!(complete_ids(&TraceDb::new(), &["tp0"]).is_empty());
     }
 
     #[test]
     fn alignment_applies_per_node_offsets() {
-        let mut db = TraceDb::new();
-        db.insert(tagged("tp0", 1_000, "a", "master"));
-        db.insert(tagged("tp1", 2_000, "a", "remote"));
+        let db = db_of([
+            tagged("tp0", 1_000, 0xa, "master"),
+            tagged("tp1", 2_000, 0xa, "remote"),
+        ]);
         let mut skews = HashMap::new();
         skews.insert(
             "remote".to_owned(),
@@ -129,12 +144,51 @@ mod tests {
     }
 
     #[test]
+    fn alignment_keeps_records_and_their_order() {
+        // One table fed by two nodes in turn, then twice by the same one.
+        let nodes = ["master", "remote", "master", "remote", "remote", "master"];
+        let rows = nodes.iter().zip(0u32..);
+        let db = db_of(rows.map(|(&node, i)| tagged("tp", 1_000 * u64::from(i), i, node)));
+        let mut skews = HashMap::new();
+        skews.insert(
+            "remote".to_owned(),
+            SkewEstimate {
+                one_way_ns: 0,
+                offset_ns: 10,
+                skew_ns: 10,
+                samples: 100,
+            },
+        );
+        let aligned = align_timestamps(&db, &skews);
+        let table = aligned.table("tp").unwrap();
+        assert_eq!(table.shards().len(), 2, "records, in one shard per node");
+        let got: Vec<_> = table
+            .entries()
+            .iter()
+            .map(|e| (e.node(), *e.record()))
+            .collect();
+        let want: Vec<_> = db
+            .table("tp")
+            .unwrap()
+            .entries()
+            .iter()
+            .map(|e| {
+                let mut record = *e.record();
+                record.timestamp_ns -= if e.node() == "remote" { 10 } else { 0 };
+                (e.node(), record)
+            })
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn align_then_decompose_pipeline() {
-        let mut db = TraceDb::new();
-        for (id, t0, t1) in [("a", 100u64, 900u64), ("b", 200, 1_000)] {
-            db.insert(tagged("tp0", t0, id, "master"));
-            db.insert(tagged("tp1", t1, id, "remote"));
+        let mut rows = Vec::new();
+        for (id, t0, t1) in [(0xa, 100u64, 900u64), (0xb, 200, 1_000)] {
+            rows.push(tagged("tp0", t0, id, "master"));
+            rows.push(tagged("tp1", t1, id, "remote"));
         }
+        let db = db_of(rows);
         let mut skews = HashMap::new();
         skews.insert(
             "remote".to_owned(),
@@ -154,7 +208,6 @@ mod tests {
 
     #[test]
     fn cleaning_and_alignment_survive_a_cold_reopen() {
-        use vnet_tsdb::{CompactRecord, RecordBatch};
         let mut batch = RecordBatch::new();
         for i in 0..100u32 {
             let record = |ts: u64| CompactRecord {

@@ -52,14 +52,17 @@ pub fn arrival_rate(db: &TraceDb, measurement: &str, bucket_ns: u64) -> Vec<(u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vnet_tsdb::DataPoint;
+    use crate::metrics::testutil::db_of;
+    use vnet_tsdb::{CompactRecord, RecordBatch};
 
     fn db_with(stamps: &[u64]) -> TraceDb {
-        let mut db = TraceDb::new();
-        for &t in stamps {
-            db.insert(DataPoint::new("m", t));
-        }
-        db
+        db_of(stamps.iter().map(|&timestamp_ns| {
+            let record = CompactRecord {
+                timestamp_ns,
+                ..Default::default()
+            };
+            ("m", "n", record)
+        }))
     }
 
     #[test]
@@ -96,7 +99,6 @@ mod tests {
 
     #[test]
     fn arrival_metrics_survive_a_cold_reopen() {
-        use vnet_tsdb::{CompactRecord, RecordBatch};
         let mut batch = RecordBatch::new();
         for i in 0..100u64 {
             let record = CompactRecord {

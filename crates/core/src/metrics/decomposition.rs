@@ -7,7 +7,7 @@
 //! between consecutive tracepoints, joined by trace ID.
 
 use serde::{Deserialize, Serialize};
-use vnet_tsdb::TraceDb;
+use vnet_tsdb::{trace_id_tag, TraceDb};
 
 use super::first_seen;
 use super::latency::{stats_from_ns, LatencyStats};
@@ -47,30 +47,29 @@ pub fn decompose(db: &TraceDb, tracepoints: &[&str]) -> Vec<SegmentStats> {
 }
 
 /// Per-packet segment latencies, for Fig. 11-style per-packet plots:
-/// returns, for each trace ID seen at the *first* tracepoint and ordered
-/// by its timestamp there, the latency of every segment (or `None` where
-/// the packet was not observed downstream).
+/// returns, for each trace ID (as its `trace_id` tag value) seen at the
+/// *first* tracepoint and ordered by its timestamp there, the latency of
+/// every segment (or `None` where the packet was not observed
+/// downstream).
 pub fn per_packet_segments(db: &TraceDb, tracepoints: &[&str]) -> Vec<(String, Vec<Option<u64>>)> {
     let first_seen: Vec<_> = tracepoints.iter().map(|t| first_seen(db, t)).collect();
     let Some(first) = first_seen.first() else {
         return Vec::new();
     };
-    // Trace IDs ordered by first-tracepoint timestamp, then by name.
-    let mut ids: Vec<_> = first
-        .iter()
-        .map(|(key, ts)| (ts, key.to_string(), key))
-        .collect();
-    ids.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+    // Trace IDs ordered by first-tracepoint timestamp, then by ID (which
+    // is the order of their zero-padded tag values too).
+    let mut ids: Vec<(u64, u32)> = first.iter().map(|(id, ts)| (ts, id)).collect();
+    ids.sort_unstable();
     ids.into_iter()
-        .map(|(_, id, key)| {
+        .map(|(_, id)| {
             let segs: Vec<Option<u64>> = first_seen
                 .windows(2)
-                .map(|w| match (w[0].get(key), w[1].get(key)) {
+                .map(|w| match (w[0].get(id), w[1].get(id)) {
                     (Some(a), Some(b)) => b.checked_sub(a),
                     _ => None,
                 })
                 .collect();
-            (id, segs)
+            (trace_id_tag(id), segs)
         })
         .collect()
 }
@@ -78,25 +77,35 @@ pub fn per_packet_segments(db: &TraceDb, tracepoints: &[&str]) -> Vec<(String, V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vnet_tsdb::{DataPoint, TRACE_ID_TAG};
+    use crate::metrics::testutil::db_of;
+    use vnet_tsdb::{CompactRecord, RecordBatch};
+
+    fn seen(trace_id: u32, timestamp_ns: u64) -> CompactRecord {
+        CompactRecord {
+            timestamp_ns,
+            trace_id,
+            flags: 1,
+            ..Default::default()
+        }
+    }
 
     /// Three tracepoints; packet `i` takes 100ns in segment 1 and
-    /// `50*i` ns in segment 2.
-    fn chain_db(n: u64) -> TraceDb {
-        let mut db = TraceDb::new();
+    /// `50*i` ns in segment 2. `lost` are seen at `tp0` only.
+    fn chain_db(n: u32, lost: &[(u32, u64)]) -> TraceDb {
+        let mut rows = Vec::new();
         for i in 0..n {
-            let id = format!("{i:08x}");
-            let t0 = i * 10_000;
-            db.insert(DataPoint::new("tp0", t0).tag(TRACE_ID_TAG, &id));
-            db.insert(DataPoint::new("tp1", t0 + 100).tag(TRACE_ID_TAG, &id));
-            db.insert(DataPoint::new("tp2", t0 + 100 + 50 * i).tag(TRACE_ID_TAG, &id));
+            let t0 = u64::from(i) * 10_000;
+            rows.push(("tp0", "n", seen(i, t0)));
+            rows.push(("tp1", "n", seen(i, t0 + 100)));
+            rows.push(("tp2", "n", seen(i, t0 + 100 + 50 * u64::from(i))));
         }
-        db
+        rows.extend(lost.iter().map(|&(id, ts)| ("tp0", "n", seen(id, ts))));
+        db_of(rows)
     }
 
     #[test]
     fn decompose_reports_per_segment_stats() {
-        let db = chain_db(5);
+        let db = chain_db(5, &[]);
         let segs = decompose(&db, &["tp0", "tp1", "tp2"]);
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].from, "tp0");
@@ -108,7 +117,7 @@ mod tests {
 
     #[test]
     fn per_packet_segments_ordered_by_arrival() {
-        let db = chain_db(3);
+        let db = chain_db(3, &[]);
         let rows = per_packet_segments(&db, &["tp0", "tp1", "tp2"]);
         assert_eq!(rows.len(), 3);
         let seg2: Vec<Option<u64>> = rows.iter().map(|(_, s)| s[1]).collect();
@@ -117,9 +126,8 @@ mod tests {
 
     #[test]
     fn missing_downstream_observation_is_none() {
-        let mut db = chain_db(2);
         // A third packet only seen at tp0 (lost).
-        db.insert(DataPoint::new("tp0", 1_000_000).tag(TRACE_ID_TAG, "deadbeef"));
+        let db = chain_db(2, &[(0xdead_beef, 1_000_000)]);
         let rows = per_packet_segments(&db, &["tp0", "tp1"]);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[2].0, "deadbeef");
@@ -139,20 +147,13 @@ mod tests {
 
     #[test]
     fn per_packet_segments_survive_a_cold_reopen() {
-        use vnet_tsdb::{CompactRecord, RecordBatch};
         let mut batch = RecordBatch::new();
         for i in 0..100u32 {
-            let record = |ts: u64| CompactRecord {
-                timestamp_ns: ts,
-                trace_id: i,
-                flags: 1,
-                ..Default::default()
-            };
             let t0 = u64::from(i) * 10_000;
-            batch.push("tp0", "vm1", record(t0));
-            batch.push("tp1", "vm1", record(t0 + 100));
+            batch.push("tp0", "vm1", seen(i, t0));
+            batch.push("tp1", "vm1", seen(i, t0 + 100));
             if i % 5 != 0 {
-                batch.push("tp2", "vm2", record(t0 + 100 + 50 * u64::from(i)));
+                batch.push("tp2", "vm2", seen(i, t0 + 100 + 50 * u64::from(i)));
             }
         }
         let (mem, cold) = crate::metrics::testutil::mem_and_cold("segments", &batch);
@@ -166,17 +167,11 @@ mod tests {
     #[test]
     fn an_unreadable_table_counts_as_empty() {
         use vnet_tsdb::segment::ColumnId;
-        use vnet_tsdb::{CompactRecord, RecordBatch, Segment, StoreError};
+        use vnet_tsdb::{Segment, StoreError};
         let mut batch = RecordBatch::new();
         for i in 0..100u32 {
-            let record = |ts: u64| CompactRecord {
-                timestamp_ns: ts,
-                trace_id: i,
-                flags: 1,
-                ..Default::default()
-            };
-            batch.push("tp0", "vm1", record(u64::from(i) * 10_000));
-            batch.push("tp1", "vm2", record(u64::from(i) * 10_000 + 100));
+            batch.push("tp0", "vm1", seen(i, u64::from(i) * 10_000));
+            batch.push("tp1", "vm2", seen(i, u64::from(i) * 10_000 + 100));
         }
         let (_mem, cold) = crate::metrics::testutil::mem_and_cold("unreadable", &batch);
         assert_eq!(decompose(&cold.db, &["tp0", "tp1"])[0].stats.count, 100);

@@ -53,22 +53,23 @@ pub fn drop_breakdown_all(db: &TraceDb) -> Vec<(String, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vnet_tsdb::{drop_reason_name, DataPoint};
+    use crate::metrics::testutil::db_of;
+    use vnet_tsdb::CompactRecord;
 
-    fn drop_point(table: &str, ts: u64, code: u8) -> DataPoint {
-        let mut p = DataPoint::new(table, ts);
-        if let Some(name) = drop_reason_name(code) {
-            p = p.tag(DROP_REASON_TAG, name);
-        }
-        p
+    /// A drop record carrying reason `code` in flag bits 1–3.
+    fn drop_row(table: &str, ts: u64, code: u8) -> (&str, &str, CompactRecord) {
+        let record = CompactRecord {
+            timestamp_ns: ts,
+            flags: code << 1,
+            ..Default::default()
+        };
+        (table, "n", record)
     }
 
     #[test]
     fn breakdown_groups_by_reason() {
-        let mut db = TraceDb::new();
-        for (i, code) in [1u8, 1, 2, 5, 0].iter().enumerate() {
-            db.insert(drop_point("lab_drops", i as u64 * 10, *code));
-        }
+        let codes = [1u8, 1, 2, 5, 0].into_iter().zip(0u64..);
+        let db = db_of(codes.map(|(code, i)| drop_row("lab_drops", i * 10, code)));
         let b = drop_breakdown(&db, "lab_drops");
         assert_eq!(
             b,
@@ -84,10 +85,11 @@ mod tests {
 
     #[test]
     fn breakdown_all_sums_drop_tables_only() {
-        let mut db = TraceDb::new();
-        db.insert(drop_point("s1_drops", 0, 3));
-        db.insert(drop_point("s2_drops", 5, 3));
-        db.insert(drop_point("packets", 9, 3));
+        let db = db_of([
+            drop_row("s1_drops", 0, 3),
+            drop_row("s2_drops", 5, 3),
+            drop_row("packets", 9, 3),
+        ]);
         assert_eq!(drop_breakdown_all(&db), vec![("device-down".to_owned(), 2)]);
     }
 }

@@ -18,10 +18,9 @@ use super::throughput::ThroughputWindow;
 pub fn per_flow_throughput(db: &TraceDb, measurement: &str) -> Vec<(String, f64)> {
     let mut flows: BTreeMap<String, ThroughputWindow> = BTreeMap::new();
     for e in scan_table(db, measurement).entries() {
-        if let (Some(flow), Some(len)) = (e.tag("flow"), e.field_u64("pkt_len")) {
-            let acc = flows.entry(flow.into_owned()).or_default();
-            acc.push(e.timestamp_ns(), len as u32, e.trace_key().is_some());
-        }
+        let r = e.record();
+        let acc = flows.entry(r.flow()).or_default();
+        acc.push(r.timestamp_ns, r.pkt_len, r.has_trace_id());
     }
     flows.into_iter().map(|(f, acc)| (f, acc.bps())).collect()
 }
@@ -34,9 +33,7 @@ pub fn per_flow_loss(db: &TraceDb, upstream: &str, downstream: &str) -> Vec<(Str
     let count_by_flow = |measurement: &str| -> BTreeMap<String, u64> {
         let mut out = BTreeMap::new();
         for e in scan_table(db, measurement).entries() {
-            if let Some(flow) = e.tag("flow") {
-                *out.entry(flow.into_owned()).or_insert(0) += 1;
-            }
+            *out.entry(e.record().flow()).or_insert(0) += 1;
         }
         out
     };
@@ -53,26 +50,34 @@ pub fn per_flow_loss(db: &TraceDb, upstream: &str, downstream: &str) -> Vec<(Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vnet_tsdb::DataPoint;
+    use crate::metrics::testutil::db_of;
+    use vnet_tsdb::{CompactRecord, RecordBatch};
+
+    /// A record of the flow `10.0.0.<host>:<host> -> 10.0.0.2:2`.
+    fn of_flow(host: u8, timestamp_ns: u64, pkt_len: u32) -> CompactRecord {
+        CompactRecord {
+            timestamp_ns,
+            pkt_len,
+            saddr: 0x0a00_0000 + u32::from(host),
+            daddr: 0x0a00_0002,
+            sport: u16::from(host),
+            dport: 2,
+            ..Default::default()
+        }
+    }
 
     #[test]
     fn groups_by_flow_tag() {
-        let mut db = TraceDb::new();
-        // Flow A: 10 x 1000B over 1ms; flow B: 10 x 100B over 1ms.
-        for i in 0..10u64 {
-            db.insert(
-                DataPoint::new("ovs", i * 111_111)
-                    .tag("flow", "10.0.0.1:1->10.0.0.2:2")
-                    .field("pkt_len", 1000u64),
-            );
-            db.insert(
-                DataPoint::new("ovs", i * 111_111)
-                    .tag("flow", "10.0.0.3:3->10.0.0.2:2")
-                    .field("pkt_len", 100u64),
-            );
-        }
+        // Flow 1: 10 x 1000B over 1ms; flow 3: 10 x 100B over 1ms.
+        let db = db_of((0..10u64).flat_map(|i| {
+            [
+                ("ovs", "n", of_flow(1, i * 111_111, 1000)),
+                ("ovs", "n", of_flow(3, i * 111_111, 100)),
+            ]
+        }));
         let flows = per_flow_throughput(&db, "ovs");
         assert_eq!(flows.len(), 2);
+        assert_eq!(flows[0].0, "10.0.0.1:1->10.0.0.2:2");
         assert!(
             flows[0].1 > flows[1].1 * 9.0,
             "1000B flow ~10x the 100B flow"
@@ -82,21 +87,22 @@ mod tests {
 
     #[test]
     fn per_flow_loss_separates_victims() {
-        let mut db = TraceDb::new();
-        // Flow A: 10 in, 4 out (congested). Flow B: 5 in, 5 out.
+        // Flow 1: 10 in, 4 out (congested). Flow 3: 5 in, 5 out.
+        let mut rows = Vec::new();
         for i in 0..10u64 {
-            db.insert(DataPoint::new("up", i).tag("flow", "A"));
+            rows.push(("up", "n", of_flow(1, i, 60)));
             if i < 4 {
-                db.insert(DataPoint::new("down", i).tag("flow", "A"));
+                rows.push(("down", "n", of_flow(1, i, 60)));
             }
         }
         for i in 0..5u64 {
-            db.insert(DataPoint::new("up", 100 + i).tag("flow", "B"));
-            db.insert(DataPoint::new("down", 100 + i).tag("flow", "B"));
+            rows.push(("up", "n", of_flow(3, 100 + i, 60)));
+            rows.push(("down", "n", of_flow(3, 100 + i, 60)));
         }
+        let db = db_of(rows);
         let losses = per_flow_loss(&db, "up", "down");
         assert_eq!(losses.len(), 2);
-        assert_eq!(losses[0].0, "A");
+        assert_eq!(losses[0].0, "10.0.0.1:1->10.0.0.2:2");
         assert_eq!(losses[0].1.lost, 6);
         assert!((losses[0].1.rate - 0.6).abs() < 1e-12);
         assert_eq!(losses[1].1.lost, 0);
@@ -104,27 +110,7 @@ mod tests {
     }
 
     #[test]
-    fn untagged_points_skipped() {
-        let mut db = TraceDb::new();
-        db.insert(DataPoint::new("m", 0).field("pkt_len", 10u64));
-        db.insert(
-            DataPoint::new("m", 10)
-                .tag("flow", "f")
-                .field("pkt_len", 10u64),
-        );
-        db.insert(
-            DataPoint::new("m", 1_000)
-                .tag("flow", "f")
-                .field("pkt_len", 10u64),
-        );
-        let flows = per_flow_throughput(&db, "m");
-        assert_eq!(flows.len(), 1);
-        assert!(flows[0].1 > 0.0);
-    }
-
-    #[test]
     fn per_flow_metrics_survive_a_cold_reopen() {
-        use vnet_tsdb::{CompactRecord, RecordBatch};
         let mut batch = RecordBatch::new();
         for i in 0..120u64 {
             // Three flows by source port; the third loses every other

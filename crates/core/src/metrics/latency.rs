@@ -96,7 +96,8 @@ pub fn latency_between(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vnet_tsdb::{DataPoint, TRACE_ID_TAG};
+    use crate::metrics::testutil::db_of;
+    use vnet_tsdb::CompactRecord;
 
     #[test]
     fn stats_basics() {
@@ -130,23 +131,26 @@ mod tests {
         assert_eq!(s.max_ns, 10_000);
     }
 
-    fn db_with_pair(id: &str, t1: u64, t2: u64) -> TraceDb {
-        let mut db = TraceDb::new();
-        db.insert(DataPoint::new("a", t1).tag(TRACE_ID_TAG, id));
-        db.insert(DataPoint::new("b", t2).tag(TRACE_ID_TAG, id));
-        db
+    fn db_with_pair(id: u32, t1: u64, t2: u64) -> TraceDb {
+        let seen = |timestamp_ns| CompactRecord {
+            timestamp_ns,
+            trace_id: id,
+            flags: 1,
+            ..Default::default()
+        };
+        db_of([("a", "n", seen(t1)), ("b", "n", seen(t2))])
     }
 
     #[test]
     fn latency_join_same_node() {
-        let db = db_with_pair("x", 1_000, 1_750);
+        let db = db_with_pair(7, 1_000, 1_750);
         assert_eq!(latency_between(&db, "a", "b", None), vec![750]);
     }
 
     #[test]
     fn latency_join_with_skew_alignment() {
         // Remote clock leads by 500ns: raw t2 = 1_750 includes the lead.
-        let db = db_with_pair("x", 1_000, 1_750);
+        let db = db_with_pair(7, 1_000, 1_750);
         let skew = SkewEstimate {
             one_way_ns: 0,
             offset_ns: 500,
@@ -158,7 +162,7 @@ mod tests {
 
     #[test]
     fn negative_deltas_dropped() {
-        let db = db_with_pair("x", 2_000, 1_000);
+        let db = db_with_pair(7, 2_000, 1_000);
         assert!(latency_between(&db, "a", "b", None).is_empty());
     }
 }

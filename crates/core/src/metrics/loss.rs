@@ -52,17 +52,23 @@ pub fn packet_loss(db: &TraceDb, upstream: &str, downstream: &str) -> PacketLoss
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vnet_tsdb::DataPoint;
+    use crate::metrics::testutil::db_of;
+    use vnet_tsdb::{CompactRecord, RecordBatch};
+
+    /// `n` records in `table`, one per nanosecond.
+    fn seen(table: &str, n: u64) -> impl Iterator<Item = (&str, &str, CompactRecord)> {
+        (0..n).map(move |timestamp_ns| {
+            let record = CompactRecord {
+                timestamp_ns,
+                ..Default::default()
+            };
+            (table, "n", record)
+        })
+    }
 
     #[test]
     fn counts_and_rate() {
-        let mut db = TraceDb::new();
-        for i in 0..10u64 {
-            db.insert(DataPoint::new("in", i));
-        }
-        for i in 0..7u64 {
-            db.insert(DataPoint::new("out", i));
-        }
+        let db = db_of(seen("in", 10).chain(seen("out", 7)));
         let loss = packet_loss(&db, "in", "out");
         assert_eq!(loss.upstream, 10);
         assert_eq!(loss.downstream, 7);
@@ -72,9 +78,7 @@ mod tests {
 
     #[test]
     fn no_loss_and_empty_tables() {
-        let mut db = TraceDb::new();
-        db.insert(DataPoint::new("in", 0));
-        db.insert(DataPoint::new("out", 0));
+        let db = db_of(seen("in", 1).chain(seen("out", 1)));
         let loss = packet_loss(&db, "in", "out");
         assert_eq!(loss.lost, 0);
         assert_eq!(loss.rate, 0.0);
@@ -85,17 +89,12 @@ mod tests {
 
     #[test]
     fn downstream_surplus_clamps_to_zero() {
-        let mut db = TraceDb::new();
-        db.insert(DataPoint::new("in", 0));
-        for i in 0..3u64 {
-            db.insert(DataPoint::new("out", i));
-        }
+        let db = db_of(seen("in", 1).chain(seen("out", 3)));
         assert_eq!(packet_loss(&db, "in", "out").lost, 0);
     }
 
     #[test]
     fn loss_survives_a_cold_reopen() {
-        use vnet_tsdb::{CompactRecord, RecordBatch};
         let mut batch = RecordBatch::new();
         for i in 0..100u64 {
             let record = CompactRecord {

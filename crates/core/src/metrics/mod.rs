@@ -40,7 +40,22 @@ pub(crate) fn first_seen(db: &TraceDb, measurement: &str) -> FirstSeen {
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use vnet_tsdb::{RecordBatch, StoreOptions, TraceDb};
+    use vnet_tsdb::{CompactRecord, RecordBatch, StoreOptions, TraceDb};
+
+    /// An in-memory store holding `(table, node, record)` rows, each
+    /// table's in the order given.
+    pub(crate) fn db_of<'a>(
+        rows: impl IntoIterator<Item = (&'a str, &'a str, CompactRecord)>,
+    ) -> TraceDb {
+        let mut db = TraceDb::new();
+        let mut batch = RecordBatch::new();
+        for (table, node, record) in rows {
+            batch.clear();
+            batch.push(table, node, record);
+            db.insert_batch(&batch);
+        }
+        db
+    }
 
     /// A disk-backed store reopened cold, and the directory it lives in
     /// (removed on drop).

@@ -81,10 +81,8 @@ pub fn throughput_at(db: &TraceDb, measurement: &str) -> f64 {
                     acc.push(ts[i], len[i] as u32, flags[i] & 1 != 0);
                 }
             }
-            Rows::Hot(_, e) => {
-                if let Some(len) = e.field_u64("pkt_len") {
-                    acc.push(e.timestamp_ns(), len as u32, e.trace_key().is_some());
-                }
+            Rows::Hot { record, .. } => {
+                acc.push(record.timestamp_ns, record.pkt_len, record.has_trace_id());
             }
         }
         Ok(())
@@ -95,7 +93,7 @@ pub fn throughput_at(db: &TraceDb, measurement: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vnet_tsdb::{DataPoint, TRACE_ID_TAG};
+    use vnet_tsdb::{CompactRecord, RecordBatch};
 
     #[test]
     fn formula_subtracts_trace_id_bytes() {
@@ -135,14 +133,16 @@ mod tests {
 
     #[test]
     fn throughput_from_database() {
-        let mut db = TraceDb::new();
-        for i in 0..100u64 {
-            db.insert(
-                DataPoint::new("nic_rx", i * 1_000)
-                    .tag(TRACE_ID_TAG, format!("{i:08x}"))
-                    .field("pkt_len", 104u64),
-            );
-        }
+        let db = crate::metrics::testutil::db_of((0..100u32).map(|i| {
+            let record = CompactRecord {
+                timestamp_ns: u64::from(i) * 1_000,
+                trace_id: i,
+                pkt_len: 104,
+                flags: 1,
+                ..Default::default()
+            };
+            ("nic_rx", "n", record)
+        }));
         // 100 packets * 100 effective bytes * 8 bits over 99us.
         let bps = throughput_at(&db, "nic_rx");
         let expected = (100.0 * 100.0 * 8.0) / (99_000.0 / 1e9);
@@ -152,7 +152,6 @@ mod tests {
 
     #[test]
     fn throughput_survives_a_cold_reopen() {
-        use vnet_tsdb::{CompactRecord, RecordBatch};
         let mut batch = RecordBatch::new();
         for i in 0..100u32 {
             let record = CompactRecord {

@@ -6,28 +6,32 @@
 //! analysis filters by tags and time, joins records across tracepoints by
 //! packet trace ID, and aggregates fields.
 //!
-//! Two ingest paths feed the store. Hand-built [`DataPoint`]s go through
-//! [`TraceDb::insert`]. The hot path is [`TraceDb::insert_batch`]: agents
-//! drain perf rings into a reusable [`RecordBatch`] of fixed-size
-//! [`CompactRecord`]s, and whole groups are appended into per-(table,
-//! node) shards keyed by interned [`Symbol`]s — no per-record allocation
-//! or name hashing. Reads see both paths uniformly through
-//! [`Entry`] views.
+//! One ingest path, [`TraceDb::insert_batch`], feeds the store, and it
+//! stores one row form: agents drain perf rings into a reusable
+//! [`RecordBatch`] of fixed-size [`CompactRecord`]s, and whole groups are
+//! appended into per-(table, node) shards keyed by interned [`Symbol`]s —
+//! no per-record allocation or name hashing. Reads go through
+//! [`Query::scan`] (or the streaming [`Query::walk`] under it) and see
+//! [`Entry`] views; the string-tagged [`DataPoint`] is only what a record
+//! looks like in a JSON-lines dump ([`write_json_lines`]).
 //!
 //! ## Example
 //!
 //! ```
-//! use vnet_tsdb::{DataPoint, TraceDb};
+//! use vnet_tsdb::{CompactRecord, RecordBatch, TraceDb};
 //! use vnet_tsdb::query::{aggregate, Query};
 //!
+//! let seen = |ts| CompactRecord { timestamp_ns: ts, trace_id: 42, pkt_len: 60, flags: 1, ..Default::default() };
+//! let mut batch = RecordBatch::new();
+//! batch.push("flannel1", "node1", seen(100));
+//! batch.push("flannel2", "node2", seen(190));
 //! let mut db = TraceDb::new();
-//! db.insert(DataPoint::new("flannel1", 100).tag("trace_id", "42").field("len", 60u64));
-//! db.insert(DataPoint::new("flannel2", 190).tag("trace_id", "42").field("len", 60u64));
+//! db.insert_batch(&batch);
 //! // Latency between the two VXLAN devices for packet 42:
 //! let pairs = db.join_timestamps("flannel1", "flannel2").unwrap();
 //! assert_eq!(pairs, vec![(100, 190)]);
-//! let entries = Query::new("flannel1").run(&db);
-//! assert_eq!(aggregate(&entries, "len").mean, 60.0);
+//! let scan = Query::new("flannel1").scan(&db).unwrap();
+//! assert_eq!(aggregate(&scan.entries(), "pkt_len").mean, 60.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,13 +54,15 @@ pub mod table;
 pub mod wal;
 
 pub use batch::{BatchGroup, RecordBatch};
-pub use join::{FirstSeen, TraceKey};
-pub use persist::{read_json_lines, write_json_lines, PersistError};
+pub use join::FirstSeen;
+pub use persist::{import_json_lines, read_json_lines, write_json_lines, PersistError};
 pub use point::{DataPoint, FieldValue};
 pub use query::{
     aggregate, percentile, percentiles, Aggregate, Query, Rows, ScanResult, ScanStats,
 };
-pub use record::{drop_reason_code, drop_reason_name, CompactRecord, COMPACT_RECORD_BYTES};
+pub use record::{
+    drop_reason_code, drop_reason_name, trace_id_tag, CompactRecord, COMPACT_RECORD_BYTES,
+};
 pub use segment::{columns, ColumnId, ColumnSet, Segment, SegmentMeta};
 pub use sketch::{LogHistogram, DEFAULT_SKETCH_ERROR};
 pub use store::{MeasurementStorage, StorageStats, StoreError, StoreOptions, TraceDb};

@@ -1,67 +1,37 @@
-//! Data points: the unit of storage.
+//! Data points: the string-tagged view of a record, as one line of a
+//! JSON-lines dump holds it. Nothing is stored in this form; see
+//! [`CompactRecord::to_point`](crate::record::CompactRecord::to_point)
+//! and [`from_point`](crate::record::CompactRecord::from_point).
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use serde_json::{member, object, Error as JsonError, FromJson, ToJson, Value};
 
-/// A field value.
+/// A field value. A record's fields are unsigned integers; the enum is
+/// the dump's layout (`{"UInt":60}`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum FieldValue {
-    /// Signed integer.
-    Int(i64),
     /// Unsigned integer.
     UInt(u64),
-    /// Floating point.
-    Float(f64),
-    /// Text.
-    Str(String),
 }
 
 impl FieldValue {
-    /// The value as `f64`, if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            FieldValue::Int(v) => Some(*v as f64),
-            FieldValue::UInt(v) => Some(*v as f64),
-            FieldValue::Float(v) => Some(*v),
-            FieldValue::Str(_) => None,
-        }
-    }
-
-    /// The value as `u64`, if it is an unsigned integer (or a
-    /// non-negative signed one).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            FieldValue::UInt(v) => Some(*v),
-            FieldValue::Int(v) if *v >= 0 => Some(*v as u64),
-            _ => None,
-        }
+    /// The value as `u64`.
+    pub fn as_u64(&self) -> u64 {
+        let FieldValue::UInt(v) = self;
+        *v
     }
 }
 
-impl From<i64> for FieldValue {
-    fn from(v: i64) -> Self {
-        FieldValue::Int(v)
-    }
-}
 impl From<u64> for FieldValue {
     fn from(v: u64) -> Self {
         FieldValue::UInt(v)
     }
 }
-impl From<f64> for FieldValue {
-    fn from(v: f64) -> Self {
-        FieldValue::Float(v)
-    }
-}
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_owned())
-    }
-}
 
-/// One record: a measurement name, indexed tags, fields, and a timestamp.
+/// One record's interchange view: a measurement name, tags, fields, and
+/// a timestamp.
 ///
 /// Mirrors the InfluxDB data model the paper adopts ("We adopt InfluxDB
 /// for the offline storage and create tables for each tracepoint").
@@ -128,12 +98,8 @@ impl DataPoint {
 // would produce, so existing persisted files keep parsing.
 impl ToJson for FieldValue {
     fn to_json(&self) -> Value {
-        match self {
-            FieldValue::Int(v) => object([("Int", v.to_json())]),
-            FieldValue::UInt(v) => object([("UInt", v.to_json())]),
-            FieldValue::Float(v) => object([("Float", v.to_json())]),
-            FieldValue::Str(v) => object([("Str", v.to_json())]),
-        }
+        let FieldValue::UInt(v) = self;
+        object([("UInt", v.to_json())])
     }
 }
 
@@ -147,10 +113,7 @@ impl FromJson for FieldValue {
             .next()
             .ok_or_else(|| JsonError::msg("empty field value object"))?;
         match variant.as_str() {
-            "Int" => i64::from_json(inner).map(FieldValue::Int),
             "UInt" => u64::from_json(inner).map(FieldValue::UInt),
-            "Float" => f64::from_json(inner).map(FieldValue::Float),
-            "Str" => String::from_json(inner).map(FieldValue::Str),
             other => Err(JsonError::msg(format!("unknown field variant '{other}'"))),
         }
     }
@@ -186,23 +149,36 @@ mod tests {
     fn builder_and_accessors() {
         let p = DataPoint::new("m", 7)
             .tag("node", "server1")
-            .field("latency_ns", 1234u64)
-            .field("loss", 0.5);
+            .field("latency_ns", 1234u64);
         assert_eq!(p.measurement, "m");
         assert_eq!(p.timestamp_ns, 7);
         assert_eq!(p.tag_value("node"), Some("server1"));
         assert_eq!(p.tag_value("absent"), None);
-        assert_eq!(p.field_value("latency_ns").unwrap().as_u64(), Some(1234));
-        assert_eq!(p.field_value("loss").unwrap().as_f64(), Some(0.5));
+        assert_eq!(p.field_value("latency_ns").unwrap().as_u64(), 1234);
+        assert_eq!(p.field_value("absent"), None);
     }
 
     #[test]
-    fn field_value_conversions() {
-        assert_eq!(FieldValue::from(-3i64).as_f64(), Some(-3.0));
-        assert_eq!(FieldValue::from(-3i64).as_u64(), None);
-        assert_eq!(FieldValue::from(3i64).as_u64(), Some(3));
-        assert_eq!(FieldValue::from("x").as_f64(), None);
-        assert_eq!(FieldValue::from(2.5).as_f64(), Some(2.5));
+    fn only_unsigned_fields_parse() {
+        let line = |field: &str| {
+            format!(
+                r#"{{"measurement":"m","tags":{{}},"fields":{{"f":{field}}},"timestamp_ns":1}}"#
+            )
+        };
+        let p: DataPoint = serde_json::from_str(&line(r#"{"UInt":9}"#)).unwrap();
+        assert_eq!(p, DataPoint::new("m", 1).field("f", 9u64));
+        for other in [
+            r#"{"Int":-3}"#,
+            r#"{"Float":2.5}"#,
+            r#"{"Str":"x"}"#,
+            "9",
+            "{}",
+        ] {
+            assert!(
+                serde_json::from_str::<DataPoint>(&line(other)).is_err(),
+                "{other}"
+            );
+        }
     }
 
     #[test]

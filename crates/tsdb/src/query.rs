@@ -2,38 +2,40 @@
 //!
 //! Covers the operations vNetTracer's offline analysis performs: select a
 //! tracepoint's table, filter by tags (flow, node, device) and time range,
-//! and aggregate a field (count, mean, min/max, percentiles). Queries run
-//! over [`Entry`] views, so point-backed and record-backed data answer
-//! identically.
+//! and aggregate a field (count, mean, min/max, percentiles). A filter
+//! compiles to integer predicates on a row's lanes, and that one evaluator
+//! decides sealed and hot-tail rows alike.
 
-use crate::join::TraceKey;
-use crate::point::DataPoint;
-use crate::record::CompactRecord;
-use crate::segment::{dict_index, Block, ColumnId, ColumnSet, SegmentError, ALL_COLUMNS};
+use crate::record::{drop_reason_code, parse_trace_id_tag, CompactRecord};
+use crate::segment::{
+    dict_index, row_lanes, Block, ColumnId, ColumnSet, SegmentError, ALL_COLUMNS,
+};
 use crate::store::{StoreError, TraceDb};
-use crate::table::{Entry, Table, TRACE_ID_TAG};
+use crate::table::{Entry, Table, DROP_REASON_TAG, TRACE_ID_TAG};
 
 /// A query over one measurement.
 ///
 /// # Examples
 ///
 /// ```
-/// use vnet_tsdb::{DataPoint, TraceDb};
+/// use vnet_tsdb::{CompactRecord, RecordBatch, TraceDb};
 /// use vnet_tsdb::query::Query;
 ///
-/// let mut db = TraceDb::new();
+/// let mut batch = RecordBatch::new();
 /// for i in 0..10u64 {
-///     db.insert(DataPoint::new("rx", i * 100).tag("node", "n1").field("len", i));
+///     let record = CompactRecord { timestamp_ns: i * 100, ..Default::default() };
+///     batch.push("rx", if i % 2 == 0 { "n1" } else { "n2" }, record);
 /// }
-/// let entries = Query::new("rx").tag_eq("node", "n1").time_range(200, 500).run(&db);
-/// assert_eq!(entries.len(), 4);
+/// let mut db = TraceDb::new();
+/// db.insert_batch(&batch);
+/// let scan = Query::new("rx").tag_eq("node", "n1").time_range(200, 500).scan(&db).unwrap();
+/// assert_eq!(scan.len(), 2); // t = 200, 400
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Query {
     measurement: String,
     tag_filters: Vec<(String, String)>,
-    time_start: Option<u64>,
-    time_end: Option<u64>,
+    time: Option<(u64, u64)>,
 }
 
 impl Query {
@@ -53,52 +55,15 @@ impl Query {
 
     /// Restricts to `start..=end` (inclusive), in nanoseconds.
     pub fn time_range(mut self, start: u64, end: u64) -> Self {
-        self.time_start = Some(start);
-        self.time_end = Some(end);
+        self.time = Some((start, end));
         self
-    }
-
-    fn matches(&self, e: &Entry<'_>) -> bool {
-        if let Some(s) = self.time_start {
-            if e.timestamp_ns() < s {
-                return false;
-            }
-        }
-        if let Some(end) = self.time_end {
-            if e.timestamp_ns() > end {
-                return false;
-            }
-        }
-        self.tag_filters
-            .iter()
-            .all(|(k, v)| e.tag(k).as_deref() == Some(v.as_str()))
-    }
-
-    /// Runs the query, returning matching entries in insertion order.
-    ///
-    /// On a disk-backed database this covers only the in-memory hot
-    /// tail; use [`Query::scan`] to include sealed segments.
-    pub fn run<'a>(&self, db: &'a TraceDb) -> Vec<Entry<'a>> {
-        match db.table(&self.measurement) {
-            Some(t) => self.run_table(t),
-            None => Vec::new(),
-        }
-    }
-
-    /// Runs the query against a single table.
-    pub fn run_table<'a>(&self, table: &'a Table) -> Vec<Entry<'a>> {
-        table
-            .entries()
-            .into_iter()
-            .filter(|e| self.matches(e))
-            .collect()
     }
 
     /// Runs the query over the *whole* database — sealed segments and
     /// the in-memory hot tail — returning an owned result set:
     /// [`Query::walk`] projecting every column, with the matched rows
-    /// materialized. Memory is O(block + result). On an in-memory
-    /// database it is equivalent to [`Query::run`].
+    /// materialized in the order it hands them over. Memory is O(block +
+    /// result).
     ///
     /// # Errors
     ///
@@ -111,6 +76,9 @@ impl Query {
         // Segment dictionary index -> scan dictionary index, rebuilt when
         // the walk moves to another segment's dictionary.
         let (mut remap, mut remap_of) = (Vec::new(), std::ptr::null());
+        // Every column, `Seq` too, though the walk's order makes it
+        // redundant here: `bytes_read` is a count the benchmark pins, so
+        // dropping the lane is a change to measure on its own.
         out.stats = self.walk(db, &ALL_COLUMNS, |rows| {
             match rows {
                 Rows::Sealed {
@@ -125,19 +93,17 @@ impl Query {
                             .map(|name| dict_index(&mut out.nodes, name))
                             .collect();
                     }
-                    let (seqs, dicts) = (block.col(ColumnId::Seq), block.col(ColumnId::Node));
+                    let dicts = block.col(ColumnId::Node);
                     for &i in matched {
                         let node = *remap.get(dicts[i] as usize).ok_or_else(|| {
                             let index = dicts[i];
                             SegmentError::Corrupt(format!("node index {index} outside dictionary"))
                         })?;
-                        out.rows.push((seqs[i], node, block.record(i)));
+                        out.rows.push((node, block.record(i)));
                     }
                 }
-                Rows::Hot(seq, Entry::Point(p)) => out.points.push((seq, p.clone())),
-                Rows::Hot(seq, Entry::Record { node, record, .. }) => {
-                    let idx = dict_index(&mut out.nodes, node);
-                    out.rows.push((seq, idx, *record));
+                Rows::Hot { node, record } => {
+                    out.rows.push((dict_index(&mut out.nodes, node), *record));
                 }
             }
             Ok(())
@@ -147,7 +113,7 @@ impl Query {
 
     /// The one read path over the *whole* database: hands `visit` the
     /// matching rows of every sealed block, then every matching hot-tail
-    /// entry, each in sequence order, and returns what it touched.
+    /// record, each in sequence order, and returns what it touched.
     ///
     /// Tag filters are compiled to integer predicates once; segments are
     /// pruned by footer time range and node dictionary without touching
@@ -156,7 +122,8 @@ impl Query {
     /// (no sortedness assumed); a surviving block decodes its predicate
     /// columns first and, only if a row matched, the `project`ed ones —
     /// with no predicate and nothing projected, rows are counted off the
-    /// block index. One decoded block is resident at a time.
+    /// block index. One decoded block is resident at a time. Hot-tail
+    /// records are decided by the same predicates, read off the record.
     ///
     /// # Errors
     ///
@@ -168,30 +135,19 @@ impl Query {
         project: &ColumnSet,
         mut visit: impl FnMut(Rows<'_>) -> Result<(), StoreError>,
     ) -> Result<ScanStats, StoreError> {
-        let preds: Vec<TagPred> = self
-            .tag_filters
-            .iter()
-            .map(|(k, v)| TagPred::compile(k, v))
-            .collect();
-        // A predicate no compact record can satisfy (unknown tag key,
-        // malformed value) rules out every sealed row up front — but
-        // not hot points, which carry arbitrary tags.
-        let record_possible = !preds.iter().any(|p| matches!(p, TagPred::Never));
-        let lo = self.time_start.unwrap_or(0);
-        let hi = self.time_end.unwrap_or(u64::MAX);
+        let (lo, hi) = self.time.unwrap_or((0, u64::MAX));
+        let filter = Filter {
+            window: self.time.map(|(lo, hi)| lo..=hi),
+            preds: self
+                .tag_filters
+                .iter()
+                .map(|(k, v)| TagPred::compile(k, v))
+                .collect(),
+        };
         let mut pred_cols: ColumnSet = [false; ColumnId::ALL.len()];
-        pred_cols[ColumnId::Ts as usize] = self.time_start.is_some() || self.time_end.is_some();
-        for p in &preds {
-            let touched: &[ColumnId] = match p {
-                TagPred::Never => &[],
-                TagPred::Node(_) => &[ColumnId::Node],
-                TagPred::Direction { .. } => &[ColumnId::Direction],
-                TagPred::TraceId(_) => &[ColumnId::TraceId, ColumnId::Flags],
-                TagPred::Flow(_) => &FLOW_COLUMNS,
-            };
-            for &id in touched {
-                pred_cols[id as usize] = true;
-            }
+        pred_cols[ColumnId::Ts as usize] = filter.window.is_some();
+        for &id in filter.preds.iter().flat_map(TagPred::lanes) {
+            pred_cols[id as usize] = true;
         }
 
         let mut stats = ScanStats::default();
@@ -203,42 +159,11 @@ impl Query {
             stats.blocks_total += block_count;
             // Footer-only segment pruning: time range, impossible
             // predicate, or a node the dictionary does not hold.
-            let mut pruned = !record_possible || meta.max_ts < lo || meta.min_ts > hi;
-            let mut node_idx: Vec<u64> = Vec::new();
-            for p in &preds {
-                if let TagPred::Node(name) = p {
-                    match meta.nodes.iter().position(|n| n == name) {
-                        Some(i) => node_idx.push(i as u64),
-                        None => pruned = true,
-                    }
-                }
-            }
-            if pruned {
+            let in_window = meta.max_ts >= lo && meta.min_ts <= hi;
+            let Some(nodes) = filter.admitted_nodes(&meta.nodes).filter(|_| in_window) else {
                 stats.segments_pruned += 1;
                 stats.blocks_pruned += block_count;
                 continue;
-            }
-            let row_matches = |blk: &Block, i: usize| {
-                if pred_cols[ColumnId::Ts as usize] {
-                    let t = blk.col(ColumnId::Ts)[i];
-                    if t < lo || t > hi {
-                        return false;
-                    }
-                }
-                node_idx.iter().all(|&w| blk.col(ColumnId::Node)[i] == w)
-                    && preds.iter().all(|p| match p {
-                        TagPred::Node(_) => true,
-                        TagPred::Never => false,
-                        TagPred::Direction { tx } => (blk.col(ColumnId::Direction)[i] != 0) == *tx,
-                        TagPred::TraceId(id) => {
-                            blk.col(ColumnId::Flags)[i] & 1 != 0
-                                && blk.col(ColumnId::TraceId)[i] == u64::from(*id)
-                        }
-                        TagPred::Flow(want) => FLOW_COLUMNS
-                            .iter()
-                            .zip(want)
-                            .all(|(&column, &value)| blk.col(column)[i] == value),
-                    })
             };
             let scanned_before = stats.blocks_scanned;
             for (b, block_meta) in meta.blocks.iter().enumerate() {
@@ -251,7 +176,7 @@ impl Query {
                 let mut blk = Block::default();
                 stats.bytes_read += seg.read_block(b, &pred_cols, &mut blk)?;
                 let matched: Vec<usize> = (0..block_meta.rows as usize)
-                    .filter(|&i| row_matches(&blk, i))
+                    .filter(|&i| filter.row_matches(&nodes, |column| blk.col(column)[i]))
                     .collect();
                 if !matched.is_empty() {
                     stats.rows_matched += matched.len() as u64;
@@ -275,14 +200,26 @@ impl Query {
             }
         }
 
-        // The hot tail: points and not-yet-sealed shard records.
-        if let Some(table) = db.table(&self.measurement) {
-            for (seq, e) in table.seq_entries() {
-                if self.matches(&e) {
-                    stats.hot_entries += 1;
-                    visit(Rows::Hot(seq, e))?;
+        // The hot tail: a shard is one node's rows, so it reads as a
+        // segment whose dictionary is that one name and whose `Node` lane
+        // is all zeros; shards interleave by sequence number.
+        let shards = db.table(&self.measurement).map_or(&[][..], Table::shards);
+        let mut hot: Vec<(u64, &str, &CompactRecord)> = Vec::new();
+        for shard in shards {
+            let Some(nodes) = filter.admitted_nodes(&[shard.node_name()]) else {
+                continue;
+            };
+            for (seq, record) in shard.seq_records() {
+                let lanes = row_lanes(*seq, 0, record);
+                if filter.row_matches(&nodes, |column| lanes[column as usize]) {
+                    hot.push((*seq, shard.node_name(), record));
                 }
             }
+        }
+        hot.sort_unstable_by_key(|&(seq, ..)| seq);
+        stats.hot_entries = hot.len() as u64;
+        for (_, node, record) in hot {
+            visit(Rows::Hot { node, record })?;
         }
         Ok(stats)
     }
@@ -300,8 +237,13 @@ pub enum Rows<'a> {
         /// The dictionary the block's `Node` lane indexes.
         nodes: &'a [String],
     },
-    /// One matching hot-tail entry and its insertion sequence number.
-    Hot(u64, Entry<'a>),
+    /// One matching hot-tail record.
+    Hot {
+        /// The node it came from.
+        node: &'a str,
+        /// The record.
+        record: &'a CompactRecord,
+    },
 }
 
 /// The lanes a `flow` tag is derived from, in the tag's order.
@@ -312,20 +254,50 @@ const FLOW_COLUMNS: [ColumnId; 4] = [
     ColumnId::Dport,
 ];
 
+/// A query's filter compiled to lane predicates: the one evaluator of a
+/// row, wherever it lives (`lane` reads the row's value in a column).
+struct Filter {
+    /// The time range, if one was given (else the `Ts` lane is not read).
+    window: Option<std::ops::RangeInclusive<u64>>,
+    preds: Vec<TagPred>,
+}
+
+impl Filter {
+    /// The `Node`-lane values the `node` filters admit where that lane
+    /// indexes `dict`. `None` when no row there can match: a filter names
+    /// a node `dict` lacks, or one is [`TagPred::Never`].
+    fn admitted_nodes(&self, dict: &[impl AsRef<str>]) -> Option<Vec<u64>> {
+        let index = |name: &str| dict.iter().position(|n| n.as_ref() == name);
+        let admitted = self.preds.iter().filter_map(|p| match p {
+            TagPred::Node(name) => Some(index(name).map(|i| i as u64)),
+            TagPred::Never => Some(None),
+            _ => None,
+        });
+        admitted.collect()
+    }
+
+    fn row_matches(&self, nodes: &[u64], lane: impl Fn(ColumnId) -> u64) -> bool {
+        let in_window = |w: &std::ops::RangeInclusive<u64>| w.contains(&lane(ColumnId::Ts));
+        self.window.as_ref().is_none_or(in_window)
+            && nodes.iter().all(|&index| lane(ColumnId::Node) == index)
+            && self.preds.iter().all(|p| p.matches(&lane))
+    }
+}
+
 /// A tag filter compiled against the compact record form: what
 /// [`Entry::tag`] derives lazily per row, evaluated as a plain integer
-/// comparison on decoded columns.
+/// comparison on the row's lanes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum TagPred {
-    /// `node == name`, resolved to a dictionary index per segment.
+    /// `node == name`, resolved per segment or shard by
+    /// [`Filter::admitted_nodes`].
     Node(String),
     /// `direction == "rx"` (stored 0) or `"tx"` (stored non-zero).
-    Direction {
-        /// Which of the two.
-        tx: bool,
-    },
+    Direction { tx: bool },
     /// `trace_id == id`, requires the trace-ID flag bit.
     TraceId(u32),
+    /// `drop_reason == name`: the code flag bits 1–3 must hold.
+    DropReason(u8),
     /// `flow == "src:sport->dst:dport"`: the values [`FLOW_COLUMNS`] must
     /// all hold.
     Flow([u64; 4]),
@@ -335,24 +307,51 @@ enum TagPred {
 }
 
 impl TagPred {
+    /// Only the derived tag's own spelling can match; anything else is
+    /// [`TagPred::Never`].
     fn compile(key: &str, value: &str) -> TagPred {
-        match key {
-            "node" => TagPred::Node(value.to_owned()),
+        let compiled = match key {
+            "node" => Some(TagPred::Node(value.to_owned())),
             "direction" => match value {
-                "rx" => TagPred::Direction { tx: false },
-                "tx" => TagPred::Direction { tx: true },
-                _ => TagPred::Never,
+                "rx" => Some(TagPred::Direction { tx: false }),
+                "tx" => Some(TagPred::Direction { tx: true }),
+                _ => None,
             },
-            // Only the derived tag's own form (see `TraceKey`) can match.
-            TRACE_ID_TAG => match TraceKey::parse(value) {
-                TraceKey::Id(id) => TagPred::TraceId(id),
-                TraceKey::Tag(_) => TagPred::Never,
-            },
-            "flow" => match CompactRecord::parse_flow(value) {
-                Some((s, d, sp, dp)) => TagPred::Flow([s.into(), d.into(), sp.into(), dp.into()]),
-                None => TagPred::Never,
-            },
-            _ => TagPred::Never,
+            TRACE_ID_TAG => parse_trace_id_tag(value).map(TagPred::TraceId),
+            DROP_REASON_TAG => drop_reason_code(value).map(TagPred::DropReason),
+            "flow" => CompactRecord::parse_flow(value)
+                .map(|(s, d, sp, dp)| TagPred::Flow([s.into(), d.into(), sp.into(), dp.into()])),
+            _ => None,
+        };
+        compiled.unwrap_or(TagPred::Never)
+    }
+
+    /// The lanes [`TagPred::matches`] reads.
+    fn lanes(&self) -> &'static [ColumnId] {
+        match self {
+            TagPred::Never => &[],
+            TagPred::Node(_) => &[ColumnId::Node],
+            TagPred::Direction { .. } => &[ColumnId::Direction],
+            TagPred::TraceId(_) => &[ColumnId::TraceId, ColumnId::Flags],
+            TagPred::DropReason(_) => &[ColumnId::Flags],
+            TagPred::Flow(_) => &FLOW_COLUMNS,
+        }
+    }
+
+    fn matches(&self, lane: impl Fn(ColumnId) -> u64) -> bool {
+        match self {
+            // Decided by the caller against the node dictionary.
+            TagPred::Node(_) => true,
+            TagPred::Never => false,
+            TagPred::Direction { tx } => (lane(ColumnId::Direction) != 0) == *tx,
+            TagPred::TraceId(id) => {
+                lane(ColumnId::Flags) & 1 != 0 && lane(ColumnId::TraceId) == u64::from(*id)
+            }
+            TagPred::DropReason(code) => (lane(ColumnId::Flags) >> 1) & 0x7 == u64::from(*code),
+            TagPred::Flow(want) => FLOW_COLUMNS
+                .iter()
+                .zip(want)
+                .all(|(&column, &value)| lane(column) == value),
         }
     }
 }
@@ -372,7 +371,7 @@ pub struct ScanStats {
     pub sealed_rows_total: u64,
     /// Sealed rows matching the query.
     pub rows_matched: u64,
-    /// Hot-tail entries (points + shard records) matching the query.
+    /// Hot-tail records matching the query.
     pub hot_entries: u64,
     /// Encoded chunk bytes read from disk (not footers).
     pub bytes_read: u64,
@@ -388,14 +387,14 @@ pub struct ScanStats {
 }
 
 /// An owned result set from [`Query::scan`]: matched sealed rows plus
-/// matched hot-tail entries, viewable as [`Entry`] values in insertion
+/// matched hot-tail records, viewable as [`Entry`] values in insertion
 /// order.
 #[derive(Debug, Clone, Default)]
 pub struct ScanResult {
     measurement: String,
     nodes: Vec<String>,
-    rows: Vec<(u64, u32, CompactRecord)>,
-    points: Vec<(u64, DataPoint)>,
+    /// `(index into nodes, record)`, in insertion order.
+    rows: Vec<(u32, CompactRecord)>,
     stats: ScanStats,
 }
 
@@ -407,7 +406,7 @@ impl ScanResult {
 
     /// Number of matched entries.
     pub fn len(&self) -> usize {
-        self.rows.len() + self.points.len()
+        self.rows.len()
     }
 
     /// Whether nothing matched.
@@ -415,25 +414,15 @@ impl ScanResult {
         self.len() == 0
     }
 
-    /// The matched entries in insertion order — the same view
-    /// [`Query::run`] yields, but owned by the scan.
+    /// The matched entries in insertion order.
     pub fn entries(&self) -> Vec<Entry<'_>> {
-        let mut out: Vec<(u64, Entry<'_>)> = Vec::with_capacity(self.len());
-        for (seq, p) in &self.points {
-            out.push((*seq, Entry::Point(p)));
-        }
-        for (seq, node, record) in &self.rows {
-            out.push((
-                *seq,
-                Entry::Record {
-                    measurement: &self.measurement,
-                    node: &self.nodes[*node as usize],
-                    record,
-                },
-            ));
-        }
-        out.sort_by_key(|(seq, _)| *seq);
-        out.into_iter().map(|(_, e)| e).collect()
+        let rows = self.rows.iter();
+        rows.map(|(node, record)| Entry::Record {
+            measurement: &self.measurement,
+            node: &self.nodes[*node as usize],
+            record,
+        })
+        .collect()
     }
 }
 
@@ -521,43 +510,45 @@ pub fn percentiles(entries: &[Entry<'_>], field: &str, qs: &[f64]) -> Option<Vec
 mod tests {
     use super::*;
     use crate::batch::RecordBatch;
-    use crate::point::DataPoint;
     use crate::record::CompactRecord;
     use crate::store::TraceDb;
 
+    /// 100 records in `lat`, `pkt_len` = i at t = 10 i, alternating nodes.
     fn db() -> TraceDb {
-        let mut db = TraceDb::new();
-        for i in 0..100u64 {
-            let node = if i % 2 == 0 { "n0" } else { "n1" };
-            db.insert(
-                DataPoint::new("lat", i * 10)
-                    .tag("node", node)
-                    .field("us", i),
-            );
+        let mut batch = RecordBatch::new();
+        for i in 0..100u32 {
+            let record = CompactRecord {
+                timestamp_ns: u64::from(i) * 10,
+                pkt_len: i,
+                ..Default::default()
+            };
+            batch.push("lat", if i % 2 == 0 { "n0" } else { "n1" }, record);
         }
+        let mut db = TraceDb::new();
+        db.insert_batch(&batch);
         db
+    }
+
+    fn scan(db: &TraceDb, q: Query) -> ScanResult {
+        q.scan(db).unwrap()
     }
 
     #[test]
     fn tag_filter_and_time_range() {
         let db = db();
-        let pts = Query::new("lat").tag_eq("node", "n0").run(&db);
-        assert_eq!(pts.len(), 50);
-        let pts = Query::new("lat").time_range(100, 190).run(&db);
-        assert_eq!(pts.len(), 10);
-        let pts = Query::new("lat")
-            .tag_eq("node", "n1")
-            .time_range(0, 50)
-            .run(&db);
-        assert_eq!(pts.len(), 3); // t=10,30,50
-        assert!(Query::new("absent").run(&db).is_empty());
+        assert_eq!(scan(&db, Query::new("lat").tag_eq("node", "n0")).len(), 50);
+        assert_eq!(scan(&db, Query::new("lat").time_range(100, 190)).len(), 10);
+        let q = Query::new("lat").tag_eq("node", "n1").time_range(0, 50);
+        assert_eq!(scan(&db, q).len(), 3); // t=10,30,50
+        assert!(scan(&db, Query::new("absent")).is_empty());
     }
 
     #[test]
     fn aggregate_statistics() {
         let db = db();
-        let pts = Query::new("lat").run(&db);
-        let agg = aggregate(&pts, "us");
+        let all = scan(&db, Query::new("lat"));
+        let pts = all.entries();
+        let agg = aggregate(&pts, "pkt_len");
         assert_eq!(agg.count, 100);
         assert_eq!(agg.min, 0.0);
         assert_eq!(agg.max, 99.0);
@@ -568,26 +559,28 @@ mod tests {
     #[test]
     fn percentiles_single() {
         let db = db();
-        let pts = Query::new("lat").run(&db);
-        assert_eq!(percentile(&pts, "us", 0.5), Some(49.0));
-        assert_eq!(percentile(&pts, "us", 0.999), Some(99.0));
-        assert_eq!(percentile(&pts, "us", 0.0), Some(0.0));
-        assert_eq!(percentile(&pts, "us", 1.0), Some(99.0));
-        assert_eq!(percentile(&[], "us", 0.5), None);
+        let all = scan(&db, Query::new("lat"));
+        let pts = all.entries();
+        assert_eq!(percentile(&pts, "pkt_len", 0.5), Some(49.0));
+        assert_eq!(percentile(&pts, "pkt_len", 0.999), Some(99.0));
+        assert_eq!(percentile(&pts, "pkt_len", 0.0), Some(0.0));
+        assert_eq!(percentile(&pts, "pkt_len", 1.0), Some(99.0));
+        assert_eq!(percentile(&[], "pkt_len", 0.5), None);
     }
 
     #[test]
     fn percentiles_batch_matches_single() {
         let db = db();
-        let pts = Query::new("lat").run(&db);
+        let all = scan(&db, Query::new("lat"));
+        let pts = all.entries();
         let qs = [0.0, 0.5, 0.95, 0.999, 1.0];
-        let batch = percentiles(&pts, "us", &qs).unwrap();
+        let batch = percentiles(&pts, "pkt_len", &qs).unwrap();
         for (&q, &got) in qs.iter().zip(batch.iter()) {
-            assert_eq!(Some(got), percentile(&pts, "us", q), "q={q}");
+            assert_eq!(Some(got), percentile(&pts, "pkt_len", q), "q={q}");
         }
-        assert_eq!(percentiles(&[], "us", &qs), None);
+        assert_eq!(percentiles(&[], "pkt_len", &qs), None);
         assert_eq!(percentiles(&pts, "missing", &qs), None);
-        assert_eq!(percentiles(&pts, "us", &[]), Some(vec![]));
+        assert_eq!(percentiles(&pts, "pkt_len", &[]), Some(vec![]));
     }
 
     #[test]
@@ -616,48 +609,54 @@ mod tests {
             );
         }
         db.insert_batch(&batch);
-        db.insert(
-            DataPoint::new("rx", 150)
-                .tag("node", "n0")
-                .field("pkt_len", 99u64),
-        );
         db
     }
 
+    /// Each filter beside the same condition written on the typed fields.
     #[test]
-    fn scan_matches_run_on_memory_db() {
+    fn scan_matches_a_typed_filter_on_memory_db() {
+        type Keep = fn(&str, &CompactRecord) -> bool;
         let db = record_db();
-        let queries = [
-            Query::new("rx"),
-            Query::new("rx").tag_eq("node", "n0"),
-            Query::new("rx").tag_eq("direction", "tx"),
-            Query::new("rx")
-                .tag_eq("direction", "rx")
-                .time_range(500, 2500),
-            Query::new("rx").tag_eq(TRACE_ID_TAG, "00000003"),
-            Query::new("rx").tag_eq("flow", "0.0.0.0:1000->0.0.0.0:2000"),
-            Query::new("rx").tag_eq("unknown_tag", "x"),
-            Query::new("rx").tag_eq(TRACE_ID_TAG, "not-hex!"),
-            Query::new("absent"),
+        let cases: [(Query, Keep); 9] = [
+            (Query::new("rx"), |_, _| true),
+            (Query::new("rx").tag_eq("node", "n0"), |n, _| n == "n0"),
+            (Query::new("rx").tag_eq("direction", "tx"), |_, r| {
+                r.direction != 0
+            }),
+            (
+                Query::new("rx")
+                    .tag_eq("direction", "rx")
+                    .time_range(500, 2500),
+                |_, r| r.direction == 0 && (500..=2500).contains(&r.timestamp_ns),
+            ),
+            (Query::new("rx").tag_eq(TRACE_ID_TAG, "00000003"), |_, r| {
+                r.has_trace_id() && r.trace_id == 3
+            }),
+            (
+                Query::new("rx").tag_eq("flow", "0.0.0.0:1000->0.0.0.0:2000"),
+                |_, _| true,
+            ),
+            (Query::new("rx").tag_eq("unknown_tag", "x"), |_, _| false),
+            (Query::new("rx").tag_eq(TRACE_ID_TAG, "not-hex!"), |_, _| {
+                false
+            }),
+            (Query::new("absent"), |_, _| false),
         ];
-        for q in queries {
-            let run: Vec<_> = q.run(&db).iter().map(|e| e.to_point()).collect();
+        let all = Query::new("rx").scan(&db).unwrap();
+        for (q, keep) in cases {
+            let expected: Vec<_> = all
+                .entries()
+                .iter()
+                .filter(|e| q.measurement == "rx" && keep(e.node(), e.record()))
+                .map(|e| e.to_point())
+                .collect();
             let scan = q.scan(&db).unwrap();
             let scanned: Vec<_> = scan.entries().iter().map(|e| e.to_point()).collect();
-            assert_eq!(scanned, run, "{q:?}");
-            assert_eq!(scan.len(), run.len());
+            assert_eq!(scanned, expected, "{q:?}");
+            assert_eq!(scan.len(), expected.len());
+            assert_eq!(scan.stats().hot_entries, expected.len() as u64);
             assert_eq!(scan.stats().segments_total, 0, "memory db has no segments");
         }
-    }
-
-    #[test]
-    fn scan_hot_points_survive_impossible_record_predicates() {
-        // A tag no record derives can still match a hand-built point.
-        let mut db = TraceDb::new();
-        db.insert(DataPoint::new("m", 5).tag("custom", "yes"));
-        let scan = Query::new("m").tag_eq("custom", "yes").scan(&db).unwrap();
-        assert_eq!(scan.len(), 1);
-        assert_eq!(scan.stats().hot_entries, 1);
     }
 
     #[test]
@@ -677,10 +676,9 @@ mod tests {
             );
         }
         db.insert_batch(&batch);
-        let hits = Query::new("rx")
-            .tag_eq("node", "n0")
-            .time_range(0, 400)
-            .run(&db);
+        let q = Query::new("rx").tag_eq("node", "n0").time_range(0, 400);
+        let scan = q.scan(&db).unwrap();
+        let hits = scan.entries();
         assert_eq!(hits.len(), 3); // t=0,200,400
         let agg = aggregate(&hits, "pkt_len");
         assert_eq!(agg.count, 3);

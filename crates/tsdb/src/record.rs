@@ -36,6 +36,18 @@ pub fn drop_reason_code(name: &str) -> Option<u8> {
     (1..=5).find(|&c| drop_reason_name(c) == Some(name))
 }
 
+/// A trace ID as its [`TRACE_ID_TAG`] value: eight lower-case hex digits.
+pub fn trace_id_tag(id: u32) -> String {
+    format!("{id:08x}")
+}
+
+/// The inverse of [`trace_id_tag`]. Any other spelling (short, upper
+/// case, signed) is `None`: no record's derived tag can equal it.
+pub(crate) fn parse_trace_id_tag(tag: &str) -> Option<u32> {
+    let canonical = tag.len() == 8 && tag.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    u32::from_str_radix(tag, 16).ok().filter(|_| canonical)
+}
+
 /// Bytes one record occupies in the perf ring, in a WAL frame and (padded)
 /// in a shard — also the unit of ingest byte accounting.
 pub const COMPACT_RECORD_BYTES: u64 = 32;
@@ -144,11 +156,6 @@ impl CompactRecord {
         self.flags & 1 != 0
     }
 
-    /// The trace ID in the 8-digit hex form used as the `trace_id` tag.
-    pub fn trace_id_hex(&self) -> String {
-        format!("{:08x}", self.trace_id)
-    }
-
     /// The `flow` tag value: `src:sport->dst:dport`.
     pub fn flow(&self) -> String {
         let src = std::net::Ipv4Addr::from(self.saddr);
@@ -215,8 +222,7 @@ impl CompactRecord {
             _ => return None,
         };
         let (trace_id, mut flags) = match point.tag_value(TRACE_ID_TAG) {
-            Some(hex) if hex.len() == 8 => (u32::from_str_radix(hex, 16).ok()?, 1),
-            Some(_) => return None,
+            Some(tag) => (parse_trace_id_tag(tag)?, 1),
             None => (0, 0),
         };
         if let Some(name) = point.tag_value(DROP_REASON_TAG) {
@@ -225,21 +231,21 @@ impl CompactRecord {
         let record = CompactRecord {
             timestamp_ns: point.timestamp_ns,
             trace_id,
-            pkt_len: u32::try_from(point.field_value("pkt_len")?.as_u64()?).ok()?,
+            pkt_len: u32::try_from(point.field_value("pkt_len")?.as_u64()).ok()?,
             saddr,
             daddr,
             sport,
             dport,
-            cpu: u16::try_from(point.field_value("cpu")?.as_u64()?).ok()?,
+            cpu: u16::try_from(point.field_value("cpu")?.as_u64()).ok()?,
             direction,
             flags,
         };
         (record.to_point(&point.measurement, &node) == *point).then_some((node, record))
     }
 
-    /// Materializes the record as the [`DataPoint`] the single-record
-    /// ingest path would have produced: tagged with node, flow, direction
-    /// and (when present) trace ID; fields `pkt_len` and `cpu`.
+    /// Materializes the record as a [`DataPoint`], the JSON-lines
+    /// interchange form: tagged with node, flow, direction and (when
+    /// present) trace ID and drop reason; fields `pkt_len` and `cpu`.
     pub fn to_point(&self, measurement: &str, node: &str) -> DataPoint {
         let mut p = DataPoint::new(measurement, self.timestamp_ns)
             .tag("node", node)
@@ -248,7 +254,7 @@ impl CompactRecord {
             .field("pkt_len", u64::from(self.pkt_len))
             .field("cpu", u64::from(self.cpu));
         if self.has_trace_id() {
-            p = p.tag(TRACE_ID_TAG, self.trace_id_hex());
+            p = p.tag(TRACE_ID_TAG, trace_id_tag(self.trace_id));
         }
         if let Some(reason) = self.drop_reason() {
             p = p.tag(DROP_REASON_TAG, reason);
@@ -350,8 +356,8 @@ mod tests {
         assert_eq!(p.tag_value("flow"), Some("10.0.0.1:1000->10.0.0.2:2000"));
         assert_eq!(p.tag_value("direction"), Some("rx"));
         assert_eq!(p.tag_value(TRACE_ID_TAG), Some("deadbeef"));
-        assert_eq!(p.field_value("pkt_len").unwrap().as_u64(), Some(102));
-        assert_eq!(p.field_value("cpu").unwrap().as_u64(), Some(3));
+        assert_eq!(p.field_value("pkt_len").unwrap().as_u64(), 102);
+        assert_eq!(p.field_value("cpu").unwrap().as_u64(), 3);
     }
 
     #[test]
@@ -439,11 +445,16 @@ mod tests {
 
     #[test]
     fn hex_id_zero_padded() {
-        let r = CompactRecord {
-            trace_id: 0xa,
-            flags: 1,
-            ..Default::default()
-        };
-        assert_eq!(r.trace_id_hex(), "0000000a");
+        assert_eq!(trace_id_tag(0xa), "0000000a");
+    }
+
+    #[test]
+    fn only_the_canonical_trace_id_tag_parses() {
+        for id in [0, 0xa, 0xdead_beef, u32::MAX] {
+            assert_eq!(parse_trace_id_tag(&trace_id_tag(id)), Some(id));
+        }
+        for bad in ["", "ab", "000000AB", "+000000a", "0000000ab", "not-hex!"] {
+            assert_eq!(parse_trace_id_tag(bad), None, "{bad:?}");
+        }
     }
 }

@@ -424,6 +424,26 @@ impl SegmentWriter {
     }
 }
 
+/// One row's value in each lane, in [`ColumnId::ALL`] order: what sealing
+/// writes for it, and what a predicate compiled against the lanes reads
+/// while the row is still in the hot tail.
+pub(crate) fn row_lanes(seq: u64, node: u32, r: &CompactRecord) -> [u64; ColumnId::ALL.len()] {
+    let mut lanes = [0; ColumnId::ALL.len()];
+    lanes[ColumnId::Seq as usize] = seq;
+    lanes[ColumnId::Ts as usize] = r.timestamp_ns;
+    lanes[ColumnId::Node as usize] = u64::from(node);
+    lanes[ColumnId::TraceId as usize] = u64::from(r.trace_id);
+    lanes[ColumnId::PktLen as usize] = u64::from(r.pkt_len);
+    lanes[ColumnId::Saddr as usize] = u64::from(r.saddr);
+    lanes[ColumnId::Daddr as usize] = u64::from(r.daddr);
+    lanes[ColumnId::Sport as usize] = u64::from(r.sport);
+    lanes[ColumnId::Dport as usize] = u64::from(r.dport);
+    lanes[ColumnId::Cpu as usize] = u64::from(r.cpu);
+    lanes[ColumnId::Direction as usize] = u64::from(r.direction);
+    lanes[ColumnId::Flags as usize] = u64::from(r.flags);
+    lanes
+}
+
 /// Column-major staging buffer: rows from sealed shards transposed into
 /// the twelve column lanes, ready for a [`SegmentWriter`].
 #[derive(Debug, Default)]
@@ -443,18 +463,9 @@ impl ColumnData {
             .map(|_| Vec::with_capacity(rows.len()))
             .collect();
         for (seq, node, r) in rows {
-            cols[ColumnId::Seq as usize].push(*seq);
-            cols[ColumnId::Ts as usize].push(r.timestamp_ns);
-            cols[ColumnId::Node as usize].push(u64::from(*node));
-            cols[ColumnId::TraceId as usize].push(u64::from(r.trace_id));
-            cols[ColumnId::PktLen as usize].push(u64::from(r.pkt_len));
-            cols[ColumnId::Saddr as usize].push(u64::from(r.saddr));
-            cols[ColumnId::Daddr as usize].push(u64::from(r.daddr));
-            cols[ColumnId::Sport as usize].push(u64::from(r.sport));
-            cols[ColumnId::Dport as usize].push(u64::from(r.dport));
-            cols[ColumnId::Cpu as usize].push(u64::from(r.cpu));
-            cols[ColumnId::Direction as usize].push(u64::from(r.direction));
-            cols[ColumnId::Flags as usize].push(u64::from(r.flags));
+            for (col, value) in cols.iter_mut().zip(row_lanes(*seq, *node, r)) {
+                col.push(value);
+            }
         }
         ColumnData { nodes, cols }
     }

@@ -28,10 +28,8 @@
 //! segment, truncating a torn final frame, so the database always
 //! reopens to exactly the acknowledged-batch prefix.
 //!
-//! Hand-built [`DataPoint`]s ([`TraceDb::insert`]) stay purely in
-//! memory even on a disk-backed database — they are analysis artifacts,
-//! not the ingest hot path, and are not journaled. Use
-//! [`crate::persist`] (`vnt db export`) to capture them.
+//! [`TraceDb::insert_batch`] is the only way in, so on a disk-backed
+//! database everything stored is journaled.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
@@ -43,15 +41,15 @@ use serde_json::{member, object, FromJson, ToJson, Value};
 use crate::batch::RecordBatch;
 use crate::compact::{CompactionJob, Compactor, FinishedCompaction};
 use crate::join::FirstSeen;
-use crate::point::DataPoint;
 use crate::record::{CompactRecord, COMPACT_RECORD_BYTES};
 use crate::segment::{dict_index, ColumnData, Segment, SegmentError};
 use crate::symbol::{Symbol, SymbolTable};
 use crate::table::Table;
 use crate::wal::{self, Wal, WalError};
 
-/// Name of the manifest file inside a database directory.
-const MANIFEST_FILE: &str = "MANIFEST";
+/// Name of the manifest file inside a database directory; a directory
+/// without one holds no database (yet).
+pub const MANIFEST_FILE: &str = "MANIFEST";
 
 /// Errors from the disk-backed store.
 #[derive(Debug)]
@@ -537,25 +535,6 @@ impl TraceDb {
             .or_insert_with(|| Table::new(measurement))
     }
 
-    /// Inserts a point into its measurement's table (created on demand).
-    ///
-    /// Points live purely in memory even on a disk-backed database —
-    /// they are not journaled or sealed (see the [module docs](self)).
-    pub fn insert(&mut self, point: DataPoint) {
-        let sym = self.symbols.intern(&point.measurement);
-        self.tables
-            .entry(sym)
-            .or_insert_with(|| Table::new(&point.measurement))
-            .insert(point);
-    }
-
-    /// Inserts many points.
-    pub fn insert_all(&mut self, points: impl IntoIterator<Item = DataPoint>) {
-        for p in points {
-            self.insert(p);
-        }
-    }
-
     /// The memory half of batch ingest: appends each group's records
     /// into the matching (table, node) shard.
     fn insert_batch_memory(&mut self, batch: &RecordBatch) -> u64 {
@@ -613,22 +592,21 @@ impl TraceDb {
         Ok(ingested)
     }
 
-    /// Shard records currently resident in the hot tail.
+    /// Records currently resident in the hot tail.
     fn hot_records(&self) -> usize {
-        self.tables.values().map(Table::hot_records).sum()
+        self.tables.values().map(Table::len).sum()
     }
 
     /// Seals the hot tail: every table's shard records become one new
     /// immutable segment, the WAL rotates to a fresh file, and the
-    /// manifest commits both in one swap. No-op when the tail holds no
-    /// shard records. Points are untouched.
+    /// manifest commits both in one swap. No-op when the tail is empty.
     fn seal(&mut self) -> Result<(), StoreError> {
         let Some(disk) = self.disk.as_mut() else {
             return Ok(());
         };
         let mut new_files: Vec<String> = Vec::new();
         for table in self.tables.values_mut() {
-            if table.hot_records() == 0 {
+            if table.is_empty() {
                 continue;
             }
             let shards = table.take_shards();
@@ -793,7 +771,7 @@ impl TraceDb {
             e.raw_bytes += m.records * COMPACT_RECORD_BYTES;
         }
         for t in self.tables.values() {
-            let hot = t.hot_records() as u64;
+            let hot = t.len() as u64;
             if hot == 0 && !by.contains_key(t.name()) {
                 continue;
             }
@@ -835,10 +813,10 @@ impl TraceDb {
         self.tables.values().map(Table::name)
     }
 
-    /// Total number of stored entries: points and hot shard records,
-    /// plus sealed segment records on a disk-backed database.
+    /// Total number of stored records: the hot tail, plus sealed segment
+    /// records on a disk-backed database.
     pub fn len(&self) -> usize {
-        let hot: usize = self.tables.values().map(Table::len).sum();
+        let hot = self.hot_records();
         let sealed: u64 = self
             .disk
             .as_ref()
@@ -847,7 +825,7 @@ impl TraceDb {
         hot + sealed as usize
     }
 
-    /// Whether the database holds no entries.
+    /// Whether the database holds no records.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -868,63 +846,9 @@ impl TraceDb {
     }
 }
 
-impl Extend<DataPoint> for TraceDb {
-    fn extend<T: IntoIterator<Item = DataPoint>>(&mut self, iter: T) {
-        self.insert_all(iter);
-    }
-}
-
-impl FromIterator<DataPoint> for TraceDb {
-    fn from_iter<T: IntoIterator<Item = DataPoint>>(iter: T) -> Self {
-        let mut db = TraceDb::new();
-        db.insert_all(iter);
-        db
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::CompactRecord;
-    use crate::table::TRACE_ID_TAG;
-
-    #[test]
-    fn tables_created_on_demand() {
-        let mut db = TraceDb::new();
-        assert!(db.is_empty());
-        db.insert(DataPoint::new("a", 1));
-        db.insert(DataPoint::new("b", 2));
-        db.insert(DataPoint::new("a", 3));
-        assert_eq!(db.len(), 3);
-        assert_eq!(db.table("a").unwrap().len(), 2);
-        let mut names: Vec<&str> = db.measurements().collect();
-        names.sort_unstable();
-        assert_eq!(names, vec!["a", "b"]);
-        assert!(db.table("zzz").is_none());
-    }
-
-    #[test]
-    fn join_timestamps_pairs_by_trace_id() {
-        let mut db = TraceDb::new();
-        for (id, ta, tb) in [("x", 100u64, 150u64), ("y", 200, 280)] {
-            db.insert(DataPoint::new("p1", ta).tag(TRACE_ID_TAG, id));
-            db.insert(DataPoint::new("p2", tb).tag(TRACE_ID_TAG, id));
-        }
-        // An incomplete record: seen at p1 only (e.g. dropped packet).
-        db.insert(DataPoint::new("p1", 300).tag(TRACE_ID_TAG, "lost"));
-        let joined = db.join_timestamps("p1", "p2").unwrap();
-        assert_eq!(joined, vec![(100, 150), (200, 280)]);
-        assert!(db.join_timestamps("p1", "absent").unwrap().is_empty());
-    }
-
-    #[test]
-    fn collect_from_iterator() {
-        let db: TraceDb = (0..5u64).map(|i| DataPoint::new("m", i)).collect();
-        assert_eq!(db.len(), 5);
-        let mut db = db;
-        db.extend((0..3u64).map(|i| DataPoint::new("m2", i)));
-        assert_eq!(db.len(), 8);
-    }
 
     fn rec(ts: u64, trace_id: u32) -> CompactRecord {
         CompactRecord {
@@ -937,43 +861,36 @@ mod tests {
     }
 
     #[test]
-    fn batched_ingest_matches_single_record_ingest() {
-        // The same records, once via insert_batch and once via the old
-        // materialize-per-record path, must produce equal query results.
-        let records: Vec<(String, CompactRecord)> = (0..50u32)
-            .map(|i| {
-                let m = if i % 2 == 0 { "tp_a" } else { "tp_b" };
-                (m.to_owned(), rec(u64::from(i) * 10, i / 2))
-            })
-            .collect();
-
-        let mut batched = TraceDb::new();
+    fn tables_created_on_demand() {
+        let mut db = TraceDb::new();
+        assert!(db.is_empty());
         let mut batch = RecordBatch::new();
-        for (m, r) in &records {
-            batch.push(m, "server1", *r);
-        }
-        assert_eq!(batched.insert_batch(&batch), 50);
+        batch.push("a", "n", rec(1, 1));
+        batch.push("b", "n", rec(2, 2));
+        batch.push("a", "n", rec(3, 3));
+        assert_eq!(db.insert_batch(&batch), 3);
+        assert_eq!(db.len(), 3);
+        assert_eq!(db.table("a").unwrap().len(), 2);
+        let mut names: Vec<&str> = db.measurements().collect();
+        names.sort_unstable();
+        assert_eq!(names, vec!["a", "b"]);
+        assert!(db.table("zzz").is_none());
+    }
 
-        let mut single = TraceDb::new();
-        for (m, r) in &records {
-            single.insert(r.to_point(m, "server1"));
+    #[test]
+    fn join_timestamps_pairs_by_trace_id() {
+        let mut batch = RecordBatch::new();
+        for (id, ta, tb) in [(7, 100u64, 150u64), (8, 200, 280)] {
+            batch.push("p1", "n", rec(ta, id));
+            batch.push("p2", "n", rec(tb, id));
         }
-
-        assert_eq!(batched.len(), single.len());
-        assert_eq!(
-            batched.join_timestamps("tp_a", "tp_b").unwrap(),
-            single.join_timestamps("tp_a", "tp_b").unwrap()
-        );
-        for m in ["tp_a", "tp_b"] {
-            let b = batched.table(m).unwrap();
-            let s = single.table(m).unwrap();
-            let bp: Vec<DataPoint> = b.entries().iter().map(|e| e.to_point()).collect();
-            let sp: Vec<DataPoint> = s.entries().iter().map(|e| e.to_point()).collect();
-            assert_eq!(bp, sp);
-        }
-        // Batched tables hold shards, not points.
-        assert_eq!(batched.table("tp_a").unwrap().shards().len(), 1);
-        assert_eq!(batched.table("tp_a").unwrap().shards()[0].len(), 25);
+        // An incomplete record: seen at p1 only (e.g. dropped packet).
+        batch.push("p1", "n", rec(300, 9));
+        let mut db = TraceDb::new();
+        db.insert_batch(&batch);
+        let joined = db.join_timestamps("p1", "p2").unwrap();
+        assert_eq!(joined, vec![(100, 150), (200, 280)]);
+        assert!(db.join_timestamps("p1", "absent").unwrap().is_empty());
     }
 
     #[test]

@@ -1,18 +1,12 @@
-//! Per-measurement tables: point storage plus per-node record shards,
-//! unified behind the [`Entry`] read view.
-//!
-//! A table holds two kinds of data. Hand-built [`DataPoint`]s (offline
-//! analysis artifacts, persisted files) keep the old row form. Records
-//! arriving through the batched ingest path stay in compact integer form
-//! inside one [`RecordShard`] per originating node — no tags or fields
-//! are materialized at ingest. Read paths see both uniformly as
-//! [`Entry`] values, ordered by insertion sequence.
+//! Per-measurement tables: one append-only shard of compact records per
+//! originating node. Records stay in the integer form they arrive in
+//! ([`CompactRecord`]); read paths see them as [`Entry`] values, ordered
+//! by insertion sequence, which derive tags and fields on demand.
 
 use std::borrow::Cow;
 
-use crate::join::TraceKey;
 use crate::point::DataPoint;
-use crate::record::CompactRecord;
+use crate::record::{trace_id_tag, CompactRecord};
 use crate::symbol::Symbol;
 
 /// The tag key under which vNetTracer stores the per-packet trace ID, by
@@ -56,109 +50,99 @@ impl RecordShard {
     }
 }
 
-/// A borrowed view of one stored entry — either a materialized
-/// [`DataPoint`] or a compact record in a shard. Tag and field accessors
-/// present both identically, so queries and metrics need not know how an
-/// entry is stored.
+/// A borrowed view of one stored record with the names it is stored
+/// under. The tag and field accessors derive the string view
+/// ([`DataPoint`]'s) from the compact form on demand.
 #[derive(Debug, Clone, Copy)]
 pub enum Entry<'a> {
-    /// A point inserted in row form.
-    Point(&'a DataPoint),
-    /// A compact record in a per-node shard.
+    /// A compact record in a per-node shard or a sealed segment.
     Record {
         /// The table (measurement) name.
         measurement: &'a str,
-        /// The shard's node name.
+        /// The originating node's name.
         node: &'a str,
         /// The record itself.
         record: &'a CompactRecord,
     },
+    // Uninhabited: a table stores records and nothing else. Kept only so
+    // that the one match on it outside this crate, `bench_e2e/src/rack.rs:587`
+    // (frozen for every non-`benchmark` PR), still compiles; ROADMAP item 2's
+    // unlock `benchmark` PR removes that arm and this variant together.
+    #[doc(hidden)]
+    Point(core::convert::Infallible),
 }
 
 impl<'a> Entry<'a> {
+    fn parts(&self) -> (&'a str, &'a str, &'a CompactRecord) {
+        match *self {
+            Entry::Record {
+                measurement,
+                node,
+                record,
+            } => (measurement, node, record),
+            Entry::Point(never) => match never {},
+        }
+    }
+
+    /// The record itself.
+    pub fn record(&self) -> &'a CompactRecord {
+        self.parts().2
+    }
+
+    /// The name of the node the record came from.
+    pub fn node(&self) -> &'a str {
+        self.parts().1
+    }
+
     /// The entry's timestamp in nanoseconds.
     pub fn timestamp_ns(&self) -> u64 {
-        match self {
-            Entry::Point(p) => p.timestamp_ns,
-            Entry::Record { record, .. } => record.timestamp_ns,
-        }
+        self.record().timestamp_ns
     }
 
-    /// The entry's measurement (table) name.
-    pub fn measurement(&self) -> &'a str {
-        match self {
-            Entry::Point(p) => &p.measurement,
-            Entry::Record { measurement, .. } => measurement,
-        }
-    }
-
-    /// A tag's value. Record-backed entries derive `node`, `flow`,
-    /// `direction` and [`TRACE_ID_TAG`] from the compact form.
+    /// A tag's value: `node`, `flow`, `direction`, [`TRACE_ID_TAG`] (when
+    /// the packet carried an ID) and [`DROP_REASON_TAG`] (on drop
+    /// records), derived from the compact form.
     pub fn tag(&self, key: &str) -> Option<Cow<'a, str>> {
-        match self {
-            Entry::Point(p) => p.tag_value(key).map(Cow::Borrowed),
-            Entry::Record { node, record, .. } => match key {
-                "node" => Some(Cow::Borrowed(*node)),
-                "flow" => Some(Cow::Owned(record.flow())),
-                "direction" => Some(Cow::Borrowed(record.direction_str())),
-                TRACE_ID_TAG if record.has_trace_id() => Some(Cow::Owned(record.trace_id_hex())),
-                DROP_REASON_TAG => record.drop_reason().map(Cow::Borrowed),
-                _ => None,
-            },
+        let (_, node, record) = self.parts();
+        match key {
+            "node" => Some(Cow::Borrowed(node)),
+            "flow" => Some(Cow::Owned(record.flow())),
+            "direction" => Some(Cow::Borrowed(record.direction_str())),
+            TRACE_ID_TAG if record.has_trace_id() => {
+                Some(Cow::Owned(trace_id_tag(record.trace_id)))
+            }
+            DROP_REASON_TAG => record.drop_reason().map(Cow::Borrowed),
+            _ => None,
         }
     }
 
-    /// The entry's trace ID as a join key, if it carries one.
-    pub fn trace_key(&self) -> Option<TraceKey<'a>> {
-        match self {
-            Entry::Point(p) => p.tag_value(TRACE_ID_TAG).map(TraceKey::parse),
-            Entry::Record { record, .. } => record
-                .has_trace_id()
-                .then_some(TraceKey::Id(record.trace_id)),
-        }
-    }
-
-    /// A numeric field as `u64`. Record-backed entries expose `pkt_len`
-    /// and `cpu`.
+    /// A numeric field as `u64`: `pkt_len` or `cpu`.
     pub fn field_u64(&self, key: &str) -> Option<u64> {
-        match self {
-            Entry::Point(p) => p.field_value(key).and_then(|v| v.as_u64()),
-            Entry::Record { record, .. } => match key {
-                "pkt_len" => Some(u64::from(record.pkt_len)),
-                "cpu" => Some(u64::from(record.cpu)),
-                _ => None,
-            },
+        match key {
+            "pkt_len" => Some(u64::from(self.record().pkt_len)),
+            "cpu" => Some(u64::from(self.record().cpu)),
+            _ => None,
         }
     }
 
     /// A numeric field as `f64`.
     pub fn field_f64(&self, key: &str) -> Option<f64> {
-        match self {
-            Entry::Point(p) => p.field_value(key).and_then(|v| v.as_f64()),
-            Entry::Record { .. } => self.field_u64(key).map(|v| v as f64),
-        }
+        self.field_u64(key).map(|v| v as f64)
     }
 
-    /// Materializes the entry as an owned [`DataPoint`] (cloning for
-    /// point-backed entries).
+    /// Materializes the entry as an owned [`DataPoint`], the JSON-lines
+    /// interchange form.
     pub fn to_point(&self) -> DataPoint {
-        match self {
-            Entry::Point(p) => (*p).clone(),
-            Entry::Record {
-                measurement,
-                node,
-                record,
-            } => record.to_point(measurement, node),
-        }
+        let (measurement, node, record) = self.parts();
+        record.to_point(measurement, node)
     }
 }
 
-/// All entries of one measurement (one table per tracepoint).
+/// All records of one measurement (one table per tracepoint).
 #[derive(Debug, Default, Clone)]
 pub struct Table {
     name: String,
     next_seq: u64,
-    points: Vec<(u64, DataPoint)>,
     shards: Vec<RecordShard>,
 }
 
@@ -176,16 +160,9 @@ impl Table {
         &self.name
     }
 
-    /// Appends a point.
-    pub fn insert(&mut self, point: DataPoint) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.points.push((seq, point));
-    }
-
     /// Appends a slice of compact records into `node`'s shard (created on
-    /// demand) — the batched ingest path. Records are copied as-is; no
-    /// tags or fields are materialized.
+    /// demand). Records are copied as-is; no tags or fields are
+    /// materialized.
     pub fn insert_records(&mut self, node: Symbol, node_name: &str, records: &[CompactRecord]) {
         let at = self.shards.iter().position(|s| s.node == node);
         let at = at.unwrap_or_else(|| {
@@ -208,19 +185,9 @@ impl Table {
         &self.shards
     }
 
-    /// All entries — points and shard records — in insertion order.
+    /// All entries in insertion order.
     pub fn entries(&self) -> Vec<Entry<'_>> {
-        self.seq_entries().into_iter().map(|(_, e)| e).collect()
-    }
-
-    /// All entries with their insertion sequence numbers, in sequence
-    /// order. The store uses this to merge the hot tail with sealed
-    /// segments by sequence.
-    pub(crate) fn seq_entries(&self) -> Vec<(u64, Entry<'_>)> {
         let mut out: Vec<(u64, Entry<'_>)> = Vec::with_capacity(self.len());
-        for (seq, p) in &self.points {
-            out.push((*seq, Entry::Point(p)));
-        }
         for shard in &self.shards {
             for (seq, record) in &shard.records {
                 out.push((
@@ -234,12 +201,12 @@ impl Table {
             }
         }
         out.sort_by_key(|(seq, _)| *seq);
-        out
+        out.into_iter().map(|(_, e)| e).collect()
     }
 
     /// Moves all record shards out of the table (sealing); the sequence
-    /// counter and point storage are untouched, so future inserts keep
-    /// numbering after the sealed records.
+    /// counter is untouched, so future inserts keep numbering after the
+    /// sealed records.
     pub(crate) fn take_shards(&mut self) -> Vec<RecordShard> {
         std::mem::take(&mut self.shards)
     }
@@ -250,19 +217,10 @@ impl Table {
         self.next_seq = self.next_seq.max(seq);
     }
 
-    /// Whether the table holds hand-inserted points.
-    pub(crate) fn has_points(&self) -> bool {
-        !self.points.is_empty()
-    }
-
-    /// Number of shard records currently resident in memory.
-    pub(crate) fn hot_records(&self) -> usize {
-        self.shards.iter().map(RecordShard::len).sum()
-    }
-
-    /// Number of entries (points plus shard records).
+    /// Number of records currently resident in memory (the hot tail on a
+    /// disk-backed database).
     pub fn len(&self) -> usize {
-        self.points.len() + self.shards.iter().map(RecordShard::len).sum::<usize>()
+        self.shards.iter().map(RecordShard::len).sum()
     }
 
     /// Whether the table is empty.
@@ -275,31 +233,6 @@ impl Table {
 mod tests {
     use super::*;
     use crate::symbol::SymbolTable;
-
-    #[test]
-    fn points_keep_insertion_order_and_their_trace_keys() {
-        let mut t = Table::new("m");
-        t.insert(
-            DataPoint::new("m", 1)
-                .tag(TRACE_ID_TAG, "a")
-                .field("v", 1u64),
-        );
-        t.insert(
-            DataPoint::new("m", 2)
-                .tag(TRACE_ID_TAG, "b")
-                .field("v", 2u64),
-        );
-        t.insert(
-            DataPoint::new("m", 3)
-                .tag(TRACE_ID_TAG, "a")
-                .field("v", 3u64),
-        );
-        t.insert(DataPoint::new("m", 4).field("v", 4u64)); // no id
-        assert_eq!(t.len(), 4);
-        let keys: Vec<_> = t.entries().iter().map(Entry::trace_key).collect();
-        let (a, b) = (Some(TraceKey::Tag("a")), Some(TraceKey::Tag("b")));
-        assert_eq!(keys, vec![a, b, a, None]);
-    }
 
     #[test]
     fn empty_table() {
@@ -325,41 +258,36 @@ mod tests {
         let n1 = syms.intern("n1");
         let n2 = syms.intern("n2");
         let mut t = Table::new("m");
-        t.insert(DataPoint::new("m", 5).tag(TRACE_ID_TAG, "00000001"));
         t.insert_records(n1, "n1", &[rec(10, 2), rec(20, 3)]);
         t.insert_records(n2, "n2", &[rec(30, 4)]);
         t.insert_records(n1, "n1", &[rec(40, 5)]);
-        assert_eq!(t.len(), 5);
+        assert_eq!(t.len(), 4);
         assert_eq!(t.shards().len(), 2, "one shard per node");
         assert_eq!(t.shards()[0].node_name(), "n1");
         assert_eq!(t.shards()[0].len(), 3);
         let stamps: Vec<u64> = t.entries().iter().map(Entry::timestamp_ns).collect();
-        assert_eq!(stamps, vec![5, 10, 20, 30, 40], "insertion order");
+        assert_eq!(stamps, vec![10, 20, 30, 40], "insertion order");
     }
 
     #[test]
-    fn entry_views_unify_points_and_records() {
+    fn entry_views_derive_tags_and_fields_from_the_record() {
         let mut syms = SymbolTable::new();
         let n1 = syms.intern("server1");
         let mut t = Table::new("m");
         t.insert_records(n1, "server1", &[rec(10, 0xab)]);
         let entries = t.entries();
         let e = &entries[0];
-        assert_eq!(e.measurement(), "m");
+        assert_eq!(e.node(), "server1");
+        assert_eq!(e.record(), &rec(10, 0xab));
         assert_eq!(e.tag("node").as_deref(), Some("server1"));
         assert_eq!(e.tag(TRACE_ID_TAG).as_deref(), Some("000000ab"));
         assert_eq!(e.tag("direction").as_deref(), Some("rx"));
+        assert_eq!(e.tag(DROP_REASON_TAG), None);
+        assert_eq!(e.tag("absent"), None);
         assert_eq!(e.field_u64("pkt_len"), Some(60));
         assert_eq!(e.field_f64("cpu"), Some(0.0));
         assert_eq!(e.field_u64("absent"), None);
         // Materialization matches the compact record's own view.
         assert_eq!(e.to_point(), rec(10, 0xab).to_point("m", "server1"));
-        // The padded hex tag names the record's key; a non-padded or
-        // upper-case one does not.
-        assert_eq!(e.trace_key(), Some(TraceKey::Id(0xab)));
-        assert_eq!(TraceKey::parse("000000ab"), TraceKey::Id(0xab));
-        assert_eq!(TraceKey::parse("ab"), TraceKey::Tag("ab"));
-        assert_eq!(TraceKey::parse("000000AB"), TraceKey::Tag("000000AB"));
-        assert_eq!(TraceKey::Id(0xab).to_string(), "000000ab");
     }
 }

@@ -2,15 +2,7 @@
 
 use proptest::prelude::*;
 use vnet_tsdb::query::{aggregate, percentile, Query};
-use vnet_tsdb::{CompactRecord, DataPoint, FirstSeen, RecordBatch, TraceDb, TRACE_ID_TAG};
-
-/// The distinct trace IDs of one table, as tag values, sorted.
-fn trace_ids(db: &TraceDb, table: &str) -> Vec<String> {
-    let seen = FirstSeen::scan(db, table).unwrap();
-    let mut ids: Vec<String> = seen.iter().map(|(key, _)| key.to_string()).collect();
-    ids.sort();
-    ids
-}
+use vnet_tsdb::{CompactRecord, RecordBatch, TraceDb};
 
 prop_compose! {
     fn arb_record()(
@@ -32,44 +24,64 @@ prop_compose! {
     }
 }
 
+/// One table `m` holding `records` in order.
+fn table_of(records: impl IntoIterator<Item = CompactRecord>) -> TraceDb {
+    let mut batch = RecordBatch::new();
+    for record in records {
+        batch.push("m", "n", record);
+    }
+    let mut db = TraceDb::new();
+    db.insert_batch(&batch);
+    db
+}
+
+/// `values` as the packet lengths of one table's records.
+fn lengths(values: &[u32]) -> TraceDb {
+    table_of(
+        values
+            .iter()
+            .zip(0u64..)
+            .map(|(&pkt_len, timestamp_ns)| CompactRecord {
+                timestamp_ns,
+                pkt_len,
+                ..Default::default()
+            }),
+    )
+}
+
 proptest! {
     /// Percentiles are order statistics: within [min, max], monotone in q.
     #[test]
-    fn percentile_properties(values in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut db = TraceDb::new();
-        for (i, v) in values.iter().enumerate() {
-            db.insert(DataPoint::new("m", i as u64).field("v", *v));
-        }
-        let pts = Query::new("m").run(&db);
-        let p50 = percentile(&pts, "v", 0.5).unwrap();
-        let p99 = percentile(&pts, "v", 0.99).unwrap();
-        let p0 = percentile(&pts, "v", 0.0).unwrap();
-        let p100 = percentile(&pts, "v", 1.0).unwrap();
-        let min = *values.iter().min().unwrap() as f64;
-        let max = *values.iter().max().unwrap() as f64;
+    fn percentile_properties(values in proptest::collection::vec(0u32..1_000_000, 1..200)) {
+        let db = lengths(&values);
+        let scan = Query::new("m").scan(&db).unwrap();
+        let pts = scan.entries();
+        let p50 = percentile(&pts, "pkt_len", 0.5).unwrap();
+        let p99 = percentile(&pts, "pkt_len", 0.99).unwrap();
+        let p0 = percentile(&pts, "pkt_len", 0.0).unwrap();
+        let p100 = percentile(&pts, "pkt_len", 1.0).unwrap();
+        let min = f64::from(*values.iter().min().unwrap());
+        let max = f64::from(*values.iter().max().unwrap());
         prop_assert_eq!(p0, min);
         prop_assert_eq!(p100, max);
         prop_assert!(p50 <= p99);
         prop_assert!((min..=max).contains(&p50));
         // Every percentile is an actual sample value.
-        prop_assert!(values.iter().any(|&v| v as f64 == p99));
+        prop_assert!(values.iter().any(|&v| f64::from(v) == p99));
     }
 
     /// Aggregate sum/mean/min/max are mutually consistent.
     #[test]
-    fn aggregate_consistency(values in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut db = TraceDb::new();
-        for (i, v) in values.iter().enumerate() {
-            db.insert(DataPoint::new("m", i as u64).field("v", *v));
-        }
-        let pts = Query::new("m").run(&db);
-        let agg = aggregate(&pts, "v");
+    fn aggregate_consistency(values in proptest::collection::vec(0u32..1_000_000, 1..200)) {
+        let db = lengths(&values);
+        let scan = Query::new("m").scan(&db).unwrap();
+        let agg = aggregate(&scan.entries(), "pkt_len");
         prop_assert_eq!(agg.count, values.len());
         prop_assert!((agg.mean - agg.sum / agg.count as f64).abs() < 1e-9);
         prop_assert!(agg.min <= agg.mean && agg.mean <= agg.max);
     }
 
-    /// Time-range queries return exactly the points in range, in
+    /// Time-range queries return exactly the records in range, in
     /// insertion order.
     #[test]
     fn time_range_partition(
@@ -78,14 +90,14 @@ proptest! {
         width in 0u64..5_000,
     ) {
         let hi = lo + width;
-        let mut db = TraceDb::new();
-        for t in &stamps {
-            db.insert(DataPoint::new("m", *t));
-        }
-        let inside = Query::new("m").time_range(lo, hi).run(&db);
+        let db = table_of(stamps.iter().map(|&timestamp_ns| CompactRecord {
+            timestamp_ns,
+            ..Default::default()
+        }));
+        let inside = Query::new("m").time_range(lo, hi).scan(&db).unwrap();
         let expected: Vec<u64> =
             stamps.iter().copied().filter(|t| (lo..=hi).contains(t)).collect();
-        let got: Vec<u64> = inside.iter().map(|e| e.timestamp_ns()).collect();
+        let got: Vec<u64> = inside.entries().iter().map(|e| e.timestamp_ns()).collect();
         prop_assert_eq!(got, expected);
     }
 
@@ -94,13 +106,21 @@ proptest! {
     #[test]
     fn join_is_an_intersection(ids_a in proptest::collection::btree_set(0u32..64, 0..32),
                                ids_b in proptest::collection::btree_set(0u32..64, 0..32)) {
+        let seen = |id: u32, timestamp_ns| CompactRecord {
+            timestamp_ns,
+            trace_id: id,
+            flags: 1,
+            ..Default::default()
+        };
+        let mut batch = RecordBatch::new();
+        for &id in &ids_a {
+            batch.push("a", "n", seen(id, u64::from(id)));
+        }
+        for &id in &ids_b {
+            batch.push("b", "n", seen(id, u64::from(id) + 1000));
+        }
         let mut db = TraceDb::new();
-        for id in &ids_a {
-            db.insert(DataPoint::new("a", u64::from(*id)).tag(TRACE_ID_TAG, format!("{id:08x}")));
-        }
-        for id in &ids_b {
-            db.insert(DataPoint::new("b", u64::from(*id) + 1000).tag(TRACE_ID_TAG, format!("{id:08x}")));
-        }
+        db.insert_batch(&batch);
         let joined = db.join_timestamps("a", "b").unwrap();
         let expected: Vec<(u64, u64)> = ids_a
             .intersection(&ids_b)
@@ -109,13 +129,11 @@ proptest! {
         prop_assert_eq!(joined, expected);
     }
 
-    /// Batched ingestion is observationally equivalent to the old
-    /// materialize-per-record path, modulo grouping: a batch reorders a
-    /// table's records by (node) group, so the invariant is that each
-    /// per-(table, node) stream keeps its order and nothing is lost,
-    /// gained or altered.
+    /// A batch reorders a table's records by (node) group and does
+    /// nothing else: each per-(table, node) stream keeps its order, and
+    /// nothing is lost, gained or altered.
     #[test]
-    fn batched_ingest_equivalent_to_single(
+    fn batched_ingest_keeps_every_stream_in_order(
         records in proptest::collection::vec(arb_record(), 0..100),
         tables in proptest::collection::vec(0u8..3, 0..100),
         nodes in proptest::collection::vec(0u8..3, 0..100),
@@ -133,31 +151,23 @@ proptest! {
             .collect();
 
         let mut batch = RecordBatch::new();
-        let mut batched = TraceDb::new();
-        let mut single = TraceDb::new();
         for (t, n, r) in &routed {
             batch.push(t, n, *r);
-            single.insert(r.to_point(t, n));
         }
-        let n = batched.insert_batch(&batch);
-        prop_assert_eq!(n as usize, routed.len());
-        prop_assert_eq!(batched.len(), single.len());
+        let mut db = TraceDb::new();
+        prop_assert_eq!(db.insert_batch(&batch) as usize, routed.len());
+        prop_assert_eq!(db.len(), routed.len());
         for t in table_names {
-            match (batched.table(t), single.table(t)) {
-                (None, None) => {}
-                (Some(b), Some(s)) => {
-                    prop_assert_eq!(trace_ids(&batched, t), trace_ids(&single, t));
-                    for node in node_names {
-                        let filter = Query::new(t).tag_eq("node", node);
-                        let bp: Vec<DataPoint> =
-                            filter.run_table(b).iter().map(|e| e.to_point()).collect();
-                        let sp: Vec<DataPoint> =
-                            filter.run_table(s).iter().map(|e| e.to_point()).collect();
-                        prop_assert_eq!(bp, sp, "stream ({}, {}) diverged", t, node);
-                    }
-                }
-                (b, s) => prop_assert!(false, "table presence differs: {:?} vs {:?}",
-                                       b.is_some(), s.is_some()),
+            for node in node_names {
+                let stream: Vec<CompactRecord> = routed
+                    .iter()
+                    .filter(|row| (row.0, row.1) == (t, node))
+                    .map(|row| row.2)
+                    .collect();
+                let scan = Query::new(t).tag_eq("node", node).scan(&db).unwrap();
+                let stored: Vec<CompactRecord> =
+                    scan.entries().iter().map(|e| *e.record()).collect();
+                prop_assert_eq!(stored, stream, "stream ({}, {}) diverged", t, node);
             }
         }
     }
