@@ -366,20 +366,23 @@ impl<'a> Memory<'a> {
             return Ok(());
         }
         let oob = VmError::MemoryOutOfBounds { addr, len };
-        if addr >= CTX_BASE && addr + len as u64 <= CTX_BASE + CTX_SIZE as u64 {
+        // A helper passes a program-chosen length: the range's end may
+        // not exist in the address space at all.
+        let end = addr.checked_add(len as u64).ok_or_else(|| oob.clone())?;
+        if addr >= CTX_BASE && end <= CTX_BASE + CTX_SIZE as u64 {
             let s = (addr - CTX_BASE) as usize;
             out.extend_from_slice(&self.ctx[s..s + len]);
-        } else if addr >= PKT_BASE && addr + len as u64 <= PKT_BASE + self.pkt.len() as u64 {
+        } else if addr >= PKT_BASE && end <= PKT_BASE + self.pkt.len() as u64 {
             let s = (addr - PKT_BASE) as usize;
             out.extend_from_slice(&self.pkt[s..s + len]);
-        } else if addr >= STACK_BASE && addr + len as u64 <= STACK_BASE + STACK_SIZE as u64 {
+        } else if addr >= STACK_BASE && end <= STACK_BASE + STACK_SIZE as u64 {
             let s = (addr - STACK_BASE) as usize;
             out.extend_from_slice(&self.stack[s..s + len]);
         } else if addr >= MAP_VAL_BASE {
             let slot_idx = ((addr - MAP_VAL_BASE) / MAP_VAL_STRIDE) as usize;
             let off = ((addr - MAP_VAL_BASE) % MAP_VAL_STRIDE) as usize;
             let slot = self.slots.get(slot_idx).ok_or_else(|| oob.clone())?;
-            if off + len > slot.value_size {
+            if len > slot.value_size || off > slot.value_size - len {
                 return Err(oob);
             }
             let map = maps.get_mut(slot.fd).ok_or(VmError::BadMapHandle(addr))?;
@@ -564,7 +567,10 @@ impl<'a> Memory<'a> {
         len: usize,
         val: u64,
     ) -> Result<(), VmError> {
-        if addr >= STACK_BASE && addr + len as u64 <= STACK_BASE + STACK_SIZE as u64 {
+        let in_stack = addr
+            .checked_add(len as u64)
+            .is_some_and(|end| addr >= STACK_BASE && end <= STACK_BASE + STACK_SIZE as u64);
+        if in_stack {
             let s = (addr - STACK_BASE) as usize;
             write_le(&mut self.stack[s..], len, val);
             Ok(())
@@ -954,10 +960,9 @@ fn helper_skb_load_bytes(
 ) -> Result<(), VmError> {
     let off = reg[2] as usize;
     let len = reg[4] as usize;
-    reg[0] = if off + len > mem.pkt.len() {
-        (-1i64) as u64
-    } else {
-        let data = mem.pkt[off..off + len].to_vec();
+    let src = off.checked_add(len).and_then(|end| mem.pkt.get(off..end));
+    reg[0] = if let Some(data) = src {
+        let data = data.to_vec();
         let mut dst_addr = reg[3];
         for chunk in data.chunks(8) {
             let mut b = [0u8; 8];
@@ -966,6 +971,8 @@ fn helper_skb_load_bytes(
             dst_addr += chunk.len() as u64;
         }
         0
+    } else {
+        (-1i64) as u64
     };
     Ok(())
 }
@@ -1553,6 +1560,59 @@ mod tests {
             &mut MapRegistry::new(),
         );
         assert_eq!(out.ret as i64, -1);
+    }
+
+    #[test]
+    fn skb_load_bytes_offset_overflow_returns_error_code() {
+        // off + len wraps past usize::MAX: a failed copy, not a panic.
+        for (off, len) in [(-1, 4), (4, -1), (-1, -1)] {
+            let asm = Asm::new()
+                .mov64_imm(R2, off)
+                .mov64(R3, R10)
+                .add64_imm(R3, -8)
+                .mov64_imm(R4, len)
+                .call(SKB_LOAD_BYTES)
+                .exit();
+            let out = run_with(
+                asm,
+                &TraceContext::default(),
+                &[0u8; 8],
+                &mut MapRegistry::new(),
+            );
+            assert_eq!(out.ret as i64, -1, "off {off} len {len}");
+        }
+    }
+
+    #[test]
+    fn ranges_past_the_address_space_are_out_of_bounds() {
+        let mut maps = MapRegistry::new();
+        let fd = maps.create(MapDef::array(8, 1), 1).unwrap();
+        let pkt = [0u8; 16];
+        let mut mem = Memory::new(&TraceContext::default(), &pkt, 0);
+        let value = mem.alloc_slot(fd, KeyBuf::Heap(0u32.to_le_bytes().to_vec()), 8);
+        let mut out = Vec::new();
+        // Each range starts inside (or above) a region and ends past
+        // u64::MAX or usize::MAX.
+        for (addr, len) in [
+            (CTX_BASE, usize::MAX),
+            (PKT_BASE + 8, usize::MAX - 7),
+            (STACK_BASE + 504, usize::MAX),
+            (value + 1, usize::MAX),
+            (u64::MAX - 3, 8),
+            (u64::MAX, 1),
+        ] {
+            let err = mem.read_bytes(&mut maps, addr, len, &mut out).unwrap_err();
+            assert_eq!(err, VmError::MemoryOutOfBounds { addr, len });
+        }
+        for (addr, len) in [(u64::MAX - 3, 8), (u64::MAX, 1)] {
+            let err = mem.write(&mut maps, addr, len, 0).unwrap_err();
+            assert_eq!(err, VmError::MemoryOutOfBounds { addr, len });
+        }
+        // The same shapes, in bounds, still read.
+        mem.read_bytes(&mut maps, STACK_BASE + 504, 8, &mut out)
+            .unwrap();
+        mem.read_bytes(&mut maps, value + 1, 7, &mut out).unwrap();
+        assert_eq!(out.len(), 7);
     }
 
     #[test]

@@ -314,3 +314,78 @@ fn map_value_writes_visible_to_host_on_both_tiers() {
     assert_eq!(want, got);
     assert_eq!(want, [0, 0, 0x0b, 0x0a, 0x04, 0x03, 0x02, 0x01]);
 }
+
+// Helper arguments are program-chosen scalars: a range whose end does
+// not fit the address space is a failed call or an out-of-bounds abort,
+// never a host panic, and the tiers agree on which.
+
+#[test]
+fn skb_load_bytes_with_wrapping_range_returns_error_code() {
+    let ret = both_tiers(
+        Asm::new()
+            .mov64_imm(R2, -1)
+            .mov64(R3, R10)
+            .add64_imm(R3, -8)
+            .mov64_imm(R4, 4)
+            .call(helper_ids::SKB_LOAD_BYTES)
+            .exit(),
+        &[0u8; 16],
+        no_maps,
+    )
+    .expect("a failed copy is not a fault");
+    assert_eq!(ret as i64, -1);
+}
+
+#[test]
+fn perf_event_output_with_wrapping_size_faults_identically() {
+    let one_perf_map = || {
+        let mut m = MapRegistry::new();
+        m.create(MapDef::perf(4096), 1).unwrap();
+        m
+    };
+    let err = both_tiers(
+        Asm::new()
+            .st(Size::DW, R10, -8, 7)
+            .ld_map_fd(R2, 0)
+            .mov64_imm(R3, 0)
+            .mov64(R4, R10)
+            .add64_imm(R4, -8)
+            .mov64_imm(R5, -1)
+            .call(helper_ids::PERF_EVENT_OUTPUT)
+            .exit(),
+        &[],
+        one_perf_map,
+    )
+    .expect_err("no region holds usize::MAX bytes");
+    assert!(matches!(err, VmError::MemoryOutOfBounds { .. }), "{err:?}");
+}
+
+#[test]
+fn trace_printk_with_wrapping_pointer_faults_identically() {
+    let err = both_tiers(
+        Asm::new()
+            .mov64_imm(R1, -4)
+            .mov64_imm(R2, 8)
+            .call(helper_ids::TRACE_PRINTK)
+            .exit(),
+        &[],
+        no_maps,
+    )
+    .expect_err("the message would end past u64::MAX");
+    assert!(matches!(err, VmError::MemoryOutOfBounds { .. }), "{err:?}");
+}
+
+#[test]
+fn store_through_wrapping_pointer_faults_identically() {
+    let err = both_tiers(
+        Asm::new()
+            .mov64_imm(R2, -4)
+            .mov64_imm(R0, 0)
+            .st(Size::DW, R2, 0, 1)
+            .exit(),
+        &[],
+        no_maps,
+    )
+    .expect_err("the store would end past u64::MAX");
+    assert!(matches!(err, VmError::MemoryOutOfBounds { .. }), "{err:?}");
+}

@@ -11,9 +11,10 @@
 //! if the watermark stalls.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use vnet_tsdb::sketch::LogHistogram;
+use vnet_tsdb::TraceIdMap;
 use vnettracer::metrics::{JitterTracker, ThroughputWindow};
 
 use crate::window::{OpenWindows, WindowSpec};
@@ -51,7 +52,7 @@ pub struct Evicted {
 #[derive(Debug, Default)]
 pub struct PairTracker {
     /// The one side seen so far of each unmatched trace ID, and when.
-    pending: HashMap<u32, (Side, u64)>,
+    pending: TraceIdMap<(Side, u64)>,
     /// `(id, first arrival)` in arrival order — the eviction queue. Slots
     /// of completed pairs stay behind and are skipped when reached.
     fifo: VecDeque<(u32, u64)>,
@@ -62,7 +63,7 @@ impl PairTracker {
     /// Creates a tracker holding at most `max_pending` unmatched entries.
     pub fn new(max_pending: usize) -> Self {
         PairTracker {
-            pending: HashMap::new(),
+            pending: TraceIdMap::default(),
             fifo: VecDeque::new(),
             max_pending: max_pending.max(1),
         }
@@ -484,6 +485,38 @@ mod tests {
                 ts: 100
             }]
         );
+    }
+
+    #[test]
+    fn ids_sharing_one_bucket_pair_exactly_and_stay_capped() {
+        // Under `TraceIdMap`'s one-multiply hash, IDs that differ only
+        // above bit 20 all probe from bucket 0 of a table this small.
+        let ids: Vec<u32> = (0..4_096u32).map(|i| i << 20).collect();
+        let mut t = PairTracker::new(1_024);
+        let mut ov = Vec::new();
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(t.observe(id, Side::Up, i as u64, &mut ov), None);
+            assert!(t.pending_len() <= 1_024);
+        }
+        // The cap evicted the oldest 3 072, oldest first.
+        let evicted: Vec<u64> = ov.iter().map(|e| e.ts).collect();
+        assert_eq!(evicted, (0..3_072).collect::<Vec<u64>>());
+        // Every survivor pairs with its own upstream and no other.
+        for (i, &id) in ids.iter().enumerate().skip(3_072) {
+            let i = i as u64;
+            let pair = t.observe(id, Side::Down, 10_000 + i, &mut ov);
+            assert_eq!(
+                pair,
+                Some(PairedSample {
+                    up_ts: i,
+                    down_ts: 10_000 + i
+                })
+            );
+        }
+        assert_eq!(t.pending_len(), 0);
+        // An evicted ID's downstream finds nothing to pair with.
+        assert_eq!(t.observe(ids[0], Side::Down, 20_000, &mut ov), None);
+        assert_eq!(t.pending_len(), 1);
     }
 
     #[test]

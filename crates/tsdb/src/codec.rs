@@ -97,13 +97,12 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Encodes a column as plain varints, one per value.
-pub fn encode_varint_col(values: &[u64]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(values.len() * 2);
+/// Appends a column to `buf` as plain varints, one per value.
+pub fn put_varint_col(buf: &mut Vec<u8>, values: &[u64]) {
+    buf.reserve(values.len() * 2);
     for &v in values {
-        put_uvarint(&mut buf, v);
+        put_uvarint(buf, v);
     }
-    buf
 }
 
 /// Decodes a plain-varint column of exactly `n` values.
@@ -127,27 +126,26 @@ pub fn decode_varint_col(buf: &[u8], n: usize) -> Result<Vec<u64>, CodecError> {
     Ok(out)
 }
 
-/// Encodes a near-monotonic column with delta-of-delta: raw first value,
-/// then zigzag-varint second differences. All arithmetic wraps, so the
-/// codec is total over arbitrary `u64` inputs (including duplicates and
-/// out-of-order values) — compression, not correctness, is what
+/// Appends a near-monotonic column to `buf` as delta-of-delta: raw first
+/// value, then zigzag-varint second differences. All arithmetic wraps, so
+/// the codec is total over arbitrary `u64` inputs (including duplicates
+/// and out-of-order values) — compression, not correctness, is what
 /// monotonicity buys.
-pub fn encode_dod(values: &[u64]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(values.len() + 9);
+pub fn put_dod(buf: &mut Vec<u8>, values: &[u64]) {
     let Some(&first) = values.first() else {
-        return buf;
+        return;
     };
-    put_uvarint(&mut buf, first);
+    buf.reserve(values.len() + 9);
+    put_uvarint(buf, first);
     let mut prev = first;
     let mut prev_delta: i64 = 0;
     for &v in &values[1..] {
         let delta = v.wrapping_sub(prev) as i64;
         let dod = delta.wrapping_sub(prev_delta);
-        put_uvarint(&mut buf, zigzag(dod));
+        put_uvarint(buf, zigzag(dod));
         prev = v;
         prev_delta = delta;
     }
-    buf
 }
 
 /// Decodes a delta-of-delta column of exactly `n` values.
@@ -220,12 +218,16 @@ pub fn get_u32_le(buf: &[u8], pos: &mut usize) -> Result<u32, CodecError> {
     Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
-/// CRC-32 (IEEE 802.3 / zlib polynomial, reflected), table-driven.
+/// CRC-32 (IEEE 802.3 / zlib polynomial 0xEDB88320, reflected),
+/// slicing-by-16: table `k` holds the CRC of a byte followed by `k` zero
+/// bytes, so sixteen input bytes fold into the state with sixteen
+/// independent lookups instead of a sixteen-step dependent chain. The
+/// tail shorter than sixteen bytes goes one byte per step through table 0.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 16]> = std::sync::OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 16];
+        for (i, e) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -236,11 +238,26 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             }
             *e = c;
         }
+        for k in 1..16 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = t[0][usize::from(prev as u8)] ^ (prev >> 8);
+            }
+        }
         t
     });
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[usize::from((crc as u8) ^ b)] ^ (crc >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let state = crc.to_le_bytes();
+        crc = 0;
+        for (i, &b) in block.iter().enumerate() {
+            let b = if i < 4 { b ^ state[i] } else { b };
+            crc ^= t[15 - i][usize::from(b)];
+        }
+    }
+    for &b in blocks.remainder() {
+        crc = t[0][usize::from((crc as u8) ^ b)] ^ (crc >> 8);
     }
     !crc
 }
@@ -249,10 +266,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
+    fn varint_col(values: &[u64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_varint_col(&mut buf, values);
+        buf
+    }
+
+    fn dod(values: &[u64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_dod(&mut buf, values);
+        buf
+    }
+
     #[test]
     fn varint_round_trip_extremes() {
         let values = [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX];
-        let buf = encode_varint_col(&values);
+        let buf = varint_col(&values);
         assert_eq!(decode_varint_col(&buf, values.len()).unwrap(), values);
         // u64::MAX takes the full 10 bytes.
         let mut one = Vec::new();
@@ -294,22 +323,22 @@ mod tests {
     #[test]
     fn dod_round_trip_monotonic_and_hostile() {
         let steady: Vec<u64> = (0..100).map(|i| 1_000 + i * 50).collect();
-        let buf = encode_dod(&steady);
+        let buf = dod(&steady);
         assert_eq!(decode_dod(&buf, steady.len()).unwrap(), steady);
         // Steady cadence: first value plus ~1 byte per later value.
         assert!(buf.len() < 110, "steady cadence should stay ~1 B/value");
 
         let hostile = vec![u64::MAX, 0, 5, 5, 3, u64::MAX / 2, 0];
-        let buf = encode_dod(&hostile);
+        let buf = dod(&hostile);
         assert_eq!(decode_dod(&buf, hostile.len()).unwrap(), hostile);
 
-        assert!(encode_dod(&[]).is_empty());
+        assert!(dod(&[]).is_empty());
         assert_eq!(decode_dod(&[], 0).unwrap(), Vec::<u64>::new());
     }
 
     #[test]
     fn decoders_detect_length_mismatch() {
-        let buf = encode_varint_col(&[1, 2, 3]);
+        let buf = varint_col(&[1, 2, 3]);
         assert!(matches!(
             decode_varint_col(&buf, 2),
             Err(CodecError::BadLength { .. })
@@ -318,7 +347,7 @@ mod tests {
             decode_varint_col(&buf, 4),
             Err(CodecError::Truncated)
         ));
-        let buf = encode_dod(&[1, 2, 3]);
+        let buf = dod(&[1, 2, 3]);
         assert!(matches!(
             decode_dod(&buf, 2),
             Err(CodecError::BadLength { .. })

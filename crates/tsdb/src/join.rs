@@ -3,17 +3,16 @@
 //! ingest (sequence) order, which is the order [`Query::walk`] hands rows
 //! over in (DESIGN.md §12).
 
-use std::collections::HashMap;
-
 use crate::query::{Query, Rows, ScanStats};
 use crate::segment::{columns, ColumnId};
 use crate::store::{StoreError, TraceDb};
+use crate::trace_id_map::TraceIdMap;
 
 /// Timestamp of the first record (in ingest order) of every trace ID
 /// seen in one table.
 #[derive(Debug, Clone, Default)]
 pub struct FirstSeen {
-    first: HashMap<u32, u64>,
+    first: TraceIdMap<u64>,
     stats: ScanStats,
 }
 
@@ -27,7 +26,7 @@ impl FirstSeen {
     /// Any [`StoreError`] from reading sealed segments.
     pub fn scan(db: &TraceDb, measurement: &str) -> Result<FirstSeen, StoreError> {
         let project = columns(&[ColumnId::Ts, ColumnId::TraceId, ColumnId::Flags]);
-        let mut first: HashMap<u32, u64> = HashMap::new();
+        let mut first = TraceIdMap::default();
         let stats = Query::new(measurement).walk(db, &project, |rows| {
             match rows {
                 Rows::Sealed { block, matched, .. } => {

@@ -51,6 +51,7 @@ pub mod sketch;
 pub mod store;
 pub mod symbol;
 pub mod table;
+pub mod trace_id_map;
 pub mod wal;
 
 pub use batch::{BatchGroup, RecordBatch};
@@ -68,3 +69,4 @@ pub use sketch::{LogHistogram, DEFAULT_SKETCH_ERROR};
 pub use store::{MeasurementStorage, StorageStats, StoreError, StoreOptions, TraceDb};
 pub use symbol::{Symbol, SymbolTable};
 pub use table::{Entry, RecordShard, Table, DROP_REASON_TAG, TRACE_ID_TAG};
+pub use trace_id_map::TraceIdMap;

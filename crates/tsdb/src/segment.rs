@@ -109,10 +109,10 @@ impl ColumnId {
     /// Delta-of-delta (raw first value, zigzag-varint second differences)
     /// for the near-monotonic `Seq`/`Ts` lanes, plain LEB128 varints
     /// otherwise.
-    fn encode(self, values: &[u64]) -> Vec<u8> {
+    fn encode(self, buf: &mut Vec<u8>, values: &[u64]) {
         match self {
-            ColumnId::Seq | ColumnId::Ts => codec::encode_dod(values),
-            _ => codec::encode_varint_col(values),
+            ColumnId::Seq | ColumnId::Ts => codec::put_dod(buf, values),
+            _ => codec::put_varint_col(buf, values),
         }
     }
 
@@ -285,6 +285,8 @@ pub struct SegmentWriter {
     offset: u64,
     /// The open block: twelve lanes of fewer than `BLOCK_ROWS` rows.
     pending: [Vec<u64>; ColumnId::ALL.len()],
+    /// The last block's twelve encoded chunks, back to back; reused.
+    encoded: Vec<u8>,
     blocks: Vec<BlockMeta>,
 }
 
@@ -302,6 +304,7 @@ impl SegmentWriter {
             file,
             offset: SEGMENT_MAGIC.len() as u64,
             pending: Default::default(),
+            encoded: Vec::new(),
             blocks: Vec::new(),
         })
     }
@@ -333,21 +336,25 @@ impl SegmentWriter {
         Ok(())
     }
 
-    /// Encodes and writes the open block and indexes it.
+    /// Encodes the open block's twelve chunks back to back, writes them
+    /// with one `write_all` and indexes the block.
     fn write_block(&mut self) -> Result<(), SegmentError> {
         let (min_seq, max_seq) = min_max(&self.pending[ColumnId::Seq as usize]);
         let (min_ts, max_ts) = min_max(&self.pending[ColumnId::Ts as usize]);
         let mut chunks = [ChunkMeta::default(); ColumnId::ALL.len()];
+        self.encoded.clear();
         for id in ColumnId::ALL {
-            let chunk = id.encode(&self.pending[id as usize]);
-            self.file.write_all(&chunk)?;
+            let start = self.encoded.len();
+            id.encode(&mut self.encoded, &self.pending[id as usize]);
+            let chunk = &self.encoded[start..];
             chunks[id as usize] = ChunkMeta {
-                offset: self.offset,
+                offset: self.offset + start as u64,
                 len: chunk.len() as u64,
-                crc: crc32(&chunk),
+                crc: crc32(chunk),
             };
-            self.offset += chunk.len() as u64;
         }
+        self.file.write_all(&self.encoded)?;
+        self.offset += self.encoded.len() as u64;
         self.blocks.push(BlockMeta {
             rows: self.pending[0].len() as u64,
             min_ts,
@@ -608,7 +615,11 @@ impl Segment {
     /// The one read path: reads, CRC-checks and decodes block `block`'s
     /// chunks for every column in `want` that `into` does not hold yet
     /// (so a second call with a wider set loads only the difference).
-    /// Returns the encoded bytes read.
+    /// Wanted columns that are neighbours in [`ColumnId::ALL`] order are
+    /// neighbours in the file (the validated footer tiles chunks back to
+    /// back), so each such run is one `read_exact_at`; every chunk is
+    /// still checked against its own CRC before it is decoded. Returns
+    /// the encoded bytes read.
     ///
     /// # Errors
     ///
@@ -625,20 +636,25 @@ impl Segment {
             .blocks
             .get(block)
             .ok_or_else(|| corrupt(format!("no block {block}")))?;
+        let load: ColumnSet = std::array::from_fn(|c| want[c] && into.cols[c].is_empty());
         let mut bytes_read = 0;
-        let mut chunk = Vec::new();
-        for id in ColumnId::ALL {
-            if !want[id as usize] || !into.cols[id as usize].is_empty() {
-                continue;
+        let mut run_bytes = Vec::new();
+        let runs = ColumnId::ALL.chunk_by(|&a, &b| load[a as usize] == load[b as usize]);
+        for run in runs.filter(|run| load[run[0] as usize]) {
+            let chunks = &meta.chunks[run[0] as usize..=run[run.len() - 1] as usize];
+            let run_len: u64 = chunks.iter().map(|c| c.len).sum();
+            run_bytes.resize(run_len as usize, 0);
+            self.file.read_exact_at(&mut run_bytes, chunks[0].offset)?;
+            let mut rest = run_bytes.as_slice();
+            for (&id, chunk_meta) in run.iter().zip(chunks) {
+                let (chunk, tail) = rest.split_at(chunk_meta.len as usize);
+                if crc32(chunk) != chunk_meta.crc {
+                    return Err(corrupt(format!("block {block} column {id:?} CRC mismatch")));
+                }
+                into.cols[id as usize] = id.decode(chunk, meta.rows as usize)?;
+                bytes_read += chunk_meta.len;
+                rest = tail;
             }
-            let chunk_meta = &meta.chunks[id as usize];
-            chunk.resize(chunk_meta.len as usize, 0);
-            self.file.read_exact_at(&mut chunk, chunk_meta.offset)?;
-            if crc32(&chunk) != chunk_meta.crc {
-                return Err(corrupt(format!("block {block} column {id:?} CRC mismatch")));
-            }
-            into.cols[id as usize] = id.decode(&chunk, meta.rows as usize)?;
-            bytes_read += chunk_meta.len;
         }
         Ok(bytes_read)
     }

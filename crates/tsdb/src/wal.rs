@@ -41,9 +41,9 @@ const FRAME_MARKER: u8 = 0xb7;
 /// Frame header bytes after the marker: payload length + CRC.
 const FRAME_HEADER: usize = 8;
 
-/// Upper bound on one frame's payload — a batch bigger than this is a
-/// bug, and the bound stops a corrupt length from driving a huge
-/// allocation during replay.
+/// Upper bound on one frame's payload: `append` refuses a bigger batch,
+/// and the bound stops a corrupt length from driving a huge allocation
+/// during replay.
 const MAX_PAYLOAD: u64 = 1 << 31;
 
 /// Errors from WAL operations.
@@ -55,6 +55,12 @@ pub enum WalError {
     Corrupt(String),
     /// A frame payload failed to decode.
     Codec(CodecError),
+    /// A batch whose frame payload would exceed the 2 GiB replay accepts;
+    /// nothing was written.
+    BatchTooLarge {
+        /// The refused payload's size in bytes.
+        payload_bytes: usize,
+    },
 }
 
 impl core::fmt::Display for WalError {
@@ -63,6 +69,10 @@ impl core::fmt::Display for WalError {
             WalError::Io(e) => write!(f, "wal i/o: {e}"),
             WalError::Corrupt(m) => write!(f, "corrupt wal: {m}"),
             WalError::Codec(e) => write!(f, "wal codec: {e}"),
+            WalError::BatchTooLarge { payload_bytes } => write!(
+                f,
+                "batch encodes to {payload_bytes} bytes, over the {MAX_PAYLOAD}-byte frame limit"
+            ),
         }
     }
 }
@@ -97,25 +107,40 @@ fn get_record(buf: &[u8], pos: &mut usize) -> Result<CompactRecord, CodecError> 
     Ok(r)
 }
 
-/// Encodes a batch into one frame payload (empty groups are skipped,
-/// mirroring `insert_batch`'s behavior).
-pub fn encode_batch(batch: &RecordBatch) -> Vec<u8> {
-    let groups: Vec<_> = batch
-        .groups()
-        .iter()
-        .filter(|g| !g.records.is_empty())
-        .collect();
-    let mut payload = Vec::with_capacity(16 + batch.len() * COMPACT_RECORD_BYTES as usize);
-    put_uvarint(&mut payload, groups.len() as u64);
-    for g in groups {
-        put_str(&mut payload, &g.measurement);
-        put_str(&mut payload, &g.node);
-        put_uvarint(&mut payload, g.records.len() as u64);
+/// Appends a batch to `buf` as one frame payload (empty groups are
+/// skipped, mirroring `insert_batch`'s behavior).
+pub fn encode_batch(buf: &mut Vec<u8>, batch: &RecordBatch) {
+    let groups = || batch.groups().iter().filter(|g| !g.records.is_empty());
+    buf.reserve(16 + batch.len() * COMPACT_RECORD_BYTES as usize);
+    put_uvarint(buf, groups().count() as u64);
+    for g in groups() {
+        put_str(buf, &g.measurement);
+        put_str(buf, &g.node);
+        put_uvarint(buf, g.records.len() as u64);
         for r in &g.records {
-            put_record(&mut payload, r);
+            put_record(buf, r);
         }
     }
-    payload
+}
+
+/// The marker and header of a frame carrying `payload_len` bytes that
+/// checksum to `crc`.
+///
+/// # Errors
+///
+/// [`WalError::BatchTooLarge`] for a payload [`replay`] would discard as
+/// a dirty tail.
+fn frame_header(payload_len: usize, crc: u32) -> Result<[u8; 1 + FRAME_HEADER], WalError> {
+    let len = u32::try_from(payload_len)
+        .ok()
+        .filter(|&len| u64::from(len) <= MAX_PAYLOAD)
+        .ok_or(WalError::BatchTooLarge {
+            payload_bytes: payload_len,
+        })?;
+    let mut header = [FRAME_MARKER; 1 + FRAME_HEADER];
+    header[1..5].copy_from_slice(&len.to_le_bytes());
+    header[5..9].copy_from_slice(&crc.to_le_bytes());
+    Ok(header)
 }
 
 /// Decodes one frame payload back into a batch.
@@ -317,22 +342,20 @@ impl Wal {
     }
 
     /// Appends one batch as a frame; the batch is durable (modulo the
-    /// `sync_on_append` setting) when this returns.
+    /// `sync_on_append` setting) when this returns. The frame is encoded
+    /// once, behind room for its header, which is filled in afterwards;
+    /// its buffer lives for this call only (kept across appends it bought
+    /// no time and sat, batch-sized, under every seal's peak memory).
     ///
     /// # Errors
     ///
-    /// I/O failure.
+    /// I/O failure, or [`WalError::BatchTooLarge`] before any byte is
+    /// written.
     pub fn append(&mut self, batch: &RecordBatch) -> Result<(), WalError> {
-        let payload = encode_batch(batch);
-        let mut frame = Vec::with_capacity(1 + FRAME_HEADER + payload.len());
-        frame.push(FRAME_MARKER);
-        frame.extend_from_slice(
-            &u32::try_from(payload.len())
-                .expect("batch under 4 GiB")
-                .to_le_bytes(),
-        );
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let mut frame = vec![0; 1 + FRAME_HEADER];
+        encode_batch(&mut frame, batch);
+        let (header, payload) = frame.split_at_mut(1 + FRAME_HEADER);
+        header.copy_from_slice(&frame_header(payload.len(), crc32(payload))?);
         self.file.write_all(&frame)?;
         self.file.flush()?;
         if self.sync_on_append {
@@ -503,6 +526,27 @@ mod tests {
         assert!(r.dirty_tail);
         assert!(r.batches.len() < 2, "corruption must not replay past it");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn frame_header_refuses_what_replay_would_discard() {
+        let max = MAX_PAYLOAD as usize;
+        let header = frame_header(max, 0xa1b2_c3d4).expect("the bound itself replays");
+        assert_eq!(header, [0xb7, 0, 0, 0, 0x80, 0xd4, 0xc3, 0xb2, 0xa1]);
+        assert_eq!(
+            frame_header(5, 1).unwrap(),
+            [0xb7, 5, 0, 0, 0, 1, 0, 0, 0],
+            "marker, length, CRC, all little-endian"
+        );
+        // One past the bound, the last length a u32 holds (which `append`
+        // used to acknowledge), and the first it does not (which used to
+        // panic): all typed, none written.
+        for len in [max + 1, u32::MAX as usize, u32::MAX as usize + 1] {
+            assert!(matches!(
+                frame_header(len, 0),
+                Err(WalError::BatchTooLarge { payload_bytes }) if payload_bytes == len
+            ));
+        }
     }
 
     #[test]

@@ -7,13 +7,38 @@ use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
 use vnet_tsdb::codec::{
-    crc32, decode_dod, decode_varint_col, encode_dod, encode_varint_col, get_str, get_uvarint,
-    put_str, put_uvarint, unzigzag, zigzag,
+    crc32, decode_dod, decode_varint_col, get_str, get_uvarint, put_dod, put_str, put_uvarint,
+    put_varint_col, unzigzag, zigzag,
 };
 use vnet_tsdb::segment::{
     Block, ColumnData, ColumnId, Segment, SegmentError, SegmentMeta, ALL_COLUMNS,
 };
 use vnet_tsdb::CompactRecord;
+
+fn encode_varint_col(values: &[u64]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_varint_col(&mut buf, values);
+    buf
+}
+
+fn encode_dod(values: &[u64]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_dod(&mut buf, values);
+    buf
+}
+
+/// CRC-32 (reflected 0xEDB88320) one bit at a time: the oracle the
+/// sliced [`crc32`] must agree with.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
 
 /// Decodes every block of `seg` in full; the first failure wins.
 fn read_all(seg: &Segment) -> Result<Vec<Block>, SegmentError> {
@@ -138,6 +163,18 @@ proptest! {
         let _ = decode_varint_col(&enc[..cut], values.len());
     }
 
+    /// The sliced CRC agrees with the oracle on buffers long enough for
+    /// thousands of sixteen-byte steps, cut at an arbitrary start so the
+    /// steps fall at every alignment.
+    #[test]
+    fn crc32_matches_oracle_on_random_buffers(
+        bytes in proptest::collection::vec(any::<u8>(), 0..=65_536),
+        skip in 0usize..16,
+    ) {
+        let bytes = &bytes[skip.min(bytes.len())..];
+        prop_assert_eq!(crc32(bytes), crc32_bitwise(bytes));
+    }
+
     /// A whole segment round-trips through disk: high-cardinality node
     /// dictionaries, arbitrary records, arbitrary (but sorted-by-caller)
     /// sequence numbers.
@@ -213,6 +250,25 @@ proptest! {
         }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
+    }
+}
+
+/// Every length around the sixteen-byte step (none, a tail only, one to
+/// four steps with every tail) at every start offset within a step, and
+/// the classic check value.
+#[test]
+fn crc32_matches_oracle_at_every_short_length_and_alignment() {
+    assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+    let buf: Vec<u8> = (0..96u32).map(|i| (i * 167 + 13) as u8).collect();
+    for start in 0..16 {
+        for len in 0..=64 {
+            let bytes = &buf[start..start + len];
+            assert_eq!(
+                crc32(bytes),
+                crc32_bitwise(bytes),
+                "start {start} len {len}"
+            );
+        }
     }
 }
 

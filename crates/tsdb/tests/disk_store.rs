@@ -8,10 +8,10 @@ use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use vnet_tsdb::segment::{BlockMeta, SegmentError};
+use vnet_tsdb::segment::{Block, BlockMeta, SegmentError, ALL_COLUMNS};
 use vnet_tsdb::{
-    trace_id_tag, write_json_lines, ColumnId, CompactRecord, FirstSeen, Query, RecordBatch,
-    Segment, StoreError, StoreOptions, TraceDb, DROP_REASON_TAG, TRACE_ID_TAG,
+    columns, trace_id_tag, write_json_lines, ColumnId, CompactRecord, FirstSeen, Query,
+    RecordBatch, Segment, StoreError, StoreOptions, TraceDb, DROP_REASON_TAG, TRACE_ID_TAG,
 };
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -464,19 +464,114 @@ fn join_reads_only_its_projected_chunks() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The one segment file of a [`cold_table`] directory.
+fn segment_file(dir: &Path) -> PathBuf {
+    let mut files = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+    files
+        .find(|p| p.extension().is_some_and(|x| x == "col"))
+        .unwrap()
+}
+
+/// Flips one byte in the middle of block 0's `column` chunk.
+fn flip_chunk_byte(file: &Path, column: ColumnId) {
+    let chunk = Segment::open(file).unwrap().meta().blocks[0].chunks[column as usize];
+    let mut bytes = std::fs::read(file).unwrap();
+    bytes[(chunk.offset + chunk.len / 2) as usize] ^= 0x10;
+    std::fs::write(file, bytes).unwrap();
+}
+
 /// Flips one byte of block 0's `column` chunk in the table's one segment
 /// file and reopens the store.
 fn reopen_with_flipped_chunk(dir: &Path, options: &StoreOptions, column: ColumnId) -> TraceDb {
-    let file = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| p.extension().is_some_and(|x| x == "col"))
-        .unwrap();
-    let chunk = Segment::open(&file).unwrap().meta().blocks[0].chunks[column as usize];
-    let mut bytes = std::fs::read(&file).unwrap();
-    bytes[(chunk.offset + chunk.len / 2) as usize] ^= 0x10;
-    std::fs::write(&file, bytes).unwrap();
+    flip_chunk_byte(&segment_file(dir), column);
     TraceDb::open_with(dir, options.clone()).expect("the footer is intact")
+}
+
+/// A projected read fetches each run of neighbouring chunks with one
+/// `pread`; whatever the runs, it must hand back the lanes and the byte
+/// count that reading the same chunks one call (so one `pread`) at a time
+/// does, and widening a loaded block must fetch only what is missing —
+/// including when the missing chunks lie on both sides of loaded ones.
+#[test]
+fn coalesced_block_reads_match_chunk_at_a_time_reads() {
+    let (db, dir, _) = cold_table("block-runs", 5_000);
+    drop(db);
+    let seg = Segment::open(segment_file(&dir)).unwrap();
+    assert_eq!(seg.meta().blocks.len(), 3);
+    let mut sets = vec![
+        ColumnId::ALL.to_vec(),
+        vec![ColumnId::Ts, ColumnId::TraceId, ColumnId::Flags],
+        vec![
+            ColumnId::Seq,
+            ColumnId::Ts,
+            ColumnId::PktLen,
+            ColumnId::Saddr,
+        ],
+    ];
+    sets.extend(ColumnId::ALL.map(|c| vec![c]));
+    sets.extend(ColumnId::ALL.windows(2).map(<[ColumnId]>::to_vec));
+    for (b, meta) in seg.meta().blocks.iter().enumerate() {
+        let one_at_a_time = ColumnId::ALL.map(|c| {
+            let mut blk = Block::default();
+            let read = seg.read_block(b, &columns(&[c]), &mut blk).unwrap();
+            assert_eq!(read, meta.chunks[c as usize].len);
+            assert_eq!(blk.col(c).len() as u64, meta.rows);
+            blk.col(c).to_vec()
+        });
+        for set in &sets {
+            let mut blk = Block::default();
+            let read = seg.read_block(b, &columns(set), &mut blk).unwrap();
+            let footer_bytes: u64 = set.iter().map(|&c| meta.chunks[c as usize].len).sum();
+            assert_eq!(read, footer_bytes, "block {b} {set:?}");
+            for c in ColumnId::ALL {
+                let lane: &[u64] = match set.contains(&c) {
+                    true => &one_at_a_time[c as usize],
+                    false => &[],
+                };
+                assert_eq!(blk.col(c), lane, "block {b} {set:?} lane {c:?}");
+            }
+            assert_eq!(seg.read_block(b, &columns(set), &mut blk).unwrap(), 0);
+            let rest = seg.read_block(b, &ALL_COLUMNS, &mut blk).unwrap();
+            assert_eq!(read + rest, meta.encoded_bytes(), "block {b} {set:?}");
+            assert_eq!(blk.cols(), one_at_a_time.as_slice(), "block {b} {set:?}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A flipped byte in the middle of a multi-chunk run is pinned on its own
+/// column by that chunk's CRC, and a read whose runs leave the damaged
+/// chunk out — even one that fetches both its neighbours — succeeds.
+#[test]
+fn corrupt_chunk_inside_a_run_is_named_and_skippable() {
+    let (db, dir, _) = cold_table("block-run-corrupt", 3_000);
+    drop(db);
+    let file = segment_file(&dir);
+    flip_chunk_byte(&file, ColumnId::PktLen);
+    let seg = Segment::open(&file).expect("the footer is intact");
+    let run = [ColumnId::TraceId, ColumnId::PktLen, ColumnId::Saddr];
+    for set in [ALL_COLUMNS, columns(&run), columns(&[ColumnId::PktLen])] {
+        let mut blk = Block::default();
+        let err = seg.read_block(0, &set, &mut blk).unwrap_err();
+        assert!(
+            matches!(&err, SegmentError::Corrupt(m) if m.contains("block 0 column PktLen CRC")),
+            "{err}"
+        );
+        assert!(blk.col(ColumnId::PktLen).is_empty());
+    }
+    let around: Vec<ColumnId> = ColumnId::ALL
+        .into_iter()
+        .filter(|&c| c != ColumnId::PktLen)
+        .collect();
+    let mut blk = Block::default();
+    let read = seg.read_block(0, &columns(&around), &mut blk).unwrap();
+    let meta = &seg.meta().blocks[0];
+    let damaged = meta.chunks[ColumnId::PktLen as usize].len;
+    assert_eq!(read, meta.encoded_bytes() - damaged);
+    assert!(seg
+        .read_block(1, &ALL_COLUMNS, &mut Block::default())
+        .is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A damaged chunk is a typed error for exactly the readers that project

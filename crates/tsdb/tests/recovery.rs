@@ -125,6 +125,46 @@ fn every_wal_prefix_reopens_to_acknowledged_batch_prefix() {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
+/// `Wal::append` encodes a frame in place: the payload behind room for
+/// the header, which is filled in once the payload can be measured and
+/// checksummed. Batches that shrink, grow and come empty through one
+/// store must each append exactly the frame a fresh store writes for that
+/// batch alone (none for the empty one), and replay to the same records.
+#[test]
+fn frames_encoded_in_place_are_exact_whatever_the_batch_sizes() {
+    let sizes = [64u64, 3, 200, 1, 0, 17];
+    let starts: Vec<u64> = sizes
+        .iter()
+        .scan(0, |at, n| Some(std::mem::replace(at, *at + n)))
+        .collect();
+    let dir = test_dir("wal-reuse");
+    let mut db = TraceDb::open_with(&dir, no_fsync()).unwrap();
+    let mut mem = TraceDb::new();
+    let mut expected = b"VNTWAL1\n".to_vec();
+    for (&start, &n) in starts.iter().zip(&sizes) {
+        let batch = make_batch(start, n);
+        db.insert_batch(&batch);
+        mem.insert_batch(&batch);
+        let alone = test_dir("wal-reuse-alone");
+        let mut fresh = TraceDb::open_with(&alone, no_fsync()).unwrap();
+        fresh.insert_batch(&batch);
+        drop(fresh);
+        expected.extend_from_slice(&std::fs::read(alone.join("wal-0.log")).unwrap()[8..]);
+        let _ = std::fs::remove_dir_all(&alone);
+        assert_eq!(
+            db.storage_stats().unwrap().wal_bytes,
+            expected.len() as u64,
+            "after the {n}-record batch"
+        );
+    }
+    drop(db);
+    assert_eq!(std::fs::read(dir.join("wal-0.log")).unwrap(), expected);
+    let recovered = TraceDb::open_with(&dir, no_fsync()).unwrap();
+    assert_eq!(recovered.storage_stats().unwrap().wal_batches, 5);
+    assert_eq!(export(&recovered), export(&mem));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Truncating the live WAL never touches records already sealed into
 /// segments: only the post-seal tail is at risk, and only to batch
 /// granularity.
