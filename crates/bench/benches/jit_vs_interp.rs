@@ -12,13 +12,6 @@
 //! with verifier-proved check elision disabled, isolating what the
 //! abstract-interpretation facts buy on top of lowering and fusion.
 //!
-//! The `interp_raw`/`jit_raw` arms run the same program with the
-//! load-time optimizer disabled (`LoadOpts { optimize: false }`), so the
-//! delta against `interp`/`jit` is what the static-analysis rewrite
-//! pipeline buys on the standard trace programs. Each group also prints
-//! a headline line with the instruction count and certified worst-case
-//! cost before and after optimization.
-//!
 //! Set `VNT_BENCH_FAST=1` for a smoke run (CI): minimal sample count,
 //! no timing claims — it only proves both tiers compile and run.
 
@@ -28,7 +21,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use vnet_ebpf::context::TraceContext;
 use vnet_ebpf::map::{MapDef, MapRegistry};
-use vnet_ebpf::program::{load, load_with_opts, LoadOpts};
+use vnet_ebpf::program::load;
 use vnet_ebpf::vm::{standard_helpers, FixedEnv, Vm};
 use vnet_sim::packet::{trace_id, FlowKey, PacketBuilder};
 use vnettracer::compile::compile;
@@ -41,15 +34,8 @@ fn udp_flow() -> FlowKey {
     )
 }
 
-/// Compiles one of the dispatcher's standard trace scripts, loaded both
-/// optimized (the default) and raw.
-fn script(
-    action: Action,
-) -> (
-    vnet_ebpf::LoadedProgram,
-    vnet_ebpf::LoadedProgram,
-    MapRegistry,
-) {
+/// Compiles and loads one of the dispatcher's standard trace scripts.
+fn script(action: Action) -> (vnet_ebpf::LoadedProgram, MapRegistry) {
     let mut maps = MapRegistry::new();
     let perf_fd = maps.create(MapDef::perf(65536), 1).unwrap();
     let counter_fd = maps.create(MapDef::per_cpu_array(8, 16), 4).unwrap();
@@ -64,14 +50,7 @@ fn script(
         action,
     };
     let prog = compile(&spec, Some(perf_fd), Some(counter_fd)).unwrap();
-    let raw = load_with_opts(
-        prog.clone(),
-        &maps,
-        &standard_helpers(),
-        &LoadOpts { optimize: false },
-    )
-    .unwrap();
-    (load(prog, &maps, &standard_helpers()).unwrap(), raw, maps)
+    (load(prog, &maps, &standard_helpers()).unwrap(), maps)
 }
 
 fn sample_size() -> usize {
@@ -89,15 +68,7 @@ fn sample_size() -> usize {
 /// is identical in both arms.
 fn bench_pair(c: &mut Criterion, group: &str, action: Action, matching: bool) {
     let drains_ring = matches!(action, Action::RecordPacketInfo);
-    let (loaded, raw, mut maps) = script(action);
-    // Headline: what the load-time rewrite pipeline bought on this program.
-    println!(
-        "{group}: optimizer {} -> {} insns, certified worst case {} -> {} ns",
-        raw.insns().len(),
-        loaded.insns().len(),
-        raw.certificate().worst_case_ns,
-        loaded.certificate().worst_case_ns,
-    );
+    let (loaded, mut maps) = script(action);
     let flow = if matching {
         udp_flow()
     } else {
@@ -153,31 +124,6 @@ fn bench_pair(c: &mut Criterion, group: &str, action: Action, matching: bool) {
             out.ret
         })
     });
-    // The unoptimized program on both tiers: the delta against
-    // `interp`/`jit` is what the static rewrite pipeline buys.
-    g.bench_function("interp_raw", |b| {
-        b.iter(|| {
-            let out = vm
-                .execute(black_box(&raw), &ctx, pkt.bytes(), &mut maps, &mut env)
-                .unwrap();
-            if drains_ring && out.ret == 1 {
-                drained += maps.get_mut(0).unwrap().perf_drain_with(0, |_| {});
-            }
-            out.ret
-        })
-    });
-    let compiled_raw = vnet_ebpf::jit::compile(&raw);
-    g.bench_function("jit_raw", |b| {
-        b.iter(|| {
-            let out = compiled_raw
-                .execute(black_box(&ctx), pkt.bytes(), &mut maps, &mut env)
-                .unwrap();
-            if drains_ring && out.ret == 1 {
-                drained += maps.get_mut(0).unwrap().perf_drain_with(0, |_| {});
-            }
-            out.ret
-        })
-    });
     black_box(drained);
     g.finish();
 }
@@ -196,7 +142,7 @@ fn bench_counter(c: &mut Criterion) {
 
 /// The price of admission: one ahead-of-time lowering pass per program.
 fn bench_compile_once(c: &mut Criterion) {
-    let (loaded, _raw, _maps) = script(Action::RecordPacketInfo);
+    let (loaded, _maps) = script(Action::RecordPacketInfo);
     let mut g = c.benchmark_group("lowering");
     g.sample_size(sample_size());
     g.bench_function("compile", |b| {

@@ -16,7 +16,6 @@
 //! vnt trace <drop-lab|request-chain> [--profile NAME] [--messages N] [--seed N] [--save-db DIR]
 //! vnt drops [--messages N] [--seed N]
 //! vnt verify <prog.bpf>
-//! vnt analyze <prog.bpf>
 //! vnt db stats <dir>
 //! vnt db query <dir> <measurement> [START_NS END_NS]
 //! vnt db export <dir> [FILE.jsonl]
@@ -85,13 +84,6 @@
 //! columns over the register states and proven facts — plus how many
 //! runtime check sites the threaded tier elides; for rejected programs,
 //! every diagnostic with the register state at the point of rejection.
-//!
-//! `vnt analyze` is the static-analysis front end on top of that: it
-//! verifies the listing, runs the load-time optimizer over it, and
-//! prints the original and optimized programs side by side in the same
-//! annotated form, the optimization diff (folded ALU ops and branches,
-//! forwarded loads, removed dead code and stores), and the certified
-//! worst-case cost delta.
 
 use std::process::ExitCode;
 
@@ -166,10 +158,10 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     if scenario == "modules" {
         return Ok(Args::defaults(scenario));
     }
-    if scenario == "verify" || scenario == "analyze" {
+    if scenario == "verify" {
         let file = args
             .next()
-            .ok_or(format!("{scenario} needs a program file"))?;
+            .ok_or("verify needs a program file".to_owned())?;
         let mut out = Args::defaults(scenario);
         out.package = Some(file);
         return Ok(out);
@@ -261,7 +253,7 @@ fn rack_config(args: &Args) -> Result<vnet_workloads::datacenter_rack::RackConfi
 }
 
 fn usage() -> String {
-    "usage: vnt <two-host|ovs|xen|container> [--package FILE.json] [--messages N] [--emit-package]\n       vnt rack [--messages N] [--full] [--trace]\n       vnt live [--messages N] [--window-us W] [--collect-us I] [--save-db DIR]\n       vnt live --from-db DIR [--pair FROM,TO] [--window-us W] [--collect-us I]\n       vnt emulate [--profile NAME|all] [--rack] [--seed N] [--messages N]\n       vnt modules\n       vnt trace <drop-lab|request-chain> [--profile NAME] [--messages N] [--seed N] [--save-db DIR]\n       vnt drops [--messages N] [--seed N]\n       vnt verify <prog.bpf>\n       vnt analyze <prog.bpf>\n       vnt db <stats|query|export|import> <dir> [...]"
+    "usage: vnt <two-host|ovs|xen|container> [--package FILE.json] [--messages N] [--emit-package]\n       vnt rack [--messages N] [--full] [--trace]\n       vnt live [--messages N] [--window-us W] [--collect-us I] [--save-db DIR]\n       vnt live --from-db DIR [--pair FROM,TO] [--window-us W] [--collect-us I]\n       vnt emulate [--profile NAME|all] [--rack] [--seed N] [--messages N]\n       vnt modules\n       vnt trace <drop-lab|request-chain> [--profile NAME] [--messages N] [--seed N] [--save-db DIR]\n       vnt drops [--messages N] [--seed N]\n       vnt verify <prog.bpf>\n       vnt db <stats|query|export|import> <dir> [...]"
         .to_owned()
 }
 
@@ -296,9 +288,9 @@ fn parse_listing(path: &str) -> Result<(Vec<vnet_ebpf::Insn>, vnet_ebpf::MapRegi
 
 /// `vnt verify <file>`: parse a program listing, run the
 /// abstract-interpretation verifier against the standard helper set, and
-/// print the shared annotated cost listing (the same renderer `vnt
-/// analyze` and the agent's over-budget report use), plus how many check
-/// sites the threaded tier would elide. Returns an error (non-zero exit)
+/// print the shared annotated cost listing (the same renderer the
+/// agent's over-budget report uses), plus how many check sites the
+/// threaded tier would elide. Returns an error (non-zero exit)
 /// when verification rejects the program.
 fn verify_file(path: &str) -> Result<(), String> {
     let (insns, maps) = parse_listing(path)?;
@@ -320,75 +312,14 @@ fn verify_file(path: &str) -> Result<(), String> {
         "verification OK, {} insn(s) carry proven facts",
         analysis.proven_facts()
     );
-    // The raw (unoptimized) load preserves the listing's shape so the
-    // elided-site count matches the insns above.
     let program =
         vnet_ebpf::Program::new(path, vnet_ebpf::AttachType::Kprobe("verify".into()), insns);
-    let loaded = vnet_ebpf::load_with_opts(
-        program,
-        &maps,
-        &vnet_ebpf::standard_helpers(),
-        &vnet_ebpf::LoadOpts { optimize: false },
-    )
-    .map_err(|e| format!("{path}: load failed: {e}"))?;
+    let loaded = vnet_ebpf::load(program, &maps, &vnet_ebpf::standard_helpers())
+        .map_err(|e| format!("{path}: load failed: {e}"))?;
     let compiled = vnet_ebpf::compile(&loaded);
     println!(
         "threaded tier elides {} runtime check site(s)",
         compiled.elided_site_count()
-    );
-    Ok(())
-}
-
-/// `vnt analyze <file>`: the static-analysis front end. Verifies the
-/// listing, runs the load-time optimizer over it, and prints both the
-/// original and optimized programs in the shared annotated cost listing,
-/// with per-instruction worst-case-to-here and per-op charge columns,
-/// followed by the optimization diff and the certified worst-case delta.
-fn analyze_file(path: &str) -> Result<(), String> {
-    let (insns, maps) = parse_listing(path)?;
-    let value_size = |fd: i32| maps.get(fd).map(|m| m.def().value_size as u64);
-    let analysis = vnet_ebpf::analyze(&insns, &vnet_ebpf::standard_helpers(), value_size);
-    if !analysis.ok() {
-        print!("{}", vnet_ebpf::analysis::render_log(&insns, &analysis));
-        return Err(format!(
-            "{path}: rejected with {} diagnostic(s); only verified programs can be optimized",
-            analysis.diagnostics().len()
-        ));
-    }
-    let raw_cert = vnet_ebpf::certify(&insns, &analysis);
-    println!("original ({} insn slots):", insns.len());
-    print!(
-        "{}",
-        vnet_ebpf::render_cost_report(&insns, &analysis, &raw_cert)
-    );
-    let opt = vnet_ebpf::optimize(&insns, &vnet_ebpf::standard_helpers(), &value_size);
-    let opt_cert = vnet_ebpf::certify(&opt.insns, &opt.analysis);
-    println!("\noptimized ({} insn slots):", opt.insns.len());
-    print!(
-        "{}",
-        vnet_ebpf::render_cost_report(&opt.insns, &opt.analysis, &opt_cert)
-    );
-    let s = &opt.stats;
-    println!(
-        "\noptimization: {} -> {} insn slots in {} round(s) ({} eliminated), re-verified: {}",
-        s.original_insns,
-        s.optimized_insns,
-        s.rounds,
-        s.insns_eliminated(),
-        if s.reverified { "yes" } else { "NO" },
-    );
-    println!(
-        "  folded {} ALU op(s), {} branch(es); forwarded {} load(s); \
-         removed {} dead insn(s), {} dead store(s)",
-        s.folded_alu,
-        s.folded_branches,
-        s.loads_forwarded,
-        s.dead_code_removed,
-        s.dead_stores_removed,
-    );
-    println!(
-        "certified worst-case: {} ns -> {} ns per firing",
-        raw_cert.worst_case_ns, opt_cert.worst_case_ns,
     );
     Ok(())
 }
@@ -1168,7 +1099,6 @@ fn run_trace(args: &Args) -> Result<(), String> {
 fn run(args: &Args) -> Result<(), String> {
     match args.scenario.as_str() {
         "verify" => verify_file(args.package.as_deref().expect("checked in parse_args")),
-        "analyze" => analyze_file(args.package.as_deref().expect("checked in parse_args")),
         "db" => run_db(&args.rest),
         "modules" => {
             print!(

@@ -62,8 +62,9 @@ pub struct ScriptStats {
     /// [`vnet_ebpf::cost::certify`] that [`Self::avg_run_ns`] can never
     /// exceed. Constant for the script's lifetime.
     pub certified_cost_ns: u64,
-    /// Instructions the load-time optimizer removed from the program
-    /// (0 when loaded without optimization).
+    /// Always 0: programs run as emitted. Kept because the frozen
+    /// `bench_e2e` harness reads it (ROADMAP item 2's unlock list).
+    #[doc(hidden)]
     pub insns_eliminated: u64,
     /// The tier this script executes on.
     pub tier: ExecTier,
@@ -128,7 +129,6 @@ impl EbpfProbeSink {
         let stats = ScriptStats {
             tier,
             certified_cost_ns: PROBE_BASE_COST_NS + loaded.certificate().worst_case_ns,
-            insns_eliminated: loaded.opt_stats().insns_eliminated() as u64,
             ..ScriptStats::default()
         };
         EbpfProbeSink {
@@ -352,12 +352,27 @@ impl Agent {
             Action::CountPerCpu => (None, Some(maps.create(MapDef::per_cpu_array(8, 1), cpus)?)),
         };
         drop(maps);
-        let program = crate::compile::compile(spec, fds.0, fds.1)?;
         let per_match_extra_ns = match global.mode {
             CollectionMode::Offline => 0,
             CollectionMode::Online => ONLINE_SHIP_COST_NS,
         };
-        self.attach(world, program, &spec.hook, fds, per_match_extra_ns, global)
+        crate::compile::compile(spec, fds.0, fds.1)
+            .and_then(|program| {
+                self.attach(world, program, &spec.hook, fds, per_match_extra_ns, global)
+            })
+            // Nothing was attached, so nothing can name the maps made
+            // above.
+            .inspect_err(|_| self.release_maps(fds))
+    }
+
+    /// Frees a script's own (perf, counter) maps. Maps a caller made
+    /// through [`Agent::maps`] for [`Agent::install_raw`] are the
+    /// caller's and never pass through here.
+    fn release_maps(&mut self, (perf_fd, counter_fd): (Option<i32>, Option<i32>)) {
+        let mut maps = self.maps.borrow_mut();
+        for fd in [perf_fd, counter_fd].into_iter().flatten() {
+            maps.remove(fd);
+        }
     }
 
     /// Loads and attaches a hand-written eBPF program at `hook` — the
@@ -429,7 +444,9 @@ impl Agent {
         Rc::clone(&self.maps)
     }
 
-    /// Detaches and removes a script (runtime reconfiguration).
+    /// Detaches and removes a script (runtime reconfiguration), freeing
+    /// the maps [`Agent::install`] made for it — records still in its
+    /// ring go with them, so drain first to keep them.
     ///
     /// # Errors
     ///
@@ -440,15 +457,8 @@ impl Agent {
             .remove(&id)
             .ok_or(TracerError::UnknownScript(id))?;
         world.detach_probe(installed.probe);
+        self.release_maps((installed.perf_fd, installed.counter_fd));
         Ok(())
-    }
-
-    /// Detaches every installed script.
-    pub fn uninstall_all(&mut self, world: &mut World) {
-        let ids: Vec<ScriptId> = self.installed.keys().copied().collect();
-        for id in ids {
-            let _ = self.uninstall(world, id);
-        }
     }
 
     /// Installed script ids.
@@ -642,6 +652,63 @@ mod tests {
     }
 
     #[test]
+    fn uninstall_frees_the_scripts_maps() {
+        let (mut w, n) = world_with_device();
+        let mut agent = Agent::new(n, "server1", 4);
+        // A map the caller made (for `install_raw`) is not the agent's
+        // to free.
+        let own = agent
+            .maps()
+            .borrow_mut()
+            .create(MapDef::array(8, 1), 4)
+            .unwrap();
+        let count_spec = TraceSpec {
+            action: Action::CountPerCpu,
+            ..udp_spec()
+        };
+        for spec in [udp_spec(), count_spec] {
+            for _ in 0..50 {
+                let id = agent
+                    .install(&mut w, &spec, &GlobalConfig::default())
+                    .unwrap();
+                assert_eq!(agent.maps().borrow().len(), 2);
+                agent.uninstall(&mut w, id).unwrap();
+            }
+        }
+        assert!(agent.script_ids().is_empty());
+        assert_eq!(
+            agent.maps().borrow().len(),
+            1,
+            "one ring set per cycle leaked"
+        );
+        assert!(agent.maps().borrow().get(own).is_some());
+    }
+
+    #[test]
+    fn uninstall_drops_undrained_records() {
+        let (mut w, n) = world_with_device();
+        let mut agent = Agent::new(n, "server1", 4);
+        // A one-record ring: three of the four firings are lost.
+        let tiny = GlobalConfig {
+            buffer_size: 32,
+            ..GlobalConfig::default()
+        };
+        let id = agent.install(&mut w, &udp_spec(), &tiny).unwrap();
+        let dev = w.find_device(n, "eth0").unwrap();
+        for _ in 0..4 {
+            w.inject(dev, udp_pkt());
+        }
+        w.run_until(SimTime::from_millis(1));
+        assert_eq!(agent.lost_records_total(), 3);
+        agent.uninstall(&mut w, id).unwrap();
+        // A bare uninstall takes the ring with it: collect first
+        // (`VNetTracer::undeploy` does) to keep what it held.
+        assert_eq!(agent.drain_into(&mut vnet_tsdb::RecordBatch::new()), 0);
+        assert_eq!(agent.lost_records(id), 0);
+        assert_eq!(agent.lost_records_total(), 0);
+    }
+
+    #[test]
     fn counter_script_counts() {
         let (mut w, n) = world_with_device();
         let mut agent = Agent::new(n, "server1", 4);
@@ -706,7 +773,6 @@ mod tests {
             stats.avg_run_ns(),
             stats.certified_cost_ns
         );
-        assert!(stats.insns_eliminated > 0, "optimizer shrank the filter");
     }
 
     #[test]
@@ -718,6 +784,9 @@ mod tests {
             probe_budget: Some(1),
             ..GlobalConfig::default()
         };
+        for _ in 0..9 {
+            assert!(agent.install(&mut w, &udp_spec(), &global).is_err());
+        }
         let err = agent.install(&mut w, &udp_spec(), &global).unwrap_err();
         match err {
             TracerError::OverBudget {
@@ -732,8 +801,10 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // Nothing was attached.
+        // Nothing was attached, and the ten rejected installs left no
+        // perf ring behind.
         assert!(agent.script_ids().is_empty());
+        assert!(agent.maps().borrow().is_empty());
         // A generous budget admits the same script.
         let global = GlobalConfig {
             probe_budget: Some(1_000_000),

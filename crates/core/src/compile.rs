@@ -102,12 +102,11 @@ pub fn compile(spec: &TraceSpec, perf_fd: Option<i32>, counter_fd: Option<i32>) 
     ))
 }
 
-/// Emits the shared prologue: save the context in `r6`, load the packet
-/// region bounds into `r7`/`r8`, and verify the frame is long enough to
-/// parse (jumping to `miss` otherwise).
+/// Emits the shared prologue: load the packet region bounds into
+/// `r7`/`r8` and verify the frame is long enough to parse (jumping to
+/// `miss` otherwise).
 fn emit_prologue(asm: Asm) -> Asm {
-    asm.mov64(R6, R1)
-        .ldx(Size::DW, R7, R1, CTX_OFF_DATA)
+    asm.ldx(Size::DW, R7, R1, CTX_OFF_DATA)
         .ldx(Size::DW, R8, R1, CTX_OFF_DATA_END)
         .mov64(R2, R7)
         .add64_imm(R2, MIN_PARSE_LEN)
@@ -209,11 +208,9 @@ fn emit_trace_id(mut asm: Asm) -> Asm {
         .add64_imm(R9, OFF_TCP_OPTS); // cursor
 
     for i in 0..TCP_OPT_SCAN_ITERS {
-        let next = if i + 1 == TCP_OPT_SCAN_ITERS {
-            "emit".to_owned()
-        } else {
-            format!("opt{}", i + 1)
-        };
+        // The last iteration leaves for `emit` on every path, so it does
+        // not advance a cursor nothing reads again.
+        let last = i + 1 == TCP_OPT_SCAN_ITERS;
         if i > 0 {
             asm = asm.label(&format!("opt{i}"));
         }
@@ -221,9 +218,13 @@ fn emit_trace_id(mut asm: Asm) -> Asm {
             .jmp_reg(Cond::Ge, R9, R5, "emit")
             .ldx(Size::B, R2, R9, 0)
             .jmp32_imm(Cond::Eq, R2, 0, "emit") // end-of-options
-            .jmp32_imm(Cond::Ne, R2, 1, &format!("notnop{i}"))
-            .add64_imm(R9, 1)
-            .jump(&next)
+            .jmp32_imm(Cond::Ne, R2, 1, &format!("notnop{i}"));
+        asm = if last {
+            asm.jump("emit")
+        } else {
+            asm.add64_imm(R9, 1).jump(&format!("opt{}", i + 1))
+        };
+        asm = asm
             .label(&format!("notnop{i}"))
             .jmp32_imm(Cond::Ne, R2, TRACE_ID_OPTION_KIND, &format!("skip{i}"))
             // Found the trace-ID option: ensure its 6 bytes fit.
@@ -237,10 +238,9 @@ fn emit_trace_id(mut asm: Asm) -> Asm {
             .jump("emit")
             .label(&format!("skip{i}"))
             .ldx(Size::B, R4, R9, 1)
-            .jmp32_imm(Cond::Lt, R4, 2, "emit") // malformed option
-            .add64(R9, R4);
-        if i + 1 == TCP_OPT_SCAN_ITERS {
-            asm = asm.jump("emit");
+            .jmp32_imm(Cond::Lt, R4, 2, "emit"); // malformed option
+        if !last {
+            asm = asm.add64(R9, R4);
         }
     }
     asm
@@ -301,7 +301,9 @@ fn emit_record_action(asm: Asm, perf_fd: i32, capture_aux: bool) -> Asm {
 }
 
 fn emit_record_program(rule: &FilterRule, perf_fd: i32, capture_aux: bool) -> Asm {
-    let mut asm = emit_prologue(Asm::new());
+    // The record action reads the context after helper calls have
+    // clobbered `r1`, so it is saved in `r6`; the counter never does.
+    let mut asm = emit_prologue(Asm::new().mov64(R6, R1));
     asm = emit_filter(asm, rule);
     asm = emit_trace_id(asm);
     emit_record_action(asm, perf_fd, capture_aux)
@@ -673,6 +675,91 @@ mod tests {
                 compiled.elided_site_count() > 0,
                 "{action:?} program should have elided check sites"
             );
+        }
+    }
+
+    /// Every program the compiler can emit, in a fixed order: the 64
+    /// subsets of the six filter fields (bit `i` of the mask keeps field
+    /// `i` of one UDP flow rule) × {UDP, TCP} as the protocol value × the
+    /// three actions. Subsets without the protocol field appear once per
+    /// protocol value, so each action contributes 128 programs.
+    fn emitted_space() -> Vec<(Action, FilterRule, Program)> {
+        let full = FilterRule::udp_flow(
+            (Ipv4Addr::new(10, 0, 0, 1), 1000),
+            (Ipv4Addr::new(10, 0, 0, 2), 2000),
+        );
+        let mut out = Vec::new();
+        for mask in 0u8..64 {
+            for proto in [Proto::Udp, Proto::Tcp] {
+                let rule = FilterRule {
+                    ether_type: full.ether_type.filter(|_| mask & 1 != 0),
+                    protocol: Some(proto).filter(|_| mask & 2 != 0),
+                    src_ip: full.src_ip.filter(|_| mask & 4 != 0),
+                    dst_ip: full.dst_ip.filter(|_| mask & 8 != 0),
+                    src_port: full.src_port.filter(|_| mask & 16 != 0),
+                    dst_port: full.dst_port.filter(|_| mask & 32 != 0),
+                };
+                for action in [
+                    Action::RecordPacketInfo,
+                    Action::RecordDropInfo,
+                    Action::CountPerCpu,
+                ] {
+                    let prog = compile(&spec(rule, action), Some(0), Some(0)).unwrap();
+                    out.push((action, rule, prog));
+                }
+            }
+        }
+        out
+    }
+
+    /// Slot count of the program for (`rule`, `action`).
+    fn slots(rule: FilterRule, action: Action) -> usize {
+        compile(&spec(rule, action), Some(0), Some(0))
+            .unwrap()
+            .insns
+            .len()
+    }
+
+    #[test]
+    fn emitted_streams_are_pinned() {
+        // The gate the load-time optimizer was deleted behind: these are
+        // the streams it handed back for every program the compiler can
+        // emit, and the compiler now emits them itself. An emitter change
+        // that moves the digest has to say so here — in particular one
+        // that reintroduces an instruction nothing reads.
+        let (mut bytes, mut total) = (Vec::new(), [0usize; 3]);
+        for (action, _, prog) in emitted_space() {
+            total[action as usize] += prog.insns.len();
+            bytes.extend(vnet_ebpf::insn::encode_program(&prog.insns));
+        }
+        assert_eq!(total[Action::RecordPacketInfo as usize], 31_936);
+        assert_eq!(total[Action::RecordDropInfo as usize], 32_704);
+        assert_eq!(total[Action::CountPerCpu as usize], 3_510);
+        assert_eq!(vnet_tsdb::codec::crc32(&bytes), 0xb244_897a);
+        for (action, any, flow) in [
+            (Action::RecordPacketInfo, 241, 258),
+            (Action::RecordDropInfo, 247, 264),
+            (Action::CountPerCpu, 14, 36),
+        ] {
+            assert_eq!(slots(FilterRule::any(), action), any, "{action:?}");
+            assert_eq!(slots(udp_rule(), action), flow, "{action:?}");
+        }
+    }
+
+    #[test]
+    fn emitted_programs_have_no_unreachable_instruction() {
+        let value_size = |_| Some(8);
+        for (action, rule, prog) in emitted_space() {
+            let analysis = vnet_ebpf::analyze(&prog.insns, &standard_helpers(), value_size);
+            assert!(analysis.ok(), "{action:?} {rule:?}");
+            let mut pc = 0;
+            while pc < prog.insns.len() {
+                assert!(
+                    analysis.fact(pc).reachable,
+                    "{action:?} {rule:?}: insn {pc} is unreachable"
+                );
+                pc += if prog.insns[pc].is_lddw() { 2 } else { 1 };
+            }
         }
     }
 

@@ -79,11 +79,6 @@ impl VNetTracer {
         self.agents.get(node)
     }
 
-    /// Mutably borrows an agent by node name.
-    pub fn agent_mut(&mut self, node: &str) -> Option<&mut Agent> {
-        self.agents.get_mut(node)
-    }
-
     /// Deploys a control package: the dispatcher formats per-node control
     /// messages (JSON), each agent parses its message and installs its
     /// scripts into the live world.
@@ -274,12 +269,6 @@ impl VNetTracer {
     /// Convenience: packet loss between two tracepoints.
     pub fn packet_loss(&self, upstream: &str, downstream: &str) -> metrics::PacketLoss {
         metrics::packet_loss(self.db(), upstream, downstream)
-    }
-
-    /// Convenience: jitter range of the latency between two tracepoints
-    /// (`None` with fewer than two joinable packets).
-    pub fn jitter_between(&self, from: &str, to: &str) -> Option<(i64, i64)> {
-        metrics::jitter_range(&self.latency_between(from, to))
     }
 }
 

@@ -14,14 +14,14 @@
 //!   the same table (the interpreter per retired instruction, the
 //!   threaded tier per dispatched op), so the certificate is an upper
 //!   bound on what any firing can ever cost the system;
-//! * `vnt analyze` renders the per-instruction worst-case-to-here
+//! * `vnt verify` renders the per-instruction worst-case-to-here
 //!   column from the same artifact.
 //!
 //! The table is deliberately coarse — dispatch-granularity integers, not
 //! measured nanoseconds — but it is *shared*: the certifier, the
 //! interpreter, the threaded tier and the simulator all charge from
 //! these constants, which is what makes "certified ≥ actual" a checked
-//! invariant rather than a hope (see the optimizer proptests).
+//! invariant rather than a hope (see `tests/proptests.rs`).
 
 use crate::analysis::Analysis;
 use crate::insn::*;
@@ -110,7 +110,7 @@ impl CostCertificate {
 /// over all `exit` instructions. `analysis` is only consulted for
 /// reachability — statically dead instructions do not inflate the bound.
 /// Conditional branches keep both edges even when the analysis decided
-/// them: the bound must stay valid for the unoptimized runtime too.
+/// them: the interpreter evaluates every branch it meets.
 pub fn certify(insns: &[Insn], analysis: &Analysis) -> CostCertificate {
     if insns.is_empty() {
         return CostCertificate::empty();
@@ -183,8 +183,8 @@ pub fn certify(insns: &[Insn], analysis: &Analysis) -> CostCertificate {
 /// Renders the shared kernel-style annotated listing: every instruction
 /// with its per-op charge and worst-case-to-here column, the analysis
 /// annotations (`disassemble_annotated`), and a certificate footer.
-/// `vnt verify`, `vnt analyze` and the agent's over-budget report all
-/// print this same form.
+/// `vnt verify` and the agent's over-budget report both print this
+/// form.
 pub fn render_cost_report(insns: &[Insn], analysis: &Analysis, cert: &CostCertificate) -> String {
     use core::fmt::Write as _;
     let mut out = String::new();
@@ -306,13 +306,9 @@ mod tests {
             crate::program::AttachType::Kprobe("f".into()),
             insns,
         );
-        let loaded = crate::program::load_with_opts(
-            prog,
-            &crate::map::MapRegistry::new(),
-            &standard_helpers(),
-            &crate::program::LoadOpts { optimize: false },
-        )
-        .unwrap();
+        let loaded =
+            crate::program::load(prog, &crate::map::MapRegistry::new(), &standard_helpers())
+                .unwrap();
         let mut maps = crate::map::MapRegistry::new();
         let mut env = FixedEnv::default();
         let out = Vm::new()

@@ -404,12 +404,6 @@ impl CompiledProgram {
         self.elided_sites
     }
 
-    /// Overrides the instruction budget (a testing hook; the default
-    /// matches the interpreter's).
-    pub fn set_budget(&mut self, budget: u64) {
-        self.budget = budget;
-    }
-
     /// Executes the compiled program. Same contract as
     /// [`crate::vm::Vm::execute`]: identical results, map side effects
     /// and error values, differing only in what the run costs.
@@ -1509,7 +1503,7 @@ mod tests {
     use super::*;
     use crate::asm::{reg::*, Asm, Cond, Size};
     use crate::map::MapDef;
-    use crate::program::{load_with_opts, AttachType, LoadOpts, Program};
+    use crate::program::{load, AttachType, Program};
     use crate::vm::{standard_helpers, FixedEnv, Vm};
 
     fn compile_asm(asm: Asm, maps: &MapRegistry) -> CompiledProgram {
@@ -1518,13 +1512,7 @@ mod tests {
             AttachType::Kprobe("f".into()),
             asm.build().expect("assembles"),
         );
-        let loaded = load_with_opts(
-            prog,
-            maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .expect("verifies");
+        let loaded = load(prog, maps, &standard_helpers()).expect("verifies");
         compile(&loaded)
     }
 
@@ -1535,13 +1523,7 @@ mod tests {
             AttachType::Kprobe("f".into()),
             asm.build().expect("assembles"),
         );
-        let loaded = load_with_opts(
-            prog,
-            &maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .expect("verifies");
+        let loaded = load(prog, &maps, &standard_helpers()).expect("verifies");
         let ctx = TraceContext::default();
         let mut m1 = MapRegistry::new();
         let mut m2 = MapRegistry::new();
@@ -1674,13 +1656,7 @@ mod tests {
             AttachType::Kprobe("f".into()),
             asm.build().unwrap(),
         );
-        let loaded = load_with_opts(
-            prog,
-            &maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .unwrap();
+        let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let compiled = compile(&loaded);
         assert!(compiled.fused_op_count() >= 1, "lookup+null should fuse");
 
@@ -1715,13 +1691,7 @@ mod tests {
         let asm = Asm::new().mov64_imm(R1, 0).ldx(Size::DW, R0, R1, 0).exit();
         let maps = MapRegistry::new();
         let prog = Program::new("oob", AttachType::Kprobe("f".into()), asm.build().unwrap());
-        let loaded = load_with_opts(
-            prog,
-            &maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .unwrap();
+        let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let ctx = TraceContext::default();
         let mut m1 = MapRegistry::new();
         let mut m2 = MapRegistry::new();
@@ -1760,13 +1730,7 @@ mod tests {
         let maps = MapRegistry::new();
         let asm = Asm::new().ldx(Size::DW, R0, R1, 0).exit();
         let prog = Program::new("t", AttachType::Kprobe("f".into()), asm.build().unwrap());
-        let loaded = load_with_opts(
-            prog,
-            &maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .unwrap();
+        let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let on = compile(&loaded);
         let off = compile_with(&loaded, CompileOpts { elide: false });
         assert!(on.elided_site_count() >= 1, "ctx load should be proven");
@@ -1828,13 +1792,7 @@ mod tests {
             .exit();
         let maps = MapRegistry::new();
         let prog = Program::new("d", AttachType::Kprobe("f".into()), asm.build().unwrap());
-        let loaded = load_with_opts(
-            prog,
-            &maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .unwrap();
+        let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let ctx = TraceContext::default();
         let mut m1 = MapRegistry::new();
         let mut m2 = MapRegistry::new();
@@ -1869,13 +1827,7 @@ mod tests {
             .mov64_imm(R0, 1)
             .exit();
         let prog = Program::new("m", AttachType::Kprobe("f".into()), asm.build().unwrap());
-        let loaded = load_with_opts(
-            prog,
-            &maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .unwrap();
+        let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let on = compile(&loaded);
         let off = compile_with(&loaded, CompileOpts { elide: false });
         assert!(on.elided_site_count() > off.elided_site_count());

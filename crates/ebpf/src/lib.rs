@@ -13,9 +13,6 @@
 //! * [`jit`] — the threaded-code tier: programs pre-decoded once into
 //!   typed ops with resolved jumps, bound helper thunks and fused
 //!   sequences, the simulator's stand-in for the kernel's JIT (§II);
-//! * [`opt`] — the analysis-driven optimizer: constant/copy propagation,
-//!   branch folding, redundant-load elimination and dead-code/dead-store
-//!   removal over the verified CFG, with mandatory re-verification;
 //! * [`cost`] — the shared static cost model and the longest-path
 //!   worst-case certificate every loaded program carries;
 //! * [`map`] — hash / array / per-CPU / perf-event maps (the perf buffer
@@ -57,7 +54,6 @@ pub mod disasm;
 pub mod insn;
 pub mod jit;
 pub mod map;
-pub mod opt;
 pub mod parse;
 pub mod program;
 pub mod tnum;
@@ -73,8 +69,7 @@ pub use disasm::disassemble;
 pub use insn::{Insn, MAX_INSNS};
 pub use jit::{compile, compile_with, CompileOpts, CompiledProgram, JitOutcome};
 pub use map::{MapDef, MapRegistry, MapType};
-pub use opt::{optimize, OptResult, OptStats};
-pub use program::{load, load_with_opts, AttachType, LoadOpts, LoadedProgram, Program};
+pub use program::{load, AttachType, LoadedProgram, Program};
 pub use tnum::Tnum;
 pub use verifier::{verify, VerifyError};
 pub use vm::{standard_helpers, ExecOutcome, Vm, VmEnv, VmError};

@@ -506,10 +506,12 @@ impl Map {
 }
 
 /// A table of live maps, indexed by fd. Shared between the loader, the VM
-/// and the agent that reads results.
+/// and the agent that reads results. An fd is a slot position baked into
+/// relocated programs, so slots are never renumbered or handed out
+/// twice: removing a map vacates its slot for the registry's life.
 #[derive(Debug, Default)]
 pub struct MapRegistry {
-    maps: Vec<Map>,
+    maps: Vec<Option<Map>>,
 }
 
 impl MapRegistry {
@@ -525,28 +527,36 @@ impl MapRegistry {
     /// Propagates [`MapError::BadDefinition`] from [`Map::new`].
     pub fn create(&mut self, def: MapDef, num_cpus: usize) -> Result<i32, MapError> {
         let map = Map::new(def, num_cpus)?;
-        self.maps.push(map);
+        self.maps.push(Some(map));
         Ok((self.maps.len() - 1) as i32)
+    }
+
+    /// Removes a map, freeing its storage, and returns it; `None` if
+    /// `fd` names no live map. A program still holding the fd sees a
+    /// missing map from then on.
+    pub fn remove(&mut self, fd: i32) -> Option<Map> {
+        let slot = self.maps.get_mut(usize::try_from(fd).ok()?)?;
+        slot.take()
     }
 
     /// Borrows a map by fd.
     pub fn get(&self, fd: i32) -> Option<&Map> {
-        usize::try_from(fd).ok().and_then(|i| self.maps.get(i))
+        self.maps.get(usize::try_from(fd).ok()?)?.as_ref()
     }
 
     /// Mutably borrows a map by fd.
     pub fn get_mut(&mut self, fd: i32) -> Option<&mut Map> {
-        usize::try_from(fd).ok().and_then(|i| self.maps.get_mut(i))
+        self.maps.get_mut(usize::try_from(fd).ok()?)?.as_mut()
     }
 
-    /// Number of maps.
+    /// Number of live maps.
     pub fn len(&self) -> usize {
-        self.maps.len()
+        self.maps.iter().flatten().count()
     }
 
-    /// Whether the registry holds no maps.
+    /// Whether the registry holds no live maps.
     pub fn is_empty(&self) -> bool {
-        self.maps.is_empty()
+        self.len() == 0
     }
 }
 
@@ -774,6 +784,24 @@ mod tests {
         assert!(reg.get(99).is_none());
         assert!(reg.get(-1).is_none());
         assert_eq!(reg.len(), 2);
+    }
+
+    #[test]
+    fn registry_remove_vacates_the_slot() {
+        let mut reg = MapRegistry::new();
+        let fd0 = reg.create(MapDef::hash(4, 4, 4), 1).unwrap();
+        let fd1 = reg.create(MapDef::array(4, 4), 1).unwrap();
+        assert!(reg.remove(fd0).is_some());
+        assert!(reg.remove(fd0).is_none(), "already gone");
+        assert!(reg.remove(99).is_none());
+        assert!(reg.remove(-1).is_none());
+        assert!(reg.get(fd0).is_none() && reg.get_mut(fd0).is_none());
+        assert_eq!(reg.len(), 1);
+        // The survivor keeps its fd and a new map gets a fresh one.
+        assert!(reg.get(fd1).is_some());
+        assert_eq!(reg.create(MapDef::array(4, 4), 1).unwrap(), 2);
+        assert!(reg.remove(fd1).is_some() && reg.remove(2).is_some());
+        assert!(reg.is_empty());
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::analysis::{analyze, Analysis};
 use crate::cost::{certify, CostCertificate};
 use crate::insn::{Insn, PSEUDO_MAP_FD};
 use crate::map::MapRegistry;
-use crate::opt::{optimize, OptStats};
 use crate::verifier::VerifyError;
 use crate::vm::MAP_HANDLE_BASE;
 
@@ -131,7 +130,6 @@ pub struct LoadedProgram {
     attach: AttachType,
     insns: Vec<Insn>,
     analysis: Analysis,
-    opt_stats: OptStats,
     certificate: CostCertificate,
 }
 
@@ -160,12 +158,6 @@ impl LoadedProgram {
         &self.analysis
     }
 
-    /// What the optimizer did during loading (all-zero when loading
-    /// with [`LoadOpts { optimize: false }`](LoadOpts)).
-    pub fn opt_stats(&self) -> &OptStats {
-        &self.opt_stats
-    }
-
     /// The certified worst-case execution cost of this program, under
     /// the shared cost table in [`crate::cost`]. The agent checks this
     /// against the configured probe budget before attaching, and the
@@ -180,24 +172,10 @@ impl LoadedProgram {
     }
 }
 
-/// Loader knobs. The default runs the [`crate::opt`] rewrite pipeline;
-/// turning it off loads the raw verified stream (the differential
-/// proptests and benches use this to pin raw and optimized behavior to
-/// each other).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadOpts {
-    /// Run the optimizer between verification and relocation.
-    pub optimize: bool,
-}
-
-impl Default for LoadOpts {
-    fn default() -> Self {
-        LoadOpts { optimize: true }
-    }
-}
-
-/// Verifies `program` against `helpers` (the set of available helper ids),
-/// optimizes it, and relocates its map references against `maps`.
+/// Verifies `program` against `helpers` (the set of available helper
+/// ids), certifies its worst-case cost and relocates its map references
+/// against `maps`. The program runs as written: optimisation is the job
+/// of whoever emits the bytecode.
 ///
 /// # Errors
 ///
@@ -208,34 +186,12 @@ pub fn load(
     maps: &MapRegistry,
     helpers: &[i32],
 ) -> Result<LoadedProgram, LoadError> {
-    load_with_opts(program, maps, helpers, &LoadOpts::default())
-}
-
-/// [`load`] with explicit [`LoadOpts`].
-///
-/// # Errors
-///
-/// Same contract as [`load`].
-pub fn load_with_opts(
-    program: Program,
-    maps: &MapRegistry,
-    helpers: &[i32],
-    opts: &LoadOpts,
-) -> Result<LoadedProgram, LoadError> {
     let map_value_size = |fd: i32| maps.get(fd).map(|m| m.def().value_size as u64);
     let analysis = analyze(&program.insns, helpers, map_value_size);
     if let Some(e) = analysis.first_error() {
         return Err(LoadError::Verify(e.clone()));
     }
-    // The optimizer runs pre-relocation so its analysis facts are keyed
-    // to the pseudo-fd form, then re-verifies its own output; loading
-    // proceeds on the rewritten, re-verified stream.
-    let (mut insns, analysis, opt_stats) = if opts.optimize {
-        let r = optimize(&program.insns, helpers, &map_value_size);
-        (r.insns, r.analysis, r.stats)
-    } else {
-        (program.insns, analysis, OptStats::default())
-    };
+    let mut insns = program.insns;
     let certificate = certify(&insns, &analysis);
     let mut i = 0;
     while i < insns.len() {
@@ -261,7 +217,6 @@ pub fn load_with_opts(
         attach: program.attach,
         insns,
         analysis,
-        opt_stats,
         certificate,
     })
 }
@@ -293,8 +248,7 @@ mod tests {
             .build()
             .unwrap();
         let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
-        // Raw load: the optimizer would remove the dead handle load.
-        let loaded = load_with_opts(prog, &maps, &[], &LoadOpts { optimize: false }).unwrap();
+        let loaded = load(prog, &maps, &[]).unwrap();
         let handle =
             (loaded.insns()[0].imm as u32 as u64) | ((loaded.insns()[1].imm as u32 as u64) << 32);
         assert_eq!(handle, MAP_HANDLE_BASE | fd as u64);
@@ -303,25 +257,9 @@ mod tests {
     }
 
     #[test]
-    fn optimized_load_prunes_dead_map_handle() {
-        let mut maps = MapRegistry::new();
-        let fd = maps.create(MapDef::array(8, 1), 1).unwrap();
-        let insns = Asm::new()
-            .ld_map_fd(R1, fd)
-            .mov64_imm(R0, 0)
-            .exit()
-            .build()
-            .unwrap();
-        let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
-        let loaded = load(prog, &maps, &[]).unwrap();
-        assert_eq!(loaded.insns().len(), 2, "dead lddw pruned");
-        assert!(loaded.opt_stats().insns_eliminated() >= 2);
-        assert!(loaded.opt_stats().reverified);
-        assert!(loaded.certificate().worst_case_ns > 0);
-    }
-
-    #[test]
-    fn load_rejects_unknown_map_fd() {
+    fn dead_reference_to_unknown_map_fd_is_rejected() {
+        // `r1` is never read, but the program runs as written: like the
+        // kernel, the loader resolves every map reference it carries.
         let maps = MapRegistry::new();
         let insns = Asm::new()
             .ld_map_fd(R1, 3)
@@ -330,7 +268,7 @@ mod tests {
             .build()
             .unwrap();
         let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
-        match load_with_opts(prog, &maps, &[], &LoadOpts { optimize: false }) {
+        match load(prog, &maps, &[]) {
             Err(LoadError::UnknownMapFd { fd: 3, insn: 0 }) => {}
             other => panic!("unexpected {other:?}"),
         }

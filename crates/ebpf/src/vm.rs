@@ -619,11 +619,6 @@ impl Vm {
         Vm { budget: 65_536 }
     }
 
-    /// Overrides the instruction budget.
-    pub fn with_budget(budget: u64) -> Self {
-        Vm { budget }
-    }
-
     /// Executes `prog` over `ctx` and `packet`, using `maps` for map
     /// helpers and `env` for host services.
     ///
@@ -1140,27 +1135,19 @@ mod tests {
     use crate::asm::{reg::*, AluOp, Asm, Cond, Size};
     use crate::context::*;
     use crate::map::MapDef;
-    use crate::program::{load_with_opts, AttachType, LoadOpts, Program};
+    use crate::program::{load, AttachType, Program};
 
     fn run(asm: Asm) -> u64 {
         run_with(asm, &TraceContext::default(), &[], &mut MapRegistry::new()).ret
     }
 
-    // The interpreter tests pin tier behavior on exact instruction
-    // shapes, so they load raw; the optimizer has its own suite.
     fn run_with(asm: Asm, ctx: &TraceContext, pkt: &[u8], maps: &mut MapRegistry) -> ExecOutcome {
         let prog = Program::new(
             "t",
             AttachType::Kprobe("f".into()),
             asm.build().expect("assembles"),
         );
-        let loaded = load_with_opts(
-            prog,
-            maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .expect("loads");
+        let loaded = load(prog, maps, &standard_helpers()).expect("loads");
         let mut env = FixedEnv {
             time_ns: 123_456,
             cpu: 2,
@@ -1341,13 +1328,7 @@ mod tests {
                 .unwrap(),
         );
         let mut maps = MapRegistry::new();
-        let loaded = load_with_opts(
-            prog,
-            &maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .unwrap();
+        let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let mut env = FixedEnv::default();
         let err = Vm::new()
             .execute(
@@ -1378,13 +1359,7 @@ mod tests {
                 .exit(),
         ] {
             let prog = Program::new("t", AttachType::Kprobe("f".into()), asm.build().unwrap());
-            let loaded = load_with_opts(
-                prog,
-                &maps,
-                &standard_helpers(),
-                &LoadOpts { optimize: false },
-            )
-            .unwrap();
+            let loaded = load(prog, &maps, &standard_helpers()).unwrap();
             let mut env = FixedEnv::default();
             let err = Vm::new()
                 .execute(
@@ -1628,13 +1603,7 @@ mod tests {
             .call(TRACE_PRINTK)
             .exit();
         let prog = Program::new("t", AttachType::Kprobe("f".into()), asm.build().unwrap());
-        let loaded = load_with_opts(
-            prog,
-            &maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .unwrap();
+        let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let mut env = FixedEnv::default();
         Vm::new()
             .execute(&loaded, &TraceContext::default(), &[], &mut maps, &mut env)
@@ -1712,17 +1681,11 @@ mod atomic_tests {
     use crate::asm::{reg::*, Asm, Size};
     use crate::context::TraceContext;
     use crate::map::{MapDef, MapRegistry};
-    use crate::program::{load_with_opts, AttachType, LoadOpts, Program};
+    use crate::program::{load, AttachType, Program};
 
     fn run(asm: Asm, maps: &mut MapRegistry) -> u64 {
         let prog = Program::new("t", AttachType::Kprobe("f".into()), asm.build().unwrap());
-        let loaded = load_with_opts(
-            prog,
-            maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .unwrap();
+        let loaded = load(prog, maps, &standard_helpers()).unwrap();
         let mut env = FixedEnv::default();
         Vm::new()
             .execute(&loaded, &TraceContext::default(), &[], maps, &mut env)

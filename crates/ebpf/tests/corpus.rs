@@ -7,7 +7,6 @@
 //! # expect: accepted | rejected
 //! # error: <substring of the first diagnostic>       (optional)
 //! # min-diagnostics: <N>                             (optional)
-//! # post-opt-insns: <N>                              (optional, accepted only)
 //! # certified-cost: <N>                              (optional, accepted only)
 //! ```
 //!
@@ -15,20 +14,15 @@
 //! verifier against the standard helper set, and checks the verdict —
 //! plus, for rejections, that every diagnostic names an in-bounds
 //! instruction index. Accepted listings must additionally survive an
-//! annotate-and-reparse round trip, pinning the `;`-annotation syntax,
-//! and are run through the load-time optimizer: the rewritten program
-//! must re-verify, never be longer, and never certify a worse
-//! worst-case cost. `# post-opt-insns:` pins the optimized slot count
-//! and `# certified-cost:` the optimized program's certified worst-case
-//! nanoseconds, so optimizer and cost-model regressions show up as
-//! corpus diffs.
+//! annotate-and-reparse round trip, pinning the `;`-annotation syntax.
+//! `# certified-cost:` pins the listing's certified worst-case
+//! nanoseconds, so cost-model regressions show up as corpus diffs.
 
 use std::path::{Path, PathBuf};
 
 use vnet_ebpf::analyze;
 use vnet_ebpf::cost::certify;
 use vnet_ebpf::disasm::disassemble_annotated;
-use vnet_ebpf::opt::optimize;
 use vnet_ebpf::parse::parse_program;
 use vnet_ebpf::standard_helpers;
 
@@ -36,7 +30,6 @@ struct Expectation {
     accepted: bool,
     error_substring: Option<String>,
     min_diagnostics: usize,
-    post_opt_insns: Option<usize>,
     certified_cost: Option<u64>,
 }
 
@@ -44,7 +37,6 @@ fn parse_header(name: &str, text: &str) -> Expectation {
     let mut accepted = None;
     let mut error_substring = None;
     let mut min_diagnostics = 1;
-    let mut post_opt_insns = None;
     let mut certified_cost = None;
     for line in text.lines() {
         let Some(rest) = line.trim().strip_prefix('#') else {
@@ -61,8 +53,6 @@ fn parse_header(name: &str, text: &str) -> Expectation {
             error_substring = Some(v.trim().to_owned());
         } else if let Some(v) = rest.strip_prefix("min-diagnostics:") {
             min_diagnostics = v.trim().parse().expect("min-diagnostics number");
-        } else if let Some(v) = rest.strip_prefix("post-opt-insns:") {
-            post_opt_insns = Some(v.trim().parse().expect("post-opt-insns number"));
         } else if let Some(v) = rest.strip_prefix("certified-cost:") {
             certified_cost = Some(v.trim().parse().expect("certified-cost number"));
         }
@@ -71,7 +61,6 @@ fn parse_header(name: &str, text: &str) -> Expectation {
         accepted: accepted.unwrap_or_else(|| panic!("{name}: missing `# expect:` header")),
         error_substring,
         min_diagnostics,
-        post_opt_insns,
         certified_cost,
     }
 }
@@ -113,35 +102,10 @@ fn corpus_verdicts_match() {
             let reparsed = parse_program(&annotated)
                 .unwrap_or_else(|e| panic!("{name}: annotated listing does not reparse: {e}"));
             assert_eq!(reparsed, insns, "{name}: annotate/reparse round trip");
-            // Every accepted listing goes through the optimizer: sound
-            // (re-verifies), shrinking, and never costlier.
-            let raw_cert = certify(&insns, &analysis);
-            let opt = optimize(&insns, &standard_helpers(), &|_| None);
-            assert!(
-                opt.stats.reverified,
-                "{name}: optimized program must re-verify"
-            );
-            assert!(
-                opt.insns.len() <= insns.len(),
-                "{name}: optimization must never grow the program"
-            );
-            let opt_cert = certify(&opt.insns, &opt.analysis);
-            assert!(
-                opt_cert.worst_case_ns <= raw_cert.worst_case_ns,
-                "{name}: optimized certificate {} ns exceeds original {} ns",
-                opt_cert.worst_case_ns,
-                raw_cert.worst_case_ns
-            );
-            if let Some(want) = expect.post_opt_insns {
-                assert_eq!(
-                    opt.insns.len(),
-                    want,
-                    "{name}: `# post-opt-insns:` header drifted"
-                );
-            }
             if let Some(want) = expect.certified_cost {
                 assert_eq!(
-                    opt_cert.worst_case_ns, want,
+                    certify(&insns, &analysis).worst_case_ns,
+                    want,
                     "{name}: `# certified-cost:` header drifted"
                 );
             }

@@ -8,7 +8,7 @@ use vnet_ebpf::disasm::disassemble;
 use vnet_ebpf::insn::*;
 use vnet_ebpf::map::{MapDef, MapRegistry};
 use vnet_ebpf::parse::parse_program;
-use vnet_ebpf::program::{load, load_with_opts, AttachType, LoadOpts, Program};
+use vnet_ebpf::program::{load, AttachType, LoadError, LoadedProgram, Program};
 use vnet_ebpf::verifier::verify;
 use vnet_ebpf::vm::{standard_helpers, FixedEnv, Vm};
 
@@ -17,11 +17,14 @@ use vnet_ebpf::vm::{standard_helpers, FixedEnv, Vm};
 /// independent but identically-constructed map registries, then checks
 /// the tier contract: same result or same error, and every compiled
 /// variant retires exactly the instruction count the interpreter
-/// executed (elision must be observationally invisible). Returns the
-/// registries (interp, jit-elide, jit-no-elide) so callers can compare
-/// map side effects.
+/// executed (elision must be observationally invisible). On top of it
+/// sits the cost contract: every variant charges the same per-path cost
+/// (fused ops charge the sum of their components), and both the dynamic
+/// cost and the retired instruction count are bounded by the program's
+/// static certificate. Returns the registries (interp, jit-elide,
+/// jit-no-elide) so callers can compare map side effects.
 fn run_both_tiers(
-    loaded: &vnet_ebpf::program::LoadedProgram,
+    loaded: &LoadedProgram,
     pkt: &[u8],
     mut mk_maps: impl FnMut() -> MapRegistry,
 ) -> (MapRegistry, MapRegistry, MapRegistry) {
@@ -56,43 +59,12 @@ fn run_both_tiers(
                 "elided branches must keep retired-instruction parity"
             );
             assert_eq!(b.checks_elided, 0, "elide:false must skip no checks");
-        }
-        (Err(i), Err(j), Err(b)) => {
-            assert_eq!(i, j, "tiers must abort identically");
-            assert_eq!(j, b, "elision must not change the abort");
-        }
-        (i, j, b) => panic!("tiers diverge: interp {i:?} vs jit {j:?} vs no-elide {b:?}"),
-    }
-    (maps_i, maps_j, maps_b)
-}
-
-/// Executes `loaded` on both tiers with identical fresh registries and
-/// checks the cost contract on top of the tier contract: the two tiers
-/// charge the same per-path cost (fused ops charge the sum of their
-/// components), and both the dynamic cost and the retired instruction
-/// count are bounded by the program's static certificate. Returns the
-/// interpreter's outcome (return value or abort) and its registry.
-fn run_certified(
-    loaded: &vnet_ebpf::program::LoadedProgram,
-    pkt: &[u8],
-    mut mk_maps: impl FnMut() -> MapRegistry,
-) -> (Result<u64, vnet_ebpf::vm::VmError>, MapRegistry) {
-    let ctx = TraceContext::default();
-    let cert = loaded.certificate();
-    let mut maps_i = mk_maps();
-    let mut env_i = FixedEnv::default();
-    let interp = Vm::new().execute(loaded, &ctx, pkt, &mut maps_i, &mut env_i);
-    let compiled = vnet_ebpf::jit::compile(loaded);
-    let mut maps_j = mk_maps();
-    let mut env_j = FixedEnv::default();
-    let jit = compiled.execute(&ctx, pkt, &mut maps_j, &mut env_j);
-    let outcome = match (interp, jit) {
-        (Ok(i), Ok(j)) => {
-            assert_eq!(i.ret, j.ret, "tiers must return the same value");
             assert_eq!(
                 i.cost_ns, j.cost_ns,
                 "tiers must charge the same per-path cost"
             );
+            assert_eq!(j.cost_ns, b.cost_ns, "elision must not change the charge");
+            let cert = loaded.certificate();
             assert!(
                 i.cost_ns <= cert.worst_case_ns,
                 "dynamic cost {} ns exceeds certificate {} ns",
@@ -105,15 +77,28 @@ fn run_certified(
                 i.insns_executed,
                 cert.worst_case_insns
             );
-            Ok(i.ret)
         }
-        (Err(i), Err(j)) => {
+        (Err(i), Err(j), Err(b)) => {
             assert_eq!(i, j, "tiers must abort identically");
-            Err(i)
+            assert_eq!(j, b, "elision must not change the abort");
         }
-        (i, j) => panic!("tiers diverge: interp {i:?} vs jit {j:?}"),
-    };
-    (outcome, maps_i)
+        (i, j, b) => panic!("tiers diverge: interp {i:?} vs jit {j:?} vs no-elide {b:?}"),
+    }
+    (maps_i, maps_j, maps_b)
+}
+
+/// Loads `insns` against an empty registry if the verifier accepts
+/// them. Programs run as written, so an accepted stream that names a
+/// map — even through a load nothing reads — is refused like any other
+/// unknown fd: `None` too.
+fn load_verified(insns: Vec<Insn>) -> Option<LoadedProgram> {
+    verify(&insns, &standard_helpers()).ok()?;
+    let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
+    match load(prog, &MapRegistry::new(), &standard_helpers()) {
+        Ok(loaded) => Some(loaded),
+        Err(LoadError::UnknownMapFd { .. }) => None,
+        Err(e) => panic!("verified stream failed to load: {e}"),
+    }
 }
 
 /// One map's interpreter-visible contents, sorted for comparison.
@@ -349,10 +334,7 @@ proptest! {
     /// with a clean runtime error).
     #[test]
     fn garbage_streams_verify_or_terminate(insns in proptest::collection::vec(arb_insn(), 0..256)) {
-        if verify(&insns, &standard_helpers()).is_ok() {
-            let maps = MapRegistry::new();
-            let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
-            let loaded = load(prog, &maps, &standard_helpers()).expect("verified streams load");
+        if let Some(loaded) = load_verified(insns) {
             let mut maps = MapRegistry::new();
             let mut env = FixedEnv::default();
             let pkt = [0u8; 64];
@@ -376,16 +358,14 @@ proptest! {
     /// Differential: on every verifier-accepted instruction stream — not
     /// just well-formed programs — the threaded-code tier returns the
     /// interpreter's value, retires the interpreter's instruction count,
-    /// and aborts with the interpreter's exact error.
+    /// charges the interpreter's cost (within the static certificate) and
+    /// aborts with the interpreter's exact error.
     #[test]
     fn tiers_agree_on_verified_garbage(
         insns in proptest::collection::vec(arb_insn(), 0..256),
         pkt_len in 0usize..64,
     ) {
-        if verify(&insns, &standard_helpers()).is_ok() {
-            let maps = MapRegistry::new();
-            let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
-            let loaded = load(prog, &maps, &standard_helpers()).expect("verified streams load");
+        if let Some(loaded) = load_verified(insns) {
             let pkt = vec![0u8; pkt_len];
             run_both_tiers(&loaded, &pkt, MapRegistry::new);
         }
@@ -403,7 +383,8 @@ proptest! {
 
     /// Differential: random map workloads leave byte-identical hash-map
     /// contents and emit byte-identical perf records on both tiers —
-    /// the side effects the collector turns into trace records.
+    /// the side effects the collector turns into trace records — at one
+    /// cost, within the certificate.
     #[test]
     fn tiers_agree_on_map_side_effects(ops in arb_map_ops()) {
         let mk_maps = || {
@@ -449,86 +430,6 @@ proptest! {
                 prop_assert!(i < insns.len());
             }
         }
-    }
-
-    /// Differential: on every verifier-accepted instruction stream, the
-    /// optimized program (the default load) produces the raw program's
-    /// exact outcome — same return value or same abort — on both tiers,
-    /// never grows, always re-verifies, and never certifies a worse
-    /// worst-case cost; on every arm the dynamic cost and retired count
-    /// stay within the static certificate.
-    #[test]
-    fn optimizer_preserves_verified_garbage(
-        insns in proptest::collection::vec(arb_insn(), 0..256),
-        pkt_len in 0usize..64,
-    ) {
-        if verify(&insns, &standard_helpers()).is_ok() {
-            let registry = MapRegistry::new();
-            // A raw load can fail on live references to maps the empty
-            // registry lacks; skip those streams.
-            if let Ok(raw) = load_with_opts(
-                Program::new("p", AttachType::Kprobe("f".into()), insns.clone()),
-                &registry,
-                &standard_helpers(),
-                &LoadOpts { optimize: false },
-            ) {
-            let opt = load_with_opts(
-                Program::new("p", AttachType::Kprobe("f".into()), insns),
-                &registry,
-                &standard_helpers(),
-                &LoadOpts { optimize: true },
-            )
-            .expect("raw-loadable programs load optimized");
-            prop_assert!(opt.opt_stats().reverified, "optimized program must re-verify");
-            prop_assert!(opt.insns().len() <= raw.insns().len());
-            prop_assert!(
-                opt.certificate().worst_case_ns <= raw.certificate().worst_case_ns,
-                "optimization must never certify a worse worst case"
-            );
-            let pkt = vec![0u8; pkt_len];
-            let (out_raw, _) = run_certified(&raw, &pkt, MapRegistry::new);
-            let (out_opt, _) = run_certified(&opt, &pkt, MapRegistry::new);
-            prop_assert_eq!(out_raw, out_opt, "optimization must preserve the outcome");
-            }
-        }
-    }
-
-    /// Differential: raw and optimized forms of random map workloads
-    /// leave byte-identical hash-map contents and emit byte-identical
-    /// perf records — optimization must not change what the collector
-    /// sees.
-    #[test]
-    fn optimizer_preserves_map_side_effects(ops in arb_map_ops()) {
-        let mk_maps = || {
-            let mut m = MapRegistry::new();
-            m.create(MapDef::hash(4, 8, 16), 1).unwrap();
-            m.create(MapDef::perf(4096), 4).unwrap();
-            m
-        };
-        let registry = mk_maps();
-        let insns = assemble_map_workload(&ops, 0, 1);
-        let raw = load_with_opts(
-            Program::new("p", AttachType::Kprobe("f".into()), insns.clone()),
-            &registry,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .expect("workload verifies");
-        let opt = load(
-            Program::new("p", AttachType::Kprobe("f".into()), insns),
-            &registry,
-            &standard_helpers(),
-        )
-        .expect("workload optimizes");
-        let (out_raw, mut maps_raw) = run_certified(&raw, &[], mk_maps);
-        let (out_opt, mut maps_opt) = run_certified(&opt, &[], mk_maps);
-        prop_assert_eq!(out_raw, out_opt);
-        prop_assert_eq!(hash_contents(&maps_raw, 0), hash_contents(&maps_opt, 0));
-        prop_assert_eq!(
-            maps_raw.get_mut(1).unwrap().perf_drain_all(),
-            maps_opt.get_mut(1).unwrap().perf_drain_all(),
-            "optimization must not change emitted records"
-        );
     }
 
     /// Perf buffers never deliver more bytes than their capacity between

@@ -240,11 +240,6 @@ impl WatermarkTracker {
         out.sort();
         out
     }
-
-    /// Number of registered agents.
-    pub fn agent_count(&self) -> usize {
-        self.agents.len()
-    }
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ pub use tcp::{TcpFlags, TcpHeader, TcpOption, TCP_BASE_HEADER_LEN, TRACE_ID_OPTI
 pub use udp::{UdpHeader, UDP_HEADER_LEN};
 pub use vxlan::{VxlanHeader, VXLAN_HEADER_LEN, VXLAN_UDP_PORT};
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use serde::{Deserialize, Serialize};
 
 /// A simulator-wide unique identifier for a packet *instance*.
@@ -116,12 +116,6 @@ impl Packet {
     /// inconsistent with the buffer length.
     pub fn parse(&self) -> Result<ParsedPacket<'_>, ParseError> {
         parse::parse(self.bytes())
-    }
-
-    /// Freezes the buffer into an immutable `Bytes` handle (cheaply
-    /// cloneable), consuming the packet.
-    pub fn into_bytes(self) -> Bytes {
-        self.data.freeze()
     }
 }
 

@@ -163,12 +163,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// The length of the duration as fractional microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Saturating subtraction.
     #[inline]
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {

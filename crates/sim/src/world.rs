@@ -167,12 +167,6 @@ impl World {
         self.schedulers.insert(node, sched);
     }
 
-    /// Mutable access to a node's scheduler (for tuning, e.g. the rate
-    /// limit).
-    pub fn scheduler_mut(&mut self, node: NodeId) -> Option<&mut Box<dyn HyperScheduler>> {
-        self.schedulers.get_mut(&node)
-    }
-
     /// Adds a device from its configuration.
     ///
     /// # Panics
@@ -246,11 +240,6 @@ impl World {
         id
     }
 
-    /// A registered link profile.
-    pub fn link_profile(&self, id: u32) -> &LinkProfile {
-        &self.link_profiles[id as usize]
-    }
-
     /// Schedules an administrative up/down flip of `dev` at simulated
     /// time `at` (the flapping-link condition generator): the event loop
     /// calls [`World::set_device_down`] when it reaches `at`, so the flip
@@ -313,11 +302,6 @@ impl World {
             app,
         });
         id
-    }
-
-    /// An application's name.
-    pub fn app_name(&self, app: AppId) -> &str {
-        &self.apps[app.index()].name
     }
 
     /// Binds `app` to receive packets delivered at `rx_dev` with the given
@@ -394,11 +378,6 @@ impl World {
     /// A node's `CLOCK_MONOTONIC` reading at the current instant.
     pub fn monotonic_ns(&self, node: NodeId) -> u64 {
         self.nodes[node.index()].clock.monotonic_ns(self.now)
-    }
-
-    /// A node's clock model.
-    pub fn node_clock(&self, node: NodeId) -> NodeClock {
-        self.nodes[node.index()].clock
     }
 
     /// The deterministic setup-time RNG (e.g. for workload construction).

@@ -81,11 +81,6 @@ impl LogHistogram {
         Self::with_relative_error(DEFAULT_SKETCH_ERROR)
     }
 
-    /// The configured relative error bound `α`.
-    pub fn relative_error(&self) -> f64 {
-        self.alpha
-    }
-
     fn index_of(&self, value: u64) -> i32 {
         ((value as f64).ln() / self.ln_gamma).ceil() as i32
     }

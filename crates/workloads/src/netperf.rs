@@ -11,7 +11,6 @@ use std::rc::Rc;
 
 use vnet_sim::app::{App, AppCtx};
 use vnet_sim::packet::{FlowKey, Packet, PacketBuilder, TcpFlags};
-use vnet_sim::time::SimDuration;
 
 use crate::stats::ThroughputRecorder;
 
@@ -108,23 +107,12 @@ impl App for NetperfClient {
 #[derive(Debug)]
 pub struct NetperfServer {
     throughput: Rc<RefCell<ThroughputRecorder>>,
-    ack_delay: SimDuration,
 }
 
 impl NetperfServer {
     /// Creates a receiver reporting into `throughput`.
     pub fn new(throughput: Rc<RefCell<ThroughputRecorder>>) -> Self {
-        NetperfServer {
-            throughput,
-            ack_delay: SimDuration::ZERO,
-        }
-    }
-
-    /// Adds a fixed delay before each ack (models delayed-ack or slow
-    /// receiver application).
-    pub fn with_ack_delay(mut self, delay: SimDuration) -> Self {
-        self.ack_delay = delay;
-        self
+        NetperfServer { throughput }
     }
 }
 
@@ -145,9 +133,6 @@ impl App for NetperfServer {
             _ => 0,
         };
         let ack = PacketBuilder::tcp(ack_flow, 0, seq_end, TcpFlags::ACK, Vec::new()).build();
-        // `ack_delay` is modelled by deferring the send via a timer-free
-        // trick: the simulator charges it as extra service at the stack,
-        // so zero here just sends immediately.
         ctx.send(ack);
     }
 }
@@ -159,7 +144,7 @@ mod tests {
     use vnet_sim::device::{DeviceConfig, Forwarding, ServiceModel};
     use vnet_sim::node::NodeClock;
     use vnet_sim::packet::SocketAddrV4Ext;
-    use vnet_sim::time::SimTime;
+    use vnet_sim::time::{SimDuration, SimTime};
     use vnet_sim::world::World;
 
     fn flow() -> FlowKey {

@@ -132,9 +132,7 @@ fn broken_custom_program_rejected_at_install() {
         matches!(err, vnettracer::TracerError::Load(_)),
         "got {err:?}"
     );
-    // A program using a non-existent map fd is rejected too. The map
-    // handle must actually feed a helper call: the load-time optimizer
-    // removes dead `lddw`s, so an unused bogus fd would simply vanish.
+    // A program using a non-existent map fd is rejected too.
     let bad_map = Asm::new()
         .mov64_imm(R2, 0)
         .stx(Size::W, R10, R2, -4)
