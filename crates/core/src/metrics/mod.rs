@@ -79,7 +79,6 @@ pub(crate) mod testutil {
         let options = StoreOptions {
             seal_threshold: 40,
             fsync: false,
-            background_compaction: false,
             ..StoreOptions::default()
         };
         let mut mem = TraceDb::new();

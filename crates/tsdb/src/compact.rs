@@ -1,4 +1,5 @@
-//! Background compaction: merging small time-adjacent segments.
+//! Background compaction: merging small time-adjacent segments, one
+//! deterministic round at a time.
 //!
 //! Sealing produces one segment per measurement per seal, so a long
 //! trace run accumulates many small files, each ending in a short
@@ -7,32 +8,52 @@
 //! measurement into a single larger file, re-cutting the rows into full
 //! blocks and unioning the node dictionaries.
 //!
+//! ## Rounds
+//!
+//! Merges run on a worker thread, off the record path, but *when* they
+//! are planned and committed is a function of the input alone: both
+//! happen only at the store's seal points (see [`crate::store`]).
+//!
+//! * **Planned** right after a seal, against the manifest that seal
+//!   committed: every eligible disjoint window of every measurement, in
+//!   measurement-name then sequence order, output file ids handed out in
+//!   that order. The whole list is one *round*, given to one worker
+//!   ([`Compactor::start`]) that runs [`merge_segments`] over it while
+//!   ingest continues.
+//! * **Joined and committed** at the next seal point, before it seals
+//!   ([`Compactor::finish`]): the store blocks until the worker is done
+//!   and commits the outputs one manifest swap each, in plan order. No
+//!   commit ever depends on how far the worker happened to get, so two
+//!   runs over the same batches leave byte-identical directories.
+//! * `flush` joins and commits but starts no round, so a flushed
+//!   directory is quiescent; `compact_now` repeats start → finish until
+//!   the plan comes back empty.
+//!
 //! ## Invariants
 //!
 //! * Input segments are immutable and stay readable until the merged
-//!   output is **committed** by a manifest swap — a crash mid-merge
-//!   leaves only an unreferenced `*.tmp` file, garbage-collected at the
-//!   next open, and the old segments win.
+//!   output is **committed** by a manifest swap — readers see the inputs
+//!   for as long as a round is in flight, and a crash mid-round leaves
+//!   only unreferenced `*.tmp` files (or a renamed, unreferenced output),
+//!   garbage-collected at the next open, where the old segments win and
+//!   the next seal plans the uncommitted windows again.
 //! * Inputs for one job cover disjoint, adjacent sequence ranges of one
-//!   measurement; the merge is a concatenation in `min_seq` order, so
-//!   row order (and therefore query results) is unchanged.
+//!   measurement, and the jobs of a round share no input; the merge is a
+//!   concatenation in `min_seq` order, so row order (and therefore query
+//!   results) is unchanged.
+//! * One failing job fails neither the round's other jobs nor their
+//!   commits: its inputs stay referenced, its temporary file is removed,
+//!   and its error is returned by the seal point that joined the round.
 //! * The merge streams block by block through the same reader queries
 //!   use: one decoded input block and the writer's one open output
 //!   block are resident, whatever the size of the inputs or the output.
-//!
-//! The merge itself runs on a worker thread ([`Compactor::spawn`])
-//! touching only immutable input files; the store polls for completion
-//! from its ingest path and performs the commit on the caller's thread
-//! (see [`crate::store`]). Tests and the CLI can force a synchronous
-//! pass with [`Compactor::run_inline`].
 
 use std::path::PathBuf;
-use std::thread::JoinHandle;
+use std::thread;
 
 use crate::segment::{
     dict_index, Block, ColumnId, Segment, SegmentError, SegmentMeta, SegmentWriter, ALL_COLUMNS,
 };
-use crate::store::StoreError;
 
 /// One planned merge: which files go in, where the output goes.
 #[derive(Debug, Clone)]
@@ -128,67 +149,56 @@ pub fn merge_segments(job: &CompactionJob) -> Result<SegmentMeta, SegmentError> 
     result
 }
 
-/// Runs at most one merge at a time, on a worker thread or inline.
+/// The jobs of a round and the worker running them.
+type Round = (
+    Vec<CompactionJob>,
+    thread::JoinHandle<Vec<Result<SegmentMeta, SegmentError>>>,
+);
+
+/// Runs one round of merges at a time on a worker thread; the default
+/// has no round in flight.
 #[derive(Debug, Default)]
 pub struct Compactor {
-    inflight: Option<(CompactionJob, JoinHandle<Result<SegmentMeta, SegmentError>>)>,
+    round: Option<Round>,
 }
 
 impl Compactor {
-    /// Creates an idle compactor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether no merge is in flight.
-    pub fn is_idle(&self) -> bool {
-        self.inflight.is_none()
-    }
-
-    /// Starts `job` on a worker thread. The job touches only the
-    /// immutable input files and its own temporary output, so the store
-    /// keeps serving reads and ingest concurrently.
+    /// Starts a round: one worker runs `jobs` in order. The jobs touch
+    /// only immutable input files and their own temporary outputs, so
+    /// the store keeps serving reads and ingest concurrently. The store
+    /// [finishes](Self::finish) a round before it starts the next.
     ///
     /// # Errors
     ///
-    /// [`StoreError::CompactionInFlight`] if a job is already running
-    /// (the store schedules one at a time), or the I/O error if the
-    /// thread cannot be started; `job` has not run in either case.
-    pub fn spawn(&mut self, job: CompactionJob) -> Result<(), StoreError> {
-        if self.inflight.is_some() {
-            return Err(StoreError::CompactionInFlight);
-        }
-        let worker_job = job.clone();
-        let handle = std::thread::Builder::new()
+    /// The I/O error if the thread cannot be started; no job has run.
+    pub fn start(&mut self, jobs: Vec<CompactionJob>) -> std::io::Result<()> {
+        debug_assert!(self.round.is_none(), "the previous round was not joined");
+        let worker_jobs = jobs.clone();
+        let handle = thread::Builder::new()
             .name("vnt-compact".into())
-            .spawn(move || merge_segments(&worker_job))?;
-        self.inflight = Some((job, handle));
+            .spawn(move || worker_jobs.iter().map(merge_segments).collect())?;
+        self.round = Some((jobs, handle));
         Ok(())
     }
 
-    /// Runs `job` synchronously and returns it finished.
-    pub fn run_inline(&mut self, job: CompactionJob) -> FinishedCompaction {
-        let result = merge_segments(&job);
-        FinishedCompaction { job, result }
-    }
-
-    /// Returns the finished merge if the worker is done, without
-    /// blocking; `None` while it is still running (or idle).
-    pub fn poll(&mut self) -> Option<FinishedCompaction> {
-        if self.inflight.as_ref()?.1.is_finished() {
-            return self.wait();
-        }
-        None
-    }
-
-    /// Blocks until the in-flight merge (if any) finishes.
-    pub fn wait(&mut self) -> Option<FinishedCompaction> {
-        let (job, handle) = self.inflight.take()?;
-        let result = match handle.join() {
-            Ok(r) => r,
-            Err(_) => Err(SegmentError::Corrupt("compaction worker panicked".into())),
+    /// Blocks until the round in flight is done and returns its merges
+    /// in plan order, each ready to commit or failed on its own; empty
+    /// when no round is in flight.
+    pub fn finish(&mut self) -> Vec<FinishedCompaction> {
+        let Some((jobs, handle)) = self.round.take() else {
+            return Vec::new();
         };
-        Some(FinishedCompaction { job, result })
+        let results = handle.join().unwrap_or_else(|_| {
+            for job in &jobs {
+                let _ = std::fs::remove_file(&job.output_tmp);
+            }
+            let panicked = || SegmentError::Corrupt("compaction worker panicked".into());
+            jobs.iter().map(|_| Err(panicked())).collect()
+        });
+        jobs.into_iter()
+            .zip(results)
+            .map(|(job, result)| FinishedCompaction { job, result })
+            .collect()
     }
 }
 
@@ -326,40 +336,53 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
     }
 
+    /// `merge_segments` is the reference: a round's outputs are the bytes
+    /// a direct call on each job writes, reported in plan order, and a
+    /// job that fails leaves the others' outputs and no file of its own.
     #[test]
-    fn background_worker_matches_inline() {
-        let d = dir("bg");
-        for (i, base) in [0u64, 1000, 2000].iter().enumerate() {
+    fn round_outputs_match_merging_each_job_directly() {
+        let d = dir("round");
+        for (i, base) in [0u64, 1000, 2000, 3000, 4000].iter().enumerate() {
             ColumnData::from_rows(vec!["n".into()], &rows(*base, 100, 0))
                 .write(d.join(format!("s{i}.col")), "m", false)
                 .unwrap();
         }
-        let job = job_for(&d, &["s0.col", "s1.col", "s2.col"]);
-
-        let mut c = Compactor::new();
-        let inline = c.run_inline(CompactionJob {
-            output_file: "inline.col".into(),
-            output_tmp: d.join("inline.col.tmp"),
-            ..job.clone()
-        });
-        let inline_meta = inline.result.unwrap();
-
-        c.spawn(job.clone()).unwrap();
-        assert!(
-            matches!(c.spawn(job), Err(StoreError::CompactionInFlight)),
-            "one compaction at a time"
-        );
-        let finished = c.wait().expect("job was in flight");
-        assert!(c.is_idle());
-        let bg_meta = finished.result.unwrap();
-        assert_eq!(bg_meta.records, inline_meta.records);
-        assert_eq!(bg_meta.min_seq, inline_meta.min_seq);
-        assert_eq!(bg_meta.max_seq, inline_meta.max_seq);
-        // Byte-identical outputs: the merge is deterministic.
-        assert_eq!(
-            std::fs::read(d.join("inline.col.tmp")).unwrap(),
-            std::fs::read(finished.job.output_tmp).unwrap()
-        );
+        let named = |out: &str, inputs: &[&str]| CompactionJob {
+            output_file: out.into(),
+            output_tmp: d.join(format!("{out}.tmp")),
+            ..job_for(&d, inputs)
+        };
+        let jobs = vec![
+            named("r0.col", &["s0.col", "s1.col", "s2.col"]),
+            named("r1.col", &["s4.col", "s3.col"]), // out of order: fails
+            named("r2.col", &["s3.col", "s4.col"]),
+        ];
+        let mut c = Compactor::default();
+        assert!(c.finish().is_empty(), "no round in flight");
+        c.start(jobs.clone()).unwrap();
+        let finished = c.finish();
+        assert!(c.finish().is_empty(), "the round was taken");
+        let outputs: Vec<&str> = finished
+            .iter()
+            .map(|f| f.job.output_file.as_str())
+            .collect();
+        assert_eq!(outputs, ["r0.col", "r1.col", "r2.col"], "plan order");
+        assert!(finished[1].result.is_err());
+        assert!(!jobs[1].output_tmp.exists(), "tmp removed on failure");
+        for (f, job) in [(&finished[0], &jobs[0]), (&finished[2], &jobs[2])] {
+            let direct = CompactionJob {
+                output_tmp: d.join("direct.tmp"),
+                ..job.clone()
+            };
+            assert_eq!(
+                f.result.as_ref().unwrap(),
+                &merge_segments(&direct).unwrap()
+            );
+            assert_eq!(
+                std::fs::read(&job.output_tmp).unwrap(),
+                std::fs::read(&direct.output_tmp).unwrap()
+            );
+        }
         let _ = std::fs::remove_dir_all(&d);
     }
 }

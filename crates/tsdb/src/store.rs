@@ -9,9 +9,9 @@
 //! [`TraceDb::insert_batch`] into a durable operation: each batch is
 //! appended to a write-ahead log before it is acknowledged, the
 //! in-memory hot tail is sealed into immutable columnar segments (see
-//! [`crate::segment`]) once it crosses a threshold, and a background
-//! compactor merges small segments (see [`crate::compact`]). The
-//! directory holds:
+//! [`crate::segment`]) once it crosses a threshold, and each seal hands
+//! a background worker one round of small-segment merges that the next
+//! seal commits (see [`crate::compact`]). The directory holds:
 //!
 //! ```text
 //! MANIFEST        committed state: WAL file + live segment files
@@ -62,8 +62,6 @@ pub enum StoreError {
     Wal(WalError),
     /// The manifest is unreadable or structurally invalid.
     Manifest(String),
-    /// A merge was started while another was still running.
-    CompactionInFlight,
 }
 
 impl core::fmt::Display for StoreError {
@@ -73,7 +71,6 @@ impl core::fmt::Display for StoreError {
             StoreError::Segment(e) => write!(f, "{e}"),
             StoreError::Wal(e) => write!(f, "{e}"),
             StoreError::Manifest(m) => write!(f, "bad manifest: {m}"),
-            StoreError::CompactionInFlight => write!(f, "a compaction is already in flight"),
         }
     }
 }
@@ -110,8 +107,11 @@ pub struct StoreOptions {
     pub compact_fanin: usize,
     /// Do not produce merged segments larger than this many rows.
     pub compact_max_rows: u64,
-    /// Run merges on a worker thread (`true`) or inline on the ingest
-    /// path (`false`, deterministic — for tests).
+    // Ignored: there is one compaction mode (crate::compact). Kept only
+    // because `bench_e2e/src/rack.rs:79`, a file only a `benchmark` PR may
+    // edit, still names the field; that PR drops the mention and this
+    // shim together (ROADMAP item 2).
+    #[doc(hidden)]
     pub background_compaction: bool,
 }
 
@@ -153,8 +153,6 @@ pub struct StorageStats {
     pub segments_merged: u64,
     /// Bytes reclaimed by deleting merged inputs (net of the output).
     pub bytes_reclaimed: u64,
-    /// Whether a background merge is running right now.
-    pub compaction_inflight: bool,
 }
 
 impl StorageStats {
@@ -300,10 +298,12 @@ impl DiskStore {
         format!("{prefix}{id}{suffix}")
     }
 
-    /// Picks the next merge: the first run of `compact_fanin`
-    /// seq-adjacent segments of one measurement whose merged size stays
-    /// under `compact_max_rows`. Returns `None` when nothing qualifies.
-    fn plan_compaction(&mut self) -> Option<CompactionJob> {
+    /// Plans a round: every disjoint run of `compact_fanin` seq-adjacent
+    /// segments of one measurement whose merged size stays under
+    /// `compact_max_rows` — measurements in name order, runs in sequence
+    /// order, output file ids handed out in that order. A function of
+    /// the committed manifest alone.
+    fn plan_round(&mut self) -> Vec<CompactionJob> {
         let fanin = self.options.compact_fanin.max(2);
         let mut by_measurement: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, s) in self.segments.iter().enumerate() {
@@ -312,43 +312,70 @@ impl DiskStore {
                 .or_default()
                 .push(i);
         }
-        let mut pick: Option<Vec<usize>> = None;
-        for (_, mut idxs) in by_measurement {
-            if idxs.len() < fanin {
-                continue;
-            }
+        let mut windows: Vec<Vec<usize>> = Vec::new();
+        for mut idxs in by_measurement.into_values() {
             idxs.sort_by_key(|&i| self.segments[i].meta().min_seq);
-            for window in idxs.windows(fanin) {
+            let mut at = 0;
+            while at + fanin <= idxs.len() {
+                let window = &idxs[at..at + fanin];
                 let rows: u64 = window
                     .iter()
                     .map(|&i| self.segments[i].meta().records)
                     .sum();
                 if rows <= self.options.compact_max_rows {
-                    pick = Some(window.to_vec());
-                    break;
+                    windows.push(window.to_vec());
+                    at += fanin;
+                } else {
+                    at += 1;
                 }
             }
-            if pick.is_some() {
-                break;
+        }
+        let mut jobs = Vec::with_capacity(windows.len());
+        for window in windows {
+            let input_files: Vec<String> = window
+                .iter()
+                .map(|&i| self.manifest.segments[i].clone())
+                .collect();
+            let output_file = self.next_file("seg-", ".col");
+            jobs.push(CompactionJob {
+                measurement: self.segments[window[0]].meta().measurement.clone(),
+                inputs: input_files.iter().map(|f| self.dir.join(f)).collect(),
+                input_files,
+                output_tmp: self.dir.join(format!("{output_file}.tmp")),
+                output_file,
+                fsync: self.options.fsync,
+            });
+        }
+        jobs
+    }
+
+    /// Plans a round and hands it to the worker; `false` when nothing
+    /// qualifies. Only ever called with no round in flight.
+    fn start_round(&mut self) -> Result<bool, StoreError> {
+        let jobs = self.plan_round();
+        if jobs.is_empty() {
+            return Ok(false);
+        }
+        self.compactor.start(jobs)?;
+        Ok(true)
+    }
+
+    /// Joins the round in flight, if any, and commits its outputs in
+    /// plan order; returns how many. A failed merge does not keep the
+    /// round's other outputs from committing — the first error is
+    /// returned once they have.
+    fn finish_round(&mut self) -> Result<u64, StoreError> {
+        let mut merges = 0u64;
+        let mut failed = None;
+        for finished in self.compactor.finish() {
+            match self.commit_compaction(finished) {
+                Ok(()) => merges += 1,
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
             }
         }
-        let window = pick?;
-        let measurement = self.segments[window[0]].meta().measurement.clone();
-        let input_files: Vec<String> = window
-            .iter()
-            .map(|&i| self.manifest.segments[i].clone())
-            .collect();
-        let inputs: Vec<PathBuf> = input_files.iter().map(|f| self.dir.join(f)).collect();
-        let output_file = self.next_file("seg-", ".col");
-        let output_tmp = self.dir.join(format!("{output_file}.tmp"));
-        Some(CompactionJob {
-            measurement,
-            input_files,
-            inputs,
-            output_file,
-            output_tmp,
-            fsync: self.options.fsync,
-        })
+        failed.map_or(Ok(merges), Err)
     }
 
     /// Commits a finished merge: renames the output into place, swaps
@@ -400,9 +427,9 @@ impl DiskStore {
 
 impl Drop for DiskStore {
     fn drop(&mut self) {
-        // An uncommitted merge result is just a temp file; remove it so
-        // a clean shutdown leaves no strays (a crash leaves them for GC).
-        if let Some(finished) = self.compactor.wait() {
+        // An uncommitted round is just temp files; remove them so a
+        // clean shutdown leaves no strays (a crash leaves them for GC).
+        for finished in self.compactor.finish() {
             let _ = fs::remove_file(&finished.job.output_tmp);
         }
     }
@@ -467,7 +494,7 @@ impl TraceDb {
             manifest,
             wal,
             segments,
-            compactor: Compactor::new(),
+            compactor: Compactor::default(),
             seals: 0,
             compactions: 0,
             segments_merged: 0,
@@ -556,8 +583,10 @@ impl TraceDb {
     /// hashing or allocation. Returns the number of records ingested.
     ///
     /// On a disk-backed database the batch is the WAL unit: it is
-    /// appended durably *before* it reaches the hot tail, and this call
-    /// may also seal the tail into segments or drive compaction.
+    /// appended durably *before* it reaches the hot tail, and a batch
+    /// that fills the tail is a seal point: the compaction round in
+    /// flight is joined and committed, the tail is sealed into segments,
+    /// and the next round starts.
     ///
     /// # Panics
     ///
@@ -586,8 +615,10 @@ impl TraceDb {
         if let Some(seal_threshold) = self.disk.as_ref().map(|d| d.options.seal_threshold) {
             if self.hot_records() >= seal_threshold {
                 self.seal()?;
+                if let Some(disk) = &mut self.disk {
+                    disk.start_round()?;
+                }
             }
-            self.drive_compaction(false)?;
         }
         Ok(ingested)
     }
@@ -597,13 +628,16 @@ impl TraceDb {
         self.tables.values().map(Table::len).sum()
     }
 
-    /// Seals the hot tail: every table's shard records become one new
-    /// immutable segment, the WAL rotates to a fresh file, and the
-    /// manifest commits both in one swap. No-op when the tail is empty.
+    /// A seal point. Joins and commits the compaction round in flight,
+    /// then seals the hot tail: every table's shard records become one
+    /// new immutable segment, the WAL rotates to a fresh file, and the
+    /// manifest commits both in one swap (nothing to seal when the tail
+    /// is empty). Starting the next round is the caller's decision.
     fn seal(&mut self) -> Result<(), StoreError> {
         let Some(disk) = self.disk.as_mut() else {
             return Ok(());
         };
+        disk.finish_round()?;
         let mut new_files: Vec<String> = Vec::new();
         for table in self.tables.values_mut() {
             if table.is_empty() {
@@ -647,64 +681,25 @@ impl TraceDb {
         Ok(())
     }
 
-    /// Polls (or, with `block`, waits for) the in-flight merge and
-    /// commits it, then schedules the next eligible one.
-    fn drive_compaction(&mut self, block: bool) -> Result<(), StoreError> {
-        let Some(disk) = &mut self.disk else {
-            return Ok(());
-        };
-        let finished = if block {
-            disk.compactor.wait()
-        } else {
-            disk.compactor.poll()
-        };
-        if let Some(f) = finished {
-            disk.commit_compaction(f)?;
-        }
-        if disk.compactor.is_idle() {
-            if let Some(job) = disk.plan_compaction() {
-                if disk.options.background_compaction {
-                    disk.compactor.spawn(job)?;
-                    if block {
-                        if let Some(f) = disk.compactor.wait() {
-                            disk.commit_compaction(f)?;
-                        }
-                    }
-                } else {
-                    let f = disk.compactor.run_inline(job);
-                    disk.commit_compaction(f)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Seals the hot tail, waits for (and commits) any in-flight merge,
-    /// and syncs the WAL. After a flush, every acknowledged record is
-    /// durable on disk. No-op on an in-memory database.
+    /// Joins and commits the compaction round in flight, seals the hot
+    /// tail and syncs the WAL; starts no new round. After a flush, every
+    /// acknowledged record is durable on disk and the directory is
+    /// quiescent. No-op on an in-memory database.
     ///
     /// # Errors
     ///
     /// Any [`StoreError`] from sealing, committing or syncing.
     pub fn flush(&mut self) -> Result<(), StoreError> {
-        let Some(disk) = self.disk.as_mut() else {
-            return Ok(());
-        };
-        if let Some(f) = disk.compactor.wait() {
-            disk.commit_compaction(f)?;
-        }
-        if self.hot_records() > 0 {
-            self.seal()?;
-        }
+        self.seal()?;
         if let Some(disk) = self.disk.as_mut() {
             disk.wal.sync()?;
         }
         Ok(())
     }
 
-    /// Runs compaction to quiescence synchronously: waits for the
-    /// in-flight merge, then plans and executes merges inline until no
-    /// measurement qualifies. Returns the number of merges committed.
+    /// Runs compaction to quiescence: commits the round in flight, then
+    /// starts and commits rounds until no measurement qualifies. Returns
+    /// the number of merges committed.
     ///
     /// # Errors
     ///
@@ -713,15 +708,9 @@ impl TraceDb {
         let Some(disk) = &mut self.disk else {
             return Ok(0);
         };
-        let mut merges = 0u64;
-        if let Some(f) = disk.compactor.wait() {
-            disk.commit_compaction(f)?;
-            merges += 1;
-        }
-        while let Some(job) = disk.plan_compaction() {
-            let f = disk.compactor.run_inline(job);
-            disk.commit_compaction(f)?;
-            merges += 1;
+        let mut merges = disk.finish_round()?;
+        while disk.start_round()? {
+            merges += disk.finish_round()?;
         }
         Ok(merges)
     }
@@ -743,7 +732,6 @@ impl TraceDb {
             compactions: d.compactions,
             segments_merged: d.segments_merged,
             bytes_reclaimed: d.bytes_reclaimed,
-            compaction_inflight: !d.compactor.is_idle(),
         })
     }
 
@@ -916,7 +904,7 @@ mod tests {
             fsync: false,
             compact_fanin: 3,
             compact_max_rows: 1 << 20,
-            background_compaction: false,
+            ..StoreOptions::default()
         }
     }
 

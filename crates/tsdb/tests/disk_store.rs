@@ -100,7 +100,7 @@ fn disk_and_memory_agree_on_every_query_shape() {
         fsync: false,
         compact_fanin: 3,
         compact_max_rows: 100_000,
-        background_compaction: false,
+        ..StoreOptions::default()
     };
 
     let mut mem = TraceDb::new();
@@ -113,7 +113,10 @@ fn disk_and_memory_agree_on_every_query_shape() {
     assert_eq!(mem.len(), disk.len());
     let stats = disk.storage_stats().unwrap();
     assert!(stats.segments > 0, "the stream must have sealed");
-    assert!(stats.compactions > 0, "fan-in 3 must have merged");
+    // Four seals: the third started a round of one merge per table, and
+    // the fourth — the seal point after it — committed that round.
+    assert_eq!(stats.seals, 4);
+    assert_eq!(stats.compactions, 3, "fan-in 3 must have merged");
 
     for q in query_shapes() {
         assert_eq!(
@@ -151,7 +154,7 @@ fn time_range_scans_prune_segments_on_footer_metadata() {
         fsync: false,
         compact_fanin: 1_000, // keep seals separate so pruning is visible
         compact_max_rows: 100_000,
-        background_compaction: false,
+        ..StoreOptions::default()
     };
     let mut db = TraceDb::open_with(&dir, options).unwrap();
     // One measurement, strictly advancing time: each sealed segment
@@ -214,7 +217,7 @@ fn tag_filters_agree_hot_sealed_cold() {
         fsync: false,
         compact_fanin: 1_000,
         compact_max_rows: 100_000,
-        background_compaction: false,
+        ..StoreOptions::default()
     };
     // The stream of `batches()` as drop records: every reason but
     // `no-route` (4), the codes that name none (6, 7), and "not a drop".
@@ -319,7 +322,6 @@ fn scan_cost_tracks_rows_matched_on_a_64_block_segment() {
     let options = StoreOptions {
         seal_threshold: ROWS as usize,
         fsync: false,
-        background_compaction: false,
         ..StoreOptions::default()
     };
     let mut db = TraceDb::open_with(&dir, options.clone()).unwrap();
@@ -407,7 +409,6 @@ fn cold_table(tag: &str, rows: u64) -> (TraceDb, PathBuf, StoreOptions) {
     let options = StoreOptions {
         seal_threshold: rows as usize,
         fsync: false,
-        background_compaction: false,
         ..StoreOptions::default()
     };
     let mut db = TraceDb::open_with(&dir, options.clone()).unwrap();
@@ -645,6 +646,152 @@ fn assert_join_matches_oracle(db: &TraceDb, what: &str) -> Vec<(u64, u64)> {
     db.join_timestamps("a", "b").unwrap()
 }
 
+/// One step of the compaction-determinism stream.
+enum Step {
+    Insert(RecordBatch),
+    Flush,
+    CompactNow,
+}
+
+/// A batch of `counts` records per table, numbered on from `*next`.
+fn table_batch(counts: &[(&str, u64)], next: &mut u64) -> Step {
+    let mut batch = RecordBatch::new();
+    for &(table, n) in counts {
+        for _ in 0..n {
+            let i = *next;
+            *next += 1;
+            batch.push(
+                table,
+                ["vm1", "vm2", "vm3"][(i % 3) as usize],
+                CompactRecord {
+                    timestamp_ns: i * 700 + (i % 5) * 11,
+                    trace_id: 0x4000 + i as u32,
+                    pkt_len: 60 + (i % 900) as u32,
+                    sport: 7_000 + (i % 13) as u16,
+                    direction: (i % 2) as u8,
+                    flags: 1,
+                    ..Default::default()
+                },
+            );
+        }
+    }
+    Step::Insert(batch)
+}
+
+/// Thirteen seals over three tables at the default fan-in of 4. Eight
+/// flushes (which seal but start no round) leave `a` with eight segments
+/// and `b` with four; the first batch that fills the tail then starts a
+/// round of three merges — two windows of `a`, one of `b` — and each
+/// later one commits the round before it and starts the next.
+fn round_stream(compact_in_the_middle: bool) -> Vec<Step> {
+    let mut next = 0;
+    let mut steps = Vec::new();
+    for k in 0..8 {
+        let b = if k % 2 == 0 { 20 } else { 0 };
+        steps.push(table_batch(&[("a", 30), ("b", b)], &mut next));
+        steps.push(Step::Flush);
+    }
+    for k in 0..4 {
+        steps.push(table_batch(&[("a", 100), ("b", 80), ("c", 60)], &mut next));
+        if k == 0 && compact_in_the_middle {
+            steps.push(Step::CompactNow);
+        }
+    }
+    steps.push(table_batch(&[("a", 10), ("c", 10)], &mut next));
+    steps.push(Step::Flush);
+    steps
+}
+
+/// Every file of a store directory, by name, with its bytes.
+fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+/// Compaction is a function of the input: at default `StoreOptions`
+/// (sized down, fsync off) the same steps leave the same directory —
+/// names, bytes, counters — run after run, with a `compact_now` in the
+/// middle or without, and every table scans like its in-memory twin after
+/// every step, a round in flight or not.
+#[test]
+fn same_stream_leaves_the_same_directory_whatever_the_worker_does() {
+    let options = StoreOptions {
+        seal_threshold: 240,
+        fsync: false,
+        ..StoreOptions::default()
+    };
+    for compact_in_the_middle in [false, true] {
+        let run = |tag: &str| {
+            let dir = test_dir(tag);
+            let mut mem = TraceDb::new();
+            let mut disk = TraceDb::open_with(&dir, options.clone()).unwrap();
+            let mut stats = Vec::new();
+            for step in round_stream(compact_in_the_middle) {
+                match step {
+                    Step::Insert(batch) => {
+                        mem.insert_batch(&batch);
+                        disk.insert_batch(&batch);
+                    }
+                    Step::Flush => disk.flush().unwrap(),
+                    Step::CompactNow => assert_eq!(disk.compact_now().unwrap(), 3),
+                }
+                for table in ["a", "b", "c"] {
+                    let q = Query::new(table);
+                    assert_eq!(answers(&q, &disk), answers(&q, &mem), "{table}");
+                }
+                stats.push(disk.storage_stats().unwrap());
+            }
+            drop(disk);
+            let files = dir_bytes(&dir);
+            let _ = std::fs::remove_dir_all(&dir);
+            (stats, files)
+        };
+        let (stats, files) = run("rounds-1");
+        let (again, files_again) = run("rounds-2");
+        assert_eq!(stats, again, "counters after every step");
+        assert_eq!(
+            files.keys().collect::<Vec<_>>(),
+            files_again.keys().collect::<Vec<_>>()
+        );
+        assert!(files == files_again, "every file byte for byte");
+        assert!(
+            files.keys().all(|f| !f.ends_with(".tmp")),
+            "quiescent after flush"
+        );
+
+        // The commit points, spelled out: (seals, merges, segments in)
+        // after each seal. The round the ninth seal starts — two windows
+        // of `a`, one of `b` — is still uncommitted when that insert
+        // returns, with its inputs what readers see, and commits at the
+        // tenth seal (or the `compact_now` before it), not in between.
+        let sealed: Vec<(u64, u64, u64)> = stats
+            .iter()
+            .map(|s| (s.seals, s.compactions, s.segments_merged))
+            .filter(|&(seals, ..)| seals >= 8)
+            .collect();
+        let mut expected = vec![(8, 0, 0), (9, 0, 0)];
+        if compact_in_the_middle {
+            expected.push((9, 3, 12));
+        }
+        expected.extend([
+            (10, 3, 12),
+            (11, 4, 16),
+            (12, 5, 20),
+            (12, 5, 20),
+            (13, 6, 24),
+        ]);
+        assert_eq!(sealed, expected);
+        let last = stats.last().unwrap();
+        assert_eq!((last.segments, last.wal_records), (8, 0));
+    }
+}
+
 const NODES: [&str; 3] = ["vm1", "vm2", "vm3"];
 
 proptest! {
@@ -671,7 +818,7 @@ proptest! {
             fsync: false,
             compact_fanin: 2,
             compact_max_rows: 12_000,
-            background_compaction: false,
+            ..StoreOptions::default()
         };
         let mut mem = TraceDb::new();
         let mut disk = TraceDb::open_with(&dir, options).unwrap();
@@ -752,6 +899,7 @@ proptest! {
             let overlapping = all.iter().filter(|b| b.max_ts >= lo && b.min_ts <= hi).count();
             prop_assert!(s.blocks_scanned <= overlapping as u64, "only overlapping blocks");
         }
+        drop(disk); // joins the round in flight before its directory goes
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -773,7 +921,7 @@ proptest! {
             fsync: false,
             compact_fanin: 3,
             compact_max_rows: 1 << 20,
-            background_compaction: false,
+            ..StoreOptions::default()
         };
         let mut mem = TraceDb::new();
         let mut disk = TraceDb::open_with(&dir, options.clone()).unwrap();

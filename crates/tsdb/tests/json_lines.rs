@@ -82,7 +82,6 @@ fn export_import_export_is_byte_identical_in_memory_and_on_disk() {
     let options = StoreOptions {
         seal_threshold: 70,
         fsync: false,
-        background_compaction: false,
         ..StoreOptions::default()
     };
     let mut disk = TraceDb::open_with(&dir, options.clone()).unwrap();

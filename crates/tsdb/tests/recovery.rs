@@ -1,14 +1,17 @@
 //! Crash-recovery tests for the disk-backed store: every prefix
 //! truncation of the WAL reopens to exactly the acknowledged-batch
-//! prefix, a crash at any point of the compaction protocol leaves a
-//! readable database (old segments win until the manifest swap), and
-//! reopening is idempotent.
+//! prefix, a crash at any point of the compaction protocol — including
+//! between two commits of one round — leaves a readable database (old
+//! segments win until the manifest swap), one failing merge fails only
+//! itself, and reopening is idempotent.
 
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 
+use vnet_tsdb::segment::SegmentError;
 use vnet_tsdb::{
-    write_json_lines, CompactRecord, RecordBatch, StoreOptions, TraceDb, COMPACT_RECORD_BYTES,
+    write_json_lines, ColumnId, CompactRecord, Query, RecordBatch, Segment, StoreError,
+    StoreOptions, TraceDb, COMPACT_RECORD_BYTES,
 };
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -20,7 +23,6 @@ fn test_dir(tag: &str) -> PathBuf {
 fn no_fsync() -> StoreOptions {
     StoreOptions {
         fsync: false,
-        background_compaction: false,
         ..StoreOptions::default()
     }
 }
@@ -303,6 +305,222 @@ fn crash_after_compaction_commit_gcs_stale_inputs() {
         .filter(|e| e.file_name().to_string_lossy().ends_with(".col"))
         .count() as u64;
     assert_eq!(on_disk, stats.segments);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store whose first compaction round — one merge for each of four
+/// tables — has just been joined by a seal with three of its merges
+/// failing: the inputs of `t1`, `t2` and `t3` carry a flipped byte.
+struct FailedRound {
+    dir: PathBuf,
+    options: StoreOptions,
+    db: TraceDb,
+    /// The in-memory twin: every batch the store acknowledged.
+    mem: TraceDb,
+    /// What the joining `try_insert_batch` returned.
+    err: StoreError,
+    /// The damaged input files and their bytes before the flip.
+    pristine: Vec<(PathBuf, Vec<u8>)>,
+}
+
+/// Batch `k` of the four-table stream: 16 records for each of `t0`–`t3`,
+/// which is exactly one seal at [`failed_round`]'s threshold.
+fn four_table_batch(k: u64) -> RecordBatch {
+    let mut batch = RecordBatch::new();
+    for t in 0..4u64 {
+        for j in 0..16u64 {
+            let i = (k * 4 + t) * 16 + j;
+            batch.push(
+                &format!("t{t}"),
+                if j % 2 == 0 { "vm1" } else { "vm2" },
+                CompactRecord {
+                    timestamp_ns: i * 1_000,
+                    trace_id: i as u32,
+                    pkt_len: 60 + (i % 100) as u32,
+                    flags: 1,
+                    ..Default::default()
+                },
+            );
+        }
+    }
+    batch
+}
+
+/// The names of `dir`'s files that end in `suffix`, sorted.
+fn files_ending(dir: &Path, suffix: &str) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(suffix))
+        .collect();
+    names.sort();
+    names
+}
+
+fn failed_round(tag: &str) -> FailedRound {
+    let dir = test_dir(tag);
+    let options = StoreOptions {
+        seal_threshold: 64,
+        compact_fanin: 2,
+        ..no_fsync()
+    };
+    let mut mem = TraceDb::new();
+    let mut db = TraceDb::open_with(&dir, options.clone()).unwrap();
+    mem.insert_batch(&four_table_batch(0));
+    db.insert_batch(&four_table_batch(0));
+    drop(db);
+
+    // Flip a byte inside a column chunk (the footer stays readable, so
+    // the store opens and plans; the merge's CRC check is what fails).
+    let mut pristine = Vec::new();
+    for name in files_ending(&dir, ".col") {
+        let path = dir.join(name);
+        let meta = Segment::open(&path).unwrap().meta().clone();
+        if meta.measurement == "t0" {
+            continue;
+        }
+        let chunk = meta.blocks[0].chunks[ColumnId::Ts as usize];
+        let mut bytes = std::fs::read(&path).unwrap();
+        pristine.push((path.clone(), bytes.clone()));
+        bytes[(chunk.offset + chunk.len / 2) as usize] ^= 0x10;
+        std::fs::write(&path, bytes).unwrap();
+    }
+    assert_eq!(pristine.len(), 3);
+
+    let mut db = TraceDb::open_with(&dir, options.clone()).unwrap();
+    mem.insert_batch(&four_table_batch(1));
+    db.insert_batch(&four_table_batch(1));
+    let stats = db.storage_stats().unwrap();
+    assert_eq!(
+        (stats.seals, stats.segments, stats.compactions),
+        (1, 8, 0),
+        "the second seal started the round; nothing commits before the next"
+    );
+    mem.insert_batch(&four_table_batch(2));
+    let err = db
+        .try_insert_batch(&four_table_batch(2))
+        .expect_err("the third seal joins a round with three failed merges");
+    FailedRound {
+        dir,
+        options,
+        db,
+        mem,
+        err,
+        pristine,
+    }
+}
+
+/// A merge that fails inside a round is the error of the seal that
+/// joined the round, and of nothing else: the round's other output is
+/// committed, the failed merges' inputs stay referenced and leave no
+/// temporary file, the batch is acknowledged, and the next seal goes
+/// through.
+#[test]
+fn failing_merge_fails_its_seal_and_spares_the_rest_of_the_round() {
+    let FailedRound {
+        dir,
+        mut db,
+        mem,
+        err,
+        ..
+    } = failed_round("round-failure");
+    assert!(
+        matches!(&err, StoreError::Segment(SegmentError::Corrupt(m)) if m.contains("CRC")),
+        "{err}"
+    );
+    let stats = db.storage_stats().unwrap();
+    assert_eq!(
+        (stats.compactions, stats.segments_merged),
+        (1, 2),
+        "t0's merge committed"
+    );
+    assert_eq!(stats.segments, 7, "t1-t3 keep both inputs");
+    assert_eq!(stats.seals, 1, "the joining seal stopped at the error");
+    assert_eq!(
+        stats.wal_records, 64,
+        "its batch is in the WAL all the same"
+    );
+    assert_eq!(db.len(), 192);
+    assert!(files_ending(&dir, ".tmp").is_empty(), "no temporary file");
+    assert_eq!(files_ending(&dir, ".col").len(), 7);
+    let t0 = |db: &TraceDb| {
+        let scan = Query::new("t0").scan(db).unwrap();
+        let points: Vec<_> = scan.entries().iter().map(|e| e.to_point()).collect();
+        points
+    };
+    assert_eq!(t0(&db), t0(&mem));
+
+    // Nothing is in flight any more, so the tail seals on the next batch.
+    db.try_insert_batch(&four_table_batch(3)).unwrap();
+    let stats = db.storage_stats().unwrap();
+    assert_eq!((stats.seals, stats.wal_records), (2, 0));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash between two commits of one round: of its four outputs one is
+/// committed (manifest swapped, inputs deleted), one is renamed into
+/// place but unreferenced, two are still `*.tmp`. Reopening yields
+/// exactly the acknowledged records, deletes the three strays, and the
+/// next seal plans the uncommitted windows again.
+#[test]
+fn partially_committed_round_reopens_exactly_and_is_replanned() {
+    let FailedRound {
+        dir,
+        options,
+        db,
+        mut mem,
+        pristine,
+        ..
+    } = failed_round("round-partial");
+    drop(db);
+    // `failed_round` left the committed state such a crash leaves; undo
+    // the damage that produced it and lay down the uncommitted outputs.
+    for (path, bytes) in &pristine {
+        std::fs::write(path, bytes).unwrap();
+    }
+    let committed = files_ending(&dir, ".col").last().unwrap().clone();
+    let id: u64 = committed["seg-".len()..committed.len() - ".col".len()]
+        .parse()
+        .unwrap();
+    let output = std::fs::read(dir.join(&committed)).unwrap();
+    let renamed = format!("seg-{}.col", id + 1);
+    std::fs::write(dir.join(&renamed), &output).unwrap();
+    std::fs::write(dir.join(format!("seg-{}.col.tmp", id + 2)), &output).unwrap();
+    std::fs::write(
+        dir.join(format!("seg-{}.col.tmp", id + 3)),
+        &output[..output.len() / 2],
+    )
+    .unwrap();
+
+    let mut recovered = TraceDb::open_with(&dir, options).unwrap();
+    assert_eq!(export(&recovered), export(&mem));
+    assert!(
+        files_ending(&dir, ".tmp").is_empty(),
+        "tmp outputs are gone"
+    );
+    assert!(
+        !dir.join(&renamed).exists(),
+        "so is the unreferenced output"
+    );
+    // The replayed WAL batch filled the tail, so the open sealed it; an
+    // open starts no round.
+    let stats = recovered.storage_stats().unwrap();
+    assert_eq!((stats.seals, stats.wal_records), (1, 0));
+    assert_eq!((stats.segments, stats.compactions), (11, 0));
+    assert_eq!(files_ending(&dir, ".col").len(), 11);
+
+    // The next seal plans t0's merged segment with its third, and for
+    // each of t1-t3 the window the crash left uncommitted and the one
+    // that has accumulated behind it; the flush commits all seven.
+    mem.insert_batch(&four_table_batch(3));
+    recovered.insert_batch(&four_table_batch(3));
+    recovered.flush().unwrap();
+    let stats = recovered.storage_stats().unwrap();
+    assert_eq!((stats.compactions, stats.segments_merged), (7, 14));
+    assert_eq!(stats.segments, 8);
+    assert_eq!(export(&recovered), export(&mem));
+    drop(recovered);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -77,7 +77,7 @@ fn disk_backed_export_is_byte_identical_to_memory_export() {
         fsync: false,
         compact_fanin: 2,
         compact_max_rows: 1 << 20,
-        background_compaction: false,
+        ..StoreOptions::default()
     };
 
     let mem_tracer = trace(TraceDb::new());

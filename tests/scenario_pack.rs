@@ -191,7 +191,6 @@ fn drop_records_round_trip_through_disk_segments() {
     let options = StoreOptions {
         seal_threshold: 32,
         fsync: false,
-        background_compaction: false,
         ..Default::default()
     };
 
