@@ -138,6 +138,9 @@ pub struct EngineState {
     /// Unmatched pairings waiting for their other half. A tracepoint pair
     /// tracked for both latency and loss holds each pairing once.
     pub pending_pairs: usize,
+    /// Entries resident in the pairing state's arrival-order queue,
+    /// whether or not they still wait for anything.
+    pub resident_sightings: usize,
     /// Finalized windows retained in the ring.
     pub closed_windows: usize,
     /// Records dropped (and counted) for arriving below the watermark.
@@ -425,6 +428,7 @@ impl LiveEngine {
                 + self.pairs.iter().map(|o| o.open_count()).sum::<usize>(),
             sketch_buckets: self.pairs.iter().map(|o| o.bucket_count()).sum(),
             pending_pairs: self.pairs.iter().map(|o| o.pending_len()).sum(),
+            resident_sightings: self.pairs.iter().map(|o| o.resident()).sum(),
             closed_windows: self.closed.len(),
             late_records: self.watermark.late_records(),
             records_processed: self.records_processed,
@@ -526,6 +530,40 @@ mod tests {
         assert_eq!(loss.seen, 3);
         assert_eq!(loss.delivered, 2);
         assert_eq!(loss.lost, 1, "trace 3 timed out unmatched");
+    }
+
+    /// DESIGN §7: "the emitted counts are final". An upstream that timed
+    /// out must be evicted — and its loss counted — before its window
+    /// closes, even when a newer arrival sits in front of it in arrival
+    /// order; else the eviction re-opens a window already emitted.
+    #[test]
+    fn a_window_is_emitted_once_with_its_final_loss() {
+        let mut cfg = LiveConfig::new(WindowSpec::tumbling(1_000)).track_loss("up", "down");
+        cfg.pair_timeout_ns = 1_000;
+        let mut e = LiveEngine::new(cfg);
+        e.register_agent("n1", None);
+        e.register_agent("n2", None);
+        let mut b = RecordBatch::new();
+        b.push("down", "n2", rec(4_900, 1, 100));
+        e.ingest(&b, 5_000);
+        e.heartbeat("n2", 5_000);
+        b.clear();
+        b.push("up", "n1", rec(3_000, 2, 100));
+        b.push("up", "n1", rec(4_800, 1, 100));
+        e.ingest(&b, 5_000);
+        e.heartbeat("n1", 5_000);
+        e.heartbeat("n1", 9_000);
+        e.heartbeat("n2", 9_000);
+        e.finish();
+        let closed = e.drain_closed();
+        let starts: Vec<u64> = closed.iter().map(|w| w.start_ns).collect();
+        assert_eq!(starts, [3_000, 4_000], "each window start exactly once");
+        let lost = LossWindow {
+            seen: 1,
+            delivered: 0,
+            lost: 1,
+        };
+        assert_eq!(closed[0].loss, [("up->down".to_owned(), lost)]);
     }
 
     #[test]

@@ -74,6 +74,11 @@ impl PairTracker {
         self.pending.len()
     }
 
+    /// Slots in the eviction queue, stale ones included.
+    pub fn resident(&self) -> usize {
+        self.fifo.len()
+    }
+
     /// Feeds one record; returns the completed pair when this record
     /// matched the opposite side. `overflow` collects entries
     /// force-evicted by the capacity cap.
@@ -398,6 +403,10 @@ impl PairOp {
 
     pub(crate) fn pending_len(&self) -> usize {
         self.tracker.pending_len()
+    }
+
+    pub(crate) fn resident(&self) -> usize {
+        self.tracker.resident()
     }
 
     pub(crate) fn bucket_count(&self) -> usize {
