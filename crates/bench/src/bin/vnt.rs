@@ -722,13 +722,14 @@ fn print_live_report(eng: &mut vnet_live::LiveEngine, pairs: &[(String, String)]
     let state = eng.state();
     println!(
         "\nstreamed {} records ({} late) through {} open + {} closed windows, \
-         {} sketch buckets, {} pending pairs",
+         {} sketch buckets, {} pending pairs in {} resident sightings",
         state.records_processed,
         state.late_records,
         state.open_windows,
         state.closed_windows,
         state.sketch_buckets,
         state.pending_pairs,
+        state.resident_sightings,
     );
     for (from, to) in pairs {
         if let Some(total) = eng.latency_total(from, to) {

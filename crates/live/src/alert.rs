@@ -242,6 +242,9 @@ impl AnomalyDetector {
         now_ns: u64,
         out: &mut Vec<Alert>,
     ) {
+        if stalled.is_empty() && self.stalled.is_empty() {
+            return;
+        }
         let current: HashSet<&str> = stalled.iter().map(|(n, _)| n.as_str()).collect();
         for (node, lag_ns) in stalled {
             if self.stalled.insert(node.clone()) {

@@ -10,11 +10,13 @@
 //! Per batch the engine: advances the source agent's watermark frontier
 //! from the heartbeat, aligns each record timestamp through the agent's
 //! skew estimate, drops-and-counts records below the watermark, routes
-//! the rest to every matching operator, then evicts timed-out pairings
-//! and finalizes windows. A window `[s, s+width)` finalizes only once
+//! the rest to its throughput operators and — once, whatever the number
+//! of pairs its tracepoint is in — to the pending table, then times out
+//! every pairing at or below `watermark − pair_timeout` and finalizes
+//! windows. A window `[s, s+width)` finalizes only once
 //! `watermark ≥ s + width + pair_timeout`: by then every pairing whose
 //! loss would land in the window has either completed or been evicted,
-//! so the emitted counts are final.
+//! so the emitted counts are final and each window is emitted once.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -26,7 +28,7 @@ use vnettracer::metrics::ThroughputWindow;
 use vnettracer::IngestSubscriber;
 
 use crate::alert::{Alert, AnomalyDetector, DetectorConfig};
-use crate::operators::{Evicted, LatencySummary, LossWindow, PairOp, Side, ThroughputOp};
+use crate::operators::{LatencySummary, LossWindow, PairOp, PendingTable, ThroughputOp};
 use crate::window::{WatermarkTracker, WindowSpec};
 
 /// What to compute and how tightly to bound state.
@@ -48,7 +50,9 @@ pub struct LiveConfig {
     pub pair_timeout_ns: u64,
     /// Relative error bound for the latency sketches.
     pub sketch_error: f64,
-    /// Hard cap on unmatched pairings per tracepoint pair.
+    /// Hard cap on the pairing state, per tracepoint pair: the engine
+    /// keeps at most this many records times the number of pairs waiting
+    /// for their other half, and force-evicts the oldest beyond that.
     pub max_pending_pairs: usize,
     /// Finalized windows retained for the caller (oldest dropped first).
     pub max_closed_windows: usize,
@@ -138,8 +142,9 @@ pub struct EngineState {
     /// Unmatched pairings waiting for their other half. A tracepoint pair
     /// tracked for both latency and loss holds each pairing once.
     pub pending_pairs: usize,
-    /// Entries resident in the pairing state's arrival-order queue,
-    /// whether or not they still wait for anything.
+    /// Records resident in the pending table — each waiting on one or
+    /// more pairings, or settled and not yet at the front of the ring.
+    /// Never above `max_pending_pairs` × the number of pairs.
     pub resident_sightings: usize,
     /// Finalized windows retained in the ring.
     pub closed_windows: usize,
@@ -154,9 +159,10 @@ pub struct EngineState {
 struct Route {
     /// Indices into `LiveEngine::throughput`.
     throughput: Vec<usize>,
-    /// Indices into `LiveEngine::pairs`, with the side this measurement
-    /// is of each pair.
-    pairs: Vec<(usize, Side)>,
+    /// The pending table's tracepoints this measurement's trace-ID
+    /// records are sightings at: one, however many pairs it is in (more
+    /// only past 64 pairs).
+    tracepoints: Vec<usize>,
 }
 
 /// The streaming analysis engine. See the module docs for the lifecycle.
@@ -168,6 +174,8 @@ pub struct LiveEngine {
     /// One operator per distinct `(from, to)` named by `cfg.latency` or
     /// `cfg.loss`.
     pairs: Vec<PairOp>,
+    /// The one pairing state behind all of `pairs`.
+    pending: PendingTable,
     /// Measurement name → the operators it feeds, resolved once here so
     /// ingest does one lookup per record group.
     routes: HashMap<String, Route>,
@@ -179,7 +187,6 @@ pub struct LiveEngine {
     detector: AnomalyDetector,
     closed: VecDeque<WindowResult>,
     alerts: Vec<Alert>,
-    evict_scratch: Vec<Evicted>,
     records_processed: u64,
     now_ns: u64,
 }
@@ -198,7 +205,7 @@ impl LiveEngine {
                 .iter()
                 .position(|p| p.from == from && p.to == to)
                 .unwrap_or_else(|| {
-                    pairs.push(PairOp::new(from, to, cfg.max_pending_pairs));
+                    pairs.push(PairOp::new(from, to));
                     pairs.len() - 1
                 })
         };
@@ -216,14 +223,9 @@ impl LiveEngine {
             let route = routes.entry(op.measurement.clone()).or_default();
             route.throughput.push(i);
         }
-        for (i, op) in pairs.iter().enumerate() {
-            let route = routes.entry(op.from.clone()).or_default();
-            route.pairs.push((i, Side::Up));
-            // A self-pair's records are its upstream side only.
-            if op.to != op.from {
-                let route = routes.entry(op.to.clone()).or_default();
-                route.pairs.push((i, Side::Down));
-            }
+        let (pending, tracepoints) = PendingTable::new(&pairs, cfg.max_pending_pairs);
+        for (measurement, tracepoints) in tracepoints {
+            routes.entry(measurement).or_default().tracepoints = tracepoints;
         }
 
         let detector = AnomalyDetector::new(cfg.detector);
@@ -232,13 +234,13 @@ impl LiveEngine {
             watermark: WatermarkTracker::new(),
             throughput,
             pairs,
+            pending,
             routes,
             latency_order,
             loss_order,
             detector,
             closed: VecDeque::new(),
             alerts: Vec::new(),
-            evict_scratch: Vec::new(),
             records_processed: 0,
             now_ns: 0,
         }
@@ -277,13 +279,13 @@ impl LiveEngine {
                     self.throughput[i].push(&self.cfg.window, ts, r.pkt_len, r.has_trace_id());
                 }
                 if r.has_trace_id() {
-                    for &(i, side) in &route.pairs {
-                        self.pairs[i].push(
+                    for &tracepoint in &route.tracepoints {
+                        self.pending.observe(
+                            &mut self.pairs,
                             &self.cfg.window,
-                            side,
+                            tracepoint,
                             r.trace_id,
                             ts,
-                            &mut self.evict_scratch,
                         );
                     }
                 }
@@ -299,6 +301,12 @@ impl LiveEngine {
         self.now_ns = self.now_ns.max(now_ns);
         self.watermark.heartbeat(node, now_ns);
         self.advance();
+        // Who lags whom changes with heartbeats and nothing else.
+        let stalled = self
+            .watermark
+            .stalled_agents(self.cfg.detector.stall_timeout_ns);
+        self.detector
+            .on_stall_report(&stalled, self.now_ns, &mut self.alerts);
     }
 
     /// Forces every frontier far past all data and finalizes everything
@@ -316,9 +324,8 @@ impl LiveEngine {
         // checked_sub: until a full timeout has elapsed no entry can have
         // timed out, not even one keyed at t=0.
         if let Some(evict_before) = watermark.checked_sub(self.cfg.pair_timeout_ns) {
-            for op in &mut self.pairs {
-                op.evict(&self.cfg.window, evict_before, &mut self.evict_scratch);
-            }
+            self.pending
+                .evict(&mut self.pairs, &self.cfg.window, evict_before);
         }
 
         // A window is final once even its slowest pairing has resolved.
@@ -359,12 +366,6 @@ impl LiveEngine {
                 self.closed.pop_front();
             }
         }
-
-        let stalled = self
-            .watermark
-            .stalled_agents(self.cfg.detector.stall_timeout_ns);
-        self.detector
-            .on_stall_report(&stalled, self.now_ns, &mut self.alerts);
     }
 
     /// Finalized windows still in the ring, oldest first.
@@ -427,8 +428,8 @@ impl LiveEngine {
             open_windows: throughput_windows
                 + self.pairs.iter().map(|o| o.open_count()).sum::<usize>(),
             sketch_buckets: self.pairs.iter().map(|o| o.bucket_count()).sum(),
-            pending_pairs: self.pairs.iter().map(|o| o.pending_len()).sum(),
-            resident_sightings: self.pairs.iter().map(|o| o.resident()).sum(),
+            pending_pairs: self.pending.open_pairings(),
+            resident_sightings: self.pending.resident(),
             closed_windows: self.closed.len(),
             late_records: self.watermark.late_records(),
             records_processed: self.records_processed,
@@ -564,6 +565,125 @@ mod tests {
             lost: 1,
         };
         assert_eq!(closed[0].loss, [("up->down".to_owned(), lost)]);
+    }
+
+    /// One pair `tx->rx`, both metrics, windows of `width_ns`; until its
+    /// one agent heartbeats the watermark stays at 0 and only the cap
+    /// evicts.
+    fn one_pair(width_ns: u64, max_pending_pairs: usize) -> LiveEngine {
+        let mut cfg = LiveConfig::new(WindowSpec::tumbling(width_ns))
+            .track_latency("tx", "rx")
+            .track_loss("tx", "rx");
+        cfg.max_pending_pairs = max_pending_pairs;
+        let mut e = LiveEngine::new(cfg);
+        e.register_agent("n1", None);
+        e
+    }
+
+    fn ingest(e: &mut LiveEngine, table: &str, recs: &[CompactRecord]) {
+        let mut b = RecordBatch::new();
+        for r in recs {
+            b.push(table, "n1", *r);
+        }
+        e.ingest(&b, 0);
+    }
+
+    #[test]
+    fn pairs_match_in_either_arrival_order() {
+        let mut e = one_pair(1_000, 16);
+        ingest(&mut e, "tx", &[rec(100, 1, 100)]);
+        ingest(&mut e, "rx", &[rec(150, 1, 100)]);
+        // Downstream first (cross-agent drain order).
+        ingest(&mut e, "rx", &[rec(300, 2, 100)]);
+        ingest(&mut e, "tx", &[rec(250, 2, 100)]);
+        let lat = e.latency_total("tx", "rx").unwrap();
+        assert_eq!(
+            (lat.count, lat.mean_ns, lat.jitter),
+            (2, 50.0, Some((0, 0)))
+        );
+        let s = e.state();
+        assert_eq!((s.pending_pairs, s.resident_sightings), (0, 0));
+        assert_eq!(e.latency_unmatched("tx", "rx"), Some(0));
+    }
+
+    #[test]
+    fn first_record_per_side_wins() {
+        let mut e = one_pair(1_000, 16);
+        // The second upstream is a duplicate: seen, but not the one paired.
+        ingest(&mut e, "tx", &[rec(100, 1, 100), rec(120, 1, 100)]);
+        assert_eq!(e.state().resident_sightings, 1);
+        ingest(&mut e, "rx", &[rec(150, 1, 100)]);
+        assert_eq!(e.latency_total("tx", "rx").unwrap().mean_ns, 50.0);
+        let l = e.loss_total("tx", "rx").unwrap();
+        assert_eq!((l.seen, l.delivered, l.lost), (2, 1, 0));
+    }
+
+    #[test]
+    fn timeout_eviction_reports_unmatched() {
+        let mut e = one_pair(1_000, 16);
+        e.cfg.pair_timeout_ns = 1_000;
+        ingest(&mut e, "tx", &[rec(100, 1, 100), rec(500, 2, 100)]);
+        ingest(&mut e, "rx", &[rec(140, 1, 100)]); // 1 completes
+        e.heartbeat("n1", 1_499);
+        assert_eq!(e.state().pending_pairs, 1, "2 is newer than the threshold");
+        e.heartbeat("n1", 1_500);
+        assert_eq!(e.state().pending_pairs, 0);
+        assert_eq!(e.latency_unmatched("tx", "rx"), Some(1));
+        let l = e.loss_total("tx", "rx").unwrap();
+        assert_eq!((l.seen, l.delivered, l.lost), (2, 1, 1));
+    }
+
+    #[test]
+    fn capacity_cap_force_evicts_oldest() {
+        let mut e = one_pair(1_000, 2);
+        ingest(
+            &mut e,
+            "tx",
+            &[rec(100, 1, 100), rec(1_200, 2, 100), rec(2_300, 3, 100)],
+        );
+        let s = e.state();
+        assert_eq!((s.pending_pairs, s.resident_sightings), (2, 2));
+        // Accounted exactly like a timeout: a loss and an unmatched.
+        assert_eq!(e.latency_unmatched("tx", "rx"), Some(1));
+        e.finish();
+        let lost: Vec<u64> = e.closed_windows().map(|w| w.loss[0].1.lost).collect();
+        assert_eq!(lost, [1, 1, 1]);
+    }
+
+    #[test]
+    fn ids_sharing_one_bucket_pair_exactly_and_stay_capped() {
+        // Under `TraceIdMap`'s one-multiply hash, IDs that differ only
+        // above bit 20 all probe from bucket 0 of a table this small.
+        let ids: Vec<u32> = (0..4_096u32).map(|i| i << 20).collect();
+        let mut e = one_pair(1_024, 1_024);
+        for (i, &id) in ids.iter().enumerate() {
+            ingest(&mut e, "tx", &[rec(i as u64, id, 100)]);
+            assert!(e.state().resident_sightings <= 1_024);
+        }
+        assert_eq!(e.state().pending_pairs, 1_024);
+        // Every survivor pairs with its own upstream and no other.
+        for (i, &id) in ids.iter().enumerate().skip(3_072) {
+            ingest(&mut e, "rx", &[rec(10_000 + i as u64, id, 100)]);
+        }
+        let s = e.state();
+        assert_eq!((s.pending_pairs, s.resident_sightings), (0, 0));
+        let lat = e.latency_total("tx", "rx").unwrap();
+        assert_eq!(
+            (lat.count, lat.mean_ns, lat.jitter),
+            (1_024, 10_000.0, Some((0, 0)))
+        );
+        // An evicted ID's downstream finds nothing to pair with.
+        ingest(&mut e, "rx", &[rec(20_000, ids[0], 100)]);
+        assert_eq!(e.state().pending_pairs, 1);
+        e.finish();
+        // The cap evicted the oldest 3 072, oldest first.
+        let loss: Vec<(u64, u64)> = e
+            .closed_windows()
+            .filter(|w| !w.loss.is_empty())
+            .map(|w| (w.loss[0].1.lost, w.loss[0].1.delivered))
+            .collect();
+        assert_eq!(loss, [(1_024, 0), (1_024, 0), (1_024, 0), (0, 1_024)]);
+        assert_eq!(e.latency_unmatched("tx", "rx"), Some(3_073));
     }
 
     #[test]

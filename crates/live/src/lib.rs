@@ -20,8 +20,10 @@
 //! * [`operators`] — incremental throughput (the offline path's own
 //!   [`ThroughputWindow`]), latency (log-bucketed
 //!   [`LogHistogram`](vnet_tsdb::sketch::LogHistogram) percentiles plus
-//!   RFC 3550 jitter) and loss, the last two fed by one trace-ID pairing
-//!   with timeout eviction per tracepoint pair;
+//!   RFC 3550 jitter) and loss, the last two fed by one engine-wide
+//!   pending table that pairs every tracked `(from, to)` by trace ID —
+//!   a record is entered once however many pairs its tracepoint is in —
+//!   with exact timeout eviction and one cap on what it keeps;
 //! * [`alert`] — EWMA baseline detectors emitting typed [`Alert`]s for
 //!   latency spikes, loss bursts, throughput collapses and stalled
 //!   agents;
@@ -62,6 +64,6 @@ pub mod window;
 
 pub use alert::{Alert, AlertKind, AnomalyDetector, DetectorConfig};
 pub use engine::{EngineState, LiveConfig, LiveEngine, WindowResult};
-pub use operators::{LatencySummary, LossWindow, PairTracker};
+pub use operators::{LatencySummary, LossWindow};
 pub use vnettracer::metrics::ThroughputWindow;
 pub use window::{WatermarkTracker, WindowSpec};

@@ -2,148 +2,353 @@
 //!
 //! Each operator maintains O(1)-per-window state updated record by
 //! record — no buffering of raw samples. Latency and loss pair records
-//! across two tracepoints by trace ID; a tracepoint pair is paired once,
-//! by one [`PairOp`] feeding both metrics from a single [`PairTracker`]
-//! whose pending set is bounded two ways: entries older than the pair
-//! timeout are evicted as the watermark passes them (an unmatched
-//! upstream becomes a loss), and a hard capacity cap force-evicts the
-//! oldest entry under overload, so state cannot grow with trace size even
-//! if the watermark stalls.
+//! across two tracepoints by trace ID. All pairs share one
+//! `PendingTable`: a record is one *sighting* of its trace ID at its
+//! tracepoint, entered once however many pairs the tracepoint is in, and
+//! a [`PairOp`] is only a pair's windows and counters.
+//!
+//! # Sightings
+//!
+//! A sighting is `{trace ID, tracepoint, when, open}`, where `open` has
+//! one bit per pair the tracepoint is a side of, set while that pairing
+//! still waits for the pair's other side. Sightings sit in one ring in
+//! arrival order; each links to the next older open sighting of its ID
+//! and a map finds an ID's newest. A new record walks its ID's chain —
+//! relinking it past sightings that have settled, so it is as long as the
+//! ID has open sightings: one or two on every shipped profile — and, per
+//! pair:
+//!
+//! * the *opposite* side is open there: the pair completes, that bit is
+//!   cleared and this record opens nothing for the pair;
+//! * its *own* side is open there: this record is a duplicate and is
+//!   dropped for the pair — the first record per side wins, as in the
+//!   offline join;
+//! * neither: this record opens its side.
+//!
+//! It is appended only if it opened something. Per pair that is the whole
+//! state machine: at most one side of an ID is open at a time, either
+//! side may arrive first, an ID pairs again after completing, and a
+//! self-pair (its records are the upstream side only) never completes.
+//!
+//! # Bounds
+//!
+//! An open pairing leaves in one of three ways: completed; *timed out* —
+//! `PendingTable::evict` settles every open sighting at or below
+//! `watermark − pair_timeout`, wherever it sits in the ring, so a
+//! window's counts are final when it closes; or *forced out* — the ring
+//! never holds more than `max_pending_pairs × pairs` sightings, the
+//! oldest is settled like a timeout to make room. Settled sightings are
+//! popped as soon as they reach the front, so with the watermark stalled
+//! the ring is bounded by that cap alone, and the map holds an entry only
+//! for IDs with a resident sighting.
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 use vnet_tsdb::sketch::LogHistogram;
-use vnet_tsdb::TraceIdMap;
 use vnettracer::metrics::{JitterTracker, ThroughputWindow};
 
 use crate::window::{OpenWindows, WindowSpec};
 
 /// One side of a trace-ID pairing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
+enum Side {
     /// The upstream (`from`) tracepoint.
-    Up,
+    Up = 0,
     /// The downstream (`to`) tracepoint.
-    Down,
+    Down = 1,
 }
 
-/// A completed (upstream, downstream) timestamp pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PairedSample {
-    /// Upstream event timestamp (aligned).
-    pub up_ts: u64,
-    /// Downstream event timestamp (aligned).
-    pub down_ts: u64,
+/// What a tracepoint is to one of the pairs it belongs to.
+#[derive(Debug)]
+struct Link {
+    /// Index of the pair's [`PairOp`].
+    pair: usize,
+    /// The side of the pair this tracepoint is.
+    side: Side,
+    /// The tracepoint on the pair's other side…
+    opposite: u32,
+    /// …and this pair's bit in a sighting there (0 for a self-pair, which
+    /// has no other side to wait for).
+    opposite_bit: u64,
 }
 
-/// An entry evicted unmatched: only one side ever arrived.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Evicted {
-    /// The side that did arrive.
-    pub side: Side,
-    /// Its event timestamp (aligned).
-    pub ts: u64,
+/// One record seen at one tracepoint, for as long as it is resident.
+#[derive(Debug)]
+struct Sighting {
+    id: u32,
+    tracepoint: u32,
+    /// Sequence number of the next older sighting of the same ID that was
+    /// still open when a walk last passed here; one below
+    /// `PendingTable::base` has left the ring.
+    prev: u64,
+    /// Bit `k` set: the pairing of `links[k]` still waits.
+    open: u64,
+    ts: u64,
 }
 
-/// Bounded trace-ID pairing state for one tracepoint pair. Either side
-/// may arrive first; the first record per (id, side) wins, matching the
-/// offline join's first-record rule.
-#[derive(Debug, Default)]
-pub struct PairTracker {
-    /// The one side seen so far of each unmatched trace ID, and when.
-    pending: TraceIdMap<(Side, u64)>,
-    /// `(id, first arrival)` in arrival order — the eviction queue. Slots
-    /// of completed pairs stay behind and are skipped when reached.
-    fifo: VecDeque<(u32, u64)>,
-    max_pending: usize,
+/// No sighting: a sequence number below every `base`.
+const NO_SEQ: u64 = 0;
+/// Sightings per [`PendingTable::floors`] entry.
+const BLOCK: u64 = 256;
+/// Pair links one tracepoint can hold: the bits of [`Sighting::open`]. A
+/// measurement in more pairs is split over several tracepoints.
+const MAX_LINKS: usize = 64;
+
+/// The engine-wide pending set of trace-ID pairings; see the module docs.
+#[derive(Debug)]
+pub(crate) struct PendingTable {
+    /// Tracepoint index → its links; a sighting's bit `k` is `links[k]`.
+    tracepoints: Vec<Vec<Link>>,
+    /// Trace ID → sequence number of its newest resident sighting.
+    newest: vnet_tsdb::TraceIdMap<u64>,
+    /// Resident sightings in arrival order; the front one is never
+    /// settled.
+    ring: VecDeque<Sighting>,
+    /// Sequence number of `ring[0]` (of the next sighting when empty).
+    base: u64,
+    /// Per block of `BLOCK` consecutive sequence numbers still (partly)
+    /// resident: a lower bound on the `ts` of its open sightings, so
+    /// eviction scans only blocks the threshold has entered.
+    floors: VecDeque<u64>,
+    /// Set bits over all resident sightings.
+    open_pairings: usize,
+    max_resident: usize,
 }
 
-impl PairTracker {
-    /// Creates a tracker holding at most `max_pending` unmatched entries.
-    pub fn new(max_pending: usize) -> Self {
-        PairTracker {
-            pending: TraceIdMap::default(),
-            fifo: VecDeque::new(),
-            max_pending: max_pending.max(1),
-        }
-    }
-
-    /// Number of unmatched entries currently held.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Slots in the eviction queue, stale ones included.
-    pub fn resident(&self) -> usize {
-        self.fifo.len()
-    }
-
-    /// Feeds one record; returns the completed pair when this record
-    /// matched the opposite side. `overflow` collects entries
-    /// force-evicted by the capacity cap.
-    pub fn observe(
-        &mut self,
-        trace_id: u32,
-        side: Side,
-        ts: u64,
-        overflow: &mut Vec<Evicted>,
-    ) -> Option<PairedSample> {
-        match self.pending.entry(trace_id) {
-            Entry::Occupied(first) => {
-                let (first_side, first_ts) = *first.get();
-                if first_side == side {
-                    // A duplicate of the already-seen side: first wins.
-                    return None;
-                }
-                first.remove();
-                Some(match side {
-                    Side::Up => PairedSample {
-                        up_ts: ts,
-                        down_ts: first_ts,
-                    },
-                    Side::Down => PairedSample {
-                        up_ts: first_ts,
-                        down_ts: ts,
-                    },
-                })
+impl PendingTable {
+    /// The table for `pairs`, holding at most `max_pending_pairs`
+    /// sightings per pair, and the tracepoints each measurement's records
+    /// are sightings at (one, unless it is in more than `MAX_LINKS` pairs).
+    pub(crate) fn new(
+        pairs: &[PairOp],
+        max_pending_pairs: usize,
+    ) -> (Self, Vec<(String, Vec<usize>)>) {
+        // Measurement → the (pair, side)s it is, in pair order.
+        let mut sides: Vec<(&str, Vec<(usize, Side)>)> = Vec::new();
+        let mut side_of = |name, pair, side| match sides.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, s)) => s.push((pair, side)),
+            None => sides.push((name, vec![(pair, side)])),
+        };
+        for (i, op) in pairs.iter().enumerate() {
+            side_of(op.from.as_str(), i, Side::Up);
+            // A self-pair's records are its upstream side only.
+            if op.to != op.from {
+                side_of(op.to.as_str(), i, Side::Down);
             }
-            Entry::Vacant(slot) => {
-                slot.insert((side, ts));
-                self.fifo.push_back((trace_id, ts));
-                while self.pending.len() > self.max_pending {
-                    match self.pop_oldest(u64::MAX) {
-                        Some(e) => overflow.push(e),
-                        None => break,
+        }
+        // Where each side of each pair lives: (tracepoint, bit).
+        let mut homes = vec![[None; 2]; pairs.len()];
+        let mut routes = Vec::new();
+        let mut groups = Vec::new();
+        for (name, sides) in &sides {
+            let mut tracepoints = Vec::new();
+            for group in sides.chunks(MAX_LINKS) {
+                for (k, &(pair, side)) in group.iter().enumerate() {
+                    homes[pair][side as usize] = Some((groups.len() as u32, 1u64 << k));
+                }
+                tracepoints.push(groups.len());
+                groups.push(group);
+            }
+            routes.push(((*name).to_owned(), tracepoints));
+        }
+        let tracepoints = groups
+            .iter()
+            .zip(0u32..)
+            .map(|(group, own)| {
+                let link = |&(pair, side): &(usize, Side)| {
+                    let other = match side {
+                        Side::Up => Side::Down,
+                        Side::Down => Side::Up,
+                    };
+                    let (opposite, opposite_bit) = homes[pair][other as usize].unwrap_or((own, 0));
+                    Link {
+                        pair,
+                        side,
+                        opposite,
+                        opposite_bit,
+                    }
+                };
+                group.iter().map(link).collect()
+            })
+            .collect();
+        let table = PendingTable {
+            tracepoints,
+            newest: Default::default(),
+            ring: VecDeque::new(),
+            base: NO_SEQ + 1,
+            floors: VecDeque::new(),
+            open_pairings: 0,
+            max_resident: max_pending_pairs.max(1).saturating_mul(pairs.len().max(1)),
+        };
+        (table, routes)
+    }
+
+    /// Pairings waiting for their other side.
+    pub(crate) fn open_pairings(&self) -> usize {
+        self.open_pairings
+    }
+
+    /// Sightings in the ring, settled ones behind the front included.
+    pub(crate) fn resident(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// Feeds one trace-ID-carrying record seen at `tracepoint`,
+    /// accounting what it completes — and what the cap forces out — to
+    /// `pairs`.
+    pub(crate) fn observe(
+        &mut self,
+        pairs: &mut [PairOp],
+        spec: &WindowSpec,
+        tracepoint: usize,
+        id: u32,
+        ts: u64,
+    ) {
+        let links = &self.tracepoints[tracepoint];
+        let tracepoint = tracepoint as u32;
+        for link in links.iter().filter(|l| l.side == Side::Up) {
+            pairs[link.pair].saw_upstream(spec, ts);
+        }
+        // Bits this record opens, and those of them no older sighting has
+        // decided yet.
+        let mut open = u64::MAX >> (MAX_LINKS - links.len());
+        let mut undecided = open;
+        let newest = self.newest.entry(id);
+        let mut cur = match &newest {
+            Entry::Occupied(seq) => *seq.get(),
+            Entry::Vacant(_) => NO_SEQ,
+        };
+        // The chain is relinked as it is walked so that it runs through
+        // sightings still open only: `prev` is where it continues behind
+        // this record, `relink` the open sighting last passed.
+        let mut prev = NO_SEQ;
+        let mut relink = None;
+        let mut settled = false;
+        while cur >= self.base && undecided != 0 {
+            let at = (cur - self.base) as usize;
+            let seen = &mut self.ring[at];
+            if seen.tracepoint == tracepoint {
+                // The same side of every pair still open there.
+                open &= !seen.open;
+                undecided &= !seen.open;
+            } else {
+                let mut bits = undecided;
+                while bits != 0 {
+                    let bit = bits & bits.wrapping_neg();
+                    bits ^= bit;
+                    let link = &links[bit.trailing_zeros() as usize];
+                    if link.opposite == seen.tracepoint && seen.open & link.opposite_bit != 0 {
+                        seen.open &= !link.opposite_bit;
+                        open &= !bit;
+                        undecided &= !bit;
+                        settled = true;
+                        self.open_pairings -= 1;
+                        let (up_ts, down_ts) = match link.side {
+                            Side::Up => (ts, seen.ts),
+                            Side::Down => (seen.ts, ts),
+                        };
+                        pairs[link.pair].paired(spec, up_ts, down_ts);
                     }
                 }
-                None
             }
-        }
-    }
-
-    /// Pops the oldest still-pending entry whose first arrival is at or
-    /// below `threshold_ts`, discarding the stale fifo slots before it.
-    fn pop_oldest(&mut self, threshold_ts: u64) -> Option<Evicted> {
-        while let Some(&(id, ts)) = self.fifo.front() {
-            if ts > threshold_ts {
-                break;
-            }
-            self.fifo.pop_front();
-            if let Entry::Occupied(e) = self.pending.entry(id) {
-                if e.get().1 == ts {
-                    let (side, ts) = e.remove();
-                    return Some(Evicted { side, ts });
+            let (still_open, next) = (seen.open != 0, seen.prev);
+            if still_open {
+                match relink.replace(at) {
+                    Some(newer) => self.ring[newer].prev = cur,
+                    None => prev = cur,
                 }
             }
+            cur = next;
         }
-        None
+        match relink {
+            Some(newer) => self.ring[newer].prev = cur,
+            None => prev = cur,
+        }
+        if open != 0 {
+            let seq = self.base + self.ring.len() as u64;
+            let block = (seq / BLOCK - self.base / BLOCK) as usize;
+            match self.floors.get_mut(block) {
+                Some(floor) => *floor = (*floor).min(ts),
+                None => self.floors.push_back(ts),
+            }
+            self.ring.push_back(Sighting {
+                id,
+                tracepoint,
+                prev,
+                open,
+                ts,
+            });
+            match newest {
+                Entry::Occupied(mut older) => *older.get_mut() = seq,
+                Entry::Vacant(none) => {
+                    none.insert(seq);
+                }
+            }
+            self.open_pairings += open.count_ones() as usize;
+            if self.ring.len() > self.max_resident {
+                self.settle(0, pairs, spec);
+                settled = true;
+            }
+        }
+        if settled {
+            self.pop_settled();
+        }
     }
 
-    /// Evicts every entry whose first arrival is at or below
-    /// `threshold_ts` — called as the watermark passes the pair timeout.
-    pub fn evict_older_than(&mut self, threshold_ts: u64, out: &mut Vec<Evicted>) {
-        out.extend(std::iter::from_fn(|| self.pop_oldest(threshold_ts)));
+    /// Times out every open sighting at or below `threshold_ts`.
+    pub(crate) fn evict(&mut self, pairs: &mut [PairOp], spec: &WindowSpec, threshold_ts: u64) {
+        let first_block = self.base / BLOCK;
+        for block in 0..self.floors.len() {
+            if self.floors[block] > threshold_ts {
+                continue;
+            }
+            let start = ((first_block + block as u64) * BLOCK).saturating_sub(self.base) as usize;
+            let end = (((first_block + block as u64 + 1) * BLOCK - self.base) as usize)
+                .min(self.ring.len());
+            let mut floor = u64::MAX;
+            for at in start..end {
+                let seen = &self.ring[at];
+                if seen.open == 0 {
+                    continue;
+                }
+                if seen.ts <= threshold_ts {
+                    self.settle(at, pairs, spec);
+                } else {
+                    floor = floor.min(seen.ts);
+                }
+            }
+            self.floors[block] = floor;
+        }
+        self.pop_settled();
+    }
+
+    /// Closes every pairing `ring[at]` still waits for as unmatched.
+    fn settle(&mut self, at: usize, pairs: &mut [PairOp], spec: &WindowSpec) {
+        let seen = &mut self.ring[at];
+        let links = &self.tracepoints[seen.tracepoint as usize];
+        self.open_pairings -= seen.open.count_ones() as usize;
+        while seen.open != 0 {
+            let link = &links[seen.open.trailing_zeros() as usize];
+            seen.open &= seen.open - 1;
+            pairs[link.pair].unmatched(spec, link.side, seen.ts);
+        }
+    }
+
+    /// Restores "the front sighting waits for something".
+    fn pop_settled(&mut self) {
+        while let Some(&Sighting { id, open: 0, .. }) = self.ring.front() {
+            self.ring.pop_front();
+            if let Entry::Occupied(newest) = self.newest.entry(id) {
+                if *newest.get() == self.base {
+                    newest.remove();
+                }
+            }
+            self.base += 1;
+            if self.base.is_multiple_of(BLOCK) {
+                self.floors.pop_front();
+            }
+        }
     }
 }
 
@@ -238,12 +443,12 @@ pub(crate) struct LatencyWindows {
 }
 
 impl LatencyWindows {
-    fn record_pair(&mut self, spec: &WindowSpec, pair: PairedSample) {
-        let Some(delta) = pair.down_ts.checked_sub(pair.up_ts) else {
+    fn record_pair(&mut self, spec: &WindowSpec, up_ts: u64, down_ts: u64) {
+        let Some(delta) = down_ts.checked_sub(up_ts) else {
             self.negative_dropped += 1;
             return;
         };
-        self.windows.update(spec, pair.down_ts, |w| w.record(delta));
+        self.windows.update(spec, down_ts, |w| w.record(delta));
     }
 
     /// Cumulative latency summary since the engine started, within the
@@ -278,12 +483,13 @@ impl LossWindow {
     }
 }
 
-/// Streaming trace-ID pairing across one `(from, to)` tracepoint pair:
-/// a single [`PairTracker`] whose completed samples feed the latency
-/// windows and whose arrivals, completions and timeouts feed the loss
-/// windows — whichever of the two the configuration asked for. An
-/// upstream record that outlives the pair timeout without a downstream
-/// match is a loss; downstream-only entries evict silently.
+/// The windows and counters of one `(from, to)` tracepoint pair. The
+/// `PendingTable` does the pairing and reports here: completed samples
+/// feed the latency windows; upstream arrivals, completions and unmatched
+/// upstreams feed the loss windows — whichever of the two the
+/// configuration asked for. An upstream record that outlives the pair
+/// timeout without a downstream match is a loss; downstream-only
+/// sightings leave silently.
 #[derive(Debug)]
 pub struct PairOp {
     /// Upstream tracepoint name.
@@ -292,7 +498,6 @@ pub struct PairOp {
     pub to: String,
     /// The pair's stream label in a finalized window: `from->to`.
     pub label: String,
-    tracker: PairTracker,
     pub(crate) latency: Option<LatencyWindows>,
     /// Keyed by the *upstream* timestamp's window. `total.lost` counts
     /// only finalized (timed-out) pairs; entries still inside the pair
@@ -303,12 +508,11 @@ pub struct PairOp {
 impl PairOp {
     /// A pair feeding nothing yet; see [`PairOp::track_latency`] and
     /// [`PairOp::track_loss`].
-    pub(crate) fn new(from: &str, to: &str, max_pending: usize) -> Self {
+    pub(crate) fn new(from: &str, to: &str) -> Self {
         PairOp {
             from: from.to_owned(),
             to: to.to_owned(),
             label: format!("{from}->{to}"),
-            tracker: PairTracker::new(max_pending),
             latency: None,
             loss: None,
         }
@@ -327,55 +531,34 @@ impl PairOp {
             .get_or_insert_with(|| OpenWindows::new(LossWindow::default()));
     }
 
-    /// Feeds one trace-ID-carrying record seen at `side` of the pair.
-    /// `scratch` is overwritten.
-    pub(crate) fn push(
-        &mut self,
-        spec: &WindowSpec,
-        side: Side,
-        trace_id: u32,
-        ts: u64,
-        scratch: &mut Vec<Evicted>,
-    ) {
-        if let (Side::Up, Some(loss)) = (side, &mut self.loss) {
+    /// A record arrived at the upstream tracepoint, first of its ID or
+    /// not.
+    fn saw_upstream(&mut self, spec: &WindowSpec, ts: u64) {
+        if let Some(loss) = &mut self.loss {
             loss.update(spec, ts, |w| w.seen += 1);
         }
-        scratch.clear();
-        if let Some(pair) = self.tracker.observe(trace_id, side, ts, scratch) {
-            if let Some(latency) = &mut self.latency {
-                latency.record_pair(spec, pair);
-            }
-            if let Some(loss) = &mut self.loss {
-                loss.update(spec, pair.up_ts, |w| w.delivered += 1);
-            }
-        }
-        self.account_evictions(spec, scratch);
     }
 
-    /// Evicts pairings whose first arrival is at or below `threshold_ts`.
-    /// `scratch` is overwritten.
-    pub(crate) fn evict(
-        &mut self,
-        spec: &WindowSpec,
-        threshold_ts: u64,
-        scratch: &mut Vec<Evicted>,
-    ) {
-        scratch.clear();
-        self.tracker.evict_older_than(threshold_ts, scratch);
-        self.account_evictions(spec, scratch);
-    }
-
-    fn account_evictions(&mut self, spec: &WindowSpec, evicted: &[Evicted]) {
+    /// An ID's upstream and downstream records met.
+    fn paired(&mut self, spec: &WindowSpec, up_ts: u64, down_ts: u64) {
         if let Some(latency) = &mut self.latency {
-            latency.unmatched += evicted.len() as u64;
+            latency.record_pair(spec, up_ts, down_ts);
         }
         if let Some(loss) = &mut self.loss {
-            // Only an unmatched *upstream* is a lost packet; an orphan
-            // downstream record has no upstream baseline to count against
-            // (the offline N_i − N_j clamps these to zero too).
-            for e in evicted.iter().filter(|e| e.side == Side::Up) {
-                loss.update(spec, e.ts, |w| w.lost += 1);
-            }
+            loss.update(spec, up_ts, |w| w.delivered += 1);
+        }
+    }
+
+    /// The record seen at `side` at `ts` left without its other half.
+    fn unmatched(&mut self, spec: &WindowSpec, side: Side, ts: u64) {
+        if let Some(latency) = &mut self.latency {
+            latency.unmatched += 1;
+        }
+        // Only an unmatched *upstream* is a lost packet; an orphan
+        // downstream record has no upstream baseline to count against
+        // (the offline N_i − N_j clamps these to zero too).
+        if let (Side::Up, Some(loss)) = (side, &mut self.loss) {
+            loss.update(spec, ts, |w| w.lost += 1);
         }
     }
 
@@ -401,14 +584,6 @@ impl PairOp {
             + self.loss.as_ref().map_or(0, |l| l.open_count())
     }
 
-    pub(crate) fn pending_len(&self) -> usize {
-        self.tracker.pending_len()
-    }
-
-    pub(crate) fn resident(&self) -> usize {
-        self.tracker.resident()
-    }
-
     pub(crate) fn bucket_count(&self) -> usize {
         let sketches = self.latency.iter().flat_map(|l| l.windows.values());
         sketches.map(|w| w.sketch.bucket_count()).sum()
@@ -423,109 +598,42 @@ mod tests {
         WindowSpec::tumbling(1_000)
     }
 
-    #[test]
-    fn pair_tracker_matches_either_order() {
-        let mut t = PairTracker::new(16);
-        let mut ov = Vec::new();
-        assert_eq!(t.observe(1, Side::Up, 100, &mut ov), None);
-        assert_eq!(
-            t.observe(1, Side::Down, 150, &mut ov),
-            Some(PairedSample {
-                up_ts: 100,
-                down_ts: 150
-            })
-        );
-        // Downstream first (cross-agent drain order).
-        assert_eq!(t.observe(2, Side::Down, 300, &mut ov), None);
-        assert_eq!(
-            t.observe(2, Side::Up, 250, &mut ov),
-            Some(PairedSample {
-                up_ts: 250,
-                down_ts: 300
-            })
-        );
-        assert_eq!(t.pending_len(), 0);
-        assert!(ov.is_empty());
+    /// The pair `a->b` over a table of its own.
+    struct OnePair {
+        table: PendingTable,
+        pairs: Vec<PairOp>,
     }
 
-    #[test]
-    fn pair_tracker_first_record_wins() {
-        let mut t = PairTracker::new(16);
-        let mut ov = Vec::new();
-        t.observe(1, Side::Up, 100, &mut ov);
-        t.observe(1, Side::Up, 120, &mut ov); // duplicate upstream
-        let pair = t.observe(1, Side::Down, 150, &mut ov).unwrap();
-        assert_eq!(pair.up_ts, 100);
-    }
-
-    #[test]
-    fn timeout_eviction_reports_unmatched() {
-        let mut t = PairTracker::new(16);
-        let mut ov = Vec::new();
-        t.observe(1, Side::Up, 100, &mut ov);
-        t.observe(2, Side::Up, 500, &mut ov);
-        t.observe(1, Side::Down, 140, &mut ov); // 1 completes
-        let mut evicted = Vec::new();
-        t.evict_older_than(400, &mut evicted);
-        assert!(evicted.is_empty(), "2 is newer than the threshold");
-        t.evict_older_than(500, &mut evicted);
-        assert_eq!(
-            evicted,
-            vec![Evicted {
-                side: Side::Up,
-                ts: 500
-            }]
-        );
-        assert_eq!(t.pending_len(), 0);
-    }
-
-    #[test]
-    fn capacity_cap_force_evicts_oldest() {
-        let mut t = PairTracker::new(2);
-        let mut ov = Vec::new();
-        t.observe(1, Side::Up, 100, &mut ov);
-        t.observe(2, Side::Up, 200, &mut ov);
-        t.observe(3, Side::Up, 300, &mut ov);
-        assert_eq!(t.pending_len(), 2);
-        assert_eq!(
-            ov,
-            vec![Evicted {
-                side: Side::Up,
-                ts: 100
-            }]
-        );
-    }
-
-    #[test]
-    fn ids_sharing_one_bucket_pair_exactly_and_stay_capped() {
-        // Under `TraceIdMap`'s one-multiply hash, IDs that differ only
-        // above bit 20 all probe from bucket 0 of a table this small.
-        let ids: Vec<u32> = (0..4_096u32).map(|i| i << 20).collect();
-        let mut t = PairTracker::new(1_024);
-        let mut ov = Vec::new();
-        for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(t.observe(id, Side::Up, i as u64, &mut ov), None);
-            assert!(t.pending_len() <= 1_024);
-        }
-        // The cap evicted the oldest 3 072, oldest first.
-        let evicted: Vec<u64> = ov.iter().map(|e| e.ts).collect();
-        assert_eq!(evicted, (0..3_072).collect::<Vec<u64>>());
-        // Every survivor pairs with its own upstream and no other.
-        for (i, &id) in ids.iter().enumerate().skip(3_072) {
-            let i = i as u64;
-            let pair = t.observe(id, Side::Down, 10_000 + i, &mut ov);
+    impl OnePair {
+        fn new(latency: bool, loss: bool) -> Self {
+            let mut op = PairOp::new("a", "b");
+            if latency {
+                op.track_latency(0.01);
+            }
+            if loss {
+                op.track_loss();
+            }
+            let pairs = vec![op];
+            let (table, routes) = PendingTable::new(&pairs, 1024);
             assert_eq!(
-                pair,
-                Some(PairedSample {
-                    up_ts: i,
-                    down_ts: 10_000 + i
-                })
+                routes,
+                [("a".to_owned(), vec![0]), ("b".to_owned(), vec![1])]
             );
+            OnePair { table, pairs }
         }
-        assert_eq!(t.pending_len(), 0);
-        // An evicted ID's downstream finds nothing to pair with.
-        assert_eq!(t.observe(ids[0], Side::Down, 20_000, &mut ov), None);
-        assert_eq!(t.pending_len(), 1);
+
+        fn push(&mut self, side: Side, trace_id: u32, ts: u64) {
+            self.table
+                .observe(&mut self.pairs, &spec(), side as usize, trace_id, ts);
+        }
+
+        fn evict(&mut self, threshold_ts: u64) {
+            self.table.evict(&mut self.pairs, &spec(), threshold_ts);
+        }
+
+        fn op(&mut self) -> &mut PairOp {
+            &mut self.pairs[0]
+        }
     }
 
     #[test]
@@ -549,93 +657,76 @@ mod tests {
         assert_eq!(total.last_ts, 1_500);
     }
 
-    fn latency_pair() -> PairOp {
-        let mut op = PairOp::new("a", "b", 1024);
-        op.track_latency(0.01);
-        op
-    }
-
-    fn loss_pair() -> PairOp {
-        let mut op = PairOp::new("a", "b", 1024);
-        op.track_loss();
-        op
-    }
-
     #[test]
     fn latency_pairs_into_downstream_window() {
-        let mut op = latency_pair();
-        let mut scratch = Vec::new();
-        op.push(&spec(), Side::Up, 7, 900, &mut scratch);
-        op.push(&spec(), Side::Down, 7, 1_100, &mut scratch); // delta 200, window 1000
-        op.push(&spec(), Side::Up, 8, 950, &mut scratch);
-        op.push(&spec(), Side::Down, 8, 1_250, &mut scratch); // delta 300, window 1000
-        assert_eq!(op.close(0), (None, None), "samples land in the down window");
-        let (s, loss) = op.close(1_000);
+        let mut p = OnePair::new(true, false);
+        p.push(Side::Up, 7, 900);
+        p.push(Side::Down, 7, 1_100); // delta 200, window 1000
+        p.push(Side::Up, 8, 950);
+        p.push(Side::Down, 8, 1_250); // delta 300, window 1000
+        assert_eq!(
+            p.op().close(0),
+            (None, None),
+            "samples land in the down window"
+        );
+        let (s, loss) = p.op().close(1_000);
         let s = s.unwrap();
         assert_eq!(loss, None, "loss was not asked for");
         assert_eq!(s.count, 2);
         assert_eq!(s.jitter, Some((100, 100)));
         assert!((s.mean_ns - 250.0).abs() < 1e-9);
-        let total = op.latency.as_ref().unwrap().total().unwrap();
+        let total = p.op().latency.as_ref().unwrap().total().unwrap();
         assert_eq!(total.count, 2);
     }
 
     #[test]
     fn latency_negative_deltas_dropped() {
-        let mut op = latency_pair();
-        let mut scratch = Vec::new();
-        op.push(&spec(), Side::Up, 7, 2_000, &mut scratch);
-        op.push(&spec(), Side::Down, 7, 1_500, &mut scratch);
-        let latency = op.latency.as_ref().unwrap();
+        let mut p = OnePair::new(true, false);
+        p.push(Side::Up, 7, 2_000);
+        p.push(Side::Down, 7, 1_500);
+        let latency = p.op().latency.as_ref().unwrap();
         assert_eq!(latency.negative_dropped, 1);
         assert!(latency.total().is_none());
     }
 
     #[test]
     fn loss_counts_seen_delivered_lost() {
-        let mut op = loss_pair();
-        let s = spec();
-        let mut scratch = Vec::new();
-        op.push(&s, Side::Up, 1, 100, &mut scratch);
-        op.push(&s, Side::Up, 2, 200, &mut scratch);
-        op.push(&s, Side::Up, 3, 300, &mut scratch);
-        op.push(&s, Side::Down, 1, 150, &mut scratch);
-        op.evict(&s, 400, &mut scratch);
-        let (latency, w) = op.close(0);
+        let mut p = OnePair::new(false, true);
+        p.push(Side::Up, 1, 100);
+        p.push(Side::Up, 2, 200);
+        p.push(Side::Up, 3, 300);
+        p.push(Side::Down, 1, 150);
+        p.evict(400);
+        let (latency, w) = p.op().close(0);
         let w = w.unwrap();
         assert_eq!(latency, None, "latency was not asked for");
         assert_eq!(w.seen, 3);
         assert_eq!(w.delivered, 1);
         assert_eq!(w.lost, 2);
         assert!((w.rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(op.loss.as_ref().unwrap().total.lost, 2);
+        assert_eq!(p.op().loss.as_ref().unwrap().total.lost, 2);
     }
 
     #[test]
     fn loss_orphan_downstream_is_not_a_loss() {
-        let mut op = loss_pair();
-        let s = spec();
-        let mut scratch = Vec::new();
-        op.push(&s, Side::Down, 9, 100, &mut scratch);
-        op.evict(&s, 1_000, &mut scratch);
-        assert_eq!(op.loss.as_ref().unwrap().total, LossWindow::default());
-        assert_eq!(op.close(0), (None, None));
+        let mut p = OnePair::new(false, true);
+        p.push(Side::Down, 9, 100);
+        p.evict(1_000);
+        assert_eq!(p.op().loss.as_ref().unwrap().total, LossWindow::default());
+        assert_eq!(p.op().close(0), (None, None));
     }
 
     #[test]
-    fn one_tracker_feeds_both_metrics() {
-        let mut op = PairOp::new("a", "b", 1024);
-        op.track_latency(0.01);
-        op.track_loss();
-        let s = spec();
-        let mut scratch = Vec::new();
-        op.push(&s, Side::Up, 1, 100, &mut scratch);
-        op.push(&s, Side::Up, 2, 200, &mut scratch);
-        assert_eq!(op.pending_len(), 2, "each trace ID is held once");
-        op.push(&s, Side::Down, 1, 150, &mut scratch);
-        op.evict(&s, 400, &mut scratch);
-        assert_eq!(op.pending_len(), 0);
-        let (latency, loss) = op.close(0);
+    fn one_sighting_feeds_both_metrics() {
+        let mut p = OnePair::new(true, true);
+        p.push(Side::Up, 1, 100);
+        p.push(Side::Up, 2, 200);
+        assert_eq!(p.table.open_pairings(), 2, "each trace ID is held once");
+        p.push(Side::Down, 1, 150);
+        p.evict(400);
+        assert_eq!(p.table.open_pairings(), 0);
+        assert_eq!(p.table.resident(), 0);
+        let (latency, loss) = p.op().close(0);
         assert_eq!(latency.unwrap().count, 1);
         assert_eq!(
             loss.unwrap(),
@@ -645,6 +736,64 @@ mod tests {
                 lost: 1
             }
         );
-        assert_eq!(op.latency.as_ref().unwrap().unmatched, 1);
+        assert_eq!(p.op().latency.as_ref().unwrap().unmatched, 1);
+    }
+
+    /// What `observe` leaves behind, case by case: a settled front is
+    /// popped at once, a settled sighting behind an open one waits for
+    /// it, and the map forgets an ID with its last resident sighting.
+    #[test]
+    fn settled_sightings_leave_from_the_front() {
+        let mut p = OnePair::new(true, true);
+        p.push(Side::Up, 1, 100);
+        p.push(Side::Up, 2, 200);
+        p.push(Side::Down, 2, 250); // settles the second sighting only
+        assert_eq!((p.table.resident(), p.table.open_pairings()), (2, 1));
+        assert_eq!(p.table.newest.len(), 2);
+        p.push(Side::Down, 1, 150); // settles the front: both pop
+        assert_eq!((p.table.resident(), p.table.open_pairings()), (0, 0));
+        assert!(p.table.newest.is_empty());
+        // The ID pairs again after completing, either side first.
+        p.push(Side::Down, 1, 400);
+        p.push(Side::Up, 1, 350);
+        assert_eq!(p.table.resident(), 0);
+        let total = p.op().latency.as_ref().unwrap().total().unwrap();
+        assert_eq!(total.count, 3);
+    }
+
+    /// An ID reused while older sightings of it are still resident — here
+    /// alternating between two pairs, so that each new sighting is
+    /// appended while the one before it is still open. A walk relinks the
+    /// chain past what has settled, so it stays as short as the ID's open
+    /// pairings however often the ID recurs.
+    #[test]
+    fn chains_run_through_open_sightings_only() {
+        let mut pairs = vec![PairOp::new("a", "b"), PairOp::new("c", "d")];
+        pairs.iter_mut().for_each(|p| p.track_latency(0.01));
+        let (mut table, _) = PendingTable::new(&pairs, 1 << 20);
+        let (a, b, c, d) = (0, 1, 2, 3);
+        let mut see = |table: &mut PendingTable, tracepoint, id, ts| {
+            table.observe(&mut pairs, &spec(), tracepoint, id, ts);
+        };
+        see(&mut table, a, 9, 10); // stays open at the front, holding the ring
+        see(&mut table, a, 1, 100);
+        for round in 1..=500u64 {
+            let ts = 100 + 10 * round;
+            see(&mut table, c, 1, ts); // opened while `a`'s is open
+            see(&mut table, b, 1, ts + 1); // settles `a`'s
+            see(&mut table, a, 1, ts + 2); // opened while `c`'s is open
+            see(&mut table, d, 1, ts + 3); // settles `c`'s
+        }
+        assert_eq!(table.resident(), 1_002);
+        assert_eq!(table.open_pairings(), 2);
+        let mut chain = 0;
+        let mut cur = table.newest[&1];
+        while cur >= table.base {
+            chain += 1;
+            cur = table.ring[(cur - table.base) as usize].prev;
+        }
+        assert_eq!(chain, 1, "999 settled sightings of ID 1 are resident");
+        let total = |p: &PairOp| p.latency.as_ref().unwrap().total().unwrap().count;
+        assert_eq!((total(&pairs[0]), total(&pairs[1])), (500, 500));
     }
 }

@@ -133,6 +133,9 @@ impl<W: Clone> OpenWindows<W> {
 pub struct WatermarkTracker {
     /// Per-agent: (frontier_ns, slack_ns, skew, last_heartbeat_now_ns).
     agents: HashMap<String, AgentFrontier>,
+    /// The minimum frontier over `agents`, kept as frontiers move so a
+    /// read costs nothing.
+    watermark_ns: u64,
     late_records: u64,
 }
 
@@ -171,6 +174,7 @@ impl WatermarkTracker {
                 last_seen_ns: 0,
             },
         );
+        self.watermark_ns = 0;
     }
 
     /// Whether `node` was registered.
@@ -191,7 +195,14 @@ impl WatermarkTracker {
         if let Some(a) = self.agents.get_mut(node) {
             a.last_seen_ns = a.last_seen_ns.max(now_ns);
             let frontier = now_ns.saturating_sub(a.slack_ns);
-            a.frontier_ns = a.frontier_ns.max(frontier);
+            if frontier > a.frontier_ns {
+                // Only an agent that was at the minimum can raise it.
+                let held_watermark = a.frontier_ns == self.watermark_ns;
+                a.frontier_ns = frontier;
+                if held_watermark {
+                    self.watermark_ns = self.min_frontier();
+                }
+            }
         }
     }
 
@@ -201,16 +212,18 @@ impl WatermarkTracker {
         for a in self.agents.values_mut() {
             a.frontier_ns = a.frontier_ns.max(ts_ns);
         }
+        self.watermark_ns = self.min_frontier();
+    }
+
+    fn min_frontier(&self) -> u64 {
+        let frontiers = self.agents.values().map(|a| a.frontier_ns);
+        frontiers.min().unwrap_or(0)
     }
 
     /// The global watermark: the minimum agent frontier (0 with no
     /// agents). Windows ending at or below it are input-complete.
     pub fn watermark_ns(&self) -> u64 {
-        self.agents
-            .values()
-            .map(|a| a.frontier_ns)
-            .min()
-            .unwrap_or(0)
+        self.watermark_ns
     }
 
     /// Counts `n` records that arrived late — aligned below the

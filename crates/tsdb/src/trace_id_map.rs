@@ -13,7 +13,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// fraction of the cost, on a path that pays it several times per record.
 /// IDs forged to share their low bits would only lengthen probe runs,
 /// never lose or merge entries, and the one map that lives as long as the
-/// stream (`vnet_live::PairTracker`) stays capped by `max_pending_pairs`
+/// stream (`vnet-live`'s pending table) holds an entry only per resident
+/// sighting, of which there are at most `max_pending_pairs × pairs`
 /// whatever the IDs are.
 pub type TraceIdMap<V> = HashMap<u32, V, BuildHasherDefault<TraceIdHasher>>;
 
