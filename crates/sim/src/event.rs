@@ -167,6 +167,8 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn timer(tag: u64) -> Event {
         Event::AppTimer { app: AppId(0), tag }
@@ -240,5 +242,154 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
+    }
+
+    /// An [`EventQueue`] and its specification side by side. The
+    /// specification is the sentence in the module doc: events pop in
+    /// `(at, push key)` order — a `BTreeSet` of exactly that tuple (the
+    /// tag rides along to identify the event). Whatever is inside the
+    /// queue, every pop must be the set's first element.
+    struct Modelled {
+        queue: EventQueue,
+        model: BTreeSet<(SimTime, PushKey, u64)>,
+        /// The instant pushes are stamped with, as `World::now` would be.
+        now: u64,
+        /// Per-node push counters, as `World::push_seq`.
+        seq: [u64; 4],
+        next_tag: u64,
+    }
+
+    impl Modelled {
+        fn new() -> Self {
+            Modelled {
+                queue: EventQueue::new(),
+                model: BTreeSet::new(),
+                now: 1_000,
+                seq: [0; 4],
+                next_tag: 0,
+            }
+        }
+
+        /// Pushes a fresh event for `at`, stamped `(push_time, node, that
+        /// node's next seq)`, into both.
+        fn push(&mut self, at: u64, push_time: u64, node: u32) {
+            let seq = &mut self.seq[node as usize];
+            let key = PushKey {
+                time: SimTime::from_nanos(push_time),
+                node,
+                seq: *seq,
+            };
+            *seq += 1;
+            let tag = self.next_tag;
+            self.next_tag += 1;
+            let at = SimTime::from_nanos(at);
+            self.queue.push(at, key, timer(tag));
+            assert!(self.model.insert((at, key, tag)), "keys are unique");
+        }
+
+        /// Pops both and checks they agree; returns the popped time.
+        fn pop(&mut self) -> Option<u64> {
+            let got = self.queue.pop().map(|(at, e)| (at, tag_of(e)));
+            let want = self.model.pop_first().map(|(at, _, tag)| (at, tag));
+            assert_eq!(got, want, "pop order departs from (at, key) order");
+            assert_eq!(self.queue.is_empty(), self.model.is_empty());
+            got.map(|(at, _)| at.as_nanos())
+        }
+
+        fn drain(&mut self) {
+            while self.pop().is_some() {}
+            assert!(self.queue.is_empty());
+        }
+
+        /// One step of a random interleaving; `a`, `b`, `c` parameterise
+        /// it. The mix leans toward what `World` does (pop, then push for
+        /// the popped instant) but keeps every push sequence the queue's
+        /// interface admits in play.
+        fn step(&mut self, kind: u8, a: u8, b: u8, c: u8) {
+            let node = u32::from(a % 4);
+            let now = self.now;
+            match kind {
+                // Scheduled for the very instant it is pushed at.
+                0..=5 => self.push(now, now, node),
+                // A little or a lot later; few distinct offsets, so many
+                // pushes from different instants land on one `at`.
+                6..=8 => self.push(now + [0, 1, 2, 5, 40, 1_000][b as usize % 6], now, node),
+                // Scheduled in the past of its own push instant.
+                9 => self.push(now.saturating_sub(u64::from(b % 8) * 3), now, node),
+                // A standalone key: stamped with an instant that has
+                // nothing to do with the clock, before or after `at`.
+                10 => self.push(now + u64::from(b % 4), u64::from(c) * 9, node),
+                // Pop and move the clock to the popped event, as the loop
+                // does — backwards too, if that event was in the past.
+                11 | 12 => {
+                    if let Some(at) = self.pop() {
+                        self.now = at;
+                    }
+                }
+                // Pop without moving the clock.
+                13 => {
+                    self.pop();
+                }
+                // The clock moves on with same-instant events still
+                // pending: the next same-instant push is for another
+                // instant than the ones already waiting.
+                14 => self.now += u64::from(b % 16),
+                // Rarely: a burst of >= 1 000 same-instant pushes.
+                _ if c < 16 => {
+                    for i in 0..1_000 + 2 * u32::from(b) {
+                        self.push(now, now, (node + i) % 4);
+                    }
+                }
+                _ => {
+                    self.pop();
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Random interleavings of push and pop — clustered times,
+        /// `at == key.time`, `at < key.time`, equal `at` under differing
+        /// push time / node / seq, same-instant bursts, the clock moving
+        /// on over pending same-instant events, slots freed and reused —
+        /// pop exactly as the sorted model does.
+        #[test]
+        fn pops_in_at_then_key_order_under_any_interleaving(
+            ops in proptest::collection::vec((0u8..16, any::<u8>(), any::<u8>(), any::<u8>()), 0..400),
+        ) {
+            let mut m = Modelled::new();
+            for (kind, a, b, c) in ops {
+                m.step(kind, a, b, c);
+            }
+            m.drain();
+        }
+    }
+
+    /// The bursts of the property above, at a size where a quadratic path
+    /// (a sorted vector for the current instant, say) would not finish:
+    /// 100 000 same-instant pushes arriving in descending key order with a
+    /// pop after every fourth, over a background of future events, then a
+    /// second instant's burst on top of what the first left behind.
+    #[test]
+    fn same_instant_bursts_pop_in_key_order() {
+        let mut m = Modelled::new();
+        for i in 0..1_000 {
+            m.push(m.now + 1 + i % 7, m.now, (i % 4) as u32);
+        }
+        for round in 0..2 {
+            m.now += round;
+            // Descending seq within the burst: hand the counter out
+            // backwards.
+            m.seq = [200_000 * (round + 1); 4];
+            for i in 0..100_000u64 {
+                let node = (i % 4) as usize;
+                m.seq[node] -= 2;
+                m.push(m.now, m.now, node as u32);
+                if i % 4 == 3 {
+                    m.pop();
+                }
+            }
+        }
+        m.drain();
     }
 }

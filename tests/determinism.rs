@@ -316,3 +316,139 @@ mod profiled_links {
         }
     }
 }
+
+/// The order itself, pinned.
+///
+/// The tests above compare a run with another run of the same build, so
+/// a change that reorders equal-time events consistently passes them.
+/// Here every probe firing of two traced testbeds — which node, which
+/// hook, which packet, at what node-clock reading — is folded in firing
+/// order into an FNV-1a digest, and the digest is a recorded constant: a
+/// different event order anywhere a probe can see it is a different
+/// number. The values were recorded at commit `39f9c30`, before the event
+/// queue was restructured; a change that moves them has changed what the
+/// simulation computes, not how fast.
+mod firing_order {
+    use std::cell::RefCell;
+    use std::collections::HashMap;
+    use std::rc::Rc;
+
+    use vnet_sim::probe::{ProbeEvent, ProbeOutcome, ProbeSink};
+    use vnet_sim::world::World;
+    use vnet_sim::NodeId;
+    use vnet_testbed::rack::RackTestbed;
+    use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
+    use vnet_workloads::datacenter_rack::RackConfig;
+    use vnettracer::config::ControlPackage;
+
+    /// FNV-1a over the firings seen so far, and how many there were.
+    #[derive(Default)]
+    struct Digest {
+        hash: u64,
+        firings: u64,
+    }
+
+    impl Digest {
+        fn fold(&mut self, word: u64) {
+            for b in word.to_le_bytes() {
+                self.hash ^= u64::from(b);
+                self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    /// A free (zero-cost) probe that folds each firing into the shared
+    /// digest; `hook` is the index of the trace script whose hook it
+    /// shares.
+    struct DigestSink {
+        hook: u64,
+        digest: Rc<RefCell<Digest>>,
+    }
+
+    impl ProbeSink for DigestSink {
+        fn handle(&mut self, ev: &ProbeEvent<'_>) -> ProbeOutcome {
+            let mut d = self.digest.borrow_mut();
+            d.firings += 1;
+            d.fold(u64::from(ev.node.0));
+            d.fold(self.hook);
+            d.fold(ev.packet.map_or(0, |p| p.uid().0));
+            d.fold(ev.monotonic_ns);
+            ProbeOutcome::default()
+        }
+    }
+
+    /// Attaches a [`DigestSink`] beside every script of `pkg` (which the
+    /// caller has deployed, so the probe costs that shape the timing are
+    /// the real ones).
+    fn attach_digest(
+        world: &mut World,
+        pkg: &ControlPackage,
+        nodes: &HashMap<String, NodeId>,
+    ) -> Rc<RefCell<Digest>> {
+        let digest = Rc::new(RefCell::new(Digest {
+            hash: 0xcbf2_9ce4_8422_2325,
+            firings: 0,
+        }));
+        for (hook, spec) in pkg.traces.iter().enumerate() {
+            let sink = Rc::new(RefCell::new(DigestSink {
+                hook: hook as u64,
+                digest: Rc::clone(&digest),
+            }));
+            world.attach_probe(nodes[&spec.node], spec.hook.to_sim_hook(), sink);
+        }
+        digest
+    }
+
+    fn rack_digest(cfg: &RackConfig) -> (u64, u64) {
+        let mut tb = RackTestbed::build(cfg);
+        let pkg = tb.control_package();
+        let mut tracer = tb.make_tracer();
+        tracer.deploy(&mut tb.scenario.world, &pkg).unwrap();
+        let mut nodes = HashMap::from([("tor".to_owned(), tb.scenario.tor)]);
+        for h in 0..cfg.hosts {
+            nodes.insert(format!("host{h}"), tb.scenario.host_nodes[h]);
+            for v in 0..cfg.vms_per_host {
+                let vm = tb.scenario.vm_nodes[h * cfg.vms_per_host + v];
+                nodes.insert(format!("vm{h}-{v}"), vm);
+            }
+        }
+        let digest = attach_digest(&mut tb.scenario.world, &pkg, &nodes);
+        tb.run();
+        let d = digest.borrow();
+        (d.firings, d.hash)
+    }
+
+    /// `RackConfig::small()` as it is, and with the 2 000 packets per app
+    /// of `traced_rack_counts_are_pinned`, where queues build and equal
+    /// times are common.
+    #[test]
+    fn small_rack_under_match_all_profile() {
+        let small = RackConfig::small();
+        assert_eq!(rack_digest(&small), (768, 5_676_252_196_696_940_769));
+        let busy = RackConfig {
+            packets_per_app: 2_000,
+            ..small
+        };
+        assert_eq!(rack_digest(&busy), (96_000, 14_083_848_961_596_111_911));
+    }
+
+    #[test]
+    fn two_host_testbed() {
+        let cfg = TwoHostConfig {
+            messages: 500,
+            ..Default::default()
+        };
+        let mut s = TwoHostScenario::build(&cfg);
+        let pkg = s.control_package();
+        let mut tracer = s.make_tracer();
+        tracer.deploy(&mut s.world, &pkg).unwrap();
+        let nodes = HashMap::from([
+            ("server1".to_owned(), s.server1),
+            ("server2".to_owned(), s.server2),
+        ]);
+        let digest = attach_digest(&mut s.world, &pkg, &nodes);
+        s.run(&cfg);
+        let d = digest.borrow();
+        assert_eq!((d.firings, d.hash), (6_825, 12_945_253_468_268_051_790));
+    }
+}
