@@ -616,6 +616,47 @@ mod tests {
         );
     }
 
+    /// `schedule_device_down` takes any `at`. One in the past must not
+    /// become the loop's `now`: the flip applies at the instant of the
+    /// call, and no node's clock ever reads less than it already has.
+    #[test]
+    fn flip_scheduled_in_the_past_applies_at_once() {
+        let (mut w, tx, rx, got) = pipeline();
+        let sink = Rc::new(RefCell::new(Recorder {
+            seen: Vec::new(),
+            cost: SimDuration::ZERO,
+        }));
+        w.attach_probe(NodeId(0), Hook::device_tx("eth0"), sink.clone());
+        w.attach_probe(NodeId(0), Hook::device_rx("stack-rx"), sink.clone());
+        // eth0 fails with one packet in service and one queued behind it:
+        // the first is delivered, the second is held.
+        w.inject(tx, udp_packet(10));
+        w.inject(tx, udp_packet(20));
+        w.schedule_device_down(tx, SimTime::from_nanos(500), true);
+        w.run_until(SimTime::from_millis(1));
+        assert_eq!(got.borrow().len(), 1);
+        assert_eq!(w.device_queue_len(tx), 1);
+        // A firing at 1 ms, for the clock to be compared against.
+        w.inject(rx, udp_packet(30));
+        w.run_until(SimTime::from_micros(1_100));
+        assert_eq!(got.borrow().len(), 2);
+        // Restore eth0 "at 10 us" — more than a millisecond ago.
+        w.schedule_device_down(tx, SimTime::from_micros(10), false);
+        w.run_until(SimTime::from_millis(2));
+        assert!(!w.device_is_down(tx));
+        let deliveries = got.borrow();
+        assert_eq!(deliveries.len(), 3, "the held packet resumes");
+        // Service resumed when the flip was asked for, at 1.1 ms: 1 us
+        // service + 10 us link + 2 us service later it is delivered.
+        assert_eq!(deliveries[2].0, SimTime::from_micros(1_113));
+        let clock: Vec<u64> = sink.borrow().seen.iter().map(|s| s.0).collect();
+        assert_eq!(clock.len(), 5);
+        assert!(
+            clock.windows(2).all(|w| w[0] <= w[1]),
+            "monotonic_ns ran backwards across firings: {clock:?}"
+        );
+    }
+
     #[test]
     fn probe_cost_perturbs_service() {
         let (mut w, tx, _, got) = pipeline();
