@@ -243,7 +243,9 @@ impl World {
     /// Schedules an administrative up/down flip of `dev` at simulated
     /// time `at` (the flapping-link condition generator): the event loop
     /// calls [`World::set_device_down`] when it reaches `at`, so the flip
-    /// lands between the same two events however the run is stepped.
+    /// lands between the same two events however the run is stepped. A
+    /// flip scheduled in the past applies at once: an `at` before
+    /// [`World::now`] is taken as `now`.
     pub fn schedule_device_down(&mut self, dev: DeviceId, at: SimTime, down: bool) {
         let node = self.devices[dev.index()].cfg.node;
         self.push_event(node, at, Event::SetDeviceDown { dev, down });
@@ -441,7 +443,7 @@ impl World {
             let Some((at, event)) = self.queue.pop() else {
                 break;
             };
-            debug_assert!(at >= self.now, "time went backwards");
+            debug_assert!(at >= self.now, "push_event schedules nothing before now");
             self.now = at;
             self.events_processed += 1;
             handled += 1;
@@ -455,7 +457,9 @@ impl World {
     /// Schedules `event` at `at` under `pusher`'s next push key — the
     /// only way an event enters the queue. The key is what orders events
     /// at equal times, and it is made of nothing but the push instant
-    /// and the pushing node's own counter.
+    /// and the pushing node's own counter. Nothing is scheduled before
+    /// `now` (an earlier `at` means "at once"), so the times the loop pops
+    /// never decrease.
     fn push_event(&mut self, pusher: NodeId, at: SimTime, event: Event) {
         let seq = &mut self.push_seq[pusher.index()];
         let key = PushKey {
@@ -464,7 +468,7 @@ impl World {
             seq: *seq,
         };
         *seq += 1;
-        self.queue.push(at, key, event);
+        self.queue.push(at.max(self.now), key, event);
     }
 
     /// Allocates a packet uid from `node`'s counter; the node index in
