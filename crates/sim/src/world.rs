@@ -84,7 +84,8 @@ pub struct World {
     /// node's attachment lists.
     probes: Vec<ProbeRegistry>,
     next_probe_id: u64,
-    schedulers: HashMap<NodeId, Box<dyn HyperScheduler>>,
+    /// One slot per node; `Some` where a hypervisor scheduler is installed.
+    schedulers: Vec<Option<Box<dyn HyperScheduler>>>,
     /// One softirq engine per node.
     softirq: Vec<SoftirqEngine>,
     seed: u64,
@@ -113,7 +114,7 @@ impl World {
             apps: Vec::new(),
             probes: Vec::new(),
             next_probe_id: 0,
-            schedulers: HashMap::new(),
+            schedulers: Vec::new(),
             softirq: Vec::new(),
             seed,
             rng: SmallRng::seed_from_u64(seed),
@@ -152,6 +153,7 @@ impl World {
         self.nodes.push(Node::new(id, name, num_cpus, clock));
         self.softirq.push(SoftirqEngine::new(num_cpus));
         self.probes.push(ProbeRegistry::new());
+        self.schedulers.push(None);
         self.node_rngs
             .push(SmallRng::seed_from_u64(node_stream_seed(
                 self.seed,
@@ -163,8 +165,12 @@ impl World {
     }
 
     /// Installs a hypervisor scheduler on `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node does not exist.
     pub fn set_scheduler(&mut self, node: NodeId, sched: Box<dyn HyperScheduler>) {
-        self.schedulers.insert(node, sched);
+        self.schedulers[node.index()] = Some(sched);
     }
 
     /// Adds a device from its configuration.

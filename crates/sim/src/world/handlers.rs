@@ -243,11 +243,9 @@ impl World {
         let node = dev.cfg.node;
         // vCPU-gated devices can only serve while their vCPU is scheduled.
         if let Gate::Vcpu(vcpu) = dev.cfg.gate {
-            let gate_at = self
-                .schedulers
-                .get_mut(&node)
-                .map(|s| s.run_gate(vcpu, now))
-                .unwrap_or(now);
+            let gate_at = self.schedulers[node.index()]
+                .as_mut()
+                .map_or(now, |s| s.run_gate(vcpu, now));
             if gate_at > now {
                 self.push_event(node, gate_at, Event::StartService { dev: dev_id });
                 return;
@@ -305,7 +303,7 @@ impl World {
         let node = dev.cfg.node;
         if let Gate::Vcpu(vcpu) = dev.cfg.gate {
             if queue_empty {
-                if let Some(s) = self.schedulers.get_mut(&node) {
+                if let Some(s) = &mut self.schedulers[node.index()] {
                     s.sleep(vcpu, now);
                 }
             }
@@ -477,7 +475,7 @@ impl World {
                 let peer = &self.devices[port.peer.index()];
                 if let Gate::Vcpu(vcpu) = peer.cfg.gate {
                     if peer.cfg.node == node {
-                        if let Some(s) = self.schedulers.get_mut(&node) {
+                        if let Some(s) = &mut self.schedulers[node.index()] {
                             arrive_at = arrive_at.max(s.run_gate(vcpu, arrive_at));
                         }
                     }
