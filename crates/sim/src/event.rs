@@ -2,15 +2,40 @@
 //!
 //! Every scheduled event carries a [`PushKey`] — `(push time, pushing
 //! node, per-node sequence)` — minted by the node whose handler pushed
-//! it. Events at equal timestamps are delivered in push-key order. The
-//! key is a *canonical* tie-break: it is made of the push instant and the
-//! pushing node's own counter, never of heap insertion order or of how
-//! many events other nodes happened to push, so the order of equal-time
-//! events is a property of the simulation, not of the loop running it.
-//! Together with the seeded per-node RNG streams this makes every run
-//! bit-for-bit reproducible.
+//! it. Events pop in `(event time, push key)` order. The key is a
+//! *canonical* tie-break: it is made of the push instant and the pushing
+//! node's own counter, never of insertion order or of how many events
+//! other nodes happened to push, so the order of equal-time events is a
+//! property of the simulation, not of the loop running it. Together with
+//! the seeded per-node RNG streams this makes every run bit-for-bit
+//! reproducible.
+//!
+//! That order is the contract; the structure behind it is not. Today it
+//! is this:
+//!
+//! * The heaps hold 32-byte `Copy` [`HeapKey`]s — the whole ordering key
+//!   packed into two `u128`s, plus a slot number. The [`Event`] itself
+//!   (48 bytes, it owns the packet) waits in a slot table and moves twice:
+//!   in at `push`, out when its key pops. A sift level moves a key, and
+//!   comparing two keys is one equality test and one `u128` compare.
+//! * There are two heaps. Half of what a [`crate::world::World`] pushes is
+//!   scheduled for the very instant it is pushed at (a `StartService` on
+//!   an idle device, a zero-latency hop); such a push goes to the small
+//!   *current-instant* heap as long as that heap is empty or already
+//!   holds that instant, and everything else goes to the *future* heap.
+//!   `pop` compares the two heads under the **full** key and takes the
+//!   smaller, so which heap a key sits in never decides the order: a
+//!   same-instant push cannot be overtaken by a key in the future heap,
+//!   nor overtake one, because the minimum of the union is the smaller of
+//!   the two minima whatever the split. The split only decides cost — an
+//!   event that is popped next anyway sifts through a handful of
+//!   same-instant keys, not through everything pending — and the queue is
+//!   correct for any push sequence (keys stamped by hand, events scheduled
+//!   before their push instant, a current heap still holding an instant
+//!   the clock has left), merely fastest for the one a `World` produces.
+//!   The property test below is the proof.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::ids::{AppId, CpuId, DeviceId, NodeId};
@@ -32,16 +57,6 @@ pub struct PushKey {
     pub node: u32,
     /// The pushing node's sequence counter at push time.
     pub seq: u64,
-}
-
-impl PushKey {
-    /// The smallest possible key (sorts before any minted key at the same
-    /// event time) — for standalone queue use outside a [`crate::world::World`].
-    pub const MIN: PushKey = PushKey {
-        time: SimTime::ZERO,
-        node: 0,
-        seq: 0,
-    };
 }
 
 /// A scheduled simulation event.
@@ -102,34 +117,65 @@ pub enum Event {
     },
 }
 
-#[derive(Debug)]
-struct Entry {
-    at: SimTime,
-    key: PushKey,
-    event: Event,
+/// What the heaps hold: one scheduled event's full ordering key, packed,
+/// and the slot its [`Event`] waits in.
+///
+/// `when` is `(event time, push time)` and `who` is `(pushing node, that
+/// node's sequence, slot)`, most significant first, so comparing
+/// `(when, who)` is comparing `(at, PushKey)` field by field. The slot
+/// sits below every key bit: it can only break a tie between two equal
+/// keys, which a `World` never mints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HeapKey {
+    when: u128,
+    who: u128,
 }
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.key == other.key
+impl HeapKey {
+    fn new(at: SimTime, key: PushKey, slot: u32) -> Self {
+        HeapKey {
+            when: u128::from(at.as_nanos()) << 64 | u128::from(key.time.as_nanos()),
+            who: u128::from(key.node) << 96 | u128::from(key.seq) << 32 | u128::from(slot),
+        }
+    }
+
+    fn at(self) -> SimTime {
+        SimTime::from_nanos((self.when >> 64) as u64)
+    }
+
+    fn slot(self) -> usize {
+        self.who as u32 as usize
     }
 }
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+
+/// Reversed: `std`'s heap hands out its greatest element and the queue
+/// wants the earliest key, so the earlier key is the greater one.
+impl Ord for HeapKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self.when == other.when {
+            other.who.cmp(&self.who)
+        } else {
+            other.when.cmp(&self.when)
+        }
+    }
+}
+impl PartialOrd for HeapKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.key).cmp(&(other.at, other.key))
     }
 }
 
 /// A time-ordered event queue with canonical (push-key) tie-breaking.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<Entry>>,
+    /// Keys pushed for their own push instant; one instant at a time.
+    current: BinaryHeap<HeapKey>,
+    /// Every other key.
+    future: BinaryHeap<HeapKey>,
+    /// The events of the keys in the two heaps, by `HeapKey::slot`.
+    slots: Vec<Option<Event>>,
+    /// Vacant entries of `slots`, most recently vacated last.
+    free: Vec<u32>,
 }
 
 impl EventQueue {
@@ -140,27 +186,54 @@ impl EventQueue {
 
     /// Schedules `event` at time `at` with the given push key.
     pub fn push(&mut self, at: SimTime, key: PushKey, event: Event) {
-        self.heap.push(Reverse(Entry { at, key, event }));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len())
+                    .expect("fewer than 2^32 events are pending at once");
+                self.slots.push(Some(event));
+                slot
+            }
+        };
+        let heap_key = HeapKey::new(at, key, slot);
+        let same_instant = at == key.time && self.current.peek().is_none_or(|head| head.at() == at);
+        if same_instant {
+            self.current.push(heap_key);
+        } else {
+            self.future.push(heap_key);
+        }
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.event))
+        self.pop_at_or_before(SimTime::MAX)
     }
 
-    /// The timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
+    /// Removes and returns the earliest event if it is scheduled at or
+    /// before `bound`.
+    pub fn pop_at_or_before(&mut self, bound: SimTime) -> Option<(SimTime, Event)> {
+        let heap = match (self.current.peek(), self.future.peek()) {
+            (Some(current), Some(future)) if current > future => &mut self.current,
+            (Some(_), None) => &mut self.current,
+            _ => &mut self.future,
+        };
+        if heap.peek()?.at() > bound {
+            return None;
+        }
+        let heap_key = heap.pop()?;
+        let event = self.slots[heap_key.slot()]
+            .take()
+            .expect("a key's slot holds its event until the key pops");
+        self.free.push(heap_key.slot() as u32);
+        Some((heap_key.at(), event))
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.current.is_empty() && self.future.is_empty()
     }
 }
 
@@ -233,14 +306,33 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn pop_at_or_before_stops_at_the_bound() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_nanos(7), key(0), timer(0));
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(7)));
-        assert_eq!(q.len(), 1);
-        q.pop();
+        assert!(q.pop_at_or_before(SimTime::MAX).is_none());
+        let at = |ns| SimTime::from_nanos(ns);
+        // One key in each heap: 7 is pushed for its own push instant.
+        q.push(at(9), key(0), timer(9));
+        q.push(
+            at(7),
+            PushKey {
+                time: at(7),
+                node: 0,
+                seq: 1,
+            },
+            timer(7),
+        );
+        assert!(q.pop_at_or_before(at(6)).is_none());
+        assert_eq!(
+            q.pop_at_or_before(at(7)).map(|(t, e)| (t, tag_of(e))),
+            Some((at(7), 7))
+        );
+        assert!(q.pop_at_or_before(at(8)).is_none());
+        assert!(!q.is_empty());
+        assert_eq!(
+            q.pop_at_or_before(at(9)).map(|(t, e)| (t, tag_of(e))),
+            Some((at(9), 9))
+        );
         assert!(q.is_empty());
     }
 

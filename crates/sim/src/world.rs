@@ -445,10 +445,7 @@ impl World {
     fn run_events(&mut self, bound: SimTime, budget: Option<u64>) {
         self.start();
         let mut handled = 0u64;
-        while self.queue.peek_time().is_some_and(|at| at <= bound) {
-            let Some((at, event)) = self.queue.pop() else {
-                break;
-            };
+        while let Some((at, event)) = self.queue.pop_at_or_before(bound) {
             debug_assert!(at >= self.now, "push_event schedules nothing before now");
             self.now = at;
             self.events_processed += 1;
