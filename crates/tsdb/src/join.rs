@@ -26,7 +26,16 @@ impl FirstSeen {
     /// Any [`StoreError`] from reading sealed segments.
     pub fn scan(db: &TraceDb, measurement: &str) -> Result<FirstSeen, StoreError> {
         let project = columns(&[ColumnId::Ts, ColumnId::TraceId, ColumnId::Flags]);
-        let mut first = TraceIdMap::default();
+        // One record per packet is the common table, so the row count —
+        // sealed rows from the segment footers plus the hot tail — is the
+        // map's final size: reserve it once instead of rehashing up to it.
+        let sealed: u64 = db
+            .sealed_segments_for(measurement)
+            .iter()
+            .map(|s| s.meta().records)
+            .sum();
+        let rows = sealed as usize + db.table(measurement).map_or(0, |t| t.len());
+        let mut first = TraceIdMap::with_capacity_and_hasher(rows, Default::default());
         let stats = Query::new(measurement).walk(db, &project, |rows| {
             match rows {
                 Rows::Sealed { block, matched, .. } => {
