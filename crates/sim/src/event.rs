@@ -143,8 +143,8 @@ impl HeapKey {
         SimTime::from_nanos((self.when >> 64) as u64)
     }
 
-    fn slot(self) -> usize {
-        self.who as u32 as usize
+    fn slot(self) -> u32 {
+        self.who as u32
     }
 }
 
@@ -215,6 +215,7 @@ impl EventQueue {
     /// Removes and returns the earliest event if it is scheduled at or
     /// before `bound`.
     pub fn pop_at_or_before(&mut self, bound: SimTime) -> Option<(SimTime, Event)> {
+        // `HeapKey`'s order is reversed: the greater head is the earlier.
         let heap = match (self.current.peek(), self.future.peek()) {
             (Some(current), Some(future)) if current > future => &mut self.current,
             (Some(_), None) => &mut self.current,
@@ -224,10 +225,11 @@ impl EventQueue {
             return None;
         }
         let heap_key = heap.pop()?;
-        let event = self.slots[heap_key.slot()]
+        let slot = heap_key.slot();
+        let event = self.slots[slot as usize]
             .take()
             .expect("a key's slot holds its event until the key pops");
-        self.free.push(heap_key.slot() as u32);
+        self.free.push(slot);
         Some((heap_key.at(), event))
     }
 
