@@ -418,10 +418,11 @@ impl World {
     }
 
     /// Runs the event loop until simulated time `t` (inclusive of events
-    /// at `t`); advances `now` to `t`.
+    /// at `t`); advances `now` to `t`. A `t` before `now` runs nothing and
+    /// leaves the clock where it is.
     pub fn run_until(&mut self, t: SimTime) {
         self.run_events(t, None);
-        self.now = t;
+        self.now = self.now.max(t);
     }
 
     /// Runs for `d` of simulated time from the current instant.
@@ -656,6 +657,9 @@ mod tests {
         // Service resumed when the flip was asked for, at 1.1 ms: 1 us
         // service + 10 us link + 2 us service later it is delivered.
         assert_eq!(deliveries[2].0, SimTime::from_micros(1_113));
+        // Neither does running "until" an instant already passed.
+        w.run_until(SimTime::from_micros(5));
+        assert_eq!(w.now(), SimTime::from_millis(2));
         let clock: Vec<u64> = sink.borrow().seen.iter().map(|s| s.0).collect();
         assert_eq!(clock.len(), 5);
         assert!(
