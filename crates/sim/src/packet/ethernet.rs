@@ -122,9 +122,16 @@ pub struct EthernetHeader {
 impl EthernetHeader {
     /// Encodes the header into `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&self.ethertype.as_u16().to_be_bytes());
+        out.extend_from_slice(&self.to_bytes());
+    }
+
+    /// The header's wire bytes.
+    pub(crate) fn to_bytes(self) -> [u8; ETHERNET_HEADER_LEN] {
+        let mut b = [0u8; ETHERNET_HEADER_LEN];
+        b[0..6].copy_from_slice(&self.dst.0);
+        b[6..12].copy_from_slice(&self.src.0);
+        b[12..14].copy_from_slice(&self.ethertype.as_u16().to_be_bytes());
+        b
     }
 
     /// Decodes a header from the start of `buf`.

@@ -61,19 +61,25 @@ pub struct Ipv4Header {
 impl Ipv4Header {
     /// Encodes the header (computing the checksum) into `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.push(0x45); // version 4, IHL 5
-        out.push(self.tos);
-        out.extend_from_slice(&self.total_len.to_be_bytes());
-        out.extend_from_slice(&self.identification.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // flags + fragment offset
-        out.push(self.ttl);
-        out.push(self.protocol.as_u8());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.src.octets());
-        out.extend_from_slice(&self.dst.octets());
-        let csum = internet_checksum(&out[start..start + IPV4_HEADER_LEN]);
-        out[start + 10..start + 12].copy_from_slice(&csum.to_be_bytes());
+        out.extend_from_slice(&self.to_bytes());
+    }
+
+    /// The header's wire bytes, checksum included.
+    pub(crate) fn to_bytes(self) -> [u8; IPV4_HEADER_LEN] {
+        let mut b = [0u8; IPV4_HEADER_LEN];
+        b[0] = 0x45; // version 4, IHL 5
+        b[1] = self.tos;
+        b[2..4].copy_from_slice(&self.total_len.to_be_bytes());
+        b[4..6].copy_from_slice(&self.identification.to_be_bytes());
+        // Bytes 6..8 (flags + fragment offset) and the checksum stay zero
+        // until the checksum is computed over them.
+        b[8] = self.ttl;
+        b[9] = self.protocol.as_u8();
+        b[12..16].copy_from_slice(&self.src.octets());
+        b[16..20].copy_from_slice(&self.dst.octets());
+        let csum = internet_checksum(&b);
+        b[10..12].copy_from_slice(&csum.to_be_bytes());
+        b
     }
 
     /// Decodes a header from the start of `buf`, verifying version and IHL.

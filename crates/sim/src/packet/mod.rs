@@ -39,7 +39,6 @@ pub use tcp::{TcpFlags, TcpHeader, TcpOption, TCP_BASE_HEADER_LEN, TRACE_ID_OPTI
 pub use udp::{UdpHeader, UDP_HEADER_LEN};
 pub use vxlan::{VxlanHeader, VXLAN_HEADER_LEN, VXLAN_UDP_PORT};
 
-use bytes::BytesMut;
 use serde::{Deserialize, Serialize};
 
 /// A simulator-wide unique identifier for a packet *instance*.
@@ -58,23 +57,32 @@ impl core::fmt::Display for PacketUid {
     }
 }
 
-/// A network packet: an owned byte buffer plus simulator metadata.
+/// A network packet: one owned byte buffer plus simulator metadata.
 ///
-/// The byte buffer always starts at the Ethernet header. All header
-/// manipulation (trace-ID injection, VXLAN encap/decap) operates on the
-/// bytes, exactly as a kernel would on an `sk_buff`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The frame starts at the Ethernet header; it is all that
+/// [`Packet::bytes`], equality and the parsers see. As in an `sk_buff`,
+/// the buffer may hold *headroom* before the frame and spare capacity
+/// (*tailroom*) after it. A frame [`PacketBuilder`] writes has room for
+/// one VXLAN envelope in front and one UDP trace-ID trailer behind, so
+/// encapsulation, decapsulation and the trailer (which work on the bytes,
+/// exactly as a kernel would) write headers only: the frame itself is
+/// written once and never moves.
+#[derive(Clone)]
 pub struct Packet {
     uid: PacketUid,
-    data: BytesMut,
+    /// Where the frame starts in `data`; the bytes before are headroom.
+    head: usize,
+    data: Vec<u8>,
 }
 
 impl Packet {
-    /// Wraps raw bytes (starting at the Ethernet header) as a packet.
+    /// Wraps raw bytes (starting at the Ethernet header) as a packet. The
+    /// copy has no headroom: the first encapsulation moves it once.
     pub fn from_bytes(data: impl AsRef<[u8]>) -> Self {
         Packet {
             uid: PacketUid(0),
-            data: BytesMut::from(data.as_ref()),
+            head: 0,
+            data: data.as_ref().to_vec(),
         }
     }
 
@@ -90,22 +98,60 @@ impl Packet {
 
     /// The full frame bytes, starting at the Ethernet header.
     pub fn bytes(&self) -> &[u8] {
-        &self.data
+        &self.data[self.head..]
     }
 
     /// Mutable access to the frame bytes.
-    pub fn bytes_mut(&mut self) -> &mut BytesMut {
-        &mut self.data
+    pub fn bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.data[self.head..]
     }
 
     /// Total frame length in bytes.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data.len() - self.head
     }
 
     /// Whether the frame is empty (never true for a well-formed packet).
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
+    }
+
+    /// Prepends `n` bytes to the frame and returns them for the caller to
+    /// fill (`skb_push`). They come out of the headroom when it is deep
+    /// enough; otherwise the frame moves once into a buffer that has it.
+    pub(crate) fn push(&mut self, n: usize) -> &mut [u8] {
+        if self.head < n {
+            let mut data = Vec::with_capacity(n + self.len());
+            data.resize(n, 0);
+            data.extend_from_slice(self.bytes());
+            self.data = data;
+            self.head = n;
+        }
+        self.head -= n;
+        &mut self.data[self.head..self.head + n]
+    }
+
+    /// Removes the first `n` bytes of the frame, which become headroom
+    /// (`skb_pull`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame is shorter than `n` bytes.
+    pub(crate) fn pull(&mut self, n: usize) {
+        assert!(n <= self.len(), "pull of {n} bytes from a shorter frame");
+        self.head += n;
+    }
+
+    /// Appends `bytes` to the frame (`skb_put`), into the tailroom when it
+    /// is deep enough.
+    pub(crate) fn put(&mut self, bytes: &[u8]) {
+        self.data.extend_from_slice(bytes);
+    }
+
+    /// Shortens the frame to `len` bytes (`skb_trim`); the rest becomes
+    /// tailroom. A frame no longer than `len` is left as it is.
+    pub(crate) fn trim(&mut self, len: usize) {
+        self.data.truncate(self.head + len);
     }
 
     /// Parses the frame into structured headers.
@@ -116,6 +162,25 @@ impl Packet {
     /// inconsistent with the buffer length.
     pub fn parse(&self) -> Result<ParsedPacket<'_>, ParseError> {
         parse::parse(self.bytes())
+    }
+}
+
+/// Two packets are equal when their uids and frames are: the headroom
+/// and tailroom around a frame are not part of it.
+impl PartialEq for Packet {
+    fn eq(&self, other: &Self) -> bool {
+        self.uid == other.uid && self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for Packet {}
+
+impl core::fmt::Debug for Packet {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Packet")
+            .field("uid", &self.uid)
+            .field("bytes", &self.bytes())
+            .finish()
     }
 }
 
@@ -138,5 +203,32 @@ mod tests {
         a.set_uid(PacketUid(7));
         assert_eq!(a.bytes(), b.bytes());
         assert_ne!(a.uid(), b.uid());
+    }
+
+    #[test]
+    fn push_pull_put_and_trim_move_the_frame_edges() {
+        // No headroom: the first push moves the frame once.
+        let mut p = Packet::from_bytes([3u8, 4]);
+        p.push(2).copy_from_slice(&[1, 2]);
+        assert_eq!(p.bytes(), [1, 2, 3, 4]);
+        p.pull(1);
+        assert_eq!(p.bytes(), [2, 3, 4]);
+        assert_eq!(
+            p,
+            Packet::from_bytes([2u8, 3, 4]),
+            "headroom is not compared"
+        );
+        // The pulled byte is headroom now: pushing it back moves nothing.
+        let frame = p.bytes().as_ptr();
+        p.push(1)[0] = 9;
+        assert_eq!(p.bytes(), [9, 2, 3, 4]);
+        assert_eq!(p.bytes()[1..].as_ptr(), frame);
+        p.put(&[5]);
+        p.trim(3);
+        assert_eq!(p.bytes(), [9, 2, 3]);
+        p.trim(10);
+        assert_eq!(p.len(), 3);
+        p.bytes_mut()[0] = 1;
+        assert_eq!(p.bytes(), [1, 2, 3]);
     }
 }

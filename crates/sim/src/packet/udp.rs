@@ -25,10 +25,17 @@ pub struct UdpHeader {
 impl UdpHeader {
     /// Encodes the header into `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.length.to_be_bytes());
-        out.extend_from_slice(&self.checksum.to_be_bytes());
+        out.extend_from_slice(&self.to_bytes());
+    }
+
+    /// The header's wire bytes.
+    pub(crate) fn to_bytes(self) -> [u8; UDP_HEADER_LEN] {
+        let mut b = [0u8; UDP_HEADER_LEN];
+        b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        b[4..6].copy_from_slice(&self.length.to_be_bytes());
+        b[6..8].copy_from_slice(&self.checksum.to_be_bytes());
+        b
     }
 
     /// Decodes a header from the start of `buf`, returning it and the UDP

@@ -28,10 +28,14 @@ impl VxlanHeader {
 
     /// Encodes the header into `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.push(0x08); // flags: I bit set (valid VNI)
-        out.extend_from_slice(&[0, 0, 0]); // reserved
+        out.extend_from_slice(&self.to_bytes());
+    }
+
+    /// The header's wire bytes: the I flag, 24 reserved bits, the VNI
+    /// and 8 more reserved bits.
+    pub(crate) fn to_bytes(self) -> [u8; VXLAN_HEADER_LEN] {
         let vni = self.vni.to_be_bytes();
-        out.extend_from_slice(&[vni[1], vni[2], vni[3], 0]);
+        [0x08, 0, 0, 0, vni[1], vni[2], vni[3], 0]
     }
 
     /// Decodes a header from the start of `buf`, returning it and the inner
