@@ -13,12 +13,11 @@
 //! parameters are calibrated so the Fig. 7(b) crossover reproduces (see
 //! `EXPERIMENTS.md`).
 
-use serde::{Deserialize, Serialize};
 use vnet_sim::probe::{ProbeEvent, ProbeOutcome, ProbeSink};
 use vnet_sim::time::SimDuration;
 
 /// Cost parameters of the SystemTap model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemTapCost {
     /// kprobe int3 trap + SystemTap runtime entry/exit, per event.
     pub handler_ns: u64,

@@ -529,16 +529,15 @@ fn print_collector_stats(stats: &vnettracer::collector::CollectorStats) {
     println!("{t}");
 }
 
-/// Prints per-program run statistics: which execution tier each trace
-/// script compiled to, how often it fired, and what it cost — the
-/// kernel-style `run_cnt` / `run_time_ns` counters.
+/// Prints per-program run statistics: how often each trace script fired
+/// and what it cost — the kernel-style `run_cnt` / `run_time_ns`
+/// counters.
 fn print_run_stats(tracer: &vnettracer::VNetTracer) {
     let mut t = Table::new(
         "trace programs",
         &[
             "script",
             "node",
-            "tier",
             "runs",
             "matched",
             "errors",
@@ -552,7 +551,6 @@ fn print_run_stats(tracer: &vnettracer::VNetTracer) {
         t.row(&[
             s.name.clone(),
             s.node.clone(),
-            format!("{:?}", s.stats.tier).to_lowercase(),
             s.stats.executions.to_string(),
             s.stats.matched.to_string(),
             s.stats.errors.to_string(),

@@ -15,14 +15,14 @@ use vnet_ebpf::context::TraceContext;
 use vnet_ebpf::jit::CompiledProgram;
 use vnet_ebpf::map::{MapDef, MapRegistry};
 use vnet_ebpf::program::LoadedProgram;
-use vnet_ebpf::vm::{jit_compile_cost_ns, standard_helpers, Vm, VmEnv, PROBE_BASE_COST_NS};
+use vnet_ebpf::vm::{jit_compile_cost_ns, standard_helpers, VmEnv, PROBE_BASE_COST_NS};
 use vnet_sim::ids::NodeId;
 use vnet_sim::probe::{Direction, ProbeEvent, ProbeId, ProbeOutcome, ProbeSink};
 use vnet_sim::time::SimDuration;
 use vnet_sim::world::World;
 use vnet_tsdb::CompactRecord;
 
-use crate::config::{Action, CollectionMode, ExecTier, GlobalConfig, TraceSpec};
+use crate::config::{Action, CollectionMode, GlobalConfig, TraceSpec};
 use crate::error::{Result, TracerError};
 
 /// Identifies an installed script on an agent.
@@ -43,19 +43,17 @@ pub struct ScriptStats {
     /// the one-time compile cost and per-record ship cost
     /// (`run_time_ns`).
     pub run_time_ns: u64,
-    /// Original instructions retired across all runs (tier-independent:
-    /// both tiers retire the same count for the same inputs).
+    /// Original instructions retired across all runs (the count the
+    /// interpreter would retire for the same inputs).
     pub insns_retired: u64,
-    /// Ops dispatched across all runs: equals `insns_retired` on the
-    /// interpreter, less on the threaded tier where fused ops retire
-    /// several instructions each.
+    /// Ops dispatched across all runs: fewer than `insns_retired`,
+    /// because fused ops retire several instructions each.
     pub ops_executed: u64,
-    /// Fused-op executions on the threaded tier (0 on the interpreter).
+    /// Fused-op executions.
     pub fused_hits: u64,
     /// Runtime checks skipped across all runs because the verifier's
     /// abstract interpretation proved them redundant — bounds checks,
-    /// region dispatches and decided branches on the threaded tier,
-    /// divisor zero-tests on both tiers.
+    /// region dispatches, decided branches and divisor zero-tests.
     pub checks_elided: u64,
     /// The program's certified worst-case cost per firing in simulated
     /// nanoseconds, probe entry included — the static bound from
@@ -66,8 +64,6 @@ pub struct ScriptStats {
     /// `bench_e2e` harness reads it (ROADMAP item 2's unlock list).
     #[doc(hidden)]
     pub insns_eliminated: u64,
-    /// The tier this script executes on.
-    pub tier: ExecTier,
 }
 
 impl ScriptStats {
@@ -86,26 +82,21 @@ impl ScriptStats {
 /// (§III-C).
 pub const ONLINE_SHIP_COST_NS: u64 = 1_500;
 
-/// The execution engine behind a probe: the interpreter re-decodes
-/// bytecode every firing; the threaded tier runs the pre-compiled form,
-/// paying a one-time compile cost on its first firing.
-enum Engine {
-    Interp(Vm),
-    Jit {
-        compiled: CompiledProgram,
-        /// Compile cost not yet charged; taken (zeroed) on first run.
-        pending_compile_ns: u64,
-    },
-}
-
 /// The [`ProbeSink`] wrapper that runs a loaded eBPF program each time
 /// its hook fires, charging the simulated CPU cost of the execution back
 /// to the packet being processed — the mechanism behind the overhead
-/// measurements of Fig. 7.
+/// measurements of Fig. 7. The program runs as threaded code, as a
+/// kernel runs it JIT-compiled (§II); the first firing pays the compile.
 pub struct EbpfProbeSink {
+    /// The verified program, kept for the probe's lifetime although only
+    /// `Debug` reads it after attach: dropping it there frees its
+    /// analysis (~160 KB a script) but measured 6–13 % slower on the
+    /// benchmark's traced racks (ROADMAP item 1(iv)).
     program: LoadedProgram,
+    compiled: CompiledProgram,
+    /// Compile cost not yet charged; taken (zeroed) on first run.
+    pending_compile_ns: u64,
     maps: Rc<RefCell<MapRegistry>>,
-    engine: Engine,
     stats: ScriptStats,
     prandom_state: u64,
     per_match_extra_ns: u64,
@@ -115,26 +106,18 @@ impl EbpfProbeSink {
     fn new(
         loaded: LoadedProgram,
         maps: Rc<RefCell<MapRegistry>>,
-        tier: ExecTier,
         prandom_state: u64,
         per_match_extra_ns: u64,
     ) -> Self {
-        let engine = match tier {
-            ExecTier::Interp => Engine::Interp(Vm::new()),
-            ExecTier::Jit => Engine::Jit {
-                compiled: vnet_ebpf::jit::compile(&loaded),
-                pending_compile_ns: jit_compile_cost_ns(loaded.insns().len()),
-            },
-        };
         let stats = ScriptStats {
-            tier,
             certified_cost_ns: PROBE_BASE_COST_NS + loaded.certificate().worst_case_ns,
             ..ScriptStats::default()
         };
         EbpfProbeSink {
+            compiled: vnet_ebpf::jit::compile(&loaded),
+            pending_compile_ns: jit_compile_cost_ns(loaded.insns().len()),
             program: loaded,
             maps,
-            engine,
             stats,
             prandom_state,
             per_match_extra_ns,
@@ -196,44 +179,24 @@ impl ProbeSink for EbpfProbeSink {
             prandom_state: &mut self.prandom_state,
         };
         let mut maps = self.maps.borrow_mut();
-        // (return value, execution cost, one-time extra) per tier; both
-        // tiers produce identical results, side effects and per-path
-        // costs (fused ops charge the sum of their components) — they
-        // differ only in the one-time compile charge. The charged cost
-        // is the path's toll under the shared table in `vnet_ebpf::cost`
-        // and is bounded by the program's certificate, so a script that
-        // passed the probe-budget check can never exceed its budget
-        // here. Aborts charge the probe entry only.
-        let (result, one_time_ns) = match &mut self.engine {
-            Engine::Interp(vm) => (
-                vm.execute(&self.program, &ctx, pkt, &mut maps, &mut env)
-                    .map(|out| {
-                        self.stats.insns_retired += out.insns_executed;
-                        self.stats.ops_executed += out.insns_executed;
-                        self.stats.checks_elided += out.checks_elided;
-                        (out.ret, PROBE_BASE_COST_NS + out.cost_ns)
-                    })
-                    .map_err(|_| PROBE_BASE_COST_NS),
-                0,
-            ),
-            Engine::Jit {
-                compiled,
-                pending_compile_ns,
-            } => (
-                compiled
-                    .execute(&ctx, pkt, &mut maps, &mut env)
-                    .map(|out| {
-                        self.stats.insns_retired += out.insns_retired;
-                        self.stats.ops_executed += out.ops_executed;
-                        self.stats.fused_hits += out.fused_hits;
-                        self.stats.checks_elided += out.checks_elided;
-                        (out.ret, PROBE_BASE_COST_NS + out.cost_ns)
-                    })
-                    .map_err(|_| PROBE_BASE_COST_NS),
-                // First firing pays the compile.
-                std::mem::take(pending_compile_ns),
-            ),
-        };
+        // The charged cost is the path's toll under the shared table in
+        // `vnet_ebpf::cost` (fused ops charge the sum of their
+        // components) and is bounded by the program's certificate, so a
+        // script that passed the probe-budget check can never exceed its
+        // budget here. Aborts charge the probe entry only. The first
+        // firing also pays the compile.
+        let result = self
+            .compiled
+            .execute(&ctx, pkt, &mut maps, &mut env)
+            .map(|out| {
+                self.stats.insns_retired += out.insns_retired;
+                self.stats.ops_executed += out.ops_executed;
+                self.stats.fused_hits += out.fused_hits;
+                self.stats.checks_elided += out.checks_elided;
+                (out.ret, PROBE_BASE_COST_NS + out.cost_ns)
+            })
+            .map_err(|_| PROBE_BASE_COST_NS);
+        let one_time_ns = std::mem::take(&mut self.pending_compile_ns);
         match result {
             Ok((ret, exec_ns)) => {
                 self.stats.executions += 1;
@@ -327,8 +290,8 @@ impl Agent {
     /// `buffer_size` sizes the per-CPU perf buffer of a record-producing
     /// script, in [`CollectionMode::Online`] every match additionally
     /// pays [`ONLINE_SHIP_COST_NS`] of CPU to be shipped to user space
-    /// immediately, and the threaded tier pays a one-time compile cost on
-    /// the script's first firing, then a reduced per-op cost.
+    /// immediately, and the script's first firing pays a one-time
+    /// compile cost.
     ///
     /// # Errors
     ///
@@ -379,7 +342,7 @@ impl Agent {
     /// escape hatch for trace logic beyond the built-in filter/action
     /// compiler. The program is verified and its map fds relocated
     /// against this agent's map registry (see [`Agent::maps`]); it runs
-    /// on `global`'s execution tier under its probe budget.
+    /// under `global`'s probe budget.
     ///
     /// # Errors
     ///
@@ -418,7 +381,6 @@ impl Agent {
         let sink = Rc::new(RefCell::new(EbpfProbeSink::new(
             loaded,
             Rc::clone(&self.maps),
-            global.exec_tier,
             0x5eed ^ id,
             per_match_extra_ns,
         )));

@@ -15,14 +15,12 @@
 //! **100 samples and selects the minimum** one-way time; the skew is
 //! `t1 + T_1wt − t2` (the paper reports its absolute value).
 
-use serde::{Deserialize, Serialize};
-
 /// Number of probe samples the paper collects per estimate.
 pub const DEFAULT_SAMPLES: usize = 100;
 
 /// One probe exchange's four timestamps (nanoseconds on each node's own
 /// clock).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SkewSample {
     /// Master clock at request transmission.
     pub t1: u64,
@@ -57,7 +55,7 @@ impl SkewSample {
 }
 
 /// The skew estimate produced from a sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SkewEstimate {
     /// One-way transmission time of the best (minimum) sample.
     pub one_way_ns: u64,

@@ -9,16 +9,19 @@
 //! *control package* per trace script and sends them to the agents; all
 //! of it can be modified and re-sent at runtime.
 //!
-//! Everything here is serde-serializable — control packages really travel
-//! as JSON between dispatcher and agents in this implementation.
+//! Control packages really travel as JSON between dispatcher and agents
+//! in this implementation, through the hand-written `ToJson`/`FromJson`
+//! impls below. Of the paper's global settings, table names are the
+//! script names ([`TraceSpec::name`]) and the database is whatever
+//! [`TraceDb`](vnet_tsdb::TraceDb) the collector writes to
+//! (`VNetTracer::with_db`), so neither is a package member.
 
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
 use serde_json::{member, object, Error as JsonError, FromJson, ToJson, Value};
 
 /// Transport protocol selector for filter rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Proto {
     /// Match TCP segments.
     Tcp,
@@ -29,7 +32,7 @@ pub enum Proto {
 /// A packet filter rule: the five-tuple (plus EtherType) match of §III-A.
 /// Every field is optional; an empty rule matches everything (used for
 /// kernel-function counting probes that are not packet-specific).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FilterRule {
     /// EtherType to match (`0x0800` for IPv4; the only type the
     /// simulated stack carries).
@@ -92,7 +95,7 @@ impl FilterRule {
 
 /// The action a trace script performs when its rule matches (§III-A item
 /// 3: e.g. "records the current system time in nanosecond").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// Emit a full [`vnet_tsdb::CompactRecord`] (timestamp, trace ID,
     /// length, flow, CPU, direction) into the perf buffer.
@@ -109,7 +112,7 @@ pub enum Action {
 }
 
 /// Where the script attaches, by name, on a named node.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum HookSpec {
     /// Kernel function entry (kprobe).
     Kprobe(String),
@@ -158,7 +161,7 @@ impl HookSpec {
 
 /// One trace script: name (its table in the database), node, tracepoint,
 /// filter and action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpec {
     /// Script name; trace records land in the table of this name.
     pub name: String,
@@ -173,7 +176,7 @@ pub struct TraceSpec {
 }
 
 /// How trace data travels from agents to the collector (§III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CollectionMode {
     /// Records buffered in kernel memory, dumped and shipped
     /// periodically — the low-overhead default.
@@ -183,33 +186,14 @@ pub enum CollectionMode {
     Online,
 }
 
-/// Which execution tier agents run trace programs on (the paper's §II:
-/// "the JIT compiling minimizes the execution overhead of the eBPF
-/// code").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ExecTier {
-    /// The bytecode interpreter: no compile cost, full per-instruction
-    /// decode cost on every probe firing.
-    Interp,
-    /// The threaded-code tier: a one-time compile cost on a program's
-    /// first firing, reduced per-op cost afterwards — the default, as
-    /// in the kernel.
-    #[default]
-    Jit,
-}
-
 /// Global configuration carried in every control package.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GlobalConfig {
-    /// Trace database name.
-    pub database: String,
     /// Per-CPU kernel buffer size in bytes (the `mmap`ed buffer of
     /// §III-C; valid range 32..=128k−16 per the paper's footnote).
     pub buffer_size: u32,
     /// Collection mode.
     pub mode: CollectionMode,
-    /// Execution tier for the deployed trace programs.
-    pub exec_tier: ExecTier,
     /// Maximum certified worst-case cost (in simulated nanoseconds,
     /// including the fixed probe-entry cost) a deployed program may have
     /// per firing. Programs whose static cost certificate exceeds this
@@ -223,22 +207,15 @@ pub struct GlobalConfig {
 impl Default for GlobalConfig {
     fn default() -> Self {
         GlobalConfig {
-            database: "vnettracer".into(),
             buffer_size: 64 * 1024,
             mode: CollectionMode::Offline,
-            exec_tier: ExecTier::Jit,
             probe_budget: None,
         }
     }
 }
 
-/// The tracer-facing name for the global configuration: what callers
-/// tune when deploying (buffering, collection mode, execution tier,
-/// probe overhead budget).
-pub type TracerConfig = GlobalConfig;
-
 /// A complete control package: global config plus trace scripts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlPackage {
     /// Global configuration.
     pub global: GlobalConfig,
@@ -264,7 +241,8 @@ impl ControlPackage {
     ///
     /// # Errors
     ///
-    /// Returns the serde error text if the JSON is malformed.
+    /// Returns the JSON error text if the text is malformed or lacks a
+    /// required member. Members the package does not know are ignored.
     pub fn from_json(s: &str) -> Result<Self, String> {
         serde_json::from_str(s).map_err(|e| e.to_string())
     }
@@ -273,10 +251,9 @@ impl ControlPackage {
 // --- JSON wire encoding ---
 //
 // The control package really travels as JSON between dispatcher and
-// agents; the vendored serde derives are inert, so the encoding is
-// written out by hand. Layout matches what serde's derive would emit:
-// unit enum variants as bare strings, newtype variants as one-member
-// objects, options as null-or-value, IPs as dotted strings.
+// agents, encoded by hand: unit enum variants as bare strings, newtype
+// variants as one-member objects, options as null-or-value, IPs as
+// dotted strings.
 
 impl ToJson for Proto {
     fn to_json(&self) -> Value {
@@ -452,35 +429,11 @@ impl FromJson for CollectionMode {
     }
 }
 
-impl ToJson for ExecTier {
-    fn to_json(&self) -> Value {
-        Value::String(
-            match self {
-                ExecTier::Interp => "Interp",
-                ExecTier::Jit => "Jit",
-            }
-            .to_owned(),
-        )
-    }
-}
-
-impl FromJson for ExecTier {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        match value.as_str() {
-            Some("Interp") => Ok(ExecTier::Interp),
-            Some("Jit") => Ok(ExecTier::Jit),
-            _ => Err(JsonError::msg("unknown exec tier")),
-        }
-    }
-}
-
 impl ToJson for GlobalConfig {
     fn to_json(&self) -> Value {
         object([
-            ("database", self.database.to_json()),
             ("buffer_size", self.buffer_size.to_json()),
             ("mode", self.mode.to_json()),
-            ("exec_tier", self.exec_tier.to_json()),
             ("probe_budget", self.probe_budget.to_json()),
         ])
     }
@@ -489,17 +442,10 @@ impl ToJson for GlobalConfig {
 impl FromJson for GlobalConfig {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
         Ok(GlobalConfig {
-            database: member(value, "database")?,
             buffer_size: member(value, "buffer_size")?,
             mode: member(value, "mode")?,
-            // Absent in packages written before the tier existed: those
-            // get the default, keeping old JSON deployable.
-            exec_tier: match value.get("exec_tier") {
-                Some(v) => ExecTier::from_json(v)?,
-                None => ExecTier::default(),
-            },
-            // Same pattern: packages written before budgets existed
-            // parse as "no budget".
+            // Absent in packages written before budgets existed: those
+            // parse as "no budget", keeping old JSON deployable.
             probe_budget: match value.get("probe_budget") {
                 Some(v) => Option::<u64>::from_json(v)?,
                 None => None,
@@ -592,24 +538,6 @@ mod tests {
         let g = GlobalConfig::default();
         assert_eq!(g.mode, CollectionMode::Offline);
         assert!(g.buffer_size as usize <= 128 * 1024 - 16);
-        assert_eq!(g.exec_tier, ExecTier::Jit);
-    }
-
-    #[test]
-    fn exec_tier_round_trips_and_defaults_when_absent() {
-        let mut pkg = ControlPackage::new(vec![sample_spec()]);
-        pkg.global.exec_tier = ExecTier::Interp;
-        let back = ControlPackage::from_json(&pkg.to_json()).unwrap();
-        assert_eq!(back.global.exec_tier, ExecTier::Interp);
-
-        // A pre-tier package (no exec_tier member) still parses, with
-        // the default tier.
-        let legacy = r#"{
-            "global": {"database": "db", "buffer_size": 4096, "mode": "Offline"},
-            "traces": []
-        }"#;
-        let parsed = ControlPackage::from_json(legacy).unwrap();
-        assert_eq!(parsed.global.exec_tier, ExecTier::Jit);
     }
 
     #[test]

@@ -81,9 +81,7 @@ pub mod tracer;
 pub use agent::{Agent, ScriptId, ScriptStats};
 pub use clock_sync::{estimate_skew, SkewEstimate, SkewSample};
 pub use collector::{Collector, IngestSubscriber};
-pub use config::{
-    Action, ControlPackage, FilterRule, GlobalConfig, HookSpec, TraceSpec, TracerConfig,
-};
+pub use config::{Action, ControlPackage, FilterRule, GlobalConfig, HookSpec, TraceSpec};
 pub use dispatcher::Dispatcher;
 pub use error::{Result, TracerError};
 pub use modules::{MetricSpec, Module, ModuleRegistry, ModuleScope, OvsTap, TapSpec};

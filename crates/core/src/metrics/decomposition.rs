@@ -6,14 +6,13 @@
 //! per-packet time spent in each segment is the timestamp difference
 //! between consecutive tracepoints, joined by trace ID.
 
-use serde::{Deserialize, Serialize};
 use vnet_tsdb::{trace_id_tag, TraceDb};
 
 use super::first_seen;
 use super::latency::{stats_from_ns, LatencyStats};
 
 /// Latency statistics for one segment of the path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegmentStats {
     /// Upstream tracepoint (table name).
     pub from: String,

@@ -6,14 +6,13 @@
 //! If the two tracepoints are located on two different nodes, the latency
 //! can be calculated as ΔT = t2 − t1 + ΔT_skew." (§III-D)
 
-use serde::{Deserialize, Serialize};
 use vnet_tsdb::TraceDb;
 
 use super::first_seen;
 use crate::clock_sync::SkewEstimate;
 
 /// Summary statistics over a latency sample set, in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
     /// Number of samples.
     pub count: usize,

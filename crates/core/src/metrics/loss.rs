@@ -5,11 +5,10 @@
 //! N_loss = N_i − N_j and the packet loss rate as R_loss = N_loss / N_i."
 //! (§III-D)
 
-use serde::{Deserialize, Serialize};
 use vnet_tsdb::{columns, Query, TraceDb};
 
 /// Loss between an upstream and a downstream tracepoint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacketLoss {
     /// Packets seen upstream (`N_i`).
     pub upstream: u64,

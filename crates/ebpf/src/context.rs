@@ -5,8 +5,6 @@
 //! `data`/`data_end` pointers (XDP style) or with the `skb_load_bytes`
 //! helper; both are bounds-checked by the VM.
 
-use serde::{Deserialize, Serialize};
-
 /// Byte offset of `timestamp_ns` in the context.
 pub const CTX_OFF_TIMESTAMP: i16 = 0;
 /// Byte offset of `pkt_len`.
@@ -31,7 +29,7 @@ pub const CTX_SIZE: usize = 48;
 /// The context handed to a trace program, in its host (Rust) form.
 ///
 /// [`TraceContext::to_bytes`] lays it out exactly as programs expect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceContext {
     /// Node-local `CLOCK_MONOTONIC` at the probe firing, in nanoseconds.
     pub timestamp_ns: u64,

@@ -6,8 +6,6 @@
 //! two slots. Opcode values match the kernel's `bpf.h` so that programs
 //! assembled here are byte-compatible with real eBPF bytecode.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of general-purpose registers (r0–r10).
 pub const NUM_REGS: usize = 11;
 /// The read-only frame-pointer register.
@@ -129,7 +127,7 @@ pub const BPF_JSLE: u8 = 0xd0;
 pub const PSEUDO_MAP_FD: u8 = 1;
 
 /// One eBPF instruction slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Insn {
     /// Operation code.
     pub opcode: u8,

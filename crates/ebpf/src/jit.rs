@@ -43,9 +43,10 @@
 //! Execution semantics are bit-identical to the interpreter — same
 //! [`Memory`] address space, same map-value slot allocation order, same
 //! error values — which the differential proptests in
-//! `tests/proptests.rs` enforce. The two tiers differ only in speed and
-//! in the sim cost model ([`crate::vm::jit_execution_cost_ns`] plus the
-//! one-time [`crate::vm::jit_compile_cost_ns`]).
+//! `tests/proptests.rs` enforce. Both charge a run the path's toll under
+//! the shared table in [`crate::cost`]; what compilation adds to the sim
+//! cost model is the one-time [`crate::vm::jit_compile_cost_ns`]. The
+//! tracer runs every probe on this tier; the interpreter is its oracle.
 
 use crate::analysis::{BranchFact, InsnFact, MemFact};
 use crate::context::TraceContext;
@@ -301,8 +302,8 @@ enum Op {
 pub struct JitOutcome {
     /// The program's return value (`r0` at exit).
     pub ret: u64,
-    /// Pre-decoded ops dispatched (drives
-    /// [`crate::vm::jit_execution_cost_ns`]).
+    /// Pre-decoded ops dispatched: fewer than `insns_retired` wherever a
+    /// fused op ran.
     pub ops_executed: u64,
     /// Original instructions retired — matches the interpreter's
     /// `insns_executed` for the same input, fused ops retiring several.
@@ -405,8 +406,8 @@ impl CompiledProgram {
     }
 
     /// Executes the compiled program. Same contract as
-    /// [`crate::vm::Vm::execute`]: identical results, map side effects
-    /// and error values, differing only in what the run costs.
+    /// [`crate::vm::Vm::execute`]: identical results, map side effects,
+    /// error values and per-path cost, differing only in speed.
     ///
     /// # Errors
     ///

@@ -8,11 +8,12 @@
 //!   compiler;
 //! * [`verifier`] — static safety checks, including the 4096-instruction
 //!   limit the paper cites (§II) and loop rejection;
-//! * [`vm`] — the interpreter, with a per-instruction cost model that
-//!   feeds tracing overhead back into the simulated system;
-//! * [`jit`] — the threaded-code tier: programs pre-decoded once into
-//!   typed ops with resolved jumps, bound helper thunks and fused
-//!   sequences, the simulator's stand-in for the kernel's JIT (§II);
+//! * [`vm`] — the interpreter, the reference the threaded code is held
+//!   to, plus the helper table and the probe-entry and compile charges;
+//! * [`jit`] — the threaded-code tier every probe runs: programs
+//!   pre-decoded once into typed ops with resolved jumps, bound helper
+//!   thunks and fused sequences, the simulator's stand-in for the
+//!   kernel's JIT (§II);
 //! * [`cost`] — the shared static cost model and the longest-path
 //!   worst-case certificate every loaded program carries;
 //! * [`map`] — hash / array / per-CPU / perf-event maps (the perf buffer

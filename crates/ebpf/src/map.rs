@@ -16,8 +16,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Minimum perf buffer size in bytes (paper footnote 1: "the buffer size
 /// range is from 32 bytes to 128k-16 bytes").
 pub const MIN_BUFFER_SIZE: usize = 32;
@@ -25,7 +23,7 @@ pub const MIN_BUFFER_SIZE: usize = 32;
 pub const MAX_BUFFER_SIZE: usize = 128 * 1024 - 16;
 
 /// The kind of map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MapType {
     /// Hash table keyed by arbitrary fixed-size keys.
     Hash,
@@ -39,7 +37,7 @@ pub enum MapType {
 }
 
 /// Map definition: type and dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MapDef {
     /// The map type.
     pub map_type: MapType,

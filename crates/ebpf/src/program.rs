@@ -3,9 +3,8 @@
 //! Loading mirrors the kernel flow: a [`Program`] (bytecode + attach
 //! metadata) passes through the verifier, its pseudo map-fd loads are
 //! relocated against a live [`MapRegistry`], and the result is a
-//! [`LoadedProgram`] ready for the interpreter.
-
-use serde::{Deserialize, Serialize};
+//! [`LoadedProgram`] ready to run, compiled ([`crate::jit`]) or
+//! interpreted ([`crate::vm`]).
 
 use crate::analysis::{analyze, Analysis};
 use crate::cost::{certify, CostCertificate};
@@ -18,7 +17,7 @@ use crate::vm::MAP_HANDLE_BASE;
 /// "kernel functions, return of kernel functions, kernel tracepoints and
 /// raw sockets through kprobe, kretprobe, tracepoints and network
 /// devices", plus user-level uprobes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AttachType {
     /// Entry of a kernel function.
     Kprobe(String),
@@ -62,7 +61,7 @@ impl core::fmt::Display for AttachType {
 }
 
 /// An unloaded program: bytecode plus attach metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Human-readable name (shown in diagnostics).
     pub name: String,

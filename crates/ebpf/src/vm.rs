@@ -7,10 +7,12 @@
 //! the kernel verifier's pointer tracking: an out-of-bounds access aborts
 //! the program, it can never touch anything else).
 //!
-//! The VM also exposes the *cost model* used to charge tracing overhead to
-//! the traced system: a fixed trampoline cost per probe firing plus a
-//! per-instruction cost, approximating a JIT-compiled program (§II: "the
-//! JIT compiling minimizes the execution overhead of the eBPF code").
+//! The tracer runs programs as threaded code ([`crate::jit`]); this
+//! interpreter is the reference that tier is held to, instruction for
+//! instruction, by the differential proptests. Both charge a run the
+//! path's toll under the shared table in [`crate::cost`]; the fixed
+//! trampoline cost per probe firing and the one-time compile charge live
+//! here.
 
 use crate::context::{TraceContext, CTX_SIZE};
 use crate::insn::*;
@@ -30,14 +32,6 @@ pub(crate) const MAP_VAL_STRIDE: u64 = 1 << 20;
 /// Fixed cost of entering a probe (trampoline + register save), in
 /// simulated nanoseconds.
 pub const PROBE_BASE_COST_NS: u64 = 25;
-/// Cost per executed instruction, in simulated nanoseconds (JIT-compiled
-/// eBPF executes close to native speed).
-pub const COST_PER_INSN_NS: u64 = 1;
-
-/// The simulated CPU time an interpreted program execution consumes.
-pub fn execution_cost_ns(insns_executed: u64) -> u64 {
-    PROBE_BASE_COST_NS + insns_executed * COST_PER_INSN_NS
-}
 
 /// One-time cost, per original instruction, of lowering a program to the
 /// threaded-code tier (decode, jump resolution, helper binding). Charged
@@ -48,17 +42,6 @@ pub const JIT_COMPILE_COST_PER_INSN_NS: u64 = 12;
 /// `insn_count` instructions.
 pub fn jit_compile_cost_ns(insn_count: usize) -> u64 {
     insn_count as u64 * JIT_COMPILE_COST_PER_INSN_NS
-}
-
-/// The simulated CPU time a compiled (threaded-code) execution consumes.
-///
-/// The per-op constant matches [`COST_PER_INSN_NS`], but `ops_executed`
-/// counts *pre-decoded ops*, of which fused sequences (compare+branch,
-/// map-lookup + null check, stack-store runs) retire several original
-/// instructions each — so a compiled execution charges less than
-/// [`execution_cost_ns`] would for the same path.
-pub fn jit_execution_cost_ns(ops_executed: u64) -> u64 {
-    PROBE_BASE_COST_NS + ops_executed * COST_PER_INSN_NS
 }
 
 /// Helper function ids (matching Linux `bpf.h` numbering).
@@ -241,7 +224,7 @@ impl From<MapError> for VmError {
 pub struct ExecOutcome {
     /// The program's return value (`r0` at exit).
     pub ret: u64,
-    /// Instructions executed (drives [`execution_cost_ns`]).
+    /// Instructions executed.
     pub insns_executed: u64,
     /// The path's dynamic cost under the shared static cost table
     /// ([`crate::cost`]): per-op charges plus per-helper charges.
@@ -1657,10 +1640,6 @@ mod tests {
             &mut MapRegistry::new(),
         );
         assert_eq!(out.insns_executed, 3);
-        assert_eq!(
-            execution_cost_ns(out.insns_executed),
-            PROBE_BASE_COST_NS + 3
-        );
     }
 
     #[test]

@@ -42,9 +42,6 @@ pub struct LiveConfig {
     pub latency: Vec<(String, String)>,
     /// `(upstream, downstream)` tracepoint pairs to compute loss for.
     pub loss: Vec<(String, String)>,
-    /// Extra out-of-orderness budget added to every agent's watermark
-    /// slack, on top of its skew estimate's residual error.
-    pub allowed_lateness_ns: u64,
     /// How long an unmatched pairing may wait for its other half before
     /// being finalized as a loss.
     pub pair_timeout_ns: u64,
@@ -69,7 +66,6 @@ impl LiveConfig {
             throughput: Vec::new(),
             latency: Vec::new(),
             loss: Vec::new(),
-            allowed_lateness_ns: 0,
             pair_timeout_ns: 10_000_000,
             sketch_error: DEFAULT_SKETCH_ERROR,
             max_pending_pairs: 65_536,
@@ -249,8 +245,7 @@ impl LiveEngine {
     /// Registers an agent the watermark must wait for, with the skew
     /// estimate used to align its timestamps (None for the local node).
     pub fn register_agent(&mut self, node: &str, skew: Option<SkewEstimate>) {
-        self.watermark
-            .register_agent(node, skew, self.cfg.allowed_lateness_ns);
+        self.watermark.register_agent(node, skew);
     }
 
     /// Feeds one collection cycle's batch, attributing frontier movement

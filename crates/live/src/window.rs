@@ -7,10 +7,9 @@
 //! [`WatermarkTracker`] decides when a window's input is complete enough
 //! to finalize. The watermark is derived from per-agent heartbeats: an
 //! agent heartbeating at master time `t` has drained everything it will
-//! ever emit below `t − slack`, where the slack covers the configured
-//! allowed lateness plus the residual error of that agent's
-//! [`SkewEstimate`] alignment (Cristian's bound: at most the one-way
-//! estimate). The global watermark is the minimum frontier over all
+//! ever emit below `t − slack`, where the slack is the residual error of
+//! that agent's [`SkewEstimate`] alignment (Cristian's bound: at most the
+//! one-way estimate). The global watermark is the minimum frontier over all
 //! registered agents — one stalled agent holds every window open rather
 //! than letting its records be dropped as late.
 
@@ -155,31 +154,19 @@ impl WatermarkTracker {
     }
 
     /// Registers an agent the watermark must wait for. `skew` aligns the
-    /// agent's record timestamps onto the master base and widens its
-    /// slack by the alignment's residual error bound (`one_way_ns`);
-    /// `allowed_lateness_ns` is the extra disorder budget.
-    pub fn register_agent(
-        &mut self,
-        node: &str,
-        skew: Option<SkewEstimate>,
-        allowed_lateness_ns: u64,
-    ) {
-        let slack = allowed_lateness_ns + skew.map_or(0, |s| s.one_way_ns);
+    /// agent's record timestamps onto the master base, and its residual
+    /// error bound (`one_way_ns`) is the agent's slack.
+    pub fn register_agent(&mut self, node: &str, skew: Option<SkewEstimate>) {
         self.agents.insert(
             node.to_owned(),
             AgentFrontier {
                 frontier_ns: 0,
-                slack_ns: slack,
+                slack_ns: skew.map_or(0, |s| s.one_way_ns),
                 skew,
                 last_seen_ns: 0,
             },
         );
         self.watermark_ns = 0;
-    }
-
-    /// Whether `node` was registered.
-    pub fn knows(&self, node: &str) -> bool {
-        self.agents.contains_key(node)
     }
 
     /// The estimate that aligns `node`'s record timestamps onto the
@@ -287,12 +274,23 @@ mod tests {
         }
     }
 
+    /// A remote agent's estimate whose residual error bound is
+    /// `one_way_ns`, the agent's watermark slack.
+    fn skew_with_slack(one_way_ns: u64) -> SkewEstimate {
+        SkewEstimate {
+            one_way_ns,
+            offset_ns: 0,
+            skew_ns: 0,
+            samples: 100,
+        }
+    }
+
     #[test]
     fn watermark_is_minimum_frontier() {
         let mut wm = WatermarkTracker::new();
         assert_eq!(wm.watermark_ns(), 0);
-        wm.register_agent("a", None, 100);
-        wm.register_agent("b", None, 100);
+        wm.register_agent("a", Some(skew_with_slack(100)));
+        wm.register_agent("b", Some(skew_with_slack(100)));
         wm.heartbeat("a", 1_000);
         assert_eq!(wm.watermark_ns(), 0, "b has not reported");
         wm.heartbeat("b", 600);
@@ -315,10 +313,13 @@ mod tests {
             samples: 100,
         };
         let mut wm = WatermarkTracker::new();
-        wm.register_agent("remote", Some(skew), 100);
+        wm.register_agent("local", None);
+        wm.register_agent("remote", Some(skew));
+        wm.heartbeat("local", 10_000);
         wm.heartbeat("remote", 10_000);
-        // Slack = lateness 100 + one-way 400.
-        assert_eq!(wm.watermark_ns(), 9_500);
+        // The local agent has no slack; the remote one waits out its
+        // one-way bound of 400.
+        assert_eq!(wm.watermark_ns(), 9_600);
         // Remote clocks lead by 2us; alignment removes the lead.
         assert_eq!(wm.skew("remote").unwrap().align_remote_ns(12_000), 10_000);
         assert!(wm.skew("unknown").is_none());
@@ -327,7 +328,7 @@ mod tests {
     #[test]
     fn late_records_are_counted() {
         let mut wm = WatermarkTracker::new();
-        wm.register_agent("a", None, 0);
+        wm.register_agent("a", None);
         wm.note_late(1);
         wm.note_late(2);
         assert_eq!(wm.late_records(), 3);
@@ -336,8 +337,8 @@ mod tests {
     #[test]
     fn stalled_agents_lag_the_leader() {
         let mut wm = WatermarkTracker::new();
-        wm.register_agent("a", None, 0);
-        wm.register_agent("b", None, 0);
+        wm.register_agent("a", None);
+        wm.register_agent("b", None);
         wm.heartbeat("a", 10_000);
         wm.heartbeat("b", 2_000);
         assert_eq!(wm.stalled_agents(5_000), vec![("b".to_owned(), 8_000)]);

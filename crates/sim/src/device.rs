@@ -19,15 +19,13 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{AppId, DeviceId, NodeId, VcpuId};
 use crate::packet::Packet;
 use crate::probe::{Direction, Hook, HookId, ProbeRegistry};
 use crate::time::{SimDuration, SimTime};
 
 /// How long a device takes to serve one packet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ServiceModel {
     /// A constant per-packet service time.
     Fixed(SimDuration),
@@ -66,7 +64,7 @@ impl ServiceModel {
 }
 
 /// What must be available for the device to serve packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gate {
     /// The device has its own dedicated server (hardware or host context).
     None,
@@ -81,7 +79,7 @@ pub enum Gate {
 }
 
 /// How a softirq-gated device's packets are steered to a CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Steering {
     /// All packets go to the CPU handling the device's IRQ (no RPS): the
     /// kernel keeps softirqs from one source on one core for cache
@@ -93,7 +91,7 @@ pub enum Steering {
 }
 
 /// Byte-level packet rewriting applied after service, before forwarding.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Transform {
     /// Forward the packet unchanged.
     None,
@@ -115,7 +113,7 @@ pub enum Transform {
 }
 
 /// How the device decides where a served packet goes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Forwarding {
     /// Always out the given port index.
     Port(usize),
@@ -134,7 +132,7 @@ pub enum Forwarding {
 
 /// The kernel functions a device's processing path invokes, where kprobes
 /// can attach.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct KernelFunctions {
     /// Functions invoked on the receive path.
     pub rx: Vec<String>,
@@ -154,7 +152,7 @@ impl KernelFunctions {
 
 /// The trace-ID role a device plays (the paper's "tens of lines" kernel
 /// patch, §III-B/III-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceIdRole {
     /// No trace-ID handling.
     #[default]
@@ -172,7 +170,7 @@ pub enum TraceIdRole {
 
 /// Configuration for an ingress policer (OVS `ingress_policing_rate` /
 /// `ingress_policing_burst`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicerConfig {
     /// Sustained rate in kilobits per second.
     pub rate_kbps: u64,
@@ -189,7 +187,7 @@ pub struct PolicerConfig {
 /// into the shaped (rate-limited) class and *queued* until tokens are
 /// available; smaller packets (the latency-sensitive class) bypass the
 /// shaper entirely — a two-class HTB with a size-based filter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HtbConfig {
     /// Sustained rate of the shaped class in kilobits per second.
     pub rate_kbps: u64,
@@ -262,7 +260,7 @@ impl TokenBucket {
 }
 
 /// Why a device dropped a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropReason {
     /// The device queue was full.
     QueueFull,
@@ -316,7 +314,7 @@ impl DropReason {
 }
 
 /// Per-device counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceCounters {
     /// Packets accepted at ingress.
     pub rx_packets: u64,

@@ -6,13 +6,11 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
         pub struct $name(pub u32);
 
@@ -56,9 +54,7 @@ id_type!(
 );
 
 /// A physical CPU index within a node.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CpuId(pub u16);
 
 impl CpuId {

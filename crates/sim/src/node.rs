@@ -1,7 +1,5 @@
 //! Nodes (physical machines) and their clocks.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::NodeId;
 use crate::time::SimTime;
 
@@ -23,7 +21,7 @@ use crate::time::SimTime;
 /// let clock = NodeClock::with_offset_ns(1_000);
 /// assert_eq!(clock.monotonic_ns(SimTime::from_nanos(500)), 1_500);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeClock {
     /// Offset added to ground-truth time, in nanoseconds.
     offset_ns: i64,

@@ -3,8 +3,6 @@
 use core::fmt;
 use core::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// Length of an Ethernet II header in bytes (no 802.1Q tag).
 pub const ETHERNET_HEADER_LEN: usize = 14;
 
@@ -18,9 +16,7 @@ pub const ETHERNET_HEADER_LEN: usize = 14;
 /// let mac: MacAddr = "02:00:00:00:00:01".parse().unwrap();
 /// assert_eq!(mac.to_string(), "02:00:00:00:00:01");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
@@ -81,7 +77,7 @@ impl FromStr for MacAddr {
 }
 
 /// EtherType values used by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EtherType {
     /// IPv4 (`0x0800`).
     Ipv4,
@@ -109,7 +105,7 @@ impl From<u16> for EtherType {
 }
 
 /// An Ethernet II header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EthernetHeader {
     /// Destination MAC address.
     pub dst: MacAddr,

@@ -2,8 +2,6 @@
 
 use std::net::{Ipv4Addr, SocketAddrV4};
 
-use serde::{Deserialize, Serialize};
-
 use super::ipv4::IpProtocol;
 
 /// The classic five-tuple identifying a transport flow.
@@ -20,7 +18,7 @@ use super::ipv4::IpProtocol;
 /// let flow = FlowKey::udp("10.0.0.1:5001".parse().unwrap(), "10.0.0.2:7".parse().unwrap());
 /// assert_eq!(flow.reversed().src_port, 7);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowKey {
     /// Source IPv4 address.
     pub src_ip: Ipv4Addr,

@@ -2,13 +2,11 @@
 
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 /// Length of an IPv4 header without options, in bytes.
 pub const IPV4_HEADER_LEN: usize = 20;
 
 /// IP protocol numbers used by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IpProtocol {
     /// TCP (6).
     Tcp,
@@ -40,7 +38,7 @@ impl From<u8> for IpProtocol {
 }
 
 /// An IPv4 header (no options).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ipv4Header {
     /// Differentiated services / TOS byte.
     pub tos: u8,

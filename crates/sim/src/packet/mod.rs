@@ -39,16 +39,12 @@ pub use tcp::{TcpFlags, TcpHeader, TcpOption, TCP_BASE_HEADER_LEN, TRACE_ID_OPTI
 pub use udp::{UdpHeader, UDP_HEADER_LEN};
 pub use vxlan::{VxlanHeader, VXLAN_HEADER_LEN, VXLAN_UDP_PORT};
 
-use serde::{Deserialize, Serialize};
-
 /// A simulator-wide unique identifier for a packet *instance*.
 ///
 /// This is simulation metadata used to keep the event queue deterministic;
 /// it is **not** the vNetTracer trace ID, which lives inside the packet
 /// bytes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PacketUid(pub u64);
 
 impl core::fmt::Display for PacketUid {

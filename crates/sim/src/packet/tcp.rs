@@ -6,8 +6,6 @@
 //! an experimental option (kind [`TRACE_ID_OPTION_KIND`], length 6) so the
 //! packet stays a valid TCP segment and coexists with other options.
 
-use serde::{Deserialize, Serialize};
-
 /// Length of a TCP header without options, in bytes.
 pub const TCP_BASE_HEADER_LEN: usize = 20;
 
@@ -16,7 +14,7 @@ pub const TCP_BASE_HEADER_LEN: usize = 20;
 pub const TRACE_ID_OPTION_KIND: u8 = 253;
 
 /// TCP flag bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TcpFlags(pub u8);
 
 impl TcpFlags {
@@ -45,7 +43,7 @@ impl core::ops::BitOr for TcpFlags {
 }
 
 /// A decoded TCP option.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TcpOption {
     /// End-of-option-list marker (kind 0).
     EndOfList,
@@ -124,7 +122,7 @@ impl TcpOption {
 }
 
 /// A TCP header with options.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcpHeader {
     /// Source port.
     pub src_port: u16,

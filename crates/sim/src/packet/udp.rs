@@ -1,7 +1,5 @@
 //! UDP header encoding.
 
-use serde::{Deserialize, Serialize};
-
 /// Length of a UDP header in bytes.
 pub const UDP_HEADER_LEN: usize = 8;
 
@@ -10,7 +8,7 @@ pub const UDP_HEADER_LEN: usize = 8;
 /// The checksum is carried verbatim; the simulator writes zero (legal for
 /// UDP over IPv4) because per-packet pseudo-header checksumming adds cost
 /// without affecting any traced behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpHeader {
     /// Source port.
     pub src_port: u16,

@@ -1,7 +1,5 @@
 //! VXLAN (RFC 7348) encapsulation, used by the container overlay network.
 
-use serde::{Deserialize, Serialize};
-
 /// Length of a VXLAN header in bytes.
 pub const VXLAN_HEADER_LEN: usize = 8;
 
@@ -9,7 +7,7 @@ pub const VXLAN_HEADER_LEN: usize = 8;
 pub const VXLAN_UDP_PORT: u16 = 4789;
 
 /// A VXLAN header carrying a 24-bit VXLAN Network Identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VxlanHeader {
     /// The 24-bit VNI identifying the overlay segment.
     pub vni: u32,

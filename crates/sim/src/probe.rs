@@ -18,14 +18,12 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{CpuId, DeviceId, NodeId};
 use crate::packet::Packet;
 use crate::time::SimDuration;
 
 /// A place where a probe can attach.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Hook {
     /// Entry of a named kernel function (a `kprobe`).
     FunctionEntry(String),
@@ -80,7 +78,7 @@ impl core::fmt::Display for Hook {
 }
 
 /// Direction of the packet relative to the device firing the probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// The packet is being received.
     Rx,

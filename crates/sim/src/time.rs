@@ -20,16 +20,12 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant in simulated time, in nanoseconds since the simulation epoch.
 ///
 /// `SimTime` is the simulator's ground-truth clock. Per-node monotonic
 /// clocks (which may be skewed relative to ground truth) are derived from it
 /// by [`crate::node::NodeClock`].
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -101,9 +97,7 @@ impl fmt::Display for SimTime {
 }
 
 /// A span of simulated time, in nanoseconds.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

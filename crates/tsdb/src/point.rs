@@ -5,12 +5,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use serde_json::{member, object, Error as JsonError, FromJson, ToJson, Value};
 
 /// A field value. A record's fields are unsigned integers; the enum is
 /// the dump's layout (`{"UInt":60}`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
     /// Unsigned integer.
     UInt(u64),
@@ -46,7 +45,7 @@ impl From<u64> for FieldValue {
 ///     .field("pkt_len", 60u64);
 /// assert_eq!(p.tag_value("trace_id"), Some("0xdeadbeef"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataPoint {
     /// Measurement (table) name — vNetTracer uses one per tracepoint.
     pub measurement: String,
@@ -92,10 +91,9 @@ impl DataPoint {
     }
 }
 
-// Persistence encodes points as JSON lines; the encoding is written by
-// hand (the vendored serde derives are inert). Field values use the
-// externally-tagged enum layout (`{"UInt":9}`) the real serde derive
-// would produce, so existing persisted files keep parsing.
+// Persistence encodes points as JSON lines, written by hand. Field values
+// use the externally-tagged enum layout (`{"UInt":9}`), so existing
+// persisted files keep parsing.
 impl ToJson for FieldValue {
     fn to_json(&self) -> Value {
         let FieldValue::UInt(v) = self;

@@ -7,11 +7,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
-
 /// Summary of a latency sample set, in nanoseconds (percentiles by
 /// nearest rank).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: usize,

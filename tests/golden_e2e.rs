@@ -7,6 +7,12 @@
 //! exactly the kind of silent regression a refactor of the ingestion
 //! path could introduce. Update the snapshot only after confirming the
 //! new numbers are intended.
+//!
+//! Each program pays a one-time compile charge on its first firing, as a
+//! JIT-compiled kernel program does (DESIGN.md §5), and the snapshots
+//! include it. The charge delays the first packet at each traced hook,
+//! and every packet queued behind it, so it moves record counts,
+//! throughput and latency alike.
 
 use vnet_testbed::ovs::{OvsCase, OvsConfig, OvsScenario};
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
@@ -59,11 +65,7 @@ fn golden_ovs_case_iii() {
         ..Default::default()
     };
     let mut s = OvsScenario::build(&cfg);
-    // Pin the interpreter tier: both tiers charge the same per-path
-    // execution cost, but the jit tier adds a one-time compile charge
-    // on each program's first firing that would shift early timestamps.
-    let mut pkg = s.control_package();
-    pkg.global.exec_tier = vnettracer::config::ExecTier::Interp;
+    let pkg = s.control_package();
     let mut tracer = s.make_tracer();
     tracer.deploy(&mut s.world, &pkg).unwrap();
     s.run(&cfg);
@@ -71,14 +73,14 @@ fn golden_ovs_case_iii() {
     let got = snapshot(&tracer, &s.world, &OvsScenario::decomposition_chain());
     let want = "\
 table sock_em0: 200 records, 1575879 bps
-table sock_em2_in: 94 records, 736689 bps
-table sock_em2_out: 94 records, 736689 bps
-table sock_vnet0: 200 records, 1575879 bps
-segment sock_em0 -> sock_vnet0: count 200 min 445 p50 445 max 445 mean 445.0
-segment sock_vnet0 -> sock_em2_in: count 94 min 5655 p50 1101655 max 1248755 mean 1091240.6
-segment sock_em2_in -> sock_em2_out: count 94 min 1145 p50 1145 max 1145 mean 1145.0
-collector: 588 records in 1 batches, 18816 bytes, 0 lost
-agent server1: seq 1 records 588 lost 0
+table sock_em2_in: 97 records, 754915 bps
+table sock_em2_out: 97 records, 754915 bps
+table sock_vnet0: 200 records, 1575928 bps
+segment sock_em0 -> sock_vnet0: count 200 min 445 p50 445 max 3541 mean 460.5
+segment sock_vnet0 -> sock_em2_in: count 97 min 8541 p50 1105955 max 1248755 mean 1094653.8
+segment sock_em2_in -> sock_em2_out: count 97 min 1145 p50 1145 max 1145 mean 1145.0
+collector: 594 records in 1 batches, 19008 bytes, 0 lost
+agent server1: seq 1 records 594 lost 0
 ";
     assert_eq!(got, want, "golden OVS snapshot drifted:\n{got}");
 }
@@ -91,21 +93,19 @@ fn golden_two_host() {
         ..Default::default()
     };
     let mut s = TwoHostScenario::build(&cfg);
-    // Pin the interpreter tier; see golden_ovs_case_iii.
-    let mut pkg = s.control_package();
-    pkg.global.exec_tier = vnettracer::config::ExecTier::Interp;
+    let pkg = s.control_package();
     let mut tracer = s.make_tracer();
     tracer.deploy(&mut s.world, &pkg).unwrap();
     s.run(&cfg);
     tracer.collect(&s.world);
     let got = snapshot(&tracer, &s.world, &["s1_ovs_br1", "s2_ovs_br1", "s2_ens3"]);
     let want = "\
-table s1_ens3: 250 records, 7869977 bps
+table s1_ens3: 250 records, 7873341 bps
 table s1_ovs_br1: 250 records, 7871486 bps
-table s2_ens3: 250 records, 7869977 bps
-table s2_ovs_br1: 250 records, 7870115 bps
-segment s1_ovs_br1 -> s2_ovs_br1: count 250 min 33061 p50 33061 max 44598 mean 34892.8
-segment s2_ovs_br1 -> s2_ens3: count 250 min 1645 p50 1645 max 2083 mean 1779.9
+table s2_ens3: 250 records, 7871934 bps
+table s2_ovs_br1: 250 records, 7871094 bps
+segment s1_ovs_br1 -> s2_ovs_br1: count 250 min 33061 p50 33061 max 44598 mean 34905.2
+segment s2_ovs_br1 -> s2_ens3: count 250 min 1645 p50 1645 max 4741 mean 1792.3
 collector: 1000 records in 2 batches, 32000 bytes, 0 lost
 agent server1: seq 1 records 500 lost 0
 agent server2: seq 1 records 500 lost 0
