@@ -36,17 +36,21 @@ pub struct AppCtx<'w> {
     now: SimTime,
     monotonic_ns: u64,
     rng: &'w mut SmallRng,
-    actions: Vec<AppAction>,
+    /// The world's action list, lent for one callback: the world carries
+    /// the actions out and keeps the list's capacity for the next.
+    actions: &'w mut Vec<AppAction>,
 }
 
 impl<'w> AppCtx<'w> {
-    /// Creates a context (called by the world).
+    /// Creates a context that queues its actions on `actions` (called by
+    /// the world).
     pub(crate) fn new(
         app: AppId,
         node: NodeId,
         now: SimTime,
         monotonic_ns: u64,
         rng: &'w mut SmallRng,
+        actions: &'w mut Vec<AppAction>,
     ) -> Self {
         AppCtx {
             app,
@@ -54,7 +58,7 @@ impl<'w> AppCtx<'w> {
             now,
             monotonic_ns,
             rng,
-            actions: Vec::new(),
+            actions,
         }
     }
 
@@ -85,11 +89,6 @@ impl<'w> AppCtx<'w> {
     pub fn rng(&mut self) -> &mut SmallRng {
         self.rng
     }
-
-    /// Drains the queued actions (called by the world).
-    pub(crate) fn take_actions(&mut self) -> Vec<AppAction> {
-        std::mem::take(&mut self.actions)
-    }
 }
 
 /// A workload endpoint.
@@ -116,31 +115,39 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn ctx_accumulates_actions() {
+    fn ctx_queues_actions_on_the_lent_list() {
         let mut rng = SmallRng::seed_from_u64(1);
+        let mut actions = Vec::new();
         let mut ctx = AppCtx::new(
             AppId(0),
             NodeId(0),
             SimTime::from_micros(5),
             5_000,
             &mut rng,
+            &mut actions,
         );
         assert_eq!(ctx.now(), SimTime::from_micros(5));
         assert_eq!(ctx.monotonic_ns(), 5_000);
         ctx.set_timer(SimDuration::from_micros(10), 42);
         ctx.send(Packet::from_bytes(vec![0u8; 8]));
-        let actions = ctx.take_actions();
         assert_eq!(actions.len(), 2);
         assert!(matches!(actions[0], AppAction::Timer { tag: 42, .. }));
         assert!(matches!(actions[1], AppAction::Send(_)));
-        assert!(ctx.take_actions().is_empty(), "drained");
     }
 
     #[test]
     fn rng_is_usable() {
         use rand::Rng;
         let mut rng = SmallRng::seed_from_u64(7);
-        let mut ctx = AppCtx::new(AppId(1), NodeId(0), SimTime::ZERO, 0, &mut rng);
+        let mut actions = Vec::new();
+        let mut ctx = AppCtx::new(
+            AppId(1),
+            NodeId(0),
+            SimTime::ZERO,
+            0,
+            &mut rng,
+            &mut actions,
+        );
         let a: u32 = ctx.rng().gen();
         let b: u32 = ctx.rng().gen();
         assert_ne!(a, b);

@@ -197,9 +197,8 @@ impl World {
             Gate::Softirq(Steering::Rps) => {
                 let ncpu = self.nodes[node.index()].num_cpus;
                 let cpu = pkt
-                    .parse()
-                    .map(|p| (p.flow().rps_hash() % u32::from(ncpu)) as u16)
-                    .unwrap_or(0);
+                    .flow()
+                    .map_or(0, |f| (f.rps_hash() % u32::from(ncpu)) as u16);
                 Some(CpuId(cpu))
             }
             Gate::Softirq(Steering::IrqAffinity(c)) => Some(CpuId(c)),
@@ -391,10 +390,10 @@ impl World {
         // Forward.
         let decision = match &dev.cfg.forwarding {
             Forwarding::Port(p) => Some(*p),
-            Forwarding::ByDstIp { routes, default } => match pkt.parse() {
-                Ok(parsed) => routes.get(&parsed.ipv4.dst).copied().or(*default),
-                Err(_) => *default,
-            },
+            Forwarding::ByDstIp { routes, default } => pkt
+                .flow()
+                .and_then(|f| routes.get(&f.dst_ip).copied())
+                .or(*default),
             Forwarding::Deliver => None,
         };
         match (matches!(dev.cfg.forwarding, Forwarding::Deliver), decision) {
@@ -402,8 +401,9 @@ impl World {
                 if dev.cfg.trace_id == TraceIdRole::StripUdpTrailer {
                     let _ = trace_id::strip_udp_trailer(&mut pkt);
                 }
-                let dst_port = pkt.parse().ok().map(|p| p.flow().dst_port);
-                let app = dst_port.and_then(|p| dev.bindings.get(&p).copied());
+                let app = pkt
+                    .flow()
+                    .and_then(|f| dev.bindings.get(&f.dst_port).copied());
                 match app {
                     Some(app) => {
                         // The application's uprobe. Its cost is charged
@@ -507,9 +507,12 @@ impl World {
         let node = slot.node;
         let mono = self.nodes[node.index()].clock.monotonic_ns(self.now);
         let rng = &mut self.node_rngs[node.index()];
-        let mut ctx = AppCtx::new(app_id, node, self.now, mono, rng);
+        let mut ctx = AppCtx::new(app_id, node, self.now, mono, rng, &mut self.actions);
         f(slot.app.as_mut(), &mut ctx);
-        for action in ctx.take_actions() {
+        // Taken out while the actions run, which need `self`, and put
+        // back empty with its capacity.
+        let mut actions = std::mem::take(&mut self.actions);
+        for action in actions.drain(..) {
             match action {
                 AppAction::Send(pkt) => self.send_from_app(app_id, pkt),
                 AppAction::Timer { delay, tag } => {
@@ -517,6 +520,7 @@ impl World {
                 }
             }
         }
+        self.actions = actions;
     }
 
     /// Sends a packet from an app through its bound TX device, applying
@@ -527,12 +531,11 @@ impl World {
         let tx = slot.tx_dev;
         if self.devices[tx.index()].cfg.trace_id == TraceIdRole::Inject {
             let id: u32 = self.node_rngs[node.index()].gen();
-            let proto = pkt.parse().map(|p| p.ipv4.protocol);
-            match proto {
-                Ok(IpProtocol::Tcp) => {
+            match pkt.flow().map(|f| f.protocol) {
+                Some(IpProtocol::Tcp) => {
                     let _ = trace_id::inject_tcp_option(&mut pkt, id);
                 }
-                Ok(IpProtocol::Udp) => {
+                Some(IpProtocol::Udp) => {
                     let _ = trace_id::inject_udp_trailer(&mut pkt, id);
                 }
                 _ => {}
