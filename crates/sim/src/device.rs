@@ -16,7 +16,7 @@
 //!
 //! The [`crate::world::World`] drives these models from the event loop.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 use crate::ids::{AppId, DeviceId, NodeId, VcpuId};
@@ -121,7 +121,7 @@ pub enum Forwarding {
     /// optional default port.
     ByDstIp {
         /// Destination IP → output port index.
-        routes: HashMap<Ipv4Addr, usize>,
+        routes: BTreeMap<Ipv4Addr, usize>,
         /// Port used when no route matches.
         default: Option<usize>,
     },
@@ -535,7 +535,7 @@ pub struct Device {
     /// Wired output ports.
     pub ports: Vec<Port>,
     /// Applications bound to destination ports (for [`Forwarding::Deliver`]).
-    pub bindings: HashMap<u16, AppId>,
+    pub bindings: BTreeMap<u16, AppId>,
     /// Counters.
     pub counters: DeviceCounters,
     pub(crate) queue: std::collections::VecDeque<QueuedPacket>,
@@ -560,7 +560,7 @@ impl Device {
             id,
             cfg,
             ports: Vec::new(),
-            bindings: HashMap::new(),
+            bindings: BTreeMap::new(),
             counters: DeviceCounters::default(),
             queue: std::collections::VecDeque::new(),
             shaped_queue: std::collections::VecDeque::new(),

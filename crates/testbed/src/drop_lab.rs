@@ -123,7 +123,7 @@ impl DropLab {
         let nr_src = w.add_device(DeviceConfig::new("nr-src", node).service(fast()));
         let nr = w.add_device(DeviceConfig::new("nr", node).service(fast()).forwarding(
             Forwarding::ByDstIp {
-                routes: std::collections::HashMap::new(),
+                routes: std::collections::BTreeMap::new(),
                 default: None,
             },
         ));

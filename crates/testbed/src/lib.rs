@@ -41,7 +41,7 @@ pub mod rack;
 pub mod two_host;
 pub mod xen;
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use vnet_sim::device::Forwarding;
@@ -51,7 +51,7 @@ use vnet_sim::DeviceId;
 /// Installs destination-IP routes on a switch/bridge device whose output
 /// ports were wired with [`World::connect`].
 pub fn route(world: &mut World, dev: DeviceId, routes: &[(Ipv4Addr, usize)]) {
-    let map: HashMap<Ipv4Addr, usize> = routes.iter().copied().collect();
+    let map: BTreeMap<Ipv4Addr, usize> = routes.iter().copied().collect();
     world.set_forwarding(
         dev,
         Forwarding::ByDstIp {

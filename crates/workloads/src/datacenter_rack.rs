@@ -298,7 +298,7 @@ impl RackScenario {
         }
 
         // The ToR switches on the *outer* (VTEP) destination address.
-        let mut tor_routes = std::collections::HashMap::new();
+        let mut tor_routes = std::collections::BTreeMap::new();
         for (h, &rx) in eth_rx.iter().enumerate() {
             let port = w.connect(tor_sw, rx, tor_link);
             tor_routes.insert(RackConfig::vtep_ip(h), port);
@@ -315,7 +315,7 @@ impl RackScenario {
         let mut delivered = Vec::with_capacity(vm_nodes.len());
         let mut vm_tx = Vec::with_capacity(vm_nodes.len());
         for h in 0..cfg.hosts {
-            let mut br_routes = std::collections::HashMap::new();
+            let mut br_routes = std::collections::BTreeMap::new();
             for v in 0..cfg.vms_per_host {
                 let vm = vm_nodes[h * cfg.vms_per_host + v];
                 let tx = w.add_device(
