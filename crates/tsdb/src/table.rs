@@ -204,11 +204,11 @@ impl Table {
         out.into_iter().map(|(_, e)| e).collect()
     }
 
-    /// Moves all record shards out of the table (sealing); the sequence
-    /// counter is untouched, so future inserts keep numbering after the
-    /// sealed records.
-    pub(crate) fn take_shards(&mut self) -> Vec<RecordShard> {
-        std::mem::take(&mut self.shards)
+    /// Drops all record shards once a seal has committed them; the
+    /// sequence counter is untouched, so future inserts keep numbering
+    /// after the sealed records.
+    pub(crate) fn clear_shards(&mut self) {
+        self.shards.clear();
     }
 
     /// Raises the sequence counter to at least `seq` — used on reopen so
