@@ -394,8 +394,8 @@ fn run_db(rest: &[String]) -> Result<(), String> {
                 s.wal_bytes, s.wal_batches, s.wal_records
             );
             println!(
-                "compaction: {} merges ({} segments in, {} bytes reclaimed), {} seals this process",
-                s.compactions, s.segments_merged, s.bytes_reclaimed, s.seals
+                "compaction: {} merges ({} segments in, {} rows written, {} bytes reclaimed), {} seals this process",
+                s.compactions, s.segments_merged, s.rows_merged, s.bytes_reclaimed, s.seals
             );
             Ok(())
         }

@@ -655,6 +655,10 @@ enum Step {
 
 /// A batch of `counts` records per table, numbered on from `*next`.
 fn table_batch(counts: &[(&str, u64)], next: &mut u64) -> Step {
+    Step::Insert(numbered_batch(counts, next))
+}
+
+fn numbered_batch(counts: &[(&str, u64)], next: &mut u64) -> RecordBatch {
     let mut batch = RecordBatch::new();
     for &(table, n) in counts {
         for _ in 0..n {
@@ -675,7 +679,7 @@ fn table_batch(counts: &[(&str, u64)], next: &mut u64) -> Step {
             );
         }
     }
-    Step::Insert(batch)
+    batch
 }
 
 /// Thirteen seals over three tables at the default fan-in of 4. Eight
@@ -790,6 +794,94 @@ fn same_stream_leaves_the_same_directory_whatever_the_worker_does() {
         let last = stats.last().unwrap();
         assert_eq!((last.segments, last.wal_records), (8, 0));
     }
+}
+
+/// Adds every committed segment file in `dir` to `seen`, by name, with
+/// the sequence range it holds.
+fn record_segments(dir: &Path, seen: &mut BTreeMap<String, (u64, u64)>) {
+    for path in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+        if path.extension().is_some_and(|x| x == "col") {
+            let meta = Segment::open(&path).unwrap().meta().clone();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            seen.insert(name, (meta.min_seq, meta.max_seq));
+        }
+    }
+}
+
+/// Sixty-four equal seals of one table at the default fan-in of 4, then
+/// a flush: no row is rewritten more than ⌈log2 64⌉ = 6 times (merging
+/// any four adjacent segments rewrites the first seal's rows 21 times), and
+/// `rows_merged` is exactly the rows the committed merges wrote.
+#[test]
+fn sixty_four_equal_seals_rewrite_no_row_more_than_six_times() {
+    const SEAL: u64 = 100;
+    let dir = test_dir("rewrites");
+    let options = StoreOptions {
+        seal_threshold: SEAL as usize,
+        fsync: false,
+        ..StoreOptions::default()
+    };
+    let mut db = TraceDb::open_with(&dir, options).unwrap();
+    let mut next = 0;
+    // A file lives from one seal point to at least the next, so looking
+    // after every seal sees each one the store ever committed.
+    let mut seen = BTreeMap::new();
+    for _ in 0..64 {
+        db.insert_batch(&numbered_batch(&[("a", SEAL)], &mut next));
+        record_segments(&dir, &mut seen);
+    }
+    db.flush().unwrap();
+    record_segments(&dir, &mut seen);
+    // Seal `k` holds sequence numbers `k * SEAL ..`; its rows were
+    // rewritten once by every merged file that holds them.
+    let rewrites: Vec<u64> = (0..64)
+        .map(|k| {
+            let holding = seen
+                .values()
+                .filter(|&&(lo, hi)| lo <= k * SEAL && (k + 1) * SEAL - 1 <= hi)
+                .count();
+            holding as u64 - 1
+        })
+        .collect();
+    let most = *rewrites.iter().max().unwrap();
+    assert!(most <= 6, "a row rewritten {most} times: {rewrites:?}");
+    let stats = db.storage_stats().unwrap();
+    assert_eq!(stats.sealed_records, 64 * SEAL);
+    assert_eq!(stats.rows_merged, rewrites.iter().sum::<u64>() * SEAL);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The benchmark stores' shape, on one table at the default fan-in of 4:
+/// seven equal seals and a partial tail. The fourth seal plans one merge
+/// of the first four, which the fifth commits; at the seventh the merged
+/// segment holds more rows than the three seals behind it, so nothing is
+/// planned and `flush` has no round to wait for — it only seals the tail.
+#[test]
+fn seven_equal_seals_then_flush_commit_exactly_one_round() {
+    const SEAL: u64 = 1_000;
+    let dir = test_dir("benchmark-shape");
+    let options = StoreOptions {
+        seal_threshold: SEAL as usize,
+        fsync: false,
+        ..StoreOptions::default()
+    };
+    let mut db = TraceDb::open_with(&dir, options).unwrap();
+    let mut next = 0;
+    for _ in 0..7 {
+        db.insert_batch(&numbered_batch(&[("a", SEAL)], &mut next));
+    }
+    db.insert_batch(&numbered_batch(&[("a", SEAL / 4)], &mut next));
+    let committed = |db: &TraceDb| {
+        let s = db.storage_stats().unwrap();
+        (s.seals, s.compactions, s.segments_merged, s.rows_merged)
+    };
+    assert_eq!(committed(&db), (7, 1, 4, 4 * SEAL));
+    db.flush().unwrap();
+    assert_eq!(committed(&db), (8, 1, 4, 4 * SEAL), "one round in all");
+    assert_eq!(db.storage_stats().unwrap().segments, 5);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 const NODES: [&str; 3] = ["vm1", "vm2", "vm3"];
