@@ -8,9 +8,8 @@
 //! instruction-at-a-time interpreter, because decode, jump resolution
 //! and helper lookup have been paid once at load time and the common
 //! load/compare/branch and map-lookup/null-check sequences dispatch as
-//! single fused ops. The `jit_noelide` arm runs the same threaded code
-//! with verifier-proved check elision disabled, isolating what the
-//! abstract-interpretation facts buy on top of lowering and fusion.
+//! single fused ops. Each instruction has one lowering (DESIGN.md §5),
+//! so there is one compiled arm.
 //!
 //! Set `VNT_BENCH_FAST=1` for a smoke run (CI): minimal sample count,
 //! no timing claims — it only proves both tiers compile and run.
@@ -101,21 +100,6 @@ fn bench_pair(c: &mut Criterion, group: &str, action: Action, matching: bool) {
     g.bench_function("jit", |b| {
         b.iter(|| {
             let out = compiled
-                .execute(black_box(&ctx), pkt.bytes(), &mut maps, &mut env)
-                .unwrap();
-            if drains_ring && out.ret == 1 {
-                drained += maps.get_mut(0).unwrap().perf_drain_with(0, |_| {});
-            }
-            out.ret
-        })
-    });
-    // The same program with verifier-proved check elision disabled — the
-    // runtime-checked threaded code the elision arm must at least match.
-    let checked =
-        vnet_ebpf::jit::compile_with(&loaded, vnet_ebpf::jit::CompileOpts { elide: false });
-    g.bench_function("jit_noelide", |b| {
-        b.iter(|| {
-            let out = checked
                 .execute(black_box(&ctx), pkt.bytes(), &mut maps, &mut env)
                 .unwrap();
             if drains_ring && out.ret == 1 {

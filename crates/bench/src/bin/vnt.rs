@@ -81,9 +81,10 @@
 //! kernel-style program listing (one instruction per line, `#` comments
 //! and `;` annotations ignored) and prints the shared annotated cost
 //! listing — per-instruction worst-case-to-here and per-op charge
-//! columns over the register states and proven facts — plus how many
-//! runtime check sites the threaded tier elides; for rejected programs,
-//! every diagnostic with the register state at the point of rejection.
+//! columns over the register states and the facts the verifier proved,
+//! which are its explanation of why each access is safe; for rejected
+//! programs, every diagnostic with the register state at the point of
+//! rejection.
 
 use std::process::ExitCode;
 
@@ -289,9 +290,9 @@ fn parse_listing(path: &str) -> Result<(Vec<vnet_ebpf::Insn>, vnet_ebpf::MapRegi
 /// `vnt verify <file>`: parse a program listing, run the
 /// abstract-interpretation verifier against the standard helper set, and
 /// print the shared annotated cost listing (the same renderer the
-/// agent's over-budget report uses), plus how many check sites the
-/// threaded tier would elide. Returns an error (non-zero exit)
-/// when verification rejects the program.
+/// agent's over-budget report uses), with the facts the verifier proved
+/// as "proved: …" notes. Returns an error (non-zero exit) when
+/// verification rejects the program.
 fn verify_file(path: &str) -> Result<(), String> {
     let (insns, maps) = parse_listing(path)?;
     let value_size = |fd: i32| maps.get(fd).map(|m| m.def().value_size as u64);
@@ -311,15 +312,6 @@ fn verify_file(path: &str) -> Result<(), String> {
     println!(
         "verification OK, {} insn(s) carry proven facts",
         analysis.proven_facts()
-    );
-    let program =
-        vnet_ebpf::Program::new(path, vnet_ebpf::AttachType::Kprobe("verify".into()), insns);
-    let loaded = vnet_ebpf::load(program, &maps, &vnet_ebpf::standard_helpers())
-        .map_err(|e| format!("{path}: load failed: {e}"))?;
-    let compiled = vnet_ebpf::compile(&loaded);
-    println!(
-        "threaded tier elides {} runtime check site(s)",
-        compiled.elided_site_count()
     );
     Ok(())
 }
@@ -544,7 +536,6 @@ fn print_run_stats(tracer: &vnettracer::VNetTracer) {
             "avg ns/run",
             "ops",
             "fused",
-            "elided",
         ],
     );
     for s in tracer.run_stats() {
@@ -557,7 +548,6 @@ fn print_run_stats(tracer: &vnettracer::VNetTracer) {
             s.stats.avg_run_ns().to_string(),
             s.stats.ops_executed.to_string(),
             s.stats.fused_hits.to_string(),
-            s.stats.checks_elided.to_string(),
         ]);
     }
     println!("{t}");

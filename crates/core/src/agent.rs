@@ -51,10 +51,6 @@ pub struct ScriptStats {
     pub ops_executed: u64,
     /// Fused-op executions.
     pub fused_hits: u64,
-    /// Runtime checks skipped across all runs because the verifier's
-    /// abstract interpretation proved them redundant — bounds checks,
-    /// region dispatches, decided branches and divisor zero-tests.
-    pub checks_elided: u64,
     /// The program's certified worst-case cost per firing in simulated
     /// nanoseconds, probe entry included — the static bound from
     /// [`vnet_ebpf::cost::certify`] that [`Self::avg_run_ns`] can never
@@ -192,7 +188,6 @@ impl ProbeSink for EbpfProbeSink {
                 self.stats.insns_retired += out.insns_retired;
                 self.stats.ops_executed += out.ops_executed;
                 self.stats.fused_hits += out.fused_hits;
-                self.stats.checks_elided += out.checks_elided;
                 (out.ret, PROBE_BASE_COST_NS + out.cost_ns)
             })
             .map_err(|_| PROBE_BASE_COST_NS);

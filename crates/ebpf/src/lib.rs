@@ -68,7 +68,7 @@ pub use context::TraceContext;
 pub use cost::{certify, render_cost_report, CostCertificate};
 pub use disasm::disassemble;
 pub use insn::{Insn, MAX_INSNS};
-pub use jit::{compile, compile_with, CompileOpts, CompiledProgram, JitOutcome};
+pub use jit::{compile, CompiledProgram, JitOutcome};
 pub use map::{MapDef, MapRegistry, MapType};
 pub use program::{load, AttachType, LoadedProgram, Program};
 pub use tnum::Tnum;

@@ -231,9 +231,6 @@ pub struct ExecOutcome {
     /// Always bounded by the loaded program's
     /// [`certificate`](crate::program::LoadedProgram::certificate).
     pub cost_ns: u64,
-    /// Runtime checks skipped because the verifier's analysis proved
-    /// them redundant (in the interpreter tier: divisor zero-tests).
-    pub checks_elided: u64,
 }
 
 /// A map key captured when a lookup allocates a value slot. Keys of up
@@ -479,70 +476,6 @@ impl<'a> Memory<'a> {
         Ok(new)
     }
 
-    /// Map-value load with the region dispatch and value-size bounds
-    /// check elided: only sound when the verifier proved the access is a
-    /// `PtrToMapValue` whose whole `[off, off+len)` window lies inside
-    /// the map's value size (a [`crate::analysis::MemFact::MapValue`]
-    /// fact). The slot/map resolution itself cannot be skipped — it is
-    /// what binds the address to live map storage.
-    #[inline]
-    pub(crate) fn map_val_read(
-        &self,
-        maps: &mut MapRegistry,
-        addr: u64,
-        len: usize,
-    ) -> Result<u64, VmError> {
-        let slot_idx = ((addr - MAP_VAL_BASE) / MAP_VAL_STRIDE) as usize;
-        let off = ((addr - MAP_VAL_BASE) % MAP_VAL_STRIDE) as usize;
-        let slot = self
-            .slots
-            .get(slot_idx)
-            .ok_or(VmError::MemoryOutOfBounds { addr, len })?;
-        let map = maps.get_mut(slot.fd).ok_or(VmError::BadMapHandle(addr))?;
-        let value = map
-            .lookup(slot.key.as_slice(), self.cpu)
-            .map_err(VmError::Map)?;
-        Ok(read_le(&value[off..], len))
-    }
-
-    /// Map-value store counterpart of [`Memory::map_val_read`]; same
-    /// soundness requirement.
-    #[inline]
-    pub(crate) fn map_val_write(
-        &mut self,
-        maps: &mut MapRegistry,
-        addr: u64,
-        len: usize,
-        val: u64,
-    ) -> Result<(), VmError> {
-        let slot_idx = ((addr - MAP_VAL_BASE) / MAP_VAL_STRIDE) as usize;
-        let off = ((addr - MAP_VAL_BASE) % MAP_VAL_STRIDE) as usize;
-        let slot = self
-            .slots
-            .get(slot_idx)
-            .ok_or(VmError::MemoryOutOfBounds { addr, len })?;
-        let map = maps.get_mut(slot.fd).ok_or(VmError::BadMapHandle(addr))?;
-        let value = map
-            .lookup(slot.key.as_slice(), self.cpu)
-            .map_err(VmError::Map)?;
-        write_le(&mut value[off..], len, val);
-        Ok(())
-    }
-
-    /// Stack load through a computed (non-constant) offset the verifier
-    /// proved in-frame ([`crate::analysis::MemFact::StackDyn`]): no
-    /// region dispatch, no bounds check.
-    #[inline]
-    pub(crate) fn stack_dyn_read(&self, addr: u64, len: usize) -> u64 {
-        read_le(&self.stack[(addr - STACK_BASE) as usize..], len)
-    }
-
-    /// Stack store counterpart of [`Memory::stack_dyn_read`].
-    #[inline]
-    pub(crate) fn stack_dyn_write(&mut self, addr: u64, len: usize, val: u64) {
-        write_le(&mut self.stack[(addr - STACK_BASE) as usize..], len, val);
-    }
-
     pub(crate) fn write(
         &mut self,
         maps: &mut MapRegistry,
@@ -618,7 +551,6 @@ impl Vm {
         env: &mut dyn VmEnv,
     ) -> Result<ExecOutcome, VmError> {
         let insns = prog.insns();
-        let facts = prog.analysis().facts();
         let mut reg = [0u64; NUM_REGS];
         let mut mem = Memory::new(ctx, packet, env.smp_processor_id() as usize);
         reg[1] = CTX_BASE;
@@ -627,7 +559,6 @@ impl Vm {
         let mut pc = 0usize;
         let mut executed: u64 = 0;
         let mut cost_ns: u64 = 0;
-        let mut checks_elided: u64 = 0;
         let mut scratch = Vec::with_capacity(64);
 
         loop {
@@ -658,25 +589,7 @@ impl Vm {
                         insn.imm as i64 as u64
                     };
                     let lhs = reg[dst];
-                    // Register divisors the analysis proved nonzero skip
-                    // the zero test entirely — the one elision the
-                    // interpreter tier performs.
-                    let val = if (op == BPF_DIV || op == BPF_MOD)
-                        && insn.opcode & 0x08 == BPF_X
-                        && facts.get(pc).is_some_and(|f| f.div_nonzero)
-                    {
-                        checks_elided += 1;
-                        if is64 {
-                            if op == BPF_DIV {
-                                lhs / rhs
-                            } else {
-                                lhs % rhs
-                            }
-                        } else {
-                            let (l, r) = (lhs as u32, rhs as u32);
-                            u64::from(if op == BPF_DIV { l / r } else { l % r })
-                        }
-                    } else if is64 {
+                    let val = if is64 {
                         alu64(op, lhs, rhs)
                     } else {
                         u64::from(alu32(op, lhs as u32, rhs as u32))
@@ -729,7 +642,6 @@ impl Vm {
                                 ret: reg[0],
                                 insns_executed: executed,
                                 cost_ns,
-                                checks_elided,
                             })
                         }
                         BPF_CALL => {

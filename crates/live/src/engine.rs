@@ -53,7 +53,7 @@ pub struct LiveConfig {
     pub max_pending_pairs: usize,
     /// Finalized windows retained for the caller (oldest dropped first).
     pub max_closed_windows: usize,
-    /// Anomaly detector thresholds.
+    /// Anomaly detector settings (the stalled-agent timeout).
     pub detector: DetectorConfig,
 }
 
@@ -224,7 +224,6 @@ impl LiveEngine {
             routes.entry(measurement).or_default().tracepoints = tracepoints;
         }
 
-        let detector = AnomalyDetector::new(cfg.detector);
         LiveEngine {
             cfg,
             watermark: WatermarkTracker::new(),
@@ -234,7 +233,7 @@ impl LiveEngine {
             routes,
             latency_order,
             loss_order,
-            detector,
+            detector: AnomalyDetector::default(),
             closed: VecDeque::new(),
             alerts: Vec::new(),
             records_processed: 0,
