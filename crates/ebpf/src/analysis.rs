@@ -14,18 +14,19 @@
 //!   the first) as a [`Diagnostic`] with the register state at the point
 //!   of rejection, including the one rejection class structural checks
 //!   cannot see: a register divisor whose range contains zero;
-//! * **elision** — for each instruction it publishes the memory/divisor
-//!   facts it proved ([`InsnFact`]) so the JIT can lower the access to a
-//!   direct unchecked load/store and skip dead branches;
+//! * **proof** — for each instruction it publishes the memory/divisor
+//!   facts it proved ([`InsnFact`]): why the verifier accepted the access.
+//!   No execution tier consumes them; each instruction has one lowering
+//!   and keeps its runtime checks;
 //! * **explanation** — the joined register state at every reachable
-//!   instruction is retained for annotated disassembly (`vnt verify`).
+//!   instruction is retained for annotated disassembly (`vnt verify`),
+//!   which renders the facts as "proved: …" notes.
 //!
 //! Soundness contract: a fact is only emitted when it holds on *every*
 //! path reaching the instruction (facts are met across states, and joins
 //! over-approximate), and an access the analysis cannot prove stays
-//! runtime-checked exactly as before — the analysis never weakens the
-//! interpreter's checks, it only licenses skipping ones it proved
-//! redundant. Because the CFG is a DAG (no back-edges), visiting
+//! runtime-checked exactly as before — the analysis never weakens a
+//! runtime check. Because the CFG is a DAG (no back-edges), visiting
 //! instructions in index order is a topological walk and the analysis
 //! terminates without widening.
 
@@ -391,8 +392,8 @@ pub enum BranchFact {
 }
 
 /// Everything the analysis proved about one instruction. Facts are the
-/// meet over all states that reach the instruction, so they license
-/// unconditional elision.
+/// meet over all states that reach the instruction, so each holds on
+/// every path to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InsnFact {
     /// Some path reaches this instruction (dead code has no facts).
@@ -448,8 +449,8 @@ impl Analysis {
         self.states.get(pc).and_then(|s| s.as_deref())
     }
 
-    /// Number of instructions carrying at least one elision-licensing
-    /// fact (memory proof, nonzero divisor, or decided branch).
+    /// Number of instructions carrying at least one proven fact (memory
+    /// proof, nonzero divisor, or decided branch).
     pub fn proven_facts(&self) -> usize {
         self.facts
             .iter()

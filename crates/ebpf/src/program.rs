@@ -149,9 +149,9 @@ impl LoadedProgram {
     }
 
     /// The verifier's abstract-interpretation artifact: per-instruction
-    /// proven facts (in-bounds accesses, nonzero divisors, decided
-    /// branches) that the execution tiers may use to elide runtime
-    /// checks. Relocation rewrites `lddw` immediates in place, so the
+    /// register states and proven facts (in-bounds accesses, nonzero
+    /// divisors, decided branches), read by the cost certificate and its
+    /// report. Relocation rewrites `lddw` immediates in place, so the
     /// instruction indices the facts are keyed on remain valid.
     pub fn analysis(&self) -> &Analysis {
         &self.analysis

@@ -1,21 +1,16 @@
 //! Region-boundary edge cases, run on both execution tiers.
 //!
 //! The VM exposes four tagged memory regions to programs — context,
-//! packet, stack and map values — and the threaded-code tier elides some
-//! per-access checks using verifier facts. These tests pin the exact
-//! boundary behaviour: accesses ending flush against a region end
-//! succeed, accesses straddling an end or landing in the gaps between
-//! regions abort, and both tiers agree bit for bit on every case.
+//! packet, stack and map values. These tests pin the exact boundary
+//! behaviour: accesses ending flush against a region end succeed,
+//! accesses straddling an end or landing in the gaps between regions
+//! abort, and both tiers agree bit for bit on every case.
 //!
 //! All accesses go through *copied* pointers (`r2 = r10`, `r2 = ctx`,
-//! packet pointer loaded from the context). The abstract interpreter
-//! now tracks stack and ctx copies, so the in-bounds cases may run on
-//! the verifier-proved elided path — the boundary values pin that the
-//! proofs draw the region edges exactly where the runtime checks do.
-//! The straddling and gap cases can never carry a proof (and packet
-//! pointers are never classified), so they exercise the runtime-checked
-//! path the jit tier must not have optimised away; both must agree with
-//! the interpreter bit for bit either way.
+//! packet pointer loaded from the context), so on the threaded-code tier
+//! they take the checked `Load`/`Store*` path rather than `r10` stack
+//! indexing: the boundary values pin that its region checks draw the
+//! edges exactly where the interpreter's do.
 
 use vnet_ebpf::asm::{reg::*, Asm, Size};
 use vnet_ebpf::context::{TraceContext, CTX_OFF_DATA, CTX_SIZE};
@@ -177,7 +172,7 @@ fn packet_store_rejected_as_read_only() {
 fn stack_bottom_roundtrip_at_exact_limit() {
     // fp - STACK_SIZE is the lowest addressable byte; a DW there is the
     // deepest legal access. Store through the laundered pointer, load
-    // back through fp (the jit's elided-check path) — both tiers agree.
+    // back through fp (the jit's direct stack indexing) — both tiers agree.
     let low = -(STACK_SIZE as i16);
     let ret = both_tiers(
         fp_copy()
