@@ -114,6 +114,54 @@ fn db_import_creates_the_database_and_locates_a_bad_line() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `vnt verify` prints the annotated cost listing and exits 0 for an
+/// accepted listing; a rejected, unparsable or missing one exits 1 and
+/// says why.
+#[test]
+fn verify_reports_verdicts_and_input_errors() {
+    let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("../ebpf/tests/corpus");
+
+    let out = vnt(&["verify", path_str(&corpus.join("accept_map_counter.bpf"))]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("certified worst-case: 24 ns"), "{text}");
+    assert!(
+        text.lines()
+            .last()
+            .is_some_and(|l| l.starts_with("verification OK")),
+        "{text}"
+    );
+
+    let out = vnt(&[
+        "verify",
+        path_str(&corpus.join("reject_divisor_may_be_zero.bpf")),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let text = stdout(&out);
+    assert!(
+        text.contains("error at insn 2: divisor r2 not proven nonzero at insn 2"),
+        "{text}"
+    );
+    assert!(text.contains("verification FAILED: 1 error(s)"), "{text}");
+    assert!(stderr(&out).starts_with("error: "), "{}", stderr(&out));
+
+    let dir = scratch("verify");
+    std::fs::create_dir_all(&dir).unwrap();
+    let bad = dir.join("bad.bpf");
+    std::fs::write(&bad, "r0 = 0\nr0 = frobnicate r1\nexit\n").unwrap();
+    let out = vnt(&["verify", path_str(&bad)]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("parse error"), "{}", stderr(&out));
+    assert_eq!(stdout(&out), "");
+
+    let missing = dir.join("missing.bpf");
+    let out = vnt(&["verify", path_str(&missing)]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("cannot read"), "{}", stderr(&out));
+    assert_eq!(stdout(&out), "");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// "Not attached" is decided from what was deployed, not from whether a
 /// record arrived: an empty run of an attached module reports zeros.
 #[test]

@@ -743,19 +743,43 @@ mod tests {
 
     #[test]
     fn emitted_programs_have_no_unreachable_instruction() {
+        // Every instruction of every emitted program is reachable, and
+        // what the verifier produces for them is pinned: one CRC-32 over
+        // each program's cost certificate (a `None` row as `u64::MAX`)
+        // and the joined register state at every slot (each register's
+        // `Display` form, `-` for a slot no path reaches).
         let value_size = |_| Some(8);
+        let mut digest = Vec::new();
         for (action, rule, prog) in emitted_space() {
             let analysis = vnet_ebpf::analyze(&prog.insns, &standard_helpers(), value_size);
             assert!(analysis.ok(), "{action:?} {rule:?}");
             let mut pc = 0;
             while pc < prog.insns.len() {
                 assert!(
-                    analysis.fact(pc).reachable,
+                    analysis.state_at(pc).is_some(),
                     "{action:?} {rule:?}: insn {pc} is unreachable"
                 );
                 pc += if prog.insns[pc].is_lddw() { 2 } else { 1 };
             }
+            let cert = vnet_ebpf::certify(&prog.insns, &analysis);
+            digest.extend(cert.worst_case_ns.to_le_bytes());
+            digest.extend(cert.worst_case_insns.to_le_bytes());
+            for row in &cert.worst_to_here_ns {
+                digest.extend(row.unwrap_or(u64::MAX).to_le_bytes());
+            }
+            for pc in 0..prog.insns.len() {
+                match analysis.state_at(pc) {
+                    Some(regs) => {
+                        for r in regs {
+                            digest.extend(format!("{r};").bytes());
+                        }
+                    }
+                    None => digest.push(b'-'),
+                }
+                digest.push(b'\n');
+            }
         }
+        assert_eq!(vnet_tsdb::codec::crc32(&digest), 0x9886_1fd3);
     }
 
     #[test]
