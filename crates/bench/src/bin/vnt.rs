@@ -81,10 +81,10 @@
 //! kernel-style program listing (one instruction per line, `#` comments
 //! and `;` annotations ignored) and prints the shared annotated cost
 //! listing — per-instruction worst-case-to-here and per-op charge
-//! columns over the register states and the facts the verifier proved,
-//! which are its explanation of why each access is safe; for rejected
-//! programs, every diagnostic with the register state at the point of
-//! rejection.
+//! columns over the joined register state at each instruction, which is
+//! the verifier's explanation of why it accepted the program; for
+//! rejected programs, every diagnostic with the register state at the
+//! point of rejection.
 
 use std::process::ExitCode;
 
@@ -258,45 +258,18 @@ fn usage() -> String {
         .to_owned()
 }
 
-/// Parses a kernel-style program listing and builds a map registry with
-/// a placeholder 8-byte array map for every pseudo map fd the listing
-/// references, so map-using programs load and certify like deployed
-/// ones.
-fn parse_listing(path: &str) -> Result<(Vec<vnet_ebpf::Insn>, vnet_ebpf::MapRegistry), String> {
+/// `vnt verify <file>`: parse a program listing, run the
+/// abstract-interpretation verifier against the standard helper set, and
+/// print the shared annotated cost listing (the same renderer the
+/// agent's over-budget report uses), each instruction with the joined
+/// register state at its input. Returns an error (non-zero exit) when
+/// the listing cannot be read or parsed, or verification rejects it.
+fn verify_file(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let lines: Vec<&str> = text.lines().collect();
     let insns =
         vnet_ebpf::parse::parse_program(&lines).map_err(|e| format!("{path}: parse error: {e}"))?;
-    let mut max_fd = -1i32;
-    let mut i = 0usize;
-    while i < insns.len() {
-        if insns[i].is_lddw() {
-            if insns[i].src == vnet_ebpf::insn::PSEUDO_MAP_FD {
-                max_fd = max_fd.max(insns[i].imm);
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    let mut maps = vnet_ebpf::MapRegistry::new();
-    for _ in 0..=max_fd {
-        maps.create(vnet_ebpf::MapDef::array(8, 8), 1)
-            .map_err(|e| format!("cannot create placeholder map: {e}"))?;
-    }
-    Ok((insns, maps))
-}
-
-/// `vnt verify <file>`: parse a program listing, run the
-/// abstract-interpretation verifier against the standard helper set, and
-/// print the shared annotated cost listing (the same renderer the
-/// agent's over-budget report uses), with the facts the verifier proved
-/// as "proved: …" notes. Returns an error (non-zero exit) when
-/// verification rejects the program.
-fn verify_file(path: &str) -> Result<(), String> {
-    let (insns, maps) = parse_listing(path)?;
-    let value_size = |fd: i32| maps.get(fd).map(|m| m.def().value_size as u64);
-    let analysis = vnet_ebpf::analyze(&insns, &vnet_ebpf::standard_helpers(), value_size);
+    let analysis = vnet_ebpf::analyze(&insns, &vnet_ebpf::standard_helpers());
     if !analysis.ok() {
         print!("{}", vnet_ebpf::analysis::render_log(&insns, &analysis));
         return Err(format!(
@@ -309,10 +282,7 @@ fn verify_file(path: &str) -> Result<(), String> {
         "{}",
         vnet_ebpf::render_cost_report(&insns, &analysis, &cert)
     );
-    println!(
-        "verification OK, {} insn(s) carry proven facts",
-        analysis.proven_facts()
-    );
+    println!("verification OK");
     Ok(())
 }
 

@@ -651,28 +651,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compiled_programs_carry_proven_facts() {
-        // The generated trace programs are exactly what the analysis is
-        // for: ctx-relative loads and fp-relative record assembly should
-        // yield proven facts, which `vnt verify` renders as the
-        // verifier's explanation of each accepted access.
-        let mut maps = MapRegistry::new();
-        let perf = maps.create(MapDef::perf(4096), 1).unwrap();
-        let counter = maps.create(MapDef::per_cpu_array(8, 1), 1).unwrap();
-        for (action, fds) in [
-            (Action::RecordPacketInfo, (Some(perf), None)),
-            (Action::CountPerCpu, (None, Some(counter))),
-        ] {
-            let p = compile(&spec(udp_rule(), action), fds.0, fds.1).unwrap();
-            let loaded = load(p, &maps, &standard_helpers()).unwrap();
-            assert!(
-                loaded.analysis().proven_facts() > 0,
-                "{action:?} program should carry proven facts"
-            );
-        }
-    }
-
     /// Every program the compiler can emit, in a fixed order: the 64
     /// subsets of the six filter fields (bit `i` of the mask keeps field
     /// `i` of one UDP flow rule) × {UDP, TCP} as the protocol value × the
@@ -748,10 +726,9 @@ mod tests {
         // each program's cost certificate (a `None` row as `u64::MAX`)
         // and the joined register state at every slot (each register's
         // `Display` form, `-` for a slot no path reaches).
-        let value_size = |_| Some(8);
         let mut digest = Vec::new();
         for (action, rule, prog) in emitted_space() {
-            let analysis = vnet_ebpf::analyze(&prog.insns, &standard_helpers(), value_size);
+            let analysis = vnet_ebpf::analyze(&prog.insns, &standard_helpers());
             assert!(analysis.ok(), "{action:?} {rule:?}");
             let mut pc = 0;
             while pc < prog.insns.len() {

@@ -8,29 +8,24 @@
 //! possibly-null map-value pointer to null/non-null, comparisons narrow
 //! scalar ranges), and joined or pruned where paths meet.
 //!
-//! The analysis serves three masters:
+//! The analysis produces two things:
 //!
 //! * **rejection** — it reports every [`VerifyError`] it finds (not just
 //!   the first) as a [`Diagnostic`] with the register state at the point
 //!   of rejection, including the one rejection class structural checks
 //!   cannot see: a register divisor whose range contains zero;
-//! * **proof** — for each instruction it publishes the memory/divisor
-//!   facts it proved ([`InsnFact`]): why the verifier accepted the access.
-//!   No execution tier consumes them; each instruction has one lowering
-//!   and keeps its runtime checks;
 //! * **explanation** — the joined register state at every reachable
-//!   instruction is retained for annotated disassembly (`vnt verify`),
-//!   which renders the facts as "proved: …" notes.
+//!   instruction is retained for annotated disassembly (`vnt verify`):
+//!   the state on an access's line is why the verifier accepted it.
 //!
-//! Soundness contract: a fact is only emitted when it holds on *every*
-//! path reaching the instruction (facts are met across states, and joins
-//! over-approximate), and an access the analysis cannot prove stays
-//! runtime-checked exactly as before — the analysis never weakens a
-//! runtime check. Because the CFG is a DAG (no back-edges), visiting
-//! instructions in index order is a topological walk and the analysis
-//! terminates without widening.
+//! Soundness contract: the joined state at an instruction covers every
+//! path reaching it (joins and pruning over-approximate), so a program
+//! is rejected whenever some path may fault on a check the analysis
+//! owns. It proves nothing for execution to rely on: every memory
+//! access stays runtime-checked in both tiers. Because the CFG is a DAG
+//! (no back-edges), visiting instructions in index order is a
+//! topological walk and the analysis terminates without widening.
 
-use crate::context::CTX_SIZE;
 use crate::insn::*;
 use crate::tnum::Tnum;
 use crate::verifier::VerifyError;
@@ -273,7 +268,7 @@ impl RegState {
 
     /// True when every concrete value of `self` is covered by `other`
     /// *and* `other` is at least as pessimistic (so pruning `self` can
-    /// neither hide an error nor strengthen a fact).
+    /// neither hide an error nor narrow a joined state).
     fn subsumed_by(&self, other: &RegState) -> bool {
         use RegType::*;
         if other.ty == Uninit {
@@ -361,59 +356,10 @@ pub struct Diagnostic {
     pub regs: Option<[RegState; NUM_REGS]>,
 }
 
-/// A memory-safety proof for one load/store instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemFact {
-    /// A load from the context at this constant, in-bounds byte offset.
-    CtxConst {
-        /// Byte offset into the context struct.
-        off: u16,
-    },
-    /// A stack access at this constant slot offset (bytes from the frame
-    /// bottom); always within the 512-byte frame.
-    StackConst {
-        /// Byte offset of the access start from the frame bottom.
-        idx: u16,
-    },
-    /// A stack access at a variable offset proved to stay in-frame.
-    StackDyn,
-    /// An access through a proven non-null map-value pointer, within the
-    /// map's value size on every path.
-    MapValue,
-}
-
-/// Resolution of a conditional jump the analysis decided statically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchFact {
-    /// The branch is taken on every path reaching it.
-    AlwaysTaken,
-    /// The branch falls through on every path reaching it.
-    NeverTaken,
-}
-
-/// Everything the analysis proved about one instruction. Facts are the
-/// meet over all states that reach the instruction, so each holds on
-/// every path to it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct InsnFact {
-    /// Some path reaches this instruction (dead code has no facts).
-    pub reachable: bool,
-    /// Memory-safety proof for a load/store, if any.
-    pub mem: Option<MemFact>,
-    /// For `div`/`mod` by register: the divisor is provably nonzero.
-    /// Every *accepted* program has this on all register divisions — an
-    /// unprovable divisor is rejected — so both tiers may skip the zero
-    /// check.
-    pub div_nonzero: bool,
-    /// For conditional jumps decided statically.
-    pub branch: Option<BranchFact>,
-}
-
-/// The artifact of verification: per-instruction facts, all diagnostics,
-/// and the joined register states for annotation.
+/// The artifact of verification: all diagnostics, and the joined
+/// register states for annotation.
 #[derive(Debug, Clone)]
 pub struct Analysis {
-    facts: Vec<InsnFact>,
     diagnostics: Vec<Diagnostic>,
     states: Vec<Option<Box<[RegState; NUM_REGS]>>>,
 }
@@ -434,28 +380,9 @@ impl Analysis {
         self.diagnostics.first().map(|d| &d.error)
     }
 
-    /// Per-instruction proven facts (`facts().len() == insns.len()`).
-    pub fn facts(&self) -> &[InsnFact] {
-        &self.facts
-    }
-
-    /// The facts proved for one instruction.
-    pub fn fact(&self, pc: usize) -> InsnFact {
-        self.facts.get(pc).copied().unwrap_or_default()
-    }
-
     /// The join of all register states reaching `pc` (None: unreachable).
     pub fn state_at(&self, pc: usize) -> Option<&[RegState; NUM_REGS]> {
         self.states.get(pc).and_then(|s| s.as_deref())
-    }
-
-    /// Number of instructions carrying at least one proven fact (memory
-    /// proof, nonzero divisor, or decided branch).
-    pub fn proven_facts(&self) -> usize {
-        self.facts
-            .iter()
-            .filter(|f| f.mem.is_some() || f.div_nonzero || f.branch.is_some())
-            .count()
     }
 }
 
@@ -642,70 +569,10 @@ fn structural_insn(
 
 type Regs = [RegState; NUM_REGS];
 
-/// Per-instruction fact accumulator: facts are met across every state
-/// that reaches the instruction.
-#[derive(Clone, Copy, Default)]
-struct FactAcc {
-    reached: bool,
-    mem: Option<Option<MemFact>>,
-    div: Option<bool>,
-    branch: Option<Option<BranchFact>>,
-}
-
-impl FactAcc {
-    fn mem(&mut self, f: Option<MemFact>) {
-        self.mem = Some(match self.mem {
-            None => f,
-            Some(prev) => meet_mem(prev, f),
-        });
-    }
-
-    fn div(&mut self, ok: bool) {
-        self.div = Some(self.div.unwrap_or(true) && ok);
-    }
-
-    fn branch(&mut self, b: Option<BranchFact>) {
-        self.branch = Some(match self.branch {
-            None => b,
-            Some(prev) if prev == b => b,
-            Some(_) => None,
-        });
-    }
-
-    fn finish(self) -> InsnFact {
-        InsnFact {
-            reachable: self.reached,
-            mem: self.mem.flatten(),
-            div_nonzero: self.div.unwrap_or(false),
-            branch: self.branch.flatten(),
-        }
-    }
-}
-
-fn meet_mem(a: Option<MemFact>, b: Option<MemFact>) -> Option<MemFact> {
-    use MemFact::*;
-    match (a?, b?) {
-        (x, y) if x == y => Some(x),
-        // Two different proven stack offsets are still a proven in-frame
-        // access; the JIT just has to compute the slot at runtime.
-        (StackConst { .. } | StackDyn, StackConst { .. } | StackDyn) => Some(StackDyn),
-        _ => None,
-    }
-}
-
 /// Runs the full verification analysis.
-///
-/// `map_value_size` supplies the value size for a map fd when known (the
-/// loader passes the real registry; bare [`crate::verifier::verify`]
-/// passes a closure returning `None`). Map knowledge only *adds* facts —
-/// acceptance never depends on it.
-pub fn analyze<F>(insns: &[Insn], helpers: &[i32], map_value_size: F) -> Analysis
-where
-    F: Fn(i32) -> Option<u64>,
-{
+pub fn analyze(insns: &[Insn], helpers: &[i32]) -> Analysis {
     let mut diagnostics = Vec::new();
     let empty = |diags: Vec<Diagnostic>| Analysis {
-        facts: vec![InsnFact::default(); insns.len()],
         diagnostics: diags,
         states: vec![None; insns.len()],
     };
@@ -743,7 +610,6 @@ where
 
     let len = insns.len();
     let mut pending: Vec<Vec<Regs>> = vec![Vec::new(); len];
-    let mut facts = vec![FactAcc::default(); len];
     let mut states: Vec<Option<Box<Regs>>> = vec![None; len];
 
     let mut entry = [RegState::uninit(); NUM_REGS];
@@ -799,45 +665,29 @@ where
             }
         }
         states[pc] = Some(Box::new(joined));
-        facts[pc].reached = true;
 
         for st in kept {
-            step(
-                insns,
-                pc,
-                st,
-                &mut pending,
-                &mut facts,
-                &mut diagnostics,
-                &mut diag,
-                &map_value_size,
-            );
+            step(insns, pc, st, &mut pending, &mut diagnostics, &mut diag);
         }
     }
 
     Analysis {
-        facts: facts.into_iter().map(FactAcc::finish).collect(),
         diagnostics,
         states,
     }
 }
 
-/// Abstractly executes `insns[pc]` on `st`, pushing successor states,
-/// recording facts and reporting diagnostics. A state that errors is
-/// dropped (not propagated): the program is rejected anyway, and facts
-/// are only consumed from accepted programs.
-#[allow(clippy::too_many_arguments)]
-fn step<F, D>(
+/// Abstractly executes `insns[pc]` on `st`, pushing successor states and
+/// reporting diagnostics. A state that errors is dropped (not
+/// propagated): the program is rejected anyway.
+fn step<D>(
     insns: &[Insn],
     pc: usize,
     mut st: Regs,
     pending: &mut [Vec<Regs>],
-    facts: &mut [FactAcc],
     diags: &mut Vec<Diagnostic>,
     diag: &mut D,
-    map_value_size: &F,
 ) where
-    F: Fn(i32) -> Option<u64>,
     D: FnMut(&mut Vec<Diagnostic>, VerifyError, usize, &Regs),
 {
     let insn = &insns[pc];
@@ -914,7 +764,6 @@ fn step<F, D>(
                         } else {
                             rhs.nonzero32()
                         };
-                        facts[pc].div(ok);
                         if !ok {
                             diag(
                                 diags,
@@ -950,28 +799,18 @@ fn step<F, D>(
         }
         BPF_LDX => {
             require!(insn.src);
-            let size = size_bytes(insn.opcode);
-            facts[pc].mem(mem_fact(&st[src], insn.off, size, true, map_value_size));
-            st[dst] = RegState::unknown_width(size as u32 * 8);
+            st[dst] = RegState::unknown_width(size_bytes(insn.opcode) as u32 * 8);
             fallthrough!();
         }
         BPF_ST => {
             require!(insn.dst);
-            let size = size_bytes(insn.opcode);
-            facts[pc].mem(mem_fact(&st[dst], insn.off, size, false, map_value_size));
             fallthrough!();
         }
         BPF_STX => {
             require!(insn.dst);
             require!(insn.src);
-            if insn.opcode & 0xe0 == BPF_ATOMIC {
-                // Atomics keep the generic runtime path; no fact.
-                if insn.imm & BPF_FETCH != 0 {
-                    st[src] = RegState::unknown_width(size_bytes(insn.opcode) as u32 * 8);
-                }
-            } else {
-                let size = size_bytes(insn.opcode);
-                facts[pc].mem(mem_fact(&st[dst], insn.off, size, false, map_value_size));
+            if insn.opcode & 0xe0 == BPF_ATOMIC && insn.imm & BPF_FETCH != 0 {
+                st[src] = RegState::unknown_width(size_bytes(insn.opcode) as u32 * 8);
             }
             fallthrough!();
         }
@@ -1011,12 +850,6 @@ fn step<F, D>(
                     let target = pc + 1 + insn.off as usize;
                     let taken = refine_branch(&st, insn, is32, true);
                     let fall = refine_branch(&st, insn, is32, false);
-                    facts[pc].branch(match (&taken, &fall) {
-                        (Some(_), Some(_)) => None,
-                        (Some(_), None) => Some(BranchFact::AlwaysTaken),
-                        (None, Some(_)) => Some(BranchFact::NeverTaken),
-                        (None, None) => None, // contradictory state; drop
-                    });
                     if let Some(t) = taken {
                         pending[target].push(t);
                     }
@@ -1220,91 +1053,6 @@ fn scalar_alu(op: u8, d: &RegState, r: &RegState, shift_mask: u32) -> RegState {
         _ => {}
     }
     out
-}
-
-/// Tight bounds for `base_offset + c` (`c` from a signed insn offset).
-fn shifted_bounds(base: &RegState, c: i64, tnum: &Tnum) -> (u64, u64) {
-    let (mut lo, mut hi) = (tnum.umin(), tnum.umax());
-    let r = if c >= 0 {
-        match (
-            base.umin.checked_add(c as u64),
-            base.umax.checked_add(c as u64),
-        ) {
-            (Some(a), Some(b)) => Some((a, b)),
-            _ => None,
-        }
-    } else {
-        let m = c.unsigned_abs();
-        if base.umin >= m {
-            Some((base.umin - m, base.umax - m))
-        } else {
-            None // some offsets wrap; fall back to the tnum bounds
-        }
-    };
-    if let Some((rlo, rhi)) = r {
-        lo = lo.max(rlo);
-        hi = hi.min(rhi);
-    }
-    (lo, hi)
-}
-
-/// Tries to prove one memory access safe. Returns `None` when it cannot —
-/// the access then keeps its runtime bounds check, exactly as before this
-/// analysis existed.
-fn mem_fact<F>(
-    base: &RegState,
-    off: i16,
-    size: usize,
-    is_load: bool,
-    map_value_size: &F,
-) -> Option<MemFact>
-where
-    F: Fn(i32) -> Option<u64>,
-{
-    let c = off as i64;
-    let total = base.tnum.add(Tnum::constant(c as u64));
-    let (lo, hi) = shifted_bounds(base, c, &total);
-    if lo > hi {
-        return None;
-    }
-    match base.ty {
-        // Context loads are proved at constant offsets only; context
-        // *stores* fault at runtime (the region is read-only) and must
-        // keep the check.
-        RegType::PtrToCtx => {
-            if is_load && total.is_const() && total.value as usize + size <= CTX_SIZE {
-                Some(MemFact::CtxConst {
-                    off: total.value as u16,
-                })
-            } else {
-                None
-            }
-        }
-        RegType::PtrToStack => {
-            let end = hi.checked_add(size as u64)?;
-            if end <= STACK_SIZE as u64 {
-                if total.is_const() {
-                    Some(MemFact::StackConst {
-                        idx: total.value as u16,
-                    })
-                } else {
-                    Some(MemFact::StackDyn)
-                }
-            } else {
-                None
-            }
-        }
-        RegType::PtrToMapValue { fd } => {
-            let vs = map_value_size(fd)?;
-            let end = hi.checked_add(size as u64)?;
-            if end <= vs {
-                Some(MemFact::MapValue)
-            } else {
-                None
-            }
-        }
-        _ => None,
-    }
 }
 
 /// The jump conditions, with `NSet` as the negation of `Set`.
@@ -1529,16 +1277,14 @@ fn nudge_ne(reg: &mut RegState, c: u64) {
 }
 
 /// Renders the kernel-style verifier log: the annotated listing (joined
-/// register state after each reachable instruction's *inputs*, proven
-/// facts) followed by every diagnostic with the register state at the
-/// point of rejection.
+/// register state at each reachable instruction's *inputs*) followed by
+/// every diagnostic with the register state at the point of rejection.
 pub fn render_log(insns: &[Insn], analysis: &Analysis) -> String {
     use core::fmt::Write as _;
     let mut out = crate::disasm::disassemble_annotated(insns, analysis).join("\n");
     out.push('\n');
     if analysis.ok() {
-        let proven = analysis.proven_facts();
-        let _ = writeln!(out, "verification OK, {proven} insn(s) carry proven facts");
+        out.push_str("verification OK\n");
     } else {
         for d in analysis.diagnostics() {
             let _ = writeln!(out, "error at insn {}: {}", d.insn, d.error);
@@ -1601,7 +1347,7 @@ mod tests {
     fn analyze_src(src: &str) -> Analysis {
         let lines: Vec<&str> = src.lines().collect();
         let insns = parse_program(&lines).expect("test listing parses");
-        analyze(&insns, &standard_helpers(), |fd| (fd == 0).then_some(64))
+        analyze(&insns, &standard_helpers())
     }
 
     // ---- join ------------------------------------------------------
@@ -1891,7 +1637,7 @@ mod tests {
         assert_eq!(refine_branch(&st, &insn, false, false).unwrap()[1], st[1]);
     }
 
-    // ---- whole-program fact emission -------------------------------
+    // ---- whole programs --------------------------------------------
 
     #[test]
     fn merge_joins_constant_ranges() {
@@ -1921,8 +1667,7 @@ mod tests {
         // The dead tail reads uninitialized r9 — accepted only because
         // the analysis proved it unreachable.
         assert!(a.ok());
-        assert_eq!(a.fact(1).branch, Some(BranchFact::NeverTaken));
-        assert!(!a.fact(4).reachable);
+        assert!(a.state_at(2).is_some());
         assert!(a.state_at(4).is_none());
     }
 
@@ -1937,8 +1682,8 @@ mod tests {
              exit",
         );
         assert!(a.ok());
-        assert_eq!(a.fact(1).branch, Some(BranchFact::AlwaysTaken));
-        assert!(!a.fact(2).reachable);
+        assert!(a.state_at(2).is_none());
+        assert!(a.state_at(4).is_some());
     }
 
     #[test]
@@ -1955,7 +1700,6 @@ mod tests {
             err,
             VerifyError::DivisorMayBeZero { reg: 2, insn: 2 }
         ));
-        assert!(!a.fact(2).div_nonzero);
     }
 
     #[test]
@@ -1968,7 +1712,7 @@ mod tests {
              exit",
         );
         assert!(a.ok(), "guarded division rejected: {:?}", a.first_error());
-        assert!(a.fact(3).div_nonzero);
+        assert_eq!(a.state_at(3).expect("reachable")[2].umin, 1);
     }
 
     #[test]
@@ -1981,63 +1725,32 @@ mod tests {
              exit",
         );
         assert!(a.ok());
-        assert!(a.fact(3).div_nonzero);
+        assert_eq!(a.state_at(3).expect("reachable")[2].tnum.value & 1, 1);
     }
 
     #[test]
-    fn ctx_and_computed_stack_accesses_carry_mem_facts() {
-        let a = analyze_src(
-            "r2 = *(u32 *)(r1 +4)\n\
-             r3 = r10\n\
-             r3 += -16\n\
-             *(u64 *)(r3 +0) = r2\n\
-             r0 = *(u64 *)(r3 +8)\n\
-             exit",
-        );
-        assert!(a.ok());
-        assert_eq!(a.fact(0).mem, Some(MemFact::CtxConst { off: 4 }));
-        let base = (STACK_SIZE - 16) as u16;
-        assert_eq!(a.fact(3).mem, Some(MemFact::StackConst { idx: base }));
-        assert_eq!(a.fact(4).mem, Some(MemFact::StackConst { idx: base + 8 }));
-    }
-
-    #[test]
-    fn null_checked_map_value_access_carries_map_fact() {
-        let a = analyze_src(
-            "r1 = 0\n\
-             *(u64 *)(r10 -8) = r1\n\
-             r2 = r10\n\
-             r2 += -8\n\
-             r1 = map_fd(0)\n\
-             call 1\n\
-             if r0 == 0 goto +2\n\
-             r1 = *(u64 *)(r0 +0)\n\
-             r0 = 0\n\
-             exit",
-        );
-        assert!(a.ok(), "map idiom rejected: {:?}", a.first_error());
-        // lddw occupies insns 4–5; the deref behind the null check is 8.
-        assert_eq!(a.fact(8).mem, Some(MemFact::MapValue));
-        assert!(a.proven_facts() >= 2);
-    }
-
-    #[test]
-    fn unchecked_map_value_access_has_no_fact_but_is_accepted() {
-        let a = analyze_src(
-            "r1 = 0\n\
-             *(u64 *)(r10 -8) = r1\n\
-             r2 = r10\n\
-             r2 += -8\n\
-             r1 = map_fd(0)\n\
-             call 1\n\
-             if r0 == 0 goto +2\n\
-             r1 = *(u64 *)(r0 +128)\n\
-             r0 = 0\n\
-             exit",
-        );
-        // Offset 128 exceeds the 64-byte value size: no proof, but the
-        // access stays runtime-checked — permissiveness contract.
-        assert!(a.ok());
-        assert_eq!(a.fact(8).mem, None);
+    fn null_check_makes_the_lookup_result_a_map_value_pointer() {
+        for off in [0, 128] {
+            let a = analyze_src(&format!(
+                "r1 = 0\n\
+                 *(u64 *)(r10 -8) = r1\n\
+                 r2 = r10\n\
+                 r2 += -8\n\
+                 r1 = map_fd(0)\n\
+                 call 1\n\
+                 if r0 == 0 goto +2\n\
+                 r1 = *(u64 *)(r0 +{off})\n\
+                 r0 = 0\n\
+                 exit"
+            ));
+            // Any offset is accepted: the access stays runtime-checked
+            // against the map's value size (permissiveness contract).
+            assert!(a.ok(), "map idiom rejected: {:?}", a.first_error());
+            // lddw occupies insns 4–5; the deref behind the null check is 8.
+            let r0 = a.state_at(8).expect("reachable")[0];
+            assert_eq!(r0, RegState::ptr(RegType::PtrToMapValue { fd: 0 }));
+            let r0 = a.state_at(7).expect("reachable")[0];
+            assert_eq!(r0.ty, RegType::PtrToMapValueOrNull { fd: 0 });
+        }
     }
 }

@@ -145,7 +145,7 @@ pub fn certify(insns: &[Insn], analysis: &Analysis) -> CostCertificate {
             pc += width;
             continue;
         };
-        if !analysis.fact(pc).reachable && pc != 0 {
+        if analysis.state_at(pc).is_none() && pc != 0 {
             pc += width;
             continue;
         }
@@ -222,7 +222,7 @@ mod tests {
 
     fn certified(asm: Asm) -> (Vec<Insn>, CostCertificate) {
         let insns = asm.build().expect("assembles");
-        let analysis = analyze(&insns, &standard_helpers(), |_| None);
+        let analysis = analyze(&insns, &standard_helpers());
         assert!(analysis.ok(), "{:?}", analysis.first_error());
         let cert = certify(&insns, &analysis);
         (insns, cert)
@@ -299,7 +299,7 @@ mod tests {
             .ldx(Size::W, R0, R10, -4)
             .exit();
         let insns = asm.build().unwrap();
-        let analysis = analyze(&insns, &standard_helpers(), |_| None);
+        let analysis = analyze(&insns, &standard_helpers());
         let cert = certify(&insns, &analysis);
         let prog = crate::program::Program::new(
             "p",
@@ -327,7 +327,7 @@ mod tests {
     #[test]
     fn report_renders_cost_columns() {
         let (insns, cert) = certified(Asm::new().mov64_imm(R0, 0).exit());
-        let analysis = analyze(&insns, &standard_helpers(), |_| None);
+        let analysis = analyze(&insns, &standard_helpers());
         let report = render_cost_report(&insns, &analysis, &cert);
         assert!(report.contains("certified worst-case"));
         assert!(report.contains("exit"));

@@ -143,46 +143,22 @@ pub fn disassemble(insns: &[Insn]) -> Vec<String> {
 
 /// Disassembles a whole program into numbered lines annotated with the
 /// verifier analysis: each reachable instruction carries a `;` comment
-/// with the joined register state at its input and any fact the analysis
-/// proved about it; unreachable instructions are flagged dead.
+/// with the joined register state at its input; unreachable instructions
+/// are flagged dead.
 pub fn disassemble_annotated(insns: &[Insn], analysis: &crate::analysis::Analysis) -> Vec<String> {
-    use crate::analysis::{BranchFact, MemFact};
     let mut out = Vec::with_capacity(insns.len());
     let mut i = 0;
     while i < insns.len() {
         let insn = &insns[i];
         let text = disasm_insn(insn, insns.get(i + 1));
         let mut line = format!("{i:4}: {text}");
-        let fact = analysis.fact(i);
-        let mut notes = Vec::new();
-        if let Some(regs) = analysis.state_at(i) {
-            let s = crate::analysis::fmt_regs(regs);
-            if !s.is_empty() {
-                notes.push(s);
-            }
-        } else if !fact.reachable {
-            notes.push("dead".to_owned());
-        }
-        match fact.mem {
-            Some(MemFact::CtxConst { off }) => notes.push(format!("proved: ctx[{off}]")),
-            Some(MemFact::StackConst { idx }) => {
-                notes.push(format!("proved: fp{:+}", idx as i64 - STACK_SIZE as i64))
-            }
-            Some(MemFact::StackDyn) => notes.push("proved: in-frame".to_owned()),
-            Some(MemFact::MapValue) => notes.push("proved: map value in bounds".to_owned()),
-            None => {}
-        }
-        if fact.div_nonzero {
-            notes.push("proved: divisor nonzero".to_owned());
-        }
-        match fact.branch {
-            Some(BranchFact::AlwaysTaken) => notes.push("proved: always taken".to_owned()),
-            Some(BranchFact::NeverTaken) => notes.push("proved: never taken".to_owned()),
-            None => {}
-        }
-        if !notes.is_empty() {
+        let note = match analysis.state_at(i) {
+            Some(regs) => crate::analysis::fmt_regs(regs),
+            None => "dead".to_owned(),
+        };
+        if !note.is_empty() {
             line.push_str(" ; ");
-            line.push_str(&notes.join(" ; "));
+            line.push_str(&note);
         }
         out.push(line);
         i += if insn.is_lddw() { 2 } else { 1 };

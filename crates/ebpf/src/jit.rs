@@ -32,9 +32,9 @@
 //!
 //! Each instruction has exactly one lowering, chosen from the
 //! instruction stream alone: the tier does not read the verifier's
-//! per-instruction facts, which are the verifier's explanation of why
-//! it accepted the program (rendered by `vnt verify`), not a licence to
-//! drop runtime checks.
+//! analysis, whose register states explain why the verifier accepted
+//! the program (rendered by `vnt verify`) and license no dropped
+//! runtime check.
 //!
 //! Execution semantics are bit-identical to the interpreter — same
 //! [`Memory`] address space, same map-value slot allocation order, same

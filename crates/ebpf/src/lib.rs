@@ -61,9 +61,7 @@ pub mod tnum;
 pub mod verifier;
 pub mod vm;
 
-pub use analysis::{
-    analyze, Analysis, BranchFact, Diagnostic, InsnFact, MemFact, RegState, RegType,
-};
+pub use analysis::{analyze, Analysis, Diagnostic, RegState, RegType};
 pub use context::TraceContext;
 pub use cost::{certify, render_cost_report, CostCertificate};
 pub use disasm::disassemble;

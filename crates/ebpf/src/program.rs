@@ -148,11 +148,12 @@ impl LoadedProgram {
         &self.insns
     }
 
-    /// The verifier's abstract-interpretation artifact: per-instruction
-    /// register states and proven facts (in-bounds accesses, nonzero
-    /// divisors, decided branches), read by the cost certificate and its
-    /// report. Relocation rewrites `lddw` immediates in place, so the
-    /// instruction indices the facts are keyed on remain valid.
+    /// The verifier's abstract-interpretation artifact: its diagnostics
+    /// (none, for a loaded program) and the joined register state at each
+    /// reachable instruction, which the agent's over-budget cost report
+    /// prints.
+    /// Relocation rewrites `lddw` immediates in place, so the instruction
+    /// indices the states are keyed on remain valid.
     pub fn analysis(&self) -> &Analysis {
         &self.analysis
     }
@@ -185,8 +186,7 @@ pub fn load(
     maps: &MapRegistry,
     helpers: &[i32],
 ) -> Result<LoadedProgram, LoadError> {
-    let map_value_size = |fd: i32| maps.get(fd).map(|m| m.def().value_size as u64);
-    let analysis = analyze(&program.insns, helpers, map_value_size);
+    let analysis = analyze(&program.insns, helpers);
     if let Some(e) = analysis.first_error() {
         return Err(LoadError::Verify(e.clone()));
     }

@@ -17,19 +17,18 @@
 //! * helper calls reference registered helpers only;
 //! * direct stack accesses through `r10` stay within the 512-byte frame.
 //!
-//! Since PR 4 the data-flow pass is a path-sensitive abstract interpreter
-//! over typed register states ([`crate::analysis`]), the same analysis
-//! the kernel performs: it tracks pointer/scalar types, known bits and
-//! value ranges, narrows states at conditional jumps, and exports the
-//! memory accesses it *proved* safe so the JIT can drop their runtime
-//! checks. Accesses it cannot prove remain verifier-accepted and
-//! bounds-checked at runtime, which is equivalent for safety in a
-//! simulator (a rejected access aborts the program, it cannot corrupt
-//! the host).
+//! The data-flow pass is a path-sensitive abstract interpreter over
+//! typed register states ([`crate::analysis`]), the same analysis the
+//! kernel performs: it tracks pointer/scalar types, known bits and value
+//! ranges and narrows states at conditional jumps. Its outputs are a
+//! verdict and an explanation, never a licence: every memory access
+//! stays bounds-checked at runtime in both tiers, which is equivalent
+//! for safety in a simulator (a faulting access aborts the program, it
+//! cannot corrupt the host).
 //!
 //! [`verify`] keeps the historical single-error contract; use
-//! [`crate::analysis::analyze`] for every diagnostic plus the per-
-//! instruction facts and register states.
+//! [`crate::analysis::analyze`] for every diagnostic plus the joined
+//! register state at each instruction.
 
 use crate::insn::*;
 
@@ -162,15 +161,15 @@ impl std::error::Error for VerifyError {}
 /// Verifies `insns`; `helpers` is the set of callable helper ids.
 ///
 /// Thin wrapper over [`crate::analysis::analyze`] preserving the
-/// historical single-error contract (no map knowledge, first diagnostic
-/// only). The loader runs the analysis itself so it can keep the full
+/// historical single-error contract (first diagnostic only). The loader
+/// runs the analysis itself so it can keep the full
 /// [`crate::analysis::Analysis`] artifact.
 ///
 /// # Errors
 ///
 /// Returns the first [`VerifyError`] encountered.
 pub fn verify(insns: &[Insn], helpers: &[i32]) -> Result<(), VerifyError> {
-    let analysis = crate::analysis::analyze(insns, helpers, |_| None);
+    let analysis = crate::analysis::analyze(insns, helpers);
     match analysis.first_error() {
         Some(e) => Err(e.clone()),
         None => Ok(()),

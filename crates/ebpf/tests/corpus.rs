@@ -89,7 +89,7 @@ fn corpus_verdicts_match() {
         let expect = parse_header(&name, &text);
         let lines: Vec<&str> = text.lines().collect();
         let insns = parse_program(&lines).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let analysis = analyze(&insns, &standard_helpers(), |_| None);
+        let analysis = analyze(&insns, &standard_helpers());
 
         if expect.accepted {
             assert!(

@@ -521,7 +521,7 @@ proptest! {
     /// offending line. (Empty/oversized programs have no insn to name.)
     #[test]
     fn rejections_name_in_bounds_insns(insns in proptest::collection::vec(arb_insn(), 1..200)) {
-        let analysis = vnet_ebpf::analyze(&insns, &standard_helpers(), |_| None);
+        let analysis = vnet_ebpf::analyze(&insns, &standard_helpers());
         if !analysis.ok() {
             for d in analysis.diagnostics() {
                 prop_assert!(
