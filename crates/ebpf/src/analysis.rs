@@ -18,11 +18,12 @@
 //!   instruction is retained for annotated disassembly (`vnt verify`):
 //!   the state on an access's line is why the verifier accepted it.
 //!
-//! Soundness contract: the joined state at an instruction covers every
-//! path reaching it (joins and pruning over-approximate), so a program
-//! is rejected whenever some path may fault on a check the analysis
-//! owns. It proves nothing for execution to rely on: every memory
-//! access stays runtime-checked in both tiers. Because the CFG is a DAG
+//! Soundness contract: the states at an instruction cover every path
+//! reaching it (joins and pruning over-approximate), so a program is
+//! rejected whenever some path may read an uninitialised register,
+//! divide by a register that may be zero or fall off the end. It proves
+//! nothing for execution to rely on: every memory access stays
+//! runtime-checked in both tiers. Because the CFG is a DAG
 //! (no back-edges), visiting instructions in index order is a
 //! topological walk and the analysis terminates without widening.
 

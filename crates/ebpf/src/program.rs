@@ -151,9 +151,8 @@ impl LoadedProgram {
     /// The verifier's abstract-interpretation artifact: its diagnostics
     /// (none, for a loaded program) and the joined register state at each
     /// reachable instruction, which the agent's over-budget cost report
-    /// prints.
-    /// Relocation rewrites `lddw` immediates in place, so the instruction
-    /// indices the states are keyed on remain valid.
+    /// prints. Relocation rewrites `lddw` immediates in place, so the
+    /// instruction indices the states are keyed on remain valid.
     pub fn analysis(&self) -> &Analysis {
         &self.analysis
     }
