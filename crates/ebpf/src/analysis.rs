@@ -56,7 +56,7 @@ pub enum RegType {
         fd: i32,
     },
     /// Result of `map_lookup_elem`: either null or a map-value pointer.
-    /// Must be null-checked before any access proof applies.
+    /// A null check on it splits it into `0` and [`RegType::PtrToMapValue`].
     PtrToMapValueOrNull {
         /// The map file descriptor the pointer belongs to.
         fd: i32,
