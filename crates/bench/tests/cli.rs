@@ -162,6 +162,34 @@ fn verify_reports_verdicts_and_input_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// What the live engine prints is pinned: the per-window table, the
+/// alerts and the cumulative summaries of the default run, and of a short
+/// run whose odd window width (37 us) and collection interval (11 us) put
+/// records on every window edge. Each stdout folds into one CRC-32.
+#[test]
+fn live_output_is_pinned() {
+    for (args, want) in [
+        (&["live"][..], 0xdba3_0430u32),
+        (
+            &[
+                "live",
+                "--messages",
+                "300",
+                "--window-us",
+                "37",
+                "--collect-us",
+                "11",
+            ],
+            0xe5d7_4a03,
+        ),
+    ] {
+        let out = vnt(args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        let got = vnet_tsdb::codec::crc32(&out.stdout);
+        assert_eq!(got, want, "{args:?}: crc32 {got:#010x}\n{}", stdout(&out));
+    }
+}
+
 /// "Not attached" is decided from what was deployed, not from whether a
 /// record arrived: an empty run of an attached module reports zeros.
 #[test]
