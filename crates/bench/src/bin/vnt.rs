@@ -833,9 +833,9 @@ fn run_emulate(args: &Args) -> Result<(), String> {
     let mut unscored = false;
     for p in profiles {
         let r = if args.rack {
-            run_rack(p, &cfg)
+            run_rack(Some(p), &cfg)
         } else {
-            run_two_host(p, &cfg)
+            run_two_host(Some(p), &cfg)
         };
         let recall = r.recall();
         unscored |= recall.is_none();

@@ -25,18 +25,11 @@ pub enum TracerError {
     Config(String),
     /// A script id that is not installed.
     UnknownScript(u64),
-    /// A profile named a module the registry does not provide.
-    UnknownModule {
-        /// The requested module name.
-        name: String,
-        /// Closest registered module name, when one is plausibly meant.
-        suggestion: Option<String>,
-    },
-    /// A requested profile is not registered.
+    /// No profile has the requested name.
     UnknownProfile {
         /// The requested profile name.
         name: String,
-        /// Closest registered profile name, when one is plausibly meant.
+        /// Closest profile name, when one is plausibly meant.
         suggestion: Option<String>,
     },
     /// The program's certified worst-case execution cost exceeds the
@@ -67,13 +60,6 @@ impl core::fmt::Display for TracerError {
             TracerError::Assemble(e) => write!(f, "program assembly failed: {e}"),
             TracerError::Config(s) => write!(f, "invalid control package: {s}"),
             TracerError::UnknownScript(id) => write!(f, "script {id} is not installed"),
-            TracerError::UnknownModule { name, suggestion } => {
-                write!(f, "unknown module `{name}`")?;
-                if let Some(s) = suggestion {
-                    write!(f, " (did you mean `{s}`?)")?;
-                }
-                Ok(())
-            }
             TracerError::UnknownProfile { name, suggestion } => {
                 write!(f, "unknown profile `{name}`")?;
                 if let Some(s) = suggestion {

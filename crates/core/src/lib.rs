@@ -84,5 +84,5 @@ pub use collector::{Collector, IngestSubscriber};
 pub use config::{Action, ControlPackage, FilterRule, GlobalConfig, HookSpec, TraceSpec};
 pub use dispatcher::Dispatcher;
 pub use error::{Result, TracerError};
-pub use modules::{MetricSpec, Module, ModuleRegistry, ModuleScope, OvsTap, TapSpec};
+pub use modules::{MetricSpec, ModuleRegistry, ModuleScope, OvsTap, TapSpec};
 pub use tracer::{DeployedScript, VNetTracer};

@@ -6,10 +6,9 @@
 //! per-packet time spent in each segment is the timestamp difference
 //! between consecutive tracepoints, joined by trace ID.
 
-use vnet_tsdb::{trace_id_tag, TraceDb};
+use vnet_tsdb::{stats_from_ns, trace_id_tag, LatencyStats, TraceDb};
 
 use super::first_seen;
-use super::latency::{stats_from_ns, LatencyStats};
 
 /// Latency statistics for one segment of the path.
 #[derive(Debug, Clone, PartialEq)]

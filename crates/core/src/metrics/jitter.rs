@@ -77,14 +77,6 @@ impl JitterTracker {
     }
 }
 
-/// Successive differences of a latency series, in signed nanoseconds.
-pub fn jitter_series(latencies_ns: &[u64]) -> Vec<i64> {
-    latencies_ns
-        .windows(2)
-        .map(|w| w[1] as i64 - w[0] as i64)
-        .collect()
-}
-
 /// The (min, max) jitter range, in signed nanoseconds. `None` with fewer
 /// than two latency samples.
 pub fn jitter_range(latencies_ns: &[u64]) -> Option<(i64, i64)> {
@@ -98,12 +90,6 @@ pub fn jitter_range(latencies_ns: &[u64]) -> Option<(i64, i64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn series_is_successive_differences() {
-        assert_eq!(jitter_series(&[100, 150, 120, 120]), vec![50, -30, 0]);
-        assert!(jitter_series(&[42]).is_empty());
-    }
 
     #[test]
     fn range_captures_extremes() {
@@ -120,7 +106,10 @@ mod tests {
     #[test]
     fn tracker_matches_series_on_any_stream() {
         let latencies: Vec<u64> = (0..200u64).map(|i| (i * 7919) % 10_000).collect();
-        let series = jitter_series(&latencies);
+        let series: Vec<i64> = latencies
+            .windows(2)
+            .map(|w| w[1] as i64 - w[0] as i64)
+            .collect();
         let mut t = JitterTracker::new();
         for &l in &latencies {
             t.push(l);

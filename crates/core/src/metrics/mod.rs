@@ -4,7 +4,6 @@
 //! throughput, latency (two-tracepoint deltas joined by trace ID), jitter,
 //! packet loss, per-flow breakdowns and end-to-end latency decomposition.
 
-pub mod arrival;
 pub mod decomposition;
 pub mod drops;
 pub mod flow;
@@ -13,14 +12,14 @@ pub mod latency;
 pub mod loss;
 pub mod throughput;
 
-pub use arrival::{arrival_rate, interarrival_ns};
 pub use decomposition::{decompose, per_packet_segments, SegmentStats};
 pub use drops::{drop_breakdown, drop_breakdown_all};
 pub use flow::{per_flow_loss, per_flow_throughput};
-pub use jitter::{jitter_range, jitter_series, JitterTracker};
-pub use latency::{latency_between, stats_from_ns, LatencyStats};
+pub use jitter::{jitter_range, JitterTracker};
+pub use latency::latency_between;
 pub use loss::{packet_loss, PacketLoss};
 pub use throughput::{throughput_at, throughput_bps, ThroughputWindow, TRACE_ID_WIRE_BYTES};
+pub use vnet_tsdb::{stats_from_ns, LatencyStats};
 
 use vnet_tsdb::{FirstSeen, Query, ScanResult, TraceDb};
 

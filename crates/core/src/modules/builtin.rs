@@ -3,7 +3,40 @@
 
 use crate::config::{Action, HookSpec, TraceSpec};
 
-use super::{MetricSpec, Module, ModuleScope, RecordSchema, TapSpec};
+use super::{MetricSpec, ModuleScope, RecordSchema, TapSpec};
+
+/// A tracing module: trace programs + record schema + metric operators,
+/// bundled under one name. The set is closed — a new module is a new
+/// variant here plus a row in the profile table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Module {
+    /// The default module: the per-device packet taps every testbed
+    /// deploys (the paper's original probe set), with latency/jitter/loss
+    /// pairs and throughput tables over them.
+    PacketPath,
+    /// Packet-drop root-cause tracing: one `kfree_skb` tap per traced
+    /// node, with the typed drop reason (policer, HTB/ring overflow, loss
+    /// profile, device-down, no-route) captured into record flag bits —
+    /// the data behind per-reason counters and the `vnt drops` breakdown.
+    SkbDrop,
+    /// Flow-table lookup and upcall tracing on OVS fabric devices:
+    /// entry/return records around `ovs_flow_tbl_lookup` give per-packet
+    /// lookup latency, and `ovs_dp_upcall` records (fired only on megaflow
+    /// misses) give the upcall rate.
+    OvsFlow,
+    /// Nahida-style in-band request tracing: the packet-ID technique
+    /// extended to request chains — each tier propagates the trace ID into
+    /// the packets it forwards, and latency between consecutive tier taps
+    /// decomposes end-to-end request latency per tier.
+    RequestTrace,
+}
+
+/// The schema of every table holding plain packet records.
+const PACKET_RECORD: RecordSchema = RecordSchema {
+    name: "packet-record",
+    tags: &["node", "flow", "direction", "trace_id?"],
+    fields: &["pkt_len", "cpu"],
+};
 
 fn spec_from_tap(tap: &TapSpec, action: Action) -> TraceSpec {
     TraceSpec {
@@ -15,252 +48,163 @@ fn spec_from_tap(tap: &TapSpec, action: Action) -> TraceSpec {
     }
 }
 
-/// The default module: the per-device packet taps every testbed deploys
-/// (the paper's original probe set), with latency/jitter/loss pairs and
-/// throughput tables over them.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PacketPathModule;
-
-impl Module for PacketPathModule {
-    fn name(&self) -> &'static str {
-        "packet-path"
-    }
-
-    fn description(&self) -> &'static str {
-        "per-device packet records along the datapath (the built-in probe set)"
-    }
-
-    fn schema(&self) -> RecordSchema {
-        RecordSchema {
-            name: "packet-record",
-            tags: &["node", "flow", "direction", "trace_id?"],
-            fields: &["pkt_len", "cpu"],
-        }
-    }
-
-    fn alert_kinds(&self) -> &'static [&'static str] {
-        &["latency-spike", "loss-burst", "throughput-collapse"]
-    }
-
-    fn programs(&self, scope: &ModuleScope) -> Vec<TraceSpec> {
-        scope
-            .packet_taps
-            .iter()
-            .map(|t| spec_from_tap(t, Action::RecordPacketInfo))
-            .collect()
-    }
-
-    fn metrics(&self, scope: &ModuleScope) -> Vec<MetricSpec> {
-        let mut out = Vec::new();
-        for (from, to) in &scope.latency_pairs {
-            out.push(MetricSpec::Latency {
-                from: from.clone(),
-                to: to.clone(),
-            });
-            out.push(MetricSpec::Loss {
-                upstream: from.clone(),
-                downstream: to.clone(),
-            });
-        }
-        for table in &scope.throughput_tables {
-            out.push(MetricSpec::Throughput {
-                table: table.clone(),
-            });
-        }
-        out
-    }
+fn specs_from_taps(taps: &[TapSpec], action: Action) -> Vec<TraceSpec> {
+    taps.iter().map(|t| spec_from_tap(t, action)).collect()
 }
 
-/// Packet-drop root-cause tracing: one `kfree_skb` tap per traced node,
-/// with the typed drop reason (policer, HTB/ring overflow, loss profile,
-/// device-down, no-route) captured into record flag bits — the data
-/// behind per-reason counters and the `vnt drops` breakdown.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SkbDropModule;
-
-impl Module for SkbDropModule {
-    fn name(&self) -> &'static str {
-        "skb-drop"
-    }
-
-    fn description(&self) -> &'static str {
-        "drop tracing at kfree_skb with typed reasons (queue-full, policed, ...)"
-    }
-
-    fn schema(&self) -> RecordSchema {
-        RecordSchema {
-            name: "drop-record",
-            tags: &["node", "flow", "direction", "trace_id?", "drop_reason"],
-            fields: &["pkt_len", "cpu"],
-        }
-    }
-
-    fn alert_kinds(&self) -> &'static [&'static str] {
-        &["throughput-collapse"]
-    }
-
-    fn programs(&self, scope: &ModuleScope) -> Vec<TraceSpec> {
-        scope
-            .drop_taps
-            .iter()
-            .map(|t| spec_from_tap(t, Action::RecordDropInfo))
-            .collect()
-    }
-
-    fn metrics(&self, scope: &ModuleScope) -> Vec<MetricSpec> {
-        // The windowed rate of each drop table is the drop rate.
-        scope
-            .drop_taps
-            .iter()
-            .map(|t| MetricSpec::Throughput {
-                table: t.table.clone(),
-            })
-            .collect()
-    }
+/// The `ovs-flow` module's three tables for a fabric prefix: lookup
+/// entry, lookup return, upcall.
+fn ovs_tables(prefix: &str) -> [String; 3] {
+    [
+        format!("{prefix}_lookup"),
+        format!("{prefix}_lookup_ret"),
+        format!("{prefix}_upcall"),
+    ]
 }
 
-/// Flow-table lookup and upcall tracing on OVS fabric devices:
-/// entry/return records around `ovs_flow_tbl_lookup` give per-packet
-/// lookup latency, and `ovs_dp_upcall` records (fired only on megaflow
-/// misses) give the upcall rate.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OvsFlowModule;
+impl Module {
+    /// Every module, in listing order.
+    pub(super) const ALL: [Module; 4] = [
+        Module::PacketPath,
+        Module::SkbDrop,
+        Module::OvsFlow,
+        Module::RequestTrace,
+    ];
 
-impl OvsFlowModule {
-    /// The lookup-entry table for a fabric prefix.
-    pub fn lookup_table(prefix: &str) -> String {
-        format!("{prefix}_lookup")
-    }
-
-    /// The lookup-return table for a fabric prefix.
-    pub fn lookup_ret_table(prefix: &str) -> String {
-        format!("{prefix}_lookup_ret")
-    }
-
-    /// The upcall table for a fabric prefix.
-    pub fn upcall_table(prefix: &str) -> String {
-        format!("{prefix}_upcall")
-    }
-}
-
-impl Module for OvsFlowModule {
-    fn name(&self) -> &'static str {
-        "ovs-flow"
-    }
-
-    fn description(&self) -> &'static str {
-        "OVS flow-table lookup latency and upcall-rate tracing"
-    }
-
-    fn schema(&self) -> RecordSchema {
-        RecordSchema {
-            name: "packet-record",
-            tags: &["node", "flow", "direction", "trace_id?"],
-            fields: &["pkt_len", "cpu"],
+    /// The module's name, as `vnt modules` and the profiles list it.
+    pub(super) fn name(self) -> &'static str {
+        match self {
+            Module::PacketPath => "packet-path",
+            Module::SkbDrop => "skb-drop",
+            Module::OvsFlow => "ovs-flow",
+            Module::RequestTrace => "request-trace",
         }
     }
 
-    fn alert_kinds(&self) -> &'static [&'static str] {
-        &["latency-spike", "throughput-collapse"]
+    /// One-line description for `vnt modules`.
+    pub(super) fn description(self) -> &'static str {
+        match self {
+            Module::PacketPath => {
+                "per-device packet records along the datapath (the built-in probe set)"
+            }
+            Module::SkbDrop => {
+                "drop tracing at kfree_skb with typed reasons (queue-full, policed, ...)"
+            }
+            Module::OvsFlow => "OVS flow-table lookup latency and upcall-rate tracing",
+            Module::RequestTrace => {
+                "in-band request-chain tracing with per-tier latency decomposition"
+            }
+        }
     }
 
-    fn programs(&self, scope: &ModuleScope) -> Vec<TraceSpec> {
+    /// The record schema of the tables this module creates.
+    pub(super) fn schema(self) -> RecordSchema {
+        match self {
+            Module::SkbDrop => RecordSchema {
+                name: "drop-record",
+                tags: &["node", "flow", "direction", "trace_id?", "drop_reason"],
+                fields: &["pkt_len", "cpu"],
+            },
+            Module::PacketPath | Module::OvsFlow | Module::RequestTrace => PACKET_RECORD,
+        }
+    }
+
+    /// The alert kinds this module's metrics can raise in `vnet-live`.
+    pub(super) fn alert_kinds(self) -> &'static [&'static str] {
+        match self {
+            Module::PacketPath => &["latency-spike", "loss-burst", "throughput-collapse"],
+            Module::SkbDrop => &["throughput-collapse"],
+            Module::OvsFlow => &["latency-spike", "throughput-collapse"],
+            Module::RequestTrace => &["latency-spike", "loss-burst"],
+        }
+    }
+
+    /// The trace programs to install for `scope`.
+    pub(super) fn programs(self, scope: &ModuleScope) -> Vec<TraceSpec> {
+        match self {
+            Module::PacketPath => specs_from_taps(&scope.packet_taps, Action::RecordPacketInfo),
+            Module::SkbDrop => specs_from_taps(&scope.drop_taps, Action::RecordDropInfo),
+            Module::RequestTrace => specs_from_taps(&scope.request_taps, Action::RecordPacketInfo),
+            Module::OvsFlow => {
+                let mut out = Vec::new();
+                for tap in &scope.ovs_taps {
+                    let hooks = [
+                        HookSpec::Kprobe("ovs_flow_tbl_lookup".to_owned()),
+                        HookSpec::Kretprobe("ovs_flow_tbl_lookup".to_owned()),
+                        HookSpec::Kprobe("ovs_dp_upcall".to_owned()),
+                    ];
+                    for (table, hook) in ovs_tables(&tap.prefix).into_iter().zip(hooks) {
+                        out.push(TraceSpec {
+                            name: table,
+                            node: tap.node.clone(),
+                            hook,
+                            filter: tap.filter,
+                            action: Action::RecordPacketInfo,
+                        });
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    /// The streaming metrics to compute for `scope`.
+    pub(super) fn metrics(self, scope: &ModuleScope) -> Vec<MetricSpec> {
         let mut out = Vec::new();
-        for tap in &scope.ovs_taps {
-            let mk = |table: String, hook: HookSpec| TraceSpec {
-                name: table,
-                node: tap.node.clone(),
-                hook,
-                filter: tap.filter,
-                action: Action::RecordPacketInfo,
-            };
-            out.push(mk(
-                Self::lookup_table(&tap.prefix),
-                HookSpec::Kprobe("ovs_flow_tbl_lookup".to_owned()),
-            ));
-            out.push(mk(
-                Self::lookup_ret_table(&tap.prefix),
-                HookSpec::Kretprobe("ovs_flow_tbl_lookup".to_owned()),
-            ));
-            out.push(mk(
-                Self::upcall_table(&tap.prefix),
-                HookSpec::Kprobe("ovs_dp_upcall".to_owned()),
-            ));
-        }
-        out
-    }
-
-    fn metrics(&self, scope: &ModuleScope) -> Vec<MetricSpec> {
-        let mut out = Vec::new();
-        for tap in &scope.ovs_taps {
-            out.push(MetricSpec::Latency {
-                from: Self::lookup_table(&tap.prefix),
-                to: Self::lookup_ret_table(&tap.prefix),
-            });
-            out.push(MetricSpec::Throughput {
-                table: Self::upcall_table(&tap.prefix),
-            });
-        }
-        out
-    }
-}
-
-/// Nahida-style in-band request tracing: the packet-ID technique
-/// extended to request chains — each tier propagates the trace ID into
-/// the packets it forwards, and latency between consecutive tier taps
-/// decomposes end-to-end request latency per tier.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RequestTraceModule;
-
-impl Module for RequestTraceModule {
-    fn name(&self) -> &'static str {
-        "request-trace"
-    }
-
-    fn description(&self) -> &'static str {
-        "in-band request-chain tracing with per-tier latency decomposition"
-    }
-
-    fn schema(&self) -> RecordSchema {
-        RecordSchema {
-            name: "packet-record",
-            tags: &["node", "flow", "direction", "trace_id?"],
-            fields: &["pkt_len", "cpu"],
-        }
-    }
-
-    fn alert_kinds(&self) -> &'static [&'static str] {
-        &["latency-spike", "loss-burst"]
-    }
-
-    fn programs(&self, scope: &ModuleScope) -> Vec<TraceSpec> {
-        scope
-            .request_taps
-            .iter()
-            .map(|t| spec_from_tap(t, Action::RecordPacketInfo))
-            .collect()
-    }
-
-    fn metrics(&self, scope: &ModuleScope) -> Vec<MetricSpec> {
-        let mut out = Vec::new();
-        // Per-tier segments between consecutive taps...
-        for pair in scope.request_taps.windows(2) {
-            out.push(MetricSpec::Latency {
-                from: pair[0].table.clone(),
-                to: pair[1].table.clone(),
-            });
-        }
-        // ...plus the end-to-end chain they decompose.
-        if scope.request_taps.len() > 2 {
-            out.push(MetricSpec::Latency {
-                from: scope.request_taps[0].table.clone(),
-                to: scope
-                    .request_taps
-                    .last()
-                    .expect("len checked above")
-                    .table
-                    .clone(),
-            });
+        match self {
+            Module::PacketPath => {
+                for (from, to) in &scope.latency_pairs {
+                    out.push(MetricSpec::Latency {
+                        from: from.clone(),
+                        to: to.clone(),
+                    });
+                    out.push(MetricSpec::Loss {
+                        upstream: from.clone(),
+                        downstream: to.clone(),
+                    });
+                }
+                for table in &scope.throughput_tables {
+                    out.push(MetricSpec::Throughput {
+                        table: table.clone(),
+                    });
+                }
+            }
+            // The windowed rate of each drop table is the drop rate.
+            Module::SkbDrop => {
+                for t in &scope.drop_taps {
+                    out.push(MetricSpec::Throughput {
+                        table: t.table.clone(),
+                    });
+                }
+            }
+            Module::OvsFlow => {
+                for tap in &scope.ovs_taps {
+                    let [lookup, lookup_ret, upcall] = ovs_tables(&tap.prefix);
+                    out.push(MetricSpec::Latency {
+                        from: lookup,
+                        to: lookup_ret,
+                    });
+                    out.push(MetricSpec::Throughput { table: upcall });
+                }
+            }
+            Module::RequestTrace => {
+                let taps = &scope.request_taps;
+                // Per-tier segments between consecutive taps...
+                for pair in taps.windows(2) {
+                    out.push(MetricSpec::Latency {
+                        from: pair[0].table.clone(),
+                        to: pair[1].table.clone(),
+                    });
+                }
+                // ...plus the end-to-end chain they decompose, once there
+                // is more than one segment.
+                if let [first, _, .., last] = &taps[..] {
+                    out.push(MetricSpec::Latency {
+                        from: first.table.clone(),
+                        to: last.table.clone(),
+                    });
+                }
+            }
         }
         out
     }

@@ -1,19 +1,20 @@
-//! The module registry: tracing organized as pluggable modules selected
-//! by named profiles (the retis-style answer to "write a trace program
-//! per question").
+//! The module registry: tracing organized as modules selected by named
+//! profiles (the retis-style answer to "write a trace program per
+//! question").
 //!
 //! A **module** bundles everything one tracing question needs:
 //!
-//! * the trace programs it installs (as [`TraceSpec`]s, compiled and
-//!   budget-checked through the same `compile.rs`/`install_with_config`
-//!   pipeline as everything else),
+//! * the trace programs it installs (as
+//!   [`TraceSpec`](crate::config::TraceSpec)s, compiled and budget-checked
+//!   through the same `compile.rs`/`install_with_config` pipeline as
+//!   everything else),
 //! * the typed record schema its tables carry (so collectors and the
 //!   tsdb know which tags and fields to expect), and
 //! * the streaming metric operators and alert kinds it contributes to
 //!   `vnet-live`.
 //!
-//! A **profile** is a named set of modules resolved and attached in one
-//! call; `ModuleRegistry::package` is the single plumbing path from a
+//! The four modules are a closed set, and a **profile** is a named set
+//! of them; `ModuleRegistry::package` is the single plumbing path from a
 //! profile to the [`ControlPackage`] the dispatcher ships. Modules are
 //! topology-agnostic: a scenario describes *where* to attach through a
 //! [`ModuleScope`] (packet taps, drop taps, OVS fabrics, request-chain
@@ -22,11 +23,9 @@
 
 mod builtin;
 
-pub use builtin::{OvsFlowModule, PacketPathModule, RequestTraceModule, SkbDropModule};
+use builtin::Module;
 
-use std::collections::BTreeMap;
-
-use crate::config::{ControlPackage, FilterRule, GlobalConfig, HookSpec, TraceSpec};
+use crate::config::{ControlPackage, FilterRule, GlobalConfig, HookSpec};
 use crate::error::{Result, TracerError};
 
 /// One packet tap: a table name plus the node, hook and filter a
@@ -152,47 +151,37 @@ pub struct RecordSchema {
     pub fields: &'static [&'static str],
 }
 
-/// A pluggable tracing module: programs + record schema + metric
-/// operators, bundled under one name.
-pub trait Module: std::fmt::Debug {
-    /// The module's registry name (also the name profiles refer to it by).
-    fn name(&self) -> &'static str;
-    /// One-line description for `vnt modules`.
-    fn description(&self) -> &'static str;
-    /// The record schema of the tables this module creates.
-    fn schema(&self) -> RecordSchema;
-    /// The alert kinds this module's metrics can raise in `vnet-live`.
-    fn alert_kinds(&self) -> &'static [&'static str];
-    /// The trace programs to install for `scope`.
-    fn programs(&self, scope: &ModuleScope) -> Vec<TraceSpec>;
-    /// The streaming metrics to compute for `scope`.
-    fn metrics(&self, scope: &ModuleScope) -> Vec<MetricSpec>;
+/// The named profiles, sorted by name (the listing order).
+const PROFILES: [(&str, &[Module]); 5] = [
+    ("default", &[Module::PacketPath]),
+    ("drops", &[Module::SkbDrop]),
+    ("full", &Module::ALL),
+    ("ovs", &[Module::OvsFlow]),
+    ("requests", &[Module::RequestTrace]),
+];
+
+/// Resolves a profile to its modules, in profile order.
+///
+/// # Errors
+///
+/// [`TracerError::UnknownProfile`] when no profile has that name (with
+/// the closest profile name as a suggestion).
+fn resolve(profile: &str) -> Result<&'static [Module]> {
+    PROFILES
+        .iter()
+        .find(|(name, _)| *name == profile)
+        .map(|&(_, modules)| modules)
+        .ok_or_else(|| TracerError::UnknownProfile {
+            name: profile.to_owned(),
+            suggestion: closest(profile, PROFILES.iter().map(|&(name, _)| name)),
+        })
 }
 
-/// The registry: modules by name plus named profiles over them.
-pub struct ModuleRegistry {
-    modules: Vec<Box<dyn Module>>,
-    profiles: BTreeMap<String, Vec<String>>,
-}
-
-impl std::fmt::Debug for ModuleRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ModuleRegistry")
-            .field("modules", &self.module_names())
-            .field("profiles", &self.profiles)
-            .finish()
-    }
-}
+/// The registry: the built-in modules and the profiles over them.
+#[derive(Debug, Clone, Copy)]
+pub struct ModuleRegistry;
 
 impl ModuleRegistry {
-    /// An empty registry with no modules or profiles.
-    pub fn new() -> Self {
-        ModuleRegistry {
-            modules: Vec::new(),
-            profiles: BTreeMap::new(),
-        }
-    }
-
     /// The built-in registry: the `packet-path`, `skb-drop`, `ovs-flow`
     /// and `request-trace` modules, with profiles
     ///
@@ -202,96 +191,7 @@ impl ModuleRegistry {
     /// * `requests` — cross-tier request-chain tracing,
     /// * `full` — all of the above.
     pub fn builtin() -> Self {
-        let mut r = ModuleRegistry::new();
-        r.register(Box::new(PacketPathModule));
-        r.register(Box::new(SkbDropModule));
-        r.register(Box::new(OvsFlowModule));
-        r.register(Box::new(RequestTraceModule));
-        for (profile, modules) in [
-            ("default", vec!["packet-path"]),
-            ("drops", vec!["skb-drop"]),
-            ("ovs", vec!["ovs-flow"]),
-            ("requests", vec!["request-trace"]),
-            (
-                "full",
-                vec!["packet-path", "skb-drop", "ovs-flow", "request-trace"],
-            ),
-        ] {
-            r.define_profile(profile, &modules)
-                .expect("builtin profiles reference builtin modules");
-        }
-        r
-    }
-
-    /// Adds a module. A module re-registered under an existing name
-    /// replaces the old one.
-    pub fn register(&mut self, module: Box<dyn Module>) {
-        if let Some(i) = self.modules.iter().position(|m| m.name() == module.name()) {
-            self.modules[i] = module;
-        } else {
-            self.modules.push(module);
-        }
-    }
-
-    /// Defines (or redefines) a profile as an ordered module set.
-    ///
-    /// # Errors
-    ///
-    /// [`TracerError::UnknownModule`] if any named module is not
-    /// registered.
-    pub fn define_profile(&mut self, name: &str, modules: &[&str]) -> Result<()> {
-        for m in modules {
-            self.module(m)?;
-        }
-        self.profiles.insert(
-            name.to_owned(),
-            modules.iter().map(|m| (*m).to_owned()).collect(),
-        );
-        Ok(())
-    }
-
-    /// Registered module names, in registration order.
-    pub fn module_names(&self) -> Vec<&'static str> {
-        self.modules.iter().map(|m| m.name()).collect()
-    }
-
-    /// Registered profile names, sorted.
-    pub fn profile_names(&self) -> Vec<&str> {
-        self.profiles.keys().map(String::as_str).collect()
-    }
-
-    /// Looks up a module by name, suggesting the closest registered name
-    /// on a miss.
-    ///
-    /// # Errors
-    ///
-    /// [`TracerError::UnknownModule`] when no module has that name.
-    pub fn module(&self, name: &str) -> Result<&dyn Module> {
-        self.modules
-            .iter()
-            .find(|m| m.name() == name)
-            .map(Box::as_ref)
-            .ok_or_else(|| TracerError::UnknownModule {
-                name: name.to_owned(),
-                suggestion: closest(name, self.module_names().into_iter()),
-            })
-    }
-
-    /// Resolves a profile to its modules, in profile order.
-    ///
-    /// # Errors
-    ///
-    /// [`TracerError::UnknownProfile`] when the profile is not defined
-    /// (with the closest defined name as a suggestion).
-    pub fn resolve(&self, profile: &str) -> Result<Vec<&dyn Module>> {
-        let names = self
-            .profiles
-            .get(profile)
-            .ok_or_else(|| TracerError::UnknownProfile {
-                name: profile.to_owned(),
-                suggestion: closest(profile, self.profiles.keys().map(String::as_str)),
-            })?;
-        names.iter().map(|n| self.module(n)).collect()
+        ModuleRegistry
     }
 
     /// THE plumbing path: resolves `profile`, asks each module for its
@@ -302,16 +202,17 @@ impl ModuleRegistry {
     ///
     /// # Errors
     ///
-    /// [`TracerError::UnknownProfile`] / [`TracerError::UnknownModule`]
-    /// from resolution.
+    /// [`TracerError::UnknownProfile`] from resolution.
     pub fn package(
         &self,
         profile: &str,
         scope: &ModuleScope,
         global: GlobalConfig,
     ) -> Result<ControlPackage> {
-        let modules = self.resolve(profile)?;
-        let traces = modules.iter().flat_map(|m| m.programs(scope)).collect();
+        let traces = resolve(profile)?
+            .iter()
+            .flat_map(|m| m.programs(scope))
+            .collect();
         Ok(ControlPackage { global, traces })
     }
 
@@ -322,8 +223,10 @@ impl ModuleRegistry {
     ///
     /// Same as [`ModuleRegistry::package`].
     pub fn metrics(&self, profile: &str, scope: &ModuleScope) -> Result<Vec<MetricSpec>> {
-        let modules = self.resolve(profile)?;
-        Ok(modules.iter().flat_map(|m| m.metrics(scope)).collect())
+        Ok(resolve(profile)?
+            .iter()
+            .flat_map(|m| m.metrics(scope))
+            .collect())
     }
 
     /// Renders the `vnt modules` listing: every module with its schema
@@ -331,7 +234,7 @@ impl ModuleRegistry {
     pub fn render_listing(&self) -> String {
         let mut out = String::new();
         out.push_str("modules:\n");
-        for m in &self.modules {
+        for m in Module::ALL {
             let s = m.schema();
             out.push_str(&format!("  {:<14} {}\n", m.name(), m.description()));
             out.push_str(&format!(
@@ -348,16 +251,11 @@ impl ModuleRegistry {
             ));
         }
         out.push_str("profiles:\n");
-        for (profile, modules) in &self.profiles {
-            out.push_str(&format!("  {:<14} {}\n", profile, modules.join(" + ")));
+        for (profile, modules) in PROFILES {
+            let names: Vec<&str> = modules.iter().map(|m| m.name()).collect();
+            out.push_str(&format!("  {:<14} {}\n", profile, names.join(" + ")));
         }
         out
-    }
-}
-
-impl Default for ModuleRegistry {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -373,8 +271,7 @@ fn closest<'a>(query: &str, candidates: impl Iterator<Item = &'a str>) -> Option
         .map(|(_, c)| c.to_owned())
 }
 
-/// Plain Levenshtein distance over bytes — module and profile names are
-/// ASCII.
+/// Plain Levenshtein distance over bytes — profile names are ASCII.
 fn edit_distance(a: &str, b: &str) -> usize {
     let (a, b) = (a.as_bytes(), b.as_bytes());
     let mut prev: Vec<usize> = (0..=b.len()).collect();
@@ -419,8 +316,7 @@ mod tests {
 
     #[test]
     fn unknown_profile_suggests_closest() {
-        let r = ModuleRegistry::builtin();
-        let err = r.resolve("defult").unwrap_err();
+        let err = resolve("defult").unwrap_err();
         match err {
             TracerError::UnknownProfile { name, suggestion } => {
                 assert_eq!(name, "defult");
@@ -429,21 +325,8 @@ mod tests {
             other => panic!("wrong error: {other}"),
         }
         // Nothing near: no suggestion.
-        match r.resolve("zzz").unwrap_err() {
+        match resolve("zzz").unwrap_err() {
             TracerError::UnknownProfile { suggestion, .. } => assert_eq!(suggestion, None),
-            other => panic!("wrong error: {other}"),
-        }
-    }
-
-    #[test]
-    fn unknown_module_suggests_closest() {
-        let mut r = ModuleRegistry::builtin();
-        let err = r.define_profile("p", &["skb-drp"]).unwrap_err();
-        match err {
-            TracerError::UnknownModule { name, suggestion } => {
-                assert_eq!(name, "skb-drp");
-                assert_eq!(suggestion.as_deref(), Some("skb-drop"));
-            }
             other => panic!("wrong error: {other}"),
         }
     }
@@ -559,17 +442,18 @@ mod tests {
 
     #[test]
     fn listing_names_every_module_and_profile() {
-        let r = ModuleRegistry::builtin();
-        let listing = r.render_listing();
-        for name in r.module_names() {
-            assert!(listing.contains(name), "listing missing module {name}");
+        let listing = ModuleRegistry::builtin().render_listing();
+        for m in Module::ALL {
+            assert!(listing.contains(m.name()), "listing missing module {m:?}");
         }
-        for profile in r.profile_names() {
+        for (profile, _) in PROFILES {
             assert!(
                 listing.contains(profile),
                 "listing missing profile {profile}"
             );
         }
+        let names: Vec<&str> = PROFILES.iter().map(|&(name, _)| name).collect();
+        assert!(names.is_sorted(), "profiles listed by name: {names:?}");
     }
 
     #[test]

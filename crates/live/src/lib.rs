@@ -12,7 +12,7 @@
 //!
 //! The pieces:
 //!
-//! * [`window`] — event-time tumbling/sliding windows plus a
+//! * [`window`] — event-time tumbling windows plus a
 //!   [`WatermarkTracker`] that decides when a window's input is complete,
 //!   driven by per-agent heartbeats widened by each agent's
 //!   [`SkewEstimate`](vnettracer::clock_sync::SkewEstimate) residual;

@@ -3,7 +3,7 @@
 //! Records arrive out of order: per-CPU perf rings interleave, agents
 //! drain on independent schedules, and each node stamps records on its
 //! own (skewed) clock. The window runtime assigns every record to the
-//! event-time windows covering its *aligned* timestamp, and a
+//! tumbling event-time window containing its *aligned* timestamp, and a
 //! [`WatermarkTracker`] decides when a window's input is complete enough
 //! to finalize. The watermark is derived from per-agent heartbeats: an
 //! agent heartbeating at master time `t` has drained everything it will
@@ -17,15 +17,12 @@ use std::collections::{BTreeMap, HashMap};
 
 use vnettracer::clock_sync::SkewEstimate;
 
-/// An event-time window scheme: fixed-width windows every `slide_ns`.
-/// `slide_ns == width_ns` gives tumbling windows; `slide_ns < width_ns`
-/// gives overlapping sliding windows.
+/// An event-time window scheme: tumbling (non-overlapping) windows of
+/// `width_ns`, the window containing `ts` starting at `ts - ts % width_ns`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowSpec {
     /// Window width in nanoseconds.
     pub width_ns: u64,
-    /// Distance between consecutive window starts, in nanoseconds.
-    pub slide_ns: u64,
 }
 
 impl WindowSpec {
@@ -36,38 +33,7 @@ impl WindowSpec {
     /// Panics if `width_ns` is zero.
     pub fn tumbling(width_ns: u64) -> Self {
         assert!(width_ns > 0, "window width must be non-zero");
-        WindowSpec {
-            width_ns,
-            slide_ns: width_ns,
-        }
-    }
-
-    /// Overlapping windows of `width_ns` starting every `slide_ns`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either parameter is zero or `slide_ns > width_ns`.
-    pub fn sliding(width_ns: u64, slide_ns: u64) -> Self {
-        assert!(
-            width_ns > 0 && slide_ns > 0,
-            "window sizes must be non-zero"
-        );
-        assert!(slide_ns <= width_ns, "slide must not exceed width");
-        WindowSpec { width_ns, slide_ns }
-    }
-
-    /// Start timestamps of every window containing event time `ts` —
-    /// at most `⌈width/slide⌉` of them, in ascending order.
-    pub fn windows(&self, ts: u64) -> impl Iterator<Item = u64> + '_ {
-        // Window [k·slide, k·slide + width) contains ts iff
-        // k ≤ ts/slide and k·slide > ts − width.
-        let last = ts / self.slide_ns;
-        let first = if ts < self.width_ns {
-            0
-        } else {
-            (ts - self.width_ns) / self.slide_ns + 1
-        };
-        (first..=last).map(move |k| k * self.slide_ns)
+        WindowSpec { width_ns }
     }
 
     /// End (exclusive) of the window starting at `start_ns`.
@@ -97,13 +63,12 @@ impl<W: Clone> OpenWindows<W> {
         }
     }
 
-    /// Applies `update` to every window covering event time `ts` —
-    /// opening those this operator has not touched yet — and to the
+    /// Applies `update` to the window containing event time `ts` —
+    /// opening it if this operator has not touched it yet — and to the
     /// running total.
     pub(crate) fn update(&mut self, spec: &WindowSpec, ts: u64, update: impl Fn(&mut W)) {
-        for start in spec.windows(ts) {
-            update(self.open.entry(start).or_insert_with(|| self.empty.clone()));
-        }
+        let start = ts - ts % spec.width_ns;
+        update(self.open.entry(start).or_insert_with(|| self.empty.clone()));
         update(&mut self.total);
     }
 
@@ -249,29 +214,14 @@ mod tests {
     #[test]
     fn tumbling_assignment_is_unique() {
         let w = WindowSpec::tumbling(1_000);
-        assert_eq!(w.windows(0).collect::<Vec<_>>(), vec![0]);
-        assert_eq!(w.windows(999).collect::<Vec<_>>(), vec![0]);
-        assert_eq!(w.windows(1_000).collect::<Vec<_>>(), vec![1_000]);
-        assert_eq!(w.windows(5_500).collect::<Vec<_>>(), vec![5_000]);
-        assert_eq!(w.end(5_000), 6_000);
-    }
-
-    #[test]
-    fn sliding_assignment_covers_overlaps() {
-        let w = WindowSpec::sliding(1_000, 250);
-        // ts=1100 is inside windows starting at 250, 500, 750, 1000.
-        assert_eq!(
-            w.windows(1_100).collect::<Vec<_>>(),
-            vec![250, 500, 750, 1_000]
-        );
-        // Early timestamps clamp at window 0.
-        assert_eq!(w.windows(100).collect::<Vec<_>>(), vec![0]);
-        // Every returned window actually contains the timestamp.
-        for ts in [0u64, 1, 249, 250, 999, 1_000, 10_137] {
-            for start in w.windows(ts) {
-                assert!(start <= ts && ts < w.end(start), "ts={ts} start={start}");
-            }
+        let mut open = OpenWindows::new(0u32);
+        for ts in [0, 999, 1_000, 5_500] {
+            open.update(&w, ts, |n| *n += 1);
         }
+        assert_eq!(open.open_starts().collect::<Vec<_>>(), [0, 1_000, 5_000]);
+        assert_eq!(open.close(0), Some(2));
+        assert_eq!(open.total, 4);
+        assert_eq!(w.end(5_000), 6_000);
     }
 
     /// A remote agent's estimate whose residual error bound is

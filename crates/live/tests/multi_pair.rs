@@ -167,9 +167,7 @@ struct Model {
 
 impl ModelPair {
     fn update_loss(&mut self, window: &WindowSpec, ts: u64, update: impl Fn(&mut LossWindow)) {
-        for start in window.windows(ts) {
-            update(self.loss.entry(start).or_default());
-        }
+        update(self.loss.entry(ts - ts % window.width_ns).or_default());
         update(&mut self.loss_total);
     }
 
@@ -184,12 +182,10 @@ impl ModelPair {
                 let (up_ts, down_ts) = if up { (ts, first_ts) } else { (first_ts, ts) };
                 self.update_loss(window, up_ts, |w| w.delivered += 1);
                 if let Some(delta) = down_ts.checked_sub(up_ts) {
-                    for start in window.windows(down_ts) {
-                        let samples = self.latency.entry(start);
-                        samples
-                            .or_insert_with(|| Samples::new(sketch_error))
-                            .record(delta);
-                    }
+                    self.latency
+                        .entry(down_ts - down_ts % window.width_ns)
+                        .or_insert_with(|| Samples::new(sketch_error))
+                        .record(delta);
                     self.latency_total.record(delta);
                 }
             }

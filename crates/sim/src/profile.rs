@@ -204,17 +204,6 @@ pub struct Episode {
     pub end: SimTime,
 }
 
-impl Episode {
-    /// Whether `t` falls inside the episode, widened by `slack` on both
-    /// sides — the matching tolerance the validation harness uses when
-    /// scoring an alert timestamp against this window.
-    pub fn contains_with_slack(&self, t: SimTime, slack: SimDuration) -> bool {
-        let lo = self.start.as_nanos().saturating_sub(slack.as_nanos());
-        let hi = self.end.as_nanos().saturating_add(slack.as_nanos());
-        (lo..hi).contains(&t.as_nanos())
-    }
-}
-
 /// Emits periodic episodes `[s, s+dwell)` starting at `warmup`, spaced
 /// `period` apart, entirely inside `[0, run)`.
 fn periodic_episodes(
@@ -566,18 +555,5 @@ mod tests {
             assert!(ep.end > ep.start);
             assert!(ep.start.as_nanos() >= SimDuration::from_millis(20).as_nanos());
         }
-    }
-
-    #[test]
-    fn episode_slack_matching() {
-        let ep = Episode {
-            start: SimTime::from_millis(10),
-            end: SimTime::from_millis(20),
-        };
-        let slack = SimDuration::from_millis(2);
-        assert!(ep.contains_with_slack(SimTime::from_millis(9), slack));
-        assert!(ep.contains_with_slack(SimTime::from_millis(21), slack));
-        assert!(!ep.contains_with_slack(SimTime::from_millis(7), slack));
-        assert!(!ep.contains_with_slack(SimTime::from_millis(23), slack));
     }
 }

@@ -440,10 +440,7 @@ impl OvsScenario {
 
 /// Runs one case end-to-end with TCP (AIMD) congestion and returns the
 /// Sockperf latency summary.
-pub fn sockperf_latency_tcp_congestion(
-    case: OvsCase,
-    messages: u64,
-) -> vnet_workloads::LatencySummary {
+pub fn sockperf_latency_tcp_congestion(case: OvsCase, messages: u64) -> vnet_tsdb::LatencyStats {
     let cfg = OvsConfig {
         case,
         transport: CongestionTransport::Tcp,
@@ -465,7 +462,7 @@ pub fn sockperf_latency(
     case: OvsCase,
     mitigation: Mitigation,
     messages: u64,
-) -> vnet_workloads::LatencySummary {
+) -> vnet_tsdb::LatencyStats {
     let cfg = OvsConfig {
         case,
         mitigation,

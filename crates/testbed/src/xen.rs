@@ -327,7 +327,7 @@ pub fn run_latency(
     workload: XenWorkload,
     consolidation: Consolidation,
     requests: u64,
-) -> vnet_workloads::LatencySummary {
+) -> vnet_tsdb::LatencyStats {
     run_latency_with_ratelimit(workload, consolidation, requests, None)
 }
 
@@ -338,7 +338,7 @@ pub fn run_latency_with_ratelimit(
     consolidation: Consolidation,
     requests: u64,
     ratelimit: Option<SimDuration>,
-) -> vnet_workloads::LatencySummary {
+) -> vnet_tsdb::LatencyStats {
     let cfg = XenConfig {
         workload,
         consolidation,

@@ -59,7 +59,8 @@ pub use join::FirstSeen;
 pub use persist::{import_json_lines, read_json_lines, write_json_lines, PersistError};
 pub use point::{DataPoint, FieldValue};
 pub use query::{
-    aggregate, percentile, percentiles, Aggregate, Query, Rows, ScanResult, ScanStats,
+    aggregate, percentile, percentiles, stats_from_ns, Aggregate, LatencyStats, Query, Rows,
+    ScanResult, ScanStats,
 };
 pub use record::{
     drop_reason_code, drop_reason_name, trace_id_tag, CompactRecord, COMPACT_RECORD_BYTES,

@@ -39,5 +39,5 @@ pub use iperf::{IperfClient, IperfServer};
 pub use memcached::{DataCachingClient, DataCachingServer, MemcachedProxy};
 pub use netperf::{NetperfClient, NetperfServer};
 pub use sockperf::{SockperfClient, SockperfMode, SockperfServer};
-pub use stats::{LatencyRecorder, LatencySummary, ThroughputRecorder};
+pub use stats::{LatencyRecorder, ThroughputRecorder};
 pub use tcp_stream::{TcpStreamClient, TcpStreamStats};

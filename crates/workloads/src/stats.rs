@@ -7,37 +7,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Summary of a latency sample set, in nanoseconds (percentiles by
-/// nearest rank).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencySummary {
-    /// Number of samples.
-    pub count: usize,
-    /// Mean.
-    pub mean_ns: f64,
-    /// Minimum.
-    pub min_ns: u64,
-    /// Maximum.
-    pub max_ns: u64,
-    /// Median.
-    pub p50_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-    /// 99.9th percentile.
-    pub p999_ns: u64,
-}
-
-impl LatencySummary {
-    /// Mean in microseconds.
-    pub fn mean_us(&self) -> f64 {
-        self.mean_ns / 1e3
-    }
-
-    /// 99.9th percentile in microseconds.
-    pub fn p999_us(&self) -> f64 {
-        self.p999_ns as f64 / 1e3
-    }
-}
+use vnet_tsdb::{stats_from_ns, LatencyStats};
 
 /// Collects latency samples from a workload.
 #[derive(Debug, Default)]
@@ -62,26 +32,8 @@ impl LatencyRecorder {
     }
 
     /// Summary statistics; `None` if no samples were recorded.
-    pub fn summary(&self) -> Option<LatencySummary> {
-        if self.samples_ns.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples_ns.clone();
-        sorted.sort_unstable();
-        let pct = |q: f64| -> u64 {
-            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-            sorted[rank - 1]
-        };
-        let sum: u128 = sorted.iter().map(|&v| u128::from(v)).sum();
-        Some(LatencySummary {
-            count: sorted.len(),
-            mean_ns: sum as f64 / sorted.len() as f64,
-            min_ns: sorted[0],
-            max_ns: *sorted.last().expect("non-empty"),
-            p50_ns: pct(0.50),
-            p99_ns: pct(0.99),
-            p999_ns: pct(0.999),
-        })
+    pub fn summary(&self) -> Option<LatencyStats> {
+        stats_from_ns(&self.samples_ns)
     }
 }
 

@@ -116,8 +116,8 @@ fn request_decomposition_sums_to_end_to_end() {
     assert_eq!(summed, e2e, "segment sums must equal end-to-end latencies");
 }
 
-/// Unknown module or profile names fail with did-you-mean suggestions,
-/// both directly and through the `package` plumbing.
+/// Unknown profile names fail with did-you-mean suggestions through
+/// both the `package` and the `metrics` plumbing.
 #[test]
 fn profile_resolution_errors_carry_suggestions() {
     let registry = ModuleRegistry::builtin();
@@ -132,9 +132,6 @@ fn profile_resolution_errors_carry_suggestions() {
 
     let err = registry.metrics("requets", &scope).unwrap_err().to_string();
     assert!(err.contains("requests"), "error suggests `requests`: {err}");
-
-    let err = registry.module("skb-drp").unwrap_err().to_string();
-    assert!(err.contains("skb-drop"), "error suggests `skb-drop`: {err}");
 
     // A hopelessly wrong name gets no bogus suggestion.
     let err = registry
