@@ -556,3 +556,83 @@ proptest! {
         prop_assert_eq!(drained.len() as u64 + map.perf_lost(0), pushed as u64);
     }
 }
+
+/// One step of a perf-ring workload: push a record of this many bytes,
+/// or drain the ring whole.
+#[derive(Debug, Clone, Copy)]
+enum RingOp {
+    Push(usize),
+    Drain,
+}
+
+/// Runs `ops` against one perf ring of `cap` bytes and against a model
+/// of it — a FIFO of records under a byte budget, where a record that
+/// does not fit in what the pending records leave is lost — and checks
+/// after every step that both hold the same loss count, and at every
+/// drain that both hand over the same records in the same order.
+/// Each record's bytes are its push number, so reordered or torn
+/// records show.
+fn check_ring_against_model(cap: u32, ops: &[RingOp]) {
+    let mut map = vnet_ebpf::map::Map::new(MapDef::perf(cap), 1).unwrap();
+    let mut model: Vec<Vec<u8>> = Vec::new();
+    let mut model_lost = 0u64;
+    let ops = ops.iter().chain(std::iter::once(&RingOp::Drain));
+    for (step, op) in ops.enumerate() {
+        match *op {
+            RingOp::Push(size) => {
+                let record: Vec<u8> = (0..size).map(|i| (step + i) as u8).collect();
+                map.perf_output(0, &record).unwrap();
+                let pending: usize = model.iter().map(Vec::len).sum();
+                if size > cap as usize - pending {
+                    model_lost += 1;
+                } else {
+                    model.push(record);
+                }
+            }
+            RingOp::Drain => {
+                let mut drained = Vec::new();
+                let n = map.perf_drain_with(0, |raw| drained.push(raw.to_vec()));
+                assert_eq!(n, drained.len(), "step {step}: drain count");
+                assert_eq!(
+                    drained,
+                    std::mem::take(&mut model),
+                    "step {step}: drained records"
+                );
+            }
+        }
+        assert_eq!(map.perf_lost(0), model_lost, "step {step}: records lost");
+    }
+}
+
+// Record sizes: the trace record's 32 bytes, any size up to eight bytes
+// past the capacity, or a small size that is rarely a multiple of 32.
+prop_compose! {
+    fn arb_ring_workload()(
+        cap in 32u32..4096,
+        ops in proptest::collection::vec((0u8..4, any::<u32>()), 0..96),
+    ) -> (u32, Vec<RingOp>) {
+        let ops = ops
+            .into_iter()
+            .map(|(kind, n)| match kind {
+                0 => RingOp::Drain,
+                1 => RingOp::Push(32),
+                2 => RingOp::Push(1 + n as usize % (cap as usize + 8)),
+                _ => RingOp::Push(1 + n as usize % 48),
+            })
+            .collect();
+        (cap, ops)
+    }
+}
+
+proptest! {
+    #![proptest_config(proptest::test_runner::Config::with_cases(2_000))]
+
+    /// Random pushes interleaved with whole drains leave a perf ring
+    /// exactly where the byte-budget FIFO model is: same records, same
+    /// order, same loss count after every step.
+    #[test]
+    fn perf_ring_matches_byte_budget_fifo_model(workload in arb_ring_workload()) {
+        let (cap, ops) = workload;
+        check_ring_against_model(cap, &ops);
+    }
+}
