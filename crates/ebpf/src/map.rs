@@ -726,6 +726,23 @@ mod tests {
     }
 
     #[test]
+    fn perf_output_past_the_last_ring_is_an_error() {
+        let mut m = Map::new(MapDef::perf(64), 4).unwrap();
+        assert_eq!(
+            m.perf_output(4, &[1; 8]),
+            Err(MapError::IndexOutOfBounds(4))
+        );
+        assert_eq!(
+            m.perf_output(5, &[1; 8]),
+            Err(MapError::IndexOutOfBounds(5))
+        );
+        assert!(m.is_empty());
+        assert_eq!((0..4).map(|c| m.perf_lost(c)).sum::<u64>(), 0);
+        m.perf_output(3, &[2; 8]).unwrap();
+        assert_eq!(m.perf_drain(3), vec![vec![2; 8]]);
+    }
+
+    #[test]
     fn perf_drain_with_on_non_perf_map_is_a_no_op() {
         let mut arr = Map::new(MapDef::array(4, 1), 1).unwrap();
         let mut called = false;

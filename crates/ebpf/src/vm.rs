@@ -1399,6 +1399,53 @@ mod tests {
         assert_eq!(records[0], 0xabcdu64.to_le_bytes());
     }
 
+    /// An explicit ring index is checked against the ring count, as the
+    /// kernel's `-E2BIG`: the helper fails, writes nothing and counts
+    /// nothing lost. A flags word with bits above the index mask is an
+    /// index past the last ring too.
+    #[test]
+    fn perf_event_output_rejects_an_index_past_the_last_ring() {
+        for flags in [4u64, 5, 1 << 32 | 1] {
+            let mut maps = MapRegistry::new();
+            let perf_fd = maps.create(MapDef::perf(4096), 4).unwrap();
+            let asm = Asm::new()
+                .mov64_imm(R2, 0xabcd)
+                .stx(Size::DW, R10, R2, -8)
+                .mov64(R4, R10)
+                .add64_imm(R4, -8)
+                .ld_map_fd(R2, perf_fd)
+                .lddw(R3, flags)
+                .mov64_imm(R5, 8)
+                .call(PERF_EVENT_OUTPUT)
+                .exit();
+            let out = run_with(asm, &TraceContext::default(), &[], &mut maps);
+            assert_eq!(out.ret as i64, -1, "flags {flags:#x}");
+            let map = maps.get_mut(perf_fd).unwrap();
+            assert!(map.is_empty(), "flags {flags:#x}: a record was written");
+            assert_eq!((0..4).map(|c| map.perf_lost(c)).sum::<u64>(), 0);
+        }
+        // The last ring is still addressable.
+        let mut maps = MapRegistry::new();
+        let perf_fd = maps.create(MapDef::perf(4096), 4).unwrap();
+        let asm = Asm::new()
+            .st(Size::DW, R10, -8, 7)
+            .mov64(R4, R10)
+            .add64_imm(R4, -8)
+            .ld_map_fd(R2, perf_fd)
+            .mov64_imm(R3, 3)
+            .mov64_imm(R5, 8)
+            .call(PERF_EVENT_OUTPUT)
+            .exit();
+        assert_eq!(
+            run_with(asm, &TraceContext::default(), &[], &mut maps).ret,
+            0
+        );
+        assert_eq!(
+            maps.get_mut(perf_fd).unwrap().perf_drain(3),
+            vec![7u64.to_le_bytes().to_vec()]
+        );
+    }
+
     #[test]
     fn skb_load_bytes_copies_packet_to_stack() {
         let pkt: Vec<u8> = (0..32).collect();
