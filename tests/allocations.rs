@@ -5,14 +5,27 @@
 //! event queue, the application's action list — reuses memory it already
 //! holds.
 //!
+//! The tracing path is fenced the same way, with no allowance: once a
+//! perf ring has grown to the records it holds between drains, a probe
+//! firing that emits a record allocates nothing, and neither does a
+//! collection cycle that finds the rings empty.
+//!
 //! This is its own test binary because it installs a counting global
 //! allocator. The counts are per thread, so nothing the test harness does
 //! on its other threads lands in them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::net::SocketAddrV4;
 
+use vnet_ebpf::context::TraceContext;
+use vnet_ebpf::map::{MapDef, MapRegistry};
+use vnet_ebpf::program::load;
+use vnet_ebpf::vm::{standard_helpers, FixedEnv};
+use vnet_sim::packet::{FlowKey, PacketBuilder, SocketAddrV4Ext};
+use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
 use vnet_workloads::datacenter_rack::{RackConfig, RackScenario};
+use vnettracer::{Action, FilterRule, HookSpec, TraceSpec};
 
 thread_local! {
     /// Allocations and reallocations made on this thread.
@@ -97,4 +110,85 @@ fn a_delivered_packet_costs_two_allocations() {
         made <= 2 * delivered,
         "{made} allocations for {delivered} more delivered packets: more than 2 per packet"
     );
+}
+
+/// Executions between whole drains in [`a_recorded_firing_allocates_nothing`].
+const FIRINGS_PER_DRAIN: u64 = 100;
+
+/// A record program as the trace compiler emits it, run through the
+/// threaded tier: each execution copies its 32-byte record from the
+/// stack into the current CPU's ring, and every hundredth the ring is
+/// drained whole. The first cycle grows the ring to a hundred records;
+/// every cycle after it allocates nothing.
+#[test]
+fn a_recorded_firing_allocates_nothing() {
+    let mut maps = MapRegistry::new();
+    let perf_fd = maps.create(MapDef::perf(64 * 1024), 4).unwrap();
+    let spec = TraceSpec {
+        name: "rx".into(),
+        node: "n".into(),
+        hook: HookSpec::DeviceRx("eth0".into()),
+        filter: FilterRule::any(),
+        action: Action::RecordPacketInfo,
+    };
+    let prog = vnettracer::compile::compile(&spec, Some(perf_fd), None).unwrap();
+    let loaded = load(prog, &maps, &standard_helpers()).unwrap();
+    let compiled = vnet_ebpf::jit::compile(&loaded);
+    let flow = FlowKey::udp(
+        SocketAddrV4::sock("10.0.0.1", 9000),
+        SocketAddrV4::sock("10.0.0.2", 7),
+    );
+    let pkt = PacketBuilder::udp(flow, vec![7u8; 56]).build();
+    let ctx = TraceContext {
+        pkt_len: pkt.len() as u32,
+        cpu: 1,
+        ..TraceContext::default()
+    };
+    let mut env = FixedEnv {
+        cpu: 1,
+        ..FixedEnv::default()
+    };
+    let mut cycle = |maps: &mut MapRegistry| {
+        let before = allocations();
+        for _ in 0..FIRINGS_PER_DRAIN {
+            let out = compiled.execute(&ctx, pkt.bytes(), maps, &mut env).unwrap();
+            assert_eq!(out.ret, 1, "the record path ran");
+        }
+        let ring = maps.get_mut(perf_fd).unwrap();
+        assert_eq!(ring.perf_drain_with(1, |_| {}), FIRINGS_PER_DRAIN as usize);
+        allocations() - before
+    };
+    cycle(&mut maps);
+    for n in 1..=10 {
+        let made = cycle(&mut maps);
+        assert_eq!(
+            made, 0,
+            "cycle {n}: {made} allocations for {FIRINGS_PER_DRAIN} recorded firings"
+        );
+    }
+}
+
+/// The two-host testbed's four scripts traced and collected; then, with
+/// nothing new in the rings, one more collection cycle — every agent
+/// drains every ring of every script, heartbeats and reports its losses
+/// — allocates nothing. Records, when there are some, add only the
+/// store's amortized growth.
+#[test]
+fn a_warm_collect_allocates_nothing() {
+    let cfg = TwoHostConfig {
+        messages: 50,
+        ..TwoHostConfig::default()
+    };
+    let mut s = TwoHostScenario::build(&cfg);
+    let pkg = s.control_package();
+    let mut tracer = s.make_tracer();
+    tracer.deploy(&mut s.world, &pkg).unwrap();
+    s.run(&cfg);
+    assert!(tracer.collect(&s.world) > 0, "the run was traced");
+    assert_eq!(tracer.collect(&s.world), 0, "the rings were drained");
+    let before = allocations();
+    let collected = tracer.collect(&s.world);
+    let made = allocations() - before;
+    assert_eq!(collected, 0);
+    assert_eq!(made, 0, "{made} allocations in a collect with empty rings");
 }
