@@ -133,69 +133,49 @@ impl core::fmt::Display for MapError {
 
 impl std::error::Error for MapError {}
 
-/// One per-CPU perf ring: a circular byte buffer of `max_entries` bytes
-/// plus a queue of pending record lengths. Records are copied in at the
-/// write cursor (wrapping at the end) and read back out in FIFO order;
-/// the only allocation after construction is the scratch buffer a
-/// wrapped record is re-assembled into, and that is reused across
-/// drains.
+/// One per-CPU perf ring, kept as a bounded append buffer: a record
+/// that fits in what the pending records leave of `capacity` bytes is
+/// appended to `buf` and its length to `lens`; one that does not is
+/// counted lost. Every drain empties the ring, so the pending records
+/// always lie back to back from byte 0, and the ring's memory follows the
+/// most it has held between drains rather than its capacity.
 #[derive(Debug, Clone)]
 struct PerfRing {
+    capacity: usize,
     buf: Vec<u8>,
-    head: usize,
-    used: usize,
-    lens: std::collections::VecDeque<usize>,
+    lens: Vec<u32>,
     lost: u64,
-    scratch: Vec<u8>,
 }
 
 impl PerfRing {
     fn new(capacity: usize) -> Self {
         PerfRing {
-            buf: vec![0; capacity],
-            head: 0,
-            used: 0,
-            lens: std::collections::VecDeque::new(),
+            capacity,
+            buf: Vec::new(),
+            lens: Vec::new(),
             lost: 0,
-            scratch: Vec::new(),
         }
     }
 
     fn push(&mut self, record: &[u8]) {
-        let cap = self.buf.len();
-        if record.len() > cap - self.used {
+        if record.len() > self.capacity - self.buf.len() {
             self.lost += 1;
             return;
         }
-        let tail = (self.head + self.used) % cap;
-        let first = record.len().min(cap - tail);
-        self.buf[tail..tail + first].copy_from_slice(&record[..first]);
-        self.buf[..record.len() - first].copy_from_slice(&record[first..]);
-        self.used += record.len();
-        self.lens.push_back(record.len());
+        self.buf.extend_from_slice(record);
+        self.lens.push(record.len() as u32);
     }
 
     fn drain_with(&mut self, f: &mut dyn FnMut(&[u8])) -> usize {
-        let cap = self.buf.len();
-        let mut drained = 0;
-        // The scratch buffer is taken out for the duration so a wrapped
-        // record can be assembled into it while `self.buf` stays borrowed.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        while let Some(len) = self.lens.pop_front() {
-            let end = self.head + len;
-            if end <= cap {
-                f(&self.buf[self.head..end]);
-            } else {
-                scratch.clear();
-                scratch.extend_from_slice(&self.buf[self.head..]);
-                scratch.extend_from_slice(&self.buf[..end - cap]);
-                f(&scratch);
-            }
-            self.head = end % cap;
-            self.used -= len;
-            drained += 1;
+        let mut start = 0;
+        for &len in &self.lens {
+            let end = start + len as usize;
+            f(&self.buf[start..end]);
+            start = end;
         }
-        self.scratch = scratch;
+        let drained = self.lens.len();
+        self.buf.clear();
+        self.lens.clear();
         drained
     }
 }
@@ -450,23 +430,36 @@ impl Map {
     ///
     /// # Errors
     ///
-    /// Returns [`MapError::WrongType`] for non-perf maps.
+    /// Returns [`MapError::WrongType`] for non-perf maps, and
+    /// [`MapError::IndexOutOfBounds`] for a `cpu` past the last ring (the
+    /// kernel's `-E2BIG`), storing nothing and counting nothing lost.
     pub fn perf_output(&mut self, cpu: usize, record: &[u8]) -> Result<(), MapError> {
         match &mut self.storage {
             Storage::Perf(rings) => {
-                let n = rings.len();
-                rings[cpu % n].push(record);
+                let ring = rings.get_mut(cpu).ok_or_else(|| {
+                    MapError::IndexOutOfBounds(u32::try_from(cpu).unwrap_or(u32::MAX))
+                })?;
+                ring.push(record);
                 Ok(())
             }
             _ => Err(MapError::WrongType),
         }
     }
 
-    /// Drains all records from `cpu`'s perf ring in FIFO order, calling
-    /// `f` with each record's bytes — the zero-allocation drain the
-    /// batched collection path uses. The slice passed to `f` is only
-    /// valid for the duration of the call. Returns the number of records
-    /// drained (0 for non-perf maps).
+    /// Number of per-CPU rings of a perf map (0 for other maps).
+    pub(crate) fn perf_rings(&self) -> usize {
+        match &self.storage {
+            Storage::Perf(rings) => rings.len(),
+            _ => 0,
+        }
+    }
+
+    /// Drains `cpu`'s perf ring whole, in FIFO order, calling `f` with
+    /// each record's bytes — the zero-allocation drain the batched
+    /// collection path uses. The slice passed to `f` is only valid for
+    /// the duration of the call. The ring keeps its memory for the next
+    /// records. Returns the number of records drained (0 for non-perf
+    /// maps).
     pub fn perf_drain_with(&mut self, cpu: usize, mut f: impl FnMut(&[u8])) -> usize {
         match &mut self.storage {
             Storage::Perf(rings) => {
@@ -487,11 +480,9 @@ impl Map {
 
     /// Drains records from every CPU's ring, in CPU order.
     pub fn perf_drain_all(&mut self) -> Vec<Vec<u8>> {
-        let cpus = match &self.storage {
-            Storage::Perf(rings) => rings.len(),
-            _ => 0,
-        };
-        (0..cpus).flat_map(|c| self.perf_drain(c)).collect()
+        (0..self.perf_rings())
+            .flat_map(|c| self.perf_drain(c))
+            .collect()
     }
 
     /// Number of records lost to ring overflow on `cpu`.
@@ -676,35 +667,6 @@ mod tests {
         m.perf_output(0, &[7; 32]).unwrap();
         assert_eq!(m.perf_lost(0), 1);
         assert_eq!(m.perf_drain(0), vec![vec![7; 32]]);
-    }
-
-    #[test]
-    fn perf_wraparound_preserves_record_bytes() {
-        let mut m = Map::new(MapDef::perf(32), 1).unwrap();
-        // Advance the write cursor to 20, then drain so head = 20.
-        let first: Vec<u8> = (0..20).collect();
-        m.perf_output(0, &first).unwrap();
-        assert_eq!(m.perf_drain(0), vec![first]);
-        // This 24-byte record occupies [20..32) and wraps into [0..12).
-        let wrapped: Vec<u8> = (100..124).collect();
-        m.perf_output(0, &wrapped).unwrap();
-        let mut seen = Vec::new();
-        let n = m.perf_drain_with(0, |raw| seen.push(raw.to_vec()));
-        assert_eq!(n, 1);
-        assert_eq!(seen, vec![wrapped], "wrapped record reassembled intact");
-        assert_eq!(m.perf_lost(0), 0);
-    }
-
-    #[test]
-    fn perf_records_straddling_wraparound_stay_in_fifo_order() {
-        let mut m = Map::new(MapDef::perf(32), 1).unwrap();
-        m.perf_output(0, &[1; 24]).unwrap();
-        assert_eq!(m.perf_drain(0).len(), 1); // head now 24
-        let a: Vec<u8> = (0..16).collect(); // [24..32) + [0..8)
-        let b: Vec<u8> = (50..66).collect(); // [8..24)
-        m.perf_output(0, &a).unwrap();
-        m.perf_output(0, &b).unwrap();
-        assert_eq!(m.perf_drain(0), vec![a, b]);
     }
 
     #[test]

@@ -334,6 +334,24 @@ impl<'a> Memory<'a> {
         MAP_VAL_BASE + (self.slots.len() as u64 - 1) * MAP_VAL_STRIDE
     }
 
+    /// The `len` bytes at `addr` when they lie wholly inside the context,
+    /// the packet or the stack; `None` otherwise (a map value, a fault,
+    /// or a range whose end does not exist).
+    pub(crate) fn region(&self, addr: u64, len: usize) -> Option<&[u8]> {
+        let end = addr.checked_add(len as u64)?;
+        let (base, bytes): (u64, &[u8]) = if addr >= CTX_BASE && end <= CTX_BASE + CTX_SIZE as u64 {
+            (CTX_BASE, &self.ctx)
+        } else if addr >= PKT_BASE && end <= PKT_BASE + self.pkt.len() as u64 {
+            (PKT_BASE, self.pkt)
+        } else if addr >= STACK_BASE && end <= STACK_BASE + STACK_SIZE as u64 {
+            (STACK_BASE, &self.stack)
+        } else {
+            return None;
+        };
+        let s = (addr - base) as usize;
+        Some(&bytes[s..s + len])
+    }
+
     pub(crate) fn read_bytes(
         &self,
         maps: &mut MapRegistry,
@@ -345,20 +363,15 @@ impl<'a> Memory<'a> {
         if len == 0 {
             return Ok(());
         }
+        if let Some(bytes) = self.region(addr, len) {
+            out.extend_from_slice(bytes);
+            return Ok(());
+        }
         let oob = VmError::MemoryOutOfBounds { addr, len };
         // A helper passes a program-chosen length: the range's end may
         // not exist in the address space at all.
-        let end = addr.checked_add(len as u64).ok_or_else(|| oob.clone())?;
-        if addr >= CTX_BASE && end <= CTX_BASE + CTX_SIZE as u64 {
-            let s = (addr - CTX_BASE) as usize;
-            out.extend_from_slice(&self.ctx[s..s + len]);
-        } else if addr >= PKT_BASE && end <= PKT_BASE + self.pkt.len() as u64 {
-            let s = (addr - PKT_BASE) as usize;
-            out.extend_from_slice(&self.pkt[s..s + len]);
-        } else if addr >= STACK_BASE && end <= STACK_BASE + STACK_SIZE as u64 {
-            let s = (addr - STACK_BASE) as usize;
-            out.extend_from_slice(&self.stack[s..s + len]);
-        } else if addr >= MAP_VAL_BASE {
+        addr.checked_add(len as u64).ok_or_else(|| oob.clone())?;
+        if addr >= MAP_VAL_BASE {
             let slot_idx = ((addr - MAP_VAL_BASE) / MAP_VAL_STRIDE) as usize;
             let off = ((addr - MAP_VAL_BASE) % MAP_VAL_STRIDE) as usize;
             let slot = self.slots.get(slot_idx).ok_or_else(|| oob.clone())?;
@@ -827,14 +840,25 @@ fn helper_perf_event_output(
 ) -> Result<(), VmError> {
     let fd = map_fd(reg[2])?;
     let len = reg[5] as usize;
-    mem.read_bytes(maps, reg[4], len, scratch)?;
-    let cpu = if reg[3] == BPF_F_CURRENT_CPU {
-        mem.cpu
-    } else {
-        reg[3] as usize
+    // A record in the stack, context or packet goes to the ring in
+    // place; only a map-value source is copied out first, since reading
+    // it borrows the registry the ring lives in.
+    let record = match mem.region(reg[4], len) {
+        Some(bytes) => bytes,
+        None => {
+            mem.read_bytes(maps, reg[4], len, scratch)?;
+            scratch.as_slice()
+        }
     };
     let map = maps.get_mut(fd).ok_or(VmError::BadMapHandle(reg[2]))?;
-    reg[0] = match map.perf_output(cpu, scratch) {
+    // The current CPU wraps onto the rings; an explicit index past the
+    // last ring fails.
+    let cpu = if reg[3] == BPF_F_CURRENT_CPU {
+        mem.cpu % map.perf_rings().max(1)
+    } else {
+        usize::try_from(reg[3]).unwrap_or(usize::MAX)
+    };
+    reg[0] = match map.perf_output(cpu, record) {
         Ok(()) => 0,
         Err(_) => (-1i64) as u64,
     };

@@ -604,6 +604,25 @@ fn check_ring_against_model(cap: u32, ops: &[RingOp]) {
     }
 }
 
+/// Fixed workloads on a 32-byte ring: a record pushed after a drain
+/// that left the old ring's cursor mid-buffer (it used to wrap past the
+/// end and be reassembled), records on both sides of such a point kept
+/// in FIFO order, an exact fill, and a record one byte over capacity.
+#[test]
+fn perf_ring_matches_model_on_fixed_cases() {
+    use RingOp::{Drain, Push};
+    let cases: [&[RingOp]; 5] = [
+        &[Push(20), Drain, Push(24), Drain],
+        &[Push(24), Drain, Push(16), Push(16), Drain],
+        &[Push(16), Push(16), Push(16), Push(1), Drain, Push(8)],
+        &[Push(33), Push(32), Push(1), Drain, Push(32)],
+        &[Push(31), Drain, Push(31), Drain, Push(31), Push(1), Push(1)],
+    ];
+    for ops in cases {
+        check_ring_against_model(32, ops);
+    }
+}
+
 // Record sizes: the trace record's 32 bytes, any size up to eight bytes
 // past the capacity, or a small size that is rarely a multiple of 32.
 prop_compose! {
