@@ -8,7 +8,7 @@
 //! the monitored network.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use vnet_ebpf::context::TraceContext;
@@ -252,7 +252,7 @@ pub struct Agent {
     node_name: String,
     num_cpus: u16,
     maps: Rc<RefCell<MapRegistry>>,
-    installed: HashMap<ScriptId, Installed>,
+    installed: BTreeMap<ScriptId, Installed>,
     next_id: ScriptId,
     heartbeat_seq: u64,
 }
@@ -265,7 +265,7 @@ impl Agent {
             node_name: node_name.into(),
             num_cpus,
             maps: Rc::new(RefCell::new(MapRegistry::new())),
-            installed: HashMap::new(),
+            installed: BTreeMap::new(),
             next_id: 1,
             heartbeat_seq: 0,
         }
@@ -418,11 +418,9 @@ impl Agent {
         Ok(())
     }
 
-    /// Installed script ids.
+    /// Installed script ids, in install order.
     pub fn script_ids(&self) -> Vec<ScriptId> {
-        let mut ids: Vec<ScriptId> = self.installed.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.installed.keys().copied().collect()
     }
 
     /// Execution statistics for a script.
@@ -438,8 +436,7 @@ impl Agent {
     pub fn drain_into(&mut self, batch: &mut vnet_tsdb::RecordBatch) -> usize {
         let mut drained = 0;
         let mut maps = self.maps.borrow_mut();
-        for id in self.script_ids() {
-            let installed = &self.installed[&id];
+        for installed in self.installed.values() {
             let Some(fd) = installed.perf_fd else {
                 continue;
             };

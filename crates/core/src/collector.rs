@@ -177,7 +177,12 @@ impl Collector {
 
     /// Records a standalone heartbeat from `node`.
     pub fn heartbeat(&mut self, node: &str, seq: u64, now: SimTime) {
-        let health = self.health.entry(node.to_owned()).or_default();
+        // Looked up before inserting: a known agent's heartbeat allocates
+        // no key.
+        let health = match self.health.get_mut(node) {
+            Some(health) => health,
+            None => self.health.entry(node.to_owned()).or_default(),
+        };
         health.last_seq = seq;
         health.last_seen = now;
         for sub in &self.subscribers {

@@ -1,7 +1,7 @@
 //! The `VNetTracer` façade: dispatcher + agents + collector wired
 //! together (Fig. 2 of the paper).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use vnet_sim::world::World;
 use vnet_tsdb::{RecordBatch, TraceDb};
@@ -45,7 +45,7 @@ pub struct ScriptRunStats {
 #[derive(Debug, Default)]
 pub struct VNetTracer {
     dispatcher: Dispatcher,
-    agents: HashMap<String, Agent>,
+    agents: BTreeMap<String, Agent>,
     collector: Collector,
     deployed: Vec<DeployedScript>,
     batch: RecordBatch,
@@ -196,16 +196,14 @@ impl VNetTracer {
     pub fn collect(&mut self, world: &World) -> usize {
         let now = world.now();
         let mut total = 0;
-        let mut names: Vec<String> = self.agents.keys().cloned().collect();
-        names.sort();
-        for name in names {
-            let agent = self.agents.get_mut(&name).expect("listed agent exists");
+        // Agents are visited in node-name order.
+        for (name, agent) in &mut self.agents {
             self.batch.clear();
             total += agent.drain_into(&mut self.batch);
             let seq = agent.heartbeat();
             let lost = agent.lost_records_total();
             self.collector
-                .ingest_batch(&name, seq, &self.batch, lost, now);
+                .ingest_batch(name, seq, &self.batch, lost, now);
         }
         self.batch.clear();
         total
