@@ -418,11 +418,6 @@ impl Agent {
         Ok(())
     }
 
-    /// Installed script ids, in install order.
-    pub fn script_ids(&self) -> Vec<ScriptId> {
-        self.installed.keys().copied().collect()
-    }
-
     /// Execution statistics for a script.
     pub fn stats(&self, id: ScriptId) -> Option<ScriptStats> {
         self.installed.get(&id).map(|i| i.sink.borrow_mut().stats)
@@ -629,7 +624,7 @@ mod tests {
                 agent.uninstall(&mut w, id).unwrap();
             }
         }
-        assert!(agent.script_ids().is_empty());
+        assert!(agent.installed.is_empty());
         assert_eq!(
             agent.maps().borrow().len(),
             1,
@@ -757,7 +752,7 @@ mod tests {
         }
         // Nothing was attached, and the ten rejected installs left no
         // perf ring behind.
-        assert!(agent.script_ids().is_empty());
+        assert!(agent.installed.is_empty());
         assert!(agent.maps().borrow().is_empty());
         // A generous budget admits the same script.
         let global = GlobalConfig {
