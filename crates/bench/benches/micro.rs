@@ -181,8 +181,8 @@ fn bench_sim_events(c: &mut Criterion) {
     });
 }
 
-/// Batched ingest: one whole [`RecordBatch`] appended into a
-/// per-(table, node) shard of integer records.
+/// Batched ingest: one whole [`RecordBatch`] appended to a table's hot
+/// tail of integer records.
 fn bench_ingest(c: &mut Criterion) {
     const RECORDS: u64 = 1_000_000;
     let mut batch = RecordBatch::new();

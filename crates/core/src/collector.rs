@@ -275,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_batch_fills_shards_and_stats() {
+    fn ingest_batch_fills_tables_and_stats() {
         let mut c = Collector::new();
         let mut batch = RecordBatch::new();
         batch.push("tp_a", "server1", record(10));
@@ -287,7 +287,7 @@ mod tests {
         assert_eq!(c.db().table("tp_a").unwrap().len(), 2);
         assert_eq!(c.db().table("tp_b").unwrap().len(), 1);
         let table = c.db().table("tp_a").unwrap();
-        assert_eq!(table.shards().len(), 1);
+        assert!(table.entries().iter().all(|e| e.node() == "server1"));
         assert_eq!(table.entries()[0].tag("node").as_deref(), Some("server1"));
         assert_eq!(c.last_heartbeat("server1"), Some(1));
 
@@ -323,8 +323,10 @@ mod tests {
         assert_eq!(nodes, vec!["n1", "n2"], "sorted by node");
         assert_eq!(stats.agents[0].last_seq, 4);
         assert_eq!(stats.agents[0].lag, SimDuration::ZERO);
-        // The two shards of table "tp" keep node streams separate.
-        assert_eq!(c.db().table("tp").unwrap().shards().len(), 2);
+        // Table "tp" keeps each record's node, in ingest order.
+        let entries = c.db().table("tp").unwrap().entries();
+        let nodes: Vec<&str> = entries.iter().map(|e| e.node()).collect();
+        assert_eq!(nodes, ["n2", "n1", "n1"]);
     }
 
     #[test]

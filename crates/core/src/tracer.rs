@@ -404,8 +404,10 @@ mod tests {
         assert_eq!(cstats.lost_records, 0);
         assert_eq!(cstats.agents.len(), 1);
         assert_eq!(cstats.agents[0].node, "server1");
-        // Records landed in shards, not materialized points.
-        assert_eq!(tracer.db().table("eth0_rx").unwrap().shards().len(), 1);
+        // Records landed in the table, all from the one node.
+        let entries = tracer.db().table("eth0_rx").unwrap().entries();
+        assert!(!entries.is_empty());
+        assert!(entries.iter().all(|e| e.node() == "server1"));
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! serializes frames through a shared wire — back-to-back frames queue
 //! behind each other exactly as on a rate-limited pipe.
 //!
-//! Profiles load from a compact line-oriented trace format (see
-//! [`LinkProfile::parse_trace`]) and attach to ports via
-//! [`crate::world::World::attach_link_profile`]. The module also ships a
-//! library of *adversarial condition generators* — LEO-handover delay
+//! Profiles are built from validated segments ([`LinkProfile::new`]) and
+//! attach to ports via [`crate::world::World::attach_link_profile`]. The
+//! module also ships a library of *adversarial condition generators* — LEO-handover delay
 //! steps, congested-WAN rate dips, flapping links, asymmetric-route delay
 //! skew, and bursty Gilbert–Elliott loss. Every generator returns the
 //! exact [`Episode`] windows in which its condition is active, which is
@@ -105,92 +104,6 @@ impl LinkProfile {
             0 => &self.segments[0],
             n => &self.segments[n - 1],
         }
-    }
-
-    /// Parses the compact trace format: one segment per line as
-    /// `<t_us> <delay_us> <loss_rate> <rate_mbps|->`, with `#` starting
-    /// a comment and blank lines ignored.
-    ///
-    /// ```
-    /// use vnet_sim::profile::LinkProfile;
-    /// let p = LinkProfile::parse_trace("
-    ///     0      30  0.0  -   # LEO handover: 30us base...
-    ///     15000  300 0.0  -   # ...300us during the switch...
-    ///     35000  30  0.0  -   # ...then back
-    /// ").unwrap();
-    /// assert_eq!(p.segments().len(), 3);
-    /// ```
-    pub fn parse_trace(text: &str) -> Result<LinkProfile, String> {
-        let mut segments = Vec::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split_whitespace().collect();
-            if fields.len() != 4 {
-                return Err(format!(
-                    "line {}: expected `t_us delay_us loss rate_mbps|-`, got {:?}",
-                    lineno + 1,
-                    line
-                ));
-            }
-            // Microseconds on the line, nanoseconds in a `u64` inside.
-            let nanos = |field: &str, what: &str| {
-                let us: u64 = field
-                    .parse()
-                    .map_err(|e| format!("line {}: bad {what}: {e}", lineno + 1))?;
-                us.checked_mul(1_000).ok_or_else(|| {
-                    format!(
-                        "line {}: bad {what}: {us} us overflows u64 nanoseconds",
-                        lineno + 1
-                    )
-                })
-            };
-            let t_ns = nanos(fields[0], "time")?;
-            let delay_ns = nanos(fields[1], "delay")?;
-            let loss_rate: f64 = fields[2]
-                .parse()
-                .map_err(|e| format!("line {}: bad loss rate: {e}", lineno + 1))?;
-            let rate_bps = if fields[3] == "-" {
-                None
-            } else {
-                let mbps: f64 = fields[3]
-                    .parse()
-                    .map_err(|e| format!("line {}: bad rate: {e}", lineno + 1))?;
-                if !mbps.is_finite() || mbps <= 0.0 {
-                    return Err(format!("line {}: rate must be positive", lineno + 1));
-                }
-                Some((mbps * 1e6) as u64)
-            };
-            segments.push(LinkSegment {
-                start: SimTime::from_nanos(t_ns),
-                delay: SimDuration::from_nanos(delay_ns),
-                loss_rate,
-                rate_bps,
-            });
-        }
-        LinkProfile::new(segments)
-    }
-
-    /// Serializes the profile back into the trace format accepted by
-    /// [`LinkProfile::parse_trace`].
-    pub fn to_trace(&self) -> String {
-        let mut out = String::from("# t_us delay_us loss rate_mbps\n");
-        for seg in &self.segments {
-            let rate = match seg.rate_bps {
-                Some(bps) => format!("{}", bps as f64 / 1e6),
-                None => "-".to_owned(),
-            };
-            out.push_str(&format!(
-                "{} {} {} {}\n",
-                seg.start.as_micros(),
-                seg.delay.as_micros(),
-                seg.loss_rate,
-                rate
-            ));
-        }
-        out
     }
 }
 
@@ -450,50 +363,6 @@ mod tests {
         );
         assert!(LinkProfile::new(vec![seg(0, 1.5)]).is_err(), "loss > 1");
         assert!(LinkProfile::new(vec![seg(0, -0.1)]).is_err(), "loss < 0");
-    }
-
-    #[test]
-    fn trace_format_round_trips() {
-        let (p, _) = congested_wan(
-            us(30),
-            100_000_000,
-            500_000,
-            SimDuration::from_millis(20),
-            SimDuration::from_millis(60),
-            SimDuration::from_millis(20),
-            SimDuration::from_millis(200),
-        );
-        let text = p.to_trace();
-        let back = LinkProfile::parse_trace(&text).unwrap();
-        assert_eq!(p, back, "trace serialization round-trips:\n{text}");
-    }
-
-    #[test]
-    fn parse_trace_rejects_garbage() {
-        assert!(LinkProfile::parse_trace("0 30").is_err(), "short line");
-        assert!(LinkProfile::parse_trace("x 30 0 -").is_err(), "bad time");
-        assert!(LinkProfile::parse_trace("0 30 0 0").is_err(), "zero rate");
-        assert!(
-            LinkProfile::parse_trace("# only comments").is_err(),
-            "empty"
-        );
-    }
-
-    /// A time or delay whose nanoseconds overflow a `u64` is an error on
-    /// its own line, never an instant that wrapped around: 18 446 744 073
-    /// 709 552 µs would wrap to 384 ns.
-    #[test]
-    fn parse_trace_rejects_microseconds_that_overflow_nanoseconds() {
-        let err = LinkProfile::parse_trace("0 0 0 -\n18446744073709552 0 0 -").unwrap_err();
-        assert!(err.starts_with("line 2: bad time"), "{err}");
-        let err = LinkProfile::parse_trace("0 18446744073709552 0 -").unwrap_err();
-        assert!(err.starts_with("line 1: bad delay"), "{err}");
-        // The largest whole microsecond that fits is accepted, in either field.
-        let p =
-            LinkProfile::parse_trace("0 18446744073709551 0 -\n18446744073709551 0 0 -").unwrap();
-        let last = u64::MAX / 1_000 * 1_000;
-        assert_eq!(p.segments()[0].delay.as_nanos(), last);
-        assert_eq!(p.segments()[1].start.as_nanos(), last);
     }
 
     #[test]

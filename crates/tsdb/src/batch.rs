@@ -4,7 +4,7 @@
 //! An agent drains its per-CPU perf rings directly into a
 //! [`RecordBatch`], grouped by (table, node). The batch is handed to
 //! [`TraceDb::insert_batch`](crate::store::TraceDb::insert_batch) which
-//! appends each group into the matching shard in one go, then
+//! appends each group to its table's hot tail in one go, then
 //! [`RecordBatch::clear`]ed and reused for the next collection cycle —
 //! no per-record allocation anywhere on the path.
 

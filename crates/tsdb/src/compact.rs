@@ -257,11 +257,11 @@ mod tests {
     use proptest::test_runner::TestRng;
     use std::path::Path;
 
-    fn rows(base_seq: u64, n: u64, node: u32) -> Vec<(u64, u32, CompactRecord)> {
+    /// `n` rows of `node` stamped as sequence numbers `base_seq..`.
+    fn rows(base_seq: u64, n: u64, node: u32) -> Vec<(u32, CompactRecord)> {
         (0..n)
             .map(|i| {
                 (
-                    base_seq + i,
                     node,
                     CompactRecord {
                         timestamp_ns: (base_seq + i) * 100,
@@ -307,14 +307,14 @@ mod tests {
     #[test]
     fn merge_concatenates_and_unions_dictionaries() {
         let d = dir("merge");
-        ColumnData::from_rows(vec!["a".into(), "b".into()], &{
+        ColumnData::from_rows(vec!["a".into(), "b".into()], 0, &{
             let mut r = rows(0, 50, 0);
             r.extend(rows(50, 50, 1));
             r
         })
         .write(d.join("s1.col"), "m", false)
         .unwrap();
-        ColumnData::from_rows(vec!["b".into(), "c".into()], &{
+        ColumnData::from_rows(vec!["b".into(), "c".into()], 100, &{
             let mut r = rows(100, 50, 0);
             r.extend(rows(150, 50, 1));
             r
@@ -348,7 +348,7 @@ mod tests {
         let names: Vec<String> = (0..5).map(|i| format!("s{i}.col")).collect();
         for (i, name) in names.iter().enumerate() {
             let input = rows(i as u64 * per_input, per_input, 0);
-            let meta = ColumnData::from_rows(vec!["n".into()], &input)
+            let meta = ColumnData::from_rows(vec!["n".into()], i as u64 * per_input, &input)
                 .write(d.join(name), "m", false)
                 .unwrap();
             assert_eq!(meta.blocks.len(), 1);
@@ -372,10 +372,10 @@ mod tests {
     #[test]
     fn merge_rejects_disorder_and_cleans_up_tmp() {
         let d = dir("disorder");
-        ColumnData::from_rows(vec!["a".into()], &rows(100, 10, 0))
+        ColumnData::from_rows(vec!["a".into()], 100, &rows(100, 10, 0))
             .write(d.join("s1.col"), "m", false)
             .unwrap();
-        ColumnData::from_rows(vec!["a".into()], &rows(0, 10, 0))
+        ColumnData::from_rows(vec!["a".into()], 0, &rows(0, 10, 0))
             .write(d.join("s2.col"), "m", false)
             .unwrap();
         let job = job_for(&d, &["s1.col", "s2.col"]);
@@ -391,7 +391,7 @@ mod tests {
     fn round_outputs_match_merging_each_job_directly() {
         let d = dir("round");
         for (i, base) in [0u64, 1000, 2000, 3000, 4000].iter().enumerate() {
-            ColumnData::from_rows(vec!["n".into()], &rows(*base, 100, 0))
+            ColumnData::from_rows(vec!["n".into()], *base, &rows(*base, 100, 0))
                 .write(d.join(format!("s{i}.col")), "m", false)
                 .unwrap();
         }

@@ -204,9 +204,10 @@ mod tests {
         assert_eq!(write_json_lines(&db, &mut buf).unwrap(), 4);
         let loaded = read_json_lines(&buf[..]).unwrap();
         assert_eq!(loaded.len(), 4);
-        assert!(!loaded.table("tp_a").unwrap().shards().is_empty());
         let orig: Vec<_> = db.table("tp_a").unwrap().entries();
         let back: Vec<_> = loaded.table("tp_a").unwrap().entries();
+        assert!(back.iter().all(|e| e.node() == "server1"));
+        assert_eq!(back.len(), orig.len());
         for (o, b) in orig.iter().zip(&back) {
             assert_eq!(o.to_point(), b.to_point());
         }

@@ -1,17 +1,16 @@
-//! Queries: filter, select and aggregate over a table.
+//! Queries: select and aggregate over a table.
 //!
 //! Covers the operations vNetTracer's offline analysis performs: select a
-//! tracepoint's table, filter by tags (flow, node, device) and time range,
-//! and aggregate a field (count, mean, min/max, percentiles). A filter
-//! compiles to integer predicates on a row's lanes, and that one evaluator
-//! decides sealed and hot-tail rows alike.
+//! tracepoint's table, restrict it to a time window, and aggregate a
+//! field (count, mean, min/max, percentiles). Packets are then joined
+//! across tables on their trace ID ([`crate::join`]). The window is the
+//! one filter, and it decides sealed and hot-tail rows alike off their
+//! timestamp.
 
-use crate::record::{drop_reason_code, parse_trace_id_tag, CompactRecord};
-use crate::segment::{
-    dict_index, row_lanes, Block, ColumnId, ColumnSet, SegmentError, ALL_COLUMNS,
-};
+use crate::record::CompactRecord;
+use crate::segment::{dict_index, Block, ColumnId, ColumnSet, SegmentError, ALL_COLUMNS};
 use crate::store::{StoreError, TraceDb};
-use crate::table::{Entry, Table, DROP_REASON_TAG, TRACE_ID_TAG};
+use crate::table::{entries, Entry};
 
 /// A query over one measurement.
 ///
@@ -28,13 +27,12 @@ use crate::table::{Entry, Table, DROP_REASON_TAG, TRACE_ID_TAG};
 /// }
 /// let mut db = TraceDb::new();
 /// db.insert_batch(&batch);
-/// let scan = Query::new("rx").tag_eq("node", "n1").time_range(200, 500).scan(&db).unwrap();
-/// assert_eq!(scan.len(), 2); // t = 200, 400
+/// let scan = Query::new("rx").time_range(200, 500).scan(&db).unwrap();
+/// assert_eq!(scan.len(), 4); // t = 200, 300, 400, 500
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Query {
     measurement: String,
-    tag_filters: Vec<(String, String)>,
     time: Option<(u64, u64)>,
 }
 
@@ -45,12 +43,6 @@ impl Query {
             measurement: measurement.into(),
             ..Default::default()
         }
-    }
-
-    /// Requires tag `key` to equal `value`.
-    pub fn tag_eq(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.tag_filters.push((key.into(), value.into()));
-        self
     }
 
     /// Restricts to `start..=end` (inclusive), in nanoseconds.
@@ -112,18 +104,19 @@ impl Query {
     }
 
     /// The one read path over the *whole* database: hands `visit` the
-    /// matching rows of every sealed block, then every matching hot-tail
-    /// record, each in sequence order, and returns what it touched.
+    /// rows in the time window of every sealed block, then every such
+    /// hot-tail record, each in sequence order, and returns what it
+    /// touched.
     ///
-    /// Tag filters are compiled to integer predicates once; segments are
-    /// pruned by footer time range and node dictionary without touching
-    /// their data; inside a surviving segment every row block whose own
+    /// Segments are pruned by footer time range without touching their
+    /// data; inside a surviving segment every row block whose own
     /// `[min_ts, max_ts]` misses the window is skipped on the footer too
-    /// (no sortedness assumed); a surviving block decodes its predicate
-    /// columns first and, only if a row matched, the `project`ed ones —
-    /// with no predicate and nothing projected, rows are counted off the
-    /// block index. One decoded block is resident at a time. Hot-tail
-    /// records are decided by the same predicates, read off the record.
+    /// (no sortedness assumed); a surviving block decodes its `Ts` lane
+    /// first when a window is set and, only if a row matched, the
+    /// `project`ed ones — with no window and nothing projected, rows are
+    /// counted off the block index. One decoded block is resident at a
+    /// time. Hot-tail records are decided by the same window, read off
+    /// the record.
     ///
     /// # Errors
     ///
@@ -136,19 +129,9 @@ impl Query {
         mut visit: impl FnMut(Rows<'_>) -> Result<(), StoreError>,
     ) -> Result<ScanStats, StoreError> {
         let (lo, hi) = self.time.unwrap_or((0, u64::MAX));
-        let filter = Filter {
-            window: self.time.map(|(lo, hi)| lo..=hi),
-            preds: self
-                .tag_filters
-                .iter()
-                .map(|(k, v)| TagPred::compile(k, v))
-                .collect(),
-        };
-        let mut pred_cols: ColumnSet = [false; ColumnId::ALL.len()];
-        pred_cols[ColumnId::Ts as usize] = filter.window.is_some();
-        for &id in filter.preds.iter().flat_map(TagPred::lanes) {
-            pred_cols[id as usize] = true;
-        }
+        let window = lo..=hi;
+        let mut ts_lane: ColumnSet = [false; ColumnId::ALL.len()];
+        ts_lane[ColumnId::Ts as usize] = self.time.is_some();
 
         let mut stats = ScanStats::default();
 
@@ -157,14 +140,12 @@ impl Query {
             let block_count = meta.blocks.len() as u64;
             stats.segments_total += 1;
             stats.blocks_total += block_count;
-            // Footer-only segment pruning: time range, impossible
-            // predicate, or a node the dictionary does not hold.
-            let in_window = meta.max_ts >= lo && meta.min_ts <= hi;
-            let Some(nodes) = filter.admitted_nodes(&meta.nodes).filter(|_| in_window) else {
+            // Footer-only segment pruning on the time range.
+            if meta.max_ts < lo || meta.min_ts > hi {
                 stats.segments_pruned += 1;
                 stats.blocks_pruned += block_count;
                 continue;
-            };
+            }
             let scanned_before = stats.blocks_scanned;
             for (b, block_meta) in meta.blocks.iter().enumerate() {
                 if block_meta.max_ts < lo || block_meta.min_ts > hi {
@@ -172,11 +153,14 @@ impl Query {
                     continue;
                 }
                 stats.blocks_scanned += 1;
-                // Phase 1: decode only the columns the predicates touch.
+                // Phase 1: decode the `Ts` lane if there is a window to
+                // test it against; with none, the lane stays empty and
+                // every row matches.
                 let mut blk = Block::default();
-                stats.bytes_read += seg.read_block(b, &pred_cols, &mut blk)?;
+                stats.bytes_read += seg.read_block(b, &ts_lane, &mut blk)?;
+                let ts = blk.col(ColumnId::Ts);
                 let matched: Vec<usize> = (0..block_meta.rows as usize)
-                    .filter(|&i| filter.row_matches(&nodes, |column| blk.col(column)[i]))
+                    .filter(|&i| ts.get(i).is_none_or(|t| window.contains(t)))
                     .collect();
                 if !matched.is_empty() {
                     stats.rows_matched += matched.len() as u64;
@@ -200,26 +184,15 @@ impl Query {
             }
         }
 
-        // The hot tail: a shard is one node's rows, so it reads as a
-        // segment whose dictionary is that one name and whose `Node` lane
-        // is all zeros; shards interleave by sequence number.
-        let shards = db.table(&self.measurement).map_or(&[][..], Table::shards);
-        let mut hot: Vec<(u64, &str, &CompactRecord)> = Vec::new();
-        for shard in shards {
-            let Some(nodes) = filter.admitted_nodes(&[shard.node_name()]) else {
-                continue;
-            };
-            for (seq, record) in shard.seq_records() {
-                let lanes = row_lanes(*seq, 0, record);
-                if filter.row_matches(&nodes, |column| lanes[column as usize]) {
-                    hot.push((*seq, shard.node_name(), record));
+        // The hot tail: rows in ingest order, after every sealed one.
+        if let Some(table) = db.table(&self.measurement) {
+            for (node, record) in table.rows() {
+                if window.contains(&record.timestamp_ns) {
+                    stats.hot_entries += 1;
+                    let node = &table.nodes()[*node as usize];
+                    visit(Rows::Hot { node, record })?;
                 }
             }
-        }
-        hot.sort_unstable_by_key(|&(seq, ..)| seq);
-        stats.hot_entries = hot.len() as u64;
-        for (_, node, record) in hot {
-            visit(Rows::Hot { node, record })?;
         }
         Ok(stats)
     }
@@ -230,7 +203,8 @@ impl Query {
 pub enum Rows<'a> {
     /// The matching rows of one sealed block.
     Sealed {
-        /// The block: projected and predicate lanes loaded, others empty.
+        /// The block: projected lanes (and `Ts` under a window) loaded,
+        /// others empty.
         block: &'a Block,
         /// Ascending indices of the matching rows.
         matched: &'a [usize],
@@ -246,132 +220,22 @@ pub enum Rows<'a> {
     },
 }
 
-/// The lanes a `flow` tag is derived from, in the tag's order.
-const FLOW_COLUMNS: [ColumnId; 4] = [
-    ColumnId::Saddr,
-    ColumnId::Daddr,
-    ColumnId::Sport,
-    ColumnId::Dport,
-];
-
-/// A query's filter compiled to lane predicates: the one evaluator of a
-/// row, wherever it lives (`lane` reads the row's value in a column).
-struct Filter {
-    /// The time range, if one was given (else the `Ts` lane is not read).
-    window: Option<std::ops::RangeInclusive<u64>>,
-    preds: Vec<TagPred>,
-}
-
-impl Filter {
-    /// The `Node`-lane values the `node` filters admit where that lane
-    /// indexes `dict`. `None` when no row there can match: a filter names
-    /// a node `dict` lacks, or one is [`TagPred::Never`].
-    fn admitted_nodes(&self, dict: &[impl AsRef<str>]) -> Option<Vec<u64>> {
-        let index = |name: &str| dict.iter().position(|n| n.as_ref() == name);
-        let admitted = self.preds.iter().filter_map(|p| match p {
-            TagPred::Node(name) => Some(index(name).map(|i| i as u64)),
-            TagPred::Never => Some(None),
-            _ => None,
-        });
-        admitted.collect()
-    }
-
-    fn row_matches(&self, nodes: &[u64], lane: impl Fn(ColumnId) -> u64) -> bool {
-        let in_window = |w: &std::ops::RangeInclusive<u64>| w.contains(&lane(ColumnId::Ts));
-        self.window.as_ref().is_none_or(in_window)
-            && nodes.iter().all(|&index| lane(ColumnId::Node) == index)
-            && self.preds.iter().all(|p| p.matches(&lane))
-    }
-}
-
-/// A tag filter compiled against the compact record form: what
-/// [`Entry::tag`] derives lazily per row, evaluated as a plain integer
-/// comparison on the row's lanes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum TagPred {
-    /// `node == name`, resolved per segment or shard by
-    /// [`Filter::admitted_nodes`].
-    Node(String),
-    /// `direction == "rx"` (stored 0) or `"tx"` (stored non-zero).
-    Direction { tx: bool },
-    /// `trace_id == id`, requires the trace-ID flag bit.
-    TraceId(u32),
-    /// `drop_reason == name`: the code flag bits 1–3 must hold.
-    DropReason(u8),
-    /// `flow == "src:sport->dst:dport"`: the values [`FLOW_COLUMNS`] must
-    /// all hold.
-    Flow([u64; 4]),
-    /// No compact record can satisfy this filter (unknown key or a
-    /// value the derived tag can never take).
-    Never,
-}
-
-impl TagPred {
-    /// Only the derived tag's own spelling can match; anything else is
-    /// [`TagPred::Never`].
-    fn compile(key: &str, value: &str) -> TagPred {
-        let compiled = match key {
-            "node" => Some(TagPred::Node(value.to_owned())),
-            "direction" => match value {
-                "rx" => Some(TagPred::Direction { tx: false }),
-                "tx" => Some(TagPred::Direction { tx: true }),
-                _ => None,
-            },
-            TRACE_ID_TAG => parse_trace_id_tag(value).map(TagPred::TraceId),
-            DROP_REASON_TAG => drop_reason_code(value).map(TagPred::DropReason),
-            "flow" => CompactRecord::parse_flow(value)
-                .map(|(s, d, sp, dp)| TagPred::Flow([s.into(), d.into(), sp.into(), dp.into()])),
-            _ => None,
-        };
-        compiled.unwrap_or(TagPred::Never)
-    }
-
-    /// The lanes [`TagPred::matches`] reads.
-    fn lanes(&self) -> &'static [ColumnId] {
-        match self {
-            TagPred::Never => &[],
-            TagPred::Node(_) => &[ColumnId::Node],
-            TagPred::Direction { .. } => &[ColumnId::Direction],
-            TagPred::TraceId(_) => &[ColumnId::TraceId, ColumnId::Flags],
-            TagPred::DropReason(_) => &[ColumnId::Flags],
-            TagPred::Flow(_) => &FLOW_COLUMNS,
-        }
-    }
-
-    fn matches(&self, lane: impl Fn(ColumnId) -> u64) -> bool {
-        match self {
-            // Decided by the caller against the node dictionary.
-            TagPred::Node(_) => true,
-            TagPred::Never => false,
-            TagPred::Direction { tx } => (lane(ColumnId::Direction) != 0) == *tx,
-            TagPred::TraceId(id) => {
-                lane(ColumnId::Flags) & 1 != 0 && lane(ColumnId::TraceId) == u64::from(*id)
-            }
-            TagPred::DropReason(code) => (lane(ColumnId::Flags) >> 1) & 0x7 == u64::from(*code),
-            TagPred::Flow(want) => FLOW_COLUMNS
-                .iter()
-                .zip(want)
-                .all(|(&column, &value)| lane(column) == value),
-        }
-    }
-}
-
 /// Counters describing what a [`Query::scan`] touched — how much
 /// pruning saved and how many bytes actually left the disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScanStats {
     /// Sealed segments belonging to the queried measurement.
     pub segments_total: u64,
-    /// Segments skipped on footer metadata alone (time range, node
-    /// dictionary, impossible predicate, or every block skipped).
+    /// Segments skipped on footer metadata alone (their time range, or
+    /// every block's).
     pub segments_pruned: u64,
     /// Segments with at least one block decoded.
     pub segments_scanned: u64,
     /// Rows in the scanned segments.
     pub sealed_rows_total: u64,
-    /// Sealed rows matching the query.
+    /// Sealed rows in the window.
     pub rows_matched: u64,
-    /// Hot-tail records matching the query.
+    /// Hot-tail records in the window.
     pub hot_entries: u64,
     /// Encoded chunk bytes read from disk (not footers).
     pub bytes_read: u64,
@@ -380,7 +244,8 @@ pub struct ScanStats {
     /// Blocks skipped on the footer: with their segment, or because
     /// their own time range misses the window.
     pub blocks_pruned: u64,
-    /// Blocks whose predicate columns were decoded.
+    /// Blocks that survived the footer (their `Ts` lane decoded when a
+    /// window is set).
     pub blocks_scanned: u64,
     /// Most sealed rows held in decoded form at once (one block's).
     pub peak_decoded_rows: u64,
@@ -416,13 +281,7 @@ impl ScanResult {
 
     /// The matched entries in insertion order.
     pub fn entries(&self) -> Vec<Entry<'_>> {
-        let rows = self.rows.iter();
-        rows.map(|(node, record)| Entry::Record {
-            measurement: &self.measurement,
-            node: &self.nodes[*node as usize],
-            record,
-        })
-        .collect()
+        entries(&self.measurement, &self.nodes, &self.rows)
     }
 }
 
@@ -475,20 +334,6 @@ fn select_quantile(values: &mut [f64], q: f64) -> f64 {
     let rank = nearest_rank(q, values.len());
     let (_, v, _) = values.select_nth_unstable_by(rank - 1, f64::total_cmp);
     *v
-}
-
-/// Computes the `q`-quantile (0.0..=1.0) of `field` over `entries` using
-/// nearest-rank selection (no full sort). Returns `None` when no values.
-///
-/// # Panics
-///
-/// Panics if `q` is outside `0.0..=1.0`.
-pub fn percentile(entries: &[Entry<'_>], field: &str, q: f64) -> Option<f64> {
-    assert!(
-        (0.0..=1.0).contains(&q),
-        "quantile must be in 0..=1, got {q}"
-    );
-    percentiles(entries, field, &[q]).map(|values| values[0])
 }
 
 /// Computes several quantiles of `field` over `entries` in one pass:
@@ -592,12 +437,12 @@ mod tests {
     }
 
     #[test]
-    fn tag_filter_and_time_range() {
+    fn time_range_is_inclusive() {
         let db = db();
-        assert_eq!(scan(&db, Query::new("lat").tag_eq("node", "n0")).len(), 50);
+        assert_eq!(scan(&db, Query::new("lat")).len(), 100);
         assert_eq!(scan(&db, Query::new("lat").time_range(100, 190)).len(), 10);
-        let q = Query::new("lat").tag_eq("node", "n1").time_range(0, 50);
-        assert_eq!(scan(&db, q).len(), 3); // t=10,30,50
+        assert_eq!(scan(&db, Query::new("lat").time_range(0, 50)).len(), 6);
+        assert!(scan(&db, Query::new("lat").time_range(50, 0)).is_empty());
         assert!(scan(&db, Query::new("absent")).is_empty());
     }
 
@@ -619,11 +464,12 @@ mod tests {
         let db = db();
         let all = scan(&db, Query::new("lat"));
         let pts = all.entries();
-        assert_eq!(percentile(&pts, "pkt_len", 0.5), Some(49.0));
-        assert_eq!(percentile(&pts, "pkt_len", 0.999), Some(99.0));
-        assert_eq!(percentile(&pts, "pkt_len", 0.0), Some(0.0));
-        assert_eq!(percentile(&pts, "pkt_len", 1.0), Some(99.0));
-        assert_eq!(percentile(&[], "pkt_len", 0.5), None);
+        let one = |q| percentiles(&pts, "pkt_len", &[q]);
+        assert_eq!(one(0.5), Some(vec![49.0]));
+        assert_eq!(one(0.999), Some(vec![99.0]));
+        assert_eq!(one(0.0), Some(vec![0.0]));
+        assert_eq!(one(1.0), Some(vec![99.0]));
+        assert_eq!(percentiles(&[], "pkt_len", &[0.5]), None);
     }
 
     #[test]
@@ -634,7 +480,7 @@ mod tests {
         let qs = [0.0, 0.5, 0.95, 0.999, 1.0];
         let batch = percentiles(&pts, "pkt_len", &qs).unwrap();
         for (&q, &got) in qs.iter().zip(batch.iter()) {
-            assert_eq!(Some(got), percentile(&pts, "pkt_len", q), "q={q}");
+            assert_eq!(Some(vec![got]), percentiles(&pts, "pkt_len", &[q]), "q={q}");
         }
         assert_eq!(percentiles(&[], "pkt_len", &qs), None);
         assert_eq!(percentiles(&pts, "missing", &qs), None);
@@ -643,8 +489,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "quantile")]
-    fn percentile_rejects_bad_quantile() {
-        let _ = percentile(&[], "us", 1.5);
+    fn percentiles_reject_a_bad_quantile() {
+        let db = db();
+        let all = scan(&db, Query::new("lat"));
+        let _ = percentiles(&all.entries(), "pkt_len", &[1.5]);
     }
 
     fn record_db() -> TraceDb {
@@ -670,44 +518,29 @@ mod tests {
         db
     }
 
-    /// Each filter beside the same condition written on the typed fields.
+    /// Each window beside the same condition written on the typed
+    /// timestamp.
     #[test]
-    fn scan_matches_a_typed_filter_on_memory_db() {
-        type Keep = fn(&str, &CompactRecord) -> bool;
+    fn scan_matches_a_typed_window_on_memory_db() {
         let db = record_db();
-        let cases: [(Query, Keep); 9] = [
-            (Query::new("rx"), |_, _| true),
-            (Query::new("rx").tag_eq("node", "n0"), |n, _| n == "n0"),
-            (Query::new("rx").tag_eq("direction", "tx"), |_, r| {
-                r.direction != 0
-            }),
-            (
-                Query::new("rx")
-                    .tag_eq("direction", "rx")
-                    .time_range(500, 2500),
-                |_, r| r.direction == 0 && (500..=2500).contains(&r.timestamp_ns),
-            ),
-            (Query::new("rx").tag_eq(TRACE_ID_TAG, "00000003"), |_, r| {
-                r.has_trace_id() && r.trace_id == 3
-            }),
-            (
-                Query::new("rx").tag_eq("flow", "0.0.0.0:1000->0.0.0.0:2000"),
-                |_, _| true,
-            ),
-            (Query::new("rx").tag_eq("unknown_tag", "x"), |_, _| false),
-            (Query::new("rx").tag_eq(TRACE_ID_TAG, "not-hex!"), |_, _| {
-                false
-            }),
-            (Query::new("absent"), |_, _| false),
+        let windows = [
+            None,
+            Some((500, 2_500)),
+            Some((0, 0)),
+            Some((3_900, u64::MAX)),
+            Some((2_500, 500)),
         ];
         let all = Query::new("rx").scan(&db).unwrap();
-        for (q, keep) in cases {
+        for window in windows {
+            let (lo, hi) = window.unwrap_or((0, u64::MAX));
             let expected: Vec<_> = all
                 .entries()
                 .iter()
-                .filter(|e| q.measurement == "rx" && keep(e.node(), e.record()))
+                .filter(|e| (lo..=hi).contains(&e.timestamp_ns()))
                 .map(|e| e.to_point())
                 .collect();
+            let q = Query::new("rx");
+            let q = window.map_or(q.clone(), |(lo, hi)| q.time_range(lo, hi));
             let scan = q.scan(&db).unwrap();
             let scanned: Vec<_> = scan.entries().iter().map(|e| e.to_point()).collect();
             assert_eq!(scanned, expected, "{q:?}");
@@ -715,6 +548,7 @@ mod tests {
             assert_eq!(scan.stats().hot_entries, expected.len() as u64);
             assert_eq!(scan.stats().segments_total, 0, "memory db has no segments");
         }
+        assert!(Query::new("absent").scan(&db).unwrap().is_empty());
     }
 
     #[test]
@@ -734,15 +568,17 @@ mod tests {
             );
         }
         db.insert_batch(&batch);
-        let q = Query::new("rx").tag_eq("node", "n0").time_range(0, 400);
+        let q = Query::new("rx").time_range(0, 400);
         let scan = q.scan(&db).unwrap();
         let hits = scan.entries();
-        assert_eq!(hits.len(), 3); // t=0,200,400
+        assert_eq!(hits.len(), 5); // t=0,100,200,300,400
         let agg = aggregate(&hits, "pkt_len");
-        assert_eq!(agg.count, 3);
+        assert_eq!(agg.count, 5);
         assert_eq!(agg.min, 60.0);
         assert_eq!(agg.max, 64.0);
-        assert_eq!(percentile(&hits, "pkt_len", 0.5), Some(62.0));
+        assert_eq!(percentiles(&hits, "pkt_len", &[0.5]), Some(vec![62.0]));
+        let nodes: Vec<&str> = hits.iter().map(Entry::node).collect();
+        assert_eq!(nodes, ["n0", "n0", "n0", "n1", "n1"], "batch group order");
     }
 
     #[test]

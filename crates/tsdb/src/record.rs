@@ -49,7 +49,7 @@ pub(crate) fn parse_trace_id_tag(tag: &str) -> Option<u32> {
 }
 
 /// Bytes one record occupies in the perf ring, in a WAL frame and (padded)
-/// in a shard — also the unit of ingest byte accounting.
+/// in a hot-tail row — also the unit of ingest byte accounting.
 pub const COMPACT_RECORD_BYTES: u64 = 32;
 
 /// Byte offset of each field in the encoded record. The script compiler

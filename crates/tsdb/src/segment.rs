@@ -1,4 +1,4 @@
-//! Immutable columnar segments: the on-disk form of sealed record shards.
+//! Immutable columnar segments: the on-disk form of a sealed hot tail.
 //!
 //! A segment holds every compact record one measurement accumulated
 //! between two seals, as a sequence of **row blocks** of at most 2 048
@@ -432,9 +432,8 @@ impl SegmentWriter {
 }
 
 /// One row's value in each lane, in [`ColumnId::ALL`] order: what sealing
-/// writes for it, and what a predicate compiled against the lanes reads
-/// while the row is still in the hot tail.
-pub(crate) fn row_lanes(seq: u64, node: u32, r: &CompactRecord) -> [u64; ColumnId::ALL.len()] {
+/// writes for it.
+fn row_lanes(seq: u64, node: u32, r: &CompactRecord) -> [u64; ColumnId::ALL.len()] {
     let mut lanes = [0; ColumnId::ALL.len()];
     lanes[ColumnId::Seq as usize] = seq;
     lanes[ColumnId::Ts as usize] = r.timestamp_ns;
@@ -451,8 +450,8 @@ pub(crate) fn row_lanes(seq: u64, node: u32, r: &CompactRecord) -> [u64; ColumnI
     lanes
 }
 
-/// Column-major staging buffer: rows from sealed shards transposed into
-/// the twelve column lanes, ready for a [`SegmentWriter`].
+/// Column-major staging buffer: a hot tail's rows transposed into the
+/// twelve column lanes, ready for a [`SegmentWriter`].
 #[derive(Debug, Default)]
 pub struct ColumnData {
     /// Node dictionary, first-seen order.
@@ -462,15 +461,15 @@ pub struct ColumnData {
 }
 
 impl ColumnData {
-    /// Transposes `(seq, node_index, record)` rows (already in `seq`
-    /// order) into column lanes. `nodes` is the dictionary the
+    /// Transposes `(node_index, record)` rows, numbered on from
+    /// `first_seq`, into column lanes. `nodes` is the dictionary the
     /// `node_index` values refer to.
-    pub fn from_rows(nodes: Vec<String>, rows: &[(u64, u32, CompactRecord)]) -> Self {
+    pub fn from_rows(nodes: Vec<String>, first_seq: u64, rows: &[(u32, CompactRecord)]) -> Self {
         let mut cols: Vec<Vec<u64>> = (0..ColumnId::ALL.len())
             .map(|_| Vec::with_capacity(rows.len()))
             .collect();
-        for (seq, node, r) in rows {
-            for (col, value) in cols.iter_mut().zip(row_lanes(*seq, *node, r)) {
+        for ((node, r), seq) in rows.iter().zip(first_seq..) {
+            for (col, value) in cols.iter_mut().zip(row_lanes(seq, *node, r)) {
                 col.push(value);
             }
         }
@@ -773,9 +772,10 @@ mod tests {
         dir
     }
 
-    fn sample_rows(n: u64) -> Vec<(u64, u32, CompactRecord)> {
+    /// `n` rows numbered from 0 (row `i` holds sequence number `i`).
+    fn sample_rows(n: u64) -> Vec<(u32, CompactRecord)> {
         (0..n)
-            .map(|i| (i, (i % 2) as u32, rec(1_000 + i * 37, i as u32)))
+            .map(|i| ((i % 2) as u32, rec(1_000 + i * 37, i as u32)))
             .collect()
     }
 
@@ -785,7 +785,7 @@ mod tests {
         let n = 2 * BLOCK_ROWS as u64 + 500;
         let rows = sample_rows(n);
         let nodes = vec!["n0".to_owned(), "n1".to_owned()];
-        let meta = ColumnData::from_rows(nodes.clone(), &rows)
+        let meta = ColumnData::from_rows(nodes.clone(), 0, &rows)
             .write(&path, "tp_a", false)
             .unwrap();
         assert_eq!(meta.records, n);
@@ -814,8 +814,8 @@ mod tests {
             assert_eq!(first + rest, bm.encoded_bytes());
             assert_eq!(blk.rows() as u64, bm.rows);
             for i in 0..blk.rows() {
-                let (seq, node, r) = &rows[at + i];
-                assert_eq!(blk.col(ColumnId::Seq)[i], *seq);
+                let (node, r) = &rows[at + i];
+                assert_eq!(blk.col(ColumnId::Seq)[i], (at + i) as u64);
                 assert_eq!(blk.col(ColumnId::Node)[i], u64::from(*node));
                 assert_eq!(blk.record(i), *r);
             }
@@ -835,7 +835,7 @@ mod tests {
     fn corrupt_footer_rejected_without_panic() {
         let path = tmp("corrupt");
         let rows = sample_rows(64);
-        ColumnData::from_rows(vec!["n".into()], &rows)
+        ColumnData::from_rows(vec!["n".into()], 0, &rows)
             .write(&path, "m", false)
             .unwrap();
         let clean = std::fs::read(&path).unwrap();
@@ -870,7 +870,7 @@ mod tests {
     #[test]
     fn previous_format_version_is_a_typed_error() {
         let path = tmp("v1");
-        ColumnData::from_rows(vec!["n".into()], &sample_rows(8))
+        ColumnData::from_rows(vec!["n".into()], 0, &sample_rows(8))
             .write(&path, "m", false)
             .unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -888,7 +888,7 @@ mod tests {
     #[test]
     fn empty_segments_are_refused() {
         let path = tmp("empty");
-        let err = ColumnData::from_rows(vec!["n".into()], &[])
+        let err = ColumnData::from_rows(vec!["n".into()], 0, &[])
             .write(&path, "m", false)
             .unwrap_err();
         assert!(matches!(err, SegmentError::Corrupt(_)));

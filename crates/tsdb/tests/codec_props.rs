@@ -176,8 +176,8 @@ proptest! {
     }
 
     /// A whole segment round-trips through disk: high-cardinality node
-    /// dictionaries, arbitrary records, arbitrary (but sorted-by-caller)
-    /// sequence numbers.
+    /// dictionaries, arbitrary records, sequence numbers counted on from
+    /// the first.
     #[test]
     fn segment_round_trip(
         records in proptest::collection::vec(arb_record(), 1..200),
@@ -191,12 +191,12 @@ proptest! {
         let path = dir.join(format!("seg-{}.col", records.len()));
 
         let nodes: Vec<String> = (0..node_cardinality).map(|i| format!("node-{i}")).collect();
-        let rows: Vec<(u64, u32, CompactRecord)> = records
+        let rows: Vec<(u32, CompactRecord)> = records
             .iter()
             .enumerate()
-            .map(|(i, r)| (i as u64, (i % node_cardinality) as u32, *r))
+            .map(|(i, r)| ((i % node_cardinality) as u32, *r))
             .collect();
-        let data = ColumnData::from_rows(nodes.clone(), &rows);
+        let data = ColumnData::from_rows(nodes.clone(), 0, &rows);
         let meta = data.write(&path, "tp", false).unwrap();
         prop_assert_eq!(meta.records, rows.len() as u64);
 
@@ -204,8 +204,8 @@ proptest! {
         prop_assert_eq!(&seg.meta().nodes, &nodes);
         let blocks = read_all(&seg).unwrap();
         prop_assert_eq!(blocks.len(), 1);
-        for (i, (seq, node, rec)) in rows.iter().enumerate() {
-            prop_assert_eq!(blocks[0].col(ColumnId::Seq)[i], *seq);
+        for (i, (node, rec)) in rows.iter().enumerate() {
+            prop_assert_eq!(blocks[0].col(ColumnId::Seq)[i], i as u64);
             prop_assert_eq!(blocks[0].col(ColumnId::Node)[i], u64::from(*node));
             prop_assert_eq!(blocks[0].record(i), *rec);
         }
@@ -226,12 +226,8 @@ proptest! {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("seg-{}.col", records.len()));
 
-        let rows: Vec<(u64, u32, CompactRecord)> = records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (i as u64, 0, *r))
-            .collect();
-        ColumnData::from_rows(vec!["n0".into()], &rows)
+        let rows: Vec<(u32, CompactRecord)> = records.iter().map(|r| (0, *r)).collect();
+        ColumnData::from_rows(vec!["n0".into()], 0, &rows)
             .write(&path, "tp", false)
             .unwrap();
 
@@ -279,17 +275,17 @@ fn multi_block_segment(tag: &str) -> (PathBuf, SegmentMeta, Vec<u8>) {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("seg.col");
     let write = |n: u64| {
-        let rows: Vec<(u64, u32, CompactRecord)> = (0..n)
+        let rows: Vec<(u32, CompactRecord)> = (0..n)
             .map(|i| {
                 let record = CompactRecord {
                     timestamp_ns: 1_000 + i * 10,
                     pkt_len: 64,
                     ..Default::default()
                 };
-                (i, 0, record)
+                (0, record)
             })
             .collect();
-        ColumnData::from_rows(vec!["n0".into()], &rows)
+        ColumnData::from_rows(vec!["n0".into()], 0, &rows)
             .write(&path, "tp", false)
             .unwrap()
     };

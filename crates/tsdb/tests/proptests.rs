@@ -1,7 +1,7 @@
 //! Property-based tests for the trace store and its aggregations.
 
 use proptest::prelude::*;
-use vnet_tsdb::query::{aggregate, percentile, Query};
+use vnet_tsdb::query::{aggregate, percentiles, Query};
 use vnet_tsdb::{CompactRecord, RecordBatch, TraceDb};
 
 prop_compose! {
@@ -56,10 +56,8 @@ proptest! {
         let db = lengths(&values);
         let scan = Query::new("m").scan(&db).unwrap();
         let pts = scan.entries();
-        let p50 = percentile(&pts, "pkt_len", 0.5).unwrap();
-        let p99 = percentile(&pts, "pkt_len", 0.99).unwrap();
-        let p0 = percentile(&pts, "pkt_len", 0.0).unwrap();
-        let p100 = percentile(&pts, "pkt_len", 1.0).unwrap();
+        let p = percentiles(&pts, "pkt_len", &[0.5, 0.99, 0.0, 1.0]).unwrap();
+        let (p50, p99, p0, p100) = (p[0], p[1], p[2], p[3]);
         let min = f64::from(*values.iter().min().unwrap());
         let max = f64::from(*values.iter().max().unwrap());
         prop_assert_eq!(p0, min);
@@ -164,9 +162,13 @@ proptest! {
                     .filter(|row| (row.0, row.1) == (t, node))
                     .map(|row| row.2)
                     .collect();
-                let scan = Query::new(t).tag_eq("node", node).scan(&db).unwrap();
-                let stored: Vec<CompactRecord> =
-                    scan.entries().iter().map(|e| *e.record()).collect();
+                let scan = Query::new(t).scan(&db).unwrap();
+                let stored: Vec<CompactRecord> = scan
+                    .entries()
+                    .iter()
+                    .filter(|e| e.node() == node)
+                    .map(|e| *e.record())
+                    .collect();
                 prop_assert_eq!(stored, stream, "stream ({}, {}) diverged", t, node);
             }
         }
