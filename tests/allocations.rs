@@ -10,6 +10,10 @@
 //! firing that emits a record allocates nothing, and neither does a
 //! collection cycle that finds the rings empty.
 //!
+//! The store's seal is fenced by bytes rather than calls: sealing a
+//! table holds the one block it is encoding, not a transposed copy of
+//! the whole table.
+//!
 //! This is its own test binary because it installs a counting global
 //! allocator. The counts are per thread, so nothing the test harness does
 //! on its other threads lands in them.
@@ -24,22 +28,51 @@ use vnet_ebpf::program::load;
 use vnet_ebpf::vm::{standard_helpers, FixedEnv};
 use vnet_sim::packet::{FlowKey, PacketBuilder, SocketAddrV4Ext};
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
+use vnet_tsdb::{CompactRecord, RecordBatch, StoreOptions, TraceDb};
 use vnet_workloads::datacenter_rack::{RackConfig, RackScenario};
 use vnettracer::{Action, FilterRule, HookSpec, TraceSpec};
 
 thread_local! {
     /// Allocations and reallocations made on this thread.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated less the bytes it has freed (a
+    /// block freed on another thread than the one that allocated it moves
+    /// its bytes between the two threads' counts).
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE_BYTES` has held since the last [`reset_peak`].
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count() {
-    // `try_with`: the allocator may run while the thread-local is being
+/// Counts one call that hands out a block and moves this thread's live
+/// bytes by `delta`.
+fn count(delta: i64) {
+    // `try_with`: the allocator may run while the thread-locals are being
     // torn down, and must not panic then.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    resize(delta);
+}
+
+/// Moves this thread's live bytes by `delta`, raising the peak with it.
+fn resize(delta: i64) {
+    let _ = LIVE_BYTES.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// This thread's live heap bytes; starts a new peak there.
+fn reset_peak() -> i64 {
+    let live = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(live));
+    live
+}
+
+fn peak_bytes() -> i64 {
+    PEAK_BYTES.with(Cell::get)
 }
 
 /// `System`, counting every call that hands out a block.
@@ -47,29 +80,30 @@ struct Counting;
 
 // SAFETY: every method passes its arguments unchanged to the same method
 // of `System` and returns its result, so this allocator keeps exactly
-// `System`'s guarantees. Counting touches one thread-local `Cell` with a
-// `const` initializer and no destructor, which neither allocates nor
-// unwinds.
+// `System`'s guarantees. Counting touches thread-local `Cell`s with
+// `const` initializers and no destructors, which neither allocate nor
+// unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         // SAFETY: the caller meets `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         // SAFETY: the caller meets `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        resize(-(layout.size() as i64));
         // SAFETY: `ptr` came from this allocator, which is `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         // SAFETY: the caller meets `GlobalAlloc::realloc`'s contract, and
         // `ptr` came from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -191,4 +225,54 @@ fn a_warm_collect_allocates_nothing() {
     let made = allocations() - before;
     assert_eq!(collected, 0);
     assert_eq!(made, 0, "{made} allocations in a collect with empty rings");
+}
+
+/// Rows of the table [`sealing_a_table_holds_one_block_not_the_table`]
+/// seals: what the `store_sweep` benchmark's store seals at a time.
+const SEAL_ROWS: u64 = 128 * 1024;
+
+/// Sealing a 128 Ki-row table into a segment raises the sealing thread's
+/// live heap by less than 1 MiB over what it held just before. A seal
+/// that transposed the whole table into its twelve column lanes before
+/// writing a block would hold 12 MiB of them; one that streams holds the
+/// open 2 048-row block (twelve 16 KiB lanes), its encoded bytes and the
+/// block index.
+#[test]
+fn sealing_a_table_holds_one_block_not_the_table() {
+    let dir = std::env::temp_dir().join(format!("vnt-alloc-seal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = StoreOptions {
+        seal_threshold: usize::MAX,
+        fsync: false,
+        ..StoreOptions::default()
+    };
+    let mut db = TraceDb::open_with(&dir, options).unwrap();
+    let mut batch = RecordBatch::new();
+    for i in 0..SEAL_ROWS {
+        let record = CompactRecord {
+            timestamp_ns: i * 1_000,
+            trace_id: i as u32,
+            pkt_len: 64 + (i % 1400) as u32,
+            sport: 9_000 + (i % 64) as u16,
+            flags: 1,
+            ..CompactRecord::default()
+        };
+        batch.push(
+            "tp0",
+            ["vm1", "vm2", "vm3", "vm4"][(i % 4) as usize],
+            record,
+        );
+    }
+    db.insert_batch(&batch);
+    drop(batch);
+    let before = reset_peak();
+    db.flush().unwrap();
+    let grew = peak_bytes() - before;
+    assert_eq!(db.storage_stats().unwrap().sealed_records, SEAL_ROWS);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        grew < 1 << 20,
+        "sealing {SEAL_ROWS} rows raised the live heap by {grew} bytes"
+    );
 }
