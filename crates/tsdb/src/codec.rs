@@ -17,7 +17,11 @@
 //!
 //! Decoders never panic on malformed input — every read is
 //! bounds-checked and returns [`CodecError`] — because segment files and
-//! WAL tails are untrusted after a crash. Block integrity is verified
+//! WAL tails are untrusted after a crash. They also accept only the
+//! encoders' canonical form (a varint never ends in a redundant zero
+//! byte, a column never has trailing bytes), so a chunk a decoder accepts
+//! is exactly the bytes its values encode to; compaction relies on that
+//! to copy verified chunks instead of re-encoding them. Block integrity is verified
 //! separately with [`crc32`] (IEEE 802.3, the polynomial used by
 //! Ethernet and zlib).
 
@@ -28,6 +32,9 @@ pub enum CodecError {
     Truncated,
     /// A varint ran past 10 bytes (more than 64 bits of payload).
     Overlong,
+    /// A varint ended in a zero byte after continuation bytes: a longer
+    /// spelling of a value the encoder writes shorter.
+    NonCanonical,
     /// A declared count or length is inconsistent with the data.
     BadLength {
         /// What the caller asked to decode.
@@ -42,6 +49,7 @@ impl core::fmt::Display for CodecError {
         match self {
             CodecError::Truncated => write!(f, "buffer truncated inside a value"),
             CodecError::Overlong => write!(f, "varint longer than 10 bytes"),
+            CodecError::NonCanonical => write!(f, "varint ends in a redundant zero byte"),
             CodecError::BadLength { expected, actual } => {
                 write!(f, "expected {expected} values, buffer held {actual}")
             }
@@ -65,7 +73,9 @@ pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
 /// # Errors
 ///
 /// [`CodecError::Truncated`] if the buffer ends mid-value,
-/// [`CodecError::Overlong`] if the encoding exceeds 10 bytes.
+/// [`CodecError::Overlong`] if the encoding exceeds 10 bytes,
+/// [`CodecError::NonCanonical`] if it is not the one [`put_uvarint`]
+/// writes (its last byte is zero, but it is not the only byte).
 pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
@@ -81,6 +91,9 @@ pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
         }
         v |= u64::from(b & 0x7f) << shift;
         if b & 0x80 == 0 {
+            if b == 0 && shift > 0 {
+                return Err(CodecError::NonCanonical);
+            }
             return Ok(v);
         }
         shift += 7;
@@ -105,14 +118,16 @@ pub fn put_varint_col(buf: &mut Vec<u8>, values: &[u64]) {
     }
 }
 
-/// Decodes a plain-varint column of exactly `n` values.
+/// Decodes a plain-varint column of exactly `n` values into `out`,
+/// replacing what it held.
 ///
 /// # Errors
 ///
 /// Any [`CodecError`]; [`CodecError::BadLength`] if the buffer holds a
 /// different number of values than declared.
-pub fn decode_varint_col(buf: &[u8], n: usize) -> Result<Vec<u64>, CodecError> {
-    let mut out = Vec::with_capacity(n);
+pub fn decode_varint_col(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Result<(), CodecError> {
+    out.clear();
+    out.reserve(n);
     let mut pos = 0;
     for _ in 0..n {
         out.push(get_uvarint(buf, &mut pos)?);
@@ -123,7 +138,7 @@ pub fn decode_varint_col(buf: &[u8], n: usize) -> Result<Vec<u64>, CodecError> {
             actual: n + 1, // trailing bytes imply at least one extra value
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Appends a near-monotonic column to `buf` as delta-of-delta: raw first
@@ -148,16 +163,18 @@ pub fn put_dod(buf: &mut Vec<u8>, values: &[u64]) {
     }
 }
 
-/// Decodes a delta-of-delta column of exactly `n` values.
+/// Decodes a delta-of-delta column of exactly `n` values into `out`,
+/// replacing what it held.
 ///
 /// # Errors
 ///
 /// Any [`CodecError`]; [`CodecError::BadLength`] on trailing bytes.
-pub fn decode_dod(buf: &[u8], n: usize) -> Result<Vec<u64>, CodecError> {
-    let mut out = Vec::with_capacity(n);
+pub fn decode_dod(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Result<(), CodecError> {
+    out.clear();
+    out.reserve(n);
     if n == 0 {
         if buf.is_empty() {
-            return Ok(out);
+            return Ok(());
         }
         return Err(CodecError::BadLength {
             expected: 0,
@@ -183,7 +200,7 @@ pub fn decode_dod(buf: &[u8], n: usize) -> Result<Vec<u64>, CodecError> {
             actual: n + 1,
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Appends a length-prefixed string (varint length + UTF-8 bytes).
@@ -278,11 +295,23 @@ mod tests {
         buf
     }
 
+    type Decoder = fn(&[u8], usize, &mut Vec<u64>) -> Result<(), CodecError>;
+
+    /// What `decode` makes of `buf`, into a lane holding stale values it
+    /// must replace.
+    fn decoded(decode: Decoder, buf: &[u8], n: usize) -> Result<Vec<u64>, CodecError> {
+        let mut out = vec![7; 3];
+        decode(buf, n, &mut out).map(|()| out)
+    }
+
     #[test]
     fn varint_round_trip_extremes() {
         let values = [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX];
         let buf = varint_col(&values);
-        assert_eq!(decode_varint_col(&buf, values.len()).unwrap(), values);
+        assert_eq!(
+            decoded(decode_varint_col, &buf, values.len()).unwrap(),
+            values
+        );
         // u64::MAX takes the full 10 bytes.
         let mut one = Vec::new();
         put_uvarint(&mut one, u64::MAX);
@@ -310,6 +339,35 @@ mod tests {
         assert_eq!(get_uvarint(&wide, &mut pos), Err(CodecError::Overlong));
     }
 
+    /// A varint has one spelling: a zero final byte after continuation
+    /// bytes is refused, wherever it falls, while a lone zero byte is the
+    /// value 0. So both column decoders refuse a column holding one.
+    #[test]
+    fn varint_rejects_redundant_zero_bytes() {
+        let get = |bytes: &[u8]| get_uvarint(bytes, &mut 0);
+        assert_eq!(get(&[0x00]), Ok(0));
+        assert_eq!(get(&[0x80, 0x01]), Ok(128));
+        assert_eq!(get(&[0x80, 0x80, 0x01]), Ok(1 << 14));
+        for bad in [&[0x80, 0x00][..], &[0x81, 0x00], &[0xff, 0x80, 0x00]] {
+            assert_eq!(get(bad), Err(CodecError::NonCanonical), "{bad:02x?}");
+        }
+        // Ten bytes whose last carries nothing: u64 values fit in fewer.
+        let mut ten = [0x80u8; 10];
+        ten[9] = 0x00;
+        assert_eq!(get(&ten), Err(CodecError::NonCanonical));
+        ten[9] = 0x01;
+        assert_eq!(get(&ten), Ok(1 << 63));
+        assert_eq!(
+            decoded(decode_varint_col, &[0x05, 0x80, 0x00], 2),
+            Err(CodecError::NonCanonical)
+        );
+        assert_eq!(
+            decoded(decode_dod, &[0x05, 0x80, 0x00], 2),
+            Err(CodecError::NonCanonical)
+        );
+        assert_eq!(decoded(decode_dod, &[0x05, 0x80, 0x01], 2), Ok(vec![5, 69]));
+    }
+
     #[test]
     fn zigzag_round_trip() {
         for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
@@ -324,37 +382,40 @@ mod tests {
     fn dod_round_trip_monotonic_and_hostile() {
         let steady: Vec<u64> = (0..100).map(|i| 1_000 + i * 50).collect();
         let buf = dod(&steady);
-        assert_eq!(decode_dod(&buf, steady.len()).unwrap(), steady);
+        assert_eq!(decoded(decode_dod, &buf, steady.len()).unwrap(), steady);
         // Steady cadence: first value plus ~1 byte per later value.
         assert!(buf.len() < 110, "steady cadence should stay ~1 B/value");
 
         let hostile = vec![u64::MAX, 0, 5, 5, 3, u64::MAX / 2, 0];
         let buf = dod(&hostile);
-        assert_eq!(decode_dod(&buf, hostile.len()).unwrap(), hostile);
+        assert_eq!(decoded(decode_dod, &buf, hostile.len()).unwrap(), hostile);
 
         assert!(dod(&[]).is_empty());
-        assert_eq!(decode_dod(&[], 0).unwrap(), Vec::<u64>::new());
+        assert_eq!(decoded(decode_dod, &[], 0).unwrap(), Vec::<u64>::new());
     }
 
     #[test]
     fn decoders_detect_length_mismatch() {
         let buf = varint_col(&[1, 2, 3]);
         assert!(matches!(
-            decode_varint_col(&buf, 2),
+            decoded(decode_varint_col, &buf, 2),
             Err(CodecError::BadLength { .. })
         ));
         assert!(matches!(
-            decode_varint_col(&buf, 4),
+            decoded(decode_varint_col, &buf, 4),
             Err(CodecError::Truncated)
         ));
         let buf = dod(&[1, 2, 3]);
         assert!(matches!(
-            decode_dod(&buf, 2),
+            decoded(decode_dod, &buf, 2),
             Err(CodecError::BadLength { .. })
         ));
-        assert!(matches!(decode_dod(&buf, 4), Err(CodecError::Truncated)));
         assert!(matches!(
-            decode_dod(&[1], 0),
+            decoded(decode_dod, &buf, 4),
+            Err(CodecError::Truncated)
+        ));
+        assert!(matches!(
+            decoded(decode_dod, &[1], 0),
             Err(CodecError::BadLength { .. })
         ));
     }

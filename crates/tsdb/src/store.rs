@@ -42,7 +42,7 @@ use crate::batch::RecordBatch;
 use crate::compact::{plan_windows, CompactionJob, Compactor, FinishedCompaction};
 use crate::join::FirstSeen;
 use crate::record::COMPACT_RECORD_BYTES;
-use crate::segment::{ColumnData, Segment, SegmentError};
+use crate::segment::{Segment, SegmentError, SegmentWriter};
 use crate::table::Table;
 use crate::wal::{self, Wal, WalError};
 
@@ -652,9 +652,9 @@ impl TraceDb {
         for table in self.tables.iter().filter(|t| !t.is_empty()) {
             let file = next.next_file("seg-", ".col");
             let tmp = disk.dir.join(format!("{file}.tmp"));
-            let data =
-                ColumnData::from_rows(table.nodes().to_vec(), table.first_seq(), table.rows());
-            data.write(&tmp, table.name(), disk.options.fsync)?;
+            let mut writer = SegmentWriter::create(&tmp)?;
+            writer.append_rows(table.first_seq(), table.rows())?;
+            writer.finish(table.name(), table.nodes(), disk.options.fsync)?;
             let path = disk.dir.join(&file);
             fs::rename(&tmp, &path)?;
             sealed.push(Segment::open(path)?);

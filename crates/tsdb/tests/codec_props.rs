@@ -6,12 +6,13 @@
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
+use vnet_tsdb::codec::CodecError;
 use vnet_tsdb::codec::{
     crc32, decode_dod, decode_varint_col, get_str, get_uvarint, put_dod, put_str, put_uvarint,
     put_varint_col, unzigzag, zigzag,
 };
 use vnet_tsdb::segment::{
-    Block, ColumnData, ColumnId, Segment, SegmentError, SegmentMeta, ALL_COLUMNS,
+    Block, ColumnId, Segment, SegmentError, SegmentMeta, SegmentWriter, ALL_COLUMNS,
 };
 use vnet_tsdb::CompactRecord;
 
@@ -25,6 +26,68 @@ fn encode_dod(values: &[u64]) -> Vec<u8> {
     let mut buf = Vec::new();
     put_dod(&mut buf, values);
     buf
+}
+
+type Encoder = fn(&[u64]) -> Vec<u8>;
+type Decoder = fn(&[u8], usize, &mut Vec<u64>) -> Result<(), CodecError>;
+
+/// The `n` values `decode` reads from `buf`.
+fn decoded(decode: Decoder, buf: &[u8], n: usize) -> Result<Vec<u64>, CodecError> {
+    let mut out = Vec::new();
+    decode(buf, n, &mut out).map(|()| out)
+}
+
+/// Both column codecs: (name, encoder, decoder).
+const CODECS: [(&str, Encoder, Decoder); 2] = [
+    ("varint", encode_varint_col, decode_varint_col),
+    ("delta-of-delta", encode_dod, decode_dod),
+];
+
+/// Writes `rows`, numbered on from `first_seq`, as a segment of `tp`
+/// under the dictionary `nodes`, as a seal does.
+fn write_rows(
+    path: &Path,
+    nodes: &[String],
+    first_seq: u64,
+    rows: &[(u32, CompactRecord)],
+) -> SegmentMeta {
+    let mut w = SegmentWriter::create(path).unwrap();
+    w.append_rows(first_seq, rows).unwrap();
+    w.finish("tp", nodes, false).unwrap()
+}
+
+/// `rows`, numbered on from `first_seq`, as the twelve lanes
+/// `SegmentWriter::append` takes, in `ColumnId::ALL` order.
+fn lanes(first_seq: u64, rows: &[(u32, CompactRecord)]) -> Vec<Vec<u64>> {
+    let mut lanes = vec![Vec::new(); ColumnId::ALL.len()];
+    for ((node, r), seq) in rows.iter().zip(first_seq..) {
+        let row = [
+            seq,
+            r.timestamp_ns,
+            u64::from(*node),
+            u64::from(r.trace_id),
+            u64::from(r.pkt_len),
+            u64::from(r.saddr),
+            u64::from(r.daddr),
+            u64::from(r.sport),
+            u64::from(r.dport),
+            u64::from(r.cpu),
+            u64::from(r.direction),
+            u64::from(r.flags),
+        ];
+        for (lane, value) in lanes.iter_mut().zip(row) {
+            lane.push(value);
+        }
+    }
+    lanes
+}
+
+/// `0..len` cut at `cuts` (taken modulo `len + 1`), in order.
+fn pieces(len: usize, cuts: &[usize]) -> Vec<std::ops::Range<usize>> {
+    let mut at: Vec<usize> = cuts.iter().map(|c| c % (len + 1)).collect();
+    at.extend([0, len]);
+    at.sort_unstable();
+    at.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
 /// CRC-32 (reflected 0xEDB88320) one bit at a time: the oracle the
@@ -114,7 +177,7 @@ proptest! {
     #[test]
     fn varint_col_round_trip(values in proptest::collection::vec(any::<u64>(), 0..300)) {
         let enc = encode_varint_col(&values);
-        prop_assert_eq!(decode_varint_col(&enc, values.len()).unwrap(), values);
+        prop_assert_eq!(decoded(decode_varint_col, &enc, values.len()).unwrap(), values);
     }
 
     /// Delta-of-delta round-trips timestamp-like columns, including
@@ -122,14 +185,96 @@ proptest! {
     #[test]
     fn dod_round_trip_on_timestamps(values in arb_ts_col()) {
         let enc = encode_dod(&values);
-        prop_assert_eq!(decode_dod(&enc, values.len()).unwrap(), values);
+        prop_assert_eq!(decoded(decode_dod, &enc, values.len()).unwrap(), values);
     }
 
     /// Delta-of-delta also round-trips arbitrary (hostile) columns.
     #[test]
     fn dod_round_trip_on_anything(values in proptest::collection::vec(any::<u64>(), 0..300)) {
         let enc = encode_dod(&values);
-        prop_assert_eq!(decode_dod(&enc, values.len()).unwrap(), values);
+        prop_assert_eq!(decoded(decode_dod, &enc, values.len()).unwrap(), values);
+    }
+
+    /// A column decoder accepts only what its encoder writes: whenever
+    /// decoding `n` values from a buffer succeeds, encoding those values
+    /// gives back exactly that buffer. The buffers are arbitrary bytes
+    /// and near misses of a valid encoding: one byte changed or inserted,
+    /// the last dropped, or one value spelled a byte longer (its final
+    /// byte given a continuation bit and followed by a zero byte).
+    #[test]
+    fn accepted_chunks_are_canonical(
+        values in proptest::collection::vec(prop_oneof![0u64..400, any::<u64>()], 0..40),
+        noise in proptest::collection::vec(any::<u8>(), 0..40),
+        at in any::<usize>(),
+        byte in prop_oneof![Just(0x00u8), Just(0x80), any::<u8>()],
+        n in 0usize..48,
+    ) {
+        for (name, encode, decode) in CODECS {
+            let valid = encode(&values);
+            let at = at % (valid.len() + 1);
+            let mut changed = valid.clone();
+            if at < changed.len() {
+                changed[at] = byte;
+            }
+            let mut inserted = valid.clone();
+            inserted.insert(at, byte);
+            let dropped = &valid[..valid.len().saturating_sub(1)];
+            let mut padded = valid.clone();
+            let ends: Vec<usize> = (0..valid.len()).filter(|&i| valid[i] < 0x80).collect();
+            if !ends.is_empty() {
+                let end = ends[at % ends.len()];
+                padded[end] |= 0x80;
+                padded.insert(end + 1, 0x00);
+            }
+            for buf in [&noise[..], &valid, &changed, &inserted, dropped, &padded] {
+                for n in [n, values.len(), values.len() + 1] {
+                    if let Ok(got) = decoded(decode, buf, n) {
+                        prop_assert_eq!(encode(&got).as_slice(), buf, "{} over {} values", name, n);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The writer's two entry points write the same file: rows streamed
+    /// through `append_rows` (the seal's) in arbitrary pieces, and the
+    /// same rows as lanes through `append` (the merge's) in other
+    /// pieces, across block boundaries and onto exact multiples of a
+    /// block.
+    #[test]
+    fn rows_and_lanes_write_the_same_file(
+        records in proptest::collection::vec(arb_record(), 1..64),
+        len in prop_oneof![1usize..5_000, Just(2_048), Just(4_096)],
+        first_seq in 0u64..1 << 40,
+        row_cuts in proptest::collection::vec(any::<usize>(), 0..6),
+        lane_cuts in proptest::collection::vec(any::<usize>(), 0..6),
+    ) {
+        let dir = std::env::temp_dir().join(format!("vnt-codec-entry-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let rows: Vec<(u32, CompactRecord)> = (0..len)
+            .map(|i| ((i % 3) as u32, records[i % records.len()]))
+            .collect();
+        let nodes: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+
+        let streamed = dir.join("rows.col");
+        let mut w = SegmentWriter::create(&streamed).unwrap();
+        for piece in pieces(len, &row_cuts) {
+            w.append_rows(first_seq + piece.start as u64, &rows[piece]).unwrap();
+        }
+        let streamed_meta = w.finish("tp", &nodes, false).unwrap();
+
+        let all = lanes(first_seq, &rows);
+        let laned = dir.join("lanes.col");
+        let mut w = SegmentWriter::create(&laned).unwrap();
+        for piece in pieces(len, &lane_cuts) {
+            let cut: Vec<Vec<u64>> = all.iter().map(|lane| lane[piece.clone()].to_vec()).collect();
+            w.append(&cut).unwrap();
+        }
+        let laned_meta = w.finish("tp", &nodes, false).unwrap();
+
+        prop_assert_eq!(&streamed_meta, &laned_meta);
+        prop_assert!(std::fs::read(&streamed).unwrap() == std::fs::read(&laned).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Length-prefixed strings round-trip.
@@ -160,7 +305,7 @@ proptest! {
     ) {
         let enc = encode_varint_col(&values);
         let cut = cut % (enc.len() + 1);
-        let _ = decode_varint_col(&enc[..cut], values.len());
+        let _ = decoded(decode_varint_col, &enc[..cut], values.len());
     }
 
     /// The sliced CRC agrees with the oracle on buffers long enough for
@@ -196,8 +341,7 @@ proptest! {
             .enumerate()
             .map(|(i, r)| ((i % node_cardinality) as u32, *r))
             .collect();
-        let data = ColumnData::from_rows(nodes.clone(), 0, &rows);
-        let meta = data.write(&path, "tp", false).unwrap();
+        let meta = write_rows(&path, &nodes, 0, &rows);
         prop_assert_eq!(meta.records, rows.len() as u64);
 
         let seg = Segment::open(&path).unwrap();
@@ -227,9 +371,7 @@ proptest! {
         let path = dir.join(format!("seg-{}.col", records.len()));
 
         let rows: Vec<(u32, CompactRecord)> = records.iter().map(|r| (0, *r)).collect();
-        ColumnData::from_rows(vec!["n0".into()], 0, &rows)
-            .write(&path, "tp", false)
-            .unwrap();
+        write_rows(&path, &["n0".into()], 0, &rows);
 
         let mut bytes = std::fs::read(&path).unwrap();
         let at = flip % bytes.len();
@@ -285,9 +427,7 @@ fn multi_block_segment(tag: &str) -> (PathBuf, SegmentMeta, Vec<u8>) {
                 (0, record)
             })
             .collect();
-        ColumnData::from_rows(vec!["n0".into()], 0, &rows)
-            .write(&path, "tp", false)
-            .unwrap()
+        write_rows(&path, &["n0".into()], 0, &rows)
     };
     let block_rows = write(100_000).blocks[0].rows;
     let meta = write(2 * block_rows + 77);
