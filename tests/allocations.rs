@@ -10,6 +10,10 @@
 //! firing that emits a record allocates nothing, and neither does a
 //! collection cycle that finds the rings empty.
 //!
+//! An attached script is fenced by the bytes it keeps: the program it
+//! runs, its maps and its bookkeeping, not the verifier's analysis that
+//! admitted it.
+//!
 //! The store's seal is fenced by bytes rather than calls: sealing a
 //! table holds the one block it is encoding, not a transposed copy of
 //! the whole table.
@@ -62,6 +66,10 @@ fn resize(delta: i64) {
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
 }
 
 /// This thread's live heap bytes; starts a new peak there.
@@ -225,6 +233,28 @@ fn a_warm_collect_allocates_nothing() {
     let made = allocations() - before;
     assert_eq!(collected, 0);
     assert_eq!(made, 0, "{made} allocations in a collect with empty rings");
+}
+
+/// Deploying the two-host testbed's control package leaves under 16 KiB
+/// of live heap per script: each keeps its threaded code, its maps and
+/// its agent's bookkeeping. The verifier's analysis (its register state
+/// at every instruction, about 160 KB for a compiled script) is freed
+/// when the load returns, and so is the relocated instruction stream the
+/// threaded code was lowered from.
+#[test]
+fn an_attached_script_keeps_only_what_it_runs() {
+    let cfg = TwoHostConfig::default();
+    let mut s = TwoHostScenario::build(&cfg);
+    let pkg = s.control_package();
+    let mut tracer = s.make_tracer();
+    let before = live_bytes();
+    let deployed = tracer.deploy(&mut s.world, &pkg).unwrap();
+    let per_script = (live_bytes() - before) / deployed.len() as i64;
+    assert_eq!(deployed.len(), pkg.traces.len());
+    assert!(
+        per_script < 16 * 1024,
+        "{per_script} bytes kept per attached script"
+    );
 }
 
 /// Rows of the table [`sealing_a_table_holds_one_block_not_the_table`]
