@@ -4,9 +4,11 @@
 //! metadata) passes through the verifier, its pseudo map-fd loads are
 //! relocated against a live [`MapRegistry`], and the result is a
 //! [`LoadedProgram`] ready to run, compiled ([`crate::jit`]) or
-//! interpreted ([`crate::vm`]).
+//! interpreted ([`crate::vm`]). As in the kernel, the verifier's state
+//! lives only as long as the load: a loaded program keeps its
+//! instructions and cost certificate, not the analysis that admitted it.
 
-use crate::analysis::{analyze, Analysis};
+use crate::analysis::analyze;
 use crate::cost::{certify, CostCertificate};
 use crate::insn::{Insn, PSEUDO_MAP_FD};
 use crate::map::MapRegistry;
@@ -128,7 +130,6 @@ pub struct LoadedProgram {
     name: String,
     attach: AttachType,
     insns: Vec<Insn>,
-    analysis: Analysis,
     certificate: CostCertificate,
 }
 
@@ -146,15 +147,6 @@ impl LoadedProgram {
     /// The relocated instruction stream.
     pub fn insns(&self) -> &[Insn] {
         &self.insns
-    }
-
-    /// The verifier's abstract-interpretation artifact: its diagnostics
-    /// (none, for a loaded program) and the joined register state at each
-    /// reachable instruction, which the agent's over-budget cost report
-    /// prints. Relocation rewrites `lddw` immediates in place, so the
-    /// instruction indices the states are keyed on remain valid.
-    pub fn analysis(&self) -> &Analysis {
-        &self.analysis
     }
 
     /// The certified worst-case execution cost of this program, under
@@ -214,7 +206,6 @@ pub fn load(
         name: program.name,
         attach: program.attach,
         insns,
-        analysis,
         certificate,
     })
 }
