@@ -241,10 +241,11 @@ impl ControlPackage {
     ///
     /// # Errors
     ///
-    /// Returns the JSON error text if the text is malformed or lacks a
-    /// required member. Members the package does not know are ignored.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| e.to_string())
+    /// Returns the JSON error if the text is malformed (located by the
+    /// byte offset of the failure) or lacks a required member. Members
+    /// the package does not know are ignored.
+    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
+        serde_json::from_str(s)
     }
 }
 

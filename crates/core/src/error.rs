@@ -21,8 +21,12 @@ pub enum TracerError {
     /// The generated program failed to assemble (an internal bug if it
     /// ever happens for a valid rule).
     Assemble(vnet_ebpf::asm::AsmError),
-    /// A control package failed to serialize or parse.
+    /// A control package failed validation: a buffer size out of range,
+    /// an empty or duplicate script name, or a script without its map.
     Config(String),
+    /// A control message's JSON failed to parse: malformed text (with
+    /// the byte offset of the failure) or a missing or mistyped member.
+    Package(serde_json::Error),
     /// A script id that is not installed.
     UnknownScript(u64),
     /// No profile has the requested name.
@@ -59,6 +63,7 @@ impl core::fmt::Display for TracerError {
             TracerError::Map(e) => write!(f, "map creation failed: {e}"),
             TracerError::Assemble(e) => write!(f, "program assembly failed: {e}"),
             TracerError::Config(s) => write!(f, "invalid control package: {s}"),
+            TracerError::Package(e) => write!(f, "invalid control package: {e}"),
             TracerError::UnknownScript(id) => write!(f, "script {id} is not installed"),
             TracerError::UnknownProfile { name, suggestion } => {
                 write!(f, "unknown profile `{name}`")?;
@@ -87,6 +92,7 @@ impl std::error::Error for TracerError {
             TracerError::Load(e) => Some(e),
             TracerError::Map(e) => Some(e),
             TracerError::Assemble(e) => Some(e),
+            TracerError::Package(e) => Some(e),
             _ => None,
         }
     }
@@ -101,6 +107,12 @@ impl From<LoadError> for TracerError {
 impl From<vnet_ebpf::map::MapError> for TracerError {
     fn from(e: vnet_ebpf::map::MapError) -> Self {
         TracerError::Map(e)
+    }
+}
+
+impl From<serde_json::Error> for TracerError {
+    fn from(e: serde_json::Error) -> Self {
+        TracerError::Package(e)
     }
 }
 
@@ -126,6 +138,7 @@ mod tests {
                 device: "d".into(),
             },
             TracerError::Config("bad".into()),
+            TracerError::Package(serde_json::Error::msg("bad")),
             TracerError::UnknownScript(9),
         ];
         for e in errs {

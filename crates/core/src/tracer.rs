@@ -101,7 +101,7 @@ impl VNetTracer {
                 .agents
                 .get_mut(&message.node)
                 .ok_or_else(|| TracerError::UnknownNode(message.node.clone()))?;
-            let sub = ControlPackage::from_json(&message.payload).map_err(TracerError::Config)?;
+            let sub = ControlPackage::from_json(&message.payload)?;
             for spec in &sub.traces {
                 let id = agent.install(world, spec, &sub.global)?;
                 let handle = DeployedScript {
