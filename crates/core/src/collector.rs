@@ -288,7 +288,6 @@ mod tests {
         assert_eq!(c.db().table("tp_b").unwrap().len(), 1);
         let table = c.db().table("tp_a").unwrap();
         assert!(table.entries().iter().all(|e| e.node() == "server1"));
-        assert_eq!(table.entries()[0].tag("node").as_deref(), Some("server1"));
         assert_eq!(c.last_heartbeat("server1"), Some(1));
 
         let stats = c.stats(SimTime::from_micros(9));

@@ -19,10 +19,12 @@
 //! * [`collector`] — the master-side *raw data collector* ingests record
 //!   batches into a per-tracepoint trace database (`vnet-tsdb`) and
 //!   doubles as a heartbeat monitor;
-//! * [`packet_id`] — the 4-byte per-packet trace ID embedded in TCP
-//!   options or appended to UDP payloads, which is what lets records from
-//!   isolated domains be joined (the 32-byte record itself is
-//!   [`vnet_tsdb::CompactRecord`], from the eBPF stack to the store);
+//! * the 4-byte per-packet trace ID embedded in TCP options or appended
+//!   to UDP payloads ([`vnet_sim::packet::trace_id`], written by devices
+//!   in the [`Inject`](vnet_sim::device::TraceIdRole::Inject) role) is
+//!   what lets records from isolated domains be joined (the 32-byte
+//!   record itself is [`vnet_tsdb::CompactRecord`], from the eBPF stack
+//!   to the store);
 //! * [`clock_sync`] — Cristian's-algorithm skew estimation for
 //!   cross-machine alignment;
 //! * [`metrics`] / [`analysis`] — offline computation of throughput,
@@ -75,7 +77,6 @@ pub mod dispatcher;
 pub mod error;
 pub mod metrics;
 pub mod modules;
-pub mod packet_id;
 pub mod tracer;
 
 pub use agent::{Agent, ScriptId, ScriptStats};

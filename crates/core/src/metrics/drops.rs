@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use vnet_tsdb::{TraceDb, DROP_REASON_TAG};
+use vnet_tsdb::TraceDb;
 
 use super::scan_table;
 
@@ -21,15 +21,12 @@ pub const UNATTRIBUTED: &str = "unattributed";
 /// breakdown is identical on a reopened disk-backed store. Returns an
 /// empty vector when the table does not exist (or cannot be scanned).
 pub fn drop_breakdown(db: &TraceDb, table: &str) -> Vec<(String, u64)> {
-    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
+    let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
     for e in scan_table(db, table).entries() {
-        let reason = e
-            .tag(DROP_REASON_TAG)
-            .map(|c| c.into_owned())
-            .unwrap_or_else(|| UNATTRIBUTED.to_owned());
+        let reason = e.record().drop_reason().unwrap_or(UNATTRIBUTED);
         *counts.entry(reason).or_insert(0) += 1;
     }
-    counts.into_iter().collect()
+    counts.into_iter().map(|(r, n)| (r.to_owned(), n)).collect()
 }
 
 /// [`drop_breakdown`] summed across every measurement whose name ends in

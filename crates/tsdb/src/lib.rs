@@ -14,8 +14,10 @@
 //! hashing — and a seal transposes those rows into a columnar segment as
 //! they stand. Reads go through
 //! [`Query::scan`] (or the streaming [`Query::walk`] under it) and see
-//! [`Entry`] views; the string-tagged [`DataPoint`] is only what a record
-//! looks like in a JSON-lines dump ([`write_json_lines`]).
+//! [`Entry`] views: a record and its node's name. The JSON-lines dump
+//! ([`write_json_lines`], [`import_json_lines`]) writes and reads the
+//! record directly, so there is one record form from the eBPF stack to
+//! the dump.
 //!
 //! ## Example
 //!
@@ -45,7 +47,6 @@ pub mod codec;
 pub mod compact;
 pub mod join;
 pub mod persist;
-pub mod point;
 pub mod query;
 pub mod record;
 pub mod segment;
@@ -57,8 +58,10 @@ pub mod wal;
 
 pub use batch::{BatchGroup, RecordBatch};
 pub use join::FirstSeen;
-pub use persist::{import_json_lines, read_json_lines, write_json_lines, PersistError};
-pub use point::{DataPoint, FieldValue};
+pub use persist::{
+    import_json_lines, read_json_lines, write_json_lines, PersistError, DROP_REASON_TAG,
+    TRACE_ID_TAG,
+};
 pub use query::{
     aggregate, percentiles, stats_from_ns, Aggregate, LatencyStats, Query, Rows, ScanResult,
     ScanStats,
@@ -69,5 +72,5 @@ pub use record::{
 pub use segment::{columns, ColumnId, ColumnSet, Segment, SegmentMeta};
 pub use sketch::{LogHistogram, DEFAULT_SKETCH_ERROR};
 pub use store::{MeasurementStorage, StorageStats, StoreError, StoreOptions, TraceDb};
-pub use table::{Entry, Table, DROP_REASON_TAG, TRACE_ID_TAG};
+pub use table::{Entry, Table};
 pub use trace_id_map::TraceIdMap;

@@ -6,21 +6,108 @@
 //! durable hot path, this module is the explicit interchange tool behind
 //! `vnt db export` / `vnt db import`: a portable, human-greppable dump,
 //! not the storage engine.
+//!
+//! The dump is a codec over [`CompactRecord`] itself: one line is one
+//! record with its table and node names, tagged and fielded the way the
+//! paper's InfluxDB tables are ("create tables for each tracepoint",
+//! §III-E). Nothing holds a record in that form; [`write_json_lines`]
+//! builds each line from the record, and [`import_json_lines`] reads a
+//! record back and accepts the line only if it is exactly what the export
+//! writes for that record.
 
 use std::io::{BufRead, Write};
+use std::net::Ipv4Addr;
+
+use serde_json::{object, ToJson, Value};
 
 use crate::batch::RecordBatch;
-use crate::point::DataPoint;
 use crate::query::Query;
-use crate::record::CompactRecord;
+use crate::record::{drop_reason_code, trace_id_tag, CompactRecord};
 use crate::store::{StoreError, TraceDb};
+
+/// The tag under which a dump line carries the packet's trace ID, as
+/// [`trace_id_tag`] spells it (absent when the packet carried none).
+pub const TRACE_ID_TAG: &str = "trace_id";
+
+/// The tag under which a drop record's line carries its typed drop
+/// reason (derived from record flag bits 1–3; absent on other records).
+pub const DROP_REASON_TAG: &str = "drop_reason";
+
+/// A record's dump line: `measurement`, `timestamp_ns`, tags `node`,
+/// `flow` (`src:sport->dst:dport`), `direction` (`rx`/`tx`), and, when
+/// present, [`TRACE_ID_TAG`] and [`DROP_REASON_TAG`]; fields `pkt_len`
+/// and `cpu`, each written `{"UInt":n}`.
+fn dump_line(measurement: &str, node: &str, r: &CompactRecord) -> Value {
+    let direction = if r.direction == 0 { "rx" } else { "tx" };
+    let mut tags = vec![
+        ("node", node.to_json()),
+        ("flow", r.flow().to_json()),
+        ("direction", direction.to_json()),
+    ];
+    if r.has_trace_id() {
+        tags.push((TRACE_ID_TAG, trace_id_tag(r.trace_id).to_json()));
+    }
+    if let Some(reason) = r.drop_reason() {
+        tags.push((DROP_REASON_TAG, reason.to_json()));
+    }
+    let uint = |v: u64| object([("UInt", v.to_json())]);
+    object([
+        ("measurement", measurement.to_json()),
+        ("tags", object(tags)),
+        (
+            "fields",
+            object([
+                ("pkt_len", uint(r.pkt_len.into())),
+                ("cpu", uint(r.cpu.into())),
+            ]),
+        ),
+        ("timestamp_ns", r.timestamp_ns.to_json()),
+    ])
+}
+
+/// The `(measurement, node, record)` a dump line holds: `None` unless
+/// [`dump_line`] of the result is exactly `line`. The reading is loose
+/// and the one whole-line comparison is the check, so every spelling the
+/// export would not write — an extra member anywhere, a padded port, an
+/// upper-case trace ID, a value out of range — is refused.
+fn record_of(line: &Value) -> Option<(&str, &str, CompactRecord)> {
+    let tag = |key: &str| line.get("tags")?.get(key)?.as_str();
+    let field = |key: &str| line.get("fields")?.get(key)?.get("UInt")?.as_u64();
+    let side = |s: &str| -> Option<(u32, u16)> {
+        let (ip, port) = s.rsplit_once(':')?;
+        Some((ip.parse::<Ipv4Addr>().ok()?.into(), port.parse().ok()?))
+    };
+    let (src, dst) = tag("flow")?.split_once("->")?;
+    let ((saddr, sport), (daddr, dport)) = (side(src)?, side(dst)?);
+    let (trace_id, mut flags) = match tag(TRACE_ID_TAG) {
+        Some(id) => (u32::from_str_radix(id, 16).ok()?, 1),
+        None => (0, 0),
+    };
+    if let Some(reason) = tag(DROP_REASON_TAG) {
+        flags |= drop_reason_code(reason)? << 1;
+    }
+    let record = CompactRecord {
+        timestamp_ns: line.get("timestamp_ns")?.as_u64()?,
+        trace_id,
+        pkt_len: field("pkt_len")?.try_into().ok()?,
+        saddr,
+        daddr,
+        sport,
+        dport,
+        cpu: field("cpu")?.try_into().ok()?,
+        direction: u8::from(tag("direction")? != "rx"),
+        flags,
+    };
+    let (measurement, node) = (line.get("measurement")?.as_str()?, tag("node")?);
+    (dump_line(measurement, node, &record) == *line).then_some((measurement, node, record))
+}
 
 /// Errors from persistence operations.
 #[derive(Debug)]
 pub enum PersistError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// A line is not a record's JSON view, with its 1-based line number.
+    /// A line is not a record's dump line, with its 1-based line number.
     Parse {
         /// Line number.
         line: usize,
@@ -66,8 +153,8 @@ impl From<StoreError> for PersistError {
 }
 
 /// Writes every record of `db` as one JSON object per line: measurements
-/// in sorted order, records in insertion order, each in its
-/// [`DataPoint`] view. A record reads the same hot or sealed, so the
+/// in sorted order, records in insertion order, each as its dump line
+/// (see the module docs). A record reads the same hot or sealed, so the
 /// export of a disk-backed database is byte-identical to the export of
 /// the equivalent in-memory one.
 ///
@@ -82,7 +169,7 @@ pub fn write_json_lines(db: &TraceDb, mut w: impl Write) -> Result<usize, Persis
     for m in measurements {
         let scan = Query::new(&m).scan(db)?;
         for e in scan.entries() {
-            let line = serde_json::to_string(&e.to_point()).expect("points always serialize");
+            let line = dump_line(&m, e.node(), e.record()).to_string();
             w.write_all(line.as_bytes())?;
             w.write_all(b"\n")?;
             written += 1;
@@ -96,15 +183,15 @@ const IMPORT_BATCH: usize = 8192;
 
 /// Reads a dump written by [`write_json_lines`] into `db`, keeping each
 /// table's records in file order, and returns how many it stored. Blank
-/// lines are skipped; every other line must be a record's [`DataPoint`]
-/// view exactly as the export writes it. A batch numbers a table's
+/// lines are skipped; every other line must be exactly the line the
+/// export writes for some record. A batch numbers a table's
 /// records one (table, node) group after the other, so a batch ends
 /// wherever the next line belongs to another table or node.
 ///
 /// # Errors
 ///
 /// [`PersistError::Parse`] at the first line that is not valid UTF-8,
-/// not JSON, or not a record's view (earlier lines may already be
+/// not JSON, or not a record's line (earlier lines may already be
 /// stored); [`PersistError::Io`] on read failure;
 /// [`PersistError::Storage`] if a disk-backed `db` fails.
 pub fn import_json_lines(r: impl BufRead, db: &mut TraceDb) -> Result<u64, PersistError> {
@@ -122,17 +209,18 @@ pub fn import_json_lines(r: impl BufRead, db: &mut TraceDb) -> Result<u64, Persi
         if line.trim().is_empty() {
             continue;
         }
-        let point: DataPoint = serde_json::from_str(&line).map_err(|e| parse(e.to_string()))?;
-        let (node, record) = CompactRecord::from_point(&point)
+        let value = serde_json::parse_value(&line).map_err(|e| parse(e.to_string()))?;
+        let (measurement, node, record) = record_of(&value)
             .ok_or_else(|| parse("not a trace record as `write_json_lines` writes it".into()))?;
-        let same_group = batch.groups().iter().all(|g| {
-            g.records.is_empty() || (g.measurement == point.measurement && g.node == node)
-        });
+        let same_group = batch
+            .groups()
+            .iter()
+            .all(|g| g.records.is_empty() || (g.measurement == measurement && g.node == node));
         if !same_group || batch.len() == IMPORT_BATCH {
             stored += db.try_insert_batch(&batch)?;
             batch.clear();
         }
-        batch.push(&point.measurement, &node, record);
+        batch.push(measurement, node, record);
     }
     Ok(stored + db.try_insert_batch(&batch)?)
 }
@@ -173,6 +261,71 @@ mod tests {
         db
     }
 
+    /// A record with a trace ID and a drop reason.
+    fn sample() -> CompactRecord {
+        CompactRecord {
+            timestamp_ns: 1_234,
+            trace_id: 0xdead_beef,
+            pkt_len: 102,
+            saddr: u32::from(Ipv4Addr::new(10, 0, 0, 1)),
+            daddr: u32::from(Ipv4Addr::new(10, 0, 0, 2)),
+            sport: 1000,
+            dport: 2000,
+            cpu: 3,
+            direction: 0,
+            flags: 1 | 2 << 1,
+        }
+    }
+
+    #[test]
+    fn a_dump_line_spells_the_record_as_tags_and_fields() {
+        assert_eq!(
+            dump_line("tp", "server1", &sample()).to_string(),
+            concat!(
+                r#"{"fields":{"cpu":{"UInt":3},"pkt_len":{"UInt":102}},"measurement":"tp","#,
+                r#""tags":{"direction":"rx","drop_reason":"policed","#,
+                r#""flow":"10.0.0.1:1000->10.0.0.2:2000","node":"server1","trace_id":"deadbeef"},"#,
+                r#""timestamp_ns":1234}"#
+            )
+        );
+        // No trace ID, no reason: neither tag.
+        let r = CompactRecord {
+            flags: 0,
+            direction: 1,
+            ..sample()
+        };
+        let tags = dump_line("tp", "n", &r).get("tags").unwrap().to_string();
+        assert_eq!(
+            tags,
+            r#"{"direction":"tx","flow":"10.0.0.1:1000->10.0.0.2:2000","node":"n"}"#
+        );
+    }
+
+    #[test]
+    fn record_of_inverts_dump_line() {
+        for code in 0u8..=5 {
+            for (has_id, direction) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                let r = CompactRecord {
+                    // An unflagged trace ID is not written, so it cannot
+                    // come back.
+                    trace_id: if has_id == 1 { 0xdead_beef } else { 0 },
+                    flags: has_id | code << 1,
+                    direction,
+                    ..sample()
+                };
+                let line = dump_line("tp", "server1", &r);
+                assert_eq!(record_of(&line), Some(("tp", "server1", r)));
+            }
+        }
+        // Unknown reason codes write no tag, so they do not come back.
+        let r = CompactRecord {
+            flags: 1 | 7 << 1,
+            ..sample()
+        };
+        let (_, _, back) = record_of(&dump_line("tp", "n", &r)).unwrap();
+        assert_eq!((back.flags, back.drop_reason()), (1, None));
+    }
+
     #[test]
     fn round_trip_preserves_everything() {
         let db = sample_db();
@@ -189,11 +342,11 @@ mod tests {
         // Fields preserved.
         let table = loaded.table("tp_a").unwrap();
         let entries = table.entries();
-        assert_eq!(entries[0].field_u64("pkt_len"), Some(60));
+        assert_eq!(entries[0].record().pkt_len, 60);
     }
 
     #[test]
-    fn batch_ingested_records_round_trip_as_points() {
+    fn batch_ingested_records_round_trip() {
         let mut db = TraceDb::new();
         let mut batch = RecordBatch::new();
         for i in 0..4u32 {
@@ -204,18 +357,19 @@ mod tests {
         assert_eq!(write_json_lines(&db, &mut buf).unwrap(), 4);
         let loaded = read_json_lines(&buf[..]).unwrap();
         assert_eq!(loaded.len(), 4);
-        let orig: Vec<_> = db.table("tp_a").unwrap().entries();
-        let back: Vec<_> = loaded.table("tp_a").unwrap().entries();
-        assert!(back.iter().all(|e| e.node() == "server1"));
-        assert_eq!(back.len(), orig.len());
-        for (o, b) in orig.iter().zip(&back) {
-            assert_eq!(o.to_point(), b.to_point());
-        }
+        let rows = |db: &TraceDb| -> Vec<(String, CompactRecord)> {
+            let entries = db.table("tp_a").unwrap().entries();
+            entries
+                .iter()
+                .map(|e| (e.node().to_owned(), *e.record()))
+                .collect()
+        };
+        assert_eq!(rows(&loaded), rows(&db));
     }
 
     #[test]
     fn blank_lines_skipped_bad_lines_located() {
-        let record = serde_json::to_string(&rec(5, 1).to_point("m", "n")).unwrap();
+        let record = dump_line("m", "n", &rec(5, 1));
         let input = format!("\n{record}\n\nnot json\n");
         let err = read_json_lines(input.as_bytes()).unwrap_err();
         match err {
@@ -224,29 +378,6 @@ mod tests {
         }
         let ok = read_json_lines(&input.as_bytes()[..input.len() - 9]).unwrap();
         assert_eq!(ok.len(), 1);
-    }
-
-    #[test]
-    fn a_point_that_is_no_record_is_a_parse_error_not_a_row() {
-        let good = rec(5, 1).to_point("m", "n");
-        let lines = [
-            good.clone().tag("rack", "r7"),
-            good.clone().field("latency_ns", 9u64),
-            DataPoint::new("m", 5),
-        ];
-        for bad in lines {
-            let input = format!(
-                "{}\n{}\n",
-                serde_json::to_string(&good).unwrap(),
-                serde_json::to_string(&bad).unwrap()
-            );
-            let mut db = TraceDb::new();
-            let err = import_json_lines(input.as_bytes(), &mut db).unwrap_err();
-            assert!(
-                matches!(err, PersistError::Parse { line: 2, .. }),
-                "{err:?}"
-            );
-        }
     }
 
     #[test]

@@ -61,10 +61,7 @@ impl Query {
     ///
     /// Any [`StoreError`] from reading sealed segments.
     pub fn scan(&self, db: &TraceDb) -> Result<ScanResult, StoreError> {
-        let mut out = ScanResult {
-            measurement: self.measurement.clone(),
-            ..Default::default()
-        };
+        let mut out = ScanResult::default();
         // Segment dictionary index -> scan dictionary index, rebuilt when
         // the walk moves to another segment's dictionary.
         let (mut remap, mut remap_of) = (Vec::new(), std::ptr::null());
@@ -256,7 +253,6 @@ pub struct ScanStats {
 /// order.
 #[derive(Debug, Clone, Default)]
 pub struct ScanResult {
-    measurement: String,
     nodes: Vec<String>,
     /// `(index into nodes, record)`, in insertion order.
     rows: Vec<(u32, CompactRecord)>,
@@ -281,7 +277,7 @@ impl ScanResult {
 
     /// The matched entries in insertion order.
     pub fn entries(&self) -> Vec<Entry<'_>> {
-        entries(&self.measurement, &self.nodes, &self.rows)
+        entries(&self.nodes, &self.rows)
     }
 }
 
@@ -300,9 +296,21 @@ pub struct Aggregate {
     pub max: f64,
 }
 
-/// Computes aggregate statistics of `field` over `entries`.
+/// The values of a record's numeric field, `pkt_len` or `cpu`, over
+/// `entries`; empty for any other name.
+fn field_values(entries: &[Entry<'_>], field: &str) -> Vec<f64> {
+    let value: fn(&CompactRecord) -> u64 = match field {
+        "pkt_len" => |r| r.pkt_len.into(),
+        "cpu" => |r| r.cpu.into(),
+        _ => return Vec::new(),
+    };
+    entries.iter().map(|e| value(e.record()) as f64).collect()
+}
+
+/// Computes aggregate statistics of `field` (`pkt_len` or `cpu`) over
+/// `entries`.
 pub fn aggregate(entries: &[Entry<'_>], field: &str) -> Aggregate {
-    let values: Vec<f64> = entries.iter().filter_map(|e| e.field_f64(field)).collect();
+    let values = field_values(entries, field);
     if values.is_empty() {
         return Aggregate::default();
     }
@@ -336,17 +344,18 @@ fn select_quantile(values: &mut [f64], q: f64) -> f64 {
     *v
 }
 
-/// Computes several quantiles of `field` over `entries` in one pass:
-/// the values are extracted once and each quantile is selected with
-/// nearest rank, so callers printing p50/p95/p99 tables don't re-extract
-/// (or re-sort) the field per quantile. Returns one value per requested
-/// quantile, or `None` when no entry carries the field.
+/// Computes several quantiles of `field` (`pkt_len` or `cpu`) over
+/// `entries` in one pass: the values are extracted once and each
+/// quantile is selected with nearest rank, so callers printing
+/// p50/p95/p99 tables don't re-extract (or re-sort) the field per
+/// quantile. Returns one value per requested quantile, or `None` when no
+/// entry carries the field.
 ///
 /// # Panics
 ///
 /// Panics if any quantile is outside `0.0..=1.0`.
 pub fn percentiles(entries: &[Entry<'_>], field: &str, qs: &[f64]) -> Option<Vec<f64>> {
-    let mut values: Vec<f64> = entries.iter().filter_map(|e| e.field_f64(field)).collect();
+    let mut values = field_values(entries, field);
     if values.is_empty() {
         return None;
     }
@@ -537,12 +546,13 @@ mod tests {
                 .entries()
                 .iter()
                 .filter(|e| (lo..=hi).contains(&e.timestamp_ns()))
-                .map(|e| e.to_point())
+                .map(|e| (e.node(), *e.record()))
                 .collect();
             let q = Query::new("rx");
             let q = window.map_or(q.clone(), |(lo, hi)| q.time_range(lo, hi));
             let scan = q.scan(&db).unwrap();
-            let scanned: Vec<_> = scan.entries().iter().map(|e| e.to_point()).collect();
+            let entries = scan.entries();
+            let scanned: Vec<_> = entries.iter().map(|e| (e.node(), *e.record())).collect();
             assert_eq!(scanned, expected, "{q:?}");
             assert_eq!(scan.len(), expected.len());
             assert_eq!(scan.stats().hot_entries, expected.len() as u64);

@@ -7,15 +7,12 @@
 //! keeps that form end to end: the eBPF trace scripts build its
 //! [`offsets`] layout on their stack, the agent [`decode`]s the ring
 //! bytes once when draining, the WAL [`encode`]s it back into the same
-//! bytes, and the tag and field views a query sees
-//! ([`DataPoint`](crate::point::DataPoint)) are derived on read instead
-//! of being materialized at ingest.
+//! bytes, tables and segments hold it as `(node, record)` rows, and the
+//! JSON-lines dump ([`crate::persist`]) writes and reads it directly.
+//! There is no second, string-tagged form.
 //!
 //! [`decode`]: CompactRecord::decode
 //! [`encode`]: CompactRecord::encode
-
-use crate::point::DataPoint;
-use crate::table::{DROP_REASON_TAG, TRACE_ID_TAG};
 
 /// Resolves a drop-reason code (record flag bits 1–3) to its canonical
 /// tag value. Code 0 means "not a drop record"; unknown codes also
@@ -36,16 +33,10 @@ pub fn drop_reason_code(name: &str) -> Option<u8> {
     (1..=5).find(|&c| drop_reason_name(c) == Some(name))
 }
 
-/// A trace ID as its [`TRACE_ID_TAG`] value: eight lower-case hex digits.
+/// A trace ID as its [`TRACE_ID_TAG`](crate::persist::TRACE_ID_TAG)
+/// value: eight lower-case hex digits.
 pub fn trace_id_tag(id: u32) -> String {
     format!("{id:08x}")
-}
-
-/// The inverse of [`trace_id_tag`]. Any other spelling (short, upper
-/// case, signed) is `None`: no record's derived tag can equal it.
-pub(crate) fn parse_trace_id_tag(tag: &str) -> Option<u32> {
-    let canonical = tag.len() == 8 && tag.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
-    u32::from_str_radix(tag, 16).ok().filter(|_| canonical)
 }
 
 /// Bytes one record occupies in the perf ring, in a WAL frame and (padded)
@@ -156,20 +147,12 @@ impl CompactRecord {
         self.flags & 1 != 0
     }
 
-    /// The `flow` tag value: `src:sport->dst:dport`.
+    /// The record's flow, `src:sport->dst:dport`: its per-flow metric
+    /// key and its dump line's `flow` tag.
     pub fn flow(&self) -> String {
         let src = std::net::Ipv4Addr::from(self.saddr);
         let dst = std::net::Ipv4Addr::from(self.daddr);
         format!("{src}:{}->{dst}:{}", self.sport, self.dport)
-    }
-
-    /// The `direction` tag value.
-    pub fn direction_str(&self) -> &'static str {
-        if self.direction == 0 {
-            "rx"
-        } else {
-            "tx"
-        }
     }
 
     /// The typed drop-reason code carried in flag bits 1–3 (0 when the
@@ -178,109 +161,16 @@ impl CompactRecord {
         (self.flags >> 1) & 0x7
     }
 
-    /// The drop-reason tag value, when the record is a drop record with
-    /// a known reason code.
+    /// The drop reason's name, when the record is a drop record with a
+    /// known reason code.
     pub fn drop_reason(&self) -> Option<&'static str> {
         drop_reason_name(self.drop_reason_code())
-    }
-
-    /// Parses a canonical `flow` tag value (`src:sport->dst:dport`, as
-    /// produced by [`CompactRecord::flow`]) back into its four numeric
-    /// components. Returns `None` for anything non-canonical — a value
-    /// this rejects can never equal a record's derived `flow` tag.
-    pub(crate) fn parse_flow(value: &str) -> Option<(u32, u32, u16, u16)> {
-        let (src, dst) = value.split_once("->")?;
-        let parse_side = |side: &str| -> Option<(u32, u16)> {
-            let (ip, port) = side.rsplit_once(':')?;
-            let addr: std::net::Ipv4Addr = ip.parse().ok()?;
-            Some((u32::from(addr), port.parse().ok()?))
-        };
-        let (saddr, sport) = parse_side(src)?;
-        let (daddr, dport) = parse_side(dst)?;
-        let canonical = format!(
-            "{}:{sport}->{}:{dport}",
-            std::net::Ipv4Addr::from(saddr),
-            std::net::Ipv4Addr::from(daddr)
-        );
-        (canonical == value).then_some((saddr, daddr, sport, dport))
-    }
-
-    /// The inverse of [`CompactRecord::to_point`]: reconstructs the
-    /// compact form (and the node name) from a materialized point.
-    ///
-    /// Returns `None` unless the point is *exactly* what `to_point`
-    /// would produce for the result — the round trip is verified, so an
-    /// import through this function is lossless by construction. Points
-    /// with extra tags or fields, non-canonical tag values, or values
-    /// out of range are rejected.
-    pub fn from_point(point: &DataPoint) -> Option<(String, CompactRecord)> {
-        let node = point.tag_value("node")?.to_owned();
-        let (saddr, daddr, sport, dport) = Self::parse_flow(point.tag_value("flow")?)?;
-        let direction = match point.tag_value("direction")? {
-            "rx" => 0,
-            "tx" => 1,
-            _ => return None,
-        };
-        let (trace_id, mut flags) = match point.tag_value(TRACE_ID_TAG) {
-            Some(tag) => (parse_trace_id_tag(tag)?, 1),
-            None => (0, 0),
-        };
-        if let Some(name) = point.tag_value(DROP_REASON_TAG) {
-            flags |= drop_reason_code(name)? << 1;
-        }
-        let record = CompactRecord {
-            timestamp_ns: point.timestamp_ns,
-            trace_id,
-            pkt_len: u32::try_from(point.field_value("pkt_len")?.as_u64()).ok()?,
-            saddr,
-            daddr,
-            sport,
-            dport,
-            cpu: u16::try_from(point.field_value("cpu")?.as_u64()).ok()?,
-            direction,
-            flags,
-        };
-        (record.to_point(&point.measurement, &node) == *point).then_some((node, record))
-    }
-
-    /// Materializes the record as a [`DataPoint`], the JSON-lines
-    /// interchange form: tagged with node, flow, direction and (when
-    /// present) trace ID and drop reason; fields `pkt_len` and `cpu`.
-    pub fn to_point(&self, measurement: &str, node: &str) -> DataPoint {
-        let mut p = DataPoint::new(measurement, self.timestamp_ns)
-            .tag("node", node)
-            .tag("flow", self.flow())
-            .tag("direction", self.direction_str())
-            .field("pkt_len", u64::from(self.pkt_len))
-            .field("cpu", u64::from(self.cpu));
-        if self.has_trace_id() {
-            p = p.tag(TRACE_ID_TAG, trace_id_tag(self.trace_id));
-        }
-        if let Some(reason) = self.drop_reason() {
-            p = p.tag(DROP_REASON_TAG, reason);
-        }
-        p
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> CompactRecord {
-        CompactRecord {
-            timestamp_ns: 1_234,
-            trace_id: 0xdeadbeef,
-            pkt_len: 102,
-            saddr: u32::from(std::net::Ipv4Addr::new(10, 0, 0, 1)),
-            daddr: u32::from(std::net::Ipv4Addr::new(10, 0, 0, 2)),
-            sport: 1000,
-            dport: 2000,
-            cpu: 3,
-            direction: 0,
-            flags: 1,
-        }
-    }
 
     /// One record with a distinct value in every field, and its encoding
     /// written out byte by byte.
@@ -348,113 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn materialization_matches_tag_conventions() {
-        let p = sample().to_point("tp", "server1");
-        assert_eq!(p.measurement, "tp");
-        assert_eq!(p.timestamp_ns, 1_234);
-        assert_eq!(p.tag_value("node"), Some("server1"));
-        assert_eq!(p.tag_value("flow"), Some("10.0.0.1:1000->10.0.0.2:2000"));
-        assert_eq!(p.tag_value("direction"), Some("rx"));
-        assert_eq!(p.tag_value(TRACE_ID_TAG), Some("deadbeef"));
-        assert_eq!(p.field_value("pkt_len").unwrap().as_u64(), 102);
-        assert_eq!(p.field_value("cpu").unwrap().as_u64(), 3);
-    }
-
-    #[test]
-    fn trace_id_tag_only_when_flagged() {
-        let mut r = sample();
-        r.flags = 0;
-        r.direction = 1;
-        let p = r.to_point("tp", "n");
-        assert_eq!(p.tag_value(TRACE_ID_TAG), None);
-        assert_eq!(p.tag_value("direction"), Some("tx"));
-    }
-
-    #[test]
-    fn from_point_inverts_to_point() {
-        for flags in [0u8, 1] {
-            for direction in [0u8, 1] {
-                let mut r = sample();
-                r.flags = flags;
-                r.direction = direction;
-                if flags == 0 {
-                    // An unflagged trace ID never reaches the point form,
-                    // so it cannot survive the round trip.
-                    r.trace_id = 0;
-                }
-                let p = r.to_point("tp", "server1");
-                let (node, back) = CompactRecord::from_point(&p).unwrap();
-                assert_eq!(node, "server1");
-                assert_eq!(back, r);
-            }
-        }
-    }
-
-    #[test]
-    fn from_point_rejects_nonconforming_points() {
-        let base = sample().to_point("tp", "n");
-        assert!(CompactRecord::from_point(&base.clone().tag("extra", "x")).is_none());
-        assert!(CompactRecord::from_point(&base.clone().field("extra", 1u64)).is_none());
-        let mut no_node = base.clone();
-        no_node.tags.remove("node");
-        assert!(CompactRecord::from_point(&no_node).is_none());
-        let mut bad_flow = base.clone();
-        bad_flow
-            .tags
-            .insert("flow".into(), "01.0.0.1:1->2.0.0.2:2".into());
-        assert!(CompactRecord::from_point(&bad_flow).is_none());
-        let mut short_id = base;
-        short_id.tags.insert(TRACE_ID_TAG.into(), "ab".into());
-        assert!(CompactRecord::from_point(&short_id).is_none());
-    }
-
-    #[test]
-    fn parse_flow_requires_canonical_form() {
-        assert_eq!(
-            CompactRecord::parse_flow("10.0.0.1:1000->10.0.0.2:2000"),
-            Some((0x0a000001, 0x0a000002, 1000, 2000))
-        );
-        for bad in [
-            "",
-            "10.0.0.1:1000",
-            "10.0.0.1:01000->10.0.0.2:2000", // zero-padded port
-            "10.0.0.1:1000->10.0.0.2:70000", // port overflow
-            "300.0.0.1:1->2.0.0.2:2",
-        ] {
-            assert_eq!(CompactRecord::parse_flow(bad), None, "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn drop_reason_round_trips_through_point_form() {
-        for code in 1u8..=5 {
-            let mut r = sample();
-            r.flags = 1 | (code << 1);
-            let p = r.to_point("skb_drop", "n");
-            assert_eq!(p.tag_value(DROP_REASON_TAG), drop_reason_name(code));
-            let (_, back) = CompactRecord::from_point(&p).unwrap();
-            assert_eq!(back, r);
-            assert_eq!(back.drop_reason_code(), code);
-        }
-        // Unknown codes never materialize a tag (and so never round trip).
-        let mut r = sample();
-        r.flags = 7 << 1;
-        assert_eq!(r.drop_reason(), None);
-        assert_eq!(r.to_point("skb_drop", "n").tag_value(DROP_REASON_TAG), None);
-    }
-
-    #[test]
     fn hex_id_zero_padded() {
         assert_eq!(trace_id_tag(0xa), "0000000a");
-    }
-
-    #[test]
-    fn only_the_canonical_trace_id_tag_parses() {
-        for id in [0, 0xa, 0xdead_beef, u32::MAX] {
-            assert_eq!(parse_trace_id_tag(&trace_id_tag(id)), Some(id));
-        }
-        for bad in ["", "ab", "000000AB", "+000000a", "0000000ab", "not-hex!"] {
-            assert_eq!(parse_trace_id_tag(bad), None, "{bad:?}");
-        }
     }
 }

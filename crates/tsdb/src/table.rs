@@ -2,32 +2,17 @@
 //! order, in the row form a sealed segment holds — `(node index, record)`
 //! against a node dictionary in first-seen order. Records stay in the
 //! integer form they arrive in ([`CompactRecord`]); read paths see them
-//! as [`Entry`] values, which derive tags and fields on demand.
+//! as [`Entry`] values: a record and the name of its node.
 
-use std::borrow::Cow;
-
-use crate::point::DataPoint;
-use crate::record::{trace_id_tag, CompactRecord};
+use crate::record::CompactRecord;
 use crate::segment::dict_index;
 
-/// The tag key under which vNetTracer stores the per-packet trace ID, by
-/// which records for one packet are joined across tracepoints ("records
-/// are indexed by their packet IDs", §III-C; see [`crate::join`]).
-pub const TRACE_ID_TAG: &str = "trace_id";
-
-/// The tag key under which drop records carry their typed drop reason
-/// (derived from record flag bits 1–3; absent on non-drop records).
-pub const DROP_REASON_TAG: &str = "drop_reason";
-
-/// A borrowed view of one stored record with the names it is stored
-/// under. The tag and field accessors derive the string view
-/// ([`DataPoint`]'s) from the compact form on demand.
+/// A borrowed view of one stored record with the name of the node it
+/// came from.
 #[derive(Debug, Clone, Copy)]
 pub enum Entry<'a> {
     /// A compact record in a hot tail or a sealed segment.
     Record {
-        /// The table (measurement) name.
-        measurement: &'a str,
         /// The originating node's name.
         node: &'a str,
         /// The record itself.
@@ -42,81 +27,34 @@ pub enum Entry<'a> {
 }
 
 impl<'a> Entry<'a> {
-    fn parts(&self) -> (&'a str, &'a str, &'a CompactRecord) {
+    fn parts(&self) -> (&'a str, &'a CompactRecord) {
         match *self {
-            Entry::Record {
-                measurement,
-                node,
-                record,
-            } => (measurement, node, record),
+            Entry::Record { node, record } => (node, record),
             Entry::Point(never) => match never {},
         }
     }
 
     /// The record itself.
     pub fn record(&self) -> &'a CompactRecord {
-        self.parts().2
+        self.parts().1
     }
 
     /// The name of the node the record came from.
     pub fn node(&self) -> &'a str {
-        self.parts().1
+        self.parts().0
     }
 
     /// The entry's timestamp in nanoseconds.
     pub fn timestamp_ns(&self) -> u64 {
         self.record().timestamp_ns
     }
-
-    /// A tag's value: `node`, `flow`, `direction`, [`TRACE_ID_TAG`] (when
-    /// the packet carried an ID) and [`DROP_REASON_TAG`] (on drop
-    /// records), derived from the compact form.
-    pub fn tag(&self, key: &str) -> Option<Cow<'a, str>> {
-        let (_, node, record) = self.parts();
-        match key {
-            "node" => Some(Cow::Borrowed(node)),
-            "flow" => Some(Cow::Owned(record.flow())),
-            "direction" => Some(Cow::Borrowed(record.direction_str())),
-            TRACE_ID_TAG if record.has_trace_id() => {
-                Some(Cow::Owned(trace_id_tag(record.trace_id)))
-            }
-            DROP_REASON_TAG => record.drop_reason().map(Cow::Borrowed),
-            _ => None,
-        }
-    }
-
-    /// A numeric field as `u64`: `pkt_len` or `cpu`.
-    pub fn field_u64(&self, key: &str) -> Option<u64> {
-        match key {
-            "pkt_len" => Some(u64::from(self.record().pkt_len)),
-            "cpu" => Some(u64::from(self.record().cpu)),
-            _ => None,
-        }
-    }
-
-    /// A numeric field as `f64`.
-    pub fn field_f64(&self, key: &str) -> Option<f64> {
-        self.field_u64(key).map(|v| v as f64)
-    }
-
-    /// Materializes the entry as an owned [`DataPoint`], the JSON-lines
-    /// interchange form.
-    pub fn to_point(&self) -> DataPoint {
-        let (measurement, node, record) = self.parts();
-        record.to_point(measurement, node)
-    }
 }
 
 /// `(node index, record)` rows against the `nodes` dictionary, as
-/// entries of `measurement` in row order.
-pub(crate) fn entries<'a>(
-    measurement: &'a str,
-    nodes: &'a [String],
-    rows: &'a [(u32, CompactRecord)],
-) -> Vec<Entry<'a>> {
+/// entries in row order.
+pub(crate) fn entries<'a>(nodes: &'a [String], rows: &'a [(u32, CompactRecord)]) -> Vec<Entry<'a>> {
     let rows = rows.iter();
     rows.map(|(node, record)| Entry::Record {
-        measurement,
         node: &nodes[*node as usize],
         record,
     })
@@ -176,7 +114,7 @@ impl Table {
 
     /// All entries in insertion order.
     pub fn entries(&self) -> Vec<Entry<'_>> {
-        entries(&self.name, &self.nodes, &self.rows)
+        entries(&self.nodes, &self.rows)
     }
 
     /// Drops the rows and the dictionary once a seal has committed them;
@@ -249,22 +187,13 @@ mod tests {
     }
 
     #[test]
-    fn entry_views_derive_tags_and_fields_from_the_record() {
+    fn an_entry_is_its_record_and_node_name() {
         let mut t = Table::new("m");
         t.insert_records("server1", &[rec(10, 0xab)]);
         let entries = t.entries();
         let e = &entries[0];
         assert_eq!(e.node(), "server1");
         assert_eq!(e.record(), &rec(10, 0xab));
-        assert_eq!(e.tag("node").as_deref(), Some("server1"));
-        assert_eq!(e.tag(TRACE_ID_TAG).as_deref(), Some("000000ab"));
-        assert_eq!(e.tag("direction").as_deref(), Some("rx"));
-        assert_eq!(e.tag(DROP_REASON_TAG), None);
-        assert_eq!(e.tag("absent"), None);
-        assert_eq!(e.field_u64("pkt_len"), Some(60));
-        assert_eq!(e.field_f64("cpu"), Some(0.0));
-        assert_eq!(e.field_u64("absent"), None);
-        // Materialization matches the compact record's own view.
-        assert_eq!(e.to_point(), rec(10, 0xab).to_point("m", "server1"));
+        assert_eq!(e.timestamp_ns(), 10);
     }
 }

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use vnet_tsdb::segment::{Block, BlockMeta, SegmentError, ALL_COLUMNS};
 use vnet_tsdb::{
     columns, trace_id_tag, write_json_lines, ColumnId, CompactRecord, FirstSeen, Query,
-    RecordBatch, Segment, StoreError, StoreOptions, TraceDb, TRACE_ID_TAG,
+    RecordBatch, Segment, StoreError, StoreOptions, TraceDb,
 };
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -75,13 +75,15 @@ fn query_shapes() -> Vec<Query> {
     ]
 }
 
-/// Materialize a query's results as comparable point JSON.
-fn answers(q: &Query, db: &TraceDb) -> Vec<String> {
+/// A query's results as comparable `(node, record)` pairs.
+fn answers(q: &Query, db: &TraceDb) -> Vec<(String, CompactRecord)> {
     let scan = q.scan(db).expect("scan");
-    scan.entries()
-        .iter()
-        .map(|e| serde_json::to_string(&e.to_point()).unwrap())
-        .collect()
+    node_records(&scan.entries())
+}
+
+fn node_records(entries: &[vnet_tsdb::Entry<'_>]) -> Vec<(String, CompactRecord)> {
+    let pairs = entries.iter().map(|e| (e.node().to_owned(), *e.record()));
+    pairs.collect()
 }
 
 #[test]
@@ -236,11 +238,9 @@ fn time_windows_agree_hot_sealed_cold() {
     let everything = Query::new("tp_rx").scan(&mem).unwrap();
     let mut matched = Vec::new();
     for (window, carried) in windows {
-        let by_timestamp: Vec<String> = everything
-            .entries()
-            .iter()
-            .filter(|e| (window.0..=window.1).contains(&e.timestamp_ns()))
-            .map(|e| serde_json::to_string(&e.to_point()).unwrap())
+        let by_timestamp: Vec<_> = node_records(&everything.entries())
+            .into_iter()
+            .filter(|(_, r)| (window.0..=window.1).contains(&r.timestamp_ns))
             .collect();
         let rows = by_timestamp.len();
         assert_eq!(rows > 0, carried, "{window:?}");
@@ -575,8 +575,9 @@ fn string_keyed_first_seen(db: &TraceDb, table: &str) -> BTreeMap<String, u64> {
     let scan = Query::new(table).scan(db).unwrap();
     let mut first = BTreeMap::new();
     for e in scan.entries() {
-        if let Some(id) = e.tag(TRACE_ID_TAG) {
-            first.entry(id.into_owned()).or_insert(e.timestamp_ns());
+        if e.record().has_trace_id() {
+            let id = trace_id_tag(e.record().trace_id);
+            first.entry(id).or_insert(e.timestamp_ns());
         }
     }
     first
@@ -1156,12 +1157,10 @@ proptest! {
         for &(lo, hi) in &windows {
             let q = Query::new("tp").time_range(lo, hi);
             let scan = q.scan(&disk).unwrap();
-            let scanned: Vec<_> = scan.entries().iter().map(|e| e.to_point()).collect();
-            let filtered: Vec<_> = everything
-                .entries()
-                .iter()
-                .filter(|e| (lo..=hi).contains(&e.timestamp_ns()))
-                .map(|e| e.to_point())
+            let scanned = node_records(&scan.entries());
+            let filtered: Vec<_> = node_records(&everything.entries())
+                .into_iter()
+                .filter(|(_, r)| (lo..=hi).contains(&r.timestamp_ns))
                 .collect();
             prop_assert_eq!(scanned, filtered, "window {}..={}", lo, hi);
             let s = scan.stats();

@@ -446,8 +446,12 @@ fn failing_merge_fails_its_seal_and_spares_the_rest_of_the_round() {
     assert_eq!(files_ending(&dir, ".col").len(), 7);
     let t0 = |db: &TraceDb| {
         let scan = Query::new("t0").scan(db).unwrap();
-        let points: Vec<_> = scan.entries().iter().map(|e| e.to_point()).collect();
-        points
+        let rows: Vec<_> = scan
+            .entries()
+            .iter()
+            .map(|e| (e.node().to_owned(), *e.record()))
+            .collect();
+        rows
     };
     assert_eq!(t0(&db), t0(&mem));
 

@@ -109,24 +109,22 @@ fn uprobe_traces_application_deliveries() {
     // IDs. At the uprobe the kernel has already stripped the trailer, so
     // the positional extractor reads the application payload's zero
     // padding instead — evidence the ID is gone from the user-space view.
-    let kernel_ids: std::collections::BTreeSet<String> = kernel_table
-        .entries()
-        .iter()
-        .filter_map(|e| e.tag("trace_id").map(|t| t.into_owned()))
-        .collect();
+    let trace_id = |e: &vnet_tsdb::Entry<'_>| {
+        let r = e.record();
+        r.has_trace_id().then_some(r.trace_id)
+    };
+    let kernel_ids: std::collections::BTreeSet<u32> =
+        kernel_table.entries().iter().filter_map(trace_id).collect();
     assert_eq!(
         kernel_ids.len(),
         50,
         "50 distinct random IDs in the kernel view"
     );
-    let uprobe_ids: std::collections::BTreeSet<String> = uprobe_table
-        .entries()
-        .iter()
-        .filter_map(|e| e.tag("trace_id").map(|t| t.into_owned()))
-        .collect();
+    let uprobe_ids: std::collections::BTreeSet<u32> =
+        uprobe_table.entries().iter().filter_map(trace_id).collect();
     assert_eq!(
         uprobe_ids.into_iter().collect::<Vec<_>>(),
-        vec!["00000000"],
+        vec![0],
         "the stripped user-space view shows only payload padding"
     );
     // The workload itself is unperturbed.
