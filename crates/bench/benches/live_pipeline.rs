@@ -142,7 +142,7 @@ fn bench_live_vs_offline(c: &mut Criterion) {
                 // The equivalent dashboard refresh: rescan the whole
                 // database for every metric the engine keeps hot.
                 let tput = metrics::throughput_at(black_box(&db), "down");
-                let samples = metrics::latency_between(&db, "up", "down", None);
+                let samples = metrics::latency_between(&db, "up", "down");
                 let jitter = metrics::jitter_range(&samples);
                 let stats = metrics::stats_from_ns(&samples);
                 let loss = metrics::packet_loss(&db, "up", "down");

@@ -494,6 +494,18 @@ fn print_collector_stats(stats: &vnettracer::collector::CollectorStats) {
 /// Prints per-program run statistics: how often each trace script fired
 /// and what it cost — the kernel-style `run_cnt` / `run_time_ns`
 /// counters.
+/// The mean latency of each segment along `chain`.
+fn print_decomposition(tracer: &vnettracer::VNetTracer, chain: &[&str]) {
+    let mut t = Table::new("latency decomposition", &["segment", "mean (us)"]);
+    for seg in metrics::decompose(tracer.db(), chain) {
+        t.row(&[
+            format!("{} -> {}", seg.from, seg.to),
+            format!("{:.1}", seg.stats.mean_ns / 1e3),
+        ]);
+    }
+    println!("{t}");
+}
+
 fn print_run_stats(tracer: &vnettracer::VNetTracer) {
     let mut t = Table::new(
         "trace programs",
@@ -999,7 +1011,7 @@ fn run_request_chain(args: &Args) -> Result<(), String> {
         println!("profile `{profile}` attaches no `request-trace` taps; no decomposition");
         return Ok(());
     }
-    let segs = tracer.decompose(&chain_tables);
+    let segs = metrics::decompose(tracer.db(), &chain_tables);
     let mut sum_means = 0.0;
     if !segs.is_empty() {
         let mut t = Table::new(
@@ -1018,7 +1030,7 @@ fn run_request_chain(args: &Args) -> Result<(), String> {
     }
     let first = chain_tables[0];
     let last = chain_tables[chain_tables.len() - 1];
-    let e2e = tracer.decompose(&[first, last]);
+    let e2e = metrics::decompose(tracer.db(), &[first, last]);
     if let Some(e2e) = e2e.first() {
         println!(
             "end-to-end {} -> {}: mean {:.2} us (segment means sum to {:.2} us)",
@@ -1114,14 +1126,10 @@ fn run(args: &Args) -> Result<(), String> {
             print_db_summary(&tracer);
             print_collector_stats(&tracer.stats(&s.world));
             print_run_stats(&tracer);
-            let mut t = Table::new("latency decomposition", &["segment", "mean (us)"]);
-            for seg in tracer.decompose(&vnet_testbed::ovs::OvsScenario::decomposition_chain()) {
-                t.row(&[
-                    format!("{} -> {}", seg.from, seg.to),
-                    format!("{:.1}", seg.stats.mean_ns / 1e3),
-                ]);
-            }
-            println!("{t}");
+            print_decomposition(
+                &tracer,
+                &vnet_testbed::ovs::OvsScenario::decomposition_chain(),
+            );
             Ok(())
         }
         "xen" => {
@@ -1144,14 +1152,10 @@ fn run(args: &Args) -> Result<(), String> {
             tracer.collect(&s.world);
             print_db_summary(&tracer);
             print_run_stats(&tracer);
-            let mut t = Table::new("latency decomposition", &["segment", "mean (us)"]);
-            for seg in tracer.decompose(&vnet_testbed::xen::XenScenario::decomposition_chain()) {
-                t.row(&[
-                    format!("{} -> {}", seg.from, seg.to),
-                    format!("{:.1}", seg.stats.mean_ns / 1e3),
-                ]);
-            }
-            println!("{t}");
+            print_decomposition(
+                &tracer,
+                &vnet_testbed::xen::XenScenario::decomposition_chain(),
+            );
             Ok(())
         }
         "container" => {

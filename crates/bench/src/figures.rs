@@ -163,7 +163,7 @@ pub fn fig9a(scale: Scale) -> Table {
         tracer.deploy(&mut s.world, &pkg).expect("deploys");
         s.run(&cfg);
         tracer.collect(&s.world);
-        let segs = tracer.decompose(&OvsScenario::decomposition_chain());
+        let segs = metrics::decompose(tracer.db(), &OvsScenario::decomposition_chain());
         let seg_us = |from: &str| {
             segs.iter()
                 .find(|x| x.from == from)
@@ -300,7 +300,7 @@ pub fn fig11(scale: Scale) -> Table {
         tracer.deploy(&mut s.world, &pkg).expect("deploys");
         s.run(&cfg);
         tracer.collect(&s.world);
-        let segs = tracer.decompose(&XenScenario::decomposition_chain());
+        let segs = metrics::decompose(tracer.db(), &XenScenario::decomposition_chain());
         let total: f64 = segs.iter().map(|x| x.stats.mean_ns).sum();
         let cell = |from: &str| {
             segs.iter()

@@ -13,7 +13,14 @@
 //! Then `T_RTT = t4 − t1`, `T_pro = t3 − t2`, and the one-way time is
 //! `(T_RTT − T_pro)/2`. To mitigate network interference the paper takes
 //! **100 samples and selects the minimum** one-way time; the skew is
-//! `t1 + T_1wt − t2` (the paper reports its absolute value).
+//! `t1 + T_1wt − t2` (the paper reports its absolute value), and
+//! [`align_timestamps`] applies the estimates offline (§III-C).
+
+use std::collections::HashMap;
+
+use vnet_tsdb::{RecordBatch, TraceDb};
+
+use crate::metrics::scan_table;
 
 /// Number of probe samples the paper collects per estimate.
 pub const DEFAULT_SAMPLES: usize = 100;
@@ -89,9 +96,38 @@ pub fn estimate_skew(samples: &[SkewSample]) -> Option<SkewEstimate> {
     })
 }
 
+/// Rebuilds the database with every record's timestamp aligned onto the
+/// master clock, using each node's skew estimate (records from nodes
+/// without an estimate pass through unchanged — e.g. the master itself).
+/// Each table keeps its record order.
+pub fn align_timestamps(db: &TraceDb, skew_by_node: &HashMap<String, SkewEstimate>) -> TraceDb {
+    let mut out = TraceDb::new();
+    let mut batch = RecordBatch::new();
+    for measurement in db.measurements() {
+        let scan = scan_table(db, measurement);
+        // A batch numbers a table's records node by node, so each run of
+        // one node's records goes in as a batch of its own.
+        for run in scan.entries().chunk_by(|a, b| a.node() == b.node()) {
+            let skew = skew_by_node.get(run[0].node());
+            batch.clear();
+            for e in run {
+                let mut record = *e.record();
+                if let Some(skew) = skew {
+                    record.timestamp_ns = skew.align_remote_ns(record.timestamp_ns);
+                }
+                batch.push(measurement, e.node(), record);
+            }
+            out.insert_batch(&batch);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::testutil::db_of;
+    use vnet_tsdb::CompactRecord;
 
     /// Builds a sample where the remote clock leads the master by
     /// `offset`, the wire takes `fwd`/`back`, and the remote processes
@@ -167,5 +203,63 @@ mod tests {
     #[test]
     fn empty_samples_yield_none() {
         assert!(estimate_skew(&[]).is_none());
+    }
+
+    type Row = (&'static str, &'static str, CompactRecord);
+
+    fn tagged(m: &'static str, ts: u64, id: u32, node: &'static str) -> Row {
+        let record = CompactRecord {
+            timestamp_ns: ts,
+            trace_id: id,
+            flags: 1,
+            ..Default::default()
+        };
+        (m, node, record)
+    }
+
+    /// The estimate for a remote clock leading the master by `offset_ns`.
+    fn leading(offset_ns: i64) -> HashMap<String, SkewEstimate> {
+        let estimate = SkewEstimate {
+            one_way_ns: 0,
+            offset_ns,
+            skew_ns: offset_ns.unsigned_abs(),
+            samples: 100,
+        };
+        HashMap::from([("remote".to_owned(), estimate)])
+    }
+
+    #[test]
+    fn alignment_applies_per_node_offsets() {
+        let db = db_of([
+            tagged("tp0", 1_000, 0xa, "master"),
+            tagged("tp1", 2_000, 0xa, "remote"),
+        ]);
+        let aligned = align_timestamps(&db, &leading(700));
+        let ts = |m| aligned.table(m).unwrap().entries()[0].timestamp_ns();
+        assert_eq!((ts("tp0"), ts("tp1")), (1_000, 1_300));
+        // Latency now reflects the true 300 ns, not the raw 1 000 ns.
+        let latency = crate::metrics::latency_between(&aligned, "tp0", "tp1");
+        assert_eq!(latency, [300]);
+    }
+
+    #[test]
+    fn alignment_keeps_records_and_their_order() {
+        // One table fed by two nodes in turn, then twice by the same one.
+        let nodes = ["master", "remote", "master", "remote", "remote", "master"];
+        let rows = nodes.iter().zip(0u32..);
+        let db = db_of(rows.map(|(&node, i)| tagged("tp", 1_000 * u64::from(i), i, node)));
+        let rows = |db: &TraceDb, shift: u64| -> Vec<(String, CompactRecord)> {
+            let entries = db.table("tp").unwrap().entries();
+            entries
+                .iter()
+                .map(|e| {
+                    let mut record = *e.record();
+                    record.timestamp_ns -= if e.node() == "remote" { shift } else { 0 };
+                    (e.node().to_owned(), record)
+                })
+                .collect()
+        };
+        let aligned = align_timestamps(&db, &leading(10));
+        assert_eq!(rows(&aligned, 0), rows(&db, 10));
     }
 }

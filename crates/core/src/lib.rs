@@ -25,10 +25,12 @@
 //!   what lets records from isolated domains be joined (the 32-byte
 //!   record itself is [`vnet_tsdb::CompactRecord`], from the eBPF stack
 //!   to the store);
-//! * [`clock_sync`] — Cristian's-algorithm skew estimation for
-//!   cross-machine alignment;
-//! * [`metrics`] / [`analysis`] — offline computation of throughput,
-//!   latency (and its end-to-end decomposition), jitter and packet loss.
+//! * [`clock_sync`] — Cristian's-algorithm skew estimation, and the
+//!   offline alignment of every node's timestamps onto the master clock;
+//! * [`metrics`] — offline computation over the trace database:
+//!   throughput, latency (t2 − t1 joined by trace ID, on aligned clocks)
+//!   and its end-to-end decomposition, incomplete records, jitter and
+//!   packet loss, called as `metrics::f(tracer.db(), …)`.
 //!
 //! The traced "virtualized network" is the deterministic simulator in
 //! `vnet-sim`; the eBPF runtime is `vnet-ebpf`. See `DESIGN.md` at the
@@ -68,7 +70,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod agent;
-pub mod analysis;
 pub mod clock_sync;
 pub mod collector;
 pub mod compile;

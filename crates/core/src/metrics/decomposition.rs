@@ -1,12 +1,13 @@
-//! End-to-end latency decomposition across an ordered tracepoint chain.
-//!
-//! The "advanced" metric of §III-D (Fig. 6) and the workhorse of all
-//! three case studies: given tracepoints along a packet's path (e.g.
-//! application socket → OVS ingress → OVS egress → receiver socket), the
-//! per-packet time spent in each segment is the timestamp difference
-//! between consecutive tracepoints, joined by trace ID.
+//! Latency between tracepoints joined by trace ID, and its end-to-end
+//! decomposition along a packet's path (§III-D, Fig. 6; all three case
+//! studies): "we track two packets for the same packet ID at two
+//! tracepoints … the latency between the two tracepoints is treated as
+//! ΔT = t2 − t1", on clocks aligned by
+//! [`crate::clock_sync::align_timestamps`] (§III-C).
 
-use vnet_tsdb::{stats_from_ns, trace_id_tag, LatencyStats, TraceDb};
+use std::collections::BTreeSet;
+
+use vnet_tsdb::{stats_from_ns, FirstSeen, LatencyStats, TraceDb};
 
 use super::first_seen;
 
@@ -21,6 +22,22 @@ pub struct SegmentStats {
     pub stats: LatencyStats,
 }
 
+/// ΔT = t2 − t1 per trace ID seen at both ends of one hop, in join
+/// order; negative deltas (clock inversion) are dropped as cleaning would.
+fn hop_deltas(from: &FirstSeen, to: &FirstSeen) -> Vec<u64> {
+    from.join(to)
+        .into_iter()
+        .filter_map(|(t1, t2)| t2.checked_sub(t1))
+        .collect()
+}
+
+/// Per-packet latency between tracepoint tables `from` and `to`. Reads
+/// sealed segments as well as the hot tail; a table that does not exist
+/// (or cannot be scanned) counts as empty.
+pub fn latency_between(db: &TraceDb, from: &str, to: &str) -> Vec<u64> {
+    hop_deltas(&first_seen(db, from), &first_seen(db, to))
+}
+
 /// Decomposes latency across consecutive pairs of `tracepoints`, reading
 /// each tracepoint's table once. Segments with no joinable packets are
 /// omitted.
@@ -30,12 +47,7 @@ pub fn decompose(db: &TraceDb, tracepoints: &[&str]) -> Vec<SegmentStats> {
         .windows(2)
         .zip(first_seen.windows(2))
         .filter_map(|(w, seen)| {
-            let pairs = seen[0].join(&seen[1]);
-            let deltas: Vec<u64> = pairs
-                .iter()
-                .filter_map(|(t1, t2)| t2.checked_sub(*t1))
-                .collect();
-            stats_from_ns(&deltas).map(|stats| SegmentStats {
+            stats_from_ns(&hop_deltas(&seen[0], &seen[1])).map(|stats| SegmentStats {
                 from: w[0].to_owned(),
                 to: w[1].to_owned(),
                 stats,
@@ -45,30 +57,40 @@ pub fn decompose(db: &TraceDb, tracepoints: &[&str]) -> Vec<SegmentStats> {
 }
 
 /// Per-packet segment latencies, for Fig. 11-style per-packet plots:
-/// returns, for each trace ID (as its `trace_id` tag value) seen at the
-/// *first* tracepoint and ordered by its timestamp there, the latency of
-/// every segment (or `None` where the packet was not observed
-/// downstream).
-pub fn per_packet_segments(db: &TraceDb, tracepoints: &[&str]) -> Vec<(String, Vec<Option<u64>>)> {
+/// returns, for each trace ID seen at the *first* tracepoint and ordered
+/// by its timestamp there, the latency of every segment (or `None` where
+/// the packet was not observed downstream).
+pub fn per_packet_segments(db: &TraceDb, tracepoints: &[&str]) -> Vec<(u32, Vec<Option<u64>>)> {
     let first_seen: Vec<_> = tracepoints.iter().map(|t| first_seen(db, t)).collect();
     let Some(first) = first_seen.first() else {
         return Vec::new();
     };
-    // Trace IDs ordered by first-tracepoint timestamp, then by ID (which
-    // is the order of their zero-padded tag values too).
+    // Trace IDs ordered by first-tracepoint timestamp, then by ID.
     let mut ids: Vec<(u64, u32)> = first.iter().map(|(id, ts)| (ts, id)).collect();
     ids.sort_unstable();
     ids.into_iter()
         .map(|(_, id)| {
             let segs: Vec<Option<u64>> = first_seen
                 .windows(2)
-                .map(|w| match (w[0].get(id), w[1].get(id)) {
-                    (Some(a), Some(b)) => b.checked_sub(a),
-                    _ => None,
-                })
+                .map(|w| w[1].get(id)?.checked_sub(w[0].get(id)?))
                 .collect();
-            (trace_id_tag(id), segs)
+            (id, segs)
         })
+        .collect()
+}
+
+/// Trace IDs observed at the first tracepoint but missing from at least
+/// one later tracepoint — the incomplete records (lost packets, truncated
+/// traces) that data cleaning flags before end-to-end analysis (§III-C).
+pub fn incomplete_ids(db: &TraceDb, tracepoints: &[&str]) -> BTreeSet<u32> {
+    let first_seen: Vec<_> = tracepoints.iter().map(|t| first_seen(db, t)).collect();
+    let Some((first, later)) = first_seen.split_first() else {
+        return BTreeSet::new();
+    };
+    first
+        .iter()
+        .map(|(id, _)| id)
+        .filter(|&id| later.iter().any(|seen| seen.get(id).is_none()))
         .collect()
 }
 
@@ -102,6 +124,18 @@ mod tests {
     }
 
     #[test]
+    fn latency_join_same_node() {
+        let db = db_of([("a", "n", seen(7, 1_000)), ("b", "n", seen(7, 1_750))]);
+        assert_eq!(latency_between(&db, "a", "b"), vec![750]);
+    }
+
+    #[test]
+    fn negative_deltas_dropped() {
+        let db = db_of([("a", "n", seen(7, 2_000)), ("b", "n", seen(7, 1_000))]);
+        assert!(latency_between(&db, "a", "b").is_empty());
+    }
+
+    #[test]
     fn decompose_reports_per_segment_stats() {
         let db = chain_db(5, &[]);
         let segs = decompose(&db, &["tp0", "tp1", "tp2"]);
@@ -128,11 +162,23 @@ mod tests {
         let db = chain_db(2, &[(0xdead_beef, 1_000_000)]);
         let rows = per_packet_segments(&db, &["tp0", "tp1"]);
         assert_eq!(rows.len(), 3);
-        assert_eq!(rows[2].0, "deadbeef");
-        assert_eq!(rows[2].1, vec![None]);
+        assert_eq!(rows[2], (0xdead_beef, vec![None]));
         // decompose simply skips the unjoinable packet.
         let segs = decompose(&db, &["tp0", "tp1"]);
         assert_eq!(segs[0].stats.count, 2);
+    }
+
+    #[test]
+    fn incomplete_ids_are_those_missing_downstream() {
+        let mut rows = Vec::new();
+        rows.extend([0xa, 0xb, 0xc].map(|id| ("tp0", "n", seen(id, 1))));
+        rows.extend([0xa, 0xb].map(|id| ("tp1", "n", seen(id, 2))));
+        rows.push(("tp2", "n", seen(0xa, 3)));
+        let db = db_of(rows);
+        let incomplete = incomplete_ids(&db, &["tp0", "tp1", "tp2"]);
+        assert_eq!(incomplete.into_iter().collect::<Vec<_>>(), [0xb, 0xc]);
+        // A missing table leaves every ID incomplete.
+        assert_eq!(incomplete_ids(&db, &["tp2", "absent"]).len(), 1);
     }
 
     #[test]
@@ -141,25 +187,8 @@ mod tests {
         assert!(decompose(&db, &["a", "b"]).is_empty());
         assert!(per_packet_segments(&db, &["a", "b"]).is_empty());
         assert!(per_packet_segments(&db, &[]).is_empty());
-    }
-
-    #[test]
-    fn per_packet_segments_survive_a_cold_reopen() {
-        let mut batch = RecordBatch::new();
-        for i in 0..100u32 {
-            let t0 = u64::from(i) * 10_000;
-            batch.push("tp0", "vm1", seen(i, t0));
-            batch.push("tp1", "vm1", seen(i, t0 + 100));
-            if i % 5 != 0 {
-                batch.push("tp2", "vm2", seen(i, t0 + 100 + 50 * u64::from(i)));
-            }
-        }
-        let (mem, cold) = crate::metrics::testutil::mem_and_cold("segments", &batch);
-        let rows = per_packet_segments(&cold.db, &["tp0", "tp1", "tp2"]);
-        assert_eq!(rows.len(), 100);
-        assert_eq!(rows[0], ("00000000".to_owned(), vec![Some(100), None]));
-        assert_eq!(rows[7], ("00000007".to_owned(), vec![Some(100), Some(350)]));
-        assert_eq!(rows, per_packet_segments(&mem, &["tp0", "tp1", "tp2"]));
+        assert!(incomplete_ids(&db, &["a", "b"]).is_empty());
+        assert!(incomplete_ids(&db, &[]).is_empty());
     }
 
     #[test]
@@ -189,9 +218,10 @@ mod tests {
         let joined = cold.db.join_timestamps("tp0", "tp1");
         assert!(matches!(joined, Err(StoreError::Segment(_))));
         assert!(decompose(&cold.db, &["tp0", "tp1"]).is_empty());
-        assert!(crate::metrics::latency_between(&cold.db, "tp0", "tp1", None).is_empty());
+        assert!(latency_between(&cold.db, "tp0", "tp1").is_empty());
         let rows = per_packet_segments(&cold.db, &["tp0", "tp1"]);
         assert_eq!(rows.len(), 100);
         assert!(rows.iter().all(|(_, segs)| segs == &[None]));
+        assert_eq!(incomplete_ids(&cold.db, &["tp0", "tp1"]).len(), 100);
     }
 }

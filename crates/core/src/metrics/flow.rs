@@ -51,7 +51,7 @@ pub fn per_flow_loss(db: &TraceDb, upstream: &str, downstream: &str) -> Vec<(Str
 mod tests {
     use super::*;
     use crate::metrics::testutil::db_of;
-    use vnet_tsdb::{CompactRecord, RecordBatch};
+    use vnet_tsdb::CompactRecord;
 
     /// A record of the flow `10.0.0.<host>:<host> -> 10.0.0.2:2`.
     fn of_flow(host: u8, timestamp_ns: u64, pkt_len: u32) -> CompactRecord {
@@ -107,36 +107,5 @@ mod tests {
         assert!((losses[0].1.rate - 0.6).abs() < 1e-12);
         assert_eq!(losses[1].1.lost, 0);
         assert!(per_flow_loss(&db, "absent", "down").is_empty());
-    }
-
-    #[test]
-    fn per_flow_metrics_survive_a_cold_reopen() {
-        let mut batch = RecordBatch::new();
-        for i in 0..120u64 {
-            // Three flows by source port; the third loses every other
-            // packet between the two tracepoints.
-            let record = CompactRecord {
-                timestamp_ns: i * 1_000,
-                pkt_len: 100 + (i % 3) as u32 * 400,
-                saddr: 0x0a00_0001,
-                daddr: 0x0a00_0002,
-                sport: 1_000 + (i % 3) as u16,
-                dport: 7,
-                ..Default::default()
-            };
-            batch.push("up", "vm1", record);
-            if i % 3 != 2 || i % 2 == 0 {
-                batch.push("down", "vm2", record);
-            }
-        }
-        let (mem, cold) = crate::metrics::testutil::mem_and_cold("flow", &batch);
-        let flows = per_flow_throughput(&cold.db, "up");
-        assert_eq!(flows.len(), 3);
-        assert!(flows.iter().all(|f| f.1 > 0.0));
-        assert_eq!(flows, per_flow_throughput(&mem, "up"));
-        let losses = per_flow_loss(&cold.db, "up", "down");
-        let lost: Vec<u64> = losses.iter().map(|l| l.1.lost).collect();
-        assert_eq!(lost, vec![0, 0, 20]);
-        assert_eq!(losses, per_flow_loss(&mem, "up", "down"));
     }
 }

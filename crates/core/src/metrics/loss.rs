@@ -52,7 +52,7 @@ pub fn packet_loss(db: &TraceDb, upstream: &str, downstream: &str) -> PacketLoss
 mod tests {
     use super::*;
     use crate::metrics::testutil::db_of;
-    use vnet_tsdb::{CompactRecord, RecordBatch};
+    use vnet_tsdb::CompactRecord;
 
     /// `n` records in `table`, one per nanosecond.
     fn seen(table: &str, n: u64) -> impl Iterator<Item = (&str, &str, CompactRecord)> {
@@ -90,24 +90,5 @@ mod tests {
     fn downstream_surplus_clamps_to_zero() {
         let db = db_of(seen("in", 1).chain(seen("out", 3)));
         assert_eq!(packet_loss(&db, "in", "out").lost, 0);
-    }
-
-    #[test]
-    fn loss_survives_a_cold_reopen() {
-        let mut batch = RecordBatch::new();
-        for i in 0..100u64 {
-            let record = CompactRecord {
-                timestamp_ns: i * 1_000,
-                ..Default::default()
-            };
-            batch.push("in", "vm1", record);
-            if i % 4 != 0 {
-                batch.push("out", "vm2", record);
-            }
-        }
-        let (mem, cold) = crate::metrics::testutil::mem_and_cold("loss", &batch);
-        let loss = packet_loss(&cold.db, "in", "out");
-        assert_eq!((loss.upstream, loss.downstream, loss.lost), (100, 75, 25));
-        assert_eq!(loss, packet_loss(&mem, "in", "out"));
     }
 }

@@ -93,7 +93,7 @@ pub fn throughput_at(db: &TraceDb, measurement: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vnet_tsdb::{CompactRecord, RecordBatch};
+    use vnet_tsdb::CompactRecord;
 
     #[test]
     fn formula_subtracts_trace_id_bytes() {
@@ -148,24 +148,5 @@ mod tests {
         let expected = (100.0 * 100.0 * 8.0) / (99_000.0 / 1e9);
         assert!((bps - expected).abs() / expected < 1e-9);
         assert_eq!(throughput_at(&db, "absent"), 0.0);
-    }
-
-    #[test]
-    fn throughput_survives_a_cold_reopen() {
-        let mut batch = RecordBatch::new();
-        for i in 0..100u32 {
-            let record = CompactRecord {
-                timestamp_ns: u64::from(i) * 1_000,
-                trace_id: i,
-                pkt_len: 104,
-                flags: u8::from(i % 2 == 0),
-                ..Default::default()
-            };
-            batch.push("nic_rx", "vm1", record);
-        }
-        let (mem, cold) = crate::metrics::testutil::mem_and_cold("throughput", &batch);
-        let bps = throughput_at(&cold.db, "nic_rx");
-        assert!(bps > 0.0);
-        assert_eq!(bps.to_bits(), throughput_at(&mem, "nic_rx").to_bits());
     }
 }

@@ -11,7 +11,6 @@ use crate::collector::{Collector, CollectorStats};
 use crate::config::ControlPackage;
 use crate::dispatcher::Dispatcher;
 use crate::error::{Result, TracerError};
-use crate::metrics;
 
 /// A handle to one deployed script: the node it runs on and its id there.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,33 +246,13 @@ impl VNetTracer {
     pub fn flush_db(&mut self) -> std::result::Result<(), vnet_tsdb::StoreError> {
         self.collector.db_mut().flush()
     }
-
-    /// Convenience: per-packet latency samples between two deployed
-    /// tracepoints (same clock domain).
-    pub fn latency_between(&self, from: &str, to: &str) -> Vec<u64> {
-        metrics::latency_between(self.db(), from, to, None)
-    }
-
-    /// Convenience: throughput observed at a tracepoint.
-    pub fn throughput_at(&self, measurement: &str) -> f64 {
-        metrics::throughput_at(self.db(), measurement)
-    }
-
-    /// Convenience: latency decomposition across a tracepoint chain.
-    pub fn decompose(&self, tracepoints: &[&str]) -> Vec<metrics::SegmentStats> {
-        metrics::decompose(self.db(), tracepoints)
-    }
-
-    /// Convenience: packet loss between two tracepoints.
-    pub fn packet_loss(&self, upstream: &str, downstream: &str) -> metrics::PacketLoss {
-        metrics::packet_loss(self.db(), upstream, downstream)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Action, FilterRule, HookSpec, TraceSpec};
+    use crate::metrics;
     use std::net::Ipv4Addr;
     use std::net::SocketAddrV4;
     use vnet_sim::device::{DeviceConfig, Forwarding, ServiceModel};
@@ -364,7 +343,7 @@ mod tests {
             let program = crate::compile::compile(&pkg.traces[0], Some(0), None).unwrap();
             vnet_ebpf::vm::jit_compile_cost_ns(program.insns.len())
         };
-        let mut lat = tracer.latency_between("eth0_rx", "eth1_rx");
+        let mut lat = metrics::latency_between(tracer.db(), "eth0_rx", "eth1_rx");
         lat.sort_unstable();
         assert_eq!(lat.len(), 10);
         assert!(
@@ -378,17 +357,17 @@ mod tests {
             lat[9]
         );
         // No loss between the two tracepoints.
-        let loss = tracer.packet_loss("eth0_rx", "eth1_rx");
+        let loss = metrics::packet_loss(tracer.db(), "eth0_rx", "eth1_rx");
         assert_eq!(loss.lost, 0);
         // Decomposition over the chain gives one segment.
-        let segs = tracer.decompose(&["eth0_rx", "eth1_rx"]);
+        let segs = metrics::decompose(tracer.db(), &["eth0_rx", "eth1_rx"]);
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].stats.count, 10);
         // Throughput at eth1_rx (timestamps spread by eth0's service
         // times) is positive; at eth0_rx all records share one arrival
         // instant, so the T_N − T_1 denominator is zero.
-        assert!(tracer.throughput_at("eth1_rx") > 0.0);
-        assert_eq!(tracer.throughput_at("eth0_rx"), 0.0);
+        assert!(metrics::throughput_at(tracer.db(), "eth1_rx") > 0.0);
+        assert_eq!(metrics::throughput_at(tracer.db(), "eth0_rx"), 0.0);
         // Stats: every firing matched.
         let stats = tracer.script_stats("eth0_rx").unwrap();
         assert_eq!(stats.executions, 10);

@@ -130,7 +130,7 @@ proptest! {
     #[test]
     fn jitter_exact(pkts in proptest::collection::vec(arb_pkt(), 2..300)) {
         let (db, engine) = run_both(&pkts, 0.01);
-        let samples = metrics::latency_between(&db, "up", "down", None);
+        let samples = metrics::latency_between(&db, "up", "down");
         let offline = metrics::jitter_range(&samples);
         match engine.latency_total("up", "down") {
             Some(live) => {
@@ -156,7 +156,7 @@ proptest! {
     ) {
         let alpha = alpha_mil as f64 / 1_000.0;
         let (db, engine) = run_both(&pkts, alpha);
-        let mut samples = metrics::latency_between(&db, "up", "down", None);
+        let mut samples = metrics::latency_between(&db, "up", "down");
         samples.sort_unstable();
         if !samples.is_empty() {
             let live = engine.latency_total("up", "down").unwrap();

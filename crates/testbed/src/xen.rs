@@ -427,7 +427,7 @@ mod tests {
         tracer.deploy(&mut s.world, &pkg).unwrap();
         s.run(&cfg);
         tracer.collect(&s.world);
-        let segs = tracer.decompose(&XenScenario::decomposition_chain());
+        let segs = vnettracer::metrics::decompose(tracer.db(), &XenScenario::decomposition_chain());
         assert_eq!(segs.len(), 4);
         let total_mean: f64 = segs.iter().map(|s| s.stats.mean_ns).sum();
         let vif_eth1 = segs

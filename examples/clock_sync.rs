@@ -12,8 +12,7 @@
 use std::collections::HashMap;
 
 use vnet_testbed::xen::{XenConfig, XenScenario, CLIENT_IP, SERVER_IP};
-use vnettracer::analysis::align_timestamps;
-use vnettracer::clock_sync::{estimate_skew, SkewSample, DEFAULT_SAMPLES};
+use vnettracer::clock_sync::{align_timestamps, estimate_skew, SkewSample, DEFAULT_SAMPLES};
 use vnettracer::config::{Action, ControlPackage, FilterRule, HookSpec, TraceSpec};
 use vnettracer::metrics;
 
@@ -93,11 +92,11 @@ fn main() {
 
     // Apply the estimate: align the Xen host's timestamps and compare the
     // cross-machine t1->t2 latency before and after.
-    let raw = metrics::latency_between(tracer.db(), "t1", "t2", None);
+    let raw = metrics::latency_between(tracer.db(), "t1", "t2");
     let mut skews = HashMap::new();
     skews.insert("xenhost".to_owned(), est);
     let aligned_db = align_timestamps(tracer.db(), &skews);
-    let aligned = metrics::latency_between(&aligned_db, "t1", "t2", None);
+    let aligned = metrics::latency_between(&aligned_db, "t1", "t2");
     let mean = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len().max(1) as f64 / 1e3;
     println!("\ncross-machine t1->t2 latency:");
     println!("  raw (skewed clocks):  {:.2} us", mean(&raw));

@@ -16,7 +16,7 @@
 use vnet_sim::SimDuration;
 use vnet_testbed::ovs::{OvsCase, OvsConfig, OvsScenario, VM0_IP, VM2_IP};
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
-use vnettracer::analysis;
+use vnet_tsdb::trace_id_tag;
 use vnettracer::config::{Action, ControlPackage, FilterRule, HookSpec, TraceSpec};
 use vnettracer::metrics;
 
@@ -88,7 +88,7 @@ fn failure() {
         let n = tracer.db().table(tp).map_or(0, |t| t.len());
         println!("  {tp:<12} {n}");
     }
-    let loss = tracer.packet_loss("s1_ovs_br1", "s2_ovs_br1");
+    let loss = metrics::packet_loss(tracer.db(), "s1_ovs_br1", "s2_ovs_br1");
     println!(
         "loss between the two bridges: {} of {} ({:.1}%) -> the wire/NIC segment failed",
         loss.lost,
@@ -99,12 +99,14 @@ fn failure() {
     for (flow, l) in per_flow {
         println!("  victim flow {flow}: {} lost", l.lost);
     }
-    let incomplete = analysis::incomplete_ids(tracer.db(), &chain);
-    println!(
-        "incomplete trace IDs (first 5 of {}): {:?}",
-        incomplete.len(),
-        incomplete.iter().take(5).collect::<Vec<_>>()
-    );
+    let incomplete = metrics::incomplete_ids(tracer.db(), &chain);
+    let first: Vec<String> = incomplete
+        .iter()
+        .take(5)
+        .map(|&id| trace_id_tag(id))
+        .collect();
+    let n = incomplete.len();
+    println!("incomplete trace IDs (first 5 of {n}): {first:?}");
 }
 
 fn main() {

@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release --example ovs_diagnosis`
 
 use vnet_testbed::ovs::{Mitigation, OvsCase, OvsConfig, OvsScenario};
+use vnettracer::metrics;
 
 fn run_case(case: OvsCase, mitigation: Mitigation) -> (f64, f64, Vec<(String, f64)>) {
     let cfg = OvsConfig {
@@ -24,8 +25,7 @@ fn run_case(case: OvsCase, mitigation: Mitigation) -> (f64, f64, Vec<(String, f6
     s.run(&cfg);
     tracer.collect(&s.world);
     let summary = s.latency.borrow_mut().summary().expect("sockperf samples");
-    let segments = tracer
-        .decompose(&OvsScenario::decomposition_chain())
+    let segments = metrics::decompose(tracer.db(), &OvsScenario::decomposition_chain())
         .into_iter()
         .map(|seg| {
             let label = match (seg.from.as_str(), seg.to.as_str()) {

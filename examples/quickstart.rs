@@ -75,7 +75,7 @@ fn main() {
     println!("collected {records} trace records from the agents\n");
 
     // Offline analysis: join the two tables by packet trace ID.
-    let samples = metrics::latency_between(tracer.db(), "flannel1", "flannel2", None);
+    let samples = metrics::latency_between(tracer.db(), "flannel1", "flannel2");
     let stats = metrics::stats_from_ns(&samples).expect("traced packets");
     println!("latency between the two VXLAN devices (flannel.1 -> flannel.1):");
     println!("  packets  : {}", stats.count);

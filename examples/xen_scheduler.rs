@@ -70,7 +70,7 @@ fn main() {
         s.run(&cfg);
         tracer.collect(&s.world);
         println!("{label}:");
-        let segs = tracer.decompose(&XenScenario::decomposition_chain());
+        let segs = metrics::decompose(tracer.db(), &XenScenario::decomposition_chain());
         let total: f64 = segs.iter().map(|x| x.stats.mean_ns).sum();
         for seg in &segs {
             println!(

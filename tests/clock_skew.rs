@@ -5,8 +5,7 @@
 use std::collections::HashMap;
 
 use vnet_testbed::xen::{XenConfig, XenScenario, CLIENT_IP, SERVER_IP};
-use vnettracer::analysis::align_timestamps;
-use vnettracer::clock_sync::{estimate_skew, SkewSample};
+use vnettracer::clock_sync::{align_timestamps, estimate_skew, SkewSample};
 use vnettracer::config::{Action, ControlPackage, FilterRule, HookSpec, TraceSpec};
 use vnettracer::metrics;
 
@@ -58,11 +57,11 @@ fn measure(offset_ns: i64) -> (i64, Vec<u64>, Vec<u64>) {
         .collect();
     assert_eq!(samples.len(), 100, "paper-sized sample set");
     let est = estimate_skew(&samples).unwrap();
-    let raw = metrics::latency_between(tracer.db(), "t1", "t2", None);
+    let raw = metrics::latency_between(tracer.db(), "t1", "t2");
     let mut skews = HashMap::new();
     skews.insert("xenhost".to_owned(), est);
     let aligned_db = align_timestamps(tracer.db(), &skews);
-    let aligned = metrics::latency_between(&aligned_db, "t1", "t2", None);
+    let aligned = metrics::latency_between(&aligned_db, "t1", "t2");
     (est.offset_ns, raw, aligned)
 }
 

@@ -3,7 +3,6 @@
 
 use vnet_testbed::ovs::{OvsCase, OvsConfig, OvsScenario};
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
-use vnettracer::analysis;
 use vnettracer::metrics;
 
 /// The complete Fig. 7(a)-style flow: deploy 4 scripts on 2 hosts, run,
@@ -25,7 +24,7 @@ fn full_pipeline_two_hosts() {
     assert!(n > 0, "collected records");
 
     // Latency between OVS bridges spans the wire: ~30us + NIC time.
-    let wire = tracer.latency_between("s1_ovs_br1", "s2_ovs_br1");
+    let wire = metrics::latency_between(tracer.db(), "s1_ovs_br1", "s2_ovs_br1");
     assert_eq!(wire.len(), 400, "every request observed at both bridges");
     let stats = metrics::stats_from_ns(&wire).unwrap();
     assert!(
@@ -35,7 +34,7 @@ fn full_pipeline_two_hosts() {
     );
 
     // No loss along the traced path.
-    let loss = tracer.packet_loss("s1_ovs_br1", "s2_ens3");
+    let loss = metrics::packet_loss(tracer.db(), "s1_ovs_br1", "s2_ens3");
     assert_eq!(loss.lost, 0);
 
     // Per-flow throughput separates sockperf from nothing else (the
@@ -49,8 +48,7 @@ fn full_pipeline_two_hosts() {
 
     // Data cleaning: all request ids complete across the three
     // request-direction tracepoints.
-    let incomplete =
-        analysis::incomplete_ids(tracer.db(), &["s1_ovs_br1", "s2_ovs_br1", "s2_ens3"]);
+    let incomplete = metrics::incomplete_ids(tracer.db(), &["s1_ovs_br1", "s2_ovs_br1", "s2_ens3"]);
     assert!(
         incomplete.is_empty(),
         "unexpected incomplete ids: {incomplete:?}"
@@ -82,7 +80,7 @@ fn measured_loss_matches_ground_truth() {
     tracer.collect(&s.world);
     // Sockperf packets seen at the socket but not delivered were dropped
     // in the congested OVS (vnet0 tail-drop + fabric).
-    let loss = tracer.packet_loss("sock_em0", "sock_em2_out");
+    let loss = metrics::packet_loss(tracer.db(), "sock_em0", "sock_em2_out");
     assert_eq!(loss.upstream, 300);
     assert!(loss.lost > 0, "congestion must drop some sockperf packets");
     // Ground truth: every loss the tracer saw corresponds to real drops.
@@ -96,7 +94,7 @@ fn measured_loss_matches_ground_truth() {
         loss.lost
     );
     // And the incomplete-record detector flags exactly the lost packets.
-    let incomplete = analysis::incomplete_ids(tracer.db(), &["sock_em0", "sock_em2_out"]);
+    let incomplete = metrics::incomplete_ids(tracer.db(), &["sock_em0", "sock_em2_out"]);
     assert_eq!(incomplete.len() as u64, loss.lost);
 }
 
@@ -149,7 +147,7 @@ fn tracing_is_deterministic() {
         tracer.deploy(&mut s.world, &pkg).unwrap();
         s.run(&cfg);
         tracer.collect(&s.world);
-        let mut lat = tracer.latency_between("s1_ovs_br1", "s2_ovs_br1");
+        let mut lat = metrics::latency_between(tracer.db(), "s1_ovs_br1", "s2_ovs_br1");
         lat.sort_unstable();
         (tracer.db().len(), lat)
     };

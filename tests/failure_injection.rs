@@ -35,7 +35,7 @@ fn device_failure_shows_up_as_localized_loss() {
     // The tracer sees every request leave server1's bridge but only the
     // surviving ones reach server2's bridge: the loss sits between the
     // two bridges — i.e. on the wire/NIC segment where the failure was.
-    let loss = tracer.packet_loss("s1_ovs_br1", "s2_ovs_br1");
+    let loss = metrics::packet_loss(tracer.db(), "s1_ovs_br1", "s2_ovs_br1");
     assert_eq!(loss.upstream, 600, "all requests traced at the sender side");
     assert!(
         (150..=250).contains(&loss.lost),
@@ -49,14 +49,16 @@ fn device_failure_shows_up_as_localized_loss() {
         "traced loss equals the device's drop counter"
     );
     // No loss before the bridge: the sender stack segment is clean.
-    assert_eq!(tracer.packet_loss("s1_ovs_br1", "s1_ovs_br1").lost, 0);
+    assert_eq!(
+        metrics::packet_loss(tracer.db(), "s1_ovs_br1", "s1_ovs_br1").lost,
+        0
+    );
     // The application view matches: exactly the surviving requests got
     // replies.
     let replies = s.latency.borrow_mut().samples().len() as u64;
     assert_eq!(replies, 600 - loss.lost);
     // Incomplete-record detection lists exactly the lost trace IDs.
-    let incomplete =
-        vnettracer::analysis::incomplete_ids(tracer.db(), &["s1_ovs_br1", "s2_ovs_br1"]);
+    let incomplete = metrics::incomplete_ids(tracer.db(), &["s1_ovs_br1", "s2_ovs_br1"]);
     assert_eq!(incomplete.len() as u64, loss.lost);
     // Per-flow loss pins it on the sockperf request flow.
     let per_flow = metrics::per_flow_loss(tracer.db(), "s1_ovs_br1", "s2_ovs_br1");

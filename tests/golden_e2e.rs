@@ -30,7 +30,7 @@ fn snapshot(tracer: &vnettracer::VNetTracer, world: &vnet_sim::World, chain: &[&
         let bps = metrics::throughput_at(tracer.db(), name);
         out.push_str(&format!("table {name}: {len} records, {bps:.0} bps\n"));
     }
-    for seg in tracer.decompose(chain) {
+    for seg in metrics::decompose(tracer.db(), chain) {
         out.push_str(&format!(
             "segment {} -> {}: count {} min {} p50 {} max {} mean {:.1}\n",
             seg.from,

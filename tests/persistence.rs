@@ -34,8 +34,8 @@ fn spill_and_reload_preserves_all_analysis() {
 
     // Every offline analysis gives identical answers on the reloaded DB.
     assert_eq!(reloaded.len(), tracer.db().len());
-    let live = metrics::latency_between(tracer.db(), "s1_ovs_br1", "s2_ovs_br1", None);
-    let cold = metrics::latency_between(&reloaded, "s1_ovs_br1", "s2_ovs_br1", None);
+    let live = metrics::latency_between(tracer.db(), "s1_ovs_br1", "s2_ovs_br1");
+    let cold = metrics::latency_between(&reloaded, "s1_ovs_br1", "s2_ovs_br1");
     assert_eq!(live, cold);
     let live_t = metrics::throughput_at(tracer.db(), "s2_ovs_br1");
     let cold_t = metrics::throughput_at(&reloaded, "s2_ovs_br1");

@@ -91,7 +91,7 @@ fn request_decomposition_sums_to_end_to_end() {
         cfg.requests as usize,
         "every request observed at the first tap"
     );
-    let ids: HashSet<&str> = per_packet.iter().map(|(id, _)| id.as_str()).collect();
+    let ids: HashSet<u32> = per_packet.iter().map(|&(id, _)| id).collect();
     assert_eq!(
         ids.len(),
         per_packet.len(),
@@ -105,11 +105,11 @@ fn request_decomposition_sums_to_end_to_end() {
     for (id, segs) in &per_packet {
         let total: u64 = segs
             .iter()
-            .map(|s| s.unwrap_or_else(|| panic!("request {id} missing a segment: {segs:?}")))
+            .map(|s| s.unwrap_or_else(|| panic!("request {id:08x} missing a segment: {segs:?}")))
             .sum();
         summed.push(total);
     }
-    let mut e2e = metrics::latency_between(tracer.db(), tables[0], tables[tables.len() - 1], None);
+    let mut e2e = metrics::latency_between(tracer.db(), tables[0], tables[tables.len() - 1]);
     assert_eq!(e2e.len(), cfg.requests as usize);
     summed.sort_unstable();
     e2e.sort_unstable();
