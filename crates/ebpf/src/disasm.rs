@@ -8,48 +8,59 @@
 
 use crate::insn::*;
 
+/// Access sizes by their `BPF_SIZE` bits, as the listing names them.
+pub(crate) const SIZES: [(u8, &str); 4] = [
+    (BPF_W, "u32"),
+    (BPF_H, "u16"),
+    (BPF_B, "u8"),
+    (BPF_DW, "u64"),
+];
+
+/// ALU operations with two operands by their `BPF_OP` bits, as the
+/// listing writes them.
+pub(crate) const ALU_OPS: [(u8, &str); 12] = [
+    (BPF_ADD, "+="),
+    (BPF_SUB, "-="),
+    (BPF_MUL, "*="),
+    (BPF_DIV, "/="),
+    (BPF_OR, "|="),
+    (BPF_AND, "&="),
+    (BPF_LSH, "<<="),
+    (BPF_RSH, ">>="),
+    (BPF_MOD, "%="),
+    (BPF_XOR, "^="),
+    (BPF_MOV, "="),
+    (BPF_ARSH, "s>>="),
+];
+
+/// Conditional jumps by their `BPF_OP` bits, as the listing writes them.
+pub(crate) const JMP_OPS: [(u8, &str); 11] = [
+    (BPF_JEQ, "=="),
+    (BPF_JNE, "!="),
+    (BPF_JGT, ">"),
+    (BPF_JGE, ">="),
+    (BPF_JLT, "<"),
+    (BPF_JLE, "<="),
+    (BPF_JSET, "&"),
+    (BPF_JSGT, "s>"),
+    (BPF_JSGE, "s>="),
+    (BPF_JSLT, "s<"),
+    (BPF_JSLE, "s<="),
+];
+
+/// The listing's spelling of `code` in `table`.
+fn symbol(table: &[(u8, &'static str)], code: u8) -> Option<&'static str> {
+    table.iter().find(|&&(c, _)| c == code).map(|&(_, sym)| sym)
+}
+
+/// The bits `table` spells `sym`: the inverse of [`symbol`], for
+/// [`crate::parse`].
+pub(crate) fn bits(table: &[(u8, &str)], sym: &str) -> Option<u8> {
+    table.iter().find(|&&(_, s)| s == sym).map(|&(b, _)| b)
+}
+
 fn size_suffix(opcode: u8) -> &'static str {
-    match opcode & 0x18 {
-        BPF_W => "u32",
-        BPF_H => "u16",
-        BPF_B => "u8",
-        _ => "u64",
-    }
-}
-
-fn alu_symbol(op: u8) -> Option<&'static str> {
-    Some(match op {
-        BPF_ADD => "+=",
-        BPF_SUB => "-=",
-        BPF_MUL => "*=",
-        BPF_DIV => "/=",
-        BPF_OR => "|=",
-        BPF_AND => "&=",
-        BPF_LSH => "<<=",
-        BPF_RSH => ">>=",
-        BPF_MOD => "%=",
-        BPF_XOR => "^=",
-        BPF_MOV => "=",
-        BPF_ARSH => "s>>=",
-        _ => return None,
-    })
-}
-
-fn jmp_symbol(op: u8) -> Option<&'static str> {
-    Some(match op {
-        BPF_JEQ => "==",
-        BPF_JNE => "!=",
-        BPF_JGT => ">",
-        BPF_JGE => ">=",
-        BPF_JLT => "<",
-        BPF_JLE => "<=",
-        BPF_JSET => "&",
-        BPF_JSGT => "s>",
-        BPF_JSGE => "s>=",
-        BPF_JSLT => "s<",
-        BPF_JSLE => "s<=",
-        _ => return None,
-    })
+    symbol(&SIZES, opcode & 0x18).unwrap_or("u64")
 }
 
 /// Renders one instruction. For the first slot of an `lddw`, `next` must
@@ -69,7 +80,7 @@ pub fn disasm_insn(insn: &Insn, next: Option<&Insn>) -> String {
             if op == BPF_NEG {
                 return format!("{narrow}r{dst} = -{narrow}r{dst}");
             }
-            let Some(sym) = alu_symbol(op) else {
+            let Some(sym) = symbol(&ALU_OPS, op) else {
                 return format!("(bad alu) {insn:?}");
             };
             if insn.opcode & 0x08 == BPF_X {
@@ -115,7 +126,7 @@ pub fn disasm_insn(insn: &Insn, next: Option<&Insn>) -> String {
                 BPF_EXIT => "exit".to_owned(),
                 BPF_CALL => format!("call {imm}"),
                 BPF_JA => format!("goto {off:+}"),
-                op => match jmp_symbol(op) {
+                op => match symbol(&JMP_OPS, op) {
                     Some(sym) if insn.opcode & 0x08 == BPF_X => {
                         format!("if {narrow}r{dst} {sym} {narrow}r{src} goto {off:+}")
                     }

@@ -7,6 +7,7 @@
 //! that disassembly loses no information (`asm → disasm → parse` must
 //! reproduce the original instructions bit for bit).
 
+use crate::disasm::{bits, ALU_OPS, JMP_OPS, SIZES};
 use crate::insn::*;
 
 /// Error produced when a listing line does not parse.
@@ -28,51 +29,6 @@ impl std::error::Error for ParseError {}
 
 fn err<T>(message: impl Into<String>) -> Result<T, String> {
     Err(message.into())
-}
-
-fn alu_opcode(sym: &str) -> Option<u8> {
-    Some(match sym {
-        "+=" => BPF_ADD,
-        "-=" => BPF_SUB,
-        "*=" => BPF_MUL,
-        "/=" => BPF_DIV,
-        "|=" => BPF_OR,
-        "&=" => BPF_AND,
-        "<<=" => BPF_LSH,
-        ">>=" => BPF_RSH,
-        "%=" => BPF_MOD,
-        "^=" => BPF_XOR,
-        "=" => BPF_MOV,
-        "s>>=" => BPF_ARSH,
-        _ => return None,
-    })
-}
-
-fn jmp_opcode(sym: &str) -> Option<u8> {
-    Some(match sym {
-        "==" => BPF_JEQ,
-        "!=" => BPF_JNE,
-        ">" => BPF_JGT,
-        ">=" => BPF_JGE,
-        "<" => BPF_JLT,
-        "<=" => BPF_JLE,
-        "&" => BPF_JSET,
-        "s>" => BPF_JSGT,
-        "s>=" => BPF_JSGE,
-        "s<" => BPF_JSLT,
-        "s<=" => BPF_JSLE,
-        _ => return None,
-    })
-}
-
-fn size_bits(name: &str) -> Option<u8> {
-    Some(match name {
-        "u32" => BPF_W,
-        "u16" => BPF_H,
-        "u8" => BPF_B,
-        "u64" => BPF_DW,
-        _ => return None,
-    })
 }
 
 /// Parses `r{n}` or `wr{n}`, returning `(narrow, reg)`.
@@ -106,7 +62,7 @@ fn parse_off(tok: &str) -> Result<i16, String> {
 /// A memory reference `({sz} *)(r{reg} {off:+})`, spread over three
 /// whitespace tokens whose leading decoration varies by form.
 fn parse_mem(size_tok: &str, reg_tok: &str, off_tok: &str) -> Result<(u8, u8, i16), String> {
-    let size = size_bits(size_tok).ok_or_else(|| format!("bad access size `{size_tok}`"))?;
+    let size = bits(&SIZES, size_tok).ok_or_else(|| format!("bad access size `{size_tok}`"))?;
     let reg_tok = reg_tok
         .strip_prefix("*)(")
         .ok_or_else(|| format!("expected `*)(r…`, got `{reg_tok}`"))?;
@@ -142,7 +98,7 @@ pub fn parse_insn(text: &str) -> Result<Vec<Insn>, String> {
         ["goto", off] => Ok(vec![Insn::new(BPF_JMP | BPF_JA, 0, 0, parse_off(off)?, 0)]),
         ["if", dst, sym, operand, "goto", off] => {
             let (narrow, dst) = parse_reg(dst)?;
-            let op = jmp_opcode(sym).ok_or_else(|| format!("bad jump operator `{sym}`"))?;
+            let op = bits(&JMP_OPS, sym).ok_or_else(|| format!("bad jump operator `{sym}`"))?;
             let class = if narrow { BPF_JMP32 } else { BPF_JMP };
             let off = parse_off(off)?;
             match parse_reg(operand) {
@@ -303,7 +259,7 @@ pub fn parse_insn(text: &str) -> Result<Vec<Insn>, String> {
         // `{n}r{dst} {sym} {operand}` — ALU with register or immediate.
         [dst, sym, operand] => {
             let (narrow, dst) = parse_reg(dst)?;
-            let op = alu_opcode(sym).ok_or_else(|| format!("bad ALU operator `{sym}`"))?;
+            let op = bits(&ALU_OPS, sym).ok_or_else(|| format!("bad ALU operator `{sym}`"))?;
             let class = if narrow { BPF_ALU } else { BPF_ALU64 };
             match parse_reg(operand) {
                 Ok((src_narrow, src)) => {
