@@ -272,24 +272,19 @@ impl RegState {
     /// neither hide an error nor narrow a joined state).
     fn subsumed_by(&self, other: &RegState) -> bool {
         use RegType::*;
-        if other.ty == Uninit {
-            return true;
-        }
-        if self.ty == Uninit {
-            return false;
-        }
-        if *other == RegState::unknown() {
-            return true;
-        }
-        let within = |a: &RegState, b: &RegState| {
-            a.tnum.is_subset_of(&b.tnum)
-                && a.umin >= b.umin
-                && a.umax <= b.umax
-                && a.smin >= b.smin
-                && a.smax <= b.smax
-        };
         match (self.ty, other.ty) {
-            (a, b) if a == b => within(self, other),
+            (_, Uninit) => true,
+            (Uninit, _) => false,
+            // Within one type the unknown scalar needs no case of its
+            // own: every scalar lies within its full ranges.
+            (a, b) if a == b => {
+                self.tnum.is_subset_of(&other.tnum)
+                    && self.umin >= other.umin
+                    && self.umax <= other.umax
+                    && self.smin >= other.smin
+                    && self.smax <= other.smax
+            }
+            _ if *other == RegState::unknown() => true,
             (PtrToMapValue { fd: f1 }, PtrToMapValueOrNull { fd: f2 }) if f1 == f2 => {
                 self.tnum.is_subset_of(&other.tnum)
                     && self.umin >= other.umin
@@ -610,13 +605,18 @@ pub fn analyze(insns: &[Insn], helpers: &[i32]) -> Analysis {
     }
 
     let len = insns.len();
-    let mut pending: Vec<Vec<Regs>> = vec![Vec::new(); len];
+    let mut pending = Pending {
+        at: vec![Vec::new(); len],
+        spare: Vec::new(),
+    };
     let mut states: Vec<Option<Box<Regs>>> = vec![None; len];
+    // Register check order for pruning, local to this walk.
+    let mut order: [usize; NUM_REGS] = core::array::from_fn(|r| r);
 
     let mut entry = [RegState::uninit(); NUM_REGS];
     entry[1] = RegState::ptr(RegType::PtrToCtx);
     entry[REG_FP as usize] = RegState::ptr_at(RegType::PtrToStack, STACK_SIZE as u64);
-    pending[0].push(entry);
+    pending.push(0, entry);
 
     let mut diag = |diags: &mut Vec<Diagnostic>, e: VerifyError, pc: usize, regs: &Regs| {
         if !diags.iter().any(|d| d.error == e) {
@@ -635,20 +635,12 @@ pub fn analyze(insns: &[Insn], helpers: &[i32]) -> Analysis {
         if is_lddw_body[pc] {
             continue;
         }
-        let mut incoming = std::mem::take(&mut pending[pc]);
-        if incoming.is_empty() {
+        let mut kept = std::mem::take(&mut pending.at[pc]);
+        if kept.is_empty() {
             continue; // unreachable
         }
         // Prune states subsumed by an earlier-kept one, cap the rest.
-        let mut kept: Vec<Regs> = Vec::with_capacity(incoming.len().min(STATE_CAP));
-        for st in incoming.drain(..) {
-            if !kept
-                .iter()
-                .any(|k| st.iter().zip(k.iter()).all(|(a, b)| a.subsumed_by(b)))
-            {
-                kept.push(st);
-            }
-        }
+        prune(&mut kept, &mut order);
         if kept.len() > STATE_CAP {
             let mut sum = kept[0];
             for st in &kept[1..] {
@@ -656,7 +648,8 @@ pub fn analyze(insns: &[Insn], helpers: &[i32]) -> Analysis {
                     *a = a.join(b);
                 }
             }
-            kept = vec![sum];
+            kept.truncate(1);
+            kept[0] = sum;
         }
         // Joined view for annotation.
         let mut joined = kept[0];
@@ -667,15 +660,67 @@ pub fn analyze(insns: &[Insn], helpers: &[i32]) -> Analysis {
         }
         states[pc] = Some(Box::new(joined));
 
-        for st in kept {
-            step(insns, pc, st, &mut pending, &mut diagnostics, &mut diag);
+        for st in &kept {
+            step(insns, pc, *st, &mut pending, &mut diagnostics, &mut diag);
         }
+        kept.clear();
+        pending.spare.push(kept);
     }
 
     Analysis {
         diagnostics,
         states,
     }
+}
+
+/// The states waiting at each instruction. A buffer whose instruction has
+/// been walked goes back to `spare` and is handed to the next instruction
+/// that receives a state, so the walk reuses a handful of buffers instead
+/// of growing a fresh one at every instruction.
+struct Pending {
+    at: Vec<Vec<Regs>>,
+    spare: Vec<Vec<Regs>>,
+}
+
+impl Pending {
+    fn push(&mut self, pc: usize, st: Regs) {
+        let slot = &mut self.at[pc];
+        if slot.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *slot = buf;
+            }
+        }
+        slot.push(st);
+    }
+}
+
+/// Drops, in place and keeping the order of the rest, every state
+/// subsumed by an earlier kept one.
+///
+/// Subsumption is a conjunction over registers, so the order in which
+/// the registers are checked cannot change the answer. `order` moves the
+/// register that refuted the last test to the front: the states the walk
+/// produces mostly differ in the same few registers, so a failing test
+/// usually fails on its first check.
+fn prune(states: &mut Vec<Regs>, order: &mut [usize; NUM_REGS]) {
+    let mut kept = 0;
+    for i in 0..states.len() {
+        let (head, tail) = states.split_at(i);
+        let covered = head[..kept].iter().any(|k| {
+            match order.iter().position(|&r| !tail[0][r].subsumed_by(&k[r])) {
+                Some(j) => {
+                    order[..=j].rotate_right(1);
+                    false
+                }
+                None => true,
+            }
+        });
+        if !covered {
+            states.swap(kept, i);
+            kept += 1;
+        }
+    }
+    states.truncate(kept);
 }
 
 /// Abstractly executes `insns[pc]` on `st`, pushing successor states and
@@ -685,7 +730,7 @@ fn step<D>(
     insns: &[Insn],
     pc: usize,
     mut st: Regs,
-    pending: &mut [Vec<Regs>],
+    pending: &mut Pending,
     diags: &mut Vec<Diagnostic>,
     diag: &mut D,
 ) where
@@ -715,7 +760,7 @@ fn step<D>(
                 diag(diags, VerifyError::FallsOffEnd(pc), pc, &st);
                 return;
             }
-            pending[pc + 1].push(st);
+            pending.push(pc + 1, st);
         };
     }
 
@@ -796,7 +841,7 @@ fn step<D>(
                 diag(diags, VerifyError::FallsOffEnd(pc), pc, &st);
                 return;
             }
-            pending[pc + 2].push(st);
+            pending.push(pc + 2, st);
         }
         BPF_LDX => {
             require!(insn.src);
@@ -839,7 +884,7 @@ fn step<D>(
                     fallthrough!();
                 }
                 BPF_JA => {
-                    pending[pc + 1 + insn.off as usize].push(st);
+                    pending.push(pc + 1 + insn.off as usize, st);
                 }
                 _ => {
                     require!(insn.dst);
@@ -852,7 +897,7 @@ fn step<D>(
                     let taken = refine_branch(&st, insn, is32, true);
                     let fall = refine_branch(&st, insn, is32, false);
                     if let Some(t) = taken {
-                        pending[target].push(t);
+                        pending.push(target, t);
                     }
                     if let Some(f) = fall {
                         st = f;

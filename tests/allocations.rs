@@ -12,7 +12,8 @@
 //!
 //! An attached script is fenced by the bytes it keeps: the program it
 //! runs, its maps and its bookkeeping, not the verifier's analysis that
-//! admitted it.
+//! admitted it. Loading one is fenced by its allocation count, so the
+//! verifier's walk keeps reusing its pending-state buffers.
 //!
 //! The store's seal is fenced by bytes rather than calls: sealing a
 //! table holds the one block it is encoding, not a transposed copy of
@@ -24,7 +25,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::net::SocketAddrV4;
+use std::net::{Ipv4Addr, SocketAddrV4};
 
 use vnet_ebpf::context::TraceContext;
 use vnet_ebpf::map::{MapDef, MapRegistry};
@@ -208,6 +209,41 @@ fn a_recorded_firing_allocates_nothing() {
             "cycle {n}: {made} allocations for {FIRINGS_PER_DRAIN} recorded firings"
         );
     }
+}
+
+/// Heap allocations one `load` of the 258-slot one-flow record program
+/// may make. It makes 294: one box per reachable instruction for the
+/// joined state the annotation reads, and a few dozen more. A walk that
+/// grew a fresh pending-state vector at every instruction, instead of
+/// reusing the buffers of instructions already walked, made 1 074.
+const LOAD_ALLOCATIONS: u64 = 320;
+
+/// Loading a compiled one-flow record script — verify, certify,
+/// relocate — makes at most [`LOAD_ALLOCATIONS`] heap allocations.
+#[test]
+fn a_load_allocates_a_bounded_number_of_times() {
+    let mut maps = MapRegistry::new();
+    let perf_fd = maps.create(MapDef::perf(64 * 1024), 4).unwrap();
+    let spec = TraceSpec {
+        name: "rx".into(),
+        node: "n".into(),
+        hook: HookSpec::DeviceRx("eth0".into()),
+        filter: FilterRule::udp_flow(
+            (Ipv4Addr::new(10, 0, 0, 1), 9000),
+            (Ipv4Addr::new(10, 0, 0, 2), 7),
+        ),
+        action: Action::RecordPacketInfo,
+    };
+    let prog = vnettracer::compile::compile(&spec, Some(perf_fd), None).unwrap();
+    assert_eq!(prog.insns.len(), 258);
+    let helpers = standard_helpers();
+    let before = allocations();
+    load(prog, &maps, &helpers).unwrap();
+    let made = allocations() - before;
+    assert!(
+        made <= LOAD_ALLOCATIONS,
+        "{made} allocations in one load, more than {LOAD_ALLOCATIONS}"
+    );
 }
 
 /// The two-host testbed's four scripts traced and collected; then, with
