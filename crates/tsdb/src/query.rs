@@ -7,8 +7,16 @@
 //! one filter, and it decides sealed and hot-tail rows alike off their
 //! timestamp.
 
+use std::ops::RangeInclusive;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::OnceLock;
+use std::thread;
+
 use crate::record::CompactRecord;
-use crate::segment::{dict_index, Block, ColumnId, ColumnSet, SegmentError, ALL_COLUMNS};
+use crate::segment::{
+    dict_index, Block, ColumnId, ColumnSet, Segment, SegmentError, ALL_COLUMNS, BLOCK_ROWS,
+};
 use crate::store::{StoreError, TraceDb};
 use crate::table::{entries, Entry};
 
@@ -108,17 +116,22 @@ impl Query {
     /// Segments are pruned by footer time range without touching their
     /// data; inside a surviving segment every row block whose own
     /// `[min_ts, max_ts]` misses the window is skipped on the footer too
-    /// (no sortedness assumed); a surviving block decodes its `Ts` lane
+    /// (no sortedness assumed). A surviving block decodes its `Ts` lane
     /// first when a window is set and, only if a row matched, the
     /// `project`ed ones — with no window and nothing projected, rows are
-    /// counted off the block index. One decoded block is resident at a
-    /// time. Hot-tail records are decided by the same window, read off
-    /// the record.
+    /// counted off the block index. The surviving blocks decode on the
+    /// calling thread and, when the host runs two threads at once and
+    /// they hold at least four whole blocks' worth of values to decode,
+    /// on one scoped helper thread too. `visit` runs on the calling
+    /// thread, one block at a time and in block order; at most three
+    /// decoded blocks are resident at once. Hot-tail records are decided
+    /// by the same window, read off the record.
     ///
     /// # Errors
     ///
-    /// Any [`StoreError`] from reading sealed segments (a chunk's CRC is
-    /// checked before it is decoded), or the first error from `visit`.
+    /// The first error in block order: a [`StoreError`] from reading a
+    /// sealed block (a chunk's CRC is checked before it is decoded), or
+    /// one from `visit`, after which no further block is visited.
     pub fn walk(
         &self,
         db: &TraceDb,
@@ -126,13 +139,25 @@ impl Query {
         mut visit: impl FnMut(Rows<'_>) -> Result<(), StoreError>,
     ) -> Result<ScanStats, StoreError> {
         let (lo, hi) = self.time.unwrap_or((0, u64::MAX));
-        let window = lo..=hi;
         let mut ts_lane: ColumnSet = [false; ColumnId::ALL.len()];
         ts_lane[ColumnId::Ts as usize] = self.time.is_some();
+        let mut plan = Plan {
+            window: lo..=hi,
+            ts_lane,
+            project,
+            lanes: std::array::from_fn(|c| ts_lane[c] || project[c]),
+            largest_rows: 0,
+            largest_bytes: 0,
+        };
 
         let mut stats = ScanStats::default();
 
-        for seg in db.sealed_segments_for(&self.measurement) {
+        // Pass 1, footers only: the blocks that survive pruning, and
+        // every count that needs no block data.
+        let segments = db.sealed_segments_for(&self.measurement);
+        let mut blocks = Vec::with_capacity(segments.iter().map(|s| s.meta().blocks.len()).sum());
+        let mut surviving_rows = 0;
+        for seg in segments {
             let meta = seg.meta();
             let block_count = meta.blocks.len() as u64;
             stats.segments_total += 1;
@@ -143,48 +168,50 @@ impl Query {
                 stats.blocks_pruned += block_count;
                 continue;
             }
-            let scanned_before = stats.blocks_scanned;
+            let surviving_before = blocks.len();
             for (b, block_meta) in meta.blocks.iter().enumerate() {
                 if block_meta.max_ts < lo || block_meta.min_ts > hi {
                     stats.blocks_pruned += 1;
-                    continue;
+                } else {
+                    blocks.push((seg, b));
+                    surviving_rows += block_meta.rows;
+                    plan.largest_rows = plan.largest_rows.max(block_meta.rows as usize);
+                    let bytes = block_meta.encoded_bytes() as usize;
+                    plan.largest_bytes = plan.largest_bytes.max(bytes);
                 }
-                stats.blocks_scanned += 1;
-                // Phase 1: decode the `Ts` lane if there is a window to
-                // test it against; with none, the lane stays empty and
-                // every row matches.
-                let mut blk = Block::default();
-                stats.bytes_read += seg.read_block(b, &ts_lane, &mut blk)?;
-                let ts = blk.col(ColumnId::Ts);
-                let matched: Vec<usize> = (0..block_meta.rows as usize)
-                    .filter(|&i| ts.get(i).is_none_or(|t| window.contains(t)))
-                    .collect();
-                if !matched.is_empty() {
-                    stats.rows_matched += matched.len() as u64;
-                    // Phase 2: decode what the caller projected.
-                    stats.bytes_read += seg.read_block(b, project, &mut blk)?;
-                    visit(Rows::Sealed {
-                        block: &blk,
-                        matched: &matched,
-                        nodes: &meta.nodes,
-                    })?;
-                }
-                stats.peak_decoded_rows = stats.peak_decoded_rows.max(blk.rows() as u64);
             }
             // A segment whose blocks were all skipped was pruned on the
             // footer just the same.
-            if stats.blocks_scanned == scanned_before {
+            if blocks.len() == surviving_before {
                 stats.segments_pruned += 1;
             } else {
                 stats.segments_scanned += 1;
                 stats.sealed_rows_total += meta.records;
             }
         }
+        stats.blocks_scanned = blocks.len() as u64;
+
+        // Pass 2: decode the survivors, visit them in order.
+        let lanes = plan.lanes.iter().filter(|&&lane| lane).count();
+        let helper = surviving_rows * lanes as u64 >= HELPER_MIN_VALUES && parallel_host();
+        decode_in_order(&blocks, &plan, helper, &mut |seg, d| {
+            stats.bytes_read += d.bytes_read;
+            stats.peak_decoded_rows = stats.peak_decoded_rows.max(d.block.rows() as u64);
+            if d.matched.is_empty() {
+                return Ok(());
+            }
+            stats.rows_matched += d.matched.len() as u64;
+            visit(Rows::Sealed {
+                block: &d.block,
+                matched: &d.matched,
+                nodes: &seg.meta().nodes,
+            })
+        })?;
 
         // The hot tail: rows in ingest order, after every sealed one.
         if let Some(table) = db.table(&self.measurement) {
             for (node, record) in table.rows() {
-                if window.contains(&record.timestamp_ns) {
+                if plan.window.contains(&record.timestamp_ns) {
                     stats.hot_entries += 1;
                     let node = &table.nodes()[*node as usize];
                     visit(Rows::Hot { node, record })?;
@@ -193,6 +220,198 @@ impl Query {
         }
         Ok(stats)
     }
+}
+
+/// A walk starts the helper only if its surviving blocks hold at least
+/// this many values (rows times lanes to decode), four whole blocks'
+/// worth: below it, the helper was measured to cost about what it saves,
+/// or more (DESIGN.md §12, "Two decode threads"). A walk of fewer than
+/// four blocks never starts it, and neither does a walk that decodes
+/// nothing.
+const HELPER_MIN_VALUES: u64 = 4 * (BLOCK_ROWS * ColumnId::ALL.len()) as u64;
+
+/// Decoded blocks the helper owns: one it fills while the calling thread
+/// visits the other.
+const HELPER_BLOCKS: usize = 2;
+
+/// What a walk reads of each surviving block.
+struct Plan<'p> {
+    window: RangeInclusive<u64>,
+    /// `Ts` under a window; nothing without one, when every row matches.
+    ts_lane: ColumnSet,
+    project: &'p ColumnSet,
+    /// Every lane a block may load: `ts_lane` and `project`.
+    lanes: ColumnSet,
+    /// Rows and encoded bytes of the largest surviving blocks. The
+    /// calling thread's buffers have room for them from the start, so
+    /// none grows in the middle of a walk: a late growth lands on top of
+    /// the heap, above a caller's growing result, and fragments it.
+    largest_rows: usize,
+    largest_bytes: usize,
+}
+
+/// One sealed block as a walk decodes it. The buffers are pooled: a walk
+/// reuses a few of these for all its blocks.
+#[derive(Debug, Default)]
+struct Decoded {
+    block: Block,
+    /// Ascending indices of the rows in the window.
+    matched: Vec<usize>,
+    /// Encoded bytes read for this block.
+    bytes_read: u64,
+}
+
+impl Decoded {
+    /// Buffers with room for the largest block `plan` reads.
+    fn for_plan(plan: &Plan<'_>) -> Self {
+        let mut d = Decoded::default();
+        d.block
+            .reserve(&plan.lanes, plan.largest_rows, plan.largest_bytes);
+        d.matched.reserve(plan.largest_rows);
+        d
+    }
+
+    /// Decodes block `b` of `seg` in two phases: the plan's `ts_lane`,
+    /// then — only if a row is in the window — its projected lanes.
+    fn read(&mut self, seg: &Segment, b: usize, plan: &Plan<'_>) -> Result<(), SegmentError> {
+        self.block.clear();
+        self.matched.clear();
+        self.bytes_read = seg.read_block(b, &plan.ts_lane, &mut self.block)?;
+        let ts = self.block.col(ColumnId::Ts);
+        let rows = seg.meta().blocks[b].rows as usize;
+        let in_window = (0..rows).filter(|&i| ts.get(i).is_none_or(|t| plan.window.contains(t)));
+        self.matched.extend(in_window);
+        if !self.matched.is_empty() {
+            self.bytes_read += seg.read_block(b, plan.project, &mut self.block)?;
+        }
+        Ok(())
+    }
+}
+
+/// A block the helper decoded: its position in the walk, its buffers and
+/// how the decode went.
+type Done = (usize, Decoded, Result<(), SegmentError>);
+
+/// Decodes `blocks` (segment, block index) as `plan` says and hands each
+/// to `visit` on the calling thread, in order.
+///
+/// With `helper`, one scoped helper thread decodes beside the calling
+/// one. Both claim the next undecoded block from one counter, so the
+/// split follows what each thread's share costs. The calling thread
+/// visits a block the helper has finished before it claims another, and
+/// claims none while it holds one decoded ahead of its turn; the helper
+/// owns [`HELPER_BLOCKS`] buffers and waits for one to come back. Without
+/// a helper (or if it cannot be started) the calling thread claims every
+/// block in turn, which is the same loop.
+///
+/// Returns the first error in block order, a decode's or `visit`'s. On
+/// it the helper's channels close, it stops after the block in hand, and
+/// the scope joins it before this returns.
+fn decode_in_order<'a>(
+    blocks: &[(&'a Segment, usize)],
+    plan: &Plan<'_>,
+    helper: bool,
+    visit: &mut dyn FnMut(&'a Segment, &Decoded) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
+    // The next block to decode. `Relaxed` is enough: the counter only
+    // hands out block numbers, and decoded blocks travel over channels,
+    // which synchronise.
+    let claim = AtomicUsize::new(0);
+    let decode = |d: &mut Decoded, k: usize| {
+        let (seg, b) = blocks[k];
+        d.read(seg, b, plan)
+    };
+    thread::scope(|s| {
+        let helper = if helper {
+            spawn_helper(s, blocks.len(), &claim, &decode)
+        } else {
+            None
+        };
+        let mut own = Decoded::for_plan(plan);
+        let mut own_result = Ok(());
+        // The block `own` holds, decoded ahead of its turn.
+        let mut own_at = None;
+        for (v, &(seg, _)) in blocks.iter().enumerate() {
+            loop {
+                if own_at == Some(v) {
+                    own_at = None;
+                    std::mem::replace(&mut own_result, Ok(()))?;
+                    visit(seg, &own)?;
+                    break;
+                }
+                if let Some((done, free)) = &helper {
+                    // Block `v` is the helper's if it claimed it: surely
+                    // so while `own` is ahead or nothing is left to claim.
+                    let theirs = own_at.is_some() || claim.load(Ordering::Relaxed) >= blocks.len();
+                    let ready = match theirs {
+                        true => Some(done.recv().expect("the helper sends every block it claims")),
+                        false => done.try_recv().ok(),
+                    };
+                    if let Some((k, d, result)) = ready {
+                        assert_eq!(k, v, "the helper's blocks arrive in order");
+                        result?;
+                        visit(seg, &d)?;
+                        // Fails only once the helper has stopped.
+                        let _ = free.send(d);
+                        break;
+                    }
+                }
+                let k = claim.fetch_add(1, Ordering::Relaxed);
+                if k < blocks.len() {
+                    own_result = decode(&mut own, k);
+                    own_at = Some(k);
+                }
+            }
+        }
+        Ok(())
+    })
+}
+
+/// Starts [`decode_in_order`]'s helper on `s`: it claims blocks below `n`
+/// off `claim` and decodes each into a buffer it owns, until none is
+/// left, a decode fails, or the calling thread hangs up. Returns the
+/// channel its blocks arrive on and the one that gives the buffers back;
+/// `None` if the thread could not be started.
+fn spawn_helper<'scope, 'env>(
+    s: &'scope thread::Scope<'scope, 'env>,
+    n: usize,
+    claim: &'env AtomicUsize,
+    decode: &'env (impl Fn(&mut Decoded, usize) -> Result<(), SegmentError> + Sync),
+) -> Option<(Receiver<Done>, SyncSender<Decoded>)> {
+    let (done_tx, done_rx) = sync_channel(HELPER_BLOCKS);
+    let (free_tx, free_rx) = sync_channel(HELPER_BLOCKS);
+    // The buffers grow on the helper, in its own heap arena. Allocated
+    // on the calling thread instead, they went back to the calling
+    // thread's heap at the end of each walk, which handed their pages
+    // back, and the next walk faulted them in again.
+    for _ in 0..HELPER_BLOCKS {
+        free_tx
+            .send(Decoded::default())
+            .expect("the channel holds every buffer");
+    }
+    thread::Builder::new()
+        .name("vnt-scan".into())
+        .spawn_scoped(s, move || {
+            while let Ok(mut d) = free_rx.recv() {
+                let k = claim.fetch_add(1, Ordering::Relaxed);
+                if k >= n {
+                    break;
+                }
+                let result = decode(&mut d, k);
+                let failed = result.is_err();
+                if done_tx.send((k, d, result)).is_err() || failed {
+                    break;
+                }
+            }
+        })
+        .ok()?;
+    Some((done_rx, free_tx))
+}
+
+/// Whether this host runs two threads at once; asked once per process.
+fn parallel_host() -> bool {
+    static PARALLEL: OnceLock<bool> = OnceLock::new();
+    *PARALLEL.get_or_init(|| thread::available_parallelism().is_ok_and(|n| n.get() > 1))
 }
 
 /// One step of [`Query::walk`].
@@ -244,7 +463,9 @@ pub struct ScanStats {
     /// Blocks that survived the footer (their `Ts` lane decoded when a
     /// window is set).
     pub blocks_scanned: u64,
-    /// Most sealed rows held in decoded form at once (one block's).
+    /// Most sealed rows decoded in one block: the largest block the
+    /// walk decoded, not the sum over the (at most three) blocks its two
+    /// decode threads hold at once.
     pub peak_decoded_rows: u64,
 }
 
@@ -420,9 +641,13 @@ pub fn stats_from_ns(samples: &[u64]) -> Option<LatencyStats> {
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+
     use super::*;
     use crate::batch::RecordBatch;
+    use crate::codec::{crc32, CodecError};
     use crate::record::CompactRecord;
+    use crate::segment::tests::write_rows;
     use crate::store::TraceDb;
 
     /// 100 records in `lat`, `pkt_len` = i at t = 10 i, alternating nodes.
@@ -589,6 +814,139 @@ mod tests {
         assert_eq!(percentiles(&hits, "pkt_len", &[0.5]), Some(vec![62.0]));
         let nodes: Vec<&str> = hits.iter().map(Entry::node).collect();
         assert_eq!(nodes, ["n0", "n0", "n0", "n1", "n1"], "batch group order");
+    }
+
+    /// Ten full blocks of table `m` written as one segment: row `i` at
+    /// t = 1 000 i, with `dport` = 80 + its block, so every block's `Dport`
+    /// chunk (one byte a row) differs from the others'.
+    fn ten_block_segment(tag: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!("vnt-walk-{tag}-{}", std::process::id()));
+        let rows: Vec<(u32, CompactRecord)> = (0..10 * BLOCK_ROWS as u64)
+            .map(|i| {
+                let record = CompactRecord {
+                    timestamp_ns: i * 1_000,
+                    trace_id: i as u32,
+                    pkt_len: 60 + (i % 1_000) as u32,
+                    saddr: i.wrapping_mul(0x9e37_79b9) as u32,
+                    dport: 80 + (i / BLOCK_ROWS as u64) as u16,
+                    flags: 1,
+                    ..Default::default()
+                };
+                (0, record)
+            })
+            .collect();
+        write_rows(&path, "m", &["vm1"], 0, &rows).unwrap();
+        path
+    }
+
+    /// Walks `blocks` of `seg` projecting every column, with or without
+    /// the helper, failing the visit of block `fail_at`. Returns the
+    /// outcome and the blocks visited, in visiting order.
+    fn visit_blocks(
+        seg: &Segment,
+        blocks: std::ops::Range<usize>,
+        helper: bool,
+        fail_at: Option<usize>,
+    ) -> (Result<(), StoreError>, Vec<usize>) {
+        let blocks: Vec<_> = blocks.map(|b| (seg, b)).collect();
+        let plan = Plan {
+            window: 0..=u64::MAX,
+            ts_lane: [false; ColumnId::ALL.len()],
+            project: &ALL_COLUMNS,
+            lanes: ALL_COLUMNS,
+            largest_rows: 0,
+            largest_bytes: 0,
+        };
+        let mut visited = Vec::new();
+        let outcome = decode_in_order(&blocks, &plan, helper, &mut |_, d| {
+            let b = (d.block.col(ColumnId::Ts)[0] / 1_000) as usize / BLOCK_ROWS;
+            assert_eq!(d.matched.len(), BLOCK_ROWS, "block {b}");
+            assert!(d.block.cols().iter().all(|lane| lane.len() == BLOCK_ROWS));
+            visited.push(b);
+            match fail_at == Some(b) {
+                true => Err(StoreError::Manifest(format!("visit failed at {b}"))),
+                false => Ok(()),
+            }
+        });
+        (outcome, visited)
+    }
+
+    /// Two damaged blocks: block 3 fails its `Saddr` chunk's CRC, and
+    /// block 7's `Dport` chunk holds a non-canonical varint under a
+    /// recomputed CRC. Block 3's error is the walk's, with the helper and
+    /// without, whichever thread decodes which block; blocks 0–2 are
+    /// visited, nothing after. From block 4 on, block 7's is.
+    #[test]
+    fn the_first_error_in_block_order_wins() {
+        let path = ten_block_segment("error-order");
+        let meta = Segment::open(&path).unwrap().meta().clone();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let saddr = meta.blocks[3].chunks[ColumnId::Saddr as usize];
+        bytes[(saddr.offset + saddr.len / 2) as usize] ^= 0x10;
+        // Two one-byte values 87, 87 become one value spelled 0xd7 0x00.
+        let dport = meta.blocks[7].chunks[ColumnId::Dport as usize];
+        let chunk = dport.offset as usize..(dport.offset + dport.len) as usize;
+        bytes[chunk.start] |= 0x80;
+        bytes[chunk.start + 1] = 0;
+        let crc = crc32(&bytes[chunk]);
+        let trailer = bytes.len() - 16;
+        let footer_len = u32::from_le_bytes(bytes[trailer + 4..trailer + 8].try_into().unwrap());
+        let footer = trailer - footer_len as usize;
+        let old = dport.crc.to_le_bytes();
+        let at: Vec<usize> = (footer..trailer - 3)
+            .filter(|&i| bytes[i..i + 4] == old)
+            .collect();
+        assert_eq!(at.len(), 1, "block 7's Dport CRC is unique in the footer");
+        bytes[at[0]..at[0] + 4].copy_from_slice(&crc.to_le_bytes());
+        let footer_crc = crc32(&bytes[footer..trailer]);
+        bytes[trailer..trailer + 4].copy_from_slice(&footer_crc.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        let seg = Segment::open(&path).expect("the footer is intact");
+        for helper in [false, true] {
+            for _ in 0..20 {
+                let (outcome, visited) = visit_blocks(&seg, 0..10, helper, None);
+                assert!(
+                    matches!(&outcome, Err(StoreError::Segment(SegmentError::Corrupt(m)))
+                        if m.contains("block 3 column Saddr CRC")),
+                    "helper {helper}: {outcome:?}"
+                );
+                assert_eq!(visited, [0, 1, 2], "helper {helper}");
+                let (outcome, visited) = visit_blocks(&seg, 4..10, helper, None);
+                assert!(
+                    matches!(
+                        outcome,
+                        Err(StoreError::Segment(SegmentError::Codec(
+                            CodecError::NonCanonical
+                        )))
+                    ),
+                    "helper {helper}: {outcome:?}"
+                );
+                assert_eq!(visited, [4, 5, 6], "helper {helper}");
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A visit that fails at block `k` ends the walk with its error: no
+    /// block after `k` is visited, and the helper stops and is joined.
+    #[test]
+    fn a_failing_visit_stops_the_walk() {
+        let path = ten_block_segment("visit-stop");
+        let seg = Segment::open(&path).unwrap();
+        for helper in [false, true] {
+            let (outcome, visited) = visit_blocks(&seg, 0..10, helper, None);
+            assert!(outcome.is_ok());
+            assert_eq!(visited, (0..10).collect::<Vec<_>>());
+            for k in [0, 1, 4, 9] {
+                let (outcome, visited) = visit_blocks(&seg, 0..10, helper, Some(k));
+                assert!(
+                    matches!(&outcome, Err(StoreError::Manifest(m)) if *m == format!("visit failed at {k}")),
+                    "helper {helper}, k {k}: {outcome:?}"
+                );
+                assert_eq!(visited, (0..=k).collect::<Vec<_>>(), "helper {helper}");
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -569,6 +569,15 @@ impl Block {
         self.run.clear();
     }
 
+    /// Makes room to load the `lanes` of a block of `rows` rows and
+    /// `bytes` encoded bytes without growing a buffer.
+    pub(crate) fn reserve(&mut self, lanes: &ColumnSet, rows: usize, bytes: usize) {
+        for (lane, _) in self.cols.iter_mut().zip(lanes).filter(|(_, &want)| want) {
+            lane.reserve(rows.saturating_sub(lane.len()));
+        }
+        self.run.reserve(bytes.saturating_sub(self.run.len()));
+    }
+
     /// The decoded values of one column; empty if not loaded.
     pub fn col(&self, id: ColumnId) -> &[u64] {
         &self.cols[id as usize]

@@ -19,6 +19,10 @@
 //! table holds the one block it is encoding, not a transposed copy of
 //! the whole table.
 //!
+//! A walk over sealed blocks is fenced by its allocation count too: it
+//! reuses its block buffers, so a long walk allocates what a short one
+//! does.
+//!
 //! This is its own test binary because it installs a counting global
 //! allocator. The counts are per thread, so nothing the test harness does
 //! on its other threads lands in them.
@@ -33,7 +37,8 @@ use vnet_ebpf::program::load;
 use vnet_ebpf::vm::{standard_helpers, FixedEnv};
 use vnet_sim::packet::{FlowKey, PacketBuilder, SocketAddrV4Ext};
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
-use vnet_tsdb::{CompactRecord, RecordBatch, StoreOptions, TraceDb};
+use vnet_tsdb::segment::ALL_COLUMNS;
+use vnet_tsdb::{CompactRecord, Query, RecordBatch, Rows, StoreOptions, TraceDb};
 use vnet_workloads::datacenter_rack::{RackConfig, RackScenario};
 use vnettracer::{Action, FilterRule, HookSpec, TraceSpec};
 
@@ -340,5 +345,66 @@ fn sealing_a_table_holds_one_block_not_the_table() {
     assert!(
         grew < 1 << 20,
         "sealing {SEAL_ROWS} rows raised the live heap by {grew} bytes"
+    );
+}
+
+/// Rows per segment block (`segment::BLOCK_ROWS`).
+const BLOCK_ROWS: u64 = 2_048;
+
+/// A cold walk allocates on the calling thread what a walk of eight
+/// blocks does, whatever its length: it reuses a few block buffers (its
+/// own and the decode helper's) for every block, rather than allocating
+/// a block and a row list per block. The 128-block table is sealed,
+/// flushed and reopened, and both walks project every column.
+#[test]
+fn a_walk_reuses_its_block_buffers() {
+    let dir = std::env::temp_dir().join(format!("vnt-alloc-walk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = StoreOptions {
+        seal_threshold: usize::MAX,
+        fsync: false,
+        ..StoreOptions::default()
+    };
+    let mut db = TraceDb::open_with(&dir, options.clone()).unwrap();
+    let mut batch = RecordBatch::new();
+    for i in 0..128 * BLOCK_ROWS {
+        let mix = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let record = CompactRecord {
+            timestamp_ns: i * 1_000,
+            trace_id: (mix >> 32) as u32,
+            pkt_len: 64 + (i % 1400) as u32,
+            saddr: mix as u32,
+            flags: 1,
+            ..CompactRecord::default()
+        };
+        batch.push("tp0", ["vm1", "vm2"][(i % 2) as usize], record);
+    }
+    db.insert_batch(&batch);
+    drop(batch);
+    db.flush().unwrap();
+    drop(db);
+    let db = TraceDb::open_with(&dir, options).unwrap();
+    let walk = |blocks: u64| {
+        let q = Query::new("tp0").time_range(0, (blocks * BLOCK_ROWS - 1) * 1_000);
+        let mut rows = 0;
+        let before = allocations();
+        let stats = q
+            .walk(&db, &ALL_COLUMNS, |step| {
+                if let Rows::Sealed { matched, .. } = step {
+                    rows += matched.len() as u64;
+                }
+                Ok(())
+            })
+            .unwrap();
+        let made = allocations() - before;
+        assert_eq!((stats.blocks_scanned, rows), (blocks, blocks * BLOCK_ROWS));
+        made
+    };
+    let (short, long) = (walk(8), walk(128));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        long <= short + 8,
+        "a 128-block walk made {long} allocations, an 8-block walk {short}"
     );
 }
