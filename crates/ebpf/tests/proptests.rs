@@ -244,7 +244,9 @@ prop_compose! {
 /// Assembles the [`arb_map_ops`] workload against a hash map `fd` and a
 /// perf buffer `perf_fd`.
 fn assemble_map_workload(ops: &[(u8, u32, i32)], fd: i32, perf_fd: i32) -> Vec<Insn> {
-    let mut asm = Asm::new();
+    // The context is the perf output's first argument; the calls before
+    // it clobber `r1`.
+    let mut asm = Asm::new().mov64(R6, R1);
     for (i, &(op, key, val)) in ops.iter().enumerate() {
         asm = asm.st(Size::W, R10, -4, key as i32);
         match op {
@@ -284,6 +286,7 @@ fn assemble_map_workload(ops: &[(u8, u32, i32)], fd: i32, perf_fd: i32) -> Vec<I
     }
     asm.mov64_imm(R2, 0x5eed)
         .stx(Size::DW, R10, R2, -8)
+        .mov64(R1, R6)
         .mov64(R4, R10)
         .add64_imm(R4, -8)
         .ld_map_fd(R2, perf_fd)
