@@ -820,7 +820,7 @@ mod tests {
             digest.extend(err.to_string().bytes());
             digest.push(0);
         }
-        assert_eq!(vnet_tsdb::codec::crc32(&digest), 0x1c3a_9e7b);
+        assert_eq!(vnet_tsdb::codec::crc32(&digest), 0xa25a_3b4c);
     }
 
     #[test]
