@@ -17,6 +17,11 @@
 //! report, so a change to the walk may drop a trailing diagnostic but
 //! never add one.
 //!
+//! `loads_are_pinned` folds what `program::load` returns for the same
+//! programs: the cost certificate of each one it admits, or its error.
+//! The loader's walk may record less than `analyze` does, never decide
+//! differently.
+//!
 //! `state_cap_joins_the_paths_into_one_summary` drives the per-pc state
 //! cap: six two-way diamonds meet 2^6 distinct states at one pc, more
 //! than the cap, and a single joined state walks on from there. The
@@ -28,7 +33,10 @@ use std::path::Path;
 
 use vnet_ebpf::insn::Insn;
 use vnet_ebpf::parse::parse_program;
-use vnet_ebpf::{analyze, standard_helpers, Analysis, RegState, RegType, Tnum};
+use vnet_ebpf::{
+    analyze, load, standard_helpers, Analysis, AttachType, MapDef, MapRegistry, Program, RegState,
+    RegType, Tnum,
+};
 
 /// `k` diamonds over `r2`..`r(k+1)`: each register is loaded from the
 /// context, and the `== 0` edge leaves it 0 while the other path sets it
@@ -302,4 +310,30 @@ fn verdicts_are_pinned() {
         );
     }
     assert_eq!(crc32(&digest), 0x559a_b575);
+}
+
+#[test]
+fn loads_are_pinned() {
+    // What the loader hands back: the certificate (worst case, insns
+    // and the worst-to-here row of every slot) or the error, for every
+    // program of `programs()`. Map fd 0 is the corpus's counter array and
+    // fd 1 a perf ring, so a mutant naming any other fd fails relocation.
+    let mut maps = MapRegistry::new();
+    maps.create(MapDef::array(8, 4), 2).expect("array map");
+    maps.create(MapDef::perf(4096), 2).expect("perf map");
+    let helpers = standard_helpers();
+    let mut digest = Vec::new();
+    let mut kinds = [0usize; 2];
+    for insns in programs() {
+        let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
+        let loaded = load(prog, &maps, &helpers);
+        kinds[usize::from(loaded.is_err())] += 1;
+        match loaded {
+            Ok(p) => digest.extend(format!("{:?}", p.certificate()).bytes()),
+            Err(e) => digest.extend(format!("{e:?}").bytes()),
+        }
+        digest.push(b'\n');
+    }
+    assert_eq!(kinds, [785, 1629], "load mix");
+    assert_eq!(crc32(&digest), 0x0f0e_9b12);
 }
