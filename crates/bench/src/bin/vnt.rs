@@ -277,7 +277,7 @@ fn verify_file(path: &str) -> Result<(), String> {
             analysis.diagnostics().len()
         ));
     }
-    let cert = vnet_ebpf::certify(&insns, &analysis);
+    let cert = vnet_ebpf::certify(&insns, |pc| analysis.state_at(pc).is_some());
     print!(
         "{}",
         vnet_ebpf::render_cost_report(&insns, &analysis, &cert)

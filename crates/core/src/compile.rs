@@ -738,7 +738,7 @@ mod tests {
                 );
                 pc += if prog.insns[pc].is_lddw() { 2 } else { 1 };
             }
-            let cert = vnet_ebpf::certify(&prog.insns, &analysis);
+            let cert = vnet_ebpf::certify(&prog.insns, |pc| analysis.state_at(pc).is_some());
             digest.extend(cert.worst_case_ns.to_le_bytes());
             digest.extend(cert.worst_case_insns.to_le_bytes());
             for row in &cert.worst_to_here_ns {
@@ -949,6 +949,66 @@ mod tests {
         }
         assert_eq!(kinds, [1442, 958], "mutant mix");
         assert_eq!(vnet_tsdb::codec::crc32(&digest), 0xd995_5e55);
+    }
+
+    #[test]
+    fn load_agrees_with_analyze_on_emitted_programs() {
+        // The loader's walk records which instructions it reaches, not
+        // their register states. For every emitted program and the
+        // 2 400 mutants of `emitted_verdicts_are_pinned`, `verify` and
+        // `load` reject with `analyze`'s first error, and an admitted
+        // program's certificate is the one `analyze`'s reachability
+        // gives, with a worst-to-here row exactly where `state_at` has
+        // one.
+        let programs: Vec<_> = emitted_space()
+            .into_iter()
+            .map(|(_, _, p)| p.insns)
+            .collect();
+        let mut rng = Rng(0x5eed_c0de);
+        let mutants: Vec<_> = (0..2_400)
+            .map(|_| {
+                let source = &programs[rng.below(programs.len() as u64) as usize];
+                mutate(&mut rng, source)
+            })
+            .collect();
+        let mut maps = MapRegistry::new();
+        maps.create(MapDef::perf(4096), 2).unwrap();
+        let helpers = standard_helpers();
+        let mut kinds = [0usize; 3];
+        for (i, insns) in programs.iter().chain(&mutants).enumerate() {
+            let a = vnet_ebpf::analyze(insns, &helpers);
+            let verdict = vnet_ebpf::verify(insns, &helpers);
+            assert_eq!(verdict.as_ref().err(), a.first_error(), "program {i}");
+            let prog = Program::new(
+                "p",
+                vnet_ebpf::AttachType::Kprobe("f".into()),
+                insns.clone(),
+            );
+            match load(prog, &maps, &helpers) {
+                Ok(loaded) => {
+                    kinds[0] += 1;
+                    let cert = loaded.certificate();
+                    let want = vnet_ebpf::certify(insns, |pc| a.state_at(pc).is_some());
+                    assert_eq!(*cert, want, "program {i}");
+                    for (pc, row) in cert.worst_to_here_ns.iter().enumerate() {
+                        assert_eq!(
+                            row.is_some(),
+                            a.state_at(pc).is_some(),
+                            "program {i} pc {pc}"
+                        );
+                    }
+                }
+                Err(vnet_ebpf::program::LoadError::Verify(e)) => {
+                    kinds[1] += 1;
+                    assert_eq!(Some(&e), a.first_error(), "program {i}");
+                }
+                Err(e) => {
+                    kinds[2] += 1;
+                    assert!(a.ok(), "program {i}: {e}");
+                }
+            }
+        }
+        assert_eq!(kinds, [1816, 958, 10], "load mix");
     }
 
     #[test]

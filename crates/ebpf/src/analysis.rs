@@ -18,6 +18,11 @@
 //!   instruction is retained for annotated disassembly (`vnt verify`):
 //!   the state on an access's line is why the verifier accepted it.
 //!
+//! [`analyze`] returns both. The loader asks for the rejection alone: it
+//! runs the same walk recording only which instructions some path
+//! reaches, as the kernel verifier builds its per-instruction log only
+//! when the loader asks for one.
+//!
 //! Soundness contract: on every register live at an instruction (one
 //! some path from it reads before writing it), the states there cover
 //! every path reaching it (joins and pruning over-approximate), so a
@@ -568,20 +573,68 @@ fn structural_insn(
 
 type Regs = [RegState; NUM_REGS];
 
-/// Runs the full verification analysis.
+/// Runs the full verification analysis: every diagnostic, and the joined
+/// register state at every reachable instruction.
 pub fn analyze(insns: &[Insn], helpers: &[i32]) -> Analysis {
+    let mut states = vec![None; insns.len()];
+    let diagnostics = walk(insns, helpers, |pc, kept| {
+        states[pc] = Some(Box::new(join_all(kept)));
+    });
+    Analysis {
+        diagnostics,
+        states,
+    }
+}
+
+/// What the loader needs from the verifier: the diagnostics [`analyze`]
+/// reports, and which instructions some path reaches. Like the kernel
+/// verifier run without a log, it keeps no register state.
+#[derive(Debug)]
+pub(crate) struct Verdict {
+    /// Every rejection, exactly as [`Analysis::diagnostics`] lists them.
+    pub(crate) diagnostics: Vec<Diagnostic>,
+    /// `reachable[pc]` is [`Analysis::state_at`]`(pc).is_some()`.
+    pub(crate) reachable: Vec<bool>,
+}
+
+/// The walk of [`analyze`], recording reachability instead of states.
+pub(crate) fn verdict(insns: &[Insn], helpers: &[i32]) -> Verdict {
+    let mut reachable = vec![false; insns.len()];
+    let diagnostics = walk(insns, helpers, |pc, _| reachable[pc] = true);
+    Verdict {
+        diagnostics,
+        reachable,
+    }
+}
+
+/// The join of `states`, which is not empty.
+fn join_all(states: &[Regs]) -> Regs {
+    let mut sum = states[0];
+    for st in &states[1..] {
+        for (a, b) in sum.iter_mut().zip(st.iter()) {
+            *a = a.join(b);
+        }
+    }
+    sum
+}
+
+/// The verifier's one walk. It returns every diagnostic and hands
+/// `record` each reachable instruction with the states kept there after
+/// pruning and the cap; what the caller keeps of them changes nothing
+/// the walk finds.
+fn walk(
+    insns: &[Insn],
+    helpers: &[i32],
+    mut record: impl FnMut(usize, &[Regs]),
+) -> Vec<Diagnostic> {
     let mut diagnostics = Vec::new();
-    let empty = |diags: Vec<Diagnostic>| Analysis {
-        diagnostics: diags,
-        states: vec![None; insns.len()],
-    };
     if insns.is_empty() {
         diagnostics.push(Diagnostic {
             error: VerifyError::Empty,
             insn: 0,
             regs: None,
         });
-        return empty(diagnostics);
+        return diagnostics;
     }
     if insns.len() > MAX_INSNS {
         diagnostics.push(Diagnostic {
@@ -589,7 +642,7 @@ pub fn analyze(insns: &[Insn], helpers: &[i32]) -> Analysis {
             insn: 0,
             regs: None,
         });
-        return empty(diagnostics);
+        return diagnostics;
     }
 
     let (structural_errs, is_lddw_body) = structural(insns, helpers);
@@ -604,7 +657,7 @@ pub fn analyze(insns: &[Insn], helpers: &[i32]) -> Analysis {
         }
         // Malformed programs cannot be walked safely (jump targets or
         // opcodes may be invalid); report the structural errors alone.
-        return empty(diagnostics);
+        return diagnostics;
     }
 
     let len = insns.len();
@@ -613,7 +666,6 @@ pub fn analyze(insns: &[Insn], helpers: &[i32]) -> Analysis {
         at: vec![Vec::new(); len],
         spare: Vec::new(),
     };
-    let mut states: Vec<Option<Box<Regs>>> = vec![None; len];
     // Register check order for pruning, local to this walk.
     let mut order: [usize; NUM_REGS] = core::array::from_fn(|r| r);
 
@@ -647,23 +699,10 @@ pub fn analyze(insns: &[Insn], helpers: &[i32]) -> Analysis {
         // live here, cap the rest.
         prune(&mut kept, &mut order, live[pc]);
         if kept.len() > STATE_CAP {
-            let mut sum = kept[0];
-            for st in &kept[1..] {
-                for (a, b) in sum.iter_mut().zip(st.iter()) {
-                    *a = a.join(b);
-                }
-            }
+            kept[0] = join_all(&kept);
             kept.truncate(1);
-            kept[0] = sum;
         }
-        // Joined view for annotation.
-        let mut joined = kept[0];
-        for st in &kept[1..] {
-            for (a, b) in joined.iter_mut().zip(st.iter()) {
-                *a = a.join(b);
-            }
-        }
-        states[pc] = Some(Box::new(joined));
+        record(pc, &kept);
 
         for st in &kept {
             step(insns, pc, *st, &mut pending, &mut diagnostics, &mut diag);
@@ -671,11 +710,7 @@ pub fn analyze(insns: &[Insn], helpers: &[i32]) -> Analysis {
         kept.clear();
         pending.spare.push(kept);
     }
-
-    Analysis {
-        diagnostics,
-        states,
-    }
+    diagnostics
 }
 
 /// The states waiting at each instruction. A buffer whose instruction has
@@ -1458,6 +1493,59 @@ mod tests {
         let lines: Vec<&str> = src.lines().collect();
         let insns = parse_program(&lines).expect("test listing parses");
         analyze(&insns, &standard_helpers())
+    }
+
+    // ---- the loader's walk -----------------------------------------
+
+    #[test]
+    fn the_verdict_walk_agrees_with_analyze() {
+        // `load` runs the walk recording reachability, `analyze` runs it
+        // recording joined states. Over the corpus, `diamonds(6)` and
+        // the 2 400 `analysis_pin` mutants (same seed, same order), then
+        // the state-cap program and the two rack record scripts, both
+        // report the same diagnostics, registers included, and an
+        // instruction is reachable exactly where `state_at` has a row.
+        // The emitted programs and their mutants are checked through
+        // `load` and `verify` in `vnettracer`'s `compile::tests`.
+        use crate::test_programs::{corpus, diamonds, mutants, record_scripts, Rng};
+        let helpers = standard_helpers();
+        let mut pin = corpus();
+        pin.push(diamonds(6, false));
+        let pin_mutants = mutants(&mut Rng(0x5eed_a11a), &pin, 2_400);
+        let mut kinds = [0usize; 3];
+        for m in &pin_mutants {
+            let ds = analyze(m, &helpers).diagnostics;
+            kinds[match &ds[..] {
+                [] => 0,
+                ds if ds.iter().any(|d| d.regs.is_some()) => 1,
+                _ => 2,
+            }] += 1;
+        }
+        assert_eq!(kinds, [779, 1020, 601], "not analysis_pin's mutants");
+        let programs = pin
+            .into_iter()
+            .chain(pin_mutants)
+            .chain([diamonds(6, true)])
+            .chain(record_scripts());
+        let (mut n, mut reached) = (0, 0);
+        for insns in programs {
+            let a = analyze(&insns, &helpers);
+            let v = verdict(&insns, &helpers);
+            let key = |d: &Diagnostic| (d.error.clone(), d.insn, d.regs);
+            assert_eq!(
+                v.diagnostics.iter().map(key).collect::<Vec<_>>(),
+                a.diagnostics.iter().map(key).collect::<Vec<_>>(),
+                "program {n}"
+            );
+            assert_eq!(v.reachable.len(), insns.len());
+            for (pc, &r) in v.reachable.iter().enumerate() {
+                assert_eq!(r, a.state_at(pc).is_some(), "program {n} pc {pc}");
+                reached += usize::from(r);
+            }
+            n += 1;
+        }
+        assert_eq!(n, 13 + 1 + 2_400 + 1 + 2);
+        assert!(reached > 0);
     }
 
     // ---- join ------------------------------------------------------

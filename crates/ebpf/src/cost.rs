@@ -107,11 +107,13 @@ impl CostCertificate {
 /// Walks the instruction stream in index order (topological, since the
 /// verifier rejects backward jumps) propagating the maximum cost and
 /// instruction count over every CFG edge; the certificate is the maximum
-/// over all `exit` instructions. `analysis` is only consulted for
-/// reachability — statically dead instructions do not inflate the bound.
-/// Conditional branches keep both edges even when the analysis decided
-/// them: the interpreter evaluates every branch it meets.
-pub fn certify(insns: &[Insn], analysis: &Analysis) -> CostCertificate {
+/// over all `exit` instructions. `reachable(pc)` says whether the
+/// verifier's walk reaches `pc` (the loader's verdict, or
+/// `state_at(pc).is_some()` of an [`Analysis`]): statically dead
+/// instructions do not inflate the bound. Conditional branches keep both
+/// edges even when the walk decided them: the interpreter evaluates
+/// every branch it meets.
+pub fn certify(insns: &[Insn], reachable: impl Fn(usize) -> bool) -> CostCertificate {
     if insns.is_empty() {
         return CostCertificate::empty();
     }
@@ -145,7 +147,7 @@ pub fn certify(insns: &[Insn], analysis: &Analysis) -> CostCertificate {
             pc += width;
             continue;
         };
-        if analysis.state_at(pc).is_none() && pc != 0 {
+        if !reachable(pc) && pc != 0 {
             pc += width;
             continue;
         }
@@ -224,7 +226,7 @@ mod tests {
         let insns = asm.build().expect("assembles");
         let analysis = analyze(&insns, &standard_helpers());
         assert!(analysis.ok(), "{:?}", analysis.first_error());
-        let cert = certify(&insns, &analysis);
+        let cert = certify(&insns, |pc| analysis.state_at(pc).is_some());
         (insns, cert)
     }
 
@@ -300,7 +302,7 @@ mod tests {
             .exit();
         let insns = asm.build().unwrap();
         let analysis = analyze(&insns, &standard_helpers());
-        let cert = certify(&insns, &analysis);
+        let cert = certify(&insns, |pc| analysis.state_at(pc).is_some());
         let prog = crate::program::Program::new(
             "p",
             crate::program::AttachType::Kprobe("f".into()),

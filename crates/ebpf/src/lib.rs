@@ -57,6 +57,8 @@ pub mod jit;
 pub mod map;
 pub mod parse;
 pub mod program;
+#[cfg(test)]
+mod test_programs;
 pub mod tnum;
 pub mod verifier;
 pub mod vm;

@@ -5,10 +5,13 @@
 //! relocated against a live [`MapRegistry`], and the result is a
 //! [`LoadedProgram`] ready to run, compiled ([`crate::jit`]) or
 //! interpreted ([`crate::vm`]). As in the kernel, the verifier's state
-//! lives only as long as the load: a loaded program keeps its
-//! instructions and cost certificate, not the analysis that admitted it.
+//! lives only as long as the load, and the load asks it for a verdict,
+//! not a log: the walk records which instructions it reaches, for the
+//! cost certificate, and no register state. A loaded program keeps its
+//! instructions and certificate; [`crate::analysis::analyze`] builds the
+//! annotated view for whoever prints it.
 
-use crate::analysis::analyze;
+use crate::analysis::{verdict, Verdict};
 use crate::cost::{certify, CostCertificate};
 use crate::insn::{Insn, PSEUDO_MAP_FD};
 use crate::map::MapRegistry;
@@ -177,12 +180,15 @@ pub fn load(
     maps: &MapRegistry,
     helpers: &[i32],
 ) -> Result<LoadedProgram, LoadError> {
-    let analysis = analyze(&program.insns, helpers);
-    if let Some(e) = analysis.first_error() {
-        return Err(LoadError::Verify(e.clone()));
+    let Verdict {
+        diagnostics,
+        reachable,
+    } = verdict(&program.insns, helpers);
+    if let Some(d) = diagnostics.into_iter().next() {
+        return Err(LoadError::Verify(d.error));
     }
     let mut insns = program.insns;
-    let certificate = certify(&insns, &analysis);
+    let certificate = certify(&insns, |pc| reachable[pc]);
     let mut i = 0;
     while i < insns.len() {
         let insn = insns[i];

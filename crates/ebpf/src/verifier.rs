@@ -160,18 +160,19 @@ impl std::error::Error for VerifyError {}
 
 /// Verifies `insns`; `helpers` is the set of callable helper ids.
 ///
-/// Thin wrapper over [`crate::analysis::analyze`] preserving the
-/// historical single-error contract (first diagnostic only). The loader
-/// runs the analysis itself so it can keep the full
-/// [`crate::analysis::Analysis`] artifact.
+/// The first diagnostic [`crate::analysis::analyze`] would report, from
+/// the walk the loader runs, which keeps no register state.
 ///
 /// # Errors
 ///
 /// Returns the first [`VerifyError`] encountered.
 pub fn verify(insns: &[Insn], helpers: &[i32]) -> Result<(), VerifyError> {
-    let analysis = crate::analysis::analyze(insns, helpers);
-    match analysis.first_error() {
-        Some(e) => Err(e.clone()),
+    match crate::analysis::verdict(insns, helpers)
+        .diagnostics
+        .into_iter()
+        .next()
+    {
+        Some(d) => Err(d.error),
         None => Ok(()),
     }
 }

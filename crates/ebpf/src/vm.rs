@@ -1831,73 +1831,17 @@ mod verifier_soundness {
     use crate::asm::{reg::*, Asm, Size};
     use crate::jit;
     use crate::map::MapDef;
-    use crate::parse::parse_program;
     use crate::program::{load, AttachType, Program};
-    use std::path::Path;
-
-    /// SplitMix64: a fixed, dependency-free stream.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
-    /// Perturbs one to three `off`/`imm`/`dst`/`src` fields, each mostly
-    /// near its old value (the `analysis_pin` mutation).
-    fn mutate(rng: &mut Rng, insns: &[Insn]) -> Vec<Insn> {
-        let mut out = insns.to_vec();
-        for _ in 0..1 + rng.below(3) {
-            let i = rng.below(out.len() as u64) as usize;
-            let insn = &mut out[i];
-            match rng.below(4) {
-                0 => insn.off = insn.off.wrapping_add(rng.below(9) as i16 - 4),
-                1 => {
-                    insn.imm = match rng.below(4) {
-                        0 => 0,
-                        1 => insn.imm.wrapping_add(rng.below(9) as i32 - 4),
-                        2 => rng.below(64) as i32 - 8,
-                        _ => rng.next() as i32,
-                    }
-                }
-                2 => insn.dst = rng.below(12) as u8,
-                _ => insn.src = rng.below(12) as u8,
-            }
-        }
-        out
-    }
-
-    fn listing(path: &Path) -> Vec<Insn> {
-        let text = std::fs::read_to_string(path).expect("read listing");
-        let lines: Vec<&str> = text.lines().collect();
-        parse_program(&lines).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
-    }
+    use crate::test_programs::{corpus, mutate, record_scripts, Rng};
 
     /// The corpus listings, then the two record scripts the racks load,
     /// each with whether its map fd 0 is a perf ring (the records) or a
     /// counter array (the corpus's map program).
     fn sources() -> Vec<(Vec<Insn>, bool)> {
-        let tests = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests");
-        let mut corpus: Vec<_> = std::fs::read_dir(tests.join("corpus"))
-            .expect("corpus dir")
-            .map(|e| e.expect("dir entry").path())
-            .filter(|p| p.extension().is_some_and(|e| e == "bpf"))
-            .collect();
-        corpus.sort();
-        let mut out: Vec<_> = corpus.iter().map(|p| (listing(p), false)).collect();
-        for record in ["record_flow.bpf", "record_any.bpf"] {
-            out.push((listing(&tests.join(record)), true));
-        }
-        out
+        let corpus = corpus().into_iter().map(|p| (p, false));
+        corpus
+            .chain(record_scripts().into_iter().map(|p| (p, true)))
+            .collect()
     }
 
     /// An Ethernet + IPv4 frame carrying `l4` (a transport header and

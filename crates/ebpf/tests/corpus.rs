@@ -104,7 +104,7 @@ fn corpus_verdicts_match() {
             assert_eq!(reparsed, insns, "{name}: annotate/reparse round trip");
             if let Some(want) = expect.certified_cost {
                 assert_eq!(
-                    certify(&insns, &analysis).worst_case_ns,
+                    certify(&insns, |pc| analysis.state_at(pc).is_some()).worst_case_ns,
                     want,
                     "{name}: `# certified-cost:` header drifted"
                 );

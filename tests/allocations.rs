@@ -11,9 +11,11 @@
 //! collection cycle that finds the rings empty.
 //!
 //! An attached script is fenced by the bytes it keeps: the program it
-//! runs, its maps and its bookkeeping, not the verifier's analysis that
-//! admitted it. Loading one is fenced by its allocation count, so the
-//! verifier's walk keeps reusing its pending-state buffers.
+//! runs, its maps and its bookkeeping, not the verifier's state that
+//! admitted it. Loading one is fenced by its allocation count, and by
+//! how that count grows with the program's length: the loader's walk
+//! records no register state per instruction and keeps reusing its
+//! pending-state buffers.
 //!
 //! The store's seal is fenced by bytes rather than calls: sealing a
 //! table holds the one block it is encoding, not a transposed copy of
@@ -31,10 +33,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::{Ipv4Addr, SocketAddrV4};
 
+use vnet_ebpf::asm::{reg::R0, Asm};
 use vnet_ebpf::context::TraceContext;
 use vnet_ebpf::map::{MapDef, MapRegistry};
-use vnet_ebpf::program::load;
+use vnet_ebpf::program::{load, AttachType, Program};
 use vnet_ebpf::vm::{standard_helpers, FixedEnv};
+use vnet_ebpf::MAX_INSNS;
 use vnet_sim::packet::{FlowKey, PacketBuilder, SocketAddrV4Ext};
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
 use vnet_tsdb::segment::ALL_COLUMNS;
@@ -217,18 +221,21 @@ fn a_recorded_firing_allocates_nothing() {
 }
 
 /// Heap allocations one `load` of the 258-slot one-flow record program
-/// may make. It makes 294: one box per reachable instruction for the
-/// joined state the annotation reads, and a few dozen more. A walk that
+/// may make. It makes 37: the walk's per-program tables (the lddw map,
+/// the live masks, the pending-state slots and a handful of reused
+/// buffers, the reachability bits), the certificate's rows and the error
+/// lists. The loader's walk records no register state; when it joined
+/// one into a box per reachable instruction, a load made 294. A walk that
 /// grew a fresh pending-state vector at every instruction, instead of
 /// reusing the buffers of instructions already walked, made 1 074.
-const LOAD_ALLOCATIONS: u64 = 320;
+const LOAD_ALLOCATIONS: u64 = 48;
 
-/// Loading a compiled one-flow record script — verify, certify,
-/// relocate — makes at most [`LOAD_ALLOCATIONS`] heap allocations.
-#[test]
-fn a_load_allocates_a_bounded_number_of_times() {
-    let mut maps = MapRegistry::new();
-    let perf_fd = maps.create(MapDef::perf(64 * 1024), 4).unwrap();
+/// How many more allocations a load of a [`MAX_INSNS`]-slot program may
+/// make than one of the record program.
+const LOAD_GROWTH: u64 = 4;
+
+/// The compiled one-flow record script (258 slots) writing to `perf_fd`.
+fn record_program(perf_fd: i32) -> Program {
     let spec = TraceSpec {
         name: "rx".into(),
         node: "n".into(),
@@ -241,13 +248,52 @@ fn a_load_allocates_a_bounded_number_of_times() {
     };
     let prog = vnettracer::compile::compile(&spec, Some(perf_fd), None).unwrap();
     assert_eq!(prog.insns.len(), 258);
+    prog
+}
+
+/// Allocations made by one successful `load` of `prog`.
+fn load_allocations(prog: Program, maps: &MapRegistry) -> u64 {
     let helpers = standard_helpers();
     let before = allocations();
-    load(prog, &maps, &helpers).unwrap();
-    let made = allocations() - before;
+    load(prog, maps, &helpers).unwrap();
+    allocations() - before
+}
+
+/// Loading a compiled one-flow record script — verify, certify,
+/// relocate — makes at most [`LOAD_ALLOCATIONS`] heap allocations.
+#[test]
+fn a_load_allocates_a_bounded_number_of_times() {
+    let mut maps = MapRegistry::new();
+    let perf_fd = maps.create(MapDef::perf(64 * 1024), 4).unwrap();
+    let made = load_allocations(record_program(perf_fd), &maps);
     assert!(
         made <= LOAD_ALLOCATIONS,
         "{made} allocations in one load, more than {LOAD_ALLOCATIONS}"
+    );
+}
+
+/// A load's allocation count does not grow with the program: loading
+/// the longest program the verifier admits, every slot reachable, makes
+/// at most [`LOAD_GROWTH`] more than loading the record script. A record
+/// kept per instruction would add thousands.
+#[test]
+fn a_load_allocates_the_same_for_a_longer_program() {
+    let mut maps = MapRegistry::new();
+    let perf_fd = maps.create(MapDef::perf(64 * 1024), 4).unwrap();
+    let short = load_allocations(record_program(perf_fd), &maps);
+    let mut asm = Asm::new();
+    for i in 0..MAX_INSNS - 1 {
+        asm = asm.mov64_imm(R0, i as i32);
+    }
+    let long = asm.exit().build().unwrap();
+    assert_eq!(long.len(), MAX_INSNS);
+    let long = load_allocations(
+        Program::new("long", AttachType::Kprobe("f".into()), long),
+        &maps,
+    );
+    assert!(
+        long <= short + LOAD_GROWTH,
+        "{long} allocations to load {MAX_INSNS} slots, {short} for 258"
     );
 }
 
@@ -278,10 +324,9 @@ fn a_warm_collect_allocates_nothing() {
 
 /// Deploying the two-host testbed's control package leaves under 16 KiB
 /// of live heap per script: each keeps its threaded code, its maps and
-/// its agent's bookkeeping. The verifier's analysis (its register state
-/// at every instruction, about 160 KB for a compiled script) is freed
-/// when the load returns, and so is the relocated instruction stream the
-/// threaded code was lowered from.
+/// its agent's bookkeeping. The verifier's walk (its pending states and
+/// reachability bits) is freed when the load returns, and so is the
+/// relocated instruction stream the threaded code was lowered from.
 #[test]
 fn an_attached_script_keeps_only_what_it_runs() {
     let cfg = TwoHostConfig::default();
