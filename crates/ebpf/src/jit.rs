@@ -15,13 +15,13 @@
 //! * **jump pre-resolution** — branch targets are op-array indices, not
 //!   signed instruction offsets to be re-computed per taken branch;
 //! * **helper binding** — each `call` site holds a direct function
-//!   pointer ([`HelperFn`]), resolved from the shared helper table at
+//!   pointer (a `HelperFn`), resolved from the shared helper table at
 //!   compile time, so there is no id lookup at run time;
 //! * **`r10` stack indexing** — the verifier proves every `r10`-relative
 //!   access lands inside the 512-byte stack and that `r10` is never
 //!   written, so stack loads/stores compile to direct array indexing
 //!   with no region dispatch. Every other access goes through the
-//!   checked [`Memory`] path;
+//!   checked `Memory` path;
 //! * **fusion** — sequences the trace-program compiler emits constantly
 //!   become single ops: load(+byteswap)+compare-branch (filter field
 //!   checks), load(+byteswap)+store-to-stack (field extraction),
@@ -37,7 +37,7 @@
 //! runtime check.
 //!
 //! Execution semantics are bit-identical to the interpreter — same
-//! [`Memory`] address space, same map-value slot allocation order, same
+//! `Memory` address space, same map-value slot allocation order, same
 //! error values — which the differential proptests in
 //! `tests/proptests.rs` enforce. Both charge a run the path's toll under
 //! the shared table in [`crate::cost`]; what compilation adds to the sim
@@ -52,11 +52,6 @@ use crate::vm::{
     access_size, alu32, alu64, helper_by_id, helper_ids, helper_map_lookup, jump_taken, read_le,
     write_le, HelperFn, Memory, VmEnv, VmError,
 };
-
-/// Default instruction budget, matching [`crate::vm::Vm::new`]. Purely a
-/// backstop: verified programs are loop-free and at most 4096
-/// instructions, so they can never reach it.
-const DEFAULT_BUDGET: u64 = 65_536;
 
 /// One immediate store to a statically-bounded stack slot, part of a
 /// fused [`Op::StoreRun`]. Kept in a side table so `Op` stays small.
@@ -253,7 +248,6 @@ pub struct CompiledProgram {
     stores: Box<[StackStore]>,
     insn_count: usize,
     fused_ops: usize,
-    budget: u64,
 }
 
 /// The static charge of one pre-decoded op: the [`crate::cost`] table
@@ -341,9 +335,6 @@ impl CompiledProgram {
         let mut scratch = Vec::new();
 
         loop {
-            if retired >= self.budget {
-                return Err(VmError::BudgetExceeded(self.budget));
-            }
             let op = self.ops.get(ip).ok_or(VmError::BadInstruction(ip))?;
             ops_executed += 1;
             retired += 1;
@@ -645,7 +636,7 @@ fn stack_idx(off: i16) -> u16 {
 
 /// Lowers a verified program into threaded code. Total: any instruction
 /// the tier cannot lower (impossible for verifier-accepted programs)
-/// becomes an [`Op::Abort`] that reproduces the interpreter's runtime
+/// becomes an `Op::Abort` that reproduces the interpreter's runtime
 /// error, so compilation itself never fails. Each sequence is fused if
 /// it can be, and each remaining instruction lowers to its one op.
 pub fn compile(prog: &LoadedProgram) -> CompiledProgram {
@@ -873,7 +864,6 @@ pub fn compile(prog: &LoadedProgram) -> CompiledProgram {
         stores: stores.into_boxed_slice(),
         insn_count: insns.len(),
         fused_ops,
-        budget: DEFAULT_BUDGET,
     }
 }
 

@@ -119,7 +119,7 @@ pub(crate) fn helper_args(id: i32) -> usize {
 }
 
 /// The set of helpers this VM implements (what the verifier accepts),
-/// derived from [`HELPER_TABLE`].
+/// derived from the helper table (`HELPER_TABLE`).
 pub fn standard_helpers() -> Vec<i32> {
     HELPER_TABLE.iter().map(|(id, _, _)| *id).collect()
 }
@@ -200,8 +200,6 @@ pub enum VmError {
     Map(MapError),
     /// A call to an unimplemented helper (should be caught at verify).
     UnknownHelper(i32),
-    /// The instruction budget was exhausted.
-    BudgetExceeded(u64),
     /// An instruction the interpreter cannot execute (should be caught at
     /// verify).
     BadInstruction(usize),
@@ -217,7 +215,6 @@ impl core::fmt::Display for VmError {
             VmError::BadMapHandle(h) => write!(f, "bad map handle {h:#x}"),
             VmError::Map(e) => write!(f, "map operation failed: {e}"),
             VmError::UnknownHelper(id) => write!(f, "unknown helper {id}"),
-            VmError::BudgetExceeded(n) => write!(f, "instruction budget {n} exceeded"),
             VmError::BadInstruction(i) => write!(f, "cannot execute instruction {i}"),
         }
     }
@@ -541,23 +538,16 @@ impl<'a> Memory<'a> {
     }
 }
 
-/// The interpreter.
-#[derive(Debug, Clone)]
-pub struct Vm {
-    budget: u64,
-}
-
-impl Default for Vm {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The interpreter. It runs only what [`crate::program::load`] admits:
+/// loop-free programs of at most [`MAX_INSNS`] instructions, so every
+/// run ends within that many steps and needs no instruction budget.
+#[derive(Debug, Clone, Default)]
+pub struct Vm;
 
 impl Vm {
-    /// Creates a VM with the default instruction budget (64 Ki — far
-    /// above any loop-free 4096-instruction program, purely a backstop).
+    /// Creates an interpreter.
     pub fn new() -> Self {
-        Vm { budget: 65_536 }
+        Vm
     }
 
     /// Executes `prog` over `ctx` and `packet`, using `maps` for map
@@ -601,9 +591,6 @@ impl Vm {
         let mut scratch = Vec::with_capacity(64);
 
         loop {
-            if executed >= self.budget {
-                return Err(VmError::BudgetExceeded(self.budget));
-            }
             let insn = *insns.get(pc).ok_or(VmError::BadInstruction(pc))?;
             observe(pc, &reg, &mem);
             executed += 1;
@@ -1661,6 +1648,35 @@ mod tests {
             &mut MapRegistry::new(),
         );
         assert_eq!(out.insns_executed, 2);
+    }
+
+    #[test]
+    fn the_longest_program_runs_to_its_end_on_both_tiers() {
+        // Neither tier counts against an instruction budget: `load`
+        // admits only loop-free programs of at most `MAX_INSNS` slots, so
+        // a straight line of that length is the longest run there is.
+        let mut asm = Asm::new().mov64_imm(R0, 0);
+        for _ in 0..MAX_INSNS - 2 {
+            asm = asm.add64_imm(R0, 1);
+        }
+        let insns = asm.exit().build().expect("assembles");
+        assert_eq!(insns.len(), MAX_INSNS);
+        let prog = Program::new("long", AttachType::Kprobe("f".into()), insns);
+        let mut maps = MapRegistry::new();
+        let loaded = load(prog, &maps, &standard_helpers()).expect("loads");
+        let ctx = TraceContext::default();
+        let mut env = FixedEnv::default();
+        let out = Vm::new()
+            .execute(&loaded, &ctx, &[], &mut maps, &mut env)
+            .expect("the interpreter runs it");
+        assert_eq!(out.ret, MAX_INSNS as u64 - 2);
+        assert_eq!(out.insns_executed, MAX_INSNS as u64);
+        let jit = crate::jit::compile(&loaded)
+            .execute(&ctx, &[], &mut maps, &mut env)
+            .expect("the threaded code runs it");
+        assert_eq!(jit.ret, out.ret);
+        assert_eq!(jit.insns_retired, MAX_INSNS as u64);
+        assert_eq!(jit.cost_ns, out.cost_ns);
     }
 }
 

@@ -388,8 +388,8 @@ proptest! {
         prop_assert_eq!(decode_program(&bytes).unwrap(), insns);
     }
 
-    /// Random straight-line ALU programs verify, load, terminate within
-    /// the budget, and never touch memory.
+    /// Random straight-line ALU programs verify, load, run to their end
+    /// and never touch memory.
     #[test]
     fn random_alu_programs_execute(insns in arb_alu_program()) {
         let maps = MapRegistry::new();
@@ -441,8 +441,8 @@ proptest! {
 
     /// Arbitrary instruction streams never panic the toolchain: either
     /// the verifier rejects the stream, or the program loads and the
-    /// interpreter terminates within the instruction budget (possibly
-    /// with a clean runtime error).
+    /// interpreter terminates within `MAX_INSNS` steps (possibly with a
+    /// clean runtime error).
     #[test]
     fn garbage_streams_verify_or_terminate(insns in proptest::collection::vec(arb_insn(), 0..256)) {
         if let Some(loaded) = load_verified(insns) {
