@@ -22,11 +22,11 @@
 //!   an idle device, a zero-latency hop); such a push goes to the small
 //!   *current-instant* heap as long as that heap is empty or already
 //!   holds that instant, and everything else goes to the *future* heap.
-//!   The future heap holds 32-byte [`HeapKey`]s, the whole ordering key
+//!   The future heap holds 32-byte `HeapKey`s, the whole ordering key
 //!   packed into two `u128`s: comparing two is one equality test and one
 //!   `u128` compare. In the current-instant heap event time and push time
 //!   are the same instant for every key, kept once beside the heap, so it
-//!   holds only the 16-byte [`Who`] below them and compares one `u128`.
+//!   holds only the 16-byte `Who` below them and compares one `u128`.
 //!   `pop` compares the two heads under the **full** key and takes the
 //!   smaller, so which heap a key sits in never decides the order: a
 //!   same-instant push cannot be overtaken by a key in the future heap,

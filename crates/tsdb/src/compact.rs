@@ -16,7 +16,7 @@
 //!
 //! * **Planned** right after a seal, against the manifest that seal
 //!   committed: every eligible disjoint window of every measurement
-//!   ([`plan_windows`]), in measurement-name then sequence order, output
+//!   (`plan_windows`), in measurement-name then sequence order, output
 //!   file ids handed out in that order. The whole list is one *round*,
 //!   given to one worker ([`Compactor::start`]) that runs
 //!   [`merge_segments`] over it while ingest continues.
