@@ -334,8 +334,15 @@ fn emit_count_program(rule: &FilterRule, counter_fd: i32) -> Asm {
     asm
 }
 
+// `vnet-ebpf`'s test programs, for their seeded mutant generator.
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../ebpf/src/test_programs.rs"]
+mod test_programs;
+
 #[cfg(test)]
 mod tests {
+    use super::test_programs::{mutants, Rng};
     use super::*;
     use std::net::Ipv4Addr;
     use std::net::SocketAddrV4;
@@ -851,48 +858,6 @@ mod tests {
         assert_eq!(vnet_tsdb::codec::crc32(&digest), 0x95c1_9b00);
     }
 
-    /// SplitMix64: a fixed, dependency-free stream for the mutants.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
-    /// Perturbs one to three `off`/`imm`/`dst`/`src` fields of `insns`,
-    /// each mostly near its old value, as `vnet-ebpf`'s `analysis_pin`
-    /// mutants do.
-    fn mutate(rng: &mut Rng, insns: &[vnet_ebpf::Insn]) -> Vec<vnet_ebpf::Insn> {
-        let mut out = insns.to_vec();
-        for _ in 0..1 + rng.below(3) {
-            let i = rng.below(out.len() as u64) as usize;
-            let insn = &mut out[i];
-            match rng.below(4) {
-                0 => insn.off = insn.off.wrapping_add(rng.below(9) as i16 - 4),
-                1 => {
-                    insn.imm = match rng.below(4) {
-                        0 => 0,
-                        1 => insn.imm.wrapping_add(rng.below(9) as i32 - 4),
-                        2 => rng.below(64) as i32 - 8,
-                        _ => rng.next() as i32,
-                    }
-                }
-                2 => insn.dst = rng.below(12) as u8,
-                _ => insn.src = rng.below(12) as u8,
-            }
-        }
-        out
-    }
-
     /// The emitted programs' mutants (by index among the mutants) that
     /// report more than one diagnostic, grouped by how many. A change to
     /// the walk may drop a trailing diagnostic; none may add one.
@@ -924,12 +889,12 @@ mod tests {
         for insns in &programs {
             assert!(vnet_ebpf::analyze(insns, &helpers).ok());
         }
-        let mut rng = Rng(0x5eed_c0de);
         let mut kinds = [0usize; 2];
-        for i in 0..2_400 {
-            let source = &programs[rng.below(programs.len() as u64) as usize];
-            let m = mutate(&mut rng, source);
-            let a = vnet_ebpf::analyze(&m, &helpers);
+        for (i, m) in mutants(&mut Rng(0x5eed_c0de), &programs, 2_400)
+            .iter()
+            .enumerate()
+        {
+            let a = vnet_ebpf::analyze(m, &helpers);
             match a.diagnostics().first() {
                 None => digest.extend(b"accepted"),
                 Some(d) => digest.extend(format!("{:?}@{}", d.error, d.insn).bytes()),
@@ -964,13 +929,7 @@ mod tests {
             .into_iter()
             .map(|(_, _, p)| p.insns)
             .collect();
-        let mut rng = Rng(0x5eed_c0de);
-        let mutants: Vec<_> = (0..2_400)
-            .map(|_| {
-                let source = &programs[rng.below(programs.len() as u64) as usize];
-                mutate(&mut rng, source)
-            })
-            .collect();
+        let mutants = mutants(&mut Rng(0x5eed_c0de), &programs, 2_400);
         let mut maps = MapRegistry::new();
         maps.create(MapDef::perf(4096), 2).unwrap();
         let helpers = standard_helpers();

@@ -59,6 +59,9 @@ pub mod parse;
 pub mod program;
 #[cfg(test)]
 mod test_programs;
+// `test_programs.rs` is shared with test crates that name this one.
+#[cfg(test)]
+extern crate self as vnet_ebpf;
 pub mod tnum;
 pub mod verifier;
 pub mod vm;

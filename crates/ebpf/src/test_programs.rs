@@ -1,11 +1,19 @@
-//! Programs the verifier's unit tests share: the corpus listings, the
-//! two rack record scripts, the state-cap diamonds and seeded mutants.
-//! `tests/analysis_pin.rs` builds the same sets in its own crate.
+//! Programs the verifier's tests share: the corpus listings, the two
+//! rack record scripts, the state-cap diamonds and seeded mutants.
+//!
+//! This one file is compiled into three test crates: `vnet-ebpf`'s unit
+//! tests (`mod test_programs`), its `tests/analysis_pin.rs` and
+//! `vnettracer`'s `compile` tests (each through `#[path]`, since neither
+//! can reach a `#[cfg(test)]` module), so every pinned mutant set comes
+//! from the same generator. It names the crate as `vnet_ebpf`, which the
+//! library's tests alias to itself. Listings are read from under the
+//! including crate's manifest directory, so only `vnet-ebpf`'s tests
+//! read them; `vnettracer` uses the generator alone.
 
 use std::path::{Path, PathBuf};
 
-use crate::insn::Insn;
-use crate::parse::parse_program;
+use vnet_ebpf::insn::Insn;
+use vnet_ebpf::parse::parse_program;
 
 /// SplitMix64: a fixed, dependency-free stream.
 pub(crate) struct Rng(pub(crate) u64);
@@ -24,8 +32,10 @@ impl Rng {
     }
 }
 
-/// Perturbs one to three `off`/`imm`/`dst`/`src` fields, each mostly
-/// near its old value (the `analysis_pin` mutation).
+/// Perturbs one to three `off`/`imm`/`dst`/`src` fields of `insns`.
+/// Registers stay mostly in range and offsets and immediates mostly near
+/// their old values, so most mutants still parse as programs the walk
+/// can enter.
 pub(crate) fn mutate(rng: &mut Rng, insns: &[Insn]) -> Vec<Insn> {
     let mut out = insns.to_vec();
     for _ in 0..1 + rng.below(3) {
@@ -73,8 +83,8 @@ fn read_listing(path: &Path) -> Vec<Insn> {
     parse_program(&lines).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// The 13 corpus listings, by file name.
-pub(crate) fn corpus() -> Vec<Vec<Insn>> {
+/// The 13 corpus listings with their file names, by file name.
+pub(crate) fn named_corpus() -> Vec<(String, Vec<Insn>)> {
     let mut paths: Vec<_> = std::fs::read_dir(tests_dir().join("corpus"))
         .expect("corpus dir")
         .map(|e| e.expect("dir entry").path())
@@ -82,7 +92,18 @@ pub(crate) fn corpus() -> Vec<Vec<Insn>> {
         .collect();
     paths.sort();
     assert_eq!(paths.len(), 13, "the corpus changed size");
-    paths.iter().map(|p| read_listing(p)).collect()
+    paths
+        .iter()
+        .map(|p| {
+            let name = p.file_name().expect("a file").to_string_lossy();
+            (name.into_owned(), read_listing(p))
+        })
+        .collect()
+}
+
+/// The 13 corpus listings, by file name.
+pub(crate) fn corpus() -> Vec<Vec<Insn>> {
+    named_corpus().into_iter().map(|(_, p)| p).collect()
 }
 
 /// The two record scripts the racks load (map fd 0 is their perf ring).
@@ -92,9 +113,14 @@ pub(crate) fn record_scripts() -> Vec<Vec<Insn>> {
         .to_vec()
 }
 
-/// `analysis_pin`'s `k` diamonds over `r2`..`r(k+1)`, meeting 2^k
-/// distinct states before a read of the never-written `r8`; with
-/// `read_after`, the diamond registers are read behind it.
+/// `k` diamonds over `r2`..`r(k+1)`: each register is loaded from the
+/// context, and the `== 0` edge leaves it 0 while the other path sets it
+/// to 1, so 2^k distinct states meet after the last diamond. The read
+/// of the never-written `r8` there is rejected with the register state
+/// the walk carries into it. With `read_after`, the diamond registers
+/// are summed into `r0` behind that read, so they are live where the
+/// paths meet and pruning cannot merge the 2^k states; without it they
+/// are dead there.
 pub(crate) fn diamonds(k: u8, read_after: bool) -> Vec<Insn> {
     let mut src = String::new();
     for r in 2..2 + k {
