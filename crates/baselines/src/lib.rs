@@ -5,15 +5,12 @@
 //! kernel→user copies and a heavyweight runtime, while eBPF keeps trace
 //! data in kernel memory. [`systemtap::SystemTapProbe`] models those costs
 //! as a [`vnet_sim::probe::ProbeSink`] so the two tracers can be attached
-//! at the *same* tracepoints in the *same* scenarios; [`noop::CountingProbe`]
-//! is the zero-cost control arm.
+//! at the *same* tracepoints in the *same* scenarios.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod noop;
 pub mod systemtap;
 
-pub use noop::CountingProbe;
-pub use systemtap::{SystemTapCost, SystemTapProbe};
+pub use systemtap::SystemTapProbe;

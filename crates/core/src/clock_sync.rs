@@ -235,7 +235,11 @@ mod tests {
             tagged("tp1", 2_000, 0xa, "remote"),
         ]);
         let aligned = align_timestamps(&db, &leading(700));
-        let ts = |m| aligned.table(m).unwrap().entries()[0].timestamp_ns();
+        let ts = |m| {
+            crate::metrics::scan_table(&aligned, m).entries()[0]
+                .record()
+                .timestamp_ns
+        };
         assert_eq!((ts("tp0"), ts("tp1")), (1_000, 1_300));
         // Latency now reflects the true 300 ns, not the raw 1 000 ns.
         let latency = crate::metrics::latency_between(&aligned, "tp0", "tp1");
@@ -249,7 +253,8 @@ mod tests {
         let rows = nodes.iter().zip(0u32..);
         let db = db_of(rows.map(|(&node, i)| tagged("tp", 1_000 * u64::from(i), i, node)));
         let rows = |db: &TraceDb, shift: u64| -> Vec<(String, CompactRecord)> {
-            let entries = db.table("tp").unwrap().entries();
+            let scan = crate::metrics::scan_table(db, "tp");
+            let entries = scan.entries();
             entries
                 .iter()
                 .map(|e| {

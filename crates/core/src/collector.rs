@@ -113,16 +113,10 @@ pub struct CollectorStats {
 pub struct Collector {
     db: TraceDb,
     health: HashMap<String, AgentHealth>,
-    records_ingested: u64,
     subscribers: Vec<Rc<RefCell<dyn IngestSubscriber>>>,
 }
 
 impl Collector {
-    /// Creates an empty collector over an in-memory database.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates a collector over an existing database — e.g. one opened
     /// on a directory with [`TraceDb::open`], so every ingested batch is
     /// journaled and sealed to disk.
@@ -140,11 +134,6 @@ impl Collector {
         self.subscribers.push(subscriber);
     }
 
-    /// Number of registered ingest subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
-    }
-
     /// Ingests a whole record batch from `node`'s agent, which doubles as
     /// a heartbeat. `lost_records` is the agent's cumulative perf-ring
     /// loss counter, carried alongside the batch. Returns the number of
@@ -158,7 +147,6 @@ impl Collector {
         now: SimTime,
     ) -> u64 {
         let ingested = self.db.insert_batch(batch);
-        self.records_ingested += ingested;
         for sub in &self.subscribers {
             sub.borrow_mut()
                 .on_batch(node, heartbeat_seq, batch, lost_records, now);
@@ -188,28 +176,6 @@ impl Collector {
         for sub in &self.subscribers {
             sub.borrow_mut().on_heartbeat(node, seq, now);
         }
-    }
-
-    /// Agents that have not been heard from within `timeout` of `now`.
-    pub fn silent_agents(&self, now: SimTime, timeout: SimDuration) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .health
-            .iter()
-            .filter(|(_, h)| now.saturating_since(h.last_seen) > timeout)
-            .map(|(n, _)| n.clone())
-            .collect();
-        out.sort();
-        out
-    }
-
-    /// Last heartbeat sequence number seen from `node`.
-    pub fn last_heartbeat(&self, node: &str) -> Option<u64> {
-        self.health.get(node).map(|h| h.last_seq)
-    }
-
-    /// Total records ingested.
-    pub fn records_ingested(&self) -> u64 {
-        self.records_ingested
     }
 
     /// Snapshot of ingest totals and per-agent status at time `now`
@@ -253,11 +219,6 @@ impl Collector {
     pub fn db_mut(&mut self) -> &mut TraceDb {
         &mut self.db
     }
-
-    /// Consumes the collector, returning the database.
-    pub fn into_db(self) -> TraceDb {
-        self.db
-    }
 }
 
 #[cfg(test)]
@@ -276,19 +237,17 @@ mod tests {
 
     #[test]
     fn ingest_batch_fills_tables_and_stats() {
-        let mut c = Collector::new();
+        let mut c = Collector::default();
         let mut batch = RecordBatch::new();
         batch.push("tp_a", "server1", record(10));
         batch.push("tp_a", "server1", record(20));
         batch.push("tp_b", "server1", record(30));
         let n = c.ingest_batch("server1", 1, &batch, 2, SimTime::from_micros(5));
         assert_eq!(n, 3);
-        assert_eq!(c.records_ingested(), 3);
         assert_eq!(c.db().table("tp_a").unwrap().len(), 2);
         assert_eq!(c.db().table("tp_b").unwrap().len(), 1);
-        let table = c.db().table("tp_a").unwrap();
-        assert!(table.entries().iter().all(|e| e.node() == "server1"));
-        assert_eq!(c.last_heartbeat("server1"), Some(1));
+        let scan = crate::metrics::scan_table(c.db(), "tp_a");
+        assert!(scan.entries().iter().all(|e| e.node() == "server1"));
 
         let stats = c.stats(SimTime::from_micros(9));
         assert_eq!(stats.totals.records, 3);
@@ -305,7 +264,7 @@ mod tests {
 
     #[test]
     fn stats_aggregate_multiple_agents_sorted() {
-        let mut c = Collector::new();
+        let mut c = Collector::default();
         let mut batch = RecordBatch::new();
         batch.push("tp", "n2", record(1));
         c.ingest_batch("n2", 1, &batch, 0, SimTime::from_micros(1));
@@ -323,26 +282,35 @@ mod tests {
         assert_eq!(stats.agents[0].last_seq, 4);
         assert_eq!(stats.agents[0].lag, SimDuration::ZERO);
         // Table "tp" keeps each record's node, in ingest order.
-        let entries = c.db().table("tp").unwrap().entries();
+        let scan = crate::metrics::scan_table(c.db(), "tp");
+        let entries = scan.entries();
         let nodes: Vec<&str> = entries.iter().map(|e| e.node()).collect();
         assert_eq!(nodes, ["n2", "n1", "n1"]);
     }
 
     #[test]
     fn heartbeat_monitoring() {
-        let mut c = Collector::new();
+        let mut c = Collector::default();
         c.heartbeat("a", 1, SimTime::from_millis(0));
         c.heartbeat("b", 1, SimTime::from_millis(100));
-        let silent = c.silent_agents(SimTime::from_millis(150), SimDuration::from_millis(60));
-        assert_eq!(silent, vec!["a".to_owned()]);
-        assert_eq!(c.last_heartbeat("a"), Some(1));
-        assert_eq!(c.last_heartbeat("zzz"), None);
+        let lags = |c: &Collector, now| -> Vec<(String, u64, SimDuration)> {
+            let agents = c.stats(SimTime::from_millis(now)).agents;
+            agents
+                .into_iter()
+                .map(|a| (a.node, a.last_seq, a.lag))
+                .collect()
+        };
+        let ms = SimDuration::from_millis;
+        assert_eq!(
+            lags(&c, 150),
+            [("a".to_owned(), 1, ms(150)), ("b".to_owned(), 1, ms(50))]
+        );
         // Agent `a` reports again and is healthy; `b` (last seen at
-        // 100ms) has now gone silent.
+        // 100ms) has now fallen behind.
         c.heartbeat("a", 2, SimTime::from_millis(160));
         assert_eq!(
-            c.silent_agents(SimTime::from_millis(200), SimDuration::from_millis(60)),
-            vec!["b".to_owned()]
+            lags(&c, 200),
+            [("a".to_owned(), 2, ms(40)), ("b".to_owned(), 1, ms(100))]
         );
     }
 
@@ -375,10 +343,9 @@ mod tests {
 
     #[test]
     fn subscribers_see_batches_and_heartbeats_at_ingest() {
-        let mut c = Collector::new();
+        let mut c = Collector::default();
         let sub = std::rc::Rc::new(std::cell::RefCell::new(CountingSub::default()));
         c.subscribe(sub.clone());
-        assert_eq!(c.subscriber_count(), 1);
 
         let mut batch = RecordBatch::new();
         batch.push("tp", "n1", record(10));
@@ -392,15 +359,5 @@ mod tests {
         // The batch-borne heartbeat and the standalone one both arrive.
         assert_eq!(s.heartbeats, 2);
         assert_eq!(s.last_now, SimTime::from_micros(3));
-    }
-
-    #[test]
-    fn into_db_transfers_ownership() {
-        let mut c = Collector::new();
-        let mut batch = RecordBatch::new();
-        batch.push("t", "n", record(5));
-        c.ingest_batch("n", 1, &batch, 0, SimTime::ZERO);
-        let db = c.into_db();
-        assert_eq!(db.len(), 1);
     }
 }

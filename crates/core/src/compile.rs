@@ -351,8 +351,33 @@ mod tests {
     use vnet_ebpf::program::load;
     use vnet_ebpf::vm::{standard_helpers, FixedEnv, Vm};
     use vnet_sim::packet::{
-        trace_id, FlowKey, PacketBuilder, SocketAddrV4Ext, TcpFlags, TcpOption,
+        trace_id, EthernetHeader, FlowKey, Ipv4Header, PacketBuilder, SocketAddrV4Ext, TcpFlags,
+        TcpHeader, TcpOption, TCP_BASE_HEADER_LEN,
     };
+
+    /// Every record in both CPUs' rings of the perf map at `fd`, in CPU
+    /// order.
+    fn drain(maps: &mut MapRegistry, fd: i32) -> Vec<Vec<u8>> {
+        let perf = maps.get_mut(fd).unwrap();
+        (0..2).flat_map(|c| perf.perf_drain(c)).collect()
+    }
+
+    /// The bytes of a TCP ACK segment (seq 1, ack 2) on `flow` carrying
+    /// `payload`, with `options` in its header.
+    fn tcp_frame(flow: FlowKey, payload: Vec<u8>, options: Vec<TcpOption>) -> Vec<u8> {
+        let pkt = PacketBuilder::tcp(flow, 1, 2, TcpFlags::ACK, payload).build();
+        let (eth, rest) = EthernetHeader::decode(pkt.bytes()).unwrap();
+        let (mut ip, rest) = Ipv4Header::decode(rest).unwrap();
+        let (mut tcp, payload) = TcpHeader::decode(rest).unwrap();
+        tcp.options = options;
+        ip.total_len += (tcp.header_len() - TCP_BASE_HEADER_LEN) as u16;
+        let mut out = Vec::new();
+        eth.encode(&mut out);
+        ip.encode(&mut out);
+        tcp.encode(&mut out);
+        out.extend_from_slice(payload);
+        out
+    }
 
     fn spec(filter: FilterRule, action: Action) -> TraceSpec {
         TraceSpec {
@@ -402,10 +427,7 @@ mod tests {
         let out = Vm::new()
             .execute(&loaded, &ctx, pkt, &mut maps, &mut env)
             .unwrap();
-        let recs = maps
-            .get_mut(perf_fd)
-            .unwrap()
-            .perf_drain_all()
+        let recs = drain(&mut maps, perf_fd)
             .iter()
             .map(|b| vnet_tsdb::CompactRecord::decode(b).unwrap())
             .collect();
@@ -485,24 +507,22 @@ mod tests {
             SocketAddrV4::sock("10.0.0.1", 9000),
             SocketAddrV4::sock("10.0.0.2", 7),
         );
-        let rule = FilterRule::tcp_flow(
-            (Ipv4Addr::new(10, 0, 0, 1), 9000),
-            (Ipv4Addr::new(10, 0, 0, 2), 7),
-        );
+        let rule = FilterRule {
+            protocol: Some(Proto::Tcp),
+            ..FilterRule::udp_flow(
+                (Ipv4Addr::new(10, 0, 0, 1), 9000),
+                (Ipv4Addr::new(10, 0, 0, 2), 7),
+            )
+        };
         // Trace ID as the only option.
-        let pkt = PacketBuilder::tcp(tcp, 1, 2, TcpFlags::ACK, vec![1, 2, 3])
-            .tcp_option(TcpOption::TraceId(0xabcd1234))
-            .build();
-        let (matched, recs) = run_record(rule, pkt.bytes());
+        let pkt = tcp_frame(tcp, vec![1, 2, 3], vec![TcpOption::TraceId(0xabcd1234)]);
+        let (matched, recs) = run_record(rule, &pkt);
         assert!(matched);
         assert_eq!(recs[0].trace_id, 0xabcd1234);
         assert!(recs[0].has_trace_id());
         // Trace ID after an MSS option.
-        let pkt = PacketBuilder::tcp(tcp, 1, 2, TcpFlags::ACK, vec![])
-            .tcp_option(TcpOption::Mss(1460))
-            .tcp_option(TcpOption::TraceId(0x00c0ffee))
-            .build();
-        let (_, recs) = run_record(rule, pkt.bytes());
+        let options = vec![TcpOption::Mss(1460), TcpOption::TraceId(0x00c0ffee)];
+        let (_, recs) = run_record(rule, &tcp_frame(tcp, vec![], options));
         assert_eq!(recs[0].trace_id, 0x00c0ffee);
         // No options at all: no id.
         let pkt = PacketBuilder::tcp(tcp, 1, 2, TcpFlags::ACK, vec![]).build();
@@ -510,10 +530,8 @@ mod tests {
         assert!(matched);
         assert!(!recs[0].has_trace_id());
         // Unrelated option only.
-        let pkt = PacketBuilder::tcp(tcp, 1, 2, TcpFlags::ACK, vec![])
-            .tcp_option(TcpOption::Other(99, vec![1, 2]))
-            .build();
-        let (_, recs) = run_record(rule, pkt.bytes());
+        let pkt = tcp_frame(tcp, vec![], vec![TcpOption::Other(99, vec![1, 2])]);
+        let (_, recs) = run_record(rule, &pkt);
         assert!(!recs[0].has_trace_id());
     }
 
@@ -541,10 +559,7 @@ mod tests {
                 .execute(&loaded, &ctx, pkt.bytes(), &mut maps, &mut env)
                 .unwrap();
             assert_eq!(out.ret, 1);
-            let recs: Vec<_> = maps
-                .get_mut(perf_fd)
-                .unwrap()
-                .perf_drain_all()
+            let recs: Vec<_> = drain(&mut maps, perf_fd)
                 .iter()
                 .map(|b| vnet_tsdb::CompactRecord::decode(b).unwrap())
                 .collect();
@@ -710,7 +725,12 @@ mod tests {
         let (mut bytes, mut total) = (Vec::new(), [0usize; 3]);
         for (action, _, prog) in emitted_space() {
             total[action as usize] += prog.insns.len();
-            bytes.extend(vnet_ebpf::insn::encode_program(&prog.insns));
+            // The kernel's 8-byte slot: opcode, registers, offset, immediate.
+            for insn in &prog.insns {
+                bytes.extend([insn.opcode, (insn.src << 4) | insn.dst]);
+                bytes.extend(insn.off.to_le_bytes());
+                bytes.extend(insn.imm.to_le_bytes());
+            }
         }
         assert_eq!(total[Action::RecordPacketInfo as usize], 31_936);
         assert_eq!(total[Action::RecordDropInfo as usize], 32_704);
@@ -783,11 +803,9 @@ mod tests {
         let mut udp = PacketBuilder::udp(flow, vec![7u8; 24]).build();
         trace_id::inject_udp_trailer(&mut udp, 0x0bad_cafe).unwrap();
         let reversed = PacketBuilder::udp(flow.reversed(), vec![3u8; 24]).build();
-        let tcp = PacketBuilder::tcp(FlowKey::tcp(src, dst), 1, 2, TcpFlags::ACK, vec![5u8; 8])
-            .tcp_option(TcpOption::Mss(1460))
-            .tcp_option(TcpOption::TraceId(0x00c0_ffee))
-            .build();
-        let packets: [&[u8]; 4] = [udp.bytes(), reversed.bytes(), tcp.bytes(), &[]];
+        let options = vec![TcpOption::Mss(1460), TcpOption::TraceId(0x00c0_ffee)];
+        let tcp = tcp_frame(FlowKey::tcp(src, dst), vec![5u8; 8], options);
+        let packets: [&[u8]; 4] = [udp.bytes(), reversed.bytes(), &tcp, &[]];
 
         let registry = || {
             let mut maps = MapRegistry::new();
@@ -839,8 +857,8 @@ mod tests {
                 ] {
                     digest.extend(v.to_le_bytes());
                 }
-                let records = maps.get_mut(0).unwrap().perf_drain_all();
-                assert_eq!(records, oracle_maps.get_mut(0).unwrap().perf_drain_all());
+                let records = drain(&mut maps, 0);
+                assert_eq!(records, drain(&mut oracle_maps, 0));
                 for rec in records {
                     digest.extend((rec.len() as u32).to_le_bytes());
                     digest.extend(rec);
@@ -937,7 +955,11 @@ mod tests {
         for (i, insns) in programs.iter().chain(&mutants).enumerate() {
             let a = vnet_ebpf::analyze(insns, &helpers);
             let verdict = vnet_ebpf::verify(insns, &helpers);
-            assert_eq!(verdict.as_ref().err(), a.first_error(), "program {i}");
+            assert_eq!(
+                verdict.as_ref().err(),
+                a.diagnostics().first().map(|d| &d.error),
+                "program {i}"
+            );
             let prog = Program::new(
                 "p",
                 vnet_ebpf::AttachType::Kprobe("f".into()),
@@ -959,7 +981,11 @@ mod tests {
                 }
                 Err(vnet_ebpf::program::LoadError::Verify(e)) => {
                     kinds[1] += 1;
-                    assert_eq!(Some(&e), a.first_error(), "program {i}");
+                    assert_eq!(
+                        Some(&e),
+                        a.diagnostics().first().map(|d| &d.error),
+                        "program {i}"
+                    );
                 }
                 Err(e) => {
                     kinds[2] += 1;

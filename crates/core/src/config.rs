@@ -67,14 +67,6 @@ impl FilterRule {
         }
     }
 
-    /// A rule matching one direction of a TCP flow.
-    pub fn tcp_flow(src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16)) -> Self {
-        FilterRule {
-            protocol: Some(Proto::Tcp),
-            ..Self::udp_flow(src, dst)
-        }
-    }
-
     /// Whether the rule matches everything (no packet parsing needed).
     pub fn is_empty(&self) -> bool {
         *self == Self::default()
@@ -143,18 +135,6 @@ impl HookSpec {
             HookSpec::DeviceRx(d) => Hook::DeviceRx(d.clone()),
             HookSpec::DeviceTx(d) => Hook::DeviceTx(d.clone()),
             HookSpec::Uprobe(a) => Hook::Uprobe(a.clone()),
-        }
-    }
-
-    /// The attach target's name.
-    pub fn target(&self) -> &str {
-        match self {
-            HookSpec::Kprobe(s)
-            | HookSpec::Kretprobe(s)
-            | HookSpec::Tracepoint(s)
-            | HookSpec::DeviceRx(s)
-            | HookSpec::DeviceTx(s)
-            | HookSpec::Uprobe(s) => s,
         }
     }
 }
@@ -510,11 +490,11 @@ mod tests {
 
     #[test]
     fn flow_constructors() {
-        let f = FilterRule::tcp_flow(
+        let f = FilterRule::udp_flow(
             (Ipv4Addr::new(1, 2, 3, 4), 5),
             (Ipv4Addr::new(6, 7, 8, 9), 10),
         );
-        assert_eq!(f.protocol, Some(Proto::Tcp));
+        assert_eq!(f.protocol, Some(Proto::Udp));
         assert_eq!(f.ether_type, Some(0x0800));
         assert_eq!(f.src_port, Some(5));
         assert_eq!(f.dst_port, Some(10));
@@ -531,7 +511,6 @@ mod tests {
             HookSpec::DeviceTx("vnet0".into()).to_sim_hook(),
             Hook::DeviceTx("vnet0".into())
         );
-        assert_eq!(HookSpec::Kretprobe("f".into()).target(), "f");
     }
 
     #[test]

@@ -27,21 +27,9 @@ pub struct ControlMessage {
 
 /// The dispatcher: formats user input into per-node control messages.
 #[derive(Debug, Default)]
-pub struct Dispatcher {
-    dispatched: u64,
-}
+pub struct Dispatcher;
 
 impl Dispatcher {
-    /// Creates a dispatcher.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of control messages formatted so far.
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched
-    }
-
     /// Splits `package` by node and serializes one control message per
     /// node, validating it first.
     ///
@@ -64,7 +52,6 @@ impl Dispatcher {
         }
         let mut out = Vec::with_capacity(per_node.len());
         for (node, pkg) in per_node {
-            self.dispatched += 1;
             out.push(ControlMessage {
                 node,
                 payload: pkg.to_json(),
@@ -116,7 +103,7 @@ mod tests {
 
     #[test]
     fn splits_by_node_and_serializes() {
-        let mut d = Dispatcher::new();
+        let mut d = Dispatcher;
         let pkg = ControlPackage::new(vec![
             spec("a", "server1"),
             spec("b", "server2"),
@@ -130,19 +117,18 @@ mod tests {
         assert_eq!(sub.traces[1].name, "c");
         let sub2 = ControlPackage::from_json(&messages[1].payload).unwrap();
         assert_eq!(sub2.traces.len(), 1);
-        assert_eq!(d.dispatched(), 2);
     }
 
     #[test]
     fn rejects_duplicate_names() {
-        let mut d = Dispatcher::new();
+        let mut d = Dispatcher;
         let pkg = ControlPackage::new(vec![spec("same", "n1"), spec("same", "n2")]);
         assert!(matches!(d.dispatch(&pkg), Err(TracerError::Config(_))));
     }
 
     #[test]
     fn rejects_bad_buffer_size() {
-        let mut d = Dispatcher::new();
+        let mut d = Dispatcher;
         let mut pkg = ControlPackage::new(vec![spec("a", "n1")]);
         pkg.global.buffer_size = 16; // below 32
         assert!(matches!(d.dispatch(&pkg), Err(TracerError::Config(_))));
@@ -152,7 +138,7 @@ mod tests {
 
     #[test]
     fn rejects_empty_name() {
-        let mut d = Dispatcher::new();
+        let mut d = Dispatcher;
         let pkg = ControlPackage::new(vec![spec("", "n1")]);
         assert!(matches!(d.dispatch(&pkg), Err(TracerError::Config(_))));
     }

@@ -204,7 +204,7 @@ mod tests {
         assert_eq!(decompose(&cold.db, &["tp0", "tp1"])[0].stats.count, 100);
 
         // Damage a lane the join projects in one of tp1's segments.
-        let damaged = std::fs::read_dir(cold.db.dir().unwrap())
+        let damaged = std::fs::read_dir(&cold.dir)
             .unwrap()
             .map(|e| e.unwrap().path())
             .filter(|p| p.extension().is_some_and(|x| x == "col"))

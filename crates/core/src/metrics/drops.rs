@@ -29,24 +29,6 @@ pub fn drop_breakdown(db: &TraceDb, table: &str) -> Vec<(String, u64)> {
     counts.into_iter().map(|(r, n)| (r.to_owned(), n)).collect()
 }
 
-/// [`drop_breakdown`] summed across every measurement whose name ends in
-/// `_drops` — the whole-world view `vnt drops` prints when no table is
-/// named.
-pub fn drop_breakdown_all(db: &TraceDb) -> Vec<(String, u64)> {
-    let tables: Vec<String> = db
-        .measurements()
-        .filter(|m| m.ends_with("_drops"))
-        .map(str::to_owned)
-        .collect();
-    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-    for table in tables {
-        for (reason, n) in drop_breakdown(db, &table) {
-            *counts.entry(reason).or_insert(0) += n;
-        }
-    }
-    counts.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,15 +60,5 @@ mod tests {
             ]
         );
         assert!(drop_breakdown(&db, "missing").is_empty());
-    }
-
-    #[test]
-    fn breakdown_all_sums_drop_tables_only() {
-        let db = db_of([
-            drop_row("s1_drops", 0, 3),
-            drop_row("s2_drops", 5, 3),
-            drop_row("packets", 9, 3),
-        ]);
-        assert_eq!(drop_breakdown_all(&db), vec![("device-down".to_owned(), 2)]);
     }
 }

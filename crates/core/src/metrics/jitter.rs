@@ -70,11 +70,6 @@ impl JitterTracker {
     pub fn smoothed_ns(&self) -> f64 {
         self.smoothed_ns
     }
-
-    /// Number of successive differences observed (samples − 1).
-    pub fn diff_count(&self) -> u64 {
-        self.diffs
-    }
 }
 
 /// The (min, max) jitter range, in signed nanoseconds. `None` with fewer
@@ -116,7 +111,7 @@ mod tests {
         }
         assert_eq!(t.range().unwrap().0, *series.iter().min().unwrap());
         assert_eq!(t.range().unwrap().1, *series.iter().max().unwrap());
-        assert_eq!(t.diff_count(), series.len() as u64);
+        assert_eq!(t.diffs, series.len() as u64);
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub mod throughput;
 pub use decomposition::{
     decompose, incomplete_ids, latency_between, per_packet_segments, SegmentStats,
 };
-pub use drops::{drop_breakdown, drop_breakdown_all};
+pub use drops::drop_breakdown;
 pub use flow::{per_flow_loss, per_flow_throughput};
 pub use jitter::{jitter_range, JitterTracker};
 pub use loss::{packet_loss, PacketLoss};
@@ -61,7 +61,7 @@ pub(crate) mod testutil {
     /// (removed on drop).
     pub(crate) struct ColdDb {
         pub(crate) db: TraceDb,
-        dir: std::path::PathBuf,
+        pub(crate) dir: std::path::PathBuf,
     }
 
     impl Drop for ColdDb {
@@ -108,7 +108,7 @@ mod tests {
     type Answer = fn(&TraceDb) -> Box<dyn std::fmt::Debug>;
 
     /// Every public offline function over the trace database, once each.
-    const ANSWERS: [(&str, Answer); 11] = [
+    const ANSWERS: [(&str, Answer); 10] = [
         ("latency_between", |db| {
             Box::new(latency_between(db, "tp0", "tp2"))
         }),
@@ -128,7 +128,6 @@ mod tests {
         ("drop_breakdown", |db| {
             Box::new(drop_breakdown(db, "vm2_drops"))
         }),
-        ("drop_breakdown_all", |db| Box::new(drop_breakdown_all(db))),
         ("align_timestamps", |db| {
             let skew = SkewEstimate {
                 one_way_ns: 0,

@@ -73,11 +73,6 @@ impl VNetTracer {
         self.agents.insert(agent.node_name().to_owned(), agent);
     }
 
-    /// Borrows an agent by node name.
-    pub fn agent(&self, node: &str) -> Option<&Agent> {
-        self.agents.get(node)
-    }
-
     /// Deploys a control package: the dispatcher formats per-node control
     /// messages (JSON), each agent parses its message and installs its
     /// scripts into the live world.
@@ -146,12 +141,6 @@ impl VNetTracer {
     /// Currently deployed scripts.
     pub fn deployed(&self) -> &[DeployedScript] {
         &self.deployed
-    }
-
-    /// Execution statistics of a deployed script, by name.
-    pub fn script_stats(&self, name: &str) -> Option<ScriptStats> {
-        let handle = self.deployed.iter().find(|d| d.name == name)?;
-        self.agents.get(&handle.node)?.stats(handle.id)
     }
 
     /// Kernel-style run stats for every deployed script, in deployment
@@ -229,11 +218,6 @@ impl VNetTracer {
     /// The trace database accumulated so far.
     pub fn db(&self) -> &TraceDb {
         self.collector.db()
-    }
-
-    /// The collector (heartbeat status, ingest counters).
-    pub fn collector(&self) -> &Collector {
-        &self.collector
     }
 
     /// Flushes the underlying database: seals the hot tail into a
@@ -369,12 +353,10 @@ mod tests {
         assert!(metrics::throughput_at(tracer.db(), "eth1_rx") > 0.0);
         assert_eq!(metrics::throughput_at(tracer.db(), "eth0_rx"), 0.0);
         // Stats: every firing matched.
-        let stats = tracer.script_stats("eth0_rx").unwrap();
+        let stats = tracer.run_stats()[0].stats;
         assert_eq!(stats.executions, 10);
         assert_eq!(stats.matched, 10);
         assert_eq!(stats.errors, 0);
-        // Heartbeats recorded.
-        assert_eq!(tracer.collector().last_heartbeat("server1"), Some(1));
         // Self-observability: one batch of 20 records, nothing lost.
         let cstats = tracer.stats(&w);
         assert_eq!(cstats.totals.records, 20);
@@ -383,8 +365,10 @@ mod tests {
         assert_eq!(cstats.lost_records, 0);
         assert_eq!(cstats.agents.len(), 1);
         assert_eq!(cstats.agents[0].node, "server1");
+        assert_eq!(cstats.agents[0].last_seq, 1, "one heartbeat recorded");
         // Records landed in the table, all from the one node.
-        let entries = tracer.db().table("eth0_rx").unwrap().entries();
+        let scan = crate::metrics::scan_table(tracer.db(), "eth0_rx");
+        let entries = scan.entries();
         assert!(!entries.is_empty());
         assert!(entries.iter().all(|e| e.node() == "server1"));
     }
@@ -403,7 +387,7 @@ mod tests {
         send_packets(&mut w, d0, 10);
         w.run_until(SimTime::from_millis(5));
         tracer.collect(&w);
-        let stats = tracer.script_stats("eth0_rx").unwrap();
+        let stats = tracer.run_stats()[0].stats;
         assert_eq!(stats.executions, 10);
         assert!(stats.fused_hits > 0, "trace programs contain fusable runs");
         assert!(

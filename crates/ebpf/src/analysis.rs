@@ -379,11 +379,6 @@ impl Analysis {
         &self.diagnostics
     }
 
-    /// The first rejection, if any — the old single-error contract.
-    pub fn first_error(&self) -> Option<&VerifyError> {
-        self.diagnostics.first().map(|d| &d.error)
-    }
-
     /// The join of all register states reaching `pc` (None: unreachable).
     pub fn state_at(&self, pc: usize) -> Option<&[RegState; NUM_REGS]> {
         self.states.get(pc).and_then(|s| s.as_deref())
@@ -2029,7 +2024,7 @@ mod tests {
              exit",
         );
         assert!(!a.ok());
-        let err = a.first_error().expect("rejected");
+        let err = &a.diagnostics()[0].error;
         assert!(matches!(
             err,
             VerifyError::DivisorMayBeZero { reg: 2, insn: 2 }
@@ -2045,7 +2040,7 @@ mod tests {
              r0 /= r2\n\
              exit",
         );
-        assert!(a.ok(), "guarded division rejected: {:?}", a.first_error());
+        assert!(a.ok(), "guarded division rejected: {:?}", a.diagnostics());
         assert_eq!(a.state_at(3).expect("reachable")[2].umin, 1);
     }
 
@@ -2079,7 +2074,7 @@ mod tests {
             ));
             // Any offset is accepted: the access stays runtime-checked
             // against the map's value size (permissiveness contract).
-            assert!(a.ok(), "map idiom rejected: {:?}", a.first_error());
+            assert!(a.ok(), "map idiom rejected: {:?}", a.diagnostics());
             // lddw occupies insns 4–5; the deref behind the null check is 8.
             let r0 = a.state_at(8).expect("reachable")[0];
             assert_eq!(r0, RegState::ptr(RegType::PtrToMapValue { fd: 0 }));

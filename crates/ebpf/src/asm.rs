@@ -211,16 +211,6 @@ impl Asm {
         Self::default()
     }
 
-    /// Current instruction count (useful for size accounting).
-    pub fn len(&self) -> usize {
-        self.insns.len()
-    }
-
-    /// Whether no instructions have been emitted.
-    pub fn is_empty(&self) -> bool {
-        self.insns.is_empty()
-    }
-
     /// Defines a label at the current position.
     pub fn label(mut self, name: &str) -> Self {
         // Duplicates detected at build time so the builder stays infallible.
@@ -261,14 +251,6 @@ impl Asm {
         self.raw(Insn::new(BPF_ALU | BPF_MOV | BPF_K, dst, 0, 0, imm))
     }
 
-    /// Loads a 64-bit immediate (two slots).
-    pub fn lddw(self, dst: u8, imm: u64) -> Self {
-        let lo = imm as u32 as i32;
-        let hi = (imm >> 32) as u32 as i32;
-        self.raw(Insn::new(BPF_LD | BPF_IMM | BPF_DW, dst, 0, 0, lo))
-            .raw(Insn::new(0, 0, 0, 0, hi))
-    }
-
     /// Loads a map fd as a 64-bit pseudo value (two slots), the form the
     /// loader relocates to a live map reference.
     pub fn ld_map_fd(self, dst: u8, fd: i32) -> Self {
@@ -304,16 +286,6 @@ impl Asm {
         self.alu64(AluOp::Add, dst, src)
     }
 
-    /// `dst -= src`.
-    pub fn sub64(self, dst: u8, src: u8) -> Self {
-        self.alu64(AluOp::Sub, dst, src)
-    }
-
-    /// `dst = -dst` (64-bit).
-    pub fn neg64(self, dst: u8) -> Self {
-        self.raw(Insn::new(BPF_ALU64 | BPF_NEG, dst, 0, 0, 0))
-    }
-
     /// `dst = htobe16(dst)`.
     pub fn be16(self, dst: u8) -> Self {
         self.raw(Insn::new(BPF_ALU | BPF_END | BPF_X, dst, 0, 0, 16))
@@ -322,11 +294,6 @@ impl Asm {
     /// `dst = htobe32(dst)`.
     pub fn be32(self, dst: u8) -> Self {
         self.raw(Insn::new(BPF_ALU | BPF_END | BPF_X, dst, 0, 0, 32))
-    }
-
-    /// `dst = htobe64(dst)`.
-    pub fn be64(self, dst: u8) -> Self {
-        self.raw(Insn::new(BPF_ALU | BPF_END | BPF_X, dst, 0, 0, 64))
     }
 
     // --- Memory ---
@@ -344,28 +311,6 @@ impl Asm {
     /// `*(size*)(dst + off) = imm`.
     pub fn st(self, size: Size, dst: u8, off: i16, imm: i32) -> Self {
         self.raw(Insn::new(BPF_ST | BPF_MEM | size.bits(), dst, 0, off, imm))
-    }
-
-    /// Atomic `*(size*)(dst + off) += src` (word or double-word only).
-    pub fn atomic_add(self, size: Size, dst: u8, src: u8, off: i16) -> Self {
-        self.raw(Insn::new(
-            BPF_STX | BPF_ATOMIC | size.bits(),
-            dst,
-            src,
-            off,
-            BPF_ADD as i32,
-        ))
-    }
-
-    /// Atomic fetch-and-add: `src = atomic_fetch_add(dst + off, src)`.
-    pub fn atomic_fetch_add(self, size: Size, dst: u8, src: u8, off: i16) -> Self {
-        self.raw(Insn::new(
-            BPF_STX | BPF_ATOMIC | size.bits(),
-            dst,
-            src,
-            off,
-            BPF_ADD as i32 | BPF_FETCH,
-        ))
     }
 
     // --- Control flow ---
@@ -452,6 +397,53 @@ impl Asm {
 mod tests {
     use super::reg::*;
     use super::*;
+
+    impl Asm {
+        /// Loads a 64-bit immediate (two slots).
+        pub(crate) fn lddw(self, dst: u8, imm: u64) -> Self {
+            let lo = imm as u32 as i32;
+            let hi = (imm >> 32) as u32 as i32;
+            self.raw(Insn::new(BPF_LD | BPF_IMM | BPF_DW, dst, 0, 0, lo))
+                .raw(Insn::new(0, 0, 0, 0, hi))
+        }
+
+        /// `dst -= src`.
+        pub(crate) fn sub64(self, dst: u8, src: u8) -> Self {
+            self.alu64(AluOp::Sub, dst, src)
+        }
+
+        /// `dst = -dst` (64-bit).
+        pub(crate) fn neg64(self, dst: u8) -> Self {
+            self.raw(Insn::new(BPF_ALU64 | BPF_NEG, dst, 0, 0, 0))
+        }
+
+        /// `dst = htobe64(dst)`.
+        pub(crate) fn be64(self, dst: u8) -> Self {
+            self.raw(Insn::new(BPF_ALU | BPF_END | BPF_X, dst, 0, 0, 64))
+        }
+
+        /// Atomic `*(size*)(dst + off) += src` (word or double-word only).
+        pub(crate) fn atomic_add(self, size: Size, dst: u8, src: u8, off: i16) -> Self {
+            self.raw(Insn::new(
+                BPF_STX | BPF_ATOMIC | size.bits(),
+                dst,
+                src,
+                off,
+                BPF_ADD as i32,
+            ))
+        }
+
+        /// Atomic fetch-and-add: `src = atomic_fetch_add(dst + off, src)`.
+        pub(crate) fn atomic_fetch_add(self, size: Size, dst: u8, src: u8, off: i16) -> Self {
+            self.raw(Insn::new(
+                BPF_STX | BPF_ATOMIC | size.bits(),
+                dst,
+                src,
+                off,
+                BPF_ADD as i32 | BPF_FETCH,
+            ))
+        }
+    }
 
     #[test]
     fn forward_jump_offsets_resolve() {

@@ -225,7 +225,7 @@ mod tests {
     fn certified(asm: Asm) -> (Vec<Insn>, CostCertificate) {
         let insns = asm.build().expect("assembles");
         let analysis = analyze(&insns, &standard_helpers());
-        assert!(analysis.ok(), "{:?}", analysis.first_error());
+        assert!(analysis.ok(), "{:?}", analysis.diagnostics());
         let cert = certify(&insns, |pc| analysis.state_at(pc).is_some());
         (insns, cert)
     }

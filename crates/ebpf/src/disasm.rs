@@ -139,19 +139,6 @@ pub fn disasm_insn(insn: &Insn, next: Option<&Insn>) -> String {
     }
 }
 
-/// Disassembles a whole program into numbered lines.
-pub fn disassemble(insns: &[Insn]) -> Vec<String> {
-    let mut out = Vec::with_capacity(insns.len());
-    let mut i = 0;
-    while i < insns.len() {
-        let insn = &insns[i];
-        let text = disasm_insn(insn, insns.get(i + 1));
-        out.push(format!("{i:4}: {text}"));
-        i += if insn.is_lddw() { 2 } else { 1 };
-    }
-    out
-}
-
 /// Disassembles a whole program into numbered lines annotated with the
 /// verifier analysis: each reachable instruction carries a `;` comment
 /// with the joined register state at its input; unreachable instructions
@@ -182,11 +169,23 @@ mod tests {
     use super::*;
     use crate::asm::{reg::*, AluOp, Asm, Cond, Size};
 
+    /// The listing `vnt verify` prints, without its line numbers and
+    /// annotations.
     fn lines(asm: Asm) -> Vec<String> {
-        disassemble(&asm.build().unwrap())
+        listing(&asm.build().unwrap())
             .into_iter()
-            .map(|l| l.split_once(": ").unwrap().1.to_owned())
+            .map(|l| {
+                let text = l.split_once(": ").unwrap().1;
+                text.split(" ; ").next().unwrap().to_owned()
+            })
             .collect()
+    }
+
+    fn listing(insns: &[Insn]) -> Vec<String> {
+        disassemble_annotated(
+            insns,
+            &crate::analyze(insns, &crate::vm::standard_helpers()),
+        )
     }
 
     #[test]
@@ -275,14 +274,14 @@ mod tests {
             .label("miss")
             .mov64_imm(R0, 0)
             .exit();
-        for line in disassemble(&asm.build().unwrap()) {
+        for line in listing(&asm.build().unwrap()) {
             assert!(!line.contains("(bad"), "line: {line}");
         }
     }
 
     #[test]
     fn line_numbers_skip_lddw_bodies() {
-        let listing = disassemble(&Asm::new().lddw(R1, 1).exit().build().unwrap());
+        let listing = listing(&Asm::new().lddw(R1, 1).exit().build().unwrap());
         assert_eq!(listing.len(), 2);
         assert!(listing[0].starts_with("   0:"));
         assert!(

@@ -162,64 +162,11 @@ impl Insn {
     pub const fn is_lddw(&self) -> bool {
         self.opcode == BPF_LD | BPF_IMM | BPF_DW
     }
-
-    /// Encodes into the 8-byte kernel wire format (little-endian fields).
-    pub fn encode(&self) -> [u8; 8] {
-        let mut out = [0u8; 8];
-        out[0] = self.opcode;
-        out[1] = (self.src << 4) | (self.dst & 0x0f);
-        out[2..4].copy_from_slice(&self.off.to_le_bytes());
-        out[4..8].copy_from_slice(&self.imm.to_le_bytes());
-        out
-    }
-
-    /// Decodes from the 8-byte kernel wire format.
-    pub fn decode(bytes: [u8; 8]) -> Self {
-        Insn {
-            opcode: bytes[0],
-            dst: bytes[1] & 0x0f,
-            src: bytes[1] >> 4,
-            off: i16::from_le_bytes([bytes[2], bytes[3]]),
-            imm: i32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
-        }
-    }
-}
-
-/// Encodes a program to its kernel wire format (8 bytes per slot).
-pub fn encode_program(insns: &[Insn]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(insns.len() * 8);
-    for insn in insns {
-        out.extend_from_slice(&insn.encode());
-    }
-    out
-}
-
-/// Decodes a program from its kernel wire format.
-///
-/// Returns `None` if the byte length is not a multiple of 8.
-pub fn decode_program(bytes: &[u8]) -> Option<Vec<Insn>> {
-    if !bytes.len().is_multiple_of(8) {
-        return None;
-    }
-    Some(
-        bytes
-            .chunks_exact(8)
-            .map(|c| Insn::decode([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-            .collect(),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn encode_decode_round_trip() {
-        let insn = Insn::new(BPF_ALU64 | BPF_MOV | BPF_K, 3, 0, -2, -100);
-        assert_eq!(Insn::decode(insn.encode()), insn);
-        let insn2 = Insn::new(BPF_JMP | BPF_JEQ | BPF_X, 1, 9, 0x7fff, i32::MAX);
-        assert_eq!(Insn::decode(insn2.encode()), insn2);
-    }
 
     #[test]
     fn class_extraction() {
@@ -238,24 +185,5 @@ mod tests {
     fn lddw_detection() {
         assert!(Insn::new(BPF_LD | BPF_IMM | BPF_DW, 1, 0, 0, 42).is_lddw());
         assert!(!Insn::new(BPF_LDX | BPF_MEM | BPF_DW, 1, 1, 0, 0).is_lddw());
-    }
-
-    #[test]
-    fn program_round_trip() {
-        let prog = vec![
-            Insn::new(BPF_ALU64 | BPF_MOV | BPF_K, 0, 0, 0, 7),
-            Insn::new(BPF_JMP | BPF_EXIT, 0, 0, 0, 0),
-        ];
-        let bytes = encode_program(&prog);
-        assert_eq!(bytes.len(), 16);
-        assert_eq!(decode_program(&bytes).unwrap(), prog);
-        assert!(decode_program(&bytes[..15]).is_none());
-    }
-
-    #[test]
-    fn register_fields_pack_into_one_byte() {
-        let insn = Insn::new(BPF_ALU64 | BPF_MOV | BPF_X, 10, 7, 0, 0);
-        let enc = insn.encode();
-        assert_eq!(enc[1], (7 << 4) | 10);
     }
 }

@@ -240,13 +240,11 @@ pub struct JitOutcome {
 /// A program lowered to threaded code, ready to execute.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
-    name: String,
     ops: Box<[Op]>,
     /// Static charge per op under the shared cost table, precomputed so
     /// the dispatch loop pays one indexed add instead of a match.
     op_costs: Box<[u32]>,
     stores: Box<[StackStore]>,
-    insn_count: usize,
     fused_ops: usize,
 }
 
@@ -284,17 +282,6 @@ fn op_cost(op: &Op) -> u32 {
 }
 
 impl CompiledProgram {
-    /// The program's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Original instruction-stream length (drives the one-time
-    /// [`crate::vm::jit_compile_cost_ns`]).
-    pub fn insn_count(&self) -> usize {
-        self.insn_count
-    }
-
     /// Number of pre-decoded ops in the compiled body.
     pub fn op_count(&self) -> usize {
         self.ops.len()
@@ -858,11 +845,9 @@ pub fn compile(prog: &LoadedProgram) -> CompiledProgram {
 
     let op_costs: Vec<u32> = ops.iter().map(op_cost).collect();
     CompiledProgram {
-        name: prog.name().to_owned(),
         ops: ops.into_boxed_slice(),
         op_costs: op_costs.into_boxed_slice(),
         stores: stores.into_boxed_slice(),
-        insn_count: insns.len(),
         fused_ops,
     }
 }

@@ -69,7 +69,6 @@ pub mod vm;
 pub use analysis::{analyze, Analysis, Diagnostic, RegState, RegType};
 pub use context::TraceContext;
 pub use cost::{certify, render_cost_report, CostCertificate};
-pub use disasm::disassemble;
 pub use insn::{Insn, MAX_INSNS};
 pub use jit::{compile, CompiledProgram, JitOutcome};
 pub use map::{MapDef, MapRegistry, MapType};

@@ -283,11 +283,11 @@ pub fn parse_insn(text: &str) -> Result<Vec<Insn>, String> {
 }
 
 /// Parses a whole listing back into bytecode. Lines may carry the
-/// `{index}: ` prefix [`crate::disasm::disassemble`] emits (it is
-/// ignored) or be bare instruction text; blank lines are skipped, as are
-/// `#` comment lines and everything after a `;` (the annotation marker
-/// [`crate::disasm::disassemble_annotated`] uses), so annotated listings
-/// and commented corpus files reassemble cleanly.
+/// `{index}: ` prefix [`crate::disasm::disassemble_annotated`] emits (it
+/// is ignored) or be bare instruction text; blank lines are skipped, as
+/// are `#` comment lines and everything after a `;` (the annotation
+/// marker), so annotated listings and commented corpus files reassemble
+/// cleanly.
 pub fn parse_program<S: AsRef<str>>(lines: &[S]) -> Result<Vec<Insn>, ParseError> {
     let mut out = Vec::with_capacity(lines.len());
     for (i, line) in lines.iter().enumerate() {
@@ -316,10 +316,14 @@ pub fn parse_program<S: AsRef<str>>(lines: &[S]) -> Result<Vec<Insn>, ParseError
 mod tests {
     use super::*;
     use crate::asm::{reg::*, AluOp, Asm, Cond, Size};
-    use crate::disasm::disassemble;
+    use crate::disasm::disassemble_annotated;
 
+    /// The annotated listing `vnt verify` prints parses back to `insns`.
     fn round_trip(insns: Vec<Insn>) {
-        let listing = disassemble(&insns);
+        let listing = disassemble_annotated(
+            &insns,
+            &crate::analyze(&insns, &crate::vm::standard_helpers()),
+        );
         let parsed = parse_program(&listing).expect("listing parses");
         assert_eq!(parsed, insns, "listing: {listing:#?}");
     }

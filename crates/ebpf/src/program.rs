@@ -38,20 +38,6 @@ pub enum AttachType {
     Uprobe(String),
 }
 
-impl AttachType {
-    /// The name of the function or device this attaches to.
-    pub fn target(&self) -> &str {
-        match self {
-            AttachType::Kprobe(s)
-            | AttachType::Kretprobe(s)
-            | AttachType::Tracepoint(s)
-            | AttachType::SocketRx(s)
-            | AttachType::SocketTx(s)
-            | AttachType::Uprobe(s) => s,
-        }
-    }
-}
-
 impl core::fmt::Display for AttachType {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
@@ -131,7 +117,6 @@ impl From<VerifyError> for LoadError {
 #[derive(Debug, Clone)]
 pub struct LoadedProgram {
     name: String,
-    attach: AttachType,
     insns: Vec<Insn>,
     certificate: CostCertificate,
 }
@@ -140,11 +125,6 @@ impl LoadedProgram {
     /// The program's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The attach point.
-    pub fn attach(&self) -> &AttachType {
-        &self.attach
     }
 
     /// The relocated instruction stream.
@@ -158,11 +138,6 @@ impl LoadedProgram {
     /// interpreter/JIT dynamic costs can never exceed it.
     pub fn certificate(&self) -> &CostCertificate {
         &self.certificate
-    }
-
-    /// A human-readable listing of the program (kernel-verifier style).
-    pub fn disassemble(&self) -> Vec<String> {
-        crate::disasm::disassemble(&self.insns)
     }
 }
 
@@ -210,7 +185,6 @@ pub fn load(
     }
     Ok(LoadedProgram {
         name: program.name,
-        attach: program.attach,
         insns,
         certificate,
     })
@@ -223,12 +197,11 @@ mod tests {
     use crate::map::MapDef;
 
     #[test]
-    fn attach_type_display_and_target() {
+    fn attach_type_display() {
         assert_eq!(
             AttachType::Kprobe("net_rx_action".into()).to_string(),
             "kprobe:net_rx_action"
         );
-        assert_eq!(AttachType::SocketRx("eth0".into()).target(), "eth0");
         assert_eq!(AttachType::Uprobe("main".into()).to_string(), "uprobe:main");
     }
 

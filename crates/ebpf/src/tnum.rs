@@ -34,11 +34,6 @@ impl Tnum {
         self.mask == 0
     }
 
-    /// True if the tnum denotes a set containing `v`.
-    pub fn contains(&self, v: u64) -> bool {
-        (v & !self.mask) == self.value
-    }
-
     /// True if every value this tnum denotes is also denoted by `other`.
     pub fn is_subset_of(&self, other: &Tnum) -> bool {
         // other must not know any bit self doesn't know, and on bits both
@@ -218,6 +213,13 @@ impl core::fmt::Display for Tnum {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Tnum {
+        /// True if the tnum denotes a set containing `v`.
+        pub(crate) fn contains(&self, v: u64) -> bool {
+            (v & !self.mask) == self.value
+        }
+    }
 
     /// All concrete values a (small) tnum denotes, for brute-force soundness.
     fn enumerate(t: Tnum, width: u32) -> Vec<u64> {

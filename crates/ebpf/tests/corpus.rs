@@ -95,7 +95,7 @@ fn corpus_verdicts_match() {
             assert!(
                 analysis.ok(),
                 "{name}: expected accepted, rejected with {:?}",
-                analysis.first_error()
+                analysis.diagnostics()
             );
             // The annotated listing must reassemble to the same bytecode.
             let annotated = disassemble_annotated(&insns, &analysis);
@@ -127,7 +127,7 @@ fn corpus_verdicts_match() {
                 );
             }
             if let Some(sub) = &expect.error_substring {
-                let msg = analysis.first_error().expect("rejected").to_string();
+                let msg = analysis.diagnostics()[0].error.to_string();
                 assert!(
                     msg.contains(sub.as_str()),
                     "{name}: first error `{msg}` does not mention `{sub}`"

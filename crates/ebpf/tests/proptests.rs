@@ -4,9 +4,9 @@
 use proptest::prelude::*;
 use vnet_ebpf::asm::{reg::*, AluOp, Asm, Cond, Size};
 use vnet_ebpf::context::TraceContext;
-use vnet_ebpf::disasm::disassemble;
+use vnet_ebpf::disasm::disassemble_annotated;
 use vnet_ebpf::insn::*;
-use vnet_ebpf::map::{MapDef, MapRegistry};
+use vnet_ebpf::map::{MapDef, MapRegistry, MapType};
 use vnet_ebpf::parse::parse_program;
 use vnet_ebpf::program::{load, AttachType, LoadError, LoadedProgram, Program};
 use vnet_ebpf::verifier::verify;
@@ -376,18 +376,6 @@ proptest! {
         let _ = verify(&insns, &standard_helpers()); // must not panic
     }
 
-    /// Instruction encode/decode round-trips (dst/src restricted to the
-    /// 4-bit fields they occupy).
-    #[test]
-    fn insn_encoding_round_trip(mut insns in proptest::collection::vec(arb_insn(), 0..64)) {
-        for i in &mut insns {
-            i.dst &= 0x0f;
-            i.src &= 0x0f;
-        }
-        let bytes = encode_program(&insns);
-        prop_assert_eq!(decode_program(&bytes).unwrap(), insns);
-    }
-
     /// Random straight-line ALU programs verify, load, run to their end
     /// and never touch memory.
     #[test]
@@ -455,15 +443,16 @@ proptest! {
         }
     }
 
-    /// Disassembling any encodable program and parsing the listing back
-    /// reproduces the original bytecode bit for bit.
+    /// The annotated listing of any encodable program parses back to the
+    /// original instructions, field for field.
     #[test]
     fn disasm_parse_round_trip(chunks in proptest::collection::vec(arb_encodable(), 0..64)) {
         let insns: Vec<Insn> = chunks.into_iter().flatten().collect();
-        let listing = disassemble(&insns);
+        let analysis = vnet_ebpf::analyze(&insns, &standard_helpers());
+        let listing = disassemble_annotated(&insns, &analysis);
         let parsed = parse_program(&listing)
             .unwrap_or_else(|e| panic!("{e}\nlisting: {listing:#?}"));
-        prop_assert_eq!(encode_program(&parsed), encode_program(&insns));
+        prop_assert_eq!(parsed, insns);
     }
 
     /// Differential: on every verifier-accepted instruction stream — not
@@ -500,7 +489,13 @@ proptest! {
     fn tiers_agree_on_map_side_effects(ops in arb_map_ops()) {
         let mk_maps = || {
             let mut m = MapRegistry::new();
-            m.create(MapDef::hash(4, 8, 16), 1).unwrap();
+            let hash = MapDef {
+                map_type: MapType::Hash,
+                key_size: 4,
+                value_size: 8,
+                max_entries: 16,
+            };
+            m.create(hash, 1).unwrap();
             m.create(MapDef::perf(4096), 4).unwrap();
             m
         };
@@ -513,8 +508,11 @@ proptest! {
         let loaded = load(prog, &maps, &standard_helpers()).expect("workload verifies");
         let (mut maps_i, mut maps_j) = run_both_tiers(&loaded, &[], mk_maps);
         prop_assert_eq!(hash_contents(&maps_i, 0), hash_contents(&maps_j, 0));
-        let recs_i = maps_i.get_mut(1).unwrap().perf_drain_all();
-        let recs_j = maps_j.get_mut(1).unwrap().perf_drain_all();
+        let drain = |maps: &mut MapRegistry| {
+            let perf = maps.get_mut(1).unwrap();
+            (0..4).flat_map(|c| perf.perf_drain(c)).collect::<Vec<_>>()
+        };
+        let (recs_i, recs_j) = (drain(&mut maps_i), drain(&mut maps_j));
         prop_assert_eq!(&recs_i, &recs_j);
     }
 
@@ -534,7 +532,7 @@ proptest! {
                     insns.len()
                 );
             }
-            if let Some(i) = analysis.first_error().and_then(|e| e.insn()) {
+            if let Some(i) = analysis.diagnostics().first().and_then(|d| d.error.insn()) {
                 prop_assert!(i < insns.len());
             }
         }

@@ -362,11 +362,6 @@ impl LiveEngine {
         }
     }
 
-    /// Finalized windows still in the ring, oldest first.
-    pub fn closed_windows(&self) -> impl Iterator<Item = &WindowResult> {
-        self.closed.iter()
-    }
-
     /// Removes and returns all finalized windows, oldest first.
     pub fn drain_closed(&mut self) -> Vec<WindowResult> {
         self.closed.drain(..).collect()
@@ -428,11 +423,6 @@ impl LiveEngine {
             late_records: self.watermark.late_records(),
             records_processed: self.records_processed,
         }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &LiveConfig {
-        &self.cfg
     }
 }
 
@@ -510,7 +500,7 @@ mod tests {
             &[rec(150_000, 1, 100), rec(260_000, 2, 100)],
             500_000,
         );
-        assert!(e.closed_windows().next().is_none(), "window still open");
+        assert!(e.closed.iter().next().is_none(), "window still open");
         // Watermark must pass end (1ms) + pair timeout (10ms).
         e.heartbeat("n1", 12_000_000);
         let closed = e.drain_closed();
@@ -640,7 +630,7 @@ mod tests {
         // Accounted exactly like a timeout: a loss and an unmatched.
         assert_eq!(e.latency_unmatched("tx", "rx"), Some(1));
         e.finish();
-        let lost: Vec<u64> = e.closed_windows().map(|w| w.loss[0].1.lost).collect();
+        let lost: Vec<u64> = e.closed.iter().map(|w| w.loss[0].1.lost).collect();
         assert_eq!(lost, [1, 1, 1]);
     }
 
@@ -672,7 +662,8 @@ mod tests {
         e.finish();
         // The cap evicted the oldest 3 072, oldest first.
         let loss: Vec<(u64, u64)> = e
-            .closed_windows()
+            .closed
+            .iter()
             .filter(|w| !w.loss.is_empty())
             .map(|w| (w.loss[0].1.lost, w.loss[0].1.delivered))
             .collect();
@@ -695,7 +686,7 @@ mod tests {
         let mut e = engine();
         feed(&mut e, "tx", &[rec(100, 1, 100)], 100);
         feed(&mut e, "rx", &[rec(150, 1, 100)], 300);
-        assert!(e.closed_windows().next().is_none());
+        assert!(e.closed.iter().next().is_none());
         e.finish();
         let closed = e.drain_closed();
         assert_eq!(closed.len(), 1);
@@ -720,7 +711,7 @@ mod tests {
         }
         e.finish();
         assert_eq!(e.state().closed_windows, 4);
-        let oldest = e.closed_windows().next().unwrap().start_ns;
+        let oldest = e.closed.iter().next().unwrap().start_ns;
         assert_eq!(oldest, 96_000, "oldest windows were dropped");
     }
 

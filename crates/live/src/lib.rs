@@ -48,7 +48,7 @@
 //! // tracer.subscribe(engine.clone());
 //! // …run the scenario; then:
 //! engine.borrow_mut().finish();
-//! for w in engine.borrow().closed_windows() {
+//! for w in engine.borrow_mut().drain_closed() {
 //!     println!("window {}..{}", w.start_ns, w.end_ns);
 //! }
 //! ```

@@ -6,11 +6,9 @@
 //! arming timers. Workload generators (Sockperf-, iPerf-, Netperf- and
 //! memcached-style) in `vnet-workloads` implement this trait.
 
-use rand::rngs::SmallRng;
-
 use crate::ids::{AppId, NodeId};
 use crate::packet::Packet;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// An action an application requests during a callback.
 #[derive(Debug)]
@@ -33,9 +31,7 @@ pub struct AppCtx<'w> {
     pub app: AppId,
     /// The node the application runs on.
     pub node: NodeId,
-    now: SimTime,
     monotonic_ns: u64,
-    rng: &'w mut SmallRng,
     /// The world's action list, lent for one callback: the world carries
     /// the actions out and keeps the list's capacity for the next.
     actions: &'w mut Vec<AppAction>,
@@ -47,26 +43,15 @@ impl<'w> AppCtx<'w> {
     pub(crate) fn new(
         app: AppId,
         node: NodeId,
-        now: SimTime,
         monotonic_ns: u64,
-        rng: &'w mut SmallRng,
         actions: &'w mut Vec<AppAction>,
     ) -> Self {
         AppCtx {
             app,
             node,
-            now,
             monotonic_ns,
-            rng,
             actions,
         }
-    }
-
-    /// Ground-truth simulation time. Applications normally should use
-    /// [`AppCtx::monotonic_ns`] — the node's (possibly skewed) clock — to
-    /// mirror what real applications can observe.
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 
     /// The node's `CLOCK_MONOTONIC` reading, in nanoseconds.
@@ -84,16 +69,11 @@ impl<'w> AppCtx<'w> {
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) {
         self.actions.push(AppAction::Timer { delay, tag });
     }
-
-    /// The world's deterministic random-number generator.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
-    }
 }
 
 /// A workload endpoint.
 ///
-/// All callbacks receive an [`AppCtx`] for timing, randomness and actions.
+/// All callbacks receive an [`AppCtx`] for timing and actions.
 pub trait App {
     /// Called once when the simulation starts.
     fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
@@ -112,44 +92,16 @@ pub trait App {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn ctx_queues_actions_on_the_lent_list() {
-        let mut rng = SmallRng::seed_from_u64(1);
         let mut actions = Vec::new();
-        let mut ctx = AppCtx::new(
-            AppId(0),
-            NodeId(0),
-            SimTime::from_micros(5),
-            5_000,
-            &mut rng,
-            &mut actions,
-        );
-        assert_eq!(ctx.now(), SimTime::from_micros(5));
+        let mut ctx = AppCtx::new(AppId(0), NodeId(0), 5_000, &mut actions);
         assert_eq!(ctx.monotonic_ns(), 5_000);
         ctx.set_timer(SimDuration::from_micros(10), 42);
         ctx.send(Packet::from_bytes(vec![0u8; 8]));
         assert_eq!(actions.len(), 2);
         assert!(matches!(actions[0], AppAction::Timer { tag: 42, .. }));
         assert!(matches!(actions[1], AppAction::Send(_)));
-    }
-
-    #[test]
-    fn rng_is_usable() {
-        use rand::Rng;
-        let mut rng = SmallRng::seed_from_u64(7);
-        let mut actions = Vec::new();
-        let mut ctx = AppCtx::new(
-            AppId(1),
-            NodeId(0),
-            SimTime::ZERO,
-            0,
-            &mut rng,
-            &mut actions,
-        );
-        let a: u32 = ctx.rng().gen();
-        let b: u32 = ctx.rng().gen();
-        assert_ne!(a, b);
     }
 }

@@ -295,22 +295,6 @@ impl DropReason {
             DropReason::Link => 5,
         }
     }
-
-    /// Decodes a wire code back to the reason.
-    pub fn from_code(code: u32) -> Option<DropReason> {
-        DropReason::ALL.into_iter().find(|r| r.code() == code)
-    }
-
-    /// Stable kernel-style label, e.g. for a drops breakdown table.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DropReason::QueueFull => "queue-full",
-            DropReason::Policed => "policed",
-            DropReason::Down => "device-down",
-            DropReason::NoRoute => "no-route",
-            DropReason::Link => "link-loss",
-        }
-    }
 }
 
 /// Per-device counters.
@@ -750,14 +734,10 @@ mod tests {
     }
 
     #[test]
-    fn drop_reason_codes_round_trip() {
+    fn drop_reason_codes_fit_in_three_bits() {
         for r in DropReason::ALL {
             assert!(r.code() >= 1 && r.code() <= 7, "code fits in 3 bits");
-            assert_eq!(DropReason::from_code(r.code()), Some(r));
-            assert!(!r.name().is_empty());
         }
-        assert_eq!(DropReason::from_code(0), None);
-        assert_eq!(DropReason::from_code(6), None);
     }
 
     #[test]

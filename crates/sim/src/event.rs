@@ -246,11 +246,6 @@ impl EventQueue {
         }
     }
 
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.pop_at_or_before(SimTime::MAX)
-    }
-
     /// Removes and returns the earliest event if it is scheduled at or
     /// before `bound`.
     pub fn pop_at_or_before(&mut self, bound: SimTime) -> Option<(SimTime, Event)> {
@@ -282,11 +277,6 @@ impl EventQueue {
         self.free.push(slot);
         Some((at, event))
     }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty() && self.future.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -294,6 +284,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+
+    impl EventQueue {
+        /// Removes and returns the earliest event, if any.
+        pub(crate) fn pop(&mut self) -> Option<(SimTime, Event)> {
+            self.pop_at_or_before(SimTime::MAX)
+        }
+
+        /// Whether no events are pending.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.current.is_empty() && self.future.is_empty()
+        }
+    }
 
     fn timer(tag: u64) -> Event {
         Event::AppTimer { app: AppId(0), tag }

@@ -7,10 +7,9 @@ use crate::time::SimTime;
 /// ground truth.
 ///
 /// Real machines' `CLOCK_MONOTONIC` sources differ by an offset (they booted
-/// at different times) and a small frequency error (drift). vNetTracer
-/// measures the *relative* skew between nodes with Cristian's algorithm
-/// (paper §III-B, Fig. 4); this clock model is what makes that measurement
-/// meaningful in the simulator.
+/// at different times). vNetTracer measures the *relative* skew between
+/// nodes with Cristian's algorithm (paper §III-B, Fig. 4); this clock model
+/// is what makes that measurement meaningful in the simulator.
 ///
 /// # Examples
 ///
@@ -21,21 +20,10 @@ use crate::time::SimTime;
 /// let clock = NodeClock::with_offset_ns(1_000);
 /// assert_eq!(clock.monotonic_ns(SimTime::from_nanos(500)), 1_500);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeClock {
     /// Offset added to ground-truth time, in nanoseconds.
     offset_ns: i64,
-    /// Frequency error in parts per million.
-    drift_ppm: f64,
-}
-
-impl Default for NodeClock {
-    fn default() -> Self {
-        NodeClock {
-            offset_ns: 0,
-            drift_ppm: 0.0,
-        }
-    }
 }
 
 impl NodeClock {
@@ -47,36 +35,13 @@ impl NodeClock {
     /// A clock whose monotonic reading leads ground truth by `offset_ns`
     /// (negative values lag).
     pub fn with_offset_ns(offset_ns: i64) -> Self {
-        NodeClock {
-            offset_ns,
-            drift_ppm: 0.0,
-        }
-    }
-
-    /// A clock with both an offset and a frequency error in ppm.
-    pub fn with_offset_and_drift(offset_ns: i64, drift_ppm: f64) -> Self {
-        NodeClock {
-            offset_ns,
-            drift_ppm,
-        }
+        NodeClock { offset_ns }
     }
 
     /// The node's `CLOCK_MONOTONIC` reading at ground-truth instant `t`,
     /// in nanoseconds. Saturates at zero rather than going negative.
     pub fn monotonic_ns(&self, t: SimTime) -> u64 {
-        let base = t.as_nanos() as i64;
-        let drift = (t.as_nanos() as f64 * self.drift_ppm / 1e6) as i64;
-        (base + self.offset_ns + drift).max(0) as u64
-    }
-
-    /// The configured offset in nanoseconds.
-    pub fn offset_ns(&self) -> i64 {
-        self.offset_ns
-    }
-
-    /// The configured drift in ppm.
-    pub fn drift_ppm(&self) -> f64 {
-        self.drift_ppm
+        (t.as_nanos() as i64 + self.offset_ns).max(0) as u64
     }
 }
 
@@ -128,26 +93,5 @@ mod tests {
     fn negative_reading_saturates_to_zero() {
         let c = NodeClock::with_offset_ns(-1_000_000);
         assert_eq!(c.monotonic_ns(SimTime::from_nanos(10)), 0);
-    }
-
-    #[test]
-    fn drift_accumulates_with_time() {
-        // +100 ppm: 1 second of true time reads 100 microseconds long.
-        let c = NodeClock::with_offset_and_drift(0, 100.0);
-        assert_eq!(
-            c.monotonic_ns(SimTime::from_secs(1)),
-            1_000_000_000 + 100_000
-        );
-    }
-
-    #[test]
-    fn monotonicity_under_drift() {
-        let c = NodeClock::with_offset_and_drift(37, -50.0);
-        let mut last = 0;
-        for ns in (0..2_000_000).step_by(10_000) {
-            let v = c.monotonic_ns(SimTime::from_nanos(ns));
-            assert!(v >= last, "clock must be monotonic");
-            last = v;
-        }
     }
 }

@@ -4,7 +4,7 @@ use std::net::Ipv4Addr;
 
 use super::ethernet::{EtherType, EthernetHeader, MacAddr, ETHERNET_HEADER_LEN};
 use super::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
-use super::tcp::{TcpFlags, TcpHeader, TcpOption};
+use super::tcp::{TcpFlags, TcpHeader};
 use super::trace_id::TRACE_ID_LEN;
 use super::udp::{UdpHeader, UDP_HEADER_LEN};
 use super::vxlan::{VxlanHeader, VXLAN_HEADER_LEN, VXLAN_UDP_PORT};
@@ -24,10 +24,6 @@ use super::{FlowKey, Packet, PacketUid, ParseError};
 #[derive(Debug, Clone)]
 pub struct PacketBuilder {
     flow: FlowKey,
-    src_mac: MacAddr,
-    dst_mac: MacAddr,
-    ttl: u8,
-    identification: u16,
     tcp: Option<TcpPart>,
     payload: Vec<u8>,
 }
@@ -37,7 +33,6 @@ struct TcpPart {
     seq: u32,
     ack: u32,
     flags: TcpFlags,
-    options: Vec<TcpOption>,
 }
 
 impl PacketBuilder {
@@ -46,10 +41,6 @@ impl PacketBuilder {
         debug_assert_eq!(flow.protocol.as_u8(), 17, "udp() requires a UDP flow");
         PacketBuilder {
             flow,
-            src_mac: MacAddr::from_index(1),
-            dst_mac: MacAddr::from_index(2),
-            ttl: 64,
-            identification: 0,
             tcp: None,
             payload,
         }
@@ -60,51 +51,9 @@ impl PacketBuilder {
         debug_assert_eq!(flow.protocol.as_u8(), 6, "tcp() requires a TCP flow");
         PacketBuilder {
             flow,
-            src_mac: MacAddr::from_index(1),
-            dst_mac: MacAddr::from_index(2),
-            ttl: 64,
-            identification: 0,
-            tcp: Some(TcpPart {
-                seq,
-                ack,
-                flags,
-                options: Vec::new(),
-            }),
+            tcp: Some(TcpPart { seq, ack, flags }),
             payload,
         }
-    }
-
-    /// Sets the Ethernet source and destination addresses.
-    pub fn macs(mut self, src: MacAddr, dst: MacAddr) -> Self {
-        self.src_mac = src;
-        self.dst_mac = dst;
-        self
-    }
-
-    /// Sets the IP TTL (default 64).
-    pub fn ttl(mut self, ttl: u8) -> Self {
-        self.ttl = ttl;
-        self
-    }
-
-    /// Sets the IP identification field.
-    pub fn identification(mut self, id: u16) -> Self {
-        self.identification = id;
-        self
-    }
-
-    /// Appends a TCP option (TCP frames only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the builder was created with [`PacketBuilder::udp`].
-    pub fn tcp_option(mut self, option: TcpOption) -> Self {
-        self.tcp
-            .as_mut()
-            .expect("tcp_option on a UDP builder")
-            .options
-            .push(option);
-        self
     }
 
     /// Encodes the frame, each header once, into a buffer with headroom
@@ -118,7 +67,7 @@ impl PacketBuilder {
             flags: t.flags,
             window: 65535,
             checksum: 0,
-            options: t.options.clone(),
+            options: Vec::new(),
         });
         let transport_len = tcp.as_ref().map_or(UDP_HEADER_LEN, TcpHeader::header_len);
         let ip_payload_len = transport_len + self.payload.len();
@@ -141,8 +90,8 @@ impl PacketBuilder {
 
     fn ethernet(&self) -> EthernetHeader {
         EthernetHeader {
-            dst: self.dst_mac,
-            src: self.src_mac,
+            dst: MacAddr::from_index(2),
+            src: MacAddr::from_index(1),
             ethertype: EtherType::Ipv4,
         }
     }
@@ -153,8 +102,8 @@ impl PacketBuilder {
         Ipv4Header {
             tos: 0,
             total_len: (IPV4_HEADER_LEN + ip_payload_len) as u16,
-            identification: self.identification,
-            ttl: self.ttl,
+            identification: 0,
+            ttl: 64,
             protocol: self.flow.protocol,
             src: self.flow.src_ip,
             dst: self.flow.dst_ip,
@@ -255,9 +204,8 @@ mod tests {
             SocketAddrV4::sock("10.0.0.1", 4000),
             SocketAddrV4::sock("10.0.0.2", 80),
         );
-        let pkt = PacketBuilder::tcp(flow, 7, 9, TcpFlags::ACK, b"data".to_vec())
-            .tcp_option(TcpOption::TraceId(0xfeedface))
-            .build();
+        let mut pkt = PacketBuilder::tcp(flow, 7, 9, TcpFlags::ACK, b"data".to_vec()).build();
+        trace_id::inject_tcp_option(&mut pkt, 0xfeedface).unwrap();
         let parsed = pkt.parse().unwrap();
         assert_eq!(parsed.tcp_trace_id(), Some(0xfeedface));
         assert_eq!(parsed.payload, b"data");
@@ -311,19 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_setters_apply() {
-        let pkt = PacketBuilder::udp(udp_flow(), vec![])
-            .macs(MacAddr::from_index(7), MacAddr::from_index(8))
-            .ttl(3)
-            .identification(99)
-            .build();
-        let parsed = pkt.parse().unwrap();
-        assert_eq!(parsed.ethernet.src, MacAddr::from_index(7));
-        assert_eq!(parsed.ipv4.ttl, 3);
-        assert_eq!(parsed.ipv4.identification, 99);
-    }
-
-    #[test]
     fn vxlan_preserves_inner_trace_bytes() {
         // The critical property for cross-boundary tracing: the trace ID
         // inside the inner frame is carried verbatim through encapsulation.
@@ -331,10 +266,8 @@ mod tests {
             SocketAddrV4::sock("10.0.0.1", 4000),
             SocketAddrV4::sock("10.0.0.2", 80),
         );
-        let inner = PacketBuilder::tcp(flow, 1, 0, TcpFlags::PSH, vec![1, 2, 3])
-            .tcp_option(TcpOption::TraceId(0x12345678))
-            .build();
-        let mut pkt = inner.clone();
+        let mut pkt = PacketBuilder::tcp(flow, 1, 0, TcpFlags::PSH, vec![1, 2, 3]).build();
+        trace_id::inject_tcp_option(&mut pkt, 0x12345678).unwrap();
         vxlan_encapsulate(
             &mut pkt,
             7,
@@ -400,11 +333,13 @@ mod tests {
                 pkt
             }
             2 => PacketBuilder::tcp(tcp, id, 7, TcpFlags::ACK, payload).build(),
-            3 => PacketBuilder::tcp(tcp, 1, 2, TcpFlags::PSH, payload)
-                .tcp_option(TcpOption::TraceId(id))
-                .build(),
             _ => {
-                let mut pkt = PacketBuilder::tcp(tcp, 1, 2, TcpFlags::ACK, payload).build();
+                let flags = if kind % 5 == 3 {
+                    TcpFlags::PSH
+                } else {
+                    TcpFlags::ACK
+                };
+                let mut pkt = PacketBuilder::tcp(tcp, 1, 2, flags, payload).build();
                 trace_id::inject_tcp_option(&mut pkt, id).unwrap();
                 pkt
             }

@@ -29,11 +29,6 @@ impl MacAddr {
         let b = index.to_be_bytes();
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
     }
-
-    /// The raw six bytes.
-    pub fn octets(self) -> [u8; 6] {
-        self.0
-    }
 }
 
 impl fmt::Display for MacAddr {
@@ -161,7 +156,7 @@ mod tests {
     fn mac_parse_and_display_round_trip() {
         let mac: MacAddr = "de:ad:be:ef:00:2a".parse().unwrap();
         assert_eq!(mac.to_string(), "de:ad:be:ef:00:2a");
-        assert_eq!(mac.octets()[5], 0x2a);
+        assert_eq!(mac.0[5], 0x2a);
     }
 
     #[test]
@@ -176,8 +171,8 @@ mod tests {
         let a = MacAddr::from_index(1);
         let b = MacAddr::from_index(2);
         assert_ne!(a, b);
-        assert_eq!(a.octets()[0] & 0x02, 0x02, "locally administered bit");
-        assert_eq!(a.octets()[0] & 0x01, 0, "unicast");
+        assert_eq!(a.0[0] & 0x02, 0x02, "locally administered bit");
+        assert_eq!(a.0[0] & 0x01, 0, "unicast");
     }
 
     #[test]

@@ -65,16 +65,6 @@ impl FlowKey {
         }
     }
 
-    /// The source endpoint as a socket address.
-    pub fn src(&self) -> SocketAddrV4 {
-        SocketAddrV4::new(self.src_ip, self.src_port)
-    }
-
-    /// The destination endpoint as a socket address.
-    pub fn dst(&self) -> SocketAddrV4 {
-        SocketAddrV4::new(self.dst_ip, self.dst_port)
-    }
-
     /// A stable hash of the tuple, as used by Receive Packet Steering to
     /// pick the CPU that processes this flow's softirqs.
     ///
@@ -168,8 +158,6 @@ mod tests {
     #[test]
     fn accessors() {
         let f = flow();
-        assert_eq!(f.src(), SocketAddrV4::sock("10.0.0.1", 5001));
-        assert_eq!(f.dst(), SocketAddrV4::sock("10.0.0.2", 7));
         assert_eq!(f.to_string(), "10.0.0.1:5001 -> 10.0.0.2:7 (Udp)");
     }
 

@@ -4,7 +4,7 @@ use core::fmt;
 
 use super::ethernet::{EtherType, EthernetHeader};
 use super::ipv4::{IpProtocol, Ipv4Header};
-use super::tcp::TcpHeader;
+use super::tcp::{TcpHeader, TcpOption};
 use super::udp::UdpHeader;
 use super::vxlan::{VxlanHeader, VXLAN_UDP_PORT};
 use super::FlowKey;
@@ -82,7 +82,10 @@ impl<'a> ParsedPacket<'a> {
     /// with a vNetTracer option.
     pub fn tcp_trace_id(&self) -> Option<u32> {
         match &self.transport {
-            TransportHeader::Tcp(t) => t.trace_id(),
+            TransportHeader::Tcp(t) => t.options.iter().find_map(|o| match o {
+                TcpOption::TraceId(id) => Some(*id),
+                _ => None,
+            }),
             TransportHeader::Udp(_) => None,
         }
     }

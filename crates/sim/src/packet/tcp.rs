@@ -28,11 +28,6 @@ impl TcpFlags {
     pub const PSH: TcpFlags = TcpFlags(0x08);
     /// ACK flag.
     pub const ACK: TcpFlags = TcpFlags(0x10);
-
-    /// Whether all flags in `other` are set in `self`.
-    pub fn contains(self, other: TcpFlags) -> bool {
-        self.0 & other.0 == other.0
-    }
 }
 
 impl core::ops::BitOr for TcpFlags {
@@ -207,14 +202,6 @@ impl TcpHeader {
         };
         Some((hdr, &buf[header_len..]))
     }
-
-    /// Returns the trace ID carried in the options, if present.
-    pub fn trace_id(&self) -> Option<u32> {
-        self.options.iter().find_map(|o| match o {
-            TcpOption::TraceId(id) => Some(*id),
-            _ => None,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -252,7 +239,7 @@ mod tests {
         let mut buf = Vec::new();
         hdr.encode(&mut buf);
         let (decoded, _) = TcpHeader::decode(&buf).unwrap();
-        assert_eq!(decoded.trace_id(), Some(0xcafebabe));
+        assert_eq!(decoded.options[1], TcpOption::TraceId(0xcafebabe));
         assert_eq!(decoded.options[0], TcpOption::Mss(1460));
     }
 
@@ -266,15 +253,7 @@ mod tests {
         assert_eq!(buf.len(), TCP_BASE_HEADER_LEN + 8);
         let (decoded, _) = TcpHeader::decode(&buf).unwrap();
         // Decoded options = TraceId + 2 NOP padding.
-        assert_eq!(decoded.trace_id(), Some(1));
-    }
-
-    #[test]
-    fn flags_contains() {
-        let f = TcpFlags::SYN | TcpFlags::ACK;
-        assert!(f.contains(TcpFlags::SYN));
-        assert!(f.contains(TcpFlags::ACK));
-        assert!(!f.contains(TcpFlags::FIN));
+        assert_eq!(decoded.options[0], TcpOption::TraceId(1));
     }
 
     #[test]

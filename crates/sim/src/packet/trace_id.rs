@@ -55,11 +55,6 @@ pub fn inject_tcp_option(pkt: &mut Packet, id: u32) -> Result<(), ParseError> {
     Ok(())
 }
 
-/// Reads the trace ID from a TCP segment's options, if present.
-pub fn read_tcp_option(pkt: &Packet) -> Option<u32> {
-    pkt.parse().ok().and_then(|p| p.tcp_trace_id())
-}
-
 /// Appends `id` as a 4-byte trailer to a UDP datagram's payload
 /// (`__skb_put`), updating the UDP and IP length fields.
 ///
@@ -193,9 +188,9 @@ mod tests {
     #[test]
     fn tcp_inject_and_read() {
         let mut pkt = tcp_pkt(b"GET /");
-        assert_eq!(read_tcp_option(&pkt), None);
+        assert_eq!(pkt.parse().unwrap().tcp_trace_id(), None);
         inject_tcp_option(&mut pkt, 0xfeed0001).unwrap();
-        assert_eq!(read_tcp_option(&pkt), Some(0xfeed0001));
+        assert_eq!(pkt.parse().unwrap().tcp_trace_id(), Some(0xfeed0001));
         // Payload is untouched.
         let parsed = pkt.parse().unwrap();
         assert_eq!(parsed.payload, b"GET /");

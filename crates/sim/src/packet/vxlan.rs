@@ -24,11 +24,6 @@ impl VxlanHeader {
         VxlanHeader { vni }
     }
 
-    /// Encodes the header into `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bytes());
-    }
-
     /// The header's wire bytes: the I flag, 24 reserved bits, the VNI
     /// and 8 more reserved bits.
     pub(crate) fn to_bytes(self) -> [u8; VXLAN_HEADER_LEN] {
@@ -52,6 +47,13 @@ impl VxlanHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl VxlanHeader {
+        /// Encodes the header into `out`.
+        pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.to_bytes());
+        }
+    }
 
     #[test]
     fn encode_decode_round_trip() {

@@ -172,9 +172,9 @@ impl HookId {
 /// One node's registry of attached probes.
 ///
 /// Hooks are interned by name into dense slots, from both sides: the
-/// tracer's [`attach`](ProbeRegistry::attach) and the device or
-/// application that fires the hook each resolve the same name to the
-/// same [`HookId`], in either order — so a probe may attach before the
+/// tracer's attach ([`World::attach_probe`](crate::world::World::attach_probe))
+/// and the device or application that fires the hook each resolve the
+/// same name to the same [`HookId`], in either order — so a probe may attach before the
 /// device it names exists, or to a name nothing ever fires. Multiple
 /// probes may share a hook and run in attach order. Attach and detach
 /// are runtime operations — the programmability the paper emphasises
@@ -241,13 +241,6 @@ impl ProbeRegistry {
         }
     }
 
-    /// Attaches `sink` at `hook`, returning a handle for detaching.
-    pub fn attach(&mut self, hook: Hook, sink: SharedSink) -> ProbeId {
-        let id = ProbeId(self.next_id);
-        self.attach_with_id(id, hook, sink);
-        id
-    }
-
     /// Attaches `sink` under a caller-allocated id. The world uses this to
     /// keep probe ids unique across its per-node registries.
     pub(crate) fn attach_with_id(&mut self, id: ProbeId, hook: Hook, sink: SharedSink) {
@@ -288,17 +281,12 @@ impl ProbeRegistry {
     pub fn fired_count(&self) -> u64 {
         self.fired
     }
-
-    /// Number of currently attached probes.
-    pub fn attached_count(&self) -> usize {
-        self.slots.iter().map(Vec::len).sum()
-    }
 }
 
 impl core::fmt::Debug for ProbeRegistry {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("ProbeRegistry")
-            .field("attached", &self.attached_count())
+            .field("attached", &self.slots.iter().map(Vec::len).sum::<usize>())
             .field("fired", &self.fired)
             .finish()
     }
@@ -307,6 +295,15 @@ impl core::fmt::Debug for ProbeRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ProbeRegistry {
+        /// Attaches `sink` at `hook`, returning a handle for detaching.
+        pub(crate) fn attach(&mut self, hook: Hook, sink: SharedSink) -> ProbeId {
+            let id = ProbeId(self.next_id);
+            self.attach_with_id(id, hook, sink);
+            id
+        }
+    }
 
     struct Counting {
         hits: u64,
@@ -379,7 +376,6 @@ mod tests {
         for _ in 0..3 {
             reg.attach(hook.clone(), counting(10));
         }
-        assert_eq!(reg.attached_count(), 3);
         let slot = reg.intern(hook);
         assert_eq!(reg.fire(slot, &event()), SimDuration::from_nanos(30));
         assert_eq!(reg.fired_count(), 3);

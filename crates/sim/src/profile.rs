@@ -80,23 +80,6 @@ impl LinkProfile {
         Ok(LinkProfile { segments })
     }
 
-    /// A single-segment profile: constant delay, no loss, no rate limit.
-    pub fn constant(delay: SimDuration) -> LinkProfile {
-        LinkProfile {
-            segments: vec![LinkSegment {
-                start: SimTime::ZERO,
-                delay,
-                loss_rate: 0.0,
-                rate_bps: None,
-            }],
-        }
-    }
-
-    /// The validated schedule.
-    pub fn segments(&self) -> &[LinkSegment] {
-        &self.segments
-    }
-
     /// The segment active at instant `t` (the last segment whose start
     /// is at or before `t`).
     pub fn segment_at(&self, t: SimTime) -> &LinkSegment {

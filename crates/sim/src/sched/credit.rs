@@ -38,16 +38,6 @@ impl CreditScheduler {
             core: SchedCore::new(Flavor::Credit1),
         }
     }
-
-    /// Sets the per-switch context-switch cost.
-    pub fn set_context_switch_cost(&mut self, cost: SimDuration) {
-        self.core.set_context_switch_cost(cost);
-    }
-
-    /// Whether `vcpu` currently holds BOOST priority.
-    pub fn is_boosted(&self, vcpu: VcpuId) -> bool {
-        self.core.vcpu_state(vcpu).is_some_and(|v| v.boosted)
-    }
 }
 
 impl Default for CreditScheduler {
@@ -104,9 +94,9 @@ mod tests {
         s.add_vcpu(VcpuId(0), CpuId(0), 256, false);
         s.add_vcpu(VcpuId(1), CpuId(0), 256, true);
         let t = s.wake(VcpuId(0), SimTime::from_micros(10));
-        assert!(s.is_boosted(VcpuId(0)));
+        assert!(s.core.vcpu_state(VcpuId(0)).unwrap().boosted);
         s.sleep(VcpuId(0), t);
-        assert!(!s.is_boosted(VcpuId(0)));
+        assert!(!s.core.vcpu_state(VcpuId(0)).unwrap().boosted);
     }
 
     #[test]

@@ -40,11 +40,6 @@ impl Credit2Scheduler {
             core: SchedCore::new(Flavor::Credit2),
         }
     }
-
-    /// Sets the per-switch context-switch cost.
-    pub fn set_context_switch_cost(&mut self, cost: SimDuration) {
-        self.core.set_context_switch_cost(cost);
-    }
 }
 
 impl Default for Credit2Scheduler {
@@ -101,7 +96,6 @@ mod tests {
         // 100 µs while a hog shares the pCPU see scheduling delays that
         // jump to ~1 ms and descend back toward zero.
         let mut s = Credit2Scheduler::new();
-        s.set_context_switch_cost(SimDuration::ZERO);
         s.add_vcpu(VcpuId(0), CpuId(0), 256, false);
         s.add_vcpu(VcpuId(1), CpuId(0), 256, true);
         let mut delays = Vec::new();

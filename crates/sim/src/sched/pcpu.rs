@@ -68,7 +68,6 @@ pub struct SchedCore {
     vcpus: HashMap<VcpuId, VcpuState>,
     pcpus: HashMap<CpuId, PcpuState>,
     ratelimit: SimDuration,
-    context_switch_cost: SimDuration,
     switches: u64,
 }
 
@@ -80,7 +79,6 @@ impl SchedCore {
             vcpus: HashMap::new(),
             pcpus: HashMap::new(),
             ratelimit: DEFAULT_RATELIMIT,
-            context_switch_cost: DEFAULT_CONTEXT_SWITCH_COST,
             switches: 0,
         }
     }
@@ -95,11 +93,6 @@ impl SchedCore {
         self.ratelimit = ratelimit;
     }
 
-    /// Sets the per-switch context-switch cost.
-    pub fn set_context_switch_cost(&mut self, cost: SimDuration) {
-        self.context_switch_cost = cost;
-    }
-
     /// Number of context switches performed.
     pub fn context_switches(&self) -> u64 {
         self.switches
@@ -108,11 +101,6 @@ impl SchedCore {
     /// Current credit of `vcpu`.
     pub fn credit_of(&self, vcpu: VcpuId) -> Option<i64> {
         self.vcpus.get(&vcpu).map(|v| v.credit)
-    }
-
-    /// Read-only view of a vCPU's state.
-    pub fn vcpu_state(&self, vcpu: VcpuId) -> Option<&VcpuState> {
-        self.vcpus.get(&vcpu)
     }
 
     /// Registers a vCPU pinned to `pcpu`.
@@ -226,7 +214,7 @@ impl SchedCore {
         }
         match p.running {
             None => {
-                let run_at = now + self.context_switch_cost;
+                let run_at = now + DEFAULT_CONTEXT_SWITCH_COST;
                 p.running = Some(vcpu);
                 p.running_since = run_at;
                 self.switches += 1;
@@ -239,9 +227,9 @@ impl SchedCore {
                 // the rate-limit window.
                 let earliest = p.running_since + self.ratelimit;
                 let run_at = if now >= earliest {
-                    now + self.context_switch_cost
+                    now + DEFAULT_CONTEXT_SWITCH_COST
                 } else {
-                    earliest + self.context_switch_cost
+                    earliest + DEFAULT_CONTEXT_SWITCH_COST
                 };
                 p.waiting.push((vcpu, run_at));
                 run_at
@@ -266,7 +254,7 @@ impl SchedCore {
             let next = self.pick_next(pcpu, vcpu);
             let p = self.pcpus.get_mut(&pcpu).expect("pcpu exists");
             p.running = next;
-            p.running_since = now + self.context_switch_cost;
+            p.running_since = now + DEFAULT_CONTEXT_SWITCH_COST;
             if next.is_some() {
                 self.switches += 1;
             }
@@ -289,6 +277,13 @@ impl SchedCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SchedCore {
+        /// Read-only view of a vCPU's state.
+        pub(crate) fn vcpu_state(&self, vcpu: VcpuId) -> Option<&VcpuState> {
+            self.vcpus.get(&vcpu)
+        }
+    }
 
     fn core() -> SchedCore {
         let mut c = SchedCore::new(Flavor::Credit2);

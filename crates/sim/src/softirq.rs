@@ -54,11 +54,6 @@ impl SoftirqEngine {
         }
     }
 
-    /// Number of CPUs.
-    pub fn num_cpus(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Enqueues a work item (a pending packet at `dev`) on `cpu`.
     /// Returns `true` if the CPU was idle with an empty queue — i.e. the
     /// caller must schedule a `SoftirqStart` event (a `ksoftirqd` wakeup);
@@ -94,11 +89,6 @@ impl SoftirqEngine {
         debug_assert!(self.busy[i], "finish without start on {cpu}");
         self.busy[i] = false;
         !self.queues[i].is_empty()
-    }
-
-    /// Counters for `cpu`.
-    pub fn counters(&self, cpu: CpuId) -> CpuSoftirqCounters {
-        self.counters[cpu.index() % self.counters.len()]
     }
 
     /// Counters for every CPU, indexed by CPU number.
@@ -143,7 +133,7 @@ mod tests {
             !e.raise(CpuId(0), DeviceId(2)),
             "queued work, server will chain"
         );
-        assert_eq!(e.counters(CpuId(0)).ksoftirqd_wakeups, 1);
+        assert_eq!(e.all_counters()[0].ksoftirqd_wakeups, 1);
     }
 
     #[test]
@@ -156,7 +146,7 @@ mod tests {
         assert!(e.finish(CpuId(1)), "more work queued");
         assert_eq!(e.start(CpuId(1)), Some(DeviceId(11)));
         assert!(!e.finish(CpuId(1)));
-        assert_eq!(e.counters(CpuId(1)).net_rx_actions, 2);
+        assert_eq!(e.all_counters()[1].net_rx_actions, 2);
     }
 
     #[test]
@@ -179,7 +169,7 @@ mod tests {
         let mut e = SoftirqEngine::new(2);
         assert!(e.raise(CpuId(5), DeviceId(0)));
         assert_eq!(e.start(CpuId(5)), Some(DeviceId(0)));
-        assert_eq!(e.counters(CpuId(1)).net_rx_actions, 1);
+        assert_eq!(e.all_counters()[1].net_rx_actions, 1);
     }
 
     #[test]

@@ -151,12 +151,6 @@ impl SimDuration {
         self.0 / 1_000
     }
 
-    /// The length of the duration as fractional seconds.
-    #[inline]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Saturating subtraction.
     #[inline]
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
@@ -183,7 +177,7 @@ impl SimDuration {
 impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0 >= 1_000_000_000 {
-            write!(f, "{:.3}s", self.as_secs_f64())
+            write!(f, "{:.3}s", self.0 as f64 / 1e9)
         } else if self.0 >= 1_000_000 {
             write!(f, "{:.3}ms", self.0 as f64 / 1e6)
         } else if self.0 >= 1_000 {
@@ -271,7 +265,6 @@ mod tests {
         assert_eq!(SimTime::from_millis(5).as_nanos(), 5_000_000);
         assert_eq!(SimTime::from_secs(5).as_nanos(), 5_000_000_000);
         assert_eq!(SimDuration::from_micros(7).as_nanos(), 7_000);
-        assert_eq!(SimDuration::from_secs(2).as_secs_f64(), 2.0);
     }
 
     #[test]

@@ -92,7 +92,6 @@ pub struct World {
     /// One softirq engine per node.
     softirq: Vec<SoftirqEngine>,
     seed: u64,
-    rng: SmallRng,
     /// Per-node RNG streams used by everything that runs *inside* the
     /// simulation (apps, trace-id injection).
     node_rngs: Vec<SmallRng>,
@@ -121,7 +120,6 @@ impl World {
             schedulers: Vec::new(),
             softirq: Vec::new(),
             seed,
-            rng: SmallRng::seed_from_u64(seed),
             node_rngs: Vec::new(),
             push_seq: Vec::new(),
             uid_seq: Vec::new(),
@@ -281,11 +279,6 @@ impl World {
         }
     }
 
-    /// Whether a device is currently down.
-    pub fn device_is_down(&self, dev: DeviceId) -> bool {
-        self.devices[dev.index()].down
-    }
-
     /// Registers an application on `node`, transmitting through `tx_dev`,
     /// with an auto-generated name.
     pub fn add_app(&mut self, node: NodeId, tx_dev: DeviceId, app: Box<dyn App>) -> AppId {
@@ -372,38 +365,9 @@ impl World {
         self.devices[dev.index()].counters
     }
 
-    /// A device's current queue depth.
-    pub fn device_queue_len(&self, dev: DeviceId) -> usize {
-        self.devices[dev.index()].queue_len()
-    }
-
-    /// A device's name.
-    pub fn device_name(&self, dev: DeviceId) -> &str {
-        &self.devices[dev.index()].cfg.name
-    }
-
     /// A node's softirq engine (Fig. 13a statistics).
     pub fn softirq_engine(&self, node: NodeId) -> &SoftirqEngine {
         &self.softirq[node.index()]
-    }
-
-    /// A node's `CLOCK_MONOTONIC` reading at the current instant.
-    pub fn monotonic_ns(&self, node: NodeId) -> u64 {
-        self.nodes[node.index()].clock.monotonic_ns(self.now)
-    }
-
-    /// The deterministic setup-time RNG (e.g. for workload construction).
-    ///
-    /// Randomness consumed *during* a run (app draws, trace-id minting)
-    /// comes from per-node streams derived from the seed, so run-time
-    /// draws neither perturb this stream nor depend on topology size.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-
-    /// Whether the event queue is empty.
-    pub fn queue_is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 
     // ------------------------------------------------------------------
@@ -425,7 +389,7 @@ impl World {
     /// at `t`); advances `now` to `t`. A `t` before `now` runs nothing and
     /// leaves the clock where it is.
     pub fn run_until(&mut self, t: SimTime) {
-        self.run_events(t, None);
+        self.run_events(t);
         self.now = self.now.max(t);
     }
 
@@ -434,30 +398,15 @@ impl World {
         self.run_until(self.now + d);
     }
 
-    /// Runs until no events remain (useful for draining).
-    ///
-    /// # Panics
-    ///
-    /// Panics if this call processes more than `max_events` events, as a
-    /// guard against non-quiescing workloads.
-    pub fn run_to_quiescence(&mut self, max_events: u64) {
-        self.run_events(SimTime::MAX, Some(max_events));
-    }
-
     /// The event loop: starts pending apps, then handles every event with
     /// `at <= bound` in `(at, push key)` order, leaving `now` at the last
-    /// one handled. `budget` caps the events of this call.
-    fn run_events(&mut self, bound: SimTime, budget: Option<u64>) {
+    /// one handled.
+    fn run_events(&mut self, bound: SimTime) {
         self.start();
-        let mut handled = 0u64;
         while let Some((at, event)) = self.queue.pop_at_or_before(bound) {
             debug_assert!(at >= self.now, "push_event schedules nothing before now");
             self.now = at;
             self.events_processed += 1;
-            handled += 1;
-            if let Some(max) = budget {
-                assert!(handled <= max, "exceeded event budget {max}");
-            }
             self.handle(event);
         }
     }
@@ -566,7 +515,9 @@ mod tests {
 
     impl App for Counter {
         fn on_packet(&mut self, ctx: &mut AppCtx<'_>, pkt: Packet) {
-            self.got.borrow_mut().push((ctx.now(), pkt));
+            self.got
+                .borrow_mut()
+                .push((SimTime::from_nanos(ctx.monotonic_ns()), pkt));
         }
     }
 
@@ -647,7 +598,7 @@ mod tests {
         w.schedule_device_down(tx, SimTime::from_nanos(500), true);
         w.run_until(SimTime::from_millis(1));
         assert_eq!(got.borrow().len(), 1);
-        assert_eq!(w.device_queue_len(tx), 1);
+        assert_eq!(w.devices[tx.index()].queue_len(), 1);
         // A firing at 1 ms, for the clock to be compared against.
         w.inject(rx, udp_packet(30));
         w.run_until(SimTime::from_micros(1_100));
@@ -655,7 +606,7 @@ mod tests {
         // Restore eth0 "at 10 us" — more than a millisecond ago.
         w.schedule_device_down(tx, SimTime::from_micros(10), false);
         w.run_until(SimTime::from_millis(2));
-        assert!(!w.device_is_down(tx));
+        assert!(!w.devices[tx.index()].down);
         let deliveries = got.borrow();
         assert_eq!(deliveries.len(), 3, "the held packet resumes");
         // Service resumed when the flip was asked for, at 1.1 ms: 1 us
@@ -882,7 +833,7 @@ mod tests {
             ]
         );
         let eng = w.softirq_engine(n);
-        assert_eq!(eng.counters(CpuId(0)).net_rx_actions, 3);
+        assert_eq!(eng.all_counters()[0].net_rx_actions, 3);
         assert_eq!(eng.concentration(), 1.0);
     }
 
@@ -966,7 +917,10 @@ mod tests {
         let mut w = World::new(8);
         let n = w.add_node("skewed", 1, NodeClock::with_offset_ns(1_000_000));
         w.run_until(SimTime::from_micros(10));
-        assert_eq!(w.monotonic_ns(n), 1_000_000 + 10_000);
+        assert_eq!(
+            w.nodes[n.index()].clock.monotonic_ns(w.now()),
+            1_000_000 + 10_000
+        );
     }
 
     #[test]
@@ -1050,7 +1004,7 @@ mod tests {
         assert_eq!(w.find_device(NodeId(0), "eth0"), Some(tx));
         assert_eq!(w.find_device(NodeId(0), "stack-rx"), Some(rx));
         assert_eq!(w.find_device(NodeId(0), "nope"), None);
-        assert_eq!(w.device_name(tx), "eth0");
+        assert_eq!(w.devices[tx.index()].cfg.name, "eth0");
     }
 
     #[test]
@@ -1094,14 +1048,6 @@ mod tests {
     }
 
     #[test]
-    fn run_to_quiescence_guard() {
-        let (mut w, tx, _, _) = pipeline();
-        w.inject(tx, udp_packet(10));
-        w.run_to_quiescence(1_000);
-        assert!(w.queue_is_empty());
-    }
-
-    #[test]
     fn world_debug_nonempty() {
         let w = World::new(0);
         assert!(!format!("{w:?}").is_empty());
@@ -1123,7 +1069,9 @@ mod htb_tests {
 
     impl crate::app::App for Sink {
         fn on_packet(&mut self, ctx: &mut crate::app::AppCtx<'_>, pkt: Packet) {
-            self.got.borrow_mut().push((ctx.now(), pkt.len()));
+            self.got
+                .borrow_mut()
+                .push((SimTime::from_nanos(ctx.monotonic_ns()), pkt.len()));
         }
     }
 

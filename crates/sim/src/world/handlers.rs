@@ -506,8 +506,7 @@ impl World {
         let slot = &mut self.apps[app_id.index()];
         let node = slot.node;
         let mono = self.nodes[node.index()].clock.monotonic_ns(self.now);
-        let rng = &mut self.node_rngs[node.index()];
-        let mut ctx = AppCtx::new(app_id, node, self.now, mono, rng, &mut self.actions);
+        let mut ctx = AppCtx::new(app_id, node, mono, &mut self.actions);
         f(slot.app.as_mut(), &mut ctx);
         // Taken out while the actions run, which need `self`, and put
         // back empty with its capacity.

@@ -31,8 +31,8 @@ use vnet_sim::world::World;
 use vnet_sim::{DeviceId, NodeId};
 use vnet_workloads::stats::ThroughputRecorder;
 use vnet_workloads::{IperfClient, IperfServer};
-use vnettracer::config::{ControlPackage, FilterRule, GlobalConfig};
-use vnettracer::modules::{ModuleRegistry, ModuleScope, OvsTap, TapSpec};
+use vnettracer::config::FilterRule;
+use vnettracer::modules::{ModuleScope, OvsTap, TapSpec};
 use vnettracer::{Agent, VNetTracer};
 
 /// The lab's sink address; every lane sends to it on its own port.
@@ -213,18 +213,6 @@ impl DropLab {
             }],
             ..Default::default()
         }
-    }
-
-    /// Packages a named profile (`drops`, `ovs`, `full`, ...) over the
-    /// lab's scope.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `profile` is not defined in the builtin registry.
-    pub fn control_package(&self, profile: &str) -> ControlPackage {
-        ModuleRegistry::builtin()
-            .package(profile, &self.module_scope(), GlobalConfig::default())
-            .expect("builtin profile resolves")
     }
 
     /// A tracer with an agent on the lab host.

@@ -24,8 +24,8 @@ use vnet_sim::world::World;
 use vnet_sim::NodeId;
 use vnet_workloads::stats::LatencyRecorder;
 use vnet_workloads::{DataCachingClient, DataCachingServer, MemcachedProxy};
-use vnettracer::config::{ControlPackage, FilterRule, GlobalConfig};
-use vnettracer::modules::{ModuleRegistry, ModuleScope, TapSpec};
+use vnettracer::config::FilterRule;
+use vnettracer::modules::{ModuleScope, TapSpec};
 use vnettracer::{Agent, VNetTracer};
 
 use crate::route;
@@ -196,13 +196,6 @@ impl MemcachedChain {
         ["req_client", "req_proxy_in", "req_proxy_out", "req_backend"]
     }
 
-    /// The `requests` profile packaged over this chain's scope.
-    pub fn control_package(&self) -> ControlPackage {
-        ModuleRegistry::builtin()
-            .package("requests", &self.module_scope(), GlobalConfig::default())
-            .expect("builtin requests profile resolves")
-    }
-
     /// A tracer with an agent on each tier.
     pub fn make_tracer(&self) -> VNetTracer {
         self.make_tracer_with_db(vnet_tsdb::TraceDb::new())
@@ -229,6 +222,8 @@ impl MemcachedChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vnettracer::config::GlobalConfig;
+    use vnettracer::modules::ModuleRegistry;
 
     #[test]
     fn every_request_completes_through_the_proxy() {
@@ -248,7 +243,9 @@ mod tests {
     fn traced_chain_observes_all_requests_at_all_taps() {
         let cfg = ChainConfig::default();
         let mut chain = MemcachedChain::build(&cfg);
-        let pkg = chain.control_package();
+        let pkg = ModuleRegistry::builtin()
+            .package("requests", &chain.module_scope(), GlobalConfig::default())
+            .unwrap();
         let mut tracer = chain.make_tracer();
         tracer.deploy(&mut chain.world, &pkg).unwrap();
         chain.run();

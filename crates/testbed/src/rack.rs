@@ -107,7 +107,6 @@ mod tests {
         let mut base = RackTestbed::build(&cfg);
         base.run();
         let base_packets = base.scenario.delivered_packets();
-        let base_bytes = base.scenario.delivered_bytes();
         assert_eq!(base_packets, cfg.total_packets());
 
         let mut traced = RackTestbed::build(&cfg);
@@ -119,7 +118,14 @@ mod tests {
 
         // No packet is lost to tracing, and byte counts agree exactly.
         assert_eq!(traced.scenario.delivered_packets(), base_packets);
-        assert_eq!(traced.scenario.delivered_bytes(), base_bytes);
+        let bytes = |s: &RackTestbed| -> u64 {
+            s.scenario
+                .delivery_fingerprint()
+                .iter()
+                .map(|&(_, b)| b)
+                .sum()
+        };
+        assert_eq!(bytes(&traced), bytes(&base));
 
         // Per-VM goodput may shift (probe cost perturbs timing) but must
         // stay within the documented bound.

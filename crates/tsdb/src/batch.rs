@@ -8,7 +8,7 @@
 //! [`RecordBatch::clear`]ed and reused for the next collection cycle —
 //! no per-record allocation anywhere on the path.
 
-use crate::record::{CompactRecord, COMPACT_RECORD_BYTES};
+use crate::record::CompactRecord;
 
 /// Records for one (measurement, node) pair within a batch.
 #[derive(Debug, Default, Clone)]
@@ -88,11 +88,6 @@ impl RecordBatch {
     pub fn is_empty(&self) -> bool {
         self.groups.iter().all(|g| g.records.is_empty())
     }
-
-    /// Total wire bytes the batch's records represent.
-    pub fn bytes(&self) -> u64 {
-        self.len() as u64 * COMPACT_RECORD_BYTES
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +115,6 @@ mod tests {
             .collect();
         assert_eq!(nonempty.len(), 3);
         assert_eq!(b.len(), 4);
-        assert_eq!(b.bytes(), 4 * COMPACT_RECORD_BYTES);
     }
 
     #[test]

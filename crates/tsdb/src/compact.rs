@@ -407,7 +407,7 @@ mod tests {
             for b in 0..seg.meta().blocks.len() {
                 let mut blk = Block::default();
                 seg.read_block(b, &ALL_COLUMNS, &mut blk).unwrap();
-                let mut lanes = blk.cols().to_vec();
+                let mut lanes: Vec<Vec<u64>> = ColumnId::ALL.map(|c| blk.col(c).to_vec()).into();
                 for v in &mut lanes[ColumnId::Node as usize] {
                     let name = &dict[*v as usize];
                     *v = meta.nodes.iter().position(|n| n == name).unwrap() as u64;

@@ -770,7 +770,7 @@ mod tests {
             let expected: Vec<_> = all
                 .entries()
                 .iter()
-                .filter(|e| (lo..=hi).contains(&e.timestamp_ns()))
+                .filter(|e| (lo..=hi).contains(&e.record().timestamp_ns))
                 .map(|e| (e.node(), *e.record()))
                 .collect();
             let q = Query::new("rx");
@@ -861,7 +861,9 @@ mod tests {
         let outcome = decode_in_order(&blocks, &plan, helper, &mut |_, d| {
             let b = (d.block.col(ColumnId::Ts)[0] / 1_000) as usize / BLOCK_ROWS;
             assert_eq!(d.matched.len(), BLOCK_ROWS, "block {b}");
-            assert!(d.block.cols().iter().all(|lane| lane.len() == BLOCK_ROWS));
+            assert!(ColumnId::ALL
+                .iter()
+                .all(|&c| d.block.col(c).len() == BLOCK_ROWS));
             visited.push(b);
             match fail_at == Some(b) {
                 true => Err(StoreError::Manifest(format!("visit failed at {b}"))),

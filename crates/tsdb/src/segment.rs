@@ -583,12 +583,6 @@ impl Block {
         &self.cols[id as usize]
     }
 
-    /// All twelve lanes in [`ColumnId::ALL`] order, as
-    /// [`SegmentWriter::append`] takes them.
-    pub fn cols(&self) -> &[Vec<u64>] {
-        &self.cols
-    }
-
     /// Rows resident in decoded form (the longest loaded lane).
     pub fn rows(&self) -> usize {
         self.cols.iter().map(Vec::len).max().unwrap_or(0)

@@ -1,4 +1,4 @@
-//! Mergeable log-bucketed histogram sketch for streaming quantiles.
+//! Log-bucketed histogram sketch for streaming quantiles.
 //!
 //! The offline percentile path sorts every sample on every query; a
 //! long-running collector needs quantiles whose memory and update cost
@@ -9,17 +9,13 @@
 //! at most `α`, and the bucket count is bounded by
 //! `⌈64·ln 2 / ln γ⌉ + 1` no matter how many values are recorded —
 //! ~1500 buckets at α = 1.5 % over the full `u64` nanosecond range.
-//!
-//! Sketches over disjoint streams (per-window, per-shard) merge exactly:
-//! bucket counts add, and the merged sketch answers quantiles with the
-//! same `α` bound as if it had seen the concatenated stream.
 
 use std::collections::BTreeMap;
 
 /// Default relative accuracy of latency sketches: 1.5 %.
 pub const DEFAULT_SKETCH_ERROR: f64 = 0.015;
 
-/// A mergeable log-bucketed quantile sketch over `u64` samples
+/// A log-bucketed quantile sketch over `u64` samples
 /// (nanoseconds, byte counts, …) with bounded relative error.
 ///
 /// # Examples
@@ -36,7 +32,6 @@ pub const DEFAULT_SKETCH_ERROR: f64 = 0.015;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LogHistogram {
-    alpha: f64,
     gamma: f64,
     ln_gamma: f64,
     /// Counts per bucket index `i`, the bucket covering `(γ^{i−1}, γ^i]`.
@@ -63,7 +58,6 @@ impl LogHistogram {
         );
         let gamma = (1.0 + alpha) / (1.0 - alpha);
         LogHistogram {
-            alpha,
             gamma,
             ln_gamma: gamma.ln(),
             buckets: BTreeMap::new(),
@@ -73,12 +67,6 @@ impl LogHistogram {
             min: u64::MAX,
             max: 0,
         }
-    }
-
-    /// Creates a sketch with the crate's default accuracy
-    /// ([`DEFAULT_SKETCH_ERROR`]).
-    pub fn new() -> Self {
-        Self::with_relative_error(DEFAULT_SKETCH_ERROR)
     }
 
     fn index_of(&self, value: u64) -> i32 {
@@ -103,11 +91,6 @@ impl LogHistogram {
         self.count
     }
 
-    /// Exact sum of recorded samples (as `f64`).
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Exact mean of recorded samples, 0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -117,27 +100,11 @@ impl LogHistogram {
         }
     }
 
-    /// Exact minimum recorded sample; `None` when empty.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Exact maximum recorded sample; `None` when empty.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Resident buckets — the sketch's memory footprint, bounded by
-    /// [`LogHistogram::max_bucket_count`] regardless of sample count.
+    /// Resident buckets — the sketch's memory footprint, at most
+    /// `⌈64·ln 2 / ln γ⌉ + 1` for `u64` samples (every representable
+    /// magnitude, plus the zero bucket) regardless of sample count.
     pub fn bucket_count(&self) -> usize {
         self.buckets.len() + usize::from(self.zero_count > 0)
-    }
-
-    /// The hard cap on [`LogHistogram::bucket_count`] for `u64` samples:
-    /// `⌈64·ln 2 / ln γ⌉ + 1` (every representable magnitude, plus the
-    /// zero bucket).
-    pub fn max_bucket_count(&self) -> usize {
-        (64.0 * std::f64::consts::LN_2 / self.ln_gamma).ceil() as usize + 1
     }
 
     /// The `q`-quantile (`0.0..=1.0`) by nearest rank, within `α`
@@ -171,35 +138,6 @@ impl LogHistogram {
         }
         Some(self.max)
     }
-
-    /// Merges `other` into `self`. Both sketches must have been built
-    /// with the same relative error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sketches' `α` differ.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-12,
-            "cannot merge sketches with different error bounds ({} vs {})",
-            self.alpha,
-            other.alpha
-        );
-        for (&i, &n) in &other.buckets {
-            *self.buckets.entry(i).or_insert(0) += n;
-        }
-        self.zero_count += other.zero_count;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 #[cfg(test)]
@@ -232,23 +170,21 @@ mod tests {
 
     #[test]
     fn empty_and_degenerate() {
-        let h = LogHistogram::new();
+        let h = LogHistogram::with_relative_error(DEFAULT_SKETCH_ERROR);
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), None);
         assert_eq!(h.mean(), 0.0);
 
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::with_relative_error(DEFAULT_SKETCH_ERROR);
         h.record(42);
         assert_eq!(h.quantile(0.0), Some(42));
         assert_eq!(h.quantile(1.0), Some(42));
-        assert_eq!(h.min(), Some(42));
-        assert_eq!(h.max(), Some(42));
+        assert_eq!(h.mean(), 42.0);
     }
 
     #[test]
     fn zeros_have_their_own_bucket() {
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::with_relative_error(DEFAULT_SKETCH_ERROR);
         for _ in 0..10 {
             h.record(0);
         }
@@ -267,39 +203,9 @@ mod tests {
             h.record(v);
             v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
         }
-        assert!(h.bucket_count() <= h.max_bucket_count());
+        let cap = (64.0 * std::f64::consts::LN_2 / h.ln_gamma).ceil() as usize + 1;
+        assert!(h.bucket_count() <= cap);
         assert_eq!(h.count(), 100_000);
-    }
-
-    #[test]
-    fn merge_equals_concatenated_stream() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut whole = LogHistogram::new();
-        for i in 0..1000u64 {
-            let v = i * 97 + 3;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(a.quantile(q), whole.quantile(q));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different error bounds")]
-    fn merge_rejects_mismatched_error() {
-        let mut a = LogHistogram::with_relative_error(0.01);
-        let b = LogHistogram::with_relative_error(0.02);
-        a.merge(&b);
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl<'a> Entry<'a> {
     pub fn node(&self) -> &'a str {
         self.parts().0
     }
-
-    /// The entry's timestamp in nanoseconds.
-    pub fn timestamp_ns(&self) -> u64 {
-        self.record().timestamp_ns
-    }
 }
 
 /// `(node index, record)` rows against the `nodes` dictionary, as
@@ -112,11 +107,6 @@ impl Table {
         self.first_seq
     }
 
-    /// All entries in insertion order.
-    pub fn entries(&self) -> Vec<Entry<'_>> {
-        entries(&self.nodes, &self.rows)
-    }
-
     /// Drops the rows and the dictionary once a seal has committed them;
     /// future inserts keep numbering after the sealed rows.
     pub(crate) fn clear_sealed(&mut self) {
@@ -148,6 +138,13 @@ impl Table {
 mod tests {
     use super::*;
 
+    impl Table {
+        /// All entries in insertion order.
+        pub(crate) fn entries(&self) -> Vec<Entry<'_>> {
+            entries(&self.nodes, &self.rows)
+        }
+    }
+
     #[test]
     fn empty_table() {
         let t = Table::new("m");
@@ -175,7 +172,11 @@ mod tests {
         assert_eq!(t.nodes(), ["n1", "n2"], "one dictionary entry per node");
         let nodes: Vec<u32> = t.rows().iter().map(|&(node, _)| node).collect();
         assert_eq!(nodes, [0, 0, 1, 0]);
-        let stamps: Vec<u64> = t.entries().iter().map(Entry::timestamp_ns).collect();
+        let stamps: Vec<u64> = t
+            .entries()
+            .iter()
+            .map(|e| e.record().timestamp_ns)
+            .collect();
         assert_eq!(stamps, vec![10, 20, 30, 40], "insertion order");
         let names: Vec<&str> = t.entries().iter().map(Entry::node).collect();
         assert_eq!(names, ["n1", "n1", "n2", "n1"]);
@@ -194,6 +195,6 @@ mod tests {
         let e = &entries[0];
         assert_eq!(e.node(), "server1");
         assert_eq!(e.record(), &rec(10, 0xab));
-        assert_eq!(e.timestamp_ns(), 10);
+        assert_eq!(e.record().timestamp_ns, 10);
     }
 }

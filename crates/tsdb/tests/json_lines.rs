@@ -64,13 +64,9 @@ fn export_import_export_is_byte_identical_in_memory_and_on_disk() {
     let db = sample_db();
     let dump = export(&db);
     assert_eq!(dump.iter().filter(|&&b| b == b'\n').count(), 180);
-    let nodes: Vec<&str> = db
-        .table("shared")
-        .unwrap()
-        .entries()
-        .iter()
-        .map(|e| e.node())
-        .collect();
+    let scan = vnet_tsdb::Query::new("shared").scan(&db).unwrap();
+    let entries = scan.entries();
+    let nodes: Vec<&str> = entries.iter().map(|e| e.node()).collect();
     assert!(
         nodes.windows(2).filter(|w| w[0] != w[1]).count() > 20,
         "the two nodes interleave"

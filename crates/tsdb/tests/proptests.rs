@@ -95,7 +95,7 @@ proptest! {
         let inside = Query::new("m").time_range(lo, hi).scan(&db).unwrap();
         let expected: Vec<u64> =
             stamps.iter().copied().filter(|t| (lo..=hi).contains(t)).collect();
-        let got: Vec<u64> = inside.entries().iter().map(|e| e.timestamp_ns()).collect();
+        let got: Vec<u64> = inside.entries().iter().map(|e| e.record().timestamp_ns).collect();
         prop_assert_eq!(got, expected);
     }
 

@@ -95,11 +95,6 @@ impl RackConfig {
         }
     }
 
-    /// Total simulation nodes: hosts + VMs + the ToR.
-    pub fn nodes(&self) -> usize {
-        self.hosts * self.vms_per_host + self.hosts + 1
-    }
-
     /// Total apps: clients plus one server per VM.
     pub fn apps(&self) -> usize {
         self.hosts * self.vms_per_host * (self.apps_per_vm + 1)
@@ -421,11 +416,6 @@ impl RackScenario {
             .sum()
     }
 
-    /// Total payload bytes delivered, across all VMs.
-    pub fn delivered_bytes(&self) -> u64 {
-        self.delivered.iter().map(|t| t.borrow_mut().bytes()).sum()
-    }
-
     /// Per-VM `(packets, bytes)` in VM order — a deterministic
     /// fingerprint of where traffic landed.
     pub fn delivery_fingerprint(&self) -> Vec<(u64, u64)> {
@@ -459,7 +449,10 @@ mod tests {
         s.run(&cfg);
         assert_eq!(s.delivered_packets(), cfg.total_packets());
         assert_eq!(
-            s.delivered_bytes(),
+            s.delivery_fingerprint()
+                .iter()
+                .map(|&(_, b)| b)
+                .sum::<u64>(),
             cfg.total_packets() * cfg.payload as u64
         );
         assert!(s.world.now() > SimTime::ZERO);

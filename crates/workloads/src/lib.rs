@@ -3,7 +3,7 @@
 //! Simulation-native counterparts of the benchmark tools the paper drives
 //! its experiments with:
 //!
-//! * [`sockperf`] — fixed-rate UDP ping-pong latency measurement
+//! * [`sockperf`] — fixed-rate UDP request/echo latency measurement
 //!   (Figs. 7a, 8, 9, 10a, 11),
 //! * [`iperf`] — open-loop UDP flooding for congestion (Figs. 8, 9, 12),
 //! * [`netperf`] — closed-loop fixed-window TCP streaming (Figs. 7b, 12),
@@ -38,6 +38,6 @@ pub use datacenter_rack::{FlowFanClient, RackConfig, RackScenario};
 pub use iperf::{IperfClient, IperfServer};
 pub use memcached::{DataCachingClient, DataCachingServer, MemcachedProxy};
 pub use netperf::{NetperfClient, NetperfServer};
-pub use sockperf::{SockperfClient, SockperfMode, SockperfServer};
+pub use sockperf::{SockperfClient, SockperfServer};
 pub use stats::{LatencyRecorder, ThroughputRecorder};
 pub use tcp_stream::{TcpStreamClient, TcpStreamStats};

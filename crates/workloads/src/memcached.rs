@@ -113,8 +113,6 @@ impl App for DataCachingClient {
 pub struct MemcachedProxy {
     upstream: FlowKey,
     pending: std::collections::HashMap<u64, FlowKey>,
-    forwarded: u64,
-    relayed: u64,
 }
 
 impl MemcachedProxy {
@@ -124,14 +122,7 @@ impl MemcachedProxy {
         MemcachedProxy {
             upstream,
             pending: std::collections::HashMap::new(),
-            forwarded: 0,
-            relayed: 0,
         }
-    }
-
-    /// `(requests forwarded, responses relayed)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.forwarded, self.relayed)
     }
 }
 
@@ -144,7 +135,6 @@ impl App for MemcachedProxy {
         match op {
             Op::Get | Op::Set => {
                 self.pending.insert(seq, parsed.flow().reversed());
-                self.forwarded += 1;
                 let fwd = PacketBuilder::udp(self.upstream, parsed.payload.to_vec()).build();
                 ctx.send(fwd);
             }
@@ -152,7 +142,6 @@ impl App for MemcachedProxy {
                 let Some(client) = self.pending.remove(&seq) else {
                     return;
                 };
-                self.relayed += 1;
                 let reply = PacketBuilder::udp(client, parsed.payload.to_vec()).build();
                 ctx.send(reply);
             }
@@ -163,20 +152,12 @@ impl App for MemcachedProxy {
 
 /// The memcached server: answers GETs with values and SETs with a status.
 #[derive(Debug, Default)]
-pub struct DataCachingServer {
-    gets: u64,
-    sets: u64,
-}
+pub struct DataCachingServer;
 
 impl DataCachingServer {
     /// Creates a server.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `(gets, sets)` served so far.
-    pub fn served(&self) -> (u64, u64) {
-        (self.gets, self.sets)
+        DataCachingServer
     }
 }
 
@@ -187,14 +168,8 @@ impl App for DataCachingServer {
             return;
         };
         let size = match op {
-            Op::Get => {
-                self.gets += 1;
-                GET_RESPONSE_SIZE
-            }
-            Op::Set => {
-                self.sets += 1;
-                SET_RESPONSE_SIZE
-            }
+            Op::Get => GET_RESPONSE_SIZE,
+            Op::Set => SET_RESPONSE_SIZE,
             _ => return,
         };
         let reply = wire::encode(Op::Response, seq, t_send, size);
@@ -258,18 +233,10 @@ mod tests {
         assert_eq!(s.count, 100);
         // RTT through four 3us devices = 12us.
         assert_eq!(s.p50_ns, 12_000);
-        // Requests spaced at 1/5000s = 200us.
-        assert!(w.queue_is_empty());
-    }
-
-    #[test]
-    fn server_counts_ops() {
-        let mut server = DataCachingServer::new();
-        assert_eq!(server.served(), (0, 0));
-        // Feed a GET and a SET directly (unit-level check of the parse
-        // path would need a world; served() counting is covered in the
-        // integration above via ratios).
-        let _ = &mut server;
+        // Requests spaced at 1/5000s = 200us; none is left in flight.
+        let events = w.events_processed();
+        w.run_for(SimDuration::from_secs(1));
+        assert_eq!(w.events_processed(), events);
     }
 
     #[test]

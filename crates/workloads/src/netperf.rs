@@ -28,7 +28,6 @@ pub struct NetperfClient {
     total_segments: u64,
     sent: u64,
     acked: u64,
-    finished_at_ns: Option<u64>,
 }
 
 impl NetperfClient {
@@ -48,18 +47,7 @@ impl NetperfClient {
             total_segments,
             sent: 0,
             acked: 0,
-            finished_at_ns: None,
         }
-    }
-
-    /// Monotonic time the final ack arrived, if the stream completed.
-    pub fn finished_at_ns(&self) -> Option<u64> {
-        self.finished_at_ns
-    }
-
-    /// Segments acknowledged so far.
-    pub fn acked(&self) -> u64 {
-        self.acked
     }
 
     fn fill_window(&mut self, ctx: &mut AppCtx<'_>) {
@@ -96,7 +84,6 @@ impl App for NetperfClient {
             self.acked += 1;
         }
         if self.acked >= self.total_segments {
-            self.finished_at_ns.get_or_insert(ctx.monotonic_ns());
             return;
         }
         self.fill_window(ctx);
@@ -214,11 +201,13 @@ mod tests {
     }
 
     #[test]
-    fn stream_completes_and_reports_finish() {
+    fn stream_completes_and_stops() {
         let (mut w, tput) = build(SimDuration::from_micros(1), 10.0, 100);
         w.run_until(SimTime::from_millis(50));
         assert_eq!(tput.borrow_mut().packets(), 100);
-        assert!(w.queue_is_empty());
+        let events = w.events_processed();
+        w.run_for(SimDuration::from_secs(1));
+        assert_eq!(w.events_processed(), events, "the stream finished");
     }
 
     #[test]

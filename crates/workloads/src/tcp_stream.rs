@@ -86,11 +86,6 @@ impl TcpStreamClient {
         }
     }
 
-    /// Current congestion window in segments.
-    pub fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
     fn send_segment(&mut self, ctx: &mut AppCtx<'_>, seq: u64) {
         let pkt = PacketBuilder::tcp(
             self.flow,

@@ -55,12 +55,15 @@ fn full_pipeline_two_hosts() {
     );
 
     // Agent health: both agents heartbeated during collect.
-    assert_eq!(tracer.collector().last_heartbeat("server1"), Some(1));
-    assert_eq!(tracer.collector().last_heartbeat("server2"), Some(1));
-    assert!(tracer
-        .collector()
-        .silent_agents(s.world.now(), vnet_sim::SimDuration::from_secs(1))
-        .is_empty());
+    let agents = tracer.stats(&s.world).agents;
+    let seqs: Vec<(&str, u64)> = agents
+        .iter()
+        .map(|a| (a.node.as_str(), a.last_seq))
+        .collect();
+    assert_eq!(seqs, [("server1", 1), ("server2", 1)]);
+    assert!(agents
+        .iter()
+        .all(|a| a.lag <= vnet_sim::SimDuration::from_secs(1)));
 }
 
 /// Tracer-measured packet loss must agree with the simulator's ground

