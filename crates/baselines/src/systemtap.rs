@@ -9,8 +9,8 @@
 //! This probe reproduces that cost structure instead of the eBPF one:
 //! every firing pays a kprobe trap + SystemTap runtime handler cost plus
 //! a per-byte relay copy toward user space — orders of magnitude more
-//! than a JIT-compiled eBPF program's in-kernel map write. The default
-//! parameters are calibrated so the Fig. 7(b) crossover reproduces (see
+//! than a JIT-compiled eBPF program's in-kernel map write. The cost is
+//! calibrated so the Fig. 7(b) crossover reproduces (see
 //! `EXPERIMENTS.md`).
 
 use vnet_sim::probe::{ProbeEvent, ProbeOutcome, ProbeSink};

@@ -37,7 +37,7 @@ impl Dispatcher {
     ///
     /// Returns [`TracerError::Config`] for duplicate script names or
     /// buffer sizes outside the supported range.
-    pub fn dispatch(&mut self, package: &ControlPackage) -> Result<Vec<ControlMessage>> {
+    pub fn dispatch(&self, package: &ControlPackage) -> Result<Vec<ControlMessage>> {
         validate(package)?;
         let mut per_node: BTreeMap<String, ControlPackage> = BTreeMap::new();
         for spec in &package.traces {
@@ -103,7 +103,7 @@ mod tests {
 
     #[test]
     fn splits_by_node_and_serializes() {
-        let mut d = Dispatcher;
+        let d = Dispatcher;
         let pkg = ControlPackage::new(vec![
             spec("a", "server1"),
             spec("b", "server2"),
@@ -121,14 +121,14 @@ mod tests {
 
     #[test]
     fn rejects_duplicate_names() {
-        let mut d = Dispatcher;
+        let d = Dispatcher;
         let pkg = ControlPackage::new(vec![spec("same", "n1"), spec("same", "n2")]);
         assert!(matches!(d.dispatch(&pkg), Err(TracerError::Config(_))));
     }
 
     #[test]
     fn rejects_bad_buffer_size() {
-        let mut d = Dispatcher;
+        let d = Dispatcher;
         let mut pkg = ControlPackage::new(vec![spec("a", "n1")]);
         pkg.global.buffer_size = 16; // below 32
         assert!(matches!(d.dispatch(&pkg), Err(TracerError::Config(_))));
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn rejects_empty_name() {
-        let mut d = Dispatcher;
+        let d = Dispatcher;
         let pkg = ControlPackage::new(vec![spec("", "n1")]);
         assert!(matches!(d.dispatch(&pkg), Err(TracerError::Config(_))));
     }
