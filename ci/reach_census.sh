@@ -19,12 +19,12 @@
 # reachability is static, and a trait-object method counts as reached
 # once its vtable is.
 #
-# Usage: ci/reach_census.sh   (builds into target/census; override with
-# CENSUS_TARGET_DIR). Set CENSUS_LIST=1 to print every unreached function.
+# Usage: ci/reach_census.sh   (builds into target/census, apart from the
+# release build).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-target="${CENSUS_TARGET_DIR:-target/census}"
+target=target/census
 allowlist=ci/reach_allowlist.txt
 export RUSTFLAGS="-C opt-level=0 -C debuginfo=0 -C codegen-units=256 -C link-arg=-Wl,--gc-sections"
 crates='vnet_sim|vnet_ebpf|vnettracer|vnet_tsdb|vnet_live|vnet_workloads|vnet_baselines|vnet_testbed'
@@ -77,9 +77,6 @@ unlisted="$(comm -23 "$work/unreached" <(sort -u "$work/listed"))"
 stale="$(comm -12 "$work/reached" <(sort -u "$work/listed"))"
 gone="$(comm -23 <(sort -u "$work/listed") "$work/defined")"
 
-if test "${CENSUS_LIST:-0}" = 1; then
-    echo "unreached from every entry point:"; sed 's/^/  /' "$work/unreached"
-fi
 echo "reach census: $(wc -l <"$work/defined") library functions," \
      "$(wc -l <"$work/unreached") unreached, $(wc -l <"$work/listed") listed"
 if test -n "$unlisted"; then

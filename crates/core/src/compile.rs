@@ -351,33 +351,8 @@ mod tests {
     use vnet_ebpf::program::load;
     use vnet_ebpf::vm::{standard_helpers, FixedEnv, Vm};
     use vnet_sim::packet::{
-        trace_id, EthernetHeader, FlowKey, Ipv4Header, PacketBuilder, SocketAddrV4Ext, TcpFlags,
-        TcpHeader, TcpOption, TCP_BASE_HEADER_LEN,
+        trace_id, FlowKey, PacketBuilder, SocketAddrV4Ext, TcpFlags, TcpOption,
     };
-
-    /// Every record in both CPUs' rings of the perf map at `fd`, in CPU
-    /// order.
-    fn drain(maps: &mut MapRegistry, fd: i32) -> Vec<Vec<u8>> {
-        let perf = maps.get_mut(fd).unwrap();
-        (0..2).flat_map(|c| perf.perf_drain(c)).collect()
-    }
-
-    /// The bytes of a TCP ACK segment (seq 1, ack 2) on `flow` carrying
-    /// `payload`, with `options` in its header.
-    fn tcp_frame(flow: FlowKey, payload: Vec<u8>, options: Vec<TcpOption>) -> Vec<u8> {
-        let pkt = PacketBuilder::tcp(flow, 1, 2, TcpFlags::ACK, payload).build();
-        let (eth, rest) = EthernetHeader::decode(pkt.bytes()).unwrap();
-        let (mut ip, rest) = Ipv4Header::decode(rest).unwrap();
-        let (mut tcp, payload) = TcpHeader::decode(rest).unwrap();
-        tcp.options = options;
-        ip.total_len += (tcp.header_len() - TCP_BASE_HEADER_LEN) as u16;
-        let mut out = Vec::new();
-        eth.encode(&mut out);
-        ip.encode(&mut out);
-        tcp.encode(&mut out);
-        out.extend_from_slice(payload);
-        out
-    }
 
     fn spec(filter: FilterRule, action: Action) -> TraceSpec {
         TraceSpec {
@@ -427,7 +402,10 @@ mod tests {
         let out = Vm::new()
             .execute(&loaded, &ctx, pkt, &mut maps, &mut env)
             .unwrap();
-        let recs = drain(&mut maps, perf_fd)
+        let recs = maps
+            .get_mut(perf_fd)
+            .unwrap()
+            .perf_drain_all()
             .iter()
             .map(|b| vnet_tsdb::CompactRecord::decode(b).unwrap())
             .collect();
@@ -515,14 +493,19 @@ mod tests {
             )
         };
         // Trace ID as the only option.
-        let pkt = tcp_frame(tcp, vec![1, 2, 3], vec![TcpOption::TraceId(0xabcd1234)]);
-        let (matched, recs) = run_record(rule, &pkt);
+        let pkt = PacketBuilder::tcp(tcp, 1, 2, TcpFlags::ACK, vec![1, 2, 3])
+            .tcp_option(TcpOption::TraceId(0xabcd1234))
+            .build();
+        let (matched, recs) = run_record(rule, pkt.bytes());
         assert!(matched);
         assert_eq!(recs[0].trace_id, 0xabcd1234);
         assert!(recs[0].has_trace_id());
         // Trace ID after an MSS option.
-        let options = vec![TcpOption::Mss(1460), TcpOption::TraceId(0x00c0ffee)];
-        let (_, recs) = run_record(rule, &tcp_frame(tcp, vec![], options));
+        let pkt = PacketBuilder::tcp(tcp, 1, 2, TcpFlags::ACK, vec![])
+            .tcp_option(TcpOption::Mss(1460))
+            .tcp_option(TcpOption::TraceId(0x00c0ffee))
+            .build();
+        let (_, recs) = run_record(rule, pkt.bytes());
         assert_eq!(recs[0].trace_id, 0x00c0ffee);
         // No options at all: no id.
         let pkt = PacketBuilder::tcp(tcp, 1, 2, TcpFlags::ACK, vec![]).build();
@@ -530,8 +513,10 @@ mod tests {
         assert!(matched);
         assert!(!recs[0].has_trace_id());
         // Unrelated option only.
-        let pkt = tcp_frame(tcp, vec![], vec![TcpOption::Other(99, vec![1, 2])]);
-        let (_, recs) = run_record(rule, &pkt);
+        let pkt = PacketBuilder::tcp(tcp, 1, 2, TcpFlags::ACK, vec![])
+            .tcp_option(TcpOption::Other(99, vec![1, 2]))
+            .build();
+        let (_, recs) = run_record(rule, pkt.bytes());
         assert!(!recs[0].has_trace_id());
     }
 
@@ -559,7 +544,10 @@ mod tests {
                 .execute(&loaded, &ctx, pkt.bytes(), &mut maps, &mut env)
                 .unwrap();
             assert_eq!(out.ret, 1);
-            let recs: Vec<_> = drain(&mut maps, perf_fd)
+            let recs: Vec<_> = maps
+                .get_mut(perf_fd)
+                .unwrap()
+                .perf_drain_all()
                 .iter()
                 .map(|b| vnet_tsdb::CompactRecord::decode(b).unwrap())
                 .collect();
@@ -803,9 +791,11 @@ mod tests {
         let mut udp = PacketBuilder::udp(flow, vec![7u8; 24]).build();
         trace_id::inject_udp_trailer(&mut udp, 0x0bad_cafe).unwrap();
         let reversed = PacketBuilder::udp(flow.reversed(), vec![3u8; 24]).build();
-        let options = vec![TcpOption::Mss(1460), TcpOption::TraceId(0x00c0_ffee)];
-        let tcp = tcp_frame(FlowKey::tcp(src, dst), vec![5u8; 8], options);
-        let packets: [&[u8]; 4] = [udp.bytes(), reversed.bytes(), &tcp, &[]];
+        let tcp = PacketBuilder::tcp(FlowKey::tcp(src, dst), 1, 2, TcpFlags::ACK, vec![5u8; 8])
+            .tcp_option(TcpOption::Mss(1460))
+            .tcp_option(TcpOption::TraceId(0x00c0_ffee))
+            .build();
+        let packets: [&[u8]; 4] = [udp.bytes(), reversed.bytes(), tcp.bytes(), &[]];
 
         let registry = || {
             let mut maps = MapRegistry::new();
@@ -857,8 +847,8 @@ mod tests {
                 ] {
                     digest.extend(v.to_le_bytes());
                 }
-                let records = drain(&mut maps, 0);
-                assert_eq!(records, drain(&mut oracle_maps, 0));
+                let records = maps.get_mut(0).unwrap().perf_drain_all();
+                assert_eq!(records, oracle_maps.get_mut(0).unwrap().perf_drain_all());
                 for rec in records {
                     digest.extend((rec.len() as u32).to_le_bytes());
                     digest.extend(rec);

@@ -457,13 +457,24 @@ mod tests {
     }
 
     #[test]
-    fn every_sim_drop_reason_has_a_store_name() {
+    fn drop_reason_names_agree_with_the_sim() {
         // The sim's typed reason codes and the store's tag values are
-        // maintained separately; the registry is where they meet.
-        for reason in vnet_sim::device::DropReason::ALL {
-            assert!(
-                vnet_tsdb::drop_reason_name(reason.code() as u8).is_some(),
-                "code {} has no name in the store",
+        // maintained separately; the registry is where they meet. The
+        // reference: every sim reason with the name the store must give it.
+        use vnet_sim::device::DropReason;
+        let names = [
+            (DropReason::QueueFull, "queue-full"),
+            (DropReason::Policed, "policed"),
+            (DropReason::Down, "device-down"),
+            (DropReason::NoRoute, "no-route"),
+            (DropReason::Link, "link-loss"),
+        ];
+        assert_eq!(names.map(|(reason, _)| reason), DropReason::ALL);
+        for (reason, name) in names {
+            assert_eq!(
+                vnet_tsdb::drop_reason_name(reason.code() as u8),
+                Some(name),
+                "code {} maps to a different name in the store",
                 reason.code()
             );
         }

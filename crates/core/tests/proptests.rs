@@ -103,7 +103,7 @@ fn run_compiled(rule: FilterRule, pkt: &Packet) -> (bool, Vec<CompactRecord>) {
     let recs = maps
         .get_mut(perf_fd)
         .unwrap()
-        .perf_drain(0)
+        .perf_drain_all()
         .iter()
         .map(|b| CompactRecord::decode(b).unwrap())
         .collect();

@@ -52,6 +52,26 @@ pub struct MapDef {
 }
 
 impl MapDef {
+    /// A hash map definition.
+    pub fn hash(key_size: u32, value_size: u32, max_entries: u32) -> Self {
+        MapDef {
+            map_type: MapType::Hash,
+            key_size,
+            value_size,
+            max_entries,
+        }
+    }
+
+    /// An array definition.
+    pub fn array(value_size: u32, max_entries: u32) -> Self {
+        MapDef {
+            map_type: MapType::Array,
+            key_size: 4,
+            value_size,
+            max_entries,
+        }
+    }
+
     /// A per-CPU array definition.
     pub fn per_cpu_array(value_size: u32, max_entries: u32) -> Self {
         MapDef {
@@ -443,6 +463,13 @@ impl Map {
         out
     }
 
+    /// Drains records from every CPU's ring, in CPU order.
+    pub fn perf_drain_all(&mut self) -> Vec<Vec<u8>> {
+        (0..self.perf_rings())
+            .flat_map(|c| self.perf_drain(c))
+            .collect()
+    }
+
     /// Number of records lost to ring overflow on `cpu`.
     pub fn perf_lost(&self, cpu: usize) -> u64 {
         match &self.storage {
@@ -495,33 +522,21 @@ impl MapRegistry {
     pub fn get_mut(&mut self, fd: i32) -> Option<&mut Map> {
         self.maps.get_mut(usize::try_from(fd).ok()?)?.as_mut()
     }
+
+    /// Number of live maps.
+    pub fn len(&self) -> usize {
+        self.maps.iter().flatten().count()
+    }
+
+    /// Whether the registry holds no live maps.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl MapDef {
-        /// A hash map definition.
-        pub(crate) fn hash(key_size: u32, value_size: u32, max_entries: u32) -> Self {
-            MapDef {
-                map_type: MapType::Hash,
-                key_size,
-                value_size,
-                max_entries,
-            }
-        }
-
-        /// An array definition.
-        pub(crate) fn array(value_size: u32, max_entries: u32) -> Self {
-            MapDef {
-                map_type: MapType::Array,
-                key_size: 4,
-                value_size,
-                max_entries,
-            }
-        }
-    }
 
     #[test]
     fn hash_crud() {
@@ -623,7 +638,7 @@ mod tests {
         assert_eq!(drained[0], vec![1; 32]);
         // After drain, space is free again.
         m.perf_output(0, &[4; 8]).unwrap();
-        assert_eq!(m.perf_drain(0).len() + m.perf_drain(1).len(), 1);
+        assert_eq!(m.perf_drain_all().len(), 1);
     }
 
     #[test]
@@ -668,7 +683,7 @@ mod tests {
             m.perf_output(5, &[1; 8]),
             Err(MapError::IndexOutOfBounds(5))
         );
-        assert!((0..4).all(|c| m.perf_drain(c).is_empty()));
+        assert!(m.perf_drain_all().is_empty());
         assert_eq!((0..4).map(|c| m.perf_lost(c)).sum::<u64>(), 0);
         m.perf_output(3, &[2; 8]).unwrap();
         assert_eq!(m.perf_drain(3), vec![vec![2; 8]]);
@@ -730,6 +745,7 @@ mod tests {
         assert!(reg.get(fd1).is_some());
         assert!(reg.get(99).is_none());
         assert!(reg.get(-1).is_none());
+        assert_eq!(reg.len(), 2);
     }
 
     #[test]
@@ -742,11 +758,12 @@ mod tests {
         assert!(reg.remove(99).is_none());
         assert!(reg.remove(-1).is_none());
         assert!(reg.get(fd0).is_none() && reg.get_mut(fd0).is_none());
+        assert_eq!(reg.len(), 1);
         // The survivor keeps its fd and a new map gets a fresh one.
         assert!(reg.get(fd1).is_some());
         assert_eq!(reg.create(MapDef::array(4, 4), 1).unwrap(), 2);
         assert!(reg.remove(fd1).is_some() && reg.remove(2).is_some());
-        assert!((0..3).all(|fd| reg.get(fd).is_none()));
+        assert!(reg.is_empty());
     }
 
     #[test]

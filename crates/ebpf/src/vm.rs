@@ -1460,7 +1460,7 @@ mod tests {
             assert_eq!(out.ret as i64, -1, "flags {flags:#x}");
             let map = maps.get_mut(perf_fd).unwrap();
             assert!(
-                (0..4).all(|c| map.perf_drain(c).is_empty()),
+                map.perf_drain_all().is_empty(),
                 "flags {flags:#x}: a record was written"
             );
             assert_eq!((0..4).map(|c| map.perf_lost(c)).sum::<u64>(), 0);
@@ -2121,8 +2121,7 @@ mod verifier_soundness {
                 .map(|(k, v)| (k.to_vec(), v.to_vec()))
                 .collect();
             hash.sort();
-            let perf = maps.get_mut(1).expect("perf");
-            let records: Vec<_> = (0..2).flat_map(|c| perf.perf_drain(c)).collect();
+            let records = maps.get_mut(1).expect("perf").perf_drain_all();
             (ret, records, hash, env.printk)
         };
         let env = || FixedEnv {

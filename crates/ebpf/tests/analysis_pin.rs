@@ -30,8 +30,8 @@
 //! and the cap would never be reached.
 
 use vnet_ebpf::{
-    analyze, load, standard_helpers, Analysis, AttachType, MapDef, MapRegistry, MapType, Program,
-    RegState, RegType, Tnum,
+    analyze, load, standard_helpers, Analysis, AttachType, MapDef, MapRegistry, Program, RegState,
+    RegType, Tnum,
 };
 
 #[allow(dead_code)] // this test uses only part of the shared file
@@ -230,13 +230,7 @@ fn loads_are_pinned() {
     // program of `programs()`. Map fd 0 is the corpus's counter array and
     // fd 1 a perf ring, so a mutant naming any other fd fails relocation.
     let mut maps = MapRegistry::new();
-    let array = MapDef {
-        map_type: MapType::Array,
-        key_size: 4,
-        value_size: 8,
-        max_entries: 4,
-    };
-    maps.create(array, 2).expect("array map");
+    maps.create(MapDef::array(8, 4), 2).expect("array map");
     maps.create(MapDef::perf(4096), 2).expect("perf map");
     let helpers = standard_helpers();
     let mut digest = Vec::new();

@@ -6,7 +6,7 @@ use vnet_ebpf::asm::{reg::*, AluOp, Asm, Cond, Size};
 use vnet_ebpf::context::TraceContext;
 use vnet_ebpf::disasm::disassemble_annotated;
 use vnet_ebpf::insn::*;
-use vnet_ebpf::map::{MapDef, MapRegistry, MapType};
+use vnet_ebpf::map::{MapDef, MapRegistry};
 use vnet_ebpf::parse::parse_program;
 use vnet_ebpf::program::{load, AttachType, LoadError, LoadedProgram, Program};
 use vnet_ebpf::verifier::verify;
@@ -489,13 +489,7 @@ proptest! {
     fn tiers_agree_on_map_side_effects(ops in arb_map_ops()) {
         let mk_maps = || {
             let mut m = MapRegistry::new();
-            let hash = MapDef {
-                map_type: MapType::Hash,
-                key_size: 4,
-                value_size: 8,
-                max_entries: 16,
-            };
-            m.create(hash, 1).unwrap();
+            m.create(MapDef::hash(4, 8, 16), 1).unwrap();
             m.create(MapDef::perf(4096), 4).unwrap();
             m
         };
@@ -508,11 +502,8 @@ proptest! {
         let loaded = load(prog, &maps, &standard_helpers()).expect("workload verifies");
         let (mut maps_i, mut maps_j) = run_both_tiers(&loaded, &[], mk_maps);
         prop_assert_eq!(hash_contents(&maps_i, 0), hash_contents(&maps_j, 0));
-        let drain = |maps: &mut MapRegistry| {
-            let perf = maps.get_mut(1).unwrap();
-            (0..4).flat_map(|c| perf.perf_drain(c)).collect::<Vec<_>>()
-        };
-        let (recs_i, recs_j) = (drain(&mut maps_i), drain(&mut maps_j));
+        let recs_i = maps_i.get_mut(1).unwrap().perf_drain_all();
+        let recs_j = maps_j.get_mut(1).unwrap().perf_drain_all();
         prop_assert_eq!(&recs_i, &recs_j);
     }
 

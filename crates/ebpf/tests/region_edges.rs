@@ -15,7 +15,7 @@
 use vnet_ebpf::asm::{reg::*, Asm, Size};
 use vnet_ebpf::context::{TraceContext, CTX_OFF_DATA, CTX_SIZE};
 use vnet_ebpf::insn::STACK_SIZE;
-use vnet_ebpf::map::{MapDef, MapRegistry, MapType};
+use vnet_ebpf::map::{MapDef, MapRegistry};
 use vnet_ebpf::program::{load, AttachType, Program};
 use vnet_ebpf::vm::{helper_ids, standard_helpers, FixedEnv, Vm, VmError};
 
@@ -247,13 +247,7 @@ fn lookup_value_ptr() -> Asm {
 
 fn one_array_map() -> MapRegistry {
     let mut m = MapRegistry::new();
-    let array = MapDef {
-        map_type: MapType::Array,
-        key_size: 4,
-        value_size: 8,
-        max_entries: 4,
-    };
-    m.create(array, 1).unwrap();
+    m.create(MapDef::array(8, 4), 1).unwrap();
     m
 }
 

@@ -4,7 +4,7 @@ use std::net::Ipv4Addr;
 
 use super::ethernet::{EtherType, EthernetHeader, MacAddr, ETHERNET_HEADER_LEN};
 use super::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
-use super::tcp::{TcpFlags, TcpHeader};
+use super::tcp::{TcpFlags, TcpHeader, TcpOption};
 use super::trace_id::TRACE_ID_LEN;
 use super::udp::{UdpHeader, UDP_HEADER_LEN};
 use super::vxlan::{VxlanHeader, VXLAN_HEADER_LEN, VXLAN_UDP_PORT};
@@ -33,6 +33,7 @@ struct TcpPart {
     seq: u32,
     ack: u32,
     flags: TcpFlags,
+    options: Vec<TcpOption>,
 }
 
 impl PacketBuilder {
@@ -51,9 +52,28 @@ impl PacketBuilder {
         debug_assert_eq!(flow.protocol.as_u8(), 6, "tcp() requires a TCP flow");
         PacketBuilder {
             flow,
-            tcp: Some(TcpPart { seq, ack, flags }),
+            tcp: Some(TcpPart {
+                seq,
+                ack,
+                flags,
+                options: Vec::new(),
+            }),
             payload,
         }
+    }
+
+    /// Appends a TCP option (TCP frames only).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the builder was created with [`PacketBuilder::udp`].
+    pub fn tcp_option(mut self, option: TcpOption) -> Self {
+        self.tcp
+            .as_mut()
+            .expect("tcp_option on a UDP builder")
+            .options
+            .push(option);
+        self
     }
 
     /// Encodes the frame, each header once, into a buffer with headroom
@@ -67,7 +87,7 @@ impl PacketBuilder {
             flags: t.flags,
             window: 65535,
             checksum: 0,
-            options: Vec::new(),
+            options: t.options.clone(),
         });
         let transport_len = tcp.as_ref().map_or(UDP_HEADER_LEN, TcpHeader::header_len);
         let ip_payload_len = transport_len + self.payload.len();
@@ -204,8 +224,9 @@ mod tests {
             SocketAddrV4::sock("10.0.0.1", 4000),
             SocketAddrV4::sock("10.0.0.2", 80),
         );
-        let mut pkt = PacketBuilder::tcp(flow, 7, 9, TcpFlags::ACK, b"data".to_vec()).build();
-        trace_id::inject_tcp_option(&mut pkt, 0xfeedface).unwrap();
+        let pkt = PacketBuilder::tcp(flow, 7, 9, TcpFlags::ACK, b"data".to_vec())
+            .tcp_option(TcpOption::TraceId(0xfeedface))
+            .build();
         let parsed = pkt.parse().unwrap();
         assert_eq!(parsed.tcp_trace_id(), Some(0xfeedface));
         assert_eq!(parsed.payload, b"data");
@@ -266,8 +287,10 @@ mod tests {
             SocketAddrV4::sock("10.0.0.1", 4000),
             SocketAddrV4::sock("10.0.0.2", 80),
         );
-        let mut pkt = PacketBuilder::tcp(flow, 1, 0, TcpFlags::PSH, vec![1, 2, 3]).build();
-        trace_id::inject_tcp_option(&mut pkt, 0x12345678).unwrap();
+        let inner = PacketBuilder::tcp(flow, 1, 0, TcpFlags::PSH, vec![1, 2, 3])
+            .tcp_option(TcpOption::TraceId(0x12345678))
+            .build();
+        let mut pkt = inner.clone();
         vxlan_encapsulate(
             &mut pkt,
             7,
@@ -333,13 +356,11 @@ mod tests {
                 pkt
             }
             2 => PacketBuilder::tcp(tcp, id, 7, TcpFlags::ACK, payload).build(),
+            3 => PacketBuilder::tcp(tcp, 1, 2, TcpFlags::PSH, payload)
+                .tcp_option(TcpOption::TraceId(id))
+                .build(),
             _ => {
-                let flags = if kind % 5 == 3 {
-                    TcpFlags::PSH
-                } else {
-                    TcpFlags::ACK
-                };
-                let mut pkt = PacketBuilder::tcp(tcp, 1, 2, flags, payload).build();
+                let mut pkt = PacketBuilder::tcp(tcp, 1, 2, TcpFlags::ACK, payload).build();
                 trace_id::inject_tcp_option(&mut pkt, id).unwrap();
                 pkt
             }

@@ -279,6 +279,11 @@ impl World {
         }
     }
 
+    /// Whether a device is currently down.
+    pub fn device_is_down(&self, dev: DeviceId) -> bool {
+        self.devices[dev.index()].down
+    }
+
     /// Registers an application on `node`, transmitting through `tx_dev`,
     /// with an auto-generated name.
     pub fn add_app(&mut self, node: NodeId, tx_dev: DeviceId, app: Box<dyn App>) -> AppId {
@@ -363,6 +368,11 @@ impl World {
     /// A device's counters.
     pub fn device_counters(&self, dev: DeviceId) -> DeviceCounters {
         self.devices[dev.index()].counters
+    }
+
+    /// A device's current queue depth.
+    pub fn device_queue_len(&self, dev: DeviceId) -> usize {
+        self.devices[dev.index()].queue_len()
     }
 
     /// A node's softirq engine (Fig. 13a statistics).
@@ -598,7 +608,7 @@ mod tests {
         w.schedule_device_down(tx, SimTime::from_nanos(500), true);
         w.run_until(SimTime::from_millis(1));
         assert_eq!(got.borrow().len(), 1);
-        assert_eq!(w.devices[tx.index()].queue_len(), 1);
+        assert_eq!(w.device_queue_len(tx), 1);
         // A firing at 1 ms, for the clock to be compared against.
         w.inject(rx, udp_packet(30));
         w.run_until(SimTime::from_micros(1_100));
@@ -606,7 +616,7 @@ mod tests {
         // Restore eth0 "at 10 us" — more than a millisecond ago.
         w.schedule_device_down(tx, SimTime::from_micros(10), false);
         w.run_until(SimTime::from_millis(2));
-        assert!(!w.devices[tx.index()].down);
+        assert!(!w.device_is_down(tx));
         let deliveries = got.borrow();
         assert_eq!(deliveries.len(), 3, "the held packet resumes");
         // Service resumed when the flip was asked for, at 1.1 ms: 1 us

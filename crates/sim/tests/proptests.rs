@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use std::net::{Ipv4Addr, SocketAddrV4};
 use vnet_sim::packet::{
     trace_id, vxlan_decapsulate, vxlan_encapsulate, FlowKey, Ipv4Header, PacketBuilder, TcpFlags,
-    ETHERNET_HEADER_LEN,
+    TcpOption, ETHERNET_HEADER_LEN,
 };
 
 prop_compose! {
@@ -41,17 +41,21 @@ proptest! {
         prop_assert!(Ipv4Header::checksum_valid(&pkt.bytes()[ETHERNET_HEADER_LEN..]));
     }
 
-    /// Any built TCP frame parses back, including an injected trace ID.
+    /// Any built TCP frame parses back, including its options.
     #[test]
     fn tcp_build_parse_round_trip(
         flow in arb_tcp_flow(),
         seq in any::<u32>(),
         ack in any::<u32>(),
         payload in proptest::collection::vec(any::<u8>(), 0..1400),
+        with_mss in any::<bool>(),
         id in any::<u32>(),
     ) {
-        let mut pkt = PacketBuilder::tcp(flow, seq, ack, TcpFlags::ACK, payload.clone()).build();
-        trace_id::inject_tcp_option(&mut pkt, id).expect("inject");
+        let mut b = PacketBuilder::tcp(flow, seq, ack, TcpFlags::ACK, payload.clone());
+        if with_mss {
+            b = b.tcp_option(TcpOption::Mss(1460));
+        }
+        let pkt = b.tcp_option(TcpOption::TraceId(id)).build();
         let parsed = pkt.parse().expect("parses");
         prop_assert_eq!(parsed.flow(), flow);
         prop_assert_eq!(parsed.payload, &payload[..]);
@@ -302,15 +306,18 @@ mod conservation {
                 .iter()
                 .map(|&d| w.device_counters(d).dropped_total())
                 .sum();
-            // Nothing is left queued: everything drains after recovery.
+            let queued: u64 =
+                [src, mid, sink].iter().map(|&d| w.device_queue_len(d) as u64).sum();
             prop_assert_eq!(
                 injected,
-                *delivered.borrow_mut() + dropped,
-                "conservation violated: injected {} delivered {} dropped {}",
+                *delivered.borrow_mut() + dropped + queued,
+                "conservation violated: injected {} delivered {} dropped {} queued {}",
                 injected,
                 delivered.borrow_mut(),
-                dropped
+                dropped,
+                queued
             );
+            prop_assert_eq!(queued, 0, "everything drains after recovery");
         }
     }
 }

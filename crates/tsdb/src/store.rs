@@ -686,6 +686,24 @@ impl TraceDb {
         Ok(())
     }
 
+    /// Runs compaction to quiescence: commits the round in flight, then
+    /// starts and commits rounds until no measurement qualifies. Returns
+    /// the number of merges committed.
+    ///
+    /// # Errors
+    ///
+    /// Any [`StoreError`] from a merge or its commit.
+    pub fn compact_now(&mut self) -> Result<u64, StoreError> {
+        let Some(disk) = &mut self.disk else {
+            return Ok(0);
+        };
+        let mut merges = disk.finish_round()?;
+        while disk.start_round()? {
+            merges += disk.finish_round()?;
+        }
+        Ok(merges)
+    }
+
     /// Storage state of a disk-backed database; `None` when in-memory.
     pub fn storage_stats(&self) -> Option<StorageStats> {
         let d = self.disk.as_ref()?;
@@ -809,26 +827,6 @@ impl TraceDb {
 mod tests {
     use super::*;
     use crate::record::CompactRecord;
-
-    impl TraceDb {
-        /// Runs compaction to quiescence: commits the round in flight, then
-        /// starts and commits rounds until no measurement qualifies. Returns
-        /// the number of merges committed.
-        ///
-        /// # Errors
-        ///
-        /// Any [`StoreError`] from a merge or its commit.
-        pub(crate) fn compact_now(&mut self) -> Result<u64, StoreError> {
-            let Some(disk) = &mut self.disk else {
-                return Ok(0);
-            };
-            let mut merges = disk.finish_round()?;
-            while disk.start_round()? {
-                merges += disk.finish_round()?;
-            }
-            Ok(merges)
-        }
-    }
 
     fn rec(ts: u64, trace_id: u32) -> CompactRecord {
         CompactRecord {
@@ -977,159 +975,7 @@ mod tests {
     #[test]
     fn memory_db_reports_no_storage() {
         let db = TraceDb::new();
+        assert!(db.disk.is_none());
         assert!(db.storage_stats().is_none());
-    }
-
-    /// The pinned merge below drives compaction with [`TraceDb::compact_now`],
-    /// which only tests use, so it lives beside it.
-    mod merge_pin {
-        use super::test_dir;
-        use crate::query::Query;
-        use crate::record::CompactRecord;
-        use crate::{RecordBatch, StoreOptions, TraceDb};
-        use std::collections::BTreeMap;
-        use std::fs;
-        use std::path::Path;
-
-        /// A query's results as comparable `(node, record)` pairs.
-        fn answers(q: &Query, db: &TraceDb) -> Vec<(String, CompactRecord)> {
-            let scan = q.scan(db).expect("scan");
-            let entries = scan.entries();
-            entries
-                .iter()
-                .map(|e| (e.node().to_owned(), *e.record()))
-                .collect()
-        }
-
-        /// Every file of a store directory, name then bytes (in name order),
-        /// appended to `fold`.
-        fn fold_files(dir: &Path, fold: &mut Vec<u8>) {
-            let files: BTreeMap<String, Vec<u8>> = fs::read_dir(dir)
-                .unwrap()
-                .map(|e| e.unwrap())
-                .map(|e| {
-                    let name = e.file_name().to_string_lossy().into_owned();
-                    (name, fs::read(e.path()).unwrap())
-                })
-                .collect();
-            for (name, bytes) in files {
-                fold.extend_from_slice(name.as_bytes());
-                fold.extend_from_slice(&bytes);
-            }
-        }
-
-        /// Rows per segment block (`segment::BLOCK_ROWS`).
-        const BLOCK: u64 = 2_048;
-
-        /// One seal's batch: `a` rows of table `a` whose nodes cycle through
-        /// `nodes` in that order (so the seal's dictionary lists them so), and
-        /// `b` rows of table `b` on one node, numbered on from `*next`.
-        fn seal_batch(a: u64, nodes: &[&str], b: u64, next: &mut u64) -> RecordBatch {
-            let mut batch = RecordBatch::new();
-            for (table, n, nodes) in [("a", a, nodes), ("b", b, &["vm9"][..])] {
-                for k in 0..n {
-                    let i = *next;
-                    *next += 1;
-                    batch.push(
-                        table,
-                        nodes[(k % nodes.len() as u64) as usize],
-                        CompactRecord {
-                            timestamp_ns: i * 900 + (i % 7) * 31,
-                            trace_id: i.is_multiple_of(3) as u32 * (0x9000 + i as u32),
-                            pkt_len: 60 + (i * 37 % 1400) as u32,
-                            saddr: 0x0a00_0001 + (i % 5) as u32,
-                            daddr: 0x0a00_0102,
-                            sport: 5_000 + (i % 17) as u16,
-                            dport: 443,
-                            cpu: (i % 4) as u16,
-                            direction: (i % 2) as u8,
-                            flags: i.is_multiple_of(3) as u8,
-                        },
-                    );
-                }
-            }
-            batch
-        }
-
-        /// The merge's two block paths, pinned: table `a` seals whole 2 048-row
-        /// blocks, alternating exact multiples of a block with ragged tails, and
-        /// switches its node order mid-stream, so the rounds merge full blocks
-        /// that land aligned under a dictionary that maps to itself, full blocks
-        /// that land behind a ragged tail, and blocks whose node indices are
-        /// remapped; table `b` seals only ragged single blocks. Every directory
-        /// file after the last seal, after `compact_now` and after a cold reopen,
-        /// and a full scan of each table cold, fold into one CRC-32.
-        #[test]
-        fn full_block_seals_and_merges_fold_to_one_crc() {
-            let dir = test_dir("full-block-pin");
-            let options = StoreOptions {
-                seal_threshold: BLOCK as usize,
-                fsync: false,
-                compact_fanin: 2,
-                compact_max_rows: 100 * BLOCK,
-                ..StoreOptions::default()
-            };
-            let (v1v2, v2v1, v1v2v3) = (
-                &["vm1", "vm2"][..],
-                &["vm2", "vm1"][..],
-                &["vm1", "vm2", "vm3"][..],
-            );
-            let seals: [(u64, &[&str], u64); 13] = [
-                (2 * BLOCK, v1v2, 30),
-                (BLOCK, v1v2, 0),
-                (3 * BLOCK, v1v2v3, 7),
-                (2 * BLOCK + 300, v1v2, 0),
-                (3 * BLOCK, v1v2, 11),
-                (2 * BLOCK, v2v1, 0),
-                (BLOCK, v1v2, 0),
-                (BLOCK + 1, v1v2v3, 3),
-                (4 * BLOCK, v2v1, 0),
-                (BLOCK, v2v1, 40),
-                (3 * BLOCK - 5, v1v2, 0),
-                (2 * BLOCK, v1v2, 0),
-                (BLOCK, v1v2v3, 1),
-            ];
-            let mut mem = TraceDb::new();
-            let mut disk = TraceDb::open_with(&dir, options.clone()).unwrap();
-            let mut next = 0;
-            for (a, nodes, b) in seals {
-                let batch = seal_batch(a, nodes, b, &mut next);
-                mem.insert_batch(&batch);
-                disk.insert_batch(&batch);
-            }
-            let tail = seal_batch(BLOCK / 2, v2v1, 5, &mut next);
-            mem.insert_batch(&tail);
-            disk.insert_batch(&tail);
-            disk.flush().unwrap();
-            let mut fold = Vec::new();
-            fold_files(&dir, &mut fold);
-            assert_eq!(
-                disk.compact_now().unwrap(),
-                1,
-                "a window left for compact_now"
-            );
-            let stats = disk.storage_stats().unwrap();
-            assert_eq!(
-                (stats.seals, stats.compactions, stats.segments),
-                (14, 11, 10)
-            );
-            drop(disk);
-            fold_files(&dir, &mut fold);
-
-            let cold = TraceDb::open_with(&dir, options).unwrap();
-            for table in ["a", "b"] {
-                assert_eq!(
-                    answers(&Query::new(table), &cold),
-                    answers(&Query::new(table), &mem)
-                );
-                for e in Query::new(table).scan(&cold).unwrap().entries() {
-                    fold.extend_from_slice(format!("{} {:?}\n", e.node(), e.record()).as_bytes());
-                }
-            }
-            drop(cold);
-            fold_files(&dir, &mut fold);
-            assert_eq!(crate::codec::crc32(&fold), 0x0166_fdcd);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
     }
 }

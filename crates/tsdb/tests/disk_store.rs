@@ -618,6 +618,7 @@ fn assert_join_matches_oracle(db: &TraceDb, what: &str) -> Vec<(u64, u64)> {
 enum Step {
     Insert(RecordBatch),
     Flush,
+    CompactNow,
 }
 
 /// A batch of `counts` records per table, numbered on from `*next`.
@@ -654,7 +655,7 @@ fn numbered_batch(counts: &[(&str, u64)], next: &mut u64) -> RecordBatch {
 /// and `b` with four; the first batch that fills the tail then starts a
 /// round of three merges — two windows of `a`, one of `b` — and each
 /// later one commits the round before it and starts the next.
-fn round_stream() -> Vec<Step> {
+fn round_stream(compact_in_the_middle: bool) -> Vec<Step> {
     let mut next = 0;
     let mut steps = Vec::new();
     for k in 0..8 {
@@ -662,8 +663,11 @@ fn round_stream() -> Vec<Step> {
         steps.push(table_batch(&[("a", 30), ("b", b)], &mut next));
         steps.push(Step::Flush);
     }
-    for _ in 0..4 {
+    for k in 0..4 {
         steps.push(table_batch(&[("a", 100), ("b", 80), ("c", 60)], &mut next));
+        if k == 0 && compact_in_the_middle {
+            steps.push(Step::CompactNow);
+        }
     }
     steps.push(table_batch(&[("a", 10), ("c", 10)], &mut next));
     steps.push(Step::Flush);
@@ -684,8 +688,9 @@ fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 
 /// Compaction is a function of the input: at default `StoreOptions`
 /// (sized down, fsync off) the same steps leave the same directory —
-/// names, bytes, counters — run after run, and every table scans like
-/// its in-memory twin after every step, a round in flight or not.
+/// names, bytes, counters — run after run, with a `compact_now` in the
+/// middle or without, and every table scans like its in-memory twin after
+/// every step, a round in flight or not.
 #[test]
 fn same_stream_leaves_the_same_directory_whatever_the_worker_does() {
     let options = StoreOptions {
@@ -693,65 +698,70 @@ fn same_stream_leaves_the_same_directory_whatever_the_worker_does() {
         fsync: false,
         ..StoreOptions::default()
     };
-    let run = |tag: &str| {
-        let dir = test_dir(tag);
-        let mut mem = TraceDb::new();
-        let mut disk = TraceDb::open_with(&dir, options.clone()).unwrap();
-        let mut stats = Vec::new();
-        for step in round_stream() {
-            match step {
-                Step::Insert(batch) => {
-                    mem.insert_batch(&batch);
-                    disk.insert_batch(&batch);
+    for compact_in_the_middle in [false, true] {
+        let run = |tag: &str| {
+            let dir = test_dir(tag);
+            let mut mem = TraceDb::new();
+            let mut disk = TraceDb::open_with(&dir, options.clone()).unwrap();
+            let mut stats = Vec::new();
+            for step in round_stream(compact_in_the_middle) {
+                match step {
+                    Step::Insert(batch) => {
+                        mem.insert_batch(&batch);
+                        disk.insert_batch(&batch);
+                    }
+                    Step::Flush => disk.flush().unwrap(),
+                    Step::CompactNow => assert_eq!(disk.compact_now().unwrap(), 3),
                 }
-                Step::Flush => disk.flush().unwrap(),
+                for table in ["a", "b", "c"] {
+                    let q = Query::new(table);
+                    assert_eq!(answers(&q, &disk), answers(&q, &mem), "{table}");
+                }
+                stats.push(disk.storage_stats().unwrap());
             }
-            for table in ["a", "b", "c"] {
-                let q = Query::new(table);
-                assert_eq!(answers(&q, &disk), answers(&q, &mem), "{table}");
-            }
-            stats.push(disk.storage_stats().unwrap());
-        }
-        drop(disk);
-        let files = dir_bytes(&dir);
-        let _ = std::fs::remove_dir_all(&dir);
-        (stats, files)
-    };
-    let (stats, files) = run("rounds-1");
-    let (again, files_again) = run("rounds-2");
-    assert_eq!(stats, again, "counters after every step");
-    assert_eq!(
-        files.keys().collect::<Vec<_>>(),
-        files_again.keys().collect::<Vec<_>>()
-    );
-    assert!(files == files_again, "every file byte for byte");
-    assert!(
-        files.keys().all(|f| !f.ends_with(".tmp")),
-        "quiescent after flush"
-    );
+            drop(disk);
+            let files = dir_bytes(&dir);
+            let _ = std::fs::remove_dir_all(&dir);
+            (stats, files)
+        };
+        let (stats, files) = run("rounds-1");
+        let (again, files_again) = run("rounds-2");
+        assert_eq!(stats, again, "counters after every step");
+        assert_eq!(
+            files.keys().collect::<Vec<_>>(),
+            files_again.keys().collect::<Vec<_>>()
+        );
+        assert!(files == files_again, "every file byte for byte");
+        assert!(
+            files.keys().all(|f| !f.ends_with(".tmp")),
+            "quiescent after flush"
+        );
 
-    // The commit points, spelled out: (seals, merges, segments in)
-    // after each seal. The round the ninth seal starts — two windows
-    // of `a`, one of `b` — is still uncommitted when that insert
-    // returns, with its inputs what readers see, and commits at the
-    // tenth seal, not in between.
-    let sealed: Vec<(u64, u64, u64)> = stats
-        .iter()
-        .map(|s| (s.seals, s.compactions, s.segments_merged))
-        .filter(|&(seals, ..)| seals >= 8)
-        .collect();
-    let expected = [
-        (8, 0, 0),
-        (9, 0, 0),
-        (10, 3, 12),
-        (11, 4, 16),
-        (12, 5, 20),
-        (12, 5, 20),
-        (13, 6, 24),
-    ];
-    assert_eq!(sealed, expected);
-    let last = stats.last().unwrap();
-    assert_eq!((last.segments, last.wal_records), (8, 0));
+        // The commit points, spelled out: (seals, merges, segments in)
+        // after each seal. The round the ninth seal starts — two windows
+        // of `a`, one of `b` — is still uncommitted when that insert
+        // returns, with its inputs what readers see, and commits at the
+        // tenth seal (or the `compact_now` before it), not in between.
+        let sealed: Vec<(u64, u64, u64)> = stats
+            .iter()
+            .map(|s| (s.seals, s.compactions, s.segments_merged))
+            .filter(|&(seals, ..)| seals >= 8)
+            .collect();
+        let mut expected = vec![(8, 0, 0), (9, 0, 0)];
+        if compact_in_the_middle {
+            expected.push((9, 3, 12));
+        }
+        expected.extend([
+            (10, 3, 12),
+            (11, 4, 16),
+            (12, 5, 20),
+            (12, 5, 20),
+            (13, 6, 24),
+        ]);
+        assert_eq!(sealed, expected);
+        let last = stats.last().unwrap();
+        assert_eq!((last.segments, last.wal_records), (8, 0));
+    }
 }
 
 /// Adds every committed segment file in `dir` to `seen`, by name, with
@@ -960,6 +970,117 @@ fn sealed_files_and_scans_fold_to_one_crc() {
 
 /// Rows per segment block (`segment::BLOCK_ROWS`).
 const BLOCK: u64 = 2_048;
+
+/// One seal's batch: `a` rows of table `a` whose nodes cycle through
+/// `nodes` in that order (so the seal's dictionary lists them so), and
+/// `b` rows of table `b` on one node, numbered on from `*next`.
+fn seal_batch(a: u64, nodes: &[&str], b: u64, next: &mut u64) -> RecordBatch {
+    let mut batch = RecordBatch::new();
+    for (table, n, nodes) in [("a", a, nodes), ("b", b, &["vm9"][..])] {
+        for k in 0..n {
+            let i = *next;
+            *next += 1;
+            batch.push(
+                table,
+                nodes[(k % nodes.len() as u64) as usize],
+                CompactRecord {
+                    timestamp_ns: i * 900 + (i % 7) * 31,
+                    trace_id: i.is_multiple_of(3) as u32 * (0x9000 + i as u32),
+                    pkt_len: 60 + (i * 37 % 1400) as u32,
+                    saddr: 0x0a00_0001 + (i % 5) as u32,
+                    daddr: 0x0a00_0102,
+                    sport: 5_000 + (i % 17) as u16,
+                    dport: 443,
+                    cpu: (i % 4) as u16,
+                    direction: (i % 2) as u8,
+                    flags: i.is_multiple_of(3) as u8,
+                },
+            );
+        }
+    }
+    batch
+}
+
+/// The merge's two block paths, pinned: table `a` seals whole 2 048-row
+/// blocks, alternating exact multiples of a block with ragged tails, and
+/// switches its node order mid-stream, so the rounds merge full blocks
+/// that land aligned under a dictionary that maps to itself, full blocks
+/// that land behind a ragged tail, and blocks whose node indices are
+/// remapped; table `b` seals only ragged single blocks. Every directory
+/// file after the last seal, after `compact_now` and after a cold reopen,
+/// and a full scan of each table cold, fold into one CRC-32.
+#[test]
+fn full_block_seals_and_merges_fold_to_one_crc() {
+    let dir = test_dir("full-block-pin");
+    let options = StoreOptions {
+        seal_threshold: BLOCK as usize,
+        fsync: false,
+        compact_fanin: 2,
+        compact_max_rows: 100 * BLOCK,
+        ..StoreOptions::default()
+    };
+    let (v1v2, v2v1, v1v2v3) = (
+        &["vm1", "vm2"][..],
+        &["vm2", "vm1"][..],
+        &["vm1", "vm2", "vm3"][..],
+    );
+    let seals: [(u64, &[&str], u64); 13] = [
+        (2 * BLOCK, v1v2, 30),
+        (BLOCK, v1v2, 0),
+        (3 * BLOCK, v1v2v3, 7),
+        (2 * BLOCK + 300, v1v2, 0),
+        (3 * BLOCK, v1v2, 11),
+        (2 * BLOCK, v2v1, 0),
+        (BLOCK, v1v2, 0),
+        (BLOCK + 1, v1v2v3, 3),
+        (4 * BLOCK, v2v1, 0),
+        (BLOCK, v2v1, 40),
+        (3 * BLOCK - 5, v1v2, 0),
+        (2 * BLOCK, v1v2, 0),
+        (BLOCK, v1v2v3, 1),
+    ];
+    let mut mem = TraceDb::new();
+    let mut disk = TraceDb::open_with(&dir, options.clone()).unwrap();
+    let mut next = 0;
+    for (a, nodes, b) in seals {
+        let batch = seal_batch(a, nodes, b, &mut next);
+        mem.insert_batch(&batch);
+        disk.insert_batch(&batch);
+    }
+    let tail = seal_batch(BLOCK / 2, v2v1, 5, &mut next);
+    mem.insert_batch(&tail);
+    disk.insert_batch(&tail);
+    disk.flush().unwrap();
+    let mut fold = Vec::new();
+    fold_files(&dir, &mut fold);
+    assert_eq!(
+        disk.compact_now().unwrap(),
+        1,
+        "a window left for compact_now"
+    );
+    let stats = disk.storage_stats().unwrap();
+    assert_eq!(
+        (stats.seals, stats.compactions, stats.segments),
+        (14, 11, 10)
+    );
+    drop(disk);
+    fold_files(&dir, &mut fold);
+
+    let cold = TraceDb::open_with(&dir, options).unwrap();
+    for table in ["a", "b"] {
+        assert_eq!(
+            answers(&Query::new(table), &cold),
+            answers(&Query::new(table), &mem)
+        );
+        for e in Query::new(table).scan(&cold).unwrap().entries() {
+            fold.extend_from_slice(format!("{} {:?}\n", e.node(), e.record()).as_bytes());
+        }
+    }
+    drop(cold);
+    fold_files(&dir, &mut fold);
+    assert_eq!(vnet_tsdb::codec::crc32(&fold), 0x0166_fdcd);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
 /// Table `walk`'s seals: three segments of 30, 20 and 16 full blocks,
 /// each with a ragged tail, under three node dictionaries.
@@ -1221,10 +1342,8 @@ proptest! {
         unflagged in 2u64..9,
     ) {
         let dir = test_dir("join-differential");
-        // A seal every second batch: the third starts a round of merges
-        // that later seals (and the flush) commit.
         let options = StoreOptions {
-            seal_threshold: 1_400,
+            seal_threshold: 2_500,
             fsync: false,
             compact_fanin: 3,
             compact_max_rows: 1 << 20,
@@ -1257,7 +1376,7 @@ proptest! {
         prop_assert!(block_index(&dir).len() >= 2, "several segments");
         prop_assert_eq!(&assert_join_matches_oracle(&disk, "hot + sealed"), &joined);
         disk.flush().unwrap();
-        prop_assert!(disk.storage_stats().unwrap().compactions > 0, "merged");
+        disk.compact_now().unwrap();
         let index = block_index(&dir);
         prop_assert!(index.iter().any(|blocks| blocks.len() >= 2), "some multi-block");
         prop_assert_eq!(&assert_join_matches_oracle(&disk, "compacted"), &joined);

@@ -5,7 +5,7 @@
 
 use std::net::SocketAddrV4;
 use vnet_ebpf::asm::{reg::*, AluOp, Asm, Cond, Size};
-use vnet_ebpf::map::{MapDef, MapType};
+use vnet_ebpf::map::MapDef;
 use vnet_ebpf::vm::helper_ids;
 use vnet_sim::device::{DeviceConfig, Forwarding, ServiceModel};
 use vnet_sim::node::NodeClock;
@@ -60,15 +60,7 @@ fn custom_histogram_program_counts_packet_sizes() {
     let hist_fd = agent
         .maps()
         .borrow_mut()
-        .create(
-            MapDef {
-                map_type: MapType::Array,
-                key_size: 4,
-                value_size: 8,
-                max_entries: 8,
-            },
-            4,
-        )
+        .create(MapDef::array(8, 8), 4)
         .unwrap();
     let id = agent
         .install_raw(
