@@ -48,7 +48,7 @@ fn script(action: Action) -> (vnet_ebpf::LoadedProgram, MapRegistry) {
         ),
         action,
     };
-    let prog = compile(&spec, Some(perf_fd), Some(counter_fd)).unwrap();
+    let (prog, _) = compile(&spec, Some(perf_fd), Some(counter_fd)).unwrap();
     (load(prog, &maps, &standard_helpers()).unwrap(), maps)
 }
 

@@ -82,7 +82,7 @@ fn compiled_script() -> (vnet_ebpf::LoadedProgram, MapRegistry) {
         ),
         action: Action::RecordPacketInfo,
     };
-    let prog = compile(&spec, Some(perf_fd), None).unwrap();
+    let (prog, _) = compile(&spec, Some(perf_fd), None).unwrap();
     (load(prog, &maps, &standard_helpers()).unwrap(), maps)
 }
 
@@ -144,7 +144,7 @@ fn bench_verifier(c: &mut Criterion) {
         ),
         action: Action::RecordPacketInfo,
     };
-    let prog = compile(&spec, Some(perf_fd), None).unwrap();
+    let (prog, _) = compile(&spec, Some(perf_fd), None).unwrap();
     c.bench_function("verifier/trace_script", |b| {
         b.iter(|| vnet_ebpf::verify(black_box(&prog.insns), &standard_helpers()).unwrap())
     });

@@ -36,6 +36,16 @@ pub enum TracerError {
         /// Closest profile name, when one is plausibly meant.
         suggestion: Option<String>,
     },
+    /// A compiled script's program did not miss at one of its filter
+    /// checks the way the check table says it does: the attach-time
+    /// calibration run for that row did not return 0 (an internal bug if
+    /// it ever happens).
+    Calibration {
+        /// Program name.
+        name: String,
+        /// The table row whose calibration run did not miss.
+        check: usize,
+    },
     /// The program's certified worst-case execution cost exceeds the
     /// configured probe budget — rejected at attach time, before the
     /// probe can perturb the traced system.
@@ -65,6 +75,10 @@ impl core::fmt::Display for TracerError {
             TracerError::Config(s) => write!(f, "invalid control package: {s}"),
             TracerError::Package(e) => write!(f, "invalid control package: {e}"),
             TracerError::UnknownScript(id) => write!(f, "script {id} is not installed"),
+            TracerError::Calibration { name, check } => write!(
+                f,
+                "script `{name}` does not miss at filter check {check} as its table says"
+            ),
             TracerError::UnknownProfile { name, suggestion } => {
                 write!(f, "unknown profile `{name}`")?;
                 if let Some(s) = suggestion {

@@ -324,7 +324,7 @@ mod tests {
         // Every packet also waits out the one-time compile charge eth0's
         // program pays on its first firing, so both windows move by it.
         let compile_ns = {
-            let program = crate::compile::compile(&pkg.traces[0], Some(0), None).unwrap();
+            let (program, _) = crate::compile::compile(&pkg.traces[0], Some(0), None).unwrap();
             vnet_ebpf::vm::jit_compile_cost_ns(program.insns.len())
         };
         let mut lat = metrics::latency_between(tracer.db(), "eth0_rx", "eth1_rx");

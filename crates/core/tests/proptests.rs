@@ -90,7 +90,7 @@ fn run_compiled(rule: FilterRule, pkt: &Packet) -> (bool, Vec<CompactRecord>) {
         filter: rule,
         action: Action::RecordPacketInfo,
     };
-    let prog = compile(&spec, Some(perf_fd), None).unwrap();
+    let (prog, _) = compile(&spec, Some(perf_fd), None).unwrap();
     let loaded = load(prog, &maps, &standard_helpers()).unwrap();
     let ctx = TraceContext {
         pkt_len: pkt.len() as u32,

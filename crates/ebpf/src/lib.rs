@@ -57,11 +57,6 @@ pub mod jit;
 pub mod map;
 pub mod parse;
 pub mod program;
-#[cfg(test)]
-mod test_programs;
-// `test_programs.rs` is shared with test crates that name this one.
-#[cfg(test)]
-extern crate self as vnet_ebpf;
 pub mod tnum;
 pub mod verifier;
 pub mod vm;
@@ -76,3 +71,9 @@ pub use program::{load, AttachType, LoadedProgram, Program};
 pub use tnum::Tnum;
 pub use verifier::{verify, VerifyError};
 pub use vm::{standard_helpers, ExecOutcome, Vm, VmEnv, VmError};
+
+#[cfg(test)]
+mod test_programs;
+// `test_programs.rs` is shared with test crates that name this one.
+#[cfg(test)]
+extern crate self as vnet_ebpf;
