@@ -917,7 +917,7 @@ mod tests {
             digest.extend(err.to_string().bytes());
             digest.push(0);
         }
-        assert_eq!(vnet_tsdb::codec::crc32(&digest), 0xa25a_3b4c);
+        assert_eq!(vnet_tsdb::codec::crc32(&digest), 0x0b5a_239d);
     }
 
     /// A sink for `spec`'s program over a registry of its own (the

@@ -2045,7 +2045,7 @@ mod verifier_soundness {
             failures.len(),
             &failures[..failures.len().min(8)]
         );
-        assert_eq!((accepted, runs, checks), (880, 8_800, 97_041));
+        assert_eq!((accepted, runs, checks), (870, 8_700, 91_197));
     }
 
     /// Everything a run of `helper_probe` leaves behind: the return

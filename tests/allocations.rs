@@ -48,6 +48,7 @@ use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
 use vnet_tsdb::segment::ALL_COLUMNS;
 use vnet_tsdb::{CompactRecord, Query, RecordBatch, Rows, StoreOptions, TraceDb};
 use vnet_workloads::datacenter_rack::{RackConfig, RackScenario};
+use vnettracer::config::Proto;
 use vnettracer::{Action, Agent, FilterRule, GlobalConfig, HookSpec, TraceSpec};
 
 thread_local! {
@@ -271,34 +272,46 @@ fn a_missed_firing_allocates_nothing() {
     assert_eq!(made, 0, "{made} allocations for 1 000 missed firings");
 }
 
-/// Heap allocations one `load` of the 258-slot one-flow record program
-/// may make. It makes 37: the walk's per-program tables (the lddw map,
-/// the live masks, the pending-state slots and a handful of reused
+/// Heap allocations one `load` of a compiled one-flow record program
+/// may make. The 258-slot TCP flow recorder, which carries the unrolled
+/// TCP option scan, makes 37: the walk's per-program tables (the lddw
+/// map, the live masks, the pending-state slots and a handful of reused
 /// buffers, the reachability bits), the certificate's rows and the error
-/// lists. The loader's walk records no register state; when it joined
+/// lists. The 70-slot UDP flow recorder, without the scan, makes 12.
+/// The loader's walk records no register state; when it joined
 /// one into a box per reachable instruction, a load made 294. A walk that
 /// grew a fresh pending-state vector at every instruction, instead of
 /// reusing the buffers of instructions already walked, made 1 074.
 const LOAD_ALLOCATIONS: u64 = 48;
 
 /// How many more allocations a load of a [`MAX_INSNS`]-slot program may
-/// make than one of the record program.
+/// make than one of the TCP flow record program.
 const LOAD_GROWTH: u64 = 4;
 
-/// The compiled one-flow record script (258 slots) writing to `perf_fd`.
-fn record_program(perf_fd: i32) -> Program {
+/// The compiled one-flow record script for `protocol` writing to
+/// `perf_fd`, and its slot count: 258 for TCP, whose trace ID the
+/// program scans the options for, and 70 for UDP, which reads it from
+/// the datagram's trailer and carries no scan.
+fn record_program(perf_fd: i32, protocol: Proto) -> Program {
     let spec = TraceSpec {
         name: "rx".into(),
         node: "n".into(),
         hook: HookSpec::DeviceRx("eth0".into()),
-        filter: FilterRule::udp_flow(
-            (Ipv4Addr::new(10, 0, 0, 1), 9000),
-            (Ipv4Addr::new(10, 0, 0, 2), 7),
-        ),
+        filter: FilterRule {
+            protocol: Some(protocol),
+            ..FilterRule::udp_flow(
+                (Ipv4Addr::new(10, 0, 0, 1), 9000),
+                (Ipv4Addr::new(10, 0, 0, 2), 7),
+            )
+        },
         action: Action::RecordPacketInfo,
     };
     let (prog, _) = vnettracer::compile::compile(&spec, Some(perf_fd), None).unwrap();
-    assert_eq!(prog.insns.len(), 258);
+    let slots = match protocol {
+        Proto::Tcp => 258,
+        Proto::Udp => 70,
+    };
+    assert_eq!(prog.insns.len(), slots, "{protocol:?}");
     prog
 }
 
@@ -311,27 +324,30 @@ fn load_allocations(prog: Program, maps: &MapRegistry) -> u64 {
 }
 
 /// Loading a compiled one-flow record script — verify, certify,
-/// relocate — makes at most [`LOAD_ALLOCATIONS`] heap allocations.
+/// relocate — makes at most [`LOAD_ALLOCATIONS`] heap allocations, with
+/// the TCP option scan and without it.
 #[test]
 fn a_load_allocates_a_bounded_number_of_times() {
     let mut maps = MapRegistry::new();
     let perf_fd = maps.create(MapDef::perf(64 * 1024), 4).unwrap();
-    let made = load_allocations(record_program(perf_fd), &maps);
-    assert!(
-        made <= LOAD_ALLOCATIONS,
-        "{made} allocations in one load, more than {LOAD_ALLOCATIONS}"
-    );
+    for protocol in [Proto::Tcp, Proto::Udp] {
+        let made = load_allocations(record_program(perf_fd, protocol), &maps);
+        assert!(
+            made <= LOAD_ALLOCATIONS,
+            "{protocol:?}: {made} allocations in one load, more than {LOAD_ALLOCATIONS}"
+        );
+    }
 }
 
 /// A load's allocation count does not grow with the program: loading
 /// the longest program the verifier admits, every slot reachable, makes
-/// at most [`LOAD_GROWTH`] more than loading the record script. A record
-/// kept per instruction would add thousands.
+/// at most [`LOAD_GROWTH`] more than loading the TCP record script. A
+/// record kept per instruction would add thousands.
 #[test]
 fn a_load_allocates_the_same_for_a_longer_program() {
     let mut maps = MapRegistry::new();
     let perf_fd = maps.create(MapDef::perf(64 * 1024), 4).unwrap();
-    let short = load_allocations(record_program(perf_fd), &maps);
+    let short = load_allocations(record_program(perf_fd, Proto::Tcp), &maps);
     let mut asm = Asm::new();
     for i in 0..MAX_INSNS - 1 {
         asm = asm.mov64_imm(R0, i as i32);

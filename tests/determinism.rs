@@ -450,6 +450,6 @@ mod firing_order {
         let digest = attach_digest(&mut s.world, &pkg, &nodes);
         s.run(&cfg);
         let d = digest.borrow();
-        assert_eq!((d.firings, d.hash), (6_825, 12_945_253_468_268_051_790));
+        assert_eq!((d.firings, d.hash), (6_825, 15_771_272_282_727_405_944));
     }
 }

@@ -198,7 +198,7 @@ mod detector_validation {
                 Some(AdversarialProfile::LeoHandover),
                 &EmulationConfig::default(),
             ),
-            0xecef_743e,
+            0x5d9f_59b5,
         );
     }
 
@@ -209,7 +209,7 @@ mod detector_validation {
                 Some(AdversarialProfile::CongestedWan),
                 &EmulationConfig::default(),
             ),
-            0xf61f_692e,
+            0x1baa_5324,
         );
     }
 
@@ -267,7 +267,7 @@ mod detector_validation {
                 Some(AdversarialProfile::LeoHandover),
                 &EmulationConfig::default(),
             ),
-            0xd7be_01b6,
+            0x1c2d_f936,
         );
     }
 
@@ -278,7 +278,7 @@ mod detector_validation {
                 Some(AdversarialProfile::CongestedWan),
                 &EmulationConfig::default(),
             ),
-            0x5826_f648,
+            0xbcc5_7721,
         );
     }
 
@@ -289,7 +289,7 @@ mod detector_validation {
                 Some(AdversarialProfile::Flapping),
                 &EmulationConfig::default(),
             ),
-            0xdbc3_457d,
+            0x8d99_e2fb,
         );
     }
 
@@ -300,7 +300,7 @@ mod detector_validation {
                 Some(AdversarialProfile::AsymmetricSkew),
                 &EmulationConfig::default(),
             ),
-            0x12b0_702f,
+            0x82cd_99ac,
         );
     }
 
@@ -311,7 +311,7 @@ mod detector_validation {
                 Some(AdversarialProfile::GilbertElliott),
                 &EmulationConfig::default(),
             ),
-            0x2b7f_a1e8,
+            0x1949_c36a,
         );
     }
 

@@ -73,14 +73,14 @@ fn golden_ovs_case_iii() {
     let got = snapshot(&tracer, &s.world, &OvsScenario::decomposition_chain());
     let want = "\
 table sock_em0: 200 records, 1575879 bps
-table sock_em2_in: 97 records, 754915 bps
-table sock_em2_out: 97 records, 754915 bps
-table sock_vnet0: 200 records, 1575928 bps
-segment sock_em0 -> sock_vnet0: count 200 min 445 p50 445 max 3541 mean 460.5
-segment sock_vnet0 -> sock_em2_in: count 97 min 8541 p50 1105955 max 1248755 mean 1094653.8
-segment sock_em2_in -> sock_em2_out: count 97 min 1145 p50 1145 max 1145 mean 1145.0
-collector: 594 records in 1 batches, 19008 bytes, 0 lost
-agent server1: seq 1 records 594 lost 0
+table sock_em2_in: 93 records, 725237 bps
+table sock_em2_out: 93 records, 725237 bps
+table sock_vnet0: 200 records, 1575893 bps
+segment sock_em0 -> sock_vnet0: count 200 min 445 p50 445 max 1285 mean 449.2
+segment sock_vnet0 -> sock_em2_in: count 93 min 6285 p50 1101655 max 1248755 mean 1086218.9
+segment sock_em2_in -> sock_em2_out: count 93 min 1145 p50 1145 max 1145 mean 1145.0
+collector: 586 records in 1 batches, 18752 bytes, 0 lost
+agent server1: seq 1 records 586 lost 0
 ";
     assert_eq!(got, want, "golden OVS snapshot drifted:\n{got}");
 }
@@ -100,12 +100,12 @@ fn golden_two_host() {
     tracer.collect(&s.world);
     let got = snapshot(&tracer, &s.world, &["s1_ovs_br1", "s2_ovs_br1", "s2_ens3"]);
     let want = "\
-table s1_ens3: 250 records, 7873341 bps
+table s1_ens3: 250 records, 7870773 bps
 table s1_ovs_br1: 250 records, 7871486 bps
-table s2_ens3: 250 records, 7871934 bps
-table s2_ovs_br1: 250 records, 7871094 bps
-segment s1_ovs_br1 -> s2_ovs_br1: count 250 min 33061 p50 33061 max 44598 mean 34905.2
-segment s2_ovs_br1 -> s2_ens3: count 250 min 1645 p50 1645 max 4741 mean 1792.3
+table s2_ens3: 250 records, 7870508 bps
+table s2_ovs_br1: 250 records, 7870381 bps
+segment s1_ovs_br1 -> s2_ovs_br1: count 250 min 33061 p50 33061 max 44598 mean 34896.2
+segment s2_ovs_br1 -> s2_ens3: count 250 min 1645 p50 1645 max 2485 mean 1783.3
 collector: 1000 records in 2 batches, 32000 bytes, 0 lost
 agent server1: seq 1 records 500 lost 0
 agent server2: seq 1 records 500 lost 0
