@@ -623,13 +623,10 @@ fn run_live(args: &Args) -> Result<(), String> {
         tracer
             .flush_db()
             .map_err(|e| format!("cannot flush database: {e}"))?;
+        // The store's count: after the flush, the hot tails are empty.
         println!(
             "persisted {} records to {}",
-            tracer
-                .db()
-                .measurements()
-                .map(|m| tracer.db().table(m).map_or(0, |t| t.len()))
-                .sum::<usize>(),
+            tracer.db().len(),
             args.save_db.as_deref().unwrap_or_default()
         );
     }
