@@ -14,7 +14,6 @@
 //! vnt emulate [--profile NAME|all] [--rack] [--seed N] [--messages N]
 //! vnt modules
 //! vnt trace <drop-lab|request-chain> [--profile NAME] [--messages N] [--seed N] [--save-db DIR]
-//! vnt drops [--messages N] [--seed N]
 //! vnt verify <prog.bpf>
 //! vnt db stats <dir>
 //! vnt db query <dir> <measurement> [START_NS END_NS]
@@ -52,10 +51,10 @@
 //! them; `vnt trace <scenario> --profile NAME` deploys a named profile
 //! over one of the module scenario packs (the `drop-lab` typed-drop
 //! lanes or the `request-chain` memcached tiers) through the module
-//! registry, the same plumbing every testbed uses. `vnt drops` is the
-//! shorthand for the drop lab with the `drops` profile: it prints the
-//! per-reason drop breakdown from the trace database next to the
-//! simulator's ground-truth counters.
+//! registry, the same plumbing every testbed uses. Under its default
+//! `drops` profile the drop lab prints the per-reason drop breakdown
+//! from the trace database next to the simulator's ground-truth
+//! counters.
 //!
 //! `vnt live --from-db DIR` replays a trace database persisted in the
 //! columnar on-disk format through the streaming engine instead of
@@ -148,6 +147,10 @@ fn parse_micros(flag: &str, value: Option<String>) -> Result<u64, String> {
         .ok_or(format!("bad {flag}: {us} us overflows nanoseconds"))
 }
 
+fn unknown_flag(flag: &str) -> String {
+    format!("unknown flag `{flag}`\n{}", usage())
+}
+
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = args.into_iter();
     let scenario = args.next().ok_or_else(usage)?;
@@ -156,16 +159,18 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         out.rest = args.collect();
         return Ok(out);
     }
-    if scenario == "modules" {
-        return Ok(Args::defaults(scenario));
-    }
-    if scenario == "verify" {
-        let file = args
-            .next()
-            .ok_or("verify needs a program file".to_owned())?;
+    if scenario == "modules" || scenario == "verify" {
         let mut out = Args::defaults(scenario);
-        out.package = Some(file);
-        return Ok(out);
+        if out.scenario == "verify" {
+            out.package = Some(
+                args.next()
+                    .ok_or("verify needs a program file".to_owned())?,
+            );
+        }
+        return match args.next() {
+            Some(extra) => Err(unknown_flag(&extra)),
+            None => Ok(out),
+        };
     }
     let mut out = Args::defaults(scenario);
     if out.scenario == "trace" {
@@ -225,7 +230,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     .ok_or(format!("bad --pair `{spec}`: expected FROM,TO"))?;
                 out.pairs.push((from.to_owned(), to.to_owned()));
             }
-            other => return Err(format!("unknown flag `{other}`\n{}", usage())),
+            other => return Err(unknown_flag(other)),
         }
     }
     if out.window_ns == 0 || out.collect_ns == 0 {
@@ -254,7 +259,7 @@ fn rack_config(args: &Args) -> Result<vnet_workloads::datacenter_rack::RackConfi
 }
 
 fn usage() -> String {
-    "usage: vnt <two-host|ovs|xen|container> [--package FILE.json] [--messages N] [--emit-package]\n       vnt rack [--messages N] [--full] [--trace]\n       vnt live [--messages N] [--window-us W] [--collect-us I] [--save-db DIR]\n       vnt live --from-db DIR [--pair FROM,TO] [--window-us W] [--collect-us I]\n       vnt emulate [--profile NAME|all] [--rack] [--seed N] [--messages N]\n       vnt modules\n       vnt trace <drop-lab|request-chain> [--profile NAME] [--messages N] [--seed N] [--save-db DIR]\n       vnt drops [--messages N] [--seed N]\n       vnt verify <prog.bpf>\n       vnt db <stats|query|export|import> <dir> [...]"
+    "usage: vnt <two-host|ovs|xen|container> [--package FILE.json] [--messages N] [--emit-package]\n       vnt rack [--messages N] [--full] [--trace]\n       vnt live [--messages N] [--window-us W] [--collect-us I] [--save-db DIR]\n       vnt live --from-db DIR [--pair FROM,TO] [--window-us W] [--collect-us I]\n       vnt emulate [--profile NAME|all] [--rack] [--seed N] [--messages N]\n       vnt modules\n       vnt trace <drop-lab|request-chain> [--profile NAME] [--messages N] [--seed N] [--save-db DIR]\n       vnt verify <prog.bpf>\n       vnt db <stats|query|export|import> <dir> [...]"
         .to_owned()
 }
 
@@ -553,7 +558,6 @@ fn run_live(args: &Args) -> Result<(), String> {
         mode: vnet_testbed::container::NetMode::Overlay,
         transport: vnet_testbed::container::Transport::NetperfUdp,
         count: args.messages,
-        ..Default::default()
     };
     let mut s = vnet_testbed::container::ContainerScenario::build(&cfg);
 
@@ -870,11 +874,11 @@ fn run_emulate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `vnt trace drop-lab [--profile NAME]` / `vnt drops`: run the
-/// engineered drop lanes under a named module profile and print the
+/// `vnt trace drop-lab [--profile NAME]`: run the engineered drop lanes
+/// under a named module profile (`drops` by default) and print the
 /// per-reason breakdown from the trace database next to the simulator's
 /// ground-truth counters.
-fn run_drop_lab(args: &Args, default_profile: &str) -> Result<(), String> {
+fn run_drop_lab(args: &Args) -> Result<(), String> {
     use vnet_testbed::drop_lab::{DropLab, DropLabConfig, DROP_TABLE};
     use vnettracer::config::GlobalConfig;
     use vnettracer::modules::ModuleRegistry;
@@ -886,7 +890,7 @@ fn run_drop_lab(args: &Args, default_profile: &str) -> Result<(), String> {
     if args.messages_set {
         cfg.packets_per_lane = args.messages;
     }
-    let profile = args.profile.as_deref().unwrap_or(default_profile);
+    let profile = args.profile.as_deref().unwrap_or("drops");
     let mut lab = DropLab::build(&cfg);
     let pkg = ModuleRegistry::builtin()
         .package(profile, &lab.module_scope(), GlobalConfig::default())
@@ -1047,7 +1051,7 @@ fn run_request_chain(args: &Args) -> Result<(), String> {
 
 fn run_trace(args: &Args) -> Result<(), String> {
     match args.target.as_deref() {
-        Some("drop-lab") => run_drop_lab(args, "drops"),
+        Some("drop-lab") => run_drop_lab(args),
         Some("request-chain") => run_request_chain(args),
         Some(other) => Err(format!(
             "unknown trace scenario `{other}` (expected drop-lab or request-chain)"
@@ -1068,7 +1072,6 @@ fn run(args: &Args) -> Result<(), String> {
             Ok(())
         }
         "trace" => run_trace(args),
-        "drops" => run_drop_lab(args, "drops"),
         "live" => run_live(args),
         "emulate" => run_emulate(args),
         "two-host" => {
@@ -1160,7 +1163,6 @@ fn run(args: &Args) -> Result<(), String> {
                 mode: vnet_testbed::container::NetMode::Overlay,
                 transport: vnet_testbed::container::Transport::NetperfUdp,
                 count: args.messages,
-                ..Default::default()
             };
             let mut s = vnet_testbed::container::ContainerScenario::build(&cfg);
             let pkg = load_package(args, s.control_package())?;

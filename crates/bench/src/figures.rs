@@ -383,7 +383,6 @@ pub fn fig13a(scale: Scale) -> Table {
             mode,
             transport: Transport::NetperfTcp,
             count: scale.segments,
-            ..Default::default()
         };
         let mut s = ContainerScenario::build(&cfg);
         s.run(&cfg);

@@ -215,7 +215,7 @@ fn live_output_is_pinned() {
 /// record arrived: an empty run of an attached module reports zeros.
 #[test]
 fn an_empty_run_is_not_diagnosed_as_a_missing_module() {
-    let out = vnt(&["drops", "--messages", "0"]);
+    let out = vnt(&["trace", "drop-lab", "--messages", "0"]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
     assert!(!text.contains("attaches no"), "{text}");
@@ -235,7 +235,14 @@ fn an_empty_run_is_not_diagnosed_as_a_missing_module() {
     );
 
     // The diagnosis still holds where it is true.
-    let text = stdout(&vnt(&["drops", "--profile", "requests", "--messages", "5"]));
+    let text = stdout(&vnt(&[
+        "trace",
+        "drop-lab",
+        "--profile",
+        "requests",
+        "--messages",
+        "5",
+    ]));
     assert!(
         text.contains("profile `requests` attaches no `skb-drop` module"),
         "{text}"
@@ -251,5 +258,167 @@ fn an_empty_run_is_not_diagnosed_as_a_missing_module() {
     assert!(
         text.contains("profile `drops` attaches no `request-trace` taps"),
         "{text}"
+    );
+}
+
+/// The drop lab has one spelling, `vnt trace drop-lab`; `vnt drops` is an
+/// unknown scenario.
+#[test]
+fn drops_is_not_a_command() {
+    let out = vnt(&["drops"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(
+        err.starts_with("error: unknown scenario `drops`\nusage: vnt "),
+        "{err}"
+    );
+    assert!(!err.contains("vnt drops"), "{err}");
+    assert_eq!(stdout(&out), "");
+}
+
+/// Every subcommand refuses an argument it does not take, with the same
+/// `unknown flag` error and exit code, `modules` and `verify` included.
+#[test]
+fn every_subcommand_rejects_an_unknown_flag() {
+    let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("../ebpf/tests/corpus");
+    let program = corpus.join("accept_map_counter.bpf");
+    let reference = vnt(&["two-host", "--bogus"]);
+    assert_eq!(reference.status.code(), Some(1));
+    assert!(
+        stderr(&reference).starts_with("unknown flag `--bogus`\nusage: vnt "),
+        "{}",
+        stderr(&reference)
+    );
+    for args in [
+        &["modules", "--bogus"][..],
+        &["verify", path_str(&program), "--bogus"],
+    ] {
+        let out = vnt(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_eq!(stderr(&out), stderr(&reference), "{args:?}");
+        assert_eq!(stdout(&out), "", "{args:?}");
+    }
+}
+
+/// `--emit-package` prints the scenario's control package instead of
+/// running it, and `--package` deploys the package it is given: the
+/// emitted package with one trace removed records that tap no more.
+#[test]
+fn emit_package_and_package_change_what_runs() {
+    use vnettracer::config::ControlPackage;
+
+    let plain = vnt(&["two-host", "--messages", "20"]);
+    assert!(plain.status.success(), "{}", stderr(&plain));
+    let plain = stdout(&plain);
+    assert!(plain.starts_with("collected 80 records\n"), "{plain}");
+
+    let emitted = vnt(&["two-host", "--messages", "20", "--emit-package"]);
+    assert!(emitted.status.success(), "{}", stderr(&emitted));
+    assert_ne!(stdout(&emitted), plain);
+    let mut pkg = ControlPackage::from_json(&stdout(&emitted)).expect("emitted JSON parses");
+    let dropped = pkg.traces.pop().expect("the package has traces").name;
+    assert!(plain.contains(&dropped), "{plain}");
+
+    let dir = scratch("package");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("pkg.json");
+    std::fs::write(&file, pkg.to_json()).unwrap();
+    let out = vnt(&["two-host", "--messages", "20", "--package", path_str(&file)]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.starts_with("collected 60 records\n"), "{text}");
+    assert!(!text.contains(&dropped), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--seed` reseeds the emulated fixture (the Gilbert-Elliott loss
+/// chain draws other bursts) and `--rack` moves it onto the rack.
+#[test]
+fn seed_and_rack_change_the_emulation() {
+    let run = |extra: &[&str]| {
+        let mut args = vec![
+            "emulate",
+            "--profile",
+            "gilbert-elliott",
+            "--messages",
+            "2000",
+        ];
+        args.extend_from_slice(extra);
+        let out = vnt(&args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        stdout(&out)
+    };
+    let row = |text: &str| {
+        text.lines()
+            .find(|l| l.starts_with("gilbert-elliott"))
+            .unwrap_or_else(|| panic!("no profile row in {text}"))
+            .to_owned()
+    };
+    let plain = run(&[]);
+    assert!(
+        plain.starts_with("emulate: two-host scenario, seed 7, "),
+        "{plain}"
+    );
+    let reseeded = run(&["--seed", "3"]);
+    assert!(
+        reseeded.starts_with("emulate: two-host scenario, seed 3, "),
+        "{reseeded}"
+    );
+    assert_ne!(row(&reseeded), row(&plain));
+    let rack = run(&["--rack"]);
+    assert!(
+        rack.starts_with("emulate: rack scenario, seed 7, "),
+        "{rack}"
+    );
+    assert_ne!(row(&rack), row(&plain));
+}
+
+/// `--pair FROM,TO` adds latency and loss between two tables to a
+/// replay, which otherwise tracks throughput only.
+#[test]
+fn pair_adds_a_latency_pair_to_a_replay() {
+    let dir = scratch("pair");
+    let out = vnt(&["live", "--messages", "300", "--save-db", path_str(&dir)]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let replay = |extra: &[&str]| {
+        let mut args = vec!["live", "--from-db", path_str(&dir)];
+        args.extend_from_slice(extra);
+        let out = vnt(&args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        stdout(&out)
+    };
+    let plain = replay(&[]);
+    let paired = replay(&["--pair", "flannel1,flannel2"]);
+    assert!(
+        !plain.contains("cumulative flannel1 -> flannel2"),
+        "{plain}"
+    );
+    assert!(
+        paired.contains("cumulative flannel1 -> flannel2: 300 pairs"),
+        "{paired}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--full` builds the full-scale rack instead of the small one, and
+/// `--trace` deploys the record script and reports what it collected.
+#[test]
+fn full_and_trace_change_the_rack_run() {
+    let run = |extra: &[&str]| {
+        let mut args = vec!["rack", "--messages", "1"];
+        args.extend_from_slice(extra);
+        let out = vnt(&args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        stdout(&out)
+    };
+    let plain = run(&[]);
+    assert!(plain.starts_with("rack: 4 hosts, 8 VM nodes, "), "{plain}");
+    assert!(!plain.contains("collected"), "{plain}");
+    let full = run(&["--full"]);
+    assert!(full.starts_with("rack: 40 hosts, 240 VM nodes, "), "{full}");
+    let traced = run(&["--trace"]);
+    assert!(
+        traced.ends_with("collected 48 records, 48 probe firings\n"),
+        "{traced}"
     );
 }

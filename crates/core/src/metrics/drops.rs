@@ -3,7 +3,7 @@
 //! The `skb-drop` module records one entry per `kfree_skb` firing with
 //! the typed drop-reason code folded into the record's flag bits; this
 //! metric groups a drop table back into kernel-style reason counts — the
-//! `vnt drops` report and the scenario pack's ground-truth check.
+//! `vnt trace drop-lab` report and the scenario pack's ground-truth check.
 
 use std::collections::BTreeMap;
 

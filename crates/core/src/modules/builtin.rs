@@ -17,7 +17,8 @@ pub(super) enum Module {
     /// Packet-drop root-cause tracing: one `kfree_skb` tap per traced
     /// node, with the typed drop reason (policer, HTB/ring overflow, loss
     /// profile, device-down, no-route) captured into record flag bits —
-    /// the data behind per-reason counters and the `vnt drops` breakdown.
+    /// the data behind per-reason counters and the `vnt trace drop-lab`
+    /// breakdown.
     SkbDrop,
     /// Flow-table lookup and upcall tracing on OVS fabric devices:
     /// entry/return records around `ovs_flow_tbl_lookup` give per-packet

@@ -110,22 +110,8 @@ const COLLAPSE_FACTOR: f64 = 0.3;
 const LOSS_RATE_THRESHOLD: f64 = 0.05;
 /// …and at least this many packets were actually lost.
 const MIN_LOST: u64 = 3;
-
-/// The detector setting a deployment tunes. The windowed detectors'
-/// thresholds are constants: nothing has needed another value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// Heartbeat lag behind the leading agent that counts as stalled.
-    pub stall_timeout_ns: u64,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            stall_timeout_ns: 50_000_000,
-        }
-    }
-}
+/// Heartbeat lag behind the leading agent that counts as stalled.
+pub(crate) const STALL_TIMEOUT_NS: u64 = 50_000_000;
 
 /// An EWMA baseline with a warm-up counter.
 #[derive(Debug, Clone, Copy, Default)]

@@ -21,13 +21,12 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use vnet_sim::time::SimTime;
-use vnet_tsdb::sketch::DEFAULT_SKETCH_ERROR;
 use vnet_tsdb::RecordBatch;
 use vnettracer::clock_sync::SkewEstimate;
 use vnettracer::metrics::ThroughputWindow;
 use vnettracer::IngestSubscriber;
 
-use crate::alert::{Alert, AnomalyDetector, DetectorConfig};
+use crate::alert::{Alert, AnomalyDetector, STALL_TIMEOUT_NS};
 use crate::operators::{LatencySummary, LossWindow, PairOp, PendingTable, ThroughputOp};
 use crate::window::{WatermarkTracker, WindowSpec};
 
@@ -45,16 +44,12 @@ pub struct LiveConfig {
     /// How long an unmatched pairing may wait for its other half before
     /// being finalized as a loss.
     pub pair_timeout_ns: u64,
-    /// Relative error bound for the latency sketches.
-    pub sketch_error: f64,
     /// Hard cap on the pairing state, per tracepoint pair: the engine
     /// keeps at most this many records times the number of pairs waiting
     /// for their other half, and force-evicts the oldest beyond that.
     pub max_pending_pairs: usize,
     /// Finalized windows retained for the caller (oldest dropped first).
     pub max_closed_windows: usize,
-    /// Anomaly detector settings (the stalled-agent timeout).
-    pub detector: DetectorConfig,
 }
 
 impl LiveConfig {
@@ -67,10 +62,8 @@ impl LiveConfig {
             latency: Vec::new(),
             loss: Vec::new(),
             pair_timeout_ns: 10_000_000,
-            sketch_error: DEFAULT_SKETCH_ERROR,
             max_pending_pairs: 65_536,
             max_closed_windows: 256,
-            detector: DetectorConfig::default(),
         }
     }
 
@@ -208,7 +201,7 @@ impl LiveEngine {
         let latency_order: Vec<usize> = cfg.latency.iter().map(|(f, t)| pair_index(f, t)).collect();
         let loss_order: Vec<usize> = cfg.loss.iter().map(|(u, d)| pair_index(u, d)).collect();
         for &i in &latency_order {
-            pairs[i].track_latency(cfg.sketch_error);
+            pairs[i].track_latency();
         }
         for &i in &loss_order {
             pairs[i].track_loss();
@@ -296,9 +289,7 @@ impl LiveEngine {
         self.watermark.heartbeat(node, now_ns);
         self.advance();
         // Who lags whom changes with heartbeats and nothing else.
-        let stalled = self
-            .watermark
-            .stalled_agents(self.cfg.detector.stall_timeout_ns);
+        let stalled = self.watermark.stalled_agents(STALL_TIMEOUT_NS);
         self.detector
             .on_stall_report(&stalled, self.now_ns, &mut self.alerts);
     }

@@ -19,14 +19,16 @@
 //!   records below the watermark are counted, not silently dropped;
 //! * [`operators`] — incremental throughput (the offline path's own
 //!   [`ThroughputWindow`]), latency (log-bucketed
-//!   [`LogHistogram`](vnet_tsdb::sketch::LogHistogram) percentiles plus
-//!   RFC 3550 jitter) and loss, the last two fed by one engine-wide
-//!   pending table that pairs every tracked `(from, to)` by trace ID —
+//!   [`LogHistogram`](vnet_tsdb::sketch::LogHistogram) percentiles, within
+//!   a fixed 1.5 % relative error, plus RFC 3550 jitter) and loss, the
+//!   last two fed by one engine-wide pending table that pairs every
+//!   tracked `(from, to)` by trace ID —
 //!   a record is entered once however many pairs its tracepoint is in —
 //!   with exact timeout eviction and one cap on what it keeps;
 //! * [`alert`] — EWMA baseline detectors emitting typed [`Alert`]s for
 //!   latency spikes, loss bursts, throughput collapses and stalled
-//!   agents;
+//!   agents (a heartbeat 50 ms behind the leading agent's); every
+//!   threshold is a constant;
 //! * [`engine`] — the [`LiveEngine`] tying it together: align → late
 //!   check → route → evict → finalize → detect.
 //!
@@ -62,7 +64,7 @@ pub mod engine;
 pub mod operators;
 pub mod window;
 
-pub use alert::{Alert, AlertKind, AnomalyDetector, DetectorConfig};
+pub use alert::{Alert, AlertKind, AnomalyDetector};
 pub use engine::{EngineState, LiveConfig, LiveEngine, WindowResult};
 pub use operators::{LatencySummary, LossWindow};
 pub use vnettracer::metrics::ThroughputWindow;

@@ -404,9 +404,9 @@ pub(crate) struct LatencyWindow {
 }
 
 impl LatencyWindow {
-    fn new(sketch_error: f64) -> Self {
+    fn new() -> Self {
         LatencyWindow {
-            sketch: LogHistogram::with_relative_error(sketch_error),
+            sketch: LogHistogram::default(),
             jitter: JitterTracker::new(),
         }
     }
@@ -518,9 +518,9 @@ impl PairOp {
         }
     }
 
-    pub(crate) fn track_latency(&mut self, sketch_error: f64) {
+    pub(crate) fn track_latency(&mut self) {
         self.latency.get_or_insert_with(|| LatencyWindows {
-            windows: OpenWindows::new(LatencyWindow::new(sketch_error)),
+            windows: OpenWindows::new(LatencyWindow::new()),
             negative_dropped: 0,
             unmatched: 0,
         });
@@ -608,7 +608,7 @@ mod tests {
         fn new(latency: bool, loss: bool) -> Self {
             let mut op = PairOp::new("a", "b");
             if latency {
-                op.track_latency(0.01);
+                op.track_latency();
             }
             if loss {
                 op.track_loss();
@@ -769,7 +769,7 @@ mod tests {
     #[test]
     fn chains_run_through_open_sightings_only() {
         let mut pairs = vec![PairOp::new("a", "b"), PairOp::new("c", "d")];
-        pairs.iter_mut().for_each(|p| p.track_latency(0.01));
+        pairs.iter_mut().for_each(|p| p.track_latency());
         let (mut table, _) = PendingTable::new(&pairs, 1 << 20);
         let (a, b, c, d) = (0, 1, 2, 3);
         let mut see = |table: &mut PendingTable, tracepoint, id, ts| {

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use vnet_live::{LiveConfig, LiveEngine, WindowSpec};
 use vnet_tsdb::record::CompactRecord;
-use vnet_tsdb::{RecordBatch, TraceDb};
+use vnet_tsdb::{RecordBatch, TraceDb, DEFAULT_SKETCH_ERROR};
 use vnettracer::metrics;
 
 /// One generated packet: inter-arrival gap, one-way delay, whether the
@@ -60,15 +60,12 @@ fn exact_pct(sorted: &[u64], q: f64) -> u64 {
 /// cycle one `RecordBatch` (ups then downs, generation order) followed
 /// by heartbeats at the cycle's last upstream timestamp — a frontier no
 /// future record can undercut.
-fn run_both(pkts: &[Pkt], sketch_error: f64) -> (TraceDb, LiveEngine) {
-    let cfg = LiveConfig {
-        sketch_error,
-        ..LiveConfig::new(WindowSpec::tumbling(20_000))
-            .track_throughput("up")
-            .track_throughput("down")
-            .track_latency("up", "down")
-            .track_loss("up", "down")
-    };
+fn run_both(pkts: &[Pkt]) -> (TraceDb, LiveEngine) {
+    let cfg = LiveConfig::new(WindowSpec::tumbling(20_000))
+        .track_throughput("up")
+        .track_throughput("down")
+        .track_latency("up", "down")
+        .track_loss("up", "down");
     let mut engine = LiveEngine::new(cfg);
     engine.register_agent("n1", None);
     engine.register_agent("n2", None);
@@ -103,7 +100,7 @@ proptest! {
     /// Throughput and loss totals match the offline scan exactly.
     #[test]
     fn throughput_and_loss_exact(pkts in proptest::collection::vec(arb_pkt(), 2..300)) {
-        let (db, engine) = run_both(&pkts, 0.01);
+        let (db, engine) = run_both(&pkts);
 
         for table in ["up", "down"] {
             let offline = metrics::throughput_at(&db, table);
@@ -129,7 +126,7 @@ proptest! {
     /// join yields samples in the same order the engine completes them.
     #[test]
     fn jitter_exact(pkts in proptest::collection::vec(arb_pkt(), 2..300)) {
-        let (db, engine) = run_both(&pkts, 0.01);
+        let (db, engine) = run_both(&pkts);
         let samples = metrics::latency_between(&db, "up", "down");
         let offline = metrics::jitter_range(&samples);
         match engine.latency_total("up", "down") {
@@ -152,10 +149,9 @@ proptest! {
     #[test]
     fn latency_percentiles_within_sketch_error(
         pkts in proptest::collection::vec(arb_pkt(), 10..300),
-        alpha_mil in 5u64..50,
     ) {
-        let alpha = alpha_mil as f64 / 1_000.0;
-        let (db, engine) = run_both(&pkts, alpha);
+        let alpha = DEFAULT_SKETCH_ERROR;
+        let (db, engine) = run_both(&pkts);
         let mut samples = metrics::latency_between(&db, "up", "down");
         samples.sort_unstable();
         if !samples.is_empty() {
@@ -178,7 +174,7 @@ proptest! {
     fn closed_windows_partition_the_stream(
         pkts in proptest::collection::vec(arb_pkt(), 2..300),
     ) {
-        let (_db, mut engine) = run_both(&pkts, 0.01);
+        let (_db, mut engine) = run_both(&pkts);
         let totals = engine.loss_total("up", "down").unwrap();
         let up_total = engine.throughput_total("up").unwrap();
         let closed = engine.drain_closed();

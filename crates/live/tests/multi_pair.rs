@@ -115,9 +115,9 @@ struct Samples {
 }
 
 impl Samples {
-    fn new(sketch_error: f64) -> Self {
+    fn new() -> Self {
         Samples {
-            sketch: LogHistogram::with_relative_error(sketch_error),
+            sketch: LogHistogram::default(),
             jitter: JitterTracker::new(),
         }
     }
@@ -159,7 +159,6 @@ struct ModelPair {
 struct Model {
     window: WindowSpec,
     pair_timeout_ns: u64,
-    sketch_error: f64,
     frontiers: BTreeMap<String, u64>,
     pairs: Vec<ModelPair>,
     late: u64,
@@ -171,7 +170,7 @@ impl ModelPair {
         update(&mut self.loss_total);
     }
 
-    fn observe(&mut self, window: &WindowSpec, sketch_error: f64, up: bool, id: u32, ts: u64) {
+    fn observe(&mut self, window: &WindowSpec, up: bool, id: u32, ts: u64) {
         if up {
             self.update_loss(window, ts, |w| w.seen += 1);
         }
@@ -184,7 +183,7 @@ impl ModelPair {
                 if let Some(delta) = down_ts.checked_sub(up_ts) {
                     self.latency
                         .entry(down_ts - down_ts % window.width_ns)
-                        .or_insert_with(|| Samples::new(sketch_error))
+                        .or_insert_with(Samples::new)
                         .record(delta);
                     self.latency_total.record(delta);
                 }
@@ -219,7 +218,7 @@ impl Model {
             to: topology.tracepoints[to].clone(),
             pending: HashMap::new(),
             latency: BTreeMap::new(),
-            latency_total: Samples::new(cfg.sketch_error),
+            latency_total: Samples::new(),
             unmatched: 0,
             loss: BTreeMap::new(),
             loss_total: LossWindow::default(),
@@ -227,7 +226,6 @@ impl Model {
         Model {
             window: cfg.window,
             pair_timeout_ns: cfg.pair_timeout_ns,
-            sketch_error: cfg.sketch_error,
             frontiers: AGENTS.iter().map(|&a| (a.to_owned(), 0)).collect(),
             pairs: topology.pairs.iter().map(pair).collect(),
             late: 0,
@@ -250,13 +248,7 @@ impl Model {
                     // A self-pair's records are its upstream side only.
                     let up = p.from == group.measurement;
                     if up || p.to == group.measurement {
-                        p.observe(
-                            &self.window,
-                            self.sketch_error,
-                            up,
-                            r.trace_id,
-                            r.timestamp_ns,
-                        );
+                        p.observe(&self.window, up, r.trace_id, r.timestamp_ns);
                     }
                 }
             }

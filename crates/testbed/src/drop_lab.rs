@@ -43,6 +43,9 @@ pub const PKT_SIZE: usize = 200;
 pub const DROP_TABLE: &str = "lab_drops";
 /// Table prefix of the `ovs-flow` module on this testbed.
 pub const OVS_PREFIX: &str = "lab_ovs";
+/// Injection interval per lane: faster than the queue-full lane's 200us
+/// service, so its 2-deep queue overflows.
+const INTERVAL: SimDuration = SimDuration::from_micros(20);
 
 /// Knobs for one lab run.
 #[derive(Debug, Clone)]
@@ -51,8 +54,6 @@ pub struct DropLabConfig {
     pub seed: u64,
     /// Packets injected into each lane.
     pub packets_per_lane: u64,
-    /// Injection interval per lane.
-    pub interval: SimDuration,
 }
 
 impl Default for DropLabConfig {
@@ -60,7 +61,6 @@ impl Default for DropLabConfig {
         DropLabConfig {
             seed: 11,
             packets_per_lane: 40,
-            interval: SimDuration::from_micros(20),
         }
     }
 }
@@ -184,7 +184,7 @@ impl DropLab {
                 Box::new(IperfClient::new(
                     flow,
                     PKT_SIZE,
-                    cfg.interval,
+                    INTERVAL,
                     cfg.packets_per_lane,
                 )),
             );
@@ -230,8 +230,7 @@ impl DropLab {
 
     /// Runs the injection phase plus the slow queue's drain time.
     pub fn run(&mut self) {
-        let send =
-            SimDuration::from_nanos(self.cfg.interval.as_nanos() * (self.cfg.packets_per_lane + 2));
+        let send = SimDuration::from_nanos(INTERVAL.as_nanos() * (self.cfg.packets_per_lane + 2));
         self.world.run_for(send + SimDuration::from_millis(15));
     }
 

@@ -44,6 +44,9 @@ pub const PROXY_PORT: u16 = 11212;
 pub const UPSTREAM_PORT: u16 = 42000;
 /// Backend memcached port.
 pub const BACKEND_PORT: u16 = 11211;
+/// Client request rate: CloudSuite Data Caching's 5000 requests per
+/// second (§IV-D, Fig. 10b).
+const RPS: u64 = 5000;
 
 /// Knobs for one chain run.
 #[derive(Debug, Clone)]
@@ -52,8 +55,6 @@ pub struct ChainConfig {
     pub seed: u64,
     /// Requests the client issues.
     pub requests: u64,
-    /// Client request rate (requests per second).
-    pub rps: u64,
 }
 
 impl Default for ChainConfig {
@@ -61,7 +62,6 @@ impl Default for ChainConfig {
         ChainConfig {
             seed: 23,
             requests: 50,
-            rps: 5000,
         }
     }
 }
@@ -147,7 +147,7 @@ impl MemcachedChain {
             c_tx,
             Box::new(DataCachingClient::new(
                 client_flow,
-                cfg.rps,
+                RPS,
                 cfg.requests,
                 Rc::clone(&latency),
             )),
@@ -213,8 +213,7 @@ impl MemcachedChain {
 
     /// Runs the request phase plus drain margin.
     pub fn run(&mut self) {
-        let span =
-            SimDuration::from_nanos((1_000_000_000 / self.cfg.rps) * (self.cfg.requests + 1));
+        let span = SimDuration::from_nanos((1_000_000_000 / RPS) * (self.cfg.requests + 1));
         self.world.run_for(span + SimDuration::from_millis(5));
     }
 }

@@ -9,10 +9,11 @@
 //! at most `α`, and the bucket count is bounded by
 //! `⌈64·ln 2 / ln γ⌉ + 1` no matter how many values are recorded —
 //! ~1500 buckets at α = 1.5 % over the full `u64` nanosecond range.
+//! Every sketch uses that α.
 
 use std::collections::BTreeMap;
 
-/// Default relative accuracy of latency sketches: 1.5 %.
+/// Relative accuracy of every latency sketch: 1.5 %.
 pub const DEFAULT_SKETCH_ERROR: f64 = 0.015;
 
 /// A log-bucketed quantile sketch over `u64` samples
@@ -21,14 +22,14 @@ pub const DEFAULT_SKETCH_ERROR: f64 = 0.015;
 /// # Examples
 ///
 /// ```
-/// use vnet_tsdb::sketch::LogHistogram;
+/// use vnet_tsdb::sketch::{LogHistogram, DEFAULT_SKETCH_ERROR};
 ///
-/// let mut h = LogHistogram::with_relative_error(0.01);
+/// let mut h = LogHistogram::default();
 /// for v in 1..=1000u64 {
 ///     h.record(v);
 /// }
 /// let p50 = h.quantile(0.5).unwrap();
-/// assert!((p50 as f64 - 500.0).abs() / 500.0 <= 0.01);
+/// assert!((p50 as f64 - 500.0).abs() / 500.0 <= DEFAULT_SKETCH_ERROR);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LogHistogram {
@@ -44,19 +45,11 @@ pub struct LogHistogram {
     max: u64,
 }
 
-impl LogHistogram {
-    /// Creates a sketch whose quantile estimates carry at most `alpha`
-    /// relative error (`0 < alpha < 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1)`.
-    pub fn with_relative_error(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha < 1.0,
-            "relative error must be in (0, 1), got {alpha}"
-        );
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
+impl Default for LogHistogram {
+    /// An empty sketch whose quantile estimates carry at most
+    /// [`DEFAULT_SKETCH_ERROR`] relative error.
+    fn default() -> Self {
+        let gamma = (1.0 + DEFAULT_SKETCH_ERROR) / (1.0 - DEFAULT_SKETCH_ERROR);
         LogHistogram {
             gamma,
             ln_gamma: gamma.ln(),
@@ -68,7 +61,9 @@ impl LogHistogram {
             max: 0,
         }
     }
+}
 
+impl LogHistogram {
     fn index_of(&self, value: u64) -> i32 {
         ((value as f64).ln() / self.ln_gamma).ceil() as i32
     }
@@ -151,8 +146,8 @@ mod tests {
 
     #[test]
     fn quantiles_within_relative_error() {
-        let alpha = 0.01;
-        let mut h = LogHistogram::with_relative_error(alpha);
+        let alpha = DEFAULT_SKETCH_ERROR;
+        let mut h = LogHistogram::default();
         let mut values: Vec<u64> = (0..5000u64).map(|i| (i * 37 + 1) % 1_000_000 + 1).collect();
         for &v in &values {
             h.record(v);
@@ -170,12 +165,12 @@ mod tests {
 
     #[test]
     fn empty_and_degenerate() {
-        let h = LogHistogram::with_relative_error(DEFAULT_SKETCH_ERROR);
+        let h = LogHistogram::default();
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
 
-        let mut h = LogHistogram::with_relative_error(DEFAULT_SKETCH_ERROR);
+        let mut h = LogHistogram::default();
         h.record(42);
         assert_eq!(h.quantile(0.0), Some(42));
         assert_eq!(h.quantile(1.0), Some(42));
@@ -184,7 +179,7 @@ mod tests {
 
     #[test]
     fn zeros_have_their_own_bucket() {
-        let mut h = LogHistogram::with_relative_error(DEFAULT_SKETCH_ERROR);
+        let mut h = LogHistogram::default();
         for _ in 0..10 {
             h.record(0);
         }
@@ -196,7 +191,7 @@ mod tests {
 
     #[test]
     fn bucket_count_is_bounded() {
-        let mut h = LogHistogram::with_relative_error(0.015);
+        let mut h = LogHistogram::default();
         // A stream spanning the entire magnitude range.
         let mut v = 1u64;
         for _ in 0..100_000 {
@@ -206,11 +201,5 @@ mod tests {
         let cap = (64.0 * std::f64::consts::LN_2 / h.ln_gamma).ceil() as usize + 1;
         assert!(h.bucket_count() <= cap);
         assert_eq!(h.count(), 100_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "relative error")]
-    fn rejects_bad_alpha() {
-        let _ = LogHistogram::with_relative_error(1.5);
     }
 }

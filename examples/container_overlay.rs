@@ -50,7 +50,6 @@ fn main() {
         mode: NetMode::Overlay,
         transport: Transport::NetperfUdp,
         count: 1_000,
-        ..Default::default()
     };
     let mut s = ContainerScenario::build(&cfg);
     let pkg = s.control_package();

@@ -25,7 +25,6 @@ fn main() {
         mode: NetMode::Overlay,
         transport: Transport::NetperfUdp,
         count: 500,
-        ..Default::default()
     };
     let mut scenario = ContainerScenario::build(&cfg);
 

@@ -164,9 +164,10 @@ fn watermark_aligns_skewed_agent_records() {
 /// having been dropped as late.
 #[test]
 fn stalled_heartbeats_hold_windows_open() {
-    let mut cfg = LiveConfig::new(WindowSpec::tumbling(1_000)).track_throughput("up");
-    cfg.pair_timeout_ns = 1_000;
-    cfg.detector.stall_timeout_ns = 5_000;
+    // 10 ms windows and records 1 ms apart: agent a is a stall timeout
+    // (50 ms) ahead of the silent b after 50 records.
+    let mut cfg = LiveConfig::new(WindowSpec::tumbling(10_000_000)).track_throughput("up");
+    cfg.pair_timeout_ns = 10_000_000;
     let mut engine = LiveEngine::new(cfg);
     engine.register_agent("a", None);
     engine.register_agent("b", None);
@@ -174,7 +175,7 @@ fn stalled_heartbeats_hold_windows_open() {
     // Agent a streams 20 windows' worth of data; b never heartbeats.
     let mut batch = RecordBatch::new();
     for i in 0..200u64 {
-        let t = i * 100;
+        let t = i * 1_000_000;
         batch.clear();
         batch.push("up", "a", tagged(t, 0));
         engine.ingest(&batch, t);
@@ -200,7 +201,7 @@ fn stalled_heartbeats_hold_windows_open() {
 
     // b comes back: the watermark jumps, held windows close, and the
     // stall did not cost any records.
-    engine.heartbeat("b", 200 * 100);
+    engine.heartbeat("b", 200 * 1_000_000);
     assert!(engine.state().closed_windows > 10);
     assert_eq!(engine.state().late_records, 0);
     let count: u64 = engine.throughput_total("up").unwrap().count;

@@ -317,8 +317,8 @@ mod detector_validation {
 
     // ---- false positives -------------------------------------------
 
-    /// A clean run (no profile attached) must raise zero alerts at the
-    /// default `DetectorConfig`. Fixture seed: 7.
+    /// A clean run (no profile attached) must raise zero alerts under the
+    /// detector's fixed thresholds. Fixture seed: 7.
     #[test]
     fn clean_two_host_emits_no_alerts() {
         let alerts = run_two_host(None, &EmulationConfig::default()).other_alerts;

@@ -59,7 +59,6 @@ fn snapshot(tracer: &vnettracer::VNetTracer, world: &vnet_sim::World, chain: &[&
 #[test]
 fn golden_ovs_case_iii() {
     let cfg = OvsConfig {
-        seed: 13,
         case: OvsCase::III,
         messages: 200,
         ..Default::default()
