@@ -7,20 +7,19 @@
 //! the collected metrics.
 //!
 //! ```text
-//! vnt <scenario> [--package FILE.json] [--messages N] [--emit-package]
+//! vnt <two-host|ovs|xen|container> [--package FILE.json] [--messages N] [--emit-package]
 //! vnt rack [--messages N] [--full] [--trace]
+//! vnt live --from-db <DIR> [--pair FROM,TO] [--window-us W] [--collect-us I]
 //! vnt live [--messages N] [--window-us W] [--collect-us I] [--save-db DIR]
-//! vnt live --from-db DIR [--pair FROM,TO] [--window-us W] [--collect-us I]
 //! vnt emulate [--profile NAME|all] [--rack] [--seed N] [--messages N]
 //! vnt modules
-//! vnt trace <drop-lab|request-chain> [--profile NAME] [--messages N] [--seed N] [--save-db DIR]
+//! vnt trace drop-lab [--profile NAME] [--messages N] [--save-db DIR] [--emit-package]
+//! vnt trace request-chain [--profile NAME] [--messages N] [--seed N] [--save-db DIR] [--emit-package]
 //! vnt verify <prog.bpf>
 //! vnt db stats <dir>
 //! vnt db query <dir> <measurement> [START_NS END_NS]
 //! vnt db export <dir> [FILE.jsonl]
 //! vnt db import <dir> <FILE.jsonl>
-//!
-//! scenarios: two-host | ovs | xen | container | rack
 //! ```
 //!
 //! `--emit-package` prints the scenario's default control package as JSON
@@ -71,10 +70,9 @@
 //! of one measurement and prints what it matched next to the scan
 //! counters — segments and blocks pruned on the footer versus decoded,
 //! bytes read — so "why was this query slow" is one command, `export`
-//! dumps every record as
-//! JSON lines (to a file or stdout), and `import` loads a JSON-lines
-//! dump into a database directory, journaled and sealed like live
-//! ingest.
+//! dumps every record as JSON lines (to a file or stdout), and `import`
+//! loads a JSON-lines dump into a database directory, journaled and
+//! sealed like live ingest.
 //!
 //! `vnt verify` runs the abstract-interpretation verifier over a
 //! kernel-style program listing (one instruction per line, `#` comments
@@ -84,19 +82,73 @@
 //! the verifier's explanation of why it accepted the program; for
 //! rejected programs, every diagnostic with the register state at the
 //! point of rejection.
+//!
+//! A flag outside a command's synopsis line is refused (`unknown flag`,
+//! exit 1). Everything `vnt` prints to stdout goes through one fallible
+//! writer (`say!`); a reader that stops reading (`vnt two-host | head -1`)
+//! ends the run quietly with exit status 0.
 
+use std::cell::RefCell;
+use std::error::Error;
+use std::io::{self, Write};
 use std::process::ExitCode;
+use std::rc::Rc;
+use std::time::{Duration, Instant};
 
 use vnet_bench::report::Table;
-use vnettracer::config::ControlPackage;
-use vnettracer::metrics;
+use vnet_testbed::container::{ContainerConfig, ContainerScenario, NetMode, Transport};
+use vnet_testbed::Testbed;
+use vnet_tsdb::TraceDb;
+use vnettracer::config::{ControlPackage, GlobalConfig};
+use vnettracer::modules::ModuleRegistry;
+use vnettracer::{metrics, VNetTracer};
 
+/// What a command ends with: nothing, or why it stopped — a message for
+/// stderr, or a failed write to stdout.
+type Outcome<T = ()> = Result<T, Box<dyn Error>>;
+
+/// `println!` through `vnt`'s one stdout writer: a failed write returns
+/// from the calling function as an error for `main`, where `println!`
+/// would panic.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        writeln!(io::stdout(), $($arg)*)?
+    };
+}
+
+/// Every command `vnt` runs and what it reads, one synopsis line each;
+/// `usage()` prints them. A line is the words that select the command
+/// (the first may list alternatives, `<a|b>`), then its arguments: a flag
+/// in brackets, `[--flag]`, or `[--flag VALUE]` when it takes a value,
+/// and positional operands, `<NEEDED>` or `[OPTIONAL ...]`. `parse_args`
+/// takes the first line whose words a command line starts with and
+/// refuses any argument that line does not name.
+const COMMANDS: &[&str] = &[
+    "<two-host|ovs|xen|container> [--package FILE.json] [--messages N] [--emit-package]",
+    "rack [--messages N] [--full] [--trace]",
+    "live --from-db <DIR> [--pair FROM,TO] [--window-us W] [--collect-us I]",
+    "live [--messages N] [--window-us W] [--collect-us I] [--save-db DIR]",
+    "emulate [--profile NAME|all] [--rack] [--seed N] [--messages N]",
+    "modules",
+    "trace drop-lab [--profile NAME] [--messages N] [--save-db DIR] [--emit-package]",
+    "trace request-chain [--profile NAME] [--messages N] [--seed N] [--save-db DIR] [--emit-package]",
+    "verify <prog.bpf>",
+    "db stats <dir>",
+    "db query <dir> <measurement> [START_NS END_NS]",
+    "db export <dir> [FILE.jsonl]",
+    "db import <dir> <FILE.jsonl>",
+];
+
+/// One command line: the command it selected, its operands and the flags
+/// it set.
+#[derive(Default)]
 struct Args {
-    scenario: String,
-    target: Option<String>,
+    /// The selecting words of its [`COMMANDS`] line (`two-host`,
+    /// `trace drop-lab`, `live --from-db`, …).
+    command: String,
+    operands: Vec<String>,
     package: Option<String>,
-    messages: u64,
-    messages_set: bool,
+    messages: Option<u64>,
     emit_package: bool,
     /// `--window-us`, in nanoseconds.
     window_ns: u64,
@@ -107,136 +159,132 @@ struct Args {
     profile: Option<String>,
     rack: bool,
     seed: Option<u64>,
-    from_db: Option<String>,
     save_db: Option<String>,
     pairs: Vec<(String, String)>,
-    rest: Vec<String>,
 }
 
 impl Args {
-    fn defaults(scenario: String) -> Self {
-        Args {
-            scenario,
-            target: None,
-            package: None,
-            messages: 500,
-            messages_set: false,
-            emit_package: false,
-            window_ns: 100_000,
-            collect_ns: 50_000,
-            full: false,
-            trace: false,
-            profile: None,
-            rack: false,
-            seed: None,
-            from_db: None,
-            save_db: None,
-            pairs: Vec::new(),
-            rest: Vec::new(),
-        }
+    /// `--messages`, or 500 where the testbed has no default of its own.
+    fn messages(&self) -> u64 {
+        self.messages.unwrap_or(500)
     }
-}
 
-/// Parses the microsecond value of `flag` into nanoseconds.
-fn parse_micros(flag: &str, value: Option<String>) -> Result<u64, String> {
-    let us: u64 = value
-        .ok_or(format!("{flag} needs a number"))?
-        .parse()
-        .map_err(|e| format!("bad {flag}: {e}"))?;
-    us.checked_mul(1_000)
-        .ok_or(format!("bad {flag}: {us} us overflows nanoseconds"))
-}
-
-fn unknown_flag(flag: &str) -> String {
-    format!("unknown flag `{flag}`\n{}", usage())
-}
-
-fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
-    let mut args = args.into_iter();
-    let scenario = args.next().ok_or_else(usage)?;
-    if scenario == "db" {
-        let mut out = Args::defaults(scenario);
-        out.rest = args.collect();
-        return Ok(out);
-    }
-    if scenario == "modules" || scenario == "verify" {
-        let mut out = Args::defaults(scenario);
-        if out.scenario == "verify" {
-            out.package = Some(
-                args.next()
-                    .ok_or("verify needs a program file".to_owned())?,
-            );
-        }
-        return match args.next() {
-            Some(extra) => Err(unknown_flag(&extra)),
-            None => Ok(out),
+    /// Records one flag of the command's line, with its value if it takes
+    /// one.
+    fn set(&mut self, flag: &str, value: Option<String>) -> Result<(), String> {
+        let number = |v: &Option<String>| -> Result<u64, String> {
+            let v = v.as_deref().unwrap_or_default();
+            v.parse().map_err(|e| format!("bad {flag}: {e}"))
         };
-    }
-    let mut out = Args::defaults(scenario);
-    if out.scenario == "trace" {
-        out.target = Some(
-            args.next().ok_or(
-                "trace needs a scenario: vnt trace <drop-lab|request-chain> [--profile NAME]"
-                    .to_owned(),
-            )?,
-        );
-    }
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--package" => {
-                out.package = Some(args.next().ok_or("--package needs a file".to_owned())?)
-            }
-            "--messages" => {
-                out.messages = args
-                    .next()
-                    .ok_or("--messages needs a number".to_owned())?
-                    .parse()
-                    .map_err(|e| format!("bad --messages: {e}"))?;
-                out.messages_set = true;
-            }
-            "--full" => out.full = true,
-            "--trace" => out.trace = true,
-            "--rack" => out.rack = true,
-            "--profile" => {
-                out.profile = Some(args.next().ok_or("--profile needs a name".to_owned())?)
-            }
-            "--seed" => {
-                out.seed = Some(
-                    args.next()
-                        .ok_or("--seed needs a number".to_owned())?
-                        .parse()
-                        .map_err(|e| format!("bad --seed: {e}"))?,
-                )
-            }
-            "--window-us" => out.window_ns = parse_micros("--window-us", args.next())?,
-            "--collect-us" => out.collect_ns = parse_micros("--collect-us", args.next())?,
-            "--emit-package" => out.emit_package = true,
-            "--from-db" => {
-                out.from_db = Some(
-                    args.next()
-                        .ok_or("--from-db needs a directory".to_owned())?,
-                )
-            }
-            "--save-db" => {
-                out.save_db = Some(
-                    args.next()
-                        .ok_or("--save-db needs a directory".to_owned())?,
-                )
-            }
+        let micros = |v: &Option<String>| {
+            let us = number(v)?;
+            us.checked_mul(1_000)
+                .ok_or(format!("bad {flag}: {us} us overflows nanoseconds"))
+        };
+        match flag {
+            "--package" => self.package = value,
+            "--profile" => self.profile = value,
+            "--save-db" => self.save_db = value,
+            "--messages" => self.messages = Some(number(&value)?),
+            "--seed" => self.seed = Some(number(&value)?),
+            "--window-us" => self.window_ns = micros(&value)?,
+            "--collect-us" => self.collect_ns = micros(&value)?,
             "--pair" => {
-                let spec = args.next().ok_or("--pair needs FROM,TO".to_owned())?;
+                let spec = value.unwrap_or_default();
                 let (from, to) = spec
                     .split_once(',')
                     .ok_or(format!("bad --pair `{spec}`: expected FROM,TO"))?;
-                out.pairs.push((from.to_owned(), to.to_owned()));
+                self.pairs.push((from.to_owned(), to.to_owned()));
             }
-            other => return Err(unknown_flag(other)),
+            "--emit-package" => self.emit_package = true,
+            "--full" => self.full = true,
+            "--trace" => self.trace = true,
+            "--rack" => self.rack = true,
+            other => unreachable!("`{other}` is in COMMANDS but read nowhere"),
         }
+        Ok(())
+    }
+}
+
+/// The words of a [`COMMANDS`] line that select it, each a `|`-list of
+/// alternatives.
+fn command_words(line: &str) -> impl Iterator<Item = &str> {
+    let mut words = line.split(' ');
+    let first = words.next().unwrap_or_default().trim_matches(['<', '>']);
+    std::iter::once(first).chain(words.take_while(|w| !w.starts_with(['<', '['])))
+}
+
+/// The bracketed arguments of a [`COMMANDS`] line, brackets stripped.
+fn optional(line: &str) -> impl Iterator<Item = &str> {
+    line.split('[')
+        .skip(1)
+        .filter_map(|g| Some(g.split_once(']')?.0))
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut words: Vec<String> = args.into_iter().collect();
+    let first = words.first().ok_or_else(usage)?.clone();
+    // `--from-db` selects the replay line wherever it stands after `live`.
+    if let (Some(i), "live") = (words.iter().position(|w| w == "--from-db"), first.as_str()) {
+        words[1..=i].rotate_right(1);
+    }
+    let selects = |line: &str| {
+        command_words(line).enumerate().all(|(i, alts)| {
+            words
+                .get(i)
+                .is_some_and(|w| alts.split('|').any(|a| a == w))
+        })
+    };
+    let Some(line) = COMMANDS.iter().find(|l| selects(l)) else {
+        let said: Vec<&str> = words.iter().take(2).map(String::as_str).collect();
+        let said = if COMMANDS.iter().any(|l| l.starts_with(&format!("{first} "))) {
+            said.join(" ")
+        } else {
+            first
+        };
+        return Err(format!("error: unknown scenario `{said}`\n{}", usage()));
+    };
+    let selecting = command_words(line).count();
+    let mut out = Args {
+        command: words[..selecting].join(" "),
+        window_ns: 100_000,
+        collect_ns: 50_000,
+        ..Args::default()
+    };
+    // How many operands the line takes: its `<NEEDED>` ones, then each
+    // optional group whole or not at all.
+    let mut counts = vec![line
+        .split(' ')
+        .skip(1)
+        .filter(|w| w.starts_with('<'))
+        .count()];
+    for group in optional(line).filter(|g| !g.starts_with("--")) {
+        counts.push(counts[counts.len() - 1] + group.split(' ').count());
+    }
+    let most = counts[counts.len() - 1];
+    let mut rest = words.into_iter().skip(selecting);
+    while let Some(arg) = rest.next() {
+        let flag = optional(line)
+            .map(|g| g.split_once(' ').unwrap_or((g, "")))
+            .find(|&(f, _)| f == arg && f.starts_with("--"));
+        match flag {
+            Some((flag, value)) => {
+                let value = (!value.is_empty())
+                    .then(|| rest.next().ok_or(format!("{flag} needs {value}")))
+                    .transpose()?;
+                out.set(flag, value)?;
+            }
+            None if !arg.starts_with("--") && out.operands.len() < most => out.operands.push(arg),
+            None => return Err(format!("unknown flag `{arg}`\n{}", usage())),
+        }
+    }
+    if !counts.contains(&out.operands.len()) {
+        return Err(format!("usage: vnt {line}"));
     }
     if out.window_ns == 0 || out.collect_ns == 0 {
         return Err("--window-us and --collect-us must be non-zero".to_owned());
     }
-    if out.scenario == "rack" {
+    if out.command == "rack" {
         rack_config(&out)?;
     }
     Ok(out)
@@ -251,16 +299,14 @@ fn rack_config(args: &Args) -> Result<vnet_workloads::datacenter_rack::RackConfi
     } else {
         RackConfig::small()
     };
-    if args.messages_set {
-        cfg.packets_per_app = args.messages;
-    }
+    cfg.packets_per_app = args.messages.unwrap_or(cfg.packets_per_app);
     cfg.validate().map_err(|e| format!("bad --messages: {e}"))?;
     Ok(cfg)
 }
 
+/// Every line of [`COMMANDS`].
 fn usage() -> String {
-    "usage: vnt <two-host|ovs|xen|container> [--package FILE.json] [--messages N] [--emit-package]\n       vnt rack [--messages N] [--full] [--trace]\n       vnt live [--messages N] [--window-us W] [--collect-us I] [--save-db DIR]\n       vnt live --from-db DIR [--pair FROM,TO] [--window-us W] [--collect-us I]\n       vnt emulate [--profile NAME|all] [--rack] [--seed N] [--messages N]\n       vnt modules\n       vnt trace <drop-lab|request-chain> [--profile NAME] [--messages N] [--seed N] [--save-db DIR]\n       vnt verify <prog.bpf>\n       vnt db <stats|query|export|import> <dir> [...]"
-        .to_owned()
+    format!("usage: vnt {}", COMMANDS.join("\n       vnt "))
 }
 
 /// `vnt verify <file>`: parse a program listing, run the
@@ -269,53 +315,46 @@ fn usage() -> String {
 /// agent's over-budget report uses), each instruction with the joined
 /// register state at its input. Returns an error (non-zero exit) when
 /// the listing cannot be read or parsed, or verification rejects it.
-fn verify_file(path: &str) -> Result<(), String> {
+fn verify_file(path: &str) -> Outcome {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let lines: Vec<&str> = text.lines().collect();
     let insns =
         vnet_ebpf::parse::parse_program(&lines).map_err(|e| format!("{path}: parse error: {e}"))?;
     let analysis = vnet_ebpf::analyze(&insns, &vnet_ebpf::standard_helpers());
     if !analysis.ok() {
-        print!("{}", vnet_ebpf::analysis::render_log(&insns, &analysis));
+        let log = vnet_ebpf::analysis::render_log(&insns, &analysis);
+        write!(io::stdout(), "{log}")?;
         return Err(format!(
             "{path}: rejected with {} diagnostic(s)",
             analysis.diagnostics().len()
-        ));
+        )
+        .into());
     }
     let cert = vnet_ebpf::certify(&insns, |pc| analysis.state_at(pc).is_some());
-    print!(
-        "{}",
-        vnet_ebpf::render_cost_report(&insns, &analysis, &cert)
-    );
-    println!("verification OK");
+    let report = vnet_ebpf::render_cost_report(&insns, &analysis, &cert);
+    write!(io::stdout(), "{report}")?;
+    say!("verification OK");
     Ok(())
 }
 
 /// Opens the database a read-only command was pointed at. A directory
 /// that holds none is an error, not a new, empty database.
-fn open_existing_db(dir: &str) -> Result<vnet_tsdb::TraceDb, String> {
+fn open_existing_db(dir: &str) -> Result<TraceDb, String> {
     if !std::path::Path::new(dir)
         .join(vnet_tsdb::store::MANIFEST_FILE)
         .is_file()
     {
         return Err(format!("no trace database at {dir}"));
     }
-    vnet_tsdb::TraceDb::open(dir).map_err(|e| format!("cannot open {dir}: {e}"))
+    TraceDb::open(dir).map_err(|e| format!("cannot open {dir}: {e}"))
 }
 
 /// `vnt db <stats|query|export|import> <dir> [...]`: inspect, query, dump
 /// or load a columnar trace database directory.
-fn run_db(rest: &[String]) -> Result<(), String> {
-    const DB_USAGE: &str = "usage: vnt db stats <dir>\n       vnt db query <dir> <measurement> [START_NS END_NS]\n       vnt db export <dir> [FILE.jsonl]\n       vnt db import <dir> <FILE.jsonl>";
-    let action = rest
-        .first()
-        .map(String::as_str)
-        .ok_or_else(|| DB_USAGE.to_owned())?;
-    let dir = rest
-        .get(1)
-        .ok_or_else(|| format!("db {action} needs a database directory\n{DB_USAGE}"))?;
-    match action {
-        "stats" => {
+fn run_db(args: &Args) -> Outcome {
+    let dir = &args.operands[0];
+    match args.command.as_str() {
+        "db stats" => {
             let db = open_existing_db(dir)?;
             let s = db.storage_stats().expect("open databases are disk-backed");
             let mut t = Table::new(
@@ -355,35 +394,34 @@ fn run_db(rest: &[String]) -> Result<(), String> {
                 s.raw_bytes.to_string(),
                 format!("{:.3}", s.compression_ratio()),
             ]);
-            println!("{t}");
-            println!(
+            say!("{t}");
+            say!(
                 "wal backlog: {} bytes, {} batches, {} records (replayed into the hot tail on open)",
-                s.wal_bytes, s.wal_batches, s.wal_records
+                s.wal_bytes,
+                s.wal_batches,
+                s.wal_records
             );
-            println!(
+            say!(
                 "compaction: {} merges ({} segments in, {} rows written, {} bytes reclaimed), {} seals this process",
-                s.compactions, s.segments_merged, s.rows_merged, s.bytes_reclaimed, s.seals
+                s.compactions,
+                s.segments_merged,
+                s.rows_merged,
+                s.bytes_reclaimed,
+                s.seals
             );
-            Ok(())
         }
-        "query" => {
-            let measurement = rest
-                .get(2)
-                .ok_or_else(|| format!("db query needs a measurement\n{DB_USAGE}"))?;
+        "db query" => {
+            let measurement = &args.operands[1];
             let mut query = vnet_tsdb::Query::new(measurement.as_str());
-            if let (Some(start), Some(end)) = (rest.get(3), rest.get(4)) {
+            if let [start, end] = &args.operands[2..] {
                 let ns = |v: &String| v.parse::<u64>().map_err(|e| format!("bad time `{v}`: {e}"));
                 query = query.time_range(ns(start)?, ns(end)?);
-            } else if rest.len() > 3 {
-                return Err(format!(
-                    "a time range needs START_NS and END_NS\n{DB_USAGE}"
-                ));
             }
             let db = open_existing_db(dir)?;
             let scan = query.scan(&db).map_err(|e| format!("scan failed: {e}"))?;
             let entries = scan.entries();
             let len = vnet_tsdb::aggregate(&entries, "pkt_len");
-            println!(
+            say!(
                 "{measurement}: {} entries, pkt_len mean {:.1} B (min {}, max {})",
                 entries.len(),
                 len.mean,
@@ -394,65 +432,86 @@ fn run_db(rest: &[String]) -> Result<(), String> {
             let segments = (s.segments_total, s.segments_pruned, s.segments_scanned);
             let blocks = (s.blocks_total, s.blocks_pruned, s.blocks_scanned);
             for (unit, (total, pruned, decoded)) in [("segments", segments), ("blocks", blocks)] {
-                println!(
-                    "{unit:>8}: {total} total, {pruned} pruned on the footer, {decoded} decoded"
-                );
+                say!("{unit:>8}: {total} total, {pruned} pruned on the footer, {decoded} decoded");
             }
-            println!(
+            say!(
                 "matched {} sealed rows + {} hot entries; read {} chunk bytes, at most {} rows decoded at once",
-                s.rows_matched, s.hot_entries, s.bytes_read, s.peak_decoded_rows
+                s.rows_matched,
+                s.hot_entries,
+                s.bytes_read,
+                s.peak_decoded_rows
             );
-            Ok(())
         }
-        "export" => {
+        "db export" => {
             let db = open_existing_db(dir)?;
-            let written = match rest.get(2) {
-                Some(path) => {
-                    let f = std::fs::File::create(path)
-                        .map_err(|e| format!("cannot create {path}: {e}"))?;
-                    let mut w = std::io::BufWriter::new(f);
-                    let n = vnet_tsdb::write_json_lines(&db, &mut w)
-                        .map_err(|e| format!("export failed: {e}"))?;
-                    std::io::Write::flush(&mut w)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    n
-                }
-                None => vnet_tsdb::write_json_lines(&db, std::io::stdout().lock())
-                    .map_err(|e| format!("export failed: {e}"))?,
+            let mut out: Box<dyn Write> = match args.operands.get(1) {
+                Some(path) => Box::new(io::BufWriter::new(
+                    std::fs::File::create(path)
+                        .map_err(|e| format!("cannot create {path}: {e}"))?,
+                )),
+                None => Box::new(io::stdout().lock()),
             };
+            let written = vnet_tsdb::write_json_lines(&db, &mut out)?;
+            out.flush()?;
             eprintln!("exported {written} records from {dir}");
-            Ok(())
         }
-        "import" => {
-            let path = rest
-                .get(2)
-                .ok_or_else(|| format!("db import needs a JSON-lines file\n{DB_USAGE}"))?;
-            let mut db =
-                vnet_tsdb::TraceDb::open(dir).map_err(|e| format!("cannot open {dir}: {e}"))?;
+        "db import" => {
+            let path = &args.operands[1];
+            let mut db = TraceDb::open(dir).map_err(|e| format!("cannot open {dir}: {e}"))?;
             let f = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let total = vnet_tsdb::import_json_lines(std::io::BufReader::new(f), &mut db)
+            let total = vnet_tsdb::import_json_lines(io::BufReader::new(f), &mut db)
                 .map_err(|e| format!("{path}: {e}"))?;
             db.flush().map_err(|e| format!("flush failed: {e}"))?;
-            println!("imported {total} records into {dir}");
-            Ok(())
+            say!("imported {total} records into {dir}");
         }
-        other => Err(format!("unknown db action `{other}`\n{DB_USAGE}")),
+        other => unreachable!("`{other}` is not a db command"),
     }
+    Ok(())
 }
 
-fn load_package(args: &Args, default: ControlPackage) -> Result<ControlPackage, String> {
-    match &args.package {
-        None => Ok(default),
+/// The one path a traced run takes on testbed `bed`: takes the package
+/// `--package` names, else `package` (the testbed's own, or a `--profile`
+/// resolved through the module registry) and, under `--emit-package`,
+/// prints it and returns `None`. Otherwise it deploys the package with a
+/// tracer over a fresh store or the `--save-db` one, runs the workload with
+/// `run`, collects, and flushes the store; it returns the tracer and the
+/// records collected.
+fn deploy<S: Testbed>(
+    args: &Args,
+    bed: &mut S,
+    package: ControlPackage,
+    run: impl FnOnce(&mut S, &mut VNetTracer),
+) -> Outcome<Option<(VNetTracer, usize)>> {
+    let package = match &args.package {
+        None => package,
         Some(path) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            ControlPackage::from_json(&text).map_err(|e| format!("bad package JSON: {e}"))
+            ControlPackage::from_json(&text).map_err(|e| format!("bad package JSON: {e}"))?
         }
+    };
+    if args.emit_package {
+        say!("{}", package.to_json());
+        return Ok(None);
     }
+    let db = match &args.save_db {
+        None => TraceDb::new(),
+        Some(dir) => TraceDb::open(dir).map_err(|e| format!("cannot open {dir}: {e}"))?,
+    };
+    let mut tracer = bed.make_tracer_with_db(db);
+    tracer.deploy(bed.world(), &package)?;
+    run(bed, &mut tracer);
+    let collected = tracer.collect(bed.world());
+    if args.save_db.is_some() {
+        tracer
+            .flush_db()
+            .map_err(|e| format!("cannot flush database: {e}"))?;
+    }
+    Ok(Some((tracer, collected)))
 }
 
 /// Prints the per-table record counts and the flow summary after a run.
-fn print_db_summary(tracer: &vnettracer::VNetTracer) {
+fn print_db_summary(tracer: &VNetTracer) -> Outcome {
     let mut t = Table::new("trace database", &["table", "records", "throughput (Mbps)"]);
     let mut names: Vec<&str> = tracer.db().measurements().collect();
     names.sort_unstable();
@@ -461,12 +520,13 @@ fn print_db_summary(tracer: &vnettracer::VNetTracer) {
         let tput = metrics::throughput_at(tracer.db(), name) / 1e6;
         t.row(&[name.into(), len.to_string(), format!("{tput:.1}")]);
     }
-    println!("{t}");
+    say!("{t}");
+    Ok(())
 }
 
 /// Prints the collector's self-observability counters: per-agent ingest
 /// totals, perf-ring losses and heartbeat lag.
-fn print_collector_stats(stats: &vnettracer::collector::CollectorStats) {
+fn print_collector_stats(stats: &vnettracer::collector::CollectorStats) -> Outcome {
     let mut t = Table::new(
         "collector",
         &[
@@ -493,14 +553,12 @@ fn print_collector_stats(stats: &vnettracer::collector::CollectorStats) {
         stats.lost_records.to_string(),
         String::new(),
     ]);
-    println!("{t}");
+    say!("{t}");
+    Ok(())
 }
 
-/// Prints per-program run statistics: how often each trace script fired
-/// and what it cost — the kernel-style `run_cnt` / `run_time_ns`
-/// counters.
 /// The mean latency of each segment along `chain`.
-fn print_decomposition(tracer: &vnettracer::VNetTracer, chain: &[&str]) {
+fn print_decomposition(tracer: &VNetTracer, chain: &[&str]) -> Outcome {
     let mut t = Table::new("latency decomposition", &["segment", "mean (us)"]);
     for seg in metrics::decompose(tracer.db(), chain) {
         t.row(&[
@@ -508,10 +566,14 @@ fn print_decomposition(tracer: &vnettracer::VNetTracer, chain: &[&str]) {
             format!("{:.1}", seg.stats.mean_ns / 1e3),
         ]);
     }
-    println!("{t}");
+    say!("{t}");
+    Ok(())
 }
 
-fn print_run_stats(tracer: &vnettracer::VNetTracer) {
+/// Prints per-program run statistics: how often each trace script fired
+/// and what it cost — the kernel-style `run_cnt` / `run_time_ns`
+/// counters.
+fn print_run_stats(tracer: &VNetTracer) -> Outcome {
     let mut t = Table::new(
         "trace programs",
         &[
@@ -537,29 +599,32 @@ fn print_run_stats(tracer: &vnettracer::VNetTracer) {
             s.stats.fused_hits.to_string(),
         ]);
     }
-    println!("{t}");
+    say!("{t}");
+    Ok(())
+}
+
+/// A live engine over `specs` with `--window-us` tumbling windows.
+fn live_engine(args: &Args, specs: &[vnettracer::MetricSpec]) -> vnet_live::LiveEngine {
+    let mut cfg = vnet_live::LiveConfig::from_metric_specs(
+        vnet_live::WindowSpec::tumbling(args.window_ns),
+        specs,
+    );
+    cfg.pair_timeout_ns = args.window_ns.max(1_000_000);
+    vnet_live::LiveEngine::new(cfg)
 }
 
 /// `vnt live`: the quickstart container-overlay measurement, computed in
 /// flight by a `vnet-live` engine subscribed to the collector instead of
 /// by scanning the trace database afterwards.
-fn run_live(args: &Args) -> Result<(), String> {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    use vnettracer::config::{GlobalConfig, Proto};
-    use vnettracer::modules::{ModuleRegistry, ModuleScope, TapSpec};
-    use vnettracer::IngestSubscriber;
+fn run_live(args: &Args) -> Outcome {
+    use vnettracer::config::Proto;
+    use vnettracer::modules::{ModuleScope, TapSpec};
 
-    if let Some(dir) = &args.from_db {
-        return run_live_replay(args, dir);
-    }
-
-    let cfg = vnet_testbed::container::ContainerConfig {
-        mode: vnet_testbed::container::NetMode::Overlay,
-        transport: vnet_testbed::container::Transport::NetperfUdp,
-        count: args.messages,
+    let cfg = ContainerConfig {
+        mode: NetMode::Overlay,
+        transport: Transport::NetperfUdp,
+        count: args.messages(),
     };
-    let mut s = vnet_testbed::container::ContainerScenario::build(&cfg);
 
     // The §III-A tracepoints: where the VXLAN-encapsulated flow leaves
     // flannel.1 on vm1 and where it arrives at flannel.1 on vm2 — the
@@ -583,67 +648,44 @@ fn run_live(args: &Args) -> Result<(), String> {
         ..Default::default()
     };
     let registry = ModuleRegistry::builtin();
-    let package = registry
-        .package("default", &scope, GlobalConfig::default())
-        .map_err(|e| e.to_string())?;
-    let specs = registry
-        .metrics("default", &scope)
-        .map_err(|e| e.to_string())?;
-
-    let mut live_cfg = vnet_live::LiveConfig::from_metric_specs(
-        vnet_live::WindowSpec::tumbling(args.window_ns),
-        &specs,
-    );
-    live_cfg.pair_timeout_ns = args.window_ns.max(1_000_000);
-    let mut engine = vnet_live::LiveEngine::new(live_cfg);
+    let package = registry.package("default", &scope, GlobalConfig::default())?;
+    let mut engine = live_engine(args, &registry.metrics("default", &scope)?);
     engine.register_agent("vm1", None);
     engine.register_agent("vm2", None);
+
     let engine = Rc::new(RefCell::new(engine));
-
-    let mut tracer = match &args.save_db {
-        Some(dir) => {
-            let db =
-                vnet_tsdb::TraceDb::open(dir).map_err(|e| format!("cannot open {dir}: {e}"))?;
-            s.make_tracer_with_db(db)
+    let end_ns = args.messages() * 15_000 + 20_000_000;
+    let mut s = ContainerScenario::build(&cfg);
+    // Step the world one collection interval at a time, collecting what
+    // each slice traced before stepping the next (`deploy` collects the
+    // last): every collect flows through the engine as it is ingested.
+    let ran = deploy(args, &mut s, package, |s, tracer| {
+        tracer.subscribe(engine.clone());
+        let mut t = 0u64;
+        while t < end_ns {
+            if t > 0 {
+                tracer.collect(&s.world);
+            }
+            t = t.saturating_add(args.collect_ns).min(end_ns);
+            s.world.run_until(vnet_sim::time::SimTime::from_nanos(t));
         }
-        None => s.make_tracer(),
+    })?;
+    let Some((tracer, _)) = ran else {
+        return Ok(());
     };
-    tracer.subscribe(engine.clone() as Rc<RefCell<dyn IngestSubscriber>>);
-    tracer
-        .deploy(&mut s.world, &package)
-        .map_err(|e| e.to_string())?;
-
-    // Step the world one collection interval at a time; every collect
-    // flows through the engine as it is ingested.
-    let budget_ns = args.messages * 15_000 + 20_000_000;
-    let mut t = 0u64;
-    while t < budget_ns {
-        t = t.saturating_add(args.collect_ns).min(budget_ns);
-        s.world.run_until(vnet_sim::time::SimTime::from_nanos(t));
-        tracer.collect(&s.world);
-    }
-    engine.borrow_mut().finish();
-    if args.save_db.is_some() {
-        tracer
-            .flush_db()
-            .map_err(|e| format!("cannot flush database: {e}"))?;
+    let mut engine = engine.borrow_mut();
+    engine.finish();
+    if let Some(dir) = &args.save_db {
         // The store's count: after the flush, the hot tails are empty.
-        println!(
-            "persisted {} records to {}",
-            tracer.db().len(),
-            args.save_db.as_deref().unwrap_or_default()
-        );
+        say!("persisted {} records to {dir}", tracer.db().len());
     }
-
-    let mut eng = engine.borrow_mut();
-    print_live_report(&mut eng, &[("flannel1".into(), "flannel2".into())]);
-    Ok(())
+    print_live_report(&mut engine, &[("flannel1".into(), "flannel2".into())])
 }
 
 /// Prints the per-window metric table, the alerts, and the cumulative
 /// per-pair latency summaries out of a finished live engine — shared by
 /// the in-process `vnt live` and the `--from-db` replay.
-fn print_live_report(eng: &mut vnet_live::LiveEngine, pairs: &[(String, String)]) {
+fn print_live_report(eng: &mut vnet_live::LiveEngine, pairs: &[(String, String)]) -> Outcome {
     let mut table = Table::new(
         "live windows",
         &[
@@ -678,20 +720,20 @@ fn print_live_report(eng: &mut vnet_live::LiveEngine, pairs: &[(String, String)]
             format!("{}/{}", loss.lost, loss.seen),
         ]);
     }
-    println!("{table}");
+    say!("{table}");
 
     let alerts = eng.drain_alerts();
     if alerts.is_empty() {
-        println!("no anomalies detected");
+        say!("no anomalies detected");
     } else {
-        println!("alerts:");
+        say!("alerts:");
         for a in &alerts {
-            println!("  {a}");
+            say!("  {a}");
         }
     }
 
     let state = eng.state();
-    println!(
+    say!(
         "\nstreamed {} records ({} late) through {} open + {} closed windows, \
          {} sketch buckets, {} pending pairs in {} resident sightings",
         state.records_processed,
@@ -704,7 +746,7 @@ fn print_live_report(eng: &mut vnet_live::LiveEngine, pairs: &[(String, String)]
     );
     for (from, to) in pairs {
         if let Some(total) = eng.latency_total(from, to) {
-            println!(
+            say!(
                 "cumulative {from} -> {to}: {} pairs, p50 {:.1} us, p99 {:.1} us, \
                  smoothed jitter {:.2} us",
                 total.count,
@@ -714,6 +756,7 @@ fn print_live_report(eng: &mut vnet_live::LiveEngine, pairs: &[(String, String)]
             );
         }
     }
+    Ok(())
 }
 
 /// `vnt live --from-db DIR`: replay an on-disk trace database through
@@ -724,15 +767,15 @@ fn print_live_report(eng: &mut vnet_live::LiveEngine, pairs: &[(String, String)]
 /// found in the database; `--pair FROM,TO` adds latency/loss between two
 /// tables. The metric set comes from the registry's `packet-path` module
 /// so the replay uses the same operator plumbing as a live run.
-fn run_live_replay(args: &Args, dir: &str) -> Result<(), String> {
+fn run_live_replay(args: &Args, dir: &str) -> Outcome {
     use std::collections::BTreeSet;
-    use vnettracer::modules::{ModuleRegistry, ModuleScope};
+    use vnettracer::modules::ModuleScope;
 
     let db = open_existing_db(dir)?;
     let mut tables: Vec<String> = db.measurements().map(str::to_owned).collect();
     tables.sort_unstable();
     if tables.is_empty() {
-        return Err(format!("{dir}: database holds no measurements"));
+        return Err(format!("{dir}: database holds no measurements").into());
     }
     for (from, to) in &args.pairs {
         for t in [from, to] {
@@ -740,7 +783,8 @@ fn run_live_replay(args: &Args, dir: &str) -> Result<(), String> {
                 return Err(format!(
                     "--pair table `{t}` not in the database (tables: {})",
                     tables.join(", ")
-                ));
+                )
+                .into());
             }
         }
     }
@@ -750,15 +794,7 @@ fn run_live_replay(args: &Args, dir: &str) -> Result<(), String> {
         throughput_tables: tables.clone(),
         ..Default::default()
     };
-    let specs = ModuleRegistry::builtin()
-        .metrics("default", &scope)
-        .map_err(|e| e.to_string())?;
-    let mut live_cfg = vnet_live::LiveConfig::from_metric_specs(
-        vnet_live::WindowSpec::tumbling(args.window_ns),
-        &specs,
-    );
-    live_cfg.pair_timeout_ns = args.window_ns.max(1_000_000);
-    let mut engine = vnet_live::LiveEngine::new(live_cfg);
+    let mut engine = live_engine(args, &ModuleRegistry::builtin().metrics("default", &scope)?);
 
     // Flatten the store — sealed segments and the hot tail alike — into
     // (timestamp, table, node, record) and replay in timestamp order.
@@ -796,20 +832,19 @@ fn run_live_replay(args: &Args, dir: &str) -> Result<(), String> {
     }
     engine.finish();
 
-    println!(
+    say!(
         "replayed {} records from {} table(s), {} node(s) in {dir}\n",
         recs.len(),
         tables.len(),
         nodes.len()
     );
-    print_live_report(&mut engine, &args.pairs);
-    Ok(())
+    print_live_report(&mut engine, &args.pairs)
 }
 
 /// `vnt emulate`: replay adversarial link conditions against a testbed
 /// with the `vnet-live` detector attached, and score its alerts against
 /// the generators' ground-truth episode windows.
-fn run_emulate(args: &Args) -> Result<(), String> {
+fn run_emulate(args: &Args) -> Outcome {
     use vnet_testbed::emulate::{run_rack, run_two_host, AdversarialProfile, EmulationConfig};
 
     let profiles: Vec<AdversarialProfile> = match args.profile.as_deref() {
@@ -817,13 +852,9 @@ fn run_emulate(args: &Args) -> Result<(), String> {
         Some(name) => vec![name.parse()?],
     };
     let mut cfg = EmulationConfig::default();
-    if args.messages_set {
-        cfg.messages = args.messages;
-    }
-    if let Some(seed) = args.seed {
-        cfg.seed = seed;
-    }
-    println!(
+    cfg.messages = args.messages.unwrap_or(cfg.messages);
+    cfg.seed = args.seed.unwrap_or(cfg.seed);
+    say!(
         "emulate: {} scenario, seed {}, {} messages",
         if args.rack { "rack" } else { "two-host" },
         cfg.seed,
@@ -864,9 +895,9 @@ fn run_emulate(args: &Args) -> Result<(), String> {
             r.events_processed.to_string(),
         ]);
     }
-    println!("{t}");
+    say!("{t}");
     if unscored {
-        println!(
+        say!(
             "recall n/a: {} messages end before a profile's first ground-truth episode; raise --messages",
             cfg.messages
         );
@@ -878,78 +909,50 @@ fn run_emulate(args: &Args) -> Result<(), String> {
 /// under a named module profile (`drops` by default) and print the
 /// per-reason breakdown from the trace database next to the simulator's
 /// ground-truth counters.
-fn run_drop_lab(args: &Args) -> Result<(), String> {
+fn run_drop_lab(args: &Args) -> Outcome {
     use vnet_testbed::drop_lab::{DropLab, DropLabConfig, DROP_TABLE};
-    use vnettracer::config::GlobalConfig;
-    use vnettracer::modules::ModuleRegistry;
 
     let mut cfg = DropLabConfig::default();
-    if let Some(seed) = args.seed {
-        cfg.seed = seed;
-    }
-    if args.messages_set {
-        cfg.packets_per_lane = args.messages;
-    }
+    cfg.packets_per_lane = args.messages.unwrap_or(cfg.packets_per_lane);
     let profile = args.profile.as_deref().unwrap_or("drops");
+    let registry = ModuleRegistry::builtin();
     let mut lab = DropLab::build(&cfg);
-    let pkg = ModuleRegistry::builtin()
-        .package(profile, &lab.module_scope(), GlobalConfig::default())
-        .map_err(|e| e.to_string())?;
-    if args.emit_package {
-        println!("{}", pkg.to_json());
+    let package = registry.package(profile, &lab.module_scope(), GlobalConfig::default())?;
+    let Some((tracer, n)) = deploy(args, &mut lab, package, |lab, _| lab.run())? else {
+        return Ok(());
+    };
+    say!(
+        "profile `{profile}`: collected {n} records over 6 lanes x {} packets\n",
+        cfg.packets_per_lane
+    );
+    print_db_summary(&tracer)?;
+    print_run_stats(&tracer)?;
+    if !tracer.deployed().iter().any(|d| d.name == DROP_TABLE) {
+        say!("profile `{profile}` attaches no `skb-drop` module; no drop breakdown");
         return Ok(());
     }
-    let mut tracer = match &args.save_db {
-        Some(dir) => {
-            let db =
-                vnet_tsdb::TraceDb::open(dir).map_err(|e| format!("cannot open {dir}: {e}"))?;
-            lab.make_tracer_with_db(db)
-        }
-        None => lab.make_tracer(),
+    let truth = lab.ground_truth();
+    let breakdown = metrics::drop_breakdown(tracer.db(), DROP_TABLE);
+    let traced = |reason: &str| {
+        breakdown
+            .iter()
+            .find(|(r, _)| r == reason)
+            .map_or(0, |&(_, n)| n)
     };
-    tracer
-        .deploy(&mut lab.world, &pkg)
-        .map_err(|e| e.to_string())?;
-    lab.run();
-    let n = tracer.collect(&lab.world);
-    if args.save_db.is_some() {
-        tracer
-            .flush_db()
-            .map_err(|e| format!("cannot flush database: {e}"))?;
+    let mut t = Table::new("drop breakdown", &["reason", "traced", "ground truth"]);
+    let mut total = (0u64, 0u64);
+    for (reason, expected) in &truth {
+        let got = traced(reason);
+        total.0 += got;
+        total.1 += expected;
+        t.row(&[reason.clone(), got.to_string(), expected.to_string()]);
     }
-    println!(
-        "profile `{profile}`: collected {n} records over {} lanes x {} packets\n",
-        6, cfg.packets_per_lane
-    );
-    print_db_summary(&tracer);
-    print_run_stats(&tracer);
-
-    if tracer.deployed().iter().any(|d| d.name == DROP_TABLE) {
-        let truth = lab.ground_truth();
-        let breakdown = metrics::drop_breakdown(tracer.db(), DROP_TABLE);
-        let traced = |reason: &str| {
-            breakdown
-                .iter()
-                .find(|(r, _)| r == reason)
-                .map_or(0, |&(_, n)| n)
-        };
-        let mut t = Table::new("drop breakdown", &["reason", "traced", "ground truth"]);
-        let mut total = (0u64, 0u64);
-        for (reason, expected) in &truth {
-            let got = traced(reason);
-            total.0 += got;
-            total.1 += expected;
-            t.row(&[reason.clone(), got.to_string(), expected.to_string()]);
-        }
-        t.row(&["total".into(), total.0.to_string(), total.1.to_string()]);
-        println!("{t}");
-        if breakdown == truth {
-            println!("breakdown matches the simulator's drop counters exactly");
-        } else {
-            println!("MISMATCH against ground truth: traced {breakdown:?}, counters {truth:?}");
-        }
+    t.row(&["total".into(), total.0.to_string(), total.1.to_string()]);
+    say!("{t}");
+    if breakdown == truth {
+        say!("breakdown matches the simulator's drop counters exactly");
     } else {
-        println!("profile `{profile}` attaches no `skb-drop` module; no drop breakdown");
+        say!("MISMATCH against ground truth: traced {breakdown:?}, counters {truth:?}");
     }
     Ok(())
 }
@@ -957,51 +960,25 @@ fn run_drop_lab(args: &Args) -> Result<(), String> {
 /// `vnt trace request-chain [--profile NAME]`: run the memcached
 /// client → proxy → backend tiers under a named module profile and print
 /// the cross-tier latency decomposition joined by the in-band trace ID.
-fn run_request_chain(args: &Args) -> Result<(), String> {
+fn run_request_chain(args: &Args) -> Outcome {
     use vnet_testbed::memcached_chain::{ChainConfig, MemcachedChain};
-    use vnettracer::config::GlobalConfig;
-    use vnettracer::modules::ModuleRegistry;
 
     let mut cfg = ChainConfig::default();
-    if let Some(seed) = args.seed {
-        cfg.seed = seed;
-    }
-    if args.messages_set {
-        cfg.requests = args.messages;
-    }
+    cfg.seed = args.seed.unwrap_or(cfg.seed);
+    cfg.requests = args.messages.unwrap_or(cfg.requests);
     let profile = args.profile.as_deref().unwrap_or("requests");
+    let registry = ModuleRegistry::builtin();
     let mut chain = MemcachedChain::build(&cfg);
-    let pkg = ModuleRegistry::builtin()
-        .package(profile, &chain.module_scope(), GlobalConfig::default())
-        .map_err(|e| e.to_string())?;
-    if args.emit_package {
-        println!("{}", pkg.to_json());
+    let package = registry.package(profile, &chain.module_scope(), GlobalConfig::default())?;
+    let Some((tracer, n)) = deploy(args, &mut chain, package, |c, _| c.run())? else {
         return Ok(());
-    }
-    let mut tracer = match &args.save_db {
-        Some(dir) => {
-            let db =
-                vnet_tsdb::TraceDb::open(dir).map_err(|e| format!("cannot open {dir}: {e}"))?;
-            chain.make_tracer_with_db(db)
-        }
-        None => chain.make_tracer(),
     };
-    tracer
-        .deploy(&mut chain.world, &pkg)
-        .map_err(|e| e.to_string())?;
-    chain.run();
-    let n = tracer.collect(&chain.world);
-    if args.save_db.is_some() {
-        tracer
-            .flush_db()
-            .map_err(|e| format!("cannot flush database: {e}"))?;
-    }
-    println!(
+    say!(
         "profile `{profile}`: collected {n} records over {} requests\n",
         cfg.requests
     );
-    print_db_summary(&tracer);
-    print_run_stats(&tracer);
+    print_db_summary(&tracer)?;
+    print_run_stats(&tracer)?;
 
     let chain_tables = MemcachedChain::decomposition_chain();
     let deployed = tracer.deployed();
@@ -1009,7 +986,7 @@ fn run_request_chain(args: &Args) -> Result<(), String> {
         .iter()
         .any(|d| chain_tables.contains(&d.name.as_str()))
     {
-        println!("profile `{profile}` attaches no `request-trace` taps; no decomposition");
+        say!("profile `{profile}` attaches no `request-trace` taps; no decomposition");
         return Ok(());
     }
     let segs = metrics::decompose(tracer.db(), &chain_tables);
@@ -1027,13 +1004,13 @@ fn run_request_chain(args: &Args) -> Result<(), String> {
                 format!("{:.2}", seg.stats.p99_ns as f64 / 1e3),
             ]);
         }
-        println!("{t}");
+        say!("{t}");
     }
     let first = chain_tables[0];
     let last = chain_tables[chain_tables.len() - 1];
     let e2e = metrics::decompose(tracer.db(), &[first, last]);
     if let Some(e2e) = e2e.first() {
-        println!(
+        say!(
             "end-to-end {} -> {}: mean {:.2} us (segment means sum to {:.2} us)",
             first,
             last,
@@ -1045,58 +1022,86 @@ fn run_request_chain(args: &Args) -> Result<(), String> {
         .iter()
         .filter(|(_, segs)| segs.iter().all(Option::is_some))
         .count();
-    println!("{complete} request(s) observed at every tier");
+    say!("{complete} request(s) observed at every tier");
     Ok(())
 }
 
-fn run_trace(args: &Args) -> Result<(), String> {
-    match args.target.as_deref() {
-        Some("drop-lab") => run_drop_lab(args),
-        Some("request-chain") => run_request_chain(args),
-        Some(other) => Err(format!(
-            "unknown trace scenario `{other}` (expected drop-lab or request-chain)"
-        )),
-        None => Err(usage()),
+/// `vnt rack`: the rack at scale, untraced or (`--trace`) with a record
+/// script at every bridge and VM port.
+fn run_rack(args: &Args) -> Outcome {
+    use vnet_testbed::rack::RackTestbed;
+    let cfg = rack_config(args)?;
+    say!(
+        "rack: {} hosts, {} VM nodes, {} apps, {} concurrent flows",
+        cfg.hosts,
+        cfg.hosts * cfg.vms_per_host,
+        cfg.apps(),
+        cfg.concurrent_flows()
+    );
+    let mut tb = RackTestbed::build(&cfg);
+    let mut elapsed = Duration::ZERO;
+    let mut timed_run = |tb: &mut RackTestbed| {
+        let wall = Instant::now();
+        tb.run();
+        elapsed = wall.elapsed();
+    };
+    let collected = if args.trace {
+        let package = tb.control_package();
+        deploy(args, &mut tb, package, |tb, _| timed_run(tb))?.map(|(_, n)| n)
+    } else {
+        timed_run(&mut tb);
+        None
+    };
+    let (world, elapsed) = (&tb.scenario.world, elapsed.as_secs_f64());
+    let events = world.events_processed();
+    say!(
+        "processed {events} events in {elapsed:.2}s ({:.0} events/sec)",
+        events as f64 / elapsed.max(1e-9)
+    );
+    say!(
+        "delivered {} of {} packets",
+        tb.scenario.delivered_packets(),
+        cfg.total_packets()
+    );
+    if let Some(n) = collected {
+        say!(
+            "collected {n} records, {} probe firings",
+            world.probes_fired()
+        );
     }
+    Ok(())
 }
 
-fn run(args: &Args) -> Result<(), String> {
-    match args.scenario.as_str() {
-        "verify" => verify_file(args.package.as_deref().expect("checked in parse_args")),
-        "db" => run_db(&args.rest),
+fn run(args: &Args) -> Outcome {
+    match args.command.as_str() {
+        "verify" => verify_file(&args.operands[0]),
         "modules" => {
-            print!(
-                "{}",
-                vnettracer::modules::ModuleRegistry::builtin().render_listing()
-            );
-            Ok(())
+            let listing = ModuleRegistry::builtin().render_listing();
+            Ok(write!(io::stdout(), "{listing}")?)
         }
-        "trace" => run_trace(args),
+        "trace drop-lab" => run_drop_lab(args),
+        "trace request-chain" => run_request_chain(args),
         "live" => run_live(args),
+        "live --from-db" => run_live_replay(args, &args.operands[0]),
         "emulate" => run_emulate(args),
+        "rack" => run_rack(args),
         "two-host" => {
-            let cfg = vnet_testbed::two_host::TwoHostConfig {
-                messages: args.messages,
+            use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
+            let cfg = TwoHostConfig {
+                messages: args.messages(),
                 ..Default::default()
             };
-            let mut s = vnet_testbed::two_host::TwoHostScenario::build(&cfg);
-            let pkg = load_package(args, s.control_package())?;
-            if args.emit_package {
-                println!("{}", pkg.to_json());
+            let mut s = TwoHostScenario::build(&cfg);
+            let package = s.control_package();
+            let Some((tracer, n)) = deploy(args, &mut s, package, |s, _| s.run(&cfg))? else {
                 return Ok(());
-            }
-            let mut tracer = s.make_tracer();
-            tracer
-                .deploy(&mut s.world, &pkg)
-                .map_err(|e| e.to_string())?;
-            s.run(&cfg);
-            let n = tracer.collect(&s.world);
-            println!("collected {n} records\n");
-            print_db_summary(&tracer);
-            print_collector_stats(&tracer.stats(&s.world));
-            print_run_stats(&tracer);
+            };
+            say!("collected {n} records\n");
+            print_db_summary(&tracer)?;
+            print_collector_stats(&tracer.stats(&s.world))?;
+            print_run_stats(&tracer)?;
             if let Some(summary) = s.latency.borrow_mut().summary() {
-                println!(
+                say!(
                     "sockperf: avg {:.1} us, p99.9 {:.1} us over {} messages",
                     summary.mean_us(),
                     summary.p999_us(),
@@ -1106,76 +1111,50 @@ fn run(args: &Args) -> Result<(), String> {
             Ok(())
         }
         "ovs" => {
-            let cfg = vnet_testbed::ovs::OvsConfig {
-                case: vnet_testbed::ovs::OvsCase::III,
-                messages: args.messages,
+            use vnet_testbed::ovs::{OvsCase, OvsConfig, OvsScenario};
+            let cfg = OvsConfig {
+                case: OvsCase::III,
+                messages: args.messages(),
                 ..Default::default()
             };
-            let mut s = vnet_testbed::ovs::OvsScenario::build(&cfg);
-            let pkg = load_package(args, s.control_package())?;
-            if args.emit_package {
-                println!("{}", pkg.to_json());
+            let mut s = OvsScenario::build(&cfg);
+            let package = s.control_package();
+            let Some((tracer, _)) = deploy(args, &mut s, package, |s, _| s.run(&cfg))? else {
                 return Ok(());
-            }
-            let mut tracer = s.make_tracer();
-            tracer
-                .deploy(&mut s.world, &pkg)
-                .map_err(|e| e.to_string())?;
-            s.run(&cfg);
-            tracer.collect(&s.world);
-            print_db_summary(&tracer);
-            print_collector_stats(&tracer.stats(&s.world));
-            print_run_stats(&tracer);
-            print_decomposition(
-                &tracer,
-                &vnet_testbed::ovs::OvsScenario::decomposition_chain(),
-            );
-            Ok(())
+            };
+            print_db_summary(&tracer)?;
+            print_collector_stats(&tracer.stats(&s.world))?;
+            print_run_stats(&tracer)?;
+            print_decomposition(&tracer, &OvsScenario::decomposition_chain())
         }
         "xen" => {
-            let cfg = vnet_testbed::xen::XenConfig {
-                consolidation: vnet_testbed::xen::Consolidation::SharedDefaultRatelimit,
-                requests: args.messages,
+            use vnet_testbed::xen::{Consolidation, XenConfig, XenScenario};
+            let cfg = XenConfig {
+                consolidation: Consolidation::SharedDefaultRatelimit,
+                requests: args.messages(),
                 ..Default::default()
             };
-            let mut s = vnet_testbed::xen::XenScenario::build(&cfg);
-            let pkg = load_package(args, s.control_package())?;
-            if args.emit_package {
-                println!("{}", pkg.to_json());
+            let mut s = XenScenario::build(&cfg);
+            let package = s.control_package();
+            let Some((tracer, _)) = deploy(args, &mut s, package, |s, _| s.run(&cfg))? else {
                 return Ok(());
-            }
-            let mut tracer = s.make_tracer();
-            tracer
-                .deploy(&mut s.world, &pkg)
-                .map_err(|e| e.to_string())?;
-            s.run(&cfg);
-            tracer.collect(&s.world);
-            print_db_summary(&tracer);
-            print_run_stats(&tracer);
-            print_decomposition(
-                &tracer,
-                &vnet_testbed::xen::XenScenario::decomposition_chain(),
-            );
-            Ok(())
+            };
+            print_db_summary(&tracer)?;
+            print_run_stats(&tracer)?;
+            print_decomposition(&tracer, &XenScenario::decomposition_chain())
         }
         "container" => {
-            let cfg = vnet_testbed::container::ContainerConfig {
-                mode: vnet_testbed::container::NetMode::Overlay,
-                transport: vnet_testbed::container::Transport::NetperfUdp,
-                count: args.messages,
+            let cfg = ContainerConfig {
+                mode: NetMode::Overlay,
+                transport: Transport::NetperfUdp,
+                count: args.messages(),
             };
-            let mut s = vnet_testbed::container::ContainerScenario::build(&cfg);
-            let pkg = load_package(args, s.control_package())?;
-            if args.emit_package {
-                println!("{}", pkg.to_json());
+            let mut s = ContainerScenario::build(&cfg);
+            let package = s.control_package();
+            let Some((tracer, _)) = deploy(args, &mut s, package, |s, _| s.run(&cfg))? else {
                 return Ok(());
-            }
-            let mut tracer = s.make_tracer();
-            tracer
-                .deploy(&mut s.world, &pkg)
-                .map_err(|e| e.to_string())?;
-            s.run(&cfg);
-            print_run_stats(&tracer);
+            };
+            print_run_stats(&tracer)?;
             let mut t = Table::new(
                 "softirq counters (vm2)",
                 &["counter", "cpu0", "cpu1", "cpu2", "cpu3"],
@@ -1191,54 +1170,12 @@ fn run(args: &Args) -> Result<(), String> {
                     ]);
                 }
             }
-            println!("{t}");
-            println!("goodput: {:.0} Mbps", s.goodput_mbps());
+            say!("{t}");
+            say!("goodput: {:.0} Mbps", s.goodput_mbps());
             Ok(())
         }
-        "rack" => {
-            let cfg = rack_config(args)?;
-            println!(
-                "rack: {} hosts, {} VM nodes, {} apps, {} concurrent flows",
-                cfg.hosts,
-                cfg.hosts * cfg.vms_per_host,
-                cfg.apps(),
-                cfg.concurrent_flows()
-            );
-            let mut tb = vnet_testbed::rack::RackTestbed::build(&cfg);
-            let mut tracer = if args.trace {
-                let pkg = tb.control_package();
-                let mut tracer = tb.make_tracer();
-                tracer
-                    .deploy(&mut tb.scenario.world, &pkg)
-                    .map_err(|e| e.to_string())?;
-                Some(tracer)
-            } else {
-                None
-            };
-            let wall = std::time::Instant::now();
-            tb.run();
-            let elapsed = wall.elapsed();
-            let events = tb.scenario.world.events_processed();
-            println!(
-                "processed {events} events in {:.2}s ({:.0} events/sec)",
-                elapsed.as_secs_f64(),
-                events as f64 / elapsed.as_secs_f64().max(1e-9)
-            );
-            println!(
-                "delivered {} of {} packets",
-                tb.scenario.delivered_packets(),
-                cfg.total_packets()
-            );
-            if let Some(tracer) = tracer.as_mut() {
-                let n = tracer.collect(&tb.scenario.world);
-                println!(
-                    "collected {n} records, {} probe firings",
-                    tb.scenario.world.probes_fired()
-                );
-            }
-            Ok(())
-        }
-        other => Err(format!("unknown scenario `{other}`\n{}", usage())),
+        // The four `db` rows.
+        _ => run_db(args),
     }
 }
 
@@ -1252,6 +1189,15 @@ fn main() -> ExitCode {
     };
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that stopped reading (`vnt … | head`) ends the run.
+        Err(e)
+            if std::iter::successors(Some(&*e), |e| (*e).source()).any(|e| {
+                e.downcast_ref::<io::Error>()
+                    .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
+            }) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -1311,9 +1257,52 @@ mod tests {
         }
         assert_eq!(
             parse(&["rack", "--messages", "2000"]).unwrap().messages,
-            2000
+            Some(2000)
         );
         // Only the rack multiplies `--messages` out at parse time.
         assert!(parse(&["two-host", "--messages", &max]).is_ok());
+    }
+
+    /// The module doc's synopsis is the table `usage()` prints.
+    #[test]
+    fn the_module_doc_synopsis_is_the_table() {
+        let synopsis: Vec<&str> = include_str!("vnt.rs")
+            .lines()
+            .skip_while(|l| *l != "//! ```text")
+            .skip(1)
+            .take_while(|l| *l != "//! ```")
+            .collect();
+        let table: Vec<String> = COMMANDS.iter().map(|l| format!("//! vnt {l}")).collect();
+        assert_eq!(synopsis, table);
+    }
+
+    /// `live --from-db` is its own command: the in-process `live` reads
+    /// none of its flags, and it reads none of the in-process ones.
+    #[test]
+    fn from_db_selects_the_replay_line() {
+        let args = parse(&["live", "--from-db", "d", "--pair", "a,b"]).unwrap();
+        assert_eq!(
+            (args.command.as_str(), &args.operands[..]),
+            ("live --from-db", &["d".to_owned()][..])
+        );
+        assert_eq!(args.pairs, [("a".to_owned(), "b".to_owned())]);
+        assert!(parse(&["live", "--pair", "a,b"]).is_err());
+        assert!(parse(&["live", "--from-db", "d", "--messages", "5"]).is_err());
+        assert!(parse(&["live", "--from-db"]).is_err());
+        // `--from-db` may stand anywhere after `live`.
+        let args = parse(&[
+            "live",
+            "--pair",
+            "a,b",
+            "--from-db",
+            "d",
+            "--collect-us",
+            "7",
+        ])
+        .unwrap();
+        assert_eq!(
+            (args.command.as_str(), &args.operands[..], args.collect_ns),
+            ("live --from-db", &["d".to_owned()][..], 7_000)
+        );
     }
 }

@@ -298,6 +298,84 @@ fn every_subcommand_rejects_an_unknown_flag() {
         assert_eq!(stderr(&out), stderr(&reference), "{args:?}");
         assert_eq!(stdout(&out), "", "{args:?}");
     }
+    // A flag another subcommand reads is unknown to one that does not.
+    let db = scratch("flag-table");
+    for (args, refused) in [
+        (&["rack", "--package", "/nonexistent.json"][..], "--package"),
+        (&["two-host", "--seed", "3"], "--seed"),
+        (
+            &[
+                "trace",
+                "drop-lab",
+                "--seed",
+                "7",
+                "--window-us",
+                "5",
+                "--pair",
+                "a,b",
+            ],
+            "--seed",
+        ),
+        (&["live", "--pair", "a,b"], "--pair"),
+        (
+            &["live", "--from-db", path_str(&db), "--save-db", "x"],
+            "--save-db",
+        ),
+        (&["db", "stats", path_str(&db), "extra"], "extra"),
+    ] {
+        let out = vnt(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(
+            stderr(&out).starts_with(&format!("unknown flag `{refused}`\nusage: vnt ")),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+        assert_eq!(stdout(&out), "", "{args:?}");
+    }
+    assert!(!db.exists(), "a refused command touched the disk");
+}
+
+/// A reader that stops reading ends the run: `vnt` exits 0 and says
+/// nothing on stderr: no panic, and no `db export` failure either.
+#[test]
+fn a_closed_stdout_is_a_normal_end() {
+    let dir = scratch("closed-stdout");
+    let out = vnt(&["trace", "drop-lab", "--save-db", path_str(&dir)]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    for args in [&["two-host"][..], &["db", "export", path_str(&dir)]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_vnt"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("run vnt");
+        assert_eq!(stderr(&out), "", "{args:?}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A package that taps a device its node does not have is refused at
+/// deploy, before anything runs, instead of collecting nothing there.
+#[test]
+fn a_package_tapping_a_missing_device_is_refused() {
+    let emitted = vnt(&["two-host", "--messages", "20", "--emit-package"]);
+    assert!(emitted.status.success(), "{}", stderr(&emitted));
+    let text = stdout(&emitted).replace("\"DeviceRx\": \"ens3\"", "\"DeviceRx\": \"ens9\"");
+    assert_ne!(text, stdout(&emitted));
+    let dir = scratch("missing-device");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("pkg.json");
+    std::fs::write(&file, text).unwrap();
+    let out = vnt(&["two-host", "--messages", "20", "--package", path_str(&file)]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        stderr(&out),
+        "error: device `ens9` not found on node `server1`\n"
+    );
+    assert_eq!(stdout(&out), "");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `--emit-package` prints the scenario's control package instead of

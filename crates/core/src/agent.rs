@@ -25,7 +25,7 @@ use vnet_sim::world::World;
 use vnet_tsdb::CompactRecord;
 
 use crate::compile::Check;
-use crate::config::{Action, CollectionMode, GlobalConfig, TraceSpec};
+use crate::config::{Action, CollectionMode, GlobalConfig, HookSpec, TraceSpec};
 use crate::error::{Result, TracerError};
 
 /// Identifies an installed script on an agent.
@@ -391,13 +391,17 @@ impl Agent {
     /// Returns a [`TracerError`] if maps cannot be created, assembly or
     /// verification fails, or — when [`GlobalConfig::probe_budget`] is
     /// set — the program's certified worst-case cost exceeds the budget
-    /// ([`TracerError::OverBudget`]).
+    /// ([`TracerError::OverBudget`]). A device tap on a device the node
+    /// does not have is [`TracerError::UnknownDevice`]: like the kernel,
+    /// which refuses to attach to a target that does not exist, the agent
+    /// attaches no probe that could never fire.
     pub fn install(
         &mut self,
         world: &mut World,
         spec: &TraceSpec,
         global: &GlobalConfig,
     ) -> Result<ScriptId> {
+        self.check_device(world, &spec.hook)?;
         let cpus = usize::from(self.num_cpus);
         let mut maps = self.maps.borrow_mut();
         let fds = match spec.action {
@@ -421,6 +425,21 @@ impl Agent {
             .inspect_err(|_| self.release_maps(fds))
     }
 
+    /// Refuses a device tap on a device this node does not have.
+    fn check_device(&self, world: &World, hook: &HookSpec) -> Result<()> {
+        match hook {
+            HookSpec::DeviceRx(device) | HookSpec::DeviceTx(device)
+                if world.find_device(self.node, device).is_none() =>
+            {
+                Err(TracerError::UnknownDevice {
+                    node: self.node_name.clone(),
+                    device: device.clone(),
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Frees a script's own (perf, counter) maps. Maps a caller made
     /// through [`Agent::maps`] for [`Agent::install_raw`] are the
     /// caller's and never pass through here.
@@ -440,7 +459,8 @@ impl Agent {
     /// # Errors
     ///
     /// Returns [`TracerError::Load`] if verification or relocation fails,
-    /// or [`TracerError::OverBudget`] as for [`Agent::install`].
+    /// or [`TracerError::OverBudget`] and [`TracerError::UnknownDevice`]
+    /// as for [`Agent::install`].
     pub fn install_raw(
         &mut self,
         world: &mut World,
@@ -449,6 +469,7 @@ impl Agent {
         insns: Vec<vnet_ebpf::Insn>,
         global: &GlobalConfig,
     ) -> Result<ScriptId> {
+        self.check_device(world, hook)?;
         let program = vnet_ebpf::Program::new(name, crate::compile::attach_type(hook), insns);
         self.attach(world, (program, Vec::new()), hook, (None, None), 0, global)
     }
@@ -608,7 +629,7 @@ impl Agent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FilterRule, HookSpec};
+    use crate::config::FilterRule;
     use std::net::Ipv4Addr;
     use std::net::SocketAddrV4;
     use vnet_sim::device::{DeviceConfig, Forwarding};
@@ -828,6 +849,29 @@ mod tests {
             stats.avg_run_ns(),
             stats.certified_cost_ns
         );
+    }
+
+    #[test]
+    fn a_tap_on_a_missing_device_is_refused() {
+        let (mut w, n) = world_with_device();
+        let mut agent = Agent::new(n, "server1", 4);
+        for hook in [
+            HookSpec::DeviceRx("eth9".into()),
+            HookSpec::DeviceTx("eth9".into()),
+        ] {
+            let spec = TraceSpec { hook, ..udp_spec() };
+            let err = agent
+                .install(&mut w, &spec, &GlobalConfig::default())
+                .unwrap_err();
+            assert_eq!(err.to_string(), "device `eth9` not found on node `server1`");
+        }
+        // Nothing was attached and no map was made.
+        assert!(agent.installed.is_empty());
+        assert!(agent.maps().borrow().is_empty());
+        // The device the node has is tapped as before.
+        agent
+            .install(&mut w, &udp_spec(), &GlobalConfig::default())
+            .unwrap();
     }
 
     #[test]

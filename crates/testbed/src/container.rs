@@ -29,7 +29,7 @@ use vnet_workloads::{IperfClient, IperfServer, NetperfClient, NetperfServer};
 use vnettracer::config::{Action, ControlPackage, FilterRule, HookSpec, TraceSpec};
 use vnettracer::{Agent, VNetTracer};
 
-use crate::route;
+use crate::{route, Testbed};
 
 /// VM-to-VM or container-overlay networking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -445,10 +445,14 @@ impl ContainerScenario {
     pub fn make_tracer(&self) -> VNetTracer {
         self.make_tracer_with_db(vnet_tsdb::TraceDb::new())
     }
+}
 
-    /// Like [`ContainerScenario::make_tracer`] with a caller-provided
-    /// trace database (e.g. a disk-backed one).
-    pub fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
+impl Testbed for ContainerScenario {
+    fn world(&mut self) -> &mut World {
+        &mut self.world
+    }
+
+    fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
         let mut tracer = VNetTracer::with_db(db);
         tracer.add_agent(Agent::new(self.host, "host", 20));
         tracer.add_agent(Agent::new(self.vm1, "vm1", 4));

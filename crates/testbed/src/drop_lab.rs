@@ -35,6 +35,8 @@ use vnettracer::config::FilterRule;
 use vnettracer::modules::{ModuleScope, OvsTap, TapSpec};
 use vnettracer::{Agent, VNetTracer};
 
+use crate::Testbed;
+
 /// The lab's sink address; every lane sends to it on its own port.
 pub const SINK_IP: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 9);
 /// UDP payload bytes per injected packet (1600 bits on the policer).
@@ -47,11 +49,13 @@ pub const OVS_PREFIX: &str = "lab_ovs";
 /// service, so its 2-deep queue overflows.
 const INTERVAL: SimDuration = SimDuration::from_micros(20);
 
+/// World RNG seed. The lab draws nothing at random, so no seed changes
+/// a run.
+const SEED: u64 = 11;
+
 /// Knobs for one lab run.
 #[derive(Debug, Clone)]
 pub struct DropLabConfig {
-    /// World RNG seed.
-    pub seed: u64,
     /// Packets injected into each lane.
     pub packets_per_lane: u64,
 }
@@ -59,7 +63,6 @@ pub struct DropLabConfig {
 impl Default for DropLabConfig {
     fn default() -> Self {
         DropLabConfig {
-            seed: 11,
             packets_per_lane: 40,
         }
     }
@@ -80,7 +83,7 @@ pub struct DropLab {
 impl DropLab {
     /// Builds the six lanes.
     pub fn build(cfg: &DropLabConfig) -> Self {
-        let mut w = World::new(cfg.seed);
+        let mut w = World::new(SEED);
         let node = w.add_node("labhost", 8, NodeClock::perfect());
         let fast = || ServiceModel::Fixed(SimDuration::from_nanos(100));
 
@@ -215,19 +218,6 @@ impl DropLab {
         }
     }
 
-    /// A tracer with an agent on the lab host.
-    pub fn make_tracer(&self) -> VNetTracer {
-        self.make_tracer_with_db(vnet_tsdb::TraceDb::new())
-    }
-
-    /// Like [`DropLab::make_tracer`] with a caller-provided trace
-    /// database (e.g. a disk-backed one).
-    pub fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
-        let mut tracer = VNetTracer::with_db(db);
-        tracer.add_agent(Agent::new(self.node, "labhost", 8));
-        tracer
-    }
-
     /// Runs the injection phase plus the slow queue's drain time.
     pub fn run(&mut self) {
         let send = SimDuration::from_nanos(INTERVAL.as_nanos() * (self.cfg.packets_per_lane + 2));
@@ -262,6 +252,18 @@ impl DropLab {
             .filter(|&(_, n)| n > 0)
             .map(|(name, n)| (name.to_owned(), n))
             .collect()
+    }
+}
+
+impl Testbed for DropLab {
+    fn world(&mut self) -> &mut World {
+        &mut self.world
+    }
+
+    fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
+        let mut tracer = VNetTracer::with_db(db);
+        tracer.add_agent(Agent::new(self.node, "labhost", 8));
+        tracer
     }
 }
 

@@ -47,6 +47,20 @@ use std::net::Ipv4Addr;
 use vnet_sim::device::Forwarding;
 use vnet_sim::world::World;
 use vnet_sim::DeviceId;
+use vnet_tsdb::TraceDb;
+use vnettracer::VNetTracer;
+
+/// What a front end needs to trace any of these scenarios: its world,
+/// and a tracer with an agent on each of its nodes.
+pub trait Testbed {
+    /// The world the scenario runs in.
+    fn world(&mut self) -> &mut World;
+
+    /// A tracer with an agent on each of the scenario's nodes, collecting
+    /// into `db`: a fresh [`TraceDb::new`], or a disk-backed one from
+    /// [`TraceDb::open`] so every collected batch is journaled and sealed.
+    fn make_tracer_with_db(&self, db: TraceDb) -> VNetTracer;
+}
 
 /// Installs destination-IP routes on a switch/bridge device whose output
 /// ports were wired with [`World::connect`].

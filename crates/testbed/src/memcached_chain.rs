@@ -28,7 +28,7 @@ use vnettracer::config::FilterRule;
 use vnettracer::modules::{ModuleScope, TapSpec};
 use vnettracer::{Agent, VNetTracer};
 
-use crate::route;
+use crate::{route, Testbed};
 
 /// Client tier address.
 pub const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 2, 0, 1);
@@ -196,25 +196,24 @@ impl MemcachedChain {
         ["req_client", "req_proxy_in", "req_proxy_out", "req_backend"]
     }
 
-    /// A tracer with an agent on each tier.
-    pub fn make_tracer(&self) -> VNetTracer {
-        self.make_tracer_with_db(vnet_tsdb::TraceDb::new())
+    /// Runs the request phase plus drain margin.
+    pub fn run(&mut self) {
+        let span = SimDuration::from_nanos((1_000_000_000 / RPS) * (self.cfg.requests + 1));
+        self.world.run_for(span + SimDuration::from_millis(5));
+    }
+}
+
+impl Testbed for MemcachedChain {
+    fn world(&mut self) -> &mut World {
+        &mut self.world
     }
 
-    /// Like [`MemcachedChain::make_tracer`] with a caller-provided trace
-    /// database (e.g. a disk-backed one).
-    pub fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
+    fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
         let mut tracer = VNetTracer::with_db(db);
         tracer.add_agent(Agent::new(self.client, "client", 4));
         tracer.add_agent(Agent::new(self.proxy, "proxy", 8));
         tracer.add_agent(Agent::new(self.backend, "backend", 8));
         tracer
-    }
-
-    /// Runs the request phase plus drain margin.
-    pub fn run(&mut self) {
-        let span = SimDuration::from_nanos((1_000_000_000 / RPS) * (self.cfg.requests + 1));
-        self.world.run_for(span + SimDuration::from_millis(5));
     }
 }
 
@@ -245,7 +244,7 @@ mod tests {
         let pkg = ModuleRegistry::builtin()
             .package("requests", &chain.module_scope(), GlobalConfig::default())
             .unwrap();
-        let mut tracer = chain.make_tracer();
+        let mut tracer = chain.make_tracer_with_db(vnet_tsdb::TraceDb::new());
         tracer.deploy(&mut chain.world, &pkg).unwrap();
         chain.run();
         tracer.collect(&chain.world);

@@ -40,7 +40,7 @@ use vnettracer::config::{ControlPackage, FilterRule, GlobalConfig};
 use vnettracer::modules::{ModuleRegistry, ModuleScope, OvsTap, TapSpec};
 use vnettracer::{Agent, VNetTracer};
 
-use crate::route;
+use crate::{route, Testbed};
 
 /// The experiment case (Fig. 8/9 terminology).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -426,9 +426,7 @@ impl OvsScenario {
 
     /// Creates a tracer with an agent for the host.
     pub fn make_tracer(&self) -> VNetTracer {
-        let mut tracer = VNetTracer::new();
-        tracer.add_agent(Agent::new(self.host, "server1", 20));
-        tracer
+        self.make_tracer_with_db(vnet_tsdb::TraceDb::new())
     }
 
     /// Runs to completion.
@@ -436,6 +434,18 @@ impl OvsScenario {
         let total = SimDuration::from_nanos(cfg.interval.as_nanos() * (cfg.messages + 2))
             + SimDuration::from_millis(100);
         self.world.run_for(total);
+    }
+}
+
+impl Testbed for OvsScenario {
+    fn world(&mut self) -> &mut World {
+        &mut self.world
+    }
+
+    fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
+        let mut tracer = VNetTracer::with_db(db);
+        tracer.add_agent(Agent::new(self.host, "server1", 20));
+        tracer
     }
 }
 

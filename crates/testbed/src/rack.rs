@@ -3,10 +3,13 @@
 //! every node and trace scripts at every OVS bridge and VM ethernet
 //! port — the configuration the scale and determinism tests run.
 
+use vnet_sim::world::World;
 use vnet_workloads::datacenter_rack::{RackConfig, RackScenario};
 use vnettracer::config::{ControlPackage, FilterRule, GlobalConfig};
 use vnettracer::modules::{ModuleRegistry, ModuleScope, TapSpec};
 use vnettracer::{Agent, VNetTracer};
+
+use crate::Testbed;
 
 /// The rack testbed: scenario plus tracer wiring.
 #[derive(Debug)]
@@ -66,7 +69,23 @@ impl RackTestbed {
     /// Creates a tracer with an agent registered on every node of the
     /// rack — ToR, hosts and VMs.
     pub fn make_tracer(&self) -> VNetTracer {
-        let mut tracer = VNetTracer::new();
+        self.make_tracer_with_db(vnet_tsdb::TraceDb::new())
+    }
+
+    /// Runs the send phase plus drain margin.
+    pub fn run(&mut self) {
+        let cfg = self.cfg.clone();
+        self.scenario.run(&cfg);
+    }
+}
+
+impl Testbed for RackTestbed {
+    fn world(&mut self) -> &mut World {
+        &mut self.scenario.world
+    }
+
+    fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
+        let mut tracer = VNetTracer::with_db(db);
         tracer.add_agent(Agent::new(self.scenario.tor, "tor", 8));
         for (h, &node) in self.scenario.host_nodes.iter().enumerate() {
             tracer.add_agent(Agent::new(node, format!("host{h}"), 16));
@@ -78,12 +97,6 @@ impl RackTestbed {
             }
         }
         tracer
-    }
-
-    /// Runs the send phase plus drain margin.
-    pub fn run(&mut self) {
-        let cfg = self.cfg.clone();
-        self.scenario.run(&cfg);
     }
 }
 

@@ -26,7 +26,7 @@ use vnettracer::config::{ControlPackage, FilterRule, GlobalConfig};
 use vnettracer::modules::{ModuleRegistry, ModuleScope, TapSpec};
 use vnettracer::{Agent, VNetTracer};
 
-use crate::route;
+use crate::{route, Testbed};
 
 /// Configuration of the two-host overhead scenario.
 #[derive(Debug, Clone)]
@@ -243,21 +243,24 @@ impl TwoHostScenario {
         self.make_tracer_with_db(vnet_tsdb::TraceDb::new())
     }
 
-    /// Like [`TwoHostScenario::make_tracer`], but collecting into an
-    /// existing database — e.g. a disk-backed one from
-    /// [`vnet_tsdb::TraceDb::open`].
-    pub fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
-        let mut tracer = VNetTracer::with_db(db);
-        tracer.add_agent(Agent::new(self.server1, "server1", 20));
-        tracer.add_agent(Agent::new(self.server2, "server2", 20));
-        tracer
-    }
-
     /// Runs to completion: total duration plus drain time.
     pub fn run(&mut self, cfg: &TwoHostConfig) {
         let total = SimDuration::from_nanos(cfg.interval.as_nanos() * (cfg.messages + 2))
             + SimDuration::from_millis(50);
         self.world.run_for(total);
+    }
+}
+
+impl Testbed for TwoHostScenario {
+    fn world(&mut self) -> &mut World {
+        &mut self.world
+    }
+
+    fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
+        let mut tracer = VNetTracer::with_db(db);
+        tracer.add_agent(Agent::new(self.server1, "server1", 20));
+        tracer.add_agent(Agent::new(self.server2, "server2", 20));
+        tracer
     }
 }
 

@@ -30,7 +30,7 @@ use vnet_workloads::{DataCachingClient, DataCachingServer, SockperfClient, Sockp
 use vnettracer::config::{Action, ControlPackage, FilterRule, HookSpec, TraceSpec};
 use vnettracer::{Agent, VNetTracer};
 
-use crate::route;
+use crate::{route, Testbed};
 
 /// Which latency workload drives the experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -305,10 +305,7 @@ impl XenScenario {
 
     /// Creates a tracer with agents for both hosts.
     pub fn make_tracer(&self) -> VNetTracer {
-        let mut tracer = VNetTracer::new();
-        tracer.add_agent(Agent::new(self.client, "client", 20));
-        tracer.add_agent(Agent::new(self.xen, "xenhost", 20));
-        tracer
+        self.make_tracer_with_db(vnet_tsdb::TraceDb::new())
     }
 
     /// Runs to completion.
@@ -320,6 +317,19 @@ impl XenScenario {
         let total = SimDuration::from_nanos(interval_ns * (cfg.requests + 2))
             + SimDuration::from_millis(20);
         self.world.run_for(total);
+    }
+}
+
+impl Testbed for XenScenario {
+    fn world(&mut self) -> &mut World {
+        &mut self.world
+    }
+
+    fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
+        let mut tracer = VNetTracer::with_db(db);
+        tracer.add_agent(Agent::new(self.client, "client", 20));
+        tracer.add_agent(Agent::new(self.xen, "xenhost", 20));
+        tracer
     }
 }
 

@@ -14,6 +14,7 @@ use std::fmt::Write as _;
 use vnet_sim::SimDuration;
 use vnet_testbed::memcached_chain::{ChainConfig, MemcachedChain};
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
+use vnet_testbed::Testbed;
 use vnet_tsdb::TraceDb;
 use vnettracer::clock_sync::align_timestamps;
 use vnettracer::config::GlobalConfig;
@@ -121,7 +122,7 @@ fn memcached_chain() -> String {
     let pkg = ModuleRegistry::builtin()
         .package("requests", &chain.module_scope(), GlobalConfig::default())
         .unwrap();
-    let mut tracer = chain.make_tracer();
+    let mut tracer = chain.make_tracer_with_db(TraceDb::new());
     tracer.deploy(&mut chain.world, &pkg).unwrap();
     chain.run();
     tracer.collect(&chain.world);

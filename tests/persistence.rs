@@ -3,6 +3,7 @@
 //! the master node" step of §III-A/III-C.
 
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
+use vnet_testbed::Testbed;
 use vnet_tsdb::{read_json_lines, write_json_lines, StoreOptions, TraceDb};
 use vnettracer::metrics;
 
