@@ -166,11 +166,13 @@ while IFS=$'\t' read -r field file; do
         hit="$(grep -E "(\.|$s::)$setter\(" "$work/calls" | head -1 | cut -d: -f1,2 || true)"
         test -n "$hit" && printf '%s\t%s (setter %s)\n' "$field" "$hit" "$setter" >>"$work/turned.raw"
     done
-    # Package JSON: keys the struct's `FromJson` impl reads.
+    # Package JSON: keys the struct's `FromJson` impl reads. `grep
+    # >/dev/null`, not `grep -q`: an early exit could kill `awk` with
+    # SIGPIPE, which `pipefail` would read as no key.
     if nontest "$file" | awk -v s="$s" '
             $0 ~ "^impl FromJson for " s " \\{" { on = 1; next }
             on && /^\}/ { on = 0 }
-            on { print }' | grep -qF "\"$fld\""; then
+            on { print }' | grep -F "\"$fld\"" >/dev/null; then
         printf '%s\t%s (package JSON key)\n' "$field" "$file" >>"$work/turned.raw"
     fi
 done <"$work/fields"

@@ -14,7 +14,7 @@ use std::rc::Rc;
 use vnet_ebpf::context::TraceContext;
 use vnet_ebpf::jit::{CompiledProgram, JitOutcome};
 use vnet_ebpf::map::{MapDef, MapRegistry};
-use vnet_ebpf::program::LoadedProgram;
+use vnet_ebpf::program::{LoadedProgram, Loader};
 use vnet_ebpf::vm::{
     jit_compile_cost_ns, standard_helpers, FixedEnv, VmEnv, VmError, PROBE_BASE_COST_NS,
 };
@@ -60,6 +60,11 @@ pub struct ScriptStats {
     /// [`vnet_ebpf::cost::certify`] that [`Self::avg_run_ns`] can never
     /// exceed. Constant for the script's lifetime.
     pub certified_cost_ns: u64,
+    /// Instruction states the verifier's walk stepped to admit the
+    /// script, as the kernel reports `verified_insns`; 0 when the deploy
+    /// that installed it had already walked the same bytecode for an
+    /// earlier script ([`vnet_ebpf::Loader`]).
+    pub verified_insns: u64,
     /// Always 0: programs run as emitted. Kept because the frozen
     /// `bench_e2e` harness reads it (ROADMAP item 2's unlock list).
     #[doc(hidden)]
@@ -133,6 +138,7 @@ impl EbpfProbeSink {
         })?;
         let stats = ScriptStats {
             certified_cost_ns: PROBE_BASE_COST_NS + loaded.certificate().worst_case_ns,
+            verified_insns: loaded.verified_insns(),
             ..ScriptStats::default()
         };
         Ok(EbpfProbeSink {
@@ -401,6 +407,19 @@ impl Agent {
         spec: &TraceSpec,
         global: &GlobalConfig,
     ) -> Result<ScriptId> {
+        self.install_with(world, spec, global, &mut Loader::new(&standard_helpers()))
+    }
+
+    /// [`Agent::install`] through `loader`, which skips the verifier's
+    /// walk for bytecode it has accepted before: a deploy shares one
+    /// loader among all its scripts.
+    pub(crate) fn install_with(
+        &mut self,
+        world: &mut World,
+        spec: &TraceSpec,
+        global: &GlobalConfig,
+        loader: &mut Loader<'_>,
+    ) -> Result<ScriptId> {
         self.check_device(world, &spec.hook)?;
         let cpus = usize::from(self.num_cpus);
         let mut maps = self.maps.borrow_mut();
@@ -417,8 +436,9 @@ impl Agent {
             CollectionMode::Online => ONLINE_SHIP_COST_NS,
         };
         crate::compile::compile(spec, fds.0, fds.1)
-            .and_then(|script| {
-                self.attach(world, script, &spec.hook, fds, per_match_extra_ns, global)
+            .and_then(|(program, checks)| {
+                let loaded = self.admit(loader, program, global)?;
+                self.attach(world, &loaded, &checks, &spec.hook, fds, per_match_extra_ns)
             })
             // Nothing was attached, so nothing can name the maps made
             // above.
@@ -471,37 +491,47 @@ impl Agent {
     ) -> Result<ScriptId> {
         self.check_device(world, hook)?;
         let program = vnet_ebpf::Program::new(name, crate::compile::attach_type(hook), insns);
-        self.attach(world, (program, Vec::new()), hook, (None, None), 0, global)
+        let helpers = standard_helpers();
+        let loaded = self.admit(&mut Loader::new(&helpers), program, global)?;
+        self.attach(world, &loaded, &[], hook, (None, None), 0)
     }
 
-    /// The tail both install paths share: verify and relocate `program`,
-    /// gate it on the probe budget, wrap it in a sink that knows its
-    /// filter `checks` (none for a raw program) and attach that at
-    /// `hook`. `fds` are the script's (perf, counter) maps.
-    fn attach(
-        &mut self,
-        world: &mut World,
-        (program, checks): (vnet_ebpf::Program, Vec<Check>),
-        hook: &crate::config::HookSpec,
-        (perf_fd, counter_fd): (Option<i32>, Option<i32>),
-        per_match_extra_ns: u64,
+    /// What both install paths run before attaching: verify (through
+    /// `loader`) and relocate `program` against this agent's maps, and
+    /// gate it on `global`'s probe budget.
+    fn admit(
+        &self,
+        loader: &mut Loader<'_>,
+        program: vnet_ebpf::Program,
         global: &GlobalConfig,
-    ) -> Result<ScriptId> {
+    ) -> Result<LoadedProgram> {
         // Only a budget check can need the stream as written.
         let budget = global
             .probe_budget
             .map(|budget_ns| (budget_ns, program.insns.clone()));
-        let loaded = {
-            let maps = self.maps.borrow_mut();
-            vnet_ebpf::program::load(program, &maps, &standard_helpers())?
-        };
+        let loaded = loader.load(program, &self.maps.borrow())?;
         if let Some((budget_ns, written)) = budget {
             check_budget(&loaded, &written, budget_ns)?;
         }
+        Ok(loaded)
+    }
+
+    /// The tail both install paths share: wrap `loaded` in a sink that
+    /// knows its filter `checks` (none for a raw program) and attach
+    /// that at `hook`. `fds` are the script's (perf, counter) maps.
+    fn attach(
+        &mut self,
+        world: &mut World,
+        loaded: &LoadedProgram,
+        checks: &[Check],
+        hook: &crate::config::HookSpec,
+        (perf_fd, counter_fd): (Option<i32>, Option<i32>),
+        per_match_extra_ns: u64,
+    ) -> Result<ScriptId> {
         let (id, name) = (self.next_id, loaded.name().to_owned());
         let sink = Rc::new(RefCell::new(EbpfProbeSink::new(
-            &loaded,
-            &checks,
+            loaded,
+            checks,
             Rc::clone(&self.maps),
             0x5eed ^ id,
             per_match_extra_ns,

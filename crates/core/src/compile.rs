@@ -1229,6 +1229,34 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_load_of_an_emitted_program_is_the_cold_one() {
+        // One `Loader` loads every emitted program twice. Each distinct
+        // stream is walked once, at its first load, and every other
+        // load of it returns what a cold `load` does: the same relocated
+        // stream and certificate.
+        let mut maps = MapRegistry::new();
+        maps.create(MapDef::perf(4096), 2).unwrap();
+        let helpers = standard_helpers();
+        let mut loader = vnet_ebpf::Loader::new(&helpers);
+        let mut distinct = std::collections::HashSet::new();
+        let (mut loads, mut walks) = (0, 0);
+        for (_, _, prog) in emitted_space() {
+            distinct.insert(prog.insns.clone());
+            let cold = load(prog.clone(), &maps, &helpers).unwrap();
+            assert!(cold.verified_insns() > 0);
+            for _ in 0..2 {
+                let warm = loader.load(prog.clone(), &maps).unwrap();
+                assert_eq!(warm.insns(), cold.insns());
+                assert_eq!(warm.certificate(), cold.certificate());
+                walks += usize::from(warm.verified_insns() > 0);
+                loads += 1;
+            }
+        }
+        assert_eq!((loads, walks), (768, distinct.len()));
+        assert!(walks < 384, "the space repeats itself: {walks}");
+    }
+
+    #[test]
     fn rack_record_listings_are_what_the_compiler_emits() {
         // `vnet-ebpf` checks its verifier against the two record
         // programs the racks load; it reads them as listings because it

@@ -3,6 +3,8 @@
 
 use std::collections::BTreeMap;
 
+use vnet_ebpf::program::Loader;
+use vnet_ebpf::vm::standard_helpers;
 use vnet_sim::world::World;
 use vnet_tsdb::{RecordBatch, TraceDb};
 
@@ -75,7 +77,10 @@ impl VNetTracer {
 
     /// Deploys a control package: the dispatcher formats per-node control
     /// messages (JSON), each agent parses its message and installs its
-    /// scripts into the live world.
+    /// scripts into the live world. The verifier walks each distinct
+    /// program once per deploy ([`vnet_ebpf::Loader`]); every script is
+    /// still relocated against its agent's maps and checked against the
+    /// probe budget.
     ///
     /// # Errors
     ///
@@ -89,6 +94,11 @@ impl VNetTracer {
         package: &ControlPackage,
     ) -> Result<Vec<DeployedScript>> {
         let messages = self.dispatcher.dispatch(package)?;
+        // One loader for the whole deploy: every agent's copy of the same
+        // bytecode is walked once. It is dropped on return, so nothing of
+        // the verifier outlives the deploy.
+        let helpers = standard_helpers();
+        let mut loader = Loader::new(&helpers);
         let mut newly = Vec::new();
         for message in messages {
             let agent = self
@@ -97,7 +107,7 @@ impl VNetTracer {
                 .ok_or_else(|| TracerError::UnknownNode(message.node.clone()))?;
             let sub = ControlPackage::from_json(&message.payload)?;
             for spec in &sub.traces {
-                let id = agent.install(world, spec, &sub.global)?;
+                let id = agent.install_with(world, spec, &sub.global, &mut loader)?;
                 let handle = DeployedScript {
                     name: spec.name.clone(),
                     node: message.node.clone(),

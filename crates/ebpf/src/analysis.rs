@@ -590,15 +590,23 @@ pub(crate) struct Verdict {
     pub(crate) diagnostics: Vec<Diagnostic>,
     /// `reachable[pc]` is [`Analysis::state_at`]`(pc).is_some()`.
     pub(crate) reachable: Vec<bool>,
+    /// Instruction states the walk stepped: one per state kept at each
+    /// reachable instruction, the kernel verifier's "processed N insns".
+    pub(crate) processed: u64,
 }
 
 /// The walk of [`analyze`], recording reachability instead of states.
 pub(crate) fn verdict(insns: &[Insn], helpers: &[i32]) -> Verdict {
     let mut reachable = vec![false; insns.len()];
-    let diagnostics = walk(insns, helpers, |pc, _| reachable[pc] = true);
+    let mut processed = 0;
+    let diagnostics = walk(insns, helpers, |pc, kept| {
+        reachable[pc] = true;
+        processed += kept.len() as u64;
+    });
     Verdict {
         diagnostics,
         reachable,
+        processed,
     }
 }
 
@@ -1576,6 +1584,63 @@ mod tests {
         assert_eq!(n, 13 + 1 + 2_400 + 1 + 2);
         assert_eq!(kinds, [779, 1020, 601], "not analysis_pin's mutants");
         assert!(reached > 0);
+    }
+
+    #[test]
+    fn a_repeated_load_answers_as_the_first() {
+        // A `Loader` walks an accepted stream once: its second load of
+        // each accepted corpus listing and rack record script walks
+        // nothing and returns the first load's relocated stream and
+        // certificate. A rejection is never kept, so the second load of
+        // each rejected listing is walked again and fails as the first
+        // did. Relocation runs on every load: a stream accepted under a
+        // registry that holds its map fails as a hit under one that
+        // does not.
+        use crate::map::{MapDef, MapRegistry};
+        use crate::program::{AttachType, LoadError, Loader, Program};
+        use crate::test_programs::{named_corpus, record_scripts};
+        let helpers = standard_helpers();
+        // fd 0: the counter array of `accept_map_counter`, and the
+        // record scripts' perf ring (relocation checks only that it
+        // exists).
+        let mut maps = MapRegistry::new();
+        maps.create(MapDef::array(8, 4), 2).expect("array map");
+        let program =
+            |insns: &[Insn]| Program::new("p", AttachType::Kprobe("f".into()), insns.to_vec());
+        let records = record_scripts().into_iter().map(|p| ("record".into(), p));
+        let mut loader = Loader::new(&helpers);
+        let mut kinds = [0usize; 2];
+        for (name, insns) in named_corpus().into_iter().chain(records) {
+            match (
+                loader.load(program(&insns), &maps),
+                loader.load(program(&insns), &maps),
+            ) {
+                (Ok(cold), Ok(warm)) => {
+                    assert!(cold.verified_insns() > 0, "{name}: walked");
+                    assert_eq!(warm.verified_insns(), 0, "{name}: walked again");
+                    assert_eq!(warm.insns(), cold.insns(), "{name}");
+                    assert_eq!(warm.certificate(), cold.certificate(), "{name}");
+                    kinds[0] += 1;
+                }
+                (Err(cold @ LoadError::Verify(_)), Err(warm)) => {
+                    assert!(name.starts_with("reject_"), "{name}");
+                    assert_eq!(warm, cold, "{name}");
+                    kinds[1] += 1;
+                }
+                other => panic!("{name}: {other:?}"),
+            }
+        }
+        assert_eq!(kinds, [7 + 2, 6]);
+        let (_, counter) = named_corpus()
+            .into_iter()
+            .find(|(name, _)| name == "accept_map_counter.bpf")
+            .expect("the counter listing");
+        assert!(matches!(
+            loader.load(program(&counter), &MapRegistry::new()),
+            Err(LoadError::UnknownMapFd { fd: 0, .. })
+        ));
+        let hit = loader.load(program(&counter), &maps).expect("a hit");
+        assert_eq!(hit.verified_insns(), 0);
     }
 
     // ---- how the walk builds successors -----------------------------

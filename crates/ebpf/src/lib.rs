@@ -67,7 +67,7 @@ pub use cost::{certify, render_cost_report, CostCertificate};
 pub use insn::{Insn, MAX_INSNS};
 pub use jit::{compile, CompiledProgram, JitOutcome};
 pub use map::{MapDef, MapRegistry, MapType};
-pub use program::{load, AttachType, LoadedProgram, Program};
+pub use program::{load, AttachType, LoadedProgram, Loader, Program};
 pub use tnum::Tnum;
 pub use verifier::{verify, VerifyError};
 pub use vm::{standard_helpers, ExecOutcome, Vm, VmEnv, VmError};

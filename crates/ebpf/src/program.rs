@@ -10,6 +10,12 @@
 //! cost certificate, and no register state. A loaded program keeps its
 //! instructions and certificate; [`crate::analysis::analyze`] builds the
 //! annotated view for whoever prints it.
+//!
+//! A [`Loader`] keeps the reachability bits of each stream it accepted,
+//! for as long as it lives, so repeated loads of one stream share one
+//! walk.
+
+use std::collections::HashMap;
 
 use crate::analysis::{verdict, Verdict};
 use crate::cost::{certify, CostCertificate};
@@ -119,6 +125,7 @@ pub struct LoadedProgram {
     name: String,
     insns: Vec<Insn>,
     certificate: CostCertificate,
+    verified_insns: u64,
 }
 
 impl LoadedProgram {
@@ -139,12 +146,20 @@ impl LoadedProgram {
     pub fn certificate(&self) -> &CostCertificate {
         &self.certificate
     }
+
+    /// Instruction states the verifier's walk stepped to admit this
+    /// program, as the kernel reports `verified_insns`; 0 when its
+    /// [`Loader`] had accepted the same stream before and did not walk
+    /// it again.
+    pub fn verified_insns(&self) -> u64 {
+        self.verified_insns
+    }
 }
 
 /// Verifies `program` against `helpers` (the set of available helper
 /// ids), certifies its worst-case cost and relocates its map references
-/// against `maps`. The program runs as written: optimisation is the job
-/// of whoever emits the bytecode.
+/// against `maps`: one load through a fresh [`Loader`]. The program runs
+/// as written: optimisation is the job of whoever emits the bytecode.
 ///
 /// # Errors
 ///
@@ -155,39 +170,117 @@ pub fn load(
     maps: &MapRegistry,
     helpers: &[i32],
 ) -> Result<LoadedProgram, LoadError> {
-    let Verdict {
-        diagnostics,
-        reachable,
-    } = verdict(&program.insns, helpers);
-    if let Some(d) = diagnostics.into_iter().next() {
-        return Err(LoadError::Verify(d.error));
-    }
-    let mut insns = program.insns;
-    let certificate = certify(&insns, |pc| reachable[pc]);
-    let mut i = 0;
-    while i < insns.len() {
-        let insn = insns[i];
-        if insn.is_lddw() {
-            if insn.src == PSEUDO_MAP_FD {
-                let fd = insn.imm;
-                if maps.get(fd).is_none() {
-                    return Err(LoadError::UnknownMapFd { fd, insn: i });
-                }
-                let handle = MAP_HANDLE_BASE | (fd as u32 as u64);
-                insns[i].imm = handle as u32 as i32;
-                insns[i].src = 0;
-                insns[i + 1].imm = (handle >> 32) as u32 as i32;
-            }
-            i += 2;
-        } else {
-            i += 1;
+    Loader::new(helpers).load(program, maps)
+}
+
+/// Loads programs against one helper set, walking each distinct
+/// instruction stream once. The verifier's walk depends only on the
+/// stream as written and the helpers, so a stream this loader has
+/// accepted before is certified from that walk's reachability without a
+/// new one. What depends on the map registry, relocation and its
+/// [`LoadError::UnknownMapFd`], runs on every load, and a rejection is
+/// never kept. A loader lives as long as the set of loads it serves:
+/// `VNetTracer::deploy` makes one per deploy.
+#[derive(Debug)]
+pub struct Loader<'h> {
+    helpers: &'h [i32],
+    /// Each accepted stream, by its [`fingerprint`].
+    accepted: HashMap<u64, Accepted>,
+}
+
+/// What a [`Loader`] keeps of a stream it accepted.
+#[derive(Debug)]
+struct Accepted {
+    /// The stream as written: a hit is decided by it, not by the key.
+    insns: Box<[Insn]>,
+    /// Which instructions the walk reached, for the certificate.
+    reachable: Vec<bool>,
+}
+
+/// The key a [`Loader`] files `insns` under: each slot packed as the
+/// kernel encodes it, folded multiply-rotate (FxHash's step).
+fn fingerprint(insns: &[Insn]) -> u64 {
+    insns.iter().fold(insns.len() as u64, |h, i| {
+        let word = u64::from(i.opcode)
+            | u64::from(i.dst & 0xf) << 8
+            | u64::from(i.src & 0xf) << 12
+            | u64::from(i.off as u16) << 16
+            | u64::from(i.imm as u32) << 32;
+        (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
+
+impl<'h> Loader<'h> {
+    /// A loader that has accepted nothing yet, verifying against
+    /// `helpers`.
+    pub fn new(helpers: &'h [i32]) -> Self {
+        Loader {
+            helpers,
+            accepted: HashMap::new(),
         }
     }
-    Ok(LoadedProgram {
-        name: program.name,
-        insns,
-        certificate,
-    })
+
+    /// Verifies `program` unless this loader has accepted the same
+    /// stream before, certifies its worst-case cost and relocates its
+    /// map references against `maps`.
+    ///
+    /// # Errors
+    ///
+    /// As [`load`].
+    pub fn load(
+        &mut self,
+        program: Program,
+        maps: &MapRegistry,
+    ) -> Result<LoadedProgram, LoadError> {
+        let key = fingerprint(&program.insns);
+        let seen = self
+            .accepted
+            .get(&key)
+            .is_some_and(|a| *a.insns == *program.insns);
+        let verified_insns = if seen {
+            0
+        } else {
+            let Verdict {
+                diagnostics,
+                reachable,
+                processed,
+            } = verdict(&program.insns, self.helpers);
+            if let Some(d) = diagnostics.into_iter().next() {
+                return Err(LoadError::Verify(d.error));
+            }
+            let insns = program.insns.as_slice().into();
+            self.accepted.insert(key, Accepted { insns, reachable });
+            processed
+        };
+        let reachable = &self.accepted[&key].reachable;
+        let certificate = certify(&program.insns, |pc| reachable[pc]);
+        let mut insns = program.insns;
+        let mut i = 0;
+        while i < insns.len() {
+            let insn = insns[i];
+            if insn.is_lddw() {
+                if insn.src == PSEUDO_MAP_FD {
+                    let fd = insn.imm;
+                    if maps.get(fd).is_none() {
+                        return Err(LoadError::UnknownMapFd { fd, insn: i });
+                    }
+                    let handle = MAP_HANDLE_BASE | (fd as u32 as u64);
+                    insns[i].imm = handle as u32 as i32;
+                    insns[i].src = 0;
+                    insns[i + 1].imm = (handle >> 32) as u32 as i32;
+                }
+                i += 2;
+            } else {
+                i += 1;
+            }
+        }
+        Ok(LoadedProgram {
+            name: program.name,
+            insns,
+            certificate,
+            verified_insns,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -244,12 +337,15 @@ mod tests {
 
     #[test]
     fn load_runs_verifier() {
-        // A program that falls off the end must be rejected.
+        // A program that falls off the end must be rejected, and a
+        // loader keeps nothing of it.
         let insns = Asm::new().mov64_imm(R0, 0).build().unwrap();
         let prog = Program::new("bad", AttachType::Kprobe("f".into()), insns);
+        let mut loader = Loader::new(&[]);
         assert!(matches!(
-            load(prog, &MapRegistry::new(), &[]),
+            loader.load(prog, &MapRegistry::new()),
             Err(LoadError::Verify(_))
         ));
+        assert!(loader.accepted.is_empty());
     }
 }

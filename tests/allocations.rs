@@ -15,7 +15,9 @@
 //! admitted it. Loading one is fenced by its allocation count, and by
 //! how that count grows with the program's length: the loader's walk
 //! records no register state per instruction and keeps reusing its
-//! pending-state buffers.
+//! pending-state buffers. A deploy walks each distinct program once,
+//! and a load that reuses an earlier walk makes a fixed handful of
+//! allocations.
 //!
 //! The store's seal is fenced by bytes rather than calls: sealing a
 //! table holds the one block it is encoding, not a transposed copy of
@@ -36,7 +38,7 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 use vnet_ebpf::asm::{reg::R0, Asm};
 use vnet_ebpf::context::TraceContext;
 use vnet_ebpf::map::{MapDef, MapRegistry};
-use vnet_ebpf::program::{load, AttachType, Program};
+use vnet_ebpf::program::{load, AttachType, Loader, Program};
 use vnet_ebpf::vm::{standard_helpers, FixedEnv};
 use vnet_ebpf::MAX_INSNS;
 use vnet_sim::device::{DeviceConfig, Forwarding};
@@ -44,7 +46,9 @@ use vnet_sim::node::NodeClock;
 use vnet_sim::packet::{FlowKey, PacketBuilder, SocketAddrV4Ext};
 use vnet_sim::time::SimDuration;
 use vnet_sim::world::World;
+use vnet_testbed::rack::RackTestbed;
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
+use vnet_testbed::Testbed;
 use vnet_tsdb::segment::ALL_COLUMNS;
 use vnet_tsdb::{CompactRecord, Query, RecordBatch, Rows, StoreOptions, TraceDb};
 use vnet_workloads::datacenter_rack::{RackConfig, RackScenario};
@@ -274,10 +278,11 @@ fn a_missed_firing_allocates_nothing() {
 
 /// Heap allocations one `load` of a compiled one-flow record program
 /// may make. The 258-slot TCP flow recorder, which carries the unrolled
-/// TCP option scan, makes 37: the walk's per-program tables (the lddw
+/// TCP option scan, makes 39: the walk's per-program tables (the lddw
 /// map, the live masks, the pending-state slots and a handful of reused
-/// buffers, the reachability bits), the certificate's rows and the error
-/// lists. The 70-slot UDP flow recorder, without the scan, makes 12.
+/// buffers, the reachability bits), the certificate's rows, the error
+/// lists, and the loader's copy of the stream and its table. The
+/// 70-slot UDP flow recorder, without the scan, makes 14.
 /// The loader's walk records no register state; when it joined
 /// one into a box per reachable instruction, a load made 294. A walk that
 /// grew a fresh pending-state vector at every instruction, instead of
@@ -362,6 +367,71 @@ fn a_load_allocates_the_same_for_a_longer_program() {
         long <= short + LOAD_GROWTH,
         "{long} allocations to load {MAX_INSNS} slots, {short} for 258"
     );
+}
+
+/// Heap allocations a load may make when its [`Loader`] has accepted
+/// the same stream before: the certificate's two rows, and no walk.
+const HIT_ALLOCATIONS: u64 = 2;
+
+/// Deploying the default package of a rack of 8 hosts × 4 VMs (the
+/// shape `rack_traced` traces), the same match-all record script on each
+/// of its 40 bridges and VM ports, runs the verifier's walk once: the
+/// first script's load walks it, and the other 39 are admitted on that
+/// verdict (`verified_insns` 0).
+#[test]
+fn a_deploy_walks_each_distinct_program_once() {
+    let mut tb = RackTestbed::build(&RackConfig {
+        hosts: 8,
+        vms_per_host: 4,
+        ..RackConfig::small()
+    });
+    let pkg = tb.control_package();
+    let mut tracer = tb.make_tracer();
+    let deployed = tracer.deploy(tb.world(), &pkg).unwrap();
+    assert_eq!(deployed.len(), 40);
+    let walked: Vec<_> = tracer
+        .run_stats()
+        .iter()
+        .map(|s| s.stats.verified_insns)
+        .filter(|&n| n > 0)
+        .collect();
+    assert_eq!(walked.len(), 1, "walks in one deploy: {walked:?}");
+}
+
+/// Loading the rack's match-all record script 40 times through one
+/// [`Loader`], as a deploy of its default package does: the first load
+/// makes at most [`LOAD_ALLOCATIONS`], and each of the other 39 at most
+/// [`HIT_ALLOCATIONS`].
+#[test]
+fn a_repeated_load_allocates_a_fixed_handful() {
+    let mut maps = MapRegistry::new();
+    let perf_fd = maps.create(MapDef::perf(64 * 1024), 4).unwrap();
+    let spec = TraceSpec {
+        name: "rx".into(),
+        node: "n".into(),
+        hook: HookSpec::DeviceRx("eth0".into()),
+        filter: FilterRule::any(),
+        action: Action::RecordPacketInfo,
+    };
+    let (prog, _) = vnettracer::compile::compile(&spec, Some(perf_fd), None).unwrap();
+    let helpers = standard_helpers();
+    let mut loader = Loader::new(&helpers);
+    for n in 0..40 {
+        let prog = prog.clone();
+        let before = allocations();
+        let loaded = loader.load(prog, &maps).unwrap();
+        let made = allocations() - before;
+        let bound = if n == 0 {
+            LOAD_ALLOCATIONS
+        } else {
+            HIT_ALLOCATIONS
+        };
+        assert!(
+            made <= bound,
+            "load {n}: {made} allocations, more than {bound}"
+        );
+        assert_eq!(loaded.verified_insns() > 0, n == 0, "load {n}");
+    }
 }
 
 /// The two-host testbed's four scripts traced and collected; then, with
