@@ -186,11 +186,20 @@ fn verify_reports_verdicts_and_input_errors() {
 /// What the live engine prints is pinned: the per-window table, the
 /// alerts and the cumulative summaries of the default run, and of a short
 /// run whose odd window width (37 us) and collection interval (11 us) put
-/// records on every window edge. Each stdout folds into one CRC-32.
+/// records on every window edge. So is every traced testbed's report
+/// whose stdout holds no host time: their trace-database, collector and
+/// script tables name each agent that collected, so a tracer built with
+/// another agent set moves them. Each stdout folds into one CRC-32.
 #[test]
 fn live_output_is_pinned() {
     for (args, want) in [
-        (&["live"][..], 0x3d23_8e6eu32),
+        (&["two-host", "--messages", "200"][..], 0xef85_b7beu32),
+        (&["ovs", "--messages", "200"], 0xaa61_0ce0),
+        (&["xen", "--messages", "200"], 0x1917_5157),
+        (&["container", "--messages", "200"], 0x8966_9cf8),
+        (&["trace", "drop-lab", "--messages", "20"], 0xcdbc_bf7f),
+        (&["trace", "request-chain", "--messages", "20"], 0xee50_4dfc),
+        (&["live"], 0x3d23_8e6e),
         (
             &[
                 "live",

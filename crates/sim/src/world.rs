@@ -467,14 +467,43 @@ impl World {
     }
 }
 
+/// The world's structure, table by table in id order: nodes, devices
+/// (whole config, ports as `(peer, latency, profile)`, bindings), apps as
+/// `(node, tx device, name)`, link profiles and each node's scheduler.
+/// Two worlds built alike print alike, so a digest of this pins a
+/// topology builder.
 impl core::fmt::Debug for World {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        let devices: Vec<_> = self
+            .devices
+            .iter()
+            .map(|d| {
+                let ports: Vec<_> = d
+                    .ports
+                    .iter()
+                    .map(|p| (p.peer, p.latency, p.profile))
+                    .collect();
+                (d.id, &d.cfg, ports, &d.bindings)
+            })
+            .collect();
+        let apps: Vec<_> = self
+            .apps
+            .iter()
+            .map(|a| (a.node, a.tx_dev, &a.name))
+            .collect();
+        let schedulers: Vec<_> = self
+            .schedulers
+            .iter()
+            .map(|s| s.as_ref().map(|s| s.name()))
+            .collect();
         f.debug_struct("World")
             .field("now", &self.now)
-            .field("nodes", &self.nodes.len())
-            .field("devices", &self.devices.len())
-            .field("apps", &self.apps.len())
             .field("events_processed", &self.events_processed)
+            .field("nodes", &self.nodes)
+            .field("devices", &devices)
+            .field("apps", &apps)
+            .field("link_profiles", &self.link_profiles)
+            .field("schedulers", &schedulers)
             .finish()
     }
 }
