@@ -15,8 +15,10 @@
 
 use vnet_sim::time::SimDuration;
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
-use vnet_testbed::xen::{run_latency_with_ratelimit, Consolidation, XenWorkload};
+use vnet_testbed::xen::{run_latency, Consolidation, XenConfig, XenWorkload};
+use vnet_tsdb::TraceDb;
 use vnettracer::config::{CollectionMode, ControlPackage};
+use vnettracer::VNetTracer;
 
 use crate::figures::Scale;
 use crate::report::{us, Table};
@@ -33,7 +35,7 @@ fn overhead_run(
         ..Default::default()
     };
     let mut s = TwoHostScenario::build(&cfg);
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     let mut lost = 0;
     if deploy {
         let mut pkg = s.control_package();
@@ -82,7 +84,7 @@ pub fn buffer_size(scale: Scale) -> Table {
         let mut s = TwoHostScenario::build(&cfg);
         let mut pkg = s.control_package();
         pkg.global.buffer_size = size;
-        let mut tracer = s.make_tracer();
+        let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
         tracer.deploy(&mut s.world, &pkg).expect("deploys");
         s.run(&cfg);
         let lost = tracer.lost_records("s1_ovs_br1");
@@ -139,12 +141,13 @@ pub fn ratelimit_sweep(scale: Scale) -> Table {
         &["ratelimit (us)", "avg", "p99.9"],
     );
     for rl_us in [0u64, 100, 250, 500, 1000, 2000] {
-        let s = run_latency_with_ratelimit(
-            XenWorkload::Sockperf,
-            Consolidation::SharedDefaultRatelimit,
-            scale.messages,
-            Some(SimDuration::from_micros(rl_us)),
-        );
+        let s = run_latency(&XenConfig {
+            workload: XenWorkload::Sockperf,
+            consolidation: Consolidation::SharedDefaultRatelimit,
+            requests: scale.messages,
+            ratelimit: Some(SimDuration::from_micros(rl_us)),
+            ..Default::default()
+        });
         t.row(&[rl_us.to_string(), us(s.mean_ns), us(s.p999_ns as f64)]);
     }
     t.note("tail latency tracks the rate limit almost exactly: the woken I/O vCPU");

@@ -498,7 +498,7 @@ fn deploy<S: Testbed>(
         None => TraceDb::new(),
         Some(dir) => TraceDb::open(dir).map_err(|e| format!("cannot open {dir}: {e}"))?,
     };
-    let mut tracer = bed.make_tracer_with_db(db);
+    let mut tracer = VNetTracer::for_world(bed.world(), db);
     tracer.deploy(bed.world(), &package)?;
     run(bed, &mut tracer);
     let collected = tracer.collect(bed.world());

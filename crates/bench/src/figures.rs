@@ -8,11 +8,13 @@
 use vnet_testbed::container::{run_throughput, ContainerScenario, NetMode, Transport};
 use vnet_testbed::netperf_xen::{run_netperf, TracerKind};
 use vnet_testbed::ovs::{
-    sockperf_latency, sockperf_latency_tcp_congestion, Mitigation, OvsCase, OvsConfig, OvsScenario,
+    sockperf_latency, CongestionTransport, Mitigation, OvsCase, OvsConfig, OvsScenario,
 };
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
 use vnet_testbed::xen::{run_latency, Consolidation, XenConfig, XenScenario, XenWorkload};
+use vnet_tsdb::TraceDb;
 use vnettracer::metrics;
+use vnettracer::VNetTracer;
 
 use crate::report::{mbps, us, Table};
 
@@ -54,7 +56,7 @@ pub fn fig7a(scale: Scale) -> Table {
         let mut tracer = None;
         if traced {
             let pkg = s.control_package();
-            let mut t = s.make_tracer();
+            let mut t = VNetTracer::for_world(&s.world, TraceDb::new());
             t.deploy(&mut s.world, &pkg).expect("deploys");
             tracer = Some(t);
         }
@@ -129,8 +131,15 @@ pub fn fig8b(scale: Scale) -> Table {
         ],
     );
     for case in OvsCase::ALL {
-        let udp = sockperf_latency(case, Mitigation::None, scale.messages);
-        let tcp = sockperf_latency_tcp_congestion(case, scale.messages);
+        let run = |transport| {
+            sockperf_latency(&OvsConfig {
+                case,
+                transport,
+                messages: scale.messages,
+                ..Default::default()
+            })
+        };
+        let (udp, tcp) = (run(CongestionTransport::Udp), run(CongestionTransport::Tcp));
         t.row(&[
             case.label().into(),
             us(udp.mean_ns),
@@ -159,7 +168,7 @@ pub fn fig9a(scale: Scale) -> Table {
         };
         let mut s = OvsScenario::build(&cfg);
         let pkg = s.control_package();
-        let mut tracer = s.make_tracer();
+        let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
         tracer.deploy(&mut s.world, &pkg).expect("deploys");
         s.run(&cfg);
         tracer.collect(&s.world);
@@ -197,9 +206,17 @@ pub fn fig9b(scale: Scale) -> Table {
         ],
     );
     for case in [OvsCase::II, OvsCase::III] {
-        let without = sockperf_latency(case, Mitigation::None, scale.messages);
-        let policed = sockperf_latency(case, Mitigation::Policing, scale.messages);
-        let htb = sockperf_latency(case, Mitigation::Htb, scale.messages);
+        let run = |mitigation| {
+            sockperf_latency(&OvsConfig {
+                case,
+                mitigation,
+                messages: scale.messages,
+                ..Default::default()
+            })
+        };
+        let without = run(Mitigation::None);
+        let policed = run(Mitigation::Policing);
+        let htb = run(Mitigation::Htb);
         t.row(&[
             case.label().into(),
             us(without.mean_ns),
@@ -248,7 +265,12 @@ fn fig10(workload: XenWorkload, title: &str, scale: Scale) -> Table {
     ];
     let mut results = Vec::new();
     for (label, consolidation) in configs {
-        let s = run_latency(workload, consolidation, scale.messages);
+        let s = run_latency(&XenConfig {
+            workload,
+            consolidation,
+            requests: scale.messages,
+            ..Default::default()
+        });
         results.push((label, s));
         let s = &results.last().expect("just pushed").1;
         t.row(&[label.into(), us(s.mean_ns), us(s.p999_ns as f64)]);
@@ -296,7 +318,7 @@ pub fn fig11(scale: Scale) -> Table {
         };
         let mut s = XenScenario::build(&cfg);
         let pkg = s.control_package();
-        let mut tracer = s.make_tracer();
+        let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
         tracer.deploy(&mut s.world, &pkg).expect("deploys");
         s.run(&cfg);
         tracer.collect(&s.world);

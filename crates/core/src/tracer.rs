@@ -69,6 +69,19 @@ impl VNetTracer {
         }
     }
 
+    /// Creates a tracer with one agent on every node of `world`, each
+    /// named and sized as [`World::add_node`] made its node, collecting
+    /// into `db`: a fresh [`TraceDb::new`], or a disk-backed one from
+    /// [`TraceDb::open`]. A tracer for some of the nodes only is built
+    /// with [`VNetTracer::add_agent`].
+    pub fn for_world(world: &World, db: TraceDb) -> Self {
+        let mut tracer = Self::with_db(db);
+        for node in world.nodes() {
+            tracer.add_agent(Agent::new(node.id, node.name.as_str(), node.num_cpus));
+        }
+        tracer
+    }
+
     /// Registers an agent for its node. Replaces any previous agent with
     /// the same node name.
     pub fn add_agent(&mut self, agent: Agent) {

@@ -26,7 +26,8 @@
 //! world.run_until(SimTime::from_millis(1));
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::net::Ipv4Addr;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -212,6 +213,30 @@ impl World {
         dev.ports.len() - 1
     }
 
+    /// Wires `dev` like a switch or bridge: an output port toward each
+    /// route's target in the order given, each with one-way `latency`,
+    /// then one toward `default`'s target, if any, with its own latency.
+    /// `dev` then forwards by destination IP over those ports
+    /// ([`Forwarding::ByDstIp`]), the default port taking what no route
+    /// matches.
+    pub fn connect_routes(
+        &mut self,
+        dev: DeviceId,
+        latency: SimDuration,
+        routes: impl IntoIterator<Item = (Ipv4Addr, DeviceId)>,
+        default: Option<(DeviceId, SimDuration)>,
+    ) {
+        let mut table = BTreeMap::new();
+        for (ip, to) in routes {
+            table.insert(ip, self.connect(dev, to, latency));
+        }
+        let default = default.map(|(to, latency)| self.connect(dev, to, latency));
+        self.devices[dev.index()].cfg.forwarding = Forwarding::ByDstIp {
+            routes: table,
+            default,
+        };
+    }
+
     /// Registers a trace-driven link model in the world's profile table;
     /// returns its id for [`World::set_port_profile`].
     pub fn add_link_profile(&mut self, profile: LinkProfile) -> u32 {
@@ -257,12 +282,6 @@ impl World {
     pub fn schedule_device_down(&mut self, dev: DeviceId, at: SimTime, down: bool) {
         let node = self.devices[dev.index()].cfg.node;
         self.push_event(node, at, Event::SetDeviceDown { dev, down });
-    }
-
-    /// Replaces a device's forwarding decision — used by topology
-    /// builders that wire ports first and install routes afterwards.
-    pub fn set_forwarding(&mut self, dev: DeviceId, forwarding: Forwarding) {
-        self.devices[dev.index()].cfg.forwarding = forwarding;
     }
 
     /// Fails or restores a device (failure injection): a down device
@@ -318,6 +337,11 @@ impl World {
     /// destination port.
     pub fn bind_app(&mut self, rx_dev: DeviceId, dst_port: u16, app: AppId) {
         self.devices[rx_dev.index()].bindings.insert(dst_port, app);
+    }
+
+    /// Every node, in id order, as [`World::add_node`] made it.
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 
     /// Looks up a device by node and name.

@@ -27,9 +27,8 @@ use vnet_sim::NodeId;
 use vnet_workloads::stats::ThroughputRecorder;
 use vnet_workloads::{IperfClient, IperfServer, NetperfClient, NetperfServer};
 use vnettracer::config::{Action, ControlPackage, FilterRule, HookSpec, TraceSpec};
-use vnettracer::{Agent, VNetTracer};
 
-use crate::{route, Testbed};
+use crate::Testbed;
 
 /// VM-to-VM or container-overlay networking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,10 +71,6 @@ pub struct ContainerConfig {
 pub struct ContainerScenario {
     /// The simulated world.
     pub world: World,
-    /// The physical host.
-    pub host: NodeId,
-    /// Sender VM.
-    pub vm1: NodeId,
     /// Receiver VM.
     pub vm2: NodeId,
     /// Server-side goodput recorder.
@@ -275,9 +270,12 @@ impl ContainerScenario {
         }
         w.connect(eth0_tx_1, vhost1, SimDuration::ZERO);
         w.connect(vhost1, br_host, SimDuration::ZERO);
-        let p_vm2 = w.connect(br_host, eth0_2, SimDuration::ZERO);
-        let p_vm1 = w.connect(br_host, eth0_1, SimDuration::ZERO);
-        route(&mut w, br_host, &[(VM2_IP, p_vm2), (VM1_IP, p_vm1)]);
+        w.connect_routes(
+            br_host,
+            SimDuration::ZERO,
+            [(VM2_IP, eth0_2), (VM1_IP, eth0_1)],
+            None,
+        );
         w.connect(eth0_tx_2, vhost2, SimDuration::ZERO);
         w.connect(vhost2, br_host, SimDuration::ZERO);
         w.connect(eth0_2, flannel_rx, SimDuration::ZERO);
@@ -300,10 +298,6 @@ impl ContainerScenario {
             src_port: cport,
             dst_port: SERVER_PORT,
             protocol: proto,
-        };
-        let client_tx = match cfg.mode {
-            NetMode::VmDirect => stack_tx,
-            NetMode::Overlay => stack_tx,
         };
         let server_rx = match cfg.mode {
             NetMode::VmDirect => eth0_2,
@@ -329,7 +323,7 @@ impl ContainerScenario {
                 w.bind_app(server_rx, SERVER_PORT, server);
                 let client = w.add_app(
                     vm1,
-                    client_tx,
+                    stack_tx,
                     Box::new(NetperfClient::new(
                         flow,
                         vnet_workloads::netperf::DEFAULT_MSS,
@@ -350,7 +344,7 @@ impl ContainerScenario {
                 // packet every 1.2us.
                 w.add_app(
                     vm1,
-                    client_tx,
+                    stack_tx,
                     Box::new(IperfClient::new(
                         flow,
                         1470,
@@ -363,8 +357,6 @@ impl ContainerScenario {
 
         ContainerScenario {
             world: w,
-            host,
-            vm1,
             vm2,
             throughput,
             flow,
@@ -440,24 +432,11 @@ impl ContainerScenario {
             },
         ])
     }
-
-    /// Creates a tracer with agents for the host and both VMs.
-    pub fn make_tracer(&self) -> VNetTracer {
-        self.make_tracer_with_db(vnet_tsdb::TraceDb::new())
-    }
 }
 
 impl Testbed for ContainerScenario {
     fn world(&mut self) -> &mut World {
         &mut self.world
-    }
-
-    fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
-        let mut tracer = VNetTracer::with_db(db);
-        tracer.add_agent(Agent::new(self.host, "host", 20));
-        tracer.add_agent(Agent::new(self.vm1, "vm1", 4));
-        tracer.add_agent(Agent::new(self.vm2, "vm2", 4));
-        tracer
     }
 }
 
@@ -483,6 +462,8 @@ pub fn run_throughput(mode: NetMode, transport: Transport, count: u64) -> (f64, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vnet_tsdb::TraceDb;
+    use vnettracer::VNetTracer;
 
     #[test]
     fn overlay_tcp_throughput_collapses() {
@@ -543,7 +524,7 @@ mod tests {
         };
         let mut s = ContainerScenario::build(&cfg);
         let pkg = s.control_package();
-        let mut tracer = s.make_tracer();
+        let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
         tracer.deploy(&mut s.world, &pkg).unwrap();
         s.run(&cfg);
         let counts = tracer.counter_per_cpu("net_rx_action").unwrap();

@@ -28,12 +28,11 @@ use vnet_sim::packet::FlowKey;
 use vnet_sim::profile::{LinkProfile, LinkSegment};
 use vnet_sim::time::{SimDuration, SimTime};
 use vnet_sim::world::World;
-use vnet_sim::{DeviceId, NodeId};
+use vnet_sim::DeviceId;
 use vnet_workloads::stats::ThroughputRecorder;
 use vnet_workloads::{IperfClient, IperfServer};
 use vnettracer::config::FilterRule;
 use vnettracer::modules::{ModuleScope, OvsTap, TapSpec};
-use vnettracer::{Agent, VNetTracer};
 
 use crate::Testbed;
 
@@ -73,8 +72,6 @@ impl Default for DropLabConfig {
 pub struct DropLab {
     /// The simulated world.
     pub world: World,
-    /// The single lab host.
-    pub node: NodeId,
     /// Every device in the lab, for ground-truth counter sums.
     pub devices: Vec<DeviceId>,
     cfg: DropLabConfig,
@@ -197,7 +194,6 @@ impl DropLab {
 
         DropLab {
             world: w,
-            node,
             devices,
             cfg: cfg.clone(),
         }
@@ -258,12 +254,6 @@ impl DropLab {
 impl Testbed for DropLab {
     fn world(&mut self) -> &mut World {
         &mut self.world
-    }
-
-    fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
-        let mut tracer = VNetTracer::with_db(db);
-        tracer.add_agent(Agent::new(self.node, "labhost", 8));
-        tracer
     }
 }
 

@@ -44,6 +44,7 @@ use vnet_sim::profile::{
 };
 use vnet_sim::time::{SimDuration, SimTime};
 use vnet_sim::{DeviceId, World};
+use vnet_tsdb::TraceDb;
 use vnet_workloads::datacenter_rack::{RackConfig, RackScenario};
 use vnettracer::config::{FilterRule, GlobalConfig, Proto};
 use vnettracer::modules::{ModuleRegistry, ModuleScope, TapSpec};
@@ -315,7 +316,7 @@ const SEND_INTERVAL: SimDuration = SimDuration::from_micros(100);
 /// One testbed as the harness sees it: where each condition attaches,
 /// what the detector watches, and the tracer that feeds it. Everything
 /// else about a run is the same on every testbed.
-struct Testbed<'a> {
+struct Bed<'a> {
     world: &'a mut World,
     tracer: VNetTracer,
     /// Healthy one-way delay of the degraded cables.
@@ -341,7 +342,7 @@ struct Testbed<'a> {
 /// the workload with a live engine subscribed to the collector, and
 /// scores the engine's alerts against the generator's episodes.
 fn run_testbed(
-    bed: Testbed<'_>,
+    bed: Bed<'_>,
     profile: Option<AdversarialProfile>,
     cfg: &EmulationConfig,
 ) -> EmulationReport {
@@ -475,8 +476,8 @@ pub fn run_two_host(profile: Option<AdversarialProfile>, cfg: &EmulationConfig) 
         .latency_pairs
         .push(("s2_ovs_br1_rev".into(), "s1_ens3".into()));
 
-    let tracer = s.make_tracer();
-    let bed = Testbed {
+    let tracer = VNetTracer::for_world(&s.world, TraceDb::new());
+    let bed = Bed {
         world: &mut s.world,
         tracer,
         base_delay: SimDuration::from_micros(30),
@@ -544,7 +545,7 @@ pub fn run_rack(profile: Option<AdversarialProfile>, cfg: &EmulationConfig) -> E
     let mut tracer = VNetTracer::new();
     tracer.add_agent(vnettracer::Agent::new(s.host_nodes[0], "host0", 16));
     tracer.add_agent(vnettracer::Agent::new(s.host_nodes[1], "host1", 16));
-    let bed = Testbed {
+    let bed = Bed {
         world: &mut s.world,
         tracer,
         base_delay: SimDuration::from_micros(5),

@@ -41,36 +41,12 @@ pub mod rack;
 pub mod two_host;
 pub mod xen;
 
-use std::collections::BTreeMap;
-use std::net::Ipv4Addr;
-
-use vnet_sim::device::Forwarding;
 use vnet_sim::world::World;
-use vnet_sim::DeviceId;
-use vnet_tsdb::TraceDb;
-use vnettracer::VNetTracer;
 
-/// What a front end needs to trace any of these scenarios: its world,
-/// and a tracer with an agent on each of its nodes.
+/// What a front end needs to trace any of these scenarios: its world.
+/// The tracer comes from the world too, with an agent on each of its
+/// nodes ([`vnettracer::VNetTracer::for_world`]).
 pub trait Testbed {
     /// The world the scenario runs in.
     fn world(&mut self) -> &mut World;
-
-    /// A tracer with an agent on each of the scenario's nodes, collecting
-    /// into `db`: a fresh [`TraceDb::new`], or a disk-backed one from
-    /// [`TraceDb::open`] so every collected batch is journaled and sealed.
-    fn make_tracer_with_db(&self, db: TraceDb) -> VNetTracer;
-}
-
-/// Installs destination-IP routes on a switch/bridge device whose output
-/// ports were wired with [`World::connect`].
-pub fn route(world: &mut World, dev: DeviceId, routes: &[(Ipv4Addr, usize)]) {
-    let map: BTreeMap<Ipv4Addr, usize> = routes.iter().copied().collect();
-    world.set_forwarding(
-        dev,
-        Forwarding::ByDstIp {
-            routes: map,
-            default: None,
-        },
-    );
 }

@@ -21,14 +21,12 @@ use vnet_sim::node::NodeClock;
 use vnet_sim::packet::FlowKey;
 use vnet_sim::time::SimDuration;
 use vnet_sim::world::World;
-use vnet_sim::NodeId;
 use vnet_workloads::stats::LatencyRecorder;
 use vnet_workloads::{DataCachingClient, DataCachingServer, MemcachedProxy};
 use vnettracer::config::FilterRule;
 use vnettracer::modules::{ModuleScope, TapSpec};
-use vnettracer::{Agent, VNetTracer};
 
-use crate::{route, Testbed};
+use crate::Testbed;
 
 /// Client tier address.
 pub const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 2, 0, 1);
@@ -71,12 +69,6 @@ impl Default for ChainConfig {
 pub struct MemcachedChain {
     /// The simulated world.
     pub world: World,
-    /// Client tier node.
-    pub client: NodeId,
-    /// Proxy tier node.
-    pub proxy: NodeId,
-    /// Backend tier node.
-    pub backend: NodeId,
     /// Client-observed response latencies.
     pub latency: Rc<RefCell<LatencyRecorder>>,
     cfg: ChainConfig,
@@ -127,9 +119,7 @@ impl MemcachedChain {
 
         let hop = SimDuration::from_micros(20);
         w.connect(c_tx, p_rx, hop);
-        let p_up = w.connect(p_tx, b_rx, hop);
-        let p_down = w.connect(p_tx, c_rx, hop);
-        route(&mut w, p_tx, &[(BACKEND_IP, p_up), (CLIENT_IP, p_down)]);
+        w.connect_routes(p_tx, hop, [(BACKEND_IP, b_rx), (CLIENT_IP, c_rx)], None);
         w.connect(b_tx, p_rx, hop);
 
         let client_flow = FlowKey::udp(
@@ -163,9 +153,6 @@ impl MemcachedChain {
 
         MemcachedChain {
             world: w,
-            client,
-            proxy,
-            backend,
             latency,
             cfg: cfg.clone(),
         }
@@ -207,21 +194,15 @@ impl Testbed for MemcachedChain {
     fn world(&mut self) -> &mut World {
         &mut self.world
     }
-
-    fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
-        let mut tracer = VNetTracer::with_db(db);
-        tracer.add_agent(Agent::new(self.client, "client", 4));
-        tracer.add_agent(Agent::new(self.proxy, "proxy", 8));
-        tracer.add_agent(Agent::new(self.backend, "backend", 8));
-        tracer
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vnet_tsdb::TraceDb;
     use vnettracer::config::GlobalConfig;
     use vnettracer::modules::ModuleRegistry;
+    use vnettracer::VNetTracer;
 
     #[test]
     fn every_request_completes_through_the_proxy() {
@@ -244,7 +225,7 @@ mod tests {
         let pkg = ModuleRegistry::builtin()
             .package("requests", &chain.module_scope(), GlobalConfig::default())
             .unwrap();
-        let mut tracer = chain.make_tracer_with_db(vnet_tsdb::TraceDb::new());
+        let mut tracer = VNetTracer::for_world(&chain.world, TraceDb::new());
         tracer.deploy(&mut chain.world, &pkg).unwrap();
         chain.run();
         tracer.collect(&chain.world);

@@ -26,7 +26,6 @@ use vnet_sim::packet::FlowKey;
 use vnet_sim::probe::Hook;
 use vnet_sim::time::SimDuration;
 use vnet_sim::world::World;
-use vnet_sim::NodeId;
 use vnet_workloads::stats::ThroughputRecorder;
 use vnet_workloads::{NetperfClient, NetperfServer};
 use vnettracer::config::{Action, ControlPackage, FilterRule, HookSpec, Proto, TraceSpec};
@@ -62,10 +61,6 @@ pub struct NetperfXenConfig {
 pub struct NetperfXenScenario {
     /// The simulated world.
     pub world: World,
-    /// The client host.
-    pub client_host: NodeId,
-    /// The Xen host running the Netperf server VM.
-    pub xen_host: NodeId,
     /// Server-side goodput recorder.
     pub throughput: Rc<RefCell<ThroughputRecorder>>,
     /// The tracer, when [`TracerKind::VNetTracer`] was requested.
@@ -198,8 +193,6 @@ impl NetperfXenScenario {
 
         NetperfXenScenario {
             world: w,
-            client_host,
-            xen_host,
             throughput,
             tracer,
             systemtap,

@@ -38,9 +38,8 @@ use vnet_workloads::{
 };
 use vnettracer::config::{ControlPackage, FilterRule, GlobalConfig};
 use vnettracer::modules::{ModuleRegistry, ModuleScope, OvsTap, TapSpec};
-use vnettracer::{Agent, VNetTracer};
 
-use crate::{route, Testbed};
+use crate::Testbed;
 
 /// The experiment case (Fig. 8/9 terminology).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,26 +204,17 @@ impl OvsScenario {
         };
 
         // Guest socket layers.
-        let em0 = w.add_device(
-            DeviceConfig::new("em0", host)
-                .service(ServiceModel::Fixed(SimDuration::from_nanos(300)))
-                .trace_id(TraceIdRole::Inject),
-        );
-        let em1 = w.add_device(
-            DeviceConfig::new("em1", host)
-                .service(ServiceModel::Fixed(SimDuration::from_nanos(300)))
-                .trace_id(TraceIdRole::Inject),
-        );
-        let em3 = w.add_device(
-            DeviceConfig::new("em3", host)
-                .service(ServiceModel::Fixed(SimDuration::from_nanos(300)))
-                .trace_id(TraceIdRole::Inject),
-        );
-        let em2_tx = w.add_device(
-            DeviceConfig::new("em2-tx", host)
-                .service(ServiceModel::Fixed(SimDuration::from_nanos(300)))
-                .trace_id(TraceIdRole::Inject),
-        );
+        let guest_tx = |w: &mut World, name: &str| {
+            w.add_device(
+                DeviceConfig::new(name, host)
+                    .service(ServiceModel::Fixed(SimDuration::from_nanos(300)))
+                    .trace_id(TraceIdRole::Inject),
+            )
+        };
+        let em0 = guest_tx(&mut w, "em0");
+        let em1 = guest_tx(&mut w, "em1");
+        let em3 = guest_tx(&mut w, "em3");
+        let em2_tx = guest_tx(&mut w, "em2-tx");
         // OVS ingress ports.
         let vnet0 = vnet(&mut w, "vnet0", cfg.mitigation);
         let vnet1 = vnet(&mut w, "vnet1", cfg.mitigation);
@@ -264,9 +254,12 @@ impl OvsScenario {
         for v in [vnet0, vnet1, vnet2, vnet3] {
             w.connect(v, ovs_br, SimDuration::ZERO);
         }
-        let p_vm2 = w.connect(ovs_br, em2, SimDuration::ZERO);
-        let p_vm0 = w.connect(ovs_br, em0_rx, SimDuration::ZERO);
-        route(&mut w, ovs_br, &[(VM2_IP, p_vm2), (VM0_IP, p_vm0)]);
+        w.connect_routes(
+            ovs_br,
+            SimDuration::ZERO,
+            [(VM2_IP, em2), (VM0_IP, em0_rx)],
+            None,
+        );
 
         // Sockperf.
         let flow = FlowKey::udp(
@@ -331,15 +324,8 @@ impl OvsScenario {
                             stats,
                         )),
                     );
-                    // Acks return to the sender's receive stack.
-                    let rx = if src_ip == VM0_IP { "em0-rx" } else { "em-rx" };
-                    let _ = rx;
-                    w.bind_app(
-                        w.find_device(vnet_sim::NodeId(0), "em0-rx")
-                            .expect("em0-rx exists"),
-                        iperf_port,
-                        app,
-                    );
+                    // Acks are delivered at em0-rx, the only guest receive stack.
+                    w.bind_app(em0_rx, iperf_port, app);
                 }
             }
         };
@@ -424,11 +410,6 @@ impl OvsScenario {
         ["sock_em0", "sock_vnet0", "sock_em2_in", "sock_em2_out"]
     }
 
-    /// Creates a tracer with an agent for the host.
-    pub fn make_tracer(&self) -> VNetTracer {
-        self.make_tracer_with_db(vnet_tsdb::TraceDb::new())
-    }
-
     /// Runs to completion.
     pub fn run(&mut self, cfg: &OvsConfig) {
         let total = SimDuration::from_nanos(cfg.interval.as_nanos() * (cfg.messages + 2))
@@ -441,47 +422,12 @@ impl Testbed for OvsScenario {
     fn world(&mut self) -> &mut World {
         &mut self.world
     }
-
-    fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
-        let mut tracer = VNetTracer::with_db(db);
-        tracer.add_agent(Agent::new(self.host, "server1", 20));
-        tracer
-    }
 }
 
-/// Runs one case end-to-end with TCP (AIMD) congestion and returns the
-/// Sockperf latency summary.
-pub fn sockperf_latency_tcp_congestion(case: OvsCase, messages: u64) -> vnet_tsdb::LatencyStats {
-    let cfg = OvsConfig {
-        case,
-        transport: CongestionTransport::Tcp,
-        messages,
-        ..Default::default()
-    };
-    let mut s = OvsScenario::build(&cfg);
-    s.run(&cfg);
-    let summary = s
-        .latency
-        .borrow_mut()
-        .summary()
-        .expect("sockperf produced samples");
-    summary
-}
-
-/// Runs one case end-to-end and returns the Sockperf latency summary.
-pub fn sockperf_latency(
-    case: OvsCase,
-    mitigation: Mitigation,
-    messages: u64,
-) -> vnet_tsdb::LatencyStats {
-    let cfg = OvsConfig {
-        case,
-        mitigation,
-        messages,
-        ..Default::default()
-    };
-    let mut s = OvsScenario::build(&cfg);
-    s.run(&cfg);
+/// Runs `cfg` end-to-end and returns the Sockperf latency summary.
+pub fn sockperf_latency(cfg: &OvsConfig) -> vnet_tsdb::LatencyStats {
+    let mut s = OvsScenario::build(cfg);
+    s.run(cfg);
     let summary = s
         .latency
         .borrow_mut()
@@ -494,11 +440,21 @@ pub fn sockperf_latency(
 mod tests {
     use super::*;
 
+    /// Case `case` under `mitigation`, with UDP congestion.
+    fn latency(case: OvsCase, mitigation: Mitigation, messages: u64) -> vnet_tsdb::LatencyStats {
+        sockperf_latency(&OvsConfig {
+            case,
+            mitigation,
+            messages,
+            ..Default::default()
+        })
+    }
+
     #[test]
     fn case_ordering_matches_fig8b() {
-        let i = sockperf_latency(OvsCase::I, Mitigation::None, 300);
-        let ii = sockperf_latency(OvsCase::II, Mitigation::None, 300);
-        let iii = sockperf_latency(OvsCase::III, Mitigation::None, 300);
+        let i = latency(OvsCase::I, Mitigation::None, 300);
+        let ii = latency(OvsCase::II, Mitigation::None, 300);
+        let iii = latency(OvsCase::III, Mitigation::None, 300);
         // Uncongested baseline is microseconds; congestion is 100s of us.
         assert!(i.p999_ns < 20_000, "Case I tail {}ns", i.p999_ns);
         assert!(
@@ -517,8 +473,8 @@ mod tests {
 
     #[test]
     fn saturated_ingress_makes_ii_plus_equal_ii() {
-        let ii = sockperf_latency(OvsCase::II, Mitigation::None, 300);
-        let ii_plus = sockperf_latency(OvsCase::IIPlus, Mitigation::None, 300);
+        let ii = latency(OvsCase::II, Mitigation::None, 300);
+        let ii_plus = latency(OvsCase::IIPlus, Mitigation::None, 300);
         let ratio = ii_plus.mean_ns / ii.mean_ns;
         assert!(
             (0.8..1.25).contains(&ratio),
@@ -530,8 +486,8 @@ mod tests {
 
     #[test]
     fn more_ingress_ports_grow_the_processing_delay() {
-        let iii = sockperf_latency(OvsCase::III, Mitigation::None, 300);
-        let iii_plus = sockperf_latency(OvsCase::IIIPlus, Mitigation::None, 300);
+        let iii = latency(OvsCase::III, Mitigation::None, 300);
+        let iii_plus = latency(OvsCase::IIIPlus, Mitigation::None, 300);
         assert!(
             iii_plus.mean_ns > iii.mean_ns,
             "III+ ({}) must exceed III ({})",
@@ -542,18 +498,16 @@ mod tests {
 
     #[test]
     fn rate_limiting_restores_latency() {
-        let congested = sockperf_latency(OvsCase::II, Mitigation::None, 300);
-        let policed = sockperf_latency(OvsCase::II, Mitigation::Policing, 300);
+        let congested = latency(OvsCase::II, Mitigation::None, 300);
+        let policed = latency(OvsCase::II, Mitigation::Policing, 300);
         assert!(
             policed.mean_ns < congested.mean_ns / 5.0_f64,
             "policing ({}) must cut Case II latency ({}) drastically",
             policed.mean_ns,
             congested.mean_ns
         );
-        let policed3 = sockperf_latency(OvsCase::III, Mitigation::Policing, 300);
-        assert!(
-            policed3.mean_ns < sockperf_latency(OvsCase::III, Mitigation::None, 300).mean_ns / 5.0
-        );
+        let policed3 = latency(OvsCase::III, Mitigation::Policing, 300);
+        assert!(policed3.mean_ns < latency(OvsCase::III, Mitigation::None, 300).mean_ns / 5.0);
     }
 
     #[test]
@@ -561,7 +515,12 @@ mod tests {
         // With AIMD congestion (iPerf's default TCP), the ingress queue
         // oscillates: probes see Fig. 8(b)'s avg << p99.9 structure
         // instead of the flat delay of sustained UDP overload.
-        let s = sockperf_latency_tcp_congestion(OvsCase::II, 400);
+        let s = sockperf_latency(&OvsConfig {
+            case: OvsCase::II,
+            transport: CongestionTransport::Tcp,
+            messages: 400,
+            ..Default::default()
+        });
         assert!(
             s.p999_ns as f64 > 1.5 * s.mean_ns,
             "tail {} should be well above avg {}",
@@ -569,7 +528,7 @@ mod tests {
             s.mean_ns
         );
         // And still clearly congested relative to Case I.
-        let base = sockperf_latency(OvsCase::I, Mitigation::None, 200);
+        let base = latency(OvsCase::I, Mitigation::None, 200);
         assert!(s.p999_ns as f64 > 5.0 * base.p999_ns as f64);
     }
 
@@ -578,8 +537,8 @@ mod tests {
         // "In addition to the rate limit, we also tried setting QoS
         // policy with HTB at the virtual port of OVS … The effect was
         // similar as the results using rate limit."
-        let congested = sockperf_latency(OvsCase::II, Mitigation::None, 300);
-        let htb = sockperf_latency(OvsCase::II, Mitigation::Htb, 300);
+        let congested = latency(OvsCase::II, Mitigation::None, 300);
+        let htb = latency(OvsCase::II, Mitigation::Htb, 300);
         assert!(
             htb.mean_ns < congested.mean_ns / 5.0,
             "HTB ({}) must cut Case II latency ({}) like policing does",

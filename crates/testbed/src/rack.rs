@@ -7,7 +7,7 @@ use vnet_sim::world::World;
 use vnet_workloads::datacenter_rack::{RackConfig, RackScenario};
 use vnettracer::config::{ControlPackage, FilterRule, GlobalConfig};
 use vnettracer::modules::{ModuleRegistry, ModuleScope, TapSpec};
-use vnettracer::{Agent, VNetTracer};
+use vnettracer::VNetTracer;
 
 use crate::Testbed;
 
@@ -66,10 +66,11 @@ impl RackTestbed {
             .expect("builtin default profile resolves")
     }
 
-    /// Creates a tracer with an agent registered on every node of the
-    /// rack — ToR, hosts and VMs.
+    /// [`VNetTracer::for_world`] over the rack, in memory: an agent on
+    /// every node (ToR, hosts and VMs). Kept as a method only for the
+    /// `bench_e2e` harness, which calls it by this name.
     pub fn make_tracer(&self) -> VNetTracer {
-        self.make_tracer_with_db(vnet_tsdb::TraceDb::new())
+        VNetTracer::for_world(&self.scenario.world, vnet_tsdb::TraceDb::new())
     }
 
     /// Runs the send phase plus drain margin.
@@ -83,26 +84,12 @@ impl Testbed for RackTestbed {
     fn world(&mut self) -> &mut World {
         &mut self.scenario.world
     }
-
-    fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
-        let mut tracer = VNetTracer::with_db(db);
-        tracer.add_agent(Agent::new(self.scenario.tor, "tor", 8));
-        for (h, &node) in self.scenario.host_nodes.iter().enumerate() {
-            tracer.add_agent(Agent::new(node, format!("host{h}"), 16));
-        }
-        for h in 0..self.cfg.hosts {
-            for v in 0..self.cfg.vms_per_host {
-                let node = self.scenario.vm_nodes[h * self.cfg.vms_per_host + v];
-                tracer.add_agent(Agent::new(node, format!("vm{h}-{v}"), 4));
-            }
-        }
-        tracer
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vnet_tsdb::TraceDb;
 
     /// The documented distortion bound for the traced rack: with one
     /// unfiltered record-producing script on every bridge and VM port,
@@ -124,7 +111,7 @@ mod tests {
 
         let mut traced = RackTestbed::build(&cfg);
         let pkg = traced.control_package();
-        let mut tracer = traced.make_tracer();
+        let mut tracer = VNetTracer::for_world(&traced.scenario.world, TraceDb::new());
         tracer.deploy(&mut traced.scenario.world, &pkg).unwrap();
         traced.run();
         tracer.collect(&traced.scenario.world);
@@ -187,7 +174,7 @@ mod tests {
         };
         let mut tb = RackTestbed::build(&cfg);
         let pkg = tb.control_package();
-        let mut tracer = tb.make_tracer();
+        let mut tracer = VNetTracer::for_world(&tb.scenario.world, TraceDb::new());
         tracer.deploy(&mut tb.scenario.world, &pkg).unwrap();
         tb.run();
         assert_eq!(tb.scenario.world.events_processed(), 943_984);

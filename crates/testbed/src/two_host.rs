@@ -19,14 +19,13 @@ use vnet_sim::node::NodeClock;
 use vnet_sim::packet::FlowKey;
 use vnet_sim::time::SimDuration;
 use vnet_sim::world::World;
-use vnet_sim::NodeId;
+use vnet_sim::{DeviceId, NodeId};
 use vnet_workloads::stats::LatencyRecorder;
 use vnet_workloads::{IperfClient, IperfServer, SockperfClient, SockperfServer};
 use vnettracer::config::{ControlPackage, FilterRule, GlobalConfig};
 use vnettracer::modules::{ModuleRegistry, ModuleScope, TapSpec};
-use vnettracer::{Agent, VNetTracer};
 
-use crate::{route, Testbed};
+use crate::Testbed;
 
 /// Configuration of the two-host overhead scenario.
 #[derive(Debug, Clone)]
@@ -78,76 +77,71 @@ pub const SOCKPERF_SERVER_PORT: u16 = 11111;
 const IPERF_CLIENT_PORT: u16 = 50000;
 const IPERF_SERVER_PORT: u16 = 5201;
 
+/// The devices of one server that the wire between the servers and the
+/// workloads attach to: the VM's transmit tap and receive port, and the
+/// NIC's two sides.
+struct Server {
+    ens3_tx: DeviceId,
+    eth_tx: DeviceId,
+    eth_rx: DeviceId,
+    ens3: DeviceId,
+}
+
+/// Adds one server's devices to `node` (VM transmit tap, OVS bridge
+/// `ovs-br1`, NIC pair, VM receive port, in that id order) and wires
+/// them: the VM and the NIC's receive side feed the bridge, which routes
+/// `local` to the VM and `remote` out the NIC.
+fn add_server(w: &mut World, node: NodeId, local: Ipv4Addr, remote: Ipv4Addr) -> Server {
+    let ens3_tx = w.add_device(
+        DeviceConfig::new("ens3-tx", node)
+            .service(ServiceModel::Fixed(SimDuration::from_nanos(500)))
+            .trace_id(TraceIdRole::Inject),
+    );
+    let ovs_br = w.add_device(
+        DeviceConfig::new("ovs-br1", node)
+            .service(ServiceModel::Fixed(SimDuration::from_nanos(1_500)))
+            .queue_capacity(1024),
+    );
+    let eth_tx =
+        w.add_device(DeviceConfig::new("eth0-tx", node).service(ServiceModel::nic_gbps(1.0)));
+    let eth_rx = w.add_device(
+        DeviceConfig::new("eth0-rx", node)
+            .service(ServiceModel::Fixed(SimDuration::from_nanos(300))),
+    );
+    let ens3 = w.add_device(
+        DeviceConfig::new("ens3", node)
+            .service(ServiceModel::Fixed(SimDuration::from_micros(1)))
+            .forwarding(Forwarding::Deliver)
+            .trace_id(TraceIdRole::StripUdpTrailer),
+    );
+    w.connect(ens3_tx, ovs_br, SimDuration::ZERO);
+    w.connect_routes(
+        ovs_br,
+        SimDuration::ZERO,
+        [(remote, eth_tx), (local, ens3)],
+        None,
+    );
+    w.connect(eth_rx, ovs_br, SimDuration::ZERO);
+    Server {
+        ens3_tx,
+        eth_tx,
+        eth_rx,
+        ens3,
+    }
+}
+
 impl TwoHostScenario {
     /// Builds the topology and workloads.
     pub fn build(cfg: &TwoHostConfig) -> Self {
         let mut w = World::new(cfg.seed);
         let s1 = w.add_node("server1", 20, NodeClock::perfect());
         let s2 = w.add_node("server2", 20, NodeClock::perfect());
-
-        // --- server1 devices ---
-        let ens3_tx_1 = w.add_device(
-            DeviceConfig::new("ens3-tx", s1)
-                .service(ServiceModel::Fixed(SimDuration::from_nanos(500)))
-                .trace_id(TraceIdRole::Inject),
-        );
-        let ovs_br1 = w.add_device(
-            DeviceConfig::new("ovs-br1", s1)
-                .service(ServiceModel::Fixed(SimDuration::from_nanos(1_500)))
-                .queue_capacity(1024),
-        );
-        let eth_tx_1 =
-            w.add_device(DeviceConfig::new("eth0-tx", s1).service(ServiceModel::nic_gbps(1.0)));
-        let eth_rx_1 = w.add_device(
-            DeviceConfig::new("eth0-rx", s1)
-                .service(ServiceModel::Fixed(SimDuration::from_nanos(300))),
-        );
-        let ens3_1 = w.add_device(
-            DeviceConfig::new("ens3", s1)
-                .service(ServiceModel::Fixed(SimDuration::from_micros(1)))
-                .forwarding(Forwarding::Deliver)
-                .trace_id(TraceIdRole::StripUdpTrailer),
-        );
-
-        // --- server2 devices (mirror) ---
-        let ens3_tx_2 = w.add_device(
-            DeviceConfig::new("ens3-tx", s2)
-                .service(ServiceModel::Fixed(SimDuration::from_nanos(500)))
-                .trace_id(TraceIdRole::Inject),
-        );
-        let ovs_br2 = w.add_device(
-            DeviceConfig::new("ovs-br1", s2)
-                .service(ServiceModel::Fixed(SimDuration::from_nanos(1_500)))
-                .queue_capacity(1024),
-        );
-        let eth_tx_2 =
-            w.add_device(DeviceConfig::new("eth0-tx", s2).service(ServiceModel::nic_gbps(1.0)));
-        let eth_rx_2 = w.add_device(
-            DeviceConfig::new("eth0-rx", s2)
-                .service(ServiceModel::Fixed(SimDuration::from_nanos(300))),
-        );
-        let ens3_2 = w.add_device(
-            DeviceConfig::new("ens3", s2)
-                .service(ServiceModel::Fixed(SimDuration::from_micros(1)))
-                .forwarding(Forwarding::Deliver)
-                .trace_id(TraceIdRole::StripUdpTrailer),
-        );
-
-        // --- wiring ---
+        let vm1 = add_server(&mut w, s1, VM1_IP, VM2_IP);
+        let vm2 = add_server(&mut w, s2, VM2_IP, VM1_IP);
+        // VM1 out -> OVS1 -> NIC1 -> wire -> NIC2-rx -> OVS2 -> VM2, and back.
         let wire = SimDuration::from_micros(30);
-        // VM1 out -> OVS1 -> NIC1 -> wire -> NIC2-rx -> OVS2 -> VM2.
-        w.connect(ens3_tx_1, ovs_br1, SimDuration::ZERO);
-        let p_to_eth1 = w.connect(ovs_br1, eth_tx_1, SimDuration::ZERO);
-        let p_to_vm1 = w.connect(ovs_br1, ens3_1, SimDuration::ZERO);
-        route(&mut w, ovs_br1, &[(VM2_IP, p_to_eth1), (VM1_IP, p_to_vm1)]);
-        w.connect(eth_tx_1, eth_rx_2, wire);
-        w.connect(eth_rx_2, ovs_br2, SimDuration::ZERO);
-        w.connect(ens3_tx_2, ovs_br2, SimDuration::ZERO);
-        let p_to_eth2 = w.connect(ovs_br2, eth_tx_2, SimDuration::ZERO);
-        let p_to_vm2 = w.connect(ovs_br2, ens3_2, SimDuration::ZERO);
-        route(&mut w, ovs_br2, &[(VM1_IP, p_to_eth2), (VM2_IP, p_to_vm2)]);
-        w.connect(eth_tx_2, eth_rx_1, wire);
-        w.connect(eth_rx_1, ovs_br1, SimDuration::ZERO);
+        w.connect(vm1.eth_tx, vm2.eth_rx, wire);
+        w.connect(vm2.eth_tx, vm1.eth_rx, wire);
 
         // --- workloads ---
         let flow = FlowKey::udp(
@@ -157,7 +151,7 @@ impl TwoHostScenario {
         let latency = LatencyRecorder::shared();
         let client = w.add_app(
             s1,
-            ens3_tx_1,
+            vm1.ens3_tx,
             Box::new(SockperfClient::new(
                 flow,
                 vnet_workloads::sockperf::DEFAULT_MSG_SIZE,
@@ -166,9 +160,9 @@ impl TwoHostScenario {
                 Rc::clone(&latency),
             )),
         );
-        let server = w.add_app(s2, ens3_tx_2, Box::new(SockperfServer::new()));
-        w.bind_app(ens3_2, SOCKPERF_SERVER_PORT, server);
-        w.bind_app(ens3_1, SOCKPERF_CLIENT_PORT, client);
+        let server = w.add_app(s2, vm2.ens3_tx, Box::new(SockperfServer::new()));
+        w.bind_app(vm2.ens3, SOCKPERF_SERVER_PORT, server);
+        w.bind_app(vm1.ens3, SOCKPERF_CLIENT_PORT, client);
 
         if cfg.background_mbps > 0.0 {
             let bg_flow = FlowKey::udp(
@@ -182,7 +176,7 @@ impl TwoHostScenario {
                 / pkt_size as f64) as u64;
             w.add_app(
                 s1,
-                ens3_tx_1,
+                vm1.ens3_tx,
                 Box::new(IperfClient::with_rate_mbps(
                     bg_flow,
                     pkt_size,
@@ -191,8 +185,8 @@ impl TwoHostScenario {
                 )),
             );
             let bg_tput = vnet_workloads::stats::ThroughputRecorder::shared();
-            let bg_server = w.add_app(s2, ens3_tx_2, Box::new(IperfServer::new(bg_tput)));
-            w.bind_app(ens3_2, IPERF_SERVER_PORT, bg_server);
+            let bg_server = w.add_app(s2, vm2.ens3_tx, Box::new(IperfServer::new(bg_tput)));
+            w.bind_app(vm2.ens3, IPERF_SERVER_PORT, bg_server);
         }
 
         TwoHostScenario {
@@ -238,11 +232,6 @@ impl TwoHostScenario {
             .expect("builtin default profile resolves")
     }
 
-    /// Creates a tracer with agents registered for both servers.
-    pub fn make_tracer(&self) -> VNetTracer {
-        self.make_tracer_with_db(vnet_tsdb::TraceDb::new())
-    }
-
     /// Runs to completion: total duration plus drain time.
     pub fn run(&mut self, cfg: &TwoHostConfig) {
         let total = SimDuration::from_nanos(cfg.interval.as_nanos() * (cfg.messages + 2))
@@ -255,19 +244,14 @@ impl Testbed for TwoHostScenario {
     fn world(&mut self) -> &mut World {
         &mut self.world
     }
-
-    fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
-        let mut tracer = VNetTracer::with_db(db);
-        tracer.add_agent(Agent::new(self.server1, "server1", 20));
-        tracer.add_agent(Agent::new(self.server2, "server2", 20));
-        tracer
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vnet_sim::time::SimTime;
+    use vnet_tsdb::TraceDb;
+    use vnettracer::VNetTracer;
 
     #[test]
     fn sockperf_runs_and_reports_latency() {
@@ -307,7 +291,7 @@ mod tests {
         // Traced run: 4 eBPF scripts.
         let mut traced = TwoHostScenario::build(&cfg);
         let pkg = traced.control_package();
-        let mut tracer = traced.make_tracer();
+        let mut tracer = VNetTracer::for_world(&traced.world, TraceDb::new());
         tracer.deploy(&mut traced.world, &pkg).unwrap();
         traced.run(&cfg);
         tracer.collect(&traced.world);

@@ -24,13 +24,12 @@ use vnet_sim::packet::FlowKey;
 use vnet_sim::sched::{Credit2Scheduler, CreditScheduler, HyperScheduler};
 use vnet_sim::time::SimDuration;
 use vnet_sim::world::World;
-use vnet_sim::{CpuId, NodeId, VcpuId};
+use vnet_sim::{CpuId, VcpuId};
 use vnet_workloads::stats::LatencyRecorder;
 use vnet_workloads::{DataCachingClient, DataCachingServer, SockperfClient, SockperfServer};
 use vnettracer::config::{Action, ControlPackage, FilterRule, HookSpec, TraceSpec};
-use vnettracer::{Agent, VNetTracer};
 
-use crate::{route, Testbed};
+use crate::Testbed;
 
 /// Which latency workload drives the experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,10 +106,6 @@ impl Default for XenConfig {
 pub struct XenScenario {
     /// The simulated world.
     pub world: World,
-    /// The client host.
-    pub client: NodeId,
-    /// The Xen host.
-    pub xen: NodeId,
     /// Workload latency samples (as the application reports them).
     pub latency: Rc<RefCell<LatencyRecorder>>,
     /// The request flow (client → server).
@@ -217,9 +212,12 @@ impl XenScenario {
         w.connect(c_stack_tx, c_eth0, SimDuration::ZERO);
         w.connect(c_eth0, x_eth0, wire);
         w.connect(x_eth0, xenbr0, SimDuration::ZERO);
-        let p_vif = w.connect(xenbr0, vif, SimDuration::ZERO);
-        let p_out = w.connect(xenbr0, x_eth0_tx, SimDuration::ZERO);
-        route(&mut w, xenbr0, &[(SERVER_IP, p_vif), (CLIENT_IP, p_out)]);
+        w.connect_routes(
+            xenbr0,
+            SimDuration::ZERO,
+            [(SERVER_IP, vif), (CLIENT_IP, x_eth0_tx)],
+            None,
+        );
         w.connect(vif, eth1, SimDuration::ZERO);
         w.connect(eth1, veth, SimDuration::ZERO);
         w.connect(guest_tx, xenbr0, SimDuration::ZERO);
@@ -267,8 +265,6 @@ impl XenScenario {
 
         XenScenario {
             world: w,
-            client,
-            xen,
             latency,
             flow,
         }
@@ -303,11 +299,6 @@ impl XenScenario {
         ["tp_eth0", "tp_xenbr0", "tp_vif", "tp_eth1", "tp_veth"]
     }
 
-    /// Creates a tracer with agents for both hosts.
-    pub fn make_tracer(&self) -> VNetTracer {
-        self.make_tracer_with_db(vnet_tsdb::TraceDb::new())
-    }
-
     /// Runs to completion.
     pub fn run(&mut self, cfg: &XenConfig) {
         let interval_ns = match cfg.workload {
@@ -324,41 +315,12 @@ impl Testbed for XenScenario {
     fn world(&mut self) -> &mut World {
         &mut self.world
     }
-
-    fn make_tracer_with_db(&self, db: vnet_tsdb::TraceDb) -> VNetTracer {
-        let mut tracer = VNetTracer::with_db(db);
-        tracer.add_agent(Agent::new(self.client, "client", 20));
-        tracer.add_agent(Agent::new(self.xen, "xenhost", 20));
-        tracer
-    }
 }
 
-/// Runs one configuration and returns the application latency summary.
-pub fn run_latency(
-    workload: XenWorkload,
-    consolidation: Consolidation,
-    requests: u64,
-) -> vnet_tsdb::LatencyStats {
-    run_latency_with_ratelimit(workload, consolidation, requests, None)
-}
-
-/// Like [`run_latency`], overriding the scheduler rate limit (the
-/// ablation sweep of Case Study II's knob).
-pub fn run_latency_with_ratelimit(
-    workload: XenWorkload,
-    consolidation: Consolidation,
-    requests: u64,
-    ratelimit: Option<SimDuration>,
-) -> vnet_tsdb::LatencyStats {
-    let cfg = XenConfig {
-        workload,
-        consolidation,
-        requests,
-        ratelimit,
-        ..Default::default()
-    };
-    let mut s = XenScenario::build(&cfg);
-    s.run(&cfg);
+/// Runs `cfg` end-to-end and returns the application latency summary.
+pub fn run_latency(cfg: &XenConfig) -> vnet_tsdb::LatencyStats {
+    let mut s = XenScenario::build(cfg);
+    s.run(cfg);
     let summary = s
         .latency
         .borrow_mut()
@@ -371,10 +333,26 @@ pub fn run_latency_with_ratelimit(
 mod tests {
     use super::*;
 
+    /// `workload` under `consolidation` at the default rate limit.
+    fn latency(
+        workload: XenWorkload,
+        consolidation: Consolidation,
+        requests: u64,
+    ) -> vnet_tsdb::LatencyStats {
+        run_latency(&XenConfig {
+            workload,
+            consolidation,
+            requests,
+            ..Default::default()
+        })
+    }
+    use vnet_tsdb::TraceDb;
+    use vnettracer::VNetTracer;
+
     #[test]
     fn consolidation_inflates_tail_latency() {
-        let alone = run_latency(XenWorkload::Sockperf, Consolidation::Alone, 400);
-        let shared = run_latency(
+        let alone = latency(XenWorkload::Sockperf, Consolidation::Alone, 400);
+        let shared = latency(
             XenWorkload::Sockperf,
             Consolidation::SharedDefaultRatelimit,
             400,
@@ -390,8 +368,8 @@ mod tests {
 
     #[test]
     fn zero_ratelimit_restores_latency() {
-        let alone = run_latency(XenWorkload::Sockperf, Consolidation::Alone, 400);
-        let fixed = run_latency(XenWorkload::Sockperf, Consolidation::SharedNoRatelimit, 400);
+        let alone = latency(XenWorkload::Sockperf, Consolidation::Alone, 400);
+        let fixed = latency(XenWorkload::Sockperf, Consolidation::SharedNoRatelimit, 400);
         let ratio = fixed.mean_ns / alone.mean_ns;
         assert!(
             ratio < 1.5,
@@ -403,8 +381,8 @@ mod tests {
 
     #[test]
     fn data_caching_shows_same_problem() {
-        let alone = run_latency(XenWorkload::DataCaching, Consolidation::Alone, 300);
-        let shared = run_latency(
+        let alone = latency(XenWorkload::DataCaching, Consolidation::Alone, 300);
+        let shared = latency(
             XenWorkload::DataCaching,
             Consolidation::SharedDefaultRatelimit,
             300,
@@ -417,7 +395,7 @@ mod tests {
             shared.p999_ns > 4 * alone.p999_ns,
             "tail inflates (paper: 7.5x)"
         );
-        let fixed = run_latency(
+        let fixed = latency(
             XenWorkload::DataCaching,
             Consolidation::SharedNoRatelimit,
             300,
@@ -434,7 +412,7 @@ mod tests {
         };
         let mut s = XenScenario::build(&cfg);
         let pkg = s.control_package();
-        let mut tracer = s.make_tracer();
+        let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
         tracer.deploy(&mut s.world, &pkg).unwrap();
         s.run(&cfg);
         tracer.collect(&s.world);
@@ -462,7 +440,7 @@ mod tests {
         };
         let mut s = XenScenario::build(&cfg);
         let pkg = s.control_package();
-        let mut tracer = s.make_tracer();
+        let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
         tracer.deploy(&mut s.world, &pkg).unwrap();
         s.run(&cfg);
         tracer.collect(&s.world);
@@ -505,10 +483,7 @@ mod tests {
                 scheduler: SchedulerKind::Credit1,
                 ..Default::default()
             };
-            let mut s = XenScenario::build(&cfg);
-            s.run(&cfg);
-            let summary = s.latency.borrow_mut().summary().unwrap();
-            summary
+            run_latency(&cfg)
         };
         let alone = run(Consolidation::Alone, None);
         let shared = run(Consolidation::SharedDefaultRatelimit, None);

@@ -251,6 +251,7 @@ impl RackScenario {
         // Per-host fabric: OVS bridge, VXLAN VTEP toward the next host,
         // and the physical NIC pair up to the ToR.
         let mut bridges = Vec::with_capacity(cfg.hosts);
+        let mut tunnels = Vec::with_capacity(cfg.hosts);
         let mut eth_rx = Vec::with_capacity(cfg.hosts);
         for (h, &host) in host_nodes.iter().enumerate() {
             let br = w.add_device(
@@ -289,28 +290,25 @@ impl RackScenario {
             w.connect(rx, decap, SimDuration::ZERO);
             w.connect(decap, br, SimDuration::ZERO);
             bridges.push(br);
+            tunnels.push(encap);
             eth_rx.push(rx);
         }
 
         // The ToR switches on the *outer* (VTEP) destination address.
-        let mut tor_routes = std::collections::BTreeMap::new();
-        for (h, &rx) in eth_rx.iter().enumerate() {
-            let port = w.connect(tor_sw, rx, tor_link);
-            tor_routes.insert(RackConfig::vtep_ip(h), port);
-        }
-        w.set_forwarding(
+        let vteps = eth_rx.iter().enumerate();
+        w.connect_routes(
             tor_sw,
-            Forwarding::ByDstIp {
-                routes: tor_routes,
-                default: None,
-            },
+            tor_link,
+            vteps.map(|(h, &rx)| (RackConfig::vtep_ip(h), rx)),
+            None,
         );
 
         // VM virtual ethernet ports, bridge routing, apps.
         let mut delivered = Vec::with_capacity(vm_nodes.len());
         let mut vm_tx = Vec::with_capacity(vm_nodes.len());
+        let mut vm_rx = Vec::with_capacity(cfg.vms_per_host);
         for h in 0..cfg.hosts {
-            let mut br_routes = std::collections::BTreeMap::new();
+            vm_rx.clear();
             for v in 0..cfg.vms_per_host {
                 let vm = vm_nodes[h * cfg.vms_per_host + v];
                 let tx = w.add_device(
@@ -325,8 +323,7 @@ impl RackScenario {
                         .trace_id(TraceIdRole::StripUdpTrailer),
                 );
                 w.connect(tx, bridges[h], vm_link);
-                let port = w.connect(bridges[h], rx, vm_link);
-                br_routes.insert(RackConfig::vm_ip(h, v), port);
+                vm_rx.push((RackConfig::vm_ip(h, v), rx));
 
                 let tput = ThroughputRecorder::shared();
                 let server = w.add_named_app(
@@ -342,17 +339,11 @@ impl RackScenario {
                 vm_tx.push(tx);
             }
             // Unknown inner destinations leave through the VXLAN tunnel.
-            let encap_port = w.connect(
+            w.connect_routes(
                 bridges[h],
-                w.find_device(host_nodes[h], "vxlan0").expect("vxlan0"),
-                SimDuration::ZERO,
-            );
-            w.set_forwarding(
-                bridges[h],
-                Forwarding::ByDstIp {
-                    routes: br_routes,
-                    default: Some(encap_port),
-                },
+                vm_link,
+                vm_rx.iter().copied(),
+                Some((tunnels[h], SimDuration::ZERO)),
             );
         }
 

@@ -10,6 +10,8 @@
 //! Run with: `cargo run --release --example clock_sync`
 
 use std::collections::HashMap;
+use vnet_tsdb::TraceDb;
+use vnettracer::VNetTracer;
 
 use vnet_testbed::xen::{XenConfig, XenScenario, CLIENT_IP, SERVER_IP};
 use vnettracer::clock_sync::{align_timestamps, estimate_skew, SkewSample, DEFAULT_SAMPLES};
@@ -57,7 +59,7 @@ fn main() {
             req.reversed(),
         ),
     ]);
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     tracer
         .deploy(&mut s.world, &pkg)
         .expect("probe scripts deploy");

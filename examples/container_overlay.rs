@@ -11,6 +11,8 @@
 use vnet_testbed::container::{
     run_throughput, ContainerConfig, ContainerScenario, NetMode, Transport,
 };
+use vnet_tsdb::TraceDb;
+use vnettracer::VNetTracer;
 
 fn main() {
     println!("=== Fig. 12(b): VM vs container throughput (Mbps) ===");
@@ -53,7 +55,7 @@ fn main() {
     };
     let mut s = ContainerScenario::build(&cfg);
     let pkg = s.control_package();
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     tracer
         .deploy(&mut s.world, &pkg)
         .expect("counting scripts deploy");

@@ -17,8 +17,10 @@ use vnet_sim::SimDuration;
 use vnet_testbed::ovs::{OvsCase, OvsConfig, OvsScenario, VM0_IP, VM2_IP};
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
 use vnet_tsdb::trace_id_tag;
+use vnet_tsdb::TraceDb;
 use vnettracer::config::{Action, ControlPackage, FilterRule, HookSpec, TraceSpec};
 use vnettracer::metrics;
+use vnettracer::VNetTracer;
 
 fn congestion() {
     println!("=== 1. congestion loss inside OVS (Case II setup) ===");
@@ -46,7 +48,7 @@ fn congestion() {
             action: Action::RecordPacketInfo,
         },
     ]);
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     tracer
         .deploy(&mut s.world, &pkg)
         .expect("drop scripts deploy");
@@ -69,7 +71,7 @@ fn failure() {
     };
     let mut s = TwoHostScenario::build(&cfg);
     let pkg = s.control_package();
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     tracer.deploy(&mut s.world, &pkg).expect("scripts deploy");
     let third = SimDuration::from_nanos(cfg.interval.as_nanos() * cfg.messages / 3);
     let victim = s.world.find_device(s.server2, "eth0-rx").unwrap();

@@ -9,7 +9,9 @@
 //! Run with: `cargo run --release --example ovs_diagnosis`
 
 use vnet_testbed::ovs::{Mitigation, OvsCase, OvsConfig, OvsScenario};
+use vnet_tsdb::TraceDb;
 use vnettracer::metrics;
+use vnettracer::VNetTracer;
 
 fn run_case(case: OvsCase, mitigation: Mitigation) -> (f64, f64, Vec<(String, f64)>) {
     let cfg = OvsConfig {
@@ -20,7 +22,7 @@ fn run_case(case: OvsCase, mitigation: Mitigation) -> (f64, f64, Vec<(String, f6
     };
     let mut s = OvsScenario::build(&cfg);
     let pkg = s.control_package();
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     tracer.deploy(&mut s.world, &pkg).expect("scripts deploy");
     s.run(&cfg);
     tracer.collect(&s.world);

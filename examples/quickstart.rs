@@ -13,8 +13,10 @@
 use vnet_testbed::container::{
     ContainerConfig, ContainerScenario, NetMode, Transport, VM1_IP, VM2_IP,
 };
+use vnet_tsdb::TraceDb;
 use vnettracer::config::{Action, ControlPackage, FilterRule, HookSpec, Proto, TraceSpec};
 use vnettracer::metrics;
+use vnettracer::VNetTracer;
 
 fn main() {
     // A container overlay network between two VMs; a netperf stream runs
@@ -65,7 +67,7 @@ fn main() {
 
     // (4) Deploy into the live network — no application changes, no
     //     restarts — then run the workload and collect.
-    let mut tracer = scenario.make_tracer();
+    let mut tracer = VNetTracer::for_world(&scenario.world, TraceDb::new());
     tracer
         .deploy(&mut scenario.world, &package)
         .expect("scripts verify and attach");

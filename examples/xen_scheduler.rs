@@ -11,10 +11,17 @@
 //! Run with: `cargo run --release --example xen_scheduler`
 
 use vnet_testbed::xen::{Consolidation, XenConfig, XenScenario, XenWorkload};
+use vnet_tsdb::TraceDb;
 use vnettracer::metrics;
+use vnettracer::VNetTracer;
 
 fn latency(workload: XenWorkload, consolidation: Consolidation) -> (f64, f64) {
-    let s = vnet_testbed::xen::run_latency(workload, consolidation, 500);
+    let s = vnet_testbed::xen::run_latency(&XenConfig {
+        workload,
+        consolidation,
+        requests: 500,
+        ..Default::default()
+    });
     (s.mean_us(), s.p999_us())
 }
 
@@ -65,7 +72,7 @@ fn main() {
         };
         let mut s = XenScenario::build(&cfg);
         let pkg = s.control_package();
-        let mut tracer = s.make_tracer();
+        let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
         tracer.deploy(&mut s.world, &pkg).expect("scripts deploy");
         s.run(&cfg);
         tracer.collect(&s.world);

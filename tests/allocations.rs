@@ -34,6 +34,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::{Ipv4Addr, SocketAddrV4};
+use vnettracer::VNetTracer;
 
 use vnet_ebpf::asm::{reg::R0, Asm};
 use vnet_ebpf::context::TraceContext;
@@ -386,7 +387,7 @@ fn a_deploy_walks_each_distinct_program_once() {
         ..RackConfig::small()
     });
     let pkg = tb.control_package();
-    let mut tracer = tb.make_tracer();
+    let mut tracer = VNetTracer::for_world(&tb.scenario.world, TraceDb::new());
     let deployed = tracer.deploy(tb.world(), &pkg).unwrap();
     assert_eq!(deployed.len(), 40);
     let walked: Vec<_> = tracer
@@ -447,7 +448,7 @@ fn a_warm_collect_allocates_nothing() {
     };
     let mut s = TwoHostScenario::build(&cfg);
     let pkg = s.control_package();
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     tracer.deploy(&mut s.world, &pkg).unwrap();
     s.run(&cfg);
     assert!(tracer.collect(&s.world) > 0, "the run was traced");
@@ -469,7 +470,7 @@ fn an_attached_script_keeps_only_what_it_runs() {
     let cfg = TwoHostConfig::default();
     let mut s = TwoHostScenario::build(&cfg);
     let pkg = s.control_package();
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     let before = live_bytes();
     let deployed = tracer.deploy(&mut s.world, &pkg).unwrap();
     let per_script = (live_bytes() - before) / deployed.len() as i64;

@@ -3,6 +3,8 @@
 //! agent clocks.
 
 use std::collections::HashMap;
+use vnet_tsdb::TraceDb;
+use vnettracer::VNetTracer;
 
 use vnet_testbed::xen::{XenConfig, XenScenario, CLIENT_IP, SERVER_IP};
 use vnettracer::clock_sync::{align_timestamps, estimate_skew, SkewSample};
@@ -44,7 +46,7 @@ fn measure(offset_ns: i64) -> (i64, Vec<u64>, Vec<u64>) {
         ..Default::default()
     };
     let mut s = XenScenario::build(&cfg);
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     tracer.deploy(&mut s.world, &probe_package()).unwrap();
     s.run(&cfg);
     tracer.collect(&s.world);

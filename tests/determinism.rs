@@ -9,7 +9,9 @@
 use vnet_sim::time::SimTime;
 use vnet_testbed::rack::RackTestbed;
 use vnet_tsdb::persist::write_json_lines;
+use vnet_tsdb::TraceDb;
 use vnet_workloads::datacenter_rack::RackConfig;
+use vnettracer::VNetTracer;
 
 /// One traced small-rack run to 10.36 ms (the span `RackTestbed::run`
 /// covers), advanced in `steps` equal `run_until` calls and reduced to a
@@ -20,7 +22,7 @@ fn traced_run(steps: u64) -> (Vec<u8>, u64, u64, Vec<(u64, u64)>) {
     let cfg = RackConfig::small();
     let mut tb = RackTestbed::build(&cfg);
     let pkg = tb.control_package();
-    let mut tracer = tb.make_tracer();
+    let mut tracer = VNetTracer::for_world(&tb.scenario.world, TraceDb::new());
     tracer.deploy(&mut tb.scenario.world, &pkg).unwrap();
     for k in 1..=steps {
         let until = SimTime::from_nanos(HORIZON_NS / steps * k);
@@ -339,8 +341,10 @@ mod firing_order {
     use vnet_sim::NodeId;
     use vnet_testbed::rack::RackTestbed;
     use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
+    use vnet_tsdb::TraceDb;
     use vnet_workloads::datacenter_rack::RackConfig;
     use vnettracer::config::ControlPackage;
+    use vnettracer::VNetTracer;
 
     /// FNV-1a over the firings seen so far, and how many there were.
     #[derive(Default)]
@@ -403,7 +407,7 @@ mod firing_order {
     fn rack_digest(cfg: &RackConfig) -> (u64, u64) {
         let mut tb = RackTestbed::build(cfg);
         let pkg = tb.control_package();
-        let mut tracer = tb.make_tracer();
+        let mut tracer = VNetTracer::for_world(&tb.scenario.world, TraceDb::new());
         tracer.deploy(&mut tb.scenario.world, &pkg).unwrap();
         let mut nodes = HashMap::from([("tor".to_owned(), tb.scenario.tor)]);
         for h in 0..cfg.hosts {
@@ -441,7 +445,7 @@ mod firing_order {
         };
         let mut s = TwoHostScenario::build(&cfg);
         let pkg = s.control_package();
-        let mut tracer = s.make_tracer();
+        let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
         tracer.deploy(&mut s.world, &pkg).unwrap();
         let nodes = HashMap::from([
             ("server1".to_owned(), s.server1),

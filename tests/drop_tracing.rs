@@ -4,7 +4,9 @@
 
 use vnet_sim::SimDuration;
 use vnet_testbed::ovs::{Mitigation, OvsCase, OvsConfig, OvsScenario};
+use vnet_tsdb::TraceDb;
 use vnettracer::config::{Action, ControlPackage, FilterRule, HookSpec, TraceSpec};
+use vnettracer::VNetTracer;
 
 fn drop_spec(name: &str, filter: FilterRule) -> TraceSpec {
     TraceSpec {
@@ -38,7 +40,7 @@ fn kfree_skb_script_counts_congestion_drops() {
         drop_spec("drops_all", FilterRule::any()),
         drop_spec("drops_sockperf", sock_filter),
     ]);
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     tracer.deploy(&mut s.world, &pkg).unwrap();
     s.run(&cfg);
     tracer.collect(&s.world);
@@ -85,7 +87,7 @@ fn policer_drops_are_traceable_too() {
     };
     let mut s = OvsScenario::build(&cfg);
     let pkg = ControlPackage::new(vec![drop_spec("drops_all", FilterRule::any())]);
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     tracer.deploy(&mut s.world, &pkg).unwrap();
     // Short run is enough: the policer drops from the first second on.
     s.world.run_for(SimDuration::from_millis(20));

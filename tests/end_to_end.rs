@@ -3,7 +3,9 @@
 
 use vnet_testbed::ovs::{OvsCase, OvsConfig, OvsScenario};
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
+use vnet_tsdb::TraceDb;
 use vnettracer::metrics;
+use vnettracer::VNetTracer;
 
 /// The complete Fig. 7(a)-style flow: deploy 4 scripts on 2 hosts, run,
 /// collect, and check that every metric family is computable and
@@ -16,7 +18,7 @@ fn full_pipeline_two_hosts() {
     };
     let mut s = TwoHostScenario::build(&cfg);
     let pkg = s.control_package();
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     let deployed = tracer.deploy(&mut s.world, &pkg).unwrap();
     assert_eq!(deployed.len(), 4);
     s.run(&cfg);
@@ -77,7 +79,7 @@ fn measured_loss_matches_ground_truth() {
     };
     let mut s = OvsScenario::build(&cfg);
     let pkg = s.control_package();
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     tracer.deploy(&mut s.world, &pkg).unwrap();
     s.run(&cfg);
     tracer.collect(&s.world);
@@ -111,7 +113,7 @@ fn runtime_attach_detach_mid_run() {
         ..Default::default()
     };
     let mut s = TwoHostScenario::build(&cfg);
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
 
     // First third: untraced.
     s.world.run_for(vnet_sim::SimDuration::from_millis(20));
@@ -146,7 +148,7 @@ fn tracing_is_deterministic() {
         };
         let mut s = TwoHostScenario::build(&cfg);
         let pkg = s.control_package();
-        let mut tracer = s.make_tracer();
+        let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
         tracer.deploy(&mut s.world, &pkg).unwrap();
         s.run(&cfg);
         tracer.collect(&s.world);

@@ -7,7 +7,9 @@
 
 use vnet_sim::SimDuration;
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
+use vnet_tsdb::TraceDb;
 use vnettracer::metrics;
+use vnettracer::VNetTracer;
 
 #[test]
 fn device_failure_shows_up_as_localized_loss() {
@@ -18,7 +20,7 @@ fn device_failure_shows_up_as_localized_loss() {
     };
     let mut s = TwoHostScenario::build(&cfg);
     let pkg = s.control_package();
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     tracer.deploy(&mut s.world, &pkg).unwrap();
 
     // Run a third, fail server2's NIC receive side for a third, recover.

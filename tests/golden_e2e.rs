@@ -16,7 +16,9 @@
 
 use vnet_testbed::ovs::{OvsCase, OvsConfig, OvsScenario};
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
+use vnet_tsdb::TraceDb;
 use vnettracer::metrics;
+use vnettracer::VNetTracer;
 
 /// Renders the run's observable outputs into one comparable string:
 /// per-table record counts and throughput, the latency decomposition,
@@ -65,7 +67,7 @@ fn golden_ovs_case_iii() {
     };
     let mut s = OvsScenario::build(&cfg);
     let pkg = s.control_package();
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     tracer.deploy(&mut s.world, &pkg).unwrap();
     s.run(&cfg);
     tracer.collect(&s.world);
@@ -93,7 +95,7 @@ fn golden_two_host() {
     };
     let mut s = TwoHostScenario::build(&cfg);
     let pkg = s.control_package();
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     tracer.deploy(&mut s.world, &pkg).unwrap();
     s.run(&cfg);
     tracer.collect(&s.world);

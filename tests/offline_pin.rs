@@ -10,11 +10,11 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use vnettracer::VNetTracer;
 
 use vnet_sim::SimDuration;
 use vnet_testbed::memcached_chain::{ChainConfig, MemcachedChain};
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
-use vnet_testbed::Testbed;
 use vnet_tsdb::TraceDb;
 use vnettracer::clock_sync::align_timestamps;
 use vnettracer::config::GlobalConfig;
@@ -99,7 +99,7 @@ fn lossy_two_host() -> String {
     };
     let mut s = TwoHostScenario::build(&cfg);
     let pkg = s.control_package();
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     tracer.deploy(&mut s.world, &pkg).unwrap();
     let third = SimDuration::from_nanos(cfg.interval.as_nanos() * cfg.messages / 3);
     let victim = s.world.find_device(s.server2, "eth0-rx").unwrap();
@@ -122,7 +122,7 @@ fn memcached_chain() -> String {
     let pkg = ModuleRegistry::builtin()
         .package("requests", &chain.module_scope(), GlobalConfig::default())
         .unwrap();
-    let mut tracer = chain.make_tracer_with_db(TraceDb::new());
+    let mut tracer = VNetTracer::for_world(&chain.world, TraceDb::new());
     tracer.deploy(&mut chain.world, &pkg).unwrap();
     chain.run();
     tracer.collect(&chain.world);

@@ -3,9 +3,9 @@
 //! the master node" step of §III-A/III-C.
 
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
-use vnet_testbed::Testbed;
 use vnet_tsdb::{read_json_lines, write_json_lines, StoreOptions, TraceDb};
 use vnettracer::metrics;
+use vnettracer::VNetTracer;
 
 #[test]
 fn spill_and_reload_preserves_all_analysis() {
@@ -15,7 +15,7 @@ fn spill_and_reload_preserves_all_analysis() {
     };
     let mut s = TwoHostScenario::build(&cfg);
     let pkg = s.control_package();
-    let mut tracer = s.make_tracer();
+    let mut tracer = VNetTracer::for_world(&s.world, TraceDb::new());
     tracer.deploy(&mut s.world, &pkg).unwrap();
     s.run(&cfg);
     tracer.collect(&s.world);
@@ -62,7 +62,7 @@ fn disk_backed_export_is_byte_identical_to_memory_export() {
     let trace = |db: TraceDb| {
         let mut s = TwoHostScenario::build(&cfg);
         let pkg = s.control_package();
-        let mut tracer = s.make_tracer_with_db(db);
+        let mut tracer = VNetTracer::for_world(&s.world, db);
         tracer.deploy(&mut s.world, &pkg).unwrap();
         s.run(&cfg);
         tracer.collect(&s.world);

@@ -12,10 +12,10 @@
 //! * the `vnt modules` listing is a golden artifact.
 
 use std::collections::HashSet;
+use vnettracer::VNetTracer;
 
 use vnet_testbed::drop_lab::{DropLab, DropLabConfig, DROP_TABLE};
 use vnet_testbed::memcached_chain::{ChainConfig, MemcachedChain};
-use vnet_testbed::Testbed;
 use vnet_tsdb::{StoreOptions, TraceDb, DROP_REASON_TAG};
 use vnettracer::config::GlobalConfig;
 use vnettracer::metrics;
@@ -37,7 +37,7 @@ fn package(profile: &str, scope: &ModuleScope) -> vnettracer::config::ControlPac
 fn drop_breakdown_matches_injected_ground_truth() {
     let mut lab = DropLab::build(&DropLabConfig::default());
     let pkg = package("drops", &lab.module_scope());
-    let mut tracer = lab.make_tracer_with_db(TraceDb::new());
+    let mut tracer = VNetTracer::for_world(&lab.world, TraceDb::new());
     tracer.deploy(&mut lab.world, &pkg).unwrap();
     lab.run();
     tracer.collect(&lab.world);
@@ -55,7 +55,7 @@ fn drop_breakdown_matches_injected_ground_truth() {
 fn ovs_lookups_and_upcalls_are_traced() {
     let mut lab = DropLab::build(&DropLabConfig::default());
     let pkg = package("ovs", &lab.module_scope());
-    let mut tracer = lab.make_tracer_with_db(TraceDb::new());
+    let mut tracer = VNetTracer::for_world(&lab.world, TraceDb::new());
     tracer.deploy(&mut lab.world, &pkg).unwrap();
     lab.run();
     tracer.collect(&lab.world);
@@ -86,7 +86,7 @@ fn request_decomposition_sums_to_end_to_end() {
     let cfg = ChainConfig::default();
     let mut chain = MemcachedChain::build(&cfg);
     let pkg = package("requests", &chain.module_scope());
-    let mut tracer = chain.make_tracer_with_db(TraceDb::new());
+    let mut tracer = VNetTracer::for_world(&chain.world, TraceDb::new());
     tracer.deploy(&mut chain.world, &pkg).unwrap();
     chain.run();
     tracer.collect(&chain.world);
@@ -158,7 +158,7 @@ fn profile_resolution_errors_carry_suggestions() {
 fn attach_detach_is_idempotent() {
     let mut lab = DropLab::build(&DropLabConfig::default());
     let pkg = package("drops", &lab.module_scope());
-    let mut tracer = lab.make_tracer_with_db(TraceDb::new());
+    let mut tracer = VNetTracer::for_world(&lab.world, TraceDb::new());
 
     let handles = tracer.deploy(&mut lab.world, &pkg).unwrap();
     assert!(!handles.is_empty());
@@ -203,7 +203,7 @@ fn drop_records_round_trip_through_disk_segments() {
         let mut lab = DropLab::build(&DropLabConfig::default());
         let pkg = package("drops", &lab.module_scope());
         let db = TraceDb::open_with(&dir, options).unwrap();
-        let mut tracer = lab.make_tracer_with_db(db);
+        let mut tracer = VNetTracer::for_world(&lab.world, db);
         tracer.deploy(&mut lab.world, &pkg).unwrap();
         lab.run();
         tracer.collect(&lab.world);

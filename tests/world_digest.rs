@@ -23,6 +23,7 @@ use vnet_testbed::Testbed;
 use vnet_tsdb::codec::crc32;
 use vnet_tsdb::TraceDb;
 use vnet_workloads::datacenter_rack::{RackConfig, RackScenario};
+use vnettracer::VNetTracer;
 
 fn digest(x: &impl std::fmt::Debug) -> u32 {
     crc32(format!("{x:?}").as_bytes())
@@ -36,7 +37,7 @@ struct Pin {
 }
 
 fn traced(label: &str, bed: &mut impl Testbed) -> Pin {
-    let agents = digest(&bed.make_tracer_with_db(TraceDb::new()));
+    let agents = digest(&VNetTracer::for_world(bed.world(), TraceDb::new()));
     Pin {
         label: label.into(),
         world: digest(bed.world()),
@@ -52,8 +53,7 @@ fn untraced(label: &str, world: &World) -> Pin {
     }
 }
 
-/// Every builder at its defaults and at one variant that changes what
-/// it builds.
+/// Every builder at its defaults and at one variant each.
 fn pins() -> Vec<Pin> {
     let mut pins = Vec::new();
 
@@ -141,6 +141,8 @@ fn pins() -> Vec<Pin> {
         }),
     ));
 
+    // The drop lab's and the chain's knobs change what runs, not what is
+    // built: each variant digests as its default does.
     pins.push(traced(
         "drop lab",
         &mut DropLab::build(&DropLabConfig::default()),
