@@ -1,7 +1,9 @@
 //! Execution-tier comparison: the threaded-code tier versus the
 //! interpreter on the standard trace programs the dispatcher compiles
 //! (filter + record, filter miss, and a counter workload), plus the
-//! one-time compile cost.
+//! one-time compile cost. The filter miss has a third arm, `decided`:
+//! the walk of the program's check table that the probe sink makes in
+//! place of a run, on the same frame.
 //!
 //! The headline claim this backs: on the hot match-and-record path the
 //! pre-decoded tier runs the same program at least 2x faster than the
@@ -23,7 +25,7 @@ use vnet_ebpf::map::{MapDef, MapRegistry};
 use vnet_ebpf::program::load;
 use vnet_ebpf::vm::{standard_helpers, FixedEnv, Vm};
 use vnet_sim::packet::{trace_id, FlowKey, PacketBuilder};
-use vnettracer::compile::compile;
+use vnettracer::compile::{compile, Check};
 use vnettracer::config::{Action, FilterRule, HookSpec, TraceSpec};
 
 fn udp_flow() -> FlowKey {
@@ -33,8 +35,9 @@ fn udp_flow() -> FlowKey {
     )
 }
 
-/// Compiles and loads one of the dispatcher's standard trace scripts.
-fn script(action: Action) -> (vnet_ebpf::LoadedProgram, MapRegistry) {
+/// Compiles and loads one of the dispatcher's standard trace scripts,
+/// handed out beside its filter's check table.
+fn script(action: Action) -> (vnet_ebpf::LoadedProgram, MapRegistry, Vec<Check>) {
     let mut maps = MapRegistry::new();
     let perf_fd = maps.create(MapDef::perf(65536), 1).unwrap();
     let counter_fd = maps.create(MapDef::per_cpu_array(8, 16), 4).unwrap();
@@ -48,8 +51,12 @@ fn script(action: Action) -> (vnet_ebpf::LoadedProgram, MapRegistry) {
         ),
         action,
     };
-    let (prog, _) = compile(&spec, Some(perf_fd), Some(counter_fd)).unwrap();
-    (load(prog, &maps, &standard_helpers()).unwrap(), maps)
+    let (prog, checks) = compile(&spec, Some(perf_fd), Some(counter_fd)).unwrap();
+    (
+        load(prog, &maps, &standard_helpers()).unwrap(),
+        maps,
+        checks,
+    )
 }
 
 fn sample_size() -> usize {
@@ -67,7 +74,7 @@ fn sample_size() -> usize {
 /// is identical in both arms.
 fn bench_pair(c: &mut Criterion, group: &str, action: Action, matching: bool) {
     let drains_ring = matches!(action, Action::RecordPacketInfo);
-    let (loaded, mut maps) = script(action);
+    let (loaded, mut maps, checks) = script(action);
     let flow = if matching {
         udp_flow()
     } else {
@@ -108,6 +115,17 @@ fn bench_pair(c: &mut Criterion, group: &str, action: Action, matching: bool) {
             out.ret
         })
     });
+    if !matching {
+        // The sink's miss decision: the first row the frame fails.
+        g.bench_function("decided", |b| {
+            b.iter(|| {
+                let frame = black_box(pkt.bytes());
+                black_box(&checks)
+                    .iter()
+                    .position(|check| !check.passes(frame))
+            })
+        });
+    }
     black_box(drained);
     g.finish();
 }
@@ -126,7 +144,7 @@ fn bench_counter(c: &mut Criterion) {
 
 /// The price of admission: one ahead-of-time lowering pass per program.
 fn bench_compile_once(c: &mut Criterion) {
-    let (loaded, _maps) = script(Action::RecordPacketInfo);
+    let (loaded, _maps, _) = script(Action::RecordPacketInfo);
     let mut g = c.benchmark_group("lowering");
     g.sample_size(sample_size());
     g.bench_function("compile", |b| {

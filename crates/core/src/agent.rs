@@ -1041,8 +1041,8 @@ mod tests {
             Some(tcp),
             None,
         ];
-        // The first and the last byte of each filter field.
-        for at in [12, 13, 23, 26, 29, 30, 33, 34, 35, 36, 37] {
+        // Every byte of each filter field.
+        for at in [12, 13, 23, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37] {
             let mut bytes = tagged.bytes().to_vec();
             bytes[at] ^= 0xff;
             frames.push(Some(Packet::from_bytes(bytes)));

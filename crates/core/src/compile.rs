@@ -94,12 +94,23 @@ pub struct Check {
 }
 
 impl Check {
-    /// Whether `frame` passes this check.
+    /// Whether `frame` passes this check: it holds bytes
+    /// `off..off + width` and, for a field row, they equal `want`'s first
+    /// `width`. A 1-, 2- or 4-byte field compares as a fixed-size array
+    /// (one integer compare), not a slice, since a filter miss makes
+    /// this walk on every firing the program would reject.
     pub fn passes(&self, frame: &[u8]) -> bool {
-        match (frame.get(self.off..self.off + self.width), self.want) {
-            (Some(bytes), Some(want)) => bytes == &want[..self.width],
-            (Some(_), None) => true,
-            (None, _) => false,
+        let Some(want) = self.want else {
+            return frame.len() >= self.off + self.width;
+        };
+        let Some(at) = frame.get(self.off..) else {
+            return false;
+        };
+        match self.width {
+            1 => at.first() == Some(&want[0]),
+            2 => at.first_chunk::<2>() == want.first_chunk::<2>(),
+            4 => at.first_chunk::<4>() == Some(&want),
+            width => at.get(..width).is_some_and(|b| b == &want[..width]),
         }
     }
 
@@ -1090,6 +1101,88 @@ mod tests {
             [13_128, 5_304],
             "misses and runs over 384 × 48 packets"
         );
+    }
+
+    /// The slice definition [`Check::passes`] had before its fixed-width
+    /// compare, kept as the oracle that compare is held to.
+    fn passes_by_slice(check: &Check, frame: &[u8]) -> bool {
+        match (frame.get(check.off..check.off + check.width), check.want) {
+            (Some(bytes), Some(want)) => bytes == &want[..check.width],
+            (Some(_), None) => true,
+            (None, _) => false,
+        }
+    }
+
+    /// The check table of every program in [`emitted_space`], in order.
+    fn emitted_tables() -> Vec<Vec<Check>> {
+        emitted_space()
+            .into_iter()
+            .map(|(action, rule, _)| compile(&spec(rule, action), Some(0), Some(0)).unwrap().1)
+            .collect()
+    }
+
+    #[test]
+    fn the_fixed_width_compare_is_the_slice_compare() {
+        // Every row of every emitted table answers as the slice oracle
+        // does on: a seeded frame of every length 0..=64; the table's
+        // matching frame cut to every length 0..=64 (37, 38 and 39 among
+        // them: one byte either side of the 38-byte prefix); and the
+        // matching frame with each single field byte inverted. Every row
+        // both passes and fails some frame, so no row is held vacuously.
+        let mut rng = Rng(0x00f1_e1d5);
+        let seeded: Vec<Vec<u8>> = (0..=64)
+            .map(|len| (0..len).map(|_| rng.next() as u8).collect())
+            .collect();
+        let mut answers = [0usize; 2];
+        for table in emitted_tables() {
+            let mut matching = seeded[64].clone();
+            for check in &table {
+                if let Some(want) = check.want {
+                    matching[check.off..check.off + check.width]
+                        .copy_from_slice(&want[..check.width]);
+                }
+            }
+            let mut frames = seeded.clone();
+            frames.extend((0..=64).map(|len| matching[..len].to_vec()));
+            for check in table.iter().filter(|c| c.want.is_some()) {
+                for at in check.off..check.off + check.width {
+                    let mut frame = matching.clone();
+                    frame[at] ^= 0xff;
+                    frames.push(frame);
+                }
+            }
+            for check in &table {
+                let mut seen = [false; 2];
+                for frame in &frames {
+                    let passes = check.passes(frame);
+                    assert_eq!(passes, passes_by_slice(check, frame), "{check:?} {frame:?}");
+                    seen[usize::from(passes)] = true;
+                    answers[usize::from(passes)] += 1;
+                }
+                assert_eq!(seen, [true, true], "{check:?}");
+            }
+        }
+        assert!(answers[0] > 0 && answers[1] > 0, "{answers:?}");
+    }
+
+    #[test]
+    fn every_field_row_lies_inside_the_length_checks_prefix() {
+        // Row 0 asks for the bytes every field row reads, so a frame
+        // that passes it is long enough for the rest of the table: the
+        // length check is the only row a short frame can fail first.
+        let mut fields = 0;
+        for table in emitted_tables() {
+            let Some((len, rows)) = table.split_first() else {
+                continue;
+            };
+            assert_eq!((len.off, len.width, len.want), (0, 38, None));
+            for check in rows {
+                assert!(check.want.is_some() && matches!(check.width, 1 | 2 | 4));
+                assert!(check.off + check.width <= len.off + len.width, "{check:?}");
+                fields += 1;
+            }
+        }
+        assert_eq!(fields, 3 * 2 * 6 * 32, "every field row of the space");
     }
 
     /// How many of its six fields `rule` sets.
