@@ -35,6 +35,7 @@ use vnet_sim::NodeId;
 use vnet_workloads::stats::{LatencyRecorder, ThroughputRecorder};
 use vnet_workloads::{
     IperfClient, IperfServer, NetperfServer, SockperfClient, SockperfServer, TcpStreamClient,
+    TcpStreamStats,
 };
 use vnettracer::config::{ControlPackage, FilterRule, GlobalConfig};
 use vnettracer::modules::{ModuleRegistry, ModuleScope, OvsTap, TapSpec};
@@ -149,6 +150,9 @@ pub struct OvsScenario {
     pub latency: Rc<RefCell<LatencyRecorder>>,
     /// iPerf delivered throughput (aggregate).
     pub iperf_throughput: Rc<RefCell<ThroughputRecorder>>,
+    /// Each TCP iPerf client's counters, in the order the case adds
+    /// them (empty under UDP congestion).
+    pub iperf_tcp: Vec<Rc<RefCell<TcpStreamStats>>>,
     /// The Sockperf request flow.
     pub flow: FlowKey,
 }
@@ -169,6 +173,12 @@ const IPERF_SPORT: u16 = 5201;
 const VNET_SERVICE: SimDuration = SimDuration::from_micros(4);
 /// Ingress queue capacity in packets.
 const VNET_QUEUE: usize = 256;
+
+/// Packets each iPerf client sends: one per 2 µs over the Sockperf run
+/// plus 10 ms.
+fn iperf_packets(cfg: &OvsConfig) -> u64 {
+    (cfg.interval.as_nanos() * cfg.messages + 10_000_000) / 2_000
+}
 
 impl OvsScenario {
     /// Builds the topology and workloads for `cfg`.
@@ -239,12 +249,19 @@ impl OvsScenario {
                 .forwarding(Forwarding::Deliver)
                 .trace_id(TraceIdRole::StripUdpTrailer),
         );
-        let em0_rx = w.add_device(
-            DeviceConfig::new("em0-rx", host)
-                .service(ServiceModel::Fixed(SimDuration::from_micros(1)))
-                .forwarding(Forwarding::Deliver)
-                .trace_id(TraceIdRole::StripUdpTrailer),
-        );
+        // Each client VM's own receive stack, so the acks of VM1's and
+        // VM3's TCP senders reach them without loading VM0's.
+        let guest_rx = |w: &mut World, name: &str| {
+            w.add_device(
+                DeviceConfig::new(name, host)
+                    .service(ServiceModel::Fixed(SimDuration::from_micros(1)))
+                    .forwarding(Forwarding::Deliver)
+                    .trace_id(TraceIdRole::StripUdpTrailer),
+            )
+        };
+        let em0_rx = guest_rx(&mut w, "em0-rx");
+        let em1_rx = guest_rx(&mut w, "em1-rx");
+        let em3_rx = guest_rx(&mut w, "em3-rx");
 
         // Wiring.
         w.connect(em0, vnet0, SimDuration::ZERO);
@@ -257,7 +274,12 @@ impl OvsScenario {
         w.connect_routes(
             ovs_br,
             SimDuration::ZERO,
-            [(VM2_IP, em2), (VM0_IP, em0_rx)],
+            [
+                (VM2_IP, em2),
+                (VM0_IP, em0_rx),
+                (VM1_IP, em1_rx),
+                (VM3_IP, em3_rx),
+            ],
             None,
         );
 
@@ -284,11 +306,11 @@ impl OvsScenario {
 
         // iPerf congestion per case.
         let iperf_throughput = ThroughputRecorder::shared();
-        let duration_ns = cfg.interval.as_nanos() * cfg.messages + 10_000_000;
-        let iperf_count = duration_ns / 2_000; // one packet per 2us
+        let iperf_count = iperf_packets(cfg);
         let mut iperf_port = 50_000u16;
         let transport = cfg.transport;
-        let mut add_iperf = |w: &mut World, src_dev, src_ip: Ipv4Addr| {
+        let mut iperf_tcp = Vec::new();
+        let mut add_iperf = |w: &mut World, src_dev, rx_dev, src_ip: Ipv4Addr| {
             iperf_port += 1;
             match transport {
                 CongestionTransport::Udp => {
@@ -312,7 +334,7 @@ impl OvsScenario {
                         SocketAddrV4::new(src_ip, iperf_port),
                         SocketAddrV4::new(VM2_IP, IPERF_SPORT),
                     );
-                    let stats = Rc::new(RefCell::new(vnet_workloads::TcpStreamStats::default()));
+                    let stats = Rc::new(RefCell::new(TcpStreamStats::default()));
                     let app = w.add_app(
                         host,
                         src_dev,
@@ -321,30 +343,31 @@ impl OvsScenario {
                             vnet_workloads::netperf::DEFAULT_MSS,
                             iperf_count,
                             SimDuration::from_millis(2),
-                            stats,
+                            Rc::clone(&stats),
                         )),
                     );
-                    // Acks are delivered at em0-rx, the only guest receive stack.
-                    w.bind_app(em0_rx, iperf_port, app);
+                    // Acks are delivered at the sending VM's receive stack.
+                    w.bind_app(rx_dev, iperf_port, app);
+                    iperf_tcp.push(stats);
                 }
             }
         };
         match cfg.case {
             OvsCase::I => {}
-            OvsCase::II => add_iperf(&mut w, em0, VM0_IP),
+            OvsCase::II => add_iperf(&mut w, em0, em0_rx, VM0_IP),
             OvsCase::IIPlus => {
                 for _ in 0..3 {
-                    add_iperf(&mut w, em0, VM0_IP);
+                    add_iperf(&mut w, em0, em0_rx, VM0_IP);
                 }
             }
             OvsCase::III => {
-                add_iperf(&mut w, em0, VM0_IP);
-                add_iperf(&mut w, em1, VM1_IP);
+                add_iperf(&mut w, em0, em0_rx, VM0_IP);
+                add_iperf(&mut w, em1, em1_rx, VM1_IP);
             }
             OvsCase::IIIPlus => {
-                add_iperf(&mut w, em0, VM0_IP);
-                add_iperf(&mut w, em1, VM1_IP);
-                add_iperf(&mut w, em3, VM3_IP);
+                add_iperf(&mut w, em0, em0_rx, VM0_IP);
+                add_iperf(&mut w, em1, em1_rx, VM1_IP);
+                add_iperf(&mut w, em3, em3_rx, VM3_IP);
             }
         }
         let iperf_server: vnet_sim::AppId = match cfg.transport {
@@ -366,6 +389,7 @@ impl OvsScenario {
             host,
             latency,
             iperf_throughput,
+            iperf_tcp,
             flow,
         }
     }
@@ -508,6 +532,39 @@ mod tests {
         );
         let policed3 = latency(OvsCase::III, Mitigation::Policing, 300);
         assert!(policed3.mean_ns < latency(OvsCase::III, Mitigation::None, 300).mean_ns / 5.0);
+    }
+
+    #[test]
+    fn every_packet_has_a_route_and_every_tcp_stream_completes() {
+        // `ovs-br` routes every VM, so no case under either transport
+        // drops a packet for want of a route, and each TCP client's acks
+        // reach it at its own VM's receive stack: run until the streams
+        // drain, every client has its whole stream acknowledged.
+        for case in OvsCase::ALL {
+            for transport in [CongestionTransport::Udp, CongestionTransport::Tcp] {
+                let cfg = OvsConfig {
+                    case,
+                    transport,
+                    messages: 20,
+                    ..Default::default()
+                };
+                let mut s = OvsScenario::build(&cfg);
+                s.world.run_for(SimDuration::from_secs(2));
+                let ovs_br = s.world.find_device(s.host, "ovs-br").unwrap();
+                let counters = s.world.device_counters(ovs_br);
+                assert_eq!(counters.dropped_no_route, 0, "{case:?} {transport:?}");
+                let clients = match (transport, case) {
+                    (CongestionTransport::Udp, _) | (_, OvsCase::I) => 0,
+                    (_, OvsCase::II) => 1,
+                    (_, OvsCase::IIPlus | OvsCase::IIIPlus) => 3,
+                    (_, OvsCase::III) => 2,
+                };
+                assert_eq!(s.iperf_tcp.len(), clients, "{case:?} {transport:?}");
+                for stats in &s.iperf_tcp {
+                    assert_eq!(stats.borrow().acked, iperf_packets(&cfg), "{case:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -209,13 +209,13 @@ fn every_testbed_builds_its_pinned_world() {
     let want: &[(&str, u32, Option<u32>)] = &[
         ("two-host", 0x0e90ad34, Some(0x98029215)),
         ("two-host no background", 0xf488c5a8, Some(0x98029215)),
-        ("ovs Case I", 0xa1d58a08, Some(0xe59c8738)),
-        ("ovs Case II", 0x27f1a0d1, Some(0xe59c8738)),
-        ("ovs Case II+", 0xf4f7e35d, Some(0xe59c8738)),
-        ("ovs Case III", 0x8f03e492, Some(0xe59c8738)),
-        ("ovs Case III+", 0x988e613c, Some(0xe59c8738)),
-        ("ovs Case III+ policed, tcp", 0xe8077c12, Some(0xe59c8738)),
-        ("ovs Case II htb", 0xe896bafa, Some(0xe59c8738)),
+        ("ovs Case I", 0x46d3c769, Some(0xe59c8738)),
+        ("ovs Case II", 0x2cb8771d, Some(0xe59c8738)),
+        ("ovs Case II+", 0x3fbc12da, Some(0xe59c8738)),
+        ("ovs Case III", 0x87b4dbed, Some(0xe59c8738)),
+        ("ovs Case III+", 0x53c590bb, Some(0xe59c8738)),
+        ("ovs Case III+ policed, tcp", 0x518fde0f, Some(0xe59c8738)),
+        ("ovs Case II htb", 0x35e8e2e9, Some(0xe59c8738)),
         ("xen", 0x0266afc2, Some(0x05400c9f)),
         (
             "xen data caching, shared, credit1, skewed",
