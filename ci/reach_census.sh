@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Reach census: every non-generic inherent or free function of the eight
+# Reach census: every non-generic inherent or free function of the
 # library crates must be reachable from an entry point, or be listed in
 # ci/reach_allowlist.txt with a reason.
 #
-# The entry points are the 13 `repro_*` binaries, `vnt`, `bench_e2e`, the
-# six examples and the five criterion benches. They are linked without
+# The library crates are the workspace crates under crates/ that define
+# no entry point (no `src/bin`, `src/main.rs` or `benches`). The entry
+# points are every binary, example and criterion bench the workspace and
+# bench_e2e declare (`cargo metadata`): the `repro_*` binaries, `vnt`,
+# `bench_e2e`, the examples and the benches. They are linked without
 # optimisation and with `--gc-sections`, so an executable keeps exactly
 # the functions its `main` can statically reach; the library rlibs hold
 # every non-generic function. The census is the set difference of the two
@@ -27,7 +30,19 @@ cd "$(dirname "$0")/.."
 target=target/census
 allowlist=ci/reach_allowlist.txt
 export RUSTFLAGS="-C opt-level=0 -C debuginfo=0 -C codegen-units=256 -C link-arg=-Wl,--gc-sections"
-crates='vnet_sim|vnet_ebpf|vnettracer|vnet_tsdb|vnet_live|vnet_workloads|vnet_baselines|vnet_testbed'
+libs=()
+for manifest in crates/*/Cargo.toml; do
+    dir="$(dirname "$manifest")"
+    test -e "$dir/src/bin" -o -e "$dir/src/main.rs" -o -e "$dir/benches" && continue
+    name="$(sed -nE 's/^name = "(.*)"$/\1/p' "$manifest" | head -n 1)"
+    libs+=("${name//-/_}")
+done
+crates="$(IFS='|'; echo "${libs[*]}")"
+entry_points() {
+    cargo metadata --offline --no-deps --format-version 1 "$@" \
+        | grep -oE '"kind":\["(bin|example|bench)"\]' | wc -l
+}
+expected_exes=$(($(entry_points) + $(entry_points --manifest-path bench_e2e/Cargo.toml)))
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -43,10 +58,10 @@ grep -ohE '"executable":"[^"]+"' "$work/ws.json" "$work/e2e.json" \
     | sed -E 's/^"executable":"(.*)"$/\1/' | sort -u >"$work/exes"
 grep -ohE '"[^"]+/lib('"$crates"')-[0-9a-f]+\.rlib"' "$work/ws.json" \
     | tr -d '"' | sort -u >"$work/rlibs"
-test "$(wc -l <"$work/exes")" -eq 26 \
-    || { echo "reach census: expected 26 entry points, found:"; cat "$work/exes"; exit 1; }
-test "$(wc -l <"$work/rlibs")" -eq 8 \
-    || { echo "reach census: expected 8 library rlibs, found:"; cat "$work/rlibs"; exit 1; }
+test "$(wc -l <"$work/exes")" -eq "$expected_exes" \
+    || { echo "reach census: expected $expected_exes entry points, found:"; cat "$work/exes"; exit 1; }
+test "$(wc -l <"$work/rlibs")" -eq "${#libs[@]}" \
+    || { echo "reach census: expected ${#libs[@]} library rlibs ($crates), found:"; cat "$work/rlibs"; exit 1; }
 
 # Text symbols, demangled, hash dropped; only the library crates' own
 # non-generic inherent and free functions (no `<T as Trait>::f`, no

@@ -490,7 +490,7 @@ impl Agent {
         global: &GlobalConfig,
     ) -> Result<ScriptId> {
         self.check_device(world, hook)?;
-        let program = vnet_ebpf::Program::new(name, crate::compile::attach_type(hook), insns);
+        let program = vnet_ebpf::Program::new(name, insns);
         let helpers = standard_helpers();
         let loaded = self.admit(&mut Loader::new(&helpers), program, global)?;
         self.attach(world, &loaded, &[], hook, (None, None), 0)

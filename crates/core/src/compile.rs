@@ -28,12 +28,12 @@ use vnet_ebpf::asm::{reg::*, AluOp, Asm, Cond, Size};
 use vnet_ebpf::context::{
     CTX_OFF_AUX, CTX_OFF_DATA, CTX_OFF_DATA_END, CTX_OFF_DIRECTION, CTX_OFF_PKT_LEN,
 };
-use vnet_ebpf::program::{AttachType, Program};
+use vnet_ebpf::program::Program;
 use vnet_ebpf::vm::helper_ids;
 use vnet_tsdb::record::offsets;
 use vnet_tsdb::COMPACT_RECORD_BYTES;
 
-use crate::config::{Action, FilterRule, HookSpec, Proto, TraceSpec};
+use crate::config::{Action, FilterRule, Proto, TraceSpec};
 use crate::error::{Result, TracerError};
 
 // Frame offsets: Ethernet header is 14 bytes, IPv4 fixed 20 (the
@@ -59,18 +59,6 @@ const R_SIZE: i16 = COMPACT_RECORD_BYTES as i16;
 /// Record field offset → frame-pointer-relative stack offset.
 fn fp_off(field: usize) -> i16 {
     field as i16 - R_SIZE
-}
-
-/// Converts a [`HookSpec`] into an eBPF attach type.
-pub fn attach_type(hook: &HookSpec) -> AttachType {
-    match hook {
-        HookSpec::Kprobe(f) => AttachType::Kprobe(f.clone()),
-        HookSpec::Kretprobe(f) => AttachType::Kretprobe(f.clone()),
-        HookSpec::Tracepoint(f) => AttachType::Tracepoint(f.clone()),
-        HookSpec::DeviceRx(d) => AttachType::SocketRx(d.clone()),
-        HookSpec::DeviceTx(d) => AttachType::SocketTx(d.clone()),
-        HookSpec::Uprobe(a) => AttachType::Uprobe(a.clone()),
-    }
 }
 
 /// One check a compiled filter makes, as a row of its table: the frame
@@ -197,7 +185,7 @@ pub fn compile(
         }
     };
     let insns = asm.build()?;
-    let program = Program::new(spec.name.clone(), attach_type(&spec.hook), insns);
+    let program = Program::new(spec.name.clone(), insns);
     Ok((program, checks))
 }
 
@@ -421,6 +409,7 @@ mod test_programs;
 mod tests {
     use super::test_programs::{mutants, Rng};
     use super::*;
+    use crate::config::HookSpec;
     use std::net::Ipv4Addr;
     use std::net::SocketAddrV4;
     use vnet_ebpf::context::TraceContext;
@@ -1285,11 +1274,7 @@ mod tests {
                 a.diagnostics().first().map(|d| &d.error),
                 "program {i}"
             );
-            let prog = Program::new(
-                "p",
-                vnet_ebpf::AttachType::Kprobe("f".into()),
-                insns.clone(),
-            );
+            let prog = Program::new("p", insns.clone());
             match load(prog, &maps, &helpers) {
                 Ok(loaded) => {
                     kinds[0] += 1;

@@ -347,10 +347,12 @@ impl FromJson for HookSpec {
         let obj = value
             .as_object()
             .ok_or_else(|| JsonError::msg("expected hook object"))?;
-        let (variant, target) = obj
-            .iter()
-            .next()
-            .ok_or_else(|| JsonError::msg("empty hook object"))?;
+        // A trace has one hook. With a second member, which one took
+        // effect would depend only on how the two names sort.
+        let mut members = obj.iter();
+        let (Some((variant, target)), None) = (members.next(), members.next()) else {
+            return Err(JsonError::msg("a hook object has exactly one member"));
+        };
         let target = String::from_json(target)?;
         match variant.as_str() {
             "Kprobe" => Ok(HookSpec::Kprobe(target)),
@@ -456,6 +458,8 @@ impl FromJson for ControlPackage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::TracerError;
+    use vnet_sim::probe::Hook;
 
     fn sample_spec() -> TraceSpec {
         TraceSpec {
@@ -470,13 +474,75 @@ mod tests {
         }
     }
 
+    /// One hook of each kind, with its simulator hook.
+    fn every_hook() -> [(HookSpec, Hook); 6] {
+        [
+            (
+                HookSpec::Kprobe("net_rx_action".into()),
+                Hook::FunctionEntry("net_rx_action".into()),
+            ),
+            (
+                HookSpec::Kretprobe("tcp_recvmsg".into()),
+                Hook::FunctionReturn("tcp_recvmsg".into()),
+            ),
+            (
+                HookSpec::Tracepoint("kfree_skb".into()),
+                Hook::FunctionEntry("kfree_skb".into()),
+            ),
+            (
+                HookSpec::DeviceRx("flannel.1".into()),
+                Hook::DeviceRx("flannel.1".into()),
+            ),
+            (
+                HookSpec::DeviceTx("vnet0".into()),
+                Hook::DeviceTx("vnet0".into()),
+            ),
+            (
+                HookSpec::Uprobe("memcached:process_command".into()),
+                Hook::Uprobe("memcached:process_command".into()),
+            ),
+        ]
+    }
+
     #[test]
     fn package_json_round_trip() {
-        let pkg = ControlPackage::new(vec![sample_spec()]);
+        let traces = every_hook()
+            .into_iter()
+            .map(|(hook, _)| TraceSpec {
+                hook,
+                ..sample_spec()
+            })
+            .collect();
+        let pkg = ControlPackage::new(traces);
         let json = pkg.to_json();
         let back = ControlPackage::from_json(&json).unwrap();
         assert_eq!(back, pkg);
         assert!(ControlPackage::from_json("{nope").is_err());
+    }
+
+    #[test]
+    fn a_hook_object_must_have_exactly_one_member() {
+        let package = |hook: &str| {
+            let spec = serde_json::to_string(&sample_spec()).unwrap();
+            let hook_member = r#""hook":{"DeviceRx":"flannel.1"}"#;
+            assert!(spec.contains(hook_member), "{spec}");
+            let spec = spec.replace(hook_member, &format!(r#""hook":{hook}"#));
+            let global = serde_json::to_string(&GlobalConfig::default()).unwrap();
+            ControlPackage::from_json(&format!(r#"{{"global":{global},"traces":[{spec}]}}"#))
+        };
+        assert!(package(r#"{"DeviceRx":"flannel.1"}"#).is_ok());
+        for hook in [
+            r#"{"Kprobe":"f","Uprobe":"g"}"#,
+            r#"{"DeviceRx":"eth0","Zz":1}"#,
+            r#"{"Aa":1,"DeviceRx":"eth0"}"#,
+            "{}",
+        ] {
+            let err = package(hook).expect_err(hook);
+            assert!(
+                matches!(TracerError::from(err), TracerError::Package(_)),
+                "{hook}"
+            );
+        }
     }
 
     #[test]
@@ -502,15 +568,9 @@ mod tests {
 
     #[test]
     fn hook_spec_conversion() {
-        use vnet_sim::probe::Hook;
-        assert_eq!(
-            HookSpec::Kprobe("net_rx_action".into()).to_sim_hook(),
-            Hook::FunctionEntry("net_rx_action".into())
-        );
-        assert_eq!(
-            HookSpec::DeviceTx("vnet0".into()).to_sim_hook(),
-            Hook::DeviceTx("vnet0".into())
-        );
+        for (hook, sim) in every_hook() {
+            assert_eq!(hook.to_sim_hook(), sim);
+        }
     }
 
     #[test]

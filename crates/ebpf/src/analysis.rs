@@ -1597,7 +1597,7 @@ mod tests {
         // registry that holds its map fails as a hit under one that
         // does not.
         use crate::map::{MapDef, MapRegistry};
-        use crate::program::{AttachType, LoadError, Loader, Program};
+        use crate::program::{LoadError, Loader, Program};
         use crate::test_programs::{named_corpus, record_scripts};
         let helpers = standard_helpers();
         // fd 0: the counter array of `accept_map_counter`, and the
@@ -1605,8 +1605,7 @@ mod tests {
         // exists).
         let mut maps = MapRegistry::new();
         maps.create(MapDef::array(8, 4), 2).expect("array map");
-        let program =
-            |insns: &[Insn]| Program::new("p", AttachType::Kprobe("f".into()), insns.to_vec());
+        let program = |insns: &[Insn]| Program::new("p", insns.to_vec());
         let records = record_scripts().into_iter().map(|p| ("record".into(), p));
         let mut loader = Loader::new(&helpers);
         let mut kinds = [0usize; 2];

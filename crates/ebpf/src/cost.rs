@@ -303,11 +303,7 @@ mod tests {
         let insns = asm.build().unwrap();
         let analysis = analyze(&insns, &standard_helpers());
         let cert = certify(&insns, |pc| analysis.state_at(pc).is_some());
-        let prog = crate::program::Program::new(
-            "p",
-            crate::program::AttachType::Kprobe("f".into()),
-            insns,
-        );
+        let prog = crate::program::Program::new("p", insns);
         let loaded =
             crate::program::load(prog, &crate::map::MapRegistry::new(), &standard_helpers())
                 .unwrap();

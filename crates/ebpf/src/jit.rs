@@ -1098,26 +1098,18 @@ mod tests {
     use super::*;
     use crate::asm::{reg::*, Asm, Cond, Size};
     use crate::map::MapDef;
-    use crate::program::{load, AttachType, Program};
+    use crate::program::{load, Program};
     use crate::vm::{standard_helpers, FixedEnv, Vm};
 
     fn compile_asm(asm: Asm, maps: &MapRegistry) -> CompiledProgram {
-        let prog = Program::new(
-            "t",
-            AttachType::Kprobe("f".into()),
-            asm.build().expect("assembles"),
-        );
+        let prog = Program::new("t", asm.build().expect("assembles"));
         let loaded = load(prog, maps, &standard_helpers()).expect("verifies");
         compile(&loaded)
     }
 
     fn both_tiers(asm: Asm) -> (u64, u64) {
         let maps = MapRegistry::new();
-        let prog = Program::new(
-            "t",
-            AttachType::Kprobe("f".into()),
-            asm.build().expect("assembles"),
-        );
+        let prog = Program::new("t", asm.build().expect("assembles"));
         let loaded = load(prog, &maps, &standard_helpers()).expect("verifies");
         let ctx = TraceContext::default();
         let mut m1 = MapRegistry::new();
@@ -1246,11 +1238,7 @@ mod tests {
             .label("miss")
             .mov64_imm(R0, 0)
             .exit();
-        let prog = Program::new(
-            "count",
-            AttachType::Kprobe("f".into()),
-            asm.build().unwrap(),
-        );
+        let prog = Program::new("count", asm.build().unwrap());
         let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let compiled = compile(&loaded);
         assert!(compiled.fused_op_count() >= 1, "lookup+null should fuse");
@@ -1285,7 +1273,7 @@ mod tests {
     fn oob_access_faults_identically() {
         let asm = Asm::new().mov64_imm(R1, 0).ldx(Size::DW, R0, R1, 0).exit();
         let maps = MapRegistry::new();
-        let prog = Program::new("oob", AttachType::Kprobe("f".into()), asm.build().unwrap());
+        let prog = Program::new("oob", asm.build().unwrap());
         let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let ctx = TraceContext::default();
         let mut m1 = MapRegistry::new();
@@ -1383,7 +1371,7 @@ mod tests {
             .label("miss")
             .mov64_imm(R0, 1)
             .exit();
-        let prog = Program::new("m", AttachType::Kprobe("f".into()), asm.build().unwrap());
+        let prog = Program::new("m", asm.build().unwrap());
         let loaded = load(prog, &maps, &standard_helpers()).unwrap();
 
         let ctx = TraceContext::default();

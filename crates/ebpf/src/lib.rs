@@ -28,12 +28,12 @@
 //! use vnet_ebpf::asm::{reg::*, Asm};
 //! use vnet_ebpf::context::TraceContext;
 //! use vnet_ebpf::map::MapRegistry;
-//! use vnet_ebpf::program::{load, AttachType, Program};
+//! use vnet_ebpf::program::{load, Program};
 //! use vnet_ebpf::vm::{standard_helpers, FixedEnv, Vm};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let insns = Asm::new().mov64_imm(R0, 42).exit().build()?;
-//! let prog = Program::new("answer", AttachType::Kprobe("net_rx_action".into()), insns);
+//! let prog = Program::new("answer", insns);
 //! let mut maps = MapRegistry::new();
 //! let loaded = load(prog, &maps, &standard_helpers())?;
 //! let mut env = FixedEnv::default();
@@ -67,7 +67,7 @@ pub use cost::{certify, render_cost_report, CostCertificate};
 pub use insn::{Insn, MAX_INSNS};
 pub use jit::{compile, CompiledProgram, JitOutcome};
 pub use map::{MapDef, MapRegistry, MapType};
-pub use program::{load, AttachType, LoadedProgram, Loader, Program};
+pub use program::{load, LoadedProgram, Loader, Program};
 pub use tnum::Tnum;
 pub use verifier::{verify, VerifyError};
 pub use vm::{standard_helpers, ExecOutcome, Vm, VmEnv, VmError};

@@ -1,7 +1,7 @@
-//! Programs, attach types and the loader.
+//! Programs and the loader.
 //!
-//! Loading mirrors the kernel flow: a [`Program`] (bytecode + attach
-//! metadata) passes through the verifier, its pseudo map-fd loads are
+//! Loading mirrors the kernel flow: a [`Program`] (a name and its
+//! bytecode) passes through the verifier, its pseudo map-fd loads are
 //! relocated against a live [`MapRegistry`], and the result is a
 //! [`LoadedProgram`] ready to run, compiled ([`crate::jit`]) or
 //! interpreted ([`crate::vm`]). As in the kernel, the verifier's state
@@ -24,57 +24,21 @@ use crate::map::MapRegistry;
 use crate::verifier::VerifyError;
 use crate::vm::MAP_HANDLE_BASE;
 
-/// Where a program attaches — the paper's §III-B attach surface:
-/// "kernel functions, return of kernel functions, kernel tracepoints and
-/// raw sockets through kprobe, kretprobe, tracepoints and network
-/// devices", plus user-level uprobes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum AttachType {
-    /// Entry of a kernel function.
-    Kprobe(String),
-    /// Return of a kernel function.
-    Kretprobe(String),
-    /// A static kernel tracepoint (treated as a function-entry hook).
-    Tracepoint(String),
-    /// Raw-socket tap on a device's receive path.
-    SocketRx(String),
-    /// Raw-socket tap on a device's transmit path.
-    SocketTx(String),
-    /// User-level probe (application function entry).
-    Uprobe(String),
-}
-
-impl core::fmt::Display for AttachType {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            AttachType::Kprobe(s) => write!(f, "kprobe:{s}"),
-            AttachType::Kretprobe(s) => write!(f, "kretprobe:{s}"),
-            AttachType::Tracepoint(s) => write!(f, "tracepoint:{s}"),
-            AttachType::SocketRx(s) => write!(f, "socket-rx:{s}"),
-            AttachType::SocketTx(s) => write!(f, "socket-tx:{s}"),
-            AttachType::Uprobe(s) => write!(f, "uprobe:{s}"),
-        }
-    }
-}
-
-/// An unloaded program: bytecode plus attach metadata.
+/// An unloaded program: a name and its bytecode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Human-readable name (shown in diagnostics).
     pub name: String,
     /// The instruction stream.
     pub insns: Vec<Insn>,
-    /// Where the program attaches.
-    pub attach: AttachType,
 }
 
 impl Program {
     /// Creates a program.
-    pub fn new(name: impl Into<String>, attach: AttachType, insns: Vec<Insn>) -> Self {
+    pub fn new(name: impl Into<String>, insns: Vec<Insn>) -> Self {
         Program {
             name: name.into(),
             insns,
-            attach,
         }
     }
 }
@@ -290,15 +254,6 @@ mod tests {
     use crate::map::MapDef;
 
     #[test]
-    fn attach_type_display() {
-        assert_eq!(
-            AttachType::Kprobe("net_rx_action".into()).to_string(),
-            "kprobe:net_rx_action"
-        );
-        assert_eq!(AttachType::Uprobe("main".into()).to_string(), "uprobe:main");
-    }
-
-    #[test]
     fn load_relocates_map_fds() {
         let mut maps = MapRegistry::new();
         let fd = maps.create(MapDef::array(8, 1), 1).unwrap();
@@ -308,7 +263,7 @@ mod tests {
             .exit()
             .build()
             .unwrap();
-        let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
+        let prog = Program::new("p", insns);
         let loaded = load(prog, &maps, &[]).unwrap();
         let handle =
             (loaded.insns()[0].imm as u32 as u64) | ((loaded.insns()[1].imm as u32 as u64) << 32);
@@ -328,7 +283,7 @@ mod tests {
             .exit()
             .build()
             .unwrap();
-        let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
+        let prog = Program::new("p", insns);
         match load(prog, &maps, &[]) {
             Err(LoadError::UnknownMapFd { fd: 3, insn: 0 }) => {}
             other => panic!("unexpected {other:?}"),
@@ -340,7 +295,7 @@ mod tests {
         // A program that falls off the end must be rejected, and a
         // loader keeps nothing of it.
         let insns = Asm::new().mov64_imm(R0, 0).build().unwrap();
-        let prog = Program::new("bad", AttachType::Kprobe("f".into()), insns);
+        let prog = Program::new("bad", insns);
         let mut loader = Loader::new(&[]);
         assert!(matches!(
             loader.load(prog, &MapRegistry::new()),

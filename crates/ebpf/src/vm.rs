@@ -1068,18 +1068,14 @@ mod tests {
     use crate::asm::{reg::*, AluOp, Asm, Cond, Size};
     use crate::context::*;
     use crate::map::MapDef;
-    use crate::program::{load, AttachType, Program};
+    use crate::program::{load, Program};
 
     fn run(asm: Asm) -> u64 {
         run_with(asm, &TraceContext::default(), &[], &mut MapRegistry::new()).ret
     }
 
     fn run_with(asm: Asm, ctx: &TraceContext, pkt: &[u8], maps: &mut MapRegistry) -> ExecOutcome {
-        let prog = Program::new(
-            "t",
-            AttachType::Kprobe("f".into()),
-            asm.build().expect("assembles"),
-        );
+        let prog = Program::new("t", asm.build().expect("assembles"));
         let loaded = load(prog, maps, &standard_helpers()).expect("loads");
         let mut env = FixedEnv {
             time_ns: 123_456,
@@ -1252,7 +1248,6 @@ mod tests {
     fn packet_read_past_end_aborts() {
         let prog = Program::new(
             "t",
-            AttachType::Kprobe("f".into()),
             Asm::new()
                 .ldx(Size::DW, R2, R1, CTX_OFF_DATA)
                 .ldx(Size::W, R0, R2, 10)
@@ -1291,7 +1286,7 @@ mod tests {
                 .mov64_imm(R0, 0)
                 .exit(),
         ] {
-            let prog = Program::new("t", AttachType::Kprobe("f".into()), asm.build().unwrap());
+            let prog = Program::new("t", asm.build().unwrap());
             let loaded = load(prog, &maps, &standard_helpers()).unwrap();
             let mut env = FixedEnv::default();
             let err = Vm::new()
@@ -1585,7 +1580,7 @@ mod tests {
             .mov64_imm(R2, 3)
             .call(TRACE_PRINTK)
             .exit();
-        let prog = Program::new("t", AttachType::Kprobe("f".into()), asm.build().unwrap());
+        let prog = Program::new("t", asm.build().unwrap());
         let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let mut env = FixedEnv::default();
         Vm::new()
@@ -1664,7 +1659,7 @@ mod tests {
         }
         let insns = asm.exit().build().expect("assembles");
         assert_eq!(insns.len(), MAX_INSNS);
-        let prog = Program::new("long", AttachType::Kprobe("f".into()), insns);
+        let prog = Program::new("long", insns);
         let mut maps = MapRegistry::new();
         let loaded = load(prog, &maps, &standard_helpers()).expect("loads");
         let ctx = TraceContext::default();
@@ -1689,10 +1684,10 @@ mod atomic_tests {
     use crate::asm::{reg::*, Asm, Size};
     use crate::context::TraceContext;
     use crate::map::{MapDef, MapRegistry};
-    use crate::program::{load, AttachType, Program};
+    use crate::program::{load, Program};
 
     fn run(asm: Asm, maps: &mut MapRegistry) -> u64 {
-        let prog = Program::new("t", AttachType::Kprobe("f".into()), asm.build().unwrap());
+        let prog = Program::new("t", asm.build().unwrap());
         let loaded = load(prog, maps, &standard_helpers()).unwrap();
         let mut env = FixedEnv::default();
         Vm::new()
@@ -1853,7 +1848,7 @@ mod verifier_soundness {
     use crate::asm::{reg::*, Asm, Size};
     use crate::jit;
     use crate::map::MapDef;
-    use crate::program::{load, AttachType, Program};
+    use crate::program::{load, Program};
     use crate::test_programs::{corpus, mutate, record_scripts, Rng};
 
     /// The corpus listings, then the two record scripts the racks load,
@@ -1999,7 +1994,7 @@ mod verifier_soundness {
                 MapDef::array(8, 4)
             };
             maps.create(def, 2).expect("map");
-            let prog = Program::new("p", AttachType::Kprobe("f".into()), insns.clone());
+            let prog = Program::new("p", insns.clone());
             let Ok(loaded) = load(prog, &maps, &helpers) else {
                 continue; // names a map fd this registry lacks
             };
@@ -2109,7 +2104,7 @@ mod verifier_soundness {
                 .expect("seed");
             maps
         };
-        let prog = Program::new("probe", AttachType::Kprobe("f".into()), insns);
+        let prog = Program::new("probe", insns);
         let loaded = load(prog, &registry(), &standard_helpers()).expect("probe loads");
         let pkt: Vec<u8> = (0..40).collect();
         let ctx = TraceContext {

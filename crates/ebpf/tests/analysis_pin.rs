@@ -30,8 +30,8 @@
 //! and the cap would never be reached.
 
 use vnet_ebpf::{
-    analyze, load, standard_helpers, Analysis, AttachType, MapDef, MapRegistry, Program, RegState,
-    RegType, Tnum,
+    analyze, load, standard_helpers, Analysis, MapDef, MapRegistry, Program, RegState, RegType,
+    Tnum,
 };
 
 #[allow(dead_code)] // this test uses only part of the shared file
@@ -236,7 +236,7 @@ fn loads_are_pinned() {
     let mut digest = Vec::new();
     let mut kinds = [0usize; 2];
     for insns in programs() {
-        let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
+        let prog = Program::new("p", insns);
         let loaded = load(prog, &maps, &helpers);
         kinds[usize::from(loaded.is_err())] += 1;
         match loaded {

@@ -8,7 +8,7 @@ use vnet_ebpf::disasm::disassemble_annotated;
 use vnet_ebpf::insn::*;
 use vnet_ebpf::map::{MapDef, MapRegistry};
 use vnet_ebpf::parse::parse_program;
-use vnet_ebpf::program::{load, AttachType, LoadError, LoadedProgram, Program};
+use vnet_ebpf::program::{load, LoadError, LoadedProgram, Program};
 use vnet_ebpf::verifier::verify;
 use vnet_ebpf::vm::{standard_helpers, FixedEnv, Vm};
 
@@ -71,7 +71,7 @@ fn run_both_tiers(
 /// unknown fd: `None` too.
 fn load_verified(insns: Vec<Insn>) -> Option<LoadedProgram> {
     verify(&insns, &standard_helpers()).ok()?;
-    let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
+    let prog = Program::new("p", insns);
     match load(prog, &MapRegistry::new(), &standard_helpers()) {
         Ok(loaded) => Some(loaded),
         Err(LoadError::UnknownMapFd { .. }) => None,
@@ -381,7 +381,7 @@ proptest! {
     #[test]
     fn random_alu_programs_execute(insns in arb_alu_program()) {
         let maps = MapRegistry::new();
-        let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
+        let prog = Program::new("p", insns);
         let loaded = load(prog, &maps, &standard_helpers()).expect("verifies");
         let mut maps = MapRegistry::new();
         let mut env = FixedEnv::default();
@@ -395,7 +395,7 @@ proptest! {
     #[test]
     fn execution_deterministic(insns in arb_alu_program()) {
         let maps = MapRegistry::new();
-        let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
+        let prog = Program::new("p", insns);
         let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let run = || {
             let mut maps = MapRegistry::new();
@@ -419,7 +419,7 @@ proptest! {
             .build()
             .unwrap();
         let maps = MapRegistry::new();
-        let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
+        let prog = Program::new("p", insns);
         let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let mut maps = MapRegistry::new();
         let mut env = FixedEnv::default();
@@ -476,7 +476,7 @@ proptest! {
     #[test]
     fn tiers_agree_on_alu_programs(insns in arb_alu_program()) {
         let maps = MapRegistry::new();
-        let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
+        let prog = Program::new("p", insns);
         let loaded = load(prog, &maps, &standard_helpers()).expect("verifies");
         run_both_tiers(&loaded, &[], MapRegistry::new);
     }
@@ -496,7 +496,6 @@ proptest! {
         let maps = mk_maps();
         let prog = Program::new(
             "p",
-            AttachType::Kprobe("f".into()),
             assemble_map_workload(&ops, 0, 1),
         );
         let loaded = load(prog, &maps, &standard_helpers()).expect("workload verifies");

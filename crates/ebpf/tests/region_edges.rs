@@ -16,7 +16,7 @@ use vnet_ebpf::asm::{reg::*, Asm, Size};
 use vnet_ebpf::context::{TraceContext, CTX_OFF_DATA, CTX_SIZE};
 use vnet_ebpf::insn::STACK_SIZE;
 use vnet_ebpf::map::{MapDef, MapRegistry};
-use vnet_ebpf::program::{load, AttachType, Program};
+use vnet_ebpf::program::{load, Program};
 use vnet_ebpf::vm::{helper_ids, standard_helpers, FixedEnv, Vm, VmError};
 
 /// Runs `asm` on the interpreter and the threaded-code tier with
@@ -30,7 +30,7 @@ fn both_tiers(
 ) -> Result<u64, VmError> {
     let insns = asm.build().expect("assembles");
     let maps = mk_maps();
-    let prog = Program::new("edge", AttachType::Kprobe("f".into()), insns);
+    let prog = Program::new("edge", insns);
     let loaded = load(prog, &maps, &standard_helpers()).expect("verifies");
     let ctx = TraceContext::default();
     let mut maps_i = mk_maps();
@@ -292,7 +292,7 @@ fn map_value_writes_visible_to_host_on_both_tiers() {
         .build()
         .unwrap();
     let maps = one_array_map();
-    let prog = Program::new("edge", AttachType::Kprobe("f".into()), insns);
+    let prog = Program::new("edge", insns);
     let loaded = load(prog, &maps, &standard_helpers()).unwrap();
     let ctx = TraceContext::default();
     let mut maps_i = one_array_map();

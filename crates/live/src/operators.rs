@@ -435,17 +435,15 @@ impl LatencyWindow {
 #[derive(Debug)]
 pub(crate) struct LatencyWindows {
     pub(crate) windows: OpenWindows<LatencyWindow>,
-    /// Pairs whose delta came out negative (clock inversion beyond the
-    /// skew estimate) — dropped, as offline data cleaning would.
-    negative_dropped: u64,
     /// Pairs evicted unmatched (no latency sample possible).
     pub(crate) unmatched: u64,
 }
 
 impl LatencyWindows {
     fn record_pair(&mut self, spec: &WindowSpec, up_ts: u64, down_ts: u64) {
+        // A negative delta (clock inversion beyond the skew estimate) is
+        // dropped, as offline data cleaning would.
         let Some(delta) = down_ts.checked_sub(up_ts) else {
-            self.negative_dropped += 1;
             return;
         };
         self.windows.update(spec, down_ts, |w| w.record(delta));
@@ -521,7 +519,6 @@ impl PairOp {
     pub(crate) fn track_latency(&mut self) {
         self.latency.get_or_insert_with(|| LatencyWindows {
             windows: OpenWindows::new(LatencyWindow::new()),
-            negative_dropped: 0,
             unmatched: 0,
         });
     }
@@ -685,7 +682,6 @@ mod tests {
         p.push(Side::Up, 7, 2_000);
         p.push(Side::Down, 7, 1_500);
         let latency = p.op().latency.as_ref().unwrap();
-        assert_eq!(latency.negative_dropped, 1);
         assert!(latency.total().is_none());
     }
 

@@ -6,7 +6,6 @@
 //! arming timers. Workload generators (Sockperf-, iPerf-, Netperf- and
 //! memcached-style) in `vnet-workloads` implement this trait.
 
-use crate::ids::{AppId, NodeId};
 use crate::packet::Packet;
 use crate::time::SimDuration;
 
@@ -27,10 +26,6 @@ pub enum AppAction {
 /// The context handed to application callbacks.
 #[derive(Debug)]
 pub struct AppCtx<'w> {
-    /// The application's id.
-    pub app: AppId,
-    /// The node the application runs on.
-    pub node: NodeId,
     monotonic_ns: u64,
     /// The world's action list, lent for one callback: the world carries
     /// the actions out and keeps the list's capacity for the next.
@@ -40,15 +35,8 @@ pub struct AppCtx<'w> {
 impl<'w> AppCtx<'w> {
     /// Creates a context that queues its actions on `actions` (called by
     /// the world).
-    pub(crate) fn new(
-        app: AppId,
-        node: NodeId,
-        monotonic_ns: u64,
-        actions: &'w mut Vec<AppAction>,
-    ) -> Self {
+    pub(crate) fn new(monotonic_ns: u64, actions: &'w mut Vec<AppAction>) -> Self {
         AppCtx {
-            app,
-            node,
             monotonic_ns,
             actions,
         }
@@ -96,7 +84,7 @@ mod tests {
     #[test]
     fn ctx_queues_actions_on_the_lent_list() {
         let mut actions = Vec::new();
-        let mut ctx = AppCtx::new(AppId(0), NodeId(0), 5_000, &mut actions);
+        let mut ctx = AppCtx::new(5_000, &mut actions);
         assert_eq!(ctx.monotonic_ns(), 5_000);
         ctx.set_timer(SimDuration::from_micros(10), 42);
         ctx.send(Packet::from_bytes(vec![0u8; 8]));

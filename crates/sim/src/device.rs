@@ -302,12 +302,8 @@ impl DropReason {
 pub struct DeviceCounters {
     /// Packets accepted at ingress.
     pub rx_packets: u64,
-    /// Bytes accepted at ingress.
-    pub rx_bytes: u64,
     /// Packets forwarded or delivered.
     pub tx_packets: u64,
-    /// Bytes forwarded or delivered.
-    pub tx_bytes: u64,
     /// Packets dropped because the queue was full.
     pub dropped_queue_full: u64,
     /// Packets dropped by the ingress policer.

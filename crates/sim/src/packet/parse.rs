@@ -51,8 +51,6 @@ pub enum TransportHeader {
 /// A structured view over a frame's headers, borrowing the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedPacket<'a> {
-    /// The outer Ethernet header.
-    pub ethernet: EthernetHeader,
     /// The outer IPv4 header.
     pub ipv4: Ipv4Header,
     /// The outer transport header.
@@ -130,7 +128,6 @@ pub fn parse(buf: &[u8]) -> Result<ParsedPacket<'_>, ParseError> {
         IpProtocol::Other(_) => return Err(ParseError::BadTransport),
     };
     Ok(ParsedPacket {
-        ethernet,
         ipv4,
         transport,
         payload,

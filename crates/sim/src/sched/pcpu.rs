@@ -37,21 +37,15 @@ pub struct VcpuState {
     pub weight: u32,
     /// Remaining credit.
     pub credit: i64,
-    /// Whether the vCPU never sleeps (a CPU-hog).
-    pub always_runnable: bool,
     /// Whether the vCPU is currently asleep (no pending work).
     pub asleep: bool,
     /// credit1 BOOST flag, set on wake while credit remains.
     pub boosted: bool,
-    /// Total time this vCPU has spent running.
-    pub total_runtime: SimDuration,
 }
 
 /// Per-pCPU run state.
 #[derive(Debug, Clone)]
 pub struct PcpuState {
-    /// The physical CPU.
-    pub cpu: CpuId,
     /// Currently running vCPU, if any.
     pub running: Option<VcpuId>,
     /// When the current vCPU started running.
@@ -114,17 +108,14 @@ impl SchedCore {
             pcpu,
             weight: weight.max(1),
             credit: CREDIT_INIT,
-            always_runnable,
             asleep: !always_runnable,
             boosted: false,
-            total_runtime: SimDuration::ZERO,
         };
         assert!(
             self.vcpus.insert(vcpu, state).is_none(),
             "vCPU {vcpu} registered twice"
         );
         let p = self.pcpus.entry(pcpu).or_insert_with(|| PcpuState {
-            cpu: pcpu,
             running: None,
             running_since: SimTime::ZERO,
             waiting: Vec::new(),
@@ -142,7 +133,6 @@ impl SchedCore {
         }
         let ran = to - from;
         let v = self.vcpus.get_mut(&who).expect("burn for unknown vcpu");
-        v.total_runtime += ran;
         // Burn rate scales inversely with weight (reference weight 256).
         v.credit -= (ran.as_nanos() as i64) * 256 / i64::from(v.weight);
         if v.credit <= 0 {

@@ -237,40 +237,18 @@ impl World {
         };
     }
 
-    /// Registers a trace-driven link model in the world's profile table;
-    /// returns its id for [`World::set_port_profile`].
-    pub fn add_link_profile(&mut self, profile: LinkProfile) -> u32 {
-        self.link_profiles.push(profile);
-        (self.link_profiles.len() - 1) as u32
-    }
-
-    /// Drives the given output port of `dev` with a registered link
-    /// profile: the active segment's delay replaces the port's base
-    /// latency, its loss model may drop frames on the wire, and its rate
-    /// serializes frames through the link.
+    /// Registers `profile` in the world's profile table and drives the
+    /// given output port of `dev` with it: the active segment's delay
+    /// replaces the port's base latency, its loss model may drop frames
+    /// on the wire, and its rate serializes frames through the link.
     ///
     /// # Panics
     ///
-    /// Panics if the port or profile id does not exist.
-    pub fn set_port_profile(&mut self, dev: DeviceId, port_idx: usize, profile_id: u32) {
-        assert!(
-            (profile_id as usize) < self.link_profiles.len(),
-            "unknown link profile {profile_id}"
-        );
-        self.devices[dev.index()].ports[port_idx].profile = Some(profile_id);
-    }
-
-    /// Registers `profile` and attaches it to the given port in one
-    /// step; returns the profile id.
-    pub fn attach_link_profile(
-        &mut self,
-        dev: DeviceId,
-        port_idx: usize,
-        profile: LinkProfile,
-    ) -> u32 {
-        let id = self.add_link_profile(profile);
-        self.set_port_profile(dev, port_idx, id);
-        id
+    /// Panics if the port does not exist.
+    pub fn attach_link_profile(&mut self, dev: DeviceId, port_idx: usize, profile: LinkProfile) {
+        self.link_profiles.push(profile);
+        let id = (self.link_profiles.len() - 1) as u32;
+        self.devices[dev.index()].ports[port_idx].profile = Some(id);
     }
 
     /// Schedules an administrative up/down flip of `dev` at simulated

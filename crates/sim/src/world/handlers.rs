@@ -189,7 +189,6 @@ impl World {
             return;
         }
         dev.counters.rx_packets += 1;
-        dev.counters.rx_bytes += pkt.len() as u64;
         // The CPU whose softirq serves the packet, if the device is
         // softirq-gated. RPS steers on the flow, so it is worked out
         // before the packet is queued.
@@ -293,7 +292,6 @@ impl World {
         let tx_cost = self.tx_hooks(i, &qp.pkt, CpuId(0));
         let dev = &mut self.devices[i];
         dev.counters.tx_packets += 1;
-        dev.counters.tx_bytes += qp.pkt.len() as u64;
         let queue_empty = dev.queue_len() == 0;
         let node = dev.cfg.node;
         if let Gate::Vcpu(vcpu) = dev.cfg.gate {
@@ -355,7 +353,6 @@ impl World {
         let tx_cost = self.tx_hooks(i, &qp.pkt, cpu);
         let dev = &mut self.devices[i];
         dev.counters.tx_packets += 1;
-        dev.counters.tx_bytes += qp.pkt.len() as u64;
         if self.softirq[node.index()].finish(cpu) {
             self.push_event(node, now, Event::SoftirqStart { node, cpu });
         }
@@ -506,7 +503,7 @@ impl World {
         let slot = &mut self.apps[app_id.index()];
         let node = slot.node;
         let mono = self.nodes[node.index()].clock.monotonic_ns(self.now);
-        let mut ctx = AppCtx::new(app_id, node, mono, &mut self.actions);
+        let mut ctx = AppCtx::new(mono, &mut self.actions);
         f(slot.app.as_mut(), &mut ctx);
         // Taken out while the actions run, which need `self`, and put
         // back empty with its capacity.

@@ -75,8 +75,6 @@ pub struct ContainerScenario {
     pub vm2: NodeId,
     /// Server-side goodput recorder.
     pub throughput: Rc<RefCell<ThroughputRecorder>>,
-    /// The (inner, for overlay) data flow client → server.
-    pub flow: FlowKey,
 }
 
 /// VM1 underlay address.
@@ -359,7 +357,6 @@ impl ContainerScenario {
             world: w,
             vm2,
             throughput,
-            flow,
         }
     }
 

@@ -148,13 +148,9 @@ pub struct OvsScenario {
     pub host: NodeId,
     /// Sockperf latency samples.
     pub latency: Rc<RefCell<LatencyRecorder>>,
-    /// iPerf delivered throughput (aggregate).
-    pub iperf_throughput: Rc<RefCell<ThroughputRecorder>>,
     /// Each TCP iPerf client's counters, in the order the case adds
     /// them (empty under UDP congestion).
     pub iperf_tcp: Vec<Rc<RefCell<TcpStreamStats>>>,
-    /// The Sockperf request flow.
-    pub flow: FlowKey,
 }
 
 /// VM0 address (Sockperf + iPerf clients).
@@ -305,7 +301,6 @@ impl OvsScenario {
         w.bind_app(em0_rx, SOCKPERF_CPORT, sock_client);
 
         // iPerf congestion per case.
-        let iperf_throughput = ThroughputRecorder::shared();
         let iperf_count = iperf_packets(cfg);
         let mut iperf_port = 50_000u16;
         let transport = cfg.transport;
@@ -374,12 +369,12 @@ impl OvsScenario {
             CongestionTransport::Udp => w.add_app(
                 host,
                 em2_tx,
-                Box::new(IperfServer::new(Rc::clone(&iperf_throughput))),
+                Box::new(IperfServer::new(ThroughputRecorder::shared())),
             ),
             CongestionTransport::Tcp => w.add_app(
                 host,
                 em2_tx,
-                Box::new(NetperfServer::new(Rc::clone(&iperf_throughput))),
+                Box::new(NetperfServer::new(ThroughputRecorder::shared())),
             ),
         };
         w.bind_app(em2, IPERF_SPORT, iperf_server);
@@ -388,9 +383,7 @@ impl OvsScenario {
             world: w,
             host,
             latency,
-            iperf_throughput,
             iperf_tcp,
-            flow,
         }
     }
 

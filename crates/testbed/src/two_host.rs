@@ -62,8 +62,6 @@ pub struct TwoHostScenario {
     pub server2: NodeId,
     /// Sockperf latency samples.
     pub latency: Rc<RefCell<LatencyRecorder>>,
-    /// The Sockperf flow (client → server).
-    pub flow: FlowKey,
 }
 
 /// VM1 (client) address.
@@ -194,7 +192,6 @@ impl TwoHostScenario {
             server1: s1,
             server2: s2,
             latency,
-            flow,
         }
     }
 

@@ -108,8 +108,6 @@ pub struct XenScenario {
     pub world: World,
     /// Workload latency samples (as the application reports them).
     pub latency: Rc<RefCell<LatencyRecorder>>,
-    /// The request flow (client → server).
-    pub flow: FlowKey,
 }
 
 /// Client address.
@@ -263,11 +261,7 @@ impl XenScenario {
         }
         w.bind_app(c_rx, CLIENT_PORT, client_app);
 
-        XenScenario {
-            world: w,
-            latency,
-            flow,
-        }
+        XenScenario { world: w, latency }
     }
 
     /// The paper's five tracepoints for the Fig. 11 decomposition,

@@ -507,8 +507,6 @@ impl ScanResult {
 pub struct Aggregate {
     /// Number of entries carrying the field.
     pub count: usize,
-    /// Sum of values.
-    pub sum: f64,
     /// Mean value (0 when empty).
     pub mean: f64,
     /// Minimum value (0 when empty).
@@ -540,7 +538,6 @@ pub fn aggregate(entries: &[Entry<'_>], field: &str) -> Aggregate {
     let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     Aggregate {
         count: values.len(),
-        sum,
         mean: sum / values.len() as f64,
         min,
         max,

@@ -96,14 +96,12 @@ impl App for SockperfClient {
 
 /// The Sockperf server: echoes each request back to its sender.
 #[derive(Debug, Default)]
-pub struct SockperfServer {
-    echoed: u64,
-}
+pub struct SockperfServer;
 
 impl SockperfServer {
     /// Creates a server.
     pub fn new() -> Self {
-        Self::default()
+        SockperfServer
     }
 }
 
@@ -116,7 +114,6 @@ impl App for SockperfServer {
         let reply_flow = parsed.flow().reversed();
         let payload = wire::encode(Op::Response, seq, t_send, parsed.payload.len());
         ctx.send(PacketBuilder::udp(reply_flow, payload).build());
-        self.echoed += 1;
     }
 }
 

@@ -39,7 +39,7 @@ use vnettracer::VNetTracer;
 use vnet_ebpf::asm::{reg::R0, Asm};
 use vnet_ebpf::context::TraceContext;
 use vnet_ebpf::map::{MapDef, MapRegistry};
-use vnet_ebpf::program::{load, AttachType, Loader, Program};
+use vnet_ebpf::program::{load, Loader, Program};
 use vnet_ebpf::vm::{standard_helpers, FixedEnv};
 use vnet_ebpf::MAX_INSNS;
 use vnet_sim::device::{DeviceConfig, Forwarding};
@@ -360,10 +360,7 @@ fn a_load_allocates_the_same_for_a_longer_program() {
     }
     let long = asm.exit().build().unwrap();
     assert_eq!(long.len(), MAX_INSNS);
-    let long = load_allocations(
-        Program::new("long", AttachType::Kprobe("f".into()), long),
-        &maps,
-    );
+    let long = load_allocations(Program::new("long", long), &maps);
     assert!(
         long <= short + LOAD_GROWTH,
         "{long} allocations to load {MAX_INSNS} slots, {short} for 258"
