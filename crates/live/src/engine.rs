@@ -178,6 +178,8 @@ pub struct LiveEngine {
     alerts: Vec<Alert>,
     records_processed: u64,
     now_ns: u64,
+    /// The watermark the last advance ran at.
+    advanced_to: Option<u64>,
 }
 
 impl LiveEngine {
@@ -231,6 +233,7 @@ impl LiveEngine {
             alerts: Vec::new(),
             records_processed: 0,
             now_ns: 0,
+            advanced_to: None,
         }
     }
 
@@ -304,8 +307,20 @@ impl LiveEngine {
 
     /// Evicts timed-out pairings, finalizes complete windows, and runs
     /// the anomaly detectors over each newly closed window.
+    ///
+    /// Returns at once when the watermark has not moved since the last
+    /// run and the pair timeout is positive: records since then sit at or
+    /// above the watermark, so each window they opened ends past it and a
+    /// pairing they touched is younger than `watermark − pair_timeout`;
+    /// the pairings and windows that were already there were settled by
+    /// that run. With a zero timeout a record at the watermark is evictable
+    /// at once, so every call runs.
     fn advance(&mut self) {
         let watermark = self.watermark.watermark_ns();
+        if self.cfg.pair_timeout_ns > 0 && self.advanced_to == Some(watermark) {
+            return;
+        }
+        self.advanced_to = Some(watermark);
         // checked_sub: until a full timeout has elapsed no entry can have
         // timed out, not even one keyed at t=0.
         if let Some(evict_before) = watermark.checked_sub(self.cfg.pair_timeout_ns) {
@@ -540,6 +555,121 @@ mod tests {
             lost: 1,
         };
         assert_eq!(closed[0].loss, [("up->down".to_owned(), lost)]);
+    }
+
+    /// One step of a stream fed to an engine: a batch of one table from
+    /// one agent with its heartbeat, or a bare heartbeat.
+    enum Step<'a> {
+        Batch(&'a str, &'a str, &'a [CompactRecord], u64),
+        Heartbeat(&'a str, u64),
+    }
+
+    /// Feeds `steps` to an engine on `cfg` with agents `n1` and `n2`, and
+    /// to one made to run every advance in full (its last watermark
+    /// forgotten before each call). After each step both must have
+    /// emitted the same windows and alerts and hold the same state; the
+    /// engine's windows are returned step by step.
+    fn against_full_advances(cfg: LiveConfig, steps: &[Step]) -> Vec<Vec<WindowResult>> {
+        let [mut e, mut full] = [(); 2].map(|()| {
+            let mut e = LiveEngine::new(cfg.clone());
+            e.register_agent("n1", None);
+            e.register_agent("n2", None);
+            e
+        });
+        let apply = |e: &mut LiveEngine, step: &Step, forget: bool| {
+            let forget = |e: &mut LiveEngine| {
+                if forget {
+                    e.advanced_to = None;
+                }
+            };
+            match *step {
+                Step::Batch(table, node, recs, now) => {
+                    let mut b = RecordBatch::new();
+                    for r in recs {
+                        b.push(table, node, *r);
+                    }
+                    forget(e);
+                    e.ingest(&b, now);
+                    forget(e);
+                    e.heartbeat(node, now);
+                }
+                Step::Heartbeat(node, now) => {
+                    forget(e);
+                    e.heartbeat(node, now);
+                }
+            }
+        };
+        let mut emitted = Vec::new();
+        for step in steps {
+            apply(&mut e, step, false);
+            apply(&mut full, step, true);
+            let closed = e.drain_closed();
+            assert_eq!(closed, full.drain_closed());
+            assert_eq!(e.drain_alerts(), full.drain_alerts());
+            assert_eq!(e.state(), full.state());
+            emitted.push(closed);
+        }
+        emitted
+    }
+
+    /// While one agent lags, the other's batches and heartbeats leave the
+    /// watermark where it was: those advances return at once, closing no
+    /// window and evicting no pairing. The lagging agent's heartbeat then
+    /// moves it, and the windows and alerts come out as from an engine
+    /// that ran every advance in full.
+    #[test]
+    fn an_advance_at_an_unmoved_watermark_changes_nothing() {
+        let cfg = LiveConfig::new(WindowSpec::tumbling(1_000))
+            .track_throughput("tx")
+            .track_latency("tx", "rx")
+            .track_loss("tx", "rx");
+        let tx = [rec(2_100, 1, 100), rec(2_200, 2, 100), rec(2_300, 3, 100)];
+        let rx = [rec(2_150, 1, 100), rec(2_600, 2, 100)];
+        let emitted = against_full_advances(
+            LiveConfig {
+                pair_timeout_ns: 500,
+                ..cfg
+            },
+            &[
+                Step::Heartbeat("n2", 2_000),
+                Step::Batch("tx", "n1", &tx, 3_000),
+                Step::Batch("rx", "n1", &rx, 9_000),
+                Step::Heartbeat("n1", 20_000),
+                Step::Heartbeat("n2", 20_000),
+            ],
+        );
+        let windows: Vec<usize> = emitted.iter().map(Vec::len).collect();
+        assert_eq!(windows, [0, 0, 0, 0, 1], "only the moving heartbeat closes");
+        let loss = &emitted[4][0].loss[0].1;
+        assert_eq!((loss.seen, loss.delivered, loss.lost), (3, 2, 1));
+    }
+
+    /// With no pair timeout a record at the watermark is evictable as
+    /// soon as it is seen, so the engine advances on every call even
+    /// where the watermark has not moved: the upstream at the watermark
+    /// is evicted by its own batch's advance, before the downstream
+    /// that would have matched it arrives, as in an engine that runs
+    /// every advance in full.
+    #[test]
+    fn with_no_pair_timeout_every_advance_runs() {
+        let mut cfg = LiveConfig::new(WindowSpec::tumbling(1_000)).track_loss("tx", "rx");
+        cfg.pair_timeout_ns = 0;
+        let emitted = against_full_advances(
+            cfg,
+            &[
+                Step::Heartbeat("n1", 2_000),
+                Step::Heartbeat("n2", 2_000),
+                Step::Batch("tx", "n1", &[rec(2_000, 1, 100)], 3_000),
+                Step::Batch("rx", "n1", &[rec(2_500, 1, 100)], 3_000),
+                Step::Heartbeat("n2", 5_000),
+            ],
+        );
+        let loss = &emitted[4][0].loss[0].1;
+        assert_eq!(
+            (loss.seen, loss.delivered, loss.lost),
+            (1, 0, 1),
+            "evicted at once"
+        );
     }
 
     /// One pair `tx->rx`, both metrics, windows of `width_ns`; until its

@@ -21,9 +21,17 @@
 //! encoders' canonical form (a varint never ends in a redundant zero
 //! byte, a column never has trailing bytes), so a chunk a decoder accepts
 //! is exactly the bytes its values encode to; compaction relies on that
-//! to copy verified chunks instead of re-encoding them. Block integrity is verified
+//! to copy verified chunks instead of re-encoding them, and checks such
+//! chunks with [`check_varint_col`], which accepts and rejects exactly as
+//! the decoders do but materialises no value. Block integrity is verified
 //! separately with [`crc32`] (IEEE 802.3, the polynomial used by
 //! Ethernet and zlib).
+//!
+//! Both column decoders and the checker read a word at a time where they
+//! can: a little-endian 8-byte word with no continuation bit is eight
+//! one-byte values. The decoders take a multi-byte value through
+//! [`get_uvarint`], one byte at a time, since where the next value starts
+//! depends on the length just decoded.
 
 /// Errors surfaced by the bounds-checked decoders.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,6 +84,10 @@ pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
 /// [`CodecError::Overlong`] if the encoding exceeds 10 bytes,
 /// [`CodecError::NonCanonical`] if it is not the one [`put_uvarint`]
 /// writes (its last byte is zero, but it is not the only byte).
+///
+/// Always inlined: the column decoders call it once per multi-byte
+/// value, and the call costs about as much as the decode.
+#[inline(always)]
 pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
@@ -129,9 +141,47 @@ pub fn decode_varint_col(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Result<(),
     out.clear();
     out.reserve(n);
     let mut pos = 0;
-    for _ in 0..n {
-        out.push(get_uvarint(buf, &mut pos)?);
+    while out.len() < n {
+        if let Some(bytes) = one_byte_word(buf, pos, n - out.len()) {
+            out.extend_from_slice(&bytes.map(u64::from));
+            pos += 8;
+            continue;
+        }
+        // Eight values byte by byte before the next try, so a column of
+        // multi-byte values pays one word test per eight values.
+        for _ in 0..(n - out.len()).min(8) {
+            out.push(get_uvarint(buf, &mut pos)?);
+        }
     }
+    trailing(buf, pos, n)
+}
+
+/// The continuation bit of each byte of a little-endian word.
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+/// The seven payload bits of each byte of a little-endian word.
+const LOW_BITS: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+
+/// The eight bytes at `pos` as a little-endian word, if `buf` holds them.
+fn word_at(buf: &[u8], pos: usize) -> Option<u64> {
+    let bytes = buf.get(pos..)?.first_chunk::<8>()?;
+    Some(u64::from_le_bytes(*bytes))
+}
+
+/// The eight bytes at `pos`, if they are eight whole one-byte varints
+/// (no continuation bit) and the column still wants at least eight
+/// values (`left`), so none of them is a trailing byte.
+fn one_byte_word(buf: &[u8], pos: usize, left: usize) -> Option<[u8; 8]> {
+    if left < 8 {
+        return None;
+    }
+    word_at(buf, pos)
+        .filter(|w| w & HIGH_BITS == 0)
+        .map(u64::to_le_bytes)
+}
+
+/// The end of a column of `n` values whose last value ended at `pos`:
+/// [`CodecError::BadLength`] if bytes are left over.
+fn trailing(buf: &[u8], pos: usize, n: usize) -> Result<(), CodecError> {
     if pos != buf.len() {
         return Err(CodecError::BadLength {
             expected: n,
@@ -139,6 +189,53 @@ pub fn decode_varint_col(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Result<(),
         });
     }
     Ok(())
+}
+
+/// Checks that `buf` is a column of exactly `n` canonical varints: `Ok`
+/// exactly where [`decode_varint_col`] and [`decode_dod`] decode `buf`
+/// (a delta-of-delta column of `n` values is `n` varints too), and the
+/// same [`CodecError`] where they fail, without materialising a value.
+///
+/// Works a word at a time: the terminators (bytes with no continuation
+/// bit) are counted by one popcount, a zero byte after a continuation
+/// byte is found by one mask, and the continuation bytes still open at
+/// the word's end are carried into the next. A value of 10 bytes (a run
+/// of 9 continuation bytes, where `Overlong` lives), a word that ends
+/// more values than are left, a non-canonical zero and the tail shorter
+/// than a word all go to the byte decoder, from the start of the value
+/// the word began in, so every error is the decoders' own.
+///
+/// # Errors
+///
+/// The [`CodecError`] the decoders return for `buf` and `n`.
+pub fn check_varint_col(buf: &[u8], n: usize) -> Result<(), CodecError> {
+    // Values ended before `pos`, and continuation bytes of the value
+    // `pos` is inside.
+    let (mut seen, mut pos, mut open) = (0usize, 0usize, 0usize);
+    while let Some(w) = word_at(buf, pos) {
+        let ends = !w & HIGH_BITS;
+        let zero = !(((w & LOW_BITS) + LOW_BITS) | w) & HIGH_BITS;
+        let after_continuation = ((w & HIGH_BITS) << 8) | if open > 0 { 0x80 } else { 0 };
+        // Continuation bytes before the word's first terminator (all
+        // eight when it has none), counting those carried in.
+        let first_run = open + (ends.trailing_zeros() / 8) as usize;
+        let count = ends.count_ones() as usize;
+        if count > n - seen || zero & after_continuation != 0 || first_run >= 9 {
+            break;
+        }
+        seen += count;
+        open = if ends == 0 {
+            first_run
+        } else {
+            (ends.leading_zeros() / 8) as usize
+        };
+        pos += 8;
+    }
+    let mut pos = pos - open;
+    for _ in seen..n {
+        get_uvarint(buf, &mut pos)?;
+    }
+    trailing(buf, pos, n)
 }
 
 /// Appends a near-monotonic column to `buf` as delta-of-delta: raw first
@@ -173,34 +270,33 @@ pub fn decode_dod(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Result<(), CodecE
     out.clear();
     out.reserve(n);
     if n == 0 {
-        if buf.is_empty() {
-            return Ok(());
-        }
-        return Err(CodecError::BadLength {
-            expected: 0,
-            actual: 1,
-        });
+        return trailing(buf, 0, 0);
     }
     let mut pos = 0;
     let first = get_uvarint(buf, &mut pos)?;
     out.push(first);
     let mut prev = first;
     let mut prev_delta: i64 = 0;
-    for _ in 1..n {
-        let dod = unzigzag(get_uvarint(buf, &mut pos)?);
-        let delta = prev_delta.wrapping_add(dod);
-        let v = prev.wrapping_add(delta as u64);
-        out.push(v);
-        prev = v;
-        prev_delta = delta;
+    let mut step = |dod: u64| {
+        prev_delta = prev_delta.wrapping_add(unzigzag(dod));
+        prev = prev.wrapping_add(prev_delta as u64);
+        prev
+    };
+    while out.len() < n {
+        if let Some(bytes) = one_byte_word(buf, pos, n - out.len()) {
+            let mut values = [0; 8];
+            for (v, b) in values.iter_mut().zip(bytes) {
+                *v = step(u64::from(b));
+            }
+            out.extend_from_slice(&values);
+            pos += 8;
+            continue;
+        }
+        for _ in 0..(n - out.len()).min(8) {
+            out.push(step(get_uvarint(buf, &mut pos)?));
+        }
     }
-    if pos != buf.len() {
-        return Err(CodecError::BadLength {
-            expected: n,
-            actual: n + 1,
-        });
-    }
-    Ok(())
+    trailing(buf, pos, n)
 }
 
 /// Appends a length-prefixed string (varint length + UTF-8 bytes).

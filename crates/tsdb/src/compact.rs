@@ -66,17 +66,24 @@
 //!   inputs stay live and its renamed output waits, unreferenced, for
 //!   the next open to collect it.
 //! * The merge streams block by block through the same reader queries
-//!   use: one decoded input block and the writer's one open output
-//!   block are resident, whatever the size of the inputs or the output.
-//! * Every input block is read once, CRC-checked and decoded in full,
-//!   and every node index is checked against its dictionary and mapped
-//!   into the union. Only then is a block copied: if it is full, the
-//!   output has no open block and the mapping changed none of its node
-//!   indices, the writer writes the chunks that read verified, with
-//!   their CRCs (`SegmentWriter::append_block`, which alone decides).
-//!   Re-encoding such a block would write the same bytes, since the
-//!   decoders accept only canonical chunks, so the output does not
-//!   depend on which blocks were copied. Every other block is re-cut.
+//!   use: one input block and the writer's one open output block are
+//!   resident, whatever the size of the inputs or the output.
+//! * Every input block is read once, and every chunk of it CRC-checked
+//!   and checked canonical in full; every node index is checked against
+//!   its dictionary and mapped into the union. A block is decoded only
+//!   where the decoded values are used. One that may be copied (it is
+//!   full and the output has no open block) has only `Seq`, `Ts` and
+//!   `Node` decoded, for its index entry and the mapping; its other
+//!   chunks go through `codec::check_varint_col`, which accepts and
+//!   rejects exactly as their decoders do, with the same error. If the
+//!   mapping changed none of its node indices, the writer writes the
+//!   chunks that read verified, with their CRCs
+//!   (`SegmentWriter::append_block`, which alone decides); otherwise it
+//!   decodes the other lanes from the chunks already read and re-cuts
+//!   the block. Re-encoding a copied block would write the same bytes,
+//!   since the decoders accept only canonical chunks, so the output does
+//!   not depend on which blocks were copied. Every other block is read
+//!   and decoded in full and re-cut.
 
 use std::ops::Range;
 use std::path::PathBuf;
@@ -187,7 +194,11 @@ pub fn merge_segments(job: &CompactionJob) -> Result<SegmentMeta, SegmentError> 
         for (s, remap) in inputs.iter().zip(&remaps) {
             for (b, input) in s.meta().blocks.iter().enumerate() {
                 blk.clear();
-                s.read_block(b, &ALL_COLUMNS, &mut blk)?;
+                if w.may_copy(input) {
+                    s.read_block_to_copy(b, &mut blk)?;
+                } else {
+                    s.read_block(b, &ALL_COLUMNS, &mut blk)?;
+                }
                 w.append_block(&mut blk, input, remap)?;
             }
         }
@@ -417,6 +428,109 @@ mod tests {
         }
         assert_eq!(w.finish("m", &meta.nodes, false).unwrap(), meta);
         assert!(std::fs::read(&job.output_tmp).unwrap() == std::fs::read(&oracle).unwrap());
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    /// Two inputs of two full blocks each under the dictionary `["n"]`,
+    /// in `d`: every block the merge reads may be copied.
+    fn two_aligned_inputs(d: &Path) -> CompactionJob {
+        use crate::segment::BLOCK_ROWS;
+        let n = 2 * BLOCK_ROWS as u64;
+        for (i, base) in [0, n].into_iter().enumerate() {
+            write_rows(
+                d.join(format!("s{i}.col")),
+                "m",
+                &["n"],
+                base,
+                &rows(base, n, 0),
+            )
+            .unwrap();
+        }
+        job_for(d, &["s0.col", "s1.col"])
+    }
+
+    /// The merge decodes only `Seq`, `Ts` and `Node` of a block it copies
+    /// and checks the rest, so a chunk the decoders refuse still fails
+    /// the merge, with the error a full read of the block returns. Each
+    /// of the nine lanes it does not decode gets a value spelled one byte
+    /// too long (a redundant zero byte, inside the chunk's second word),
+    /// under a recomputed CRC, in the second block of the second input.
+    #[test]
+    fn a_copied_block_with_a_non_canonical_chunk_fails_the_merge() {
+        use crate::codec::CodecError;
+        use crate::segment::tests::patch_chunk;
+        for id in &ColumnId::ALL[3..] {
+            let d = dir(&format!("noncanonical_{id:?}"));
+            let job = two_aligned_inputs(&d);
+            patch_chunk(&job.inputs[1], 1, *id, |chunk| {
+                chunk[13] |= 0x80;
+                chunk[14] = 0;
+            });
+            let seg = Segment::open(&job.inputs[1]).unwrap();
+            let read = seg.read_block(1, &ALL_COLUMNS, &mut Block::default());
+            let read = read.expect_err("a full read refuses the chunk");
+            assert!(matches!(
+                read,
+                SegmentError::Codec(CodecError::NonCanonical)
+            ));
+            let merged = merge_segments(&job).expect_err("the merge refuses the chunk");
+            assert_eq!(merged.to_string(), read.to_string(), "{id:?}");
+            assert!(!job.output_tmp.exists(), "tmp removed on failure");
+            let _ = std::fs::remove_dir_all(&d);
+        }
+    }
+
+    /// A node index outside its segment's dictionary, under a recomputed
+    /// CRC, fails a merge that would copy its block, as it fails one that
+    /// decodes every block.
+    #[test]
+    fn a_copied_block_with_a_node_outside_the_dictionary_fails_the_merge() {
+        use crate::segment::tests::patch_chunk;
+        let d = dir("node_outside");
+        let job = two_aligned_inputs(&d);
+        patch_chunk(&job.inputs[1], 1, ColumnId::Node, |chunk| chunk[13] = 1);
+        let err = merge_segments(&job).expect_err("index 1 of a one-name dictionary");
+        assert!(
+            matches!(&err, SegmentError::Corrupt(m) if m == "node index outside dictionary"),
+            "{err}"
+        );
+        assert!(!job.output_tmp.exists(), "tmp removed on failure");
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    /// A full block behind an empty writer is read to be copied, with
+    /// only `Seq`, `Ts` and `Node` decoded; when its remap then changes
+    /// an index the writer re-cuts it after all, decoding the other
+    /// lanes from the chunks the read holds. The output's CRC-32 is the
+    /// one the merge wrote when it decoded every block in full.
+    #[test]
+    fn a_block_whose_remap_changes_an_index_is_re_cut_from_its_chunks() {
+        use crate::codec::crc32;
+        use crate::segment::BLOCK_ROWS;
+        let d = dir("remap_recut");
+        let block = BLOCK_ROWS as u64;
+        let mut input = rows(block, block, 0);
+        for (k, row) in input.iter_mut().enumerate() {
+            row.0 = (k % 2) as u32;
+        }
+        write_rows(d.join("s0.col"), "m", &["a"], 0, &rows(0, block, 0)).unwrap();
+        write_rows(d.join("s1.col"), "m", &["b", "a"], block, &input).unwrap();
+        let job = job_for(&d, &["s0.col", "s1.col"]);
+
+        let seg = Segment::open(&job.inputs[1]).unwrap();
+        let mut blk = Block::default();
+        seg.read_block_to_copy(0, &mut blk).unwrap();
+        assert_eq!(blk.col(ColumnId::Node).len(), BLOCK_ROWS);
+        assert!(
+            blk.col(ColumnId::PktLen).is_empty(),
+            "only three lanes decoded"
+        );
+
+        let meta = merge_segments(&job).unwrap();
+        assert_eq!(meta.nodes, ["a", "b"]);
+        assert_eq!(meta.blocks.len(), 2);
+        let merged = std::fs::read(&job.output_tmp).unwrap();
+        assert_eq!(crc32(&merged), 0xf76b_d029);
         let _ = std::fs::remove_dir_all(&d);
     }
 

@@ -38,7 +38,9 @@
 //! ([`SegmentWriter::append`]); either way it transposes and encodes only
 //! the open block, and writes each block as it fills. A full block the
 //! merge would re-encode to the same bytes it copies instead, chunks and
-//! CRCs as its reader verified them (`SegmentWriter::append_block`).
+//! CRCs as its reader verified them (`SegmentWriter::append_block`);
+//! such a block is read with only the lanes the copy needs decoded and
+//! the rest checked (`Segment::read_block_to_copy`).
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -138,6 +140,16 @@ pub type ColumnSet = [bool; ColumnId::ALL.len()];
 
 /// Every column.
 pub const ALL_COLUMNS: ColumnSet = [true; ColumnId::ALL.len()];
+
+/// The lanes a merge decodes from a block it reads to copy: the writer's
+/// index entry needs `Seq` and `Ts`, the dictionary remap `Node`.
+const COPY_DECODED: ColumnSet = {
+    let mut set = [false; ColumnId::ALL.len()];
+    set[ColumnId::Seq as usize] = true;
+    set[ColumnId::Ts as usize] = true;
+    set[ColumnId::Node as usize] = true;
+    set
+};
 
 /// The set holding exactly `ids`.
 pub fn columns(ids: &[ColumnId]) -> ColumnSet {
@@ -406,15 +418,25 @@ impl SegmentWriter {
         Ok(())
     }
 
+    /// Whether block `input` of another segment, appended now, is copied
+    /// unless its node remap changes an index: it is full and would
+    /// start a block here. The merge reads such a block with
+    /// [`Segment::read_block_to_copy`], any other with
+    /// [`Segment::read_block`] over every column.
+    pub(crate) fn may_copy(&self, input: &BlockMeta) -> bool {
+        input.rows == BLOCK_ROWS as u64 && self.pending[0].is_empty()
+    }
+
     /// Appends block `input` of another segment, read whole into `blk`
-    /// by [`Segment::read_block`], with its node indices mapped through
-    /// `remap` (the index here of each name in the other segment's
-    /// dictionary). If the block is full, would start a block here and
-    /// the remap changed none of its indices, its chunks are written as
-    /// they read verified, with their CRCs: re-encoding its lanes would
-    /// write the same bytes, since every chunk a decoder accepts is
-    /// canonical. Any other block is re-cut as by
-    /// [`SegmentWriter::append`].
+    /// (by [`Segment::read_block_to_copy`] if [`Self::may_copy`] says so,
+    /// else by [`Segment::read_block`]), with its node indices mapped
+    /// through `remap` (the index here of each name in the other
+    /// segment's dictionary). If the block may be copied and the remap
+    /// changed none of its indices, its chunks are written as they read
+    /// verified, with their CRCs: re-encoding its lanes would write the
+    /// same bytes, since every chunk a decoder accepts is canonical. Any
+    /// other block is re-cut as by [`SegmentWriter::append`], its lanes
+    /// not yet decoded decoded from the chunks `blk` holds.
     ///
     /// # Errors
     ///
@@ -434,9 +456,9 @@ impl SegmentWriter {
             unchanged &= to == *v;
             *v = to;
         }
-        let whole = blk.cols.iter().all(|lane| lane.len() == BLOCK_ROWS)
-            && blk.run.len() as u64 == input.encoded_bytes();
-        if !(unchanged && whole && self.pending[0].is_empty()) {
+        let whole = blk.run.len() as u64 == input.encoded_bytes();
+        if !(unchanged && whole && self.may_copy(input)) {
+            blk.decode_held(input)?;
             return self.append(&blk.cols);
         }
         let mut start = 0;
@@ -504,49 +526,64 @@ impl SegmentWriter {
         if self.blocks.is_empty() {
             return Err(corrupt("refusing to write an empty segment"));
         }
-        let records: u64 = self.blocks.iter().map(|b| b.rows).sum();
         let [min_ts, max_ts, min_seq, max_seq] = ranges(&self.blocks);
-        let mut footer = Vec::with_capacity(256 + 128 * self.blocks.len());
-        put_str(&mut footer, measurement);
-        put_uvarint(&mut footer, nodes.len() as u64);
-        for n in nodes {
-            put_str(&mut footer, n);
-        }
-        let block_count = self.blocks.len() as u64;
-        for v in [records, min_ts, max_ts, min_seq, max_seq, block_count] {
-            put_uvarint(&mut footer, v);
-        }
-        for b in &self.blocks {
-            for v in [b.rows, b.min_ts, b.max_ts, b.min_seq, b.max_seq] {
-                put_uvarint(&mut footer, v);
-            }
-            for c in &b.chunks {
-                put_uvarint(&mut footer, c.len);
-                footer.extend_from_slice(&c.crc.to_le_bytes());
-            }
-        }
-        let footer_len =
-            u32::try_from(footer.len()).map_err(|_| corrupt("footer exceeds 4 GiB"))?;
-        self.file.write_all(&footer)?;
-        self.file.write_all(&crc32(&footer).to_le_bytes())?;
-        self.file.write_all(&footer_len.to_le_bytes())?;
-        self.file.write_all(SEGMENT_MAGIC)?;
-        self.file.flush()?;
-        if fsync {
-            self.file.sync_all()?;
-        }
-        Ok(SegmentMeta {
+        let mut meta = SegmentMeta {
             measurement: measurement.to_owned(),
             nodes: nodes.to_vec(),
-            records,
+            records: self.blocks.iter().map(|b| b.rows).sum(),
             min_ts,
             max_ts,
             min_seq,
             max_seq,
             blocks: self.blocks,
-            file_bytes: self.offset + footer.len() as u64 + TRAILER_BYTES,
-        })
+            file_bytes: 0,
+        };
+        let tail = footer_and_trailer(&meta)?;
+        self.file.write_all(&tail)?;
+        self.file.flush()?;
+        if fsync {
+            self.file.sync_all()?;
+        }
+        meta.file_bytes = self.offset + tail.len() as u64;
+        Ok(meta)
     }
+}
+
+/// What follows a segment's blocks: the footer `meta` encodes, its CRC
+/// and length, and the closing magic.
+fn footer_and_trailer(meta: &SegmentMeta) -> Result<Vec<u8>, SegmentError> {
+    let mut footer = Vec::with_capacity(256 + 128 * meta.blocks.len());
+    put_str(&mut footer, &meta.measurement);
+    put_uvarint(&mut footer, meta.nodes.len() as u64);
+    for n in &meta.nodes {
+        put_str(&mut footer, n);
+    }
+    let block_count = meta.blocks.len() as u64;
+    for v in [
+        meta.records,
+        meta.min_ts,
+        meta.max_ts,
+        meta.min_seq,
+        meta.max_seq,
+        block_count,
+    ] {
+        put_uvarint(&mut footer, v);
+    }
+    for b in &meta.blocks {
+        for v in [b.rows, b.min_ts, b.max_ts, b.min_seq, b.max_seq] {
+            put_uvarint(&mut footer, v);
+        }
+        for c in &b.chunks {
+            put_uvarint(&mut footer, c.len);
+            footer.extend_from_slice(&c.crc.to_le_bytes());
+        }
+    }
+    let footer_len = u32::try_from(footer.len()).map_err(|_| corrupt("footer exceeds 4 GiB"))?;
+    let crc = crc32(&footer);
+    footer.extend_from_slice(&crc.to_le_bytes());
+    footer.extend_from_slice(&footer_len.to_le_bytes());
+    footer.extend_from_slice(SEGMENT_MAGIC);
+    Ok(footer)
 }
 
 /// The decoded lanes of one row block, filled by [`Segment::read_block`].
@@ -567,6 +604,25 @@ impl Block {
     pub(crate) fn clear(&mut self) {
         self.cols.iter_mut().for_each(Vec::clear);
         self.run.clear();
+    }
+
+    /// Decodes every lane not loaded yet from the chunks held in `run`,
+    /// which must be the whole of block `input`, already CRC-checked.
+    fn decode_held(&mut self, input: &BlockMeta) -> Result<(), SegmentError> {
+        let mut start = 0;
+        for (id, chunk) in ColumnId::ALL.into_iter().zip(&input.chunks) {
+            let end = start + chunk.len as usize;
+            let lane = &mut self.cols[id as usize];
+            if lane.is_empty() {
+                let bytes = self
+                    .run
+                    .get(start..end)
+                    .ok_or_else(|| corrupt("block not held whole"))?;
+                id.decode(bytes, input.rows as usize, lane)?;
+            }
+            start = end;
+        }
+        Ok(())
     }
 
     /// Makes room to load the `lanes` of a block of `rows` rows and
@@ -676,9 +732,9 @@ impl Segment {
         &self.path
     }
 
-    /// The one read path: reads, CRC-checks and decodes block `block`'s
-    /// chunks for every column in `want` that `into` does not hold yet
-    /// (so a second call with a wider set loads only the difference).
+    /// Reads, CRC-checks and decodes block `block`'s chunks for every
+    /// column in `want` that `into` does not hold yet (so a second call
+    /// with a wider set loads only the difference).
     /// Wanted columns that are neighbours in [`ColumnId::ALL`] order are
     /// neighbours in the file (the validated footer tiles chunks back to
     /// back), so each such run is one `read_exact_at`; every chunk is
@@ -693,6 +749,42 @@ impl Segment {
         &self,
         block: usize,
         want: &ColumnSet,
+        into: &mut Block,
+    ) -> Result<u64, SegmentError> {
+        self.read_chunks(block, want, want, into)
+    }
+
+    /// Reads block `block` whole (one `read_exact_at`) for a writer that
+    /// [may copy](SegmentWriter::may_copy) it. Every chunk is checked
+    /// against its CRC in column order, as [`Segment::read_block`] does,
+    /// but only `Seq`, `Ts` and `Node` are decoded: the other chunks are
+    /// checked with [`codec::check_varint_col`], which accepts and
+    /// rejects exactly as their decoders do, so the block fails here
+    /// exactly where and how a full read fails. `into` then holds the
+    /// twelve verified chunks, for the writer to copy or, should it
+    /// re-cut the block after all, to decode the other lanes from.
+    ///
+    /// # Errors
+    ///
+    /// As [`Segment::read_block`] over every column.
+    pub(crate) fn read_block_to_copy(
+        &self,
+        block: usize,
+        into: &mut Block,
+    ) -> Result<(), SegmentError> {
+        self.read_chunks(block, &ALL_COLUMNS, &COPY_DECODED, into)
+            .map(drop)
+    }
+
+    /// Reads the `want` chunks of block `block` that `into` does not hold
+    /// yet, checks each against its CRC, and decodes those in `decode`;
+    /// any other is only checked to be what its decoder accepts, and its
+    /// lane stays unloaded. Returns the encoded bytes read.
+    fn read_chunks(
+        &self,
+        block: usize,
+        want: &ColumnSet,
+        decode: &ColumnSet,
         into: &mut Block,
     ) -> Result<u64, SegmentError> {
         let meta = self
@@ -719,7 +811,10 @@ impl Segment {
                     return Err(corrupt(format!("block {block} column {id:?} CRC mismatch")));
                 }
                 let lane = &mut cols[id as usize];
-                if let Err(e) = id.decode(chunk, meta.rows as usize, lane) {
+                let rows = meta.rows as usize;
+                if !decode[id as usize] {
+                    codec::check_varint_col(chunk, rows)?;
+                } else if let Err(e) = id.decode(chunk, rows, lane) {
                     lane.clear();
                     return Err(e.into());
                 }
@@ -857,6 +952,28 @@ pub(crate) mod tests {
         let mut w = SegmentWriter::create(path)?;
         w.append_rows(first_seq, rows)?;
         w.finish(measurement, &nodes, false)
+    }
+
+    /// Applies `patch` to the bytes of chunk `id` of block `block` of the
+    /// segment at `path`, in place, and rewrites the footer with that
+    /// chunk's CRC recomputed: only the codec then stands between the
+    /// patched chunk and a reader.
+    pub(crate) fn patch_chunk(
+        path: &Path,
+        block: usize,
+        id: ColumnId,
+        patch: impl FnOnce(&mut [u8]),
+    ) {
+        let mut meta = Segment::open(path).unwrap().meta().clone();
+        let mut bytes = std::fs::read(path).unwrap();
+        let chunk = &mut meta.blocks[block].chunks[id as usize];
+        let at = chunk.offset as usize..(chunk.offset + chunk.len) as usize;
+        patch(&mut bytes[at.clone()]);
+        chunk.crc = crc32(&bytes[at]);
+        let last = &meta.blocks[meta.blocks.len() - 1].chunks[ColumnId::ALL.len() - 1];
+        bytes.truncate((last.offset + last.len) as usize);
+        bytes.extend(footer_and_trailer(&meta).unwrap());
+        std::fs::write(path, bytes).unwrap();
     }
 
     /// `n` rows numbered from 0 (row `i` holds sequence number `i`).

@@ -8,8 +8,8 @@ use std::path::{Path, PathBuf};
 
 use vnet_tsdb::codec::CodecError;
 use vnet_tsdb::codec::{
-    crc32, decode_dod, decode_varint_col, get_str, get_uvarint, put_dod, put_str, put_uvarint,
-    put_varint_col, unzigzag, zigzag,
+    check_varint_col, crc32, decode_dod, decode_varint_col, get_str, get_uvarint, put_dod, put_str,
+    put_uvarint, put_varint_col, unzigzag, zigzag,
 };
 use vnet_tsdb::segment::{
     Block, ColumnId, Segment, SegmentError, SegmentMeta, SegmentWriter, ALL_COLUMNS,
@@ -88,6 +88,19 @@ fn pieces(len: usize, cuts: &[usize]) -> Vec<std::ops::Range<usize>> {
     at.extend([0, len]);
     at.sort_unstable();
     at.windows(2).map(|w| w[0]..w[1]).collect()
+}
+
+/// Holds [`check_varint_col`] to both decoders on `buf` read as `n`
+/// values: the same `Ok`, or the same [`CodecError`].
+fn assert_checks_as_decoded(buf: &[u8], n: usize) {
+    let checked = check_varint_col(buf, n);
+    for (name, _, decode) in CODECS {
+        assert_eq!(
+            checked,
+            decoded(decode, buf, n).map(drop),
+            "{name}: {n} values in {buf:02x?}"
+        );
+    }
 }
 
 /// CRC-32 (reflected 0xEDB88320) one bit at a time: the oracle the
@@ -407,6 +420,79 @@ fn crc32_matches_oracle_at_every_short_length_and_alignment() {
                 "start {start} len {len}"
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4_096))]
+
+    /// The checker a merge runs over the chunks it copies accepts and
+    /// rejects exactly as the decoders do, with the same error: over
+    /// columns of values of every length (mostly one byte, so whole
+    /// words of them), round-tripped, with a byte changed, cut short,
+    /// extended, or with a run of continuation bytes spliced in (values
+    /// of 9, 10 and 11 bytes, a 10th byte above 1), each read as its
+    /// value count and one more and one fewer.
+    #[test]
+    fn the_checker_answers_as_the_decoders(
+        values in proptest::collection::vec(
+            prop_oneof![0u64..128, 0u64..128, 0u64..128, (any::<u64>(), 0u32..64).prop_map(|(v, s)| v >> s)],
+            0..80,
+        ),
+        at in any::<usize>(),
+        byte in prop_oneof![Just(0x00u8), Just(0x01), Just(0x02), Just(0x80), Just(0xff), any::<u8>()],
+        extra in proptest::collection::vec(any::<u8>(), 1..12),
+        run in 1usize..12,
+    ) {
+        for (_, encode, _) in CODECS {
+            let valid = encode(&values);
+            let at = at % (valid.len() + 1);
+            let mut changed = valid.clone();
+            if at < changed.len() {
+                changed[at] = byte;
+            }
+            let cut = &valid[..at];
+            let extended = [&valid[..], &extra].concat();
+            let mut spliced = valid.clone();
+            spliced.splice(at..at, std::iter::repeat_n(0x80 | byte, run).chain([byte]));
+            for buf in [&valid[..], &changed, cut, &extended, &spliced] {
+                let n = values.len();
+                for n in [n.saturating_sub(1), n, n + 1, 0, 1] {
+                    assert_checks_as_decoded(buf, n);
+                }
+            }
+        }
+    }
+}
+
+/// Long values at every offset of a word: behind 0 to 16 one-byte
+/// values, a varint of 9 continuation bytes and more (10 and 11 bytes
+/// and beyond), ending in each of the bytes a 10th byte may and may
+/// not be, or not ending at all; and delta-of-delta columns of 0 and 1
+/// values. The checker answers as both decoders, for the column's count
+/// and its neighbours.
+#[test]
+fn the_checker_answers_as_the_decoders_on_long_values() {
+    for lead in 0..=16usize {
+        for run in 7..=12usize {
+            for last in [None, Some(0x00u8), Some(0x01), Some(0x02), Some(0x7f)] {
+                let mut buf = vec![0x05; lead];
+                buf.extend(std::iter::repeat_n(0x81, run));
+                buf.extend(last);
+                buf.extend([0x03; 9]);
+                let n = lead + 1 + 9;
+                for n in [0, 1, lead, lead + 1, n - 1, n, n + 1] {
+                    assert_checks_as_decoded(&buf, n);
+                }
+            }
+        }
+    }
+    for value in [0, 1, 127, 128, 1 << 62, u64::MAX] {
+        let one = encode_dod(&[value]);
+        assert_checks_as_decoded(&one, 0);
+        assert_checks_as_decoded(&one, 1);
+        assert_checks_as_decoded(&[], 0);
+        assert_checks_as_decoded(&[], 1);
     }
 }
 
