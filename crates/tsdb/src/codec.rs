@@ -331,46 +331,140 @@ pub fn get_u32_le(buf: &[u8], pos: &mut usize) -> Result<u32, CodecError> {
     Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
+/// The CRC-32 polynomial (IEEE 802.3, zlib), bit-reversed.
+const CRC_POLY: u32 = 0xedb8_8320;
+
+/// Slicing tables: `CRC_TABLES[k][b]` is the CRC register after byte `b`
+/// followed by `k` zero bytes, from a zero register.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = (c >> 1) ^ (CRC_POLY & (c & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// `x^(2^k) mod P` for `k` in `0..32`, as zlib's `x2n_table`: the
+/// squarings [`crc_shift`] builds a shift by any length from.
+static X2N: [u32; 32] = {
+    let mut t = [0u32; 32];
+    let mut p = 1 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        t[k] = p;
+        p = mul_mod_p(p, p);
+        k += 1;
+    }
+    t
+};
+
+/// `a·b mod P` over GF(2), both bit-reversed (`1 << 31` is `x^0`), as
+/// zlib's `multmodp`.
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    let mut i = 0;
+    while i < 32 {
+        p ^= b & ((a >> (31 - i)) & 1).wrapping_neg();
+        b = (b >> 1) ^ (CRC_POLY & (b & 1).wrapping_neg());
+        i += 1;
+    }
+    p
+}
+
+/// `x^(8·len) mod P`: what a register is multiplied by to shift it past
+/// `len` bytes, as zlib's `x2nmodp(len, 3)`.
+fn crc_shift(len: usize) -> u32 {
+    let (mut xn, mut n, mut k) = (1u32 << 31, len, 3);
+    while n != 0 {
+        if n & 1 != 0 {
+            xn = mul_mod_p(X2N[k & 31], xn);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    xn
+}
+
+/// Folds sixteen bytes into the register: one lookup per byte, all
+/// independent, read as two little-endian words.
+#[inline(always)]
+fn crc_step(crc: u32, block: &[u8; 16]) -> u32 {
+    let (lo, hi) = block.split_at(8);
+    let lo = u64::from_le_bytes(lo.try_into().expect("8 bytes")) ^ u64::from(crc);
+    let hi = u64::from_le_bytes(hi.try_into().expect("8 bytes"));
+    let t = &CRC_TABLES;
+    let byte = |w: u64, i: usize| usize::from((w >> (8 * i)) as u8);
+    (0..8).fold(0, |acc, i| {
+        acc ^ t[15 - i][byte(lo, i)] ^ t[7 - i][byte(hi, i)]
+    })
+}
+
+/// Buffers of at least this many bytes are CRC'd in three lanes (see
+/// [`crc32`]); below it the shifts that fold the lanes cost more than the
+/// lanes save.
+pub const CRC32_LANES_MIN: usize = 1024;
+
 /// CRC-32 (IEEE 802.3 / zlib polynomial 0xEDB88320, reflected),
 /// slicing-by-16: table `k` holds the CRC of a byte followed by `k` zero
 /// bytes, so sixteen input bytes fold into the state with sixteen
-/// independent lookups instead of a sixteen-step dependent chain. The
-/// tail shorter than sixteen bytes goes one byte per step through table 0.
+/// independent lookups instead of a sixteen-step dependent chain.
+///
+/// A buffer of at least [`CRC32_LANES_MIN`] bytes is cut into three equal
+/// thirds, each a whole number of sixteen-byte steps, and one loop runs
+/// the three as independent chains (the second and third from a zero
+/// register), so the lookups of one step overlap those of the others.
+/// The thirds are then folded as zlib's `crc32_combine` does: the
+/// register is linear over GF(2), so the first third's register shifted
+/// past the second's bytes (times `x^(8·len) mod P`), xored with the
+/// second's, is the register after both. The tail after the thirds,
+/// under 48 bytes, and a short buffer whole go through the sixteen-byte
+/// step, then one byte per step through table 0. The value is the same
+/// for every input either way.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLES: std::sync::OnceLock<[[u32; 256]; 16]> = std::sync::OnceLock::new();
-    let t = TABLES.get_or_init(|| {
-        let mut t = [[0u32; 256]; 16];
-        for (i, e) in t[0].iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xedb8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
-        }
-        for k in 1..16 {
-            for i in 0..256 {
-                let prev = t[k - 1][i];
-                t[k][i] = t[0][usize::from(prev as u8)] ^ (prev >> 8);
-            }
-        }
-        t
-    });
     let mut crc = !0u32;
-    let mut blocks = bytes.chunks_exact(16);
-    for block in &mut blocks {
-        let state = crc.to_le_bytes();
-        crc = 0;
-        for (i, &b) in block.iter().enumerate() {
-            let b = if i < 4 { b ^ state[i] } else { b };
-            crc ^= t[15 - i][usize::from(b)];
+    let mut rest = bytes;
+    if bytes.len() >= CRC32_LANES_MIN {
+        let third = bytes.len() / 48 * 16;
+        let (a, tail) = bytes.split_at(third);
+        let (b, tail) = tail.split_at(third);
+        let (c, tail) = tail.split_at(third);
+        let (mut ca, mut cb, mut cc) = (crc, 0, 0);
+        let lanes = a.as_chunks::<16>().0.iter().zip(b.as_chunks::<16>().0);
+        for ((a, b), c) in lanes.zip(c.as_chunks::<16>().0) {
+            ca = crc_step(ca, a);
+            cb = crc_step(cb, b);
+            cc = crc_step(cc, c);
         }
+        let shift = crc_shift(third);
+        crc = mul_mod_p(shift, mul_mod_p(shift, ca) ^ cb) ^ cc;
+        rest = tail;
     }
-    for &b in blocks.remainder() {
-        crc = t[0][usize::from((crc as u8) ^ b)] ^ (crc >> 8);
+    let (blocks, tail) = rest.as_chunks::<16>();
+    for block in blocks {
+        crc = crc_step(crc, block);
+    }
+    for &b in tail {
+        crc = CRC_TABLES[0][usize::from((crc as u8) ^ b)] ^ (crc >> 8);
     }
     !crc
 }

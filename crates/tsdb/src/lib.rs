@@ -46,6 +46,7 @@ pub mod batch;
 pub mod codec;
 pub mod compact;
 pub mod join;
+mod ordered;
 pub mod persist;
 pub mod query;
 pub mod record;

@@ -8,15 +8,10 @@
 //! timestamp.
 
 use std::ops::RangeInclusive;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::OnceLock;
-use std::thread;
 
+use crate::ordered::{self, helper_pays};
 use crate::record::CompactRecord;
-use crate::segment::{
-    dict_index, Block, ColumnId, ColumnSet, Segment, SegmentError, ALL_COLUMNS, BLOCK_ROWS,
-};
+use crate::segment::{dict_index, Block, ColumnId, ColumnSet, Segment, SegmentError, ALL_COLUMNS};
 use crate::store::{StoreError, TraceDb};
 use crate::table::{entries, Entry};
 
@@ -193,7 +188,7 @@ impl Query {
 
         // Pass 2: decode the survivors, visit them in order.
         let lanes = plan.lanes.iter().filter(|&&lane| lane).count();
-        let helper = surviving_rows * lanes as u64 >= HELPER_MIN_VALUES && parallel_host();
+        let helper = helper_pays(surviving_rows * lanes as u64);
         decode_in_order(&blocks, &plan, helper, &mut |seg, d| {
             stats.bytes_read += d.bytes_read;
             stats.peak_decoded_rows = stats.peak_decoded_rows.max(d.block.rows() as u64);
@@ -221,18 +216,6 @@ impl Query {
         Ok(stats)
     }
 }
-
-/// A walk starts the helper only if its surviving blocks hold at least
-/// this many values (rows times lanes to decode), four whole blocks'
-/// worth: below it, the helper was measured to cost about what it saves,
-/// or more (DESIGN.md §12, "Two decode threads"). A walk of fewer than
-/// four blocks never starts it, and neither does a walk that decodes
-/// nothing.
-const HELPER_MIN_VALUES: u64 = 4 * (BLOCK_ROWS * ColumnId::ALL.len()) as u64;
-
-/// Decoded blocks the helper owns: one it fills while the calling thread
-/// visits the other.
-const HELPER_BLOCKS: usize = 2;
 
 /// What a walk reads of each surviving block.
 struct Plan<'p> {
@@ -288,130 +271,27 @@ impl Decoded {
     }
 }
 
-/// A block the helper decoded: its position in the walk, its buffers and
-/// how the decode went.
-type Done = (usize, Decoded, Result<(), SegmentError>);
-
 /// Decodes `blocks` (segment, block index) as `plan` says and hands each
-/// to `visit` on the calling thread, in order.
+/// to `visit` on the calling thread, in order: [`ordered::in_order`],
+/// with one scoped helper thread decoding beside the calling one if
+/// `helper` says so. The calling thread's buffers have room for the
+/// largest block from the start.
 ///
-/// With `helper`, one scoped helper thread decodes beside the calling
-/// one. Both claim the next undecoded block from one counter, so the
-/// split follows what each thread's share costs. The calling thread
-/// visits a block the helper has finished before it claims another, and
-/// claims none while it holds one decoded ahead of its turn; the helper
-/// owns [`HELPER_BLOCKS`] buffers and waits for one to come back. Without
-/// a helper (or if it cannot be started) the calling thread claims every
-/// block in turn, which is the same loop.
-///
-/// Returns the first error in block order, a decode's or `visit`'s. On
-/// it the helper's channels close, it stops after the block in hand, and
-/// the scope joins it before this returns.
+/// Returns the first error in block order, a decode's or `visit`'s.
 fn decode_in_order<'a>(
     blocks: &[(&'a Segment, usize)],
     plan: &Plan<'_>,
     helper: bool,
     visit: &mut dyn FnMut(&'a Segment, &Decoded) -> Result<(), StoreError>,
 ) -> Result<(), StoreError> {
-    // The next block to decode. `Relaxed` is enough: the counter only
-    // hands out block numbers, and decoded blocks travel over channels,
-    // which synchronise.
-    let claim = AtomicUsize::new(0);
     let decode = |d: &mut Decoded, k: usize| {
         let (seg, b) = blocks[k];
-        d.read(seg, b, plan)
+        d.read(seg, b, plan).map_err(StoreError::from)
     };
-    thread::scope(|s| {
-        let helper = if helper {
-            spawn_helper(s, blocks.len(), &claim, &decode)
-        } else {
-            None
-        };
-        let mut own = Decoded::for_plan(plan);
-        let mut own_result = Ok(());
-        // The block `own` holds, decoded ahead of its turn.
-        let mut own_at = None;
-        for (v, &(seg, _)) in blocks.iter().enumerate() {
-            loop {
-                if own_at == Some(v) {
-                    own_at = None;
-                    std::mem::replace(&mut own_result, Ok(()))?;
-                    visit(seg, &own)?;
-                    break;
-                }
-                if let Some((done, free)) = &helper {
-                    // Block `v` is the helper's if it claimed it: surely
-                    // so while `own` is ahead or nothing is left to claim.
-                    let theirs = own_at.is_some() || claim.load(Ordering::Relaxed) >= blocks.len();
-                    let ready = match theirs {
-                        true => Some(done.recv().expect("the helper sends every block it claims")),
-                        false => done.try_recv().ok(),
-                    };
-                    if let Some((k, d, result)) = ready {
-                        assert_eq!(k, v, "the helper's blocks arrive in order");
-                        result?;
-                        visit(seg, &d)?;
-                        // Fails only once the helper has stopped.
-                        let _ = free.send(d);
-                        break;
-                    }
-                }
-                let k = claim.fetch_add(1, Ordering::Relaxed);
-                if k < blocks.len() {
-                    own_result = decode(&mut own, k);
-                    own_at = Some(k);
-                }
-            }
-        }
-        Ok(())
+    let own = Decoded::for_plan(plan);
+    ordered::in_order(blocks.len(), helper, own, &decode, &mut |k, d| {
+        visit(blocks[k].0, d)
     })
-}
-
-/// Starts [`decode_in_order`]'s helper on `s`: it claims blocks below `n`
-/// off `claim` and decodes each into a buffer it owns, until none is
-/// left, a decode fails, or the calling thread hangs up. Returns the
-/// channel its blocks arrive on and the one that gives the buffers back;
-/// `None` if the thread could not be started.
-fn spawn_helper<'scope, 'env>(
-    s: &'scope thread::Scope<'scope, 'env>,
-    n: usize,
-    claim: &'env AtomicUsize,
-    decode: &'env (impl Fn(&mut Decoded, usize) -> Result<(), SegmentError> + Sync),
-) -> Option<(Receiver<Done>, SyncSender<Decoded>)> {
-    let (done_tx, done_rx) = sync_channel(HELPER_BLOCKS);
-    let (free_tx, free_rx) = sync_channel(HELPER_BLOCKS);
-    // The buffers grow on the helper, in its own heap arena. Allocated
-    // on the calling thread instead, they went back to the calling
-    // thread's heap at the end of each walk, which handed their pages
-    // back, and the next walk faulted them in again.
-    for _ in 0..HELPER_BLOCKS {
-        free_tx
-            .send(Decoded::default())
-            .expect("the channel holds every buffer");
-    }
-    thread::Builder::new()
-        .name("vnt-scan".into())
-        .spawn_scoped(s, move || {
-            while let Ok(mut d) = free_rx.recv() {
-                let k = claim.fetch_add(1, Ordering::Relaxed);
-                if k >= n {
-                    break;
-                }
-                let result = decode(&mut d, k);
-                let failed = result.is_err();
-                if done_tx.send((k, d, result)).is_err() || failed {
-                    break;
-                }
-            }
-        })
-        .ok()?;
-    Some((done_rx, free_tx))
-}
-
-/// Whether this host runs two threads at once; asked once per process.
-fn parallel_host() -> bool {
-    static PARALLEL: OnceLock<bool> = OnceLock::new();
-    *PARALLEL.get_or_init(|| thread::available_parallelism().is_ok_and(|n| n.get() > 1))
 }
 
 /// One step of [`Query::walk`].
@@ -645,6 +525,7 @@ mod tests {
     use crate::codec::{crc32, CodecError};
     use crate::record::CompactRecord;
     use crate::segment::tests::write_rows;
+    use crate::segment::BLOCK_ROWS;
     use crate::store::TraceDb;
 
     /// 100 records in `lat`, `pkt_len` = i at t = 10 i, alternating nodes.

@@ -32,11 +32,13 @@
 //! The magic is the format version: a file with another `VNTSEG?` magic
 //! is refused with [`SegmentError::UnsupportedVersion`], never guessed at.
 //!
-//! One [`SegmentWriter`] writes every file, streaming: a seal hands it a
-//! table's `(node, record)` rows ([`SegmentWriter::append_rows`]) and the
-//! merge the decoded lanes of its input blocks
-//! ([`SegmentWriter::append`]); either way it transposes and encodes only
-//! the open block, and writes each block as it fills. A full block the
+//! One [`SegmentWriter`] writes every file, streaming. A seal hands it a
+//! table's `(node, record)` rows a block at a time, each transposed and
+//! encoded into an [`EncodedBlock`] first, on whichever of its two
+//! threads claimed it ([`SegmentWriter::append_encoded`]). The merge
+//! hands it the decoded lanes of its input blocks
+//! ([`SegmentWriter::append`]), of which it encodes only the open block,
+//! and writes each block as it fills. A full block the
 //! merge would re-encode to the same bytes it copies instead, chunks and
 //! CRCs as its reader verified them (`SegmentWriter::append_block`);
 //! such a block is read with only the lanes the copy needs decoded and
@@ -65,7 +67,7 @@ const TRAILER_BYTES: u64 = 16;
 /// when a batch interleaves several nodes' runs (about 40 KB encoded),
 /// large enough that its ~100-byte index entry and the codecs' restart
 /// cost stay under 0.3 % of the data.
-pub(crate) const BLOCK_ROWS: usize = 2_048;
+pub const BLOCK_ROWS: usize = 2_048;
 
 /// The twelve columns of a segment, in on-disk order. One lane per
 /// [`CompactRecord`] field, plus the insertion sequence number (`Seq`,
@@ -182,7 +184,7 @@ pub struct ChunkMeta {
 }
 
 /// One row block's entry in the footer index.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BlockMeta {
     /// Number of rows (at least one).
     pub rows: u64,
@@ -311,9 +313,11 @@ fn block_meta(lanes: &[Vec<u64>], chunks: [ChunkMeta; ColumnId::ALL.len()]) -> B
     }
 }
 
-/// Streaming segment writer: appended rows are cut into blocks of
-/// `BLOCK_ROWS` rows, each encoded and written as soon as it fills (the
-/// writer never holds more than one block), then
+/// Streaming segment writer: blocks encoded apart from it are written as
+/// they come ([`SegmentWriter::append_encoded`], the seal's), appended
+/// lanes are cut into blocks of `BLOCK_ROWS` rows, each encoded and
+/// written as soon as it fills (the writer never holds more than one
+/// block; [`SegmentWriter::append`], the merge's), then
 /// [`SegmentWriter::finish`] writes the tail block, footer and trailer.
 #[derive(Debug)]
 pub struct SegmentWriter {
@@ -345,37 +349,24 @@ impl SegmentWriter {
         })
     }
 
-    /// Appends `(node index, record)` rows numbered on from `first_seq`
-    /// (row `i` gets sequence number `first_seq + i`), transposing them
-    /// into the open block's lanes one block at a time, a lane at a time.
+    /// Appends `block` as the segment's next block, its bytes as
+    /// [`EncodedBlock::encode_rows`] wrote them. Only a full block may be
+    /// followed by another, so a seal appends a table's blocks in row
+    /// order, each full but the last, as the writer cuts appended lanes.
     ///
     /// # Errors
     ///
-    /// I/O failure.
-    pub fn append_rows(
-        &mut self,
-        first_seq: u64,
-        rows: &[(u32, CompactRecord)],
-    ) -> Result<(), SegmentError> {
-        self.cut(rows.len(), |lanes, at| {
-            let piece = &rows[at.clone()];
-            let seq = first_seq + at.start as u64;
-            // The lanes in `ColumnId::ALL` order.
-            let [seqs, ts, nodes, trace_id, pkt_len, saddr, daddr, sport, dport, cpu, direction, flags] =
-                lanes;
-            seqs.extend(seq..seq + piece.len() as u64);
-            ts.extend(piece.iter().map(|(_, r)| r.timestamp_ns));
-            nodes.extend(piece.iter().map(|&(node, _)| u64::from(node)));
-            trace_id.extend(piece.iter().map(|(_, r)| u64::from(r.trace_id)));
-            pkt_len.extend(piece.iter().map(|(_, r)| u64::from(r.pkt_len)));
-            saddr.extend(piece.iter().map(|(_, r)| u64::from(r.saddr)));
-            daddr.extend(piece.iter().map(|(_, r)| u64::from(r.daddr)));
-            sport.extend(piece.iter().map(|(_, r)| u64::from(r.sport)));
-            dport.extend(piece.iter().map(|(_, r)| u64::from(r.dport)));
-            cpu.extend(piece.iter().map(|(_, r)| u64::from(r.cpu)));
-            direction.extend(piece.iter().map(|(_, r)| u64::from(r.direction)));
-            flags.extend(piece.iter().map(|(_, r)| u64::from(r.flags)));
-        })
+    /// I/O failure, or [`SegmentError::Corrupt`] if the writer holds an
+    /// open block or its last block is not full.
+    pub fn append_encoded(&mut self, block: &EncodedBlock) -> Result<(), SegmentError> {
+        let ragged = self
+            .blocks
+            .last()
+            .is_some_and(|b| b.rows != BLOCK_ROWS as u64);
+        if ragged || !self.pending[0].is_empty() {
+            return Err(corrupt("an encoded block may only follow full blocks"));
+        }
+        self.put_block(&block.bytes, block.meta.clone())
     }
 
     /// Appends rows given as twelve equally long lanes in
@@ -467,42 +458,29 @@ impl SegmentWriter {
             start += c.len;
             chunk
         });
+        // The verified chunks are the block to write.
         let meta = block_meta(&blk.cols, chunks);
-        // The verified chunks become the block to write; the buffer the
-        // block gets in exchange is refilled by its next read.
-        std::mem::swap(&mut self.encoded, &mut blk.run);
-        blk.run.clear();
-        self.put_block(meta)
+        self.put_block(&blk.run, meta)
     }
 
-    /// Encodes the open block's twelve chunks back to back and writes
-    /// them as one block.
+    /// Encodes the open block and writes it.
     fn write_block(&mut self) -> Result<(), SegmentError> {
-        let mut chunks = [ChunkMeta::default(); ColumnId::ALL.len()];
-        self.encoded.clear();
-        for id in ColumnId::ALL {
-            let start = self.encoded.len();
-            id.encode(&mut self.encoded, &self.pending[id as usize]);
-            let chunk = &self.encoded[start..];
-            chunks[id as usize] = ChunkMeta {
-                offset: start as u64,
-                len: chunk.len() as u64,
-                crc: crc32(chunk),
-            };
-        }
-        let meta = block_meta(&self.pending, chunks);
+        let meta = encode_block(&self.pending, &mut self.encoded);
         self.pending.iter_mut().for_each(Vec::clear);
-        self.put_block(meta)
+        let encoded = std::mem::take(&mut self.encoded);
+        let put = self.put_block(&encoded, meta);
+        self.encoded = encoded;
+        put
     }
 
-    /// Writes the block in `encoded` with one `write_all` and indexes it
-    /// as `meta`, whose chunk offsets count from the block's start.
-    fn put_block(&mut self, mut meta: BlockMeta) -> Result<(), SegmentError> {
+    /// Writes the block `bytes` with one `write_all` and indexes it as
+    /// `meta`, whose chunk offsets count from the block's start.
+    fn put_block(&mut self, bytes: &[u8], mut meta: BlockMeta) -> Result<(), SegmentError> {
         for chunk in &mut meta.chunks {
             chunk.offset += self.offset;
         }
-        self.file.write_all(&self.encoded)?;
-        self.offset += self.encoded.len() as u64;
+        self.file.write_all(bytes)?;
+        self.offset += bytes.len() as u64;
         self.blocks.push(meta);
         Ok(())
     }
@@ -546,6 +524,71 @@ impl SegmentWriter {
         }
         meta.file_bytes = self.offset + tail.len() as u64;
         Ok(meta)
+    }
+}
+
+/// Encodes `lanes`, one block's, into `bytes` as its twelve chunks back to
+/// back, each CRC'd, and returns the block's index entry, chunk offsets
+/// counted from the block's start.
+fn encode_block(lanes: &[Vec<u64>; ColumnId::ALL.len()], bytes: &mut Vec<u8>) -> BlockMeta {
+    let mut chunks = [ChunkMeta::default(); ColumnId::ALL.len()];
+    bytes.clear();
+    for id in ColumnId::ALL {
+        let start = bytes.len();
+        id.encode(bytes, &lanes[id as usize]);
+        let chunk = &bytes[start..];
+        chunks[id as usize] = ChunkMeta {
+            offset: start as u64,
+            len: chunk.len() as u64,
+            crc: crc32(chunk),
+        };
+    }
+    block_meta(lanes, chunks)
+}
+
+/// One block of rows encoded apart from any writer, for
+/// [`SegmentWriter::append_encoded`]: the rows transposed into twelve
+/// lanes, the lanes encoded and CRC'd back to back, and the block's index
+/// entry. Its buffers are reused from block to block. A seal encodes its
+/// blocks into a few of these on two threads and writes them in order.
+#[derive(Debug, Default)]
+pub struct EncodedBlock {
+    lanes: [Vec<u64>; ColumnId::ALL.len()],
+    bytes: Vec<u8>,
+    meta: BlockMeta,
+}
+
+impl EncodedBlock {
+    /// Encodes `(node index, record)` rows numbered on from `first_seq`
+    /// (row `i` gets sequence number `first_seq + i`) as one block,
+    /// transposing them into its lanes a lane at a time.
+    ///
+    /// # Panics
+    ///
+    /// If `rows` is empty or holds more than [`BLOCK_ROWS`] rows.
+    pub fn encode_rows(&mut self, first_seq: u64, rows: &[(u32, CompactRecord)]) {
+        assert!(
+            (1..=BLOCK_ROWS).contains(&rows.len()),
+            "a block holds 1 to {BLOCK_ROWS} rows, not {}",
+            rows.len()
+        );
+        self.lanes.iter_mut().for_each(Vec::clear);
+        // The lanes in `ColumnId::ALL` order.
+        let [seqs, ts, nodes, trace_id, pkt_len, saddr, daddr, sport, dport, cpu, direction, flags] =
+            &mut self.lanes;
+        seqs.extend(first_seq..first_seq + rows.len() as u64);
+        ts.extend(rows.iter().map(|(_, r)| r.timestamp_ns));
+        nodes.extend(rows.iter().map(|&(node, _)| u64::from(node)));
+        trace_id.extend(rows.iter().map(|(_, r)| u64::from(r.trace_id)));
+        pkt_len.extend(rows.iter().map(|(_, r)| u64::from(r.pkt_len)));
+        saddr.extend(rows.iter().map(|(_, r)| u64::from(r.saddr)));
+        daddr.extend(rows.iter().map(|(_, r)| u64::from(r.daddr)));
+        sport.extend(rows.iter().map(|(_, r)| u64::from(r.sport)));
+        dport.extend(rows.iter().map(|(_, r)| u64::from(r.dport)));
+        cpu.extend(rows.iter().map(|(_, r)| u64::from(r.cpu)));
+        direction.extend(rows.iter().map(|(_, r)| u64::from(r.direction)));
+        flags.extend(rows.iter().map(|(_, r)| u64::from(r.flags)));
+        self.meta = encode_block(&self.lanes, &mut self.bytes);
     }
 }
 
@@ -595,7 +638,7 @@ pub struct Block {
     cols: [Vec<u64>; ColumnId::ALL.len()],
     /// The encoded chunks of the last run of neighbouring columns read,
     /// back to back, each checked against its CRC; all twelve when the
-    /// block was read whole, none once a writer has taken them.
+    /// block was read whole.
     run: Vec<u8>,
 }
 
@@ -950,7 +993,14 @@ pub(crate) mod tests {
     ) -> Result<SegmentMeta, SegmentError> {
         let nodes: Vec<String> = nodes.iter().map(|&n| n.to_owned()).collect();
         let mut w = SegmentWriter::create(path)?;
-        w.append_rows(first_seq, rows)?;
+        let mut block = EncodedBlock::default();
+        for (piece, seq) in rows
+            .chunks(BLOCK_ROWS)
+            .zip((first_seq..).step_by(BLOCK_ROWS))
+        {
+            block.encode_rows(seq, piece);
+            w.append_encoded(&block)?;
+        }
         w.finish(measurement, &nodes, false)
     }
 
@@ -1087,6 +1137,28 @@ pub(crate) mod tests {
         let path = tmp("empty");
         let err = write_rows(&path, "m", &["n"], 0, &[]).unwrap_err();
         assert!(matches!(err, SegmentError::Corrupt(_)));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// An encoded block goes only where the writer would have cut one:
+    /// after full blocks, never after an open block or a ragged one,
+    /// whose rows it would put out of order or leave a short block
+    /// inside the segment.
+    #[test]
+    fn an_encoded_block_follows_only_full_blocks() {
+        let path = tmp("encoded");
+        let rows = sample_rows(BLOCK_ROWS as u64 + 10);
+        let mut block = EncodedBlock::default();
+        block.encode_rows(0, &rows[..BLOCK_ROWS]);
+        let mut w = SegmentWriter::create(&path).unwrap();
+        w.append_encoded(&block).unwrap();
+        w.append_encoded(&block).unwrap();
+        w.append(&vec![vec![1u64]; ColumnId::ALL.len()]).unwrap();
+        assert!(w.append_encoded(&block).is_err(), "after an open block");
+        let mut w = SegmentWriter::create(&path).unwrap();
+        block.encode_rows(0, &rows[BLOCK_ROWS..]);
+        w.append_encoded(&block).unwrap();
+        assert!(w.append_encoded(&block).is_err(), "after a ragged block");
         let _ = std::fs::remove_file(&path);
     }
 

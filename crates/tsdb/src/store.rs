@@ -41,8 +41,9 @@ use serde_json::{member, object, FromJson, ToJson, Value};
 use crate::batch::RecordBatch;
 use crate::compact::{plan_windows, CompactionJob, Compactor, FinishedCompaction};
 use crate::join::FirstSeen;
+use crate::ordered::{self, helper_pays};
 use crate::record::COMPACT_RECORD_BYTES;
-use crate::segment::{Segment, SegmentError, SegmentWriter};
+use crate::segment::{ColumnId, EncodedBlock, Segment, SegmentError, SegmentWriter, BLOCK_ROWS};
 use crate::table::Table;
 use crate::wal::{self, Wal, WalError};
 
@@ -626,33 +627,72 @@ impl TraceDb {
 
     /// A seal point. Joins and commits the compaction round in flight,
     /// then seals the hot tail: every table's rows, under its dictionary
-    /// and sequence numbers, become one new immutable segment, the WAL rotates to a fresh file, and the
-    /// manifest commits both in one swap (nothing to seal when the tail
-    /// is empty). The tail is cleared only after the swap, so a seal
-    /// that fails leaves memory as it was; the files it wrote are
-    /// collected at the next open. Starting the next round is the
-    /// caller's decision.
+    /// and sequence numbers, become one new immutable segment, the WAL
+    /// rotates to a fresh file, and the manifest commits both in one swap
+    /// (nothing to seal when the tail is empty). The tail is cleared only
+    /// after the swap, so a seal that fails leaves memory as it was; the
+    /// files it wrote are collected at the next open. Starting the next
+    /// round is the caller's decision.
     fn seal(&mut self) -> Result<(), StoreError> {
+        let rows: usize = self.tables.iter().map(Table::len).sum();
+        self.seal_with(helper_pays((rows * ColumnId::ALL.len()) as u64))
+    }
+
+    /// [`TraceDb::seal`], its blocks encoded on the calling thread and,
+    /// with `helper`, one scoped helper thread too
+    /// ([`ordered::in_order`]): each thread transposes a block's rows and
+    /// encodes them into buffers of its own, and the calling thread
+    /// writes the blocks strictly in (table, block) order, one segment
+    /// file after another. Encoding cannot fail, so the first error in
+    /// block order is the first write that failed.
+    fn seal_with(&mut self, helper: bool) -> Result<(), StoreError> {
         let Some(disk) = self.disk.as_mut() else {
             return Ok(());
         };
         disk.finish_round()?;
-        let mut next = disk.manifest.clone();
-        let mut sealed: Vec<Segment> = Vec::new();
-        for table in self.tables.iter().filter(|t| !t.is_empty()) {
-            let file = next.next_file("seg-", ".col");
-            let tmp = disk.dir.join(format!("{file}.tmp"));
-            let mut writer = SegmentWriter::create(&tmp)?;
-            writer.append_rows(table.first_seq(), table.rows())?;
-            writer.finish(table.name(), table.nodes(), disk.options.fsync)?;
-            let path = disk.dir.join(&file);
-            fs::rename(&tmp, &path)?;
-            sealed.push(Segment::open(path)?);
-            next.segments.push(file);
-        }
-        if sealed.is_empty() {
+        let tables: Vec<&Table> = self.tables.iter().filter(|t| !t.is_empty()).collect();
+        if tables.is_empty() {
             return Ok(());
         }
+        // Every block as (table, its first row), in the order written.
+        let blocks: Vec<(usize, usize)> = tables
+            .iter()
+            .enumerate()
+            .flat_map(|(t, table)| (0..table.len()).step_by(BLOCK_ROWS).map(move |at| (t, at)))
+            .collect();
+        let encode = |block: &mut EncodedBlock, k: usize| {
+            let (t, at) = blocks[k];
+            let (table, end) = (tables[t], (at + BLOCK_ROWS).min(tables[t].len()));
+            block.encode_rows(table.first_seq() + at as u64, &table.rows()[at..end]);
+            Ok::<(), StoreError>(())
+        };
+        let mut next = disk.manifest.clone();
+        let mut sealed: Vec<Segment> = Vec::with_capacity(tables.len());
+        // The segment being written: its file name, temporary path and
+        // writer. A table's first block opens it, its last finishes it.
+        let mut open: Option<(String, PathBuf, SegmentWriter)> = None;
+        let own = EncodedBlock::default();
+        ordered::in_order(blocks.len(), helper, own, &encode, &mut |k, block| {
+            let (t, at) = blocks[k];
+            let table = tables[t];
+            if at == 0 {
+                let file = next.next_file("seg-", ".col");
+                let tmp = disk.dir.join(format!("{file}.tmp"));
+                let writer = SegmentWriter::create(&tmp)?;
+                open = Some((file, tmp, writer));
+            }
+            let (_, _, writer) = open.as_mut().expect("a segment is open");
+            writer.append_encoded(block)?;
+            if at + BLOCK_ROWS >= table.len() {
+                let (file, tmp, writer) = open.take().expect("a segment is open");
+                writer.finish(table.name(), table.nodes(), disk.options.fsync)?;
+                let path = disk.dir.join(&file);
+                fs::rename(&tmp, &path)?;
+                sealed.push(Segment::open(path)?);
+                next.segments.push(file);
+            }
+            Ok(())
+        })?;
         if disk.options.fsync {
             File::open(&disk.dir)?.sync_all()?;
         }
@@ -970,6 +1010,74 @@ mod tests {
         assert_eq!(stats.wal_batches, 0);
         assert_eq!(stats.compression_ratio(), 0.0);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Seals `tables` tables of `rows` rows each, every row's fields
+    /// drawn from its number, into a fresh store at `dir`: with the
+    /// encode helper forced on or off.
+    fn seal_tables(dir: &Path, tables: usize, rows: u64, helper: bool) {
+        let options = StoreOptions {
+            seal_threshold: usize::MAX,
+            ..fast_options()
+        };
+        let mut db = TraceDb::open_with(dir, options).unwrap();
+        let mut batch = RecordBatch::new();
+        for t in 0..tables {
+            for i in 0..rows {
+                let mix = (i ^ (t as u64) << 40).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let record = CompactRecord {
+                    timestamp_ns: i * 1_000 + mix % 700,
+                    trace_id: (i % 16 == 0) as u32 * (mix >> 32) as u32,
+                    pkt_len: 64 + (mix % 1_400) as u32,
+                    saddr: mix as u32,
+                    sport: 9_000 + (mix >> 58) as u16,
+                    cpu: (i % 8) as u16,
+                    flags: (i % 16 == 0) as u8,
+                    ..CompactRecord::default()
+                };
+                let node = ["vm1", "vm2", "vm3", "vm4"][(mix >> 62) as usize];
+                batch.push(&format!("tp{t}"), node, record);
+            }
+        }
+        db.insert_batch(&batch);
+        db.seal_with(helper).unwrap();
+        let stats = db.storage_stats().unwrap();
+        assert_eq!(stats.sealed_records, tables as u64 * rows);
+        assert_eq!(stats.segments, tables as u64);
+    }
+
+    /// Every file of `dir`, by name, with its bytes.
+    fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, fs::read(e.path()).unwrap())
+            })
+            .collect()
+    }
+
+    /// A seal writes the same files, byte for byte, whichever thread
+    /// encodes which block: `store_sweep`'s shape (one 128 Ki-row table
+    /// and a ragged last block) and `rack_traced`'s (40 small tables,
+    /// each a full block and a ragged one), with the helper off and then
+    /// on, three times over.
+    #[test]
+    fn a_seal_writes_the_same_bytes_with_and_without_the_helper() {
+        for (tables, rows) in [(1, 128 * 1024 + 700), (40, 3_000)] {
+            let alone = test_dir(&format!("seal_alone_{tables}"));
+            seal_tables(&alone, tables, rows, false);
+            let expected = files(&alone);
+            assert!(expected.keys().filter(|f| f.starts_with("seg-")).count() == tables);
+            for run in 0..3 {
+                let helped = test_dir(&format!("seal_helped_{tables}_{run}"));
+                seal_tables(&helped, tables, rows, true);
+                assert!(files(&helped) == expected, "{tables} tables, run {run}");
+                let _ = fs::remove_dir_all(&helped);
+            }
+            let _ = fs::remove_dir_all(&alone);
+        }
     }
 
     #[test]

@@ -107,11 +107,32 @@ fn get_record(buf: &[u8], pos: &mut usize) -> Result<CompactRecord, CodecError> 
     Ok(r)
 }
 
+/// Bytes [`put_uvarint`] writes for `v`.
+fn uvarint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Bytes [`put_str`] writes for `s`.
+fn str_len(s: &str) -> usize {
+    uvarint_len(s.len() as u64) + s.len()
+}
+
+/// The exact length of `batch`'s frame payload, as [`encode_batch`]
+/// writes it.
+fn payload_len(batch: &RecordBatch) -> usize {
+    let groups = batch.groups().iter().filter(|g| !g.records.is_empty());
+    let (count, bytes) = groups.fold((0u64, 0), |(count, bytes), g| {
+        let n = g.records.len();
+        let head = str_len(&g.measurement) + str_len(&g.node) + uvarint_len(n as u64);
+        (count + 1, bytes + head + n * COMPACT_RECORD_BYTES as usize)
+    });
+    uvarint_len(count) + bytes
+}
+
 /// Appends a batch to `buf` as one frame payload (empty groups are
 /// skipped, mirroring `insert_batch`'s behavior).
 pub fn encode_batch(buf: &mut Vec<u8>, batch: &RecordBatch) {
     let groups = || batch.groups().iter().filter(|g| !g.records.is_empty());
-    buf.reserve(16 + batch.len() * COMPACT_RECORD_BYTES as usize);
     put_uvarint(buf, groups().count() as u64);
     for g in groups() {
         put_str(buf, &g.measurement);
@@ -343,16 +364,18 @@ impl Wal {
 
     /// Appends one batch as a frame; the batch is durable (modulo the
     /// `sync_on_append` setting) when this returns. The frame is encoded
-    /// once, behind room for its header, which is filled in afterwards;
-    /// its buffer lives for this call only (kept across appends it bought
-    /// no time and sat, batch-sized, under every seal's peak memory).
+    /// once, behind room for its header, which is filled in afterwards,
+    /// into one allocation of exactly its length; its buffer lives for
+    /// this call only (kept across appends it bought no time and sat,
+    /// batch-sized, under every seal's peak memory).
     ///
     /// # Errors
     ///
     /// I/O failure, or [`WalError::BatchTooLarge`] before any byte is
     /// written.
     pub fn append(&mut self, batch: &RecordBatch) -> Result<(), WalError> {
-        let mut frame = vec![0; 1 + FRAME_HEADER];
+        let mut frame = Vec::with_capacity(1 + FRAME_HEADER + payload_len(batch));
+        frame.resize(1 + FRAME_HEADER, 0);
         encode_batch(&mut frame, batch);
         let (header, payload) = frame.split_at_mut(1 + FRAME_HEADER);
         header.copy_from_slice(&frame_header(payload.len(), crc32(payload))?);
@@ -429,6 +452,30 @@ mod tests {
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("vnt_wal_test_{}_{name}.log", std::process::id()))
+    }
+
+    /// `payload_len` is the length `encode_batch` writes: names whose
+    /// length prefix takes one byte or two, groups of one record or of
+    /// 200 (a two-byte count), an empty group skipped, and no group.
+    #[test]
+    fn the_payload_length_is_exact() {
+        assert_eq!(
+            (uvarint_len(0), uvarint_len(127), uvarint_len(128)),
+            (1, 1, 2)
+        );
+        assert_eq!(uvarint_len(u64::MAX), 10);
+        let long = "m".repeat(200);
+        let mut b = batch(0, 1);
+        b.push(&long, "n", rec(1));
+        for i in 0..200 {
+            b.push("tp_c", &long, rec(i));
+        }
+        b.group_mut("tp_empty", "n");
+        for b in [RecordBatch::new(), batch(0, 3), b] {
+            let mut buf = Vec::new();
+            encode_batch(&mut buf, &b);
+            assert_eq!(payload_len(&b), buf.len());
+        }
     }
 
     #[test]

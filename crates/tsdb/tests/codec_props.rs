@@ -9,10 +9,11 @@ use std::path::{Path, PathBuf};
 use vnet_tsdb::codec::CodecError;
 use vnet_tsdb::codec::{
     check_varint_col, crc32, decode_dod, decode_varint_col, get_str, get_uvarint, put_dod, put_str,
-    put_uvarint, put_varint_col, unzigzag, zigzag,
+    put_uvarint, put_varint_col, unzigzag, zigzag, CRC32_LANES_MIN,
 };
 use vnet_tsdb::segment::{
-    Block, ColumnId, Segment, SegmentError, SegmentMeta, SegmentWriter, ALL_COLUMNS,
+    Block, ColumnId, EncodedBlock, Segment, SegmentError, SegmentMeta, SegmentWriter, ALL_COLUMNS,
+    BLOCK_ROWS,
 };
 use vnet_tsdb::CompactRecord;
 
@@ -52,7 +53,14 @@ fn write_rows(
     rows: &[(u32, CompactRecord)],
 ) -> SegmentMeta {
     let mut w = SegmentWriter::create(path).unwrap();
-    w.append_rows(first_seq, rows).unwrap();
+    let mut block = EncodedBlock::default();
+    for (piece, seq) in rows
+        .chunks(BLOCK_ROWS)
+        .zip((first_seq..).step_by(BLOCK_ROWS))
+    {
+        block.encode_rows(seq, piece);
+        w.append_encoded(&block).unwrap();
+    }
     w.finish("tp", nodes, false).unwrap()
 }
 
@@ -249,9 +257,9 @@ proptest! {
         }
     }
 
-    /// The writer's two entry points write the same file: rows streamed
-    /// through `append_rows` (the seal's) in arbitrary pieces, and the
-    /// same rows as lanes through `append` (the merge's) in other
+    /// The writer's two entry points write the same file: rows encoded
+    /// a block at a time through `EncodedBlock` (the seal's), and the
+    /// same rows as lanes through `append` (the merge's) in arbitrary
     /// pieces, across block boundaries and onto exact multiples of a
     /// block.
     #[test]
@@ -259,7 +267,6 @@ proptest! {
         records in proptest::collection::vec(arb_record(), 1..64),
         len in prop_oneof![1usize..5_000, Just(2_048), Just(4_096)],
         first_seq in 0u64..1 << 40,
-        row_cuts in proptest::collection::vec(any::<usize>(), 0..6),
         lane_cuts in proptest::collection::vec(any::<usize>(), 0..6),
     ) {
         let dir = std::env::temp_dir().join(format!("vnt-codec-entry-{}", std::process::id()));
@@ -270,11 +277,7 @@ proptest! {
         let nodes: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
 
         let streamed = dir.join("rows.col");
-        let mut w = SegmentWriter::create(&streamed).unwrap();
-        for piece in pieces(len, &row_cuts) {
-            w.append_rows(first_seq + piece.start as u64, &rows[piece]).unwrap();
-        }
-        let streamed_meta = w.finish("tp", &nodes, false).unwrap();
+        let streamed_meta = write_rows(&streamed, &nodes, first_seq, &rows);
 
         let all = lanes(first_seq, &rows);
         let laned = dir.join("lanes.col");
@@ -406,7 +409,7 @@ proptest! {
 
 /// Every length around the sixteen-byte step (none, a tail only, one to
 /// four steps with every tail) at every start offset within a step, and
-/// the classic check value.
+/// the classic check value. Below [`CRC32_LANES_MIN`]: one lane.
 #[test]
 fn crc32_matches_oracle_at_every_short_length_and_alignment() {
     assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
@@ -421,6 +424,59 @@ fn crc32_matches_oracle_at_every_short_length_and_alignment() {
             );
         }
     }
+}
+
+/// Bytes no run of a short period repeats in, so a lane CRC'd at the
+/// wrong offset shows.
+fn crc_input(len: usize) -> Vec<u8> {
+    (0..len as u64)
+        .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8 ^ (i >> 11) as u8)
+        .collect()
+}
+
+/// Around the length where `crc32` starts running three lanes: every
+/// length from 64 below [`CRC32_LANES_MIN`] to 64 above it, at every
+/// start offset within a sixteen-byte step.
+#[test]
+fn crc32_matches_oracle_around_the_lane_threshold() {
+    let buf = crc_input(CRC32_LANES_MIN + 64 + 16);
+    for start in 0..16 {
+        for len in CRC32_LANES_MIN - 64..=CRC32_LANES_MIN + 64 {
+            let bytes = &buf[start..start + len];
+            assert_eq!(
+                crc32(bytes),
+                crc32_bitwise(bytes),
+                "start {start} len {len}"
+            );
+        }
+    }
+}
+
+/// Three lanes of `16·m` bytes each leave a tail of `len − 48·m` bytes,
+/// 0 to 47: every one of them, over thirds of a few step counts.
+#[test]
+fn crc32_matches_oracle_on_every_tail_after_the_thirds() {
+    let steps = CRC32_LANES_MIN.div_ceil(48);
+    let buf = crc_input(48 * (steps + 40) + 48);
+    for third_steps in [steps, steps + 1, steps + 7, steps + 40] {
+        for tail in 0..48 {
+            let len = 48 * third_steps + tail;
+            let bytes = &buf[..len];
+            assert_eq!(
+                crc32(bytes),
+                crc32_bitwise(bytes),
+                "{third_steps} steps a third, tail {tail}"
+            );
+        }
+    }
+}
+
+/// One 1 MiB buffer: thirds long enough that every bit of the shift
+/// length matters.
+#[test]
+fn crc32_matches_oracle_on_a_mebibyte() {
+    let bytes = crc_input(1 << 20);
+    assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
 }
 
 proptest! {

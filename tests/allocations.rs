@@ -21,7 +21,8 @@
 //!
 //! The store's seal is fenced by bytes rather than calls: sealing a
 //! table holds the one block it is encoding, not a transposed copy of
-//! the whole table.
+//! the whole table. A WAL append allocates its frame once, at its exact
+//! length.
 //!
 //! A walk over sealed blocks is fenced by its allocation count too: it
 //! reuses its block buffers, so a long walk allocates what a short one
@@ -51,6 +52,7 @@ use vnet_testbed::rack::RackTestbed;
 use vnet_testbed::two_host::{TwoHostConfig, TwoHostScenario};
 use vnet_testbed::Testbed;
 use vnet_tsdb::segment::ALL_COLUMNS;
+use vnet_tsdb::wal::Wal;
 use vnet_tsdb::{CompactRecord, Query, RecordBatch, Rows, StoreOptions, TraceDb};
 use vnet_workloads::datacenter_rack::{RackConfig, RackScenario};
 use vnettracer::config::Proto;
@@ -526,6 +528,34 @@ fn sealing_a_table_holds_one_block_not_the_table() {
         grew < 1 << 20,
         "sealing {SEAL_ROWS} rows raised the live heap by {grew} bytes"
     );
+}
+
+/// Appending a batch of 40 groups to the WAL makes one allocation, the
+/// frame, sized exactly: the groups' names and counts (which take more
+/// than a fixed allowance) are counted in before anything is encoded.
+#[test]
+fn a_wal_append_allocates_its_frame_once() {
+    let path = std::env::temp_dir().join(format!("vnt-alloc-wal-{}.log", std::process::id()));
+    let mut wal = Wal::create(&path, false).unwrap();
+    let mut batch = RecordBatch::new();
+    for g in 0..40u64 {
+        let table = format!("h{}_ovs_br{}", g / 4, g % 4);
+        for i in 0..200 {
+            let record = CompactRecord {
+                timestamp_ns: g * 1_000_000 + i,
+                ..CompactRecord::default()
+            };
+            batch.push(&table, &format!("vm{}", g % 7), record);
+        }
+    }
+    for _ in 0..3 {
+        let before = allocations();
+        wal.append(&batch).unwrap();
+        let made = allocations() - before;
+        assert_eq!(made, 1, "{made} allocations in one append of 40 groups");
+    }
+    drop(wal);
+    let _ = std::fs::remove_file(&path);
 }
 
 /// Rows per segment block (`segment::BLOCK_ROWS`).
