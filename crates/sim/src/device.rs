@@ -559,6 +559,17 @@ impl Device {
         self.queue.len() + self.shaped_queue.len()
     }
 
+    /// Whether the device starts serving in the context that hands it
+    /// work, as Linux transmits at once on an idle device with an empty
+    /// FIFO qdisc (`TCQ_F_CAN_BYPASS`): true unless a vCPU gate may defer
+    /// the start or an HTB shaper, which has no bypass, paces it. Such a
+    /// device's start is a scheduled `StartService` event instead.
+    /// Softirq-gated devices are served by their CPU's softirq and never
+    /// ask.
+    pub(crate) fn starts_at_once(&self) -> bool {
+        matches!(self.cfg.gate, Gate::None) && self.cfg.htb.is_none()
+    }
+
     /// For an [`ServiceModel::OvsFabric`] device, whether serving a packet
     /// from `from` at `now` would hit the megaflow cache: the ingress port
     /// already counted as active within the window, so the flow-table

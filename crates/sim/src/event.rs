@@ -11,33 +11,27 @@
 //! reproducible.
 //!
 //! That order is the contract; the structure behind it is not. Today it
-//! is this:
+//! is one `std` binary heap of small `Copy` keys over a slot table:
 //!
-//! * The heaps hold small `Copy` keys with a slot number in their lowest
-//!   bits. The [`Event`] itself (56 bytes, it owns the packet) waits in a
+//! * The heap holds 32-byte `HeapKey`s, the whole ordering key packed
+//!   into two `u128`s — `(event time, push time)` and `(pushing node,
+//!   seq, slot)` — so comparing two is one equality test and one `u128`
+//!   compare. The slot number sits in the lowest bits, below every key
+//!   bit.
+//! * The [`Event`] itself (56 bytes, it owns the packet) waits in the
 //!   slot table and moves twice: in at `push`, out when its key pops. A
 //!   sift level moves a key.
-//! * There are two heaps. Half of what a [`crate::world::World`] pushes is
-//!   scheduled for the very instant it is pushed at (a `StartService` on
-//!   an idle device, a zero-latency hop); such a push goes to the small
-//!   *current-instant* heap as long as that heap is empty or already
-//!   holds that instant, and everything else goes to the *future* heap.
-//!   The future heap holds 32-byte `HeapKey`s, the whole ordering key
-//!   packed into two `u128`s: comparing two is one equality test and one
-//!   `u128` compare. In the current-instant heap event time and push time
-//!   are the same instant for every key, kept once beside the heap, so it
-//!   holds only the 16-byte `Who` below them and compares one `u128`.
-//!   `pop` compares the two heads under the **full** key and takes the
-//!   smaller, so which heap a key sits in never decides the order: a
-//!   same-instant push cannot be overtaken by a key in the future heap,
-//!   nor overtake one, because the minimum of the union is the smaller of
-//!   the two minima whatever the split. The split only decides cost — an
-//!   event that is popped next anyway sifts through a handful of
-//!   same-instant keys, not through everything pending — and the queue is
-//!   correct for any push sequence (keys stamped by hand, events scheduled
-//!   before their push instant, a current heap still holding an instant
-//!   the clock has left), merely fastest for the one a `World` produces.
-//!   The property test below is the proof.
+//!
+//! Until the handlers ran same-instant steps inline, half of what a
+//! [`crate::world::World`] pushed was scheduled for the instant it was
+//! pushed at, and a second, small heap held those keys so that they did
+//! not sift through everything pending. A world whose devices start at
+//! once and whose zero-latency hops arrive inline pushes for `now` only
+//! the deferred starts of vCPU-gated, HTB and softirq-gated devices and
+//! what a caller injects between runs, so that heap carried no traffic
+//! worth its code and went. The property
+//! test below holds the queue to the `(at, push key)` order for every
+//! push sequence its interface admits, same-instant bursts included.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -121,67 +115,45 @@ pub enum Event {
     },
 }
 
-/// `(pushing node, that node's sequence, slot)`, most significant first:
-/// the part of an event's ordering key below its two times. The slot sits
-/// below every key bit; it can only break a tie between two equal keys,
-/// which a `World` never mints.
+/// What the heap holds: one scheduled event's full ordering key,
+/// packed, and the slot its [`Event`] waits in.
+///
+/// `when` is `(event time, push time)` and `who` is `(pushing node, that
+/// node's sequence, slot)`, each most significant first, so comparing
+/// `(when, who)` is comparing `(at, PushKey)` field by field. The slot
+/// can only break a tie between two equal keys, which a `World` never
+/// mints.
 ///
 /// Ordered in reverse: `std`'s heap hands out its greatest element and
 /// the queue wants the earliest key, so the earlier key is the greater
-/// one. This alone is what the current-instant heap holds and compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Who(u128);
-
-impl Who {
-    fn new(key: PushKey, slot: u32) -> Self {
-        Who(u128::from(key.node) << 96 | u128::from(key.seq) << 32 | u128::from(slot))
-    }
-
-    fn slot(self) -> u32 {
-        self.0 as u32
-    }
-}
-
-impl Ord for Who {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.0.cmp(&self.0)
-    }
-}
-impl PartialOrd for Who {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// What the future heap holds: one scheduled event's full ordering key,
-/// packed, and the slot its [`Event`] waits in.
-///
-/// `when` is `(event time, push time)`, most significant first, so
-/// comparing `(when, who)` is comparing `(at, PushKey)` field by field.
-/// Reversed like [`Who`].
+/// one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct HeapKey {
     when: u128,
-    who: Who,
+    who: u128,
 }
 
 impl HeapKey {
-    fn new(at: SimTime, push_time: SimTime, who: Who) -> Self {
+    fn new(at: SimTime, key: PushKey, slot: u32) -> Self {
         HeapKey {
-            when: u128::from(at.as_nanos()) << 64 | u128::from(push_time.as_nanos()),
-            who,
+            when: u128::from(at.as_nanos()) << 64 | u128::from(key.time.as_nanos()),
+            who: u128::from(key.node) << 96 | u128::from(key.seq) << 32 | u128::from(slot),
         }
     }
 
     fn at(self) -> SimTime {
         SimTime::from_nanos((self.when >> 64) as u64)
     }
+
+    fn slot(self) -> u32 {
+        self.who as u32
+    }
 }
 
 impl Ord for HeapKey {
     fn cmp(&self, other: &Self) -> Ordering {
         if self.when == other.when {
-            self.who.cmp(&other.who)
+            other.who.cmp(&self.who)
         } else {
             other.when.cmp(&self.when)
         }
@@ -196,15 +168,9 @@ impl PartialOrd for HeapKey {
 /// A time-ordered event queue with canonical (push-key) tie-breaking.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    /// Keys pushed for their own push instant, `current_at`: every one
-    /// has the same `when`, so only `who` is kept and compared.
-    current: BinaryHeap<Who>,
-    /// The one instant the keys in `current` were pushed at and for.
-    /// Stale, and never read, while `current` is empty.
-    current_at: SimTime,
-    /// Every other key.
-    future: BinaryHeap<HeapKey>,
-    /// The events of the keys in the two heaps, by `Who::slot`.
+    /// The keys of the pending events.
+    heap: BinaryHeap<HeapKey>,
+    /// The events of the keys in the heap, by `HeapKey::slot`.
     slots: Vec<Option<Event>>,
     /// Vacant entries of `slots`, most recently vacated last.
     free: Vec<u32>,
@@ -237,40 +203,19 @@ impl EventQueue {
                 slot
             }
         };
-        let who = Who::new(key, slot);
-        if at == key.time && (self.current.is_empty() || self.current_at == at) {
-            self.current_at = at;
-            self.current.push(who);
-        } else {
-            self.future.push(HeapKey::new(at, key.time, who));
-        }
+        self.heap.push(HeapKey::new(at, key, slot));
     }
 
     /// Removes and returns the earliest event if it is scheduled at or
     /// before `bound`.
     pub fn pop_at_or_before(&mut self, bound: SimTime) -> Option<(SimTime, Event)> {
-        // The current head's full key is rebuilt only to be compared with
-        // the future head's. Both orders are reversed: the greater head is
-        // the earlier.
-        let current = self
-            .current
-            .peek()
-            .map(|&who| HeapKey::new(self.current_at, self.current_at, who));
-        let (head, in_current) = match (current, self.future.peek()) {
-            (Some(current), Some(future)) if current < *future => (*future, false),
-            (Some(current), _) => (current, true),
-            (None, future) => (*future?, false),
-        };
+        let head = *self.heap.peek()?;
         let at = head.at();
         if at > bound {
             return None;
         }
-        if in_current {
-            self.current.pop();
-        } else {
-            self.future.pop();
-        }
-        let slot = head.who.slot();
+        self.heap.pop();
+        let slot = head.slot();
         let event = self.slots[slot as usize]
             .take()
             .expect("a key's slot holds its event until the key pops");
@@ -293,7 +238,7 @@ mod tests {
 
         /// Whether no events are pending.
         pub(crate) fn is_empty(&self) -> bool {
-            self.current.is_empty() && self.future.is_empty()
+            self.heap.is_empty()
         }
     }
 
@@ -373,7 +318,7 @@ mod tests {
         assert!(q.is_empty());
         assert!(q.pop_at_or_before(SimTime::MAX).is_none());
         let at = |ns| SimTime::from_nanos(ns);
-        // One key in each heap: 7 is pushed for its own push instant.
+        // 7 is pushed for its own push instant, after 9.
         q.push(at(9), key(0), timer(9));
         q.push(
             at(7),
@@ -517,33 +462,5 @@ mod tests {
             }
             m.drain();
         }
-    }
-
-    /// The bursts of the property above, at a size where a quadratic path
-    /// (a sorted vector for the current instant, say) would not finish:
-    /// 100 000 same-instant pushes arriving in descending key order with a
-    /// pop after every fourth, over a background of future events, then a
-    /// second instant's burst on top of what the first left behind.
-    #[test]
-    fn same_instant_bursts_pop_in_key_order() {
-        let mut m = Modelled::new();
-        for i in 0..1_000 {
-            m.push(m.now + 1 + i % 7, m.now, (i % 4) as u32);
-        }
-        for round in 0..2 {
-            m.now += round;
-            // Descending seq within the burst: hand the counter out
-            // backwards.
-            m.seq = [200_000 * (round + 1); 4];
-            for i in 0..100_000u64 {
-                let node = (i % 4) as usize;
-                m.seq[node] -= 2;
-                m.push(m.now, m.now, node as u32);
-                if i % 4 == 3 {
-                    m.pop();
-                }
-            }
-        }
-        m.drain();
     }
 }

@@ -760,23 +760,48 @@ mod tests {
         assert!(ids.into_iter().all(|id| w.detach_probe(id)));
     }
 
-    #[test]
-    fn queue_overflow_drops() {
+    /// Five packets reach a two-slot device in one instant, each
+    /// injected with its own `Arrive`. Returns its counters.
+    fn burst_into_two_slots(htb: Option<crate::device::HtbConfig>) -> DeviceCounters {
         let mut w = World::new(2);
         let n = w.add_node("host", 1, NodeClock::perfect());
-        let d = w.add_device(
-            DeviceConfig::new("tiny", n)
-                .queue_capacity(2)
-                .service(ServiceModel::Fixed(SimDuration::from_millis(10)))
-                .forwarding(Forwarding::Deliver),
-        );
+        let mut cfg = DeviceConfig::new("tiny", n)
+            .queue_capacity(2)
+            .service(ServiceModel::Fixed(SimDuration::from_millis(10)))
+            .forwarding(Forwarding::Deliver);
+        if let Some(htb) = htb {
+            cfg = cfg.htb(htb);
+        }
+        let d = w.add_device(cfg);
         for _ in 0..5 {
             w.inject(d, udp_packet(10));
         }
         w.run_until(SimTime::from_micros(1));
-        // All five arrive in the same instant, before service can drain
-        // the queue: two fit, three are tail-dropped.
-        assert_eq!(w.device_counters(d).dropped_queue_full, 3);
+        w.device_counters(d)
+    }
+
+    /// The kernel rule: an idle device with a FIFO queue serves the first
+    /// packet at once, so it leaves the queue before the next arrives;
+    /// two queue behind it and two are tail-dropped.
+    #[test]
+    fn queue_overflow_drops() {
+        let c = burst_into_two_slots(None);
+        assert_eq!((c.rx_packets, c.dropped_queue_full), (3, 2));
+    }
+
+    /// An HTB device has no bypass: its start is an event of its own,
+    /// scheduled after the burst's arrivals, so all five meet the queue
+    /// with nothing in service: two fit, three are tail-dropped.
+    #[test]
+    fn htb_queue_overflow_drops_one_more() {
+        let htb = crate::device::HtbConfig {
+            rate_kbps: 1_000_000,
+            burst_kb: 1_000,
+            // Every frame of the burst is in the latency class.
+            shape_min_len: 1_500,
+        };
+        let c = burst_into_two_slots(Some(htb));
+        assert_eq!((c.rx_packets, c.dropped_queue_full), (2, 3));
     }
 
     #[test]

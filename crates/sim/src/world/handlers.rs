@@ -6,6 +6,16 @@
 //! by that node's push counter ([`World::push_event`]). That, and drawing
 //! randomness only from the node's own stream, is what keeps the order
 //! of equal-time events a function of the seed alone.
+//!
+//! A step that Linux runs in the context that causes it runs inside the
+//! handler that causes it here, not as an event of its own: a device that
+//! starts at once (`Device::starts_at_once`: no vCPU gate, no HTB shaper)
+//! takes a packet into service in the arrive or finish handler, and a hop
+//! that takes no time over a wire without a link profile, like an
+//! application's send, arrives in the sender's handler. Each such chain
+//! ends in a pushed event, a queued packet or a drop, so the recursion is
+//! bounded, and every delayed event still goes through `push_event`.
+//! DESIGN.md §8 states the rule and its exceptions.
 
 use rand::Rng;
 
@@ -219,11 +229,9 @@ impl World {
                     self.push_event(node, now, Event::SoftirqStart { node, cpu });
                 }
             }
-            None => {
-                if !dev.busy {
-                    self.push_event(node, now, Event::StartService { dev: dev_id });
-                }
-            }
+            None if dev.busy => {}
+            None if dev.starts_at_once() => self.handle_start(dev_id),
+            None => self.push_event(node, now, Event::StartService { dev: dev_id }),
         }
     }
 
@@ -301,10 +309,19 @@ impl World {
                 }
             }
         }
-        if !queue_empty {
-            self.push_event(node, now, Event::StartService { dev: dev_id });
+        // A device that starts at once takes its next packet only after
+        // this one has gone on, so the downstream `Arrive` is pushed ahead
+        // of the next `FinishService`, the order a scheduled start gives
+        // them; the others schedule the start first.
+        if dev.starts_at_once() {
+            self.complete_packet(dev_id, qp.pkt, tx_cost);
+            self.handle_start(dev_id);
+        } else {
+            if !queue_empty {
+                self.push_event(node, now, Event::StartService { dev: dev_id });
+            }
+            self.complete_packet(dev_id, qp.pkt, tx_cost);
         }
-        self.complete_packet(dev_id, qp.pkt, tx_cost);
     }
 
     fn handle_softirq_start(&mut self, node: NodeId, cpu: CpuId) {
@@ -473,6 +490,12 @@ impl World {
                         }
                     }
                 }
+                // A hop that takes no time over a plain wire arrives in the
+                // sender's context, as `dev_queue_xmit` runs in it.
+                if arrive_at == now && port.profile.is_none() {
+                    self.handle_arrive(port.peer, Some(dev_id), pkt);
+                    return;
+                }
                 self.push_event(
                     node,
                     arrive_at,
@@ -538,14 +561,6 @@ impl World {
             }
         }
         pkt.set_uid(self.next_uid(node));
-        self.push_event(
-            node,
-            self.now,
-            Event::Arrive {
-                dev: tx,
-                from: None,
-                pkt,
-            },
-        );
+        self.handle_arrive(tx, None, pkt);
     }
 }

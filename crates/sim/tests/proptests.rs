@@ -225,9 +225,11 @@ mod conservation {
     use std::cell::RefCell;
     use std::net::SocketAddrV4;
     use std::rc::Rc;
-    use vnet_sim::device::{DeviceConfig, Forwarding, ServiceModel};
+    use vnet_sim::device::{DeviceConfig, Forwarding, Gate, HtbConfig, ServiceModel};
+    use vnet_sim::ids::{CpuId, DeviceId, VcpuId};
     use vnet_sim::node::NodeClock;
     use vnet_sim::packet::{FlowKey, PacketBuilder, SocketAddrV4Ext};
+    use vnet_sim::sched::{Credit2Scheduler, HyperScheduler};
     use vnet_sim::time::{SimDuration, SimTime};
     use vnet_sim::world::World;
 
@@ -244,33 +246,71 @@ mod conservation {
         /// Packet conservation: every injected packet is either delivered,
         /// dropped (with a counted reason), or still queued/in flight —
         /// across random loads, queue sizes and a mid-run device failure.
+        ///
+        /// The world is one chain from an injection device to a delivering
+        /// sink: random ungated devices, each wired to the next with no
+        /// latency (the hop and the start run inline in the sender's
+        /// handler) or with 1 µs, plus one HTB-shaped device and one
+        /// vCPU-gated device at random places, whose starts stay scheduled
+        /// events. Bursts arrive in one instant at the idle head of the
+        /// chain, and any device of it may fail for a while. `plain` is
+        /// each ungated device's service time in ns, its queue capacity and
+        /// whether the wire to the next device takes no time.
         #[test]
         fn injected_equals_delivered_plus_dropped_plus_queued(
             bursts in proptest::collection::vec((0u64..400, 1usize..40), 1..6),
-            queue_cap in 1usize..64,
-            service_us in 1u64..20,
-            fail_window in proptest::option::of((0u64..2_000, 1u64..2_000)),
+            plain in proptest::collection::vec((50u64..20_000, 1usize..64, any::<bool>()), 1..5),
+            htb_at in 0usize..6,
+            vcpu_at in 0usize..6,
+            htb_rate_mbps in 1u64..100,
+            shape_all in any::<bool>(),
+            hog in any::<bool>(),
+            fail in proptest::option::of((0usize..8, 0u64..2_000, 1u64..2_000)),
         ) {
             let mut w = World::new(7);
             let n = w.add_node("host", 1, NodeClock::perfect());
-            let src = w.add_device(
-                DeviceConfig::new("src", n)
-                    .service(ServiceModel::Fixed(SimDuration::from_nanos(200)))
-                    .queue_capacity(10_000),
-            );
-            let mid = w.add_device(
-                DeviceConfig::new("mid", n)
-                    .service(ServiceModel::Fixed(SimDuration::from_micros(service_us)))
-                    .queue_capacity(queue_cap),
-            );
+            let mut sched = Credit2Scheduler::new();
+            sched.add_vcpu(VcpuId(0), CpuId(0), 256, false);
+            if hog {
+                sched.add_vcpu(VcpuId(1), CpuId(0), 256, true);
+            }
+            w.set_scheduler(n, Box::new(sched));
+            let stage = |name: String, service_ns: u64, queue_cap: usize| {
+                DeviceConfig::new(name, n)
+                    .service(ServiceModel::Fixed(SimDuration::from_nanos(service_ns)))
+                    .queue_capacity(queue_cap)
+            };
+            let mut chain: Vec<(DeviceConfig, bool)> = plain
+                .iter()
+                .enumerate()
+                .map(|(i, &(service_ns, cap, zero_hop))| {
+                    (stage(format!("plain{i}"), service_ns, cap), zero_hop)
+                })
+                .collect();
+            let htb = HtbConfig {
+                rate_kbps: htb_rate_mbps * 1_000,
+                burst_kb: 2,
+                shape_min_len: if shape_all { 0 } else { 1_500 },
+            };
+            let shaped = stage("htb".into(), 300, 32).htb(htb);
+            chain.insert(htb_at % (chain.len() + 1), (shaped, true));
+            let gated = stage("vcpu".into(), 500, 32).gate(Gate::Vcpu(VcpuId(0)));
+            chain.insert(vcpu_at % (chain.len() + 1), (gated, true));
+            let src = w.add_device(stage("src".into(), 200, 10_000));
+            let mut devices = vec![src];
+            let mut zero_hop = true;
+            for (cfg, zero_next) in chain {
+                let dev = w.add_device(cfg);
+                let latency = if zero_hop { 0 } else { 1 };
+                w.connect(*devices.last().unwrap(), dev, SimDuration::from_micros(latency));
+                devices.push(dev);
+                zero_hop = zero_next;
+            }
             let sink = w.add_device(
-                DeviceConfig::new("sink", n)
-                    .service(ServiceModel::Fixed(SimDuration::from_nanos(100)))
-                    .queue_capacity(10_000)
-                    .forwarding(Forwarding::Deliver),
+                stage("sink".into(), 100, 10_000).forwarding(Forwarding::Deliver),
             );
-            w.connect(src, mid, SimDuration::from_micros(1));
-            w.connect(mid, sink, SimDuration::from_micros(1));
+            w.connect(*devices.last().unwrap(), sink, SimDuration::ZERO);
+            devices.push(sink);
             let delivered = Rc::new(RefCell::new(0u64));
             let app = w.add_app(n, src, Box::new(Counter(Rc::clone(&delivered))));
             w.bind_app(sink, 7, app);
@@ -289,25 +329,27 @@ mod conservation {
                     injected += 1;
                 }
             }
-            if let Some((down_at, dur)) = fail_window {
+            if let Some((at, down_at, dur)) = fail {
+                let dev: DeviceId = devices[at % devices.len()];
                 let down = SimTime::from_micros(down_at.min(clock.as_micros()));
                 if down > w.now() {
                     w.run_until(down);
                 }
-                w.set_device_down(mid, true);
+                w.set_device_down(dev, true);
                 w.run_for(SimDuration::from_micros(dur));
-                w.set_device_down(mid, false);
+                w.set_device_down(dev, false);
             }
             // Drain for long enough that nothing can still be in flight
-            // unless it is queued behind the failed window.
-            w.run_for(SimDuration::from_millis(50));
+            // unless it is queued behind the failed window: the shaper
+            // paces at least 1 Mbps, and the vCPU waits out a hog's
+            // ratelimit at most once per wake.
+            w.run_for(SimDuration::from_millis(500));
 
-            let dropped: u64 = [src, mid, sink]
+            let dropped: u64 = devices
                 .iter()
                 .map(|&d| w.device_counters(d).dropped_total())
                 .sum();
-            let queued: u64 =
-                [src, mid, sink].iter().map(|&d| w.device_queue_len(d) as u64).sum();
+            let queued: u64 = devices.iter().map(|&d| w.device_queue_len(d) as u64).sum();
             prop_assert_eq!(
                 injected,
                 *delivered.borrow_mut() + dropped + queued,

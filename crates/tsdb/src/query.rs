@@ -181,7 +181,6 @@ impl Query {
                 stats.segments_pruned += 1;
             } else {
                 stats.segments_scanned += 1;
-                stats.sealed_rows_total += meta.records;
             }
         }
         stats.blocks_scanned = blocks.len() as u64;
@@ -327,8 +326,6 @@ pub struct ScanStats {
     pub segments_pruned: u64,
     /// Segments with at least one block decoded.
     pub segments_scanned: u64,
-    /// Rows in the scanned segments.
-    pub sealed_rows_total: u64,
     /// Sealed rows in the window.
     pub rows_matched: u64,
     /// Hot-tail records in the window.

@@ -474,7 +474,7 @@ mod tests {
             send_interval: SimDuration::from_micros(40),
             payload: 256,
         };
-        for (cfg, events) in [(small, 925_984), (bench, 8_906_272)] {
+        for (cfg, events) in [(small, 447_984), (bench, 4_300_672)] {
             let mut s = RackScenario::build(&cfg);
             s.run(&cfg);
             assert_eq!(s.world.events_processed(), events);

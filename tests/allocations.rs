@@ -30,11 +30,15 @@
 //!
 //! This is its own test binary because it installs a counting global
 //! allocator. The counts are per thread, so nothing the test harness does
-//! on its other threads lands in them.
+//! on its other threads lands in them. The seal also encodes on a helper
+//! thread, so its fence reads a process-wide live-byte count as well,
+//! and runs while no other test of this binary does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::{Ipv4Addr, SocketAddrV4};
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use vnettracer::VNetTracer;
 
 use vnet_ebpf::asm::{reg::R0, Asm};
@@ -69,6 +73,12 @@ thread_local! {
     static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
+/// Bytes the whole process has allocated less the bytes it has freed.
+static PROCESS_LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+/// The most `PROCESS_LIVE_BYTES` has held since the last
+/// [`reset_process_peak`].
+static PROCESS_PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
+
 /// Counts one call that hands out a block and moves this thread's live
 /// bytes by `delta`.
 fn count(delta: i64) {
@@ -78,12 +88,15 @@ fn count(delta: i64) {
     resize(delta);
 }
 
-/// Moves this thread's live bytes by `delta`, raising the peak with it.
+/// Moves this thread's and the process's live bytes by `delta`, raising
+/// both peaks with them.
 fn resize(delta: i64) {
     let _ = LIVE_BYTES.try_with(|live| {
         live.set(live.get() + delta);
         let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(live.get())));
     });
+    let live = PROCESS_LIVE_BYTES.fetch_add(delta, Ordering::Relaxed) + delta;
+    PROCESS_PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
 }
 
 fn allocations() -> u64 {
@@ -103,6 +116,36 @@ fn reset_peak() -> i64 {
 
 fn peak_bytes() -> i64 {
     PEAK_BYTES.with(Cell::get)
+}
+
+/// The process's live heap bytes; starts a new peak there.
+fn reset_process_peak() -> i64 {
+    let live = PROCESS_LIVE_BYTES.load(Ordering::Relaxed);
+    PROCESS_PEAK_BYTES.store(live, Ordering::Relaxed);
+    live
+}
+
+fn process_peak_bytes() -> i64 {
+    PROCESS_PEAK_BYTES.load(Ordering::Relaxed)
+}
+
+/// Held for reading by every test of this binary, and for writing by a
+/// fence on the process-wide count, which must not see another test's
+/// heap.
+static RUNNING: RwLock<()> = RwLock::new(());
+
+/// Lets other tests run beside the caller.
+fn shared() -> RwLockReadGuard<'static, ()> {
+    RUNNING
+        .read()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Waits until no other test of this binary runs, and keeps them out.
+fn alone() -> RwLockWriteGuard<'static, ()> {
+    RUNNING
+        .write()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// `System`, counting every call that hands out a block.
@@ -162,6 +205,7 @@ fn census(cfg: &RackConfig) -> (u64, u64) {
 /// packets' alone.
 #[test]
 fn a_delivered_packet_costs_two_allocations() {
+    let _shared = shared();
     let short = RackConfig::small();
     let long = RackConfig {
         packets_per_app: 2 * short.packets_per_app,
@@ -186,6 +230,7 @@ const FIRINGS_PER_DRAIN: u64 = 100;
 /// every cycle after it allocates nothing.
 #[test]
 fn a_recorded_firing_allocates_nothing() {
+    let _shared = shared();
     let mut maps = MapRegistry::new();
     let perf_fd = maps.create(MapDef::perf(64 * 1024), 4).unwrap();
     let spec = TraceSpec {
@@ -239,6 +284,7 @@ fn a_recorded_firing_allocates_nothing() {
 /// nothing.
 #[test]
 fn a_missed_firing_allocates_nothing() {
+    let _shared = shared();
     let mut world = World::new(7);
     let node = world.add_node("n", 2, NodeClock::perfect());
     let dev = world.add_device(DeviceConfig::new("eth0", node).forwarding(Forwarding::Deliver));
@@ -336,6 +382,7 @@ fn load_allocations(prog: Program, maps: &MapRegistry) -> u64 {
 /// the TCP option scan and without it.
 #[test]
 fn a_load_allocates_a_bounded_number_of_times() {
+    let _shared = shared();
     let mut maps = MapRegistry::new();
     let perf_fd = maps.create(MapDef::perf(64 * 1024), 4).unwrap();
     for protocol in [Proto::Tcp, Proto::Udp] {
@@ -353,6 +400,7 @@ fn a_load_allocates_a_bounded_number_of_times() {
 /// record kept per instruction would add thousands.
 #[test]
 fn a_load_allocates_the_same_for_a_longer_program() {
+    let _shared = shared();
     let mut maps = MapRegistry::new();
     let perf_fd = maps.create(MapDef::perf(64 * 1024), 4).unwrap();
     let short = load_allocations(record_program(perf_fd, Proto::Tcp), &maps);
@@ -380,6 +428,7 @@ const HIT_ALLOCATIONS: u64 = 2;
 /// verdict (`verified_insns` 0).
 #[test]
 fn a_deploy_walks_each_distinct_program_once() {
+    let _shared = shared();
     let mut tb = RackTestbed::build(&RackConfig {
         hosts: 8,
         vms_per_host: 4,
@@ -404,6 +453,7 @@ fn a_deploy_walks_each_distinct_program_once() {
 /// [`HIT_ALLOCATIONS`].
 #[test]
 fn a_repeated_load_allocates_a_fixed_handful() {
+    let _shared = shared();
     let mut maps = MapRegistry::new();
     let perf_fd = maps.create(MapDef::perf(64 * 1024), 4).unwrap();
     let spec = TraceSpec {
@@ -441,6 +491,7 @@ fn a_repeated_load_allocates_a_fixed_handful() {
 /// store's amortized growth.
 #[test]
 fn a_warm_collect_allocates_nothing() {
+    let _shared = shared();
     let cfg = TwoHostConfig {
         messages: 50,
         ..TwoHostConfig::default()
@@ -466,6 +517,7 @@ fn a_warm_collect_allocates_nothing() {
 /// relocated instruction stream the threaded code was lowered from.
 #[test]
 fn an_attached_script_keeps_only_what_it_runs() {
+    let _shared = shared();
     let cfg = TwoHostConfig::default();
     let mut s = TwoHostScenario::build(&cfg);
     let pkg = s.control_package();
@@ -484,14 +536,26 @@ fn an_attached_script_keeps_only_what_it_runs() {
 /// seals: what the `store_sweep` benchmark's store seals at a time.
 const SEAL_ROWS: u64 = 128 * 1024;
 
-/// Sealing a 128 Ki-row table into a segment raises the sealing thread's
-/// live heap by less than 1 MiB over what it held just before. A seal
-/// that transposed the whole table into its twelve column lanes before
-/// writing a block would hold 12 MiB of them; one that streams holds the
-/// open 2 048-row block (twelve 16 KiB lanes), its encoded bytes and the
-/// block index.
+/// What sealing [`SEAL_ROWS`] rows may add to the sealing thread's live
+/// heap: the open 2 048-row block (twelve 16 KiB lanes), its encoded
+/// bytes and the block index, with room to spare.
+const SEALING_THREAD_BYTES: i64 = 1 << 20;
+
+/// What the seal's encode helper may add on top: its two block buffers
+/// (`ordered.rs`'s `HELPER_BUFFERS`), each twelve 16 KiB lanes and their
+/// encoded bytes, about 0.25 MiB.
+const HELPER_BYTES: i64 = 2 * (1 << 18);
+
+/// Sealing a 128 Ki-row table into a segment raises the live heap by
+/// less than [`SEALING_THREAD_BYTES`] on the sealing thread and by less
+/// than that plus [`HELPER_BYTES`] in the whole process, over what each
+/// held just before. A seal that transposed the whole table into its
+/// twelve column lanes before writing a block would hold 12 MiB of them,
+/// and so would a helper that kept every block it encoded. The process
+/// count is what sees the helper, whose buffers grow on its own thread.
 #[test]
 fn sealing_a_table_holds_one_block_not_the_table() {
+    let _alone = alone();
     let dir = std::env::temp_dir().join(format!("vnt-alloc-seal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let options = StoreOptions {
@@ -519,14 +583,20 @@ fn sealing_a_table_holds_one_block_not_the_table() {
     db.insert_batch(&batch);
     drop(batch);
     let before = reset_peak();
+    let process_before = reset_process_peak();
     db.flush().unwrap();
     let grew = peak_bytes() - before;
+    let process_grew = process_peak_bytes() - process_before;
     assert_eq!(db.storage_stats().unwrap().sealed_records, SEAL_ROWS);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
     assert!(
-        grew < 1 << 20,
-        "sealing {SEAL_ROWS} rows raised the live heap by {grew} bytes"
+        grew < SEALING_THREAD_BYTES,
+        "sealing {SEAL_ROWS} rows raised the sealing thread's live heap by {grew} bytes"
+    );
+    assert!(
+        process_grew < SEALING_THREAD_BYTES + HELPER_BYTES,
+        "sealing {SEAL_ROWS} rows raised the process's live heap by {process_grew} bytes"
     );
 }
 
@@ -535,6 +605,7 @@ fn sealing_a_table_holds_one_block_not_the_table() {
 /// than a fixed allowance) are counted in before anything is encoded.
 #[test]
 fn a_wal_append_allocates_its_frame_once() {
+    let _shared = shared();
     let path = std::env::temp_dir().join(format!("vnt-alloc-wal-{}.log", std::process::id()));
     let mut wal = Wal::create(&path, false).unwrap();
     let mut batch = RecordBatch::new();
@@ -568,6 +639,7 @@ const BLOCK_ROWS: u64 = 2_048;
 /// flushed and reopened, and both walks project every column.
 #[test]
 fn a_walk_reuses_its_block_buffers() {
+    let _shared = shared();
     let dir = std::env::temp_dir().join(format!("vnt-alloc-walk-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let options = StoreOptions {

@@ -200,7 +200,7 @@ mod detector_validation {
                 Some(AdversarialProfile::LeoHandover),
                 &EmulationConfig::default(),
             ),
-            0x5d9f_59b5,
+            0x26db_af58,
         );
     }
 
@@ -211,7 +211,7 @@ mod detector_validation {
                 Some(AdversarialProfile::CongestedWan),
                 &EmulationConfig::default(),
             ),
-            0x1baa_5324,
+            0x7a6f_47f7,
         );
     }
 
@@ -222,7 +222,7 @@ mod detector_validation {
                 Some(AdversarialProfile::Flapping),
                 &EmulationConfig::default(),
             ),
-            0x0e18_0da8,
+            0xcd0f_16bf,
         );
     }
 
@@ -232,7 +232,7 @@ mod detector_validation {
             Some(AdversarialProfile::AsymmetricSkew),
             &EmulationConfig::default(),
         );
-        assert_validated(&r, 0x42a2_08b9);
+        assert_validated(&r, 0xc109_cd8b);
         // The skew is applied to the reply direction only: the forward
         // pair must stay quiet, or the detector is mislocalizing.
         let fwd_spikes = r
@@ -256,7 +256,7 @@ mod detector_validation {
                 Some(AdversarialProfile::GilbertElliott),
                 &EmulationConfig::default(),
             ),
-            0x3abd_6e8b,
+            0x4cc6_1b13,
         );
     }
 
@@ -269,7 +269,7 @@ mod detector_validation {
                 Some(AdversarialProfile::LeoHandover),
                 &EmulationConfig::default(),
             ),
-            0x1c2d_f936,
+            0x3ded_fede,
         );
     }
 
@@ -280,7 +280,7 @@ mod detector_validation {
                 Some(AdversarialProfile::CongestedWan),
                 &EmulationConfig::default(),
             ),
-            0xbcc5_7721,
+            0xd8f7_32a8,
         );
     }
 
@@ -291,7 +291,7 @@ mod detector_validation {
                 Some(AdversarialProfile::Flapping),
                 &EmulationConfig::default(),
             ),
-            0x8d99_e2fb,
+            0x8288_834f,
         );
     }
 
@@ -302,7 +302,7 @@ mod detector_validation {
                 Some(AdversarialProfile::AsymmetricSkew),
                 &EmulationConfig::default(),
             ),
-            0x82cd_99ac,
+            0x9569_6161,
         );
     }
 
@@ -313,7 +313,7 @@ mod detector_validation {
                 Some(AdversarialProfile::GilbertElliott),
                 &EmulationConfig::default(),
             ),
-            0x1949_c36a,
+            0xc057_27ca,
         );
     }
 
